@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-props test-backends test-migration test-checkpoints test-barriers test-obs bench-smoke bench-core bench soak trace example clean
+.PHONY: test test-props test-backends test-migration test-checkpoints test-barriers test-obs bench-smoke bench-core bench soak trace perf-smoke perf example clean
 
 ## Narrows the benchmark's execution-backend sweep, e.g.:
 ##   make bench BACKEND=process
@@ -78,6 +78,16 @@ test-obs:
 trace:
 	REPRO_BENCH_SMOKE=$(SMOKE) $(PYTHON) -m pytest benchmarks/bench_trace.py -q
 	$(PYTHON) -c "from repro.obs import validate_trace_file; name = 'TRACE_cluster$(if $(SMOKE),_smoke,).json'; print(validate_trace_file(name), 'trace events validated in', name)"
+
+## The repository benchmark's own smoke test (BENCHMARK.json's harness at toy
+## size, ~20 s).  perf/ is outside tier-1 `testpaths`; this is what notices a
+## src/ change that breaks the public surface the benchmark drives.
+perf-smoke:
+	$(PYTHON) -m pytest perf -q
+
+## The repository benchmark itself: every workload, every end-to-end metric.
+perf:
+	python3 perf/run.py
 
 ## The cluster quickstart example.
 example:

@@ -469,9 +469,9 @@ def test_backend_wall_clock(benchmark):
             1.5, skip="skipped_backend_subset", cpu_count=CPU_COUNT
         )
     else:
-        speedup = (
-            by_backend["serial"].wall_clock_s / by_backend["process"].wall_clock_s
-        )
+        # On the engine's share alone: the audit is the same work on every
+        # backend and would pull the ratio towards 1.
+        speedup = by_backend["serial"].run_wall_s / by_backend["process"].run_wall_s
         benchmark.extra_info["process_speedup"] = round(speedup, 2)
         # The skip reasons are decided *before* the JSON write: a multi-core
         # host that misses the bound must journal "failed", never a premature
@@ -489,9 +489,11 @@ def test_backend_wall_clock(benchmark):
             {
                 "backend": row.backend,
                 "wall_clock_s": round(row.wall_clock_s, 3),
+                "run_wall_s": round(row.run_wall_s, 3),
+                "audit_wall_s": round(row.audit_wall_s, 3),
                 "speedup_vs_serial": (
-                    round(by_backend["serial"].wall_clock_s / row.wall_clock_s, 2)
-                    if "serial" in by_backend and row.wall_clock_s > 0
+                    round(by_backend["serial"].run_wall_s / row.run_wall_s, 2)
+                    if "serial" in by_backend and row.run_wall_s > 0
                     else None
                 ),
                 "throughput_tps": round(row.throughput, 1),

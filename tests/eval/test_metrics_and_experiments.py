@@ -126,6 +126,9 @@ class TestExperimentHarness:
         assert len({row.fingerprint for row in rows}) == 1
         for row in rows:
             assert row.wall_clock_s > 0
+            # Engine and audit are timed apart; the total stays their sum.
+            assert row.run_wall_s > 0 and row.audit_wall_s > 0
+            assert row.wall_clock_s == pytest.approx(row.run_wall_s + row.audit_wall_s)
             assert row.row.check.ok
             assert row.row.conservation_ok
             assert row.throughput == rows[0].throughput
