@@ -16,7 +16,10 @@ BACKEND ?=
 test:
 	$(PYTHON) -m pytest -x -q
 
-## The property-based suites alone (hypothesis; cluster conservation etc.).
+## The property-based suites alone (hypothesis; cluster conservation, the
+## differential tests that keep a slow formulation as the reference —
+## test_definition1_checker.py for the audit, test_account_book.py for
+## running balances ≡ the Figure 4 fold — etc.).
 test-props:
 	$(PYTHON) -m pytest tests/properties -q
 

@@ -26,7 +26,6 @@ from repro.broadcast.messages import FinalMessage, SendMessage
 from repro.broadcast.secure_broadcast import BroadcastDelivery, payload_item_count
 from repro.common.errors import ConfigurationError
 from repro.common.types import AccountId, Amount, ProcessId, Transfer
-from repro.core.accounts import balance_from_transfers
 from repro.mp.consensusless_transfer import (
     BroadcastFactory,
     ConsensuslessTransferNode,
@@ -104,10 +103,7 @@ class BatchingTransferNode(ConsensuslessTransferNode):
         if self._pending_batch or not self._submit_queue:
             return
         submitted_at = self.now
-        own_history = set(self.hist.get(self.account, set())) | self.deps
-        balance = balance_from_transfers(
-            self.account, self._base_balance(self.account), own_history
-        )
+        balance = self.book.balance(self.account)
         sequence = self.seq.get(self.node_id, 0)
         announcements: List[TransferAnnouncement] = []
         # FIFO drain: each queued submission is admitted against the balance

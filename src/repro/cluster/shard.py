@@ -524,7 +524,7 @@ class Shard:
                 completed=list(node.completed),
                 failed_immediately=list(node.failed_immediately),
                 stats=node.stats,
-                retired_offsets=dict(node._retired_offsets),
+                retired_offsets=dict(node.book.offsets),
                 retired_outbound=dict(node._retired_outbound),
                 pending_retirements=set(node._pending_retirements),
                 retired_records=node.retired_records,
@@ -557,22 +557,7 @@ class Shard:
                 f"snapshot of shard {snapshot.index} applied to shard {self.index}"
             )
         for pid, node_snapshot in snapshot.nodes.items():
-            node = self.nodes[pid]
-            node.seq = dict(node_snapshot.seq)
-            node.rec = dict(node_snapshot.rec)
-            node.hist = {account: set(history) for account, history in node_snapshot.hist.items()}
-            node.deps = set(node_snapshot.deps)
-            node._validated_log = list(node_snapshot.validated_log)
-            node._client_operations = list(node_snapshot.client_operations)
-            node.completed = list(node_snapshot.completed)
-            node.failed_immediately = list(node_snapshot.failed_immediately)
-            node.stats = node_snapshot.stats
-            node._retired_offsets = dict(node_snapshot.retired_offsets)
-            node._retired_outbound = dict(node_snapshot.retired_outbound)
-            node._pending_retirements = set(node_snapshot.pending_retirements)
-            node.retired_records = node_snapshot.retired_records
-            node.compacted_local_records = node_snapshot.compacted_local_records
-            node.stale_retirements_dropped = node_snapshot.stale_retirements_dropped
+            self._restore_node(self.nodes[pid], node_snapshot, node_snapshot.stats)
         self.result.committed = list(snapshot.committed)
         self.result.rejected = list(snapshot.rejected)
         self.network.messages_sent = snapshot.messages_sent
@@ -583,6 +568,27 @@ class Shard:
         # counters on the second restore.  ``metrics_snapshot`` overlays
         # this on the twin's own (driver-side fabric) recording.
         self._worker_metrics = snapshot.metrics
+
+    @staticmethod
+    def _restore_node(
+        node: ConsensuslessTransferNode, state: NodeSnapshot, stats: NodeStats
+    ) -> None:
+        """Install ``state``; the book's running balances are rebuilt from the
+        shipped ``hist`` + ``retired_offsets`` by one fold."""
+        node.stats = stats
+        node.seq = dict(state.seq)
+        node.rec = dict(state.rec)
+        node.book.rebuild(state.hist, state.retired_offsets)
+        node.deps = set(state.deps)
+        node._validated_log = list(state.validated_log)
+        node._client_operations = list(state.client_operations)
+        node.completed = list(state.completed)
+        node.failed_immediately = list(state.failed_immediately)
+        node._retired_outbound = dict(state.retired_outbound)
+        node._pending_retirements = set(state.pending_retirements)
+        node.retired_records = state.retired_records
+        node.compacted_local_records = state.compacted_local_records
+        node.stale_retirements_dropped = state.stale_retirements_dropped
 
     # -- checkpointing ------------------------------------------------------------------------
 
@@ -661,23 +667,10 @@ class Shard:
                 scheduled += 1
         snapshot = checkpoint.state
         for pid, node_snapshot in snapshot.nodes.items():
-            node = self.nodes[pid]
-            node.seq = dict(node_snapshot.seq)
-            node.rec = dict(node_snapshot.rec)
-            node.hist = {account: set(history) for account, history in node_snapshot.hist.items()}
-            node.deps = set(node_snapshot.deps)
-            node._validated_log = list(node_snapshot.validated_log)
-            node._client_operations = list(node_snapshot.client_operations)
-            node.completed = list(node_snapshot.completed)
-            node.failed_immediately = list(node_snapshot.failed_immediately)
-            # Copy, don't alias: this node runs on and mutates its stats.
-            node.stats = dataclasses.replace(node_snapshot.stats)
-            node._retired_offsets = dict(node_snapshot.retired_offsets)
-            node._retired_outbound = dict(node_snapshot.retired_outbound)
-            node._pending_retirements = set(node_snapshot.pending_retirements)
-            node.retired_records = node_snapshot.retired_records
-            node.compacted_local_records = node_snapshot.compacted_local_records
-            node.stale_retirements_dropped = node_snapshot.stale_retirements_dropped
+            # Copy the stats, don't alias: this node runs on and mutates them.
+            self._restore_node(
+                self.nodes[pid], node_snapshot, dataclasses.replace(node_snapshot.stats)
+            )
         self.result.committed = list(snapshot.committed)
         self.result.rejected = list(snapshot.rejected)
         self.submitted = snapshot.submitted

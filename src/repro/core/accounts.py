@@ -1,17 +1,26 @@
-"""Account-book helpers shared by the asset-transfer implementations.
+"""Account books: the balance fold, the sequential reference, the protocol's book.
 
-Both shared-memory algorithms (Figures 1 and 3) compute an account's balance
-by folding over the successful transfers found in a snapshot of the shared
-memory: the balance of ``a`` is its initial balance, plus the incoming
-amounts, minus the outgoing amounts.  This module hosts that computation,
-together with a small :class:`Ledger` convenience used by examples and the
-sequential facades.
+The paper states a balance as a *fold*: ``balance(a, S)`` is the initial
+balance of ``a`` plus the incoming minus the outgoing amounts of the
+successful transfers in ``S``.  :func:`balance_from_transfers` is that fold
+and is the **specification**: the shared-memory algorithms evaluate it on a
+snapshot (:func:`balance_from_snapshot`, Figure 1;
+:func:`balance_from_decided_snapshot`, Figure 3) and the differential tests
+require every maintained balance to equal it.
+
+:class:`Ledger` is the **sequential reference** — transfers applied one at a
+time under the sequential specification; it backs the consensus baseline's
+execution layer (``bft/``), the examples and the facades.
+:class:`AccountBook` is the **protocol's book** — the ``hist`` record sets of
+the message-passing protocols (Figure 4, Section 6) plus a running balance per
+account, so ``balance(a, hist[a])`` is an O(1) read, not a walk over ``hist[a]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from types import MappingProxyType
+from typing import AbstractSet, Dict, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.types import AccountId, Amount, OwnershipMap, Transfer, TransferStatus
@@ -131,3 +140,82 @@ class Ledger:
         clone = Ledger(ownership=self.ownership, balances=dict(self.balances))
         clone.applied = list(self.applied)
         return clone
+
+
+class AccountBook:
+    """Figure 4's ``hist`` with ``balance(a, hist[a])`` kept as a running sum.
+
+    A transfer is indexed under its source and its destination together
+    (``t in book`` tests exactly that) and possibly under a third account that
+    declared it as a dependency (line 15), where it moves no balance.
+    :meth:`record` and :meth:`discard` are the only mutators — ``hist`` is a
+    read-only view — so ``balance(a) == balance_from_transfers(a, initial[a] +
+    offsets[a], hist[a])`` after every call.  ``offsets`` is the baseline left
+    by discarded records; ``hist`` and ``offsets`` are all a snapshot ships,
+    and :meth:`rebuild` re-derives the running sums from them with the fold.
+    """
+
+    def __init__(self, initial_balances: Mapping[AccountId, Amount]) -> None:
+        self._initial = initial_balances
+        self._records: Dict[AccountId, Set[Transfer]] = {}
+        self._delta: Dict[AccountId, Amount] = {}
+        self.offsets: Dict[AccountId, Amount] = {}
+        self.hist: Mapping[AccountId, AbstractSet[Transfer]] = MappingProxyType(self._records)
+
+    def __contains__(self, transfer: Transfer) -> bool:
+        return transfer in self._records.get(transfer.source, ())
+
+    def balance(self, account: AccountId) -> Amount:
+        return self._initial.get(account, 0) + self._delta.get(account, 0)
+
+    def record(self, transfer: Transfer, also_under: Optional[AccountId] = None) -> bool:
+        """Record ``transfer`` under both its accounts; ``True`` if it was new.
+
+        Set semantics, as in the paper: a transfer already present counts
+        once.  ``also_under`` additionally indexes it under that account.
+        """
+        records, delta = self._records, self._delta
+        source_records = records.setdefault(transfer.source, set())
+        new = transfer not in source_records
+        if new:
+            source_records.add(transfer)
+            records.setdefault(transfer.destination, set()).add(transfer)
+            delta[transfer.source] = delta.get(transfer.source, 0) - transfer.amount
+            delta[transfer.destination] = delta.get(transfer.destination, 0) + transfer.amount
+        if also_under is not None:
+            records.setdefault(also_under, set()).add(transfer)
+        return new
+
+    def discard(self, transfer: Transfer, keep_credit: bool) -> None:
+        """Drop a recorded transfer, folding its debit into the source's offset.
+
+        The source's balance never moves.  With ``keep_credit`` the credit is
+        folded into the destination's offset too (a consumed local record:
+        no balance moves); without it the destination's balance falls by the
+        amount (a settled outbound record: the money lives elsewhere now).
+        """
+        for account in (transfer.source, transfer.destination):
+            involved = self._records.get(account)
+            if involved is not None:
+                involved.discard(transfer)
+                if not involved:
+                    del self._records[account]
+        offsets, amount = self.offsets, transfer.amount
+        offsets[transfer.source] = offsets.get(transfer.source, 0) - amount
+        if keep_credit:
+            offsets[transfer.destination] = offsets.get(transfer.destination, 0) + amount
+        else:
+            self._delta[transfer.destination] = self._delta.get(transfer.destination, 0) - amount
+
+    def rebuild(
+        self, hist: Mapping[AccountId, Iterable[Transfer]], offsets: Mapping[AccountId, Amount]
+    ) -> None:
+        """Adopt a shipped ``(hist, offsets)`` pair; balances come from the fold."""
+        self._records.clear()
+        self._records.update((account, set(records)) for account, records in hist.items())
+        self.offsets = dict(offsets)
+        self._delta = dict(offsets)
+        for account, records in self._records.items():
+            self._delta[account] = balance_from_transfers(
+                account, self._delta.get(account, 0), records
+            )

@@ -16,6 +16,17 @@ secure broadcast), they converge on the same per-account histories — without
 any agreement protocol.  That is the paper's practical point: **consensus is
 not needed to prevent double-spending**.
 
+Figure 4 writes every balance as a fold over the validated history; the node
+keeps that history in one :class:`repro.core.accounts.AccountBook` and reads
+the fold's value off it.  Line 15 (``hist[q] := hist[q] ∪ h ∪ {t}``) is
+``book.record(dependency, also_under=q)`` for each declared dependency plus
+``book.record(t)``; lines 2, 7 and 25 (``balance(a, hist[a] ∪ deps)``) are
+``book.balance(a)``.  Dropping the union is sound because of line 26: a
+declared dependency must already be validated, so it is already in the book
+under both of its accounts — ``_valid`` therefore evaluates line 26 before
+line 25 (the verdict is a conjunction) — and the node's own ``deps`` only
+ever holds credits the book indexes under the node's account.
+
 The node exposes a small client API (:meth:`submit_transfer`, :meth:`read`)
 driven by the workload layer, and records everything the
 Definition 1 checker (:mod:`repro.spec.byzantine_spec`) needs.
@@ -24,12 +35,13 @@ Definition 1 checker (:mod:`repro.spec.byzantine_spec`) needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
+from repro.broadcast.messages import FinalMessage, SendMessage
 from repro.broadcast.secure_broadcast import BroadcastDelivery, BroadcastLayer
 from repro.common.errors import ConfigurationError
 from repro.common.types import AccountId, Amount, ProcessId, Transfer
-from repro.core.accounts import balance_from_transfers
+from repro.core.accounts import AccountBook
 from repro.mp.messages import TransferAnnouncement
 from repro.network.node import Node
 from repro.spec.byzantine_spec import ClientOperation, ProcessObservation, ValidatedTransfer
@@ -99,21 +111,20 @@ class ConsensuslessTransferNode(Node):
         self._broadcast_factory = broadcast_factory
         self._on_complete = on_complete
 
-        # Figure 4 local state.
+        # Figure 4 local state; ``hist`` lives in the book (see the property).
         self.seq: Dict[ProcessId, int] = {}
         self.rec: Dict[ProcessId, int] = {}
-        self.hist: Dict[AccountId, Set[Transfer]] = {}
+        self.book = AccountBook(self._initial_balances)
         self.deps: Set[Transfer] = set()
         self.to_validate: List[Tuple[ProcessId, TransferAnnouncement]] = []
 
         # Ledger-compaction state (the cluster settlement lifecycle).  A
         # retired transfer leaves ``hist`` entirely; its debit is folded into
-        # ``_retired_offsets`` so every balance except the retired outbound
+        # ``book.offsets`` so every balance except the retired outbound
         # credit reads unchanged, and ``_retired_outbound`` keeps the audit's
         # cumulative view of what was compacted away per ``x{d}:a`` account.
         # Retirement commands for transfers this replica has not validated
         # yet wait in ``_pending_retirements`` and apply on validation.
-        self._retired_offsets: Dict[AccountId, Amount] = {}
         self._retired_outbound: Dict[AccountId, Amount] = {}
         self._pending_retirements: Set[Transfer] = set()
         self.retired_records = 0
@@ -125,7 +136,7 @@ class ConsensuslessTransferNode(Node):
         # as a dependency validates — past that point a benign issuer can
         # never declare it again (dependencies are cleared when declared,
         # line 5), so the record is pure history; its amount folds into the
-        # same ``_retired_offsets`` baseline the settlement lifecycle uses,
+        # same ``book.offsets`` baseline the settlement lifecycle uses,
         # leaving every balance bit-identical.  The rule is sound for benign
         # issuers only: a Byzantine *replica* declaring another account's
         # credit could observe the record compact at different times on
@@ -151,6 +162,11 @@ class ConsensuslessTransferNode(Node):
         # cluster settlement layer subscribes here to voucher cross-shard
         # credits; the hook sees transfers in this node's validation order.
         self.on_validated: Optional[Callable[[Transfer], None]] = None
+
+    @property
+    def hist(self) -> Mapping[AccountId, AbstractSet[Transfer]]:
+        """``hist[a]``, read-only; ``book.record`` / ``book.discard`` are the mutators."""
+        return self.book.hist
 
     # -- lifecycle --------------------------------------------------------------------------
 
@@ -179,8 +195,6 @@ class ConsensuslessTransferNode(Node):
         is the broadcast protocol's key cost advantage over signed consensus
         votes.
         """
-        from repro.broadcast.messages import FinalMessage, SendMessage
-
         config = self.network.config
         base = config.processing_time
         if isinstance(message, SendMessage):
@@ -206,10 +220,7 @@ class ConsensuslessTransferNode(Node):
     def read(self, account: Optional[AccountId] = None) -> Amount:
         """``read(a)``: balance from the local history (line 7)."""
         target = self.account if account is None else account
-        relevant = set(self.hist.get(target, set()))
-        if target == self.account:
-            relevant |= self.deps
-        balance = balance_from_transfers(target, self._base_balance(target), relevant)
+        balance = self.book.balance(target)
         self._client_operations.append(
             ClientOperation(
                 process=self.node_id,
@@ -230,10 +241,7 @@ class ConsensuslessTransferNode(Node):
 
     def _issue_transfer(self, destination: AccountId, amount: Amount) -> None:
         submitted_at = self.now
-        own_history = set(self.hist.get(self.account, set())) | self.deps
-        balance = balance_from_transfers(
-            self.account, self._base_balance(self.account), own_history
-        )
+        balance = self.book.balance(self.account)
         sequence = self.seq.get(self.node_id, 0) + 1
         transfer = Transfer(
             source=self.account,
@@ -325,16 +333,10 @@ class ConsensuslessTransferNode(Node):
             return False
         if transfer.sequence != self.seq.get(issuer, 0) + 1:               # line 24
             return False
-        source_history = self.hist.get(source, set())
-        balance = balance_from_transfers(
-            source, self._base_balance(source), source_history | set(announcement.dependencies)
-        )
-        if balance < transfer.amount:                                       # line 25
-            return False
         for dependency in announcement.dependencies:                        # line 26
-            if dependency not in self.hist.get(dependency.source, set()):
+            if dependency not in self.book:
                 return False
-        return True
+        return self.book.balance(source) >= transfer.amount                 # line 25
 
     def _apply(self, issuer: ProcessId, announcement: TransferAnnouncement) -> None:
         """Apply a validated transfer (lines 14-20).
@@ -346,10 +348,9 @@ class ConsensuslessTransferNode(Node):
         line 15 prescribes.
         """
         transfer = announcement.transfer
-        source_history = self.hist.setdefault(transfer.source, set())
-        source_history.update(announcement.dependencies)                    # line 15
-        source_history.add(transfer)
-        self.hist.setdefault(transfer.destination, set()).add(transfer)
+        for dependency in announcement.dependencies:                        # line 15
+            self.book.record(dependency, also_under=transfer.source)
+        self.book.record(transfer)
         self.seq[issuer] = transfer.sequence                                 # line 16
         self._validated_log.append(
             ValidatedTransfer(
@@ -381,7 +382,7 @@ class ConsensuslessTransferNode(Node):
         between two ordinary local accounts (settlement mints and ``x{d}:a``
         outbound records belong to the settlement lifecycle's own retirement
         path and are left alone).  Both sides fold into
-        ``_retired_offsets`` — net zero, so the supply audit is unmoved.
+        ``book.offsets`` — net zero, so the supply audit is unmoved.
         """
         if dependency.destination != consuming_account:
             return
@@ -392,21 +393,9 @@ class ConsensuslessTransferNode(Node):
             or dependency.destination not in self._initial_balances
         ):
             return
-        records = self.hist.get(dependency.source)
-        if records is None or dependency not in records:
+        if dependency not in self.book:
             return
-        for account in (dependency.source, dependency.destination):
-            involved = self.hist.get(account)
-            if involved is not None:
-                involved.discard(dependency)
-                if not involved:
-                    del self.hist[account]
-        self._retired_offsets[dependency.source] = (
-            self._retired_offsets.get(dependency.source, 0) - dependency.amount
-        )
-        self._retired_offsets[dependency.destination] = (
-            self._retired_offsets.get(dependency.destination, 0) + dependency.amount
-        )
+        self._discard(dependency, keep_credit=True)
         self.compacted_local_records += 1
 
     # -- externally-certified credits -------------------------------------------------------------
@@ -428,10 +417,11 @@ class ConsensuslessTransferNode(Node):
         The mint is recorded in the validated log so the Definition 1 checker
         sees it; the cluster-level audit provisions the settlement source
         account with the certified amount, making an uncertified mint show up
-        as a balance violation.
+        as a balance violation.  Minting is idempotent: a credit already in
+        the book is not logged, credited or declared a second time.
         """
-        self.hist.setdefault(transfer.source, set()).add(transfer)
-        self.hist.setdefault(transfer.destination, set()).add(transfer)
+        if not self.book.record(transfer):
+            return
         self._validated_log.append(
             ValidatedTransfer(
                 transfer=transfer, dependencies=(), position=len(self._validated_log)
@@ -460,7 +450,7 @@ class ConsensuslessTransferNode(Node):
         its validation lands, keeping slow replicas consistent.
         """
         for transfer in transfers:
-            if transfer in self.hist.get(transfer.source, set()):
+            if transfer in self.book:
                 self._retire_now(transfer)
             else:
                 self._pending_retirements.add(transfer)
@@ -481,27 +471,22 @@ class ConsensuslessTransferNode(Node):
                 self.stale_retirements_dropped += 1
 
     def _retire_now(self, transfer: Transfer) -> None:
-        for account in (transfer.source, transfer.destination):
-            records = self.hist.get(account)
-            if records is not None:
-                records.discard(transfer)
-                if not records:
-                    del self.hist[account]
         # Keep the source account's debit: the offset replaces the removed
         # record's contribution to every balance except the retired credit.
-        self._retired_offsets[transfer.source] = (
-            self._retired_offsets.get(transfer.source, 0) - transfer.amount
-        )
+        self._discard(transfer, keep_credit=False)
         self._retired_outbound[transfer.destination] = (
             self._retired_outbound.get(transfer.destination, 0) + transfer.amount
         )
         self.retired_records += 1
 
-    def _base_balance(self, account: AccountId) -> Amount:
-        """Initial balance plus the compacted-away baseline of ``account``."""
-        return self._initial_balances.get(account, 0) + self._retired_offsets.get(
-            account, 0
-        )
+    def _discard(self, transfer: Transfer, keep_credit: bool) -> None:
+        """Drop a record from the book, and from ``deps``.
+
+        That keeps ``deps ⊆ hist[self.account]``: a record that is gone can
+        no longer be declared, and lines 2 and 7 need no ``∪ deps``.
+        """
+        self.book.discard(transfer, keep_credit)
+        self.deps.discard(transfer)
 
     def retired_outbound_total(self) -> Amount:
         """Outbound settlement money compacted out of this replica's ledger."""
@@ -571,10 +556,7 @@ class ConsensuslessTransferNode(Node):
 
     def balance_of(self, account: AccountId) -> Amount:
         """Balance of ``account`` according to this node's validated history."""
-        relevant = set(self.hist.get(account, set()))
-        if account == self.account:
-            relevant |= self.deps
-        return balance_from_transfers(account, self._base_balance(account), relevant)
+        return self.book.balance(account)
 
     def all_known_balances(self) -> Dict[AccountId, Amount]:
         """Balances of every account this node knows about."""

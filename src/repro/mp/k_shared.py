@@ -26,7 +26,7 @@ for *all* accounts, compromised or not.  Experiment E7 demonstrates both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Any, Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.bft.sequencer import (
     OwnerQuorumSequencer,
@@ -36,11 +36,11 @@ from repro.bft.sequencer import (
     owner_quorum_size,
 )
 from repro.broadcast.account_order_broadcast import AccountOrderBroadcast
-from repro.broadcast.messages import AccountTaggedPayload
+from repro.broadcast.messages import AccountTaggedPayload, FinalMessage, SendMessage
 from repro.broadcast.secure_broadcast import BroadcastDelivery
 from repro.common.errors import ConfigurationError
 from repro.common.types import AccountId, Amount, OwnershipMap, ProcessId, Transfer
-from repro.core.accounts import balance_from_transfers
+from repro.core.accounts import AccountBook
 from repro.crypto.signatures import SignatureScheme
 from repro.mp.consensusless_transfer import TransferRecord
 from repro.mp.messages import SequencedAnnouncement, TransferAnnouncement
@@ -115,8 +115,10 @@ class KSharedTransferNode(Node):
             channel="sequencer",
         )
 
-        # Figure 4 state, adapted to per-account sequencing.
-        self.hist: Dict[AccountId, Set[Transfer]] = {}
+        # Figure 4 state, adapted to per-account sequencing; ``hist`` lives
+        # in the book, which nothing here ever discards from, so every
+        # ``deps[a]`` stays a subset of ``hist[a]``.
+        self.book = AccountBook(self._initial_balances)
         self.applied_sequence: Dict[AccountId, int] = {}
         self.deps: Dict[AccountId, Set[Transfer]] = {}
         self.to_validate: List[SequencedAnnouncement] = []
@@ -132,6 +134,11 @@ class KSharedTransferNode(Node):
         self._leader_grant_targets: Dict[Tuple[AccountId, int], SequencingSubmission] = {}
 
         self.broadcast_layer: Optional[AccountOrderBroadcast] = None
+
+    @property
+    def hist(self) -> Mapping[AccountId, AbstractSet[Transfer]]:
+        """``hist[a]``, read-only; ``book.record`` is the mutator."""
+        return self.book.hist
 
     # -- roles ---------------------------------------------------------------------------------
 
@@ -159,8 +166,6 @@ class KSharedTransferNode(Node):
 
     def processing_cost(self, message: Any) -> Optional[float]:
         """Charge signature verification on signed messages (see DESIGN.md §2)."""
-        from repro.broadcast.messages import FinalMessage, SendMessage
-
         config = self.network.config
         base = config.processing_time
         signature = config.signature_verification_time
@@ -196,9 +201,7 @@ class KSharedTransferNode(Node):
         return self.balance_of(account)
 
     def balance_of(self, account: AccountId) -> Amount:
-        relevant = set(self.hist.get(account, set()))
-        relevant |= self.deps.get(account, set())
-        return balance_from_transfers(account, self._initial_balances.get(account, 0), relevant)
+        return self.book.balance(account)
 
     def _try_issue_next(self) -> None:
         if self._pending is not None or not self._submit_queue:
@@ -386,16 +389,10 @@ class KSharedTransferNode(Node):
             return False
         if sequenced.account_sequence != self.applied_sequence.get(account, 0) + 1:
             return False
-        history = self.hist.get(account, set()) | set(sequenced.announcement.dependencies)
-        balance = balance_from_transfers(
-            account, self._initial_balances.get(account, 0), history
-        )
-        if balance < transfer.amount:
-            return False
         for dependency in sequenced.announcement.dependencies:
-            if dependency not in self.hist.get(dependency.source, set()):
+            if dependency not in self.book:
                 return False
-        return True
+        return self.book.balance(account) >= transfer.amount
 
     def _apply(self, sequenced: SequencedAnnouncement) -> None:
         transfer = sequenced.announcement.transfer
@@ -407,10 +404,9 @@ class KSharedTransferNode(Node):
             issuer=transfer.issuer,
             sequence=sequenced.account_sequence,
         )
-        source_history = self.hist.setdefault(account, set())
-        source_history.update(sequenced.announcement.dependencies)
-        source_history.add(stamped)
-        self.hist.setdefault(stamped.destination, set()).add(stamped)
+        for dependency in sequenced.announcement.dependencies:
+            self.book.record(dependency, also_under=account)
+        self.book.record(stamped)
         self.applied_sequence[account] = sequenced.account_sequence
         self.sequencer.note_delivered(account, sequenced.account_sequence)
 

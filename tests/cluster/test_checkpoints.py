@@ -490,6 +490,79 @@ class TestCheckpointedMigration:
             bounded_system.close()
 
 
+class TestRestoredBalancesCarryHistory:
+    """A restored node must still afford what its pre-checkpoint history paid for.
+
+    Balances are a running sum, not a walk over ``hist``; snapshots ship
+    ``hist`` + offsets and the sum is rebuilt on restore.  The bursty sweep
+    above never notices a restore that forgets to: every account there can
+    pay for burst two out of its initial 500.  Here one account's burst-two
+    spending (1 250) is only affordable thanks to a local credit (450) and a
+    cross-shard mint (300) validated *before* the gap's checkpoints, and the
+    shard that owns it is restored from such a checkpoint mid-run.  An
+    under-reporting restore rejects or parks the 1 200 payment; an
+    over-reporting one commits the final overdraft.
+    """
+
+    @staticmethod
+    def _user(router, shard, process):
+        return next(
+            user
+            for user in range(100_000)
+            if router.shard_of(user) == shard and router.local_process_of(user) == process
+        )
+
+    def _run(self, fast_network, backend, **kwargs):
+        system = _system(fast_network, backend, **kwargs)
+        spender = self._user(system.router, 0, 0)
+        local_payer = self._user(system.router, 0, 1)
+        remote_payer = self._user(system.router, 1, 2)
+        payee = self._user(system.router, 2, 3)
+        system.schedule_submissions(
+            [
+                ClusterSubmission(0.0005, local_payer, spender, 450),
+                ClusterSubmission(0.0007, remote_payer, spender, 300),
+                # Burst two, after the checkpoints (and the first move).
+                ClusterSubmission(0.1005, spender, payee, 1_200),
+                ClusterSubmission(0.1009, spender, local_payer, 50),
+                ClusterSubmission(0.1100, spender, payee, 1),  # nothing left
+            ]
+        )
+        return system, system.run()
+
+    def _assert_matches_reference(self, fast_network, backend, **kwargs):
+        reference_system, reference = self._run(fast_network, "serial")
+        system, result = self._run(fast_network, backend, **kwargs)
+        try:
+            assert sorted(record.transfer.amount for record in reference.committed) == [
+                50, 300, 450, 1_200
+            ]
+            assert [record.transfer.amount for record in reference.rejected] == [1]
+            assert result.fingerprint() == reference.fingerprint()
+            assert result.committed_count == 4
+            assert system.checkpoint_stats()["taken"] > 0
+            assert system.check_definition1().ok
+            assert result.audit["conserved"]
+            return system.scheduler.migration_log
+        finally:
+            reference_system.close()
+            system.close()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_checkpoint_cadence(self, fast_network, backend):
+        self._assert_matches_reference(fast_network, backend, checkpoint_every=1)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_mid_run_migration_from_a_checkpoint(self, fast_network, backend):
+        moves = self._assert_matches_reference(
+            fast_network,
+            backend,
+            checkpoint_every=1,
+            migration=MigrationPlan([(0.05, 0, 1), (0.112, 0, 0)]),
+        )
+        assert len(moves) == 2
+
+
 class TestPendingRetirementSweep:
     """The `_pending_retirements` leak: parked entries whose issuer stream
     moved past them can never validate and must be swept."""

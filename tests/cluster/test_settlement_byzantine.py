@@ -367,6 +367,27 @@ class TestUncertifiedMints:
         assert not report.ok
         assert any("C2" in violation for violation in report.violations)
 
+    def test_a_repeated_mint_is_a_no_op_at_the_node(self, make_system):
+        """The inbox replay-protects, so a node never sees the same mint
+        twice — but the node must not depend on that: balances are a running
+        sum, and a repeat that re-credited (or re-logged, or re-declared the
+        credit as a fresh dependency) would mint money the audit cannot see."""
+        system = make_system()
+        system.start()
+        mint = mint_transfer(_claim(system, amount=777))
+        def visible(node):
+            records = {account: set(held) for account, held in node.hist.items()}
+            return node.observation(), node.all_known_balances(), records
+
+        for node in system.shards[1].nodes.values():
+            node.mint_certified_credit(mint)
+            assert node.balance_of(mint.destination) == 1_000_000 + 777
+            once = visible(node)
+            node.deps.discard(mint)  # as if a later transfer had already declared it
+            node.mint_certified_credit(mint)
+            assert visible(node) == once
+            assert mint not in node.deps
+
 
 def _run_one_settled_payment(system, amount=9):
     a = _user_on_shard(system.router, 0)

@@ -294,8 +294,8 @@ class TestNodeRetirement:
     def test_retirement_is_idempotent_per_record(self, fast_network):
         system, node = self._node(fast_network)
         record = Transfer("0", "x1:2", 5, issuer=0, sequence=1)
-        node.hist.setdefault("0", set()).add(record)
-        node.hist.setdefault("x1:2", set()).add(record)
+        node.book.record(record)
+        assert (node.balance_of("0"), node.balance_of("x1:2")) == (999_995, 5)
         node.retire_settled([record])
         assert node.retired_records == 1
         # A duplicate retire command parks (the record is gone from hist)
@@ -303,6 +303,7 @@ class TestNodeRetirement:
         node.retire_settled([record])
         assert node.retired_records == 1
         assert node.retired_outbound_total() == 5
+        assert (node.balance_of("0"), node.balance_of("x1:2")) == (999_995, 0)
 
 
 class TestLifecycleEndToEnd:

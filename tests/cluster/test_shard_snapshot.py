@@ -135,7 +135,7 @@ class TestArbitraryBarrierRoundTrips:
             twin.restore(snapshot)
             twin_node = twin.nodes[0]
             before = twin_node.retired_records
-            twin_node.hist.setdefault(parked.source, set()).add(parked)
+            twin_node.book.record(parked)
             twin_node.retire_settled([parked])  # record now known: retires
             assert twin_node.retired_records == before + 1
         finally:
