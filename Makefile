@@ -19,7 +19,8 @@ test:
 ## The property-based suites alone (hypothesis; cluster conservation, the
 ## differential tests that keep a slow formulation as the reference —
 ## test_definition1_checker.py for the audit, test_account_book.py for
-## running balances ≡ the Figure 4 fold — etc.).
+## running balances ≡ the Figure 4 fold, test_event_queue.py for the
+## simulator's heap ≡ a list with min — etc.).
 test-props:
 	$(PYTHON) -m pytest tests/properties -q
 
@@ -52,10 +53,10 @@ test-barriers:
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 REPRO_BENCH_BACKEND=$(BACKEND) $(PYTHON) -m pytest benchmarks/bench_cluster_scaling.py -q
 
-## The per-core engine microbenchmarks (verification cache, calendar event
-## queue, pipe codec) in smoke mode: measures each rewritten hot-path layer
-## against its replaced implementation and records the >=5x speedup gate —
-## explicitly passed/failed/skipped, never silent — under core_rows.
+## The per-core engine microbenchmarks (verification cache, pipe codec) in
+## smoke mode: measures each rewritten hot-path layer against its replaced
+## implementation and records the >=5x speedup gate — explicitly
+## passed/failed/skipped, never silent — under core_rows.
 bench-core:
 	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_core.py -q
 

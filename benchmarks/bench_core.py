@@ -1,17 +1,16 @@
-"""Per-core engine microbenchmarks: verification cache, calendar queue, codec.
+"""Per-core engine microbenchmarks: verification cache, codec.
 
-The 10x-engine work rewrote three hot layers; this benchmark measures each
+The 10x-engine work rewrote the hot layers; this benchmark measures each
 one against a faithful in-bench reimplementation of the code it replaced
-(per-signature HMAC over a re-encoded payload, a heapq-of-dataclasses event
-queue, pickled worker-pipe payloads), on the workload shapes of the 8-shard
-batch=8 configuration the backend wall-clock rows track.  The measured rows
-land in ``BENCH_cluster.json`` under ``core_rows``:
+(per-signature HMAC over a re-encoded payload, pickled worker-pipe
+payloads), on the workload shapes of the 8-shard batch=8 configuration the
+backend wall-clock rows track.  The event queue is not raced here: it is
+judged end to end by ``perf/`` (``local-bracha`` ``run_s``).  The measured
+rows land in ``BENCH_cluster.json`` under ``core_rows``:
 
 * ``verify`` — the settlement pattern: every certificate re-checked at
   relay, inbox and compaction gate; every batch signature re-verified by
   each of the 4 replicas sharing the shard's scheme.
-* ``queue`` — timer churn: schedule/fire/reschedule plus cancellations,
-  the Simulator's per-event cost with the slotted calendar queue vs heapq.
 * ``codec`` — a shard-snapshot-shaped payload through the compact pipe
   codec vs pickle: bytes (the migration-stall gauge) and round-trip time.
 * ``end_to_end`` — the real 8-shard batch=8 serial run: wall clock and
@@ -43,14 +42,11 @@ gate.
 
 import dataclasses
 import hashlib
-import heapq
 import hmac
-import itertools
 import pickle
 import sys
 import time as _time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from _gates import CPU_COUNT, SMOKE, enforce_gate, journal as _journal, speedup_gate
 from repro.broadcast.messages import EchoMessage, ReadyMessage, SendMessage
@@ -65,7 +61,6 @@ from repro.eval.experiments import ClusterExperimentConfig, backend_comparison_e
 from repro.mp.consensusless_transfer import TransferRecord
 from repro.mp.messages import TransferAnnouncement
 from repro.network.node import NetworkConfig, NodeStats
-from repro.network.simulator import Simulator
 from repro.spec.byzantine_spec import ClientOperation, ValidatedTransfer
 
 SHARDS = 8
@@ -76,7 +71,6 @@ QUORUM = 3
 # re-verified per replica and its certificate re-checked at three trust
 # boundaries — the per-batch signature traffic of the tracked config.
 VERIFY_PAYLOADS = 40 if SMOKE else 120
-QUEUE_EVENTS = 20_000 if SMOKE else 60_000
 CODEC_ROUNDS = 20 if SMOKE else 60
 # Calibration budget: a layer's naive reference must finish inside this
 # many seconds or the host is declared too slow for a stable measurement.
@@ -135,43 +129,6 @@ class _NaiveScheme:
         return len(signers) >= quorum_size
 
 
-@dataclass(order=True)
-class _HeapEvent:
-    """The replaced Event: an order=True dataclass on one big heap."""
-
-    time: float
-    sequence: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
-class _HeapSimulator:
-    """The replaced engine core: heapq push/pop per event."""
-
-    def __init__(self) -> None:
-        self._queue = []
-        self._sequence = itertools.count()
-        self.now = 0.0
-        self.processed = 0
-
-    def schedule(self, delay: float, action: Callable[[], None]) -> _HeapEvent:
-        event = _HeapEvent(self.now + delay, next(self._sequence), action)
-        heapq.heappush(self._queue, event)
-        return event
-
-    def run(self) -> None:
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self.now = event.time
-            event.action()
-            self.processed += 1
-
-
 class _DictEnvelope:
     """The replaced per-hop envelope: a plain ``__dict__``-backed record."""
 
@@ -210,29 +167,6 @@ def _verify_workload(verifier, scheme: SignatureScheme, payloads) -> int:
             assert verifier.verify_certificate(payload, certificate, QUORUM)
             operations += 1
     return operations
-
-
-def _queue_workload(simulator, events: int) -> None:
-    """Timer churn: chains that reschedule themselves with jittered delays
-    (an LCG, so both engines run the identical schedule) plus a cancelled
-    timer per hop — the network/timeout pattern of a shard run."""
-    state = {"budget": events, "lcg": 12345}
-
-    def jitter() -> float:
-        state["lcg"] = (state["lcg"] * 1103515245 + 12345) % (1 << 31)
-        return 1e-5 + (state["lcg"] % 1000) * 1e-6
-
-    def hop() -> None:
-        if state["budget"] <= 0:
-            return
-        state["budget"] -= 1
-        timeout = simulator.schedule(jitter() * 10, lambda: None)
-        simulator.schedule(jitter(), hop)
-        timeout.cancel()
-
-    for _ in range(8):  # 8 concurrent chains ~ 8 shards' worth of timers
-        simulator.schedule(jitter(), hop)
-    simulator.run() if isinstance(simulator, _HeapSimulator) else simulator.run_until_quiescent()
 
 
 def _snapshot_payload() -> ShardSnapshot:
@@ -353,27 +287,7 @@ def test_core_engine_layers(benchmark):
     )
     benchmark.extra_info["verify_speedup"] = round(verify_speedup, 2)
 
-    # Layer 2: the event queue, identical churn on both engines.
-    heap_simulator = _HeapSimulator()
-    heap_s = _timed(lambda: _queue_workload(heap_simulator, QUEUE_EVENTS))
-    calendar = Simulator()
-    calendar_s = _timed(lambda: _queue_workload(calendar, QUEUE_EVENTS))
-    assert calendar.pending_events == 0
-    queue_speedup = heap_s / calendar_s if calendar_s > 0 else float("inf")
-    rows.append(
-        {
-            "layer": "queue",
-            "events": heap_simulator.processed,
-            "naive_s": round(heap_s, 4),
-            "optimized_s": round(calendar_s, 4),
-            "naive_events_per_s": round(heap_simulator.processed / heap_s, 1),
-            "optimized_events_per_s": round(calendar.processed_events / calendar_s, 1),
-            "speedup": round(queue_speedup, 2),
-        }
-    )
-    benchmark.extra_info["queue_speedup"] = round(queue_speedup, 2)
-
-    # Layer 3: the pipe codec vs pickle on a snapshot-shaped payload.
+    # Layer 2: the pipe codec vs pickle on a snapshot-shaped payload.
     snapshot = _snapshot_payload().state_view()
     pickle_bytes = len(pickle.dumps(snapshot))
     codec_bytes = len(codec_encode(snapshot))
@@ -402,7 +316,7 @@ def test_core_engine_layers(benchmark):
     benchmark.extra_info["codec_bytes_reduction"] = round(1 - codec_bytes / pickle_bytes, 3)
     assert codec_bytes < pickle_bytes, "the compact codec must beat pickle on size"
 
-    # Layer 4: the real config, end to end on one core.
+    # Layer 3: the real config, end to end on one core.
     config = ClusterExperimentConfig(
         user_count=5_000 if SMOKE else 50_000,
         aggregate_rate=8_000.0 if SMOKE else 24_000.0,

@@ -178,7 +178,7 @@ class PbftReplica(Node):
         deployments and is one of the drivers of the throughput gap measured
         in experiments E5/E6 (see DESIGN.md §2).
         """
-        config = self.network.config
+        config = self._network.config
         base = config.processing_time
         signature = config.signature_verification_time
         if isinstance(message, ForwardRequest):
@@ -246,7 +246,10 @@ class PbftReplica(Node):
     # -- replica: the three-phase protocol --------------------------------------------------------------------
 
     def _instance(self, sequence: int) -> _InstanceState:
-        return self._instances.setdefault(sequence, _InstanceState())
+        instance = self._instances.get(sequence)
+        if instance is None:
+            instance = self._instances[sequence] = _InstanceState()
+        return instance
 
     def _on_pre_prepare(self, sender: ProcessId, message: PrePrepare) -> None:
         if sender != self.leader_id or message.view != self.config.view:

@@ -105,7 +105,10 @@ class BrachaBroadcast(BroadcastLayer):
         # senders may inject garbage).
 
     def _state(self, key: InstanceKey) -> _InstanceState:
-        return self._instances.setdefault(key, _InstanceState())
+        state = self._instances.get(key)
+        if state is None:
+            state = self._instances[key] = _InstanceState()
+        return state
 
     def _on_send(self, sender: ProcessId, message: SendMessage) -> None:
         # Integrity: only the origin itself may introduce its SEND.  A relayed

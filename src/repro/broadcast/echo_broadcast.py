@@ -135,13 +135,19 @@ class EchoBroadcast(BroadcastLayer):
         elif isinstance(message, FinalMessage):
             self._on_final(sender, message)
 
+    def _receiver_state(self, key: InstanceKey) -> _ReceiverState:
+        state = self._as_receiver.get(key)
+        if state is None:
+            state = self._as_receiver[key] = _ReceiverState()
+        return state
+
     # The INIT phase: acknowledge at most one payload per instance.
 
     def _on_init(self, sender: ProcessId, message: SendMessage) -> None:
         if sender != message.origin:
             return
         key = (message.origin, message.sequence)
-        state = self._as_receiver.setdefault(key, _ReceiverState())
+        state = self._receiver_state(key)
         digest = content_hash(message.payload)
         if state.acknowledged_hash is not None:
             # Already acknowledged (possibly a different payload — the origin
@@ -216,7 +222,7 @@ class EchoBroadcast(BroadcastLayer):
         if message.certificate is None:
             return
         key = (message.origin, message.sequence)
-        state = self._as_receiver.setdefault(key, _ReceiverState())
+        state = self._receiver_state(key)
         if state.delivered:
             return
         expected = _ack_payload(message.origin, message.sequence, message.payload)

@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.broadcast.messages import FinalMessage, SendMessage
 from repro.broadcast.secure_broadcast import BroadcastDelivery, payload_item_count
 from repro.common.errors import ConfigurationError
-from repro.common.types import AccountId, Amount, ProcessId, Transfer
+from repro.common.types import AccountId, Amount, HashOnce, ProcessId, Transfer
 from repro.mp.consensusless_transfer import (
     BroadcastFactory,
     ConsensuslessTransferNode,
@@ -37,7 +37,7 @@ from repro.spec.byzantine_spec import ClientOperation
 
 
 @dataclass(frozen=True, slots=True)
-class BatchAnnouncement:
+class BatchAnnouncement(HashOnce):
     """Several announcements from one issuer carried by one broadcast.
 
     The inner announcements hold consecutive per-issuer sequence numbers;
@@ -59,6 +59,14 @@ class BatchAnnouncement:
             raise ConfigurationError("a batch needs at least one announcement")
         if self.item_count != len(self.announcements):
             object.__setattr__(self, "item_count", len(self.announcements))
+        self._hash_once((self.announcements,))
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:  # unpickled or copied: ``__init__`` did not run
+            self.__post_init__()
+            return self._hash
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         first = self.announcements[0].transfer
@@ -188,7 +196,7 @@ class BatchingTransferNode(ConsensuslessTransferNode):
         checked once however many transfers the batch carries, and each extra
         transfer only costs the flat per-message deserialization time.
         """
-        config = self.network.config
+        config = self._network.config
         base = super().processing_cost(message)
         if base is None:
             return None

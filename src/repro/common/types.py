@@ -14,7 +14,8 @@ Design notes
   primitive keeps the hot paths cheap and the test fixtures terse.
 * :class:`Transfer` is a frozen dataclass so that transfers can be stored in
   sets and used as dictionary keys, exactly the way the pseudocode stores
-  them in ``hist`` sets and snapshot entries.
+  them in ``hist`` sets and snapshot entries.  It is hashed at every one of
+  those touches, so it computes its hash once (:class:`HashOnce`).
 * :class:`OwnershipMap` is the library's representation of ``mu``.  It also
   derives the *sharing degree* ``k = max_a |mu(a)|`` that determines the
   consensus number in Section 4.
@@ -52,6 +53,32 @@ class TransferStatus(enum.Enum):
         return self is TransferStatus.SUCCESS
 
 
+class HashOnce:
+    """Base of a frozen, slotted dataclass that computes its hash once.
+
+    The subclass declares ``@dataclass(frozen=True, slots=True)``, ends its
+    ``__post_init__`` with ``self._hash_once((field, ...))`` over its compared
+    fields in declaration order — the value the dataclass-generated method
+    returns — and defines ``__hash__`` as ``return self._hash``, falling back
+    on ``AttributeError`` to ``self.__post_init__()``: unpickling and
+    ``copy`` rebuild an object from its fields without running ``__init__``.
+    Hashing at construction rather than at first use keeps the miss off the
+    read path: an unset slot costs a raised ``AttributeError``, five times
+    the hash it saves, and a decoded snapshot is all first uses.
+
+    The ``_hash`` slot lives here, on a plain base class, so it is **not** a
+    dataclass field: it is in no ``fields()``, ``repr``, ``==``, codec field
+    list or pickle state (a frozen slotted dataclass pickles its fields
+    only).  A cached hash therefore never leaves the process — it must not:
+    string hashes are salted per interpreter.
+    """
+
+    __slots__ = ("_hash",)
+
+    def _hash_once(self, compared: tuple) -> None:
+        object.__setattr__(self, "_hash", hash(compared))
+
+
 @dataclass(frozen=True, order=True)
 class TransferId:
     """Globally unique identity of a transfer.
@@ -68,8 +95,8 @@ class TransferId:
         return f"tx[{self.issuer}:{self.sequence}]"
 
 
-@dataclass(frozen=True)
-class Transfer:
+@dataclass(frozen=True, slots=True)
+class Transfer(HashOnce):
     """An asset transfer ``transfer(source, destination, amount)``.
 
     ``issuer`` is the process that invoked the operation (relevant for
@@ -87,6 +114,14 @@ class Transfer:
     def __post_init__(self) -> None:
         if self.amount < 0:
             raise ConfigurationError(f"transfer amount must be non-negative, got {self.amount}")
+        self._hash_once((self.source, self.destination, self.amount, self.issuer, self.sequence))
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:  # unpickled or copied: ``__init__`` did not run
+            self.__post_init__()
+            return self._hash
 
     @property
     def transfer_id(self) -> TransferId:

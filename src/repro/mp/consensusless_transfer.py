@@ -195,7 +195,7 @@ class ConsensuslessTransferNode(Node):
         is the broadcast protocol's key cost advantage over signed consensus
         votes.
         """
-        config = self.network.config
+        config = self._network.config
         base = config.processing_time
         if isinstance(message, SendMessage):
             return base + config.signature_verification_time

@@ -166,7 +166,7 @@ class KSharedTransferNode(Node):
 
     def processing_cost(self, message: Any) -> Optional[float]:
         """Charge signature verification on signed messages (see DESIGN.md §2)."""
-        config = self.network.config
+        config = self._network.config
         base = config.processing_time
         signature = config.signature_verification_time
         if isinstance(message, (SendMessage, SequenceRequest, SequenceEndorsement, SequencingSubmission)):

@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.common.types import AccountId, Transfer
+from repro.common.types import AccountId, HashOnce, Transfer
 from repro.crypto.signatures import QuorumCertificate
 
 
 @dataclass(frozen=True, slots=True)
-class TransferAnnouncement:
+class TransferAnnouncement(HashOnce):
     """The broadcast payload of one transfer (Figure 4, line 4).
 
     ``transfer.sequence`` carries the per-issuer sequence number ``s``;
@@ -29,6 +29,17 @@ class TransferAnnouncement:
 
     transfer: Transfer
     dependencies: Tuple[Transfer, ...] = ()
+
+    def __post_init__(self) -> None:
+        self._hash_once((self.transfer, self.dependencies))
+
+    # Every broadcast hop looks the payload up in the content-hash memo.
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:  # unpickled or copied: ``__init__`` did not run
+            self.__post_init__()
+            return self._hash
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"announce({self.transfer}, deps={len(self.dependencies)})"

@@ -26,8 +26,9 @@ standard assumption of reliable authenticated channels.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.rng import SeededRng
@@ -128,7 +129,9 @@ class Node(abc.ABC):
 
         Return ``None`` to use the network's flat ``processing_time``.
         Protocol nodes override this to charge signature verification on
-        messages that carry signatures (see :class:`NetworkConfig`).
+        messages that carry signatures (see :class:`NetworkConfig`).  Only
+        the network this node is attached to asks, once per arriving
+        message, so overrides read ``self._network.config`` directly.
         """
         return None
 
@@ -141,7 +144,9 @@ class Node(abc.ABC):
     def send(self, recipient: ProcessId, message: Any) -> None:
         """Send ``message`` to ``recipient`` over the (asynchronous) network."""
         self.stats.sent += 1
-        self.network.transmit(self.node_id, recipient, message)
+        # ``self.network`` raises when unattached; attached, skip its call.
+        network = self._network if self._network is not None else self.network
+        network.transmit(self.node_id, recipient, message)
 
     def broadcast(self, message: Any, include_self: bool = True) -> None:
         """Send ``message`` to every node (the all-to-all primitive)."""
@@ -163,7 +168,12 @@ class Network:
         self.config = config or NetworkConfig()
         self.config.validate()
         self._rng = SeededRng(self.config.seed).fork("network")
+        # The exponential link delay, drawn straight from the stream's
+        # generator: ``transmit`` only draws under ``latency_mean > 0``, the
+        # one thing ``SeededRng.exponential`` would check per message.
+        self._expovariate = self._rng._random.expovariate
         self._nodes: Dict[ProcessId, Node] = {}
+        self._node_ids: Tuple[ProcessId, ...] = ()
         self._cpu_free_at: Dict[ProcessId, float] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -177,6 +187,7 @@ class Network:
             raise ConfigurationError(f"duplicate node id {node.node_id}")
         node.attach(self)
         self._nodes[node.node_id] = node
+        self._node_ids = tuple(sorted(self._nodes))
         self._cpu_free_at[node.node_id] = 0.0
 
     def add_nodes(self, nodes: Iterable[Node]) -> None:
@@ -185,7 +196,8 @@ class Network:
 
     @property
     def node_ids(self) -> Tuple[ProcessId, ...]:
-        return tuple(sorted(self._nodes))
+        """Every member's identifier, sorted; rebuilt only by ``add_node``."""
+        return self._node_ids
 
     def node(self, node_id: ProcessId) -> Node:
         return self._nodes[node_id]
@@ -215,42 +227,44 @@ class Network:
 
     # -- transmission ------------------------------------------------------------------
 
+    # One message is two events, "deliver" (link delay) then "process" (the
+    # recipient's CPU queue).  Their labels are constants: the only reader,
+    # ``Shard.checkpoint_blockers``, asks whether a label is a client
+    # submission, never which message it is.
+
     def transmit(self, sender: ProcessId, recipient: ProcessId, message: Any) -> None:
         """Queue ``message`` for delivery from ``sender`` to ``recipient``."""
-        if recipient not in self._nodes:
+        node = self._nodes.get(recipient)
+        if node is None:
             raise SimulationError(f"message sent to unknown node {recipient}")
         self.messages_sent += 1
-        if self.config.drop_probability and self._rng.maybe(self.config.drop_probability):
+        config = self.config
+        if config.drop_probability and self._rng.maybe(config.drop_probability):
             self.messages_dropped += 1
-            self._nodes[recipient].stats.dropped += 1
+            node.stats.dropped += 1
             return
-        latency = self.config.latency_base
-        if self.config.latency_mean > 0:
-            latency += self._rng.exponential(self.config.latency_mean)
-        self.simulator.schedule(
-            latency,
-            lambda: self._arrive(sender, recipient, message),
-            label=f"deliver {sender}->{recipient}",
-        )
+        latency = config.latency_base
+        mean = config.latency_mean
+        if mean > 0:
+            latency += self._expovariate(1.0 / mean)
+        self.simulator.schedule(latency, partial(self._arrive, node, sender, message), "deliver")
 
-    def _arrive(self, sender: ProcessId, recipient: ProcessId, message: Any) -> None:
+    def _arrive(self, node: Node, sender: ProcessId, message: Any) -> None:
         """Message arrived at the recipient's NIC; queue it on the CPU."""
-        node = self._nodes[recipient]
-        node.stats.received += 1
-        arrival = self.simulator.now
+        stats = node.stats
+        stats.received += 1
+        simulator = self.simulator
         cost = node.processing_cost(message)
         if cost is None:
             cost = self.config.processing_time
-        start = max(arrival, self._cpu_free_at[recipient])
-        finish = start + cost
-        self._cpu_free_at[recipient] = finish
-        node.stats.busy_time += cost
+        cpu_free_at = self._cpu_free_at
+        recipient = node.node_id
+        # The engine's clock, read past its property: one call per message.
+        finish = max(simulator._now, cpu_free_at[recipient]) + cost
+        cpu_free_at[recipient] = finish
+        stats.busy_time += cost
         self.messages_delivered += 1
-        self.simulator.schedule_at(
-            finish,
-            lambda: self._process(node, sender, message),
-            label=f"process @{recipient}",
-        )
+        simulator.schedule_at(finish, partial(self._process, node, sender, message), "process")
 
     @staticmethod
     def _process(node: Node, sender: ProcessId, message: Any) -> None:

@@ -35,6 +35,7 @@ from repro.cluster.checkpoint import (
     replayable_suffix,
 )
 from repro.cluster.migration import MigrationPlan
+from repro.cluster.shard import Shard
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.types import Transfer
 from repro.workloads.cluster_driver import ClusterSubmission
@@ -306,6 +307,36 @@ class TestShardCheckpointRoundTrip:
             system.run()
         finally:
             system.close()
+
+
+class TestInFlightMessagesBlockCheckpoints:
+    """The quiescence gate reads event labels, and a message's two events
+    carry the constant labels ``"deliver"`` / ``"process"``: it must still
+    tell them from client submissions."""
+
+    @pytest.mark.parametrize("broadcast", ("echo", "bracha"))
+    def test_messages_in_flight_are_blockers_and_arrivals_are_not(self, fast_network, broadcast):
+        shard = Shard(
+            index=0, simulator=None, replicas=4, initial_balance=50,
+            network_config=fast_network, seed=1, broadcast=broadcast,
+        )
+        shard.start()
+        shard.submit(0.001, 0, "1", 5)
+        shard.submit(0.5, 1, "2", 5)
+        # Only client arrivals pending: nothing blocks.
+        assert shard.checkpoint_blockers() == []
+        assert shard.checkpoint() is not None
+        # Just past the first arrival its fan-out is on the wire.
+        shard.advance(0.00101)
+        blockers = shard.checkpoint_blockers()
+        assert blockers and set(blockers) <= {"deliver", "process"}
+        assert shard.network.messages_sent > shard.network.messages_delivered
+        assert shard.checkpoint() is None
+        # Drained up to the second arrival: quiescent again, and resumable.
+        shard.advance(0.4)
+        assert shard.simulator.pending_events == 1
+        assert shard.checkpoint_blockers() == []
+        assert shard.checkpoint() is not None
 
 
 class TestCheckpointStreamFolding:

@@ -1,5 +1,7 @@
 """Unit tests for the network layer: delivery, latency, CPU queueing."""
 
+import hashlib
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -135,3 +137,136 @@ class TestTimers:
         nodes[0].set_timer(0.05, lambda: fired.append(nodes[0].now))
         network.run()
         assert fired == [pytest.approx(0.05)]
+
+
+class Chatter(Node):
+    """Greets everyone (itself included) at start and acknowledges every greeting."""
+
+    def __init__(self, node_id, cost, log):
+        super().__init__(node_id)
+        self._cost = cost
+        self._log = log
+
+    def on_start(self):
+        self.broadcast(("hello", self.node_id))
+
+    def processing_cost(self, message):
+        return self._cost
+
+    def on_message(self, sender, message):
+        self._log.append((self.node_id, sender, message[0]))
+        if message[0] == "hello":
+            self.send(sender, ("ack", self.node_id))
+
+
+def exchange(drop_probability):
+    """A fixed 4-node exchange; node 2 overrides its processing cost."""
+    simulator = Simulator()
+    config = NetworkConfig(processing_time=0.0002, seed=11, drop_probability=drop_probability)
+    network = Network(simulator, config)
+    log = []
+    network.add_nodes([Chatter(i, 0.0004 if i == 2 else None, log) for i in range(4)])
+    network.run()
+    state = network.capture_state()
+    return {
+        "order": log,  # (recipient, sender, kind) in processing order
+        "stats": [
+            (n.stats.sent, n.stats.received, n.stats.processed, n.stats.dropped, n.stats.busy_time)
+            for n in network.nodes
+        ],
+        "counters": (network.messages_sent, network.messages_delivered, network.messages_dropped),
+        "cpu_free_at": state["cpu_free_at"],
+        "rng": hashlib.sha256(repr(state["rng"]).encode()).hexdigest()[:16],
+        "now": simulator.now,
+        "events": simulator.processed_events,
+    }
+
+
+class TestTheMessagePathIsPinned:
+    """What one message costs may change; what it *does* may not.
+
+    The expected values are what the closure-and-f-string message path
+    produced before it was rewritten.  The drop draw comes before the latency
+    draw and a dropped message draws no latency, so the RNG state after the
+    run pins the draw order too; every message is still two events.
+    """
+
+    def test_lossless_exchange(self):
+        assert exchange(0.0) == {
+            "counters": (32, 32, 0),
+            "cpu_free_at": {
+                0: 0.004304704009188791,
+                1: 0.00455933976958863,
+                2: 0.006550850202135427,
+                3: 0.005257395555419073,
+            },
+            "events": 64,
+            "now": 0.006550850202135427,
+            "order": [
+                (1, 1, "hello"), (0, 2, "hello"), (3, 1, "hello"), (1, 0, "hello"),
+                (2, 0, "hello"), (3, 0, "hello"), (0, 1, "hello"), (2, 1, "hello"),
+                (0, 3, "hello"), (1, 2, "hello"), (0, 1, "ack"), (2, 3, "hello"),
+                (0, 0, "hello"), (1, 1, "ack"), (2, 2, "hello"), (0, 2, "ack"),
+                (3, 0, "ack"), (0, 3, "ack"), (2, 0, "ack"), (1, 3, "ack"),
+                (3, 3, "hello"), (1, 0, "ack"), (1, 3, "hello"), (2, 1, "ack"),
+                (0, 0, "ack"), (3, 3, "ack"), (1, 2, "ack"), (3, 2, "ack"),
+                (3, 2, "hello"), (2, 2, "ack"), (3, 1, "ack"), (2, 3, "ack"),
+            ],
+            "rng": "1f7f4384961515a9",
+            "stats": [
+                (8, 8, 8, 0, 0.0016000000000000003),
+                (8, 8, 8, 0, 0.0016000000000000003),
+                (8, 8, 8, 0, 0.0032000000000000006),
+                (8, 8, 8, 0, 0.0016000000000000003),
+            ],
+        }
+
+    def test_lossy_exchange(self):
+        assert exchange(0.2) == {
+            "counters": (27, 20, 7),
+            "cpu_free_at": {
+                0: 0.0033399310641233295,
+                1: 0.005369992699361148,
+                2: 0.004892134142780652,
+                3: 0.006518089834168253,
+            },
+            "events": 40,
+            "now": 0.006518089834168253,
+            "order": [
+                (0, 0, "hello"), (0, 1, "hello"), (0, 2, "hello"), (2, 1, "hello"),
+                (0, 3, "hello"), (1, 2, "hello"), (3, 1, "hello"), (2, 0, "hello"),
+                (1, 0, "ack"), (2, 0, "ack"), (3, 0, "ack"), (2, 2, "hello"),
+                (3, 3, "hello"), (1, 3, "hello"), (0, 0, "ack"), (1, 2, "ack"),
+                (2, 2, "ack"), (2, 1, "ack"), (1, 3, "ack"), (3, 1, "ack"),
+            ],
+            "rng": "0e26b18990399959",
+            "stats": [
+                (8, 5, 5, 1, 0.001),
+                (6, 5, 5, 2, 0.001),
+                (7, 6, 6, 1, 0.0024000000000000002),
+                (6, 4, 4, 3, 0.0008),
+            ],
+        }
+
+
+class TestMembershipViews:
+    def test_views_reflect_a_node_added_after_their_first_use(self):
+        _, network, nodes = build(count=2)
+        assert network.node_ids == nodes[0].peers == (0, 1)
+        assert network.nodes == tuple(nodes)
+        late, first = Recorder(7), Recorder(-1)
+        network.add_node(late)
+        network.add_node(first)
+        assert network.node_ids == nodes[0].peers == late.peers == (-1, 0, 1, 7)
+        assert network.nodes == (first, nodes[0], nodes[1], late)
+        assert len(network) == 4
+        # The fan-out reaches the late joiners; they can send and be sent to.
+        nodes[0].broadcast("hi", include_self=False)
+        late.send(-1, "psst")
+        network.run()
+        assert [m for _, m, _ in late.received] == ["hi"]
+        assert sorted(m for _, m, _ in first.received) == ["hi", "psst"]
+
+    def test_sending_before_attachment_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError):
+            Recorder(0).send(1, "x")

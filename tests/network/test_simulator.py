@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.network.node import Network
 from repro.network.simulator import Simulator
 
 
@@ -152,8 +153,8 @@ class TestPendingEventsAccounting:
         assert simulator.pending_events == 1
 
     def test_interleaved_scheduling_at_shared_timestamps_stays_fifo(self):
-        # Late arrivals into the slot being drained must honour the
-        # (time, sequence) order the heap-based engine defined.
+        # An event scheduled at the current instant runs after everything
+        # already queued for it: the (time, sequence) order.
         simulator = Simulator()
         order = []
 
@@ -165,3 +166,28 @@ class TestPendingEventsAccounting:
         simulator.schedule_at(0.0001, lambda: order.append("second"))
         simulator.run_until_quiescent()
         assert order == ["first", "second", "late"]
+
+
+class TestTheClockNeverRunsBackwards:
+    """A horizon in the past is a no-op on ``run`` as on ``run_until``."""
+
+    def test_run_with_a_past_horizon_keeps_the_clock(self):
+        simulator = Simulator()
+        fired = []
+        simulator.schedule_at(10.0, lambda: fired.append("far"))
+        assert simulator.run(until=5.0) == 5.0
+        assert simulator.run(until=3.0) == 5.0
+        assert simulator.now == 5.0
+        # Work "before" what the clock has already passed stays refused.
+        with pytest.raises(SimulationError):
+            simulator.schedule_at(4.0, lambda: None)
+        assert simulator.run_until(3.0) == 5.0
+        assert fired == [] and simulator.pending_events == 1
+
+    def test_the_network_facade_inherits_it(self):
+        simulator = Simulator()
+        network = Network(simulator)
+        simulator.schedule_at(10.0, lambda: None)
+        network.run(until=5.0)
+        network.run(until=3.0)
+        assert simulator.now == 5.0
