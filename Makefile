@@ -53,9 +53,9 @@ test-barriers:
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 REPRO_BENCH_BACKEND=$(BACKEND) $(PYTHON) -m pytest benchmarks/bench_cluster_scaling.py -q
 
-## The per-core engine microbenchmarks (verification cache, pipe codec) in
-## smoke mode: measures each rewritten hot-path layer against its replaced
-## implementation and records the >=5x speedup gate — explicitly
+## The per-core engine microbenchmarks (verification cache, one-check quorum
+## verification) in smoke mode: measures each rewritten hot-path layer against
+## its replaced implementation and records the >=5x speedup gate — explicitly
 ## passed/failed/skipped, never silent — under core_rows.
 bench-core:
 	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_core.py -q

@@ -1,18 +1,16 @@
-"""Per-core engine microbenchmarks: verification cache, codec.
+"""Per-core engine microbenchmarks: verification cache, quorum check.
 
 The 10x-engine work rewrote the hot layers; this benchmark measures each
 one against a faithful in-bench reimplementation of the code it replaced
-(per-signature HMAC over a re-encoded payload, pickled worker-pipe
-payloads), on the workload shapes of the 8-shard batch=8 configuration the
-backend wall-clock rows track.  The event queue is not raced here: it is
-judged end to end by ``perf/`` (``local-bracha`` ``run_s``).  The measured
-rows land in ``BENCH_cluster.json`` under ``core_rows``:
+(per-signature HMAC over a re-encoded payload), on the workload shapes of
+the 8-shard batch=8 configuration the backend wall-clock rows track.  The
+event queue and the worker-pipe framing are not raced here: they are judged
+end to end by ``perf/`` (``local-bracha`` and ``ref-process`` ``run_s``).
+The measured rows land in ``BENCH_cluster.json`` under ``core_rows``:
 
 * ``verify`` — the settlement pattern: every certificate re-checked at
   relay, inbox and compaction gate; every batch signature re-verified by
   each of the 4 replicas sharing the shard's scheme.
-* ``codec`` — a shard-snapshot-shaped payload through the compact pipe
-  codec vs pickle: bytes (the migration-stall gauge) and round-trip time.
 * ``end_to_end`` — the real 8-shard batch=8 serial run: wall clock and
   single-core throughput, beside the wall clock recorded for the same
   config before this work.
@@ -20,20 +18,17 @@ rows land in ``BENCH_cluster.json`` under ``core_rows``:
   ``certify`` with the batch-verdict cache) against the replaced path: a
   membership + per-signature + distinct-signer pass repeated at every
   trust boundary a certificate crosses.
-* ``envelope_rows`` — the slotted, codec-registered broadcast envelopes
-  against the replaced framing: pickle (class path + field names) per
-  per-hop message, plus ``__dict__`` construction churn as info columns.
 * ``process_gate`` — the process-vs-serial wall-clock ratio on the tracked
   config, with fingerprint equality asserted.  On a single-core host the
   gate records an honest ``skipped_single_core``; on a multi-core host a
   ratio under 1.5x is a hard failure.
 
 The ≥5x speedup gate evaluates on the verification layer (the dominant
-per-core cost in the profile breakdown); the quorum and envelope layers
-carry their own ≥2x gates.  Every gate's outcome is always recorded
-explicitly — ``passed``/``failed`` where the host produced a stable
-measurement, ``skipped_slow_host`` (an honest pytest skip, never a silent
-pass) where calibration could not finish inside its budget.
+per-core cost in the profile breakdown); the quorum layer carries its own
+≥2x gate.  Every gate's outcome is always recorded explicitly —
+``passed``/``failed`` where the host produced a stable measurement,
+``skipped_slow_host`` (an honest pytest skip, never a silent pass) where
+calibration could not finish inside its budget.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``, ``make bench-core``) shrinks the
 iteration counts and the end-to-end load but still measures and asserts the
@@ -43,25 +38,17 @@ gate.
 import dataclasses
 import hashlib
 import hmac
-import pickle
-import sys
 import time as _time
 from typing import Callable
 
 from _gates import CPU_COUNT, SMOKE, enforce_gate, journal as _journal, speedup_gate
-from repro.broadcast.messages import EchoMessage, ReadyMessage, SendMessage
-from repro.cluster.codec import decode as codec_decode
-from repro.cluster.codec import encode as codec_encode
 from repro.cluster.settlement import SettlementClaim
-from repro.cluster.shard import NodeSnapshot, ShardSnapshot
-from repro.common.types import Transfer, TransferId
+from repro.common.types import Transfer
 from repro.crypto.hashing import _canonical_bytes
 from repro.crypto.signatures import SignatureScheme
 from repro.eval.experiments import ClusterExperimentConfig, backend_comparison_experiment
-from repro.mp.consensusless_transfer import TransferRecord
 from repro.mp.messages import TransferAnnouncement
-from repro.network.node import NetworkConfig, NodeStats
-from repro.spec.byzantine_spec import ClientOperation, ValidatedTransfer
+from repro.network.node import NetworkConfig
 
 SHARDS = 8
 BATCH = 8
@@ -71,7 +58,6 @@ QUORUM = 3
 # re-verified per replica and its certificate re-checked at three trust
 # boundaries — the per-batch signature traffic of the tracked config.
 VERIFY_PAYLOADS = 40 if SMOKE else 120
-CODEC_ROUNDS = 20 if SMOKE else 60
 # Calibration budget: a layer's naive reference must finish inside this
 # many seconds or the host is declared too slow for a stable measurement.
 CALIBRATION_BUDGET_S = 30.0
@@ -82,10 +68,6 @@ SPEEDUP_REQUIRED = 5.0
 QUORUM_CLAIMS = 400 if SMOKE else 1_500
 TRUST_SITES = 6
 QUORUM_SPEEDUP_REQUIRED = 2.0
-# Envelope rows: per-commit fan-out instances measured for wire bytes and
-# construction churn.
-ENVELOPE_INSTANCES = 200 if SMOKE else 600
-ENVELOPE_RATIO_REQUIRED = 2.0
 # Process-vs-serial wall-clock gate (multi-core hosts only).
 PROCESS_SPEEDUP_REQUIRED = 1.5
 
@@ -129,16 +111,6 @@ class _NaiveScheme:
         return len(signers) >= quorum_size
 
 
-class _DictEnvelope:
-    """The replaced per-hop envelope: a plain ``__dict__``-backed record."""
-
-    def __init__(self, channel, origin, sequence, payload) -> None:
-        self.channel = channel
-        self.origin = origin
-        self.sequence = sequence
-        self.payload = payload
-
-
 # -- workload shapes -------------------------------------------------------------------------
 
 
@@ -167,58 +139,6 @@ def _verify_workload(verifier, scheme: SignatureScheme, payloads) -> int:
             assert verifier.verify_certificate(payload, certificate, QUORUM)
             operations += 1
     return operations
-
-
-def _snapshot_payload() -> ShardSnapshot:
-    """A ShardSnapshot shaped like the 8-shard batch=8 run produces."""
-    def node(pid: int) -> NodeSnapshot:
-        completed = [
-            TransferRecord(
-                transfer=Transfer(str(pid), f"x1:{i % 3}", 1 + i, issuer=pid, sequence=i),
-                submitted_at=0.001 * i,
-                completed_at=0.001 * i + 0.004,
-                success=True,
-            )
-            for i in range(40)
-        ]
-        return NodeSnapshot(
-            seq={p: 40 for p in range(REPLICAS)},
-            rec={p: 38 for p in range(REPLICAS)},
-            hist={str(a): {TransferId(issuer=a, sequence=s) for s in range(40)} for a in range(REPLICAS)},
-            deps={TransferId(issuer=pid, sequence=s) for s in range(5)},
-            validated_log=[
-                ValidatedTransfer(
-                    transfer=record.transfer,
-                    dependencies=(TransferId(issuer=pid, sequence=i),),
-                    position=i,
-                )
-                for i, record in enumerate(completed)
-            ],
-            client_operations=[
-                ClientOperation(
-                    process=pid, kind="transfer", invoked_at=0.001 * i,
-                    responded_at=0.001 * i + 0.004, response=True,
-                    transfer=record.transfer, account=str(pid),
-                )
-                for i, record in enumerate(completed)
-            ],
-            completed=completed,
-            failed_immediately=[],
-            stats=NodeStats(sent=400, received=1600, processed=1600, dropped=0, busy_time=0.02),
-        )
-
-    nodes = {pid: node(pid) for pid in range(REPLICAS)}
-    return ShardSnapshot(
-        index=0,
-        nodes=nodes,
-        committed=list(nodes[0].completed),
-        rejected=[],
-        messages_sent=1600,
-        submitted=160,
-        broadcast_delivered=160,
-        payload_items=160 * BATCH,
-        metrics=None,
-    )
 
 
 # -- measurement harness ---------------------------------------------------------------------
@@ -287,36 +207,7 @@ def test_core_engine_layers(benchmark):
     )
     benchmark.extra_info["verify_speedup"] = round(verify_speedup, 2)
 
-    # Layer 2: the pipe codec vs pickle on a snapshot-shaped payload.
-    snapshot = _snapshot_payload().state_view()
-    pickle_bytes = len(pickle.dumps(snapshot))
-    codec_bytes = len(codec_encode(snapshot))
-    assert codec_decode(codec_encode(snapshot)) == snapshot
-
-    def pickle_roundtrips():
-        for _ in range(CODEC_ROUNDS):
-            pickle.loads(pickle.dumps(snapshot))
-
-    def codec_roundtrips():
-        for _ in range(CODEC_ROUNDS):
-            codec_decode(codec_encode(snapshot))
-
-    pickle_s = _timed(pickle_roundtrips)
-    codec_s = _timed(codec_roundtrips)
-    rows.append(
-        {
-            "layer": "codec",
-            "snapshot_pickle_bytes": pickle_bytes,
-            "snapshot_codec_bytes": codec_bytes,
-            "bytes_reduction": round(1 - codec_bytes / pickle_bytes, 3),
-            "pickle_roundtrip_ms": round(pickle_s / CODEC_ROUNDS * 1000, 3),
-            "codec_roundtrip_ms": round(codec_s / CODEC_ROUNDS * 1000, 3),
-        }
-    )
-    benchmark.extra_info["codec_bytes_reduction"] = round(1 - codec_bytes / pickle_bytes, 3)
-    assert codec_bytes < pickle_bytes, "the compact codec must beat pickle on size"
-
-    # Layer 3: the real config, end to end on one core.
+    # Layer 2: the real config, end to end on one core.
     config = ClusterExperimentConfig(
         user_count=5_000 if SMOKE else 50_000,
         aggregate_rate=8_000.0 if SMOKE else 24_000.0,
@@ -471,91 +362,6 @@ def test_quorum_layer():
         gate,
         f"one-check quorum verification only {speedup:.2f}x over the "
         f"per-signature path (required {QUORUM_SPEEDUP_REQUIRED}x)",
-    )
-
-
-def test_envelope_layer():
-    """Slotted, codec-registered envelopes vs the replaced pickle framing.
-
-    The gate evaluates on wire bytes: a per-hop message used to cross the
-    worker pipe as the codec's pickle escape (class path plus field names
-    per dataclass); registered envelopes cost one tag byte plus field
-    values.  Construction churn (slotted vs ``__dict__`` records) is
-    measured alongside as info columns — it contributes to the end-to-end
-    wall clock but is too small to gate stably on its own.
-    """
-    pickle_total = 0
-    codec_total = 0
-    fanout = []
-    for index in range(ENVELOPE_INSTANCES):
-        payload = tuple(_batch_payload(index * BATCH + k) for k in range(BATCH))
-        # The per-commit fan-out shape: one SEND, an ECHO and a READY per
-        # replica, all carrying the same batch payload.
-        fanout.append(SendMessage(channel="xfer", origin=index % REPLICAS, sequence=1 + index, payload=payload))
-        for replica in range(REPLICAS):
-            fanout.append(EchoMessage(channel="xfer", origin=index % REPLICAS, sequence=1 + index, payload=payload))
-            fanout.append(ReadyMessage(channel="xfer", origin=index % REPLICAS, sequence=1 + index, payload=payload))
-    for message in fanout:
-        encoded = codec_encode(message)
-        assert codec_decode(encoded) == message
-        pickle_total += len(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
-        codec_total += len(encoded)
-    bytes_ratio = pickle_total / codec_total if codec_total else float("inf")
-
-    def dict_churn():
-        for message in fanout:
-            replica = _DictEnvelope(
-                message.channel, message.origin, message.sequence, message.payload
-            )
-            assert replica.sequence == message.sequence
-
-    def slotted_churn():
-        for message in fanout:
-            replica = type(message)(
-                channel=message.channel,
-                origin=message.origin,
-                sequence=message.sequence,
-                payload=message.payload,
-            )
-            assert replica.sequence == message.sequence
-
-    dict_s = _timed(dict_churn)
-    slotted_s = _timed(slotted_churn)
-    # Per-instance memory: a __dict__ envelope pays for the object plus its
-    # attribute dict; a slotted one is just the object.
-    sample = fanout[0]
-    dict_sample = _DictEnvelope(
-        sample.channel, sample.origin, sample.sequence, sample.payload
-    )
-    dict_memory = sys.getsizeof(dict_sample) + sys.getsizeof(dict_sample.__dict__)
-    slotted_memory = sys.getsizeof(sample)
-
-    rows = [
-        {
-            "layer": "envelope",
-            "messages": len(fanout),
-            "pickle_bytes": pickle_total,
-            "codec_bytes": codec_total,
-            "bytes_ratio": round(bytes_ratio, 2),
-            "dict_memory_per_message": dict_memory,
-            "slotted_memory_per_message": slotted_memory,
-            "dict_construct_ms": round(dict_s * 1000, 3),
-            "slotted_construct_ms": round(slotted_s * 1000, 3),
-        }
-    ]
-    gate = speedup_gate(
-        ENVELOPE_RATIO_REQUIRED,
-        measured=bytes_ratio,
-        layer="envelope",
-        metric="wire_bytes_ratio",
-    )
-    _journal("envelope_rows", {"rows": rows, "speedup_gate": gate})
-    print()
-    print(rows[0])
-    enforce_gate(
-        gate,
-        f"registered envelopes only {bytes_ratio:.2f}x smaller than the "
-        f"pickle framing (required {ENVELOPE_RATIO_REQUIRED}x)",
     )
 
 

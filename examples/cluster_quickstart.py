@@ -46,12 +46,12 @@ account with no cross-shard coordination.  This example:
    untelemetered run's, because telemetry never perturbs results.
 
 The per-core engine behind all of this was rewritten for speed
-(verification caching, a calendar event queue, a compact worker-pipe
-codec, then one-check quorum verification at certificate assembly,
-slotted tuple-encoded broadcast envelopes, and a zero-copy barrier
-fan-out): the 8-shard batch=8 serial benchmark run now takes **0.632s of
-wall clock where it took 0.659s after the first rewrite pass and 1.052s
-originally** — same seed, bit-identical fingerprint — and
+(verification caching, a calendar event queue, then one-check quorum
+verification at certificate assembly, slotted broadcast envelopes, and an
+encode-once barrier fan-out over pickled worker pipes): the 8-shard batch=8
+serial benchmark run now takes **0.632s of wall clock where it took 0.659s
+after the first rewrite pass and 1.052s originally** — same seed,
+bit-identical fingerprint — and
 ``make bench-core`` re-measures each layer against the implementation it
 replaced.
 

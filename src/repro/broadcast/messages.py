@@ -11,9 +11,7 @@ Every message carries the broadcast *instance* identity ``(origin, sequence)``
 The envelopes are slotted (``slots=True``): a shard's fan-out creates ~36 of
 them per commit (INIT/ACK/FINAL to every replica, echoes and readies under
 Bracha), and ``__slots__`` removes the per-instance ``__dict__`` from that
-hot path.  They are also registered in :mod:`repro.cluster.codec`, so a
-checkpointed or shipped envelope is tuple-encoded — one tag byte plus field
-values in declaration order, no class path or field names on the wire.
+hot path.
 """
 
 from __future__ import annotations

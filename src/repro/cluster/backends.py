@@ -40,17 +40,8 @@ freedom the set-constrained-delivery view of broadcast-level abstractions
 (Imbs et al., arXiv:1706.05267) predicts: the only cross-shard obligation is
 reliable, source-ordered certificate delivery, and that batches freely.
 
-**Pipe wire format.**  Driver and workers frame every command and reply with
-the compact binary codec of :mod:`repro.cluster.codec` instead of pickle:
-one tag byte per value, varints for integers and lengths, 8-byte IEEE-754
-doubles, length-prefixed UTF-8 strings, containers encoded recursively in
-iteration order, and a fixed append-only registry of the dataclasses the
-protocol actually ships (``ShardSpec``, ``ShardSnapshot`` and its node
-snapshots, ``AdvanceReport``/``ValidationEvent``, the settlement claim /
-voucher / certificate / ack family, transfers and routed submissions)
-encoded as ``tag + field values in declaration order`` — no class paths or
-field names on the wire.  Values outside the registry (profiler stats,
-telemetry snapshots) escape to an embedded pickle blob.  Commands are the
+**Worker commands.**  Driver and workers frame every command and reply
+through :mod:`repro.cluster.codec` (one pickle per frame).  Commands are the
 tuples ``("advance", horizon, max_events)``, ``("advance_some",
 [(index, horizon), ...], max_events, collect_after)`` (the sparse-mode
 split-phase advance of a resident subset, each shard to its own horizon),
@@ -62,20 +53,9 @@ replies are ``("ok", payload)`` or ``("error", traceback_text)``.
 :class:`~repro.cluster.checkpoint.CheckpointDelta` against the worker's
 previous baseline (``None`` for shards not protocol-quiescent this round),
 and an ``adopt`` arrival carries an optional checkpoint so the adopting
-worker restores it and replays only the post-checkpoint tail.  The same encoding
-measures ``snapshot_bytes`` for migration stall accounting, on every
-backend, so the bytes-per-move column now reports compact-codec payloads.
-
-**Envelope wire format.**  The broadcast envelopes themselves — ``SEND`` /
-``ECHO`` / ``READY``, the echo-broadcast ``EchoSignatureMessage`` /
-``FinalMessage``, the account-order ``AccountTaggedPayload`` wrapper and the
-``BroadcastDelivery`` record — are registered in the same codec table, so a
-per-hop message costs one tag byte plus its field values in declaration
-order (``channel``, ``origin``, ``sequence``, ``payload``, then any
-variant-specific fields) rather than a pickle class path and field-name
-dictionary.  The classes carry ``__slots__`` in memory for the same reason
-they are tuple-encoded on the wire: the ~36-messages-per-commit fan-out
-allocates no per-message ``__dict__`` and ships no per-message field names.
+worker restores it and replays only the post-checkpoint tail.  The same
+framing measures ``snapshot_bytes`` for migration stall accounting, on every
+backend.
 
 **Barrier fan-out.**  Commands addressed to *every* worker with identical
 bytes — ``advance`` each epoch, ``checkpoint``, ``snapshot``, ``profile``
@@ -99,7 +79,7 @@ import traceback
 import weakref
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -893,8 +873,9 @@ def _worker_main(
     arrivals, then alternate ``advance`` / ``mint`` commands until asked for
     the final ``snapshot``.  ``evict`` detaches a migrating shard (returning
     its snapshot), ``adopt`` rehydrates one by deterministic replay.  Every
-    payload crossing the pipe is framed by the compact codec (see the module
-    docstring); exceptions travel back as formatted tracebacks.
+    payload crossing the pipe is framed by :mod:`repro.cluster.codec`;
+    exceptions — an undecodable command frame included — travel back as
+    formatted tracebacks.
 
     With ``profile`` the whole worker lifetime (shard build included) runs
     under a :mod:`cProfile` sampler; the ``profile`` command stops it and
@@ -920,87 +901,79 @@ def _worker_main(
         shards[spec.index] = shard
     while True:
         try:
-            command = codec_decode(connection.recv_bytes())
+            frame = connection.recv_bytes()
         except EOFError:
             break
-        kind = command[0]
         try:
+            # Decoded inside the ``try``: a frame this worker cannot read is
+            # answered like any other failure instead of ending the process.
+            command = codec_decode(frame)
+            kind = command[0]
+            payload = None
             if kind == "advance":
                 _, horizon, max_events = command
-                reports = {
+                payload = {
                     index: shards[index].advance(horizon, max_events)
                     for index in sorted(shards)
                 }
-                connection.send_bytes(codec_encode(("ok", reports)))
             elif kind == "advance_some":
                 # Sparse-mode split-phase advance: only the listed resident
                 # shards run, each to its own horizon, and the reports carry
                 # executed-event times past ``collect_after`` (the barrier
                 # the driver dispatched from).
                 _, entries, max_events, collect_after = command
-                reports = {
+                payload = {
                     index: shards[index].advance(
                         horizon, max_events, collect_times_after=collect_after
                     )
                     for index, horizon in entries
                 }
-                connection.send_bytes(codec_encode(("ok", reports)))
             elif kind == "mint":
                 _, time, per_shard = command
                 for index, mints in per_shard:
                     shards[index].apply_mints(time, mints)
-                connection.send_bytes(codec_encode(("ok", None)))
             elif kind == "retire":
                 _, time, per_shard = command
                 for index, transfers in per_shard:
                     shards[index].apply_retirements(time, transfers)
-                connection.send_bytes(codec_encode(("ok", None)))
             elif kind == "evict":
                 _, indices = command
-                evicted = {index: shards.pop(index).snapshot() for index in indices}
+                payload = {index: shards.pop(index).snapshot() for index in indices}
                 for index in indices:
                     last_checkpoints.pop(index, None)
-                connection.send_bytes(codec_encode(("ok", evicted)))
             elif kind == "adopt":
                 _, arrivals = command
-                adopted = {}
+                payload = {}
                 for spec, routed, checkpoint, history, horizon in arrivals:
                     shard = _replay_shard(spec, routed, history, horizon, checkpoint)
                     shards[spec.index] = shard
                     if checkpoint is not None:
                         last_checkpoints[spec.index] = checkpoint
-                    adopted[spec.index] = shard.snapshot()
-                connection.send_bytes(codec_encode(("ok", adopted)))
+                    payload[spec.index] = shard.snapshot()
             elif kind == "checkpoint":
-                deltas = {}
+                payload = {}
                 for index in sorted(shards):
                     taken = shards[index].checkpoint()
                     if taken is None:
-                        deltas[index] = None
+                        payload[index] = None
                         continue
-                    deltas[index] = checkpoint_delta(last_checkpoints.get(index), taken)
+                    payload[index] = checkpoint_delta(last_checkpoints.get(index), taken)
                     last_checkpoints[index] = taken
-                connection.send_bytes(codec_encode(("ok", deltas)))
             elif kind == "snapshot":
-                connection.send_bytes(
-                    codec_encode(
-                        ("ok", {index: shards[index].snapshot() for index in sorted(shards)})
-                    )
-                )
+                payload = {index: shards[index].snapshot() for index in sorted(shards)}
             elif kind == "profile":
-                if profiler is None:
-                    connection.send_bytes(codec_encode(("ok", None)))
-                else:
+                if profiler is not None:
                     profiler.disable()
-                    connection.send_bytes(codec_encode(("ok", profile_stats_dict(profiler))))
+                    payload = profile_stats_dict(profiler)
                     profiler = None
-            elif kind == "stop":
-                connection.send_bytes(codec_encode(("ok", None)))
-                break
-            else:
-                connection.send_bytes(codec_encode(("error", f"unknown worker command {kind!r}")))
+            elif kind != "stop":
+                raise SimulationError(f"unknown worker command {kind!r}")
+            connection.send_bytes(codec_encode(("ok", payload)))
         except Exception:  # ship the traceback; the driver decides how to fail
             connection.send_bytes(codec_encode(("error", traceback.format_exc())))
+            continue
+        if kind == "stop":
+            break
     connection.close()
 
 
@@ -1049,6 +1022,9 @@ class ProcessPoolBackend(ExecutionBackend):
         # one entry per begin_advance() batch sent to that slot (a slot can
         # owe two replies when the early and sync batches both touch it).
         self._pending_slots: List[int] = []
+        # Per worker slot, the kinds of the commands sent and not yet
+        # answered, oldest first: what a failed receive is attributed to.
+        self._outstanding: List[deque] = []
         self._finalizer = None
 
     def open(
@@ -1078,6 +1054,7 @@ class ProcessPoolBackend(ExecutionBackend):
         ]
         for spec in specs:
             per_worker_specs[placement.worker_of(spec.index)].append(spec)
+        self._outstanding = [deque() for _ in range(placement.worker_count)]
         for slot in range(placement.worker_count):
             parent, child = context.Pipe(duplex=True)
             worker_submissions = {
@@ -1099,51 +1076,74 @@ class ProcessPoolBackend(ExecutionBackend):
             self, ProcessPoolBackend._shutdown, list(self._workers)
         )
 
-    def _request(self, slot: int, command: tuple) -> None:
-        if self.tracer is not None:
-            # Pipe encode: the compact codec frames the command bytes.
-            with self.tracer.span(
-                "pipe.send", cat="pipe", tid=1 + slot, command=command[0]
-            ):
-                self._workers[slot][1].send_bytes(codec_encode(command))
-        else:
-            self._workers[slot][1].send_bytes(codec_encode(command))
+    def _pipe_span(self, name: str, slot: int, **span_kwargs):
+        if self.tracer is None:
+            return nullcontext()
+        return self.tracer.span(name, cat="pipe", tid=1 + slot, **span_kwargs)
+
+    def _send(self, slot: int, data: bytes, kind: str) -> None:
+        """Write one encoded ``kind`` command frame to worker ``slot``."""
+        try:
+            with self._pipe_span("pipe.send", slot, command=kind):
+                self._workers[slot][1].send_bytes(data)
+        except OSError as error:  # BrokenPipeError: nobody holds the other end
+            raise self._worker_lost(slot, kind, error) from error
+        self._outstanding[slot].append(kind)
         if self.metrics is not None:
             self.metrics.inc("pipe.commands")
-            self.metrics.inc(f"pipe.{command[0]}")
+            self.metrics.inc(f"pipe.{kind}")
+
+    def _recv(self, slot: int) -> Any:
+        """Block for worker ``slot``'s next reply and return its payload.
+
+        Replies arrive in command order per pipe, so the oldest outstanding
+        kind is the one this reply (or this failure) belongs to.
+        """
+        kind = self._outstanding[slot].popleft()
+        with self._pipe_span("pipe.recv", slot):
+            try:
+                frame = self._workers[slot][1].recv_bytes()
+            except (EOFError, OSError) as error:
+                raise self._worker_lost(slot, kind, error) from error
+            try:
+                status, payload = codec_decode(frame)
+            except Exception as error:  # whatever unpickling raises, attributed
+                raise self._worker_error(
+                    slot, kind, f"sent a reply that does not decode ({error!r})"
+                ) from error
+        if status != "ok":
+            raise self._worker_error(slot, kind, f"failed:\n{payload}")
+        return payload
+
+    def _worker_error(self, slot: int, kind: str, what: str) -> SimulationError:
+        """A failure at worker ``slot``'s pipe, attributed: which worker,
+        holding which shards, asked for what, and whether it is still alive."""
+        return SimulationError(
+            f"shard worker {slot} (resident shards {self._placement.shards_on(slot)}, "
+            f"command {kind!r} outstanding, exitcode {self._workers[slot][0].exitcode}) {what}"
+        )
+
+    def _worker_lost(self, slot: int, kind: str, error: Exception) -> SimulationError:
+        # The pipe closes a moment before the child can be reaped; a bounded
+        # join makes the reported exitcode the real one.  Detection only:
+        # the shards that lived on the worker are gone with it.
+        self._workers[slot][0].join(timeout=1.0)
+        return self._worker_error(slot, kind, f"is gone: its pipe is closed ({error!r})")
+
+    def _request(self, slot: int, command: tuple) -> None:
+        self._send(slot, codec_encode(command), command[0])
 
     def _broadcast(self, command: tuple) -> None:
-        """Send one identical command to every worker, zero-copy.
+        """Send one identical command to every worker, encoded once.
 
         The per-epoch barrier exchange ships the same bytes to every
         recipient (``advance`` each epoch; ``checkpoint``, ``snapshot``,
-        ``profile`` at their barriers), so the command is encoded once and
-        framed once — ``send_bytes`` fans the one ``bytes`` object out —
-        instead of re-encoding per recipient worker.
+        ``profile`` at their barriers), so the one ``bytes`` object is
+        written to each pipe instead of re-encoding per recipient worker.
         """
         data = codec_encode(command)
         for slot in range(len(self._workers)):
-            if self.tracer is not None:
-                with self.tracer.span(
-                    "pipe.send", cat="pipe", tid=1 + slot, command=command[0]
-                ):
-                    self._workers[slot][1].send_bytes(data)
-            else:
-                self._workers[slot][1].send_bytes(data)
-            if self.metrics is not None:
-                self.metrics.inc("pipe.commands")
-                self.metrics.inc(f"pipe.{command[0]}")
-
-    def _collect(self, slot: int) -> Any:
-        if self.tracer is not None:
-            # Pipe decode: blocking until the worker replies, then decoding.
-            with self.tracer.span("pipe.recv", cat="pipe", tid=1 + slot):
-                status, payload = codec_decode(self._workers[slot][1].recv_bytes())
-        else:
-            status, payload = codec_decode(self._workers[slot][1].recv_bytes())
-        if status != "ok":
-            raise SimulationError(f"shard worker {slot} failed:\n{payload}")
-        return payload
+            self._send(slot, data, command[0])
 
     def advance(
         self, horizon: Optional[float], max_events: Optional[int] = None
@@ -1213,15 +1213,8 @@ class ProcessPoolBackend(ExecutionBackend):
             )
             for conn in ready:
                 slot = by_connection[conn]
-                if self.tracer is not None:
-                    with self.tracer.span("pipe.recv", cat="pipe", tid=1 + slot):
-                        status, payload = codec_decode(conn.recv_bytes())
-                else:
-                    status, payload = codec_decode(conn.recv_bytes())
+                payloads[slot].append(self._recv(slot))
                 stamps.append(_time.perf_counter())
-                if status != "ok":
-                    raise SimulationError(f"shard worker {slot} failed:\n{payload}")
-                payloads[slot].append(payload)
                 owed[slot] -= 1
                 if not owed[slot]:
                     del owed[slot]
@@ -1241,7 +1234,7 @@ class ProcessPoolBackend(ExecutionBackend):
         for slot, payload in sorted(per_slot.items()):
             self._request(slot, ("mint", time, payload))
         for slot in sorted(per_slot):
-            self._collect(slot)
+            self._recv(slot)
 
     def apply_retirements(self, time: float, retirements: Dict[int, List[Transfer]]) -> None:
         per_slot: Dict[int, List[Tuple[int, List[Transfer]]]] = {}
@@ -1254,7 +1247,7 @@ class ProcessPoolBackend(ExecutionBackend):
         for slot, payload in sorted(per_slot.items()):
             self._request(slot, ("retire", time, payload))
         for slot in sorted(per_slot):
-            self._collect(slot)
+            self._recv(slot)
 
     def checkpoint(self, time: float) -> Dict[int, CheckpointDelta]:
         """One checkpoint round trip per worker; fold deltas, truncate logs.
@@ -1272,7 +1265,7 @@ class ProcessPoolBackend(ExecutionBackend):
         self._broadcast(("checkpoint",))
         merged: Dict[int, Optional[CheckpointDelta]] = {}
         for slot in range(len(self._workers)):
-            merged.update(self._collect(slot))
+            merged.update(self._recv(slot))
         deltas: Dict[int, CheckpointDelta] = {}
         for index in sorted(merged):
             delta = merged[index]
@@ -1365,7 +1358,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 None, self.tracer, "migrate.evict_adopt", cat="migration", shard=move.shard
             ):
                 self._request(source, ("evict", [move.shard]))
-                evicted = self._collect(source)[move.shard]
+                evicted = self._recv(source)[move.shard]
                 self._request(
                     move.worker,
                     (
@@ -1381,7 +1374,7 @@ class ProcessPoolBackend(ExecutionBackend):
                         ],
                     ),
                 )
-                adopted = self._collect(move.worker)[move.shard]
+                adopted = self._recv(move.worker)[move.shard]
             if adopted.state_view() != evicted.state_view():
                 raise SimulationError(
                     f"shard {move.shard} diverged while migrating from worker "
@@ -1413,7 +1406,7 @@ class ProcessPoolBackend(ExecutionBackend):
         self._broadcast(("snapshot",))
         snapshots: Dict[int, ShardSnapshot] = {}
         for slot in range(len(self._workers)):
-            snapshots.update(self._collect(slot))
+            snapshots.update(self._recv(slot))
         for shard in self._shards:
             shard.restore(snapshots[shard.index])
 
@@ -1429,7 +1422,7 @@ class ProcessPoolBackend(ExecutionBackend):
         self._broadcast(("profile",))
         collected: List[dict] = []
         for slot in range(len(self._workers)):
-            raw = self._collect(slot)
+            raw = self._recv(slot)
             if raw:
                 collected.append(raw)
         return collected

@@ -25,7 +25,14 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.broadcast.messages import FinalMessage, SendMessage
 from repro.broadcast.secure_broadcast import BroadcastDelivery, payload_item_count
 from repro.common.errors import ConfigurationError
-from repro.common.types import AccountId, Amount, HashOnce, ProcessId, Transfer
+from repro.common.types import (
+    AccountId,
+    Amount,
+    HashOnce,
+    ProcessId,
+    Transfer,
+    rebuilt_by_constructor,
+)
 from repro.mp.consensusless_transfer import (
     BroadcastFactory,
     ConsensuslessTransferNode,
@@ -36,6 +43,7 @@ from repro.mp.messages import TransferAnnouncement
 from repro.spec.byzantine_spec import ClientOperation
 
 
+@rebuilt_by_constructor
 @dataclass(frozen=True, slots=True)
 class BatchAnnouncement(HashOnce):
     """Several announcements from one issuer carried by one broadcast.
@@ -62,11 +70,7 @@ class BatchAnnouncement(HashOnce):
         self._hash_once((self.announcements,))
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:  # unpickled or copied: ``__init__`` did not run
-            self.__post_init__()
-            return self._hash
+        return self._hash
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         first = self.announcements[0].transfer

@@ -17,8 +17,8 @@ structural diff here exploits exactly that:
 ``new``.  Container iteration order may differ from the live object's in one
 corner — a dict key deleted and re-added between checkpoints sits at the end
 of the live dict but keeps its old position under fold — but folding is
-deterministic (independent folds of the same stream are byte-identical under
-:func:`repro.cluster.codec.encode`) and every diff compares by equality, so
+deterministic (independent folds of the same stream are equal, container
+iteration order included) and every diff compares by equality, so
 a fold-reconstructed baseline accepts exactly the same delta chain as the
 live original.  The delta stream is a pure transport/measurement
 optimisation: checkpoints fold to equal state whether shipped full or

@@ -1,281 +1,37 @@
-"""Compact binary codec for the worker-pipe protocol.
+"""The worker pipe's framing: one frame is one pickle, protocol 5.
 
-The process-pool backend used to pickle every command and reply crossing its
-worker pipes.  Pickle is general but verbose: every shipped dataclass repeats
-its qualified class name and field names, and a :class:`ShardSnapshot` is
-mostly exactly such dataclasses.  This codec replaces it with a tag-based
-binary format specialised to the closed set of types the pipe protocol
-actually carries, cutting snapshot payloads to a fraction of their pickled
-size (the byte count that gates migration stall in ``migration_rows``).
-
-Wire format (one byte tag, then the body; all integers are varints):
-
-======  =======================================================================
-tag     body
-======  =======================================================================
-``0``   ``None``
-``1``   ``True``
-``2``   ``False``
-``3``   int — zig-zag varint
-``4``   float — 8 bytes, IEEE-754 big-endian
-``5``   str — varint byte length, UTF-8 bytes
-``6``   bytes — varint length, raw bytes
-``7``   list — varint count, each item encoded recursively
-``8``   tuple — as list
-``9``   set — as list, items in iteration order (rebuilt by insertion,
-        exactly like pickle, so downstream iteration order is unchanged)
-``10``  frozenset — as set
-``11``  dict — varint count, alternating encoded key, encoded value, in
-        iteration (= insertion) order, which the decoder reproduces
-``12``  pickle escape — varint length, a pickle blob (rare values outside
-        the registry: profile stats, telemetry snapshots)
-``32+``  registered dataclass — tag ``32 + registry index``; body is each
-        field's value in declaration order, encoded recursively.  The
-        registry (below) is a fixed, append-only table shared by driver and
-        worker, so a one-byte tag replaces pickle's class-path-plus-field-
-        name framing on every message, spec and snapshot node.
-======  =======================================================================
-
-Round-trips are exact: decoded values compare equal to the originals *and*
-preserve container iteration order, so the migration divergence check and
-the canonical run fingerprint see byte-identical state whichever transport
-shipped it.
+The only pipes are ``multiprocessing.Pipe``s between a driver and the
+children it forked on the same host — the trust domain ``multiprocessing``
+itself pickles across — so bytes are free and encode/decode time is not.
+The tag-and-varint format that lived here was gated on bytes and lost on
+time: shard 0's final snapshot of the reference run took 117 614 bytes and
+11.3 / 29.0 ms to encode / decode, a third of the pool's ``run_s`` once eight
+of them decode in the driver; as one pickle it takes 91 057 bytes and 3.7 /
+5.1 ms (its records reduce to their constructor arguments, see
+:func:`repro.common.types.rebuilt_by_constructor`).  This stays a module so
+that every frame meets one place that counts its bytes (:func:`encoded_size`
+is the migration and checkpoint gauge on every backend), owns its time in a
+profile, and rejects a frame that is not exactly one value.
 """
 
 from __future__ import annotations
 
+import io
 import pickle
-import struct
-from dataclasses import fields
-from typing import Any, Callable, Dict, List, Tuple
-
-from repro.broadcast.messages import (
-    AccountTaggedPayload,
-    EchoMessage,
-    EchoSignatureMessage,
-    FinalMessage,
-    ReadyMessage,
-    SendMessage,
-)
-from repro.broadcast.secure_broadcast import BroadcastDelivery
-from repro.cluster.settlement import (
-    RetirementCertificate,
-    SettlementAck,
-    SettlementAckClaim,
-    SettlementCertificate,
-    SettlementClaim,
-    SettlementVoucher,
-)
-from repro.cluster.batching import BatchAnnouncement
-from repro.cluster.checkpoint import CheckpointDelta
-from repro.cluster.shard import (
-    AdvanceReport,
-    NodeSnapshot,
-    ShardCheckpoint,
-    ShardSnapshot,
-    ShardSpec,
-    ValidationEvent,
-)
-from repro.common.types import Transfer, TransferId
-from repro.crypto.signatures import QuorumCertificate, Signature
-from repro.mp.consensusless_transfer import PendingTransfer, TransferRecord
-from repro.mp.messages import SequencedAnnouncement, TransferAnnouncement
-from repro.network.node import NetworkConfig, NodeStats
-from repro.spec.byzantine_spec import ClientOperation, ValidatedTransfer
-from repro.workloads.cluster_driver import RoutedSubmission
-
-_NONE, _TRUE, _FALSE, _INT, _FLOAT, _STR, _BYTES = range(7)
-_LIST, _TUPLE, _SET, _FROZENSET, _DICT, _PICKLE = range(7, 13)
-_REGISTRY_BASE = 32
-
-# The closed set of dataclasses the pipe protocol ships.  Append-only: the
-# tag is the position, and driver and worker must agree on it (they import
-# this same table).
-_REGISTRY: Tuple[type, ...] = (
-    Transfer,
-    TransferId,
-    Signature,
-    QuorumCertificate,
-    TransferAnnouncement,
-    SequencedAnnouncement,
-    SettlementClaim,
-    SettlementVoucher,
-    SettlementCertificate,
-    SettlementAckClaim,
-    SettlementAck,
-    RetirementCertificate,
-    NetworkConfig,
-    NodeStats,
-    ValidationEvent,
-    AdvanceReport,
-    NodeSnapshot,
-    ShardSnapshot,
-    ShardSpec,
-    ValidatedTransfer,
-    ClientOperation,
-    RoutedSubmission,
-    TransferRecord,
-    # Appended for the checkpoint seam (tags stay stable: append-only).
-    BatchAnnouncement,
-    PendingTransfer,
-    ShardCheckpoint,
-    CheckpointDelta,
-    # Appended for the slotted broadcast envelopes: the per-hop fan-out
-    # messages and the delivery record, tuple-encoded like everything else
-    # in the registry — one tag byte, field values in declaration order,
-    # no class paths or field names on the wire.
-    SendMessage,
-    EchoMessage,
-    ReadyMessage,
-    EchoSignatureMessage,
-    FinalMessage,
-    AccountTaggedPayload,
-    BroadcastDelivery,
-)
-_TAG_OF: Dict[type, int] = {cls: _REGISTRY_BASE + i for i, cls in enumerate(_REGISTRY)}
-_FIELDS_OF: Dict[type, Tuple[str, ...]] = {
-    cls: tuple(f.name for f in fields(cls)) for cls in _REGISTRY
-}
-
-_pack_double = struct.Struct(">d").pack
-_unpack_double = struct.Struct(">d").unpack_from
-
-
-def _write_varint(out: bytearray, value: int) -> None:
-    while value >= 0x80:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
-
-
-def _write(out: bytearray, value: Any) -> None:
-    kind = value.__class__
-    if value is None:
-        out.append(_NONE)
-    elif kind is bool:
-        out.append(_TRUE if value else _FALSE)
-    elif kind is int:
-        out.append(_INT)
-        # Zig-zag: non-negatives map to even, negatives to odd naturals.
-        _write_varint(out, (value << 1) if value >= 0 else ((-value) << 1) - 1)
-    elif kind is float:
-        out.append(_FLOAT)
-        out += _pack_double(value)
-    elif kind is str:
-        out.append(_STR)
-        encoded = value.encode("utf-8")
-        _write_varint(out, len(encoded))
-        out += encoded
-    elif kind is bytes:
-        out.append(_BYTES)
-        _write_varint(out, len(value))
-        out += value
-    elif kind is list or kind is tuple:
-        out.append(_LIST if kind is list else _TUPLE)
-        _write_varint(out, len(value))
-        for item in value:
-            _write(out, item)
-    elif kind is set or kind is frozenset:
-        out.append(_SET if kind is set else _FROZENSET)
-        _write_varint(out, len(value))
-        for item in value:
-            _write(out, item)
-    elif kind is dict:
-        out.append(_DICT)
-        _write_varint(out, len(value))
-        for key, item in value.items():
-            _write(out, key)
-            _write(out, item)
-    else:
-        tag = _TAG_OF.get(kind)
-        if tag is not None:
-            out.append(tag)
-            for name in _FIELDS_OF[kind]:
-                _write(out, getattr(value, name))
-        else:
-            out.append(_PICKLE)
-            blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-            _write_varint(out, len(blob))
-            out += blob
-
-
-def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if byte < 0x80:
-            return result, pos
-        shift += 7
-
-
-def _read(data: bytes, pos: int) -> Tuple[Any, int]:
-    tag = data[pos]
-    pos += 1
-    if tag == _NONE:
-        return None, pos
-    if tag == _TRUE:
-        return True, pos
-    if tag == _FALSE:
-        return False, pos
-    if tag == _INT:
-        raw, pos = _read_varint(data, pos)
-        return (raw >> 1) if not raw & 1 else -((raw + 1) >> 1), pos
-    if tag == _FLOAT:
-        return _unpack_double(data, pos)[0], pos + 8
-    if tag == _STR:
-        length, pos = _read_varint(data, pos)
-        return data[pos : pos + length].decode("utf-8"), pos + length
-    if tag == _BYTES:
-        length, pos = _read_varint(data, pos)
-        return bytes(data[pos : pos + length]), pos + length
-    if tag == _LIST or tag == _TUPLE:
-        count, pos = _read_varint(data, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _read(data, pos)
-            items.append(item)
-        return (items if tag == _LIST else tuple(items)), pos
-    if tag == _SET or tag == _FROZENSET:
-        count, pos = _read_varint(data, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _read(data, pos)
-            items.append(item)
-        return (set(items) if tag == _SET else frozenset(items)), pos
-    if tag == _DICT:
-        count, pos = _read_varint(data, pos)
-        result = {}
-        for _ in range(count):
-            key, pos = _read(data, pos)
-            value, pos = _read(data, pos)
-            result[key] = value
-        return result, pos
-    if tag == _PICKLE:
-        length, pos = _read_varint(data, pos)
-        return pickle.loads(data[pos : pos + length]), pos + length
-    cls = _REGISTRY[tag - _REGISTRY_BASE]
-    values = []
-    for _ in _FIELDS_OF[cls]:
-        value, pos = _read(data, pos)
-        values.append(value)
-    return cls(*values), pos
+from typing import Any
 
 
 def encode(value: Any) -> bytes:
-    """Encode ``value`` into the compact wire format."""
-    out = bytearray()
-    _write(out, value)
-    return bytes(out)
+    """Frame ``value`` for the pipe."""
+    return pickle.dumps(value, protocol=5)
 
 
 def decode(data: bytes) -> Any:
-    """Decode one value previously produced by :func:`encode`."""
-    value, pos = _read(data, 0)
-    if pos != len(data):
-        raise ValueError(f"trailing bytes after decoded value ({len(data) - pos})")
+    """The value of one frame; raises on a truncated, padded or corrupt one."""
+    frame = io.BytesIO(data)
+    value = pickle.Unpickler(frame).load()
+    if frame.tell() != len(data):
+        raise ValueError(f"trailing bytes after decoded value ({len(data) - frame.tell()})")
     return value
 
 

@@ -99,7 +99,7 @@ class MigrationRecord:
     stall_s: float
     # Incremental-checkpoint measurements (0 on backends that ship nothing):
     # bytes of the actual adopt payload — the replay tail past the newest
-    # checkpoint, codec-encoded — and how many commands + arrivals the
+    # checkpoint, as framed for the pipe — and how many commands + arrivals the
     # adopting worker replays.  With checkpoints off, ``delta_bytes`` is the
     # full genesis-replay payload, so the two columns bracket the saving.
     delta_bytes: int = 0

@@ -117,9 +117,7 @@ class AdvanceReport:
     # Timestamps of the events this advance executed past the requesting
     # barrier (sparse mode only; empty under dense pacing).  The sparse
     # scheduler replays these as the shard's *virtual* next-event times at
-    # the barriers the shard skipped.  Appended last: the pipe codec encodes
-    # fields in declaration order, so the wire format of every pre-existing
-    # field is untouched.
+    # the barriers the shard skipped.
     event_times: List[float] = field(default_factory=list)
 
 

@@ -40,7 +40,7 @@ from typing import AbstractSet, Any, Callable, Dict, List, Mapping, Optional, Se
 from repro.broadcast.messages import FinalMessage, SendMessage
 from repro.broadcast.secure_broadcast import BroadcastDelivery, BroadcastLayer
 from repro.common.errors import ConfigurationError
-from repro.common.types import AccountId, Amount, ProcessId, Transfer
+from repro.common.types import AccountId, Amount, ProcessId, Transfer, rebuilt_by_constructor
 from repro.core.accounts import AccountBook
 from repro.mp.messages import TransferAnnouncement
 from repro.network.node import Node
@@ -66,6 +66,7 @@ class PendingTransfer:
     announced: bool = False
 
 
+@rebuilt_by_constructor
 @dataclass
 class TransferRecord:
     """Completion record handed to the metrics layer."""

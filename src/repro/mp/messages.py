@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.common.types import AccountId, HashOnce, Transfer
+from repro.common.types import AccountId, HashOnce, Transfer, rebuilt_by_constructor
 from repro.crypto.signatures import QuorumCertificate
 
 
+@rebuilt_by_constructor
 @dataclass(frozen=True, slots=True)
 class TransferAnnouncement(HashOnce):
     """The broadcast payload of one transfer (Figure 4, line 4).
@@ -35,11 +36,7 @@ class TransferAnnouncement(HashOnce):
 
     # Every broadcast hop looks the payload up in the content-hash memo.
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:  # unpickled or copied: ``__init__`` did not run
-            self.__post_init__()
-            return self._hash
+        return self._hash
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"announce({self.transfer}, deps={len(self.dependencies)})"

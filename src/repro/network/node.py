@@ -276,7 +276,7 @@ class Network:
     def capture_state(self) -> Dict[str, Any]:
         """Plain-data snapshot of the network's own mutable state.
 
-        Everything here is picklable/codec-plain: the RNG position (so
+        Everything here is plain picklable data: the RNG position (so
         post-checkpoint latency draws replay identically), the per-node CPU
         horizon, and the delivery counters.  Node membership and config are
         rebuilt from the shard spec, not captured.
@@ -291,8 +291,6 @@ class Network:
 
     def restore_state(self, state: Dict[str, Any]) -> None:
         """Install a :meth:`capture_state` snapshot onto a freshly built twin."""
-        # Codec round trips turn the getstate tuple-of-tuples into lists;
-        # ``random.setstate`` insists on the exact tuple shape.
         version, internal, gauss = state["rng"]
         self._rng._random.setstate((version, tuple(internal), gauss))
         self._cpu_free_at.update(state["cpu_free_at"])

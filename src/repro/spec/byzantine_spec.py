@@ -54,9 +54,17 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.common.types import AccountId, Amount, ProcessId, Transfer, TransferId
+from repro.common.types import (
+    AccountId,
+    Amount,
+    ProcessId,
+    Transfer,
+    TransferId,
+    rebuilt_by_constructor,
+)
 
 
+@rebuilt_by_constructor
 @dataclass(frozen=True)
 class ValidatedTransfer:
     """A transfer as validated by one correct process.
@@ -72,6 +80,7 @@ class ValidatedTransfer:
     position: int = 0
 
 
+@rebuilt_by_constructor
 @dataclass(frozen=True)
 class ClientOperation:
     """One client-level operation performed by a correct process.

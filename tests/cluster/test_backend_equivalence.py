@@ -21,10 +21,10 @@ pipe, so the subprocess code path is unit-tested and covered).
 """
 
 import pickle
+import time
 
 import pytest
 
-from repro.cluster import codec as pipe_codec
 from repro.cluster import ClusterSystem, ShardSpec
 from repro.cluster.backends import BACKEND_NAMES, _worker_main, make_backend
 from repro.cluster.settlement import (
@@ -32,7 +32,7 @@ from repro.cluster.settlement import (
     SettlementClaim,
     SettlementVoucher,
 )
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.crypto.signatures import SignatureScheme
 from repro.workloads.cluster_driver import (
     ClusterWorkloadConfig,
@@ -363,28 +363,6 @@ class TestSettlementWireFormatPicklability:
         assert pickle.loads(pickle.dumps(routed)) == routed
 
 
-class _ScriptedPipe:
-    """An in-process stand-in for one end of a worker pipe."""
-
-    def __init__(self, commands):
-        self._commands = list(commands)
-        self.responses = []
-        self.closed = False
-
-    def recv_bytes(self):
-        if not self._commands:
-            raise EOFError
-        # The real pipe carries codec frames; scripted commands round-trip
-        # through the same encoder the driver uses.
-        return pipe_codec.encode(self._commands.pop(0))
-
-    def send_bytes(self, payload):
-        self.responses.append(pipe_codec.decode(payload))
-
-    def close(self):
-        self.closed = True
-
-
 class TestWorkerLoop:
     """Drive the process-pool worker's command loop in-process.
 
@@ -399,9 +377,9 @@ class TestWorkerLoop:
         submissions = {0: [RoutedSubmission(time=0.001, issuer=0, destination="1", amount=7)]}
         return spec, submissions
 
-    def test_advance_mint_snapshot_stop(self, fast_network):
+    def test_advance_mint_snapshot_stop(self, fast_network, scripted_pipe):
         spec, submissions = self._spec_and_submissions(fast_network)
-        pipe = _ScriptedPipe(
+        pipe = scripted_pipe(
             [
                 ("advance", 1.0, None),
                 ("mint", 1.0, []),
@@ -421,9 +399,9 @@ class TestWorkerLoop:
         assert snapshot.committed[0].transfer.amount == 7
         assert pipe.closed
 
-    def test_unknown_and_failing_commands_report_errors(self, fast_network):
+    def test_unknown_and_failing_commands_report_errors(self, fast_network, scripted_pipe):
         spec, submissions = self._spec_and_submissions(fast_network)
-        pipe = _ScriptedPipe(
+        pipe = scripted_pipe(
             [
                 ("warp", 9),
                 ("advance", 1.0, 1),  # event budget of 1 must blow up
@@ -436,12 +414,81 @@ class TestWorkerLoop:
         assert "unknown worker command" in pipe.responses[0][1]
         assert "event budget" in pipe.responses[1][1]
 
-    def test_eof_terminates_the_loop(self, fast_network):
+    def test_eof_terminates_the_loop(self, fast_network, scripted_pipe):
         spec, submissions = self._spec_and_submissions(fast_network)
-        pipe = _ScriptedPipe([])  # recv raises EOFError immediately
+        pipe = scripted_pipe([])  # recv raises EOFError immediately
         _worker_main(pipe, [spec], submissions)
         assert pipe.responses == []
         assert pipe.closed
+
+    def test_a_garbage_frame_is_answered_and_the_loop_keeps_serving(
+        self, fast_network, scripted_pipe
+    ):
+        spec, submissions = self._spec_and_submissions(fast_network)
+        pipe = scripted_pipe([b"\x00not a frame", ("advance", 1.0, None), ("stop",)])
+        _worker_main(pipe, [spec], submissions)
+        assert [status for status, _ in pipe.responses] == ["error", "ok", "ok"]
+        assert "Traceback" in pipe.responses[0][1]
+        assert pipe.responses[1][1][0].processed_events > 0
+        assert pipe.closed
+
+
+class TestWorkerLoss:
+    """A dead worker reaches the caller typed and attributed, in bounded time.
+
+    Detection only: nothing is recovered, but the error names the worker
+    slot, the shards that lived on it (3 shards round-robin on 2 workers put
+    shard 1 alone on worker 1), the command outstanding and the exit code.
+    """
+
+    def _paused_pool(self, fast_network):
+        system = ClusterSystem(
+            shard_count=3, replicas_per_shard=4, initial_balance=500,
+            network_config=fast_network, backend="process", max_workers=2, seed=3,
+        )
+        system.schedule_submissions(
+            cluster_open_loop_workload(
+                ClusterWorkloadConfig(
+                    user_count=60, aggregate_rate=1_500.0, duration=0.02,
+                    cross_shard_fraction=0.5, router=system.router, seed=3,
+                )
+            )
+        )
+        system.run(until=0.01)
+        return system, list(system._backend._workers)
+
+    def test_a_terminated_worker_raises_a_typed_error(self, fast_network):
+        system, workers = self._paused_pool(fast_network)
+        try:
+            workers[1][0].terminate()
+            started = time.monotonic()
+            with pytest.raises(SimulationError) as caught:
+                system.run(until=0.02)
+            assert time.monotonic() - started < 5.0
+            message = str(caught.value)
+            assert "worker 1" in message and "resident shards [1]" in message
+            assert "'advance'" in message and "exitcode -15" in message
+        finally:
+            system.close()
+        assert not any(process.is_alive() for process, _ in workers)
+
+    def test_a_worker_exiting_under_an_outstanding_command_is_attributed(self, fast_network):
+        system, workers = self._paused_pool(fast_network)
+        backend = system._backend
+        try:
+            # The worker honours ``stop`` and exits; ``snapshot`` behind it is
+            # never answered (or, if the exit wins the race, never sent).
+            with pytest.raises(SimulationError) as caught:
+                backend._request(1, ("stop",))
+                backend._request(1, ("snapshot",))
+                assert backend._recv(1) is None
+                backend._recv(1)
+            message = str(caught.value)
+            assert "worker 1" in message and "resident shards [1]" in message
+            assert "'snapshot'" in message and "exitcode 0" in message
+        finally:
+            system.close()
+        assert not any(process.is_alive() for process, _ in workers)
 
 
 class TestPartitionedDriver:

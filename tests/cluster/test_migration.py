@@ -23,7 +23,6 @@ import pickle
 
 import pytest
 
-from repro.cluster import codec as pipe_codec
 from repro.cluster import ClusterSystem, ShardSpec
 from repro.cluster.backends import BACKEND_NAMES, _replay_shard, _worker_main
 from repro.cluster.migration import (
@@ -468,28 +467,6 @@ class TestMigrationPolicies:
         assert rebalance_moves(placement, self._loads(50, 50)) == []
 
 
-class _ScriptedPipe:
-    """An in-process stand-in for one end of a worker pipe."""
-
-    def __init__(self, commands):
-        self._commands = list(commands)
-        self.responses = []
-        self.closed = False
-
-    def recv_bytes(self):
-        if not self._commands:
-            raise EOFError
-        # The real pipe carries codec frames; scripted commands round-trip
-        # through the same encoder the driver uses.
-        return pipe_codec.encode(self._commands.pop(0))
-
-    def send_bytes(self, payload):
-        self.responses.append(pipe_codec.decode(payload))
-
-    def close(self):
-        self.closed = True
-
-
 class TestWorkerMigrationLoop:
     """Drive evict/adopt in-process: the subprocess code path, unit-tested."""
 
@@ -499,10 +476,10 @@ class TestWorkerMigrationLoop:
             network_config=fast_network, seed=5,
         )
 
-    def test_evict_detaches_and_returns_the_snapshot(self, fast_network):
+    def test_evict_detaches_and_returns_the_snapshot(self, fast_network, scripted_pipe):
         spec = self._spec(fast_network)
         submissions = {0: [RoutedSubmission(time=0.001, issuer=0, destination="1", amount=7)]}
-        pipe = _ScriptedPipe(
+        pipe = scripted_pipe(
             [
                 ("advance", 0.05, None),
                 ("evict", [0]),
@@ -517,15 +494,15 @@ class TestWorkerMigrationLoop:
         assert len(snapshot.committed) == 1
         assert pipe.responses[2][1] == {}  # the worker no longer owns shard 0
 
-    def test_adopt_replays_to_the_evicted_state(self, fast_network):
+    def test_adopt_replays_to_the_evicted_state(self, fast_network, scripted_pipe):
         """The full migration hop, in miniature: worker A advances and
         evicts; worker B adopts by replay; the snapshots agree exactly."""
         spec = self._spec(fast_network)
         routed = [RoutedSubmission(time=0.001, issuer=0, destination="1", amount=7)]
-        source = _ScriptedPipe([("advance", 0.05, None), ("evict", [0]), ("stop",)])
+        source = scripted_pipe([("advance", 0.05, None), ("evict", [0]), ("stop",)])
         _worker_main(source, [spec], {0: routed})
         evicted = source.responses[1][1][0]
-        target = _ScriptedPipe([("adopt", [(spec, routed, None, [], 0.05)]), ("stop",)])
+        target = scripted_pipe([("adopt", [(spec, routed, None, [], 0.05)]), ("stop",)])
         _worker_main(target, [], {})
         adopted = target.responses[0][1][0]
         assert adopted == evicted

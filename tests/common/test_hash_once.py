@@ -23,6 +23,7 @@ import pytest
 import repro
 from repro.cluster import codec
 from repro.cluster.batching import BatchAnnouncement
+from repro.common.errors import ConfigurationError
 from repro.common.types import Transfer
 from repro.mp.messages import TransferAnnouncement
 
@@ -75,28 +76,42 @@ class TestTheCacheIsInvisible:
 
     def test_copies_and_replacements_rehash(self, index):
         value = _samples()[index]
-        hash(value)
-        for clone in (copy.copy(value), copy.deepcopy(value), dataclasses.replace(value)):
-            assert clone == value and hash(clone) == hash(value)
-        # Rebuilt from its fields without ``__init__``: the slot did not
-        # travel, and the first ``hash`` fills it.
-        unpickled = pickle.loads(pickle.dumps(value))
-        assert not hasattr(unpickled, "_hash")
-        assert hash(unpickled) == hash(value) and hasattr(unpickled, "_hash")
+        # Copied, unpickled or decoded, a value is rebuilt by its constructor
+        # (``rebuilt_by_constructor``): validated, and carrying a hash computed
+        # in this interpreter before anything reads it.
+        for clone in (
+            copy.copy(value),
+            copy.deepcopy(value),
+            dataclasses.replace(value),
+            pickle.loads(pickle.dumps(value)),
+            codec.decode(codec.encode(value)),
+        ):
+            assert clone is not value and clone == value
+            assert clone._hash == _generated_hash(clone) == hash(value)
         # A replaced field must not inherit the original's cached hash.
         other = REPLACEMENTS[index](value)
         assert other != value and hash(other) == _generated_hash(other) != hash(value)
 
     def test_bytes_do_not_depend_on_whether_it_was_hashed(self, index):
-        value = pickle.loads(pickle.dumps(_samples()[index]))  # nothing cached yet
-        assert not hasattr(value, "_hash")
-        before = [pickle.dumps(value, protocol) for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
-        encoded = codec.encode(value)
-        hash(value)
-        after = [pickle.dumps(value, protocol) for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
-        assert after == before
-        assert codec.encode(value) == encoded
-        assert pickle.loads(after[-1]) == value and codec.decode(encoded) == value
+        value, stale = _samples()[index], _samples()[index]
+        # Whatever sits in the slot — here a hash no interpreter computed —
+        # stays behind: the bytes are the fields', and arrival rehashes.
+        object.__setattr__(stale, "_hash", hash(value) ^ 1)
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(stale, protocol) == pickle.dumps(value, protocol)
+        assert codec.encode(stale) == codec.encode(value)
+        assert hash(codec.decode(codec.encode(stale))) == hash(value) != hash(stale)
+
+
+def test_arrival_validates():
+    # The constructor runs on the receiving side, so a frame cannot deliver
+    # what ``__init__`` would have refused.
+    transfer, _, batch = _samples()
+    object.__setattr__(transfer, "amount", -1)
+    object.__setattr__(batch, "announcements", ())
+    for broken in (transfer, batch):
+        with pytest.raises(ConfigurationError):
+            codec.decode(codec.encode(broken))
 
 
 CHILD = '''
