@@ -24,9 +24,10 @@ test:
 test-props:
 	$(PYTHON) -m pytest tests/properties -q
 
-## The cross-backend equivalence harness and backend determinism sweep alone.
+## The cross-backend equivalence harness, the pinned fingerprints (serial,
+## thread and process, two PYTHONHASHSEEDs) and the backend determinism sweep.
 test-backends:
-	$(PYTHON) -m pytest tests/cluster/test_backend_equivalence.py tests/properties/test_backend_determinism.py -q
+	$(PYTHON) -m pytest tests/cluster/test_backend_equivalence.py tests/cluster/test_pinned_fingerprints.py tests/properties/test_backend_determinism.py -q
 
 ## The migration equivalence suite alone: placement invariance across
 ## {static, manual plan, threshold policy} x {serial, thread, process},
@@ -53,10 +54,10 @@ test-barriers:
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 REPRO_BENCH_BACKEND=$(BACKEND) $(PYTHON) -m pytest benchmarks/bench_cluster_scaling.py -q
 
-## The per-core engine microbenchmarks (verification cache, one-check quorum
-## verification) in smoke mode: measures each rewritten hot-path layer against
-## its replaced implementation and records the >=5x speedup gate — explicitly
-## passed/failed/skipped, never silent — under core_rows.
+## The per-core engine microbenchmarks (verification cache) in smoke mode:
+## measures the rewritten hot-path layer against its replaced implementation
+## and records the >=5x speedup gate — explicitly passed/failed/skipped, never
+## silent — under core_rows.
 bench-core:
 	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_core.py -q
 

@@ -1,4 +1,4 @@
-"""Per-core engine microbenchmarks: verification cache, quorum check.
+"""Per-core engine microbenchmarks: the verification cache.
 
 The 10x-engine work rewrote the hot layers; this benchmark measures each
 one against a faithful in-bench reimplementation of the code it replaced
@@ -14,18 +14,13 @@ The measured rows land in ``BENCH_cluster.json`` under ``core_rows``:
 * ``end_to_end`` — the real 8-shard batch=8 serial run: wall clock and
   single-core throughput, beside the wall clock recorded for the same
   config before this work.
-* ``quorum_rows`` — one-check quorum verification (``verify_quorum`` /
-  ``certify`` with the batch-verdict cache) against the replaced path: a
-  membership + per-signature + distinct-signer pass repeated at every
-  trust boundary a certificate crosses.
 * ``process_gate`` — the process-vs-serial wall-clock ratio on the tracked
   config, with fingerprint equality asserted.  On a single-core host the
   gate records an honest ``skipped_single_core``; on a multi-core host a
   ratio under 1.5x is a hard failure.
 
 The ≥5x speedup gate evaluates on the verification layer (the dominant
-per-core cost in the profile breakdown); the quorum layer carries its own
-≥2x gate.  Every gate's outcome is always recorded explicitly —
+per-core cost in the profile breakdown).  Every gate's outcome is always recorded explicitly —
 ``passed``/``failed`` where the host produced a stable measurement,
 ``skipped_slow_host`` (an honest pytest skip, never a silent pass) where
 calibration could not finish inside its budget.
@@ -42,7 +37,6 @@ import time as _time
 from typing import Callable
 
 from _gates import CPU_COUNT, SMOKE, enforce_gate, journal as _journal, speedup_gate
-from repro.cluster.settlement import SettlementClaim
 from repro.common.types import Transfer
 from repro.crypto.hashing import _canonical_bytes
 from repro.crypto.signatures import SignatureScheme
@@ -62,12 +56,6 @@ VERIFY_PAYLOADS = 40 if SMOKE else 120
 # many seconds or the host is declared too slow for a stable measurement.
 CALIBRATION_BUDGET_S = 30.0
 SPEEDUP_REQUIRED = 5.0
-# One-check quorum verification: distinct claims, and how many trust
-# boundaries each certificate's verdict is re-derived at (relay assembly,
-# fabric inbox, compaction gate — on both the voucher and the ack leg).
-QUORUM_CLAIMS = 400 if SMOKE else 1_500
-TRUST_SITES = 6
-QUORUM_SPEEDUP_REQUIRED = 2.0
 # Process-vs-serial wall-clock gate (multi-core hosts only).
 PROCESS_SPEEDUP_REQUIRED = 1.5
 
@@ -254,114 +242,6 @@ def test_core_engine_layers(benchmark):
         gate,
         f"verification layer only {verify_speedup:.2f}x over the naive "
         f"reference (required {SPEEDUP_REQUIRED}x)",
-    )
-
-
-def _quorum_claims(scheme: SignatureScheme):
-    """Settlement-claim-shaped payloads, each signed by a quorum bundle."""
-    claims = []
-    for index in range(QUORUM_CLAIMS):
-        claim = SettlementClaim(
-            source_shard=index % SHARDS,
-            destination_shard=(index + 1) % SHARDS,
-            issuer=index % REPLICAS,
-            sequence=1 + index,
-            account=f"{index % SHARDS}:{index % REPLICAS}",
-            amount=1 + index % 9,
-        )
-        bundle = tuple(scheme.keypair_for(p).sign(claim) for p in range(QUORUM))
-        claims.append((claim, bundle))
-    return claims
-
-
-def _quorum_workload_naive(scheme: SignatureScheme, allowed, claims) -> int:
-    """The replaced path, inlined: membership + per-signature (cached)
-    verify + distinct-signer count, re-run at every trust boundary."""
-    checks = 0
-    verify = scheme.verify
-    for claim, bundle in claims:
-        for _site in range(TRUST_SITES):
-            signers = set()
-            ok = True
-            for signature in bundle:
-                if signature.signer not in allowed or not verify(claim, signature):
-                    ok = False
-                    break
-                signers.add(signature.signer)
-            assert ok and len(signers) >= QUORUM
-            checks += 1
-    return checks
-
-
-def _quorum_workload_onecheck(scheme: SignatureScheme, allowed, claims) -> int:
-    """The one-check path: a single batch verdict per trust boundary."""
-    checks = 0
-    verify_quorum = scheme.verify_quorum
-    for claim, bundle in claims:
-        for _site in range(TRUST_SITES):
-            assert verify_quorum(claim, bundle, QUORUM, allowed)
-            checks += 1
-    return checks
-
-
-def test_quorum_layer():
-    """One-check quorum verification vs the per-signature re-derivation.
-
-    Both sides run warm (the end-to-end runs are warm too: the same
-    certificate crosses relay, inbox and gate within one epoch) over the
-    identical claim set: the replaced path pays a membership check plus one
-    verify-cache lookup per signature per boundary; the one-check path pays
-    a single batch-verdict lookup per boundary.
-    """
-    scheme = SignatureScheme(seed=7)
-    allowed = frozenset(range(REPLICAS))
-    claims = _quorum_claims(scheme)
-
-    # Warm both paths: first pass fills the per-signature and batch-verdict
-    # caches, exactly as a claim's first trust boundary does in a run.
-    checks = _quorum_workload_naive(scheme, allowed, claims)
-    _quorum_workload_onecheck(scheme, allowed, claims)
-
-    naive_s = _timed(lambda: _quorum_workload_naive(scheme, allowed, claims))
-    if naive_s > CALIBRATION_BUDGET_S:  # pragma: no cover - pathological host
-        gate = speedup_gate(
-            QUORUM_SPEEDUP_REQUIRED, skip="skipped_slow_host", layer="quorum"
-        )
-        _journal("quorum_rows", {"rows": [], "speedup_gate": gate})
-        enforce_gate(gate, "host too slow for a stable naive-reference measurement")
-    optimized_s = _timed(lambda: _quorum_workload_onecheck(scheme, allowed, claims))
-    speedup = naive_s / optimized_s if optimized_s > 0 else float("inf")
-
-    # certify() is the assembly entry: one aggregate verdict, and the
-    # resulting certificate must round-trip through verify_certificate.
-    claim, bundle = claims[0]
-    certificate = scheme.certify(claim, bundle, QUORUM, allowed)
-    assert certificate is not None
-    assert scheme.verify_certificate(claim, certificate, QUORUM, allowed)
-
-    rows = [
-        {
-            "layer": "quorum",
-            "claims": QUORUM_CLAIMS,
-            "trust_sites": TRUST_SITES,
-            "checks": checks,
-            "naive_s": round(naive_s, 4),
-            "optimized_s": round(optimized_s, 4),
-            "naive_checks_per_s": round(checks / naive_s, 1),
-            "optimized_checks_per_s": (
-                round(checks / optimized_s, 1) if optimized_s > 0 else None
-            ),
-            "speedup": round(speedup, 2),
-        }
-    ]
-    gate = speedup_gate(QUORUM_SPEEDUP_REQUIRED, measured=speedup, layer="quorum")
-    _journal("quorum_rows", {"rows": rows, "speedup_gate": gate})
-    print()
-    print(rows[0])
-    enforce_gate(
-        gate,
-        f"one-check quorum verification only {speedup:.2f}x over the "
-        f"per-signature path (required {QUORUM_SPEEDUP_REQUIRED}x)",
     )
 
 

@@ -11,7 +11,7 @@ This package deploys that observation:
   :class:`BatchingTransferNode`, which coalesce per-source transfers into
   one secure-broadcast instance, amortising signature and quorum cost.
 * :mod:`repro.cluster.shard` — :class:`Shard`, one independent Figure 4
-  replica group on the shared simulator clock.
+  replica group on its own simulator clock.
 * :mod:`repro.cluster.settlement` — the cross-shard settlement *lifecycle*
   (voucher -> certificate -> mint -> acknowledgement -> retirement):
   :class:`SettlementRelay` per shard pair assembles ``2f+1`` source-replica

@@ -32,13 +32,10 @@ harness (``tests/cluster/test_backend_equivalence.py``) asserts the resulting
 :meth:`~repro.cluster.result.ClusterResult.fingerprint` equality on a
 seed × shards × batch × cross-shard-fraction grid.
 
-Against the classic shared-clock mode, the only semantic difference is
-settlement *timing*: vouchers and certificates hop between shards at barrier
-granularity (the ``epoch``) instead of at continuous simulator times.  The
-Figure 4 protocol inside each shard is untouched — which is exactly the
-freedom the set-constrained-delivery view of broadcast-level abstractions
-(Imbs et al., arXiv:1706.05267) predicts: the only cross-shard obligation is
-reliable, source-ordered certificate delivery, and that batches freely.
+Settlement hops between shards at barrier granularity (the ``epoch``), by
+design: the only cross-shard obligation is reliable, source-ordered
+certificate delivery, and that batches freely (the set-constrained-delivery
+view of Imbs et al., arXiv:1706.05267).
 
 **Worker commands.**  Driver and workers frame every command and reply
 through :mod:`repro.cluster.codec` (one pickle per frame).  Commands are the
@@ -118,7 +115,6 @@ from repro.cluster.shard import (
 )
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.types import ProcessId, Transfer
-from repro.network.simulator import Simulator
 from repro.obs.profiling import profile_stats_dict
 from repro.workloads.cluster_driver import RoutedSubmission
 
@@ -2317,7 +2313,7 @@ class EpochScheduler:
         # run-ahead shard's later validations wait for their dense-schedule
         # barrier.  Consumption is exactly-once by construction — _ingest
         # moved the events out of the reports, and maturity cuts them out of
-        # the buffer — so a re-entrant run() (pause/resume, drain after a
+        # the buffer — so a re-entrant run() (pause/resume, a run after a
         # run) can never voucher the same credit twice.
         events = self._take_matured_events()
         for event in events:
@@ -2457,8 +2453,7 @@ class EpochScheduler:
         and :meth:`_check_budget` re-checks the cluster-wide total right
         after the epoch.  A pathological epoch can therefore overshoot the
         cap by up to ``shard_count`` times before being caught one barrier
-        later — the guard is a livelock backstop, not an exact meter (the
-        shared-clock mode, with its single queue, enforces it exactly).
+        later — the guard is a livelock backstop, not an exact meter.
         """
         if max_events is None:
             return None
@@ -2491,7 +2486,7 @@ class EpochScheduler:
         return sum(report.processed_events for report in (self._reports or {}).values())
 
     def duration(self) -> float:
-        """Last executed event time across shards (mirrors the shared clock)."""
+        """Last executed event time across shards."""
         times = [report.now for report in (self._reports or {}).values()]
         return max(times) if times else 0.0
 

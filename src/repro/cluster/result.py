@@ -36,9 +36,7 @@ class ClusterResult:
     # full ledger view, not just replica 0); ``committed_stream`` /
     # ``settlement_stream`` are the deterministic sequence fingerprints;
     # ``audit`` is the supply audit's verdicts and figures;
-    # ``per_shard_events`` carries per-shard simulator event counts under the
-    # epoch backends (``None`` on the shared clock, which has only a global
-    # count).
+    # ``per_shard_events`` carries per-shard simulator event counts.
     balances: Optional[Dict[str, Dict[str, Dict[str, Amount]]]] = None
     committed_stream: Optional[List[tuple]] = None
     settlement_stream: Optional[List[tuple]] = None

@@ -21,7 +21,7 @@ an explicit state machine::
    issuer's transfers in source order.
 2. The relay assembles ``2f+1`` matching voucher signatures into a
    :class:`SettlementCertificate` and delivers it to every destination-shard
-   replica on the shared simulator clock.  ``f`` Byzantine source replicas
+   replica at the next settlement barrier.  ``f`` Byzantine source replicas
    can neither forge a certificate (they lack ``f+1`` honest keys) nor stall
    one (``2f+1`` honest replicas voucher every validated transfer).
 3. Each destination replica's :class:`SettlementInbox` verifies the
@@ -74,7 +74,6 @@ from repro.cluster.routing import parse_external_account
 from repro.common.errors import ConfigurationError
 from repro.common.types import AccountId, Amount, ProcessId, Transfer
 from repro.crypto.signatures import KeyPair, QuorumCertificate, Signature
-from repro.network.simulator import Simulator
 
 # Recency window of the fabric's p95 settlement-latency report; bounds the
 # only remaining per-mint memory in the driver to a constant.
@@ -300,32 +299,29 @@ class SettlementRelay:
         self,
         source_shard: int,
         destination_shard: int,
-        simulator: Simulator,
         scheme,
         quorum_size: int,
         allowed_signers: frozenset,
+        dispatch: Callable[["SettlementCertificate"], None],
+        retirement_dispatch: Callable[["RetirementCertificate"], None],
         config: Optional[SettlementConfig] = None,
-        dispatch: Optional[Callable[["SettlementCertificate"], None]] = None,
         ack_scheme=None,
         ack_quorum_size: int = 0,
         ack_allowed_signers: frozenset = frozenset(),
-        retirement_dispatch: Optional[Callable[["RetirementCertificate"], None]] = None,
     ) -> None:
         if quorum_size <= 0:
             raise ConfigurationError("quorum_size must be positive")
         self.source_shard = source_shard
         self.destination_shard = destination_shard
-        self.simulator = simulator
         self.scheme = scheme
         self.quorum_size = quorum_size
         self.allowed_signers = allowed_signers
         self.config = config or SettlementConfig()
         self.config.validate()
-        # How an assembled certificate reaches the destination inboxes.  The
-        # default schedules ``_deliver`` on the shared simulator clock (the
-        # classic mode); the epoch backends substitute a queue hand-off so the
-        # barrier scheduler delivers it — via ``deliver`` below — at the next
-        # settlement barrier instead.
+        # How an assembled certificate (and, on the return leg, a retirement
+        # certificate) leaves the relay: a hand-off to the barrier scheduler,
+        # which brings it back through ``deliver`` / ``deliver_retirement``
+        # at the settlement barrier where it matures.
         self._dispatch = dispatch
         self._retirement_dispatch = retirement_dispatch
         self._pending: Dict[SettlementClaim, Dict[ProcessId, Signature]] = {}
@@ -436,26 +432,15 @@ class SettlementRelay:
         self.certificates.append(certificate)
         self.certificates_total += 1
         self.certified_amount_total += claim.amount
-        if self._dispatch is not None:
-            self._dispatch(certificate)
-            return
-        self.simulator.schedule(
-            self.config.delivery_delay,
-            lambda: self._deliver(certificate),
-            label=f"settle s{self.source_shard}->s{self.destination_shard}",
-        )
+        self._dispatch(certificate)
 
     def deliver(self, certificate: SettlementCertificate) -> None:
         """Deliver one assembled certificate to every subscribed inbox.
 
-        Called by the simulator-scheduled hop in the classic mode and by the
-        epoch barrier in backend mode; either way the certificate lands on
-        the relay's ``delivered`` record and on each destination replica's
+        Called by the settlement barrier; the certificate lands on the
+        relay's ``delivered`` record and on each destination replica's
         inbox, in subscription (replica-id) order.
         """
-        self._deliver(certificate)
-
-    def _deliver(self, certificate: SettlementCertificate) -> None:
         claim = certificate.claim
         self.delivered.append(certificate)
         self.delivered_total += 1
@@ -538,24 +523,13 @@ class SettlementRelay:
         if self.config.compaction:
             self._compact_stream(claim.issuer, claim.sequence)
         self.retirement_certificates.append(certificate)
-        if self._retirement_dispatch is not None:
-            self._retirement_dispatch(certificate)
-            return
-        self.simulator.schedule(
-            self.config.delivery_delay,
-            lambda: self._deliver_retirement(certificate),
-            label=f"retire s{self.destination_shard}->s{self.source_shard}",
-        )
+        self._retirement_dispatch(certificate)
 
     def deliver_retirement(self, certificate: RetirementCertificate) -> None:
         """Deliver one retirement certificate to the source's compaction gate.
 
-        Called by the simulator-scheduled hop in the classic mode and by the
-        epoch barrier in backend mode, mirroring :meth:`deliver`.
+        Called by the settlement barrier, mirroring :meth:`deliver`.
         """
-        self._deliver_retirement(certificate)
-
-    def _deliver_retirement(self, certificate: RetirementCertificate) -> None:
         claim = certificate.claim
         if self.config.compaction:
             # A stream's watermarks deliver in assembly order, so this
@@ -707,18 +681,15 @@ class SettlementInbox:
     def __init__(
         self,
         shard_index: int,
-        node,
         verify: Callable[[SettlementClaim, QuorumCertificate], bool],
-        mint_sink: Optional[Callable[[Transfer], None]] = None,
+        mint_sink: Callable[[Transfer], None],
         on_minted: Optional[Callable[[SettlementClaim], None]] = None,
     ) -> None:
         self.shard_index = shard_index
-        self.node = node
-        # Where an accepted mint goes: straight into the replica (classic
-        # shared-clock mode) or into the epoch barrier's mint queue, which
-        # ships it to wherever the replica actually executes.  The accept/
-        # replay/buffer *decisions* always happen right here, so adversarial
-        # tests poke one and the same trust boundary on every backend.
+        # Where an accepted mint goes: the barrier's mint queue, which ships
+        # it to wherever the replica actually executes.  The accept/replay/
+        # buffer *decisions* always happen right here, so adversarial tests
+        # poke one and the same trust boundary on every backend.
         self._mint_sink = mint_sink
         # Lifecycle hook: fired once per accepted mint, in stream order, so
         # the fabric can emit this replica's signed acknowledgement.
@@ -756,11 +727,7 @@ class SettlementInbox:
     def _mint(self, stream: Tuple[int, ProcessId], certificate: SettlementCertificate) -> None:
         self._next_sequence[stream] = certificate.claim.sequence
         self.accepted.append(certificate)
-        transfer = mint_transfer(certificate.claim)
-        if self._mint_sink is not None:
-            self._mint_sink(transfer)
-        else:
-            self.node.mint_certified_credit(transfer)
+        self._mint_sink(mint_transfer(certificate.claim))
         if self._on_minted is not None:
             self._on_minted(certificate.claim)
 
@@ -857,32 +824,23 @@ class CompactionGate:
 class SettlementFabric:
     """Wires every shard pair's relay, voucher emission and inboxes together.
 
-    One fabric per cluster.  It hooks each replica's ``on_validated`` stream
-    to emit vouchers for cross-shard credits, lazily creates the
-    :class:`SettlementRelay` per ``(source, destination)`` pair, and owns the
-    per-replica :class:`SettlementInbox` objects.  Voucher traffic can be
-    filtered through a :class:`~repro.byzantine.behaviors.Behavior` per source
+    One fabric per cluster.  It turns the validation events the barrier
+    scheduler replays into ``observe_validation`` into signed vouchers for
+    cross-shard credits, lazily creates the :class:`SettlementRelay` per
+    ``(source, destination)`` pair, and owns the per-replica
+    :class:`SettlementInbox` objects.  Voucher traffic can be filtered
+    through a :class:`~repro.byzantine.behaviors.Behavior` per source
     replica, which is how the adversarial tests model Byzantine settlement
     participants without touching the protocol code.
     """
 
-    def __init__(
-        self,
-        shards,
-        simulator: Simulator,
-        config: Optional[SettlementConfig] = None,
-        scheduler=None,
-    ) -> None:
+    def __init__(self, shards, scheduler, config: Optional[SettlementConfig] = None) -> None:
         self.config = config or SettlementConfig()
         self.config.validate()
-        self.simulator = simulator
-        # Epoch-backend mode: a barrier scheduler (see
-        # ``repro.cluster.backends.EpochScheduler``) carries vouchers and
-        # certificates between barriers instead of the shared simulator, and
-        # validation events are replayed into ``observe_validation`` by the
-        # engine rather than hooked on the nodes (which may execute in worker
-        # processes).  Everything else — signing, behaviours, relays, inbox
-        # decisions — runs identically in both modes.
+        # The barrier scheduler (``repro.cluster.backends.EpochScheduler``)
+        # carries vouchers, certificates, acks, mints and retirements between
+        # barriers; signing, behaviours, relays and inbox decisions run here,
+        # in the driver, whichever process executes the shards.
         self.scheduler = scheduler
         self._shards = {shard.index: shard for shard in shards}
         self._relays: Dict[Tuple[int, int], SettlementRelay] = {}
@@ -924,22 +882,15 @@ class SettlementFabric:
         self._latency_pending: List[float] = []
         for shard in shards:
             for pid in sorted(shard.nodes):
-                node = shard.nodes[pid]
-                mint_sink = None
-                if scheduler is not None:
-                    mint_sink = self._mint_sink(shard.index, pid)
                 on_minted = (
                     self._ack_emitter(shard.index, pid) if self.config.compaction else None
                 )
                 self.inboxes[(shard.index, pid)] = SettlementInbox(
                     shard.index,
-                    node,
                     self._verify_certificate,
-                    mint_sink=mint_sink,
+                    mint_sink=self._mint_sink(shard.index, pid),
                     on_minted=on_minted,
                 )
-                if scheduler is None:
-                    node.on_validated = self._observer(shard.index, pid)
 
     def _mint_sink(self, shard_index: int, replica: ProcessId) -> Callable[[Transfer], None]:
         def sink(transfer: Transfer) -> None:
@@ -948,20 +899,13 @@ class SettlementFabric:
         return sink
 
     def _retire_sink(self, shard_index: int) -> Callable[[List[Transfer]], None]:
-        """How an accepted retirement reaches the source shard's replicas.
-
-        Classic mode applies it synchronously (we are inside the scheduled
-        delivery event, so the retirement lands at the certificate's delivery
-        time); the epoch backends queue it for the barrier, which ships it to
-        wherever the shard executes — same split as the mint sink.
-        """
+        """How an accepted retirement reaches the source shard's replicas:
+        queued for the barrier, which ships it to wherever the shard
+        executes — same route as the mint sink."""
 
         def sink(transfers: List[Transfer]) -> None:
-            if self.scheduler is not None:
-                for transfer in transfers:
-                    self.scheduler.enqueue_retirement(shard_index, transfer)
-                return
-            self._shards[shard_index].retire_settled(transfers)
+            for transfer in transfers:
+                self.scheduler.enqueue_retirement(shard_index, transfer)
 
         return sink
 
@@ -977,26 +921,13 @@ class SettlementFabric:
 
     # -- voucher emission ---------------------------------------------------------------------
 
-    def _observer(self, shard_index: int, replica: ProcessId) -> Callable[[Transfer], None]:
-        def observe(transfer: Transfer) -> None:
-            self.observe_validation(shard_index, replica, transfer)
-
-        return observe
-
     def observe_validation(
-        self,
-        shard_index: int,
-        replica: ProcessId,
-        transfer: Transfer,
-        at: Optional[float] = None,
+        self, shard_index: int, replica: ProcessId, transfer: Transfer, at: float
     ) -> None:
         """Emit a signed voucher if ``transfer`` credits another shard.
 
-        ``at`` is the validation's timestamp on the validating shard's clock;
-        the epoch engine passes it when replaying collected events, while the
-        classic mode's node hooks leave it to default to the shared
-        simulator's current time (the hook fires during the validation
-        event itself, so the two agree).
+        ``at`` is the validation's timestamp on the validating shard's clock,
+        as the barrier scheduler replays the collected event.
         """
         parsed = parse_external_account(transfer.destination)
         if parsed is None:
@@ -1017,14 +948,13 @@ class SettlementFabric:
             amount=transfer.amount,
         )
         voucher = SettlementVoucher(claim=claim, signature=self._keypair(shard_index, replica).sign(claim))
-        emitted_at = at if at is not None else self.simulator.now
         # Record the outbound ledger record behind its stream sequence (all
         # replicas derive the same sequence, so the first observer wins); the
         # compaction gate consumes these when the ack quorum retires them.
         self._stream_records.setdefault(
             (shard_index, destination_shard, transfer.issuer), {}
-        ).setdefault(sequence, (transfer, emitted_at))
-        self._dispatch(shard_index, replica, destination_shard, voucher, emitted_at)
+        ).setdefault(sequence, (transfer, at))
+        self._dispatch(shard_index, replica, destination_shard, voucher, at)
 
     def _dispatch(
         self,
@@ -1044,17 +974,10 @@ class SettlementFabric:
                 continue
             relay = self.relay(shard_index, out.recipient)
             self.vouchers_dispatched += 1
-            if self.scheduler is not None:
-                self.scheduler.enqueue_voucher(
-                    emitted_at + self.config.voucher_delay + out.extra_delay,
-                    relay,
-                    out.message,
-                )
-                continue
-            self.simulator.schedule(
-                self.config.voucher_delay + out.extra_delay,
-                lambda message=out.message, target=relay: target.submit_voucher(message),
-                label=f"voucher s{shard_index}/p{replica}",
+            self.scheduler.enqueue_voucher(
+                emitted_at + self.config.voucher_delay + out.extra_delay,
+                relay,
+                out.message,
             )
 
     def _keypair(self, shard_index: int, replica: ProcessId) -> KeyPair:
@@ -1087,9 +1010,7 @@ class SettlementFabric:
                 claim=ack_claim,
                 signature=self._keypair(shard_index, replica).sign(ack_claim),
             )
-            emitted_at = (
-                self.scheduler.now if self.scheduler is not None else self.simulator.now
-            )
+            emitted_at = self.scheduler.now
             self._record_latency(claim, emitted_at)
             self._dispatch_ack(shard_index, replica, ack, emitted_at)
 
@@ -1107,12 +1028,7 @@ class SettlementFabric:
         self._latency_total += latency
         self._latency_max = max(self._latency_max, latency)
         self._latency_window.append(latency)
-        # The pending buffer exists for the epoch scheduler's once-per-
-        # barrier drain into latency-aware epoch policies; the shared clock
-        # has no scheduler (and nothing that would ever drain it), so buffer
-        # only when someone will collect.
-        if self.scheduler is not None:
-            self._latency_pending.append(latency)
+        self._latency_pending.append(latency)
 
     def _dispatch_ack(
         self,
@@ -1139,17 +1055,10 @@ class SettlementFabric:
                 continue
             relay = self.relay(claim.source_shard, claim.destination_shard)
             self.acks_dispatched += 1
-            if self.scheduler is not None:
-                self.scheduler.enqueue_ack(
-                    emitted_at + self.config.ack_delay + out.extra_delay,
-                    relay,
-                    out.message,
-                )
-                continue
-            self.simulator.schedule(
-                self.config.ack_delay + out.extra_delay,
-                lambda message=out.message, target=relay: target.submit_ack(message),
-                label=f"settle ack s{shard_index}/p{replica}",
+            self.scheduler.enqueue_ack(
+                emitted_at + self.config.ack_delay + out.extra_delay,
+                relay,
+                out.message,
             )
 
     # -- relays and verification --------------------------------------------------------------
@@ -1161,32 +1070,26 @@ class SettlementFabric:
         if relay is None:
             source = self._shards[source_shard]
             destination = self._shards[destination_shard]
-            dispatch = None
-            retirement_dispatch = None
-            if self.scheduler is not None:
-                scheduler = self.scheduler
+            scheduler = self.scheduler
 
-                def dispatch(certificate, _pair=key):
-                    scheduler.enqueue_certificate(self._relays[_pair], certificate)
+            def dispatch(certificate, _pair=key):
+                scheduler.enqueue_certificate(self._relays[_pair], certificate)
 
-                def retirement_dispatch(certificate, _pair=key):
-                    scheduler.enqueue_retirement_certificate(
-                        self._relays[_pair], certificate
-                    )
+            def retirement_dispatch(certificate, _pair=key):
+                scheduler.enqueue_retirement_certificate(self._relays[_pair], certificate)
 
             relay = SettlementRelay(
                 source_shard=source_shard,
                 destination_shard=destination_shard,
-                simulator=self.simulator,
                 scheme=source.scheme,
                 quorum_size=source.quorum_size,
                 allowed_signers=frozenset(range(source.replicas)),
-                config=self.config,
                 dispatch=dispatch,
+                retirement_dispatch=retirement_dispatch,
+                config=self.config,
                 ack_scheme=destination.scheme,
                 ack_quorum_size=destination.quorum_size,
                 ack_allowed_signers=frozenset(range(destination.replicas)),
-                retirement_dispatch=retirement_dispatch,
             )
             for pid in sorted(self._shards[destination_shard].nodes):
                 relay.subscribe(self.inboxes[(destination_shard, pid)].receive)
@@ -1370,7 +1273,7 @@ class SettlementFabric:
         metrics.set_gauge("settle.retired_claims", self.retired_claims())
         metrics.set_gauge("settle.resident_journal_records", self.resident_journal_records())
         metrics.set_gauge("settle.journal_records_total", self.journal_records_total())
-        metrics.set_gauge("settle.in_flight", self.scheduler.in_flight if self.scheduler else 0)
+        metrics.set_gauge("settle.in_flight", self.scheduler.in_flight)
         count, average, maximum = self.settlement_latency()
         metrics.set_gauge("settle.latency_samples", count)
         metrics.set_gauge("settle.latency_avg_s", average)

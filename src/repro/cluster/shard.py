@@ -1,14 +1,12 @@
 """One shard group: an independent Figure 4 deployment.
 
 A shard owns its replicas, its network (with its own seeded latency stream
-and per-node CPU queues) and its signature scheme.  The clock comes from the
-deployment: under the classic shared-clock mode every shard schedules onto
-one :class:`~repro.network.simulator.Simulator`, so a cluster run is a single
-deterministic event sequence; under the epoch-barrier execution backends
-(:mod:`repro.cluster.backends`) every shard owns *its own* simulator and is
-advanced independently up to each settlement barrier — which is safe for the
-same reason sharding itself is: shards never exchange messages, so a shard's
-event sequence depends only on its own schedule.
+and per-node CPU queues), its signature scheme and its clock: every shard
+runs on *its own* :class:`~repro.network.simulator.Simulator` and is advanced
+independently up to each settlement barrier by an execution backend
+(:mod:`repro.cluster.backends`) — which is safe for the same reason sharding
+itself is: shards never exchange messages, so a shard's event sequence
+depends only on its own schedule.
 
 Because a shard is built purely from seeds (:class:`ShardSpec`), the same
 spec builds bit-identical shards in the driver process and in a worker
@@ -70,11 +68,10 @@ class ShardSpec:
     # Balance-preserving by construction, so every fingerprint is unchanged.
     compact_history: bool = False
 
-    def build(self, simulator: Optional[Simulator] = None) -> "Shard":
-        """Construct the shard (with its own simulator unless one is given)."""
+    def build(self) -> "Shard":
+        """Construct the shard."""
         return Shard(
             index=self.index,
-            simulator=simulator,
             replicas=self.replicas,
             initial_balance=self.initial_balance,
             broadcast=self.broadcast,
@@ -211,7 +208,6 @@ class Shard:
     def __init__(
         self,
         index: int,
-        simulator: Optional[Simulator],
         replicas: int = 4,
         initial_balance: Amount = 1_000_000,
         broadcast: str = "bracha",
@@ -236,16 +232,10 @@ class Shard:
         self.batch_size = batch_size
         self.relay_final = relay_final
         self.compact_history = compact_history
-        # ``simulator=None`` means the shard owns its clock (the epoch
-        # backends and worker processes); a passed-in simulator is shared
-        # with other shards (the classic mode), in which case its telemetry
-        # hook belongs to the deployment, not to any one shard.
-        owns_clock = simulator is None
-        self.simulator = simulator if simulator is not None else Simulator()
+        self.simulator = Simulator()
         self.metrics = MetricsRegistry() if telemetry else None
         self._telemetry = telemetry
-        if owns_clock and self.metrics is not None:
-            self.simulator.metrics = self.metrics
+        self.simulator.metrics = self.metrics
         # Every shard derives its own seed lineage so latency streams and key
         # material are independent across shards yet reproducible.
         shard_seed = derive_seed(seed, "shard", index) % (2**31)
@@ -317,7 +307,7 @@ class Shard:
         self.network.start()
 
     def submit(self, time: float, issuer: ProcessId, destination: AccountId, amount: Amount) -> None:
-        """Schedule one client submission on the shared clock."""
+        """Schedule one client submission on this shard's clock."""
         node = self.nodes[issuer]
         self.simulator.schedule_at(
             time,
@@ -325,8 +315,6 @@ class Shard:
             label=f"client submit s{self.index}/p{issuer}",
         )
         self.submitted += 1
-
-    # -- epoch-backend driving ----------------------------------------------------------------
 
     def spec(self) -> ShardSpec:
         """The picklable recipe this shard was built from.
@@ -351,8 +339,8 @@ class Shard:
     def install_validation_collector(self) -> None:
         """Record cross-shard credit validations instead of vouchering inline.
 
-        Under the epoch backends the settlement fabric lives in the driver
-        process and never hooks worker-side nodes; each shard collects the
+        The settlement fabric lives in the driver process and never hooks
+        nodes, which may execute in a worker; each shard collects the
         raw ``(time, replica, transfer)`` validation events of an epoch and
         the barrier replays them — in ``(time, shard, index)`` order —
         through the fabric.  Only credits to external ``x{d}:a`` accounts are
@@ -447,7 +435,7 @@ class Shard:
             self.nodes[pid].retire_settled(list(transfers))
 
     def apply_retirements(self, time: float, transfers: List[Tuple]) -> None:
-        """Schedule a retirement batch onto this shard's clock (epoch mode).
+        """Schedule a retirement batch onto this shard's clock.
 
         The barrier hands over the transfers a verified ack quorum retired;
         one event at the barrier time compacts them out of every replica,
@@ -701,13 +689,12 @@ class Shard:
         )
 
     def finalize(self, duration: float) -> SystemResult:
-        """Stamp run-wide figures once the shared simulator has quiesced.
+        """Stamp run-wide figures once the cluster has quiesced.
 
-        ``messages_sent`` is genuinely per-shard (each shard owns its
-        network); event counts are a property of the *shared* simulator and
-        live on :class:`~repro.cluster.result.ClusterResult` instead, so the
-        per-shard result leaves ``events_processed`` at zero rather than
-        claiming the whole cluster's count.
+        ``duration`` is the cluster's, not this shard's last event time;
+        event counts live on :class:`~repro.cluster.result.ClusterResult`
+        (``events_processed`` and ``per_shard_events``), so the per-shard
+        result leaves ``events_processed`` at zero.
         """
         self.result.duration = duration
         self.result.messages_sent = self.network.messages_sent

@@ -8,12 +8,11 @@ cross-shard credits into quorum certificates minted at the destination
 shard.  It routes cluster-level submissions to their owning shard, drives
 the whole cluster to quiescence and merges per-shard results.
 
-*How* the shards execute is pluggable: the default keeps every shard on one
-shared :class:`Simulator` (the classic mode), while ``backend="serial" |
-"thread" | "process"`` gives each shard its own simulator driven between
-epoch-barrier settlement exchanges by an execution backend
-(:mod:`repro.cluster.backends`) — same results, bit for bit, with the
-process pool putting real cores behind the shards.
+Every shard runs on its own simulator, driven between epoch-barrier
+settlement exchanges by an execution backend (:mod:`repro.cluster.backends`):
+``backend="serial"`` (the default), ``"thread"`` or ``"process"`` — same
+results, bit for bit, with the process pool putting real cores behind the
+shards.
 
 The audit runs at two levels.  The Definition 1 checker runs *per shard* —
 shards share no accounts, so each shard's observations are checked against
@@ -57,7 +56,6 @@ from repro.cluster.settlement import (
 )
 from repro.cluster.shard import Shard
 from repro.network.node import NetworkConfig
-from repro.network.simulator import Simulator
 from repro.obs import MetricsRegistry, Tracer, merge_snapshots, normalize_telemetry
 from repro.obs.profiling import merge_profile_stats, profile_stats_dict
 from repro.spec.byzantine_spec import ByzantineAssetTransferChecker
@@ -89,17 +87,15 @@ class ClusterSystem:
     settlement_config:
         Timing of the settlement fabric's voucher and delivery legs.
     backend:
-        ``None`` (or ``"shared"``) keeps the classic mode: every shard on one
-        shared simulator, settlement hops scheduled continuously.  One of
-        ``"serial"``/``"thread"``/``"process"`` switches to the epoch-barrier
-        execution backends (:mod:`repro.cluster.backends`): each shard owns
-        its simulator, runs independently up to each settlement barrier, and
-        vouchers/certificates are exchanged at the barrier in deterministic
-        ``(time, shard, sequence)`` order.  All three backends produce
-        bit-identical :class:`ClusterResult` fingerprints.
+        The execution backend (:mod:`repro.cluster.backends`), one of
+        ``"serial"`` (the default), ``"thread"`` or ``"process"``.  Each
+        shard owns its simulator and runs independently up to each
+        settlement barrier, where vouchers/certificates are exchanged in
+        deterministic ``(time, shard, sequence)`` order.  All three backends
+        produce bit-identical :class:`ClusterResult` fingerprints.
     epoch:
-        Barrier spacing of the backend mode, in simulated seconds (also the
-        granularity of cross-shard settlement latency).  Shorthand for
+        Barrier spacing, in simulated seconds (also the granularity of
+        cross-shard settlement latency).  Shorthand for
         ``epoch_policy=FixedEpochPolicy(epoch)``.
     epoch_policy:
         An :class:`~repro.cluster.backends.EpochPolicy` deciding the barrier
@@ -110,14 +106,14 @@ class ClusterSystem:
         fingerprint equality across backends holds for any policy.
     max_workers:
         Thread/process pool size for the concurrent backends (defaults to
-        ``min(shard_count, cpu_count)``).  Worker count never affects
-        results, only wall-clock time.  In epoch mode this is also the
-        logical worker count of the :class:`PlacementPlan`, so a serial run
-        with ``max_workers=2`` records the same migration schedule a
-        two-worker process pool executes for real.
+        ``min(shard_count, cpu_count)``; at least 1).  Worker count never
+        affects results, only wall-clock time.  It is also the logical
+        worker count of the :class:`PlacementPlan`, so a serial run with
+        ``max_workers=2`` records the same migration schedule a two-worker
+        process pool executes for real.
     migration:
-        The live-migration knob (epoch mode only).  ``None``/"off" (the
-        default) keeps the assignment static for the session; ``"manual"``
+        The live-migration knob.  ``None``/"off" (the default) keeps the
+        assignment static for the session; ``"manual"``
         enables the seam with no automatic policy (moves come from
         :meth:`rebalance`); a
         :class:`~repro.cluster.migration.MigrationPlan` schedules explicit
@@ -127,20 +123,20 @@ class ClusterSystem:
         the static-assignment run's (the extended equivalence harness pins
         this).
     checkpoint_every:
-        Incremental-checkpoint cadence in taken barriers (epoch mode only;
-        ``None`` = never).  Every N-th barrier each protocol-quiescent shard
-        records a delta-encoded checkpoint; migration then ships and replays
+        Incremental-checkpoint cadence in taken barriers (``None`` =
+        never).  Every N-th barrier each protocol-quiescent shard records a
+        delta-encoded checkpoint; migration then ships and replays
         only the post-checkpoint tail (O(delta) instead of O(history)), and
         the driver's per-shard replay log is truncated behind the checkpoint
         so long migratable runs hold bounded memory.  Checkpointing only
         observes state — every cadence fingerprints identically to the
         no-checkpoint run on every backend (the invariance suite pins it).
     barrier_mode:
-        Barrier pacing of the epoch scheduler (epoch mode only).
-        ``"dense"`` (the default) is the classic global rendezvous: every
-        shard advances to every barrier.  ``"sparse"`` computes, from the
-        deterministic per-pair settlement traffic every backend agrees on,
-        which shards actually have vouchers/certificates/acks to exchange
+        Barrier pacing of the epoch scheduler.  ``"dense"`` (the default)
+        is the classic global rendezvous: every shard advances to every
+        barrier.  ``"sparse"`` computes, from the deterministic per-pair
+        settlement traffic every backend agrees on, which shards actually
+        have vouchers/certificates/acks to exchange
         at each barrier — shards with no pending traffic skip the
         rendezvous and run ahead up to ``max_lag`` barriers, and the
         driver's exchange work overlaps the run-ahead execution.  Sparse
@@ -194,7 +190,7 @@ class ClusterSystem:
         relay_final: bool = True,
         settlement: bool = True,
         settlement_config: Optional[SettlementConfig] = None,
-        backend: Optional[str] = None,
+        backend: str = "serial",
         epoch: float = 0.005,
         epoch_policy: Optional[EpochPolicy] = None,
         max_workers: Optional[int] = None,
@@ -209,35 +205,20 @@ class ClusterSystem:
     ) -> None:
         if shard_count <= 0:
             raise ConfigurationError("shard_count must be positive")
-        if backend is not None and backend != "shared" and backend not in BACKEND_NAMES:
+        if backend not in BACKEND_NAMES:
             raise ConfigurationError(
-                f"unknown execution backend {backend!r}; expected None, 'shared' "
-                f"or one of {BACKEND_NAMES}"
+                f"unknown execution backend {backend!r}; expected one of {BACKEND_NAMES}"
+            )
+        if max_workers is not None and max_workers < 1:
+            raise ConfigurationError(
+                f"max_workers must be at least 1 (or None for the default), got {max_workers}"
             )
         self._migration_enabled, self._migration_policy = normalize_migration(migration)
-        if self._migration_enabled and (backend in (None, "shared")):
-            raise ConfigurationError(
-                "live migration needs an epoch-barrier execution backend "
-                "(serial/thread/process); the shared clock has no placement "
-                "to migrate"
-            )
-        if checkpoint_every is not None and backend in (None, "shared"):
-            raise ConfigurationError(
-                "incremental checkpoints need an epoch-barrier execution "
-                "backend (serial/thread/process); the shared clock has no "
-                "barriers to checkpoint at"
-            )
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ConfigurationError("checkpoint_every must be at least 1 barrier")
         if barrier_mode not in ("dense", "sparse"):
             raise ConfigurationError(
                 f"unknown barrier_mode {barrier_mode!r}; expected 'dense' or 'sparse'"
-            )
-        if barrier_mode == "sparse" and backend in (None, "shared"):
-            raise ConfigurationError(
-                "sparse barriers need an epoch-barrier execution backend "
-                "(serial/thread/process); the shared clock has no barriers "
-                "to skip"
             )
         if max_lag < 1:
             raise ConfigurationError("max_lag must be at least 1 barrier")
@@ -249,8 +230,7 @@ class ClusterSystem:
         self.barrier_mode = barrier_mode
         self.max_lag = max_lag
         self.compact_history = bool(compact_history)
-        self.backend_name = backend if backend not in (None, "shared") else "shared"
-        self._epoch_mode = self.backend_name != "shared"
+        self.backend_name = backend
         # Observability: a driver-side registry (mode != off) for phase
         # timings, scheduler counters and end-of-run gauges; a tracer (mode
         # == full) for chrome://tracing spans.  Both are write-only sinks —
@@ -264,20 +244,10 @@ class ClusterSystem:
         self.profile = bool(profile)
         self._profiler: Optional[cProfile.Profile] = None
         self._profile_raw: List[dict] = []
-        self.simulator = Simulator()
-        if not self._epoch_mode and self.metrics is not None:
-            # The shared clock belongs to the deployment, not to any shard,
-            # so its event counts land in the driver registry.
-            self.simulator.metrics = self.metrics
         self.router = ShardRouter(shard_count, replicas_per_shard, salt=seed)
         self.shards: List[Shard] = [
             Shard(
                 index=index,
-                # Shared clock classically; per-shard clocks under the epoch
-                # backends (shards never talk, so their event sequences are
-                # independent either way — ``None`` lets the shard own its
-                # clock and attach its own registry to it).
-                simulator=self.simulator if not self._epoch_mode else None,
                 replicas=replicas_per_shard,
                 initial_balance=initial_balance,
                 broadcast=broadcast,
@@ -290,46 +260,31 @@ class ClusterSystem:
             )
             for index in range(shard_count)
         ]
-        self.epoch_policy: Optional[EpochPolicy] = (
-            (epoch_policy or FixedEpochPolicy(epoch)) if self._epoch_mode else None
-        )
+        self.epoch_policy: EpochPolicy = epoch_policy or FixedEpochPolicy(epoch)
         # The shard -> worker assignment, first-class and mutable.  One plan
         # per cluster, shared by the scheduler (which decides moves), the
         # backend (which routes per-epoch commands and executes moves) and
         # rebalance().  Worker slots are logical: the process pool maps them
         # onto worker processes, serial/thread keep them as bookkeeping, so
         # the same migration schedule records identically on every backend.
-        self.placement: Optional[PlacementPlan] = None
-        if self._epoch_mode:
-            worker_count = max_workers or min(shard_count, os.cpu_count() or 1) or 1
-            self.placement = PlacementPlan(
-                shard_count, max(1, min(worker_count, shard_count))
-            )
-        self.scheduler: Optional[EpochScheduler] = (
-            EpochScheduler(
-                policy=self.epoch_policy,
-                placement=self.placement,
-                migration=self._migration_policy,
-                metrics=self.metrics,
-                tracer=self.tracer,
-                checkpoint_every=checkpoint_every,
-                barrier_mode=barrier_mode,
-                max_lag=max_lag,
-            )
-            if self._epoch_mode
-            else None
+        worker_count = max_workers or min(shard_count, os.cpu_count() or 1)
+        self.placement = PlacementPlan(shard_count, min(worker_count, shard_count))
+        self.scheduler = EpochScheduler(
+            policy=self.epoch_policy,
+            placement=self.placement,
+            migration=self._migration_policy,
+            metrics=self.metrics,
+            tracer=self.tracer,
+            checkpoint_every=checkpoint_every,
+            barrier_mode=barrier_mode,
+            max_lag=max_lag,
         )
-        self._backend = make_backend(self.backend_name, max_workers) if self._epoch_mode else None
-        if self._backend is not None:
-            self._backend.attach_telemetry(
-                self.metrics, self.tracer, profile=self.profile
-            )
+        self._backend = make_backend(backend, max_workers)
+        self._backend.attach_telemetry(self.metrics, self.tracer, profile=self.profile)
         self._session_open = False
         self._partitioned: Dict[int, List] = {}
         self.settlement: Optional[SettlementFabric] = (
-            SettlementFabric(
-                self.shards, self.simulator, settlement_config, scheduler=self.scheduler
-            )
+            SettlementFabric(self.shards, self.scheduler, settlement_config)
             if settlement
             else None
         )
@@ -350,39 +305,24 @@ class ClusterSystem:
     def schedule_submissions(self, submissions: Iterable[ClusterSubmission]) -> int:
         """Route and schedule cluster-level submissions; returns the count.
 
-        Under the epoch backends the arrivals are *pre-partitioned* into
-        per-shard routed lists instead of scheduled on a shared clock — the
+        The arrivals are *pre-partitioned* into per-shard routed lists — the
         lists travel with the shards into worker threads/processes when the
         run opens the backend session (after which further submissions are
         rejected: the workload must be fully known before the shards start
         executing elsewhere).
         """
         self.start()
-        if self._epoch_mode:
-            if self._session_open:
-                raise ConfigurationError(
-                    "the backend session is already executing; schedule all "
-                    "submissions before the first run()"
-                )
-            materialized = list(submissions)
-            per_shard, cross_shard = partition_submissions(materialized, self.router)
-            self.cross_shard_submissions += cross_shard
-            for shard_index, routed in per_shard.items():
-                self._partitioned.setdefault(shard_index, []).extend(routed)
-            return len(materialized)
-        scheduled = 0
-        for submission in submissions:
-            route = self.router.route(submission.source_user, submission.destination_user)
-            if route.cross_shard:
-                self.cross_shard_submissions += 1
-            self.shards[route.shard].submit(
-                time=submission.time,
-                issuer=route.issuer,
-                destination=route.destination_account,
-                amount=submission.amount,
+        if self._session_open:
+            raise ConfigurationError(
+                "the backend session is already executing; schedule all "
+                "submissions before the first run()"
             )
-            scheduled += 1
-        return scheduled
+        materialized = list(submissions)
+        per_shard, cross_shard = partition_submissions(materialized, self.router)
+        self.cross_shard_submissions += cross_shard
+        for shard_index, routed in per_shard.items():
+            self._partitioned.setdefault(shard_index, []).extend(routed)
+        return len(materialized)
 
     def _phase(self, name: str):
         """A driver-phase timing context (histogram + optional span)."""
@@ -397,31 +337,14 @@ class ClusterSystem:
     def run(
         self, until: Optional[float] = None, max_events: Optional[int] = None
     ) -> ClusterResult:
-        """Drive the cluster to quiescence (shared clock or epoch barriers)."""
+        """Drive the cluster through its settlement barriers to quiescence.
+
+        ``until`` pauses at that simulated time; a later ``run()`` resumes
+        where it stopped, delivering anything injected into the relays in
+        between.
+        """
         self.start()
         self._ensure_profiler()
-        if self._epoch_mode:
-            return self._run_epochs(until=until, max_events=max_events)
-        with self._phase("phase.total"):
-            with self._phase("phase.sim_run"):
-                self.simulator.run(until=until, max_events=max_events)
-            with self._phase("phase.capture"):
-                duration = self.simulator.now
-                self._result.shard_results = [
-                    shard.finalize(duration) for shard in self.shards
-                ]
-                self._result.duration = duration
-                self._result.events_processed = self.simulator.processed_events
-                self._capture_result()
-        # Outside every phase block: the total/capture histograms must have
-        # recorded before the telemetry section snapshots them.
-        self._capture_telemetry()
-        return self._result
-
-    def _run_epochs(
-        self, until: Optional[float] = None, max_events: Optional[int] = None
-    ) -> ClusterResult:
-        assert self.scheduler is not None and self._backend is not None
         with self._phase("phase.total"):
             if not self._session_open:
                 with self._phase("phase.open"):
@@ -480,33 +403,6 @@ class ClusterSystem:
                 expected[key] = expected.get(key, 0) + self.replicas_per_shard
         return expected
 
-    def drain(self) -> ClusterResult:
-        """Run whatever is pending to quiescence, backend-neutrally.
-
-        On the shared clock this is ``simulator.run_until_quiescent``; under
-        the epoch backends it drives the barrier scheduler (delivering any
-        certificates tests injected directly into relays).  Adversarial
-        tests use this so the same drive call works on every backend.
-        """
-        if not self._epoch_mode:
-            self.start()
-            self._ensure_profiler()
-            with self._phase("phase.total"):
-                with self._phase("phase.sim_run"):
-                    self.simulator.run_until_quiescent()
-                with self._phase("phase.capture"):
-                    duration = self.simulator.now
-                    self._result.shard_results = [
-                        shard.finalize(duration) for shard in self.shards
-                    ]
-                    self._result.duration = duration
-                    self._result.events_processed = self.simulator.processed_events
-                    self._capture_result()
-            self._capture_telemetry()
-            return self._result
-        self._ensure_profiler()
-        return self._run_epochs()
-
     def rebalance(
         self, moves: Optional[Sequence[Union[Move, Tuple[int, int]]]] = None
     ) -> List[MigrationRecord]:
@@ -517,7 +413,7 @@ class ClusterSystem:
         over the per-shard load observed so far (simulator events plus
         settlement volume) and moves the hottest shards off the busiest
         workers while that strictly lowers the peak.  Requires migration to
-        be enabled (``migration=`` anything but off) and an epoch backend.
+        be enabled (``migration=`` anything but off).
 
         Callable between runs only: after any ``run()``/``run(until=...)``
         return, every shard is quiescent through the current barrier, which
@@ -530,13 +426,11 @@ class ClusterSystem:
         equals the static run's, whatever moves are made — only wall-clock
         load distribution changes.
         """
-        if not self._migration_enabled or self.placement is None:
+        if not self._migration_enabled:
             raise ConfigurationError(
                 "rebalance() needs migration enabled: construct the "
-                "ClusterSystem with migration='manual' (or a policy) and an "
-                "epoch backend"
+                "ClusterSystem with migration='manual' (or a policy)"
             )
-        assert self.scheduler is not None and self._backend is not None
         if moves is None:
             normalized = rebalance_moves(self.placement, self.scheduler.current_loads())
         else:
@@ -563,16 +457,13 @@ class ClusterSystem:
         """Cumulative load per logical worker under the current placement.
 
         The before/after view a ``rebalance()`` call changes; empty workers
-        report zero.  Shared-clock mode has no placement and returns ``{}``.
+        report zero.
         """
-        if self.placement is None or self.scheduler is None:
-            return {}
         return self.placement.worker_loads(self.scheduler.current_loads())
 
     def close(self) -> None:
         """Release backend resources (worker processes / thread pools)."""
-        if self._backend is not None:
-            self._backend.close()
+        self._backend.close()
 
     def __enter__(self) -> "ClusterSystem":
         return self
@@ -593,9 +484,7 @@ class ClusterSystem:
         self._result.settlement_stream = self.settlement_signature()
         self._result.retirement_stream = self.retirement_signature()
         self._result.migration_stream = self.migration_signature()
-        self._result.barrier_stream = (
-            self.scheduler.barrier_signature() if self.scheduler is not None else None
-        )
+        self._result.barrier_stream = self.scheduler.barrier_signature()
         self._result.retired_records = self.retired_records()
         self._result.resident_settlement_records = self.resident_settlement_records()
         audit = self.supply_audit()
@@ -628,14 +517,13 @@ class ClusterSystem:
             return
         if self.settlement is not None:
             self.settlement.telemetry_sample(self.metrics)
-        if self.scheduler is not None:
-            totals = migration_totals(self.scheduler.migration_log)
-            self.metrics.set_gauge("migrate.records", totals["moves"])
-            self.metrics.set_gauge("migrate.snapshot_bytes_total", totals["snapshot_bytes"])
-            self.metrics.set_gauge("migrate.delta_bytes_total", totals["delta_bytes"])
-            self.metrics.set_gauge("migrate.replayed_events_total", totals["replayed_events"])
-            self.metrics.set_gauge("migrate.stall_s_total", totals["stall_s"])
-        if self._backend is not None and self.checkpoint_every is not None:
+        totals = migration_totals(self.scheduler.migration_log)
+        self.metrics.set_gauge("migrate.records", totals["moves"])
+        self.metrics.set_gauge("migrate.snapshot_bytes_total", totals["snapshot_bytes"])
+        self.metrics.set_gauge("migrate.delta_bytes_total", totals["delta_bytes"])
+        self.metrics.set_gauge("migrate.replayed_events_total", totals["replayed_events"])
+        self.metrics.set_gauge("migrate.stall_s_total", totals["stall_s"])
+        if self.checkpoint_every is not None:
             stats = self._backend.checkpoint_stats()
             self.metrics.set_gauge("checkpoint.taken_total", stats["taken"])
             self.metrics.set_gauge("checkpoint.skipped_total", stats["skipped"])
@@ -673,7 +561,7 @@ class ClusterSystem:
             self._profiler.disable()
             self._profile_raw.append(profile_stats_dict(self._profiler))
             self._profiler = None
-        if self._backend is not None and self._session_open:
+        if self._session_open:
             self._profile_raw.extend(self._backend.collect_profiles())
         return merge_profile_stats(self._profile_raw)
 
@@ -808,10 +696,8 @@ class ClusterSystem:
         Recorded on the result's fingerprint *payload* (it pins migration
         decisions as backend-invariant) but excluded from the fingerprint
         *hash* — the hash's contract is precisely that placement never
-        changes results.  Empty on the shared clock and for static runs.
+        changes results.  Empty for static runs.
         """
-        if self.scheduler is None:
-            return []
         return self.scheduler.migration_signature()
 
     def resident_settlement_records(self) -> int:
@@ -829,11 +715,9 @@ class ClusterSystem:
     def checkpoint_stats(self) -> Dict[str, int]:
         """Cumulative checkpoint accounting from the backend session.
 
-        Zeros on the shared clock or with checkpoints off.  ``delta_bytes``
-        vs ``full_bytes`` is the incremental stream's measured win.
+        Zeros with checkpoints off.  ``delta_bytes`` vs ``full_bytes`` is
+        the incremental stream's measured win.
         """
-        if self._backend is None:
-            return {"taken": 0, "skipped": 0, "delta_bytes": 0, "full_bytes": 0}
         return self._backend.checkpoint_stats()
 
     def resident_local_records(self) -> int:
@@ -852,12 +736,10 @@ class ClusterSystem:
     def replay_log_entries(self) -> int:
         """Commands held in the driver-side migration replay log right now.
 
-        Zero on the shared clock and on backends that migrate without
-        replay; on the process pool this is the figure checkpoint
-        truncation keeps bounded (the soak benchmark samples it).
+        Zero on backends that migrate without replay; on the process pool
+        this is the figure checkpoint truncation keeps bounded (the soak
+        benchmark samples it).
         """
-        if self._backend is None:
-            return 0
         return self._backend.replay_log_entries()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

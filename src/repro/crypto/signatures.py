@@ -29,15 +29,11 @@ verdict: any bit it changes changes the key.
 
 Quorum verification is *one check*.  :meth:`SignatureScheme.verify_quorum`
 answers "is this signature set a valid ``quorum_size`` quorum from
-``allowed_signers`` over this payload" as a single batch verdict, memoised on
-the full signer/tag tuple — so every site that re-derives the same quorum
-(certificate assembly, replica re-validation) pays one dictionary hit instead
-of ``2f+1`` per-signature checks.  :meth:`SignatureScheme.certify` assembles
-a certificate through that batch verdict and primes the certificate cache
-with it, so the downstream relay -> inbox -> gate re-checks are O(1) from the
-moment of construction.  The batch keys have the same exactness discipline as
-the per-signature ones: a forged member, a swapped signer identity or a
-mutated payload changes the key and can never alias a warm batch.
+``allowed_signers`` over this payload" as a single batch verdict, encoding
+the payload once for the whole signer set.  :meth:`SignatureScheme.certify`
+assembles a certificate through that batch verdict and primes the
+certificate cache with it, so the downstream relay -> inbox -> gate re-checks
+are O(1) from the moment of construction.
 """
 
 from __future__ import annotations
@@ -110,10 +106,6 @@ class SignatureScheme:
         # verdict depends on is in the key.
         self._verify_cache: Dict[tuple, bool] = {}
         self._certificate_cache: Dict[tuple, bool] = {}
-        # Aggregate quorum verdicts: (encoded payload, signature tuple,
-        # quorum size, allowed signers) -> bool.  One entry answers for the
-        # whole signer set, so re-deriving a quorum is one lookup.
-        self._quorum_cache: Dict[tuple, bool] = {}
 
     # -- key management ---------------------------------------------------------------
 
@@ -183,47 +175,20 @@ class SignatureScheme:
         :meth:`verify_certificate` on membership — a construction site knows
         exactly which signers it admitted, so an outsider signature means
         divergence, not something to skip.
-
-        The verdict is memoised on the payload's *value* (class plus
-        equality — the same value-keying discipline as the canonical-encoding
-        memo in :mod:`repro.crypto.hashing`, so equal payloads share one
-        canonical encoding and hence one verdict), the full ``(signer, tag)``
-        tuple, the quorum size and the allowed-signer set.  Any forged
-        member, swapped identity or mutated payload changes the key, so a
-        forgery can never alias a warm batch — it takes the full
-        per-signature path and fails there.  Unhashable payloads skip the
-        memo and verify from scratch each time.
         """
         if quorum_size <= 0:
             raise ConfigurationError("quorum_size must be positive")
         if self.metrics is not None:
             self.metrics.inc("sig.verify_quorum")
-        bundle = tuple(signatures)
-        try:
-            key = (payload.__class__, payload, bundle, quorum_size, allowed_signers)
-            cached = self._quorum_cache.get(key)
-        except TypeError:
-            key = None
-            cached = None
-        if cached is not None:
-            if self.metrics is not None:
-                self.metrics.inc("sig.verify_quorum_cached")
-            return cached
         encoded = canonical_bytes(payload)
         signers = set()
-        result = True
-        for signature in bundle:
+        for signature in signatures:
             if allowed_signers is not None and signature.signer not in allowed_signers:
-                result = False
-                break
+                return False
             if not self._verify_encoded(encoded, signature):
-                result = False
-                break
+                return False
             signers.add(signature.signer)
-        result = result and len(signers) >= quorum_size
-        if key is not None and len(self._quorum_cache) < _VERIFY_CACHE_LIMIT:
-            self._quorum_cache[key] = result
-        return result
+        return len(signers) >= quorum_size
 
     def certify(
         self,

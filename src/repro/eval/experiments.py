@@ -488,23 +488,22 @@ class ClusterExperimentConfig:
     # skew the migration/rebalancing experiments react to.  Needs a router,
     # like cross_shard_fraction.
     hotspot: Optional[object] = None
-    # Execution backend of the swept systems: None for the classic shared
-    # clock, or "serial"/"thread"/"process" for the epoch-barrier backends
+    # Execution backend of the swept systems: "serial", "thread" or "process"
     # (see repro.cluster.backends); results are backend-invariant, wall-clock
     # time is not.
-    backend: Optional[str] = None
+    backend: str = "serial"
     epoch: float = 0.005
     # An EpochPolicy instance overriding the fixed `epoch` grid (e.g.
-    # AdaptiveEpochPolicy); only meaningful in backend mode.
+    # AdaptiveEpochPolicy).
     epoch_policy: Optional[object] = None
     max_workers: Optional[int] = None
     # The ClusterSystem migration knob: None/"off", "manual", a
     # MigrationPlan, or a ThresholdMigrationPolicy.  Results are
     # placement-invariant; the knob moves wall-clock load distribution only.
     migration: Optional[object] = None
-    # Incremental-checkpoint cadence in taken barriers (epoch mode only):
-    # bounds the driver replay log and turns migrations O(delta).  And the
-    # consumption-compaction knob for ordinary local records.  Both are
+    # Incremental-checkpoint cadence in taken barriers: bounds the driver
+    # replay log and turns migrations O(delta).  And the consumption-
+    # compaction knob for ordinary local records.  Both are
     # fingerprint-neutral by the checkpoint-invariance harness.
     checkpoint_every: Optional[int] = None
     compact_history: bool = False
@@ -737,8 +736,7 @@ def telemetry_breakdown(telemetry: Optional[Dict[str, object]]) -> List[Telemetr
 
     Reads the ``phase.*`` histograms of the telemetry section's driver
     registry (``phase.open``/``advance``/``exchange``/``migrate``/
-    ``finalize``/``capture`` in epoch mode, ``phase.sim_run``/``capture``
-    under the shared clock) and normalises each against ``phase.total``.
+    ``finalize``/``capture``) and normalises each against ``phase.total``.
     The ``phase.total`` row itself is excluded — it is the denominator.
     Returns ``[]`` for ``None`` (telemetry off) or a section with no phase
     histograms.
@@ -898,9 +896,9 @@ def settlement_soak_experiment(
 ) -> SoakReport:
     """Long-horizon soak: does the settlement lifecycle bound resident state?
 
-    Runs one fraction-steered workload in epoch-backend mode, pausing at
-    evenly spaced checkpoints to sample the audit identity and the resident/
-    retired record counts *mid-flight* — the regime where unbounded growth
+    Runs one fraction-steered workload, pausing at evenly spaced
+    checkpoints to sample the audit identity and the resident/retired
+    record counts *mid-flight* — the regime where unbounded growth
     would show — then drains to quiescence.  The extended supply identity
     (``local + outbound - (minted - retired) == initial``) must hold at every
     single checkpoint, not just at the end.  Driver-side relay journal
@@ -912,7 +910,6 @@ def settlement_soak_experiment(
     config = config or ClusterExperimentConfig(
         duration=0.2, aggregate_rate=4_000.0, user_count=2_000, cross_shard_fraction=0.5
     )
-    backend = config.backend or "serial"
     system = ClusterSystem(
         shard_count=shard_count,
         replicas_per_shard=config.replicas_per_shard,
@@ -920,7 +917,7 @@ def settlement_soak_experiment(
         broadcast=config.broadcast,
         initial_balance=config.initial_balance,
         network_config=config.network_copy(),
-        backend=backend,
+        backend=config.backend,
         epoch=config.epoch,
         epoch_policy=config.epoch_policy,
         max_workers=config.max_workers,

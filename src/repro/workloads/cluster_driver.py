@@ -63,8 +63,8 @@ def partition_submissions(
 
     Returns ``(per_shard, cross_shard_count)``.  Per-shard lists preserve the
     submission stream's order (arrival times are non-decreasing, and routing
-    is stateless), so scheduling each list in order reproduces exactly the
-    event sequence the shared-clock path would have produced for that shard.
+    is stateless), so scheduling each list in order submits each shard's
+    arrivals in the order the stream gave them.
     """
     per_shard: Dict[int, List[RoutedSubmission]] = {}
     cross_shard = 0

@@ -13,9 +13,9 @@ field-level payload equality (so a fingerprint regression pinpoints the
 diverging field, not just "something differed").
 
 It also pins the supporting contracts: worker-count independence (a
-two-worker process pool equals the serial reference — the CI smoke), the
-coincidence of the epoch-serial backend with the classic shared clock when no
-settlement traffic exists, picklability of everything that crosses a process
+two-worker process pool equals the serial reference — the CI smoke), that
+barriers leave a shard with no settlement traffic exactly as it would run
+alone, picklability of everything that crosses a process
 boundary, and the worker loop itself (driven in-process through a scripted
 pipe, so the subprocess code path is unit-tested and covered).
 """
@@ -189,22 +189,38 @@ class TestBackendEquivalence:
             serial_system.close()
             process_system.close()
 
-    def test_epoch_serial_matches_shared_clock_without_settlement_traffic(
+    def test_barriers_never_perturb_a_shard_without_settlement_traffic(
         self, fast_network
     ):
-        """With zero cross-shard payments the barriers exchange nothing, and
-        the extracted SerialBackend reproduces the classic shared-clock run
-        exactly — committed stream, balances and duration."""
-        shared_system, shared = _run(fast_network, None, 7, 2, 1, 0.0)
-        serial_system, serial = _run(fast_network, "serial", 7, 2, 1, 0.0)
+        """With zero cross-shard payments the barriers exchange nothing, so
+        every shard of a serial run equals the same spec built alone, fed its
+        routed arrivals and driven to quiescence on its own clock —
+        committed stream, every replica's balances and duration."""
+        system, result = _run(fast_network, "serial", 7, 2, 1, 0.0)
         try:
-            assert shared.committed_stream == serial.committed_stream
-            assert shared.balances == serial.balances
-            assert shared.duration == serial.duration
-            assert shared.settlement_stream == serial.settlement_stream == []
+            assert system.cross_shard_submissions == 0
+            assert result.settlement_stream == []
+            durations = []
+            for shard in system.shards:
+                alone = shard.spec().build()
+                alone.start()
+                for arrival in system._partitioned.get(shard.index, []):
+                    alone.submit(
+                        arrival.time, arrival.issuer, arrival.destination, arrival.amount
+                    )
+                alone.simulator.run()
+                assert alone.result.committed
+                assert alone.result.committed == shard.result.committed
+                for pid in sorted(shard.nodes):
+                    assert (
+                        alone.nodes[pid].all_known_balances()
+                        == shard.nodes[pid].all_known_balances()
+                    )
+                assert alone.simulator.now == shard.simulator.now
+                durations.append(alone.simulator.now)
+            assert max(durations) == result.duration
         finally:
-            shared_system.close()
-            serial_system.close()
+            system.close()
 
 
 class TestBackendConfiguration:
@@ -222,19 +238,27 @@ class TestBackendConfiguration:
         finally:
             system.close()
 
-    def test_shared_mode_is_the_default(self, fast_network):
+    def test_serial_is_the_default_and_the_shared_clock_is_gone(self, fast_network):
         system = ClusterSystem(shard_count=2, network_config=fast_network)
-        assert system.backend_name == "shared"
-        assert system.scheduler is None
-        assert all(shard.simulator is system.simulator for shard in system.shards)
-        system.close()  # no backend resources; must be a safe no-op
+        assert system.backend_name == "serial"
+        assert not hasattr(system, "simulator") and not hasattr(system, "drain")
+        system.close()
+        for retired in (None, "shared"):
+            with pytest.raises(ConfigurationError) as caught:
+                ClusterSystem(shard_count=2, backend=retired)
+            assert str(BACKEND_NAMES) in str(caught.value)
 
-    def test_epoch_mode_gives_every_shard_its_own_clock(self, fast_network):
-        system = ClusterSystem(shard_count=3, network_config=fast_network, backend="serial")
+    def test_every_shard_owns_its_clock(self, fast_network):
+        system = ClusterSystem(shard_count=3, network_config=fast_network)
         clocks = {id(shard.simulator) for shard in system.shards}
         assert len(clocks) == 3
-        assert id(system.simulator) not in clocks
         system.close()
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("max_workers", [0, -1])
+    def test_non_positive_max_workers_is_rejected(self, backend, max_workers):
+        with pytest.raises(ConfigurationError, match="max_workers"):
+            ClusterSystem(shard_count=2, backend=backend, max_workers=max_workers)
 
 
 class TestEpochSchedulerEdges:

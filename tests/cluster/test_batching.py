@@ -8,15 +8,12 @@ from repro.cluster.shard import Shard
 from repro.common.errors import ConfigurationError
 from repro.common.types import Transfer
 from repro.mp.messages import TransferAnnouncement
-from repro.network.simulator import Simulator
 from repro.spec.byzantine_spec import ByzantineAssetTransferChecker
 
 
 def _shard(batch_size, fast_network, broadcast="bracha", initial_balance=1_000):
-    simulator = Simulator()
-    return simulator, Shard(
+    shard = Shard(
         index=0,
-        simulator=simulator,
         replicas=4,
         initial_balance=initial_balance,
         broadcast=broadcast,
@@ -24,6 +21,7 @@ def _shard(batch_size, fast_network, broadcast="bracha", initial_balance=1_000):
         network_config=fast_network,
         seed=3,
     )
+    return shard.simulator, shard
 
 
 def _submit_burst(shard, per_node=8, amount=1):

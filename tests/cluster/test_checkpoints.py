@@ -315,7 +315,7 @@ class TestInFlightMessagesBlockCheckpoints:
     @pytest.mark.parametrize("broadcast", ("echo", "bracha"))
     def test_messages_in_flight_are_blockers_and_arrivals_are_not(self, fast_network, broadcast):
         shard = Shard(
-            index=0, simulator=None, replicas=4, initial_balance=50,
+            index=0, replicas=4, initial_balance=50,
             network_config=fast_network, seed=1, broadcast=broadcast,
         )
         shard.start()
@@ -684,15 +684,6 @@ class TestPendingRetirementSweep:
 
 
 class TestConfigurationValidation:
-    def test_checkpoints_need_an_epoch_backend(self, fast_network):
-        with pytest.raises(ConfigurationError):
-            ClusterSystem(
-                shard_count=2,
-                network_config=fast_network,
-                checkpoint_every=2,
-                seed=3,
-            )
-
     def test_checkpoint_cadence_must_be_positive(self, fast_network):
         with pytest.raises(ConfigurationError):
             ClusterSystem(

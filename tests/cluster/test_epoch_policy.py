@@ -187,12 +187,6 @@ class TestSchedulerPolicyIntegration:
         assert system.scheduler.epoch == 0.01
         system.close()
 
-    def test_shared_clock_mode_has_no_policy(self, fast_network):
-        system = ClusterSystem(shard_count=2, network_config=fast_network)
-        assert system.epoch_policy is None
-        assert system.scheduler is None
-        system.close()
-
 
 class TestLatencyTargetEpochPolicy:
     def _policy(self, **kwargs):

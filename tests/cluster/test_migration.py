@@ -310,12 +310,6 @@ class TestRebalance:
         finally:
             static.close()
 
-    def test_migration_rejected_on_the_shared_clock(self, fast_network):
-        with pytest.raises(ConfigurationError):
-            ClusterSystem(
-                shard_count=2, network_config=fast_network, migration="manual"
-            )
-
     def test_unknown_migration_knob_rejected(self, fast_network):
         with pytest.raises(ConfigurationError):
             ClusterSystem(

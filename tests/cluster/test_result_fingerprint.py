@@ -18,13 +18,12 @@ from repro.common.errors import ConfigurationError
 from repro.workloads.cluster_driver import ClusterWorkloadConfig, cluster_open_loop_workload
 
 
-def _run(fast_network, seed=5, backend=None):
+def _run(fast_network, seed=5):
     system = ClusterSystem(
         shard_count=2,
         replicas_per_shard=4,
         initial_balance=500,
         network_config=fast_network,
-        backend=backend,
         seed=seed,
     )
     workload = cluster_open_loop_workload(
@@ -79,7 +78,7 @@ class TestFingerprint:
     def test_fingerprint_ignores_the_migration_stream(self, fast_network):
         """Placement metadata may never move the hash — that is the
         placement-invariance contract stated as a unit test."""
-        result = _run(fast_network, backend="serial")
+        result = _run(fast_network)
         before = result.fingerprint()
         assert result.migration_stream == []
         result.migration_stream = [(3, 0.015, 1, 0, 1)]
@@ -104,6 +103,7 @@ class TestFingerprint:
         # Balances cover every replica of every shard, keyed canonically.
         assert set(payload["balances"]) == {"0", "1"}
         assert set(payload["balances"]["0"]) == {"0", "1", "2", "3"}
+        assert len(payload["per_shard_events"]) == 2
 
     def test_single_balance_change_changes_the_fingerprint(self, fast_network):
         result = _run(fast_network)
@@ -124,11 +124,3 @@ class TestFingerprint:
             ClusterResult().fingerprint()
         with pytest.raises(ConfigurationError):
             ClusterResult().fingerprint_payload()
-
-    def test_epoch_and_shared_captures_use_the_same_schema(self, fast_network):
-        shared = _run(fast_network, backend=None).fingerprint_payload()
-        epoch = _run(fast_network, backend="serial").fingerprint_payload()
-        assert set(shared) == set(epoch)
-        # The shared clock has no per-shard event counters; the backends do.
-        assert shared["per_shard_events"] is None
-        assert len(epoch["per_shard_events"]) == 2

@@ -16,7 +16,6 @@ from repro.cluster.settlement import (
 )
 from repro.common.errors import ConfigurationError
 from repro.crypto.signatures import SignatureScheme
-from repro.network.simulator import Simulator
 from repro.workloads.cluster_driver import (
     ClusterSubmission,
     ClusterWorkloadConfig,
@@ -97,18 +96,20 @@ class TestAccountNaming:
 
 class TestSettlementRelay:
     def _relay(self, quorum=3):
-        simulator = Simulator()
+        """A relay whose dispatched certificates land in ``dispatched``."""
+        dispatched = []
         scheme = SignatureScheme(seed=7)
         relay = SettlementRelay(
             source_shard=0,
             destination_shard=1,
-            simulator=simulator,
             scheme=scheme,
             quorum_size=quorum,
             allowed_signers=frozenset(range(4)),
+            dispatch=dispatched.append,
+            retirement_dispatch=dispatched.append,
             config=SettlementConfig(),
         )
-        return relay, simulator, scheme
+        return relay, dispatched, scheme
 
     def _voucher(self, scheme, signer, claim):
         return SettlementVoucher(claim=claim, signature=scheme.keypair_for(signer).sign(claim))
@@ -120,7 +121,7 @@ class TestSettlementRelay:
         )
 
     def test_certificate_assembles_exactly_at_quorum(self):
-        relay, simulator, scheme = self._relay()
+        relay, dispatched, scheme = self._relay()
         claim = self._claim()
         delivered = []
         relay.subscribe(delivered.append)
@@ -130,12 +131,14 @@ class TestSettlementRelay:
         assert relay.submit_voucher(self._voucher(scheme, 2, claim))
         assert len(relay.certificates) == 1
         assert relay.pending_claims == 0
-        simulator.run_until_quiescent()
+        assert dispatched == relay.certificates and not delivered
+        for certificate in dispatched:
+            relay.deliver(certificate)
         assert [c.claim for c in delivered] == [claim]
         assert relay.delivered == relay.certificates
 
     def test_late_and_duplicate_vouchers_are_noops(self):
-        relay, simulator, scheme = self._relay()
+        relay, _, scheme = self._relay()
         claim = self._claim()
         for signer in (0, 0, 1, 2):  # duplicate signer does not count twice
             relay.submit_voucher(self._voucher(scheme, signer, claim))
@@ -144,7 +147,7 @@ class TestSettlementRelay:
         assert len(relay.certificates) == 1
 
     def test_rejects_foreign_pairs_signers_and_bad_signatures(self):
-        relay, simulator, scheme = self._relay()
+        relay, _, scheme = self._relay()
         claim = self._claim()
         wrong_pair = SettlementClaim(
             source_shard=1, destination_shard=0, issuer=0, sequence=1, account="2", amount=5
@@ -157,9 +160,8 @@ class TestSettlementRelay:
         assert relay.vouchers_accepted == 0
 
     def test_rejects_degenerate_configuration(self):
-        simulator = Simulator()
         with pytest.raises(ConfigurationError):
-            SettlementRelay(0, 1, simulator, SignatureScheme(), 0, frozenset())
+            SettlementRelay(0, 1, SignatureScheme(), 0, frozenset(), [].append, [].append)
         with pytest.raises(ConfigurationError):
             SettlementConfig(voucher_delay=-1.0).validate()
 

@@ -8,9 +8,8 @@ rejected, destination balances are untouched, and the cluster audits —
 per-shard Definition 1 plus the cross-ledger supply identity — stay clean.
 
 The whole suite is parametrized over the execution backends: every fault
-scenario runs on the classic shared clock *and* under
-Serial/Thread/ProcessPool epoch execution, so fault containment is exercised
-under real parallelism, not just serially.  The relay, inbox and voucher
+scenario runs under Serial/Thread/ProcessPool epoch execution, so fault
+containment is exercised under real parallelism, not just serially.  The relay, inbox and voucher
 behaviours live in the driver process on every backend (that is the
 backends' design: the trust boundary is poked identically everywhere), while
 the shard protocol reacting to the faults runs wherever the backend puts it.
@@ -19,7 +18,7 @@ the shard protocol reacting to the faults runs wherever the backend puts it.
 import pytest
 
 from repro.byzantine.behaviors import CrashBehavior, EquivocationPlan, ScriptedBehavior
-from repro.cluster import ClusterSystem
+from repro.cluster import BACKEND_NAMES, ClusterSystem
 from repro.cluster.settlement import (
     RetirementCertificate,
     SettlementAck,
@@ -33,10 +32,7 @@ from repro.cluster.settlement import (
 from repro.crypto.signatures import SignatureScheme
 from repro.workloads.cluster_driver import ClusterSubmission
 
-BACKENDS = [None, "serial", "thread", "process"]
-
-
-@pytest.fixture(params=BACKENDS, ids=["shared", "serial", "thread", "process"])
+@pytest.fixture(params=BACKEND_NAMES)
 def make_system(request, fast_network):
     """A factory for 2-shard systems on the parametrized backend.
 
@@ -316,7 +312,7 @@ class TestOutOfOrderCertification:
         for signer in (0, 1, 2):
             relay.submit_voucher(voucher(signer, first))
         assert [c.claim.sequence for c in relay.certificates] == [2, 1]
-        system.drain()
+        system.run()
         account_initial = system.shards[1].initial_balances()["0"]
         for pid, node in system.shards[1].nodes.items():
             inbox = system.settlement.inboxes[(1, pid)]
@@ -634,22 +630,23 @@ class TestOneCheckAssemblyFallback:
     the pending table can delay a certificate but never corrupt one."""
 
     def _relay(self, **kwargs):
-        from repro.network.simulator import Simulator
+        """A relay whose dispatched certificates land in ``dispatched``."""
         from repro.cluster.settlement import SettlementRelay
 
-        simulator = Simulator()
+        dispatched = []
         scheme = SignatureScheme(seed=11)
         relay = SettlementRelay(
             source_shard=0,
             destination_shard=1,
-            simulator=simulator,
             scheme=scheme,
             quorum_size=3,
             allowed_signers=frozenset(range(4)),
+            dispatch=dispatched.append,
+            retirement_dispatch=dispatched.append,
             config=SettlementConfig(),
             **kwargs,
         )
-        return relay, simulator, scheme
+        return relay, dispatched, scheme
 
     def _claim(self, sequence=1):
         return SettlementClaim(
@@ -660,7 +657,7 @@ class TestOneCheckAssemblyFallback:
     def test_forged_pending_entry_is_dropped_and_honest_quorum_assembles(self):
         from repro.crypto.signatures import Signature
 
-        relay, simulator, scheme = self._relay()
+        relay, dispatched, scheme = self._relay()
         claim = self._claim()
         for signer in (0, 1):
             assert relay.submit_voucher(
@@ -676,7 +673,7 @@ class TestOneCheckAssemblyFallback:
         assert relay.submit_voucher(
             SettlementVoucher(claim=claim, signature=scheme.keypair_for(2).sign(claim))
         )
-        assert len(relay.certificates) == 1
+        assert dispatched == relay.certificates and len(dispatched) == 1
         certificate = relay.certificates[0].certificate
         assert {s.signer for s in certificate.signatures} == {0, 1, 2}
         assert relay.vouchers_rejected == rejected_before + 1
@@ -687,7 +684,7 @@ class TestOneCheckAssemblyFallback:
     def test_forged_entry_below_quorum_keeps_the_claim_pending(self):
         from repro.crypto.signatures import Signature
 
-        relay, simulator, scheme = self._relay()
+        relay, dispatched, scheme = self._relay()
         claim = self._claim()
         assert relay.submit_voucher(
             SettlementVoucher(claim=claim, signature=scheme.keypair_for(0).sign(claim))
@@ -699,7 +696,7 @@ class TestOneCheckAssemblyFallback:
         assert relay.submit_voucher(
             SettlementVoucher(claim=claim, signature=scheme.keypair_for(1).sign(claim))
         )
-        assert not relay.certificates
+        assert not relay.certificates and not dispatched
         assert relay.pending_claims == 1
         assert set(relay._pending[claim]) == {0, 1}
         # The genuine third voucher completes the honest quorum.
@@ -712,7 +709,7 @@ class TestOneCheckAssemblyFallback:
         from repro.crypto.signatures import Signature
 
         ack_scheme = SignatureScheme(seed=12)
-        relay, simulator, scheme = self._relay(
+        relay, dispatched, _ = self._relay(
             ack_scheme=ack_scheme,
             ack_quorum_size=3,
             ack_allowed_signers=frozenset(range(4)),
@@ -740,4 +737,5 @@ class TestOneCheckAssemblyFallback:
         assert relay.acks_rejected == rejected_before + 1
         assert relay.certified_watermark(0) == 1
         certificate = relay.retirement_certificates[-1]
+        assert dispatched == [certificate]
         assert {s.signer for s in certificate.certificate.signatures} == {0, 1, 2}

@@ -25,7 +25,6 @@ from repro.cluster.settlement import (
 from repro.common.errors import ConfigurationError
 from repro.common.types import Transfer
 from repro.crypto.signatures import SignatureScheme
-from repro.network.simulator import Simulator
 from repro.workloads.cluster_driver import (
     ClusterSubmission,
     ClusterWorkloadConfig,
@@ -68,22 +67,33 @@ def _ack_claim(sequence=1):
 
 
 def _relay(source_scheme=None, dest_scheme=None):
-    simulator = Simulator()
+    """A relay plus ``flush()``, which hands every certificate it dispatched
+    back to its delivery method in dispatch order — the barrier's job."""
     source_scheme = source_scheme or SignatureScheme(seed=7)
     dest_scheme = dest_scheme or SignatureScheme(seed=8)
+    dispatched = []
     relay = SettlementRelay(
         source_shard=0,
         destination_shard=1,
-        simulator=simulator,
         scheme=source_scheme,
         quorum_size=3,
         allowed_signers=frozenset(range(4)),
+        dispatch=lambda certificate: dispatched.append((relay.deliver, certificate)),
+        retirement_dispatch=lambda certificate: dispatched.append(
+            (relay.deliver_retirement, certificate)
+        ),
         config=SettlementConfig(),
         ack_scheme=dest_scheme,
         ack_quorum_size=3,
         ack_allowed_signers=frozenset(range(4)),
     )
-    return relay, simulator, dest_scheme
+
+    def flush():
+        while dispatched:
+            deliver, certificate = dispatched.pop(0)
+            deliver(certificate)
+
+    return relay, flush, dest_scheme
 
 
 def _ack(scheme, signer, claim):
@@ -92,7 +102,7 @@ def _ack(scheme, signer, claim):
 
 class TestRelayAckLeg:
     def test_retirement_certificate_assembles_exactly_at_ack_quorum(self):
-        relay, simulator, scheme = _relay()
+        relay, flush, scheme = _relay()
         delivered = []
         relay.subscribe_retirement(delivered.append)
         claim = _ack_claim()
@@ -103,7 +113,8 @@ class TestRelayAckLeg:
         assert len(relay.retirement_certificates) == 1
         assert relay.pending_acks == 0
         assert relay.certified_watermark(0) == 1
-        simulator.run_until_quiescent()
+        assert not delivered
+        flush()
         assert [c.claim for c in delivered] == [claim]
 
     def test_acks_verify_against_the_destination_shards_keys(self):
@@ -549,7 +560,7 @@ class TestRelayJournalCompaction:
             sequence=sequence, account="2", amount=amount,
         )
 
-    def _deliver_claims(self, relay, scheme, sequences):
+    def _deliver_claims(self, relay, flush, sequences):
         from repro.cluster.settlement import SettlementVoucher
 
         for sequence in sequences:
@@ -561,11 +572,11 @@ class TestRelayJournalCompaction:
                         signature=relay.scheme.keypair_for(signer).sign(claim),
                     )
                 )
-        relay.simulator.run_until_quiescent()
+        flush()
 
     def test_watermark_evicts_subsumed_certificates(self):
-        relay, simulator, dest_scheme = _relay()
-        self._deliver_claims(relay, dest_scheme, (1, 2, 3))
+        relay, flush, dest_scheme = _relay()
+        self._deliver_claims(relay, flush, (1, 2, 3))
         assert len(relay.certificates) == len(relay.delivered) == 3
         # Acknowledge through sequence 2: entries 1 and 2 are pure history.
         claim = _ack_claim(sequence=2)
@@ -580,13 +591,13 @@ class TestRelayJournalCompaction:
         assert sum(relay.provisions().values()) == 15
 
     def test_newer_watermark_keeps_only_itself_per_stream(self):
-        relay, simulator, dest_scheme = _relay()
-        self._deliver_claims(relay, dest_scheme, (1, 2, 3))
+        relay, flush, dest_scheme = _relay()
+        self._deliver_claims(relay, flush, (1, 2, 3))
         for sequence in (1, 2, 3):
             claim = _ack_claim(sequence=sequence)
             for signer in (0, 1, 2):
                 relay.submit_ack(_ack(dest_scheme, signer, claim))
-        simulator.run_until_quiescent()
+        flush()
         # All three watermarks certified and delivered; only the newest
         # stays journaled — journal residency is one watermark per stream.
         assert [r.claim.sequence for r in relay.retirement_certificates] == [3]
@@ -604,8 +615,8 @@ class TestRelayJournalCompaction:
         'withheld settlement' in the metrics."""
         from repro.cluster.settlement import SettlementVoucher
 
-        relay, simulator, dest_scheme = _relay()
-        self._deliver_claims(relay, dest_scheme, (1, 2))
+        relay, flush, dest_scheme = _relay()
+        self._deliver_claims(relay, flush, (1, 2))
         claim = _ack_claim(sequence=2)
         for signer in (0, 1, 2):
             relay.submit_ack(_ack(dest_scheme, signer, claim))
@@ -633,8 +644,8 @@ class TestRelayJournalCompaction:
         accumulates for the run's lifetime."""
         from repro.cluster.settlement import SettlementVoucher
 
-        relay, simulator, dest_scheme = _relay()
-        self._deliver_claims(relay, dest_scheme, (1, 2))
+        relay, flush, dest_scheme = _relay()
+        self._deliver_claims(relay, flush, (1, 2))
         variant = self._claim(1, amount=999)  # same slot, inflated amount
         assert relay.submit_voucher(
             SettlementVoucher(
@@ -648,11 +659,11 @@ class TestRelayJournalCompaction:
         assert relay.certified_watermark(0) == 2
         assert relay.pending_claims == 0  # the dead variant went with the stream
 
-    def test_shared_clock_mode_buffers_no_latency_samples(self, fast_network):
-        """The pending-sample buffer feeds the epoch scheduler's drain; the
-        shared clock has no scheduler, so nothing may accumulate there while
-        the aggregate latency figures still report."""
-        system = _system(fast_network)  # classic shared-clock mode
+    def test_the_scheduler_drains_every_latency_sample(self, fast_network):
+        """The pending-sample buffer feeds the epoch scheduler's drain, so
+        nothing is left in it after a run, while the aggregate latency
+        figures still report."""
+        system = _system(fast_network)
         a = _user_on_shard(system.router, 0)
         b = _user_on_shard(system.router, 1)
         system.schedule_submissions(
@@ -668,14 +679,14 @@ class TestRelayJournalCompaction:
             system.close()
 
     def test_compaction_off_preserves_the_full_journals(self):
-        relay, simulator, dest_scheme = _relay()
+        relay, flush, dest_scheme = _relay()
         relay.config.compaction = False
-        self._deliver_claims(relay, dest_scheme, (1, 2, 3))
+        self._deliver_claims(relay, flush, (1, 2, 3))
         for sequence in (1, 2, 3):
             claim = _ack_claim(sequence=sequence)
             for signer in (0, 1, 2):
                 relay.submit_ack(_ack(dest_scheme, signer, claim))
-        simulator.run_until_quiescent()
+        flush()
         # The negative control: journals keep the whole history.
         assert len(relay.certificates) == len(relay.delivered) == 3
         assert len(relay.retirement_certificates) == 3

@@ -115,7 +115,7 @@ class TestDenseFallbacks:
             # every shard at the same instant.
             assert partial.barrier_stream
             assert all(row[2] == "dense" for row in partial.barrier_stream)
-            final = system.drain()
+            final = system.run()
             assert system.check_definition1().ok
         finally:
             system.close()
@@ -150,12 +150,6 @@ class TestDenseFallbacks:
 
 
 class TestConfigurationSurface:
-    def test_sparse_requires_epoch_backend(self, fast_network):
-        with pytest.raises(ConfigurationError):
-            _system(fast_network, backend=None)
-        with pytest.raises(ConfigurationError):
-            _system(fast_network, backend="shared")
-
     def test_unknown_barrier_mode_rejected(self, fast_network):
         with pytest.raises(ConfigurationError):
             _system(fast_network, barrier_mode="eager")

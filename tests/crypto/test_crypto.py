@@ -176,9 +176,9 @@ class TestVerificationCache:
 
 
 class TestOneCheckQuorum:
-    """verify_quorum/certify: one batch verdict per signer set, memoised so
-    a forged member, swapped identity, mutated payload or replayed bundle
-    can never alias a warm batch."""
+    """verify_quorum/certify: one batch verdict per signer set; a forged
+    member, swapped identity, mutated payload or replayed bundle never
+    passes, however often the genuine bundle was checked before."""
 
     def _scheme_payload_bundle(self, quorum=3):
         scheme = SignatureScheme(seed=5)
@@ -216,38 +216,18 @@ class TestOneCheckQuorum:
         with pytest.raises(Exception):
             scheme.verify_quorum(payload, bundle, quorum_size=0)
 
-    def test_repeated_checks_hit_the_batch_cache(self):
-        from repro.obs import MetricsRegistry
-
-        scheme, payload, bundle = self._scheme_payload_bundle()
-        registry = MetricsRegistry()
-        scheme.metrics = registry
-        assert scheme.verify_quorum(payload, bundle, quorum_size=3)
-        assert registry.counter("sig.verify_quorum_cached").value == 0
-        for _ in range(6):  # the trust boundaries of both settlement legs
-            assert scheme.verify_quorum(payload, bundle, quorum_size=3)
-        assert registry.counter("sig.verify_quorum_cached").value == 6
-        # The per-signature work ran once per signer, not once per re-check.
-        assert registry.counter("sig.verify").value == 3
-
     def test_forged_member_never_aliases_a_warm_batch(self):
         from repro.crypto.signatures import Signature
-        from repro.obs import MetricsRegistry
 
         scheme, payload, bundle = self._scheme_payload_bundle()
-        registry = MetricsRegistry()
-        scheme.metrics = registry
         for _ in range(3):
             assert scheme.verify_quorum(payload, bundle, quorum_size=3)
-        hits_after_warm = registry.counter("sig.verify_quorum_cached").value
         forged = bundle[:2] + (Signature(signer=2, tag="0" * 64),)
         assert not scheme.verify_quorum(payload, forged, quorum_size=3)
         swapped = bundle[:2] + (Signature(signer=3, tag=bundle[2].tag),)
         assert not scheme.verify_quorum(payload, swapped, quorum_size=3)
         assert not scheme.verify_quorum(("claim", 0, 1, 8), bundle, quorum_size=3)
-        # Every forgery took the full per-signature path, not the cache —
-        # and the genuine verdict is intact afterwards.
-        assert registry.counter("sig.verify_quorum_cached").value == hits_after_warm
+        # The genuine verdict is intact afterwards.
         assert scheme.verify_quorum(payload, bundle, quorum_size=3)
 
     def test_stricter_questions_never_reuse_a_cached_yes(self):

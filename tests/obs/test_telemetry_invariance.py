@@ -1,22 +1,20 @@
 """The telemetry invariant, stated as a regression suite.
 
 The observability layer's one hard promise: **telemetry never perturbs
-results**.  For every execution backend — the classic shared clock and the
-serial/thread/process epoch backends — a run fingerprints identically with
-telemetry off, metrics-only and full tracing; profiled and *migrated* runs
-included.  Everything else here pins the supporting surface: the telemetry
-section's shape and its exclusion from the fingerprint, trace export, the
-merged worker profiles, and the knob normalisation.
+results**.  For every execution backend — serial, thread and process — a
+run fingerprints identically with telemetry off, metrics-only and full
+tracing; profiled and *migrated* runs included.  Everything else here pins
+the supporting surface: the telemetry section's shape and its exclusion
+from the fingerprint, trace export, the merged worker profiles, and the knob
+normalisation.
 """
 
 import pytest
 
-from repro.cluster import ClusterSystem, MigrationPlan
+from repro.cluster import BACKEND_NAMES, ClusterSystem, MigrationPlan
 from repro.common.errors import ConfigurationError
 from repro.obs import TELEMETRY_MODES, normalize_telemetry, validate_trace_file
 from repro.workloads.cluster_driver import ClusterWorkloadConfig, cluster_open_loop_workload
-
-BACKENDS = (None, "serial", "thread", "process")
 
 
 def _run(
@@ -58,7 +56,7 @@ def _run(
 class TestFingerprintInvariance:
     """The headline guarantee: one fingerprint per backend, every mode."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_fingerprint_identical_across_telemetry_modes(self, fast_network, backend):
         fingerprints = {}
         payloads = {}
@@ -137,11 +135,10 @@ class TestTelemetrySection:
         finally:
             system.close()
 
-    @pytest.mark.parametrize("backend", (None, "serial"))
-    def test_phase_breakdown_accounts_for_the_run(self, fast_network, backend):
+    def test_phase_breakdown_accounts_for_the_run(self, fast_network):
         """The phase histograms must explain >=90% of phase.total — the
         coverage bound the benchmarks also enforce."""
-        system, result = _run(fast_network, backend, "metrics")
+        system, result = _run(fast_network, "serial", "metrics")
         try:
             histograms = result.telemetry["driver"]["histograms"]
             total = histograms["phase.total"]["total"]

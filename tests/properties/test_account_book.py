@@ -75,7 +75,6 @@ class _Schedule:
     def __init__(self, batch_size: int, compact: bool) -> None:
         self.shard = Shard(
             index=0,
-            simulator=None,
             replicas=REPLICAS,
             initial_balance=20,
             batch_size=batch_size,
