@@ -243,10 +243,12 @@ class TestBackendConfiguration:
         assert system.backend_name == "serial"
         assert not hasattr(system, "simulator") and not hasattr(system, "drain")
         system.close()
-        for retired in (None, "shared"):
-            with pytest.raises(ConfigurationError) as caught:
-                ClusterSystem(shard_count=2, backend=retired)
-            assert str(BACKEND_NAMES) in str(caught.value)
+
+    @pytest.mark.parametrize("retired", [None, "shared"])
+    def test_the_shared_clock_spellings_are_rejected(self, retired):
+        with pytest.raises(ConfigurationError) as caught:
+            ClusterSystem(shard_count=2, backend=retired)
+        assert str(BACKEND_NAMES) in str(caught.value)
 
     def test_every_shard_owns_its_clock(self, fast_network):
         system = ClusterSystem(shard_count=3, network_config=fast_network)

@@ -693,3 +693,25 @@ class TestConfigurationValidation:
                 checkpoint_every=0,
                 seed=3,
             )
+
+    def test_checkpoints_run_on_the_default_backend(self, fast_network):
+        """No backend named: the default serial system takes checkpoints
+        and still matches the no-checkpoint reference."""
+        system = ClusterSystem(
+            shard_count=3,
+            replicas_per_shard=4,
+            batch_size=2,
+            initial_balance=500,
+            network_config=fast_network,
+            max_workers=2,
+            checkpoint_every=2,
+            seed=3,
+        )
+        try:
+            system.schedule_submissions(_bursty_submissions())
+            result = system.run()
+            assert system.backend_name == "serial"
+            assert system.checkpoint_stats()["taken"] > 0
+            assert result.fingerprint() == _reference_fingerprint(fast_network)
+        finally:
+            system.close()

@@ -187,6 +187,36 @@ class TestSchedulerPolicyIntegration:
         assert system.scheduler.epoch == 0.01
         system.close()
 
+    def test_the_default_system_paces_a_fixed_five_millisecond_grid(self, fast_network):
+        """No backend and no policy named: a serial system on the fixed
+        5 ms grid, barrier for barrier the same as one asking for it."""
+        default = ClusterSystem(
+            shard_count=2, replicas_per_shard=4, initial_balance=500,
+            network_config=fast_network, seed=3,
+        )
+        default.schedule_submissions(
+            cluster_open_loop_workload(
+                ClusterWorkloadConfig(
+                    user_count=60,
+                    aggregate_rate=1_500.0,
+                    duration=0.02,
+                    cross_shard_fraction=1.0,
+                    router=default.router,
+                    seed=3,
+                )
+            )
+        )
+        explicit = _build(fast_network, policy=FixedEpochPolicy(0.005))
+        try:
+            assert isinstance(default.epoch_policy, FixedEpochPolicy)
+            assert default.scheduler.policy is default.epoch_policy
+            assert default.scheduler.epoch == 0.005
+            assert default.run().fingerprint() == explicit.run().fingerprint()
+            assert default.scheduler.barriers == explicit.scheduler.barriers > 0
+        finally:
+            default.close()
+            explicit.close()
+
 
 class TestLatencyTargetEpochPolicy:
     def _policy(self, **kwargs):

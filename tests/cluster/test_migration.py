@@ -302,6 +302,43 @@ class TestRebalance:
             finally:
                 live.close()
 
+    def test_migration_runs_on_the_default_backend(self, fast_network):
+        """No backend named: the default serial system migrates mid-run and
+        still matches the static reference."""
+        live = ClusterSystem(
+            shard_count=4,
+            replicas_per_shard=4,
+            initial_balance=500,
+            network_config=fast_network,
+            max_workers=2,
+            migration="manual",
+            seed=7,
+        )
+        live.schedule_submissions(
+            cluster_open_loop_workload(
+                ClusterWorkloadConfig(
+                    user_count=80,
+                    aggregate_rate=1_500.0,
+                    duration=0.02,
+                    cross_shard_fraction=0.5,
+                    router=live.router,
+                    seed=7,
+                )
+            )
+        )
+        try:
+            assert live.backend_name == "serial"
+            live.run(until=0.01)
+            records = live.rebalance(moves=[(0, 1)])
+            assert [(r.shard, r.target_worker) for r in records] == [(0, 1)]
+            result = live.run()
+            assert len(result.migration_stream) == 1
+            static = self._system(fast_network, migration=None)
+            assert result.fingerprint() == static.run().fingerprint()
+            static.close()
+        finally:
+            live.close()
+
     def test_rebalance_requires_migration_enabled(self, fast_network):
         static = self._system(fast_network, migration=None)
         try:

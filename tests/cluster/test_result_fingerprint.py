@@ -13,18 +13,19 @@ import json
 
 import pytest
 
-from repro.cluster import ClusterResult, ClusterSystem
+from repro.cluster import BACKEND_NAMES, ClusterResult, ClusterSystem
 from repro.common.errors import ConfigurationError
 from repro.workloads.cluster_driver import ClusterWorkloadConfig, cluster_open_loop_workload
 
 
-def _run(fast_network, seed=5):
+def _run(fast_network, seed=5, **kwargs):
     system = ClusterSystem(
         shard_count=2,
         replicas_per_shard=4,
         initial_balance=500,
         network_config=fast_network,
         seed=seed,
+        **kwargs,
     )
     workload = cluster_open_loop_workload(
         ClusterWorkloadConfig(
@@ -104,6 +105,17 @@ class TestFingerprint:
         assert set(payload["balances"]) == {"0", "1"}
         assert set(payload["balances"]["0"]) == {"0", "1", "2", "3"}
         assert len(payload["per_shard_events"]) == 2
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_every_backend_captures_the_same_schema(self, fast_network, backend):
+        """One capture schema whatever the backend: the same sections as the
+        default run, per-shard event counters always filled in."""
+        default = _run(fast_network).fingerprint_payload()
+        captured = _run(fast_network, backend=backend, max_workers=2).fingerprint_payload()
+        assert set(captured) == set(default)
+        assert len(captured["per_shard_events"]) == 2
+        assert all(count > 0 for count in captured["per_shard_events"])
+        assert sum(captured["per_shard_events"]) == captured["events_processed"]
 
     def test_single_balance_change_changes_the_fingerprint(self, fast_network):
         result = _run(fast_network)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import ClusterSystem
 from repro.cluster.routing import parse_external_account
+from repro.cluster.shard import Shard
 from repro.cluster.settlement import (
     SettlementClaim,
     SettlementConfig,
@@ -15,6 +16,7 @@ from repro.cluster.settlement import (
     settlement_issuer,
 )
 from repro.common.errors import ConfigurationError
+from repro.common.types import Transfer
 from repro.crypto.signatures import SignatureScheme
 from repro.workloads.cluster_driver import (
     ClusterSubmission,
@@ -164,6 +166,44 @@ class TestSettlementRelay:
             SettlementRelay(0, 1, SignatureScheme(), 0, frozenset(), [].append, [].append)
         with pytest.raises(ConfigurationError):
             SettlementConfig(voucher_delay=-1.0).validate()
+
+
+class TestValidationReplay:
+    """Validation reaches the fabric one way: the shard collects it, the
+    barrier replays it into ``observe_validation``, and the voucher waits
+    on the scheduler for the next exchange."""
+
+    def test_a_shard_reports_each_cross_shard_validation_once(self, fast_network):
+        shard = Shard(index=0, replicas=4, initial_balance=50, network_config=fast_network, seed=1)
+        shard.install_validation_collector()
+        shard.start()
+        shard.submit(0.001, 0, "x1:2", 5)
+        shard.submit(0.002, 1, "3", 5)  # a local credit is never reported
+        events = shard.advance(None).events
+        assert sorted(event.replica for event in events) == [0, 1, 2, 3]
+        assert all(event.shard == 0 for event in events)
+        assert {event.transfer.destination for event in events} == {"x1:2"}
+        assert [event.time for event in events] == sorted(event.time for event in events)
+        assert shard.advance(None).events == []
+
+    def test_observe_validation_vouchers_only_cross_shard_credits(self, fast_network):
+        system = _system(fast_network)
+        fabric = system.settlement
+        try:
+            for destination in ("2", "x0:2", "x7:2"):  # local, same shard, no such shard
+                fabric.observe_validation(
+                    0, 0, Transfer("0", destination, 5, issuer=0, sequence=1), at=0.002
+                )
+            assert fabric.vouchers_dispatched == 0
+            assert system.scheduler.in_flight == 0
+            credit = Transfer("0", "x1:2", 5, issuer=0, sequence=1)
+            for replica in range(4):
+                fabric.observe_validation(0, replica, credit, at=0.002)
+            assert fabric.vouchers_dispatched == 4
+            assert system.scheduler.in_flight == 4
+            assert not fabric.relay(0, 1).certificates  # nothing assembles before a barrier
+        finally:
+            system.close()
 
 
 class TestSettlementEndToEnd:

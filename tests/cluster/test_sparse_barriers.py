@@ -154,6 +154,28 @@ class TestConfigurationSurface:
         with pytest.raises(ConfigurationError):
             _system(fast_network, barrier_mode="eager")
 
+    def test_sparse_pacing_runs_on_the_default_backend(self, fast_network):
+        """No backend named: sparse pacing is accepted and records the same
+        schedule as the explicitly serial run."""
+        system = ClusterSystem(
+            shard_count=3,
+            replicas_per_shard=REPLICAS,
+            batch_size=4,
+            broadcast="bracha",
+            initial_balance=500,
+            network_config=fast_network,
+            barrier_mode="sparse",
+            seed=9,
+        )
+        try:
+            assert system.backend_name == "serial"
+            system.schedule_submissions(_workload(system))
+            result = system.run()
+        finally:
+            system.close()
+        assert result.barrier_stream
+        assert result.comparable_payload() == _run(fast_network, "sparse").comparable_payload()
+
     def test_max_lag_must_be_positive(self, fast_network):
         with pytest.raises(ConfigurationError):
             _system(fast_network, max_lag=0)

@@ -216,6 +216,19 @@ class TestOneCheckQuorum:
         with pytest.raises(Exception):
             scheme.verify_quorum(payload, bundle, quorum_size=0)
 
+    def test_repeated_checks_reuse_the_per_signature_verdicts(self):
+        from repro.obs import MetricsRegistry
+
+        scheme, payload, bundle = self._scheme_payload_bundle()
+        registry = MetricsRegistry()
+        scheme.metrics = registry
+        for _ in range(7):  # the trust boundaries of both settlement legs
+            assert scheme.verify_quorum(payload, bundle, quorum_size=3)
+        # Every check walks the signer set; the HMAC ran once per signer.
+        assert registry.counter("sig.verify_quorum").value == 7
+        assert registry.counter("sig.verify").value == 7 * 3
+        assert registry.counter("sig.verify_cached").value == 6 * 3
+
     def test_forged_member_never_aliases_a_warm_batch(self):
         from repro.crypto.signatures import Signature
 

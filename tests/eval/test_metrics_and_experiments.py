@@ -159,6 +159,17 @@ class TestSettlementLifecycleExperiments:
         assert "resident" in table and "retired" in table
         assert str(row.retired_records) in table
 
+    def test_cluster_rows_run_on_the_serial_backend_by_default(self, fast_network):
+        config = self._config(fast_network)
+        assert config.backend == "serial"
+        row, system = run_cluster(2, 4, config)
+        try:
+            assert system.backend_name == "serial"
+            assert system.scheduler.barriers > 0
+            assert row.check.ok
+        finally:
+            system.close()
+
     def test_settlement_soak_reports_bounded_residency(self, fast_network):
         report = settlement_soak_experiment(
             shard_count=2,

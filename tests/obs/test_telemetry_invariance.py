@@ -135,10 +135,11 @@ class TestTelemetrySection:
         finally:
             system.close()
 
-    def test_phase_breakdown_accounts_for_the_run(self, fast_network):
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_phase_breakdown_accounts_for_the_run(self, fast_network, backend):
         """The phase histograms must explain >=90% of phase.total — the
         coverage bound the benchmarks also enforce."""
-        system, result = _run(fast_network, "serial", "metrics")
+        system, result = _run(fast_network, backend, "metrics", max_workers=2)
         try:
             histograms = result.telemetry["driver"]["histograms"]
             total = histograms["phase.total"]["total"]
