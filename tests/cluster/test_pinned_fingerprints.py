@@ -8,6 +8,9 @@ run must reproduce them again in child interpreters under two different
 ``PYTHONHASHSEED`` values (string hashing is salted per interpreter, so a
 result that leaned on set or dict iteration order of strings would move).
 
+The repository benchmark's four cluster fingerprints (``perf/``) are pinned
+here too, at full size on the serial backend.
+
 A change that moves one of these prefixes changed what the protocol
 computes; that is never a side effect of a refactor.
 """
@@ -103,3 +106,50 @@ def test_the_pin_holds_under_any_hash_seed(hash_seed, fraction):
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout.split() == [PINNED[fraction]]
+
+
+# The repository benchmark's cluster workloads at full size, built here the
+# way its harness builds them (50 000 users, default network, Zipf 1.0, a
+# 2-worker placement) without importing it: (shards, replicas, batch,
+# cross-shard fraction, rate, duration, seed) -> fingerprint prefix.
+BENCHMARK_PINNED = {
+    "ref-mixed-seed7": ((8, 4, 8, 0.25, 24_000.0, 0.1, 7), "e0703702deb7ab88"),
+    "local-bracha-seed7": ((2, 10, 1, 0.0, 1_200.0, 0.4, 7), "5f443b8799cdf2b1"),
+    "settle-all-seed7": ((8, 4, 8, 1.0, 24_000.0, 0.07, 7), "820f8a18da6aba99"),
+    "ref-mixed-seed1009": ((8, 4, 8, 0.25, 24_000.0, 0.1, 1009), "79f5ad6c3c019d9f"),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_PINNED))
+def test_the_benchmark_workloads_reproduce_their_fingerprints(workload):
+    from repro.cluster import ClusterSystem
+    from repro.network.node import NetworkConfig
+    from repro.workloads.cluster_driver import (
+        ClusterWorkloadConfig,
+        cluster_open_loop_workload,
+    )
+
+    (shards, replicas, batch, cross, rate, duration, seed), pinned = BENCHMARK_PINNED[workload]
+    with ClusterSystem(
+        shard_count=shards,
+        replicas_per_shard=replicas,
+        batch_size=batch,
+        network_config=NetworkConfig(),
+        backend="serial",
+        max_workers=2,
+        seed=seed,
+    ) as system:
+        system.schedule_submissions(
+            cluster_open_loop_workload(
+                ClusterWorkloadConfig(
+                    user_count=50_000,
+                    aggregate_rate=rate,
+                    duration=duration,
+                    zipf_skew=1.0,
+                    cross_shard_fraction=cross,
+                    router=system.router,
+                    seed=seed,
+                )
+            )
+        )
+        assert system.run().fingerprint()[:16] == pinned
