@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-props test-backends test-migration test-checkpoints test-barriers test-obs bench-smoke bench-core bench soak trace perf-smoke perf example clean
+.PHONY: test test-props test-backends test-migration test-checkpoints test-obs bench-smoke bench-core bench soak trace perf-smoke perf example clean
 
 ## Narrows the benchmark's execution-backend sweep, e.g.:
 ##   make bench BACKEND=process
@@ -41,14 +41,6 @@ test-migration:
 ## included), the replay-log/retirement bounded-growth regressions.
 test-checkpoints:
 	$(PYTHON) -m pytest tests/cluster/test_checkpoints.py -q
-
-## The sparse-barrier suite alone: the deterministic schedule contracts
-## (recorded skips/run-ahead, dense fallbacks at pauses and migration moves,
-## hash exclusion vs payload comparison, the configuration surface) plus the
-## hypothesis sweep pinning sparse ≡ dense fingerprints across seeds x
-## backends x epoch policies, mid-run migration included.
-test-barriers:
-	$(PYTHON) -m pytest tests/cluster/test_sparse_barriers.py tests/properties/test_sparse_barrier_properties.py -q
 
 ## A fast sanity pass over the cluster benchmark (shrunken grid and load).
 bench-smoke:

@@ -64,9 +64,6 @@ BACKEND_BATCH = 8
 MIGRATION_SHARDS = 4
 MIGRATION_WORKERS = 2
 MIGRATION_DURATION = 0.03 if SMOKE else 0.06
-# The sparse-barrier stall gate: sparse pacing must cut the measured
-# rendezvous stall by at least this fraction on a multi-core host.
-SPARSE_STALL_REDUCTION_REQUIRED = 0.30
 
 
 def _config() -> ClusterExperimentConfig:
@@ -542,133 +539,3 @@ def test_backend_wall_clock(benchmark):
             f"under backend_rows.speedup_gate",
         )
 
-
-def test_sparse_barrier_stall(benchmark):
-    """Dense vs sparse barrier pacing: identical fingerprints, less stall.
-
-    The tracked cross-shard config runs twice on the process pool — once
-    under the classic dense rendezvous, once under sparse dependency-driven
-    pacing — and the ``barrier_stall`` histogram (time between the first and
-    last shard reaching each rendezvous, recorded by every backend) is
-    compared.  Hard assertions: the two runs produce the *identical*
-    canonical fingerprint (sparse pacing may move wall-clock stall, never
-    results), the sparse run actually skipped rendezvous (its barrier log
-    records skips or run-ahead), and on a multi-core host the accumulated
-    stall drops by at least 30%.  ``stall_rows`` and ``sparse_gate`` land in
-    the trajectory JSON; a single-core host journals an honest
-    ``skipped_single_core_host``, never a silent pass.
-    """
-    config = dataclasses.replace(_config(), cross_shard_fraction=0.25)
-
-    def run():
-        runs = {}
-        for mode in ("dense", "sparse"):
-            runs[mode] = backend_comparison_experiment(
-                shard_count=BACKEND_SHARDS,
-                batch_size=BACKEND_BATCH,
-                backends=("process",),
-                config=dataclasses.replace(config, barrier_mode=mode),
-            )[0]
-        return runs
-
-    runs = benchmark.pedantic(run, rounds=1, iterations=1)
-    dense, sparse = runs["dense"], runs["sparse"]
-
-    # Correctness before speed: sparse pacing is fingerprint-identical.
-    assert dense.fingerprint == sparse.fingerprint, (
-        "sparse barrier pacing changed results: "
-        f"dense={dense.fingerprint[:12]} sparse={sparse.fingerprint[:12]}"
-    )
-
-    def _stall(row):
-        histograms = (row.telemetry or {}).get("driver", {}).get("histograms", {})
-        return histograms.get(
-            "barrier_stall", {"count": 0, "total": 0.0, "mean": 0.0, "max": 0.0}
-        )
-
-    def _counter(row, name):
-        return (row.telemetry or {}).get("driver", {}).get("counters", {}).get(name, 0)
-
-    stall_rows = []
-    for mode, row in (("dense", dense), ("sparse", sparse)):
-        stall = _stall(row)
-        coverage = telemetry_phase_coverage(row.telemetry)
-        # The overlapped dispatch/exchange/collect phases carry their own
-        # spans, so the driver phase breakdown keeps explaining the run.
-        assert coverage >= 0.9, (
-            f"phase breakdown explains only {coverage:.1%} of the {mode} run"
-        )
-        stall_rows.append(
-            {
-                "barrier_mode": mode,
-                "wall_clock_s": round(row.wall_clock_s, 3),
-                "barriers": _counter(row, "scheduler.barriers"),
-                "barrier_skips": _counter(row, "barrier.skips"),
-                "early_dispatches": _counter(row, "barrier.early_dispatch"),
-                "sparse_fallbacks": _counter(row, "barrier.sparse_fallback"),
-                "stall_count": stall["count"],
-                "stall_total_ms": round(stall["total"] * 1000, 3),
-                "stall_mean_ms": round(stall["mean"] * 1000, 4),
-                "stall_max_ms": round(stall["max"] * 1000, 4),
-                "phase_coverage": round(coverage, 4),
-                "fingerprint": row.fingerprint,
-            }
-        )
-        benchmark.extra_info[f"{mode}_stall_total_ms"] = stall_rows[-1]["stall_total_ms"]
-
-    by_mode = {row["barrier_mode"]: row for row in stall_rows}
-    # The sparse schedule must actually be sparse on this workload —
-    # otherwise the stall comparison below measures nothing.
-    assert by_mode["sparse"]["barrier_skips"] + by_mode["sparse"]["early_dispatches"] > 0, (
-        "sparse pacing never skipped a rendezvous or dispatched early"
-    )
-    # A single-worker pool completes each rendezvous with one reply, so the
-    # stall histogram is legitimately empty there; with real parallelism the
-    # dense run must have measured something or the gate below is vacuous.
-    if CPU_COUNT >= 2:
-        assert by_mode["dense"]["stall_count"] > 0
-
-    dense_stall = by_mode["dense"]["stall_total_ms"]
-    sparse_stall = by_mode["sparse"]["stall_total_ms"]
-    reduction = 1 - sparse_stall / dense_stall if dense_stall > 0 else 0.0
-    benchmark.extra_info["stall_reduction"] = round(reduction, 3)
-    skip = (
-        "skipped_smoke_grid"
-        if SMOKE
-        else ("skipped_single_core_host" if CPU_COUNT < 2 else None)
-    )
-    gate = speedup_gate(
-        SPARSE_STALL_REDUCTION_REQUIRED,
-        measured=reduction,
-        skip=skip,
-        metric="stall_reduction",
-        cpu_count=CPU_COUNT,
-        dense_stall_total_ms=dense_stall,
-        sparse_stall_total_ms=sparse_stall,
-    )
-    _update_json(
-        "stall_rows",
-        stall_rows,
-        config,
-        extra={
-            "cpu_count": CPU_COUNT,
-            "shard_count": BACKEND_SHARDS,
-            "batch_size": BACKEND_BATCH,
-            "cross_shard_fraction": 0.25,
-            "backend": "process",
-            "fingerprints_identical": dense.fingerprint == sparse.fingerprint,
-            "sparse_gate": gate,
-        },
-    )
-    print()
-    for row in stall_rows:
-        print(row)
-    # Same skip discipline as the wall-clock gate: the smoke grid journals
-    # its named skip without discarding the equivalence assertions above.
-    if gate["status"] != "skipped_smoke_grid":
-        enforce_gate(
-            gate,
-            f"sparse barriers cut stall by only {reduction:.1%} "
-            f"(required {SPARSE_STALL_REDUCTION_REQUIRED:.0%}) on "
-            f"{CPU_COUNT} CPUs: dense {dense_stall}ms vs sparse {sparse_stall}ms",
-        )

@@ -22,24 +22,17 @@ account with no cross-shard coordination.  This example:
    speedup real cores buy while the canonical result fingerprints stay
    bit-identical (shards never coordinate, so nothing forces them onto one
    event loop),
-6. swaps the dense epoch barrier for *sparse dependency-driven* pacing
-   (``barrier_mode="sparse"``): the scheduler derives which shard pairs
-   actually have pending settlement traffic, shards with nothing pending
-   skip the rendezvous and run ahead up to ``max_lag`` barriers, and the
-   driver's settlement exchange overlaps early-dispatched workers —
-   comparing wall clock and accumulated rendezvous stall against the dense
-   run while the fingerprints stay bit-identical (pacing invariance),
-7. *rebalances the cluster live*: a shifting hotspot skews the per-worker
+6. *rebalances the cluster live*: a shifting hotspot skews the per-worker
    load, ``rebalance()`` migrates shards between workers mid-run (snapshot,
    detach, rehydrate — no agreement protocol, because shards never
    coordinate), and the final fingerprint still equals the static run's:
    results are placement-invariant,
-8. repeats a migrated run with *incremental checkpoints* on: periodic
+7. repeats a migrated run with *incremental checkpoints* on: periodic
    delta-encoded baselines taken at protocol-quiescent epoch barriers let
    the same moves ship only what changed since the last checkpoint —
    O(delta) payload bytes and a truncated replay — with the fingerprint
    still equal to the checkpoint-free run's, and
-9. turns the telemetry on full: the same run traced and metered, its phase
+8. turns the telemetry on full: the same run traced and metered, its phase
    breakdown and busiest counters printed, a Chrome ``trace_event`` file
    (``TRACE_quickstart.json``, loadable in chrome://tracing or Perfetto)
    written and validated — while the fingerprint still equals the
@@ -162,54 +155,6 @@ def backend_speedup() -> None:
           f"(parallelism may never change protocol behaviour)")
     print(f"  -> process-pool speedup: {clocks['serial'] / clocks['process']:.2f}x "
           f"(grows with real cores; equivalence holds regardless)")
-
-
-def sparse_barriers() -> None:
-    """Dense vs sparse barrier pacing: same results, less waiting.
-
-    Under the classic dense grid every shard stops at every epoch barrier
-    whether or not it has settlement traffic to exchange; sparse pacing lets
-    the shards that owe nothing keep computing.  The rendezvous *stall* —
-    the spread between the first and last shard reaching each barrier,
-    recorded by the ``barrier_stall`` histogram — is what that removes
-    (single-worker pools complete each rendezvous in one reply, so the
-    dense histogram is legitimately empty there and the comparison comes
-    alive with real cores).
-    """
-    config = ClusterExperimentConfig(
-        user_count=20_000, aggregate_rate=12_000.0, duration=0.04,
-        zipf_skew=1.0, cross_shard_fraction=0.25,
-        network=NetworkConfig(seed=7), seed=7,
-    )
-    print(f"barrier pacing: 4 shards on the process pool, dense vs sparse "
-          f"({os.cpu_count()} CPUs here)")
-    runs = {}
-    for mode in ("dense", "sparse"):
-        system = ClusterSystem(
-            shard_count=4, replicas_per_shard=4, batch_size=8,
-            network_config=NetworkConfig(seed=7), backend="process",
-            barrier_mode=mode, seed=7,
-        )
-        system.schedule_submissions(config.workload(system.router))
-        started = time.perf_counter()
-        result = system.run()
-        wall = time.perf_counter() - started
-        system.close()
-        driver = (result.telemetry or {}).get("driver", {})
-        stall = driver.get("histograms", {}).get("barrier_stall", {})
-        counters = driver.get("counters", {})
-        runs[mode] = (result.fingerprint(), wall, stall)
-        print(f"  barrier_mode={mode:6s} wall clock {wall:6.2f}s, "
-              f"{counters.get('scheduler.barriers', 0)} barriers, "
-              f"{counters.get('barrier.skips', 0)} skipped rendezvous, "
-              f"{counters.get('barrier.early_dispatch', 0)} early dispatches, "
-              f"stall {stall.get('total', 0.0) * 1000:6.1f} ms "
-              f"across {stall.get('count', 0)} samples")
-    same = runs["dense"][0] == runs["sparse"][0]
-    print(f"  -> fingerprints identical: {same} "
-          f"(pacing invariance: sparse barriers change *when* shards wait,")
-    print(f"     never what they compute; the barrier schedule itself rides in")
-    print(f"     the fingerprint payload like the migration stream)")
 
 
 def live_rebalance() -> None:
@@ -361,8 +306,6 @@ def main() -> None:
     cross_shard_round_trip()
     print()
     backend_speedup()
-    print()
-    sparse_barriers()
     print()
     live_rebalance()
     print()

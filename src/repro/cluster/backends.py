@@ -39,9 +39,7 @@ view of Imbs et al., arXiv:1706.05267).
 
 **Worker commands.**  Driver and workers frame every command and reply
 through :mod:`repro.cluster.codec` (one pickle per frame).  Commands are the
-tuples ``("advance", horizon, max_events)``, ``("advance_some",
-[(index, horizon), ...], max_events, collect_after)`` (the sparse-mode
-split-phase advance of a resident subset, each shard to its own horizon),
+tuples ``("advance", horizon, max_events)``,
 ``("mint"|"retire", time, per_shard)``, ``("evict", indices)``,
 ``("adopt", arrivals)``, ``("checkpoint",)``, ``("snapshot",)``,
 ``("profile",)`` and ``("stop",)``;
@@ -77,7 +75,6 @@ import weakref
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.migration import (
@@ -104,7 +101,6 @@ from repro.cluster.checkpoint import (
 from repro.cluster.codec import decode as codec_decode
 from repro.cluster.codec import encode as codec_encode
 from repro.cluster.codec import encoded_size
-from repro.cluster.routing import parse_external_account
 from repro.cluster.shard import (
     AdvanceReport,
     Shard,
@@ -407,48 +403,6 @@ class ExecutionBackend(abc.ABC):
     ) -> Dict[int, AdvanceReport]:
         """Advance every shard to ``horizon`` and collect their reports."""
 
-    def begin_advance(
-        self,
-        targets: Dict[int, float],
-        max_events: Optional[int] = None,
-        collect_after: Optional[float] = None,
-    ) -> None:
-        """Start advancing a *subset* of shards, each to its own horizon.
-
-        The sparse barrier scheduler's split-phase advance: ``begin`` hands
-        the work out (to worker processes or a thread pool it starts running
-        immediately; the serial backend merely queues it), the scheduler
-        overlaps its own barrier work, then :meth:`collect_advance` gathers
-        every outstanding report.  ``begin`` may be called several times
-        before one ``collect`` (the early run-ahead batch, then the sync
-        batch); the batches must target disjoint shards.  ``collect_after``
-        is passed through to :meth:`Shard.advance` so reports carry the
-        executed-event times past the current barrier.
-        """
-        raise ConfigurationError(
-            f"the {self.name} backend does not support split-phase advances "
-            "(sparse barrier mode needs one of serial/thread/process)"
-        )
-
-    def collect_advance(self) -> Dict[int, AdvanceReport]:
-        """Gather the reports of every outstanding :meth:`begin_advance`."""
-        raise ConfigurationError(
-            f"the {self.name} backend does not support split-phase advances "
-            "(sparse barrier mode needs one of serial/thread/process)"
-        )
-
-    def early_exclusions(self, participants) -> frozenset:
-        """Shards that must not be dispatched early while ``participants``
-        may receive barrier commands.
-
-        In-process backends need no exclusions beyond the participants
-        themselves (the scheduler already excludes those).  The process pool
-        widens the set to every shard *co-located* with a participant: a
-        synchronous mint/retire round trip to a worker with an asynchronous
-        advance still in flight would read the wrong reply off the pipe.
-        """
-        return frozenset()
-
     def _observe_stall(self, stamps) -> None:
         """Record one barrier's rendezvous stall (first-to-last arrival)."""
         if self.metrics is None:
@@ -539,13 +493,6 @@ class SerialBackend(ExecutionBackend):
     def __init__(self) -> None:
         self._shards: List[Shard] = []
         self._placement: Optional[PlacementPlan] = None
-        # Split-phase advance batches queued by begin_advance() and executed
-        # by collect_advance(): (targets, max_events, collect_after) tuples.
-        # The serial backend cannot overlap anything with the driver — it
-        # *is* the driver thread — so "begin" just queues.
-        self._pending_batches: List[
-            Tuple[Dict[int, float], Optional[int], Optional[float]]
-        ] = []
         # Latest full checkpoint per shard (the delta stream's fold target)
         # and the cumulative stream accounting.  In-process backends have no
         # pipe to ship deltas over, but they maintain the identical stream so
@@ -628,48 +575,19 @@ class SerialBackend(ExecutionBackend):
         self._observe_stall(stamp for _, stamp in results)
         return {report.shard: report for report, _ in results}
 
-    def begin_advance(
-        self,
-        targets: Dict[int, float],
-        max_events: Optional[int] = None,
-        collect_after: Optional[float] = None,
-    ) -> None:
-        self._pending_batches.append((dict(targets), max_events, collect_after))
-
-    def collect_advance(self) -> Dict[int, AdvanceReport]:
-        batches, self._pending_batches = self._pending_batches, []
-        results = []
-        for targets, max_events, collect_after in batches:
-            for index in sorted(targets):
-                results.append(
-                    self._advance_one(
-                        self._shards[index], targets[index], max_events, collect_after
-                    )
-                )
-        self._observe_stall(stamp for _, stamp in results)
-        return {report.shard: report for report, _ in results}
-
     def _advance_one(
-        self,
-        shard: Shard,
-        horizon: Optional[float],
-        max_events: Optional[int],
-        collect_after: Optional[float] = None,
+        self, shard: Shard, horizon: Optional[float], max_events: Optional[int]
     ) -> Tuple[AdvanceReport, float]:
         """One shard's advance, stamped with its completion time (the raw
         material of the ``barrier_stall`` histogram)."""
         if self.tracer is None:
-            report = shard.advance(horizon, max_events, collect_times_after=collect_after)
+            report = shard.advance(horizon, max_events)
         else:
-            report = self._traced_advance(shard, horizon, max_events, collect_after)
+            report = self._traced_advance(shard, horizon, max_events)
         return report, _time.perf_counter()
 
     def _traced_advance(
-        self,
-        shard: Shard,
-        horizon: Optional[float],
-        max_events: Optional[int],
-        collect_after: Optional[float] = None,
+        self, shard: Shard, horizon: Optional[float], max_events: Optional[int]
     ) -> AdvanceReport:
         """One shard's advance under a ``shard.advance`` span (tid = shard)."""
         with self.tracer.span(
@@ -679,7 +597,7 @@ class SerialBackend(ExecutionBackend):
             sim_start=shard.simulator.now,
             shard=shard.index,
         ) as span:
-            report = shard.advance(horizon, max_events, collect_times_after=collect_after)
+            report = shard.advance(horizon, max_events)
             span.sim_end = report.now
         return report
 
@@ -739,10 +657,6 @@ class ThreadBackend(SerialBackend):
         super().__init__()
         self._max_workers = max_workers
         self._pool: Optional[ThreadPoolExecutor] = None
-        # Futures of split-phase advances in flight (begin_advance submits
-        # them immediately, so they genuinely overlap the driver's barrier
-        # work up to GIL contention).
-        self._pending_futures: List[Any] = []
 
     def open(
         self,
@@ -770,30 +684,6 @@ class ThreadBackend(SerialBackend):
             self._pool.submit(self._advance_one, shard, horizon, max_events)
             for shard in self._shards
         ]
-        results = [future.result() for future in futures]
-        self._observe_stall(stamp for _, stamp in results)
-        return {report.shard: report for report, _ in results}
-
-    def begin_advance(
-        self,
-        targets: Dict[int, float],
-        max_events: Optional[int] = None,
-        collect_after: Optional[float] = None,
-    ) -> None:
-        assert self._pool is not None, "backend session not open"
-        for index in sorted(targets):
-            self._pending_futures.append(
-                self._pool.submit(
-                    self._advance_one,
-                    self._shards[index],
-                    targets[index],
-                    max_events,
-                    collect_after,
-                )
-            )
-
-    def collect_advance(self) -> Dict[int, AdvanceReport]:
-        futures, self._pending_futures = self._pending_futures, []
         results = [future.result() for future in futures]
         self._observe_stall(stamp for _, stamp in results)
         return {report.shard: report for report, _ in results}
@@ -912,18 +802,6 @@ def _worker_main(
                     index: shards[index].advance(horizon, max_events)
                     for index in sorted(shards)
                 }
-            elif kind == "advance_some":
-                # Sparse-mode split-phase advance: only the listed resident
-                # shards run, each to its own horizon, and the reports carry
-                # executed-event times past ``collect_after`` (the barrier
-                # the driver dispatched from).
-                _, entries, max_events, collect_after = command
-                payload = {
-                    index: shards[index].advance(
-                        horizon, max_events, collect_times_after=collect_after
-                    )
-                    for index, horizon in entries
-                }
             elif kind == "mint":
                 _, time, per_shard = command
                 for index, mints in per_shard:
@@ -1014,10 +892,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self._checkpoint_stats: Dict[str, int] = {
             "taken": 0, "skipped": 0, "delta_bytes": 0, "full_bytes": 0
         }
-        # Worker slots with a split-phase ``advance_some`` reply outstanding,
-        # one entry per begin_advance() batch sent to that slot (a slot can
-        # owe two replies when the early and sync batches both touch it).
-        self._pending_slots: List[int] = []
         # Per worker slot, the kinds of the commands sent and not yet
         # answered, oldest first: what a failed receive is attributed to.
         self._outstanding: List[deque] = []
@@ -1145,49 +1019,14 @@ class ProcessPoolBackend(ExecutionBackend):
         self, horizon: Optional[float], max_events: Optional[int] = None
     ) -> Dict[int, AdvanceReport]:
         self._broadcast(("advance", horizon, max_events))
-        payloads = self._collect_arrivals(list(range(len(self._workers))))
+        payloads = self._collect_arrivals()
         reports: Dict[int, AdvanceReport] = {}
         for slot in sorted(payloads):
-            for payload in payloads[slot]:
-                reports.update(payload)
+            reports.update(payloads[slot])
         return reports
 
-    def begin_advance(
-        self,
-        targets: Dict[int, float],
-        max_events: Optional[int] = None,
-        collect_after: Optional[float] = None,
-    ) -> None:
-        per_slot: Dict[int, List[Tuple[int, float]]] = {}
-        for index in sorted(targets):
-            per_slot.setdefault(self._placement.worker_of(index), []).append(
-                (index, targets[index])
-            )
-        for slot, entries in sorted(per_slot.items()):
-            self._request(slot, ("advance_some", entries, max_events, collect_after))
-            self._pending_slots.append(slot)
-
-    def collect_advance(self) -> Dict[int, AdvanceReport]:
-        slots, self._pending_slots = self._pending_slots, []
-        payloads = self._collect_arrivals(slots)
-        reports: Dict[int, AdvanceReport] = {}
-        for slot in sorted(payloads):
-            for payload in payloads[slot]:
-                reports.update(payload)
-        return reports
-
-    def early_exclusions(self, participants) -> frozenset:
-        if self._placement is None or not participants:
-            return frozenset()
-        busy = {self._placement.worker_of(shard) for shard in participants}
-        return frozenset(
-            index
-            for index in self._specs
-            if self._placement.worker_of(index) in busy
-        )
-
-    def _collect_arrivals(self, slots: List[int]) -> Dict[int, List[Any]]:
-        """Collect one reply per listed slot entry, in *arrival* order.
+    def _collect_arrivals(self) -> Dict[int, Any]:
+        """Collect one reply per worker, in *arrival* order.
 
         Workers finish their epochs at different wall times; draining replies
         as they land (``multiprocessing.connection.wait``) instead of in slot
@@ -1197,23 +1036,14 @@ class ProcessPoolBackend(ExecutionBackend):
         Replies are keyed by slot afterwards, so arrival order never affects
         results.
         """
-        owed: Dict[int, int] = {}
-        for slot in slots:
-            owed[slot] = owed.get(slot, 0) + 1
-        by_connection = {self._workers[slot][1]: slot for slot in owed}
-        payloads: Dict[int, List[Any]] = {slot: [] for slot in owed}
+        owed = {connection: slot for slot, (_, connection) in enumerate(self._workers)}
+        payloads: Dict[int, Any] = {}
         stamps: List[float] = []
         while owed:
-            ready = multiprocessing.connection.wait(
-                [self._workers[slot][1] for slot in owed]
-            )
-            for conn in ready:
-                slot = by_connection[conn]
-                payloads[slot].append(self._recv(slot))
+            for connection in multiprocessing.connection.wait(list(owed)):
+                slot = owed.pop(connection)
+                payloads[slot] = self._recv(slot)
                 stamps.append(_time.perf_counter())
-                owed[slot] -= 1
-                if not owed[slot]:
-                    del owed[slot]
         self._observe_stall(stamps)
         return payloads
 
@@ -1507,8 +1337,6 @@ class EpochScheduler:
         metrics=None,
         tracer=None,
         checkpoint_every: Optional[int] = None,
-        barrier_mode: str = "dense",
-        max_lag: int = 4,
     ) -> None:
         if policy is None:
             if epoch is None:
@@ -1516,12 +1344,6 @@ class EpochScheduler:
             policy = FixedEpochPolicy(epoch)
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ConfigurationError("checkpoint_every must be at least 1 barrier")
-        if barrier_mode not in ("dense", "sparse"):
-            raise ConfigurationError(
-                f"unknown barrier mode {barrier_mode!r}; expected 'dense' or 'sparse'"
-            )
-        if max_lag < 1:
-            raise ConfigurationError("max_lag must be at least 1 barrier")
         self.policy = policy
         # Driver-side telemetry sinks (repro.obs).  Strictly write-only from
         # the scheduler's point of view: phase wall-times, exchange counters
@@ -1571,48 +1393,10 @@ class EpochScheduler:
         self._mints: List[Tuple[int, ProcessId, Transfer]] = []
         self._retirements: List[Tuple[int, Transfer]] = []
         self._reports: Optional[Dict[int, AdvanceReport]] = None
-        # -- sparse-barrier state ---------------------------------------------------------------
-        # ``dense`` reproduces the classic global rendezvous; ``sparse`` lets
-        # shards with no pending settlement traffic skip barriers and run
-        # ahead up to ``max_lag`` epochs, fingerprint-identically (see run()).
-        self.barrier_mode = barrier_mode
-        self.max_lag = max_lag
-        # Per-shard frontier: the horizon each shard has been *granted* (and
-        # therefore executed through).  Under dense pacing every frontier
-        # equals ``now`` after each barrier.
-        self._frontiers: Dict[int, float] = {}
-        # Validation events executed but not yet exchanged, per shard, with
-        # their pre-parsed destination shard.  Both modes route events
-        # through this buffer; a barrier consumes exactly the entries with
-        # ``time <= now``, so a run-ahead shard's future validations wait for
-        # the barrier that would have collected them under dense pacing.
-        self._event_buffer: Dict[int, List[Tuple[ValidationEvent, int]]] = {}
-        # Executed-event times past each barrier (sparse collections): the
-        # head is the shard's *virtual* next-event time at the barriers it
-        # skipped, keeping quiescence and barrier-placement decisions
-        # identical to dense mode.
-        self._future_times: Dict[int, deque] = {}
-        # Expected vs observed cross-shard traffic per (source, destination)
-        # pair, from the routed workload.  Routing can only overcount (a
-        # rejected transfer never validates); an *undercount* — observed
-        # exceeding expected — means the model missed a traffic source, and
-        # the scheduler falls back to dense pacing for the rest of the run.
-        self._expected_pairs: Dict[Tuple[int, int], int] = {}
-        self._observed_pairs: Dict[Tuple[int, int], int] = {}
-        self._sparse_model_broken = False
-        # Shards with a split-phase advance in flight while the exchange
-        # runs: applying a barrier command to one would race the advance
-        # (and, on the process pool, interleave the pipe), so _exchange
-        # fails loudly if the participant prediction ever misses.
-        self._early_inflight: set = set()
-        # Mint/retirement target shards of the latest exchange (they have a
-        # fresh event at ``now`` that stale reports do not show).
-        self._last_applied_targets: set = set()
-        # One row per taken barrier in sparse mode: (barrier index, time,
-        # pacing, advanced, skipped, ahead).  Recorded into the result
-        # payload like the migration stream — deterministic and
-        # backend-invariant, excluded from the cross-mode fingerprint.
-        self.barrier_log: List[tuple] = []
+        # Validation events executed but not yet exchanged.  Every shard runs
+        # exactly to each barrier, so at the exchange the whole buffer has
+        # matured (``time <= now``) and is consumed at once.
+        self._event_buffer: List[ValidationEvent] = []
 
     # -- queues fed by the settlement fabric ---------------------------------------------------
 
@@ -1656,254 +1440,49 @@ class EpochScheduler:
             + len(self._retirements)
         )
 
-    # -- sparse-barrier bookkeeping ------------------------------------------------------------
+    # -- the drive loop ------------------------------------------------------------------------
 
-    def set_expected_traffic(self, pairs: Dict[Tuple[int, int], int]) -> None:
-        """Install the routed workload's cross-shard traffic matrix.
-
-        ``pairs[(source, destination)]`` is an upper bound on the validation
-        events source will ever emit toward destination (submission count x
-        replicas; rejected transfers never validate, so routing can only
-        overcount).  The sparse scheduler uses the *unobserved remainder* of
-        each pair as evidence of traffic still to come — a destination shard
-        cannot run ahead past the earliest time that traffic could reach it.
-        """
-        self._expected_pairs = dict(pairs)
-
-    def barrier_signature(self) -> List[tuple]:
-        """Deterministic record of the executed barrier schedule (sparse
-        mode): one ``(barrier, time, pacing, advanced, skipped, ahead)`` row
-        per taken barrier, backend-invariant like the migration stream."""
-        return list(self.barrier_log)
-
-    def _ingest(self, reports: Dict[int, AdvanceReport], granted: Dict[int, float]) -> None:
+    def _ingest(self, reports: Dict[int, AdvanceReport]) -> None:
         """Fold freshly collected reports into the scheduler's view.
 
-        Validation events move into the per-shard exchange buffer (with their
-        destination shard parsed once, and the observed-traffic counters
-        bumped), executed-event times into the virtual-schedule queue, and
-        the report itself replaces the shard's previous one.  Frontiers
-        advance to the granted horizons.  Events and times are consumed here
-        exactly once — the report objects are stripped so a re-entrant
-        exchange can never replay them.
+        Validation events move into the exchange buffer and the report
+        replaces the shard's previous one.  Events are consumed here exactly
+        once — the report objects are stripped so a re-entrant exchange can
+        never replay them.
         """
         if self._reports is None:
             self._reports = {}
-        sparse = self.barrier_mode == "sparse"
         for index in sorted(reports):
             report = reports[index]
             if report.events:
-                buffer = self._event_buffer.setdefault(index, [])
-                for event in report.events:
-                    parsed = parse_external_account(event.transfer.destination)
-                    dest = parsed[0] if parsed is not None else -1
-                    buffer.append((event, dest))
-                    if sparse:
-                        key = (index, dest)
-                        seen = self._observed_pairs.get(key, 0) + 1
-                        self._observed_pairs[key] = seen
-                        if seen > self._expected_pairs.get(key, 0) and not self._sparse_model_broken:
-                            # More traffic than the routed workload predicts:
-                            # the run-ahead bounds are unsound from here on.
-                            # Fall back to dense pacing — always safe — and
-                            # count the event so operators can see it.
-                            self._sparse_model_broken = True
-                            if self.metrics is not None:
-                                self.metrics.inc("barrier.sparse_fallback")
+                self._event_buffer.extend(report.events)
                 report.events = []
-            if report.event_times:
-                self._future_times.setdefault(index, deque()).extend(report.event_times)
-                report.event_times = []
             self._reports[index] = report
-            grant = granted.get(index)
-            if grant is not None and grant > self._frontiers.get(index, 0.0):
-                self._frontiers[index] = grant
 
     def _take_matured_events(self) -> List[ValidationEvent]:
-        """Exchange-ready validation events: everything executed at or
-        before ``now``, in the global ``(time, shard, index)`` order dense
-        mode uses.  Each per-shard buffer is time-sorted by construction
-        (appended in execution order), so maturity is a prefix cut."""
-        matured: List[ValidationEvent] = []
-        for index in sorted(self._event_buffer):
-            buffer = self._event_buffer[index]
-            cut = 0
-            for entry in buffer:
-                if entry[0].time <= self.now:
-                    cut += 1
-                else:
-                    break
-            if cut:
-                matured.extend(entry[0] for entry in buffer[:cut])
-                del buffer[:cut]
-        matured.sort(key=lambda event: (event.time, event.shard, event.index))
-        return matured
+        """The whole exchange buffer, in the global ``(time, shard, index)``
+        order: every shard ran exactly to ``now``, so every event matured."""
+        events, self._event_buffer = self._event_buffer, []
+        events.sort(key=lambda event: (event.time, event.shard, event.index))
+        return events
 
-    def _virtual_next(self, index: int, report: AdvanceReport) -> Optional[float]:
-        """The shard's next event time *as dense mode would see it*: the
-        earliest executed-but-unexchanged run-ahead event, else the next
-        genuinely queued one.  (Run-ahead times are always earlier than the
-        queue head — they were executed first.)"""
-        times = self._future_times.get(index)
-        if times:
-            return times[0]
-        return report.next_event_time
-
-    def _virtual_pending(self, index: int, report: AdvanceReport) -> bool:
-        """Whether the shard still has work after ``now``, dense-equivalently:
-        queued events, run-ahead events past the current barrier, or
-        validation events awaiting a later exchange."""
-        if report.pending_events:
-            return True
-        if self._future_times.get(index):
-            return True
-        return bool(self._event_buffer.get(index))
-
-    def _prune_future(self) -> None:
-        """Drop run-ahead event times at or before the (new) current barrier;
-        they are no longer 'future' to any quiescence or target decision."""
-        for times in self._future_times.values():
-            while times and times[0] <= self.now:
-                times.popleft()
-
-    def _next_move_cap(self) -> float:
-        """No shard may execute past the next scheduled migration move: the
-        move barrier needs every shard quiescent through the move time."""
-        if self.migration is None or self.placement is None:
-            return math.inf
-        when = self.migration.next_move_time()
-        return math.inf if when is None else when
-
-    def _sparse_pacing_safe(self, fabric) -> bool:
-        """Whether run-ahead bounds are sound for this run's configuration.
-
-        Sparse *mode* always produces dense-identical results; this decides
-        whether it may actually skip rendezvous or must pace densely:
-
-        * no fabric — shards never exchange anything, bounds are infinite;
-        * positive voucher/delivery/ack delays — the bound arithmetic needs
-          every settlement hop to take at least one strictly positive delay;
-        * no adversarial behaviors — they redirect/delay traffic arbitrarily;
-        * no checkpoint cadence — checkpoints want a conservative global
-          quiescent view (run-ahead shards would skew the baselines);
-        * migration only with a predictable schedule — load-reactive
-          policies see run-ahead-inflated event counters.
-        """
-        if fabric is None:
-            return True
-        config = fabric.config
-        if min(config.voucher_delay, config.delivery_delay, config.ack_delay) <= 0:
-            return False
-        if fabric.has_adversarial_behaviors():
-            return False
-        if self.checkpoint_every is not None:
-            return False
-        if self.migration is not None and self.migration.next_move_time() is None:
-            return False
-        return True
-
-    def _predicted_participants(self) -> set:
-        """Shards that may receive a mint/retirement command from the
-        exchange about to run: destinations of matured certificates, sources
-        of matured retirement certificates.  Exact under positive settlement
-        delays — anything enqueued *during* the exchange matures strictly
-        later — and _exchange fails loudly if the prediction ever misses."""
-        participants = set()
-        for ready, _, relay, _ in self._certificates:
-            if ready <= self.now:
-                participants.add(relay.destination_shard)
-        for ready, _, relay, _ in self._retirement_certificates:
-            if ready <= self.now:
-                participants.add(relay.source_shard)
-        return participants
-
-    def _colocated(self, participants) -> frozenset:
-        """Every shard placed on a worker that hosts a participant.
-
-        The process pool must not dispatch an early advance to a worker that
-        is about to receive a synchronous mint/retire round trip (the replies
-        would interleave on the pipe), so co-located shards sit the window
-        out.  Computed here, from the scheduler's own placement plan, so the
-        *schedule* — which shards run ahead, which skip — is identical on
-        every backend: serial and thread runs obey the same exclusion the
-        process pool needs, and the recorded barrier log is backend-invariant.
-        """
-        if self.placement is None or not participants:
-            return frozenset()
-        busy = {self.placement.worker_of(shard) for shard in participants}
-        return frozenset(
-            index
-            for index in self._reports
-            if self.placement.worker_of(index) in busy
-        )
-
-    def _safe_bounds(self, fabric) -> Dict[int, float]:
-        """Per-shard lower bounds on the earliest *future* barrier command.
-
-        A shard granted execution up to its bound can never miss a mint or
-        retirement: every pending settlement item — queued vouchers,
-        certificates, acks and retirement certificates, buffered run-ahead
-        validations, the relays' partially aggregated claims/acks, and the
-        still-unobserved remainder of the expected traffic matrix — is
-        walked forward through the minimum delays it must still incur before
-        it can become a command at that shard.  Missing key = unconstrained
-        (``inf``).  All times are simulated; any miscalculation surfaces as
-        a ``SimulationError`` from ``schedule_at`` (a command landing behind
-        a shard's clock), never as silent corruption.
-        """
-        if fabric is None:
-            return {}
-        bounds: Dict[int, float] = {}
-
-        def cap(shard: int, at: float) -> None:
-            current = bounds.get(shard, math.inf)
-            if at < current:
-                bounds[shard] = at
-
-        config = fabric.config
-        vd = config.voucher_delay
-        dd = config.delivery_delay
-        ad = config.ack_delay
-        for ready, _, relay, _ in self._vouchers:
-            # Voucher matures -> certificate (+dd) mints at the destination;
-            # the ack (+ad) and retirement certificate (+dd) then retire at
-            # the source.
-            cap(relay.destination_shard, ready + dd)
-            cap(relay.source_shard, ready + dd + ad + dd)
-        for ready, _, relay, _ in self._certificates:
-            cap(relay.destination_shard, ready)
-            cap(relay.source_shard, ready + ad + dd)
-        for ready, _, relay, _ in self._acks:
-            cap(relay.source_shard, ready + dd)
-        for ready, _, relay, _ in self._retirement_certificates:
-            cap(relay.source_shard, ready)
-        # Buffered run-ahead validations: not yet vouchered, so the full
-        # voucher -> certificate chain still lies ahead of them.
-        for index, buffer in self._event_buffer.items():
-            for event, dest in buffer:
-                if dest < 0:
-                    continue
-                cap(dest, event.time + vd + dd)
-                cap(index, event.time + vd + dd + ad + dd)
-        # Relay-internal aggregation: claims/acks below quorum could complete
-        # at this very barrier and enqueue with ready = now + dd.
-        for (source, dest), (claims, acks) in fabric.pending_by_pair().items():
-            if claims:
-                cap(dest, self.now + dd)
-                cap(source, self.now + dd + ad + dd)
-            if acks:
-                cap(source, self.now + dd)
-        # Traffic the workload will still emit: the source has only executed
-        # through its frontier, so unobserved validations happen after it.
-        for (source, dest), expected in self._expected_pairs.items():
-            if self._observed_pairs.get((source, dest), 0) >= expected:
-                continue
-            emitted = self._frontiers.get(source, self.now)
-            cap(dest, emitted + vd + dd)
-            cap(source, emitted + vd + dd + ad + dd)
-        return bounds
-
-    # -- the drive loop ------------------------------------------------------------------------
+    def _advance(
+        self,
+        backend: ExecutionBackend,
+        horizon: float,
+        budget: Optional[int],
+        max_events: Optional[int],
+    ) -> None:
+        """Advance every shard to ``horizon`` and fold in their reports."""
+        with _phase(
+            self.metrics, self.tracer, "phase.advance", cat="scheduler",
+            sim_start=self.now, barrier=self.barriers,
+        ) as span:
+            reports = backend.advance(horizon, budget)
+            if span is not None:
+                span.sim_end = horizon
+        self._ingest(reports)
+        self._check_budget(max_events)
 
     def run(
         self,
@@ -1915,42 +1494,11 @@ class EpochScheduler:
         """Advance the cluster to quiescence (or ``until``); returns the
         final per-shard reports.
 
-        In ``sparse`` barrier mode — and when run-ahead is provably safe
-        (:meth:`_sparse_pacing_safe`; ``until`` pauses also pace densely,
-        since a paused run must not have executed past the pause barrier) —
-        the loop dispatches traffic-free shards ahead of the rendezvous and
-        overlaps the driver-side exchange with their execution
-        (:meth:`_run_sparse`).  Everything else takes the classic dense loop.
-        Both paths produce identical barrier sequences, event orders and
-        fingerprints; sparse mode additionally records its schedule into
-        :attr:`barrier_log`.
+        Every barrier is a global rendezvous: each shard advances exactly to
+        it, then the exchange runs over everything the shards reported.
         """
         if self._reports is None:
-            with _phase(
-                self.metrics, self.tracer, "phase.advance", cat="scheduler",
-                sim_start=self.now, barrier=self.barriers,
-            ) as span:
-                reports = backend.advance(self.now, max_events)
-                if span is not None:
-                    span.sim_end = self.now
-            self._ingest(reports, {index: self.now for index in reports})
-            self._check_budget(max_events)
-        if (
-            self.barrier_mode == "sparse"
-            and until is None
-            and not self._sparse_model_broken
-            and self._sparse_pacing_safe(fabric)
-        ):
-            return self._run_sparse(backend, fabric, max_events)
-        return self._run_dense(backend, fabric, until, max_events)
-
-    def _run_dense(
-        self,
-        backend: ExecutionBackend,
-        fabric,
-        until: Optional[float],
-        max_events: Optional[int],
-    ) -> Dict[int, AdvanceReport]:
+            self._advance(backend, self.now, max_events, max_events)
         while True:
             # Migrate phase: every shard is quiescent through ``now`` here
             # (its pending events are all strictly later), so a placement
@@ -1978,11 +1526,7 @@ class EpochScheduler:
                 samples = fabric.take_latency_samples()
                 if samples:
                     self.policy.observe_latency(samples)
-            reports = self._reports
-            pending = any(
-                self._virtual_pending(index, report)
-                for index, report in reports.items()
-            )
+            pending = any(report.pending_events for report in self._reports.values())
             queued = (
                 self._vouchers
                 or self._certificates
@@ -2020,239 +1564,17 @@ class EpochScheduler:
                 # continuous run, which executes the same events at the same
                 # simulated times during its next epoch.
                 if applied:
-                    budget = self._remaining_budget(max_events)
-                    with _phase(
-                        self.metrics, self.tracer, "phase.advance", cat="scheduler",
-                        sim_start=self.now, barrier=self.barriers,
-                    ) as span:
-                        refreshed = backend.advance(self.now, budget)
-                        if span is not None:
-                            span.sim_end = self.now
-                    self._ingest(refreshed, {index: self.now for index in refreshed})
-                    self._check_budget(max_events)
-                break
-            self.epoch = width
-            self._volume_since_barrier = 0
-            budget = self._remaining_budget(max_events)
-            with _phase(
-                self.metrics, self.tracer, "phase.advance", cat="scheduler",
-                sim_start=self.now, barrier=self.barriers,
-            ) as span:
-                fresh = backend.advance(horizon, budget)
-                if span is not None:
-                    span.sim_end = horizon
-            self._ingest(fresh, {index: horizon for index in fresh})
-            self._check_budget(max_events)
-            self.now = horizon
-            self.barriers += 1
-            self._prune_future()
-            if self.barrier_mode == "sparse":
-                # Dense-paced barrier of a sparse-mode run (pause, unsafe
-                # configuration, or broken traffic model): everyone advanced,
-                # nobody skipped — recorded so the schedule stays auditable.
-                self.barrier_log.append(
-                    (self.barriers, round(self.now, 12), "dense", len(fresh), 0, 0)
-                )
-            if self.metrics is not None:
-                self.metrics.inc("scheduler.barriers")
-        return self._reports
-
-    def _run_sparse(
-        self,
-        backend: ExecutionBackend,
-        fabric,
-        max_events: Optional[int],
-    ) -> Dict[int, AdvanceReport]:
-        """The sparse, dependency-driven drive loop.
-
-        Per iteration: (1) shards with no settlement dependencies are
-        dispatched *before* the exchange — they execute the coming epoch
-        while the driver drains the current barrier's settlement work (the
-        pipelined window); (2) the exchange runs against the matured slice of
-        the validation buffer; (3) the next barrier is placed from virtual
-        views that reproduce the dense schedule exactly; (4) only shards
-        with work at or before that barrier are advanced to it — the rest
-        skip the rendezvous entirely; (5) early shards whose run-ahead grant
-        fell short of the barrier are topped up.  Safety rests on
-        :meth:`_safe_bounds`: no shard ever executes past the earliest
-        barrier command that could reach it, so every mint/retirement still
-        applies to a shard that has not run beyond it — exactly as under
-        dense pacing.
-        """
-        while True:
-            with _phase(
-                self.metrics, self.tracer, "phase.checkpoint", cat="scheduler",
-                sim_start=self.now, barrier=self.barriers,
-            ):
-                self._maybe_checkpoint(backend)
-            with _phase(
-                self.metrics, self.tracer, "phase.migrate", cat="scheduler",
-                sim_start=self.now, barrier=self.barriers,
-            ):
-                self._maybe_migrate(backend)
-            move_cap = self._next_move_cap()
-            early: Dict[int, float] = {}
-            if not self._sparse_model_broken:
-                participants = self._predicted_participants()
-                # The scheduler's co-location set keeps the schedule
-                # backend-invariant; the backend's own set is the correctness
-                # floor (it may differ only when the backend was opened with
-                # a different placement plan than the scheduler holds).
-                exclusions = self._colocated(participants) | backend.early_exclusions(
-                    participants
-                )
-                bounds = self._safe_bounds(fabric)
-                lag_pre = self.now + (1 + self.max_lag) * self.epoch
-                for index in sorted(self._reports):
-                    if index in participants or index in exclusions:
-                        continue
-                    frontier = self._frontiers.get(index, self.now)
-                    if frontier < self.now:
-                        continue
-                    grant = min(bounds.get(index, math.inf), lag_pre, move_cap)
-                    if grant <= frontier:
-                        continue
-                    nxt = self._reports[index].next_event_time
-                    if nxt is None or nxt > grant:
-                        continue
-                    early[index] = grant
-            budget = self._remaining_budget(max_events)
-            if early:
-                with _phase(
-                    self.metrics, self.tracer, "phase.dispatch", cat="scheduler",
-                    sim_start=self.now, barrier=self.barriers,
-                ):
-                    backend.begin_advance(early, budget, collect_after=self.now)
-                self._early_inflight = set(early)
-                if self.metrics is not None:
-                    self.metrics.inc("barrier.early_dispatch", len(early))
-            with _phase(
-                self.metrics, self.tracer, "phase.exchange", cat="scheduler",
-                sim_start=self.now, barrier=self.barriers,
-            ):
-                applied = self._exchange(backend, fabric)
-            if self.metrics is not None:
-                self.metrics.observe("barrier.queue_depth", self.in_flight)
-            if fabric is not None:
-                samples = fabric.take_latency_samples()
-                if samples:
-                    self.policy.observe_latency(samples)
-            pending = any(
-                self._virtual_pending(index, report)
-                for index, report in self._reports.items()
-            )
-            queued = (
-                self._vouchers
-                or self._certificates
-                or self._acks
-                or self._retirement_certificates
-            )
-            if not (early or pending or applied or queued):
-                break
-            width = self.policy.next_epoch(
-                self.barriers, self.epoch, self._volume_since_barrier
-            )
-            if width <= 0:
-                raise ConfigurationError(
-                    f"epoch policy {self.policy.describe()} returned a "
-                    f"non-positive width {width}"
-                )
-            target = self._next_target(applied)
-            horizon = self._next_barrier(target, width)
-            self.epoch = width
-            self._volume_since_barrier = 0
-            # A barrier that will execute (or immediately precede) a
-            # migration move, or one after the traffic model broke, is a full
-            # rendezvous: every shard with work synchronises exactly to the
-            # horizon, none run ahead.
-            dense_barrier = self._sparse_model_broken or move_cap <= horizon
-            bounds = {} if dense_barrier else self._safe_bounds(fabric)
-            lag_cap = horizon + self.max_lag * width
-            sync: Dict[int, float] = {}
-            skipped = 0
-            ahead = 0
-            for index in sorted(self._reports):
-                if index in early:
-                    ahead += 1
-                    continue
-                frontier = self._frontiers.get(index, self.now)
-                if frontier >= horizon:
-                    ahead += 1
-                    continue
-                nxt = self._reports[index].next_event_time
-                has_work = (
-                    (nxt is not None and nxt <= horizon)
-                    or index in self._last_applied_targets
-                )
-                if not has_work:
-                    skipped += 1
-                    continue
-                if dense_barrier:
-                    grant = horizon
-                else:
-                    grant = max(
-                        horizon,
-                        min(bounds.get(index, math.inf), lag_cap, move_cap),
+                    self._advance(
+                        backend, self.now, self._remaining_budget(max_events), max_events
                     )
-                sync[index] = grant
-            if sync:
-                with _phase(
-                    self.metrics, self.tracer, "phase.advance", cat="scheduler",
-                    sim_start=self.now, barrier=self.barriers,
-                ) as span:
-                    backend.begin_advance(sync, budget, collect_after=self.now)
-                    if span is not None:
-                        span.sim_end = horizon
-            if early or sync:
-                with _phase(
-                    self.metrics, self.tracer, "phase.collect", cat="scheduler",
-                    sim_start=self.now, barrier=self.barriers,
-                ):
-                    collected = backend.collect_advance()
-                granted = dict(early)
-                granted.update(sync)
-                self._ingest(collected, granted)
-                self._check_budget(max_events)
-            self._early_inflight = set()
-            # Top-up: an early shard's run-ahead grant may fall short of the
-            # horizon chosen afterwards; if fresh reports show it still has
-            # work at or before the barrier, bring it the rest of the way
-            # (always safe — commands only ever apply at barriers >= horizon).
-            topup: Dict[int, float] = {}
-            for index in sorted(early):
-                if self._frontiers.get(index, 0.0) >= horizon:
-                    continue
-                nxt = self._reports[index].next_event_time
-                if nxt is not None and nxt <= horizon:
-                    topup[index] = horizon
-            if topup:
-                with _phase(
-                    self.metrics, self.tracer, "phase.advance", cat="scheduler",
-                    sim_start=self.now, barrier=self.barriers,
-                ) as span:
-                    backend.begin_advance(topup, budget, collect_after=self.now)
-                    collected = backend.collect_advance()
-                    if span is not None:
-                        span.sim_end = horizon
-                self._ingest(collected, topup)
-                self._check_budget(max_events)
+                break
+            self.epoch = width
+            self._volume_since_barrier = 0
+            self._advance(backend, horizon, self._remaining_budget(max_events), max_events)
             self.now = horizon
             self.barriers += 1
-            self._prune_future()
-            self.barrier_log.append(
-                (
-                    self.barriers,
-                    round(self.now, 12),
-                    "dense" if dense_barrier else "sparse",
-                    len(sync) + len(topup),
-                    skipped,
-                    ahead,
-                )
-            )
             if self.metrics is not None:
                 self.metrics.inc("scheduler.barriers")
-                if skipped:
-                    self.metrics.inc("barrier.skips", skipped)
         return self._reports
 
     def _maybe_checkpoint(self, backend: ExecutionBackend) -> None:
@@ -2307,14 +1629,10 @@ class EpochScheduler:
 
     def _exchange(self, backend: ExecutionBackend, fabric) -> int:
         """Run one barrier's settlement exchange; returns commands applied."""
-        # The matured slice of the validation buffer: everything executed at
-        # or before ``now``.  Under dense pacing that is the whole buffer
-        # (shards never run past the barrier); under sparse pacing a
-        # run-ahead shard's later validations wait for their dense-schedule
-        # barrier.  Consumption is exactly-once by construction — _ingest
-        # moved the events out of the reports, and maturity cuts them out of
-        # the buffer — so a re-entrant run() (pause/resume, a run after a
-        # run) can never voucher the same credit twice.
+        # Consumption is exactly-once by construction — _ingest moved the
+        # events out of the reports, and this empties the buffer — so a
+        # re-entrant run() (pause/resume, a run after a run) can never
+        # voucher the same credit twice.
         events = self._take_matured_events()
         for event in events:
             self._settlement_load[event.shard] = (
@@ -2347,7 +1665,6 @@ class EpochScheduler:
                 lambda relay, certificate: relay.deliver_retirement(certificate),
             )
         applied = 0
-        self._last_applied_targets = set()
         if self._mints:
             grouped: Dict[int, List[Tuple[ProcessId, Transfer]]] = {}
             for shard, replica, transfer in self._mints:
@@ -2357,8 +1674,6 @@ class EpochScheduler:
             if self.metrics is not None:
                 self.metrics.inc("exchange.mints", len(self._mints))
             self._mints = []
-            self._guard_early_inflight(grouped, "mint")
-            self._last_applied_targets.update(grouped)
             backend.apply_mints(self.now, grouped)
         if self._retirements:
             retire_grouped: Dict[int, List[Transfer]] = {}
@@ -2369,26 +1684,8 @@ class EpochScheduler:
             if self.metrics is not None:
                 self.metrics.inc("exchange.retirements", len(self._retirements))
             self._retirements = []
-            self._guard_early_inflight(retire_grouped, "retirement")
-            self._last_applied_targets.update(retire_grouped)
             backend.apply_retirements(self.now, retire_grouped)
         return applied
-
-    def _guard_early_inflight(self, targets, kind: str) -> None:
-        """Refuse to apply a barrier command to a shard still executing an
-        early run-ahead advance: the participant prediction guaranteed this
-        cannot happen, so hitting it is a scheduler bug that must fail loudly
-        (and uniformly — the process pool would corrupt its pipe framing, the
-        in-process backends would silently reorder events)."""
-        if not self._early_inflight:
-            return
-        conflicted = sorted(set(targets) & self._early_inflight)
-        if conflicted:
-            raise SimulationError(
-                f"sparse barrier scheduler predicted no {kind} commands for "
-                f"shards {conflicted}, but the exchange produced some while "
-                "their run-ahead advance was still in flight"
-            )
 
     def _drain_matured(self, queue_name: str, deliver) -> bool:
         """Deliver every queue entry matured by ``self.now``, in maturity
@@ -2411,17 +1708,12 @@ class EpochScheduler:
         return True
 
     def _next_target(self, applied: int) -> float:
-        """The earliest instant at which anything can happen next.
-
-        Uses the *virtual* per-shard next-event times, so a sparse run-ahead
-        shard's already-executed-but-unexchanged events still pull the next
-        barrier exactly where dense pacing would put it (under dense pacing
-        the virtual view is the report itself)."""
-        candidates: List[float] = []
-        for index, report in (self._reports or {}).items():
-            nxt = self._virtual_next(index, report)
-            if nxt is not None:
-                candidates.append(nxt)
+        """The earliest instant at which anything can happen next."""
+        candidates: List[float] = [
+            report.next_event_time
+            for report in (self._reports or {}).values()
+            if report.next_event_time is not None
+        ]
         candidates.extend(entry[0] for entry in self._vouchers)
         candidates.extend(entry[0] for entry in self._certificates)
         candidates.extend(entry[0] for entry in self._acks)

@@ -43,7 +43,6 @@ what lets the equivalence harness compare whole fingerprint *payloads*
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -241,20 +240,6 @@ class MigrationPolicy(abc.ABC):
     ) -> List[Move]:
         """The moves to execute at this barrier (empty = stay put)."""
 
-    def next_move_time(self) -> Optional[float]:
-        """Earliest simulated time at which this policy could fire a move.
-
-        ``None`` means "unpredictable": the policy reacts to observed load
-        (e.g. :class:`ThresholdMigrationPolicy`) and could move at any
-        barrier.  The sparse barrier scheduler refuses run-ahead under an
-        unpredictable policy — migration requires every shard quiescent at
-        the move barrier, so it paces densely instead.  Schedule-driven
-        policies override this with the head of their pending schedule
-        (``math.inf`` once drained), which lets sparse mode run ahead freely
-        between moves while still forcing a full rendezvous at each one.
-        """
-        return None
-
     def describe(self) -> str:
         return type(self).__name__
 
@@ -293,9 +278,6 @@ class MigrationPlan(MigrationPolicy):
     @property
     def pending_moves(self) -> int:
         return len(self._pending)
-
-    def next_move_time(self) -> Optional[float]:
-        return self._pending[0][0] if self._pending else math.inf
 
     def describe(self) -> str:
         return f"manual({self.pending_moves} pending)"

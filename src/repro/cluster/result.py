@@ -49,16 +49,6 @@ class ClusterResult:
     # including none, must hash identically when the protocol did the same
     # work.
     migration_stream: Optional[List[tuple]] = None
-    # The executed barrier schedule under sparse pacing, one ``(barrier,
-    # time, mode, participants, skipped, ahead)`` entry per taken barrier
-    # (``mode`` is "sparse", or "dense" where migration or a broken traffic
-    # model forced a full rendezvous).  Recorded only when the run used
-    # ``barrier_mode="sparse"`` — dense runs leave it empty so their payload
-    # is byte-identical to pre-sparse builds.  A placement section like the
-    # migration stream: payload-level comparisons pin the schedule as
-    # backend-invariant, while the fingerprint hash excludes it — sparse and
-    # dense pacing must hash identically when the protocol did the same work.
-    barrier_stream: Optional[List[tuple]] = None
     audit: Optional[Dict[str, object]] = None
     per_shard_events: Optional[List[int]] = None
     # Settlement-lifecycle counters: outbound records retired behind the
@@ -166,7 +156,6 @@ class ClusterResult:
             "settlement": [list(entry) for entry in self.settlement_stream or []],
             "retirements": [list(entry) for entry in self.retirement_stream or []],
             "migrations": [list(entry) for entry in self.migration_stream or []],
-            "barriers": [list(entry) for entry in self.barrier_stream or []],
             "audit": self.audit,
             "duration": self.duration,
             "events_processed": self.events_processed,
@@ -184,7 +173,7 @@ class ClusterResult:
     # payload level (migration decisions must be backend-invariant), but the
     # fingerprint hash excludes them: its contract is that placement — and
     # any migration schedule whatsoever — never changes results.
-    PLACEMENT_SECTIONS = ("migrations", "barriers")
+    PLACEMENT_SECTIONS = ("migrations",)
 
     # Payload sections that describe *how the run felt* rather than what it
     # computed: wall-clock phase timings, counter volumes, span aggregates.
@@ -217,11 +206,9 @@ class ClusterResult:
         byte-for-byte identical — the contract the execution backends must
         uphold: parallelism may never change what the protocol did.  The
         payload's placement sections (:attr:`PLACEMENT_SECTIONS` — the
-        migration and barrier streams) are excluded from the hash: results
-        are placement- and pacing-invariant, so a migrated run and the
-        static run — or a sparse-paced run and the dense run — hash
-        identically while the payload still records how the shards moved
-        and how the barriers were paced.
+        migration stream) are excluded from the hash: results are
+        placement-invariant, so a migrated run and the static run hash
+        identically while the payload still records how the shards moved.
         The volatile sections (:attr:`VOLATILE_SECTIONS` — the telemetry
         capture) are excluded too: observability is measurement, never
         content, so fingerprints are identical with telemetry off, on or

@@ -1200,27 +1200,6 @@ class SettlementFabric:
         """Ack watermarks stuck below quorum across all relays."""
         return sum(relay.pending_acks for relay in self.relays)
 
-    def pending_by_pair(self) -> Dict[Tuple[int, int], Tuple[int, int]]:
-        """Per ``(source, destination)`` relay pair: ``(pending_claims,
-        pending_acks)`` — the partially-aggregated settlement still inside the
-        relay, invisible to the scheduler's maturity queues.  The sparse
-        barrier scheduler folds these into its per-shard safe bounds: a relay
-        with claims below quorum may assemble a certificate at the very next
-        barrier, so its destination cannot run ahead past that delivery."""
-        return {
-            key: (self._relays[key].pending_claims, self._relays[key].pending_acks)
-            for key in sorted(self._relays)
-        }
-
-    def has_adversarial_behaviors(self) -> bool:
-        """Whether any voucher/ack Byzantine behavior is installed.
-
-        Behaviors can redirect or extra-delay settlement traffic, which
-        invalidates the sparse scheduler's delay-derived run-ahead bounds —
-        adversarial runs always pace densely (every shard at every barrier),
-        which is unconditionally safe."""
-        return bool(self._behaviors or self._ack_behaviors)
-
     def retired_amount(self) -> Amount:
         """Money whose outbound records the gates have retired."""
         return sum(gate.retired_amount for gate in self.gates.values())

@@ -111,11 +111,6 @@ class AdvanceReport:
     next_event_time: Optional[float] = None
     processed_events: int = 0
     now: float = 0.0
-    # Timestamps of the events this advance executed past the requesting
-    # barrier (sparse mode only; empty under dense pacing).  The sparse
-    # scheduler replays these as the shard's *virtual* next-event times at
-    # the barriers the shard skipped.
-    event_times: List[float] = field(default_factory=list)
 
 
 @dataclass
@@ -366,10 +361,7 @@ class Shard:
         return collect
 
     def advance(
-        self,
-        horizon: Optional[float],
-        max_events: Optional[int] = None,
-        collect_times_after: Optional[float] = None,
+        self, horizon: Optional[float], max_events: Optional[int] = None
     ) -> AdvanceReport:
         """Run this shard's own simulator up to ``horizon`` and report back.
 
@@ -377,25 +369,12 @@ class Shard:
         no barriers are needed).  The report carries the epoch's validation
         events and the scheduling facts (pending events, next event time)
         the barrier scheduler folds into the global quiescence and
-        next-barrier decisions.  ``collect_times_after`` (sparse mode) makes
-        the report also carry the timestamps of every executed event past
-        that threshold, so a scheduler that let this shard run ahead can
-        reconstruct the next-event times the shard would have reported at
-        the barriers it skipped.
+        next-barrier decisions.
         """
-        times: Optional[List[float]] = [] if collect_times_after is not None else None
-        threshold = collect_times_after if collect_times_after is not None else 0.0
         if horizon is None:
-            self.simulator.run(
-                max_events=max_events, collect_times=times, collect_after=threshold
-            )
+            self.simulator.run(max_events=max_events)
         else:
-            self.simulator.run_until(
-                horizon,
-                max_events=max_events,
-                collect_times=times,
-                collect_after=threshold,
-            )
+            self.simulator.run_until(horizon, max_events=max_events)
         events = self._validation_events
         self._validation_events = []
         return AdvanceReport(
@@ -405,7 +384,6 @@ class Shard:
             next_event_time=self.simulator.next_event_time,
             processed_events=self.simulator.processed_events,
             now=self.simulator.now,
-            event_times=times if times is not None else [],
         )
 
     def apply_mints(self, time: float, mints: List[Tuple[ProcessId, Transfer]]) -> None:

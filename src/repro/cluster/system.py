@@ -25,6 +25,7 @@ settled cross-shard money is conserved end to end, not just per shard.
 
 from __future__ import annotations
 
+import copy
 import cProfile
 import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -103,7 +104,9 @@ class ClusterSystem:
         constant grid; :class:`~repro.cluster.backends.AdaptiveEpochPolicy`
         widens/narrows the grid from observed per-barrier settlement volume.
         Policies run in the driver from backend-invariant observations, so
-        fingerprint equality across backends holds for any policy.
+        fingerprint equality across backends holds for any policy.  The
+        system runs on its own copy of the policy (and of a ``migration``
+        policy), so one object can configure any number of systems.
     max_workers:
         Thread/process pool size for the concurrent backends (defaults to
         ``min(shard_count, cpu_count)``; at least 1).  Worker count never
@@ -131,25 +134,6 @@ class ClusterSystem:
         so long migratable runs hold bounded memory.  Checkpointing only
         observes state — every cadence fingerprints identically to the
         no-checkpoint run on every backend (the invariance suite pins it).
-    barrier_mode:
-        Barrier pacing of the epoch scheduler.  ``"dense"`` (the default)
-        is the classic global rendezvous: every shard advances to every
-        barrier.  ``"sparse"`` computes, from the deterministic per-pair
-        settlement traffic every backend agrees on, which shards actually
-        have vouchers/certificates/acks to exchange
-        at each barrier — shards with no pending traffic skip the
-        rendezvous and run ahead up to ``max_lag`` barriers, and the
-        driver's exchange work overlaps the run-ahead execution.  Sparse
-        pacing is **fingerprint-identical** to dense (the sparse
-        equivalence suite pins this across backends, epoch policies and
-        mid-run migration); when preconditions fail (zero settlement
-        delays, adversarial relay behaviors, checkpointing, threshold
-        migration, or a paused ``run(until=...)``) the scheduler quietly
-        falls back to dense pacing for correctness.
-    max_lag:
-        Bound, in barriers, on how far a sparse-mode shard may run ahead
-        of the slowest shard (sparse mode only; default 4).  Purely a
-        pacing knob — never affects results.
     compact_history:
         When true, each replica removes a transfer record from its local
         ``hist`` once the record's credit has been *consumed* — folded into
@@ -196,8 +180,6 @@ class ClusterSystem:
         max_workers: Optional[int] = None,
         migration=None,
         checkpoint_every: Optional[int] = None,
-        barrier_mode: str = "dense",
-        max_lag: int = 4,
         compact_history: bool = False,
         telemetry="metrics",
         profile: bool = False,
@@ -213,22 +195,20 @@ class ClusterSystem:
             raise ConfigurationError(
                 f"max_workers must be at least 1 (or None for the default), got {max_workers}"
             )
-        self._migration_enabled, self._migration_policy = normalize_migration(migration)
+        # Policies are stateful (a latency window, a draining MigrationPlan,
+        # threshold cooldowns): each system runs on its own copy, so the
+        # caller's object can configure any number of runs identically.
+        epoch_policy = copy.deepcopy(epoch_policy)
+        self._migration_enabled, self._migration_policy = normalize_migration(
+            copy.deepcopy(migration)
+        )
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ConfigurationError("checkpoint_every must be at least 1 barrier")
-        if barrier_mode not in ("dense", "sparse"):
-            raise ConfigurationError(
-                f"unknown barrier_mode {barrier_mode!r}; expected 'dense' or 'sparse'"
-            )
-        if max_lag < 1:
-            raise ConfigurationError("max_lag must be at least 1 barrier")
         self.shard_count = shard_count
         self.replicas_per_shard = replicas_per_shard
         self.batch_size = batch_size
         self.seed = seed
         self.checkpoint_every = checkpoint_every
-        self.barrier_mode = barrier_mode
-        self.max_lag = max_lag
         self.compact_history = bool(compact_history)
         self.backend_name = backend
         # Observability: a driver-side registry (mode != off) for phase
@@ -276,8 +256,6 @@ class ClusterSystem:
             metrics=self.metrics,
             tracer=self.tracer,
             checkpoint_every=checkpoint_every,
-            barrier_mode=barrier_mode,
-            max_lag=max_lag,
         )
         self._backend = make_backend(backend, max_workers)
         self._backend.attach_telemetry(self.metrics, self.tracer, profile=self.profile)
@@ -357,7 +335,6 @@ class ClusterSystem:
                         record_history=self._migration_enabled,
                     )
                 self._session_open = True
-                self.scheduler.set_expected_traffic(self._expected_traffic())
             reports = self.scheduler.run(
                 self._backend, self.settlement, until=until, max_events=max_events
             )
@@ -378,30 +355,6 @@ class ClusterSystem:
         # recorded before the telemetry section snapshots them.
         self._capture_telemetry()
         return self._result
-
-    def _expected_traffic(self) -> Dict[Tuple[int, int], int]:
-        """Upper bound on per-pair settlement traffic, from the workload.
-
-        For every routed cross-shard submission ``source -> dest`` the relay
-        pair ``(source, dest)`` can see at most ``replicas_per_shard``
-        vouchers (one per replica validation); rejected transfers never
-        validate, so the count is overcount-safe.  The sparse scheduler uses
-        the matrix to know when a relay pair can still receive new claims —
-        an *observed* count exceeding the expectation trips a loud fallback
-        to dense pacing rather than a silent divergence.
-        """
-        expected: Dict[Tuple[int, int], int] = {}
-        for shard_index, routed in self._partitioned.items():
-            for submission in routed:
-                parsed = parse_external_account(submission.destination)
-                if parsed is None:
-                    continue
-                dest = parsed[0]
-                if dest == shard_index or not 0 <= dest < self.shard_count:
-                    continue
-                key = (shard_index, dest)
-                expected[key] = expected.get(key, 0) + self.replicas_per_shard
-        return expected
 
     def rebalance(
         self, moves: Optional[Sequence[Union[Move, Tuple[int, int]]]] = None
@@ -484,7 +437,6 @@ class ClusterSystem:
         self._result.settlement_stream = self.settlement_signature()
         self._result.retirement_stream = self.retirement_signature()
         self._result.migration_stream = self.migration_signature()
-        self._result.barrier_stream = self.scheduler.barrier_signature()
         self._result.retired_records = self.retired_records()
         self._result.resident_settlement_records = self.resident_settlement_records()
         audit = self.supply_audit()

@@ -8,7 +8,6 @@ from an interactive session alike.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import time
 from dataclasses import dataclass, field
@@ -507,13 +506,6 @@ class ClusterExperimentConfig:
     # fingerprint-neutral by the checkpoint-invariance harness.
     checkpoint_every: Optional[int] = None
     compact_history: bool = False
-    # Barrier pacing of the epoch scheduler: "dense" (the classic global
-    # rendezvous) or "sparse" (dependency-driven skipping with bounded
-    # ``max_lag`` run-ahead and a pipelined exchange).  Fingerprint-neutral
-    # by the sparse-equivalence harness — pacing moves wall-clock stall,
-    # never results.
-    barrier_mode: str = "dense"
-    max_lag: int = 4
     # Observability knobs, passed straight through to ClusterSystem:
     # telemetry mode ("off"/"metrics"/"full") and the cProfile sampler.
     # Fingerprint-neutral by the telemetry invariant — rows only gain a
@@ -621,12 +613,8 @@ def run_cluster(
         epoch=config.epoch,
         epoch_policy=config.epoch_policy,
         max_workers=config.max_workers,
-        # Stateful policies are copied per run (see migration_rebalancing_
-        # experiment): a drained MigrationPlan must not leak between runs.
-        migration=copy.deepcopy(config.migration),
+        migration=config.migration,
         checkpoint_every=config.checkpoint_every,
-        barrier_mode=config.barrier_mode,
-        max_lag=config.max_lag,
         compact_history=config.compact_history,
         telemetry=config.telemetry,
         profile=config.profile,
@@ -921,12 +909,8 @@ def settlement_soak_experiment(
         epoch=config.epoch,
         epoch_policy=config.epoch_policy,
         max_workers=config.max_workers,
-        # Stateful policies are copied per run (see migration_rebalancing_
-        # experiment): a drained MigrationPlan must not leak between runs.
-        migration=copy.deepcopy(config.migration),
+        migration=config.migration,
         checkpoint_every=config.checkpoint_every,
-        barrier_mode=config.barrier_mode,
-        max_lag=config.max_lag,
         compact_history=config.compact_history,
         telemetry=config.telemetry,
         profile=config.profile,
@@ -1167,13 +1151,8 @@ def migration_rebalancing_experiment(
             epoch=config.epoch,
             epoch_policy=config.epoch_policy,
             max_workers=max_workers,
-            # Policies are stateful (a MigrationPlan drains its schedule, a
-            # threshold policy keeps windows/cooldowns): give each run its
-            # own copy so the caller's objects survive re-invocation.
-            migration=copy.deepcopy(migration),
+            migration=migration,
             checkpoint_every=config.checkpoint_every,
-            barrier_mode=config.barrier_mode,
-            max_lag=config.max_lag,
             compact_history=config.compact_history,
             seed=config.seed,
         )

@@ -129,8 +129,6 @@ class Simulator:
         until: Optional[float] = None,
         max_events: Optional[int] = None,
         stop_when: Optional[Callable[[], bool]] = None,
-        collect_times: Optional[List[float]] = None,
-        collect_after: float = 0.0,
     ) -> float:
         """Run events until the queue drains or a limit is hit.
 
@@ -149,14 +147,6 @@ class Simulator:
             Optional predicate checked after every event; the run stops as
             soon as it returns ``True`` (used to stop when a workload has
             fully committed).
-        collect_times:
-            When given, the timestamp of every executed event strictly after
-            ``collect_after`` is appended to this list (in execution order,
-            hence non-decreasing).  The sparse epoch scheduler uses this to
-            keep an exact view of a run-ahead shard's event schedule — it
-            must know, at a barrier the shard skipped, what the shard *would*
-            have reported as its next event time.  ``None`` (the default)
-            costs nothing.
 
         Returns the virtual time at which the run stopped.
         """
@@ -176,8 +166,6 @@ class Simulator:
                 self._live -= 1
                 event._simulator = None
                 self._now = time
-                if collect_times is not None and time > collect_after:
-                    collect_times.append(time)
                 event.action()
                 self.processed_events += 1
                 executed += 1
@@ -208,13 +196,7 @@ class Simulator:
     # when each simulator will next do something.  ``run`` already supports a
     # horizon; these two entry points make the epoch pattern first-class.
 
-    def run_until(
-        self,
-        time: float,
-        max_events: Optional[int] = None,
-        collect_times: Optional[List[float]] = None,
-        collect_after: float = 0.0,
-    ) -> float:
+    def run_until(self, time: float, max_events: Optional[int] = None) -> float:
         """Run every event scheduled at or before ``time``; idempotent.
 
         :meth:`run` with a mandatory horizon.  A horizon in the past (or at
@@ -224,12 +206,7 @@ class Simulator:
         to ``time`` when undelivered events remain beyond the horizon, and
         stays at the last executed event when the queue drains.
         """
-        return self.run(
-            until=time,
-            max_events=max_events,
-            collect_times=collect_times,
-            collect_after=collect_after,
-        )
+        return self.run(until=time, max_events=max_events)
 
     @property
     def next_event_time(self) -> Optional[float]:

@@ -250,6 +250,13 @@ class TestBackendConfiguration:
             ClusterSystem(shard_count=2, backend=retired)
         assert str(BACKEND_NAMES) in str(caught.value)
 
+    @pytest.mark.parametrize("knob", ["barrier_mode", "max_lag"])
+    def test_there_is_no_barrier_pacing_knob(self, knob):
+        """One drive loop: every shard meets every barrier, and nothing
+        configures it otherwise."""
+        with pytest.raises(TypeError, match=knob):
+            ClusterSystem(shard_count=2, **{knob: None})
+
     def test_every_shard_owns_its_clock(self, fast_network):
         system = ClusterSystem(shard_count=3, network_config=fast_network)
         clocks = {id(shard.simulator) for shard in system.shards}
@@ -286,6 +293,46 @@ class TestEpochSchedulerEdges:
         reference_system.close()
         assert resumed.committed_stream == reference.committed_stream
         assert resumed.balances == reference.balances
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_every_shard_runs_exactly_to_each_barrier(self, fast_network, backend):
+        """Each advance brings every shard to the barrier and no further:
+        every validation it reports happened at or before the barrier, so
+        the exchange consumes the whole buffer at once."""
+        system = ClusterSystem(
+            shard_count=3, replicas_per_shard=4, initial_balance=500,
+            network_config=fast_network, backend=backend, max_workers=2, seed=3,
+        )
+        system.schedule_submissions(
+            cluster_open_loop_workload(
+                ClusterWorkloadConfig(
+                    user_count=60, aggregate_rate=1_500.0, duration=0.02,
+                    cross_shard_fraction=0.5, router=system.router, seed=3,
+                )
+            )
+        )
+        advance = system._backend.advance
+        horizons = []
+
+        def checked_advance(horizon, max_events=None):
+            reports = advance(horizon, max_events)
+            assert sorted(reports) == [0, 1, 2]
+            for report in reports.values():
+                assert report.now <= horizon
+                assert report.now == horizon or not report.pending_events
+                assert all(event.time <= horizon for event in report.events)
+            horizons.append(horizon)
+            return reports
+
+        system._backend.advance = checked_advance
+        try:
+            result = system.run()
+            assert result.settlement_stream
+            assert len(horizons) == system.scheduler.barriers + 1
+            assert horizons == sorted(horizons)
+            assert system.scheduler._event_buffer == []
+        finally:
+            system.close()
 
     def test_event_budget_is_enforced_across_epochs(self, fast_network):
         from repro.common.errors import SimulationError

@@ -6,6 +6,8 @@ the audited outcome), determinism (same seed, same adaptive barrier
 sequence) and pause/resume equality under an adaptive grid.
 """
 
+import copy
+
 import pytest
 
 from repro.cluster import AdaptiveEpochPolicy, ClusterSystem, FixedEpochPolicy
@@ -216,6 +218,38 @@ class TestSchedulerPolicyIntegration:
         finally:
             default.close()
             explicit.close()
+
+    @pytest.mark.parametrize("knob", ["latency_target", "migration_plan", "threshold"])
+    def test_each_system_runs_on_its_own_copy_of_a_stateful_policy(self, fast_network, knob):
+        """Policies keep state — a latency window, a draining schedule, load
+        windows and cooldowns — so a system copies the one it is given: a run
+        leaves the caller's object untouched, and the next system built from
+        it runs identically."""
+        from repro.cluster import (
+            LatencyTargetEpochPolicy,
+            MigrationPlan,
+            ThresholdMigrationPolicy,
+        )
+
+        if knob == "latency_target":
+            given = LatencyTargetEpochPolicy(initial_epoch=0.005)
+            kwargs = dict(policy=given)
+        elif knob == "migration_plan":
+            given = MigrationPlan([(0.005, 0, 1)])
+            kwargs = dict(migration=given, max_workers=2)
+        else:
+            given = ThresholdMigrationPolicy(imbalance_threshold=1.05, every=2, cooldown=1)
+            kwargs = dict(migration=given, max_workers=2)
+        state = copy.deepcopy(vars(given))
+        payloads = []
+        for _ in range(2):
+            system = _build(fast_network, **kwargs)
+            try:
+                payloads.append(system.run().comparable_payload())
+                assert vars(given) == state
+            finally:
+                system.close()
+        assert payloads[0] == payloads[1]
 
 
 class TestLatencyTargetEpochPolicy:

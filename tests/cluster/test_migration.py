@@ -3,7 +3,8 @@
 The migration layer's headline guarantee extends the backends' one: not only
 may parallelism never change protocol behaviour — *placement* may not
 either.  For every configuration in the grid below (seed × cross-shard
-fraction × hotspot, each under a shifting-hotspot workload), the run is
+fraction × hotspot, each under a shifting-hotspot workload and one of the
+fixed / adaptive / latency-target epoch policies), the run is
 executed under three migration schedules — none, a manual
 :class:`MigrationPlan`, a :class:`ThresholdMigrationPolicy` — on all three
 execution backends, and every one of the nine runs must produce the *same*
@@ -23,7 +24,12 @@ import pickle
 
 import pytest
 
-from repro.cluster import ClusterSystem, ShardSpec
+from repro.cluster import (
+    AdaptiveEpochPolicy,
+    ClusterSystem,
+    LatencyTargetEpochPolicy,
+    ShardSpec,
+)
 from repro.cluster.backends import BACKEND_NAMES, _replay_shard, _worker_main
 from repro.cluster.migration import (
     MigrationPlan,
@@ -49,16 +55,24 @@ from repro.workloads.cluster_driver import (
 SHARDS = 3
 WORKERS = 2
 GRID = [
-    # (seed, cross_shard_fraction, hotspot?)
-    (3, 0.5, False),
-    (3, 0.5, True),
-    (3, 1.0, True),
-    (11, 0.5, True),
-    (11, 1.0, False),
-    (11, 1.0, True),
-    (17, 0.7, True),
-    (23, 0.7, True),
+    # (seed, cross_shard_fraction, hotspot?, epoch policy)
+    (3, 0.5, False, "fixed"),
+    (3, 0.5, True, "adaptive"),
+    (3, 1.0, True, "latency"),
+    (11, 0.5, True, "fixed"),
+    (11, 1.0, False, "adaptive"),
+    (11, 1.0, True, "latency"),
+    (17, 0.7, True, "adaptive"),
+    (23, 0.7, True, "latency"),
 ]
+
+# Every epoch policy meets a mid-run MigrationPlan somewhere on the grid.
+# Policies are stateful; each system runs on its own copy of the instance.
+EPOCH_POLICIES = {
+    "fixed": None,
+    "adaptive": AdaptiveEpochPolicy(initial_epoch=0.005),
+    "latency": LatencyTargetEpochPolicy(initial_epoch=0.005),
+}
 
 SCHEDULES = ("static", "manual", "threshold")
 
@@ -77,7 +91,7 @@ def _migration_for(schedule):
     )
 
 
-def _run(fast_network, backend, seed, fraction, hotspot, schedule):
+def _run(fast_network, backend, seed, fraction, hotspot, schedule, policy="fixed"):
     system = ClusterSystem(
         shard_count=SHARDS,
         replicas_per_shard=4,
@@ -86,6 +100,7 @@ def _run(fast_network, backend, seed, fraction, hotspot, schedule):
         network_config=fast_network,
         backend=backend,
         max_workers=WORKERS,
+        epoch_policy=EPOCH_POLICIES[policy],
         migration=_migration_for(schedule),
         seed=seed,
     )
@@ -111,9 +126,9 @@ def _run(fast_network, backend, seed, fraction, hotspot, schedule):
 class TestPlacementInvariance:
     """Any migration schedule, any backend — one fingerprint."""
 
-    @pytest.mark.parametrize("seed,fraction,hotspot", GRID)
+    @pytest.mark.parametrize("seed,fraction,hotspot,policy", GRID)
     def test_fingerprints_identical_across_schedules_and_backends(
-        self, fast_network, seed, fraction, hotspot
+        self, fast_network, seed, fraction, hotspot, policy
     ):
         fingerprints = {}
         payloads = {}
@@ -121,7 +136,7 @@ class TestPlacementInvariance:
         for schedule in SCHEDULES:
             for backend in BACKEND_NAMES:
                 system, result = _run(
-                    fast_network, backend, seed, fraction, hotspot, schedule
+                    fast_network, backend, seed, fraction, hotspot, schedule, policy
                 )
                 try:
                     fingerprints[(schedule, backend)] = result.fingerprint()
@@ -154,11 +169,11 @@ class TestPlacementInvariance:
         hotspot grid — placement invariance proven over actual migrations,
         not over a policy that never fired."""
         moved = 0
-        for seed, fraction, hotspot in GRID:
+        for seed, fraction, hotspot, policy in GRID:
             if not hotspot:
                 continue
             system, result = _run(
-                fast_network, "serial", seed, fraction, hotspot, "threshold"
+                fast_network, "serial", seed, fraction, hotspot, "threshold", policy
             )
             try:
                 moved += len(result.migration_stream)

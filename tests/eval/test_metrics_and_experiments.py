@@ -136,6 +136,26 @@ class TestExperimentHarness:
         assert "speedup" in table and "fingerprint" in table
         assert rows[0].fingerprint[:12] in table
 
+    def test_a_stateful_epoch_policy_does_not_leak_between_runs(self):
+        from repro.cluster import LatencyTargetEpochPolicy
+
+        policy = LatencyTargetEpochPolicy(target_p95=0.004)
+        config = ClusterExperimentConfig(
+            user_count=2_000,
+            aggregate_rate=4_000.0,
+            duration=0.03,
+            cross_shard_fraction=0.5,
+            epoch_policy=policy,
+            seed=7,
+        )
+        rows = backend_comparison_experiment(
+            shard_count=4, batch_size=4, backends=("serial", "serial", "thread"), config=config
+        )
+        # The same serial run twice: each system starts from the policy as given.
+        assert rows[0].fingerprint == rows[1].fingerprint == rows[2].fingerprint
+        assert rows[0].fingerprint.startswith("6171aaa3055b0b8d")
+        assert policy.observed_p95() == 0.0
+
 
 class TestSettlementLifecycleExperiments:
     def _config(self, fast_network, duration=0.04):

@@ -92,6 +92,9 @@ class TestFingerprintInvariance:
         try:
             assert result.migration_stream, "the migration must actually execute"
             assert result.fingerprint() == baseline
+            # The two workers' rendezvous spread is measured at every barrier.
+            stall = result.telemetry["driver"]["histograms"]["barrier_stall"]
+            assert stall["count"] >= 1
             stats = system.profile_stats()
             assert stats is not None and stats.stats
         finally:

@@ -7,7 +7,7 @@ else it does, so this file keeps the obvious formulation as the reference — a
 plain list of live events, the next one taken with ``min`` by ``(time,
 sequence)`` — behind the same public methods, runs one random program against
 both, and requires after **every** step the same executed order, ``now``,
-``processed_events``, ``pending_events``, collected times, handle state
+``processed_events``, ``pending_events``, handle state
 (``time``, ``sequence``, ``cancelled``), ``live_event_labels()`` as a multiset
 and, on the steps that probe it, ``next_event_time`` (probing discards
 cancelled heads, so doing it on every step would hide how ``run`` skips them).
@@ -76,8 +76,7 @@ class ReferenceSimulator:
         self.live.append(event)
         return event
 
-    def run(self, until=None, max_events=None, stop_when=None, collect_times=None,
-            collect_after=0.0) -> float:
+    def run(self, until=None, max_events=None, stop_when=None) -> float:
         executed = 0
         while self.live:
             event = min(self.live, key=lambda e: (e.time, e.sequence))
@@ -86,8 +85,6 @@ class ReferenceSimulator:
                 break
             self.live.remove(event)
             self.now = event.time
-            if collect_times is not None and event.time > collect_after:
-                collect_times.append(event.time)
             event.action()
             self.processed_events += 1
             executed += 1
@@ -99,10 +96,8 @@ class ReferenceSimulator:
                 break
         return self.now
 
-    def run_until(self, time: float, max_events=None, collect_times=None,
-                  collect_after=0.0) -> float:
-        return self.run(until=time, max_events=max_events, collect_times=collect_times,
-                        collect_after=collect_after)
+    def run_until(self, time: float, max_events=None) -> float:
+        return self.run(until=time, max_events=max_events)
 
     @property
     def next_event_time(self) -> Optional[float]:
@@ -135,7 +130,6 @@ class _Driver:
         self.engine = engine
         self.executed: List[int] = []  # event idents, in the order they fired
         self.handles: list = []  # every handle ever returned, in creation order
-        self.collected: List[float] = []
         self.raised: List[int] = []  # indices of the steps that raised SimulationError
 
     def add(self, absolute: bool, when: float, behaviour: Tuple[str, float]) -> None:
@@ -165,17 +159,15 @@ class _Driver:
                 if self.handles:
                     self.handles[step[1] % len(self.handles)].cancel()
             elif kind == "run":
-                _, horizon, budget, stop_after, collect = step
+                _, horizon, budget, stop_after = step
                 target = len(self.executed) + (stop_after or 0)
                 engine.run(
                     until=None if horizon is None else engine.now + horizon,
                     max_events=budget,
                     stop_when=(lambda: len(self.executed) >= target) if stop_after else None,
-                    collect_times=self.collected if collect else None,
-                    collect_after=engine.now,
                 )
             elif kind == "run_until":
-                engine.run_until(engine.now + step[1], collect_times=self.collected)
+                engine.run_until(engine.now + step[1])
             elif kind == "restore_counters":
                 _, advance, jump, processed = step
                 # A checkpoint's clock never lies beyond a re-scheduled arrival.
@@ -192,7 +184,6 @@ class _Driver:
             engine.now,
             engine.processed_events,
             engine.pending_events,
-            list(self.collected),
             [(handle.time, handle.sequence, handle.cancelled) for handle in self.handles],
             sorted(engine.live_event_labels()),
             list(self.raised),
@@ -230,7 +221,6 @@ STEPS = st.one_of(
         HORIZONS,
         st.one_of(st.none(), st.integers(1, 6)),
         st.one_of(st.none(), st.integers(1, 4)),
-        st.booleans(),
     ),
     st.tuples(st.just("run_until"), st.sampled_from([-0.002, 0.0, 0.001, 0.0035, 0.02])),
     st.tuples(
@@ -260,20 +250,20 @@ def test_a_fixed_program_reaches_every_mechanism():
         (("schedule", -0.001, NOOP), False),  # raises in both
         # Unprobed, so it is ``run`` that has to skip the cancelled head.
         (("cancel", 0), False),
-        (("run", 0.001, None, None, True), False),
+        (("run", 0.001, None, None), False),
         # Probed: a cancelled head is not the next event time.
         (("cancel", 3), True),
         # Cancel after execution is a no-op; so is a horizon in the past.
         (("cancel", 1), True),
-        (("run", -0.002, None, None, False), True),
+        (("run", -0.002, None, None), True),
         (("run_until", -0.002), True),
         (("schedule_at", -0.001, NOOP), False),  # raises in both
-        (("run", None, 1, None, True), False),  # budget spent with a live event left: raises
-        (("run", None, None, 1, False), True),
+        (("run", None, 1, None), False),  # budget spent with a live event left: raises
+        (("run", None, None, 1), True),
         (("restore_counters", 0.003, 3, 2), True),
         (("restore_counters", 0.0, -1, 0), False),  # rewinding raises
         (("schedule", 0.0, ("spawn_now", 0)), True),
-        (("run", None, None, None, True), True),
+        (("run", None, None, None), True),
     ]
     engine = assert_engine_matches_reference(program)
     simulator = engine.engine
@@ -282,5 +272,4 @@ def test_a_fixed_program_reaches_every_mechanism():
     assert engine.executed == [1, 2, 5, 6, 4, 7, 8]
     assert simulator.pending_events == 0 and simulator.next_event_time is None
     assert any(handle.cancelled for handle in engine.handles)
-    assert len(set(engine.collected)) < len(engine.collected)  # shared timestamps were collected
     assert engine.handles[-1].sequence > len(engine.handles)  # the restored sequence counter stuck
