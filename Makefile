@@ -24,8 +24,10 @@ test:
 test-props:
 	$(PYTHON) -m pytest tests/properties -q
 
-## The cross-backend equivalence harness, the pinned fingerprints (serial,
-## thread and process, two PYTHONHASHSEEDs) and the backend determinism sweep.
+## The cross-backend equivalence harness, the pinned fingerprints (toy runs on
+## serial, thread and process and under two PYTHONHASHSEEDs; the benchmark's
+## four cluster and two Figure 4 workloads at full size) and the backend
+## determinism sweep.
 test-backends:
 	$(PYTHON) -m pytest tests/cluster/test_backend_equivalence.py tests/cluster/test_pinned_fingerprints.py tests/properties/test_backend_determinism.py -q
 

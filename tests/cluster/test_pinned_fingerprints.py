@@ -9,13 +9,17 @@ run must reproduce them again in child interpreters under two different
 result that leaned on set or dict iteration order of strings would move).
 
 The repository benchmark's four cluster fingerprints (``perf/``) are pinned
-here too, at full size on the serial backend.
+here too, at full size on the serial backend, and so are its two Figure 4
+fingerprints (one replica group, no cluster layer), which cover the secure
+broadcast's message path on its own.
 
 A change that moves one of these prefixes changed what the protocol
 computes; that is never a side effect of a refactor.
 """
 
+import hashlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -153,3 +157,64 @@ def test_the_benchmark_workloads_reproduce_their_fingerprints(workload):
             )
         )
         assert system.run().fingerprint()[:16] == pinned
+
+
+# The repository benchmark's Figure 4 workloads at full size, built the way
+# its harness builds them: (processes, transfers per process, faulty) ->
+# prefix of the SHA-256 over the committed stream and the run's cost.  The
+# highest ids are faulty (one double-spender, the rest silent), and the
+# double-spender attacks at 0.5 ms.
+FIG4_PINNED = {
+    "fig4-vs-pbft-seed7": ((16, 12, 0, 7), "1795efd029c8cf8c"),
+    "fig4-byzantine-seed7": ((25, 8, 8, 7), "31494bab28ef5e83"),
+}
+
+
+def _fig4_stream_fingerprint(count, transfers, faults, seed):
+    from repro.byzantine.faults import FaultKind, FaultModel
+    from repro.mp.consensusless_transfer import account_of
+    from repro.mp.system import ConsensuslessSystem
+    from repro.network.node import NetworkConfig
+    from repro.workloads.generators import WorkloadConfig, closed_loop_workload
+
+    attacker = count - 1
+    kinds = {attacker - i: FaultKind.SILENT for i in range(1, faults)}
+    if faults:
+        kinds[attacker] = FaultKind.DOUBLE_SPEND
+    fault_model = FaultModel(total_processes=count, faults=kinds)
+    submissions = [
+        s
+        for s in closed_loop_workload(
+            count, WorkloadConfig(transfers_per_process=transfers, seed=seed)
+        )
+        if fault_model.is_correct(s.issuer)
+        and not (faults and s.destination == account_of(attacker))
+    ]
+    system = ConsensuslessSystem(
+        process_count=count,
+        network_config=NetworkConfig(),
+        fault_model=fault_model,
+        seed=seed,
+    )
+    system.schedule_submissions(submissions)
+    if faults:
+        system.trigger_attacks(at_time=0.0005)
+    result = system.run()
+    stream = [
+        [
+            record.transfer.issuer,
+            record.transfer.sequence,
+            record.transfer.destination,
+            record.transfer.amount,
+            round(record.completed_at, 12),
+        ]
+        for record in result.committed
+    ]
+    payload = [stream, result.messages_sent, result.events_processed, result.duration]
+    return hashlib.sha256(json.dumps(payload, separators=(",", ":")).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("workload", sorted(FIG4_PINNED))
+def test_the_figure4_workloads_reproduce_their_fingerprints(workload):
+    inputs, pinned = FIG4_PINNED[workload]
+    assert _fig4_stream_fingerprint(*inputs)[:16] == pinned
