@@ -9,7 +9,7 @@ import pytest
 from repro.broadcast.account_order_broadcast import AccountOrderBroadcast
 from repro.broadcast.bracha import BrachaBroadcast
 from repro.broadcast.echo_broadcast import EchoBroadcast
-from repro.broadcast.messages import AccountTaggedPayload, SendMessage
+from repro.broadcast.messages import AccountTaggedPayload, EchoMessage, ReadyMessage, SendMessage
 from repro.broadcast.secure_broadcast import SourceOrderBuffer
 from repro.common.errors import ConfigurationError
 from repro.crypto.signatures import SignatureScheme
@@ -141,6 +141,74 @@ class TestBracha:
         )
         harness.flush()
         assert all(not delivered for delivered in harness.delivered.values())
+
+    # The witness tables, fed by hand at process 0 of N = 4 (f = 1: three
+    # matching ECHOs send READY, two READYs amplify, three deliver).  Every
+    # payload below is a fresh object, so only equality can join two votes.
+
+    def test_an_equal_but_distinct_payload_joins_the_same_witness_set(self):
+        layer, sent, delivered = lone_bracha()
+        assert payload("x") is not payload("x")
+        for sender in (1, 2, 3):
+            layer.on_message(sender, echo(payload("x")))
+        assert [m.payload for m in sent if isinstance(m, ReadyMessage)] == [payload("x")]
+        for sender in (1, 2, 3):
+            layer.on_message(sender, ready(payload("x")))
+        assert [(d.origin, d.sequence, d.payload) for d in delivered] == [(1, 1, payload("x"))]
+
+    def test_a_conflicting_payload_is_tallied_apart_and_never_reaches_a_quorum(self):
+        layer, sent, delivered = lone_bracha()
+        for sender, value in ((1, "a"), (2, "b"), (3, "a"), (0, "b")):
+            layer.on_message(sender, echo(payload(value)))
+        assert not [m for m in sent if isinstance(m, ReadyMessage)]
+        for sender, value in ((1, "a"), (2, "b"), (3, "b"), (0, "a")):
+            layer.on_message(sender, ready(payload(value)))
+        # Two READYs for "b" amplify; "a" and "b" hold two witnesses each.
+        assert [m.payload for m in sent if isinstance(m, ReadyMessage)] == [payload("b")]
+        assert delivered == []
+
+    def test_a_layer_restored_mid_instance_delivers_as_the_uninterrupted_one(self):
+        steady, steady_sent, steady_delivered = lone_bracha()
+        for sender in (1, 2):
+            steady.on_message(sender, echo(payload("x")))
+        restored, restored_sent, restored_delivered = lone_bracha()
+        restored.restore_state(steady.capture_state())
+        del steady_sent[:]
+        rest = [(3, echo(payload("x")))] + [(s, ready(payload("x"))) for s in (1, 2, 3)]
+        for layer in (steady, restored):
+            for sender, message in rest:
+                layer.on_message(sender, message)
+        assert restored_sent == steady_sent
+        assert [m.payload for m in restored_sent if isinstance(m, ReadyMessage)] == [payload("x")]
+        assert restored_delivered == steady_delivered
+        assert [d.payload for d in restored_delivered] == [payload("x")]
+        assert restored.capture_state() == steady.capture_state()
+
+
+def payload(value):
+    """A fresh tuple equal to every other ``payload(value)``."""
+    return tuple(["pay", value])
+
+
+def echo(body):
+    return EchoMessage(channel="rb", origin=1, sequence=1, payload=body)
+
+
+def ready(body):
+    return ReadyMessage(channel="rb", origin=1, sequence=1, payload=body)
+
+
+def lone_bracha():
+    """Process 0 of four, alone: returns the layer, what it sends, what it delivers."""
+    sent, delivered = [], []
+    layer = BrachaBroadcast(
+        channel="rb",
+        own_id=0,
+        all_nodes=(0, 1, 2, 3),
+        send=lambda to, message: sent.append(message) if to == 0 else None,
+        deliver=delivered.append,
+    )
+    return layer, sent, delivered
 
 
 class TestEchoBroadcast:

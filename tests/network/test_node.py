@@ -249,6 +249,62 @@ class TestTheMessagePathIsPinned:
         }
 
 
+def lossy_bracha_group():
+    """Four Figure 4 processes over Bracha, one in five messages dropped."""
+    from repro.mp.system import ClientSubmission, ConsensuslessSystem
+
+    system = ConsensuslessSystem(
+        process_count=4,
+        network_config=NetworkConfig(seed=11, drop_probability=0.2),
+        seed=11,
+    )
+    system.schedule_submissions(
+        ClientSubmission(time=0.0001 * i, issuer=i % 4, destination=str((i + 1) % 4), amount=5)
+        for i in range(8)
+    )
+    result = system.run()
+    network = system.network
+    state = network.capture_state()
+    return {
+        "node_stats": [
+            (n.stats.sent, n.stats.received, n.stats.processed, n.stats.dropped, n.stats.busy_time)
+            for n in network.nodes
+        ],
+        "layer_stats": [
+            (s.broadcasts_started, s.messages_sent, s.delivered, s.payload_items)
+            for s in (n.broadcast_layer.stats for n in network.nodes)
+        ],
+        "counters": (network.messages_sent, network.messages_delivered, network.messages_dropped),
+        "rng": hashlib.sha256(repr(state["rng"]).encode()).hexdigest()[:16],
+        "events": system.simulator.processed_events,
+        "committed": result.committed_count,
+    }
+
+
+class TestTheLayerFanOutIsPinned:
+    """The broadcast layers' all-to-all sends, pinned like ``Node.broadcast``.
+
+    The values are what per-recipient sends produced; under loss the RNG
+    digest pins one drop draw, then one latency draw if kept, per recipient
+    in membership order.
+    """
+
+    def test_lossy_bracha_group(self):
+        assert lossy_bracha_group() == {
+            "committed": 1,
+            "counters": (108, 87, 21),
+            "events": 182,
+            "layer_stats": [(1, 32, 2, 2), (1, 24, 2, 2), (2, 32, 2, 2), (1, 20, 1, 1)],
+            "node_stats": [
+                (32, 23, 23, 4, 0.0006150000000000003),
+                (24, 22, 22, 5, 0.0004100000000000002),
+                (32, 23, 23, 4, 0.0004150000000000003),
+                (20, 19, 19, 8, 0.0002950000000000002),
+            ],
+            "rng": "4e77f5a5c6412d58",
+        }
+
+
 class TestMembershipViews:
     def test_views_reflect_a_node_added_after_their_first_use(self):
         _, network, nodes = build(count=2)
