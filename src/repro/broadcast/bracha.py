@@ -18,6 +18,13 @@ the *secure broadcast* of Section 5.2.  Message complexity is
 ``O(N²)`` per broadcast — 1 SEND + N ECHOs + N READYs from each process —
 which is exactly the cost profile the paper's throughput numbers are based
 on.
+
+The ``_handlers`` table calls each handler directly; the handler looks its
+instance up itself.  Witnesses are tallied per payload digest, so an
+equivocating origin's payloads are counted apart.  Payloads are immutable and
+an instance's ECHOs and READYs almost always carry the origin's very object,
+so each instance keeps the last payload object it hashed with its digest and
+hashes only a *different* object.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from repro.crypto.hashing import content_hash
 
 # A broadcast instance is identified by its origin and per-origin sequence.
 InstanceKey = Tuple[ProcessId, int]
+_NOTHING = object()
 
 
 @dataclass(slots=True)
@@ -46,6 +54,10 @@ class _InstanceState:
     delivered: bool = False
     echoes: Dict[str, Set[ProcessId]] = field(default_factory=dict)
     readies: Dict[str, Set[ProcessId]] = field(default_factory=dict)
+    # The payload object last hashed here (already in ``payload_by_hash``)
+    # and its digest; not checkpointed.
+    hashed_payload: Any = _NOTHING
+    hashed_digest: str = ""
 
 
 class BrachaBroadcast(BroadcastLayer):
@@ -64,10 +76,11 @@ class BrachaBroadcast(BroadcastLayer):
         own_id,
         all_nodes,
         send,
+        send_to_all,
         deliver,
         fault_tolerance: Optional[int] = None,
     ) -> None:
-        super().__init__(channel, own_id, all_nodes, send, deliver)
+        super().__init__(channel, own_id, all_nodes, send, send_to_all, deliver)
         n = self.node_count
         self.f = max_tolerated_faults(n) if fault_tolerance is None else fault_tolerance
         if n <= 3 * self.f and self.f > 0:
@@ -80,6 +93,11 @@ class BrachaBroadcast(BroadcastLayer):
         self.ready_amplify = self.f + 1
         self.ready_deliver = 2 * self.f + 1
         self._instances: Dict[InstanceKey, _InstanceState] = {}
+        self._handlers = {
+            SendMessage: self._on_send,
+            EchoMessage: self._on_echo,
+            ReadyMessage: self._on_ready,
+        }
 
     # -- sending -----------------------------------------------------------------------
 
@@ -94,21 +112,8 @@ class BrachaBroadcast(BroadcastLayer):
 
     # -- receiving ---------------------------------------------------------------------
 
-    def on_message(self, sender: ProcessId, message: Any) -> None:
-        if isinstance(message, SendMessage):
-            self._on_send(sender, message)
-        elif isinstance(message, EchoMessage):
-            self._on_echo(sender, message)
-        elif isinstance(message, ReadyMessage):
-            self._on_ready(sender, message)
-        # Unknown messages on this channel are ignored (defensive; Byzantine
-        # senders may inject garbage).
-
-    def _state(self, key: InstanceKey) -> _InstanceState:
-        state = self._instances.get(key)
-        if state is None:
-            state = self._instances[key] = _InstanceState()
-        return state
+    # Unknown message types have no handler and are ignored (Byzantine
+    # senders may inject garbage).
 
     def _on_send(self, sender: ProcessId, message: SendMessage) -> None:
         # Integrity: only the origin itself may introduce its SEND.  A relayed
@@ -117,25 +122,36 @@ class BrachaBroadcast(BroadcastLayer):
         if sender != message.origin:
             return
         key = (message.origin, message.sequence)
-        state = self._state(key)
-        if state.echoed:
+        state = self._instances.get(key)
+        if state is None:
+            state = self._instances[key] = _InstanceState()
+        elif state.echoed:
             return
         state.echoed = True
-        digest = content_hash(message.payload)
-        state.payload_by_hash[digest] = message.payload
+        payload = message.payload
+        digest = state.hashed_digest = content_hash(payload)
+        state.hashed_payload = payload
+        state.payload_by_hash[digest] = payload
         echo = EchoMessage(
             channel=self.channel,
             origin=message.origin,
             sequence=message.sequence,
-            payload=message.payload,
+            payload=payload,
         )
         self._transmit_to_all(echo)
 
     def _on_echo(self, sender: ProcessId, message: EchoMessage) -> None:
         key = (message.origin, message.sequence)
-        state = self._state(key)
-        digest = content_hash(message.payload)
-        state.payload_by_hash.setdefault(digest, message.payload)
+        state = self._instances.get(key)
+        if state is None:
+            state = self._instances[key] = _InstanceState()
+        payload = message.payload
+        if payload is state.hashed_payload:
+            digest = state.hashed_digest
+        else:
+            digest = state.hashed_digest = content_hash(payload)
+            state.hashed_payload = payload
+            state.payload_by_hash.setdefault(digest, payload)
         witnesses = state.echoes.setdefault(digest, set())
         witnesses.add(sender)
         if len(witnesses) >= self.echo_quorum and not state.readied:
@@ -143,9 +159,16 @@ class BrachaBroadcast(BroadcastLayer):
 
     def _on_ready(self, sender: ProcessId, message: ReadyMessage) -> None:
         key = (message.origin, message.sequence)
-        state = self._state(key)
-        digest = content_hash(message.payload)
-        state.payload_by_hash.setdefault(digest, message.payload)
+        state = self._instances.get(key)
+        if state is None:
+            state = self._instances[key] = _InstanceState()
+        payload = message.payload
+        if payload is state.hashed_payload:
+            digest = state.hashed_digest
+        else:
+            digest = state.hashed_digest = content_hash(payload)
+            state.hashed_payload = payload
+            state.payload_by_hash.setdefault(digest, payload)
         witnesses = state.readies.setdefault(digest, set())
         witnesses.add(sender)
         if len(witnesses) >= self.ready_amplify and not state.readied:
@@ -193,15 +216,3 @@ class BrachaBroadcast(BroadcastLayer):
                 echoes={digest: set(witnesses) for digest, witnesses in echoes.items()},
                 readies={digest: set(witnesses) for digest, witnesses in readies.items()},
             )
-
-    # -- introspection --------------------------------------------------------------------
-
-    def instance_count(self) -> int:
-        """Number of broadcast instances this process has state for."""
-        return len(self._instances)
-
-    def messages_per_delivered_broadcast(self) -> float:
-        """Average messages this node sent per broadcast it delivered."""
-        if self.stats.delivered == 0:
-            return 0.0
-        return self.stats.messages_sent / self.stats.delivered

@@ -87,13 +87,14 @@ class EchoBroadcast(BroadcastLayer):
         own_id,
         all_nodes,
         send,
+        send_to_all,
         deliver,
         scheme: SignatureScheme,
         keypair: Optional[KeyPair] = None,
         fault_tolerance: Optional[int] = None,
         relay_final: bool = True,
     ) -> None:
-        super().__init__(channel, own_id, all_nodes, send, deliver)
+        super().__init__(channel, own_id, all_nodes, send, send_to_all, deliver)
         n = self.node_count
         self.f = max_tolerated_faults(n) if fault_tolerance is None else fault_tolerance
         if n <= 3 * self.f and self.f > 0:
@@ -112,6 +113,11 @@ class EchoBroadcast(BroadcastLayer):
         self._members = frozenset(self.all_nodes)
         self._as_origin: Dict[int, _OriginState] = {}
         self._as_receiver: Dict[InstanceKey, _ReceiverState] = {}
+        self._handlers = {
+            SendMessage: self._on_init,
+            EchoSignatureMessage: self._on_ack,
+            FinalMessage: self._on_final,
+        }
 
     # -- sending ----------------------------------------------------------------------------
 
@@ -126,14 +132,6 @@ class EchoBroadcast(BroadcastLayer):
         return sequence
 
     # -- receiving ---------------------------------------------------------------------------
-
-    def on_message(self, sender: ProcessId, message: Any) -> None:
-        if isinstance(message, SendMessage):
-            self._on_init(sender, message)
-        elif isinstance(message, EchoSignatureMessage):
-            self._on_ack(sender, message)
-        elif isinstance(message, FinalMessage):
-            self._on_final(sender, message)
 
     def _receiver_state(self, key: InstanceKey) -> _ReceiverState:
         state = self._as_receiver.get(key)
@@ -266,13 +264,3 @@ class EchoBroadcast(BroadcastLayer):
             )
             for key, (acknowledged, delivered, relayed) in state["as_receiver"].items()
         }
-
-    # -- introspection ----------------------------------------------------------------------------
-
-    def pending_instances(self) -> int:
-        """Instances acknowledged but not yet delivered at this node."""
-        return sum(
-            1
-            for state in self._as_receiver.values()
-            if state.acknowledged_hash is not None and not state.delivered
-        )

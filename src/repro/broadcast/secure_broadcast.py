@@ -20,6 +20,13 @@ This module provides:
   order", shared by the concrete layers, and
 * :class:`BroadcastDelivery` — the record handed to the application.
 
+The hosting node routes a message by its ``channel``; the layer dispatches it
+once, on its exact type, through its ``_handlers`` table (``type -> bound
+handler``) and ignores a type the table does not name.  An all-to-all send is
+one call to the node's all-to-all callable.  Payloads are immutable: nothing
+changes a payload object once it is broadcast, so a digest computed for an
+object holds for as long as the object lives.
+
 Concrete implementations live in :mod:`repro.broadcast.bracha` (the
 "naive quadratic" primitive the paper's deployment used) and
 :mod:`repro.broadcast.echo_broadcast` (the signature-based linear variant),
@@ -51,6 +58,9 @@ DeliverCallback = Callable[[BroadcastDelivery], None]
 
 #: Callback used by a layer to put a message on the wire: (recipient, message).
 SendCallback = Callable[[ProcessId, Any], None]
+
+#: Callback used by a layer to send one message to its whole membership.
+SendToAllCallback = Callable[[Any], None]
 
 
 @dataclass(slots=True)
@@ -147,8 +157,9 @@ class BroadcastLayer(abc.ABC):
     """Abstract secure-broadcast layer hosted inside a node.
 
     A layer is bound to one node (``own_id``), knows the full membership
-    (``all_nodes``), sends through a :class:`SendCallback` provided by the
-    node and reports deliveries through a :class:`DeliverCallback`.
+    (``all_nodes``), sends through the :class:`SendCallback` and
+    :class:`SendToAllCallback` provided by the node and reports deliveries
+    through a :class:`DeliverCallback`.
 
     Layers are *sans-I/O*: they never talk to the simulator directly, which
     makes them unit-testable by feeding messages by hand and reusable under
@@ -161,6 +172,7 @@ class BroadcastLayer(abc.ABC):
         own_id: ProcessId,
         all_nodes: Tuple[ProcessId, ...],
         send: SendCallback,
+        send_to_all: SendToAllCallback,
         deliver: DeliverCallback,
     ) -> None:
         if own_id not in all_nodes:
@@ -169,10 +181,12 @@ class BroadcastLayer(abc.ABC):
         self.own_id = own_id
         self.all_nodes = tuple(all_nodes)
         self._send = send
+        self._send_to_all = send_to_all
         self._deliver_upward = deliver
         self.stats = BroadcastStats()
         self._order_buffer = SourceOrderBuffer(self._deliver_in_order)
         self._next_own_sequence = 1
+        self._handlers: Dict[type, Callable[[ProcessId, Any], None]] = {}  # subclasses fill it
 
     # -- helpers for subclasses ---------------------------------------------------------
 
@@ -191,8 +205,8 @@ class BroadcastLayer(abc.ABC):
         self._send(recipient, message)
 
     def _transmit_to_all(self, message: Any) -> None:
-        for recipient in self.all_nodes:
-            self._transmit(recipient, message)
+        self.stats.messages_sent += len(self.all_nodes)
+        self._send_to_all(message)
 
     def _accept(self, origin: ProcessId, sequence: int, payload: Any) -> None:
         """Called by subclasses when their protocol decides to deliver."""
@@ -261,10 +275,8 @@ class BroadcastLayer(abc.ABC):
     def broadcast(self, payload: Any) -> int:
         """Securely broadcast ``payload``; returns the sequence number used."""
 
-    @abc.abstractmethod
     def on_message(self, sender: ProcessId, message: Any) -> None:
         """Process a broadcast-layer message received from ``sender``."""
-
-    def handles(self, message: Any) -> bool:
-        """Does this layer own ``message``?  (Routing helper for nodes.)"""
-        return getattr(message, "channel", None) == self.channel
+        handler = self._handlers.get(type(message))
+        if handler is not None:
+            handler(sender, message)

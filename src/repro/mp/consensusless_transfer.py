@@ -35,6 +35,7 @@ Definition 1 checker (:mod:`repro.spec.byzantine_spec`) needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import AbstractSet, Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.broadcast.messages import FinalMessage, SendMessage
@@ -47,7 +48,7 @@ from repro.network.node import Node
 from repro.spec.byzantine_spec import ClientOperation, ProcessObservation, ValidatedTransfer
 
 # Factory building a broadcast layer for a node: (channel, own_id, all_nodes,
-# send, deliver) -> BroadcastLayer.  The system façade binds the concrete
+# send, send_to_all, deliver) -> BroadcastLayer.  The system façade binds the concrete
 # implementation (Bracha, echo, ...) and its parameters.
 BroadcastFactory = Callable[..., BroadcastLayer]
 
@@ -177,12 +178,14 @@ class ConsensuslessTransferNode(Node):
             own_id=self.node_id,
             all_nodes=self.peers,
             send=self.send,
+            send_to_all=partial(self.network.multicast, self.node_id, self.peers),
             deliver=self._on_deliver,
         )
 
     def on_message(self, sender: ProcessId, message: Any) -> None:
-        if self.broadcast_layer is not None and self.broadcast_layer.handles(message):
-            self.broadcast_layer.on_message(sender, message)
+        layer = self.broadcast_layer
+        if layer is not None and getattr(message, "channel", None) == layer.channel:
+            layer.on_message(sender, message)
 
     def processing_cost(self, message: Any) -> Optional[float]:
         """CPU cost of one incoming message.

@@ -26,6 +26,7 @@ for *all* accounts, compromised or not.  Experiment E7 demonstrates both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import AbstractSet, Any, Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.bft.sequencer import (
@@ -160,6 +161,7 @@ class KSharedTransferNode(Node):
             own_id=self.node_id,
             all_nodes=self.peers,
             send=self.send,
+            send_to_all=partial(self.network.multicast, self.node_id, self.peers),
             deliver=self._on_deliver,
             scheme=self.scheme,
         )
@@ -176,8 +178,9 @@ class KSharedTransferNode(Node):
         return base
 
     def on_message(self, sender: ProcessId, message: Any) -> None:
-        if self.broadcast_layer is not None and self.broadcast_layer.handles(message):
-            self.broadcast_layer.on_message(sender, message)
+        layer = self.broadcast_layer
+        if layer is not None and getattr(message, "channel", None) == layer.channel:
+            layer.on_message(sender, message)
         elif isinstance(message, SequencingSubmission):
             self._on_submission(message)
         elif isinstance(message, SequenceRequest):

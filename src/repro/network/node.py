@@ -16,6 +16,11 @@ evaluation sweeps:
   baseline and the even load distribution in the broadcast-based protocol,
   the effect behind the paper's 1.5×–6× throughput gap.
 
+Every send is one :meth:`Network.multicast` call — to one recipient
+(``Node.send``), to every member (``Node.broadcast``, a broadcast layer's
+all-to-all) — which is N messages drawn in recipient order; one message is
+still two events, "deliver" then "process".
+
 Byzantine *behaviour* is not modelled here: a Byzantine node is simply a
 :class:`Node` subclass that sends whatever it likes (see
 :mod:`repro.byzantine.behaviors` and the attack nodes in :mod:`repro.mp`).
@@ -28,7 +33,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.rng import SeededRng
@@ -143,17 +148,17 @@ class Node(abc.ABC):
 
     def send(self, recipient: ProcessId, message: Any) -> None:
         """Send ``message`` to ``recipient`` over the (asynchronous) network."""
-        self.stats.sent += 1
         # ``self.network`` raises when unattached; attached, skip its call.
         network = self._network if self._network is not None else self.network
-        network.transmit(self.node_id, recipient, message)
+        network.multicast(self.node_id, (recipient,), message)
 
     def broadcast(self, message: Any, include_self: bool = True) -> None:
         """Send ``message`` to every node (the all-to-all primitive)."""
-        for recipient in self.peers:
-            if recipient == self.node_id and not include_self:
-                continue
-            self.send(recipient, message)
+        network = self.network
+        recipients = network.node_ids
+        if not include_self:
+            recipients = tuple(peer for peer in recipients if peer != self.node_id)
+        network.multicast(self.node_id, recipients, message)
 
     def set_timer(self, delay: float, callback: Callable[[], None], label: str = "") -> Event:
         """Schedule ``callback`` to run after ``delay`` simulated seconds."""
@@ -169,7 +174,7 @@ class Network:
         self.config.validate()
         self._rng = SeededRng(self.config.seed).fork("network")
         # The exponential link delay, drawn straight from the stream's
-        # generator: ``transmit`` only draws under ``latency_mean > 0``, the
+        # generator: ``multicast`` only draws under ``latency_mean > 0``, the
         # one thing ``SeededRng.exponential`` would check per message.
         self._expovariate = self._rng._random.expovariate
         self._nodes: Dict[ProcessId, Node] = {}
@@ -232,22 +237,32 @@ class Network:
     # ``Shard.checkpoint_blockers``, asks whether a label is a client
     # submission, never which message it is.
 
-    def transmit(self, sender: ProcessId, recipient: ProcessId, message: Any) -> None:
-        """Queue ``message`` for delivery from ``sender`` to ``recipient``."""
-        node = self._nodes.get(recipient)
-        if node is None:
-            raise SimulationError(f"message sent to unknown node {recipient}")
-        self.messages_sent += 1
+    def multicast(self, sender: ProcessId, recipients: Sequence[ProcessId], message: Any) -> None:
+        """Queue ``message`` from ``sender`` to each of ``recipients``, in order.
+
+        Per recipient: the drop draw, then (if kept) the latency draw.  An
+        unknown recipient raises, counted as if sent one by one.
+        """
+        stats = self._nodes[sender].stats
+        stats.sent += len(recipients)
         config = self.config
-        if config.drop_probability and self._rng.maybe(config.drop_probability):
-            self.messages_dropped += 1
-            node.stats.dropped += 1
-            return
-        latency = config.latency_base
+        drop = config.drop_probability
         mean = config.latency_mean
-        if mean > 0:
-            latency += self._expovariate(1.0 / mean)
-        self.simulator.schedule(latency, partial(self._arrive, node, sender, message), "deliver")
+        schedule = self.simulator.schedule
+        for recipient in recipients:
+            node = self._nodes.get(recipient)
+            if node is None:
+                stats.sent -= len(recipients) - 1 - recipients.index(recipient)
+                raise SimulationError(f"message sent to unknown node {recipient}")
+            self.messages_sent += 1
+            if drop and self._rng.maybe(drop):
+                self.messages_dropped += 1
+                node.stats.dropped += 1
+                continue
+            latency = config.latency_base
+            if mean > 0:
+                latency += self._expovariate(1.0 / mean)
+            schedule(latency, partial(self._arrive, node, sender, message), "deliver")
 
     def _arrive(self, node: Node, sender: ProcessId, message: Any) -> None:
         """Message arrived at the recipient's NIC; queue it on the CPU."""
@@ -305,6 +320,3 @@ class Network:
         if self.simulator.now == 0:
             return 0.0
         return min(1.0, self._nodes[node_id].stats.busy_time / self.simulator.now)
-
-    def total_messages(self) -> int:
-        return self.messages_sent

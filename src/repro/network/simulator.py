@@ -14,7 +14,9 @@ by the first two tuple items, inside the C heap — it never reaches the
 :class:`Event` and never enters Python.  In the asynchronous model an
 execution *is* its sequence of delivery events, so every seeded stream and
 every fingerprint depends on this order and on nothing else the queue does.  Cancelled events stay in the heap and are dropped when they
-surface; ``pending_events`` is a counter, not a scan.
+surface; ``pending_events`` is a counter, not a scan.  ``schedule`` and
+``schedule_at`` push onto the heap themselves, with no helper frame between
+them and ``heappush``: they run twice per message.
 
 An earlier calendar queue (time buckets, a heap of bucket keys, a sorted
 insert into the bucket being drained) earned its place against a heap of
@@ -106,7 +108,13 @@ class Simulator:
         """Schedule ``action`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule an event {delay}s in the past")
-        return self._push(self._now + delay, action, label)
+        time = self._now + delay
+        sequence = self._sequence
+        event = Event(time, sequence, action, label, self)
+        self._sequence = sequence + 1
+        self._live += 1
+        heappush(self._queue, (time, sequence, event))
+        return event
 
     def schedule_at(self, time: float, action: Callable[[], None], label: str = "") -> Event:
         """Schedule ``action`` at an absolute virtual time."""
@@ -114,9 +122,6 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule an event at {time} (current time is {self._now})"
             )
-        return self._push(time, action, label)
-
-    def _push(self, time: float, action: Callable[[], None], label: str) -> Event:
         sequence = self._sequence
         event = Event(time, sequence, action, label, self)
         self._sequence = sequence + 1

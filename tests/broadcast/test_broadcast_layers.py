@@ -28,6 +28,7 @@ class Harness:
                 own_id=own,
                 all_nodes=ids,
                 send=lambda to, msg, own=own: self.queues.append((own, to, msg)),
+                send_to_all=lambda msg, own=own: self.queues.extend((own, to, msg) for to in ids),
                 deliver=lambda d, own=own: self.delivered[own].append(d),
             )
             self.layers.append(layer)
@@ -131,7 +132,7 @@ class TestBracha:
         with pytest.raises(ConfigurationError):
             BrachaBroadcast(
                 channel="rb", own_id=0, all_nodes=(0, 1, 2), send=lambda *_: None,
-                deliver=lambda *_: None, fault_tolerance=1,
+                send_to_all=lambda _: None, deliver=lambda *_: None, fault_tolerance=1,
             )
 
     def test_non_origin_send_ignored(self):
@@ -205,7 +206,8 @@ def lone_bracha():
         channel="rb",
         own_id=0,
         all_nodes=(0, 1, 2, 3),
-        send=lambda to, message: sent.append(message) if to == 0 else None,
+        send=lambda to, message: sent.append(message),
+        send_to_all=sent.append,
         deliver=delivered.append,
     )
     return layer, sent, delivered
@@ -255,7 +257,8 @@ class TestEchoBroadcast:
         with pytest.raises(ConfigurationError):
             EchoBroadcast(
                 channel="eb", own_id=0, all_nodes=(0, 1, 2, 3), send=lambda *_: None,
-                deliver=lambda *_: None, scheme=scheme, keypair=scheme.keypair_for(1),
+                send_to_all=lambda _: None, deliver=lambda *_: None, scheme=scheme,
+                keypair=scheme.keypair_for(1),
             )
 
 

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.network.node import Network, NetworkConfig, Node
 from repro.network.simulator import Simulator
 
@@ -89,6 +89,35 @@ class TestDelivery:
         network.run()
         assert 40 < len(receiver.received) < 160
         assert network.messages_dropped == 200 - len(receiver.received)
+
+    def test_a_multicast_draws_and_counts_like_sends_one_by_one(self):
+        def run(fan_out):
+            _, network, nodes = build(count=5, config=NetworkConfig(seed=3, drop_probability=0.3))
+            network.start()
+            for message in range(20):
+                fan_out(network, (4, 0, 2, 2, 1), message)
+            network.run()
+            return (
+                [node.received for node in nodes],
+                [(node.stats.sent, node.stats.dropped) for node in nodes],
+                (network.messages_sent, network.messages_delivered, network.messages_dropped),
+                network.capture_state()["rng"],
+            )
+
+        def one_by_one(network, recipients, message):
+            for recipient in recipients:
+                network.node(3).send(recipient, message)
+
+        one_call = run(lambda network, recipients, message: network.multicast(3, recipients, message))
+        assert one_call == run(one_by_one)
+        assert one_call[2][2] > 0
+
+    def test_an_unknown_recipient_stops_a_multicast_where_sends_would_stop(self):
+        _, network, nodes = build()
+        with pytest.raises(SimulationError):
+            network.multicast(0, (1, 9, 2), "x")
+        assert nodes[0].stats.sent == 2
+        assert network.messages_sent == 1
 
 
 class TestCpuModel:
