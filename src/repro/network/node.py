@@ -33,6 +33,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from functools import partial
+from math import log
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
@@ -175,8 +176,10 @@ class Network:
         self._rng = SeededRng(self.config.seed).fork("network")
         # The exponential link delay, drawn straight from the stream's
         # generator: ``multicast`` only draws under ``latency_mean > 0``, the
-        # one thing ``SeededRng.exponential`` would check per message.
-        self._expovariate = self._rng._random.expovariate
+        # one thing ``SeededRng.exponential`` would check per message, and
+        # computes ``random.expovariate``'s formula itself (the same float,
+        # one frame fewer per message).
+        self._uniform = self._rng._random.random
         self._nodes: Dict[ProcessId, Node] = {}
         self._node_ids: Tuple[ProcessId, ...] = ()
         self._cpu_free_at: Dict[ProcessId, float] = {}
@@ -261,7 +264,7 @@ class Network:
                 continue
             latency = config.latency_base
             if mean > 0:
-                latency += self._expovariate(1.0 / mean)
+                latency += -log(1.0 - self._uniform()) / (1.0 / mean)
             schedule(latency, partial(self._arrive, node, sender, message), "deliver")
 
     def _arrive(self, node: Node, sender: ProcessId, message: Any) -> None:
