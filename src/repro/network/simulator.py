@@ -16,7 +16,7 @@ execution *is* its sequence of delivery events, so every seeded stream and
 every fingerprint depends on this order and on nothing else the queue does.  Cancelled events stay in the heap and are dropped when they
 surface; ``pending_events`` is a counter, not a scan.  ``schedule`` and
 ``schedule_at`` push onto the heap themselves, with no helper frame between
-them and ``heappush``: they run twice per message.
+them and ``heappush``: every message calls each of them once.
 
 An earlier calendar queue (time buckets, a heap of bucket keys, a sorted
 insert into the bucket being drained) earned its place against a heap of
