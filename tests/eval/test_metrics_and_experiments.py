@@ -1,5 +1,7 @@
 """Tests for the metrics layer, the experiment harness and the reporting."""
 
+import dataclasses
+
 import pytest
 
 from repro.eval.experiments import (
@@ -148,12 +150,14 @@ class TestExperimentHarness:
             epoch_policy=policy,
             seed=7,
         )
-        rows = backend_comparison_experiment(
-            shard_count=4, batch_size=4, backends=("serial", "serial", "thread"), config=config
-        )
+        fingerprints = []
+        for backend in ("serial", "serial", "thread"):
+            _, system = run_cluster(4, 4, dataclasses.replace(config, backend=backend))
+            fingerprints.append(system.result.fingerprint())
+            system.close()
         # The same serial run twice: each system starts from the policy as given.
-        assert rows[0].fingerprint == rows[1].fingerprint == rows[2].fingerprint
-        assert rows[0].fingerprint.startswith("6171aaa3055b0b8d")
+        assert fingerprints[0] == fingerprints[1] == fingerprints[2]
+        assert fingerprints[0].startswith("6171aaa3055b0b8d")
         assert policy.observed_p95() == 0.0
 
 
