@@ -5,12 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-props test-backends test-migration test-checkpoints test-obs bench-smoke bench-core bench soak trace perf-smoke perf example clean
-
-## Narrows the benchmark's execution-backend sweep, e.g.:
-##   make bench BACKEND=process
-##   make bench-smoke BACKEND=serial,thread
-BACKEND ?=
+.PHONY: test test-props test-backends test-migration test-checkpoints test-obs bench soak trace perf-smoke perf example clean
 
 ## Tier-1: the full unit/integration suite (fails fast, quiet).
 test:
@@ -44,26 +39,18 @@ test-migration:
 test-checkpoints:
 	$(PYTHON) -m pytest tests/cluster/test_checkpoints.py -q
 
-## A fast sanity pass over the cluster benchmark (shrunken grid and load).
-bench-smoke:
-	REPRO_BENCH_SMOKE=1 REPRO_BENCH_BACKEND=$(BACKEND) $(PYTHON) -m pytest benchmarks/bench_cluster_scaling.py -q
-
-## The per-core engine microbenchmarks (verification cache) in smoke mode:
-## measures the rewritten hot-path layer against its replaced implementation
-## and records the >=5x speedup gate — explicitly passed/failed/skipped, never
-## silent — under core_rows.
-bench-core:
-	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_core.py -q
-
-## The full benchmark suite (slow; regenerates BENCH_cluster.json).
+## The paper's experiments (E1-E3, E5-E8 and the PBFT batching ablation) and
+## the trace export smoke, as pytest-benchmark runs; they write no journal.
+## The repository benchmark is `make perf`.
 bench:
-	REPRO_BENCH_BACKEND=$(BACKEND) $(PYTHON) -m pytest benchmarks -q
+	$(PYTHON) -m pytest benchmarks -q
 
-## Settlement-lifecycle soak smoke: a long-horizon small-shard run asserting
-## bounded resident settlement records (compaction) and the fixed-vs-adaptive
-## epoch-policy trade.  The full-horizon version runs under `make bench`.
+## The settlement-lifecycle soak alone (part of tier-1): a migrated
+## long-horizon run asserting bounded resident settlement records and relay
+## journals, the checkpoint soak's bounded replay log, and the
+## fixed-vs-adaptive-vs-latency-target epoch-policy trade.
 soak:
-	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_settlement_soak.py -q
+	$(PYTHON) -m pytest tests/cluster/test_settlement_soak.py -q
 
 ## The observability suite alone: registry/tracer/profiling units plus the
 ## telemetry-invariance harness (fingerprints identical with telemetry off,

@@ -5,7 +5,7 @@ Each benchmark runs its simulated experiment once per pytest-benchmark round
 latency, which are deterministic given the seed, while pytest-benchmark's
 wall-clock timing simply documents how expensive the simulation itself is.
 The measured simulated metrics are attached to ``benchmark.extra_info`` so
-they appear in the benchmark report and can be copied into EXPERIMENTS.md.
+they appear in the benchmark report.
 """
 
 import pytest
@@ -15,5 +15,5 @@ from repro.network.node import NetworkConfig
 
 @pytest.fixture
 def bench_network() -> NetworkConfig:
-    """The network cost model used by all benchmarks (see DESIGN.md §2)."""
+    """The network cost model used by all benchmarks (see ``NetworkConfig``)."""
     return NetworkConfig(seed=7)

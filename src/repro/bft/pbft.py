@@ -6,7 +6,7 @@ exchange ``PREPARE`` and ``COMMIT`` votes (each an all-to-all round), and a
 batch executes once ``2f + 1`` commits are gathered and all earlier batches
 have executed.
 
-Modelling choices (documented as substitutions in DESIGN.md):
+Modelling choices (substitutions for a full PBFT deployment):
 
 * **Fixed, correct leader; no view change.**  This is PBFT's best case, so
   the throughput/latency gap measured against the consensusless protocol is
@@ -176,7 +176,8 @@ class PbftReplica(Node):
 
         This is the standard cost profile of signature-based PBFT
         deployments and is one of the drivers of the throughput gap measured
-        in experiments E5/E6 (see DESIGN.md §2).
+        in experiments E5/E6 (``benchmarks/bench_throughput_scaling.py``,
+        ``benchmarks/bench_latency.py``).
         """
         config = self._network.config
         base = config.processing_time

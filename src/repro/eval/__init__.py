@@ -2,14 +2,11 @@
 
 from repro.eval.experiments import (
     AblationRow,
-    BackendComparisonRow,
     ClusterExperimentConfig,
     ClusterScalingRow,
     LatencyRow,
-    backend_comparison_experiment,
     batching_ablation,
     broadcast_ablation,
-    cluster_scaling_experiment,
     latency_experiment,
     ComparisonRow,
     ExperimentConfig,
@@ -23,7 +20,6 @@ from repro.eval.experiments import (
 from repro.eval.metrics import LatencyStats, RunSummary, summarize_result
 from repro.eval.reporting import (
     format_ablation_table,
-    format_backend_table,
     format_cluster_table,
     format_comparison_table,
     format_latency_table,
@@ -32,15 +28,11 @@ from repro.eval.reporting import (
 
 __all__ = [
     "AblationRow",
-    "BackendComparisonRow",
     "ClusterExperimentConfig",
     "ClusterScalingRow",
-    "backend_comparison_experiment",
-    "format_backend_table",
     "LatencyRow",
     "batching_ablation",
     "broadcast_ablation",
-    "cluster_scaling_experiment",
     "format_ablation_table",
     "format_cluster_table",
     "run_cluster",

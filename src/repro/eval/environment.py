@@ -1,12 +1,11 @@
-"""Environment provenance for benchmark artefacts.
+"""Environment provenance for benchmark reports.
 
-A benchmark number without the machine and revision it came from is a
-trajectory point that cannot be trusted later.  :func:`environment_meta`
-captures the minimum provenance block the JSON artefacts
-(``BENCH_*.json``) embed under their ``meta`` key: interpreter, host
-platform, core count, and the repository revision as ``git describe``
-reports it (``None`` when git or the repository is unavailable — artefacts
-must still be writable from an export tarball).
+A benchmark number without the machine and revision it came from cannot be
+trusted later.  :func:`environment_meta` captures the minimum provenance
+block — interpreter, host platform, core count, and the repository revision
+as ``git describe`` reports it (``None`` when git or the repository is
+unavailable, as in an export tarball) — which ``benchmarks/bench_trace.py``
+attaches to its pytest-benchmark report.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ def git_describe(cwd: Optional[str] = None) -> Optional[str]:
 
 
 def environment_meta() -> Dict[str, object]:
-    """The provenance block benchmark JSON artefacts carry under ``meta``."""
+    """The provenance block of a benchmark report."""
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),

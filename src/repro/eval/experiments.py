@@ -1,15 +1,16 @@
-"""The experiment harness behind EXPERIMENTS.md and the benchmarks.
+"""The experiment harness behind the benchmarks, the examples and the tests.
 
-Every function here regenerates one of the experiments indexed in DESIGN.md
-§3.  They are deliberately plain functions returning plain dataclasses / dicts
-so they can be called from pytest benchmarks, from the example scripts and
-from an interactive session alike.
+The paper's experiments are run by ``benchmarks/bench_*.py`` (E5-E8 and the
+ablations) and ``examples/double_spend_attack.py`` (E4); the cluster helpers
+below drive ``examples/cluster_quickstart.py`` and the cluster tests.  They are
+deliberately plain functions returning plain dataclasses / dicts so they can
+be called from pytest, from the example scripts and from an interactive
+session alike.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -414,9 +415,8 @@ def broadcast_ablation(
 ) -> List[AblationRow]:
     """Ablation: Bracha (quadratic) versus signed echo broadcast (linear).
 
-    DESIGN.md lists this as one of the design choices worth quantifying: the
-    echo broadcast trades signature work for an O(N) reduction in message
-    count per transfer.
+    The echo broadcast trades signature work for an O(N) reduction in
+    message count per transfer; this sweep quantifies the trade.
     """
     config = config or ExperimentConfig()
     rows: List[AblationRow] = []
@@ -464,15 +464,15 @@ def batching_ablation(
 
 @dataclass
 class ClusterExperimentConfig:
-    """Knobs of the cluster scaling experiments.
+    """Knobs of the cluster experiments.
 
     The workload is shared across every swept configuration (same seed, same
     users, same arrival times), so throughput differences are attributable to
-    the cluster geometry alone — "equal offered load" in the benchmark's
-    acceptance sense.  ``cross_shard_fraction`` steers the settlement load;
-    because which destinations are cross-shard depends on the cluster
-    geometry, fraction-steered workloads are generated *per configuration*
-    (from the target system's own router) rather than shared.
+    the cluster geometry alone — "equal offered load".  ``cross_shard_fraction``
+    steers the settlement load; because which destinations are cross-shard
+    depends on the cluster geometry, fraction-steered workloads are generated
+    *per configuration* (from the target system's own router) rather than
+    shared.
     """
 
     replicas_per_shard: int = 4
@@ -484,8 +484,8 @@ class ClusterExperimentConfig:
     zipf_skew: float = 1.0
     cross_shard_fraction: Optional[float] = None
     # A HotspotProfile shifting a Zipf hotspot across shards mid-run — the
-    # skew the migration/rebalancing experiments react to.  Needs a router,
-    # like cross_shard_fraction.
+    # skew migration and rebalancing react to.  Needs a router, like
+    # cross_shard_fraction.
     hotspot: Optional[object] = None
     # Execution backend of the swept systems: "serial", "thread" or "process"
     # (see repro.cluster.backends); results are backend-invariant, wall-clock
@@ -508,7 +508,7 @@ class ClusterExperimentConfig:
     compact_history: bool = False
     # Observability knobs, passed straight through to ClusterSystem:
     # telemetry mode ("off"/"metrics"/"full") and the cProfile sampler.
-    # Fingerprint-neutral by the telemetry invariant — rows only gain a
+    # Fingerprint-neutral by the telemetry invariant — runs only gain a
     # telemetry section, never different results.
     telemetry: object = "metrics"
     profile: bool = False
@@ -533,6 +533,27 @@ class ClusterExperimentConfig:
     def network_copy(self) -> NetworkConfig:
         return dataclasses.replace(self.network)
 
+    def system(self, shard_count: int, batch_size: int = 1) -> ClusterSystem:
+        """The one place this config becomes a :class:`ClusterSystem`."""
+        return ClusterSystem(
+            shard_count=shard_count,
+            replicas_per_shard=self.replicas_per_shard,
+            batch_size=batch_size,
+            broadcast=self.broadcast,
+            initial_balance=self.initial_balance,
+            network_config=self.network_copy(),
+            backend=self.backend,
+            epoch=self.epoch,
+            epoch_policy=self.epoch_policy,
+            max_workers=self.max_workers,
+            migration=self.migration,
+            checkpoint_every=self.checkpoint_every,
+            compact_history=self.compact_history,
+            telemetry=self.telemetry,
+            profile=self.profile,
+            seed=self.seed,
+        )
+
 
 @dataclass(frozen=True)
 class ClusterScalingRow:
@@ -555,13 +576,6 @@ class ClusterScalingRow:
     resident_settlement_records: int = 0
     retired_records: int = 0
     retired_amount: int = 0
-    # The run's telemetry section (ClusterResult.telemetry): mode, driver
-    # registry, per-shard registries and merged totals.  None when the run
-    # had telemetry off.  Excluded from the fingerprint by construction.
-    telemetry: Optional[Dict[str, object]] = None
-    # Wall-clock seconds the Definition 1 + conservation audit took: the same
-    # work on every backend, so timing comparisons subtract it.
-    audit_wall_s: float = 0.0
 
     @property
     def amortisation(self) -> float:
@@ -602,38 +616,16 @@ def run_cluster(
     constructed system's router when no workload is passed in.
     """
     config = config or ClusterExperimentConfig()
-    system = ClusterSystem(
-        shard_count=shard_count,
-        replicas_per_shard=config.replicas_per_shard,
-        batch_size=batch_size,
-        broadcast=config.broadcast,
-        initial_balance=config.initial_balance,
-        network_config=config.network_copy(),
-        backend=config.backend,
-        epoch=config.epoch,
-        epoch_policy=config.epoch_policy,
-        max_workers=config.max_workers,
-        migration=config.migration,
-        checkpoint_every=config.checkpoint_every,
-        compact_history=config.compact_history,
-        telemetry=config.telemetry,
-        profile=config.profile,
-        seed=config.seed,
-    )
+    system = config.system(shard_count, batch_size)
     if workload is None:
-        needs_router = (
-            config.cross_shard_fraction is not None or config.hotspot is not None
-        )
-        workload = config.workload(system.router if needs_router else None)
+        workload = config.workload(system.router)
     system.schedule_submissions(workload)
     result = system.run(max_events=config.max_events)
     total_processes = shard_count * config.replicas_per_shard
     summary = summarize_result(
         f"cluster[s={shard_count},b={batch_size}]", total_processes, result
     )
-    audit_started = time.perf_counter()
     check = system.check_definition1()
-    audit_wall_s = time.perf_counter() - audit_started
     audit = check.conservation
     row = ClusterScalingRow(
         shard_count=shard_count,
@@ -652,55 +644,8 @@ def run_cluster(
         resident_settlement_records=system.resident_settlement_records(),
         retired_records=system.retired_records(),
         retired_amount=audit.retired if audit is not None else 0,
-        telemetry=result.telemetry,
-        audit_wall_s=audit_wall_s,
     )
     return row, system
-
-
-def cluster_scaling_experiment(
-    shard_counts: Sequence[int] = (1, 2, 4, 8),
-    batch_sizes: Sequence[int] = (1, 8, 32),
-    config: Optional[ClusterExperimentConfig] = None,
-) -> List[ClusterScalingRow]:
-    """The cluster benchmark's sweep: shards × batch sizes, one shared load.
-
-    Every configuration replays the *same* submission list; rows report
-    cluster-wide throughput, the per-shard Definition 1 verdict and how many
-    transfers each secure-broadcast instance amortised.
-    """
-    config = config or ClusterExperimentConfig()
-    workload = config.workload()
-    rows: List[ClusterScalingRow] = []
-    for batch_size in batch_sizes:
-        for shard_count in shard_counts:
-            row, system = run_cluster(shard_count, batch_size, config, workload=workload)
-            system.close()
-            rows.append(row)
-    return rows
-
-
-def cross_shard_settlement_experiment(
-    configurations: Sequence[Tuple[int, int, float]] = ((2, 8, 0.25), (4, 8, 0.5), (4, 8, 1.0)),
-    config: Optional[ClusterExperimentConfig] = None,
-) -> List[Tuple[float, ClusterScalingRow]]:
-    """Sweep (shards, batch, cross_shard_fraction) triples through settlement.
-
-    Each configuration gets its own fraction-steered workload (the realised
-    cross-shard mix depends on the geometry), so rows are *not* comparable as
-    "equal offered load" the way the scaling sweep is; what they assert is
-    that under every mix the cluster settles completely — Definition 1 holds
-    per shard and the cross-ledger supply audit nets to the initial supply
-    with nothing left in flight.
-    """
-    config = config or ClusterExperimentConfig()
-    rows: List[Tuple[float, ClusterScalingRow]] = []
-    for shard_count, batch_size, fraction in configurations:
-        variant = dataclasses.replace(config, cross_shard_fraction=fraction)
-        row, system = run_cluster(shard_count, batch_size, variant)
-        system.close()
-        rows.append((fraction, row))
-    return rows
 
 
 @dataclass(frozen=True)
@@ -752,7 +697,7 @@ def telemetry_breakdown(telemetry: Optional[Dict[str, object]]) -> List[Telemetr
 def telemetry_phase_coverage(telemetry: Optional[Dict[str, object]]) -> float:
     """Fraction of ``phase.total`` wall time the named phases account for.
 
-    The benchmarks assert this stays ≥ 0.9: if instrumentation drifts out of
+    The soak test asserts this stays ≥ 0.9: if instrumentation drifts out of
     a hot phase, the breakdown silently stops explaining the run — this is
     the guard.
     """
@@ -767,36 +712,6 @@ def telemetry_top_counters(
         return []
     totals = telemetry.get("totals") or {}
     return top_counters(totals, limit=limit)
-
-
-@dataclass(frozen=True)
-class BackendComparisonRow:
-    """One execution backend's audited run of the same cluster workload.
-
-    ``wall_clock_s`` is ``run_wall_s + audit_wall_s``: the engine's share
-    (construct, schedule, run — what the backend changes) and the audit's
-    (the same work on every backend).  Compare backends on ``run_wall_s``.
-    """
-
-    backend: str
-    wall_clock_s: float
-    fingerprint: str
-    row: ClusterScalingRow
-    # The run's telemetry section (same shape as ClusterScalingRow.telemetry)
-    # — per-backend phase timings are the interesting comparison axis here.
-    telemetry: Optional[Dict[str, object]] = None
-
-    @property
-    def throughput(self) -> float:
-        return self.row.summary.throughput
-
-    @property
-    def audit_wall_s(self) -> float:
-        return self.row.audit_wall_s
-
-    @property
-    def run_wall_s(self) -> float:
-        return self.wall_clock_s - self.row.audit_wall_s
 
 
 @dataclass(frozen=True)
@@ -852,7 +767,7 @@ class SoakReport:
     telemetry: Optional[Dict[str, object]] = None
     # Peaks of the two growth figures the checkpoint seam bounds, plus the
     # backend's cumulative checkpoint accounting (zeros with checkpoints
-    # off) — the memory-soak benchmark compares these across cadences.
+    # off) — the checkpoint soak test compares these across cadences.
     peak_local_records: int = 0
     peak_replay_log: int = 0
     checkpoint_stats: Optional[Dict[str, int]] = None
@@ -898,27 +813,8 @@ def settlement_soak_experiment(
     config = config or ClusterExperimentConfig(
         duration=0.2, aggregate_rate=4_000.0, user_count=2_000, cross_shard_fraction=0.5
     )
-    system = ClusterSystem(
-        shard_count=shard_count,
-        replicas_per_shard=config.replicas_per_shard,
-        batch_size=batch_size,
-        broadcast=config.broadcast,
-        initial_balance=config.initial_balance,
-        network_config=config.network_copy(),
-        backend=config.backend,
-        epoch=config.epoch,
-        epoch_policy=config.epoch_policy,
-        max_workers=config.max_workers,
-        migration=config.migration,
-        checkpoint_every=config.checkpoint_every,
-        compact_history=config.compact_history,
-        telemetry=config.telemetry,
-        profile=config.profile,
-        seed=config.seed,
-    )
-    needs_router = config.cross_shard_fraction is not None or config.hotspot is not None
-    workload = config.workload(system.router if needs_router else None)
-    system.schedule_submissions(workload)
+    system = config.system(shard_count, batch_size)
+    system.schedule_submissions(config.workload(system.router))
 
     initial_supply = (
         shard_count * config.replicas_per_shard * config.initial_balance
@@ -1020,40 +916,26 @@ def epoch_policy_experiment(
     policies: Sequence[Tuple[str, object]],
     shard_count: int = 2,
     batch_size: int = 4,
-    backend: str = "serial",
     config: Optional[ClusterExperimentConfig] = None,
 ) -> List[EpochPolicyRow]:
     """Drive one workload through each epoch policy and compare the trade.
 
-    Policies change *when* settlement traffic crosses shard boundaries, so
-    rows legitimately differ in fingerprints and latency — what every row
-    must share is a clean audit (Definition 1, conservation, full settlement
-    and retirement at quiescence).
+    Each policy replaces ``config.epoch_policy``; every other field of the
+    config reaches every run.  Policies change *when* settlement traffic
+    crosses shard boundaries, so rows legitimately differ in fingerprints
+    and latency — what every row must share is a clean audit (Definition 1,
+    conservation, full settlement and retirement at quiescence).
     """
     config = config or ClusterExperimentConfig(
         duration=0.05, aggregate_rate=8_000.0, user_count=2_000, cross_shard_fraction=0.5
     )
-    fraction = config.cross_shard_fraction
-    router = (
-        ShardRouter(shard_count, config.replicas_per_shard, salt=config.seed)
-        if fraction is not None
-        else None
-    )
+    # The router every swept system builds for itself: one workload for all.
+    router = ShardRouter(shard_count, config.replicas_per_shard, salt=config.seed)
     workload = config.workload(router)
     rows: List[EpochPolicyRow] = []
     for label, policy in policies:
-        system = ClusterSystem(
-            shard_count=shard_count,
-            replicas_per_shard=config.replicas_per_shard,
-            batch_size=batch_size,
-            broadcast=config.broadcast,
-            initial_balance=config.initial_balance,
-            network_config=config.network_copy(),
-            backend=backend,
-            epoch=config.epoch,
-            epoch_policy=policy,
-            max_workers=config.max_workers,
-            seed=config.seed,
+        system = dataclasses.replace(config, epoch_policy=policy).system(
+            shard_count, batch_size
         )
         system.schedule_submissions(workload)
         result = system.run(max_events=config.max_events)
@@ -1073,157 +955,4 @@ def epoch_policy_experiment(
             )
         )
         system.close()
-    return rows
-
-
-@dataclass(frozen=True)
-class MigrationComparisonRow:
-    """One migration schedule's audited run of the same hotspot workload.
-
-    ``moves`` is the executed migration count; ``snapshot_bytes`` and
-    ``stall_s`` total the per-move measurements (what a move costs);
-    ``fingerprint`` must equal the static row's — placement invariance is
-    the whole point.  ``delta_bytes``/``replayed_events`` total the *actual*
-    adopt payloads — the replay tail past the newest checkpoint — where
-    ``snapshot_bytes`` stays the full-snapshot measurement each move
-    verified against; with checkpoints on, the delta column is the row's
-    real transfer cost and sits strictly below the full one.
-    """
-
-    schedule: str
-    backend: str
-    moves: int
-    snapshot_bytes: int
-    stall_s: float
-    peak_worker_load: int
-    mean_worker_load: float
-    committed: int
-    check_ok: bool
-    fingerprint: str
-    migration_stream: List[tuple]
-    delta_bytes: int = 0
-    replayed_events: int = 0
-
-
-def migration_rebalancing_experiment(
-    schedules: Sequence[Tuple[str, object]],
-    shard_count: int = 4,
-    batch_size: int = 4,
-    backend: str = "serial",
-    max_workers: int = 2,
-    config: Optional[ClusterExperimentConfig] = None,
-) -> List[MigrationComparisonRow]:
-    """One shifting-hotspot workload under several migration schedules.
-
-    Every schedule replays the identical workload (same router salt, same
-    hotspot phases); rows record what moved, what the moves cost (snapshot
-    bytes, wall-clock stall) and the per-worker load distribution the
-    schedule achieved.  Callers assert the placement-invariance contract on
-    the fingerprints: every row must match the static one.
-    """
-    from repro.workloads.cluster_driver import HotspotProfile
-
-    config = config or ClusterExperimentConfig(
-        duration=0.06,
-        aggregate_rate=6_000.0,
-        user_count=2_000,
-        cross_shard_fraction=0.4,
-    )
-    if config.hotspot is None:
-        config = dataclasses.replace(
-            config,
-            hotspot=HotspotProfile(
-                period=config.duration / 3, intensity=0.7, width=8
-            ),
-        )
-    router = ShardRouter(shard_count, config.replicas_per_shard, salt=config.seed)
-    workload = config.workload(router)
-    rows: List[MigrationComparisonRow] = []
-    for label, migration in schedules:
-        system = ClusterSystem(
-            shard_count=shard_count,
-            replicas_per_shard=config.replicas_per_shard,
-            batch_size=batch_size,
-            broadcast=config.broadcast,
-            initial_balance=config.initial_balance,
-            network_config=config.network_copy(),
-            backend=backend,
-            epoch=config.epoch,
-            epoch_policy=config.epoch_policy,
-            max_workers=max_workers,
-            migration=migration,
-            checkpoint_every=config.checkpoint_every,
-            compact_history=config.compact_history,
-            seed=config.seed,
-        )
-        system.schedule_submissions(workload)
-        result = system.run(max_events=config.max_events)
-        records = system.scheduler.migration_log
-        loads = system.worker_loads()
-        rows.append(
-            MigrationComparisonRow(
-                schedule=label,
-                backend=backend,
-                moves=len(records),
-                snapshot_bytes=sum(r.snapshot_bytes for r in records),
-                stall_s=sum(r.stall_s for r in records),
-                delta_bytes=sum(r.delta_bytes for r in records),
-                replayed_events=sum(r.replayed_events for r in records),
-                peak_worker_load=max(loads.values()) if loads else 0,
-                mean_worker_load=(
-                    sum(loads.values()) / len(loads) if loads else 0.0
-                ),
-                committed=result.committed_count,
-                check_ok=system.check_definition1().ok,
-                fingerprint=result.fingerprint(),
-                migration_stream=list(result.migration_stream or []),
-            )
-        )
-        system.close()
-    return rows
-
-
-def backend_comparison_experiment(
-    shard_count: int = 8,
-    batch_size: int = 8,
-    backends: Sequence[str] = ("serial", "thread", "process"),
-    config: Optional[ClusterExperimentConfig] = None,
-) -> List[BackendComparisonRow]:
-    """Run one workload through every execution backend and time it.
-
-    Simulated results are backend-invariant by construction (each row
-    carries the run's :meth:`~repro.cluster.result.ClusterResult.fingerprint`
-    so callers can assert it); what differs is *wall-clock* time — the
-    process pool advances shards on real cores while the serial backend is
-    the single-threaded reference.  Fraction-steered workloads are shared
-    across backends (one geometry, one router salt), so the comparison is
-    equal work, not merely equal offered load.
-    """
-    config = config or ClusterExperimentConfig()
-    # Fraction-steered workloads need the cluster geometry; the router is a
-    # pure function of (shards, replicas, salt), the same one every swept
-    # system will construct for itself.
-    router = (
-        ShardRouter(shard_count, config.replicas_per_shard, salt=config.seed)
-        if config.cross_shard_fraction is not None
-        else None
-    )
-    workload = config.workload(router)
-    rows: List[BackendComparisonRow] = []
-    for backend in backends:
-        variant = dataclasses.replace(config, backend=backend)
-        started = time.perf_counter()
-        scaling_row, system = run_cluster(shard_count, batch_size, variant, workload=workload)
-        elapsed = time.perf_counter() - started
-        fingerprint = system.result.fingerprint()
-        system.close()
-        rows.append(
-            BackendComparisonRow(
-                backend=backend,
-                wall_clock_s=elapsed,
-                fingerprint=fingerprint,
-                row=scaling_row,
-                telemetry=scaling_row.telemetry,
-            )
-        )
     return rows

@@ -2,8 +2,8 @@
 
 The functions here turn the dataclasses produced by
 :mod:`repro.eval.experiments` into aligned text tables — the same rows and
-series the paper states in prose — so that examples and the EXPERIMENTS.md
-regeneration script can print something a reader can compare at a glance.
+series the paper states in prose — so that the examples can print something
+a reader can compare at a glance.
 """
 
 from __future__ import annotations
@@ -12,13 +12,9 @@ from typing import Iterable, List, Sequence
 
 from repro.eval.experiments import (
     AblationRow,
-    BackendComparisonRow,
     ClusterScalingRow,
     ComparisonRow,
-    EpochPolicyRow,
     LatencyRow,
-    MigrationComparisonRow,
-    SoakReport,
     TelemetryRow,
 )
 from repro.eval.metrics import RunSummary
@@ -157,132 +153,6 @@ def format_cluster_table(rows: Sequence[ClusterScalingRow]) -> str:
             str(row.retired_records),
             "OK" if row.check.ok else "VIOLATED",
             "OK" if row.conservation_ok else "VIOLATED",
-        ]
-        for row in rows
-    ]
-    return _format_table(headers, body)
-
-
-def format_soak_table(report: SoakReport) -> str:
-    """The settlement soak: resident vs retired records, checkpoint by
-    checkpoint.  ``resident`` staying flat while ``retired`` climbs is the
-    compaction lifecycle working; the last row (quiescence) retires all."""
-    headers = [
-        "t (sim s)",
-        "committed",
-        "resident",
-        "retired",
-        "journal",
-        "migrations",
-        "retired amt",
-        "minted amt",
-        "in flight",
-        "identity",
-    ]
-    body = [
-        [
-            f"{sample.time:.3f}",
-            str(sample.committed),
-            str(sample.resident_settlement_records),
-            str(sample.retired_records),
-            str(sample.resident_journal_records),
-            str(sample.migrations),
-            str(sample.retired_amount),
-            str(sample.minted_amount),
-            str(sample.in_flight_amount),
-            "OK" if sample.conserved and sample.retirement_backed else "VIOLATED",
-        ]
-        for sample in report.samples
-    ]
-    return _format_table(headers, body)
-
-
-def format_epoch_policy_table(rows: Sequence[EpochPolicyRow]) -> str:
-    """The epoch-policy trade: barrier overhead vs cross-shard latency."""
-    headers = [
-        "policy",
-        "barriers",
-        "final epoch ms",
-        "avg settle ms",
-        "p95 settle ms",
-        "max settle ms",
-        "committed",
-        "audits",
-    ]
-    body = [
-        [
-            row.policy,
-            str(row.barriers),
-            f"{row.final_epoch * 1000:.2f}",
-            f"{row.avg_settlement_latency * 1000:.2f}",
-            f"{row.p95_settlement_latency * 1000:.2f}",
-            f"{row.max_settlement_latency * 1000:.2f}",
-            str(row.committed),
-            "OK" if row.check_ok else "VIOLATED",
-        ]
-        for row in rows
-    ]
-    return _format_table(headers, body)
-
-
-def format_migration_table(rows: Sequence[MigrationComparisonRow]) -> str:
-    """The migration-schedule comparison: one hotspot workload, many plans.
-
-    ``peak/mean`` is the per-worker load imbalance the schedule ended with
-    (lower peak = better balanced); ``bytes``/``stall`` total what the moves
-    cost; ``fingerprint`` is identical down the column — the placement-
-    invariance guarantee, visible at a glance.
-    """
-    headers = [
-        "schedule",
-        "moves",
-        "bytes",
-        "stall ms",
-        "peak load",
-        "peak/mean",
-        "committed",
-        "audits",
-        "fingerprint",
-    ]
-    body = [
-        [
-            row.schedule,
-            str(row.moves),
-            str(row.snapshot_bytes),
-            f"{row.stall_s * 1000:.1f}",
-            str(row.peak_worker_load),
-            (
-                f"{row.peak_worker_load / row.mean_worker_load:.2f}"
-                if row.mean_worker_load
-                else "-"
-            ),
-            str(row.committed),
-            "OK" if row.check_ok else "VIOLATED",
-            row.fingerprint[:12],
-        ]
-        for row in rows
-    ]
-    return _format_table(headers, body)
-
-
-def format_backend_table(rows: Sequence[BackendComparisonRow]) -> str:
-    """The execution-backend comparison: one workload, three engines.
-
-    ``speedup`` is wall-clock relative to the first row (conventionally the
-    serial backend); ``fingerprint`` is the truncated canonical run hash —
-    identical down the column by the equivalence guarantee, printed so a
-    human can see at a glance that the engines did the same work.
-    """
-    baseline = rows[0].wall_clock_s if rows else 0.0
-    headers = ["backend", "wall clock s", "speedup", "tx/s (sim)", "def-1", "fingerprint"]
-    body = [
-        [
-            row.backend,
-            f"{row.wall_clock_s:.2f}",
-            f"{baseline / row.wall_clock_s:.2f}x" if row.wall_clock_s > 0 else "-",
-            f"{row.throughput:.0f}",
-            "OK" if row.row.check.ok else "VIOLATED",
-            row.fingerprint[:12],
         ]
         for row in rows
     ]

@@ -167,7 +167,7 @@ class KSharedTransferNode(Node):
         )
 
     def processing_cost(self, message: Any) -> Optional[float]:
-        """Charge signature verification on signed messages (see DESIGN.md §2)."""
+        """Charge signature verification on signed messages (see :class:`NetworkConfig`)."""
         config = self._network.config
         base = config.processing_time
         signature = config.signature_verification_time

@@ -1,8 +1,8 @@
 """Discrete-event simulation of an asynchronous message-passing network.
 
-The simulator is the substitute for the paper's real deployment (see
-DESIGN.md §2): protocols run unchanged on top of it, time is simulated, and
-per-node CPU costs plus per-link latencies determine throughput and latency.
+The simulator is the substitute for the paper's real deployment: protocols
+run unchanged on top of it, time is simulated, and per-node CPU costs plus
+per-link latencies (:class:`NetworkConfig`) determine throughput and latency.
 Both the consensusless protocol and the PBFT baseline run on this same
 substrate, so relative comparisons are meaningful.
 """

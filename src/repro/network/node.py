@@ -56,7 +56,7 @@ class NetworkConfig:
     :meth:`Node.processing_cost` override: PBFT votes and client requests
     carry signatures, whereas Bracha echo/ready messages only need channel
     authentication — an asymmetry that is one of the drivers of the
-    throughput gap the paper reports (see DESIGN.md §2).
+    throughput gap the paper reports.
     """
 
     latency_base: float = 0.0005

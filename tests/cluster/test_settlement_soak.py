@@ -4,7 +4,7 @@ The point of the acknowledgement-driven compaction lifecycle is that a
 long-running ledger's settlement footprint tracks the *in-flight window*,
 not the run's history: outbound ``x{d}:a`` records are retired the moment a
 ``2f+1`` destination-replica acknowledgement quorum confirms their mint.
-This benchmark drives a long-horizon, cross-shard-heavy workload through the
+This suite drives a long-horizon, cross-shard-heavy workload through the
 epoch backends, sampling the resident/retired record counts and the extended
 supply identity (``local + outbound - (minted - retired) == initial``) at
 every checkpoint, and asserts:
@@ -23,23 +23,20 @@ residency is asserted alongside the ledger residency: with compaction behind
 the retirement watermark, the relays hold the in-flight window plus one
 watermark certificate per stream — never the certificate history.
 
-A second sweep runs the same workload under :class:`FixedEpochPolicy`,
-:class:`AdaptiveEpochPolicy` and :class:`LatencyTargetEpochPolicy`,
-recording the barrier-overhead versus cross-shard-latency trade the adaptive
-grids automate (the latency-target policy drives the p95 column toward its
-goal directly).
+The migrated soak runs again on the process pool twice — with and without
+incremental checkpoints — to compare the growth figures the checkpoint seam
+bounds: the driver's migration replay log and the shards' resident
+local-transfer histories, alongside the tracemalloc peak.
 
-A third sweep repeats the migrated soak on the process pool twice — with and
-without incremental checkpoints — and compares the growth figures the
-checkpoint seam bounds: the driver's migration replay log and the shards'
-resident local-transfer histories, alongside tracemalloc/RSS memory peaks.
-
-Results land in ``BENCH_cluster.json`` under the ``soak``,
-``checkpoint_soak`` and ``epoch_policy_rows`` keys.  ``REPRO_BENCH_SMOKE=1``
-(used by ``make soak``) shrinks the horizon for CI.
+A last run drives the same workload under :class:`FixedEpochPolicy`,
+:class:`AdaptiveEpochPolicy` and :class:`LatencyTargetEpochPolicy`: the
+barrier-overhead versus cross-shard-latency trade the adaptive grids
+automate (the latency-target policy drives its p95 toward the goal directly).
 """
 
-from _gates import SMOKE, journal as _update_json
+import dataclasses
+import tracemalloc
+
 from repro.cluster import (
     AdaptiveEpochPolicy,
     FixedEpochPolicy,
@@ -50,19 +47,12 @@ from repro.eval.experiments import (
     ClusterExperimentConfig,
     epoch_policy_experiment,
     settlement_soak_experiment,
-    telemetry_breakdown,
     telemetry_phase_coverage,
-    telemetry_top_counters,
-)
-from repro.eval.reporting import (
-    format_epoch_policy_table,
-    format_soak_table,
-    format_telemetry_table,
 )
 from repro.network.node import NetworkConfig
 
-SOAK_DURATION = 0.12 if SMOKE else 0.4
-SOAK_CHECKPOINTS = 6 if SMOKE else 12
+SOAK_DURATION = 0.12
+SOAK_CHECKPOINTS = 6
 SOAK_SHARDS = 2
 SOAK_BATCH = 4
 SOAK_WORKERS = 2
@@ -94,27 +84,21 @@ def _soak_migration(duration: float) -> MigrationPlan:
     )
 
 
-def test_settlement_soak_bounded_resident_records(benchmark):
+def test_settlement_soak_bounded_resident_records():
     """Long horizon, sustained cross-shard load, *live migration* mid-soak:
     resident records and relay journals stay flat, identities hold at every
     checkpoint, and the shards provably moved while it all held."""
-    import dataclasses
-
     config = dataclasses.replace(
         _config(SOAK_DURATION),
         migration=_soak_migration(SOAK_DURATION),
         max_workers=SOAK_WORKERS,
     )
-
-    def run():
-        return settlement_soak_experiment(
-            shard_count=SOAK_SHARDS,
-            batch_size=SOAK_BATCH,
-            checkpoints=SOAK_CHECKPOINTS,
-            config=config,
-        )
-
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
+    report = settlement_soak_experiment(
+        shard_count=SOAK_SHARDS,
+        batch_size=SOAK_BATCH,
+        checkpoints=SOAK_CHECKPOINTS,
+        config=config,
+    )
 
     assert not report.violations, report.violations
     assert report.final_check_ok
@@ -156,86 +140,17 @@ def test_settlement_soak_bounded_resident_records(benchmark):
         f"soak phase breakdown explains only {coverage:.1%} of wall time"
     )
 
-    benchmark.extra_info["peak_resident"] = report.peak_resident
-    benchmark.extra_info["cumulative_records"] = report.cumulative_records
-    benchmark.extra_info["peak_journal"] = report.peak_journal
-    benchmark.extra_info["phase_coverage"] = round(coverage, 3)
-    _update_json(
-        "soak",
-        {
-            "duration": SOAK_DURATION,
-            "shard_count": SOAK_SHARDS,
-            "batch_size": SOAK_BATCH,
-            "checkpoints": SOAK_CHECKPOINTS,
-            "migrations": report.migrations,
-            "peak_resident": report.peak_resident,
-            "cumulative_records": report.cumulative_records,
-            "bounded": report.bounded,
-            "fully_retired": report.fully_retired,
-            "peak_journal": report.peak_journal,
-            "journal_total": report.journal_total,
-            "journal_bounded": report.journal_bounded,
-            "samples": [
-                {
-                    "time": round(sample.time, 4),
-                    "committed": sample.committed,
-                    "resident": sample.resident_settlement_records,
-                    "retired": sample.retired_records,
-                    "journal": sample.resident_journal_records,
-                    "migrations": sample.migrations,
-                    "retired_amount": sample.retired_amount,
-                    "minted_amount": sample.minted_amount,
-                    "in_flight_amount": sample.in_flight_amount,
-                    "identity_ok": sample.conserved and sample.retirement_backed,
-                }
-                for sample in report.samples
-            ],
-            "telemetry_rows": [
-                {
-                    "backend": "serial",
-                    "mode": report.telemetry.get("mode"),
-                    "phase_coverage": round(coverage, 4),
-                    "phases": [
-                        {
-                            "phase": row.phase,
-                            "count": row.count,
-                            "total_s": round(row.total_s, 6),
-                            "mean_ms": round(row.mean_s * 1000, 4),
-                            "share": round(row.share, 4),
-                        }
-                        for row in telemetry_breakdown(report.telemetry)
-                    ],
-                    "top_counters": [
-                        {"counter": name, "value": value}
-                        for name, value in telemetry_top_counters(
-                            report.telemetry, limit=8
-                        )
-                    ],
-                }
-            ],
-        },
-    )
-    print()
-    print(format_soak_table(report))
-    print()
-    print(format_telemetry_table(telemetry_breakdown(report.telemetry)))
 
-
-def test_checkpoint_soak_bounded_memory(benchmark):
+def test_checkpoint_soak_bounded_memory():
     """The same migrated soak on the process pool, with and without
     incremental checkpoints: checkpoints bound the driver's replay log and
     (with ``compact_history``) the shards' local-transfer histories, while
     the canonical outcome — audits, retirement, migrations — is identical.
 
     The growth assertions are deterministic event counts (replay-log and
-    resident-record peaks), so they are strict.  The memory figures
-    (tracemalloc traced peak, ``ru_maxrss``) are journaled for trend
-    tracking but only loosely asserted — allocator noise and interpreter
-    warm-up make tight byte bounds flaky."""
-    import dataclasses
-    import resource
-    import tracemalloc
-
+    resident-record peaks), so they are strict.  The tracemalloc traced peak
+    is only loosely asserted — allocator noise and interpreter warm-up make
+    tight byte bounds flaky."""
     base = dataclasses.replace(
         _config(SOAK_DURATION),
         migration=_soak_migration(SOAK_DURATION),
@@ -257,18 +172,12 @@ def test_checkpoint_soak_bounded_memory(benchmark):
         )
         _, traced_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        return report, traced_peak, rss_kb
+        return report, traced_peak
 
-    def run():
-        # Plain first so its traced peak is not inflated by the other run's
-        # surviving allocations; ru_maxrss is a process high-water mark and
-        # is journaled per run for trend tracking only.
-        return _measured(plain_config), _measured(ckpt_config)
-
-    (plain, plain_peak, plain_rss), (ckpt, ckpt_peak, ckpt_rss) = (
-        benchmark.pedantic(run, rounds=1, iterations=1)
-    )
+    # Plain first so its traced peak is not inflated by the other run's
+    # surviving allocations.
+    plain, plain_peak = _measured(plain_config)
+    ckpt, ckpt_peak = _measured(ckpt_config)
 
     for report in (plain, ckpt):
         assert not report.violations, report.violations
@@ -307,43 +216,11 @@ def test_checkpoint_soak_bounded_memory(benchmark):
         f"checkpointed soak traced peak {ckpt_peak} vs plain {plain_peak}"
     )
 
-    benchmark.extra_info["plain_peak_replay_log"] = plain.peak_replay_log
-    benchmark.extra_info["ckpt_peak_replay_log"] = ckpt.peak_replay_log
-    benchmark.extra_info["ckpt_delta_bytes"] = stats["delta_bytes"]
-    _update_json(
-        "checkpoint_soak",
-        {
-            "duration": SOAK_DURATION,
-            "shard_count": SOAK_SHARDS,
-            "batch_size": SOAK_BATCH,
-            "checkpoints": SOAK_CHECKPOINTS,
-            "backend": "process",
-            "checkpoint_every": ckpt_config.checkpoint_every,
-            "compact_history": ckpt_config.compact_history,
-            "runs": [
-                {
-                    "variant": variant,
-                    "peak_replay_log": report.peak_replay_log,
-                    "peak_local_records": report.peak_local_records,
-                    "peak_resident": report.peak_resident,
-                    "migrations": report.migrations,
-                    "checkpoint_stats": report.checkpoint_stats,
-                    "tracemalloc_peak_bytes": traced,
-                    "ru_maxrss_kb": rss,
-                }
-                for variant, report, traced, rss in (
-                    ("plain", plain, plain_peak, plain_rss),
-                    ("checkpointed", ckpt, ckpt_peak, ckpt_rss),
-                )
-            ],
-        },
-    )
 
-
-def test_epoch_policy_trade(benchmark):
+def test_epoch_policy_trade():
     """Fixed vs adaptive vs latency-target grids: overhead vs settlement
     latency, with the latency-target policy judged against its p95 goal."""
-    config = _config(0.05 if SMOKE else 0.1)
+    config = _config(0.05)
     policies = [
         ("fixed", FixedEpochPolicy(config.epoch)),
         ("adaptive", AdaptiveEpochPolicy(initial_epoch=config.epoch)),
@@ -357,13 +234,9 @@ def test_epoch_policy_trade(benchmark):
             ),
         ),
     ]
-
-    def run():
-        return epoch_policy_experiment(
-            policies, shard_count=SOAK_SHARDS, batch_size=SOAK_BATCH, config=config
-        )
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = epoch_policy_experiment(
+        policies, shard_count=SOAK_SHARDS, batch_size=SOAK_BATCH, config=config
+    )
 
     by_policy = {row.policy: row for row in rows}
     for row in rows:
@@ -394,37 +267,3 @@ def test_epoch_policy_trade(benchmark):
         latency_row.p95_settlement_latency
         <= by_policy["fixed"].p95_settlement_latency
     )
-
-    _update_json(
-        "epoch_policy_rows",
-        {
-            "workload": {
-                "duration": config.duration,
-                "aggregate_rate": config.aggregate_rate,
-                "cross_shard_fraction": config.cross_shard_fraction,
-                "seed": config.seed,
-            },
-            "latency_target_p95_ms": LATENCY_TARGET_P95 * 1000,
-            "rows": [
-                {
-                    "policy": row.policy,
-                    "barriers": row.barriers,
-                    "final_epoch": row.final_epoch,
-                    "avg_settlement_latency_ms": round(
-                        row.avg_settlement_latency * 1000, 3
-                    ),
-                    "p95_settlement_latency_ms": round(
-                        row.p95_settlement_latency * 1000, 3
-                    ),
-                    "max_settlement_latency_ms": round(
-                        row.max_settlement_latency * 1000, 3
-                    ),
-                    "committed": row.committed,
-                    "audits_ok": row.check_ok,
-                }
-                for row in rows
-            ],
-        },
-    )
-    print()
-    print(format_epoch_policy_table(rows))

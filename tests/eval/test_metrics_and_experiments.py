@@ -7,7 +7,6 @@ import pytest
 from repro.eval.experiments import (
     ClusterExperimentConfig,
     ExperimentConfig,
-    backend_comparison_experiment,
     batching_ablation,
     broadcast_ablation,
     compare_systems,
@@ -20,13 +19,10 @@ from repro.eval.experiments import (
 from repro.eval.metrics import LatencyStats, summarize_result
 from repro.eval.reporting import (
     format_ablation_table,
-    format_backend_table,
     format_cluster_table,
     format_comparison_table,
-    format_epoch_policy_table,
     format_latency_table,
     format_run_summary,
-    format_soak_table,
 )
 from repro.mp.consensusless_transfer import TransferRecord
 from repro.mp.system import SystemResult
@@ -111,33 +107,6 @@ class TestExperimentHarness:
         assert [row.label for row in rows] == ["batch=1", "batch=4"]
         assert all(row.summary.committed == 8 for row in rows)
 
-    def test_backend_comparison_experiment(self, fast_network):
-        config = ClusterExperimentConfig(
-            user_count=200,
-            aggregate_rate=2_000.0,
-            duration=0.02,
-            cross_shard_fraction=0.5,
-            network=fast_network,
-            seed=7,
-        )
-        rows = backend_comparison_experiment(
-            shard_count=2, batch_size=4, backends=("serial", "process"), config=config
-        )
-        assert [row.backend for row in rows] == ["serial", "process"]
-        # One workload, two engines: identical audited results, measured time.
-        assert len({row.fingerprint for row in rows}) == 1
-        for row in rows:
-            assert row.wall_clock_s > 0
-            # Engine and audit are timed apart; the total stays their sum.
-            assert row.run_wall_s > 0 and row.audit_wall_s > 0
-            assert row.wall_clock_s == pytest.approx(row.run_wall_s + row.audit_wall_s)
-            assert row.row.check.ok
-            assert row.row.conservation_ok
-            assert row.throughput == rows[0].throughput
-        table = format_backend_table(rows)
-        assert "speedup" in table and "fingerprint" in table
-        assert rows[0].fingerprint[:12] in table
-
     def test_a_stateful_epoch_policy_does_not_leak_between_runs(self):
         from repro.cluster import LatencyTargetEpochPolicy
 
@@ -194,6 +163,22 @@ class TestSettlementLifecycleExperiments:
         finally:
             system.close()
 
+    def test_every_config_field_reaches_the_built_system(self, fast_network):
+        config = dataclasses.replace(
+            self._config(fast_network),
+            backend="thread",
+            checkpoint_every=3,
+            compact_history=True,
+            telemetry="full",
+            seed=11,
+        )
+        with config.system(2, 4) as system:
+            assert system.backend_name == "thread"
+            assert system.checkpoint_every == 3
+            assert system.compact_history is True
+            assert system.telemetry_mode == "full"
+            assert system.seed == 11
+
     def test_settlement_soak_reports_bounded_residency(self, fast_network):
         report = settlement_soak_experiment(
             shard_count=2,
@@ -206,8 +191,6 @@ class TestSettlementLifecycleExperiments:
         assert report.bounded
         assert report.fully_retired
         assert len(report.samples) == 5  # checkpoints + quiescence
-        table = format_soak_table(report)
-        assert "resident" in table and "retired" in table
 
     def test_epoch_policy_experiment_compares_the_trade(self, fast_network):
         from repro.cluster import AdaptiveEpochPolicy, FixedEpochPolicy
@@ -228,5 +211,3 @@ class TestSettlementLifecycleExperiments:
         # Same workload and protocol outcome; only the barrier grid differs.
         assert rows[0].committed == rows[1].committed
         assert rows[0].barriers != rows[1].barriers
-        table = format_epoch_policy_table(rows)
-        assert "barriers" in table and "avg settle ms" in table

@@ -1,9 +1,8 @@
 """Golden-output tests for the cluster-facing report tables.
 
-The tables are part of the repository's human interface — EXPERIMENTS.md
-regeneration, the examples and the benchmark logs all print them — so their
-exact rendering is pinned character-for-character against synthetic rows
-with hand-checkable numbers.  A formatting change that shifts a column or a
+The tables are part of the repository's human interface — the cluster
+quickstart example prints them — so their exact rendering is pinned
+character-for-character against synthetic rows with hand-checkable numbers.  A formatting change that shifts a column or a
 unit must show up here as a diff a reviewer reads, not as silent drift.
 Empty inputs are part of the contract too: every table degrades to its
 header pair, never to an exception.
@@ -13,7 +12,6 @@ import textwrap
 
 from repro.cluster.result import ClusterCheckReport, SupplyAudit
 from repro.eval.experiments import (
-    BackendComparisonRow,
     ClusterScalingRow,
     TelemetryRow,
     telemetry_breakdown,
@@ -21,11 +19,7 @@ from repro.eval.experiments import (
     telemetry_top_counters,
 )
 from repro.eval.metrics import LatencyStats, RunSummary
-from repro.eval.reporting import (
-    format_backend_table,
-    format_cluster_table,
-    format_telemetry_table,
-)
+from repro.eval.reporting import format_cluster_table, format_telemetry_table
 
 
 def _golden(text: str) -> str:
@@ -90,36 +84,6 @@ class TestClusterTableGolden:
             "retired", "def-1", "conserved",
         ]
         assert set(lines[1]) <= {"-", " "}
-
-
-class TestBackendTableGolden:
-    def test_two_backends_render_exactly(self):
-        row = _scaling_row()
-        rows = [
-            BackendComparisonRow(
-                backend="serial", wall_clock_s=2.0, fingerprint="deadbeefcafe0123", row=row
-            ),
-            BackendComparisonRow(
-                backend="process", wall_clock_s=0.5, fingerprint="deadbeefcafe0123", row=row
-            ),
-        ]
-        expected = _golden(
-            """
-            backend  wall clock s  speedup  tx/s (sim)  def-1  fingerprint
-            -------  ------------  -------  ----------  -----  ------------
-            serial   2.00          1.00x    1200        OK     deadbeefcafe
-            process  0.50          4.00x    1200        OK     deadbeefcafe
-            """
-        )
-        assert format_backend_table(rows) == expected
-
-    def test_no_rows_renders_the_header_pair(self):
-        assert format_backend_table([]) == _golden(
-            """
-            backend  wall clock s  speedup  tx/s (sim)  def-1  fingerprint
-            -------  ------------  -------  ----------  -----  -----------
-            """
-        )
 
 
 class TestTelemetryTableGolden:
