@@ -75,9 +75,11 @@ perf-smoke:
 perf:
 	python3 perf/run.py
 
-## The cluster quickstart example.
+## Every example script, in turn (~9 s); the first failure stops the target.
+EXAMPLES := quickstart cluster_quickstart double_spend_attack shared_account_escrow throughput_comparison
+
 example:
-	$(PYTHON) examples/cluster_quickstart.py
+	for name in $(EXAMPLES); do $(PYTHON) examples/$$name.py || exit 1; done
 
 clean:
 	rm -rf .pytest_cache .benchmarks

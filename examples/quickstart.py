@@ -12,7 +12,8 @@ Run with:  python examples/quickstart.py
 """
 
 from repro.common import OwnershipMap
-from repro.core import ConsensusFromAssetTransfer, SnapshotAssetTransfer
+from repro.core.consensus_from_asset_transfer import ConsensusFromAssetTransfer
+from repro.core.snapshot_asset_transfer import SnapshotAssetTransfer
 from repro.mp.consensusless_transfer import account_of
 from repro.mp.system import ClientSubmission, ConsensuslessSystem
 from repro.shared_memory.afek_snapshot import AfekSnapshot

@@ -32,7 +32,7 @@ from repro.common import (
     TransferId,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AccountId",

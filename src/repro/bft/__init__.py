@@ -12,19 +12,6 @@ asset-transfer system.  This package provides that comparator:
   :class:`repro.mp.system.ConsensuslessSystem`, and
 * :mod:`repro.bft.sequencer` — the lightweight owner-quorum sequencing
   service used by the k-shared extension (Section 6).
+
+The package re-exports nothing: import from the defining module.
 """
-
-from repro.bft.consensus_transfer import ConsensusTransferSystem
-from repro.bft.pbft import PbftConfig, PbftReplica
-from repro.bft.sequencer import OwnerQuorumSequencer, SequencedTransfer
-from repro.bft.smr import LedgerStateMachine, OrderedRequest
-
-__all__ = [
-    "ConsensusTransferSystem",
-    "LedgerStateMachine",
-    "OrderedRequest",
-    "OwnerQuorumSequencer",
-    "PbftConfig",
-    "PbftReplica",
-    "SequencedTransfer",
-]

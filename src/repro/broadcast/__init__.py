@@ -8,40 +8,8 @@
   signed echo broadcast with quorum certificates.
 * :class:`~repro.broadcast.account_order_broadcast.AccountOrderBroadcast` —
   the Section 6 variant enforcing per-account delivery order.
+* :mod:`repro.broadcast.messages` — the wire messages of all of them.
+
+The package re-exports nothing: import from the defining module, so that
+Figure 4 never loads the Section 6 variant and the sequencer it rests on.
 """
-
-from repro.broadcast.account_order_broadcast import AccountOrderBroadcast
-from repro.broadcast.bracha import BrachaBroadcast
-from repro.broadcast.echo_broadcast import EchoBroadcast
-from repro.broadcast.messages import (
-    AccountTaggedPayload,
-    BroadcastMessage,
-    EchoMessage,
-    EchoSignatureMessage,
-    FinalMessage,
-    ReadyMessage,
-    SendMessage,
-)
-from repro.broadcast.secure_broadcast import (
-    BroadcastDelivery,
-    BroadcastLayer,
-    BroadcastStats,
-    SourceOrderBuffer,
-)
-
-__all__ = [
-    "AccountOrderBroadcast",
-    "AccountTaggedPayload",
-    "BrachaBroadcast",
-    "BroadcastDelivery",
-    "BroadcastLayer",
-    "BroadcastMessage",
-    "BroadcastStats",
-    "EchoBroadcast",
-    "EchoMessage",
-    "EchoSignatureMessage",
-    "FinalMessage",
-    "ReadyMessage",
-    "SendMessage",
-    "SourceOrderBuffer",
-]

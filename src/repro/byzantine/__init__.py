@@ -9,25 +9,6 @@ The message-passing model of Section 5.1 distinguishes *crashed*, *malicious*
 * :mod:`repro.byzantine.behaviors` — reusable adversarial strategies
   (silence, message dropping, delaying, equivocation planning) that the
   attack nodes in :mod:`repro.mp` and :mod:`repro.bft` compose.
+
+The package re-exports nothing: import from the defining module.
 """
-
-from repro.byzantine.behaviors import (
-    Behavior,
-    CrashBehavior,
-    DelayBehavior,
-    DropBehavior,
-    EquivocationPlan,
-    HonestBehavior,
-)
-from repro.byzantine.faults import FaultKind, FaultModel
-
-__all__ = [
-    "Behavior",
-    "CrashBehavior",
-    "DelayBehavior",
-    "DropBehavior",
-    "EquivocationPlan",
-    "FaultKind",
-    "FaultModel",
-    "HonestBehavior",
-]

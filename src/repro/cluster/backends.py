@@ -66,16 +66,13 @@ import abc
 import cProfile
 import itertools
 import math
-import multiprocessing
-import multiprocessing.connection
 import os
 import time as _time
 import traceback
 import weakref
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.migration import (
     MigrationPolicy,
@@ -113,6 +110,9 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.types import ProcessId, Transfer
 from repro.obs.profiling import profile_stats_dict
 from repro.workloads.cluster_driver import RoutedSubmission
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 BACKEND_NAMES = ("serial", "thread", "process")
 
@@ -654,8 +654,13 @@ class ThreadBackend(SerialBackend):
     name = "thread"
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
+        # Imported by the backend that needs it, so a serial run never loads
+        # it and a pool pays at construction, not in open() or run().
+        from concurrent.futures import ThreadPoolExecutor
+
         super().__init__()
         self._max_workers = max_workers
+        self._executor = ThreadPoolExecutor
         self._pool: Optional[ThreadPoolExecutor] = None
 
     def open(
@@ -668,7 +673,7 @@ class ThreadBackend(SerialBackend):
     ) -> None:
         super().open(shards, specs, submissions, placement, record_history)
         workers = self._max_workers or min(len(shards), os.cpu_count() or 1) or 1
-        self._pool = ThreadPoolExecutor(
+        self._pool = self._executor(
             max_workers=max(1, workers), thread_name_prefix="shard-backend"
         )
 
@@ -872,6 +877,15 @@ class ProcessPoolBackend(ExecutionBackend):
     name = "process"
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
+        # Imported by the backend that needs them, so a serial run never
+        # loads them and a pool pays at construction, not in open() or run().
+        import multiprocessing
+        import multiprocessing.connection
+
+        self._context = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+        )
+        self._wait = multiprocessing.connection.wait
         self._max_workers = max_workers
         self._workers: List[Tuple[Any, Any]] = []  # (process, connection)
         self._placement: Optional[PlacementPlan] = None
@@ -916,9 +930,6 @@ class ProcessPoolBackend(ExecutionBackend):
             placement = PlacementPlan(len(shards), worker_count)
         self._placement = placement
         self._history = {spec.index: [] for spec in specs} if record_history else None
-        context = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        )
         per_worker_specs: List[List[ShardSpec]] = [
             [] for _ in range(placement.worker_count)
         ]
@@ -926,12 +937,12 @@ class ProcessPoolBackend(ExecutionBackend):
             per_worker_specs[placement.worker_of(spec.index)].append(spec)
         self._outstanding = [deque() for _ in range(placement.worker_count)]
         for slot in range(placement.worker_count):
-            parent, child = context.Pipe(duplex=True)
+            parent, child = self._context.Pipe(duplex=True)
             worker_submissions = {
                 spec.index: self._submissions[spec.index]
                 for spec in per_worker_specs[slot]
             }
-            process = context.Process(
+            process = self._context.Process(
                 target=_worker_main,
                 args=(child, per_worker_specs[slot], worker_submissions, self.profile),
                 daemon=True,
@@ -1040,7 +1051,7 @@ class ProcessPoolBackend(ExecutionBackend):
         payloads: Dict[int, Any] = {}
         stamps: List[float] = []
         while owed:
-            for connection in multiprocessing.connection.wait(list(owed)):
+            for connection in self._wait(list(owed)):
                 slot = owed.pop(connection)
                 payloads[slot] = self._recv(slot)
                 stamps.append(_time.perf_counter())

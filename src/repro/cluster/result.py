@@ -19,6 +19,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.types import Amount
 from repro.mp.consensusless_transfer import TransferRecord
 from repro.mp.system import SystemResult
+from repro.obs.tracing import write_trace_events
 from repro.spec.byzantine_spec import CheckReport
 
 
@@ -235,8 +236,6 @@ class ClusterResult:
                 "this run recorded no trace; construct the ClusterSystem "
                 "with telemetry='full' to trace it"
             )
-        from repro.obs.tracing import write_trace_events
-
         write_trace_events(path, self.trace)
         return len(self.trace)
 

@@ -13,37 +13,10 @@
 * :class:`~repro.core.k_shared_asset_transfer.KSharedAssetTransfer` —
   Figure 3: k-shared asset transfer from k-consensus objects (the upper
   bound of Theorem 2).
-* :class:`~repro.core.accounts.Ledger` — the sequential reference ledger.
+* :mod:`repro.core.accounts` — the sequential reference ledger and the
+  running-balance :class:`~repro.core.accounts.AccountBook` every Figure 4
+  node keeps.
+
+The package re-exports nothing: import from the defining module, so that a
+Figure 4 run never loads the Figures 1–3 objects.
 """
-
-from repro.core.accounts import (
-    Ledger,
-    balance_from_decided_snapshot,
-    balance_from_snapshot,
-    balance_from_transfers,
-)
-from repro.core.atomic_asset_transfer import AtomicAssetTransferObject
-from repro.core.consensus_from_asset_transfer import (
-    ConsensusFromAssetTransfer,
-    make_shared_object,
-    solve_consensus_sequentially,
-)
-from repro.core.k_consensus import BOTTOM, KConsensus, KConsensusSeries
-from repro.core.k_shared_asset_transfer import KSharedAssetTransfer
-from repro.core.snapshot_asset_transfer import SnapshotAssetTransfer
-
-__all__ = [
-    "AtomicAssetTransferObject",
-    "BOTTOM",
-    "ConsensusFromAssetTransfer",
-    "KConsensus",
-    "KConsensusSeries",
-    "KSharedAssetTransfer",
-    "Ledger",
-    "SnapshotAssetTransfer",
-    "balance_from_decided_snapshot",
-    "balance_from_snapshot",
-    "balance_from_transfers",
-    "make_shared_object",
-    "solve_consensus_sequentially",
-]

@@ -47,6 +47,7 @@ from repro.common.types import (
 )
 from repro.core.accounts import balance_from_snapshot
 from repro.shared_memory.access import MemoryProgram, run_sequentially
+from repro.shared_memory.atomic_snapshot import AtomicSnapshot
 
 
 class SnapshotMemory(Protocol):
@@ -99,8 +100,6 @@ class SnapshotAssetTransfer:
                 self._initial[account] = amount
         process_count = (max(ownership.processes) + 1) if ownership.processes else 1
         if memory is None:
-            from repro.shared_memory.atomic_snapshot import AtomicSnapshot
-
             memory = AtomicSnapshot(size=process_count, initial=None, name="AS")
         if len(memory) < process_count:
             raise ConfigurationError(

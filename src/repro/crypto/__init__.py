@@ -8,15 +8,6 @@ interface and the same unforgeability guarantee *within the simulation*
 (only the holder of a key object can produce its signatures), and
 :mod:`repro.crypto.hashing` provides stable content hashes used for transfer
 and message identifiers.
+
+The package re-exports nothing: import from the defining module.
 """
-
-from repro.crypto.hashing import content_hash, short_hash
-from repro.crypto.signatures import KeyPair, Signature, SignatureScheme
-
-__all__ = [
-    "KeyPair",
-    "Signature",
-    "SignatureScheme",
-    "content_hash",
-    "short_hash",
-]

@@ -2,32 +2,11 @@
 
 * :mod:`repro.mp.consensusless_transfer` — the Figure 4 protocol node.
 * :mod:`repro.mp.system` — the simulated-deployment façade and result types.
+* :mod:`repro.mp.messages` — the announcements Figure 4 broadcasts.
 * :mod:`repro.mp.attackers` — Byzantine nodes (double-spender, silent node).
 * :mod:`repro.mp.k_shared` — the Section 6 k-shared extension and its system
   façade.
+
+The package re-exports nothing: import from the defining module, so that a
+Figure 4 run never loads the k-shared extension or the consensus it needs.
 """
-
-from repro.mp.attackers import DoubleSpendAttacker, SilentNode
-from repro.mp.consensusless_transfer import (
-    ConsensuslessTransferNode,
-    TransferRecord,
-    account_of,
-)
-from repro.mp.k_shared import KSharedSystem, KSharedTransferNode
-from repro.mp.messages import SequencedAnnouncement, TransferAnnouncement
-from repro.mp.system import ClientSubmission, ConsensuslessSystem, SystemResult
-
-__all__ = [
-    "ClientSubmission",
-    "ConsensuslessSystem",
-    "ConsensuslessTransferNode",
-    "DoubleSpendAttacker",
-    "KSharedSystem",
-    "KSharedTransferNode",
-    "SequencedAnnouncement",
-    "SilentNode",
-    "SystemResult",
-    "TransferAnnouncement",
-    "TransferRecord",
-    "account_of",
-]

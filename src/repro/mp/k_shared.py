@@ -43,6 +43,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.types import AccountId, Amount, OwnershipMap, ProcessId, Transfer
 from repro.core.accounts import AccountBook
 from repro.crypto.signatures import SignatureScheme
+from repro.mp.attackers import SilentNode
 from repro.mp.consensusless_transfer import TransferRecord
 from repro.mp.messages import SequencedAnnouncement, TransferAnnouncement
 from repro.network.node import Network, NetworkConfig, Node
@@ -475,8 +476,6 @@ class KSharedSystem:
         self.scheme = SignatureScheme(seed=seed)
         self._result = SystemResult()
         self.silent = frozenset(silent_processes)
-
-        from repro.mp.attackers import SilentNode  # local import to avoid a cycle
 
         self.nodes: Dict[ProcessId, Node] = {}
         for pid in range(process_count):

@@ -9,36 +9,11 @@ The substrate has two halves:
   (:mod:`repro.shared_memory.afek_snapshot`).
 * **Runtime** — a cooperative, generator-based scheduler
   (:mod:`repro.shared_memory.scheduler`) that interleaves process steps at
-  shared-memory access points, can follow adversarial or random schedules,
-  and can crash processes at any step.  :mod:`repro.shared_memory.runtime`
-  wires processes, objects and a history recorder together so that executed
-  schedules can be checked for linearizability.
+  shared-memory access points (:mod:`repro.shared_memory.access`), can
+  follow adversarial or random schedules, and can crash processes at any
+  step.  :mod:`repro.shared_memory.runtime` wires processes, objects and a
+  history recorder together so that executed schedules can be checked for
+  linearizability.
+
+The package re-exports nothing: import from the defining module.
 """
-
-from repro.shared_memory.afek_snapshot import AfekSnapshot
-from repro.shared_memory.atomic_snapshot import AtomicSnapshot
-from repro.shared_memory.register import AtomicRegister, RegisterArray
-from repro.shared_memory.scheduler import (
-    CrashPlan,
-    RandomScheduler,
-    RoundRobinScheduler,
-    Scheduler,
-    SchedulerOutcome,
-    yield_point,
-)
-from repro.shared_memory.runtime import SharedMemoryRuntime, SharedMemoryProgram
-
-__all__ = [
-    "AfekSnapshot",
-    "AtomicRegister",
-    "AtomicSnapshot",
-    "CrashPlan",
-    "RandomScheduler",
-    "RegisterArray",
-    "RoundRobinScheduler",
-    "Scheduler",
-    "SchedulerOutcome",
-    "SharedMemoryProgram",
-    "SharedMemoryRuntime",
-    "yield_point",
-]

@@ -12,37 +12,6 @@ This package is the formal backbone of the reproduction.  It provides:
   checker used to validate the shared-memory algorithms of Sections 3–4, and
 * :mod:`repro.spec.byzantine_spec` — the relaxed correctness condition
   (Definition 1, Section 5.1) used to validate the message-passing protocol.
+
+The package re-exports nothing: import from the defining module.
 """
-
-from repro.spec.asset_transfer_spec import AssetTransferSpec, AssetTransferState
-from repro.spec.byzantine_spec import ByzantineAssetTransferChecker, CheckReport
-from repro.spec.history import (
-    Event,
-    EventKind,
-    History,
-    Invocation,
-    Operation,
-    OperationKind,
-    Response,
-)
-from repro.spec.linearizability import LinearizabilityChecker, LinearizationResult
-from repro.spec.object_type import SequentialObjectType, SequentialSpec, Transition
-
-__all__ = [
-    "AssetTransferSpec",
-    "AssetTransferState",
-    "ByzantineAssetTransferChecker",
-    "CheckReport",
-    "Event",
-    "EventKind",
-    "History",
-    "Invocation",
-    "LinearizabilityChecker",
-    "LinearizationResult",
-    "Operation",
-    "OperationKind",
-    "Response",
-    "SequentialObjectType",
-    "SequentialSpec",
-    "Transition",
-]

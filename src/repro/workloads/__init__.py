@@ -1,33 +1,9 @@
-"""Synthetic payment workloads used by tests, examples and benchmarks."""
+"""Synthetic payment workloads used by tests, examples and benchmarks.
 
-from repro.workloads.cluster_driver import (
-    ClusterSubmission,
-    ClusterWorkloadConfig,
-    cluster_open_loop_workload,
-    destination_histogram,
-    iter_cluster_workload,
-)
-from repro.workloads.generators import (
-    WorkloadConfig,
-    closed_loop_workload,
-    hotspot_workload,
-    k_shared_workload,
-    open_loop_workload,
-    uniform_workload,
-    zipf_workload,
-)
+* :mod:`repro.workloads.generators` — closed- and open-loop workloads for one
+  Figure 4 group (uniform, Zipf, hotspot, k-shared).
+* :mod:`repro.workloads.cluster_driver` — the open-loop workload of the
+  cluster layer, routed onto shards.
 
-__all__ = [
-    "ClusterSubmission",
-    "ClusterWorkloadConfig",
-    "WorkloadConfig",
-    "closed_loop_workload",
-    "cluster_open_loop_workload",
-    "destination_histogram",
-    "iter_cluster_workload",
-    "hotspot_workload",
-    "k_shared_workload",
-    "open_loop_workload",
-    "uniform_workload",
-    "zipf_workload",
-]
+The package re-exports nothing: import from the defining module.
+"""

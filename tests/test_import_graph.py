@@ -1,0 +1,102 @@
+"""What a run imports: the module graph behind each entry point, pinned.
+
+Figure 4 needs no consensus, so a Figure 4 process loads neither the PBFT
+baseline nor the Figures 1–3 shared-memory runtime, and a cluster process
+loads neither of them nor a worker pool it does not use.  Three rules keep it
+so: a package ``__init__`` re-exports nothing (import from the defining
+module), a pool backend imports ``concurrent.futures`` / ``multiprocessing``
+when it is constructed, and no ``repro`` module is imported inside a function
+(``TestTheFoldIsOffTheRunPath`` patches every binding in ``sys.modules`` and
+relies on a static graph).  Each graph is read in a fresh child interpreter,
+since this one has imported everything.
+"""
+
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+from typing import List, Set
+
+import pytest
+
+import repro
+
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
+
+FIGURE_4_NEVER = ("repro.bft", "repro.shared_memory", "repro.cluster", "repro.obs", "repro.eval")
+CLUSTER_NEVER = ("repro.bft", "repro.shared_memory", "repro.eval")
+POOLS = ("multiprocessing", "concurrent.futures")
+
+
+def _loaded(*steps: str) -> List[Set[str]]:
+    """The modules a fresh interpreter holds after each of ``steps``, in order."""
+    code = "import sys\n" + "".join(f"{step}\nprint(*sys.modules)\n" for step in steps)
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert child.returncode == 0, child.stderr
+    return [set(line.split()) for line in child.stdout.splitlines()]
+
+
+def _under(modules: Set[str], *packages: str) -> List[str]:
+    return sorted(
+        name for name in modules for package in packages
+        if name == package or name.startswith(package + ".")
+    )
+
+
+def test_figure_4_loads_no_consensus_shared_memory_cluster_or_harness():
+    (loaded,) = _loaded("import repro.mp.system")
+    assert "repro.mp.system" in loaded
+    assert _under(loaded, *FIGURE_4_NEVER) == []
+
+
+def test_the_cluster_loads_no_consensus_shared_memory_harness_or_pool():
+    (loaded,) = _loaded("import repro.cluster.system")
+    assert "repro.cluster.system" in loaded
+    assert _under(loaded, *CLUSTER_NEVER) == []
+    assert _under(loaded, *POOLS) == []
+
+
+def test_a_serial_run_never_loads_a_pool():
+    imported, ran = _loaded(
+        "from repro.cluster.system import ClusterSystem",
+        "system = ClusterSystem(shard_count=2, backend='serial'); system.run(); system.close()",
+    )
+    assert _under(imported, *POOLS) == _under(ran, *POOLS) == []
+
+
+@pytest.mark.parametrize(
+    "backend, pool",
+    [("thread", {"concurrent.futures"}), ("process", {"multiprocessing", "multiprocessing.connection"})],
+)
+def test_a_pool_is_loaded_when_its_backend_is_constructed(backend, pool):
+    imported, constructed = _loaded(
+        "from repro.cluster.system import ClusterSystem",
+        f"system = ClusterSystem(shard_count=2, backend={backend!r})",
+    )
+    assert _under(imported, *POOLS) == []
+    assert pool <= constructed
+
+
+def test_no_repro_module_is_imported_inside_a_function():
+    lazy = []
+    for path in sorted(pathlib.Path(SRC, "repro").rglob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(name == "repro" or name.startswith("repro.") for name in names):
+                    lazy.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert lazy == []
