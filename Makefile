@@ -20,14 +20,14 @@ test-props:
 	$(PYTHON) -m pytest tests/properties -q
 
 ## The cross-backend equivalence harness, the pinned fingerprints (toy runs on
-## serial, thread and process and under two PYTHONHASHSEEDs; the benchmark's
-## four cluster and two Figure 4 workloads at full size) and the backend
+## serial and process and under two PYTHONHASHSEEDs; the benchmark's four
+## cluster and two Figure 4 workloads at full size) and the backend
 ## determinism sweep.
 test-backends:
 	$(PYTHON) -m pytest tests/cluster/test_backend_equivalence.py tests/cluster/test_pinned_fingerprints.py tests/properties/test_backend_determinism.py -q
 
 ## The migration equivalence suite alone: placement invariance across
-## {static, manual plan, threshold policy} x {serial, thread, process},
+## {static, manual plan, threshold policy} x {serial, process},
 ## plus the arbitrary-barrier ShardSnapshot round trips migration rests on.
 test-migration:
 	$(PYTHON) -m pytest tests/cluster/test_migration.py tests/cluster/test_shard_snapshot.py -q
@@ -52,7 +52,7 @@ bench:
 soak:
 	$(PYTHON) -m pytest tests/cluster/test_settlement_soak.py -q
 
-## The observability suite alone: registry/tracer/profiling units plus the
+## The observability suite alone: registry/tracer units plus the
 ## telemetry-invariance harness (fingerprints identical with telemetry off,
 ## metrics-only and full tracing, on every backend, migrated runs included).
 test-obs:

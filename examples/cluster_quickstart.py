@@ -253,8 +253,7 @@ def checkpointed_migration() -> None:
 
 
 def telemetry_tour() -> None:
-    """The same run metered, traced and profiled-for-free: the telemetry
-    layer records where the wall clock went without moving a single result
+    """The same run metered and traced: the telemetry layer records where the wall clock went without moving a single result
     bit (the fingerprint invariant, checked live below)."""
     def build(telemetry):
         system = ClusterSystem(

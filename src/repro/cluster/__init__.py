@@ -22,12 +22,11 @@ This package deploys that observation:
   :class:`RetirementCertificate` and the per-source-shard
   :class:`CompactionGate` retires the fully-acknowledged outbound records,
   keeping long-running ledgers compact.
-* :mod:`repro.cluster.backends` — the parallel execution backends:
-  :class:`SerialBackend`, :class:`ThreadBackend` and
-  :class:`ProcessPoolBackend` advance per-shard simulators between the
-  :class:`EpochScheduler`'s deterministic settlement barriers — spaced by an
-  :class:`EpochPolicy` (fixed grid or volume-adaptive) — with bit-identical
-  results across all three.
+* :mod:`repro.cluster.backends` — the execution backends:
+  :class:`SerialBackend` and :class:`ProcessPoolBackend` advance per-shard
+  simulators between the :class:`EpochScheduler`'s deterministic settlement
+  barriers — spaced by an :class:`EpochPolicy` (fixed grid or
+  volume-adaptive) — with bit-identical results on both.
 * :mod:`repro.cluster.system` — :class:`ClusterSystem`, the façade that
   routes, drives, settles and audits the whole cluster.
 * :mod:`repro.cluster.result` — :class:`ClusterResult` /
@@ -76,7 +75,6 @@ from repro.cluster.backends import (
     LatencyTargetEpochPolicy,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadBackend,
     make_backend,
 )
 from repro.cluster.system import ClusterSystem
@@ -109,7 +107,6 @@ __all__ = [
     "SerialBackend",
     "ShardSnapshot",
     "ShardSpec",
-    "ThreadBackend",
     "ValidationEvent",
     "make_backend",
     "Route",

@@ -10,13 +10,10 @@ fabric exchanges vouchers and certificates in a deterministic order, the
 resulting mints are scheduled back onto the destination shards' clocks, and
 the loop repeats until global quiescence.
 
-Three backends execute the per-epoch shard advancement:
+Two backends execute the per-epoch shard advancement:
 
 * :class:`SerialBackend` — one shard after the other, in-process (today's
   single-threaded execution, extracted behind the interface).
-* :class:`ThreadBackend` — a thread pool; shards share no state, so threads
-  only contend on the GIL (a correctness-under-concurrency backend more than
-  a speed one in CPython).
 * :class:`ProcessPoolBackend` — persistent worker processes, each owning a
   fixed subset of shards built from picklable :class:`ShardSpec`s; epochs
   exchange only plain data (validation events out, mint transfers in), and a
@@ -26,9 +23,9 @@ Three backends execute the per-epoch shard advancement:
 The headline guarantee is **bit-identical results across backends**: the
 barrier schedule, the voucher/certificate processing order (sorted by
 ``(time, shard, sequence)``) and the per-shard event sequences are all
-deterministic functions of the cluster seed, never of wall-clock timing,
-thread interleaving or worker assignment.  The cross-backend equivalence
-harness (``tests/cluster/test_backend_equivalence.py``) asserts the resulting
+deterministic functions of the cluster seed, never of wall-clock timing
+or worker assignment.  The cross-backend equivalence harness
+(``tests/cluster/test_backend_equivalence.py``) asserts the resulting
 :meth:`~repro.cluster.result.ClusterResult.fingerprint` equality on a
 seed × shards × batch × cross-shard-fraction grid.
 
@@ -41,21 +38,20 @@ view of Imbs et al., arXiv:1706.05267).
 through :mod:`repro.cluster.codec` (one pickle per frame).  Commands are the
 tuples ``("advance", horizon, max_events)``,
 ``("mint"|"retire", time, per_shard)``, ``("evict", indices)``,
-``("adopt", arrivals)``, ``("checkpoint",)``, ``("snapshot",)``,
-``("profile",)`` and ``("stop",)``;
-replies are ``("ok", payload)`` or ``("error", traceback_text)``.
-``checkpoint`` ships each resident shard's state as a
-:class:`~repro.cluster.checkpoint.CheckpointDelta` against the worker's
-previous baseline (``None`` for shards not protocol-quiescent this round),
-and an ``adopt`` arrival carries an optional checkpoint so the adopting
-worker restores it and replays only the post-checkpoint tail.  The same
-framing measures ``snapshot_bytes`` for migration stall accounting, on every
-backend.
+``("adopt", arrivals)``, ``("checkpoint",)``, ``("snapshot",)`` and
+``("stop",)``; replies are ``("ok", payload)`` or
+``("error", traceback_text)``.  ``checkpoint`` ships each resident shard's
+state as a :class:`~repro.cluster.checkpoint.CheckpointDelta` against the
+worker's previous baseline (``None`` for shards not protocol-quiescent this
+round), and an ``adopt`` arrival carries an optional checkpoint so the
+adopting worker restores it and replays only the post-checkpoint tail.  The
+same framing measures ``snapshot_bytes`` for migration stall accounting, on
+every backend.
 
 **Barrier fan-out.**  Commands addressed to *every* worker with identical
-bytes — ``advance`` each epoch, ``checkpoint``, ``snapshot``, ``profile``
-and ``stop`` at their barriers — are encoded once and the same ``bytes``
-object is written to each pipe (:meth:`ProcessPoolBackend._broadcast`);
+bytes — ``advance`` each epoch, ``checkpoint``, ``snapshot`` and ``stop``
+at their barriers — are encoded once and the same ``bytes`` object is
+written to each pipe (:meth:`ProcessPoolBackend._broadcast`);
 only per-worker payloads (``mint``, ``retire``, ``evict``, ``adopt``) are
 encoded per recipient.
 """
@@ -63,7 +59,6 @@ encoded per recipient.
 from __future__ import annotations
 
 import abc
-import cProfile
 import itertools
 import math
 import os
@@ -72,7 +67,7 @@ import traceback
 import weakref
 from collections import deque
 from contextlib import contextmanager, nullcontext
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.migration import (
     MigrationPolicy,
@@ -108,13 +103,9 @@ from repro.cluster.shard import (
 )
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.types import ProcessId, Transfer
-from repro.obs.profiling import profile_stats_dict
 from repro.workloads.cluster_driver import RoutedSubmission
 
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
-
-BACKEND_NAMES = ("serial", "thread", "process")
+BACKEND_NAMES = ("serial", "process")
 
 
 @contextmanager
@@ -151,7 +142,7 @@ class EpochPolicy(abc.ABC):
     a pause/resume, and the same inputs must yield the same width on every
     backend — that is what keeps barrier schedules (and hence
     :meth:`~repro.cluster.result.ClusterResult.fingerprint` equality) intact
-    across Serial/Thread/Process.  Policies are stateless in the decision
+    across Serial/Process.  Policies are stateless in the decision
     (:meth:`next_epoch` is re-evaluated freely) but may accumulate
     observations through :meth:`observe_latency`, which the scheduler feeds
     exactly once per exchanged settlement item from backend-invariant
@@ -351,11 +342,11 @@ class ExecutionBackend(abc.ABC):
     their specs and the pre-partitioned submissions; after that the scheduler
     only ever asks it to ``advance`` every shard to a barrier, to
     ``apply_mints`` the barrier produced, and finally to ``finalize`` so the
-    driver-side shards reflect the run (a no-op for in-process backends).
+    driver-side shards reflect the run (a no-op for the serial backend).
 
     ``placement`` is the cluster's shared :class:`PlacementPlan` — which
     logical worker computes which shard.  The process pool maps the plan onto
-    real worker processes; the in-process backends keep it as bookkeeping, so
+    real worker processes; the serial backend keeps it as bookkeeping, so
     the same migration schedule runs (and records the same moves) on every
     backend.  :meth:`migrate` executes placement changes at a quiescent
     barrier: snapshot the shard, detach it from its old worker, rehydrate it
@@ -370,21 +361,11 @@ class ExecutionBackend(abc.ABC):
     #: decision reads them back — so results are identical with or without.
     metrics = None
     tracer = None
-    #: When true, the process pool samples a ``cProfile`` per worker; the
-    #: in-process backends are covered by the driver-side profiler instead.
-    profile: bool = False
 
-    def attach_telemetry(self, metrics=None, tracer=None, profile: bool = False) -> None:
+    def attach_telemetry(self, metrics=None, tracer=None) -> None:
         """Install the deployment's telemetry sinks on this session."""
         self.metrics = metrics
         self.tracer = tracer
-        self.profile = profile
-
-    def collect_profiles(self) -> List[dict]:
-        """Raw worker ``cProfile`` stats dicts (empty unless profiling
-        out-of-process work — the driver profiler already sees in-process
-        backends)."""
-        return []
 
     @abc.abstractmethod
     def open(
@@ -402,14 +383,6 @@ class ExecutionBackend(abc.ABC):
         self, horizon: Optional[float], max_events: Optional[int] = None
     ) -> Dict[int, AdvanceReport]:
         """Advance every shard to ``horizon`` and collect their reports."""
-
-    def _observe_stall(self, stamps) -> None:
-        """Record one barrier's rendezvous stall (first-to-last arrival)."""
-        if self.metrics is None:
-            return
-        stamps = list(stamps)
-        if len(stamps) >= 2:
-            self.metrics.observe("barrier_stall", max(stamps) - min(stamps))
 
     @abc.abstractmethod
     def apply_mints(
@@ -465,10 +438,11 @@ class ExecutionBackend(abc.ABC):
     def replay_log_entries(self) -> int:
         """Barrier commands held in the driver-side migration replay log.
 
-        Zero on backends that migrate without replay (serial/thread share the
-        driver's live shards).  On the process pool this is the quantity
-        checkpoint truncation bounds: without checkpoints it grows with the
-        run, with them it tracks the window since the newest baseline.
+        Zero on backends that migrate without replay (the serial backend
+        shares the driver's live shards).  On the process pool this is the
+        quantity checkpoint truncation bounds: without checkpoints it grows
+        with the run, with them it tracks the window since the newest
+        baseline.
         """
         return 0
 
@@ -476,7 +450,7 @@ class ExecutionBackend(abc.ABC):
         """Synchronise driver-side shard state with the executed run."""
 
     def close(self) -> None:
-        """Release session resources (worker processes, thread pools)."""
+        """Release session resources (worker processes)."""
 
 
 class SerialBackend(ExecutionBackend):
@@ -497,7 +471,7 @@ class SerialBackend(ExecutionBackend):
         # and the cumulative stream accounting.  In-process backends have no
         # pipe to ship deltas over, but they maintain the identical stream so
         # the checkpoint cadence — and its measured delta-vs-full ratio — is
-        # comparable across all three backends.
+        # comparable across both backends.
         self._checkpoints: Dict[int, ShardCheckpoint] = {}
         self._checkpoint_stats: Dict[str, int] = {
             "taken": 0, "skipped": 0, "delta_bytes": 0, "full_bytes": 0
@@ -521,13 +495,13 @@ class SerialBackend(ExecutionBackend):
     def migrate(
         self, barrier: int, time: float, moves: Sequence[Move]
     ) -> List[MigrationRecord]:
-        """In-process backends migrate by bookkeeping alone.
+        """The serial backend migrates by bookkeeping alone.
 
         The shard object stays exactly where it is (there is no other
         process to move it to) — the move updates the shared placement plan
         and records the same deterministic signature the process pool would,
         so the equivalence harness can compare recorded migration streams
-        across all three backends.  ``snapshot_bytes`` is measured the same
+        across both backends.  ``snapshot_bytes`` is measured the same
         way (the codec-encoded
         :meth:`~repro.cluster.shard.ShardSnapshot.state_view` — protocol
         state only, telemetry stripped, so the figure does not depend on
@@ -569,27 +543,18 @@ class SerialBackend(ExecutionBackend):
     def advance(
         self, horizon: Optional[float], max_events: Optional[int] = None
     ) -> Dict[int, AdvanceReport]:
-        results = [
-            self._advance_one(shard, horizon, max_events) for shard in self._shards
-        ]
-        self._observe_stall(stamp for _, stamp in results)
-        return {report.shard: report for report, _ in results}
+        return {
+            shard.index: self._advance_one(shard, horizon, max_events)
+            for shard in self._shards
+        }
 
     def _advance_one(
         self, shard: Shard, horizon: Optional[float], max_events: Optional[int]
-    ) -> Tuple[AdvanceReport, float]:
-        """One shard's advance, stamped with its completion time (the raw
-        material of the ``barrier_stall`` histogram)."""
-        if self.tracer is None:
-            report = shard.advance(horizon, max_events)
-        else:
-            report = self._traced_advance(shard, horizon, max_events)
-        return report, _time.perf_counter()
-
-    def _traced_advance(
-        self, shard: Shard, horizon: Optional[float], max_events: Optional[int]
     ) -> AdvanceReport:
-        """One shard's advance under a ``shard.advance`` span (tid = shard)."""
+        """One shard's advance, under a ``shard.advance`` span (tid = shard)
+        when tracing."""
+        if self.tracer is None:
+            return shard.advance(horizon, max_events)
         with self.tracer.span(
             "shard.advance",
             cat="shard",
@@ -639,64 +604,6 @@ class SerialBackend(ExecutionBackend):
 
     def checkpoint_stats(self) -> Dict[str, int]:
         return dict(self._checkpoint_stats)
-
-
-class ThreadBackend(SerialBackend):
-    """Advances shards concurrently on a thread pool.
-
-    Shards are fully disjoint object graphs (own simulator, network, nodes,
-    RNG streams), so per-epoch advancement is embarrassingly parallel and the
-    only shared resource is the interpreter lock.  Determinism needs no
-    locks: each shard is touched by exactly one task per epoch, and the
-    reports are keyed by shard index, not completion order.
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        # Imported by the backend that needs it, so a serial run never loads
-        # it and a pool pays at construction, not in open() or run().
-        from concurrent.futures import ThreadPoolExecutor
-
-        super().__init__()
-        self._max_workers = max_workers
-        self._executor = ThreadPoolExecutor
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def open(
-        self,
-        shards: List[Shard],
-        specs: List[ShardSpec],
-        submissions: Dict[int, List[RoutedSubmission]],
-        placement: Optional[PlacementPlan] = None,
-        record_history: bool = False,
-    ) -> None:
-        super().open(shards, specs, submissions, placement, record_history)
-        workers = self._max_workers or min(len(shards), os.cpu_count() or 1) or 1
-        self._pool = self._executor(
-            max_workers=max(1, workers), thread_name_prefix="shard-backend"
-        )
-
-    def advance(
-        self, horizon: Optional[float], max_events: Optional[int] = None
-    ) -> Dict[int, AdvanceReport]:
-        assert self._pool is not None, "backend session not open"
-        # Spans are recorded from the pool threads (via _advance_one);
-        # list.append is atomic under the GIL, and each shard is touched by
-        # exactly one task.  Reports are keyed by shard index, never by
-        # completion order, so scheduling jitter cannot reorder anything.
-        futures = [
-            self._pool.submit(self._advance_one, shard, horizon, max_events)
-            for shard in self._shards
-        ]
-        results = [future.result() for future in futures]
-        self._observe_stall(stamp for _, stamp in results)
-        return {report.shard: report for report, _ in results}
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 # -- the process-pool backend -----------------------------------------------------------------
@@ -754,7 +661,6 @@ def _worker_main(
     connection,
     specs: List[ShardSpec],
     submissions: Dict[int, List[RoutedSubmission]],
-    profile: bool = False,
 ) -> None:
     """One worker process: builds its shards from specs and serves commands.
 
@@ -767,17 +673,7 @@ def _worker_main(
     payload crossing the pipe is framed by :mod:`repro.cluster.codec`;
     exceptions — an undecodable command frame included — travel back as
     formatted tracebacks.
-
-    With ``profile`` the whole worker lifetime (shard build included) runs
-    under a :mod:`cProfile` sampler; the ``profile`` command stops it and
-    ships the raw stats dict back (a :class:`pstats.Stats` object does not
-    serialise) for driver-side merging.  Profiling changes *when* things run,
-    never *what* runs — command handling is identical either way.
     """
-    profiler = None
-    if profile:
-        profiler = cProfile.Profile()
-        profiler.enable()
     shards: Dict[int, Shard] = {}
     # Delta baseline per resident shard: the last checkpoint this worker
     # shipped (or adopted), diffed against on the next ``checkpoint`` round.
@@ -840,11 +736,6 @@ def _worker_main(
                     last_checkpoints[index] = taken
             elif kind == "snapshot":
                 payload = {index: shards[index].snapshot() for index in sorted(shards)}
-            elif kind == "profile":
-                if profiler is not None:
-                    profiler.disable()
-                    payload = profile_stats_dict(profiler)
-                    profiler = None
             elif kind != "stop":
                 raise SimulationError(f"unknown worker command {kind!r}")
             connection.send_bytes(codec_encode(("ok", payload)))
@@ -944,7 +835,7 @@ class ProcessPoolBackend(ExecutionBackend):
             }
             process = self._context.Process(
                 target=_worker_main,
-                args=(child, per_worker_specs[slot], worker_submissions, self.profile),
+                args=(child, per_worker_specs[slot], worker_submissions),
                 daemon=True,
                 name=f"shard-worker-{slot}",
             )
@@ -1018,8 +909,8 @@ class ProcessPoolBackend(ExecutionBackend):
         """Send one identical command to every worker, encoded once.
 
         The per-epoch barrier exchange ships the same bytes to every
-        recipient (``advance`` each epoch; ``checkpoint``, ``snapshot``,
-        ``profile`` at their barriers), so the one ``bytes`` object is
+        recipient (``advance`` each epoch; ``checkpoint``, ``snapshot`` at
+        their barriers), so the one ``bytes`` object is
         written to each pipe instead of re-encoding per recipient worker.
         """
         data = codec_encode(command)
@@ -1055,7 +946,8 @@ class ProcessPoolBackend(ExecutionBackend):
                 slot = owed.pop(connection)
                 payloads[slot] = self._recv(slot)
                 stamps.append(_time.perf_counter())
-        self._observe_stall(stamps)
+        if self.metrics is not None and len(stamps) >= 2:
+            self.metrics.observe("barrier_stall", stamps[-1] - stamps[0])
         return payloads
 
     def apply_mints(
@@ -1247,23 +1139,6 @@ class ProcessPoolBackend(ExecutionBackend):
         for shard in self._shards:
             shard.restore(snapshots[shard.index])
 
-    def collect_profiles(self) -> List[dict]:
-        """Stop each worker's sampler and ship its raw stats dict home.
-
-        One round trip per worker, once per session, after the run — so the
-        profile command never interleaves with epoch traffic.  Workers
-        opened without ``profile`` answer ``None`` and are skipped.
-        """
-        if not self.profile or not self._workers:
-            return []
-        self._broadcast(("profile",))
-        collected: List[dict] = []
-        for slot in range(len(self._workers)):
-            raw = self._recv(slot)
-            if raw:
-                collected.append(raw)
-        return collected
-
     @staticmethod
     def _shutdown(workers: List[Tuple[Any, Any]]) -> None:
         stop = codec_encode(("stop",))
@@ -1289,11 +1164,9 @@ class ProcessPoolBackend(ExecutionBackend):
 
 
 def make_backend(name: str, max_workers: Optional[int] = None) -> ExecutionBackend:
-    """Build an execution backend by name (``serial``/``thread``/``process``)."""
+    """Build an execution backend by name (``serial``/``process``)."""
     if name == "serial":
         return SerialBackend()
-    if name == "thread":
-        return ThreadBackend(max_workers)
     if name == "process":
         return ProcessPoolBackend(max_workers)
     raise ConfigurationError(

@@ -30,7 +30,7 @@ threshold policy, a mid-run ``rebalance()`` call — produces the bit-identical
 :meth:`~repro.cluster.result.ClusterResult.fingerprint` of the static
 assignment.  The extended equivalence harness
 (``tests/cluster/test_migration.py``) asserts exactly that across
-Serial/Thread/Process.
+Serial/Process.
 
 Policies must be **deterministic** functions of their observation stream:
 they may keep internal state (windows, cooldowns), but the scheduler feeds
@@ -138,9 +138,9 @@ class PlacementPlan:
     builds it, the execution backend consults it to route per-epoch commands,
     and :meth:`move` is how a migration (policy-decided or manual) changes
     it.  Workers are *logical* slots: the process pool maps them onto real
-    worker processes, the serial and thread backends keep them as
-    bookkeeping — which is what lets the equivalence harness run the same
-    migration schedule on every backend and compare the recorded streams.
+    worker processes, the serial backend keeps them as bookkeeping — which
+    is what lets the equivalence harness run the same migration schedule on
+    every backend and compare the recorded streams.
     """
 
     def __init__(

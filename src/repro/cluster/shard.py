@@ -580,8 +580,8 @@ class Shard:
         """Capture a resumable mid-run image, or ``None`` if not quiescent.
 
         The capture deep-copies every mutable container, so the returned
-        object stays valid however far this shard runs on (the serial and
-        thread backends keep checkpoints of *live* shards in-process).
+        object stays valid however far this shard runs on (the serial
+        backend keeps checkpoints of *live* shards in-process).
         """
         if self.checkpoint_blockers():
             return None

@@ -10,9 +10,8 @@ the whole cluster to quiescence and merges per-shard results.
 
 Every shard runs on its own simulator, driven between epoch-barrier
 settlement exchanges by an execution backend (:mod:`repro.cluster.backends`):
-``backend="serial"`` (the default), ``"thread"`` or ``"process"`` — same
-results, bit for bit, with the process pool putting real cores behind the
-shards.
+``backend="serial"`` (the default) or ``"process"`` — same results, bit for
+bit, with the process pool putting real cores behind the shards.
 
 The audit runs at two levels.  The Definition 1 checker runs *per shard* —
 shards share no accounts, so each shard's observations are checked against
@@ -26,7 +25,6 @@ settled cross-shard money is conserved end to end, not just per shard.
 from __future__ import annotations
 
 import copy
-import cProfile
 import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -57,8 +55,7 @@ from repro.cluster.settlement import (
 )
 from repro.cluster.shard import Shard
 from repro.network.node import NetworkConfig
-from repro.obs import MetricsRegistry, Tracer, merge_snapshots, normalize_telemetry
-from repro.obs.profiling import merge_profile_stats, profile_stats_dict
+from repro.obs import TELEMETRY_MODES, MetricsRegistry, Tracer, merge_snapshots
 from repro.spec.byzantine_spec import ByzantineAssetTransferChecker
 from repro.workloads.cluster_driver import ClusterSubmission, partition_submissions
 
@@ -88,12 +85,12 @@ class ClusterSystem:
     settlement_config:
         Timing of the settlement fabric's voucher and delivery legs.
     backend:
-        The execution backend (:mod:`repro.cluster.backends`), one of
-        ``"serial"`` (the default), ``"thread"`` or ``"process"``.  Each
-        shard owns its simulator and runs independently up to each
-        settlement barrier, where vouchers/certificates are exchanged in
-        deterministic ``(time, shard, sequence)`` order.  All three backends
-        produce bit-identical :class:`ClusterResult` fingerprints.
+        The execution backend (:mod:`repro.cluster.backends`), ``"serial"``
+        (the default) or ``"process"``.  Each shard owns its simulator and
+        runs independently up to each settlement barrier, where
+        vouchers/certificates are exchanged in deterministic ``(time, shard,
+        sequence)`` order.  Both backends produce bit-identical
+        :class:`ClusterResult` fingerprints.
     epoch:
         Barrier spacing, in simulated seconds (also the granularity of
         cross-shard settlement latency).  Shorthand for
@@ -108,7 +105,7 @@ class ClusterSystem:
         system runs on its own copy of the policy (and of a ``migration``
         policy), so one object can configure any number of systems.
     max_workers:
-        Thread/process pool size for the concurrent backends (defaults to
+        Process pool size for the process backend (defaults to
         ``min(shard_count, cpu_count)``; at least 1).  Worker count never
         affects results, only wall-clock time.  It is also the logical
         worker count of the :class:`PlacementPlan`, so a serial run with
@@ -149,16 +146,11 @@ class ClusterSystem:
         ``"metrics"`` (the default — counters/gauges/histograms across the
         stack, O(1) per record), or ``"full"`` (metrics plus span tracing of
         the hot phases, exportable to chrome://tracing via
-        :meth:`~repro.cluster.result.ClusterResult.export_trace`).  Booleans
-        and ``None`` are accepted shorthands.  **Telemetry never perturbs
-        results**: every sink is write-only from the protocol's point of
-        view, so fingerprints are bit-identical across all three modes (the
-        invariance suite pins this).
-    profile:
-        When true, sample a :mod:`cProfile` profiler in the driver (and in
-        every worker process under the process backend); the merged stats
-        come back from :meth:`profile_stats`.  Profiling changes wall-clock
-        timing only, never results.
+        :meth:`~repro.cluster.result.ClusterResult.export_trace`).  Any
+        other value raises :class:`ConfigurationError`.  **Telemetry never
+        perturbs results**: every sink is write-only from the protocol's
+        point of view, so fingerprints are bit-identical across all three
+        modes (the invariance suite pins this).
     seed:
         Root seed; all shard seeds derive from it.
     """
@@ -181,8 +173,7 @@ class ClusterSystem:
         migration=None,
         checkpoint_every: Optional[int] = None,
         compact_history: bool = False,
-        telemetry="metrics",
-        profile: bool = False,
+        telemetry: str = "metrics",
         seed: int = 0,
     ) -> None:
         if shard_count <= 0:
@@ -190,6 +181,10 @@ class ClusterSystem:
         if backend not in BACKEND_NAMES:
             raise ConfigurationError(
                 f"unknown execution backend {backend!r}; expected one of {BACKEND_NAMES}"
+            )
+        if telemetry not in TELEMETRY_MODES:
+            raise ConfigurationError(
+                f"unknown telemetry mode {telemetry!r}; expected one of {TELEMETRY_MODES}"
             )
         if max_workers is not None and max_workers < 1:
             raise ConfigurationError(
@@ -216,14 +211,11 @@ class ClusterSystem:
         # == full) for chrome://tracing spans.  Both are write-only sinks —
         # no protocol decision ever reads them — so every mode produces the
         # same fingerprint (the telemetry invariant).
-        self.telemetry_mode = normalize_telemetry(telemetry)
+        self.telemetry_mode = telemetry
         self.metrics: Optional[MetricsRegistry] = (
             MetricsRegistry() if self.telemetry_mode != "off" else None
         )
         self.tracer: Optional[Tracer] = Tracer() if self.telemetry_mode == "full" else None
-        self.profile = bool(profile)
-        self._profiler: Optional[cProfile.Profile] = None
-        self._profile_raw: List[dict] = []
         self.router = ShardRouter(shard_count, replicas_per_shard, salt=seed)
         self.shards: List[Shard] = [
             Shard(
@@ -245,8 +237,8 @@ class ClusterSystem:
         # per cluster, shared by the scheduler (which decides moves), the
         # backend (which routes per-epoch commands and executes moves) and
         # rebalance().  Worker slots are logical: the process pool maps them
-        # onto worker processes, serial/thread keep them as bookkeeping, so
-        # the same migration schedule records identically on every backend.
+        # onto worker processes, the serial backend keeps them as bookkeeping,
+        # so the same migration schedule records identically on every backend.
         worker_count = max_workers or min(shard_count, os.cpu_count() or 1)
         self.placement = PlacementPlan(shard_count, min(worker_count, shard_count))
         self.scheduler = EpochScheduler(
@@ -258,7 +250,7 @@ class ClusterSystem:
             checkpoint_every=checkpoint_every,
         )
         self._backend = make_backend(backend, max_workers)
-        self._backend.attach_telemetry(self.metrics, self.tracer, profile=self.profile)
+        self._backend.attach_telemetry(self.metrics, self.tracer)
         self._session_open = False
         self._partitioned: Dict[int, List] = {}
         self.settlement: Optional[SettlementFabric] = (
@@ -284,7 +276,7 @@ class ClusterSystem:
         """Route and schedule cluster-level submissions; returns the count.
 
         The arrivals are *pre-partitioned* into per-shard routed lists — the
-        lists travel with the shards into worker threads/processes when the
+        lists travel with the shards into worker processes when the
         run opens the backend session (after which further submissions are
         rejected: the workload must be fully known before the shards start
         executing elsewhere).
@@ -306,12 +298,6 @@ class ClusterSystem:
         """A driver-phase timing context (histogram + optional span)."""
         return _timed_phase(self.metrics, self.tracer, name, cat="driver")
 
-    def _ensure_profiler(self) -> None:
-        """Start the driver-side sampler on the first drive call."""
-        if self.profile and self._profiler is None:
-            self._profiler = cProfile.Profile()
-            self._profiler.enable()
-
     def run(
         self, until: Optional[float] = None, max_events: Optional[int] = None
     ) -> ClusterResult:
@@ -322,7 +308,6 @@ class ClusterSystem:
         between.
         """
         self.start()
-        self._ensure_profiler()
         with self._phase("phase.total"):
             if not self._session_open:
                 with self._phase("phase.open"):
@@ -415,7 +400,7 @@ class ClusterSystem:
         return self.placement.worker_loads(self.scheduler.current_loads())
 
     def close(self) -> None:
-        """Release backend resources (worker processes / thread pools)."""
+        """Release backend resources (worker processes)."""
         self._backend.close()
 
     def __enter__(self) -> "ClusterSystem":
@@ -497,25 +482,6 @@ class ClusterSystem:
             telemetry["spans"] = self.tracer.aggregate()
             self._result.trace = self.tracer.trace_events()
         self._result.telemetry = telemetry
-
-    def profile_stats(self):
-        """Merged :mod:`pstats` view of the run (``None`` unless profiling).
-
-        Stops the driver-side sampler, pulls each worker's raw stats over
-        the pipe (process backend only — in-process backends are already in
-        the driver profile) and merges everything into one
-        :class:`pstats.Stats`.  Call after the last ``run()``; a later run
-        restarts the driver sampler.
-        """
-        if not self.profile:
-            return None
-        if self._profiler is not None:
-            self._profiler.disable()
-            self._profile_raw.append(profile_stats_dict(self._profiler))
-            self._profiler = None
-        if self._session_open:
-            self._profile_raw.extend(self._backend.collect_profiles())
-        return merge_profile_stats(self._profile_raw)
 
     # -- inspection ---------------------------------------------------------------------------
 

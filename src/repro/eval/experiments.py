@@ -487,9 +487,9 @@ class ClusterExperimentConfig:
     # skew migration and rebalancing react to.  Needs a router, like
     # cross_shard_fraction.
     hotspot: Optional[object] = None
-    # Execution backend of the swept systems: "serial", "thread" or "process"
-    # (see repro.cluster.backends); results are backend-invariant, wall-clock
-    # time is not.
+    # Execution backend of the swept systems: "serial" or "process" (see
+    # repro.cluster.backends); results are backend-invariant, wall-clock time
+    # is not.
     backend: str = "serial"
     epoch: float = 0.005
     # An EpochPolicy instance overriding the fixed `epoch` grid (e.g.
@@ -506,12 +506,10 @@ class ClusterExperimentConfig:
     # fingerprint-neutral by the checkpoint-invariance harness.
     checkpoint_every: Optional[int] = None
     compact_history: bool = False
-    # Observability knobs, passed straight through to ClusterSystem:
-    # telemetry mode ("off"/"metrics"/"full") and the cProfile sampler.
-    # Fingerprint-neutral by the telemetry invariant — runs only gain a
-    # telemetry section, never different results.
-    telemetry: object = "metrics"
-    profile: bool = False
+    # The telemetry mode ("off"/"metrics"/"full"), passed straight through to
+    # ClusterSystem.  Fingerprint-neutral by the telemetry invariant — runs
+    # only gain a telemetry section, never different results.
+    telemetry: str = "metrics"
     seed: int = 7
     network: NetworkConfig = field(default_factory=NetworkConfig)
     max_events: Optional[int] = 50_000_000
@@ -550,7 +548,6 @@ class ClusterExperimentConfig:
             checkpoint_every=self.checkpoint_every,
             compact_history=self.compact_history,
             telemetry=self.telemetry,
-            profile=self.profile,
             seed=self.seed,
         )
 

@@ -82,7 +82,7 @@ class MetricsRegistry:
     """A named collection of counters, gauges and histograms.
 
     One registry per recording site: each shard owns one (wherever its
-    simulator runs — driver, thread, worker process), and the driver owns
+    simulator runs — driver or worker process), and the driver owns
     one for the scheduler/settlement/migration side.  Lookup is
     get-or-create so instrumentation points never need registration
     ceremony; the name spaces are dotted (``sim.events``, ``sig.verify``,

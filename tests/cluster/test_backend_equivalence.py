@@ -6,7 +6,7 @@ silently change protocol behaviour: for any configuration, the
 replica's per-account balances, the committed and settlement streams with
 their completion times, the supply-audit verdicts and the event/message
 counts — must be **byte-for-byte identical** across
-``SerialBackend`` / ``ThreadBackend`` / ``ProcessPoolBackend``.  This module
+``SerialBackend`` / ``ProcessPoolBackend``.  This module
 asserts exactly that, over a seed × shards × batch × cross-shard-fraction
 grid, via :meth:`ClusterResult.fingerprint` (canonical JSON + SHA-256) *and*
 field-level payload equality (so a fingerprint regression pinpoints the
@@ -42,7 +42,7 @@ from repro.workloads.cluster_driver import (
 )
 
 # The equivalence grid: 2 seeds x 2 shard counts x 2 batch sizes x 2
-# cross-shard mixes = 16 configurations, each run on all three backends.
+# cross-shard mixes = 16 configurations, each run on both backends.
 SEEDS = (3, 11)
 SHARD_COUNTS = (2, 3)
 BATCH_SIZES = (1, 4)
@@ -95,7 +95,7 @@ def _run(
 
 
 class TestBackendEquivalence:
-    """Serial / Thread / Process produce byte-identical ClusterResults."""
+    """Serial / Process produce byte-identical ClusterResults."""
 
     @pytest.mark.parametrize("seed,shards,batch,fraction", GRID)
     def test_fingerprints_identical_across_backends(
@@ -117,10 +117,9 @@ class TestBackendEquivalence:
             finally:
                 system.close()
         # Field-level equality first, so a regression names the field...
-        assert payloads["serial"] == payloads["thread"]
         assert payloads["serial"] == payloads["process"]
         # ... and the canonical-byte equality the guarantee is stated in.
-        assert fingerprints["serial"] == fingerprints["thread"] == fingerprints["process"]
+        assert fingerprints["serial"] == fingerprints["process"]
 
     def test_settlement_actually_exercised_by_the_grid(self, fast_network):
         """The equivalence grid must not vacuously pass on settlement-free
@@ -142,7 +141,7 @@ class TestBackendEquivalence:
     ):
         """The acceptance configuration: an AdaptiveEpochPolicy grid with the
         compaction lifecycle active, fingerprint-identical (retirement
-        counters included) across all three backends."""
+        counters included) across both backends."""
         from repro.cluster import AdaptiveEpochPolicy
 
         def policy():
@@ -171,9 +170,8 @@ class TestBackendEquivalence:
                 assert report.ok, (backend, report.violations)
             finally:
                 system.close()
-        assert payloads["serial"] == payloads["thread"]
         assert payloads["serial"] == payloads["process"]
-        assert fingerprints["serial"] == fingerprints["thread"] == fingerprints["process"]
+        assert fingerprints["serial"] == fingerprints["process"]
 
     def test_two_worker_process_pool_matches_serial(self, fast_network):
         """Worker assignment affects only where a shard's deterministic event
@@ -224,11 +222,13 @@ class TestBackendEquivalence:
 
 
 class TestBackendConfiguration:
-    def test_unknown_backend_is_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ClusterSystem(shard_count=2, backend="gpu")
-        with pytest.raises(ConfigurationError):
-            make_backend("gpu")
+    @pytest.mark.parametrize("name", ["gpu", "thread"])
+    def test_unknown_backend_is_rejected(self, name):
+        expected = r"\('serial', 'process'\)"
+        with pytest.raises(ConfigurationError, match=expected):
+            ClusterSystem(shard_count=2, backend=name)
+        with pytest.raises(ConfigurationError, match=expected):
+            make_backend(name)
 
     def test_submissions_are_rejected_once_the_session_executes(self, fast_network):
         system, _ = _run(fast_network, "serial", 3, 2, 1, 0.5)

@@ -8,7 +8,7 @@ the middle, the checkpoint itself: a ``ShardCheckpoint`` taken at an
 arbitrary quiescent barrier, restored onto a never-run twin, reproduces
 the full snapshot exactly, and the delta stream a backend emits folds —
 independently, by this test — to the very checkpoints the backend holds,
-on Serial, Thread and Process alike.  At the top, the invariance the whole
+on Serial and Process alike.  At the top, the invariance the whole
 seam exists to preserve: every checkpoint cadence, with or without local
 history compaction, with or without live migration, produces the same run
 fingerprint as the no-checkpoint reference — while the adopt payloads
@@ -40,7 +40,7 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.types import Transfer
 from repro.workloads.cluster_driver import ClusterSubmission
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 # Burst geometry: 40 arrivals from t=0.0, an idle gap, 40 more from t=0.1.
 # With the default 0.005 epoch, barriers inside the gap (~0.04-0.1) are

@@ -8,7 +8,7 @@ rejected, destination balances are untouched, and the cluster audits —
 per-shard Definition 1 plus the cross-ledger supply identity — stay clean.
 
 The whole suite is parametrized over the execution backends: every fault
-scenario runs under Serial/Thread/ProcessPool epoch execution, so fault
+scenario runs under Serial/ProcessPool epoch execution, so fault
 containment is exercised under real parallelism, not just serially.  The relay, inbox and voucher
 behaviours live in the driver process on every backend (that is the
 backends' design: the trust boundary is poked identically everywhere), while

@@ -120,7 +120,7 @@ class TestExperimentHarness:
             seed=7,
         )
         fingerprints = []
-        for backend in ("serial", "serial", "thread"):
+        for backend in ("serial", "serial", "process"):
             _, system = run_cluster(4, 4, dataclasses.replace(config, backend=backend))
             fingerprints.append(system.result.fingerprint())
             system.close()
@@ -166,14 +166,14 @@ class TestSettlementLifecycleExperiments:
     def test_every_config_field_reaches_the_built_system(self, fast_network):
         config = dataclasses.replace(
             self._config(fast_network),
-            backend="thread",
+            backend="process",
             checkpoint_every=3,
             compact_history=True,
             telemetry="full",
             seed=11,
         )
         with config.system(2, 4) as system:
-            assert system.backend_name == "thread"
+            assert system.backend_name == "process"
             assert system.checkpoint_every == 3
             assert system.compact_history is True
             assert system.telemetry_mode == "full"

@@ -1,19 +1,18 @@
 """The telemetry invariant, stated as a regression suite.
 
 The observability layer's one hard promise: **telemetry never perturbs
-results**.  For every execution backend — serial, thread and process — a
-run fingerprints identically with telemetry off, metrics-only and full
-tracing; profiled and *migrated* runs included.  Everything else here pins
-the supporting surface: the telemetry section's shape and its exclusion
-from the fingerprint, trace export, the merged worker profiles, and the knob
-normalisation.
+results**.  For every execution backend — serial and process — a run
+fingerprints identically with telemetry off, metrics-only and full tracing;
+*migrated* runs included.  Everything else here pins the supporting surface:
+the telemetry section's shape and its exclusion from the fingerprint, trace
+export, and the accepted mode names.
 """
 
 import pytest
 
 from repro.cluster import BACKEND_NAMES, ClusterSystem, MigrationPlan
 from repro.common.errors import ConfigurationError
-from repro.obs import TELEMETRY_MODES, normalize_telemetry, validate_trace_file
+from repro.obs import TELEMETRY_MODES, validate_trace_file
 from repro.workloads.cluster_driver import ClusterWorkloadConfig, cluster_open_loop_workload
 
 
@@ -21,7 +20,6 @@ def _run(
     fast_network,
     backend,
     telemetry,
-    profile=False,
     migration=None,
     max_workers=None,
     seed=3,
@@ -35,7 +33,6 @@ def _run(
         max_workers=max_workers,
         migration=migration,
         telemetry=telemetry,
-        profile=profile,
         seed=seed,
     )
     workload = cluster_open_loop_workload(
@@ -73,9 +70,9 @@ class TestFingerprintInvariance:
         assert len(set(fingerprints.values())) == 1, fingerprints
 
     def test_profiled_traced_migrated_run_matches_untelemetered(self, fast_network):
-        """The worst case at once: process pool, live migration mid-run,
-        full tracing and per-worker cProfile — still the same fingerprint
-        as the bare telemetry-off run."""
+        """The worst case at once: process pool, live migration mid-run and
+        full tracing — still the same fingerprint as the bare telemetry-off
+        run."""
         system, result = _run(fast_network, "process", "off", max_workers=2)
         try:
             baseline = result.fingerprint()
@@ -85,7 +82,6 @@ class TestFingerprintInvariance:
             fast_network,
             "process",
             "full",
-            profile=True,
             migration=MigrationPlan([(0.01, 0, 1)]),
             max_workers=2,
         )
@@ -95,8 +91,16 @@ class TestFingerprintInvariance:
             # The two workers' rendezvous spread is measured at every barrier.
             stall = result.telemetry["driver"]["histograms"]["barrier_stall"]
             assert stall["count"] >= 1
-            stats = system.profile_stats()
-            assert stats is not None and stats.stats
+        finally:
+            system.close()
+
+    def test_a_serial_run_records_no_barrier_stall(self, fast_network):
+        """Serial shards finish one after the other: there is no rendezvous
+        whose spread could be measured."""
+        system, result = _run(fast_network, "serial", "metrics")
+        try:
+            assert system.scheduler.barriers > 0
+            assert "barrier_stall" not in result.telemetry["driver"]["histograms"]
         finally:
             system.close()
 
@@ -182,15 +186,11 @@ class TestTraceExport:
 
 
 class TestKnobNormalisation:
-    def test_mode_names_and_ergonomic_aliases(self):
-        assert normalize_telemetry(None) == "metrics"
-        assert normalize_telemetry(False) == "off"
-        assert normalize_telemetry(True) == "full"
-        for mode in TELEMETRY_MODES:
-            assert normalize_telemetry(mode) == mode
+    @pytest.mark.parametrize("alias", [None, True, False])
+    def test_the_retired_aliases_are_rejected(self, alias):
+        with pytest.raises(ConfigurationError, match="unknown telemetry mode"):
+            ClusterSystem(shard_count=1, telemetry=alias)
 
     def test_unknown_mode_is_rejected(self):
-        with pytest.raises(ConfigurationError):
-            normalize_telemetry("verbose")
         with pytest.raises(ConfigurationError):
             ClusterSystem(shard_count=1, telemetry="verbose")

@@ -6,13 +6,13 @@ the execution backends must uphold two properties, stated on the canonical
 :meth:`~repro.cluster.result.ClusterResult.fingerprint`:
 
 * **Determinism** — the same configuration run twice on the same backend
-  yields the identical fingerprint (no wall-clock, thread-scheduling or
-  worker-assignment leakage into results), and
+  yields the identical fingerprint (no wall-clock or worker-assignment
+  leakage into results), and
 * **Equivalence** — different backends yield the identical fingerprint for
   the same configuration (parallel execution never changes what the
   protocol did).
 
-The wide sweep pairs ``SerialBackend`` with ``ThreadBackend`` (cheap to
+The wide sweep runs ``SerialBackend`` twice per configuration (cheap to
 spin up); a narrower sweep runs ``ProcessPoolBackend`` twice per
 configuration — same seed twice ⇒ identical fingerprint, and identical to
 the serial reference — because each example boots worker processes.
@@ -80,14 +80,10 @@ class TestBackendDeterminismProperties:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_serial_is_deterministic_and_thread_matches_it(
-        self, seed, shards, batch, fraction
-    ):
+    def test_serial_is_deterministic(self, seed, shards, batch, fraction):
         first = _fingerprint("serial", seed, shards, batch, fraction)
         again = _fingerprint("serial", seed, shards, batch, fraction)
-        threaded = _fingerprint("thread", seed, shards, batch, fraction)
         assert first == again  # same seed, same backend => same bytes
-        assert first == threaded  # same seed, different backend => same bytes
 
     @given(
         seed=st.integers(min_value=0, max_value=2**20),

@@ -2,10 +2,10 @@
 
 Figure 4 needs no consensus, so a Figure 4 process loads neither the PBFT
 baseline nor the Figures 1–3 shared-memory runtime, and a cluster process
-loads neither of them nor a worker pool it does not use.  Three rules keep it
-so: a package ``__init__`` re-exports nothing (import from the defining
-module), a pool backend imports ``concurrent.futures`` / ``multiprocessing``
-when it is constructed, and no ``repro`` module is imported inside a function
+loads neither of them nor a worker pool or profiler it does not use.  Three
+rules keep it so: a package ``__init__`` re-exports nothing (import from the
+defining module), the process backend imports ``multiprocessing`` when it is
+constructed, and no ``repro`` module is imported inside a function
 (``TestTheFoldIsOffTheRunPath`` patches every binding in ``sys.modules`` and
 relies on a static graph).  Each graph is read in a fresh child interpreter,
 since this one has imported everything.
@@ -27,6 +27,7 @@ SRC = os.path.dirname(os.path.dirname(repro.__file__))
 FIGURE_4_NEVER = ("repro.bft", "repro.shared_memory", "repro.cluster", "repro.obs", "repro.eval")
 CLUSTER_NEVER = ("repro.bft", "repro.shared_memory", "repro.eval")
 POOLS = ("multiprocessing", "concurrent.futures")
+PROFILERS = ("cProfile", "pstats", "_lsprof")
 
 
 def _loaded(*steps: str) -> List[Set[str]]:
@@ -69,19 +70,17 @@ def test_a_serial_run_never_loads_a_pool():
         "system = ClusterSystem(shard_count=2, backend='serial'); system.run(); system.close()",
     )
     assert _under(imported, *POOLS) == _under(ran, *POOLS) == []
+    # The library carries no profiler; perf/ brings its own.
+    assert _under(ran, *PROFILERS) == []
 
 
-@pytest.mark.parametrize(
-    "backend, pool",
-    [("thread", {"concurrent.futures"}), ("process", {"multiprocessing", "multiprocessing.connection"})],
-)
-def test_a_pool_is_loaded_when_its_backend_is_constructed(backend, pool):
+def test_a_pool_is_loaded_when_its_backend_is_constructed():
     imported, constructed = _loaded(
         "from repro.cluster.system import ClusterSystem",
-        f"system = ClusterSystem(shard_count=2, backend={backend!r})",
+        "system = ClusterSystem(shard_count=2, backend='process')",
     )
     assert _under(imported, *POOLS) == []
-    assert pool <= constructed
+    assert {"multiprocessing", "multiprocessing.connection"} <= constructed
 
 
 def test_no_repro_module_is_imported_inside_a_function():
