@@ -54,6 +54,9 @@ GRID = [
     for batch in BATCH_SIZES
     for fraction in FRACTIONS
 ]
+# Each backend by name, plus "one-worker": the process pool shrunk to a
+# single worker that hosts every shard.
+DEPLOYMENTS = BACKEND_NAMES + ("one-worker",)
 
 
 def _run(
@@ -187,6 +190,35 @@ class TestBackendEquivalence:
             serial_system.close()
             process_system.close()
 
+    def test_one_worker_hosting_every_shard_matches_serial(self, fast_network):
+        """The pool shrunk to one worker: each command names all three shards
+        and each barrier gets a single reply — still the serial run."""
+        serial_system, serial = _run(fast_network, "serial", 11, 3, 4, 1.0)
+        process_system, process = _run(
+            fast_network, "process", 11, 3, 4, 1.0, max_workers=1
+        )
+        try:
+            assert len(process_system._backend._workers) == 1
+            assert process.comparable_payload() == serial.comparable_payload()
+            assert process.fingerprint() == serial.fingerprint()
+        finally:
+            serial_system.close()
+            process_system.close()
+
+    def test_surplus_workers_are_clamped_to_the_shard_count(self, fast_network):
+        """A worker holds at least one shard: asking for more workers than
+        shards starts one per shard, and the run is the serial one."""
+        serial_system, serial = _run(fast_network, "serial", 3, 2, 1, 0.5)
+        process_system, process = _run(
+            fast_network, "process", 3, 2, 1, 0.5, max_workers=5
+        )
+        try:
+            assert len(process_system._backend._workers) == 2
+            assert process.fingerprint() == serial.fingerprint()
+        finally:
+            serial_system.close()
+            process_system.close()
+
     def test_barriers_never_perturb_a_shard_without_settlement_traffic(
         self, fast_network
     ):
@@ -229,6 +261,12 @@ class TestBackendConfiguration:
             ClusterSystem(shard_count=2, backend=name)
         with pytest.raises(ConfigurationError, match=expected):
             make_backend(name)
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_every_backend_name_builds_that_backend(self, fast_network, name):
+        assert make_backend(name).name == name
+        with ClusterSystem(shard_count=2, network_config=fast_network, backend=name) as system:
+            assert system.backend_name == name
 
     def test_submissions_are_rejected_once_the_session_executes(self, fast_network):
         system, _ = _run(fast_network, "serial", 3, 2, 1, 0.5)
@@ -294,14 +332,18 @@ class TestEpochSchedulerEdges:
         assert resumed.committed_stream == reference.committed_stream
         assert resumed.balances == reference.balances
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("backend", DEPLOYMENTS)
     def test_every_shard_runs_exactly_to_each_barrier(self, fast_network, backend):
         """Each advance brings every shard to the barrier and no further:
         every validation it reports happened at or before the barrier, so
         the exchange consumes the whole buffer at once."""
+        max_workers = 2
+        if backend == "one-worker":
+            backend, max_workers = "process", 1
         system = ClusterSystem(
             shard_count=3, replicas_per_shard=4, initial_balance=500,
-            network_config=fast_network, backend=backend, max_workers=2, seed=3,
+            network_config=fast_network, backend=backend, max_workers=max_workers,
+            seed=3,
         )
         system.schedule_submissions(
             cluster_open_loop_workload(

@@ -8,8 +8,8 @@ the middle, the checkpoint itself: a ``ShardCheckpoint`` taken at an
 arbitrary quiescent barrier, restored onto a never-run twin, reproduces
 the full snapshot exactly, and the delta stream a backend emits folds —
 independently, by this test — to the very checkpoints the backend holds,
-on Serial and Process alike.  At the top, the invariance the whole
-seam exists to preserve: every checkpoint cadence, with or without local
+on Serial and Process alike, one worker or two.  At the top, the invariance
+the whole seam exists to preserve: every checkpoint cadence, with or without local
 history compaction, with or without live migration, produces the same run
 fingerprint as the no-checkpoint reference — while the adopt payloads
 actually shrink (delta bytes below full snapshot bytes, replayed events
@@ -41,6 +41,10 @@ from repro.common.types import Transfer
 from repro.workloads.cluster_driver import ClusterSubmission
 
 BACKENDS = ("serial", "process")
+# Each backend by name, plus "one-worker": the process pool shrunk to a
+# single worker that hosts every shard.  A move needs a second worker to go
+# to, so the migrating tests stay on BACKENDS.
+DEPLOYMENTS = BACKENDS + ("one-worker",)
 
 # Burst geometry: 40 arrivals from t=0.0, an idle gap, 40 more from t=0.1.
 # With the default 0.005 epoch, barriers inside the gap (~0.04-0.1) are
@@ -71,6 +75,9 @@ def _bursty_submissions():
 
 
 def _system(fast_network, backend="serial", seed=3, **kwargs):
+    max_workers = 2
+    if backend == "one-worker":
+        backend, max_workers = "process", 1
     return ClusterSystem(
         shard_count=3,
         replicas_per_shard=4,
@@ -78,7 +85,7 @@ def _system(fast_network, backend="serial", seed=3, **kwargs):
         initial_balance=500,
         network_config=fast_network,
         backend=backend,
-        max_workers=2,
+        max_workers=max_workers,
         seed=seed,
         **kwargs,
     )
@@ -340,7 +347,7 @@ class TestInFlightMessagesBlockCheckpoints:
 class TestCheckpointStreamFolding:
     """The backend's delta stream, folded independently, is its baseline."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", DEPLOYMENTS)
     def test_delta_stream_folds_to_the_backend_baseline(
         self, fast_network, backend, ordered
     ):
@@ -386,7 +393,7 @@ class TestCheckpointStreamFolding:
 class TestFingerprintInvariance:
     """The headline contract: cadence and compaction never change results."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", DEPLOYMENTS)
     @pytest.mark.parametrize("cadence", (1, 3))
     def test_every_cadence_matches_the_reference(
         self, fast_network, backend, cadence
@@ -414,7 +421,7 @@ class TestFingerprintInvariance:
             finally:
                 system.close()
 
-    @pytest.mark.parametrize("backend", ("serial", "process"))
+    @pytest.mark.parametrize("backend", DEPLOYMENTS)
     def test_history_compaction_preserves_the_fingerprint(
         self, fast_network, backend
     ):
@@ -583,7 +590,7 @@ class TestRestoredBalancesCarryHistory:
             reference_system.close()
             system.close()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", DEPLOYMENTS)
     def test_checkpoint_cadence(self, fast_network, backend):
         self._assert_matches_reference(fast_network, backend, checkpoint_every=1)
 

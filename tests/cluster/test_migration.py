@@ -91,7 +91,9 @@ def _migration_for(schedule):
     )
 
 
-def _run(fast_network, backend, seed, fraction, hotspot, schedule, policy="fixed"):
+def _run(
+    fast_network, backend, seed, fraction, hotspot, schedule, policy="fixed", workers=WORKERS
+):
     system = ClusterSystem(
         shard_count=SHARDS,
         replicas_per_shard=4,
@@ -99,7 +101,7 @@ def _run(fast_network, backend, seed, fraction, hotspot, schedule, policy="fixed
         initial_balance=500,
         network_config=fast_network,
         backend=backend,
-        max_workers=WORKERS,
+        max_workers=workers,
         epoch_policy=EPOCH_POLICIES[policy],
         migration=_migration_for(schedule),
         seed=seed,
@@ -199,6 +201,23 @@ class TestPlacementInvariance:
         finally:
             reference_system.close()
             migrated_system.close()
+
+    def test_a_one_worker_pool_has_nowhere_to_move(self, fast_network):
+        """The threshold policy levels load *between* workers: under the
+        hotspot that moves shards on two workers, a one-worker pool records
+        no move and still equals the static serial reference."""
+        config = (11, 0.5, True)
+        two_system, two = _run(fast_network, "serial", *config, "threshold")
+        reference_system, reference = _run(fast_network, "serial", *config, "static")
+        one_system, one = _run(fast_network, "process", *config, "threshold", workers=1)
+        try:
+            assert two.migration_stream
+            assert one.migration_stream == []
+            assert one.fingerprint() == reference.fingerprint()
+        finally:
+            two_system.close()
+            reference_system.close()
+            one_system.close()
 
 
 class TestRebalance:

@@ -17,6 +17,10 @@ from repro.cluster import BACKEND_NAMES, ClusterResult, ClusterSystem
 from repro.common.errors import ConfigurationError
 from repro.workloads.cluster_driver import ClusterWorkloadConfig, cluster_open_loop_workload
 
+# Each backend by name, plus "one-worker": the process pool shrunk to a
+# single worker that hosts both shards.
+DEPLOYMENTS = BACKEND_NAMES + ("one-worker",)
+
 
 def _run(fast_network, seed=5, **kwargs):
     system = ClusterSystem(
@@ -106,12 +110,17 @@ class TestFingerprint:
         assert set(payload["balances"]["0"]) == {"0", "1", "2", "3"}
         assert len(payload["per_shard_events"]) == 2
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("backend", DEPLOYMENTS)
     def test_every_backend_captures_the_same_schema(self, fast_network, backend):
         """One capture schema whatever the backend: the same sections as the
         default run, per-shard event counters always filled in."""
         default = _run(fast_network).fingerprint_payload()
-        captured = _run(fast_network, backend=backend, max_workers=2).fingerprint_payload()
+        max_workers = 2
+        if backend == "one-worker":
+            backend, max_workers = "process", 1
+        captured = _run(
+            fast_network, backend=backend, max_workers=max_workers
+        ).fingerprint_payload()
         assert set(captured) == set(default)
         assert len(captured["per_shard_events"]) == 2
         assert all(count > 0 for count in captured["per_shard_events"])

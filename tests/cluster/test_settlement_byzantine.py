@@ -8,7 +8,8 @@ rejected, destination balances are untouched, and the cluster audits —
 per-shard Definition 1 plus the cross-ledger supply identity — stay clean.
 
 The whole suite is parametrized over the execution backends: every fault
-scenario runs under Serial/ProcessPool epoch execution, so fault
+scenario runs under Serial/ProcessPool epoch execution — the pool with its
+default workers and with one worker hosting both shards — so fault
 containment is exercised under real parallelism, not just serially.  The relay, inbox and voucher
 behaviours live in the driver process on every backend (that is the
 backends' design: the trust boundary is poked identically everywhere), while
@@ -32,14 +33,23 @@ from repro.cluster.settlement import (
 from repro.crypto.signatures import SignatureScheme
 from repro.workloads.cluster_driver import ClusterSubmission
 
-@pytest.fixture(params=BACKEND_NAMES)
+# Each backend by name, plus "one-worker": the process pool shrunk to a
+# single worker that hosts both shards.
+DEPLOYMENTS = BACKEND_NAMES + ("one-worker",)
+
+
+@pytest.fixture(params=DEPLOYMENTS)
 def make_system(request, fast_network):
-    """A factory for 2-shard systems on the parametrized backend.
+    """A factory for 2-shard systems on the parametrized deployment.
 
     Created systems are closed at teardown so process-pool workers never
     outlive their test.
     """
     created = []
+    if request.param == "one-worker":
+        backend, max_workers = "process", 1
+    else:
+        backend, max_workers = request.param, None
 
     def factory(seed=3, **kwargs):
         system = ClusterSystem(
@@ -47,7 +57,8 @@ def make_system(request, fast_network):
             replicas_per_shard=4,
             broadcast="bracha",
             network_config=fast_network,
-            backend=request.param,
+            backend=backend,
+            max_workers=max_workers,
             seed=seed,
             **kwargs,
         )

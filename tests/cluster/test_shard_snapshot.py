@@ -9,7 +9,8 @@ pause barrier (not just quiescence), restored onto a never-run twin built
 from the same spec, reproduces every read surface — balances, observations,
 result streams, broadcast counters, resident/retired settlement records and
 the mid-flight compaction state (offsets, retired-outbound totals, *pending
-retirements*) — byte for byte, on Serial and Process alike.
+retirements*) — byte for byte, on Serial and Process alike (the pool also
+shrunk to one worker that hosts both shards).
 """
 
 import pickle
@@ -24,13 +25,18 @@ from repro.workloads.cluster_driver import (
     cluster_open_loop_workload,
 )
 
-BACKENDS = ("serial", "process")
+# Each backend by name, plus "one-worker": the process pool shrunk to a
+# single worker that hosts both shards.
+DEPLOYMENTS = ("serial", "process", "one-worker")
 # Pause points chosen mid-workload: settlement traffic is in flight at most
 # of them (the workload runs to ~0.02 plus settlement tails).
 PAUSES = (0.006, 0.011, 0.016, 0.021)
 
 
 def _build(fast_network, backend, seed=3):
+    max_workers = None
+    if backend == "one-worker":
+        backend, max_workers = "process", 1
     system = ClusterSystem(
         shard_count=2,
         replicas_per_shard=4,
@@ -38,6 +44,7 @@ def _build(fast_network, backend, seed=3):
         initial_balance=500,
         network_config=fast_network,
         backend=backend,
+        max_workers=max_workers,
         seed=seed,
     )
     workload = cluster_open_loop_workload(
@@ -81,7 +88,7 @@ def _assert_round_trip(shard):
 
 
 class TestArbitraryBarrierRoundTrips:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", DEPLOYMENTS)
     def test_round_trips_at_every_pause_barrier(self, fast_network, backend):
         """Snapshots taken mid-run — settlement in flight, records already
         retired, ledgers partially compacted — round-trip losslessly."""
@@ -141,7 +148,7 @@ class TestArbitraryBarrierRoundTrips:
         finally:
             system.close()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", DEPLOYMENTS)
     def test_pause_snapshots_identical_across_backends(self, fast_network, backend):
         """The snapshot at a barrier is itself backend-invariant: whatever
         executed the epochs, the same pause yields the same state."""

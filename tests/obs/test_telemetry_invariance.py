@@ -1,8 +1,8 @@
 """The telemetry invariant, stated as a regression suite.
 
 The observability layer's one hard promise: **telemetry never perturbs
-results**.  For every execution backend — serial and process — a run
-fingerprints identically with telemetry off, metrics-only and full tracing;
+results**.  For every execution backend — serial and process, the pool also
+shrunk to one worker — a run fingerprints identically with telemetry off, metrics-only and full tracing;
 *migrated* runs included.  Everything else here pins the supporting surface:
 the telemetry section's shape and its exclusion from the fingerprint, trace
 export, and the accepted mode names.
@@ -12,8 +12,13 @@ import pytest
 
 from repro.cluster import BACKEND_NAMES, ClusterSystem, MigrationPlan
 from repro.common.errors import ConfigurationError
+from repro.eval.experiments import ClusterExperimentConfig
 from repro.obs import TELEMETRY_MODES, validate_trace_file
 from repro.workloads.cluster_driver import ClusterWorkloadConfig, cluster_open_loop_workload
+
+# Each backend by name, plus "one-worker": the process pool shrunk to a
+# single worker that hosts both shards.
+DEPLOYMENTS = BACKEND_NAMES + ("one-worker",)
 
 
 def _run(
@@ -24,6 +29,8 @@ def _run(
     max_workers=None,
     seed=3,
 ):
+    if backend == "one-worker":
+        backend, max_workers = "process", 1
     system = ClusterSystem(
         shard_count=2,
         replicas_per_shard=4,
@@ -53,7 +60,7 @@ def _run(
 class TestFingerprintInvariance:
     """The headline guarantee: one fingerprint per backend, every mode."""
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("backend", DEPLOYMENTS)
     def test_fingerprint_identical_across_telemetry_modes(self, fast_network, backend):
         fingerprints = {}
         payloads = {}
@@ -101,6 +108,18 @@ class TestFingerprintInvariance:
         try:
             assert system.scheduler.barriers > 0
             assert "barrier_stall" not in result.telemetry["driver"]["histograms"]
+        finally:
+            system.close()
+
+    def test_a_one_worker_pool_records_no_barrier_stall(self, fast_network):
+        """One worker hosting every shard answers each advance once: a
+        single arrival has no spread, so nothing is observed."""
+        system, result = _run(fast_network, "one-worker", "metrics")
+        try:
+            driver = result.telemetry["driver"]
+            rounds = driver["histograms"]["phase.advance"]["count"]
+            assert driver["counters"]["pipe.advance"] == rounds > 0
+            assert "barrier_stall" not in driver["histograms"]
         finally:
             system.close()
 
@@ -176,6 +195,19 @@ class TestTraceExport:
         finally:
             system.close()
 
+    def test_a_one_worker_trace_has_one_pipe_lane(self, fast_network, tmp_path):
+        """Every pipe leg of a one-worker pool is traced on that worker's
+        lane, and the export still validates."""
+        system, result = _run(fast_network, "one-worker", "full")
+        try:
+            path = tmp_path / "trace.json"
+            count = result.export_trace(str(path))
+            assert validate_trace_file(str(path)) == count > 0
+            pipe_lanes = {event["tid"] for event in result.trace if event.get("cat") == "pipe"}
+            assert pipe_lanes == {1}
+        finally:
+            system.close()
+
     def test_export_without_a_trace_refuses(self, fast_network, tmp_path):
         system, result = _run(fast_network, "serial", "metrics")
         try:
@@ -194,3 +226,12 @@ class TestKnobNormalisation:
     def test_unknown_mode_is_rejected(self):
         with pytest.raises(ConfigurationError):
             ClusterSystem(shard_count=1, telemetry="verbose")
+
+    @pytest.mark.parametrize(
+        "configure", [ClusterSystem, ClusterExperimentConfig], ids=lambda cls: cls.__name__
+    )
+    def test_there_is_no_profile_knob(self, configure):
+        """The library carries no profiler: perf/'s traced repeat profiles a
+        run from outside."""
+        with pytest.raises(TypeError, match="profile"):
+            configure(profile=True)

@@ -15,7 +15,8 @@ the execution backends must uphold two properties, stated on the canonical
 The wide sweep runs ``SerialBackend`` twice per configuration (cheap to
 spin up); a narrower sweep runs ``ProcessPoolBackend`` twice per
 configuration — same seed twice ⇒ identical fingerprint, and identical to
-the serial reference — because each example boots worker processes.
+the serial reference — because each example boots worker processes.  A
+third sweep varies the pool's worker count against the shard count.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -104,3 +105,20 @@ class TestBackendDeterminismProperties:
         serial = _fingerprint("serial", seed, shards, batch, fraction)
         assert first == again
         assert first == serial
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**20),
+        shards=st.sampled_from([1, 2, 3]),
+        workers=st.sampled_from([1, 2, 3]),
+        fraction=st.sampled_from([0.5, 1.0]),
+    )
+    @settings(
+        max_examples=6,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_any_worker_count_matches_serial(self, seed, shards, workers, fraction):
+        """One worker hosting every shard, one worker per shard, or more
+        workers asked for than there are shards: the serial bytes."""
+        pooled = _fingerprint("process", seed, shards, 4, fraction, max_workers=workers)
+        assert pooled == _fingerprint("serial", seed, shards, 4, fraction)

@@ -83,6 +83,15 @@ def test_a_pool_is_loaded_when_its_backend_is_constructed():
     assert {"multiprocessing", "multiprocessing.connection"} <= constructed
 
 
+def _imports(node) -> List[str]:
+    """The module names an ``import`` statement node names (else none)."""
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""]
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    return []
+
+
 def test_no_repro_module_is_imported_inside_a_function():
     lazy = []
     for path in sorted(pathlib.Path(SRC, "repro").rglob("*.py")):
@@ -90,12 +99,19 @@ def test_no_repro_module_is_imported_inside_a_function():
             if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for node in ast.walk(function):
-                if isinstance(node, ast.ImportFrom):
-                    names = [node.module or ""]
-                elif isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                else:
-                    continue
+                names = _imports(node)
                 if any(name == "repro" or name.startswith("repro.") for name in names):
                     lazy.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert lazy == []
+
+
+def test_no_repro_module_imports_a_profiler():
+    """Not on the serial path only: no module anywhere in the library, pool
+    workers and the harness included, imports a profiler."""
+    profiling = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(pathlib.Path(SRC, "repro").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _under(set(_imports(node)), *PROFILERS)
+    ]
+    assert profiling == []
