@@ -73,7 +73,7 @@ perf-smoke:
 
 ## The repository benchmark itself: every workload, every end-to-end metric.
 perf:
-	python3 perf/run.py
+	$(PYTHON) perf/run.py
 
 ## Every example script, in turn (~9 s); the first failure stops the target.
 EXAMPLES := quickstart cluster_quickstart double_spend_attack shared_account_escrow throughput_comparison

@@ -18,8 +18,11 @@ evaluation sweeps:
 
 Every send is one :meth:`Network.multicast` call — to one recipient
 (``Node.send``), to every member (``Node.broadcast``, a broadcast layer's
-all-to-all) — which is N messages drawn in recipient order; one message is
-still two events, "deliver" then "process".
+all-to-all) — which is N messages drawn in recipient order.  One message is
+still two events, "deliver" then "process", each a handle-less
+:meth:`Simulator.post <repro.network.simulator.Simulator.post>` of a bound
+method and its ``(node, sender, message)`` arguments: no :class:`Event` and
+no :func:`functools.partial` per message, since nothing cancels a message.
 
 Byzantine *behaviour* is not modelled here: a Byzantine node is simply a
 :class:`Node` subclass that sends whatever it likes (see
@@ -32,8 +35,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from functools import partial
-from math import log
+from math import inf, log
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
@@ -67,12 +69,11 @@ class NetworkConfig:
     drop_probability: float = 0.0
 
     def validate(self) -> None:
-        if self.latency_base < 0 or self.latency_mean < 0:
-            raise ConfigurationError("latencies must be non-negative")
-        if self.processing_time < 0:
-            raise ConfigurationError("processing_time must be non-negative")
-        if self.signature_verification_time < 0:
-            raise ConfigurationError("signature_verification_time must be non-negative")
+        # ``0 <= x < inf`` is false for NaN too, which ``x < 0`` would let through.
+        for name in ("latency_base", "latency_mean", "processing_time", "signature_verification_time"):
+            value = getattr(self, name)
+            if not 0.0 <= value < inf:
+                raise ConfigurationError(f"{name} must be finite and non-negative, not {value}")
         if not 0.0 <= self.drop_probability < 1.0:
             raise ConfigurationError("drop_probability must lie in [0, 1)")
 
@@ -236,9 +237,11 @@ class Network:
     # -- transmission ------------------------------------------------------------------
 
     # One message is two events, "deliver" (link delay) then "process" (the
-    # recipient's CPU queue).  Their labels are constants: the only reader,
-    # ``Shard.checkpoint_blockers``, asks whether a label is a client
-    # submission, never which message it is.
+    # recipient's CPU queue), both posted without a handle: the entry carries
+    # the bound method and its ``(node, sender, message)`` arguments, so a
+    # message allocates no ``Event`` and no ``partial``.  Their labels are
+    # constants: the only reader, ``Shard.checkpoint_blockers``, asks whether
+    # a label is a client submission, never which message it is.
 
     def multicast(self, sender: ProcessId, recipients: Sequence[ProcessId], message: Any) -> None:
         """Queue ``message`` from ``sender`` to each of ``recipients``, in order.
@@ -251,7 +254,12 @@ class Network:
         config = self.config
         drop = config.drop_probability
         mean = config.latency_mean
-        schedule = self.simulator.schedule
+        simulator = self.simulator
+        post = simulator.post
+        arrive = self._arrive
+        # The engine's clock, read past its property; no event runs between
+        # these posts, so it holds for the whole fan-out.
+        now = simulator._now
         for recipient in recipients:
             node = self._nodes.get(recipient)
             if node is None:
@@ -265,7 +273,7 @@ class Network:
             latency = config.latency_base
             if mean > 0:
                 latency += -log(1.0 - self._uniform()) / (1.0 / mean)
-            schedule(latency, partial(self._arrive, node, sender, message), "deliver")
+            post(now + latency, arrive, (node, sender, message), "deliver")
 
     def _arrive(self, node: Node, sender: ProcessId, message: Any) -> None:
         """Message arrived at the recipient's NIC; queue it on the CPU."""
@@ -282,7 +290,7 @@ class Network:
         cpu_free_at[recipient] = finish
         stats.busy_time += cost
         self.messages_delivered += 1
-        simulator.schedule_at(finish, partial(self._process, node, sender, message), "process")
+        simulator.post(finish, self._process, (node, sender, message), "process")
 
     @staticmethod
     def _process(node: Node, sender: ProcessId, message: Any) -> None:

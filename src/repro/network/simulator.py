@@ -6,17 +6,34 @@ clients) schedules callbacks on it.  The engine is deliberately minimal: the
 interesting modelling (latencies, CPU queues, Byzantine behaviour) lives in
 :mod:`repro.network.node` and above.
 
-The queue is one binary heap (:mod:`heapq`) of ``(time, sequence, event)``
-tuples.  The **order contract** is the classic total order: events run by
-increasing ``time``, ties broken by ``sequence``, the order in which they
-were scheduled.  Sequence numbers are unique, so the comparison is decided
-by the first two tuple items, inside the C heap — it never reaches the
-:class:`Event` and never enters Python.  In the asynchronous model an
-execution *is* its sequence of delivery events, so every seeded stream and
-every fingerprint depends on this order and on nothing else the queue does.  Cancelled events stay in the heap and are dropped when they
-surface; ``pending_events`` is a counter, not a scan.  ``schedule`` and
-``schedule_at`` push onto the heap themselves, with no helper frame between
-them and ``heappush``: every message calls each of them once.
+The queue is one binary heap (:mod:`heapq`) of ``(time, sequence, action,
+args, label, event)`` tuples, and ``run`` fires ``action(*args)``.  The
+**order contract** is the classic total order: events run by increasing
+``time``, ties broken by ``sequence``, the order in which they were
+scheduled.  Sequence numbers are unique, so the comparison is decided by the
+first two tuple items, inside the C heap — it never reaches the rest of the
+entry and never enters Python.  In the asynchronous model an execution *is*
+its sequence of delivery events, so every seeded stream and every
+fingerprint depends on this order and on nothing else the queue does.
+
+Two entry points share that one heap, one sequence counter and one ``run``
+loop:
+
+* ``schedule`` / ``schedule_at`` return an :class:`Event`, the handle that
+  cancels it.  Timers, client submissions, mints, retirements and attacks
+  come this way; the entry carries the handle in ``event`` and no ``args``.
+* ``post`` returns nothing and its entry has ``event=None``.  A network
+  message is two posts, ``"deliver"`` then ``"process"``, and nothing ever
+  cancels either, so a handle (and a :func:`functools.partial` to bind the
+  message to its callback) would be two allocations per event that no one
+  reads.  ``Network.multicast`` and ``Network._arrive`` are its only callers.
+
+The loop reads ``.cancelled`` only on an entry that has an event.  Cancelled
+events stay in the heap and are dropped when they surface;
+``pending_events`` is a counter, not a scan.  Each entry point pushes onto
+the heap itself, with no helper frame between it and ``heappush``.  Every
+entry point refuses a time before ``now`` and a non-finite one: a NaN
+compares false with everything and would silently break the heap order.
 
 An earlier calendar queue (time buckets, a heap of bucket keys, a sorted
 insert into the bucket being drained) earned its place against a heap of
@@ -32,31 +49,31 @@ vs 1.15 s ``run_s``, 3 of 3 alternating pairs).  The calendar still wins when
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, List, Optional, Tuple
+from math import inf
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 
 
 class Event:
-    """A scheduled callback: the handle ``schedule`` returns, used to cancel.
+    """The handle ``schedule`` / ``schedule_at`` return, used to cancel.
 
     Events run in ``(time, sequence)`` order; the sequence number makes the
     order total and deterministic when several events share a timestamp.
+    The callback itself rides in the heap entry, not here.
     """
 
-    __slots__ = ("time", "sequence", "action", "cancelled", "label", "_simulator")
+    __slots__ = ("time", "sequence", "cancelled", "label", "_simulator")
 
     def __init__(
         self,
         time: float,
         sequence: int,
-        action: Callable[[], None],
         label: str = "",
         simulator: Optional["Simulator"] = None,
     ) -> None:
         self.time = time
         self.sequence = sequence
-        self.action = action
         self.cancelled = False
         self.label = label
         self._simulator = simulator
@@ -77,6 +94,10 @@ class Event:
         return f"Event(t={self.time:.6f}, seq={self.sequence}, {state}, {self.label!r})"
 
 
+# One heap entry: (time, sequence, action, args, label, event-or-None).
+_Entry = Tuple[float, int, Callable[..., None], Tuple[Any, ...], str, Optional[Event]]
+
+
 class Simulator:
     """A deterministic discrete-event simulator.
 
@@ -87,8 +108,8 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        # The heap of (time, sequence, event); see the module docstring.
-        self._queue: List[Tuple[float, int, Event]] = []
+        # The heap of entries; see the module docstring.
+        self._queue: List[_Entry] = []
         self._sequence = 0
         self._live = 0
         self._now = 0.0
@@ -106,28 +127,46 @@ class Simulator:
 
     def schedule(self, delay: float, action: Callable[[], None], label: str = "") -> Event:
         """Schedule ``action`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule an event {delay}s in the past")
+        if not 0.0 <= delay < inf:
+            raise SimulationError(
+                f"cannot schedule an event {delay}s from now: a delay is finite and non-negative"
+            )
         time = self._now + delay
         sequence = self._sequence
-        event = Event(time, sequence, action, label, self)
+        event = Event(time, sequence, label, self)
         self._sequence = sequence + 1
         self._live += 1
-        heappush(self._queue, (time, sequence, event))
+        heappush(self._queue, (time, sequence, action, (), label, event))
         return event
 
     def schedule_at(self, time: float, action: Callable[[], None], label: str = "") -> Event:
         """Schedule ``action`` at an absolute virtual time."""
-        if time < self._now:
+        if not self._now <= time < inf:
             raise SimulationError(
                 f"cannot schedule an event at {time} (current time is {self._now})"
             )
         sequence = self._sequence
-        event = Event(time, sequence, action, label, self)
+        event = Event(time, sequence, label, self)
         self._sequence = sequence + 1
         self._live += 1
-        heappush(self._queue, (time, sequence, event))
+        heappush(self._queue, (time, sequence, action, (), label, event))
         return event
+
+    def post(self, time: float, action: Callable[..., None], args: Tuple[Any, ...], label: str) -> None:
+        """Queue ``action(*args)`` at the absolute ``time``, with no handle.
+
+        The entry takes the next sequence number and counts as pending like
+        any other; it just cannot be cancelled.  The network's message path
+        is the caller (see the module docstring).
+        """
+        if not self._now <= time < inf:
+            raise SimulationError(
+                f"cannot post an event at {time} (current time is {self._now})"
+            )
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        self._live += 1
+        heappush(self._queue, (time, sequence, action, args, label, None))
 
     def run(
         self,
@@ -156,22 +195,24 @@ class Simulator:
         Returns the virtual time at which the run stopped.
         """
         queue = self._queue
+        horizon = inf if until is None else until
         executed = 0
         try:
             while queue:
-                time, _, event = queue[0]
-                if event.cancelled:
+                time, _, action, args, _, event = queue[0]
+                if event is not None and event.cancelled:
                     heappop(queue)
                     continue
-                if until is not None and time > until:
+                if time > horizon:
                     if until > self._now:
                         self._now = until
                     break
                 heappop(queue)
                 self._live -= 1
-                event._simulator = None
+                if event is not None:
+                    event._simulator = None
                 self._now = time
-                event.action()
+                action(*args)
                 self.processed_events += 1
                 executed += 1
                 if stop_when is not None and stop_when():
@@ -222,7 +263,8 @@ class Simulator:
         """
         queue = self._queue
         while queue:
-            if not queue[0][2].cancelled:
+            event = queue[0][5]
+            if event is None or not event.cancelled:
                 return queue[0][0]
             heappop(queue)
         return None
@@ -231,7 +273,7 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still queued.
 
-        O(1): a live counter maintained on schedule/cancel/pop, not a queue
+        O(1): a live counter maintained on schedule/post/cancel/pop, not a queue
         scan — this property sits in ``__repr__`` and in the quiescence
         probes the epoch scheduler runs after every barrier.
         """
@@ -243,10 +285,12 @@ class Simulator:
         The checkpoint seam uses this to decide whether a shard is
         *protocol-quiescent*: a shard can only be checkpointed when every
         pending event is a client arrival that can be re-scheduled from the
-        routed-submission spec.  In-flight protocol messages hold closures
-        over live node state, so their presence blocks a checkpoint.
+        routed-submission spec.  In-flight protocol messages reference
+        live node state, so their presence blocks a checkpoint.
         """
-        return [event.label for _, _, event in self._queue if not event.cancelled]
+        return [
+            label for _, _, _, _, label, event in self._queue if event is None or not event.cancelled
+        ]
 
     def restore_counters(self, now: float, sequence: int, processed_events: int) -> None:
         """Force the clock and counters to a checkpoint's values.

@@ -157,6 +157,14 @@ class TestCpuModel:
         with pytest.raises(ConfigurationError):
             Network(Simulator(), NetworkConfig(drop_probability=1.5))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field", ["latency_base", "latency_mean", "processing_time", "signature_verification_time"]
+    )
+    def test_non_finite_times_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            Network(Simulator(), NetworkConfig(**{field: value}))
+
 
 class TestTimers:
     def test_set_timer_fires(self):

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+from math import inf, nan
+
 import pytest
 
 from repro.common.errors import SimulationError
@@ -83,6 +85,61 @@ class TestScheduling:
             simulator.schedule(0.01 * (index + 1), lambda: counter.append(1))
         simulator.run(stop_when=lambda: len(counter) >= 3)
         assert len(counter) == 3
+
+
+class TestNonFiniteTimesAreRefused:
+    """A NaN compares false with everything, so it would break the heap order unseen."""
+
+    @pytest.mark.parametrize("value", [nan, inf, -inf])
+    def test_schedule(self, value):
+        simulator = Simulator()
+        with pytest.raises(SimulationError):
+            simulator.schedule(value, lambda: None)
+        assert simulator.pending_events == 0
+
+    @pytest.mark.parametrize("value", [nan, inf, -inf])
+    def test_schedule_at(self, value):
+        simulator = Simulator()
+        with pytest.raises(SimulationError):
+            simulator.schedule_at(value, lambda: None)
+        assert simulator.pending_events == 0
+
+    @pytest.mark.parametrize("value", [nan, inf, -inf])
+    def test_post(self, value):
+        simulator = Simulator()
+        with pytest.raises(SimulationError):
+            simulator.post(value, print, (), "deliver")
+        assert simulator.pending_events == 0
+
+
+class TestPost:
+    """The handle-less entry point: same order, counters and labels, no handle."""
+
+    def test_posts_and_handles_share_one_order(self):
+        simulator = Simulator()
+        order = []
+        simulator.post(0.1, order.append, ("posted",), "deliver")
+        simulator.schedule_at(0.1, lambda: order.append("scheduled"), label="timer")
+        simulator.post(0.05, order.append, ("early",), "process")
+        assert simulator.post(0.1, order.append, ("last",), "deliver") is None
+        assert simulator.pending_events == 4
+        assert sorted(simulator.live_event_labels()) == ["deliver", "deliver", "process", "timer"]
+        assert simulator.next_event_time == 0.05
+        simulator.run_until_quiescent()
+        assert order == ["early", "posted", "scheduled", "last"]
+        assert simulator.processed_events == 4 and simulator.pending_events == 0
+
+    def test_a_post_takes_a_sequence_number(self):
+        simulator = Simulator()
+        simulator.post(0.0, print, (), "deliver")
+        assert simulator.schedule(0.0, lambda: None).sequence == 1
+
+    def test_a_post_in_the_past_is_refused(self):
+        simulator = Simulator()
+        simulator.schedule(1.0, lambda: None)
+        simulator.run_until_quiescent()
+        with pytest.raises(SimulationError):
+            simulator.post(0.5, print, (), "deliver")
 
 
 class TestEventBudgetBoundary:

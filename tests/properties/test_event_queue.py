@@ -1,29 +1,35 @@
 """Differential property test: the event queue against its specification.
 
 :class:`repro.network.simulator.Simulator` keeps its pending events on a binary
-heap of ``(time, sequence, event)`` tuples.  Every seeded stream and every
-fingerprint in the repository depends on the order it emits and on nothing
-else it does, so this file keeps the obvious formulation as the reference — a
-plain list of live events, the next one taken with ``min`` by ``(time,
-sequence)`` — behind the same public methods, runs one random program against
-both, and requires after **every** step the same executed order, ``now``,
+heap of ``(time, sequence, action, args, label, event)`` tuples, where
+``event`` is the cancellable handle ``schedule`` / ``schedule_at`` return and
+``None`` for a handle-less ``post`` (the network's messages).  Every seeded
+stream and every fingerprint in the repository depends on the order it emits
+and on nothing else it does, so this file keeps the obvious formulation as the
+reference — a plain list of live events, the next one taken with ``min`` by
+``(time, sequence)`` — behind the same public methods, runs one random program
+against both, and requires after **every** step the same executed order, ``now``,
 ``processed_events``, ``pending_events``, handle state
 (``time``, ``sequence``, ``cancelled``), ``live_event_labels()`` as a multiset
 and, on the steps that probe it, ``next_event_time`` (probing discards
 cancelled heads, so doing it on every step would hide how ``run`` skips them).
 
-A program mixes ``schedule`` / ``schedule_at`` (delays from a small grid, so
-timestamps collide; now and then in the past, which must raise in both),
+A program mixes ``schedule`` / ``schedule_at`` / ``post`` (delays from a small
+grid, so timestamps collide, posts with ``schedule_at`` entries too; now and
+then in the past, which must raise in both),
 ``cancel`` of any handle ever returned (queued, cancelled or long executed),
 ``run`` under every combination of ``until=`` (also in the past),
 ``max_events=`` (which raises when live events remain) and ``stop_when=``,
 ``run_until`` (also in the past), ``restore_counters`` (forwards, and
 backwards in sequence, which must raise), and actions that, when they fire,
-schedule at the current instant, at a shared timestamp or later, or cancel
-another event.
+schedule or post at the current instant, at a shared timestamp or later, or
+cancel another event.  A posted event has no handle: it is observed through
+the executed order, the counters, the labels and the sequence numbers the
+handles after it receive.
 """
 
 from functools import partial
+from math import inf
 from typing import Callable, List, Optional, Tuple
 
 from hypothesis import given, settings, strategies as st
@@ -61,14 +67,18 @@ class ReferenceSimulator:
         self.processed_events = 0
 
     def schedule(self, delay: float, action: Callable[[], None], label: str = ""):
-        if delay < 0:
-            raise SimulationError("in the past")
+        if not 0 <= delay < inf:
+            raise SimulationError("in the past, or not finite")
         return self._add(self.now + delay, action, label)
 
     def schedule_at(self, time: float, action: Callable[[], None], label: str = ""):
-        if time < self.now:
-            raise SimulationError("in the past")
+        if not self.now <= time < inf:
+            raise SimulationError("in the past, or not finite")
         return self._add(time, action, label)
+
+    def post(self, time: float, action: Callable[..., None], args: tuple, label: str) -> None:
+        """``schedule_at`` of ``action(*args)`` that hands nothing back."""
+        self.schedule_at(time, partial(action, *args), label)
 
     def _add(self, time: float, action, label: str) -> _ReferenceEvent:
         event = _ReferenceEvent(self, time, self._sequence, action, label)
@@ -130,6 +140,7 @@ class _Driver:
         self.engine = engine
         self.executed: List[int] = []  # event idents, in the order they fired
         self.handles: list = []  # every handle ever returned, in creation order
+        self.posts = 0  # posted events so far; the n-th has ident -n
         self.raised: List[int] = []  # indices of the steps that raised SimulationError
 
     def add(self, absolute: bool, when: float, behaviour: Tuple[str, float]) -> None:
@@ -138,6 +149,12 @@ class _Driver:
         # Labels repeat, so comparing them as a multiset means something.
         self.handles.append(schedule(when, partial(self.fire, ident, behaviour), f"label-{ident % 3}"))
 
+    def post(self, time: float, behaviour: Tuple[str, float]) -> None:
+        ident = -1 - self.posts
+        # The arguments ride in the entry, as the network's do; labels share the handles' three.
+        self.engine.post(time, self.fire, (ident, behaviour), f"label-{ident % 3}")
+        self.posts += 1
+
     def fire(self, ident: int, behaviour: Tuple[str, float]) -> None:
         self.executed.append(ident)
         kind, argument = behaviour
@@ -145,8 +162,13 @@ class _Driver:
             self.add(True, self.engine.now, NOOP)
         elif kind == "spawn":
             self.add(False, argument, ("cancel", ident + 1))
+        elif kind == "post_now":
+            self.post(self.engine.now, NOOP)
+        elif kind == "post":
+            self.post(self.engine.now + argument, ("cancel", ident))
         elif kind == "cancel":
-            self.handles[int(argument) % len(self.handles)].cancel()
+            if self.handles:  # a posted event can fire before any handle exists
+                self.handles[int(argument) % len(self.handles)].cancel()
 
     def apply(self, index: int, step: tuple) -> None:
         engine, kind = self.engine, step[0]
@@ -155,6 +177,8 @@ class _Driver:
                 self.add(False, step[1], step[2])
             elif kind == "schedule_at":
                 self.add(True, engine.now + step[1], step[2])
+            elif kind == "post":
+                self.post(engine.now + step[1], step[2])
             elif kind == "cancel":
                 if self.handles:
                     self.handles[step[1] % len(self.handles)].cancel()
@@ -211,10 +235,13 @@ BEHAVIOURS = st.one_of(
     st.just(("spawn_now", 0)),
     st.tuples(st.just("spawn"), st.sampled_from([0.0, 0.001, 0.002, 0.05])),
     st.tuples(st.just("cancel"), st.integers(0, 30)),
+    st.just(("post_now", 0)),
+    st.tuples(st.just("post"), st.sampled_from([0.0, 0.001, 0.05])),
 )
 STEPS = st.one_of(
     st.tuples(st.just("schedule"), DELAYS, BEHAVIOURS),
     st.tuples(st.just("schedule_at"), DELAYS, BEHAVIOURS),
+    st.tuples(st.just("post"), DELAYS, BEHAVIOURS),
     st.tuples(st.just("cancel"), st.integers(0, 30)),
     st.tuples(
         st.just("run"),
@@ -273,3 +300,33 @@ def test_a_fixed_program_reaches_every_mechanism():
     assert simulator.pending_events == 0 and simulator.next_event_time is None
     assert any(handle.cancelled for handle in engine.handles)
     assert engine.handles[-1].sequence > len(engine.handles)  # the restored sequence counter stuck
+
+
+def test_a_fixed_program_reaches_every_post_mechanism():
+    """Posts beside handles, hand-written; what it must reach is asserted."""
+    program = [
+        (("schedule_at", 0.001, NOOP), False),  # handle 0, sequence 0
+        (("post", 0.001, ("post_now", 0)), False),  # -1 shares handle 0's timestamp
+        (("schedule", 0.001, ("post", 0.001)), False),  # handle 1, behind -1
+        (("post", 0.0, NOOP), True),  # -2 at the current instant
+        (("post", 0.0035, ("cancel", 1)), False),  # -3, beyond the first horizon
+        (("post", -0.001, NOOP), False),  # raises in both
+        (("cancel", 0), True),
+        # -2, then at 0.001: -1 (posts -4 at its own instant), 1 (posts -5 later), -4.
+        (("run", 0.001, None, None), True),
+        (("restore_counters", 0.0, 3, 0), True),
+        (("post", 0.001, NOOP), True),  # -6 shares -5's timestamp, at the restored sequence
+        (("schedule_at", 0.001, NOOP), False),  # handle 2, behind -6
+        (("run_until", 0.0015), True),
+        (("post", inf, NOOP), False),  # raises in both
+        (("post", float("nan"), NOOP), False),  # raises in both
+        (("run", None, None, None), True),
+    ]
+    engine = assert_engine_matches_reference(program)
+    simulator = engine.engine
+    assert engine.raised == [5, 12, 13]
+    assert engine.executed == [-2, -1, 1, -4, -5, -6, 2, -3]
+    assert engine.posts == 6
+    # Seven sequence numbers before the restore (four of them posts), +3, then -6 took 10.
+    assert [handle.sequence for handle in engine.handles] == [0, 2, 11]
+    assert simulator.pending_events == 0 and simulator.next_event_time is None
