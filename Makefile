@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-props test-backends test-migration test-checkpoints test-obs bench soak trace perf-smoke perf example clean
+.PHONY: test test-props test-backends test-migration test-checkpoints test-obs soak perf-smoke perf example clean
 
 ## Tier-1: the full unit/integration suite (fails fast, quiet).
 test:
@@ -39,12 +39,6 @@ test-migration:
 test-checkpoints:
 	$(PYTHON) -m pytest tests/cluster/test_checkpoints.py -q
 
-## The paper's experiments (E1-E3, E5-E8 and the PBFT batching ablation) and
-## the trace export smoke, as pytest-benchmark runs; they write no journal.
-## The repository benchmark is `make perf`.
-bench:
-	$(PYTHON) -m pytest benchmarks -q
-
 ## The settlement-lifecycle soak alone (part of tier-1): a migrated
 ## long-horizon run asserting bounded resident settlement records and relay
 ## journals, the checkpoint soak's bounded replay log, and the
@@ -57,13 +51,6 @@ soak:
 ## metrics-only and full tracing, on every backend, migrated runs included).
 test-obs:
 	$(PYTHON) -m pytest tests/obs -q
-
-## Export a Chrome trace_event trace of one cluster run (TRACE_cluster.json)
-## and validate it against the schema — as a JSON array (chrome://tracing /
-## Perfetto) and line-by-line (one event object per line).
-trace:
-	REPRO_BENCH_SMOKE=$(SMOKE) $(PYTHON) -m pytest benchmarks/bench_trace.py -q
-	$(PYTHON) -c "from repro.obs import validate_trace_file; name = 'TRACE_cluster$(if $(SMOKE),_smoke,).json'; print(validate_trace_file(name), 'trace events validated in', name)"
 
 ## The repository benchmark's own smoke test (BENCHMARK.json's harness at toy
 ## size, ~20 s).  perf/ is outside tier-1 `testpaths`; this is what notices a
@@ -82,5 +69,5 @@ example:
 	for name in $(EXAMPLES); do $(PYTHON) examples/$$name.py || exit 1; done
 
 clean:
-	rm -rf .pytest_cache .benchmarks
+	rm -rf .pytest_cache
 	find . -type d -name __pycache__ -prune -exec rm -rf {} +

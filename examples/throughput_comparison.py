@@ -16,7 +16,6 @@ import argparse
 from repro.eval.experiments import (
     ExperimentConfig,
     latency_experiment,
-    message_complexity_experiment,
     throughput_scaling_experiment,
 )
 from repro.eval.reporting import format_comparison_table, format_latency_table
@@ -51,10 +50,11 @@ def main() -> None:
     latency_ratios = [row.latency_ratio for row in latency_rows]
     print(f"\nlatency advantage at low load: up to {max(latency_ratios):.2f}x (paper: up to 2x)\n")
 
-    print("== E8: messages per committed transfer ==")
-    for row in message_complexity_experiment(process_counts[:2], config):
-        print(f"  N={row['n']:>3}  consensusless={row['consensusless_msgs_per_tx']:>7}  "
-              f"consensus-based={row['consensus_msgs_per_tx']:>7}")
+    print("== E8: messages per committed transfer (from the E5 runs) ==")
+    for row in rows:
+        print(f"  N={row.process_count:>3}  "
+              f"consensusless={row.consensusless.messages_per_commit:>7.1f}  "
+              f"consensus-based={row.consensus_based.messages_per_commit:>7.1f}")
 
 
 if __name__ == "__main__":

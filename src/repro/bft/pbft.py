@@ -14,8 +14,8 @@ Modelling choices (substitutions for a full PBFT deployment):
   changes, checkpointing, and leader failures) would show.
 * **Batching.**  The leader proposes up to ``batch_size`` requests per
   instance and flushes partial batches after ``batch_timeout``.  Batching is
-  what makes consensus-based systems competitive at all; the ablation
-  benchmark sweeps it.
+  what makes consensus-based systems competitive at all; the batching
+  ablation in ``tests/paper/test_paper_claims.py`` measures it.
 * **Message complexity.**  Per batch: ``N`` pre-prepares, ``N²`` prepares,
   ``N²`` commits — the quadratic replication cost that, unlike the
   broadcast-based protocol's, cannot be spread across accounts because all
@@ -176,8 +176,7 @@ class PbftReplica(Node):
 
         This is the standard cost profile of signature-based PBFT
         deployments and is one of the drivers of the throughput gap measured
-        in experiments E5/E6 (``benchmarks/bench_throughput_scaling.py``,
-        ``benchmarks/bench_latency.py``).
+        in experiments E5/E6 (``tests/paper/test_paper_claims.py``).
         """
         config = self._network.config
         base = config.processing_time

@@ -5,7 +5,6 @@
   soak and the epoch-policy sweep.
 * :mod:`repro.eval.metrics` — latency statistics and run summaries.
 * :mod:`repro.eval.reporting` — the plain-text tables the examples print.
-* :mod:`repro.eval.environment` — the host and commit a result was made on.
 
 The package re-exports nothing: import from the defining module.
 """

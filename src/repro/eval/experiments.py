@@ -1,11 +1,12 @@
-"""The experiment harness behind the benchmarks, the examples and the tests.
+"""The experiment harness behind the examples and the tests.
 
-The paper's experiments are run by ``benchmarks/bench_*.py`` (E5-E8 and the
-ablations) and ``examples/double_spend_attack.py`` (E4); the cluster helpers
-below drive ``examples/cluster_quickstart.py`` and the cluster tests.  They are
-deliberately plain functions returning plain dataclasses / dicts so they can
-be called from pytest, from the example scripts and from an interactive
-session alike.
+The paper's §5 claims (E5, E6, E8 and the PBFT batching ablation) are checked
+by ``tests/paper/test_paper_claims.py`` and printed at larger sizes by
+``examples/throughput_comparison.py``; ``examples/double_spend_attack.py``
+runs E4.  The cluster helpers below drive ``examples/cluster_quickstart.py``
+and the cluster tests.  They are deliberately plain functions returning plain
+dataclasses so they can be called from pytest, from the example scripts and
+from an interactive session alike.
 """
 
 from __future__ import annotations
@@ -52,14 +53,7 @@ class ExperimentConfig:
         )
 
     def network_copy(self) -> NetworkConfig:
-        return NetworkConfig(
-            latency_base=self.network.latency_base,
-            latency_mean=self.network.latency_mean,
-            processing_time=self.network.processing_time,
-            signature_verification_time=self.network.signature_verification_time,
-            seed=self.network.seed,
-            drop_probability=self.network.drop_probability,
-        )
+        return dataclasses.replace(self.network)
 
 
 @dataclass(frozen=True)
@@ -83,13 +77,6 @@ class ComparisonRow:
         if self.consensusless.latency.average == 0:
             return float("inf")
         return self.consensus_based.latency.average / self.consensusless.latency.average
-
-    @property
-    def message_ratio(self) -> float:
-        """Messages per committed transfer: consensusless / consensus-based."""
-        if self.consensus_based.messages_per_commit == 0:
-            return float("inf")
-        return self.consensusless.messages_per_commit / self.consensus_based.messages_per_commit
 
 
 def run_consensusless(
@@ -144,32 +131,13 @@ def throughput_scaling_experiment(
     process_counts: Sequence[int] = (10, 20, 30),
     config: Optional[ExperimentConfig] = None,
 ) -> List[ComparisonRow]:
-    """E5/E6: sweep the system size and compare both systems at each point.
+    """E5/E6/E8: sweep the system size and compare both systems at each point.
 
-    The defaults keep simulation time reasonable for the test/benchmark
-    suite; ``examples/throughput_comparison.py`` runs the full paper-scale
-    sweep (up to 100 processes) when asked to.
+    The defaults are the quick sweep of ``examples/throughput_comparison.py``,
+    which runs the full paper-scale sweep (up to 100 processes) when asked to.
     """
     config = config or ExperimentConfig()
     return [compare_systems(n, config) for n in process_counts]
-
-
-def message_complexity_experiment(
-    process_counts: Sequence[int] = (10, 20, 30),
-    config: Optional[ExperimentConfig] = None,
-) -> List[Dict[str, float]]:
-    """E8: messages per committed transfer for both systems."""
-    rows: List[Dict[str, float]] = []
-    for row in throughput_scaling_experiment(process_counts, config):
-        rows.append(
-            {
-                "n": row.process_count,
-                "consensusless_msgs_per_tx": round(row.consensusless.messages_per_commit, 1),
-                "consensus_msgs_per_tx": round(row.consensus_based.messages_per_commit, 1),
-                "ratio": round(row.message_ratio, 2),
-            }
-        )
-    return rows
 
 
 @dataclass(frozen=True)
@@ -398,67 +366,6 @@ def latency_experiment(
                 consensus_latency=result_bft.average_latency,
             )
         )
-    return rows
-
-
-@dataclass(frozen=True)
-class AblationRow:
-    """One configuration of an ablation sweep."""
-
-    label: str
-    summary: RunSummary
-
-
-def broadcast_ablation(
-    process_count: int = 15,
-    config: Optional[ExperimentConfig] = None,
-) -> List[AblationRow]:
-    """Ablation: Bracha (quadratic) versus signed echo broadcast (linear).
-
-    The echo broadcast trades signature work for an O(N) reduction in
-    message count per transfer; this sweep quantifies the trade.
-    """
-    config = config or ExperimentConfig()
-    rows: List[AblationRow] = []
-    for label in ("bracha", "echo"):
-        variant = ExperimentConfig(
-            transfers_per_process=config.transfers_per_process,
-            initial_balance=config.initial_balance,
-            broadcast=label,
-            batch_size=config.batch_size,
-            seed=config.seed,
-            network=config.network_copy(),
-            max_events=config.max_events,
-        )
-        summary, _ = run_consensusless(process_count, variant)
-        rows.append(AblationRow(label=f"broadcast={label}", summary=summary))
-    return rows
-
-
-def batching_ablation(
-    process_count: int = 15,
-    batch_sizes: Sequence[int] = (1, 4, 8, 16),
-    config: Optional[ExperimentConfig] = None,
-) -> List[AblationRow]:
-    """Ablation: PBFT batch size versus throughput/latency.
-
-    Batching is the baseline's main lever against its quadratic vote cost;
-    sweeping it shows how much of the gap of E5 it can close.
-    """
-    config = config or ExperimentConfig()
-    rows: List[AblationRow] = []
-    for batch_size in batch_sizes:
-        variant = ExperimentConfig(
-            transfers_per_process=config.transfers_per_process,
-            initial_balance=config.initial_balance,
-            broadcast=config.broadcast,
-            batch_size=batch_size,
-            seed=config.seed,
-            network=config.network_copy(),
-            max_events=config.max_events,
-        )
-        summary, _ = run_consensus_based(process_count, variant)
-        rows.append(AblationRow(label=f"batch={batch_size}", summary=summary))
     return rows
 
 

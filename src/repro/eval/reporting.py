@@ -11,13 +11,11 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence
 
 from repro.eval.experiments import (
-    AblationRow,
     ClusterScalingRow,
     ComparisonRow,
     LatencyRow,
     TelemetryRow,
 )
-from repro.eval.metrics import RunSummary
 
 
 def _format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -36,21 +34,6 @@ def _format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> s
     # No trailing padding after the last column: the tables land in golden
     # tests and diffs, where invisible whitespace is pure noise.
     return "\n".join(line.rstrip() for line in lines)
-
-
-def format_run_summary(summary: RunSummary) -> str:
-    """One system, one size: the numbers the paper reports, on one line each."""
-    latency = summary.latency.as_milliseconds()
-    lines = [
-        f"system:               {summary.system}",
-        f"processes:            {summary.process_count}",
-        f"committed transfers:  {summary.committed}",
-        f"throughput:           {summary.throughput:.1f} tx/s",
-        f"avg latency:          {latency['avg_ms']:.2f} ms",
-        f"p95 latency:          {latency['p95_ms']:.2f} ms",
-        f"messages per commit:  {summary.messages_per_commit:.1f}",
-    ]
-    return "\n".join(lines)
 
 
 def format_comparison_table(rows: Sequence[ComparisonRow]) -> str:
@@ -89,21 +72,6 @@ def format_latency_table(rows: Sequence[LatencyRow]) -> str:
             f"{row.consensusless_latency * 1000:.2f}",
             f"{row.consensus_latency * 1000:.2f}",
             f"{row.latency_ratio:.2f}x",
-        ]
-        for row in rows
-    ]
-    return _format_table(headers, body)
-
-
-def format_ablation_table(rows: Sequence[AblationRow]) -> str:
-    """Ablation sweeps (broadcast variant, batch size)."""
-    headers = ["configuration", "tx/s", "avg latency ms", "messages/commit"]
-    body = [
-        [
-            row.label,
-            f"{row.summary.throughput:.0f}",
-            f"{row.summary.latency.average * 1000:.2f}",
-            f"{row.summary.messages_per_commit:.1f}",
         ]
         for row in rows
     ]

@@ -11,9 +11,9 @@ event's ``args``).
 The exporter writes the Trace Event Format's JSON-array flavour with one
 event object per line, so the same file loads in ``chrome://tracing`` /
 `Perfetto <https://ui.perfetto.dev>`_ *and* streams line-by-line like JSONL
-(``make trace`` validates it both ways).  Tracing follows the telemetry
-invariant: spans only read ``perf_counter`` and append to a list, so a run
-with tracing on fingerprints identically to one with tracing off.
+(:func:`validate_trace_file` checks it both ways).  Tracing follows the
+telemetry invariant: spans only read ``perf_counter`` and append to a list,
+so a run with tracing on fingerprints identically to one with tracing off.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.common.errors import ConfigurationError
 
-#: Keys every exported trace event must carry (the schema ``make trace``
-#: checks).  ``ph``/``ts``/``pid``/``tid`` are the Trace Event Format's
-#: required fields; ``name`` is required for the event kinds we emit.
+#: Keys every exported trace event must carry (the schema
+#: :func:`validate_trace_file` checks).  ``ph``/``ts``/``pid``/``tid`` are
+#: the Trace Event Format's required fields; ``name`` is required for the
+#: event kinds we emit.
 TRACE_EVENT_REQUIRED_KEYS = ("name", "ph", "ts", "pid", "tid")
 
 
@@ -192,8 +193,8 @@ def validate_trace_file(path: str) -> int:
     """Validate an exported trace against the trace_event schema.
 
     Checks both readings of the file: as one JSON array (what the trace
-    viewers load) and line-by-line (the JSONL-ish contract ``make trace``
-    advertises — one event object per line).  Every event must carry the
+    viewers load) and line-by-line (the JSONL-ish contract — one event
+    object per line).  Every event must carry the
     required keys, a known phase, and numeric non-negative timestamps;
     complete (``"X"``) events additionally need a numeric ``dur``.  Returns
     the number of validated events; raises :class:`ConfigurationError` on

@@ -1,8 +1,8 @@
 """Shared fixtures for the test suite.
 
 Simulation-based tests deliberately use small system sizes and workloads so
-the whole suite stays fast; the benchmarks and example scripts are the place
-for paper-scale runs.
+the whole suite stays fast; the example scripts are the place for
+paper-scale runs (``examples/throughput_comparison.py --full``).
 """
 
 from __future__ import annotations

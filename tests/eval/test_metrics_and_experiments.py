@@ -7,22 +7,17 @@ import pytest
 from repro.eval.experiments import (
     ClusterExperimentConfig,
     ExperimentConfig,
-    batching_ablation,
-    broadcast_ablation,
     compare_systems,
     epoch_policy_experiment,
     latency_experiment,
-    message_complexity_experiment,
     run_cluster,
     settlement_soak_experiment,
 )
 from repro.eval.metrics import LatencyStats, summarize_result
 from repro.eval.reporting import (
-    format_ablation_table,
     format_cluster_table,
     format_comparison_table,
     format_latency_table,
-    format_run_summary,
 )
 from repro.mp.consensusless_transfer import TransferRecord
 from repro.mp.system import SystemResult
@@ -66,10 +61,6 @@ class TestSummaries:
         assert summary.throughput == pytest.approx(20.0)
         assert summary.messages_per_commit == pytest.approx(25.0)
 
-    def test_format_run_summary_contains_key_numbers(self):
-        text = format_run_summary(summarize_result("consensusless", 4, self._result()))
-        assert "throughput" in text and "20.0 tx/s" in text
-
 
 class TestExperimentHarness:
     def test_compare_systems_produces_both_summaries(self, fast_network):
@@ -87,25 +78,6 @@ class TestExperimentHarness:
         assert rows[0].consensusless_latency > 0
         assert rows[0].consensus_latency > 0
         assert "ratio" in format_latency_table(rows)
-
-    def test_message_complexity_rows(self, fast_network):
-        rows = message_complexity_experiment(process_counts=(4,), config=small_config(fast_network))
-        assert rows[0]["consensusless_msgs_per_tx"] > rows[0]["consensus_msgs_per_tx"] * 0
-
-    def test_broadcast_ablation(self, fast_network):
-        rows = broadcast_ablation(process_count=5, config=small_config(fast_network))
-        labels = {row.label for row in rows}
-        assert labels == {"broadcast=bracha", "broadcast=echo"}
-        bracha = next(r for r in rows if r.label == "broadcast=bracha")
-        echo = next(r for r in rows if r.label == "broadcast=echo")
-        # The echo broadcast needs strictly fewer messages per transfer.
-        assert echo.summary.messages_per_commit < bracha.summary.messages_per_commit
-        assert "configuration" in format_ablation_table(rows)
-
-    def test_batching_ablation(self, fast_network):
-        rows = batching_ablation(process_count=4, batch_sizes=(1, 4), config=small_config(fast_network))
-        assert [row.label for row in rows] == ["batch=1", "batch=4"]
-        assert all(row.summary.committed == 8 for row in rows)
 
     def test_a_stateful_epoch_policy_does_not_leak_between_runs(self):
         from repro.cluster import LatencyTargetEpochPolicy

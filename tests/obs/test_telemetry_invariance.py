@@ -163,8 +163,7 @@ class TestTelemetrySection:
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_phase_breakdown_accounts_for_the_run(self, fast_network, backend):
-        """The phase histograms must explain >=90% of phase.total — the
-        coverage bound the benchmarks also enforce."""
+        """The phase histograms must explain >=90% of phase.total."""
         system, result = _run(fast_network, backend, "metrics", max_workers=2)
         try:
             histograms = result.telemetry["driver"]["histograms"]
@@ -189,9 +188,11 @@ class TestTraceExport:
             count = result.export_trace(str(path))
             assert count == len(result.trace) > 0
             assert validate_trace_file(str(path)) == count
+            # The scheduler's epoch loop, per-shard advances and both of the
+            # process pool's pipe legs are traced, not just metadata.
             names = {event["name"] for event in result.trace}
-            assert "phase.advance" in names
-            assert "pipe.send" in names  # the process pool's pipe legs traced
+            for expected in ("phase.advance", "phase.exchange", "pipe.send", "pipe.recv"):
+                assert expected in names, f"trace is missing {expected!r} spans"
         finally:
             system.close()
 

@@ -2,7 +2,7 @@
 
 The exported file has a dual contract — a valid Trace Event Format JSON
 array (what chrome://tracing and Perfetto load) *and* one event object per
-line (the greppable JSONL-ish reading ``make trace`` validates) — so both
+line (the greppable JSONL-ish reading) — so both
 readings, plus the validator's rejections, are pinned here.
 """
 

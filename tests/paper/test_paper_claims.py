@@ -1,0 +1,92 @@
+"""The paper's §5 claims, each checked at the smallest size where it holds.
+
+Section 5 compares the Figure 4 protocol with a consensus-based
+implementation of the same asset transfer: 1.5×–6× the throughput (E5), up
+to 2× lower latency (E6), paid for in messages (E8).  The baseline here is
+PBFT-ordered transfers (``repro.bft``) fed the same closed-loop workload over
+the same simulated network.  Simulated outcomes are deterministic given the
+seeds, so every inequality below is exact, and the figures quoted in the
+docstrings are the ones these seeds produce.  ``examples/throughput_comparison.py``
+prints the same comparison at N = 10 … 100.
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.eval.experiments import (
+    ExperimentConfig,
+    compare_systems,
+    latency_experiment,
+    run_consensus_based,
+    run_consensusless,
+)
+from repro.network.node import NetworkConfig
+
+TRANSFERS_PER_PROCESS = 5
+CONFIG = ExperimentConfig(
+    transfers_per_process=TRANSFERS_PER_PROCESS, network=NetworkConfig(seed=7), seed=7
+)
+
+
+@pytest.fixture(scope="module", params=(4, 10, 16), ids=lambda n: f"N={n}")
+def comparison(request):
+    """Both systems on one closed-loop workload, PBFT at its default batch 8."""
+    return compare_systems(request.param, CONFIG)
+
+
+def test_e5_throughput_advantage_is_in_the_paper_band(comparison):
+    """E5: Figure 4 commits the whole workload at 1.5×–6× the baseline's
+    throughput (1.57 / 1.76 / 3.07× at N = 4 / 10 / 16)."""
+    committed = comparison.process_count * TRANSFERS_PER_PROCESS
+    assert comparison.consensusless.committed == committed
+    assert comparison.consensus_based.committed == committed
+    assert 1.5 <= comparison.throughput_ratio <= 6.0
+
+
+def test_e6_latency_is_lower_at_low_load_and_under_load(comparison):
+    """E6: "up to 2× lower latency".  At low load (8 transfers 250 ms apart,
+    so neither system queues) the baseline takes 1.76 / 1.73 / 1.79× as long
+    per transfer at N = 4 / 10 / 16; under the E5 load it takes longer too
+    (1.67 / 1.83 / 3.37×).  Only the direction is asserted: the simulated
+    low-load ratio passes 2× at N = 30 (2.03× in the example's sweep)."""
+    [low_load] = latency_experiment((comparison.process_count,), transfers=8, config=CONFIG)
+    assert low_load.latency_ratio > 1.0
+    assert comparison.latency_ratio > 1.0
+
+
+def test_e8_figure4_sends_more_messages_per_commit_than_batched_pbft(comparison):
+    """E8, stated the way the measurements allow: the advantage is bought
+    with messages, not saved on them.  One Bracha instance per transfer costs
+    N + 2N² messages (36 at N = 4, 528 at N = 16; the formula is pinned in
+    ``tests/mp/test_message_formulas.py``), while PBFT shares each
+    agreement's quadratic vote cost among the transfers of a batch (20.6 and
+    172.5 per commit)."""
+    assert (
+        comparison.consensusless.messages_per_commit
+        > comparison.consensus_based.messages_per_commit
+    )
+
+
+def test_e8_echo_broadcast_sends_fewer_messages_than_bracha():
+    """E8 ablation: the signed echo broadcast replaces Bracha's all-to-all
+    ECHO and READY rounds with acknowledgements signed back to the origin:
+    25.4 against 36 messages per commit at N = 4."""
+    bracha, _ = run_consensusless(4, CONFIG)
+    echo, _ = run_consensusless(4, dataclasses.replace(CONFIG, broadcast="echo"))
+    assert echo.committed == bracha.committed == 4 * TRANSFERS_PER_PROCESS
+    assert echo.messages_per_commit < bracha.messages_per_commit
+
+
+def test_pbft_batching_ablation_batch_16_is_no_slower_than_batch_1():
+    """Ablation: batching is the baseline's lever against its quadratic vote
+    cost.  At N = 7, batch 16 commits 683 tx/s against 534 for batch 1.
+
+    It does not hold at N = 4 (388 against 472 tx/s).  With one outstanding
+    transfer per process a batch of 16 never fills, so every batch waits out
+    the batch timeout, and four replicas' votes are too cheap to repay the
+    wait."""
+    unbatched, _ = run_consensus_based(7, dataclasses.replace(CONFIG, batch_size=1))
+    batched, _ = run_consensus_based(7, dataclasses.replace(CONFIG, batch_size=16))
+    assert batched.committed == unbatched.committed == 7 * TRANSFERS_PER_PROCESS
+    assert batched.throughput >= unbatched.throughput
