@@ -21,10 +21,12 @@ test-props:
 
 ## The cross-backend equivalence harness, the pinned fingerprints (toy runs on
 ## serial and process and under two PYTHONHASHSEEDs; the benchmark's four
-## cluster and two Figure 4 workloads at full size) and the backend
-## determinism sweep.
+## cluster and two Figure 4 workloads at full size), the backend
+## determinism sweep, the hand-fed broadcast layers and the Figure 4 message
+## formulas.  The last two and the pinned fingerprints are the suites a
+## change to the message path must keep green.
 test-backends:
-	$(PYTHON) -m pytest tests/cluster/test_backend_equivalence.py tests/cluster/test_pinned_fingerprints.py tests/properties/test_backend_determinism.py -q
+	$(PYTHON) -m pytest tests/cluster/test_backend_equivalence.py tests/cluster/test_pinned_fingerprints.py tests/properties/test_backend_determinism.py tests/broadcast/test_broadcast_layers.py tests/mp/test_message_formulas.py -q
 
 ## The migration equivalence suite alone: placement invariance across
 ## {static, manual plan, threshold policy} x {serial, process},

@@ -245,9 +245,18 @@ class PbftReplica(Node):
 
     # -- replica: the three-phase protocol --------------------------------------------------------------------
 
-    def _instance(self, sequence: int) -> _InstanceState:
+    # A slot's state is forgotten once it has executed here and this replica
+    # has prepared it: every later PRE-PREPARE, PREPARE or COMMIT for it
+    # would change nothing this replica sends or executes.  A slot executed
+    # before it prepared here is kept, since a late PREPARE can still make it
+    # send its COMMIT; it is forgotten right after that COMMIT.
+
+    def _instance(self, sequence: int) -> Optional[_InstanceState]:
+        """The slot's voting state; ``None`` once it has been forgotten."""
         instance = self._instances.get(sequence)
         if instance is None:
+            if sequence <= self._last_executed_sequence:
+                return None
             instance = self._instances[sequence] = _InstanceState()
         return instance
 
@@ -255,7 +264,7 @@ class PbftReplica(Node):
         if sender != self.leader_id or message.view != self.config.view:
             return
         instance = self._instance(message.sequence)
-        if instance.pre_prepare is not None:
+        if instance is None or instance.pre_prepare is not None:
             return
         instance.pre_prepare = message
         prepare = Prepare(
@@ -270,6 +279,8 @@ class PbftReplica(Node):
         if message.view != self.config.view:
             return
         instance = self._instance(message.sequence)
+        if instance is None:
+            return
         instance.prepares.add(message.replica)
         if (
             not instance.prepared
@@ -284,11 +295,15 @@ class PbftReplica(Node):
                 replica=self.node_id,
             )
             self.broadcast(commit)
+            if instance.executed:
+                del self._instances[message.sequence]
 
     def _on_commit(self, message: Commit) -> None:
         if message.view != self.config.view:
             return
         instance = self._instance(message.sequence)
+        if instance is None:
+            return
         instance.commits.add(message.replica)
         if (
             not instance.committed
@@ -312,6 +327,8 @@ class PbftReplica(Node):
             for ordered in self.state_machine.execute_batch(instance.pre_prepare.batch):
                 self._maybe_reply(ordered)
             self._last_executed_sequence = next_sequence
+            if instance.prepared:
+                del self._instances[next_sequence]
             next_sequence += 1
 
     def _maybe_reply(self, ordered: OrderedRequest) -> None:

@@ -25,6 +25,19 @@ equivocating origin's payloads are counted apart.  Payloads are immutable and
 an instance's ECHOs and READYs almost always carry the origin's very object,
 so each instance keeps the last payload object it hashed with its digest and
 hashes only a *different* object.
+
+An instance's state lives from its first message until the source-order
+buffer releases it.  By then this process has sent READY to everyone (it
+delivered on ``2f+1`` READYs, and ``f+1`` already made it send its own), and
+it has sent ECHO if the origin's SEND arrived.  A later ECHO or READY can
+only add a witness to a set whose thresholds are spent, so the state is
+forgotten at release and a message for an instance at or below the
+origin's release watermark with no state is dropped.
+
+The one exception is the *late SEND*: an instance delivered through
+``2f+1`` READYs before the origin's SEND arrived has not echoed yet.  It is
+kept past release, the late SEND triggers its one ECHO fan-out, and the
+state is forgotten right after that fan-out.
 """
 
 from __future__ import annotations
@@ -33,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.broadcast.messages import EchoMessage, ReadyMessage, SendMessage
-from repro.broadcast.secure_broadcast import BroadcastLayer
+from repro.broadcast.secure_broadcast import BroadcastDelivery, BroadcastLayer
 from repro.byzantine.faults import max_tolerated_faults
 from repro.common.errors import ConfigurationError
 from repro.common.types import ProcessId
@@ -124,6 +137,8 @@ class BrachaBroadcast(BroadcastLayer):
         key = (message.origin, message.sequence)
         state = self._instances.get(key)
         if state is None:
+            if self._order_buffer.released(*key):
+                return
             state = self._instances[key] = _InstanceState()
         elif state.echoed:
             return
@@ -139,11 +154,16 @@ class BrachaBroadcast(BroadcastLayer):
             payload=payload,
         )
         self._transmit_to_all(echo)
+        if state.delivered and self._order_buffer.released(*key):
+            # The late SEND: its ECHO was the last thing this instance owed.
+            del self._instances[key]
 
     def _on_echo(self, sender: ProcessId, message: EchoMessage) -> None:
         key = (message.origin, message.sequence)
         state = self._instances.get(key)
         if state is None:
+            if self._order_buffer.released(*key):
+                return
             state = self._instances[key] = _InstanceState()
         payload = message.payload
         if payload is state.hashed_payload:
@@ -161,6 +181,8 @@ class BrachaBroadcast(BroadcastLayer):
         key = (message.origin, message.sequence)
         state = self._instances.get(key)
         if state is None:
+            if self._order_buffer.released(*key):
+                return
             state = self._instances[key] = _InstanceState()
         payload = message.payload
         if payload is state.hashed_payload:
@@ -186,6 +208,12 @@ class BrachaBroadcast(BroadcastLayer):
             payload=state.payload_by_hash[digest],
         )
         self._transmit_to_all(ready)
+
+    def _deliver_in_order(self, delivery: BroadcastDelivery) -> None:
+        key = (delivery.origin, delivery.sequence)
+        if self._instances[key].echoed:
+            del self._instances[key]
+        super()._deliver_in_order(delivery)
 
     # -- checkpointing --------------------------------------------------------------------
 

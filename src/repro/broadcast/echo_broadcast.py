@@ -23,6 +23,19 @@ certificates for the same instance would need two quorums, which intersect in
 a correct process, and a correct process acknowledges only one payload per
 instance — so no two correct processes ever deliver different payloads for
 the same instance, which is exactly what makes double-spending impossible.
+
+The origin keeps an instance's acknowledgements until it finalises; after
+that every ACK would be ignored, so the entry is dropped there.  A receiver
+keeps an instance until the source-order buffer releases it: by then it has
+delivered, and it has relayed FINAL if it ever will (only on the first
+verified FINAL, from the origin).  Past release a FINAL is ignored and an
+INIT to an acknowledged instance is refused, so the state is forgotten and
+a message at or below the origin's release watermark with no state is
+dropped.  An instance delivered before this process acknowledged it is kept
+past release: a late INIT must still be acknowledged, and under
+:class:`~repro.broadcast.account_order_broadcast.AccountOrderBroadcast` it
+must still pass the account-order gate.  Such an entry is forgotten once
+that late acknowledgement goes out.
 """
 
 from __future__ import annotations
@@ -31,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.broadcast.messages import EchoSignatureMessage, FinalMessage, SendMessage
-from repro.broadcast.secure_broadcast import BroadcastLayer
+from repro.broadcast.secure_broadcast import BroadcastDelivery, BroadcastLayer
 from repro.byzantine.faults import max_tolerated_faults
 from repro.common.errors import ConfigurationError
 from repro.common.types import ProcessId
@@ -52,7 +65,6 @@ class _OriginState:
 
     payload: Any
     signatures: Dict[ProcessId, Signature] = field(default_factory=dict)
-    finalised: bool = False
 
 
 @dataclass(slots=True)
@@ -133,9 +145,12 @@ class EchoBroadcast(BroadcastLayer):
 
     # -- receiving ---------------------------------------------------------------------------
 
-    def _receiver_state(self, key: InstanceKey) -> _ReceiverState:
+    def _receiver_state(self, key: InstanceKey) -> Optional[_ReceiverState]:
+        """The instance's receiver state; ``None`` once it has been forgotten."""
         state = self._as_receiver.get(key)
         if state is None:
+            if self._order_buffer.released(*key):
+                return None
             state = self._as_receiver[key] = _ReceiverState()
         return state
 
@@ -146,6 +161,8 @@ class EchoBroadcast(BroadcastLayer):
             return
         key = (message.origin, message.sequence)
         state = self._receiver_state(key)
+        if state is None:
+            return
         digest = content_hash(message.payload)
         if state.acknowledged_hash is not None:
             # Already acknowledged (possibly a different payload — the origin
@@ -163,6 +180,9 @@ class EchoBroadcast(BroadcastLayer):
             signature=signature,
         )
         self._transmit(message.origin, ack)
+        if state.delivered and self._order_buffer.released(*key):
+            # A late INIT: the acknowledgement was the last thing owed.
+            del self._as_receiver[key]
 
     def _may_acknowledge(self, message: SendMessage) -> bool:
         """Hook for subclasses (account-order broadcast) to gate acknowledgements."""
@@ -174,7 +194,7 @@ class EchoBroadcast(BroadcastLayer):
         if message.origin != self.own_id or message.signature is None:
             return
         state = self._as_origin.get(message.sequence)
-        if state is None or state.finalised:
+        if state is None:
             return
         expected = _ack_payload(self.own_id, message.sequence, state.payload)
         if content_hash(message.payload) != content_hash(state.payload):
@@ -204,7 +224,7 @@ class EchoBroadcast(BroadcastLayer):
                     and self.scheme.verify(expected, signature)
                 }
                 return
-            state.finalised = True
+            del self._as_origin[message.sequence]
             final = FinalMessage(
                 channel=self.channel,
                 origin=self.own_id,
@@ -221,7 +241,7 @@ class EchoBroadcast(BroadcastLayer):
             return
         key = (message.origin, message.sequence)
         state = self._receiver_state(key)
-        if state.delivered:
+        if state is None or state.delivered:
             return
         expected = _ack_payload(message.origin, message.sequence, message.payload)
         if not self.scheme.verify_certificate(
@@ -237,12 +257,18 @@ class EchoBroadcast(BroadcastLayer):
             state.relayed = True
             self._transmit_to_all(message)
 
+    def _deliver_in_order(self, delivery: BroadcastDelivery) -> None:
+        key = (delivery.origin, delivery.sequence)
+        if self._as_receiver[key].acknowledged_hash is not None:
+            del self._as_receiver[key]
+        super()._deliver_in_order(delivery)
+
     # -- checkpointing ----------------------------------------------------------------------------
 
     def _capture_impl_state(self) -> Any:
         return {
             "as_origin": {
-                sequence: (state.payload, dict(state.signatures), state.finalised)
+                sequence: (state.payload, dict(state.signatures))
                 for sequence, state in self._as_origin.items()
             },
             "as_receiver": {
@@ -253,10 +279,8 @@ class EchoBroadcast(BroadcastLayer):
 
     def _restore_impl_state(self, state: Any) -> None:
         self._as_origin = {
-            sequence: _OriginState(
-                payload=payload, signatures=dict(signatures), finalised=finalised
-            )
-            for sequence, (payload, signatures, finalised) in state["as_origin"].items()
+            sequence: _OriginState(payload=payload, signatures=dict(signatures))
+            for sequence, (payload, signatures) in state["as_origin"].items()
         }
         self._as_receiver = {
             tuple(key): _ReceiverState(

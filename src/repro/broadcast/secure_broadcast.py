@@ -27,6 +27,17 @@ one call to the node's all-to-all callable.  Payloads are immutable: nothing
 changes a payload object once it is broadcast, so a digest computed for an
 object holds for as long as the object lives.
 
+A layer keeps per-instance state only while an instance can still change
+what it sends or delivers.  Source order gives every origin a *release
+watermark* (:meth:`SourceOrderBuffer.released`): an instance at or below it
+has been delivered and handed to the application.  When the buffer releases
+an instance, the layer forgets it, unless the instance still owes a reply to
+a message that has not arrived yet (each layer names its case).  A message
+for a forgotten instance is dropped, because the state it would
+have updated could no longer make this process send or deliver anything.
+The instance tables therefore hold only in-flight instances, and a
+checkpoint copies only those.
+
 Concrete implementations live in :mod:`repro.broadcast.bracha` (the
 "naive quadratic" primitive the paper's deployment used) and
 :mod:`repro.broadcast.echo_broadcast` (the signature-based linear variant),
@@ -151,6 +162,10 @@ class SourceOrderBuffer:
     def delivered_up_to(self, origin: ProcessId) -> int:
         """Highest sequence number released for ``origin`` (0 if none)."""
         return self._next_sequence.get(origin, 1) - 1
+
+    def released(self, origin: ProcessId, sequence: int) -> bool:
+        """Whether ``origin``'s ``sequence`` is at or below its release watermark."""
+        return sequence < self._next_sequence.get(origin, 1)
 
 
 class BroadcastLayer(abc.ABC):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bft.consensus_transfer import ConsensusTransferSystem
-from repro.bft.messages import ClientRequest
+from repro.bft.messages import ClientRequest, Commit, PrePrepare, Prepare
 from repro.bft.pbft import PbftConfig
 from repro.bft.smr import LedgerStateMachine
 from repro.common.errors import ConfigurationError
@@ -130,3 +130,49 @@ class TestPbftOrdering:
         result = system.run()
         # At least three one-way delays (pre-prepare, prepare, commit).
         assert result.average_latency >= 3 * fast_network.latency_base
+
+
+class TestExecutedSlotsAreForgotten:
+    """Replica 1 of four, fed by hand (quorum 3); its sends stay queued."""
+
+    def _replica_with_slot_one(self, fast_network):
+        system = build(fast_network)
+        replica = system.replicas[1]
+        transfer = Transfer("2", "3", 1, issuer=2, sequence=1)
+        request = ClientRequest(issuer=2, client_sequence=1, transfer=transfer, submitted_at=0.0)
+        replica.on_message(0, PrePrepare(view=0, sequence=1, batch=(request,), digest="d"))
+        return replica
+
+    @staticmethod
+    def _vote(kind, replica):
+        return kind(view=0, sequence=1, digest="d", replica=replica)
+
+    def test_a_prepared_slot_is_forgotten_at_execution(self, fast_network):
+        replica = self._replica_with_slot_one(fast_network)
+        for voter in (0, 2, 3):
+            replica.on_message(voter, self._vote(Prepare, voter))
+        for voter in (0, 2, 3):
+            replica.on_message(voter, self._vote(Commit, voter))
+        assert replica.executed_count == 1
+        assert replica._instances == {}
+        sent = replica.stats.sent
+        for voter in (0, 2, 3):
+            replica.on_message(voter, self._vote(Prepare, voter))
+            replica.on_message(voter, self._vote(Commit, voter))
+        assert replica.stats.sent == sent
+        assert replica._instances == {}
+
+    def test_a_slot_executed_before_it_prepared_still_sends_its_commit_once(self, fast_network):
+        replica = self._replica_with_slot_one(fast_network)
+        for voter in (0, 2, 3):
+            replica.on_message(voter, self._vote(Commit, voter))
+        assert replica.executed_count == 1
+        assert not replica._instances[1].prepared
+        sent = replica.stats.sent
+        for voter in (0, 2, 3):
+            replica.on_message(voter, self._vote(Prepare, voter))
+        assert replica.stats.sent == sent + 4  # one COMMIT to each replica
+        assert replica._instances == {}
+        replica.on_message(3, self._vote(Prepare, 3))
+        assert replica.stats.sent == sent + 4
+        assert replica._instances == {}

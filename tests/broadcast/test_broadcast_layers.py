@@ -9,7 +9,13 @@ import pytest
 from repro.broadcast.account_order_broadcast import AccountOrderBroadcast
 from repro.broadcast.bracha import BrachaBroadcast
 from repro.broadcast.echo_broadcast import EchoBroadcast
-from repro.broadcast.messages import AccountTaggedPayload, EchoMessage, ReadyMessage, SendMessage
+from repro.broadcast.messages import (
+    AccountTaggedPayload,
+    EchoMessage,
+    EchoSignatureMessage,
+    ReadyMessage,
+    SendMessage,
+)
 from repro.broadcast.secure_broadcast import SourceOrderBuffer
 from repro.common.errors import ConfigurationError
 from repro.crypto.signatures import SignatureScheme
@@ -185,18 +191,85 @@ class TestBracha:
         assert [d.payload for d in restored_delivered] == [payload("x")]
         assert restored.capture_state() == steady.capture_state()
 
+    # Released instances are forgotten.  Every case below checks what the
+    # layer sends, so a forget that changed a reply fails here.
+
+    def test_late_echoes_and_readies_after_release_send_nothing_and_keep_no_state(self):
+        layer, sent, delivered = lone_bracha()
+        deliver_by_quorums(layer, payload("x"))
+        assert [d.payload for d in delivered] == [payload("x")]
+        assert layer._instances == {}
+        del sent[:]
+        for sender in (0, 1, 2, 3):
+            for message in (echo(payload("x")), ready(payload("x")), ready(payload("y"))):
+                layer.on_message(sender, message)
+            layer.on_message(1, send(payload("x")))
+        assert sent == []
+        assert layer._instances == {}
+        assert len(delivered) == 1
+
+    def test_a_send_after_release_echoes_exactly_once(self):
+        layer, sent, delivered = lone_bracha()
+        for sender in (1, 2, 3):
+            layer.on_message(sender, ready(payload("x")))
+        assert [d.payload for d in delivered] == [payload("x")]
+        assert layer._order_buffer.released(1, 1)
+        # Delivered through READYs alone: the entry waits for the SEND.
+        assert not layer._instances[(1, 1)].echoed
+        del sent[:]
+        layer.on_message(1, send(payload("x")))
+        assert sent == [echo(payload("x"))]
+        assert layer._instances == {}
+        layer.on_message(1, send(payload("x")))
+        layer.on_message(2, echo(payload("x")))
+        assert sent == [echo(payload("x"))]
+        assert layer._instances == {}
+
+    def test_an_instance_delivered_ahead_of_its_predecessor_is_kept_until_released(self):
+        layer, sent, delivered = lone_bracha()
+        deliver_by_quorums(layer, payload("second"), sequence=2)
+        assert delivered == []
+        assert set(layer._instances) == {(1, 2)}
+        deliver_by_quorums(layer, payload("first"), sequence=1)
+        assert [d.sequence for d in delivered] == [1, 2]
+        assert layer._instances == {}
+
+    def test_a_restored_watermark_keeps_forgotten_instances_forgotten(self):
+        steady, _, _ = lone_bracha()
+        deliver_by_quorums(steady, payload("x"))
+        assert steady.capture_state()["impl"] == {"instances": {}}
+        restored, sent, delivered = lone_bracha()
+        restored.restore_state(steady.capture_state())
+        for sender in (1, 2, 3):
+            restored.on_message(sender, echo(payload("x")))
+            restored.on_message(sender, ready(payload("x")))
+        assert sent == [] and delivered == []
+        assert restored._instances == {}
+
 
 def payload(value):
     """A fresh tuple equal to every other ``payload(value)``."""
     return tuple(["pay", value])
 
 
-def echo(body):
-    return EchoMessage(channel="rb", origin=1, sequence=1, payload=body)
+def send(body, sequence=1):
+    return SendMessage(channel="rb", origin=1, sequence=sequence, payload=body)
 
 
-def ready(body):
-    return ReadyMessage(channel="rb", origin=1, sequence=1, payload=body)
+def echo(body, sequence=1):
+    return EchoMessage(channel="rb", origin=1, sequence=sequence, payload=body)
+
+
+def ready(body, sequence=1):
+    return ReadyMessage(channel="rb", origin=1, sequence=sequence, payload=body)
+
+
+def deliver_by_quorums(layer, body, sequence=1):
+    """Origin 1's SEND, then three ECHOs and three READYs, all for ``body``."""
+    layer.on_message(1, send(body, sequence))
+    for make in (echo, ready):
+        for sender in (1, 2, 3):
+            layer.on_message(sender, make(body, sequence))
 
 
 def lone_bracha():
@@ -252,6 +325,24 @@ class TestEchoBroadcast:
         harness.flush(drop=lambda s, r, m: isinstance(m, FinalMessage) and s == 0 and r == 3)
         assert [d.payload for d in harness.delivered[3]] == ["x"]
 
+    def test_a_late_init_after_a_final_delivery_acks_exactly_once(self):
+        harness = Harness(echo_factory(SignatureScheme()), 4)
+        harness.layers[0].broadcast("x")
+        late = withhold_inits_to(harness, 3)
+        late_layer = harness.layers[3]
+        assert [d.payload for d in harness.delivered[3]] == ["x"]
+        # Finalised at the origin, released and acknowledged everywhere else.
+        assert harness.layers[0]._as_origin == {}
+        assert all(layer._as_receiver == {} for layer in harness.layers[:3])
+        assert late_layer._as_receiver[(0, 1)].acknowledged_hash is None
+        late_layer.on_message(0, late[0])
+        assert acks_from(harness, 3) == 1
+        assert late_layer._as_receiver == {}
+        late_layer.on_message(0, late[0])
+        assert acks_from(harness, 3) == 1
+        harness.flush()
+        assert [d.payload for d in harness.delivered[3]] == ["x"]
+
     def test_wrong_keypair_rejected(self):
         scheme = SignatureScheme()
         with pytest.raises(ConfigurationError):
@@ -288,3 +379,59 @@ class TestAccountOrderBroadcast:
         harness.flush()
         for delivered in harness.delivered.values():
             assert [d.payload for d in delivered] == ["plain"]
+
+    def test_a_refused_instance_keeps_its_state_and_a_late_init_reaches_the_gate(self):
+        harness = Harness(account_factory(SignatureScheme()), 4)
+        for sequence, body in ((1, "t1"), (2, "t2")):
+            harness.layers[0].broadcast(
+                AccountTaggedPayload(account="acc", account_sequence=sequence, body=body)
+            )
+        late = withhold_inits_to(harness, 3, sequences=(1,))
+        layer = harness.layers[3]
+        # Process 3 saw t2's INIT before t1's and refused it; both are delivered
+        # on the other three acknowledgements.
+        assert [d.payload.body for d in harness.delivered[3]] == ["t1", "t2"]
+        assert layer._acknowledged_account_seq == {}
+        assert set(layer._as_receiver) == {(0, 1), (0, 2)}
+        layer.on_message(0, late[0])
+        assert acks_from(harness, 3) == 1
+        assert layer._acknowledged_account_seq == {"acc": 1}
+        assert set(layer._as_receiver) == {(0, 2)}
+        # t2's INIT again: the gate now admits it.
+        layer.on_message(
+            0,
+            SendMessage(
+                channel="ab", origin=0, sequence=2,
+                payload=AccountTaggedPayload(account="acc", account_sequence=2, body="t2"),
+            ),
+        )
+        assert acks_from(harness, 3) == 2
+        assert layer._acknowledged_account_seq == {"acc": 2}
+        assert layer._as_receiver == {}
+
+
+def withhold_inits_to(harness, recipient, sequences=None):
+    """Flush the harness without the INITs to ``recipient``; returns them."""
+    withheld = []
+
+    def drop(sender, to, message):
+        if (
+            to == recipient
+            and isinstance(message, SendMessage)
+            and (sequences is None or message.sequence in sequences)
+        ):
+            withheld.append(message)
+            return True
+        return False
+
+    harness.flush(drop=drop)
+    return withheld
+
+
+def acks_from(harness, sender):
+    """Acknowledgements ``sender`` has queued since the last flush."""
+    return sum(
+        1
+        for source, _, message in harness.queues
+        if source == sender and isinstance(message, EchoSignatureMessage)
+    )

@@ -278,6 +278,23 @@ class TestShardCheckpointRoundTrip:
         finally:
             system.close()
 
+    def test_a_quiescent_checkpoint_carries_an_empty_bracha_table(self, fast_network):
+        """Every instance of burst one is released by the gap barrier, so
+        the layers have forgotten them all and the checkpoint copies none."""
+        system = _system(fast_network, "serial")
+        system.schedule_submissions(_bursty_submissions())
+        system.run(until=0.08)
+        try:
+            for shard in system._backend._shards:
+                taken = shard.checkpoint()
+                assert taken is not None, shard.checkpoint_blockers()
+                for live in taken.live["nodes"].values():
+                    _, _, delivered, _ = live["layer"]["stats"]
+                    assert delivered > 0
+                    assert live["layer"]["impl"] == {"instances": {}}
+        finally:
+            system.close()
+
     def test_restore_refuses_a_foreign_shard_checkpoint(self, fast_network):
         system = _system(fast_network, "serial")
         system.schedule_submissions(_bursty_submissions())
