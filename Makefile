@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-props test-backends test-migration test-checkpoints test-obs soak perf-smoke perf example clean
+.PHONY: test test-props test-backends test-settlement test-migration test-checkpoints test-obs soak perf-smoke perf example clean
 
 ## Tier-1: the full unit/integration suite (fails fast, quiet).
 test:
@@ -27,6 +27,13 @@ test-props:
 ## change to the message path must keep green.
 test-backends:
 	$(PYTHON) -m pytest tests/cluster/test_backend_equivalence.py tests/cluster/test_pinned_fingerprints.py tests/properties/test_backend_determinism.py tests/broadcast/test_broadcast_layers.py tests/mp/test_message_formulas.py -q
+
+## The settlement suites alone: the quorum-stream exactness suite over both
+## legs, the lifecycle and adversarial suites, the soak, the settlement
+## property tests and the pinned fingerprints — the suites a settlement
+## change must keep green.
+test-settlement:
+	$(PYTHON) -m pytest tests/cluster/test_settlement*.py tests/properties/test_cluster_settlement.py tests/cluster/test_pinned_fingerprints.py -q
 
 ## The migration equivalence suite alone: placement invariance across
 ## {static, manual plan, threshold policy} x {serial, process},

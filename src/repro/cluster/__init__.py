@@ -13,15 +13,16 @@ This package deploys that observation:
 * :mod:`repro.cluster.shard` — :class:`Shard`, one independent Figure 4
   replica group on its own simulator clock.
 * :mod:`repro.cluster.settlement` — the cross-shard settlement *lifecycle*
-  (voucher -> certificate -> mint -> acknowledgement -> retirement):
-  :class:`SettlementRelay` per shard pair assembles ``2f+1`` source-replica
-  voucher signatures into a certificate; :class:`SettlementInbox` per
-  destination replica verifies and mints the credit exactly once, making
-  cross-shard money *spendable* at its destination, then acknowledges the
-  stream watermark; the relay's return leg assembles ``2f+1`` acks into a
-  :class:`RetirementCertificate` and the per-source-shard
-  :class:`CompactionGate` retires the fully-acknowledged outbound records,
-  keeping long-running ledgers compact.
+  (voucher -> certificate -> mint -> acknowledgement -> retirement), two
+  legs of one quorum-acknowledged watermark broadcast run by one
+  :class:`~repro.cluster.settlement.QuorumStream` type.  Each shard pair's :class:`SettlementRelay`
+  holds two: ``vouchers`` assembles ``2f+1`` source-replica signatures into
+  a certificate, which every destination replica's :class:`SettlementInbox`
+  verifies and mints exactly once, making cross-shard money *spendable* at
+  its destination; ``acks`` assembles ``2f+1`` destination acks of the
+  stream watermark into a :class:`RetirementCertificate`, and the
+  per-source-shard :class:`CompactionGate` retires the fully-acknowledged
+  outbound records, keeping long-running ledgers compact.
 * :mod:`repro.cluster.backends` — the execution backends:
   :class:`SerialBackend` and :class:`ProcessPoolBackend` advance per-shard
   simulators between the :class:`EpochScheduler`'s deterministic settlement

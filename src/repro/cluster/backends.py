@@ -67,7 +67,7 @@ import traceback
 import weakref
 from collections import deque
 from contextlib import contextmanager, nullcontext
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.migration import (
     MigrationPolicy,
@@ -76,14 +76,7 @@ from repro.cluster.migration import (
     PlacementPlan,
     ShardLoad,
 )
-from repro.cluster.settlement import (
-    RetirementCertificate,
-    SettlementAck,
-    SettlementCertificate,
-    SettlementRelay,
-    SettlementVoucher,
-    p95,
-)
+from repro.cluster.settlement import p95
 from repro.cluster.checkpoint import (
     CheckpointDelta,
     checkpoint_delta,
@@ -1268,12 +1261,12 @@ class EpochScheduler:
         # uninterrupted one.
         self._volume_since_barrier = 0
         self._order = itertools.count()
-        self._vouchers: List[Tuple[float, int, SettlementRelay, SettlementVoucher]] = []
-        self._certificates: List[Tuple[float, int, SettlementRelay, SettlementCertificate]] = []
-        self._acks: List[Tuple[float, int, SettlementRelay, SettlementAck]] = []
-        self._retirement_certificates: List[
-            Tuple[float, int, SettlementRelay, RetirementCertificate]
-        ] = []
+        # The settlement queues, in drain order: ``(ready, order, handler,
+        # payload)`` entries whose handler — a relay stream's ``submit`` or
+        # ``deliver`` — the exchange calls once the entry matures.
+        self._queues: Dict[str, List[Tuple[float, int, Callable[[Any], Any], Any]]] = {
+            name: [] for name in ("vouchers", "certificates", "acks", "retirement_certificates")
+        }
         self._mints: List[Tuple[int, ProcessId, Transfer]] = []
         self._retirements: List[Tuple[int, Transfer]] = []
         self._reports: Optional[Dict[int, AdvanceReport]] = None
@@ -1284,42 +1277,24 @@ class EpochScheduler:
 
     # -- queues fed by the settlement fabric ---------------------------------------------------
 
-    def enqueue_voucher(
-        self, ready: float, relay: SettlementRelay, voucher: SettlementVoucher
+    def enqueue(
+        self, queue: str, ready: float, handler: Callable[[Any], Any], payload: Any
     ) -> None:
-        self._vouchers.append((ready, next(self._order), relay, voucher))
-
-    def enqueue_certificate(
-        self, relay: SettlementRelay, certificate: SettlementCertificate
-    ) -> None:
-        ready = self.now + relay.config.delivery_delay
-        self._certificates.append((ready, next(self._order), relay, certificate))
-
-    def enqueue_ack(self, ready: float, relay: SettlementRelay, ack: SettlementAck) -> None:
-        self._acks.append((ready, next(self._order), relay, ack))
-
-    def enqueue_retirement_certificate(
-        self, relay: SettlementRelay, certificate: RetirementCertificate
-    ) -> None:
-        ready = self.now + relay.config.delivery_delay
-        self._retirement_certificates.append(
-            (ready, next(self._order), relay, certificate)
-        )
+        """Call ``handler(payload)`` at the first exchange at or after
+        ``ready``; ``queue`` names one of the four settlement queues."""
+        self._queues[queue].append((ready, next(self._order), handler, payload))
 
     def enqueue_mint(self, shard: int, replica: ProcessId, transfer: Transfer) -> None:
         self._mints.append((shard, replica, transfer))
 
-    def enqueue_retirement(self, shard: int, transfer: Transfer) -> None:
-        self._retirements.append((shard, transfer))
+    def enqueue_retirements(self, shard: int, transfers: List[Transfer]) -> None:
+        self._retirements.extend((shard, transfer) for transfer in transfers)
 
     @property
     def in_flight(self) -> int:
         """Settlement traffic queued between barriers (all lifecycle legs)."""
         return (
-            len(self._vouchers)
-            + len(self._certificates)
-            + len(self._acks)
-            + len(self._retirement_certificates)
+            sum(len(queue) for queue in self._queues.values())
             + len(self._mints)
             + len(self._retirements)
         )
@@ -1411,12 +1386,7 @@ class EpochScheduler:
                 if samples:
                     self.policy.observe_latency(samples)
             pending = any(report.pending_events for report in self._reports.values())
-            queued = (
-                self._vouchers
-                or self._certificates
-                or self._acks
-                or self._retirement_certificates
-            )
+            queued = any(self._queues.values())
             if not (pending or applied or queued):
                 break
             # The width of the epoch about to run is the policy's call, based
@@ -1531,23 +1501,12 @@ class EpochScheduler:
                 )
         # Vouchers can assemble certificates, certificates can trigger acks,
         # and (when delays are 0) any of them can mature within the same
-        # barrier, so drain all four queues to a fixed point.
+        # barrier, so drain all four queues, in order, to a fixed point.
         progressed = True
         while progressed:
             progressed = False
-            progressed |= self._drain_matured(
-                "_vouchers", lambda relay, voucher: relay.submit_voucher(voucher)
-            )
-            progressed |= self._drain_matured(
-                "_certificates", lambda relay, certificate: relay.deliver(certificate)
-            )
-            progressed |= self._drain_matured(
-                "_acks", lambda relay, ack: relay.submit_ack(ack)
-            )
-            progressed |= self._drain_matured(
-                "_retirement_certificates",
-                lambda relay, certificate: relay.deliver_retirement(certificate),
-            )
+            for name in self._queues:
+                progressed |= self._drain_matured(name)
         applied = 0
         if self._mints:
             grouped: Dict[int, List[Tuple[ProcessId, Transfer]]] = {}
@@ -1571,11 +1530,12 @@ class EpochScheduler:
             backend.apply_retirements(self.now, retire_grouped)
         return applied
 
-    def _drain_matured(self, queue_name: str, deliver) -> bool:
-        """Deliver every queue entry matured by ``self.now``, in maturity
-        order; returns whether anything matured (the fixed-point signal).
-        The exchanged count feeds the epoch policy's volume observation."""
-        queue = getattr(self, queue_name)
+    def _drain_matured(self, name: str) -> bool:
+        """Run every entry of queue ``name`` matured by ``self.now``, in
+        maturity order; returns whether anything matured (the fixed-point
+        signal).  The exchanged count feeds the epoch policy's volume
+        observation."""
+        queue = self._queues[name]
         ready = sorted(
             (entry for entry in queue if entry[0] <= self.now),
             key=lambda entry: (entry[0], entry[1]),
@@ -1583,12 +1543,12 @@ class EpochScheduler:
         if not ready:
             return False
         matured = set(id(entry) for entry in ready)
-        setattr(self, queue_name, [e for e in queue if id(e) not in matured])
-        for _, _, relay, payload in ready:
-            deliver(relay, payload)
+        self._queues[name] = [e for e in queue if id(e) not in matured]
+        for _, _, handler, payload in ready:
+            handler(payload)
         self._volume_since_barrier += len(ready)
         if self.metrics is not None:
-            self.metrics.inc(f"exchange.{queue_name.lstrip('_')}", len(ready))
+            self.metrics.inc(f"exchange.{name}", len(ready))
         return True
 
     def _next_target(self, applied: int) -> float:
@@ -1598,10 +1558,8 @@ class EpochScheduler:
             for report in (self._reports or {}).values()
             if report.next_event_time is not None
         ]
-        candidates.extend(entry[0] for entry in self._vouchers)
-        candidates.extend(entry[0] for entry in self._certificates)
-        candidates.extend(entry[0] for entry in self._acks)
-        candidates.extend(entry[0] for entry in self._retirement_certificates)
+        for queue in self._queues.values():
+            candidates.extend(entry[0] for entry in queue)
         if applied:
             candidates.append(self.now)
         return min(candidates) if candidates else self.now

@@ -1,65 +1,52 @@
 """Cross-shard settlement: the full lifecycle of a quorum-certified credit.
 
-PR 1 left cross-shard payments parked: a transfer from shard *s* to shard *d*
-debits the source account and credits an external settlement account
-``x{d}:a`` inside the *source* shard's ledger — conserved and auditable, but
-not spendable at the destination.  This module closes the loop *and then
-closes the books*.  Because single-owner asset transfer has consensus
-number 1, settlement needs no cross-shard consensus, only *reliable transfer
-of a quorum-certified credit* (the set-constrained delivery substrate of
-arXiv:1706.05267).  Each per-``(source, destination, issuer)`` stream walks
-an explicit state machine::
+A transfer from shard *s* to shard *d* debits the source account and credits
+an external settlement account ``x{d}:a`` in the *source* shard's ledger.
+This module carries the credit across *and then closes the books*.  Because
+single-owner asset transfer has consensus number 1, settlement needs no
+cross-shard consensus, only *reliable transfer of a quorum-certified credit*
+(the set-constrained delivery substrate of arXiv:1706.05267).  Each
+per-``(source, destination, issuer)`` stream walks one state machine::
 
     vouchered -> certified -> minted -> acknowledged -> retired
 
-1. When a source-shard replica validates a cross-shard transfer, it signs a
-   :class:`SettlementClaim` — ``(source shard, destination shard, issuer,
-   settlement sequence, account, amount)`` — and submits the resulting
-   :class:`SettlementVoucher` to the pair's :class:`SettlementRelay`.  The
-   settlement sequence is *per (issuer, destination shard) stream* and every
-   correct replica assigns the same one, because Figure 4 validates each
-   issuer's transfers in source order.
-2. The relay assembles ``2f+1`` matching voucher signatures into a
-   :class:`SettlementCertificate` and delivers it to every destination-shard
-   replica at the next settlement barrier.  ``f`` Byzantine source replicas
-   can neither forge a certificate (they lack ``f+1`` honest keys) nor stall
-   one (``2f+1`` honest replicas voucher every validated transfer).
-3. Each destination replica's :class:`SettlementInbox` verifies the
-   certificate against the source shard's key directory and mints the credit
-   into the real account **exactly once**: certificates must arrive in
-   per-stream sequence order, so replays and gaps are rejected cold.
-4. Every mint makes the destination replica sign a :class:`SettlementAck`
-   over the stream's new watermark.  The relay's return leg assembles
-   ``2f+1`` *destination*-replica ack signatures into a
-   :class:`RetirementCertificate` and hands it to the source shard's
-   :class:`CompactionGate`.
-5. The gate — the source-side trust boundary, mirror image of the inbox —
-   verifies the ack quorum against the destination shard's key directory,
-   enforces per-stream watermark monotonicity, and only then lets the source
-   replicas *retire* the fully-acknowledged ``x{d}:a`` records behind the
-   compaction watermark.  Any ack quorum contains a correct destination
-   replica, which only acknowledges what it actually minted, so an
-   acknowledged watermark can never run ahead of the minted one: **no
-   unsettled record is ever retired**, whatever ``f`` Byzantine replicas do.
+Both of its legs are one quorum-acknowledged broadcast of a per-issuer
+watermark, so one sans-I/O :class:`QuorumStream` type runs both, and each
+shard pair's :class:`SettlementRelay` holds two of them:
+
+1. ``relay.vouchers`` (source-shard keys).  A source replica that validates
+   a cross-shard transfer signs a :class:`SettlementClaim`; the settlement
+   sequence is per ``(issuer, destination shard)`` and every correct replica
+   assigns the same one, because Figure 4 validates each issuer's transfers
+   in source order.  ``2f+1`` matching vouchers make a
+   :class:`SettlementCertificate`, which every destination replica's
+   :class:`SettlementInbox` verifies against the source shard's keys and
+   mints **exactly once**, in per-stream sequence order.
+2. ``relay.acks`` (destination-shard keys).  Every mint makes the replica
+   sign a :class:`SettlementAckClaim` over the stream's new watermark.
+   ``2f+1`` acks make a :class:`RetirementCertificate`; the source shard's
+   :class:`CompactionGate` — mirror image of the inbox — verifies it against
+   the destination shard's keys, enforces watermark monotonicity, and only
+   then retires the fully-acknowledged ``x{d}:a`` records.  Certifying a
+   watermark also makes both streams forget what it subsumes.
+
+``f`` Byzantine replicas can neither forge a certificate on either leg (they
+lack ``f+1`` honest keys) nor stall one (``2f+1`` honest replicas sign every
+item).  Any ack quorum contains a correct destination replica, which only
+acknowledges what it minted: **no unsettled record is ever retired**.
 
 The mint is applied through
 :meth:`~repro.mp.consensusless_transfer.ConsensuslessTransferNode.mint_certified_credit`
 as a transfer from the provision account ``settle:{s}:{p}``, which makes the
-credit spendable (it enters the owner's dependency set) and keeps the
-two-ledger accounting identity exact: unretired outbound ``x{d}:a`` credits
-in source ledgers and negative ``settle:{s}:{p}`` provisions in destination
-ledgers net against the retired amount, so ``local + unretired outbound -
-(minted - retired)`` equals the initial supply at every instant (see
-:meth:`repro.cluster.system.ClusterSystem.supply_audit`).  Retirement is what
-keeps long-running ledgers compact: without it the outbound record set grows
-with every cross-shard payment ever made; with it the resident records are
-bounded by the settlement in-flight window.
+credit spendable and keeps the two-ledger identity exact: ``local +
+unretired outbound - (minted - retired)`` equals the initial supply at every
+instant (:meth:`repro.cluster.system.ClusterSystem.supply_audit`).
+Retirement keeps long runs compact: resident ledger records and resident
+certificate objects are bounded by the in-flight window, not by history.
 
-Fault injection for tests rides the generic transport behaviours of
-:mod:`repro.byzantine.behaviors`: a voucher (or ack) behaviour installed per
-replica can silence, delay or substitute its vouchers/acks, which is how the
-adversarial settlement suite models withheld and equivocated participants on
-both legs of the lifecycle.
+Fault injection rides the transport behaviours of
+:mod:`repro.byzantine.behaviors`: a voucher or ack behaviour per replica can
+silence, delay or substitute what it sends, on either leg.
 """
 
 from __future__ import annotations
@@ -67,6 +54,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.byzantine.behaviors import Behavior, OutgoingMessage
@@ -187,41 +175,21 @@ class RetirementCertificate:
 
 @dataclass
 class SettlementConfig:
-    """Timing and lifecycle knobs of the settlement fabric.
+    """Timing of the settlement fabric's links.
 
     ``voucher_delay`` models the replica-to-relay link, ``delivery_delay``
     the relay-to-destination-shard link; both are slower than the intra-shard
     defaults because settlement crosses shard boundaries.  ``ack_delay``
     models the return leg (destination replica back to the relay).
-    ``compaction`` switches the acknowledgement/retirement lifecycle; with it
-    off, outbound ``x{d}:a`` records accumulate forever (the pre-lifecycle
-    behaviour, kept for negative controls and growth measurements).
-
-    ``latency_window`` sizes the fabric's p95 settlement-latency estimator
-    (:meth:`SettlementFabric.settlement_latency_p95`).  The estimator is a
-    *recency window*: a bounded deque of the most recent ``latency_window``
-    source-validation-to-mint samples, over which the nearest-rank p95 is
-    computed.  Windowed rather than whole-run so the fabric's per-mint
-    memory stays O(window) however long the run soaks; the reported figure
-    is therefore "p95 of the last ``latency_window`` mints", which
-    coincides with the whole-run p95 for runs shorter than the window and
-    ages out old samples on longer ones.  The count/average/max figures
-    (:meth:`SettlementFabric.settlement_latency`) remain whole-run O(1)
-    aggregates and are unaffected by the window.  Defaults to
-    :data:`LATENCY_P95_WINDOW`.
     """
 
     voucher_delay: float = 0.001
     delivery_delay: float = 0.002
     ack_delay: float = 0.001
-    compaction: bool = True
-    latency_window: int = LATENCY_P95_WINDOW
 
     def validate(self) -> None:
         if self.voucher_delay < 0 or self.delivery_delay < 0 or self.ack_delay < 0:
             raise ConfigurationError("settlement delays must be non-negative")
-        if self.latency_window < 1:
-            raise ConfigurationError("latency_window must be at least 1 sample")
 
 
 # -- account naming ---------------------------------------------------------------------------
@@ -264,35 +232,187 @@ def mint_transfer(claim: SettlementClaim) -> Transfer:
     )
 
 
-# -- the relay --------------------------------------------------------------------------------
+# -- the quorum stream and the relay ----------------------------------------------------------
+
+
+class QuorumStream:
+    """One lifecycle leg of a shard pair: signed items in, certificates out.
+
+    Sans-I/O, and everything a leg differs in is constructor data: the shard
+    ``pair``, the signing shard's key directory (``scheme``, ``quorum_size``,
+    ``allowed_signers``), the wire type ``wrap`` a certificate travels in,
+    and ``on_certified``, which says where a fresh certificate goes.  The
+    barrier brings it back through :meth:`deliver` to every subscriber.
+
+    Items are checked on arrival, which keeps *impersonation* out of the
+    pending table.  A Byzantine replica signing fabricated claims under its
+    own key still gets entries in there, but each is capped at the ``f``
+    Byzantine signers and can never reach the ``2f+1`` quorum: fabrication
+    costs table memory, not money (:attr:`pending` counts genuinely withheld
+    items and attacker junk alike).  ``certified`` and ``delivered`` are
+    *journals* of resident certificates, not the run's history —
+    :meth:`forget` evicts what a retirement watermark subsumes; the totals
+    and :meth:`signature` answer for the full history.
+    """
+
+    def __init__(
+        self,
+        pair: Tuple[int, int],
+        scheme,
+        quorum_size: int,
+        allowed_signers: frozenset,
+        wrap: Callable[..., object],
+        on_certified: Callable[[object], None],
+    ) -> None:
+        if quorum_size <= 0:
+            raise ConfigurationError("quorum_size must be positive")
+        self.pair = pair
+        self.scheme = scheme
+        self.quorum_size = quorum_size
+        self.allowed_signers = allowed_signers
+        self._wrap = wrap
+        self._on_certified = on_certified
+        self._subscribers: List[Callable[[object], None]] = []
+        self._pending: Dict[object, Dict[ProcessId, Signature]] = {}
+        self._assembled: Set[object] = set()
+        self._floors: Dict[ProcessId, int] = {}
+        self.certified: List = []
+        self.delivered: List = []
+        self.certified_total = 0
+        self.delivered_total = 0
+        self._signature: List[tuple] = []
+        self.accepted = 0
+        self.rejected = 0
+
+    def subscribe(self, deliver: Callable[[object], None]) -> None:
+        """Register a receiver of delivered certificates (called in order)."""
+        self._subscribers.append(deliver)
+
+    def submit(self, item) -> bool:
+        """Accept one signed voucher or ack; certify its claim at quorum.
+
+        Anything misrouted, unsequenced, signed outside ``allowed_signers``
+        or badly signed is rejected; anything at or below its issuer's floor
+        (see :meth:`forget`), or for a claim already certified, is absorbed.
+        """
+        claim = item.claim
+        if (
+            (claim.source_shard, claim.destination_shard) != self.pair
+            or claim.sequence <= 0
+            or item.signature.signer not in self.allowed_signers
+            or not self.scheme.verify(claim, item.signature)
+        ):
+            self.rejected += 1
+            return False
+        self.accepted += 1
+        if claim.sequence <= self._floors.get(claim.issuer, 0) or claim in self._assembled:
+            return True  # late: already certified, or retired and forgotten
+        signatures = self._pending.setdefault(claim, {})
+        signatures[item.signature.signer] = item.signature
+        if len(signatures) >= self.quorum_size:
+            self._assemble(claim)
+        return True
+
+    def _assemble(self, claim) -> None:
+        signatures = self._pending.pop(claim)
+        ordered = tuple(signature for _, signature in sorted(signatures.items()))
+        # One-check quorum verification at construction: a single batch
+        # verdict covers the whole signer set and primes the certificate
+        # cache, so the inbox's or gate's re-check is O(1) from here on.
+        bundle = self.scheme.certify(claim, ordered, self.quorum_size, self.allowed_signers)
+        if bundle is None:
+            # Divergence: the batch failed even though every member verified
+            # on arrival.  Fall back to per-signature checks, drop the
+            # forged members, and keep the honest remainder pending.
+            survivors = {
+                signer: signature
+                for signer, signature in signatures.items()
+                if signer in self.allowed_signers and self.scheme.verify(claim, signature)
+            }
+            self.rejected += len(signatures) - len(survivors)
+            if survivors:
+                self._pending[claim] = survivors
+                if len(survivors) >= self.quorum_size:
+                    self._assemble(claim)  # the honest members already form a quorum
+            return
+        certificate = self._wrap(claim=claim, certificate=bundle)
+        self._assembled.add(claim)
+        self._on_certified(certificate)
+        # Journaled after the callback, so the newest retirement watermark
+        # stays resident when its callback forgets what it subsumes.
+        self.certified.append(certificate)
+        self.certified_total += 1
+
+    def deliver(self, certificate) -> None:
+        """Hand one certificate to every subscriber, in subscription order.
+
+        Called by the settlement barrier.  Journaled certificates of the
+        issuer at or below its floor go first: several retirement watermarks
+        can certify between barriers and deliver in a burst afterwards.
+        """
+        claim = certificate.claim
+        floor = self._floors.get(claim.issuer, 0)
+        self.delivered = [
+            c for c in self.delivered if c.claim.issuer != claim.issuer or c.claim.sequence > floor
+        ]
+        self.delivered.append(certificate)
+        self.delivered_total += 1
+        # The wire claims are slotted dataclasses: ``__slots__`` lists their
+        # fields in declaration order.
+        self._signature.append(tuple(getattr(claim, name) for name in claim.__slots__))
+        for deliver in self._subscribers:
+            deliver(certificate)
+
+    def forget(self, issuer: ProcessId, watermark: int) -> None:
+        """Raise ``issuer``'s floor to ``watermark``; drop what it subsumes.
+
+        Called on both of a pair's streams when the ack stream certifies
+        ``watermark``: everything of the issuer's stream at or below it is
+        settled *and acknowledged*.  Its pending entries are dead (a Byzantine
+        variant can no longer reach quorum), its assembled claims can never
+        re-assemble (at most ``f`` late items are outstanding), and its
+        journaled certificates are history already folded into the totals.
+        Replay protection does not regress: the inbox's and the gate's own
+        per-stream floors still reject any re-delivered certificate.
+        """
+        self._floors[issuer] = watermark
+
+        def live(claim) -> bool:
+            return claim.issuer != issuer or claim.sequence > watermark
+
+        self._pending = {claim: s for claim, s in self._pending.items() if live(claim)}
+        self._assembled = {claim for claim in self._assembled if live(claim)}
+        self.certified = [c for c in self.certified if live(c.claim)]
+        self.delivered = [c for c in self.delivered if live(c.claim)]
+
+    def floor(self, issuer: ProcessId) -> int:
+        """The highest retirement watermark certified for ``issuer`` (0 = none)."""
+        return self._floors.get(issuer, 0)
+
+    @property
+    def pending(self) -> int:
+        """Claims with some signatures but no quorum yet (withheld items)."""
+        return len(self._pending)
+
+    def signature(self) -> List[tuple]:
+        """Every delivered claim's fields, in delivery order (never compacted)."""
+        return list(self._signature)
 
 
 class SettlementRelay:
-    """Certificate assembly and delivery for one ``source -> destination`` pair.
+    """Both lifecycle legs of one ``source -> destination`` shard pair.
 
-    The relay is untrusted in the same sense a network is: destination
-    replicas re-verify every certificate, so a faulty relay can at worst
-    withhold settlement (liveness), never mint money (safety).  Voucher
-    signatures are verified on arrival, which keeps *impersonation* out of
-    the pending-claim table; a Byzantine source replica signing fabricated
-    claims under its own key still gets entries in there, but each such
-    claim is capped at the ``f`` Byzantine signers and can never reach the
-    ``2f+1`` quorum, so fabrication costs table memory, not money (and
-    :attr:`pending_claims` counts genuine withheld settlement and attacker
-    junk alike).
+    ``vouchers`` certifies claims with the *source* shard's keys into
+    :class:`SettlementCertificate` s for the destination inboxes; ``acks``
+    certifies watermarks with the *destination* shard's keys (``ack_*``,
+    defaulting to the source's) into :class:`RetirementCertificate` s for the
+    source's compaction gate.  The relay is untrusted like a network: inbox
+    and gate re-verify everything, so a faulty relay can at worst withhold
+    settlement or compaction, never mint money or retire an unsettled record.
 
-    The relay also runs the lifecycle's *return leg*: destination replicas
-    submit signed :class:`SettlementAck` watermarks after minting, and a
-    ``2f+1`` quorum of them (``ack_quorum_size`` signatures from
-    ``ack_allowed_signers``, verified against the destination shard's key
-    directory) assembles into a :class:`RetirementCertificate` delivered back
-    to the source shard's :class:`CompactionGate`.  The same trust argument
-    applies in reverse: the relay can at worst withhold acknowledgements
-    (records stay resident — a liveness loss for *compaction* only, never for
-    settlement), it can never retire an unsettled record.  The ack table is
-    self-compacting: assembling watermark ``w`` drops every pending ack entry
-    of that stream at or below ``w``, so relay memory tracks the in-flight
-    window, not history.
+    ``dispatch`` / ``retirement_dispatch`` receive a fresh certificate with
+    its stream's ``deliver``; the fabric queues both on the barrier
+    scheduler, which calls ``deliver(certificate)`` once it matures.
     """
 
     def __init__(
@@ -302,353 +422,60 @@ class SettlementRelay:
         scheme,
         quorum_size: int,
         allowed_signers: frozenset,
-        dispatch: Callable[["SettlementCertificate"], None],
-        retirement_dispatch: Callable[["RetirementCertificate"], None],
-        config: Optional[SettlementConfig] = None,
+        dispatch: Callable[[Callable, SettlementCertificate], None],
+        retirement_dispatch: Callable[[Callable, RetirementCertificate], None],
         ack_scheme=None,
         ack_quorum_size: int = 0,
         ack_allowed_signers: frozenset = frozenset(),
     ) -> None:
-        if quorum_size <= 0:
-            raise ConfigurationError("quorum_size must be positive")
+        pair = (source_shard, destination_shard)
         self.source_shard = source_shard
         self.destination_shard = destination_shard
-        self.scheme = scheme
-        self.quorum_size = quorum_size
-        self.allowed_signers = allowed_signers
-        self.config = config or SettlementConfig()
-        self.config.validate()
-        # How an assembled certificate (and, on the return leg, a retirement
-        # certificate) leaves the relay: a hand-off to the barrier scheduler,
-        # which brings it back through ``deliver`` / ``deliver_retirement``
-        # at the settlement barrier where it matures.
         self._dispatch = dispatch
         self._retirement_dispatch = retirement_dispatch
-        self._pending: Dict[SettlementClaim, Dict[ProcessId, Signature]] = {}
-        self._assembled: Set[SettlementClaim] = set()
-        self._subscribers: List[Callable[[SettlementCertificate], None]] = []
-        # ``certificates``/``delivered`` are *journals* of resident
-        # certificate objects, not the run's history: once a stream's
-        # retirement watermark certifies, every entry at or below it is
-        # compacted away (see ``_compact_stream``) — like the ledgers, relay
-        # memory tracks the in-flight window.  Everything the audit and
-        # fingerprint surfaces need from the full history is accumulated
-        # incrementally below: per-account provision totals, delivered
-        # amounts/counts, and the deterministic signature streams.
-        self.certificates: List[SettlementCertificate] = []
-        self.delivered: List[SettlementCertificate] = []
-        self.certificates_total = 0
-        self.certified_amount_total: Amount = 0
-        self.delivered_total = 0
-        self.delivered_amount_total: Amount = 0
-        self.retirements_delivered_total = 0
-        self._provisions: Dict[AccountId, Amount] = {}
-        self._delivered_signature: List[tuple] = []
-        self._retirement_signature: List[tuple] = []
-        self.vouchers_accepted = 0
-        self.vouchers_rejected = 0
-        # The ack return leg: verification parameters of the *destination*
-        # shard (its replicas sign the acks), pending signatures per ack
-        # claim, and the per-stream watermark already certified (ack claims
-        # at or below it are absorbed as no-ops).
-        self.ack_scheme = ack_scheme if ack_scheme is not None else scheme
-        self.ack_quorum_size = ack_quorum_size or quorum_size
-        self.ack_allowed_signers = ack_allowed_signers or allowed_signers
-        self._ack_pending: Dict[SettlementAckClaim, Dict[ProcessId, Signature]] = {}
-        self._ack_certified: Dict[ProcessId, int] = {}
-        self._retirement_subscribers: List[Callable[[RetirementCertificate], None]] = []
-        self.retirement_certificates: List[RetirementCertificate] = []
-        self.retirements_delivered: List[RetirementCertificate] = []
-        self.acks_accepted = 0
-        self.acks_rejected = 0
-
-    def subscribe(self, deliver: Callable[[SettlementCertificate], None]) -> None:
-        """Register one destination replica's inbox for certificate delivery."""
-        self._subscribers.append(deliver)
-
-    def subscribe_retirement(
-        self, deliver: Callable[[RetirementCertificate], None]
-    ) -> None:
-        """Register the source shard's compaction gate for the return leg."""
-        self._retirement_subscribers.append(deliver)
-
-    def submit_voucher(self, voucher: SettlementVoucher) -> bool:
-        """Accept one voucher; assemble and ship a certificate at quorum."""
-        claim = voucher.claim
-        if (
-            claim.source_shard != self.source_shard
-            or claim.destination_shard != self.destination_shard
-            or voucher.signature.signer not in self.allowed_signers
-            or not self.scheme.verify(claim, voucher.signature)
-        ):
-            self.vouchers_rejected += 1
-            return False
-        self.vouchers_accepted += 1
-        if claim.sequence <= self._ack_certified.get(claim.issuer, 0):
-            # At or below the stream's certified retirement watermark: the
-            # claim was certified, minted, acknowledged and compacted out of
-            # ``_assembled`` long ago.  Absorb it like any late voucher —
-            # opening a ``_pending`` entry here would both re-grow memory
-            # with the run's history (a Byzantine re-signer could park one
-            # dead entry per retired claim) and misreport the dead claims as
-            # withheld settlement via ``pending_claims``.
-            return True
-        if claim in self._assembled:
-            return True  # late voucher for an already-certified claim
-        signatures = self._pending.setdefault(claim, {})
-        signatures[voucher.signature.signer] = voucher.signature
-        if len(signatures) >= self.quorum_size:
-            self._assemble(claim)
-        return True
-
-    def _assemble(self, claim: SettlementClaim) -> None:
-        signatures = self._pending.pop(claim)
-        ordered = tuple(signature for _, signature in sorted(signatures.items()))
-        # One-check quorum verification at construction: a single batch
-        # verdict covers the whole signer set and primes the certificate
-        # cache, so the downstream relay -> inbox -> gate re-checks are
-        # O(1) from here on.
-        bundle = self.scheme.certify(
-            claim, ordered, self.quorum_size, self.allowed_signers
+        self.vouchers = QuorumStream(
+            pair, scheme, quorum_size, allowed_signers, SettlementCertificate, self._certified
         )
-        if bundle is None:
-            # Divergence: the batch failed even though every member verified
-            # on arrival.  Fall back to per-signature checks, drop the
-            # forged members, and keep the honest remainder pending.
-            survivors = {
-                signer: signature
-                for signer, signature in signatures.items()
-                if signer in self.allowed_signers
-                and self.scheme.verify(claim, signature)
-            }
-            self.vouchers_rejected += len(signatures) - len(survivors)
-            if survivors:
-                self._pending[claim] = survivors
-                if len(survivors) >= self.quorum_size:
-                    self._assemble(claim)  # the honest members already form a quorum
-            return
-        certificate = SettlementCertificate(claim=claim, certificate=bundle)
-        self._assembled.add(claim)
-        self.certificates.append(certificate)
-        self.certificates_total += 1
-        self.certified_amount_total += claim.amount
-        self._dispatch(certificate)
+        self.acks = QuorumStream(
+            pair,
+            ack_scheme if ack_scheme is not None else scheme,
+            ack_quorum_size or quorum_size,
+            ack_allowed_signers or allowed_signers,
+            RetirementCertificate,
+            self._retired,
+        )
+        # The settlement leg's full-history accounting, folded in as
+        # certificates assemble and deliver: the audit reads these, never
+        # the journals.
+        self.certified_amount_total: Amount = 0
+        self._provisions: Dict[AccountId, Amount] = {}
+        self.vouchers.subscribe(self._provision)
 
-    def deliver(self, certificate: SettlementCertificate) -> None:
-        """Deliver one assembled certificate to every subscribed inbox.
+    def _certified(self, certificate: SettlementCertificate) -> None:
+        self.certified_amount_total += certificate.claim.amount
+        self._dispatch(self.vouchers.deliver, certificate)
 
-        Called by the settlement barrier; the certificate lands on the
-        relay's ``delivered`` record and on each destination replica's
-        inbox, in subscription (replica-id) order.
-        """
+    def _retired(self, certificate: RetirementCertificate) -> None:
         claim = certificate.claim
-        self.delivered.append(certificate)
-        self.delivered_total += 1
-        self.delivered_amount_total += claim.amount
+        self.vouchers.forget(claim.issuer, claim.sequence)
+        self.acks.forget(claim.issuer, claim.sequence)
+        self._retirement_dispatch(self.acks.deliver, certificate)
+
+    def _provision(self, certificate: SettlementCertificate) -> None:
+        claim = certificate.claim
         account = settlement_account(claim.source_shard, claim.issuer)
         self._provisions[account] = self._provisions.get(account, 0) + claim.amount
-        self._delivered_signature.append(
-            (
-                claim.source_shard,
-                claim.destination_shard,
-                claim.issuer,
-                claim.sequence,
-                claim.account,
-                claim.amount,
-            )
-        )
-        for deliver in self._subscribers:
-            deliver(certificate)
-
-    # -- the acknowledgement return leg --------------------------------------------------------
-
-    def submit_ack(self, ack: SettlementAck) -> bool:
-        """Accept one destination-replica ack; certify retirement at quorum.
-
-        Acks are verified against the *destination* shard's key directory —
-        only the replicas that actually mint can acknowledge.  An ack at or
-        below the stream's already-certified watermark is absorbed as a no-op
-        (late and replayed acks are indistinguishable and equally harmless);
-        anything forged, misrouted or signed outside the destination replica
-        set is rejected.
-        """
-        claim = ack.claim
-        if (
-            claim.source_shard != self.source_shard
-            or claim.destination_shard != self.destination_shard
-            or claim.sequence <= 0
-            or ack.signature.signer not in self.ack_allowed_signers
-            or not self.ack_scheme.verify(claim, ack.signature)
-        ):
-            self.acks_rejected += 1
-            return False
-        self.acks_accepted += 1
-        if claim.sequence <= self._ack_certified.get(claim.issuer, 0):
-            return True  # late ack for an already-certified watermark
-        signatures = self._ack_pending.setdefault(claim, {})
-        signatures[ack.signature.signer] = ack.signature
-        if len(signatures) >= self.ack_quorum_size:
-            self._assemble_retirement(claim)
-        return True
-
-    def _assemble_retirement(self, claim: SettlementAckClaim) -> None:
-        signatures = self._ack_pending.pop(claim)
-        ordered = tuple(signature for _, signature in sorted(signatures.items()))
-        # Same one-check discipline as the settlement leg: one batch verdict
-        # at construction, compaction-gate re-checks primed to O(1).
-        bundle = self.ack_scheme.certify(
-            claim, ordered, self.ack_quorum_size, self.ack_allowed_signers
-        )
-        if bundle is None:
-            survivors = {
-                signer: signature
-                for signer, signature in signatures.items()
-                if signer in self.ack_allowed_signers
-                and self.ack_scheme.verify(claim, signature)
-            }
-            self.acks_rejected += len(signatures) - len(survivors)
-            if survivors:
-                self._ack_pending[claim] = survivors
-                if len(survivors) >= self.ack_quorum_size:
-                    self._assemble_retirement(claim)
-            return
-        certificate = RetirementCertificate(claim=claim, certificate=bundle)
-        self._ack_certified[claim.issuer] = claim.sequence
-        # Self-compaction: pending acks the new watermark subsumes are dead.
-        self._ack_pending = {
-            pending: signatures
-            for pending, signatures in self._ack_pending.items()
-            if pending.issuer != claim.issuer or pending.sequence > claim.sequence
-        }
-        if self.config.compaction:
-            self._compact_stream(claim.issuer, claim.sequence)
-        self.retirement_certificates.append(certificate)
-        self._retirement_dispatch(certificate)
-
-    def deliver_retirement(self, certificate: RetirementCertificate) -> None:
-        """Deliver one retirement certificate to the source's compaction gate.
-
-        Called by the settlement barrier, mirroring :meth:`deliver`.
-        """
-        claim = certificate.claim
-        if self.config.compaction:
-            # A stream's watermarks deliver in assembly order, so this
-            # delivery subsumes every older one still journaled (several can
-            # assemble between barriers and deliver in a burst after the
-            # stream's last assembly — assembly-time compaction alone would
-            # strand them).
-            self.retirements_delivered = [
-                r
-                for r in self.retirements_delivered
-                if r.claim.issuer != claim.issuer or r.claim.sequence >= claim.sequence
-            ]
-        self.retirements_delivered.append(certificate)
-        self.retirements_delivered_total += 1
-        self._retirement_signature.append(
-            (
-                claim.source_shard,
-                claim.destination_shard,
-                claim.issuer,
-                claim.sequence,
-            )
-        )
-        for deliver in self._retirement_subscribers:
-            deliver(certificate)
-
-    def _compact_stream(self, issuer: ProcessId, watermark: int) -> None:
-        """Drop journal entries the certified watermark subsumes.
-
-        Everything of ``issuer``'s stream at or below ``watermark`` is
-        settled *and acknowledged*: the outbound ledger records are about to
-        retire, so the matching driver-side certificate objects are pure
-        history and leave the ``certificates``/``delivered`` journals (their
-        amounts/provisions/signatures were folded into the cumulative
-        accumulators at assembly/delivery time).  Replay protection does not
-        regress: the inbox's per-stream sequence floor — the actual trust
-        boundary — still rejects any re-delivered certificate, and the
-        ``_assembled`` entries dropped here can never re-assemble, because
-        post-retirement at most ``f`` vouchers (stragglers plus Byzantine
-        re-signers) are still outstanding, short of the ``2f+1`` quorum.
-        Retirement certificates are watermarks, so only each stream's newest
-        one stays resident; journal memory is bounded by the in-flight
-        window plus one watermark per stream.
-        """
-        self.certificates = [
-            c
-            for c in self.certificates
-            if c.claim.issuer != issuer or c.claim.sequence > watermark
-        ]
-        self.delivered = [
-            c
-            for c in self.delivered
-            if c.claim.issuer != issuer or c.claim.sequence > watermark
-        ]
-        self._assembled = {
-            c for c in self._assembled if c.issuer != issuer or c.sequence > watermark
-        }
-        # Under-quorum pending entries below the watermark are dead too: a
-        # Byzantine variant claim (same stream slot, different content) can
-        # never quorum once the genuine claim is retired, and new vouchers
-        # for the slot are absorbed by submit_voucher's watermark guard —
-        # mirror of the ack-side self-compaction.
-        self._pending = {
-            claim: signatures
-            for claim, signatures in self._pending.items()
-            if claim.issuer != issuer or claim.sequence > watermark
-        }
-        self.retirement_certificates = [
-            r
-            for r in self.retirement_certificates
-            if r.claim.issuer != issuer or r.claim.sequence >= watermark
-        ]
-        self.retirements_delivered = [
-            r
-            for r in self.retirements_delivered
-            if r.claim.issuer != issuer or r.claim.sequence >= watermark
-        ]
 
     def provisions(self) -> Dict[AccountId, Amount]:
         """Cumulative provision totals per destination ``settle:{s}:{p}``
         account — the full history, compaction notwithstanding."""
         return dict(self._provisions)
 
-    def delivered_signature(self) -> List[tuple]:
-        """The full delivered-certificate signature stream (never compacted)."""
-        return list(self._delivered_signature)
-
-    def retirement_delivery_signature(self) -> List[tuple]:
-        """The full retirement-delivery signature stream (never compacted)."""
-        return list(self._retirement_signature)
-
     @property
     def resident_journal_records(self) -> int:
         """Certificate objects still resident in this relay's journals."""
-        return (
-            len(self.certificates)
-            + len(self.delivered)
-            + len(self.retirement_certificates)
-            + len(self.retirements_delivered)
-        )
-
-    @property
-    def pending_claims(self) -> int:
-        """Claims with some vouchers but no quorum yet (withheld settlement)."""
-        return len(self._pending)
-
-    @property
-    def pending_acks(self) -> int:
-        """Ack watermarks with some signatures but no quorum yet."""
-        return len(self._ack_pending)
-
-    def certified_watermark(self, issuer: ProcessId) -> int:
-        """The highest retirement watermark certified for ``issuer``'s stream."""
-        return self._ack_certified.get(issuer, 0)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SettlementRelay(s{self.source_shard}->s{self.destination_shard}, "
-            f"delivered={len(self.delivered)}, pending={self.pending_claims}, "
-            f"retired={len(self.retirements_delivered)})"
+        return sum(
+            len(stream.certified) + len(stream.delivered) for stream in (self.vouchers, self.acks)
         )
 
 
@@ -658,24 +485,19 @@ class SettlementRelay:
 class SettlementInbox:
     """Per-destination-replica verification and exactly-once minting.
 
-    The inbox is the trust boundary: everything upstream (vouchers, relay,
-    certificate) is treated as adversarial input.  A certificate mints if and
-    only if it carries ``quorum_size`` valid signatures from the source
-    shard's replica set and is *next in its stream*: per-source-shard-and-
-    issuer sequence numbers make replays detectable and keep minting in
-    order.
+    The inbox is the trust boundary: everything upstream is adversarial
+    input.  A certificate mints if and only if it carries ``quorum_size``
+    valid signatures from the source shard's replica set and is *next in its
+    stream*, so replays are detectable and minting stays in order.
 
-    Ahead-of-sequence certificates are *buffered*, not dropped.  A Byzantine
-    source replica that withholds its voucher for claim ``k`` while
-    vouchering ``k+1`` can make the pair's relay certify ``k+1`` first
-    (``k`` needs all the honest vouchers, ``k+1`` completes its quorum with
-    the Byzantine one); delivery order across one stream is then not
-    sequence order, and rejecting the early certificate would lose it
-    forever — settlement liveness under ``f`` faults requires holding it
-    until the gap fills, exactly like the broadcast layer's source-order
-    buffer.  Only *verified* certificates are buffered, and quorum
-    intersection guarantees at most one certificate per stream slot, so the
-    buffer cannot be poisoned or grown by forgeries.
+    Ahead-of-sequence certificates are *buffered*, not dropped: a Byzantine
+    source replica withholding its voucher for claim ``k`` while vouchering
+    ``k+1`` can make the relay certify ``k+1`` first, and settlement
+    liveness under ``f`` faults requires holding it until the gap fills.
+    Only *verified* certificates are buffered, and quorum intersection allows
+    at most one per stream slot, so forgeries can neither poison nor grow
+    the buffer.  Accepted certificates are counted, not kept: the mint sink
+    says what minted, in what order.
     """
 
     def __init__(
@@ -683,21 +505,19 @@ class SettlementInbox:
         shard_index: int,
         verify: Callable[[SettlementClaim, QuorumCertificate], bool],
         mint_sink: Callable[[Transfer], None],
-        on_minted: Optional[Callable[[SettlementClaim], None]] = None,
+        on_minted: Callable[[SettlementClaim], None],
     ) -> None:
         self.shard_index = shard_index
-        # Where an accepted mint goes: the barrier's mint queue, which ships
-        # it to wherever the replica actually executes.  The accept/replay/
-        # buffer *decisions* always happen right here, so adversarial tests
-        # poke one and the same trust boundary on every backend.
+        # Accepted mints go to the barrier's mint queue, wherever the replica
+        # executes; the accept/replay/buffer *decisions* always happen here.
         self._mint_sink = mint_sink
-        # Lifecycle hook: fired once per accepted mint, in stream order, so
-        # the fabric can emit this replica's signed acknowledgement.
+        # Fired once per accepted mint, in stream order: the replica's ack.
         self._on_minted = on_minted
         self._verify = verify
         self._next_sequence: Dict[Tuple[int, ProcessId], int] = {}
         self._buffered: Dict[Tuple[int, ProcessId], Dict[int, SettlementCertificate]] = {}
-        self.accepted: List[SettlementCertificate] = []
+        self.accepted = 0
+        self._minted: Amount = 0
         self.rejected: List[Tuple[SettlementCertificate, str]] = []
 
     def receive(self, certificate: SettlementCertificate) -> bool:
@@ -718,18 +538,18 @@ class SettlementInbox:
                 return self._reject(certificate, "replayed certificate")
             buffered[claim.sequence] = certificate
             return True
-        self._mint(stream, certificate)
+        self._mint(stream, claim)
         # The gap just filled: drain any buffered successors in order.
         while self._next_sequence[stream] + 1 in buffered:
-            self._mint(stream, buffered.pop(self._next_sequence[stream] + 1))
+            self._mint(stream, buffered.pop(self._next_sequence[stream] + 1).claim)
         return True
 
-    def _mint(self, stream: Tuple[int, ProcessId], certificate: SettlementCertificate) -> None:
-        self._next_sequence[stream] = certificate.claim.sequence
-        self.accepted.append(certificate)
-        self._mint_sink(mint_transfer(certificate.claim))
-        if self._on_minted is not None:
-            self._on_minted(certificate.claim)
+    def _mint(self, stream: Tuple[int, ProcessId], claim: SettlementClaim) -> None:
+        self._next_sequence[stream] = claim.sequence
+        self.accepted += 1
+        self._minted += claim.amount
+        self._mint_sink(mint_transfer(claim))
+        self._on_minted(claim)
 
     def _reject(self, certificate: SettlementCertificate, reason: str) -> bool:
         self.rejected.append((certificate, reason))
@@ -741,7 +561,7 @@ class SettlementInbox:
         return sum(len(pending) for pending in self._buffered.values())
 
     def minted_amount(self) -> Amount:
-        return sum(certificate.claim.amount for certificate in self.accepted)
+        return self._minted
 
 
 # -- the source-side compaction gate ----------------------------------------------------------
@@ -750,16 +570,12 @@ class SettlementInbox:
 class CompactionGate:
     """Per-source-shard verification of retirement certificates.
 
-    The mirror image of :class:`SettlementInbox`: everything upstream — the
-    acks, the relay's assembly, the certificate itself — is treated as
-    adversarial input, and a record is only retired once a valid
-    ``2f+1``-destination-replica quorum certificate advances the stream's
-    watermark.  Monotonicity makes replays no-ops; the quorum-intersection
-    argument (a correct destination replica only acknowledges what it
-    minted) makes it impossible for any certificate accepted here to cover
-    an unsettled record.  Withheld or under-quorum acks merely leave records
-    resident: compaction loses liveness per stream, settlement and every
-    other stream continue untouched.
+    The mirror image of :class:`SettlementInbox`: a record is only retired
+    once a valid ``2f+1``-destination-replica quorum certificate advances
+    its stream's watermark.  Monotonicity makes replays no-ops, and quorum
+    intersection (a correct replica only acknowledges what it minted) keeps
+    every accepted certificate off unsettled records.  Withheld acks merely
+    leave one stream's records resident.
     """
 
     def __init__(
@@ -771,14 +587,12 @@ class CompactionGate:
     ) -> None:
         self.shard_index = shard_index
         self._verify = verify
-        # Resolves an accepted watermark advance to the recorded outbound
-        # transfers it retires (and prunes them from the fabric's stream
-        # tables); returns None when records are missing, which a genuine
-        # quorum can never cause (minted implies vouchered implies recorded).
+        # Pops the recorded outbound transfers a watermark advance retires;
+        # None when some are missing, which a genuine quorum never causes.
         self._lookup = lookup
         self._retire_sink = retire_sink
         self._watermarks: Dict[Tuple[int, ProcessId], int] = {}
-        self.accepted: List[RetirementCertificate] = []
+        self.accepted = 0
         self.rejected: List[Tuple[RetirementCertificate, str]] = []
         self.retired_amount: Amount = 0
         self.retired_claims = 0
@@ -797,7 +611,7 @@ class CompactionGate:
         if transfers is None:
             return self._reject(certificate, "unknown settlement records")
         self._watermarks[stream] = claim.sequence
-        self.accepted.append(certificate)
+        self.accepted += 1
         self.retired_claims += len(transfers)
         self.retired_amount += sum(transfer.amount for transfer in transfers)
         self._retire_sink(transfers)
@@ -811,115 +625,85 @@ class CompactionGate:
         self.rejected.append((certificate, reason))
         return False
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CompactionGate(s{self.shard_index}, retired={self.retired_claims}, "
-            f"amount={self.retired_amount})"
-        )
-
 
 # -- the fabric -------------------------------------------------------------------------------
 
 
 class SettlementFabric:
-    """Wires every shard pair's relay, voucher emission and inboxes together.
+    """Wires every shard pair's relay, the inboxes and the gates together.
 
     One fabric per cluster.  It turns the validation events the barrier
-    scheduler replays into ``observe_validation`` into signed vouchers for
-    cross-shard credits, lazily creates the :class:`SettlementRelay` per
-    ``(source, destination)`` pair, and owns the per-replica
-    :class:`SettlementInbox` objects.  Voucher traffic can be filtered
-    through a :class:`~repro.byzantine.behaviors.Behavior` per source
-    replica, which is how the adversarial tests model Byzantine settlement
-    participants without touching the protocol code.
+    replays into ``observe_validation`` into signed vouchers, every mint
+    into a signed ack, creates each pair's :class:`SettlementRelay` on first
+    use, and owns the per-replica inboxes and per-shard gates.  A
+    :class:`~repro.byzantine.behaviors.Behavior` per sending replica can
+    filter either leg's traffic — the adversarial tests' Byzantine model.
     """
 
     def __init__(self, shards, scheduler, config: Optional[SettlementConfig] = None) -> None:
         self.config = config or SettlementConfig()
         self.config.validate()
         # The barrier scheduler (``repro.cluster.backends.EpochScheduler``)
-        # carries vouchers, certificates, acks, mints and retirements between
-        # barriers; signing, behaviours, relays and inbox decisions run here,
-        # in the driver, whichever process executes the shards.
+        # carries all settlement traffic between barriers; signing, relays
+        # and inbox decisions run here, in the driver, on every backend.
         self.scheduler = scheduler
         self._shards = {shard.index: shard for shard in shards}
         self._relays: Dict[Tuple[int, int], SettlementRelay] = {}
         self._out_sequences: Dict[Tuple[int, ProcessId], Dict[Tuple[int, ProcessId], int]] = {}
         self._keypairs: Dict[Tuple[int, ProcessId], KeyPair] = {}
-        self._behaviors: Dict[Tuple[int, ProcessId], Behavior] = {}
-        self._ack_behaviors: Dict[Tuple[int, ProcessId], Behavior] = {}
-        self.inboxes: Dict[Tuple[int, ProcessId], SettlementInbox] = {}
-        # Canonical per-stream record of outbound transfers keyed by their
-        # settlement sequence: ``(source, destination, issuer) -> sequence ->
-        # (transfer, validated_at)``.  Written once per claim (every source
-        # replica derives the same stream sequence), read and *pruned* by the
-        # compaction gates — driver-side memory therefore tracks the
-        # in-flight window, not the run's history, exactly like the ledgers.
+        # ``(leg, shard, replica) -> behaviour`` for ``leg`` "vouchers"/"acks".
+        self._behaviors: Dict[Tuple[str, int, ProcessId], Behavior] = {}
+        # ``(source, destination, issuer) -> sequence -> (transfer,
+        # validated_at)``: written once per claim, popped by the gates as
+        # watermarks retire it, so it tracks the in-flight window.
         self._stream_records: Dict[
             Tuple[int, int, ProcessId], Dict[int, Tuple[Transfer, float]]
         ] = {}
+        # A retirement certificate carries its destination shard's
+        # signatures, a settlement certificate its source shard's.
         self.gates: Dict[int, CompactionGate] = {
             shard.index: CompactionGate(
                 shard.index,
-                self._verify_ack_certificate,
+                lambda claim, certificate: self._verify(
+                    claim.destination_shard, claim, certificate
+                ),
                 self._take_stream_records,
-                self._retire_sink(shard.index),
+                partial(scheduler.enqueue_retirements, shard.index),
             )
             for shard in shards
         }
+        self.inboxes: Dict[Tuple[int, ProcessId], SettlementInbox] = {
+            (shard.index, pid): SettlementInbox(
+                shard.index,
+                lambda claim, certificate: self._verify(claim.source_shard, claim, certificate),
+                mint_sink=partial(scheduler.enqueue_mint, shard.index, pid),
+                on_minted=self._ack_emitter(shard.index, pid),
+            )
+            for shard in shards
+            for pid in sorted(shard.nodes)
+        }
         self.vouchers_dispatched = 0
         self.acks_dispatched = 0
-        # Settlement-latency accounting (validation at the source to inbox
-        # accept at the destination), one sample per mint decision — kept
-        # bounded like every other per-delivery structure in the fabric:
-        # O(1) aggregates for count/average/max, a bounded recency window
-        # for the p95 report, and a small buffer the epoch scheduler drains
-        # into latency-aware epoch policies once per barrier.
+        # Validation-to-mint latency, one sample per mint decision: O(1)
+        # aggregates, a bounded p95 window, and a buffer the epoch scheduler
+        # drains into latency-aware policies once per barrier.
         self._latency_count = 0
         self._latency_total = 0.0
         self._latency_max = 0.0
-        self._latency_window: deque = deque(maxlen=self.config.latency_window)
+        self._latency_window: deque = deque(maxlen=LATENCY_P95_WINDOW)
         self._latency_pending: List[float] = []
-        for shard in shards:
-            for pid in sorted(shard.nodes):
-                on_minted = (
-                    self._ack_emitter(shard.index, pid) if self.config.compaction else None
-                )
-                self.inboxes[(shard.index, pid)] = SettlementInbox(
-                    shard.index,
-                    self._verify_certificate,
-                    mint_sink=self._mint_sink(shard.index, pid),
-                    on_minted=on_minted,
-                )
-
-    def _mint_sink(self, shard_index: int, replica: ProcessId) -> Callable[[Transfer], None]:
-        def sink(transfer: Transfer) -> None:
-            self.scheduler.enqueue_mint(shard_index, replica, transfer)
-
-        return sink
-
-    def _retire_sink(self, shard_index: int) -> Callable[[List[Transfer]], None]:
-        """How an accepted retirement reaches the source shard's replicas:
-        queued for the barrier, which ships it to wherever the shard
-        executes — same route as the mint sink."""
-
-        def sink(transfers: List[Transfer]) -> None:
-            for transfer in transfers:
-                self.scheduler.enqueue_retirement(shard_index, transfer)
-
-        return sink
 
     # -- fault injection ----------------------------------------------------------------------
 
     def set_voucher_behavior(self, shard: int, replica: ProcessId, behavior: Behavior) -> None:
         """Route ``(shard, replica)``'s outgoing vouchers through ``behavior``."""
-        self._behaviors[(shard, replica)] = behavior
+        self._behaviors[("vouchers", shard, replica)] = behavior
 
     def set_ack_behavior(self, shard: int, replica: ProcessId, behavior: Behavior) -> None:
         """Route ``(shard, replica)``'s outgoing settlement acks through ``behavior``."""
-        self._ack_behaviors[(shard, replica)] = behavior
+        self._behaviors[("acks", shard, replica)] = behavior
 
-    # -- voucher emission ---------------------------------------------------------------------
+    # -- voucher and acknowledgement emission -------------------------------------------------
 
     def observe_validation(
         self, shard_index: int, replica: ProcessId, transfer: Transfer, at: float
@@ -954,50 +738,25 @@ class SettlementFabric:
         self._stream_records.setdefault(
             (shard_index, destination_shard, transfer.issuer), {}
         ).setdefault(sequence, (transfer, at))
-        self._dispatch(shard_index, replica, destination_shard, voucher, at)
-
-    def _dispatch(
-        self,
-        shard_index: int,
-        replica: ProcessId,
-        destination_shard: int,
-        voucher: SettlementVoucher,
-        emitted_at: float,
-    ) -> None:
-        behavior = self._behaviors.get((shard_index, replica))
-        if behavior is None:
-            outgoing = [OutgoingMessage(recipient=destination_shard, message=voucher)]
-        else:
-            outgoing = behavior.transform(replica, destination_shard, voucher)
-        for out in outgoing:
-            if out.recipient == shard_index or out.recipient not in self._shards:
-                continue
-            relay = self.relay(shard_index, out.recipient)
-            self.vouchers_dispatched += 1
-            self.scheduler.enqueue_voucher(
-                emitted_at + self.config.voucher_delay + out.extra_delay,
-                relay,
-                out.message,
-            )
-
-    def _keypair(self, shard_index: int, replica: ProcessId) -> KeyPair:
-        keypair = self._keypairs.get((shard_index, replica))
-        if keypair is None:
-            keypair = self._shards[shard_index].scheme.keypair_for(replica)
-            self._keypairs[(shard_index, replica)] = keypair
-        return keypair
-
-    # -- acknowledgement emission -------------------------------------------------------------
+        # A voucher rides the pair its sender addressed: ``out.recipient`` is
+        # the destination shard a (possibly Byzantine) behaviour sent it to.
+        self.vouchers_dispatched += self._send(
+            "vouchers",
+            self.config.voucher_delay,
+            (shard_index, replica),
+            voucher,
+            at,
+            destination_shard,
+            lambda out: (shard_index, out.recipient),
+        )
 
     def _ack_emitter(
         self, shard_index: int, replica: ProcessId
     ) -> Callable[[SettlementClaim], None]:
         """The inbox's post-mint hook: sign and dispatch this replica's ack.
 
-        Fired at the inbox's accept decision — the authoritative point of the
-        mint on every backend — so acknowledgement timing is identical
-        whether the ledger application runs in-process or in a worker.
-        """
+        Fired at the accept decision, so ack timing is identical on every
+        backend."""
 
         def emit(claim: SettlementClaim) -> None:
             ack_claim = SettlementAckClaim(
@@ -1012,9 +771,58 @@ class SettlementFabric:
             )
             emitted_at = self.scheduler.now
             self._record_latency(claim, emitted_at)
-            self._dispatch_ack(shard_index, replica, ack, emitted_at)
+            # An ack rides the pair its (possibly substituted) claim names.
+            self.acks_dispatched += self._send(
+                "acks",
+                self.config.ack_delay,
+                (shard_index, replica),
+                ack,
+                emitted_at,
+                claim.source_shard,
+                lambda out: (out.message.claim.source_shard, out.message.claim.destination_shard),
+            )
 
         return emit
+
+    def _send(
+        self,
+        leg: str,
+        delay: float,
+        sender: Tuple[int, ProcessId],
+        item,
+        emitted_at: float,
+        recipient: int,
+        pair_of: Callable[[OutgoingMessage], Tuple[int, int]],
+    ) -> int:
+        """Pass ``item`` through the sender's behaviour, if any, and queue
+        what comes out on the ``leg`` stream ("vouchers" or "acks") of the
+        pair ``pair_of`` names; returns how many messages were queued.  A
+        message for a nonexistent or same-shard pair is dropped on the floor,
+        like misaddressed network traffic.
+        """
+        behavior = self._behaviors.get((leg, *sender))
+        if behavior is None:
+            outgoing = [OutgoingMessage(recipient=recipient, message=item)]
+        else:
+            outgoing = behavior.transform(sender[1], recipient, item)
+        sent = 0
+        for out in outgoing:
+            source, destination = pair_of(out)
+            if source == destination or source not in self._shards or destination not in self._shards:
+                continue
+            stream = getattr(self.relay(source, destination), leg)
+            self.scheduler.enqueue(
+                leg, emitted_at + delay + out.extra_delay, stream.submit, out.message
+            )
+            sent += 1
+        return sent
+
+    def _keypair(self, shard_index: int, replica: ProcessId) -> KeyPair:
+        keypair = self._keypairs.get((shard_index, replica))
+        if keypair is None:
+            keypair = self._shards[shard_index].scheme.keypair_for(replica)
+            self._keypairs[(shard_index, replica)] = keypair
+        return keypair
 
     def _record_latency(self, claim: SettlementClaim, accepted_at: float) -> None:
         records = self._stream_records.get(
@@ -1030,37 +838,6 @@ class SettlementFabric:
         self._latency_window.append(latency)
         self._latency_pending.append(latency)
 
-    def _dispatch_ack(
-        self,
-        shard_index: int,
-        replica: ProcessId,
-        ack: SettlementAck,
-        emitted_at: float,
-    ) -> None:
-        behavior = self._ack_behaviors.get((shard_index, replica))
-        if behavior is None:
-            outgoing = [OutgoingMessage(recipient=ack.claim.source_shard, message=ack)]
-        else:
-            outgoing = behavior.transform(replica, ack.claim.source_shard, ack)
-        for out in outgoing:
-            claim = out.message.claim
-            # Acks ride their stream's own relay pair; anything aimed at a
-            # nonexistent pair (or claiming a same-shard stream) is dropped
-            # on the floor, like misaddressed network traffic.
-            if (
-                claim.source_shard == claim.destination_shard
-                or claim.source_shard not in self._shards
-                or claim.destination_shard not in self._shards
-            ):
-                continue
-            relay = self.relay(claim.source_shard, claim.destination_shard)
-            self.acks_dispatched += 1
-            self.scheduler.enqueue_ack(
-                emitted_at + self.config.ack_delay + out.extra_delay,
-                relay,
-                out.message,
-            )
-
     # -- relays and verification --------------------------------------------------------------
 
     def relay(self, source_shard: int, destination_shard: int) -> SettlementRelay:
@@ -1070,68 +847,51 @@ class SettlementFabric:
         if relay is None:
             source = self._shards[source_shard]
             destination = self._shards[destination_shard]
-            scheduler = self.scheduler
-
-            def dispatch(certificate, _pair=key):
-                scheduler.enqueue_certificate(self._relays[_pair], certificate)
-
-            def retirement_dispatch(certificate, _pair=key):
-                scheduler.enqueue_retirement_certificate(self._relays[_pair], certificate)
-
             relay = SettlementRelay(
                 source_shard=source_shard,
                 destination_shard=destination_shard,
                 scheme=source.scheme,
                 quorum_size=source.quorum_size,
                 allowed_signers=frozenset(range(source.replicas)),
-                dispatch=dispatch,
-                retirement_dispatch=retirement_dispatch,
-                config=self.config,
+                dispatch=self._deliver_later("certificates"),
+                retirement_dispatch=self._deliver_later("retirement_certificates"),
                 ack_scheme=destination.scheme,
                 ack_quorum_size=destination.quorum_size,
                 ack_allowed_signers=frozenset(range(destination.replicas)),
             )
-            for pid in sorted(self._shards[destination_shard].nodes):
-                relay.subscribe(self.inboxes[(destination_shard, pid)].receive)
-            relay.subscribe_retirement(self.gates[source_shard].receive)
+            for pid in sorted(destination.nodes):
+                relay.vouchers.subscribe(self.inboxes[(destination_shard, pid)].receive)
+            relay.acks.subscribe(self.gates[source_shard].receive)
             self._relays[key] = relay
         return relay
 
-    def _verify_certificate(self, claim: SettlementClaim, certificate: QuorumCertificate) -> bool:
-        source = self._shards.get(claim.source_shard)
-        if source is None:
-            return False
-        return source.scheme.verify_certificate(
-            claim,
-            certificate,
-            quorum_size=source.quorum_size,
-            allowed_signers=frozenset(range(source.replicas)),
-        )
+    def _deliver_later(self, queue: str) -> Callable[[Callable, object], None]:
+        """A relay's certificate dispatch: the barrier calls ``deliver`` once
+        the relay-to-shard link's delay has passed."""
 
-    def _verify_ack_certificate(
-        self, claim: SettlementAckClaim, certificate: QuorumCertificate
-    ) -> bool:
-        """Retirement certificates carry *destination*-shard signatures."""
-        destination = self._shards.get(claim.destination_shard)
-        if destination is None:
+        def dispatch(deliver: Callable, certificate) -> None:
+            ready = self.scheduler.now + self.config.delivery_delay
+            self.scheduler.enqueue(queue, ready, deliver, certificate)
+
+        return dispatch
+
+    def _verify(self, signer_shard: int, claim, certificate: QuorumCertificate) -> bool:
+        """Check a quorum certificate against ``signer_shard``'s key directory."""
+        shard = self._shards.get(signer_shard)
+        if shard is None:
             return False
-        return destination.scheme.verify_certificate(
+        return shard.scheme.verify_certificate(
             claim,
             certificate,
-            quorum_size=destination.quorum_size,
-            allowed_signers=frozenset(range(destination.replicas)),
+            quorum_size=shard.quorum_size,
+            allowed_signers=frozenset(range(shard.replicas)),
         )
 
     def _take_stream_records(
         self, claim: SettlementAckClaim, first_sequence: int
     ) -> Optional[List[Transfer]]:
-        """Pop the recorded transfers a watermark advance retires, in order.
-
-        Returns ``None`` (and consumes nothing) if any sequence in
-        ``[first_sequence, claim.sequence]`` was never recorded — impossible
-        for a genuinely quorum-backed watermark, since minting presupposes
-        vouchering, which is what records the stream entry.
-        """
+        """Pop the recorded transfers a watermark advance retires, in order;
+        ``None`` (consuming nothing) if any of them was never recorded."""
         records = self._stream_records.get(
             (claim.source_shard, claim.destination_shard, claim.issuer), {}
         )
@@ -1149,11 +909,9 @@ class SettlementFabric:
     def provisions_for(self, destination_shard: int) -> Dict[AccountId, Amount]:
         """Initial balances of the destination shard's provision accounts.
 
-        Each delivered certificate provisions its stream's ``settle:{s}:{p}``
-        account with the certified amount — the money whose debit the *source*
-        shard's Definition 1 check already audits.  The per-shard checker uses
-        these as augmented initial balances, so a replica that minted without
-        a relay-delivered certificate shows up as a C2 balance violation.
+        The per-shard checker uses these as augmented initial balances, so a
+        replica that minted without a delivered certificate shows up as a C2
+        balance violation.
         """
         provisions: Dict[AccountId, Amount] = {}
         for relay in self.relays:
@@ -1167,38 +925,32 @@ class SettlementFabric:
         return sum(relay.certified_amount_total for relay in self.relays)
 
     def delivered_amount(self) -> Amount:
-        return sum(relay.delivered_amount_total for relay in self.relays)
+        return sum(sum(relay.provisions().values()) for relay in self.relays)
 
     def certificates_delivered(self) -> int:
-        return sum(relay.delivered_total for relay in self.relays)
+        return sum(relay.vouchers.delivered_total for relay in self.relays)
 
     def resident_journal_records(self) -> int:
-        """Certificate objects still resident across all relay journals.
-
-        The figure the relay-journal compaction bounds: without it this
-        grows with every certificate ever delivered (the pre-compaction
-        behaviour, preserved under ``compaction=False``); with it, it tracks
-        the settlement in-flight window plus one retirement watermark per
-        active stream.
-        """
+        """Certificate objects still resident across all relay journals: the
+        in-flight window plus one retirement watermark per stream."""
         return sum(relay.resident_journal_records for relay in self.relays)
 
     def journal_records_total(self) -> int:
         """Cumulative certificate deliveries (the history the journals shed)."""
         return sum(
-            relay.certificates_total
-            + relay.delivered_total
-            + relay.retirements_delivered_total
+            relay.vouchers.certified_total
+            + relay.vouchers.delivered_total
+            + relay.acks.delivered_total
             for relay in self.relays
         )
 
     def pending_claims(self) -> int:
         """Claims stuck below quorum across all relays (withheld vouchers)."""
-        return sum(relay.pending_claims for relay in self.relays)
+        return sum(relay.vouchers.pending for relay in self.relays)
 
     def pending_acks(self) -> int:
         """Ack watermarks stuck below quorum across all relays."""
-        return sum(relay.pending_acks for relay in self.relays)
+        return sum(relay.acks.pending for relay in self.relays)
 
     def retired_amount(self) -> Amount:
         """Money whose outbound records the gates have retired."""
@@ -1209,12 +961,8 @@ class SettlementFabric:
         return sum(gate.retired_claims for gate in self.gates.values())
 
     def settlement_latency(self) -> Tuple[int, float, float]:
-        """``(samples, average, max)`` source-validation-to-mint latency.
-
-        One sample per inbox accept decision; the figure the epoch policies
-        trade against barrier overhead (wider epochs batch more exchanges
-        per barrier but hold vouchers and certificates longer).
-        """
+        """``(samples, average, max)`` source-validation-to-mint latency,
+        one sample per inbox accept decision, over the whole run."""
         if self._latency_count == 0:
             return (0, 0.0, 0.0)
         return (
@@ -1224,28 +972,16 @@ class SettlementFabric:
         )
 
     def settlement_latency_p95(self) -> float:
-        """Nearest-rank p95 over the most recent latency samples (0.0 if
-        none; window of :data:`LATENCY_P95_WINDOW`).
-
-        The figure :class:`~repro.cluster.backends.LatencyTargetEpochPolicy`
-        drives toward its goal; reported next to the average/max so the
-        epoch-policy benchmark can show the trade.  Windowed rather than
-        whole-run so the fabric's memory stays bounded; for runs shorter
-        than the window the two coincide.  The window size is
-        :attr:`SettlementConfig.latency_window` (see its docstring for the
-        estimator's exact semantics).
+        """Nearest-rank p95 over the last :data:`LATENCY_P95_WINDOW` latency
+        samples (0.0 if none) — the whole-run p95 for shorter runs, bounded
+        memory for soaks.  The figure
+        :class:`~repro.cluster.backends.LatencyTargetEpochPolicy` steers by.
         """
         return p95(list(self._latency_window))
 
     def telemetry_sample(self, metrics) -> None:
-        """Sample lifecycle depths and latencies into an obs registry.
-
-        Gauges over the fabric's own cumulative accounting — the
-        voucher -> certificate -> mint -> ack -> retire stages each report
-        their volume, the journals their resident depth, and the latency
-        aggregates land next to them.  Sampled once at result capture, so
-        the settlement hot path carries no extra work.
-        """
+        """Sample lifecycle volumes, journal depths and latencies as gauges,
+        once at result capture (the hot path carries no extra work)."""
         metrics.set_gauge("settle.vouchers_dispatched", self.vouchers_dispatched)
         metrics.set_gauge("settle.certificates_delivered", self.certificates_delivered())
         metrics.set_gauge("settle.acks_dispatched", self.acks_dispatched)
@@ -1262,11 +998,9 @@ class SettlementFabric:
     def take_latency_samples(self) -> List[float]:
         """Drain the latency samples recorded since the last call.
 
-        The epoch scheduler feeds these to latency-aware epoch policies
-        exactly once each; the samples are differences of barrier times and
-        shard-local validation times, so the stream is identical on every
-        backend — which keeps latency-driven barrier grids fingerprint-safe.
-        """
+        Differences of barrier and shard-local validation times, so the
+        stream — and a latency-driven barrier grid — is identical on every
+        backend."""
         fresh = self._latency_pending
         self._latency_pending = []
         return fresh
@@ -1274,39 +1008,17 @@ class SettlementFabric:
     def settlement_messages(self) -> int:
         """Vouchers and acks dispatched plus certificate deliveries."""
         deliveries = sum(
-            relay.delivered_total * len(self._shards[relay.destination_shard].nodes)
+            relay.vouchers.delivered_total * len(self._shards[relay.destination_shard].nodes)
+            + relay.acks.delivered_total
             for relay in self.relays
         )
-        retirements = sum(relay.retirements_delivered_total for relay in self.relays)
-        return self.vouchers_dispatched + deliveries + self.acks_dispatched + retirements
+        return self.vouchers_dispatched + self.acks_dispatched + deliveries
 
     def settlement_signature(self) -> List[tuple]:
-        """Deterministic fingerprint of the delivered-certificate sequence.
-
-        Read from the relays' incrementally accumulated signature streams,
-        which survive journal compaction — the fingerprint always covers the
-        full history, however compact the resident journals are.
-        """
-        signature = []
-        for relay in self.relays:
-            signature.extend(relay.delivered_signature())
-        return signature
+        """Deterministic fingerprint of the delivered-certificate sequence
+        (the full history: signature streams are never compacted)."""
+        return [entry for relay in self.relays for entry in relay.vouchers.signature()]
 
     def retirement_signature(self) -> List[tuple]:
-        """Deterministic fingerprint of the delivered retirement watermarks.
-
-        Asserted by the equivalence harness next to
-        :meth:`settlement_signature`: same seed, same compaction decisions,
-        same order — on every backend.
-        """
-        signature = []
-        for key in sorted(self._relays):
-            signature.extend(self._relays[key].retirement_delivery_signature())
-        return signature
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SettlementFabric(shards={len(self._shards)}, "
-            f"relays={len(self._relays)}, delivered={self.certificates_delivered()}, "
-            f"retired={self.retired_claims()})"
-        )
+        """Deterministic fingerprint of the delivered retirement watermarks."""
+        return [entry for relay in self.relays for entry in relay.acks.signature()]

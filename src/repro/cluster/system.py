@@ -621,8 +621,8 @@ class ClusterSystem:
     def resident_settlement_records(self) -> int:
         """Outbound ``x{d}:a`` records still resident across shard ledgers.
 
-        The quantity the compaction lifecycle bounds: with compaction on it
-        tracks the settlement in-flight window instead of the run's history.
+        The quantity the compaction lifecycle bounds: it tracks the
+        settlement in-flight window instead of the run's history.
         """
         return sum(shard.resident_settlement_records() for shard in self.shards)
 

@@ -1,11 +1,16 @@
 """Unit and integration tests for the cross-shard settlement fabric."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import ClusterSystem
+from repro.cluster.backends import EpochScheduler
 from repro.cluster.routing import parse_external_account
 from repro.cluster.shard import Shard
 from repro.cluster.settlement import (
+    SettlementAck,
+    SettlementAckClaim,
     SettlementClaim,
     SettlementConfig,
     SettlementRelay,
@@ -17,7 +22,8 @@ from repro.cluster.settlement import (
 )
 from repro.common.errors import ConfigurationError
 from repro.common.types import Transfer
-from repro.crypto.signatures import SignatureScheme
+from repro.crypto.signatures import Signature, SignatureScheme
+from repro.obs import MetricsRegistry
 from repro.workloads.cluster_driver import (
     ClusterSubmission,
     ClusterWorkloadConfig,
@@ -96,71 +102,147 @@ class TestAccountNaming:
         assert transfer.issuer == settlement_issuer(0, 2)
 
 
-class TestSettlementRelay:
-    def _relay(self, quorum=3):
-        """A relay whose dispatched certificates land in ``dispatched``."""
-        dispatched = []
-        scheme = SignatureScheme(seed=7)
-        relay = SettlementRelay(
+class HandFedLeg:
+    """One hand-fed lifecycle leg of a ``0 -> 1`` relay.
+
+    Dispatched certificates collect in ``dispatched`` with their stream's
+    ``deliver``; ``flush()`` hands them back in dispatch order — the barrier's
+    job.  The voucher leg signs with the source shard's keys, the ack leg
+    with the destination shard's.
+    """
+
+    def __init__(self, name):
+        self.name = name
+        self.keys = {"vouchers": SignatureScheme(seed=7), "acks": SignatureScheme(seed=8)}
+        self.dispatched = []
+        self.relay = SettlementRelay(
             source_shard=0,
             destination_shard=1,
-            scheme=scheme,
-            quorum_size=quorum,
+            scheme=self.keys["vouchers"],
+            quorum_size=3,
             allowed_signers=frozenset(range(4)),
-            dispatch=dispatched.append,
-            retirement_dispatch=dispatched.append,
-            config=SettlementConfig(),
+            dispatch=self._collect,
+            retirement_dispatch=self._collect,
+            ack_scheme=self.keys["acks"],
+            ack_quorum_size=3,
+            ack_allowed_signers=frozenset(range(4)),
         )
-        return relay, dispatched, scheme
+        self.stream = getattr(self.relay, name)
+        self.scheme = self.keys[name]
 
-    def _voucher(self, scheme, signer, claim):
-        return SettlementVoucher(claim=claim, signature=scheme.keypair_for(signer).sign(claim))
+    def _collect(self, deliver, certificate):
+        self.dispatched.append((deliver, certificate))
 
-    def _claim(self, sequence=1, amount=5):
-        return SettlementClaim(
-            source_shard=0, destination_shard=1, issuer=0, sequence=sequence,
-            account="2", amount=amount,
-        )
+    def flush(self):
+        while self.dispatched:
+            deliver, certificate = self.dispatched.pop(0)
+            deliver(certificate)
 
-    def test_certificate_assembles_exactly_at_quorum(self):
-        relay, dispatched, scheme = self._relay()
-        claim = self._claim()
+    def claim(self, sequence=1, pair=(0, 1)):
+        if self.name == "vouchers":
+            return SettlementClaim(*pair, issuer=0, sequence=sequence, account="2", amount=5)
+        return SettlementAckClaim(*pair, issuer=0, sequence=sequence)
+
+    def item(self, signer, claim, scheme=None):
+        wrap = SettlementVoucher if self.name == "vouchers" else SettlementAck
+        signature = (scheme or self.scheme).keypair_for(signer).sign(claim)
+        return wrap(claim=claim, signature=signature)
+
+
+@pytest.fixture(params=["vouchers", "acks"])
+def leg(request):
+    return HandFedLeg(request.param)
+
+
+class TestQuorumStream:
+    """The exactness suite of the one quorum-stream type, on both legs."""
+
+    def test_certificate_assembles_exactly_at_quorum(self, leg):
+        claim = leg.claim()
         delivered = []
-        relay.subscribe(delivered.append)
+        leg.stream.subscribe(delivered.append)
         for signer in (0, 1):
-            assert relay.submit_voucher(self._voucher(scheme, signer, claim))
-        assert not relay.certificates and relay.pending_claims == 1
-        assert relay.submit_voucher(self._voucher(scheme, 2, claim))
-        assert len(relay.certificates) == 1
-        assert relay.pending_claims == 0
-        assert dispatched == relay.certificates and not delivered
-        for certificate in dispatched:
-            relay.deliver(certificate)
+            assert leg.stream.submit(leg.item(signer, claim))
+        assert not leg.stream.certified and leg.stream.pending == 1
+        assert leg.stream.submit(leg.item(2, claim))
+        assert [c.claim for c in leg.stream.certified] == [claim]
+        assert leg.stream.pending == 0
+        assert [c for _, c in leg.dispatched] == leg.stream.certified and not delivered
+        leg.flush()
         assert [c.claim for c in delivered] == [claim]
-        assert relay.delivered == relay.certificates
+        assert leg.stream.delivered == leg.stream.certified
+        assert leg.stream.signature() == [dataclasses.astuple(claim)]
+        certificate = leg.stream.certified[0].certificate
+        assert {s.signer for s in certificate.signatures} == {0, 1, 2}
 
-    def test_late_and_duplicate_vouchers_are_noops(self):
-        relay, _, scheme = self._relay()
-        claim = self._claim()
-        for signer in (0, 0, 1, 2):  # duplicate signer does not count twice
-            relay.submit_voucher(self._voucher(scheme, signer, claim))
-        assert len(relay.certificates) == 1
-        relay.submit_voucher(self._voucher(scheme, 3, claim))  # late
-        assert len(relay.certificates) == 1
+    def test_under_quorum_stays_pending(self, leg):
+        claim = leg.claim()
+        for signer in (0, 0, 1):  # a duplicate signer does not count twice
+            assert leg.stream.submit(leg.item(signer, claim))
+        assert leg.stream.pending == 1
+        assert not leg.stream.certified and not leg.dispatched
+        assert leg.stream.certified_total == 0
 
-    def test_rejects_foreign_pairs_signers_and_bad_signatures(self):
-        relay, _, scheme = self._relay()
-        claim = self._claim()
-        wrong_pair = SettlementClaim(
-            source_shard=1, destination_shard=0, issuer=0, sequence=1, account="2", amount=5
+    def test_late_items_at_or_below_the_floor_are_absorbed(self, leg):
+        claim = leg.claim(sequence=1)
+        for signer in (0, 1, 2):
+            leg.stream.submit(leg.item(signer, claim))
+        assert leg.stream.submit(leg.item(3, claim))  # late straggler
+        leg.stream.forget(0, 2)  # a retirement watermark through sequence 2
+        assert leg.stream.floor(0) == 2
+        for signer in range(4):
+            assert leg.stream.submit(leg.item(signer, leg.claim(sequence=2)))
+        assert leg.stream.certified_total == 1 and leg.stream.pending == 0
+        assert (leg.stream.accepted, leg.stream.rejected) == (8, 0)
+        assert leg.stream.submit(leg.item(0, leg.claim(sequence=3)))
+        assert leg.stream.pending == 1  # above the floor: collected as usual
+
+    def test_rejects_misrouted_foreign_and_non_positive_items(self, leg):
+        claim = leg.claim()
+        other_leg = next(s for name, s in leg.keys.items() if name != leg.name)
+        for item in (
+            leg.item(0, leg.claim(pair=(1, 0))),  # misrouted pair
+            leg.item(9, claim),  # not a replica
+            leg.item(0, claim, scheme=SignatureScheme(seed=999)),  # rogue keys
+            leg.item(0, claim, scheme=other_leg),  # the other shard's keys
+            leg.item(0, leg.claim(sequence=0)),
+            leg.item(0, leg.claim(sequence=-1)),
+        ):
+            assert not leg.stream.submit(item)
+        assert (leg.stream.accepted, leg.stream.rejected) == (0, 6)
+        assert leg.stream.pending == 0
+
+    def test_a_forged_pending_member_is_dropped_and_never_certifies(self, leg):
+        """Assembly runs one batch verdict; when it fails, the stream falls
+        back to per-signature checks, drops exactly the divergent members and
+        keeps the honest remainder — so a forged entry that somehow reached
+        the pending table (a compromised relay store, not a submitted item)
+        can delay a certificate but never corrupt one."""
+        claim = leg.claim()
+        forged = Signature(signer=9, tag="f" * 64)
+        assert leg.stream.submit(leg.item(0, claim))
+        leg.stream._pending[claim][9] = forged
+        # Apparent quorum: the batch fails, the forgery goes, and the two
+        # honest signatures stay pending — no certificate from a fake quorum.
+        assert leg.stream.submit(leg.item(1, claim))
+        assert not leg.stream.certified and not leg.dispatched
+        assert set(leg.stream._pending[claim]) == {0, 1}
+        assert leg.stream.rejected == 1
+        # With a forgery planted again, the third honest signature makes a
+        # four-entry set: the fallback drops it and the honest three certify
+        # in the same step.
+        leg.stream._pending[claim][9] = forged
+        assert leg.stream.submit(leg.item(2, claim))
+        assert leg.stream.rejected == 2
+        [certificate] = [c for _, c in leg.dispatched]
+        assert certificate is leg.stream.certified[-1]
+        assert {s.signer for s in certificate.certificate.signatures} == {0, 1, 2}
+        assert leg.scheme.verify_certificate(
+            claim, certificate.certificate, quorum_size=3, allowed_signers=frozenset(range(4))
         )
-        assert not relay.submit_voucher(self._voucher(scheme, 0, wrong_pair))
-        assert not relay.submit_voucher(self._voucher(scheme, 9, claim))  # not a replica
-        rogue = SignatureScheme(seed=999)
-        assert not relay.submit_voucher(self._voucher(rogue, 0, claim))
-        assert relay.vouchers_rejected == 3
-        assert relay.vouchers_accepted == 0
 
+
+class TestSettlementRelay:
     def test_rejects_degenerate_configuration(self):
         with pytest.raises(ConfigurationError):
             SettlementRelay(0, 1, SignatureScheme(), 0, frozenset(), [].append, [].append)
@@ -201,9 +283,48 @@ class TestValidationReplay:
                 fabric.observe_validation(0, replica, credit, at=0.002)
             assert fabric.vouchers_dispatched == 4
             assert system.scheduler.in_flight == 4
-            assert not fabric.relay(0, 1).certificates  # nothing assembles before a barrier
+            assert not fabric.relay(0, 1).vouchers.certified  # nothing assembles before a barrier
         finally:
             system.close()
+
+
+class TestSettlementQueues:
+    def test_a_fixed_point_pass_drains_the_queues_in_lifecycle_order(self):
+        """Every queue entry carries its handler.  Within one pass the
+        exchange drains vouchers, certificates, acks and retirement
+        certificates in that order, each queue by maturity; work a handler
+        queues for an earlier queue waits for the next pass of the fixed
+        point, and each queue is counted under its own name."""
+        metrics = MetricsRegistry()
+        scheduler = EpochScheduler(epoch=0.005, metrics=metrics)
+        ran = []
+
+        def retire(name):
+            ran.append(name)
+            scheduler.enqueue("vouchers", 0.0, ran.append, "voucher queued by a retirement")
+
+        scheduler.enqueue("retirement_certificates", 0.0, retire, "retirement certificate")
+        scheduler.enqueue("acks", 0.0, ran.append, "ack")
+        scheduler.enqueue("certificates", 0.0, ran.append, "certificate")
+        scheduler.enqueue("vouchers", 0.0005, ran.append, "not yet matured")
+        scheduler.enqueue("vouchers", 0.0, ran.append, "voucher")
+        assert scheduler.in_flight == 5
+        assert scheduler._exchange(backend=None, fabric=None) == 0  # no commands
+        assert ran == [
+            "voucher",
+            "certificate",
+            "ack",
+            "retirement certificate",
+            "voucher queued by a retirement",
+        ]
+        assert scheduler.in_flight == 1
+        counts = {
+            name: metrics.counter(f"exchange.{name}").value
+            for name in ("vouchers", "certificates", "acks", "retirement_certificates")
+        }
+        assert counts == {
+            "vouchers": 2, "certificates": 1, "acks": 1, "retirement_certificates": 1,
+        }
 
 
 class TestSettlementEndToEnd:

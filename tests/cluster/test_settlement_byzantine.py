@@ -26,7 +26,6 @@ from repro.cluster.settlement import (
     SettlementAckClaim,
     SettlementCertificate,
     SettlementClaim,
-    SettlementConfig,
     SettlementVoucher,
     mint_transfer,
 )
@@ -108,7 +107,7 @@ class TestForgedCertificates:
             inbox = system.settlement.inboxes[(1, pid)]
             assert not inbox.receive(forged)
             assert inbox.rejected[-1][1] == "invalid quorum certificate"
-            assert not inbox.accepted
+            assert inbox.accepted == 0
         assert _destination_balances(system) == before
         report = system.check_definition1()
         assert report.ok, report.violations
@@ -166,20 +165,21 @@ class TestUnderQuorumCertificates:
 
 class TestReplayedCertificates:
     def test_replayed_certificate_mints_exactly_once(self, make_system):
-        # Compaction off so the genuine certificate stays resident in the
-        # relay journal after quiescence (with the lifecycle on it would be
-        # compacted behind the retirement watermark) — this test needs the
-        # byte-identical original to replay it against the inboxes.
-        system = make_system(settlement_config=SettlementConfig(compaction=False))
+        # A relay subscriber captures the genuine certificate as it is
+        # delivered (the journal compacts it behind the retirement watermark
+        # by quiescence) — this test needs the byte-identical original to
+        # replay it against the inboxes.
+        system = make_system()
+        delivered = []
+        system.settlement.relay(0, 1).vouchers.subscribe(delivered.append)
         a = _user_on_shard(system.router, 0)
         b = _user_on_shard(system.router, 1)
         system.schedule_submissions(
             [ClusterSubmission(time=0.001, source_user=a, destination_user=b, amount=9)]
         )
         system.run()
-        relay = system.settlement.relay(0, 1)
-        assert len(relay.delivered) == 1
-        genuine = relay.delivered[0]
+        assert len(delivered) == 1
+        genuine = delivered[0]
         after_first = _destination_balances(system)
         for pid in range(4):
             inbox = system.settlement.inboxes[(1, pid)]
@@ -208,11 +208,14 @@ class TestReplayedCertificates:
         inbox = system.settlement.inboxes[(1, 0)]
         assert inbox.receive(second)  # accepted but held: stream starts at 1
         assert inbox.buffered_count == 1
-        assert inbox.accepted == []
+        assert inbox.accepted == 0 and not system.scheduler._mints
         assert not inbox.receive(second)  # same slot again is a replay
         assert inbox.rejected[-1][1] == "replayed certificate"
         assert inbox.receive(first)  # the gap fills: both mint, in order
-        assert [c.claim.sequence for c in inbox.accepted] == [1, 2]
+        # The mint sink (the barrier's mint queue) received both, in order.
+        minted = [transfer for _, _, transfer in system.scheduler._mints]
+        assert [transfer.sequence for transfer in minted] == [1, 2]
+        assert inbox.accepted == 2
         assert inbox.buffered_count == 0
         assert inbox.minted_amount() == 12
 
@@ -319,15 +322,18 @@ class TestOutOfOrderCertification:
         # Claim 2 completes its quorum first (Byzantine replica 3 vouchers it
         # but withholds claim 1, which needs the slower honest replicas).
         for signer in (3, 0, 1):
-            relay.submit_voucher(voucher(signer, second))
+            relay.vouchers.submit(voucher(signer, second))
         for signer in (0, 1, 2):
-            relay.submit_voucher(voucher(signer, first))
-        assert [c.claim.sequence for c in relay.certificates] == [2, 1]
+            relay.vouchers.submit(voucher(signer, first))
+        assert [c.claim.sequence for c in relay.vouchers.certified] == [2, 1]
         system.run()
         account_initial = system.shards[1].initial_balances()["0"]
+        # A quorum of destination replicas acknowledged the stream through
+        # sequence 2; each ack follows its inbox's in-order mint.
+        assert relay.acks.floor(0) == 2
         for pid, node in system.shards[1].nodes.items():
             inbox = system.settlement.inboxes[(1, pid)]
-            assert [c.claim.sequence for c in inbox.accepted] == [1, 2]
+            assert inbox.accepted == 2
             assert inbox.buffered_count == 0
             assert node.balance_of("0") == account_initial + 5 + 7
 
@@ -415,7 +421,7 @@ class TestByzantineAcks:
         """Acks signed outside the destination replica set (including by the
         *source* shard's own keys) are rejected at the relay and can never
         assemble a retirement certificate."""
-        system = make_system(settlement_config=SettlementConfig(compaction=False))
+        system = make_system()
         system.start()
         relay = system.settlement.relay(0, 1)
         claim = SettlementAckClaim(
@@ -428,9 +434,9 @@ class TestByzantineAcks:
                 ack = SettlementAck(
                     claim=claim, signature=scheme.keypair_for(signer).sign(claim)
                 )
-                assert not relay.submit_ack(ack)
-        assert relay.pending_acks == 0
-        assert not relay.retirement_certificates
+                assert not relay.acks.submit(ack)
+        assert relay.acks.pending == 0
+        assert not relay.acks.certified
         assert system.retired_records() == 0
 
     def test_forged_retirement_certificates_never_reach_the_ledger(self, make_system):
@@ -489,8 +495,8 @@ class TestByzantineAcks:
         audit = _run_one_settled_payment(system)
         assert audit.fully_retired
         relay = system.settlement.relay(0, 1)
-        assert len(relay.retirement_certificates) == 1
-        genuine = relay.retirement_certificates[0]
+        assert len(relay.acks.certified) == 1
+        genuine = relay.acks.certified[0]
         gate = system.settlement.gates[0]
         retired_before = system.retired_records()
         assert not gate.receive(genuine)  # byte-identical replay
@@ -632,121 +638,3 @@ class TestVerificationCacheUnderForgery:
         assert (
             registry.counter("sig.verify_certificate_cached").value == hits_after_warm
         )
-
-
-class TestOneCheckAssemblyFallback:
-    """Certificate assembly runs one batch verdict; when it fails, the relay
-    falls back to per-signature checks, drops exactly the divergent members
-    and keeps the honest remainder — so a forged entry that somehow reached
-    the pending table can delay a certificate but never corrupt one."""
-
-    def _relay(self, **kwargs):
-        """A relay whose dispatched certificates land in ``dispatched``."""
-        from repro.cluster.settlement import SettlementRelay
-
-        dispatched = []
-        scheme = SignatureScheme(seed=11)
-        relay = SettlementRelay(
-            source_shard=0,
-            destination_shard=1,
-            scheme=scheme,
-            quorum_size=3,
-            allowed_signers=frozenset(range(4)),
-            dispatch=dispatched.append,
-            retirement_dispatch=dispatched.append,
-            config=SettlementConfig(),
-            **kwargs,
-        )
-        return relay, dispatched, scheme
-
-    def _claim(self, sequence=1):
-        return SettlementClaim(
-            source_shard=0, destination_shard=1, issuer=0,
-            sequence=sequence, account="2", amount=5,
-        )
-
-    def test_forged_pending_entry_is_dropped_and_honest_quorum_assembles(self):
-        from repro.crypto.signatures import Signature
-
-        relay, dispatched, scheme = self._relay()
-        claim = self._claim()
-        for signer in (0, 1):
-            assert relay.submit_voucher(
-                SettlementVoucher(claim=claim, signature=scheme.keypair_for(signer).sign(claim))
-            )
-        # A forged signature lands in the pending table *past* the arrival
-        # check (a compromised relay store, not a submitted voucher).
-        relay._pending[claim][9] = Signature(signer=9, tag="f" * 64)
-        rejected_before = relay.vouchers_rejected
-        # The third honest voucher completes a 4-entry set: the batch verdict
-        # fails, the fallback drops the forgery, and the honest three still
-        # form the certificate in the same step.
-        assert relay.submit_voucher(
-            SettlementVoucher(claim=claim, signature=scheme.keypair_for(2).sign(claim))
-        )
-        assert dispatched == relay.certificates and len(dispatched) == 1
-        certificate = relay.certificates[0].certificate
-        assert {s.signer for s in certificate.signatures} == {0, 1, 2}
-        assert relay.vouchers_rejected == rejected_before + 1
-        assert scheme.verify_certificate(
-            claim, certificate, quorum_size=3, allowed_signers=frozenset(range(4))
-        )
-
-    def test_forged_entry_below_quorum_keeps_the_claim_pending(self):
-        from repro.crypto.signatures import Signature
-
-        relay, dispatched, scheme = self._relay()
-        claim = self._claim()
-        assert relay.submit_voucher(
-            SettlementVoucher(claim=claim, signature=scheme.keypair_for(0).sign(claim))
-        )
-        relay._pending[claim][9] = Signature(signer=9, tag="f" * 64)
-        # The next honest voucher brings the set to apparent quorum; the
-        # batch verdict fails, the forgery is dropped, and the two honest
-        # signatures stay pending — no certificate from a fake quorum.
-        assert relay.submit_voucher(
-            SettlementVoucher(claim=claim, signature=scheme.keypair_for(1).sign(claim))
-        )
-        assert not relay.certificates and not dispatched
-        assert relay.pending_claims == 1
-        assert set(relay._pending[claim]) == {0, 1}
-        # The genuine third voucher completes the honest quorum.
-        assert relay.submit_voucher(
-            SettlementVoucher(claim=claim, signature=scheme.keypair_for(2).sign(claim))
-        )
-        assert len(relay.certificates) == 1
-
-    def test_forged_ack_pending_entry_cannot_certify_retirement(self):
-        from repro.crypto.signatures import Signature
-
-        ack_scheme = SignatureScheme(seed=12)
-        relay, dispatched, _ = self._relay(
-            ack_scheme=ack_scheme,
-            ack_quorum_size=3,
-            ack_allowed_signers=frozenset(range(4)),
-        )
-        ack_claim = SettlementAckClaim(
-            source_shard=0, destination_shard=1, issuer=0, sequence=1
-        )
-        for signer in (0, 1):
-            assert relay.submit_ack(
-                SettlementAck(
-                    claim=ack_claim,
-                    signature=ack_scheme.keypair_for(signer).sign(ack_claim),
-                )
-            )
-        relay._ack_pending[ack_claim][9] = Signature(signer=9, tag="f" * 64)
-        rejected_before = relay.acks_rejected
-        assert relay.submit_ack(
-            SettlementAck(
-                claim=ack_claim,
-                signature=ack_scheme.keypair_for(2).sign(ack_claim),
-            )
-        )
-        # Fallback dropped the forgery and the honest quorum still certified
-        # the watermark.
-        assert relay.acks_rejected == rejected_before + 1
-        assert relay.certified_watermark(0) == 1
-        certificate = relay.retirement_certificates[-1]
-        assert dispatched == [certificate]
-        assert {s.signer for s in certificate.certificate.signatures} == {0, 1, 2}

@@ -1,14 +1,15 @@
 """The settlement lifecycle: acks, retirement certificates, ledger compaction.
 
-Unit tests of the new lifecycle pieces (the relay's ack return leg, the
+Unit tests of the lifecycle pieces (the relay's ack return leg, the
 :class:`CompactionGate` watermark machine, node-level record retirement) plus
 the end-to-end contracts: fully-acknowledged outbound records leave the
 ledgers while every balance stays intact, the extended supply identity holds
-at every instant, compaction can be switched off (the negative control), the
-extended spec/snapshot state pickles and rehydrates, and pause/resume equals
-a continuous run with compaction active.
+at every instant, resident certificate objects track the in-flight window,
+the extended spec/snapshot state pickles and rehydrates, and pause/resume
+equals a continuous run with compaction active.
 """
 
+import gc
 import pickle
 
 import pytest
@@ -19,8 +20,11 @@ from repro.cluster.settlement import (
     RetirementCertificate,
     SettlementAck,
     SettlementAckClaim,
+    SettlementCertificate,
+    SettlementClaim,
     SettlementConfig,
     SettlementRelay,
+    SettlementVoucher,
 )
 from repro.common.errors import ConfigurationError
 from repro.common.types import Transfer
@@ -68,21 +72,22 @@ def _ack_claim(sequence=1):
 
 def _relay(source_scheme=None, dest_scheme=None):
     """A relay plus ``flush()``, which hands every certificate it dispatched
-    back to its delivery method in dispatch order — the barrier's job."""
+    back to its stream's ``deliver`` in dispatch order — the barrier's job."""
     source_scheme = source_scheme or SignatureScheme(seed=7)
     dest_scheme = dest_scheme or SignatureScheme(seed=8)
     dispatched = []
+
+    def collect(deliver, certificate):
+        dispatched.append((deliver, certificate))
+
     relay = SettlementRelay(
         source_shard=0,
         destination_shard=1,
         scheme=source_scheme,
         quorum_size=3,
         allowed_signers=frozenset(range(4)),
-        dispatch=lambda certificate: dispatched.append((relay.deliver, certificate)),
-        retirement_dispatch=lambda certificate: dispatched.append(
-            (relay.deliver_retirement, certificate)
-        ),
-        config=SettlementConfig(),
+        dispatch=collect,
+        retirement_dispatch=collect,
         ack_scheme=dest_scheme,
         ack_quorum_size=3,
         ack_allowed_signers=frozenset(range(4)),
@@ -101,66 +106,20 @@ def _ack(scheme, signer, claim):
 
 
 class TestRelayAckLeg:
-    def test_retirement_certificate_assembles_exactly_at_ack_quorum(self):
-        relay, flush, scheme = _relay()
-        delivered = []
-        relay.subscribe_retirement(delivered.append)
-        claim = _ack_claim()
-        for signer in (0, 1):
-            assert relay.submit_ack(_ack(scheme, signer, claim))
-        assert not relay.retirement_certificates and relay.pending_acks == 1
-        assert relay.submit_ack(_ack(scheme, 2, claim))
-        assert len(relay.retirement_certificates) == 1
-        assert relay.pending_acks == 0
-        assert relay.certified_watermark(0) == 1
-        assert not delivered
-        flush()
-        assert [c.claim for c in delivered] == [claim]
-
-    def test_acks_verify_against_the_destination_shards_keys(self):
-        """The source shard's own keys (or any rogue keys) cannot acknowledge."""
-        relay, _, _ = _relay()
-        source_scheme = relay.scheme
-        rogue = SignatureScheme(seed=999)
-        claim = _ack_claim()
-        for scheme in (source_scheme, rogue):
-            for signer in range(3):
-                assert not relay.submit_ack(_ack(scheme, signer, claim))
-        assert relay.acks_rejected == 6
-        assert relay.pending_acks == 0
-        assert not relay.retirement_certificates
-
-    def test_misrouted_and_foreign_signer_acks_are_rejected(self):
-        relay, _, scheme = _relay()
-        wrong_pair = SettlementAckClaim(
-            source_shard=1, destination_shard=0, issuer=0, sequence=1
-        )
-        assert not relay.submit_ack(_ack(scheme, 0, wrong_pair))
-        assert not relay.submit_ack(_ack(scheme, 9, _ack_claim()))  # not a replica
-        assert not relay.submit_ack(_ack(scheme, 0, _ack_claim(sequence=0)))
-        assert relay.acks_rejected == 3
-
-    def test_late_acks_for_certified_watermarks_are_noops(self):
-        relay, _, scheme = _relay()
-        claim = _ack_claim()
-        for signer in (0, 1, 2):
-            relay.submit_ack(_ack(scheme, signer, claim))
-        assert len(relay.retirement_certificates) == 1
-        assert relay.submit_ack(_ack(scheme, 3, claim))  # late straggler
-        assert len(relay.retirement_certificates) == 1
-        assert relay.pending_acks == 0
+    """Ack-leg behaviour beyond the shared quorum-stream suite
+    (``tests/cluster/test_settlement.py::TestQuorumStream``)."""
 
     def test_a_certified_watermark_subsumes_lower_pending_acks(self):
         """Replica acks trickle out of order; certifying watermark 2 drops
         the now-dead pending entries for watermark 1 (self-compaction)."""
         relay, _, scheme = _relay()
         first, second = _ack_claim(1), _ack_claim(2)
-        relay.submit_ack(_ack(scheme, 0, first))
-        relay.submit_ack(_ack(scheme, 1, first))
+        relay.acks.submit(_ack(scheme, 0, first))
+        relay.acks.submit(_ack(scheme, 1, first))
         for signer in (0, 1, 2):
-            relay.submit_ack(_ack(scheme, signer, second))
-        assert relay.certified_watermark(0) == 2
-        assert relay.pending_acks == 0  # watermark-1 entries were dropped
+            relay.acks.submit(_ack(scheme, signer, second))
+        assert relay.acks.floor(0) == 2
+        assert relay.acks.pending == 0  # watermark-1 entries were dropped
 
 
 class TestCompactionGate:
@@ -267,10 +226,9 @@ class TestNodeRetirement:
         system = _system(fast_network, seed=3)
         a = _user_on_shard(system.router, 0)
         b = _user_on_shard(system.router, 1)
-        # Compaction off: the record stays resident so we can retire by hand.
-        parked = _system(
-            fast_network, seed=3, settlement_config=SettlementConfig(compaction=False)
-        )
+        # Settlement off: the record is never acknowledged, so it stays
+        # resident and we can retire it by hand.
+        parked = _system(fast_network, seed=3, settlement=False)
         parked.schedule_submissions(
             [ClusterSubmission(time=0.001, source_user=a, destination_user=b, amount=9)]
         )
@@ -345,23 +303,6 @@ class TestLifecycleEndToEnd:
             assert audit.retirement_backed
         system.run()
         assert system.supply_audit().fully_retired
-
-    def test_compaction_off_keeps_every_outbound_record(self, fast_network):
-        """The negative control: without the lifecycle, history accumulates."""
-        system = _system(
-            fast_network, settlement_config=SettlementConfig(compaction=False)
-        )
-        system.schedule_submissions(_workload())
-        system.run()
-        audit = system.supply_audit()
-        assert audit.minted > 0
-        assert audit.fully_settled  # settlement itself is untouched
-        assert audit.retired == 0
-        assert audit.outbound == audit.minted
-        assert system.retired_records() == 0
-        assert system.resident_settlement_records() > 0
-        assert system.settlement.acks_dispatched == 0
-        assert system.check_definition1().ok
 
     def test_retirement_stream_is_deterministic_per_seed(self, fast_network):
         def run_once():
@@ -529,6 +470,13 @@ class TestLifecycleConfiguration:
         with pytest.raises(ConfigurationError):
             SettlementConfig(ack_delay=-0.5).validate()
 
+    @pytest.mark.parametrize("knob", ["compaction", "latency_window"])
+    def test_only_the_link_delays_are_configurable(self, knob):
+        """The acknowledgement/retirement lifecycle always runs and the p95
+        window is ``LATENCY_P95_WINDOW``: nothing switches either."""
+        with pytest.raises(TypeError, match=knob):
+            SettlementConfig(**{knob: 1})
+
     def test_lifecycle_exports_are_public(self):
         import repro.cluster as cluster
 
@@ -553,42 +501,39 @@ class TestRelayJournalCompaction:
     """
 
     def _claim(self, sequence, amount=5):
-        from repro.cluster.settlement import SettlementClaim
-
         return SettlementClaim(
             source_shard=0, destination_shard=1, issuer=0,
             sequence=sequence, account="2", amount=amount,
         )
 
-    def _deliver_claims(self, relay, flush, sequences):
-        from repro.cluster.settlement import SettlementVoucher
+    def _voucher(self, relay, signer, claim):
+        return SettlementVoucher(
+            claim=claim, signature=relay.vouchers.scheme.keypair_for(signer).sign(claim)
+        )
 
+    def _deliver_claims(self, relay, flush, sequences):
         for sequence in sequences:
             claim = self._claim(sequence)
             for signer in (0, 1, 2):
-                relay.submit_voucher(
-                    SettlementVoucher(
-                        claim=claim,
-                        signature=relay.scheme.keypair_for(signer).sign(claim),
-                    )
-                )
+                relay.vouchers.submit(self._voucher(relay, signer, claim))
         flush()
 
     def test_watermark_evicts_subsumed_certificates(self):
         relay, flush, dest_scheme = _relay()
         self._deliver_claims(relay, flush, (1, 2, 3))
-        assert len(relay.certificates) == len(relay.delivered) == 3
+        vouchers = relay.vouchers
+        assert len(vouchers.certified) == len(vouchers.delivered) == 3
         # Acknowledge through sequence 2: entries 1 and 2 are pure history.
         claim = _ack_claim(sequence=2)
         for signer in (0, 1, 2):
-            relay.submit_ack(_ack(dest_scheme, signer, claim))
-        assert [c.claim.sequence for c in relay.certificates] == [3]
-        assert [c.claim.sequence for c in relay.delivered] == [3]
+            relay.acks.submit(_ack(dest_scheme, signer, claim))
+        assert [c.claim.sequence for c in vouchers.certified] == [3]
+        assert [c.claim.sequence for c in vouchers.delivered] == [3]
         # The cumulative surfaces still answer for the full history.
-        assert relay.certificates_total == relay.delivered_total == 3
-        assert relay.delivered_amount_total == 15
-        assert len(relay.delivered_signature()) == 3
-        assert sum(relay.provisions().values()) == 15
+        assert vouchers.certified_total == vouchers.delivered_total == 3
+        assert relay.certified_amount_total == 15
+        assert len(vouchers.signature()) == 3
+        assert sum(relay.provisions().values()) == 15  # the delivered amount
 
     def test_newer_watermark_keeps_only_itself_per_stream(self):
         relay, flush, dest_scheme = _relay()
@@ -596,45 +541,38 @@ class TestRelayJournalCompaction:
         for sequence in (1, 2, 3):
             claim = _ack_claim(sequence=sequence)
             for signer in (0, 1, 2):
-                relay.submit_ack(_ack(dest_scheme, signer, claim))
+                relay.acks.submit(_ack(dest_scheme, signer, claim))
         flush()
         # All three watermarks certified and delivered; only the newest
         # stays journaled — journal residency is one watermark per stream.
-        assert [r.claim.sequence for r in relay.retirement_certificates] == [3]
-        assert [r.claim.sequence for r in relay.retirements_delivered] == [3]
-        assert relay.retirements_delivered_total == 3
-        assert len(relay.retirement_delivery_signature()) == 3
+        assert [r.claim.sequence for r in relay.acks.certified] == [3]
+        assert [r.claim.sequence for r in relay.acks.delivered] == [3]
+        assert relay.acks.delivered_total == 3
+        assert len(relay.acks.signature()) == 3
         assert relay.resident_journal_records == 2  # assembled + delivered
 
     def test_vouchers_below_the_retirement_watermark_are_absorbed(self):
         """A straggler (or Byzantine re-signer) vouchering a claim whose
         stream already retired past it must not re-open a pending entry:
         compaction dropped the claim from ``_assembled``, and without the
-        watermark guard each such voucher would park one dead dict in
-        ``_pending`` forever — history-proportional growth and phantom
-        'withheld settlement' in the metrics."""
-        from repro.cluster.settlement import SettlementVoucher
-
+        floor each such voucher would park one dead dict in ``_pending``
+        forever — history-proportional growth and phantom 'withheld
+        settlement' in the metrics."""
         relay, flush, dest_scheme = _relay()
         self._deliver_claims(relay, flush, (1, 2))
         claim = _ack_claim(sequence=2)
         for signer in (0, 1, 2):
-            relay.submit_ack(_ack(dest_scheme, signer, claim))
-        assert relay.certified_watermark(0) == 2
-        assert relay.delivered == []  # compacted behind the watermark
+            relay.acks.submit(_ack(dest_scheme, signer, claim))
+        assert relay.vouchers.floor(0) == relay.acks.floor(0) == 2
+        assert relay.vouchers.delivered == []  # compacted behind the watermark
         # Every replica re-vouchers the retired claim 1: absorbed, no
         # pending entry, no new certificate, journals untouched.
         retired_claim = self._claim(1)
         for signer in range(4):
-            assert relay.submit_voucher(
-                SettlementVoucher(
-                    claim=retired_claim,
-                    signature=relay.scheme.keypair_for(signer).sign(retired_claim),
-                )
-            )
-        assert relay.pending_claims == 0
-        assert relay.certificates_total == 2  # nothing re-assembled
-        assert relay.certificates == []
+            assert relay.vouchers.submit(self._voucher(relay, signer, retired_claim))
+        assert relay.vouchers.pending == 0
+        assert relay.vouchers.certified_total == 2  # nothing re-assembled
+        assert relay.vouchers.certified == []
 
     def test_compaction_purges_dead_under_quorum_pending_entries(self):
         """A Byzantine variant claim (same stream slot, different content)
@@ -642,22 +580,16 @@ class TestRelayJournalCompaction:
         retires past the slot the variant can never certify — compaction
         must drop it from ``_pending`` or one dead dict per retired claim
         accumulates for the run's lifetime."""
-        from repro.cluster.settlement import SettlementVoucher
-
         relay, flush, dest_scheme = _relay()
         self._deliver_claims(relay, flush, (1, 2))
         variant = self._claim(1, amount=999)  # same slot, inflated amount
-        assert relay.submit_voucher(
-            SettlementVoucher(
-                claim=variant, signature=relay.scheme.keypair_for(3).sign(variant)
-            )
-        )
-        assert relay.pending_claims == 1
+        assert relay.vouchers.submit(self._voucher(relay, 3, variant))
+        assert relay.vouchers.pending == 1
         claim = _ack_claim(sequence=2)
         for signer in (0, 1, 2):
-            relay.submit_ack(_ack(dest_scheme, signer, claim))
-        assert relay.certified_watermark(0) == 2
-        assert relay.pending_claims == 0  # the dead variant went with the stream
+            relay.acks.submit(_ack(dest_scheme, signer, claim))
+        assert relay.acks.floor(0) == 2
+        assert relay.vouchers.pending == 0  # the dead variant went with the stream
 
     def test_the_scheduler_drains_every_latency_sample(self, fast_network):
         """The pending-sample buffer feeds the epoch scheduler's drain, so
@@ -678,20 +610,6 @@ class TestRelayJournalCompaction:
         finally:
             system.close()
 
-    def test_compaction_off_preserves_the_full_journals(self):
-        relay, flush, dest_scheme = _relay()
-        relay.config.compaction = False
-        self._deliver_claims(relay, flush, (1, 2, 3))
-        for sequence in (1, 2, 3):
-            claim = _ack_claim(sequence=sequence)
-            for signer in (0, 1, 2):
-                relay.submit_ack(_ack(dest_scheme, signer, claim))
-        flush()
-        # The negative control: journals keep the whole history.
-        assert len(relay.certificates) == len(relay.delivered) == 3
-        assert len(relay.retirement_certificates) == 3
-        assert len(relay.retirements_delivered) == 3
-
     def test_end_to_end_journals_track_the_in_flight_window(self, fast_network):
         """A full cross-shard run compacts every delivered certificate by
         quiescence; only the per-stream retirement watermarks stay."""
@@ -709,9 +627,9 @@ class TestRelayJournalCompaction:
             fabric = system.settlement
             assert fabric.certificates_delivered() > 0
             for relay in fabric.relays:
-                assert relay.certificates == []
-                assert relay.delivered == []
-                assert len(relay.retirements_delivered) <= 1  # one stream here
+                assert relay.vouchers.certified == []
+                assert relay.vouchers.delivered == []
+                assert len(relay.acks.delivered) <= 1  # one stream here
             # The audit surfaces survived compaction: delivered amounts match
             # minted balances, signatures cover the full history.
             audit = system.supply_audit()
@@ -721,27 +639,35 @@ class TestRelayJournalCompaction:
         finally:
             system.close()
 
-    def test_fingerprint_is_identical_with_and_without_resident_journals(
-        self, fast_network
-    ):
-        """Compaction is memory management, not behaviour: the canonical
-        fingerprint (which reads the signature streams, never the resident
-        journals) is unchanged by it."""
-        def run(compaction):
-            system = _system(
-                fast_network,
-                backend="serial",
-                settlement_config=SettlementConfig(compaction=compaction),
-            )
-            workload = _workload(cross_shard_fraction=0.8, router=system.router)
-            system.schedule_submissions(workload)
-            result = system.run()
-            stream = list(result.settlement_stream)
-            resident = system.settlement.resident_journal_records()
-            system.close()
-            return stream, resident
+    def test_live_certificates_track_the_resident_journals(self, fast_network):
+        """Inboxes and gates count what they accept rather than keeping it,
+        so compacting the relay journals frees the certificates: after a
+        quiescent run no more certificate objects are alive than the
+        journals hold."""
 
-        with_compaction, resident_on = run(True)
-        without, resident_off = run(False)
-        assert with_compaction == without
-        assert resident_on < resident_off
+        def live_certificates():
+            gc.collect()
+            return sum(
+                type(obj) in (SettlementCertificate, RetirementCertificate)
+                for obj in gc.get_objects()
+            )
+
+        before = live_certificates()
+        system = _system(fast_network, backend="serial")
+        a = _user_on_shard(system.router, 0)
+        b = _user_on_shard(system.router, 1)
+        system.schedule_submissions(
+            [
+                ClusterSubmission(time=0.001 * k, source_user=a, destination_user=b, amount=1)
+                for k in range(1, 6)
+            ]
+        )
+        system.run()
+        try:
+            fabric = system.settlement
+            assert fabric.certificates_delivered() == 5
+            assert system.supply_audit().fully_retired
+            resident = fabric.resident_journal_records()
+            assert live_certificates() - before <= resident
+        finally:
+            system.close()
