@@ -47,7 +47,8 @@ Run with:  python examples/cluster_quickstart.py
 import os
 import time
 
-from repro.cluster import ClusterSystem, MigrationPlan
+from repro.cluster.migration import MigrationPlan
+from repro.cluster.system import ClusterSystem
 from repro.eval.experiments import (
     ClusterExperimentConfig,
     run_cluster,

@@ -11,6 +11,7 @@ the two systems interchangeably.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Iterable, List, Optional
 
 from repro.bft.pbft import PbftConfig, PbftReplica
@@ -41,8 +42,9 @@ class ConsensusTransferSystem:
 
         self.simulator = Simulator()
         config = network_config or NetworkConfig()
-        config.seed = config.seed or seed
-        self.network = Network(self.simulator, config)
+        self.network = Network(
+            self.simulator, dataclasses.replace(config, seed=config.seed or seed)
+        )
         self._result = SystemResult()
         self._balances: Dict[AccountId, Amount] = {
             account_of(pid): initial_balance for pid in range(process_count)

@@ -106,8 +106,8 @@ class BroadcastStats:
 def payload_item_count(payload: Any) -> int:
     """Number of application-level items carried by a broadcast payload.
 
-    Plain payloads count as one item; composite payloads (e.g. the cluster
-    layer's transfer batches) advertise their size through an ``item_count``
+    Plain payloads count as one item; composite payloads (e.g. Figure 4's
+    transfer batches) advertise their size through an ``item_count``
     attribute.  The layers use this to report how much application traffic a
     broadcast instance amortises, without knowing any payload type.
 

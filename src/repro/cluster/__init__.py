@@ -7,11 +7,9 @@ This package deploys that observation:
 
 * :mod:`repro.cluster.routing` — :class:`ShardRouter`, the stable
   hash-partition of users onto shard groups and shard-local accounts.
-* :mod:`repro.cluster.batching` — :class:`BatchAnnouncement` and
-  :class:`BatchingTransferNode`, which coalesce per-source transfers into
-  one secure-broadcast instance, amortising signature and quorum cost.
 * :mod:`repro.cluster.shard` — :class:`Shard`, one independent Figure 4
-  replica group on its own simulator clock.
+  replica group (a :class:`repro.mp.system.ConsensuslessSystem`, batched
+  when ``batch_size > 1``) on its own simulator clock.
 * :mod:`repro.cluster.settlement` — the cross-shard settlement *lifecycle*
   (voucher -> certificate -> mint -> acknowledgement -> retirement), two
   legs of one quorum-acknowledged watermark broadcast run by one
@@ -35,96 +33,10 @@ This package deploys that observation:
   audit artefacts.
 
 The matching workload driver lives in :mod:`repro.workloads.cluster_driver`.
+
+The package re-exports nothing: import from the defining module.  Batching is
+not a cluster concept — it is ``ConsensuslessTransferNode(batch_size=b)`` in
+:mod:`repro.mp.consensusless_transfer` — so this layer only routes, drives,
+settles and audits.
 """
 
-from repro.cluster.batching import BatchAnnouncement, BatchingTransferNode
-from repro.cluster.result import ClusterCheckReport, ClusterResult, SupplyAudit
-from repro.cluster.routing import Route, ShardRouter, parse_external_account, stable_hash
-from repro.cluster.settlement import (
-    CompactionGate,
-    RetirementCertificate,
-    SettlementAck,
-    SettlementAckClaim,
-    SettlementCertificate,
-    SettlementClaim,
-    SettlementConfig,
-    SettlementFabric,
-    SettlementInbox,
-    SettlementRelay,
-    SettlementVoucher,
-    is_settlement_account,
-    settlement_account,
-)
-from repro.cluster.shard import AdvanceReport, Shard, ShardSnapshot, ShardSpec, ValidationEvent
-from repro.cluster.migration import (
-    MigrationPlan,
-    MigrationPolicy,
-    MigrationRecord,
-    Move,
-    PlacementPlan,
-    ShardLoad,
-    ThresholdMigrationPolicy,
-    rebalance_moves,
-)
-from repro.cluster.backends import (
-    BACKEND_NAMES,
-    AdaptiveEpochPolicy,
-    EpochPolicy,
-    EpochScheduler,
-    ExecutionBackend,
-    FixedEpochPolicy,
-    LatencyTargetEpochPolicy,
-    ProcessPoolBackend,
-    SerialBackend,
-    make_backend,
-)
-from repro.cluster.system import ClusterSystem
-
-__all__ = [
-    "AdaptiveEpochPolicy",
-    "AdvanceReport",
-    "BACKEND_NAMES",
-    "BatchAnnouncement",
-    "BatchingTransferNode",
-    "ClusterCheckReport",
-    "ClusterResult",
-    "ClusterSystem",
-    "CompactionGate",
-    "EpochPolicy",
-    "EpochScheduler",
-    "ExecutionBackend",
-    "FixedEpochPolicy",
-    "LatencyTargetEpochPolicy",
-    "MigrationPlan",
-    "MigrationPolicy",
-    "MigrationRecord",
-    "Move",
-    "PlacementPlan",
-    "ProcessPoolBackend",
-    "ShardLoad",
-    "ThresholdMigrationPolicy",
-    "rebalance_moves",
-    "RetirementCertificate",
-    "SerialBackend",
-    "ShardSnapshot",
-    "ShardSpec",
-    "ValidationEvent",
-    "make_backend",
-    "Route",
-    "SettlementAck",
-    "SettlementAckClaim",
-    "SettlementCertificate",
-    "SettlementClaim",
-    "SettlementConfig",
-    "SettlementFabric",
-    "SettlementInbox",
-    "SettlementRelay",
-    "SettlementVoucher",
-    "Shard",
-    "ShardRouter",
-    "SupplyAudit",
-    "is_settlement_account",
-    "parse_external_account",
-    "settlement_account",
-    "stable_hash",
-]

@@ -1,9 +1,11 @@
 """One shard group: an independent Figure 4 deployment.
 
-A shard owns its replicas, its network (with its own seeded latency stream
-and per-node CPU queues), its signature scheme and its clock: every shard
-runs on *its own* :class:`~repro.network.simulator.Simulator` and is advanced
-independently up to each settlement barrier by an execution backend
+A shard is a :class:`~repro.mp.system.ConsensuslessSystem` built from the
+shard's own derived seed, so it owns its replicas, its network (with its own
+seeded latency stream and per-node CPU queues), its signature scheme and its
+clock: every shard runs on *its own*
+:class:`~repro.network.simulator.Simulator` and is advanced independently up
+to each settlement barrier by an execution backend
 (:mod:`repro.cluster.backends`) — which is safe for the same reason sharding
 itself is: shards never exchange messages, so a shard's event sequence
 depends only on its own schedule.
@@ -19,22 +21,13 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.broadcast.bracha import BrachaBroadcast
-from repro.broadcast.echo_broadcast import EchoBroadcast
 from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_seed
 from repro.common.types import AccountId, Amount, ProcessId, Transfer
-from repro.crypto.signatures import SignatureScheme
-from repro.cluster.batching import BatchingTransferNode
 from repro.cluster.routing import parse_external_account
-from repro.mp.consensusless_transfer import (
-    ConsensuslessTransferNode,
-    TransferRecord,
-    account_of,
-)
-from repro.mp.system import SystemResult
-from repro.network.node import Network, NetworkConfig, NodeStats
-from repro.network.simulator import Simulator
+from repro.mp.consensusless_transfer import ConsensuslessTransferNode, TransferRecord
+from repro.mp.system import ConsensuslessSystem, SystemResult
+from repro.network.node import NetworkConfig, NodeStats
 from repro.obs import MetricsRegistry, merge_snapshots
 from repro.spec.byzantine_spec import ClientOperation, ProcessObservation, ValidatedTransfer
 
@@ -69,19 +62,8 @@ class ShardSpec:
     compact_history: bool = False
 
     def build(self) -> "Shard":
-        """Construct the shard."""
-        return Shard(
-            index=self.index,
-            replicas=self.replicas,
-            initial_balance=self.initial_balance,
-            broadcast=self.broadcast,
-            batch_size=self.batch_size,
-            network_config=self.network_config,
-            relay_final=self.relay_final,
-            seed=self.seed,
-            telemetry=self.telemetry,
-            compact_history=self.compact_history,
-        )
+        """Construct the shard (the spec's fields are :class:`Shard`'s arguments)."""
+        return Shard(**{f.name: getattr(self, f.name) for f in dataclasses.fields(self)})
 
 
 @dataclass(frozen=True)
@@ -213,45 +195,50 @@ class Shard:
         telemetry: bool = True,
         compact_history: bool = False,
     ) -> None:
-        if replicas < 4:
-            raise ConfigurationError(
-                "the Byzantine message-passing protocols need at least 4 replicas"
-            )
-        if broadcast not in ("bracha", "echo"):
-            raise ConfigurationError(f"unknown broadcast kind {broadcast!r}")
-        if batch_size < 1:
-            raise ConfigurationError("batch_size must be at least 1")
+        # The construction inputs, kept verbatim so spec() can emit the exact
+        # recipe this shard was built from (base config, pre-derivation seed).
+        self._spec = ShardSpec(
+            index=index,
+            replicas=replicas,
+            initial_balance=initial_balance,
+            broadcast=broadcast,
+            batch_size=batch_size,
+            network_config=network_config,
+            relay_final=relay_final,
+            seed=seed,
+            telemetry=telemetry,
+            compact_history=compact_history,
+        )
         self.index = index
         self.replicas = replicas
-        self.broadcast_kind = broadcast
-        self.batch_size = batch_size
-        self.relay_final = relay_final
-        self.compact_history = compact_history
-        self.simulator = Simulator()
-        self.metrics = MetricsRegistry() if telemetry else None
-        self._telemetry = telemetry
-        self.simulator.metrics = self.metrics
         # Every shard derives its own seed lineage so latency streams and key
         # material are independent across shards yet reproducible.
         shard_seed = derive_seed(seed, "shard", index) % (2**31)
         base_config = network_config or NetworkConfig()
-        self.network = Network(self.simulator, dataclasses.replace(base_config, seed=shard_seed))
-        self.scheme = SignatureScheme(seed=shard_seed)
+        self.group = ConsensuslessSystem(
+            process_count=replicas,
+            initial_balance=initial_balance,
+            broadcast=broadcast,
+            network_config=dataclasses.replace(base_config, seed=shard_seed),
+            relay_final=relay_final,
+            seed=shard_seed,
+            batch_size=batch_size,
+        )
+        self.simulator = self.group.simulator
+        self.network = self.group.network
+        self.scheme = self.group.scheme
+        self.result = self.group.result
+        self.nodes: Dict[ProcessId, ConsensuslessTransferNode] = {
+            node.node_id: node for node in self.group.correct_nodes()
+        }
+        for node in self.nodes.values():
+            node.compact_consumed = compact_history
+        self.metrics = MetricsRegistry() if telemetry else None
+        self.simulator.metrics = self.metrics
         # Key pairs read the registry through the scheme at sign time, so
         # telemetry counts every signature even when it is attached after
         # pairs were handed out; wiring it here just starts counting early.
         self.scheme.metrics = self.metrics
-        self.result = SystemResult()
-        self._initial_balance = initial_balance
-        # The construction inputs, kept verbatim so spec() can emit the exact
-        # recipe this shard was built from (base config, pre-derivation seed).
-        self._base_network_config = network_config
-        self._seed = seed
-        self._balances: Dict[AccountId, Amount] = {
-            account_of(pid): initial_balance for pid in range(replicas)
-        }
-        self.nodes: Dict[ProcessId, ConsensuslessTransferNode] = {}
-        self._build_nodes()
         self.submitted = 0
         self._validation_events: List[ValidationEvent] = []
         self._stats_override: Optional[Tuple[int, int]] = None
@@ -261,40 +248,6 @@ class Shard:
         # twin) — and *replaced*, never merged, on every restore, so repeated
         # pause/finalize cycles cannot double-count worker telemetry.
         self._worker_metrics: Optional[Dict[str, Dict[str, object]]] = None
-
-    # -- construction -------------------------------------------------------------------------
-
-    def _broadcast_factory(self, **kwargs):
-        if self.broadcast_kind == "bracha":
-            return BrachaBroadcast(**kwargs)
-        return EchoBroadcast(scheme=self.scheme, relay_final=self.relay_final, **kwargs)
-
-    def _build_nodes(self) -> None:
-        for pid in range(self.replicas):
-            if self.batch_size > 1:
-                node: ConsensuslessTransferNode = BatchingTransferNode(
-                    node_id=pid,
-                    initial_balances=self._balances,
-                    broadcast_factory=self._broadcast_factory,
-                    on_complete=self._record_completion,
-                    batch_size=self.batch_size,
-                )
-            else:
-                node = ConsensuslessTransferNode(
-                    node_id=pid,
-                    initial_balances=self._balances,
-                    broadcast_factory=self._broadcast_factory,
-                    on_complete=self._record_completion,
-                )
-            node.compact_consumed = self.compact_history
-            self.nodes[pid] = node
-        self.network.add_nodes(self.nodes.values())
-
-    def _record_completion(self, record: TransferRecord) -> None:
-        if record.success:
-            self.result.committed.append(record)
-        else:
-            self.result.rejected.append(record)
 
     # -- driving ------------------------------------------------------------------------------
 
@@ -318,18 +271,7 @@ class Shard:
         base network config and root seed are kept verbatim, so the derived
         latency streams and key material come out the same anywhere.
         """
-        return ShardSpec(
-            index=self.index,
-            replicas=self.replicas,
-            initial_balance=self._initial_balance,
-            broadcast=self.broadcast_kind,
-            batch_size=self.batch_size,
-            network_config=self._base_network_config,
-            relay_final=self.relay_final,
-            seed=self._seed,
-            telemetry=self._telemetry,
-            compact_history=self.compact_history,
-        )
+        return self._spec
 
     def install_validation_collector(self) -> None:
         """Record cross-shard credit validations instead of vouchering inline.
@@ -697,10 +639,10 @@ class Shard:
 
     def observations(self) -> List[ProcessObservation]:
         """Per-replica observations for this shard's Definition 1 check."""
-        return [node.observation() for node in self.nodes.values()]
+        return self.group.observations()
 
     def initial_balances(self) -> Dict[AccountId, Amount]:
-        return dict(self._balances)
+        return self.group.initial_balances()
 
     def broadcast_instances(self) -> int:
         """Secure-broadcast instances delivered at replica 0 (amortisation)."""
@@ -719,5 +661,5 @@ class Shard:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Shard({self.index}, replicas={self.replicas}, "
-            f"batch={self.batch_size}, committed={self.result.committed_count})"
+            f"batch={self._spec.batch_size}, committed={self.result.committed_count})"
         )

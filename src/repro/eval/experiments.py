@@ -52,9 +52,6 @@ class ExperimentConfig:
             WorkloadConfig(transfers_per_process=self.transfers_per_process, seed=self.seed),
         )
 
-    def network_copy(self) -> NetworkConfig:
-        return dataclasses.replace(self.network)
-
 
 @dataclass(frozen=True)
 class ComparisonRow:
@@ -88,7 +85,7 @@ def run_consensusless(
         process_count=process_count,
         initial_balance=config.initial_balance,
         broadcast=config.broadcast,
-        network_config=config.network_copy(),
+        network_config=config.network,
         seed=config.seed,
     )
     system.schedule_submissions(config.workload(process_count))
@@ -104,7 +101,7 @@ def run_consensus_based(
     system = ConsensusTransferSystem(
         process_count=process_count,
         initial_balance=config.initial_balance,
-        network_config=config.network_copy(),
+        network_config=config.network,
         pbft_config=PbftConfig(batch_size=config.batch_size),
         seed=config.seed,
     )
@@ -172,7 +169,7 @@ def double_spend_experiment(
         process_count=process_count,
         initial_balance=config.initial_balance,
         broadcast=config.broadcast,
-        network_config=config.network_copy(),
+        network_config=config.network,
         fault_model=fault_model,
         seed=config.seed,
     )
@@ -343,7 +340,7 @@ def latency_experiment(
             process_count=process_count,
             initial_balance=config.initial_balance,
             broadcast=config.broadcast,
-            network_config=config.network_copy(),
+            network_config=config.network,
             seed=config.seed,
         )
         consensusless.schedule_submissions(submissions)
@@ -352,7 +349,7 @@ def latency_experiment(
         consensus = ConsensusTransferSystem(
             process_count=process_count,
             initial_balance=config.initial_balance,
-            network_config=config.network_copy(),
+            network_config=config.network,
             pbft_config=PbftConfig(batch_size=config.batch_size),
             seed=config.seed,
         )
@@ -435,9 +432,6 @@ class ClusterExperimentConfig:
             )
         )
 
-    def network_copy(self) -> NetworkConfig:
-        return dataclasses.replace(self.network)
-
     def system(self, shard_count: int, batch_size: int = 1) -> ClusterSystem:
         """The one place this config becomes a :class:`ClusterSystem`."""
         return ClusterSystem(
@@ -446,7 +440,7 @@ class ClusterExperimentConfig:
             batch_size=batch_size,
             broadcast=self.broadcast,
             initial_balance=self.initial_balance,
-            network_config=self.network_copy(),
+            network_config=self.network,
             backend=self.backend,
             epoch=self.epoch,
             epoch_policy=self.epoch_policy,

@@ -27,6 +27,14 @@ under both of its accounts — ``_valid`` therefore evaluates line 26 before
 line 25 (the verdict is a conjunction) — and the node's own ``deps`` only
 ever holds credits the book indexes under the node's account.
 
+Because the secure-broadcast payload is generic, batching is a parameter of
+the same node rather than a different protocol: with ``batch_size > 1`` the
+node drains up to that many queued submissions into one
+:class:`repro.mp.messages.BatchAnnouncement`, and receivers unpack it into
+the per-announcement path (sequence-gap check, ``Valid`` predicate, history
+application) — each transfer validates exactly as it would have unbatched,
+while the broadcast's signature and quorum cost is paid once per batch.
+
 The node exposes a small client API (:meth:`submit_transfer`, :meth:`read`)
 driven by the workload layer, and records everything the
 Definition 1 checker (:mod:`repro.spec.byzantine_spec`) needs.
@@ -34,16 +42,16 @@ Definition 1 checker (:mod:`repro.spec.byzantine_spec`) needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import AbstractSet, Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.broadcast.messages import FinalMessage, SendMessage
-from repro.broadcast.secure_broadcast import BroadcastDelivery, BroadcastLayer
+from repro.broadcast.secure_broadcast import BroadcastDelivery, BroadcastLayer, payload_item_count
 from repro.common.errors import ConfigurationError
 from repro.common.types import AccountId, Amount, ProcessId, Transfer, rebuilt_by_constructor
 from repro.core.accounts import AccountBook
-from repro.mp.messages import TransferAnnouncement
+from repro.mp.messages import BatchAnnouncement, TransferAnnouncement
 from repro.network.node import Node
 from repro.spec.byzantine_spec import ClientOperation, ProcessObservation, ValidatedTransfer
 
@@ -60,11 +68,10 @@ def account_of(process: ProcessId) -> AccountId:
 
 @dataclass
 class PendingTransfer:
-    """A client transfer submitted locally and not yet completed."""
+    """A client transfer broadcast by this node and not yet validated."""
 
     transfer: Transfer
     submitted_at: float
-    announced: bool = False
 
 
 @rebuilt_by_constructor
@@ -98,6 +105,11 @@ class ConsensuslessTransferNode(Node):
     on_complete:
         Optional callback invoked with a :class:`TransferRecord` whenever a
         locally submitted transfer completes.
+    batch_size:
+        How many queued submissions one broadcast carries.  At 1 (the
+        paper's protocol) every broadcast is a plain
+        :class:`TransferAnnouncement`; above 1 it is always a
+        :class:`BatchAnnouncement`, even when only one submission is queued.
     """
 
     def __init__(
@@ -106,12 +118,16 @@ class ConsensuslessTransferNode(Node):
         initial_balances: Dict[AccountId, Amount],
         broadcast_factory: BroadcastFactory,
         on_complete: Optional[Callable[[TransferRecord], None]] = None,
+        batch_size: int = 1,
     ) -> None:
+        if batch_size < 1:
+            raise ConfigurationError("batch_size must be at least 1")
         super().__init__(node_id)
         self.account = account_of(node_id)
         self._initial_balances = dict(initial_balances)
         self._broadcast_factory = broadcast_factory
         self._on_complete = on_complete
+        self.batch_size = batch_size
 
         # Figure 4 local state; ``hist`` lives in the book (see the property).
         self.seq: Dict[ProcessId, int] = {}
@@ -147,10 +163,10 @@ class ConsensuslessTransferNode(Node):
         self.compact_consumed = False
         self.compacted_local_records = 0
 
-        # Client bookkeeping.
-        self._pending: Optional[PendingTransfer] = None
+        # Client bookkeeping: the broadcast in flight (one batch, in sequence
+        # order) and the submissions queued behind it.
+        self._in_flight: List[PendingTransfer] = []
         self._submit_queue: List[Tuple[AccountId, Amount]] = []
-        self._next_client_sequence = 0
         self.completed: List[TransferRecord] = []
         self.failed_immediately: List[TransferRecord] = []
 
@@ -197,16 +213,20 @@ class ConsensuslessTransferNode(Node):
         channels and cost the flat per-message time.  This asymmetry —
         one signature verification per transfer regardless of system size —
         is the broadcast protocol's key cost advantage over signed consensus
-        votes.
+        votes.  A batch is verified once however many transfers it carries;
+        each extra transfer only costs the flat per-message time (for a
+        plain announcement that term is exactly zero).
         """
         config = self._network.config
         base = config.processing_time
         if isinstance(message, SendMessage):
-            return base + config.signature_verification_time
+            extra_items = payload_item_count(message.payload) - 1
+            return base + config.signature_verification_time + extra_items * base
         if isinstance(message, FinalMessage):
             # Verify the issuer's signature and the quorum certificate
             # (modelled as one aggregate verification).
-            return base + 2 * config.signature_verification_time
+            extra_items = payload_item_count(message.payload) - 1
+            return base + 2 * config.signature_verification_time + extra_items * base
         return base
 
     # -- client API (lines 1-7) ---------------------------------------------------------------
@@ -214,9 +234,9 @@ class ConsensuslessTransferNode(Node):
     def submit_transfer(self, destination: AccountId, amount: Amount) -> None:
         """Queue ``transfer(own-account, destination, amount)``.
 
-        Processes are sequential (Section 2.1): if a transfer is already in
-        flight the new one is queued and issued once the current one
-        completes.
+        Processes are sequential (Section 2.1): if a broadcast is already in
+        flight the new transfer is queued and issued once every transfer
+        that broadcast carries has completed.
         """
         self._submit_queue.append((destination, amount))
         self._try_issue_next()
@@ -238,60 +258,86 @@ class ConsensuslessTransferNode(Node):
         return balance
 
     def _try_issue_next(self) -> None:
-        if self._pending is not None or not self._submit_queue:
-            return
-        destination, amount = self._submit_queue.pop(0)
-        self._issue_transfer(destination, amount)
+        """Broadcast the next batch of queued submissions (lines 2-5).
 
-    def _issue_transfer(self, destination: AccountId, amount: Amount) -> None:
+        The queue drains in FIFO order, up to ``batch_size`` transfers: each
+        is checked against the balance left after the transfers already in
+        the batch (the receivers' ``Valid`` predicate sees exactly that
+        running balance) and one that does not fit fails on the spot.
+        """
+        if self._in_flight or not self._submit_queue:
+            return
         submitted_at = self.now
         balance = self.book.balance(self.account)
-        sequence = self.seq.get(self.node_id, 0) + 1
-        transfer = Transfer(
-            source=self.account,
-            destination=destination,
-            amount=amount,
-            issuer=self.node_id,
-            sequence=sequence,
-        )
-        if balance < amount:                                             # lines 2-3
-            record = TransferRecord(
-                transfer=transfer,
-                submitted_at=submitted_at,
-                completed_at=self.now,
-                success=False,
+        sequence = self.seq.get(self.node_id, 0)
+        announcements: List[TransferAnnouncement] = []
+        while self._submit_queue and len(announcements) < self.batch_size:
+            destination, amount = self._submit_queue.pop(0)
+            transfer = Transfer(
+                source=self.account,
+                destination=destination,
+                amount=amount,
+                issuer=self.node_id,
+                sequence=sequence + 1,
             )
-            self.failed_immediately.append(record)
-            self._client_operations.append(
-                ClientOperation(
-                    process=self.node_id,
-                    kind="transfer",
-                    invoked_at=submitted_at,
-                    responded_at=self.now,
-                    response=False,
-                    transfer=transfer,
-                )
-            )
-            if self._on_complete is not None:
-                self._on_complete(record)
-            self._try_issue_next()
+            if balance < amount:                                         # lines 2-3
+                self._respond(transfer, submitted_at, success=False)
+                continue
+            sequence += 1
+            balance -= amount
+            dependencies: Tuple[Transfer, ...] = ()
+            if not announcements:
+                dependencies = tuple(sorted(self.deps, key=lambda t: (t.issuer, t.sequence)))
+            announcements.append(TransferAnnouncement(transfer=transfer, dependencies=dependencies))
+        if not announcements:
             return
-
-        announcement = TransferAnnouncement(                             # line 4
-            transfer=transfer, dependencies=tuple(sorted(self.deps, key=lambda t: (t.issuer, t.sequence)))
-        )
         self.deps = set()                                                # line 5
-        self._pending = PendingTransfer(transfer=transfer, submitted_at=submitted_at, announced=True)
+        self._in_flight = [
+            PendingTransfer(transfer=announcement.transfer, submitted_at=submitted_at)
+            for announcement in announcements
+        ]
         assert self.broadcast_layer is not None, "node not started"
-        self.broadcast_layer.broadcast(announcement)
+        if self.batch_size == 1:                                         # line 4
+            self.broadcast_layer.broadcast(announcements[0])
+        else:
+            self.broadcast_layer.broadcast(BatchAnnouncement(tuple(announcements)))
+
+    def _respond(self, transfer: Transfer, submitted_at: float, success: bool) -> None:
+        """Answer one client transfer: record it, log it for the checker, notify."""
+        record = TransferRecord(
+            transfer=transfer,
+            submitted_at=submitted_at,
+            completed_at=self.now,
+            success=success,
+        )
+        (self.completed if success else self.failed_immediately).append(record)
+        self._client_operations.append(
+            ClientOperation(
+                process=self.node_id,
+                kind="transfer",
+                invoked_at=submitted_at,
+                responded_at=self.now,
+                response=success,
+                transfer=transfer,
+            )
+        )
+        if self._on_complete is not None:
+            self._on_complete(record)
 
     # -- delivery and validation (lines 8-20) -----------------------------------------------------
 
     def _on_deliver(self, delivery: BroadcastDelivery) -> None:
         payload = delivery.payload
-        if not isinstance(payload, TransferAnnouncement):
+        if isinstance(payload, TransferAnnouncement):
+            announcements: Tuple[TransferAnnouncement, ...] = (payload,)
+        elif isinstance(payload, BatchAnnouncement):
+            announcements = payload.announcements
+        else:
             return
-        if self._receive_announcement(delivery.origin, payload):
+        progress = False
+        for announcement in announcements:
+            progress = self._receive_announcement(delivery.origin, announcement) or progress
+        if progress:
             self._validation_pass()
 
     def _receive_announcement(self, issuer: ProcessId, payload: TransferAnnouncement) -> bool:
@@ -300,8 +346,8 @@ class ConsensuslessTransferNode(Node):
         The broadcast sequence number must be the next one we have *received*
         from this issuer; source order of the secure broadcast makes gaps
         impossible among benign issuers.  Returns ``True`` if the announcement
-        was queued for validation (callers then run a validation pass; batch
-        deliveries queue several announcements before a single pass).
+        was queued for validation (callers then run a validation pass; a
+        batch queues all its announcements before a single pass).
         """
         transfer = payload.transfer
         expected = self.rec.get(issuer, 0) + 1
@@ -376,7 +422,7 @@ class ConsensuslessTransferNode(Node):
             for dependency in announcement.dependencies:
                 self._compact_consumed_record(transfer.source, dependency)
         if issuer == self.node_id:                                           # lines 19-20
-            self._complete_pending(success=True)
+            self._complete_in_flight()
 
     def _compact_consumed_record(self, consuming_account: AccountId, dependency: Transfer) -> None:
         """Drop an ordinary local record its owner just spent (see ``compact_consumed``).
@@ -496,31 +542,18 @@ class ConsensuslessTransferNode(Node):
         """Outbound settlement money compacted out of this replica's ledger."""
         return sum(self._retired_outbound.values())
 
-    def _complete_pending(self, success: bool) -> None:
-        if self._pending is None:
+    def _complete_in_flight(self) -> None:
+        """Complete the oldest in-flight transfer; past the last, issue the next batch.
+
+        Validation releases a batch's transfers in sequence order, so the
+        transfer that just validated is always the head of the list.
+        """
+        if not self._in_flight:
             return
-        pending = self._pending
-        self._pending = None
-        record = TransferRecord(
-            transfer=pending.transfer,
-            submitted_at=pending.submitted_at,
-            completed_at=self.now,
-            success=success,
-        )
-        self.completed.append(record)
-        self._client_operations.append(
-            ClientOperation(
-                process=self.node_id,
-                kind="transfer",
-                invoked_at=pending.submitted_at,
-                responded_at=self.now,
-                response=success,
-                transfer=pending.transfer,
-            )
-        )
-        if self._on_complete is not None:
-            self._on_complete(record)
-        self._try_issue_next()
+        pending = self._in_flight.pop(0)
+        self._respond(pending.transfer, pending.submitted_at, success=True)
+        if not self._in_flight:
+            self._try_issue_next()
 
     # -- checkpointing -----------------------------------------------------------------------------
 
@@ -535,9 +568,7 @@ class ConsensuslessTransferNode(Node):
         """
         return {
             "to_validate": list(self.to_validate),
-            "pending": None
-            if self._pending is None
-            else (self._pending.transfer, self._pending.submitted_at, self._pending.announced),
+            "in_flight": [(pending.transfer, pending.submitted_at) for pending in self._in_flight],
             "submit_queue": list(self._submit_queue),
             "layer": None if self.broadcast_layer is None else self.broadcast_layer.capture_state(),
         }
@@ -545,12 +576,10 @@ class ConsensuslessTransferNode(Node):
     def restore_live_state(self, state: Dict[str, Any]) -> None:
         """Install a :meth:`capture_live_state` snapshot onto a started twin."""
         self.to_validate = [(issuer, announcement) for issuer, announcement in state["to_validate"]]
-        pending = state["pending"]
-        self._pending = (
-            None
-            if pending is None
-            else PendingTransfer(transfer=pending[0], submitted_at=pending[1], announced=pending[2])
-        )
+        self._in_flight = [
+            PendingTransfer(transfer=transfer, submitted_at=submitted_at)
+            for transfer, submitted_at in state["in_flight"]
+        ]
         self._submit_queue = [(destination, amount) for destination, amount in state["submit_queue"]]
         if state["layer"] is not None:
             assert self.broadcast_layer is not None, "node not started"
@@ -581,7 +610,10 @@ class ConsensuslessTransferNode(Node):
 
     @property
     def has_pending_transfer(self) -> bool:
-        return self._pending is not None or bool(self._submit_queue)
+        return bool(self._in_flight) or bool(self._submit_queue)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ConsensuslessTransferNode(p{self.node_id}, validated={self.validated_count})"
+        return (
+            f"ConsensuslessTransferNode(p{self.node_id}, batch={self.batch_size}, "
+            f"validated={self.validated_count})"
+        )

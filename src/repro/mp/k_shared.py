@@ -25,6 +25,7 @@ for *all* accounts, compromised or not.  Experiment E7 demonstrates both.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from functools import partial
 from typing import AbstractSet, Any, Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
@@ -471,8 +472,9 @@ class KSharedSystem:
         self.initial_balance_map = dict(initial_balances)
         self.simulator = Simulator()
         config = network_config or NetworkConfig()
-        config.seed = config.seed or seed
-        self.network = Network(self.simulator, config)
+        self.network = Network(
+            self.simulator, dataclasses.replace(config, seed=config.seed or seed)
+        )
         self.scheme = SignatureScheme(seed=seed)
         self._result = SystemResult()
         self.silent = frozenset(silent_processes)

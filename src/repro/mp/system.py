@@ -13,6 +13,7 @@ with identical workloads and report like-for-like numbers.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -108,6 +109,13 @@ class ConsensuslessSystem:
         ``SILENT`` processes run :class:`~repro.mp.attackers.SilentNode`.
     relay_final:
         Passed to the echo broadcast (ignored for Bracha).
+    seed:
+        Seeds the key material, and the network when ``network_config``
+        leaves its own seed at 0.  The caller's config is never modified.
+    batch_size:
+        Transfers per secure-broadcast instance at every correct node (see
+        :class:`~repro.mp.consensusless_transfer.ConsensuslessTransferNode`);
+        1 is the paper's protocol.
     """
 
     def __init__(
@@ -119,6 +127,7 @@ class ConsensuslessSystem:
         fault_model: Optional[FaultModel] = None,
         relay_final: bool = True,
         seed: int = 0,
+        batch_size: int = 1,
     ) -> None:
         if process_count < 4:
             raise ConfigurationError(
@@ -133,11 +142,13 @@ class ConsensuslessSystem:
         if self.fault_model.total_processes != process_count:
             raise ConfigurationError("fault model size does not match process count")
         self.relay_final = relay_final
+        self.batch_size = batch_size
 
         self.simulator = Simulator()
         config = network_config or NetworkConfig()
-        config.seed = config.seed or seed
-        self.network = Network(self.simulator, config)
+        self.network = Network(
+            self.simulator, dataclasses.replace(config, seed=config.seed or seed)
+        )
         self.scheme = SignatureScheme(seed=seed)
         self._result = SystemResult()
         self._balances: Dict[AccountId, Amount] = {
@@ -163,6 +174,7 @@ class ConsensuslessSystem:
                     initial_balances=self._balances,
                     broadcast_factory=self._broadcast_factory,
                     on_complete=self._record_completion,
+                    batch_size=self.batch_size,
                 )
             elif kind in (FaultKind.CRASH, FaultKind.SILENT):
                 node = SilentNode(node_id=pid)

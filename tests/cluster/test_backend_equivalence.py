@@ -25,7 +25,8 @@ import time
 
 import pytest
 
-from repro.cluster import ClusterSystem, ShardSpec
+from repro.cluster.shard import ShardSpec
+from repro.cluster.system import ClusterSystem
 from repro.cluster.backends import BACKEND_NAMES, _worker_main, make_backend
 from repro.cluster.settlement import (
     SettlementCertificate,
@@ -145,7 +146,7 @@ class TestBackendEquivalence:
         """The acceptance configuration: an AdaptiveEpochPolicy grid with the
         compaction lifecycle active, fingerprint-identical (retirement
         counters included) across both backends."""
-        from repro.cluster import AdaptiveEpochPolicy
+        from repro.cluster.backends import AdaptiveEpochPolicy
 
         def policy():
             # A fresh instance per run: equality must come from determinism,

@@ -25,7 +25,8 @@ genuinely non-empty tail on top of a genuinely mid-run checkpoint.
 
 import pytest
 
-from repro.cluster import ClusterSystem, codec
+from repro.cluster import codec
+from repro.cluster.system import ClusterSystem
 from repro.cluster.checkpoint import (
     CheckpointDelta,
     checkpoint_delta,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import ClusterSystem
+from repro.cluster.system import ClusterSystem
 from repro.common.errors import ConfigurationError
 from repro.workloads.cluster_driver import (
     ClusterSubmission,

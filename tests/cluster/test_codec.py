@@ -21,7 +21,6 @@ from repro.broadcast.messages import (
     SendMessage,
 )
 from repro.broadcast.secure_broadcast import BroadcastDelivery
-from repro.cluster.batching import BatchAnnouncement
 from repro.cluster.codec import decode, encode, encoded_size
 from repro.cluster.settlement import (
     SettlementAckClaim,
@@ -32,7 +31,7 @@ from repro.cluster.shard import AdvanceReport, ShardSpec, ValidationEvent
 from repro.common.types import Transfer, TransferId
 from repro.crypto.signatures import SignatureScheme
 from repro.mp.consensusless_transfer import TransferRecord
-from repro.mp.messages import TransferAnnouncement
+from repro.mp.messages import BatchAnnouncement, TransferAnnouncement
 from repro.network.node import NetworkConfig, NodeStats
 from repro.spec.byzantine_spec import ClientOperation, ValidatedTransfer
 from repro.workloads.cluster_driver import RoutedSubmission

@@ -10,8 +10,8 @@ import copy
 
 import pytest
 
-from repro.cluster import AdaptiveEpochPolicy, ClusterSystem, FixedEpochPolicy
-from repro.cluster.backends import EpochScheduler
+from repro.cluster.backends import AdaptiveEpochPolicy, EpochScheduler, FixedEpochPolicy
+from repro.cluster.system import ClusterSystem
 from repro.common.errors import ConfigurationError
 from repro.workloads.cluster_driver import (
     ClusterWorkloadConfig,
@@ -225,11 +225,8 @@ class TestSchedulerPolicyIntegration:
         windows and cooldowns — so a system copies the one it is given: a run
         leaves the caller's object untouched, and the next system built from
         it runs identically."""
-        from repro.cluster import (
-            LatencyTargetEpochPolicy,
-            MigrationPlan,
-            ThresholdMigrationPolicy,
-        )
+        from repro.cluster.backends import LatencyTargetEpochPolicy
+        from repro.cluster.migration import MigrationPlan, ThresholdMigrationPolicy
 
         if knob == "latency_target":
             given = LatencyTargetEpochPolicy(initial_epoch=0.005)
@@ -254,7 +251,7 @@ class TestSchedulerPolicyIntegration:
 
 class TestLatencyTargetEpochPolicy:
     def _policy(self, **kwargs):
-        from repro.cluster import LatencyTargetEpochPolicy
+        from repro.cluster.backends import LatencyTargetEpochPolicy
 
         defaults = dict(
             target_p95=0.008,

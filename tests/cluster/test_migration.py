@@ -24,13 +24,13 @@ import pickle
 
 import pytest
 
-from repro.cluster import (
+from repro.cluster.backends import (
+    BACKEND_NAMES,
     AdaptiveEpochPolicy,
-    ClusterSystem,
     LatencyTargetEpochPolicy,
-    ShardSpec,
+    _replay_shard,
+    _worker_main,
 )
-from repro.cluster.backends import BACKEND_NAMES, _replay_shard, _worker_main
 from repro.cluster.migration import (
     MigrationPlan,
     MigrationRecord,
@@ -41,6 +41,8 @@ from repro.cluster.migration import (
     normalize_migration,
     rebalance_moves,
 )
+from repro.cluster.shard import ShardSpec
+from repro.cluster.system import ClusterSystem
 from repro.common.errors import ConfigurationError
 from repro.workloads.cluster_driver import (
     ClusterWorkloadConfig,

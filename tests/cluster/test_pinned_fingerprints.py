@@ -38,7 +38,7 @@ PINNED = {
 
 def _fingerprint(backend, fraction):
     """4 shards x 4 replicas, batch 4, ~200 submissions; the pinned run."""
-    from repro.cluster import ClusterSystem
+    from repro.cluster.system import ClusterSystem
     from repro.network.node import NetworkConfig
     from repro.workloads.cluster_driver import (
         ClusterWorkloadConfig,
@@ -126,7 +126,7 @@ BENCHMARK_PINNED = {
 
 @pytest.mark.parametrize("workload", sorted(BENCHMARK_PINNED))
 def test_the_benchmark_workloads_reproduce_their_fingerprints(workload):
-    from repro.cluster import ClusterSystem
+    from repro.cluster.system import ClusterSystem
     from repro.network.node import NetworkConfig
     from repro.workloads.cluster_driver import (
         ClusterWorkloadConfig,

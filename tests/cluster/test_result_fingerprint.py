@@ -13,7 +13,9 @@ import json
 
 import pytest
 
-from repro.cluster import BACKEND_NAMES, ClusterResult, ClusterSystem
+from repro.cluster.backends import BACKEND_NAMES
+from repro.cluster.result import ClusterResult
+from repro.cluster.system import ClusterSystem
 from repro.common.errors import ConfigurationError
 from repro.workloads.cluster_driver import ClusterWorkloadConfig, cluster_open_loop_workload
 

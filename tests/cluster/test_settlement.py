@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.cluster import ClusterSystem
+from repro.cluster.system import ClusterSystem
 from repro.cluster.backends import EpochScheduler
 from repro.cluster.routing import parse_external_account
 from repro.cluster.shard import Shard

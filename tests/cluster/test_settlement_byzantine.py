@@ -19,7 +19,8 @@ the shard protocol reacting to the faults runs wherever the backend puts it.
 import pytest
 
 from repro.byzantine.behaviors import CrashBehavior, EquivocationPlan, ScriptedBehavior
-from repro.cluster import BACKEND_NAMES, ClusterSystem
+from repro.cluster.backends import BACKEND_NAMES
+from repro.cluster.system import ClusterSystem
 from repro.cluster.settlement import (
     RetirementCertificate,
     SettlementAck,

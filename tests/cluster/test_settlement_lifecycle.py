@@ -14,7 +14,8 @@ import pickle
 
 import pytest
 
-from repro.cluster import ClusterSystem, ShardSpec
+from repro.cluster.shard import ShardSpec
+from repro.cluster.system import ClusterSystem
 from repro.cluster.settlement import (
     CompactionGate,
     RetirementCertificate,
@@ -478,7 +479,8 @@ class TestLifecycleConfiguration:
             SettlementConfig(**{knob: 1})
 
     def test_lifecycle_exports_are_public(self):
-        import repro.cluster as cluster
+        """Public from the defining module (package ``__init__``s re-export nothing)."""
+        import repro.cluster.settlement as settlement
 
         for name in (
             "SettlementAck",
@@ -486,7 +488,7 @@ class TestLifecycleConfiguration:
             "RetirementCertificate",
             "CompactionGate",
         ):
-            assert hasattr(cluster, name)
+            assert hasattr(settlement, name)
 
 
 class TestRelayJournalCompaction:

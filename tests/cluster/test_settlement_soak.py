@@ -37,12 +37,8 @@ automate (the latency-target policy drives its p95 toward the goal directly).
 import dataclasses
 import tracemalloc
 
-from repro.cluster import (
-    AdaptiveEpochPolicy,
-    FixedEpochPolicy,
-    LatencyTargetEpochPolicy,
-    MigrationPlan,
-)
+from repro.cluster.backends import AdaptiveEpochPolicy, FixedEpochPolicy, LatencyTargetEpochPolicy
+from repro.cluster.migration import MigrationPlan
 from repro.eval.experiments import (
     ClusterExperimentConfig,
     epoch_policy_experiment,

@@ -17,7 +17,7 @@ import pickle
 
 import pytest
 
-from repro.cluster import ClusterSystem
+from repro.cluster.system import ClusterSystem
 from repro.cluster.settlement import settlement_account, settlement_issuer
 from repro.common.types import Transfer
 from repro.workloads.cluster_driver import (

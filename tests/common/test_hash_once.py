@@ -22,10 +22,9 @@ import pytest
 
 import repro
 from repro.cluster import codec
-from repro.cluster.batching import BatchAnnouncement
 from repro.common.errors import ConfigurationError
 from repro.common.types import Transfer
-from repro.mp.messages import TransferAnnouncement
+from repro.mp.messages import BatchAnnouncement, TransferAnnouncement
 
 
 def _samples():
@@ -117,9 +116,8 @@ def test_arrival_validates():
 CHILD = '''
 import pickle, sys
 from repro.cluster import codec
-from repro.cluster.batching import BatchAnnouncement
 from repro.common.types import Transfer
-from repro.mp.messages import TransferAnnouncement
+from repro.mp.messages import BatchAnnouncement, TransferAnnouncement
 
 {samples}
 

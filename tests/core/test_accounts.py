@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from repro.cluster import ClusterSystem
+from repro.cluster.system import ClusterSystem
 from repro.common.errors import ConfigurationError
 from repro.common.types import OwnershipMap, Transfer, TransferStatus
 from repro.core.accounts import (

@@ -80,7 +80,7 @@ class TestExperimentHarness:
         assert "ratio" in format_latency_table(rows)
 
     def test_a_stateful_epoch_policy_does_not_leak_between_runs(self):
-        from repro.cluster import LatencyTargetEpochPolicy
+        from repro.cluster.backends import LatencyTargetEpochPolicy
 
         policy = LatencyTargetEpochPolicy(target_p95=0.004)
         config = ClusterExperimentConfig(
@@ -165,7 +165,7 @@ class TestSettlementLifecycleExperiments:
         assert len(report.samples) == 5  # checkpoints + quiescence
 
     def test_epoch_policy_experiment_compares_the_trade(self, fast_network):
-        from repro.cluster import AdaptiveEpochPolicy, FixedEpochPolicy
+        from repro.cluster.backends import AdaptiveEpochPolicy, FixedEpochPolicy
 
         rows = epoch_policy_experiment(
             [

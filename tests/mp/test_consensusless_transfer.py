@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.bft.consensus_transfer import ConsensusTransferSystem
 from repro.byzantine.faults import FaultKind, FaultModel
+from repro.common.types import OwnershipMap
 from repro.mp.consensusless_transfer import account_of
+from repro.mp.k_shared import KSharedSystem
 from repro.mp.system import ClientSubmission, ConsensuslessSystem
+from repro.network.node import NetworkConfig
 from repro.spec.byzantine_spec import ByzantineAssetTransferChecker
 
 
@@ -152,3 +156,25 @@ class TestFaults:
     def test_mismatched_fault_model_rejected(self):
         with pytest.raises(Exception):
             ConsensuslessSystem(process_count=5, fault_model=FaultModel.all_correct(4))
+
+
+def test_a_network_config_reused_across_seeds_gives_each_system_its_own_seed():
+    """The façades read the caller's config without writing to it: one
+    ``NetworkConfig()`` (seed 0) under seeds 5 and then 9 seeds the networks
+    5 and 9, and is still at seed 0 afterwards."""
+    config = NetworkConfig()
+    ownership = OwnershipMap.single_owner({str(pid): pid for pid in range(4)})
+    systems = [
+        ConsensuslessSystem(process_count=4, network_config=config, seed=5),
+        ConsensusTransferSystem(process_count=4, network_config=config, seed=9),
+        ConsensuslessSystem(process_count=4, network_config=config, seed=9),
+        KSharedSystem(
+            ownership=ownership,
+            process_count=4,
+            initial_balances=dict.fromkeys(ownership.accounts, 10),
+            network_config=config,
+            seed=7,
+        ),
+    ]
+    assert [system.network.config.seed for system in systems] == [5, 9, 9, 7]
+    assert config.seed == 0

@@ -6,6 +6,9 @@ per commit.  Every message is two simulator events ("deliver", then
 "process") and every client submission one more, so the event count is fixed
 by the message count.  An extra message or event per commit fails here, by
 formula, before any fingerprint moves.
+
+Batched, the unit is the broadcast instance rather than the commit: N + 2N²
+messages per instance, whatever number of transfers it carries.
 """
 
 import pytest
@@ -14,9 +17,9 @@ from repro.mp.consensusless_transfer import account_of
 from repro.mp.system import ClientSubmission, ConsensuslessSystem
 
 
-def lossless_run(process_count: int):
-    system = ConsensuslessSystem(process_count=process_count, seed=3)
-    submissions = 2 * process_count
+def lossless_run(process_count: int, batch_size: int = 1, per_process: int = 2):
+    system = ConsensuslessSystem(process_count=process_count, seed=3, batch_size=batch_size)
+    submissions = per_process * process_count
     scheduled = system.schedule_submissions(
         ClientSubmission(
             time=0.0002 * index,
@@ -49,3 +52,18 @@ def test_every_message_is_two_events_and_every_submission_one(process_count):
 def test_the_counts_at_the_smallest_and_largest_group(process_count, messages, events):
     result = lossless_run(process_count)[1]
     assert (result.messages_sent, result.events_processed) == (messages, events)
+
+
+@pytest.mark.parametrize("process_count", [4, 7, 10, 16])
+def test_batched_bracha_sends_n_plus_two_n_squared_messages_per_instance(process_count):
+    """At batch 8 a process's first transfer leaves alone and the ones
+    submitted while it is in flight share the next instance, so there are
+    fewer instances than commits and each still costs N + 2N² messages."""
+    system, result, submissions = lossless_run(process_count, batch_size=8, per_process=4)
+    assert result.committed_count == submissions and not result.rejected
+    stats = system.correct_node(0).broadcast_layer.stats
+    instances = stats.delivered
+    assert result.messages_sent == instances * (process_count + 2 * process_count**2)
+    assert stats.payload_items == result.committed_count
+    assert instances < result.committed_count
+    assert result.events_processed == 2 * system.network.messages_delivered + submissions

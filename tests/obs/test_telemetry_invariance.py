@@ -10,7 +10,9 @@ export, and the accepted mode names.
 
 import pytest
 
-from repro.cluster import BACKEND_NAMES, ClusterSystem, MigrationPlan
+from repro.cluster.backends import BACKEND_NAMES
+from repro.cluster.migration import MigrationPlan
+from repro.cluster.system import ClusterSystem
 from repro.common.errors import ConfigurationError
 from repro.eval.experiments import ClusterExperimentConfig
 from repro.obs import TELEMETRY_MODES, validate_trace_file

@@ -21,6 +21,7 @@ from repro.eval.experiments import (
     run_consensus_based,
     run_consensusless,
 )
+from repro.mp.system import ConsensuslessSystem
 from repro.network.node import NetworkConfig
 
 TRANSFERS_PER_PROCESS = 5
@@ -66,6 +67,34 @@ def test_e8_figure4_sends_more_messages_per_commit_than_batched_pbft(comparison)
         comparison.consensusless.messages_per_commit
         > comparison.consensus_based.messages_per_commit
     )
+
+
+def test_e8_at_equal_batching_the_crossover_moves_to_small_groups(comparison):
+    """E8 with both sides at batch 8.  Each process's first transfer leaves
+    alone and its other four queue behind it, so Figure 4 runs two Bracha
+    instances per process: exactly 2(N + 2N²)/5 messages per commit — 14.4 /
+    84.0 / 211.2 at N = 4 / 10 / 16, against PBFT's 20.55 / 59.7 / 172.54.
+    Batched, Figure 4 is the cheaper one at N = 4 and the dearer one from
+    N = 10 on."""
+    process_count = comparison.process_count
+    system = ConsensuslessSystem(
+        process_count=process_count,
+        initial_balance=CONFIG.initial_balance,
+        broadcast=CONFIG.broadcast,
+        network_config=CONFIG.network,
+        seed=CONFIG.seed,
+        batch_size=CONFIG.batch_size,
+    )
+    system.schedule_submissions(CONFIG.workload(process_count))
+    result = system.run(max_events=CONFIG.max_events)
+    assert result.committed_count == process_count * TRANSFERS_PER_PROCESS
+    per_instance = process_count + 2 * process_count**2
+    assert result.messages_per_commit == 2 * per_instance / TRANSFERS_PER_PROCESS
+    pbft = comparison.consensus_based.messages_per_commit
+    if process_count == 4:
+        assert result.messages_per_commit < pbft
+    else:
+        assert result.messages_per_commit > pbft
 
 
 def test_e8_echo_broadcast_sends_fewer_messages_than_bracha():

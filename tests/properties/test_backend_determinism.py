@@ -21,7 +21,7 @@ third sweep varies the pool's worker count against the shard count.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.cluster import ClusterSystem
+from repro.cluster.system import ClusterSystem
 from repro.network.node import NetworkConfig
 from repro.workloads.cluster_driver import ClusterWorkloadConfig, cluster_open_loop_workload
 

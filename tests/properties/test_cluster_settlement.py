@@ -18,7 +18,7 @@ exercises the paper-scale versions of the same assertions.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.cluster import ClusterSystem
+from repro.cluster.system import ClusterSystem
 from repro.network.node import NetworkConfig
 from repro.workloads.cluster_driver import ClusterWorkloadConfig, cluster_open_loop_workload
 

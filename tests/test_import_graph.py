@@ -105,6 +105,21 @@ def test_no_repro_module_is_imported_inside_a_function():
     assert lazy == []
 
 
+# The top-level package and the two leaf utilities keep their re-exports.
+REEXPORTING_INITS = ("repro/__init__.py", "repro/common/__init__.py", "repro/obs/__init__.py")
+
+
+def test_no_package_init_imports_anything_but_the_named_exceptions():
+    """A package ``__init__`` is a module-map docstring: importing
+    ``repro.cluster.system`` must not load the rest of ``repro.cluster``."""
+    importing = sorted(
+        str(path.relative_to(SRC))
+        for path in pathlib.Path(SRC, "repro").rglob("__init__.py")
+        if any(_imports(node) for node in ast.walk(ast.parse(path.read_text())))
+    )
+    assert importing == sorted(REEXPORTING_INITS)
+
+
 def test_no_repro_module_imports_a_profiler():
     """Not on the serial path only: no module anywhere in the library, pool
     workers and the harness included, imports a profiler."""
