@@ -30,10 +30,11 @@ test-backends:
 
 ## The settlement suites alone: the quorum-stream exactness suite over both
 ## legs, the lifecycle and adversarial suites, the soak, the settlement
-## property tests and the pinned fingerprints — the suites a settlement
-## change must keep green.
+## property tests, the signature scheme's suite (settlement's trust
+## boundary: certify, verify_certificate and their memos) and the pinned
+## fingerprints — the suites a settlement change must keep green.
 test-settlement:
-	$(PYTHON) -m pytest tests/cluster/test_settlement*.py tests/properties/test_cluster_settlement.py tests/cluster/test_pinned_fingerprints.py -q
+	$(PYTHON) -m pytest tests/cluster/test_settlement*.py tests/properties/test_cluster_settlement.py tests/crypto tests/cluster/test_pinned_fingerprints.py -q
 
 ## The migration equivalence suite alone: placement invariance across
 ## {static, manual plan, threshold policy} x {serial, process},

@@ -119,9 +119,8 @@ class EchoBroadcast(BroadcastLayer):
         if self.keypair.process != own_id:
             raise ConfigurationError("keypair does not belong to this node")
         self.relay_final = relay_final
-        # The membership as a frozenset, built once: it keys the certificate
-        # verdict cache, so origin-side assembly (certify) and receiver-side
-        # FINAL checks must form the identical allowed-signer set.
+        # The membership as a frozenset, built once: origin-side assembly
+        # (certify) and receiver-side FINAL checks admit the same signers.
         self._members = frozenset(self.all_nodes)
         self._as_origin: Dict[int, _OriginState] = {}
         self._as_receiver: Dict[InstanceKey, _ReceiverState] = {}
@@ -203,10 +202,9 @@ class EchoBroadcast(BroadcastLayer):
             return
         state.signatures[sender] = message.signature
         if len(state.signatures) >= self.quorum:
-            # One-check assembly: a single batch verdict over the collected
-            # acknowledgement signatures, priming the certificate cache the
-            # receivers' FINAL checks read — every _on_final across the
-            # shard's shared scheme is O(1) from here.
+            # One-check assembly: a single quorum verdict over the collected
+            # acknowledgement signatures; the receivers' FINAL checks re-run
+            # it, each signature answered by the scheme's verdict memo.
             certificate = self.scheme.certify(
                 expected,
                 tuple(state.signatures.values()),

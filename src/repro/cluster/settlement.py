@@ -316,9 +316,10 @@ class QuorumStream:
     def _assemble(self, claim) -> None:
         signatures = self._pending.pop(claim)
         ordered = tuple(signature for _, signature in sorted(signatures.items()))
-        # One-check quorum verification at construction: a single batch
-        # verdict covers the whole signer set and primes the certificate
-        # cache, so the inbox's or gate's re-check is O(1) from here on.
+        # One-check quorum verification at construction: a single verdict
+        # covers the whole signer set.  The inbox and the gate re-run the
+        # full certificate check, each signature answered by the scheme's
+        # verdict memo.
         bundle = self.scheme.certify(claim, ordered, self.quorum_size, self.allowed_signers)
         if bundle is None:
             # Divergence: the batch failed even though every member verified

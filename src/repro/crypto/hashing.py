@@ -46,17 +46,16 @@ def _canonical_bytes(payload: Any) -> bytes:
     return b"o:" + repr(payload).encode("utf-8")
 
 
-# Memo for hashable payloads.  Broadcast protocols hash the same (immutable)
-# payload once per received echo/ready message; memoising the digest turns an
-# O(messages) number of SHA-256-over-repr computations into O(unique payloads).
-_DIGEST_MEMO: dict = {}
-_DIGEST_MEMO_LIMIT = 200_000
-
-# Memo for the canonical encoding itself.  Signing and verification HMAC over
-# the canonical bytes of the *same* payload once per signer per hop (a batch
-# announcement is re-encoded for every replica's signature, a settlement
-# certificate for every trust boundary that re-checks it); caching the bytes
-# keyed on payload identity makes every encoding after the first a dict hit.
+# Memo for the canonical encoding.  Signing, verification and content
+# hashing encode the *same* payload object once per hop (a batch
+# announcement for every replica's signature, a settlement certificate at
+# every trust boundary that re-checks it); caching the bytes makes every
+# encoding after the first a dict hit.  Entries are keyed on the payload's
+# identity and hold the payload, so its id cannot be reused while cached and
+# a hit implies identical bytes: equal values of different types, such as
+# ``(1,)``, ``(True,)`` and ``(1.0,)``, never share an entry.  A full memo
+# is cleared, so a long run pays one re-encoding per live payload, never a
+# cost cliff.
 _CANONICAL_MEMO: dict = {}
 _CANONICAL_MEMO_LIMIT = 100_000
 
@@ -64,39 +63,26 @@ _CANONICAL_MEMO_LIMIT = 100_000
 def canonical_bytes(payload: Any) -> bytes:
     """The canonical encoding of ``payload``, memoised for hashable payloads.
 
-    Semantically identical to the private encoder: same bytes, same
-    type-discriminating key discipline as :func:`content_hash` (``True``,
-    ``1`` and ``1.0`` compare equal but never share an entry).  Unhashable
-    payloads are simply re-encoded.
+    Unhashable payloads may be mutated between calls, so they are
+    re-encoded every time.
     """
-    try:
-        key = (payload.__class__, payload)
-        cached = _CANONICAL_MEMO.get(key)
-    except TypeError:
-        return _canonical_bytes(payload)
-    if cached is not None:
-        return cached
+    entry = _CANONICAL_MEMO.get(id(payload))
+    if entry is not None:
+        return entry[1]
     encoded = _canonical_bytes(payload)
-    if len(_CANONICAL_MEMO) < _CANONICAL_MEMO_LIMIT:
-        _CANONICAL_MEMO[key] = encoded
+    try:
+        hash(payload)
+    except TypeError:
+        return encoded
+    if len(_CANONICAL_MEMO) >= _CANONICAL_MEMO_LIMIT:
+        _CANONICAL_MEMO.clear()
+    _CANONICAL_MEMO[id(payload)] = (payload, encoded)
     return encoded
 
 
 def content_hash(payload: Any) -> str:
     """Return a hex SHA-256 digest of the canonical encoding of ``payload``."""
-    # The memo key includes the type so that values that compare equal across
-    # types (True == 1, 1 == 1.0) do not share a digest.
-    try:
-        key = (payload.__class__, payload)
-        cached = _DIGEST_MEMO.get(key)
-    except TypeError:
-        return hashlib.sha256(_canonical_bytes(payload)).hexdigest()
-    if cached is not None:
-        return cached
-    digest = hashlib.sha256(_canonical_bytes(payload)).hexdigest()
-    if len(_DIGEST_MEMO) < _DIGEST_MEMO_LIMIT:
-        _DIGEST_MEMO[key] = digest
-    return digest
+    return hashlib.sha256(canonical_bytes(payload)).hexdigest()
 
 
 def short_hash(payload: Any, length: int = 12) -> str:

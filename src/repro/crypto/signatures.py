@@ -17,23 +17,15 @@ The scheme also supports *quorum certificates* — multisets of signatures over
 the same payload from distinct signers — used by the echo broadcast and by
 the k-shared BFT sequencing service.
 
-Verification is cached.  The same certificate is re-checked at every trust
-boundary it crosses (settlement relay -> inbox -> compaction gate), and the
-same per-message signature at every receiving replica; both checks are pure
-functions of their inputs, so the scheme memoises them.  The cache keys cover
-everything the answer depends on — the payload's canonical encoding, the
-claimed signer, the authentication tag, and for certificates the full
-signature tuple, the carried payload hash, the quorum size and the allowed
-signer set — so a forged or mutated artefact can never alias a cached
-verdict: any bit it changes changes the key.
-
-Quorum verification is *one check*.  :meth:`SignatureScheme.verify_quorum`
-answers "is this signature set a valid ``quorum_size`` quorum from
-``allowed_signers`` over this payload" as a single batch verdict, encoding
-the payload once for the whole signer set.  :meth:`SignatureScheme.certify`
-assembles a certificate through that batch verdict and primes the
-certificate cache with it, so the downstream relay -> inbox -> gate re-checks
-are O(1) from the moment of construction.
+Per-signature verification is cached.  The same signature is re-checked at
+every receiving replica and at every trust boundary a certificate crosses
+(settlement relay -> inbox -> compaction gate); the check is a pure function
+of the claimed signer, the authentication tag and the payload's canonical
+encoding, so the scheme memoises it under exactly that key — a forged or
+mutated artefact changes the key and is verified from scratch.  Certificates
+are not cached: :meth:`SignatureScheme.certify` checks the quorum once at
+construction and :meth:`SignatureScheme.verify_certificate` runs the full
+check at every trust boundary, each signature answered by the memo.
 """
 
 from __future__ import annotations
@@ -45,11 +37,10 @@ from typing import Any, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.types import ProcessId
-from repro.crypto.hashing import canonical_bytes
+from repro.crypto.hashing import canonical_bytes, content_hash
 
-# Bound on each memo (per scheme).  Far above what any run in this repository
-# produces; the limit only guards pathological workloads from unbounded
-# growth (entries simply stop being added, correctness is unaffected).
+# Bound on the per-scheme verdict memo, far above what any run in this
+# repository produces; a full memo is cleared, never frozen.
 _VERIFY_CACHE_LIMIT = 200_000
 
 
@@ -67,22 +58,18 @@ class Signature:
 class KeyPair:
     """The signing capability of one process."""
 
-    def __init__(self, process: ProcessId, secret: bytes, metrics=None, scheme=None) -> None:
+    def __init__(self, process: ProcessId, secret: bytes, scheme: "SignatureScheme") -> None:
         self.process = process
         self._secret = secret
-        # Optional repro.obs.MetricsRegistry: sign counts are pure
-        # accounting, never a protocol input.  When the pair knows its
-        # issuing scheme it reads the registry *through it at sign time*, so
+        # The pair reads the scheme's metrics registry at sign time, so
         # telemetry attached after key pairs were handed out (the cluster
         # wires shards before the observability layer) still counts every
-        # signature; the direct ``metrics`` capture remains as a fallback
-        # for pairs constructed without a scheme.
-        self._metrics = metrics
+        # signature.
         self._scheme = scheme
 
     def sign(self, payload: Any) -> Signature:
         """Sign ``payload`` as this process."""
-        metrics = self._scheme.metrics if self._scheme is not None else self._metrics
+        metrics = self._scheme.metrics
         if metrics is not None:
             metrics.inc("sig.sign")
         tag = hmac.new(self._secret, canonical_bytes(payload), hashlib.sha256).hexdigest()
@@ -100,12 +87,10 @@ class SignatureScheme:
         # live on every operation (key pairs route through the scheme), so
         # it can be attached or swapped at any point in a run.
         self.metrics = None
-        # Memoised verdicts.  ``_verify_cache`` maps (signer, tag, canonical
-        # payload bytes) -> bool; ``_certificate_cache`` maps the full
-        # certificate identity -> bool.  Both are exact: every input the
-        # verdict depends on is in the key.
+        # Memoised per-signature verdicts: (signer, tag, canonical payload
+        # bytes) -> bool.  Exact: every input the verdict depends on is in
+        # the key.
         self._verify_cache: Dict[tuple, bool] = {}
-        self._certificate_cache: Dict[tuple, bool] = {}
 
     # -- key management ---------------------------------------------------------------
 
@@ -147,48 +132,12 @@ class SignatureScheme:
             self._secret_for(signature.signer), encoded, hashlib.sha256
         ).hexdigest()
         result = hmac.compare_digest(expected, signature.tag)
-        if len(self._verify_cache) < _VERIFY_CACHE_LIMIT:
-            self._verify_cache[key] = result
+        if len(self._verify_cache) >= _VERIFY_CACHE_LIMIT:
+            self._verify_cache.clear()
+        self._verify_cache[key] = result
         return result
 
-    def verify_all(self, payload: Any, signatures: Iterable[Signature]) -> bool:
-        """Check every signature in ``signatures`` against ``payload``.
-
-        The payload is canonically encoded once, whatever the number of
-        signatures — the aggregate check a batch announcement's quorum needs.
-        """
-        encoded = canonical_bytes(payload)
-        return all(self._verify_encoded(encoded, signature) for signature in signatures)
-
-    def verify_quorum(
-        self,
-        payload: Any,
-        signatures: Iterable[Signature],
-        quorum_size: int,
-        allowed_signers: Optional[FrozenSet[ProcessId]] = None,
-    ) -> bool:
-        """One-check quorum verification: a batch verdict over a signer set.
-
-        True iff ``signatures`` carries valid signatures over ``payload``
-        from at least ``quorum_size`` *distinct* signers, every one of them
-        inside ``allowed_signers`` (when given).  Stricter than
-        :meth:`verify_certificate` on membership — a construction site knows
-        exactly which signers it admitted, so an outsider signature means
-        divergence, not something to skip.
-        """
-        if quorum_size <= 0:
-            raise ConfigurationError("quorum_size must be positive")
-        if self.metrics is not None:
-            self.metrics.inc("sig.verify_quorum")
-        encoded = canonical_bytes(payload)
-        signers = set()
-        for signature in signatures:
-            if allowed_signers is not None and signature.signer not in allowed_signers:
-                return False
-            if not self._verify_encoded(encoded, signature):
-                return False
-            signers.add(signature.signer)
-        return len(signers) >= quorum_size
+    # -- quorum certificates ------------------------------------------------------------
 
     def certify(
         self,
@@ -197,36 +146,39 @@ class SignatureScheme:
         quorum_size: int,
         allowed_signers: Optional[FrozenSet[ProcessId]] = None,
     ) -> Optional["QuorumCertificate"]:
-        """One-check certificate assembly: batch-verify, bundle, prime.
+        """Assemble a certificate from a signature set, or ``None`` if it fails.
 
-        Runs :meth:`verify_quorum` over the signature set and, on success,
-        returns the assembled :class:`QuorumCertificate` with the
-        certificate-verdict cache primed under the exact key the downstream
-        :meth:`verify_certificate` re-checks will form — so every trust
-        boundary after construction pays one dictionary hit.  Returns
-        ``None`` when the batch fails; the caller falls back to per-signature
-        verification to find the divergent member.  The priming is sound
-        because the batch verdict is strictly stronger than the certificate
-        check for the same payload, signatures, quorum and signer set.
+        The set must carry valid signatures over ``payload`` from at least
+        ``quorum_size`` *distinct* signers, every one of them inside
+        ``allowed_signers`` (when given).  Stricter than
+        :meth:`verify_certificate` on membership: a construction site knows
+        exactly which signers it admitted, so an outsider signature means
+        divergence, not something to skip.  On ``None`` the caller falls
+        back to per-signature checks to find the divergent member.
         """
+        if quorum_size <= 0:
+            raise ConfigurationError("quorum_size must be positive")
+        if self.metrics is not None:
+            self.metrics.inc("sig.certify")
         bundle = tuple(signatures)
-        if not self.verify_quorum(payload, bundle, quorum_size, allowed_signers):
-            return None
         encoded = canonical_bytes(payload)
+        signers = set()
+        for signature in bundle:
+            if allowed_signers is not None and signature.signer not in allowed_signers:
+                return None
+            if not self._verify_encoded(encoded, signature):
+                return None
+            signers.add(signature.signer)
+        if len(signers) < quorum_size:
+            return None
         payload_hash = hashlib.sha256(encoded).hexdigest()
-        certificate = QuorumCertificate(payload_hash=payload_hash, signatures=bundle)
-        key = (encoded, payload_hash, bundle, quorum_size, allowed_signers)
-        if len(self._certificate_cache) < _VERIFY_CACHE_LIMIT:
-            self._certificate_cache[key] = True
-        return certificate
-
-    # -- quorum certificates ------------------------------------------------------------
+        return QuorumCertificate(payload_hash=payload_hash, signatures=bundle)
 
     def make_certificate(
         self, payload: Any, signatures: Iterable[Signature]
     ) -> "QuorumCertificate":
-        """Bundle signatures over ``payload`` into a certificate."""
-        return QuorumCertificate(payload_hash=self._payload_hash(payload), signatures=tuple(signatures))
+        """Bundle signatures over ``payload`` into a certificate, unchecked."""
+        return QuorumCertificate(payload_hash=content_hash(payload), signatures=tuple(signatures))
 
     def verify_certificate(
         self,
@@ -237,38 +189,15 @@ class SignatureScheme:
     ) -> bool:
         """Check a certificate: enough *distinct*, valid signatures over ``payload``.
 
-        The verdict is memoised on the certificate's full identity — payload
-        encoding, carried payload hash, every (signer, tag) pair, quorum size
-        and allowed-signer set — so the relay/inbox/gate re-checks of one
-        certificate cost one dictionary lookup after first sight, while any
-        mutation (a swapped tag, an extra signer, a different payload) forms
-        a different key and is verified from scratch.
+        Signatures from outside ``allowed_signers`` (when given) are skipped,
+        not counted.  The check runs in full at every trust boundary; only
+        the per-signature verdicts are memoised.
         """
         if quorum_size <= 0:
             raise ConfigurationError("quorum_size must be positive")
         if self.metrics is not None:
             self.metrics.inc("sig.verify_certificate")
         encoded = canonical_bytes(payload)
-        key = (encoded, certificate.payload_hash, certificate.signatures, quorum_size, allowed_signers)
-        cached = self._certificate_cache.get(key)
-        if cached is not None:
-            if self.metrics is not None:
-                self.metrics.inc("sig.verify_certificate_cached")
-            return cached
-        result = self._verify_certificate_uncached(
-            encoded, certificate, quorum_size, allowed_signers
-        )
-        if len(self._certificate_cache) < _VERIFY_CACHE_LIMIT:
-            self._certificate_cache[key] = result
-        return result
-
-    def _verify_certificate_uncached(
-        self,
-        encoded: bytes,
-        certificate: "QuorumCertificate",
-        quorum_size: int,
-        allowed_signers: Optional[FrozenSet[ProcessId]],
-    ) -> bool:
         if certificate.payload_hash != hashlib.sha256(encoded).hexdigest():
             return False
         signers = set()
@@ -279,10 +208,6 @@ class SignatureScheme:
                 return False
             signers.add(signature.signer)
         return len(signers) >= quorum_size
-
-    @staticmethod
-    def _payload_hash(payload: Any) -> str:
-        return hashlib.sha256(canonical_bytes(payload)).hexdigest()
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.common.types import Transfer
-from repro.crypto.hashing import content_hash, short_hash
-from repro.crypto.signatures import SignatureScheme
+from repro.crypto import hashing, signatures
+from repro.crypto.hashing import canonical_bytes, content_hash, short_hash
+from repro.crypto.signatures import Signature, SignatureScheme
 
 
 class TestContentHash:
@@ -34,6 +35,59 @@ class TestContentHash:
         assert content_hash([{"a": [1, 2]}]) == content_hash([{"a": [1, 2]}])
 
 
+class TestCanonicalEncodingIsHistoryFree:
+    """Equal values of different nested types encode apart, whatever the
+    memo saw first: ``(1,) == (True,) == (1.0,)``, but their bytes differ."""
+
+    def test_nested_bool_after_int(self):
+        int_digest = content_hash(("history-bool", 1))
+        assert content_hash(("history-bool", True)) != int_digest
+        assert canonical_bytes(("history-bool", True)) == b"l:[s:history-bool,B:1]"
+
+    def test_nested_int_after_float(self):
+        assert canonical_bytes(("history-float", 2.0)) == b"l:[s:history-float,f:2.0]"
+        assert canonical_bytes(("history-float", 2)) == b"l:[s:history-float,i:2]"
+
+    def test_a_signature_over_a_float_does_not_verify_an_int(self):
+        scheme = SignatureScheme(seed=3)
+        signature = scheme.keypair_for(0).sign(("history-sig", 1.0))
+        assert scheme.verify(("history-sig", 1.0), signature)
+        assert not scheme.verify(("history-sig", 1), signature)
+
+
+class TestBoundedMemos:
+    """A full memo is cleared, not frozen: it stays bounded and memoises
+    every payload it meets afterwards."""
+
+    def test_canonical_memo_stays_bounded_and_keeps_memoising(self, monkeypatch):
+        monkeypatch.setattr(hashing, "_CANONICAL_MEMO_LIMIT", 8)
+        monkeypatch.setattr(hashing, "_CANONICAL_MEMO", {})
+        for index in range(50):
+            assert canonical_bytes(("overfill", index)) == b"l:[s:overfill,i:%d]" % index
+            assert len(hashing._CANONICAL_MEMO) <= 8
+        fresh = ("after-overfill", 1)
+        # A memo hit returns the stored bytes object itself.
+        assert canonical_bytes(fresh) is canonical_bytes(fresh)
+
+    def test_verify_cache_stays_bounded_and_keeps_memoising(self, monkeypatch):
+        from repro.obs import MetricsRegistry
+
+        monkeypatch.setattr(signatures, "_VERIFY_CACHE_LIMIT", 4)
+        scheme = SignatureScheme(seed=1)
+        pair = scheme.keypair_for(0)
+        for index in range(20):
+            payload = ("overfill", index)
+            assert scheme.verify(payload, pair.sign(payload))
+            assert len(scheme._verify_cache) <= 4
+        registry = MetricsRegistry()
+        scheme.metrics = registry
+        fresh = ("after-overfill", 1)
+        signature = pair.sign(fresh)
+        assert scheme.verify(fresh, signature)
+        assert scheme.verify(fresh, signature)
+        assert registry.counter("sig.verify_cached").value == 1
+
+
 class TestSignatures:
     def test_sign_and_verify(self):
         scheme = SignatureScheme(seed=1)
@@ -51,12 +105,6 @@ class TestSignatures:
         signature = scheme.keypair_for(3).sign("hello")
         forged = type(signature)(signer=4, tag=signature.tag)
         assert not scheme.verify("hello", forged)
-
-    def test_verify_all(self):
-        scheme = SignatureScheme(seed=1)
-        signatures = [scheme.keypair_for(p).sign("x") for p in range(3)]
-        assert scheme.verify_all("x", signatures)
-        assert not scheme.verify_all("y", signatures)
 
     def test_different_scheme_seeds_are_incompatible(self):
         signature = SignatureScheme(seed=1).keypair_for(0).sign("x")
@@ -130,25 +178,8 @@ class TestSignTelemetry:
 
 
 class TestVerificationCache:
-    """Re-verification is memoised; the key covers every verdict input."""
-
-    def test_repeated_certificate_verification_hits_the_cache(self):
-        from repro.obs import MetricsRegistry
-
-        scheme = SignatureScheme(seed=1)
-        registry = MetricsRegistry()
-        scheme.metrics = registry
-        payload = ("settle", 1, 2, 3)
-        certificate = scheme.make_certificate(
-            payload, [scheme.keypair_for(p).sign(payload) for p in range(3)]
-        )
-        assert scheme.verify_certificate(payload, certificate, quorum_size=3)
-        assert registry.counter("sig.verify_certificate_cached").value == 0
-        for _ in range(5):  # relay -> inbox -> gate style re-checks
-            assert scheme.verify_certificate(payload, certificate, quorum_size=3)
-        assert registry.counter("sig.verify_certificate_cached").value == 5
-        # The per-signature work ran once per signer, not once per re-check.
-        assert registry.counter("sig.verify").value == 3
+    """Per-signature verdicts are memoised; the key covers every verdict
+    input, and certificates are checked in full every time."""
 
     def test_cached_and_uncached_verdicts_agree(self):
         scheme = SignatureScheme(seed=1)
@@ -167,8 +198,8 @@ class TestVerificationCache:
             payload, [scheme.keypair_for(p).sign(payload) for p in range(2)]
         )
         assert scheme.verify_certificate(payload, certificate, quorum_size=2)
-        # A stricter question about the same certificate must not reuse the
-        # cached "yes".
+        # Every signature's verdict is now a cached "yes"; a stricter
+        # question about the same certificate must still fail.
         assert not scheme.verify_certificate(payload, certificate, quorum_size=3)
         assert not scheme.verify_certificate(
             payload, certificate, quorum_size=2, allowed_signers=frozenset({0})
@@ -176,9 +207,9 @@ class TestVerificationCache:
 
 
 class TestOneCheckQuorum:
-    """verify_quorum/certify: one batch verdict per signer set; a forged
+    """certify: one quorum verdict per signer set at construction; a forged
     member, swapped identity, mutated payload or replayed bundle never
-    passes, however often the genuine bundle was checked before."""
+    certifies, however often the genuine bundle was checked before."""
 
     def _scheme_payload_bundle(self, quorum=3):
         scheme = SignatureScheme(seed=5)
@@ -188,15 +219,20 @@ class TestOneCheckQuorum:
 
     def test_quorum_of_distinct_valid_signers_passes(self):
         scheme, payload, bundle = self._scheme_payload_bundle()
-        assert scheme.verify_quorum(payload, bundle, quorum_size=3)
-        assert scheme.verify_quorum(
-            payload, bundle, quorum_size=3, allowed_signers=frozenset(range(4))
+        allowed = frozenset(range(4))
+        assert scheme.certify(payload, bundle, 3) is not None
+        certificate = scheme.certify(payload, bundle, 3, allowed)
+        assert certificate is not None
+        assert certificate.signatures == bundle
+        assert certificate == scheme.make_certificate(payload, bundle)
+        assert scheme.verify_certificate(
+            payload, certificate, quorum_size=3, allowed_signers=allowed
         )
 
     def test_duplicate_signers_do_not_inflate_the_quorum(self):
         scheme, payload, bundle = self._scheme_payload_bundle()
         padded = bundle[:2] + (bundle[1],)
-        assert not scheme.verify_quorum(payload, padded, quorum_size=3)
+        assert scheme.certify(payload, padded, 3) is None
 
     def test_outsider_signer_fails_the_whole_batch(self):
         # Stricter than verify_certificate: a construction site knows which
@@ -207,14 +243,12 @@ class TestOneCheckQuorum:
         assert scheme.verify_certificate(
             payload, certificate, quorum_size=2, allowed_signers=allowed
         )
-        assert not scheme.verify_quorum(
-            payload, bundle, quorum_size=2, allowed_signers=allowed
-        )
+        assert scheme.certify(payload, bundle, 2, allowed) is None
 
     def test_invalid_quorum_size_rejected(self):
         scheme, payload, bundle = self._scheme_payload_bundle()
         with pytest.raises(Exception):
-            scheme.verify_quorum(payload, bundle, quorum_size=0)
+            scheme.certify(payload, bundle, 0)
 
     def test_repeated_checks_reuse_the_per_signature_verdicts(self):
         from repro.obs import MetricsRegistry
@@ -223,62 +257,39 @@ class TestOneCheckQuorum:
         registry = MetricsRegistry()
         scheme.metrics = registry
         for _ in range(7):  # the trust boundaries of both settlement legs
-            assert scheme.verify_quorum(payload, bundle, quorum_size=3)
+            assert scheme.certify(payload, bundle, 3) is not None
         # Every check walks the signer set; the HMAC ran once per signer.
-        assert registry.counter("sig.verify_quorum").value == 7
+        assert registry.counter("sig.certify").value == 7
         assert registry.counter("sig.verify").value == 7 * 3
         assert registry.counter("sig.verify_cached").value == 6 * 3
 
     def test_forged_member_never_aliases_a_warm_batch(self):
-        from repro.crypto.signatures import Signature
-
         scheme, payload, bundle = self._scheme_payload_bundle()
         for _ in range(3):
-            assert scheme.verify_quorum(payload, bundle, quorum_size=3)
+            assert scheme.certify(payload, bundle, 3) is not None
         forged = bundle[:2] + (Signature(signer=2, tag="0" * 64),)
-        assert not scheme.verify_quorum(payload, forged, quorum_size=3)
+        assert scheme.certify(payload, forged, 3) is None
         swapped = bundle[:2] + (Signature(signer=3, tag=bundle[2].tag),)
-        assert not scheme.verify_quorum(payload, swapped, quorum_size=3)
-        assert not scheme.verify_quorum(("claim", 0, 1, 8), bundle, quorum_size=3)
+        assert scheme.certify(payload, swapped, 3) is None
+        assert scheme.certify(("claim", 0, 1, 8), bundle, 3) is None
         # The genuine verdict is intact afterwards.
-        assert scheme.verify_quorum(payload, bundle, quorum_size=3)
+        assert scheme.certify(payload, bundle, 3) is not None
 
     def test_stricter_questions_never_reuse_a_cached_yes(self):
         scheme, payload, bundle = self._scheme_payload_bundle()
-        assert scheme.verify_quorum(payload, bundle, quorum_size=3)
-        assert not scheme.verify_quorum(payload, bundle, quorum_size=4)
-        assert not scheme.verify_quorum(
-            payload, bundle, quorum_size=3, allowed_signers=frozenset({0, 1})
-        )
+        assert scheme.certify(payload, bundle, 3) is not None
+        assert scheme.certify(payload, bundle, 4) is None
+        assert scheme.certify(payload, bundle, 3, frozenset({0, 1})) is None
 
     def test_unhashable_payloads_verify_without_the_memo(self):
         scheme = SignatureScheme(seed=5)
         payload = ["batch", [1, 2], {"k": 3}]
         bundle = tuple(scheme.keypair_for(p).sign(payload) for p in range(3))
-        assert scheme.verify_quorum(payload, bundle, quorum_size=3)
-        assert scheme.verify_quorum(payload, bundle, quorum_size=3)
-        assert not scheme.verify_quorum(["batch", [1, 2], {"k": 4}], bundle, quorum_size=3)
-
-    def test_certify_returns_a_certificate_and_primes_downstream_checks(self):
-        from repro.obs import MetricsRegistry
-
-        scheme, payload, bundle = self._scheme_payload_bundle()
-        registry = MetricsRegistry()
-        scheme.metrics = registry
-        allowed = frozenset(range(4))
-        certificate = scheme.certify(payload, bundle, 3, allowed)
-        assert certificate is not None
-        assert certificate.signatures == bundle
-        # The first downstream re-check is already a cache hit: assembly
-        # primed the certificate verdict under the exact downstream key.
-        assert scheme.verify_certificate(
-            payload, certificate, quorum_size=3, allowed_signers=allowed
-        )
-        assert registry.counter("sig.verify_certificate_cached").value == 1
+        assert scheme.certify(payload, bundle, 3) is not None
+        assert scheme.certify(payload, bundle, 3) is not None
+        assert scheme.certify(["batch", [1, 2], {"k": 4}], bundle, 3) is None
 
     def test_certify_rejects_a_divergent_batch(self):
-        from repro.crypto.signatures import Signature
-
         scheme, payload, bundle = self._scheme_payload_bundle()
         forged = bundle[:2] + (Signature(signer=2, tag="0" * 64),)
         assert scheme.certify(payload, forged, 3, frozenset(range(4))) is None
