@@ -55,9 +55,9 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.byzantine.behaviors import Behavior, OutgoingMessage
+from repro.byzantine.behaviors import Behavior
 from repro.cluster.routing import parse_external_account
 from repro.common.errors import ConfigurationError
 from repro.common.types import AccountId, Amount, ProcessId, Transfer
@@ -630,6 +630,27 @@ class CompactionGate:
 # -- the fabric -------------------------------------------------------------------------------
 
 
+class _SlotRecord(NamedTuple):
+    """What the fabric keeps per stream slot ``(source, destination,
+    issuer, sequence)``, from its first voucher until the gate retires it."""
+
+    transfer: Transfer  # the outbound ledger record the slot retires
+    validated_at: float  # its first validation, on the source shard's clock
+    claim: SettlementClaim  # the slot's claim, signed by every replica that agrees
+    ack_claim: SettlementAckClaim  # the slot's watermark, signed by every minting replica
+
+
+def _voucher_pair(shard: int, recipient: int, voucher: SettlementVoucher) -> Tuple[int, int]:
+    """A voucher rides the pair its sender addressed: ``recipient`` is the
+    destination shard a (possibly Byzantine) behaviour sent it to."""
+    return shard, recipient
+
+
+def _ack_pair(shard: int, recipient: int, ack: SettlementAck) -> Tuple[int, int]:
+    """An ack rides the pair its (possibly substituted) claim names."""
+    return ack.claim.source_shard, ack.claim.destination_shard
+
+
 class SettlementFabric:
     """Wires every shard pair's relay, the inboxes and the gates together.
 
@@ -649,17 +670,19 @@ class SettlementFabric:
         # and inbox decisions run here, in the driver, on every backend.
         self.scheduler = scheduler
         self._shards = {shard.index: shard for shard in shards}
+        # Each shard's replica ids: the signers its certificates may carry.
+        self._signers = {shard.index: frozenset(range(shard.replicas)) for shard in shards}
         self._relays: Dict[Tuple[int, int], SettlementRelay] = {}
         self._out_sequences: Dict[Tuple[int, ProcessId], Dict[Tuple[int, ProcessId], int]] = {}
         self._keypairs: Dict[Tuple[int, ProcessId], KeyPair] = {}
         # ``(leg, shard, replica) -> behaviour`` for ``leg`` "vouchers"/"acks".
         self._behaviors: Dict[Tuple[str, int, ProcessId], Behavior] = {}
-        # ``(source, destination, issuer) -> sequence -> (transfer,
-        # validated_at)``: written once per claim, popped by the gates as
-        # watermarks retire it, so it tracks the in-flight window.
-        self._stream_records: Dict[
-            Tuple[int, int, ProcessId], Dict[int, Tuple[Transfer, float]]
-        ] = {}
+        # ``(source, destination, issuer) -> sequence -> record``: written
+        # once per stream slot, by its first observer, and popped by the
+        # gates as watermarks retire it, so it tracks the in-flight window.
+        # The record holds the slot's one claim and one ack claim: replicas
+        # that agree sign the same objects, so each is encoded once.
+        self._stream_records: Dict[Tuple[int, int, ProcessId], Dict[int, _SlotRecord]] = {}
         # A retirement certificate carries its destination shard's
         # signatures, a settlement certificate its source shard's.
         self.gates: Dict[int, CompactionGate] = {
@@ -713,6 +736,15 @@ class SettlementFabric:
 
         ``at`` is the validation's timestamp on the validating shard's clock,
         as the barrier scheduler replays the collected event.
+
+        All correct replicas derive the same stream sequence, so the first
+        observer of a stream slot records it: the outbound ledger record the
+        compaction gate retires, and the slot's one
+        :class:`SettlementClaim` (and :class:`SettlementAckClaim`).  A
+        replica whose validated transfer equals the recorded one signs the
+        recorded claim object, so a slot's claim is encoded once however many
+        replicas voucher it; a replica that validated something else builds
+        and signs its own claim.  Every replica signs with its own key.
         """
         parsed = parse_external_account(transfer.destination)
         if parsed is None:
@@ -724,23 +756,30 @@ class SettlementFabric:
         stream = (destination_shard, transfer.issuer)
         sequence = counters.get(stream, 0) + 1
         counters[stream] = sequence
-        claim = SettlementClaim(
-            source_shard=shard_index,
-            destination_shard=destination_shard,
-            issuer=transfer.issuer,
-            sequence=sequence,
-            account=account,
-            amount=transfer.amount,
-        )
-        voucher = SettlementVoucher(claim=claim, signature=self._keypair(shard_index, replica).sign(claim))
-        # Record the outbound ledger record behind its stream sequence (all
-        # replicas derive the same sequence, so the first observer wins); the
-        # compaction gate consumes these when the ack quorum retires them.
-        self._stream_records.setdefault(
+        records = self._stream_records.setdefault(
             (shard_index, destination_shard, transfer.issuer), {}
-        ).setdefault(sequence, (transfer, at))
-        # A voucher rides the pair its sender addressed: ``out.recipient`` is
-        # the destination shard a (possibly Byzantine) behaviour sent it to.
+        )
+        record = records.get(sequence)
+        if record is not None and record.transfer == transfer:
+            claim = record.claim
+        else:
+            claim = SettlementClaim(
+                source_shard=shard_index,
+                destination_shard=destination_shard,
+                issuer=transfer.issuer,
+                sequence=sequence,
+                account=account,
+                amount=transfer.amount,
+            )
+            if record is None:
+                ack_claim = SettlementAckClaim(
+                    source_shard=shard_index,
+                    destination_shard=destination_shard,
+                    issuer=transfer.issuer,
+                    sequence=sequence,
+                )
+                records[sequence] = _SlotRecord(transfer, at, claim, ack_claim)
+        voucher = SettlementVoucher(claim=claim, signature=self._keypair(shard_index, replica).sign(claim))
         self.vouchers_dispatched += self._send(
             "vouchers",
             self.config.voucher_delay,
@@ -748,7 +787,7 @@ class SettlementFabric:
             voucher,
             at,
             destination_shard,
-            lambda out: (shard_index, out.recipient),
+            _voucher_pair,
         )
 
     def _ack_emitter(
@@ -757,22 +796,30 @@ class SettlementFabric:
         """The inbox's post-mint hook: sign and dispatch this replica's ack.
 
         Fired at the accept decision, so ack timing is identical on every
-        backend."""
+        backend.  A recorded slot's ack claim is shared by every replica
+        that mints it (it names only the slot); a slot the fabric never
+        recorded gets its own."""
 
         def emit(claim: SettlementClaim) -> None:
-            ack_claim = SettlementAckClaim(
-                source_shard=claim.source_shard,
-                destination_shard=claim.destination_shard,
-                issuer=claim.issuer,
-                sequence=claim.sequence,
+            records = self._stream_records.get(
+                (claim.source_shard, claim.destination_shard, claim.issuer)
             )
+            record = None if records is None else records.get(claim.sequence)
+            emitted_at = self.scheduler.now
+            if record is None:
+                ack_claim = SettlementAckClaim(
+                    source_shard=claim.source_shard,
+                    destination_shard=claim.destination_shard,
+                    issuer=claim.issuer,
+                    sequence=claim.sequence,
+                )
+            else:
+                ack_claim = record.ack_claim
+                self._record_latency(max(0.0, emitted_at - record.validated_at))
             ack = SettlementAck(
                 claim=ack_claim,
                 signature=self._keypair(shard_index, replica).sign(ack_claim),
             )
-            emitted_at = self.scheduler.now
-            self._record_latency(claim, emitted_at)
-            # An ack rides the pair its (possibly substituted) claim names.
             self.acks_dispatched += self._send(
                 "acks",
                 self.config.ack_delay,
@@ -780,7 +827,7 @@ class SettlementFabric:
                 ack,
                 emitted_at,
                 claim.source_shard,
-                lambda out: (out.message.claim.source_shard, out.message.claim.destination_shard),
+                _ack_pair,
             )
 
         return emit
@@ -793,28 +840,30 @@ class SettlementFabric:
         item,
         emitted_at: float,
         recipient: int,
-        pair_of: Callable[[OutgoingMessage], Tuple[int, int]],
+        pair_of: Callable[[int, int, object], Tuple[int, int]],
     ) -> int:
         """Pass ``item`` through the sender's behaviour, if any, and queue
         what comes out on the ``leg`` stream ("vouchers" or "acks") of the
-        pair ``pair_of`` names; returns how many messages were queued.  A
-        message for a nonexistent or same-shard pair is dropped on the floor,
-        like misaddressed network traffic.
+        pair ``pair_of(sender shard, recipient, message)`` names; returns how
+        many messages were queued.  A message for a nonexistent or
+        same-shard pair is dropped on the floor, like misaddressed network
+        traffic.
         """
-        behavior = self._behaviors.get((leg, *sender))
+        behavior = self._behaviors.get((leg, *sender)) if self._behaviors else None
         if behavior is None:
-            outgoing = [OutgoingMessage(recipient=recipient, message=item)]
+            outgoing = ((recipient, item, 0.0),)
         else:
-            outgoing = behavior.transform(sender[1], recipient, item)
+            outgoing = [
+                (out.recipient, out.message, out.extra_delay)
+                for out in behavior.transform(sender[1], recipient, item)
+            ]
         sent = 0
-        for out in outgoing:
-            source, destination = pair_of(out)
+        for to, message, extra_delay in outgoing:
+            source, destination = pair_of(sender[0], to, message)
             if source == destination or source not in self._shards or destination not in self._shards:
                 continue
             stream = getattr(self.relay(source, destination), leg)
-            self.scheduler.enqueue(
-                leg, emitted_at + delay + out.extra_delay, stream.submit, out.message
-            )
+            self.scheduler.enqueue(leg, emitted_at + delay + extra_delay, stream.submit, message)
             sent += 1
         return sent
 
@@ -825,14 +874,7 @@ class SettlementFabric:
             self._keypairs[(shard_index, replica)] = keypair
         return keypair
 
-    def _record_latency(self, claim: SettlementClaim, accepted_at: float) -> None:
-        records = self._stream_records.get(
-            (claim.source_shard, claim.destination_shard, claim.issuer), {}
-        )
-        entry = records.get(claim.sequence)
-        if entry is None:
-            return
-        latency = max(0.0, accepted_at - entry[1])
+    def _record_latency(self, latency: float) -> None:
         self._latency_count += 1
         self._latency_total += latency
         self._latency_max = max(self._latency_max, latency)
@@ -853,12 +895,12 @@ class SettlementFabric:
                 destination_shard=destination_shard,
                 scheme=source.scheme,
                 quorum_size=source.quorum_size,
-                allowed_signers=frozenset(range(source.replicas)),
+                allowed_signers=self._signers[source_shard],
                 dispatch=self._deliver_later("certificates"),
                 retirement_dispatch=self._deliver_later("retirement_certificates"),
                 ack_scheme=destination.scheme,
                 ack_quorum_size=destination.quorum_size,
-                ack_allowed_signers=frozenset(range(destination.replicas)),
+                ack_allowed_signers=self._signers[destination_shard],
             )
             for pid in sorted(destination.nodes):
                 relay.vouchers.subscribe(self.inboxes[(destination_shard, pid)].receive)
@@ -885,7 +927,7 @@ class SettlementFabric:
             claim,
             certificate,
             quorum_size=shard.quorum_size,
-            allowed_signers=frozenset(range(shard.replicas)),
+            allowed_signers=self._signers[signer_shard],
         )
 
     def _take_stream_records(
@@ -899,7 +941,7 @@ class SettlementFabric:
         span = range(first_sequence, claim.sequence + 1)
         if any(sequence not in records for sequence in span):
             return None
-        return [records.pop(sequence)[0] for sequence in span]
+        return [records.pop(sequence).transfer for sequence in span]
 
     # -- audit views --------------------------------------------------------------------------
 

@@ -6,6 +6,17 @@ recomputes it through the :class:`SignatureScheme`, which holds the mapping
 from process identifiers to verification secrets (the "public key
 directory").
 
+A tag is HMAC-SHA256 (RFC 2104) in lowercase hex, byte-identical to
+``hmac.new(secret, message, hashlib.sha256).hexdigest()``.  The two keyed
+halves of the construction do not depend on the message, so each key
+absorbs them once: a secret longer than SHA-256's 64-byte block is first
+replaced by its digest, the result is zero-padded to the block, and
+``sha256(key XOR ipad)`` and ``sha256(key XOR opad)`` are kept as hash
+states.  A tag is then ``outer.copy()`` updated with the digest of
+``inner.copy()`` updated with the message: two state copies and no key
+schedule per signature.  A key pair holds its own states; the scheme holds
+one set per signer in its directory, made with that signer's secret.
+
 Unforgeability in the simulation comes from an object-capability argument:
 only code holding the :class:`KeyPair` instance can call :meth:`KeyPair.sign`
 for that process, and the Byzantine node implementations in this repository
@@ -43,6 +54,33 @@ from repro.crypto.hashing import canonical_bytes, content_hash
 # repository produces; a full memo is cleared, never frozen.
 _VERIFY_CACHE_LIMIT = 200_000
 
+# RFC 2104 with H = SHA-256: block size B = 64 bytes, and the pads as byte
+# translation tables (``key.translate(_IPAD)`` is ``key XOR 0x36...``).
+_BLOCK_SIZE = 64
+_IPAD = bytes(byte ^ 0x36 for byte in range(256))
+_OPAD = bytes(byte ^ 0x5C for byte in range(256))
+
+
+class _HmacKey:
+    """One secret's HMAC-SHA256 key states, absorbed once."""
+
+    __slots__ = ("_inner", "_outer")
+
+    def __init__(self, secret: bytes) -> None:
+        if len(secret) > _BLOCK_SIZE:
+            secret = hashlib.sha256(secret).digest()
+        block = secret.ljust(_BLOCK_SIZE, b"\0")
+        self._inner = hashlib.sha256(block.translate(_IPAD))
+        self._outer = hashlib.sha256(block.translate(_OPAD))
+
+    def tag(self, message: bytes) -> str:
+        """``hmac.new(secret, message, hashlib.sha256).hexdigest()``."""
+        inner = self._inner.copy()
+        inner.update(message)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.hexdigest()
+
 
 @dataclass(frozen=True, slots=True)
 class Signature:
@@ -60,7 +98,7 @@ class KeyPair:
 
     def __init__(self, process: ProcessId, secret: bytes, scheme: "SignatureScheme") -> None:
         self.process = process
-        self._secret = secret
+        self._key = _HmacKey(secret)
         # The pair reads the scheme's metrics registry at sign time, so
         # telemetry attached after key pairs were handed out (the cluster
         # wires shards before the observability layer) still counts every
@@ -72,8 +110,7 @@ class KeyPair:
         metrics = self._scheme.metrics
         if metrics is not None:
             metrics.inc("sig.sign")
-        tag = hmac.new(self._secret, canonical_bytes(payload), hashlib.sha256).hexdigest()
-        return Signature(signer=self.process, tag=tag)
+        return Signature(signer=self.process, tag=self._key.tag(canonical_bytes(payload)))
 
 
 class SignatureScheme:
@@ -81,7 +118,8 @@ class SignatureScheme:
 
     def __init__(self, seed: int = 0) -> None:
         self._seed = seed
-        self._secrets: Dict[ProcessId, bytes] = {}
+        # The verification keys: each known signer's HMAC key states.
+        self._keys: Dict[ProcessId, _HmacKey] = {}
         # Optional repro.obs.MetricsRegistry counting sign/verify volume —
         # the figure the 10x-engine work decomposes HMAC cost with.  Read
         # live on every operation (key pairs route through the scheme), so
@@ -105,12 +143,14 @@ class SignatureScheme:
         return KeyPair(process, self._secret_for(process), scheme=self)
 
     def _secret_for(self, process: ProcessId) -> bytes:
-        secret = self._secrets.get(process)
-        if secret is None:
-            material = f"secret/{self._seed}/{process}".encode("utf-8")
-            secret = hashlib.sha256(material).digest()
-            self._secrets[process] = secret
-        return secret
+        material = f"secret/{self._seed}/{process}".encode("utf-8")
+        return hashlib.sha256(material).digest()
+
+    def _key_for(self, process: ProcessId) -> _HmacKey:
+        key = self._keys.get(process)
+        if key is None:
+            key = self._keys[process] = _HmacKey(self._secret_for(process))
+        return key
 
     # -- verification --------------------------------------------------------------------
 
@@ -119,19 +159,26 @@ class SignatureScheme:
         return self._verify_encoded(canonical_bytes(payload), signature)
 
     def _verify_encoded(self, encoded: bytes, signature: Signature) -> bool:
-        """Verify against pre-encoded canonical payload bytes (cached)."""
-        if self.metrics is not None:
-            self.metrics.inc("sig.verify")
-        key = (signature.signer, signature.tag, encoded)
+        """Verify against pre-encoded canonical payload bytes (cached).
+
+        A tag that is not an ASCII string (bytes, ``None``, a number, a
+        non-ASCII string: what a Byzantine sender can put on the wire) is
+        invalid; it is refused before it can reach the memo key or
+        ``compare_digest``, both of which would raise on it.
+        """
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.inc("sig.verify")
+        tag = signature.tag
+        if not isinstance(tag, str) or not tag.isascii():
+            return False
+        key = (signature.signer, tag, encoded)
         cached = self._verify_cache.get(key)
         if cached is not None:
-            if self.metrics is not None:
-                self.metrics.inc("sig.verify_cached")
+            if metrics is not None:
+                metrics.inc("sig.verify_cached")
             return cached
-        expected = hmac.new(
-            self._secret_for(signature.signer), encoded, hashlib.sha256
-        ).hexdigest()
-        result = hmac.compare_digest(expected, signature.tag)
+        result = hmac.compare_digest(self._key_for(signature.signer).tag(encoded), tag)
         if len(self._verify_cache) >= _VERIFY_CACHE_LIMIT:
             self._verify_cache.clear()
         self._verify_cache[key] = result

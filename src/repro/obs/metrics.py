@@ -117,7 +117,12 @@ class MetricsRegistry:
         return histogram
 
     def inc(self, name: str, amount: int = 1) -> None:
-        self.counter(name).inc(amount)
+        # ``counter(name).inc(amount)`` in one frame: the hot instrument
+        # (every signature and verification counts through here).
+        counter = self.counters.get(name)
+        if counter is None:
+            counter = self.counters[name] = Counter()
+        counter.value += amount
 
     def set_gauge(self, name: str, value: float) -> None:
         self.gauge(name).set(value)

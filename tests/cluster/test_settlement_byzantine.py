@@ -18,7 +18,13 @@ the shard protocol reacting to the faults runs wherever the backend puts it.
 
 import pytest
 
-from repro.byzantine.behaviors import CrashBehavior, EquivocationPlan, ScriptedBehavior
+from repro.byzantine.behaviors import (
+    Behavior,
+    CrashBehavior,
+    EquivocationPlan,
+    OutgoingMessage,
+    ScriptedBehavior,
+)
 from repro.cluster.backends import BACKEND_NAMES
 from repro.cluster.system import ClusterSystem
 from repro.cluster.settlement import (
@@ -30,7 +36,7 @@ from repro.cluster.settlement import (
     SettlementVoucher,
     mint_transfer,
 )
-from repro.crypto.signatures import SignatureScheme
+from repro.crypto.signatures import Signature, SignatureScheme
 from repro.workloads.cluster_driver import ClusterSubmission
 
 # Each backend by name, plus "one-worker": the process pool shrunk to a
@@ -301,6 +307,38 @@ class TestWithheldAndEquivocatedVouchers:
         assert audit.minted == 9  # the honest amount, not the inflated one
         assert system.settlement.pending_claims() == 1  # the bogus claim, starved
         assert system.check_definition1().ok
+
+    def test_a_malformed_voucher_tag_is_rejected_not_raised(self, make_system):
+        """One replica re-sends each voucher with its tag as bytes: the relay
+        rejects it like any bad signature, and the honest quorum settles
+        every credit — a malformed tag can neither crash the exchange nor
+        block a settlement."""
+
+        class BytesTag(Behavior):
+            def transform(self, sender, recipient, voucher):
+                tag = voucher.signature.tag.encode("ascii")
+                signature = Signature(signer=voucher.signature.signer, tag=tag)
+                malformed = SettlementVoucher(claim=voucher.claim, signature=signature)
+                return [OutgoingMessage(recipient=recipient, message=malformed)]
+
+        system = make_system()
+        system.settlement.set_voucher_behavior(0, 3, BytesTag())
+        a = _user_on_shard(system.router, 0)
+        b = _user_on_shard(system.router, 1)
+        system.schedule_submissions(
+            [
+                ClusterSubmission(time=0.001, source_user=a, destination_user=b, amount=4),
+                ClusterSubmission(time=0.002, source_user=a, destination_user=b, amount=6),
+            ]
+        )
+        system.run()
+        assert system.settlement.relay(0, 1).vouchers.rejected == 2
+        audit = system.supply_audit()
+        assert audit.minted == 10
+        assert audit.fully_settled
+        assert audit.fully_retired
+        report = system.check_definition1()
+        assert report.ok, report.violations
 
 
 class TestOutOfOrderCertification:

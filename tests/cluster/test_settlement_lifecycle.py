@@ -18,6 +18,7 @@ from repro.cluster.shard import ShardSpec
 from repro.cluster.system import ClusterSystem
 from repro.cluster.settlement import (
     CompactionGate,
+    QuorumStream,
     RetirementCertificate,
     SettlementAck,
     SettlementAckClaim,
@@ -29,6 +30,7 @@ from repro.cluster.settlement import (
 )
 from repro.common.errors import ConfigurationError
 from repro.common.types import Transfer
+from repro.crypto import hashing
 from repro.crypto.signatures import SignatureScheme
 from repro.workloads.cluster_driver import (
     ClusterSubmission,
@@ -323,6 +325,94 @@ class TestLifecycleEndToEnd:
         samples, average, worst = system.settlement.settlement_latency()
         assert samples > 0
         assert 0 < average <= worst
+
+
+class TestOneClaimPerSlot:
+    """Replicas that agree on a stream slot sign one claim object: the
+    fabric records the slot's :class:`SettlementClaim` and
+    :class:`SettlementAckClaim` with its first observer, so each is encoded
+    once however many replicas sign it, while every replica still signs with
+    its own key and the relay checks every item."""
+
+    def _quiescent_run(self, fast_network, monkeypatch):
+        """A fully cross-shard toy run to quiescence; returns the system,
+        every voucher and ack the relays were handed, and the payload types
+        of every canonical encoding made during the run."""
+        system = _system(fast_network)
+        system.schedule_submissions(
+            _workload(cross_shard_fraction=1.0, router=system.router)
+        )
+        submitted = []
+        submit = QuorumStream.submit
+
+        def recording_submit(stream, item):
+            submitted.append(item)
+            return submit(stream, item)
+
+        encoded = []
+        encode = hashing._canonical_bytes
+        depth = [0]
+
+        def counting_encode(payload):
+            # The encoder recurses through this module global: count only the
+            # outermost call, one per encoded payload.
+            if depth[0] == 0:
+                encoded.append(type(payload))
+            depth[0] += 1
+            try:
+                return encode(payload)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(QuorumStream, "submit", recording_submit)
+        monkeypatch.setattr(hashing, "_canonical_bytes", counting_encode)
+        hashing._CANONICAL_MEMO.clear()  # a memo cleared mid-run would re-encode
+        system.run()
+        vouchers = [item for item in submitted if isinstance(item, SettlementVoucher)]
+        acks = [item for item in submitted if isinstance(item, SettlementAck)]
+        return system, vouchers, acks, encoded
+
+    @staticmethod
+    def _by_slot(items):
+        slots = {}
+        for item in items:
+            claim = item.claim
+            key = (claim.source_shard, claim.destination_shard, claim.issuer, claim.sequence)
+            slots.setdefault(key, []).append(item)
+        return slots
+
+    def test_a_slots_vouchers_share_one_claim_but_not_a_signer(
+        self, fast_network, monkeypatch
+    ):
+        system, vouchers, _, _ = self._quiescent_run(fast_network, monkeypatch)
+        slots = self._by_slot(vouchers)
+        assert len(slots) == system.settlement.certificates_delivered() > 0
+        replicas = len(system.shards[0].nodes)
+        for items in slots.values():
+            assert len({id(item.claim) for item in items}) == 1
+            assert len({item.signature.signer for item in items}) == replicas
+            assert len({item.signature.tag for item in items}) == replicas
+        assert system.supply_audit().fully_retired
+
+    def test_a_watermarks_acks_share_one_ack_claim(self, fast_network, monkeypatch):
+        system, _, acks, _ = self._quiescent_run(fast_network, monkeypatch)
+        slots = self._by_slot(acks)
+        assert len(slots) == system.settlement.certificates_delivered()
+        replicas = len(system.shards[1].nodes)
+        for items in slots.values():
+            assert len({id(item.claim) for item in items}) == 1
+            assert len({item.signature.signer for item in items}) == replicas
+
+    def test_at_most_two_encodings_per_slot_plus_the_broadcast_payloads(
+        self, fast_network, monkeypatch
+    ):
+        system, _, _, encoded = self._quiescent_run(fast_network, monkeypatch)
+        slots = system.settlement.certificates_delivered()
+        claims = sum(kind in (SettlementClaim, SettlementAckClaim) for kind in encoded)
+        assert claims <= 2 * slots
+        assert len(encoded) <= 2 * slots + system.broadcast_instances()
+        report = system.check_definition1()
+        assert report.ok, report.violations
 
 
 class TestLifecycleStateTravel:

@@ -1,11 +1,14 @@
 """Unit tests for hashing and simulated signatures."""
 
+import hashlib
+import hmac
+
 import pytest
 
 from repro.common.types import Transfer
 from repro.crypto import hashing, signatures
 from repro.crypto.hashing import canonical_bytes, content_hash, short_hash
-from repro.crypto.signatures import Signature, SignatureScheme
+from repro.crypto.signatures import KeyPair, Signature, SignatureScheme
 
 
 class TestContentHash:
@@ -295,3 +298,101 @@ class TestOneCheckQuorum:
         assert scheme.certify(payload, forged, 3, frozenset(range(4))) is None
         under_quorum = bundle[:2]
         assert scheme.certify(payload, under_quorum, 3, frozenset(range(4))) is None
+
+
+class TestKeyStateTags:
+    """Tags come from each key's precomputed RFC 2104 states and must equal
+    the standard library's HMAC-SHA256 byte for byte: keys shorter than,
+    equal to and longer than SHA-256's 64-byte block (a long key is hashed
+    first), and messages from empty to several blocks."""
+
+    @pytest.mark.parametrize("key_length", [0, 32, 64, 65, 200])
+    @pytest.mark.parametrize("message_length", [0, 1, 64, 1_000])
+    def test_tags_equal_hmac_new(self, key_length, message_length):
+        secret = bytes((7 * index + key_length) % 256 for index in range(key_length))
+        message = bytes((13 * index + 1) % 256 for index in range(message_length))
+        expected = hmac.new(secret, message, hashlib.sha256).hexdigest()
+        assert signatures._HmacKey(secret).tag(message) == expected
+        # The same key through the public path: a signature is the tag of
+        # the payload's canonical encoding.
+        keypair = KeyPair(0, secret, SignatureScheme(seed=1))
+        assert keypair.sign(message).tag == hmac.new(
+            secret, canonical_bytes(message), hashlib.sha256
+        ).hexdigest()
+
+    def test_the_schemes_keys_sign_what_they_verify(self):
+        scheme = SignatureScheme(seed=4)
+        payload = ("claim", 0, 1, 2)
+        for process in range(4):
+            secret = hashlib.sha256(f"secret/4/{process}".encode("utf-8")).digest()
+            expected = hmac.new(secret, canonical_bytes(payload), hashlib.sha256).hexdigest()
+            signature = scheme.keypair_for(process).sign(payload)
+            assert signature.tag == expected
+            assert scheme.verify(payload, signature)
+
+    def test_a_key_pair_with_the_wrong_secret_fails(self):
+        scheme = SignatureScheme(seed=1)
+        payload = ("x", 1)
+        impostor = KeyPair(3, b"not the directory's secret", scheme)
+        assert not scheme.verify(payload, impostor.sign(payload))
+        assert scheme.verify(payload, scheme.keypair_for(3).sign(payload))
+
+    def test_a_flipped_tag_character_fails_cached_or_cold(self):
+        payload = ("x", 2)
+        signature = SignatureScheme(seed=1).keypair_for(0).sign(payload)
+        for position in (0, 31, 63):
+            flipped = "0" if signature.tag[position] != "0" else "1"
+            tag = signature.tag[:position] + flipped + signature.tag[position + 1 :]
+            forged = Signature(signer=0, tag=tag)
+            cold = SignatureScheme(seed=1)
+            assert not cold.verify(payload, forged)
+            warm = SignatureScheme(seed=1)
+            assert warm.verify(payload, signature)  # the genuine verdict, cached
+            assert not warm.verify(payload, forged)
+            assert not warm.verify(payload, forged)  # the cached negative
+            assert warm.verify(payload, signature)
+
+
+# What a Byzantine sender can put on the wire instead of a signer's hex tag,
+# each made from the genuine tag.
+MALFORMED_TAGS = {
+    "bytes": lambda tag: tag.encode("ascii"),
+    "none": lambda tag: None,
+    "int": lambda tag: int(tag, 16),
+    "non-ascii": lambda tag: "\u00e9" * len(tag),
+    "non-ascii-tail": lambda tag: tag[:-1] + "\u00e9",
+}
+
+
+@pytest.mark.parametrize("malform", list(MALFORMED_TAGS.values()), ids=list(MALFORMED_TAGS))
+class TestMalformedTags:
+    """A tag that is not an ASCII string is invalid: every check answers no,
+    none raises, and the genuine signature still verifies afterwards."""
+
+    def _scheme_payload_bundle(self, malform):
+        scheme = SignatureScheme(seed=5)
+        payload = ("claim", 0, 1, 7)
+        bundle = tuple(scheme.keypair_for(p).sign(payload) for p in range(3))
+        malformed = Signature(signer=2, tag=malform(bundle[2].tag))
+        return scheme, payload, bundle, malformed
+
+    def test_verify_answers_no(self, malform):
+        scheme, payload, bundle, malformed = self._scheme_payload_bundle(malform)
+        assert not scheme.verify(payload, malformed)
+        assert not scheme.verify(payload, malformed)
+        assert scheme.verify(payload, bundle[2])
+
+    def test_certify_answers_none(self, malform):
+        scheme, payload, bundle, malformed = self._scheme_payload_bundle(malform)
+        assert scheme.certify(payload, bundle[:2] + (malformed,), 3) is None
+        assert scheme.certify(payload, bundle[:2] + (malformed,), 3, frozenset(range(4))) is None
+        assert scheme.certify(payload, bundle, 3) is not None
+
+    def test_verify_certificate_answers_no(self, malform):
+        scheme, payload, bundle, malformed = self._scheme_payload_bundle(malform)
+        certificate = scheme.make_certificate(payload, bundle[:2] + (malformed,))
+        assert not scheme.verify_certificate(payload, certificate, quorum_size=3)
+        assert not scheme.verify_certificate(payload, certificate, quorum_size=2)
+        assert scheme.verify_certificate(
+            payload, scheme.make_certificate(payload, bundle), quorum_size=3
+        )
