@@ -22,11 +22,14 @@ test-props:
 ## The cross-backend equivalence harness, the pinned fingerprints (toy runs on
 ## serial and process and under two PYTHONHASHSEEDs; the benchmark's four
 ## cluster and two Figure 4 workloads at full size), the backend
-## determinism sweep, the hand-fed broadcast layers and the Figure 4 message
-## formulas.  The last two and the pinned fingerprints are the suites a
-## change to the message path must keep green.
+## determinism sweep, the hand-fed broadcast layers, the Figure 4 message
+## formulas, the engine and network suites (tests/network: the pinned message
+## path among them) and the event queue's differential test.  The last four
+## and the pinned fingerprints are the suites a change to the message path
+## must keep green.  CI runs it a second time as
+## `make test-backends PYTHON="python -X dev -W error"`.
 test-backends:
-	$(PYTHON) -m pytest tests/cluster/test_backend_equivalence.py tests/cluster/test_pinned_fingerprints.py tests/properties/test_backend_determinism.py tests/broadcast/test_broadcast_layers.py tests/mp/test_message_formulas.py -q
+	$(PYTHON) -m pytest tests/cluster/test_backend_equivalence.py tests/cluster/test_pinned_fingerprints.py tests/properties/test_backend_determinism.py tests/broadcast/test_broadcast_layers.py tests/mp/test_message_formulas.py tests/network tests/properties/test_event_queue.py -q
 
 ## The settlement suites alone: the quorum-stream exactness suite over both
 ## legs, the lifecycle and adversarial suites, the soak, the settlement

@@ -166,8 +166,9 @@ class FixedEpochPolicy(EpochPolicy):
     """Today's behaviour: a constant barrier grid of width ``epoch``."""
 
     def __init__(self, epoch: float) -> None:
-        if epoch <= 0:
-            raise ConfigurationError("epoch must be positive")
+        # ``0 < x < inf`` is false for NaN too, which ``x <= 0`` would let through.
+        if not 0 < epoch < math.inf:
+            raise ConfigurationError(f"fixed epoch width must be finite and positive, not {epoch}")
         self.epoch = epoch
 
     def initial_epoch(self) -> float:
@@ -1170,6 +1171,16 @@ def make_backend(name: str, max_workers: Optional[int] = None) -> ExecutionBacke
 # -- the epoch-barrier scheduler --------------------------------------------------------------
 
 
+def _checked_width(policy: EpochPolicy, width: float) -> float:
+    """``width``, if it can space two barriers; a NaN or inf one would break the run later."""
+    if not 0 < width < math.inf:
+        raise ConfigurationError(
+            f"epoch policy {policy.describe()} returned a width {width}; "
+            "a width is finite and positive"
+        )
+    return width
+
+
 class EpochScheduler:
     """Drives independent shard simulators to quiescence, barrier by barrier.
 
@@ -1229,9 +1240,7 @@ class EpochScheduler:
         self.metrics = metrics
         self.tracer = tracer
         # The *current* epoch width; FixedEpochPolicy keeps it constant.
-        self.epoch = policy.initial_epoch()
-        if self.epoch <= 0:
-            raise ConfigurationError("epoch must be positive")
+        self.epoch = _checked_width(policy, policy.initial_epoch())
         # The shared shard -> worker plan and the (optional) policy deciding
         # placement moves at barriers.  The migrate phase runs exactly once
         # per taken barrier, at the loop top, when every shard is quiescent
@@ -1393,14 +1402,10 @@ class EpochScheduler:
             # on everything exchanged since the last taken barrier.  The
             # policy is stateless, and ``_volume_since_barrier`` survives an
             # ``until`` pause, so a resumed run recomputes the same width.
-            width = self.policy.next_epoch(
-                self.barriers, self.epoch, self._volume_since_barrier
+            width = _checked_width(
+                self.policy,
+                self.policy.next_epoch(self.barriers, self.epoch, self._volume_since_barrier),
             )
-            if width <= 0:
-                raise ConfigurationError(
-                    f"epoch policy {self.policy.describe()} returned a "
-                    f"non-positive width {width}"
-                )
             target = self._next_target(applied)
             horizon = self._next_barrier(target, width)
             if until is not None and horizon > until:

@@ -19,10 +19,18 @@ evaluation sweeps:
 Every send is one :meth:`Network.multicast` call — to one recipient
 (``Node.send``), to every member (``Node.broadcast``, a broadcast layer's
 all-to-all) — which is N messages drawn in recipient order.  One message is
-still two events, "deliver" then "process", each a handle-less
-:meth:`Simulator.post <repro.network.simulator.Simulator.post>` of a bound
-method and its ``(node, sender, message)`` arguments: no :class:`Event` and
-no :func:`functools.partial` per message, since nothing cancels a message.
+two handle-less events of a bound method and its ``(node, sender, message)``
+arguments: no :class:`Event` and no :func:`functools.partial` per message,
+since nothing cancels a message.  So one message costs two engine calls, one
+per hop, and one of them is shared by the whole fan-out:
+
+* "deliver": ``multicast`` draws every recipient's drop and latency first,
+  then hands the kept ``(time, args)`` pairs to one
+  :meth:`Simulator.post_many <repro.network.simulator.Simulator.post_many>`,
+  which numbers them in recipient order — the sequence numbers N single
+  posts would have taken.
+* "process": ``_arrive`` charges the recipient's CPU queue and makes one
+  :meth:`Simulator.post <repro.network.simulator.Simulator.post>`.
 
 Byzantine *behaviour* is not modelled here: a Byzantine node is simply a
 :class:`Node` subclass that sends whatever it likes (see
@@ -237,7 +245,7 @@ class Network:
     # -- transmission ------------------------------------------------------------------
 
     # One message is two events, "deliver" (link delay) then "process" (the
-    # recipient's CPU queue), both posted without a handle: the entry carries
+    # recipient's CPU queue), both queued without a handle: the entry carries
     # the bound method and its ``(node, sender, message)`` arguments, so a
     # message allocates no ``Event`` and no ``partial``.  Their labels are
     # constants: the only reader, ``Shard.checkpoint_blockers``, asks whether
@@ -246,34 +254,44 @@ class Network:
     def multicast(self, sender: ProcessId, recipients: Sequence[ProcessId], message: Any) -> None:
         """Queue ``message`` from ``sender`` to each of ``recipients``, in order.
 
-        Per recipient: the drop draw, then (if kept) the latency draw.  An
-        unknown recipient raises, counted as if sent one by one.
+        Per recipient: the drop draw, then (if kept) the latency draw.  The
+        kept deliveries go to the engine in one ``post_many``.  An unknown
+        recipient raises, counted as if sent one by one: the deliveries
+        drawn before it are queued first.
         """
         stats = self._nodes[sender].stats
         stats.sent += len(recipients)
+        self.messages_sent += len(recipients)
         config = self.config
         drop = config.drop_probability
+        base = config.latency_base
         mean = config.latency_mean
+        # ``random.expovariate(1 / mean)``'s formula, the divisor computed once.
+        rate = 1.0 / mean if mean > 0 else 0.0
+        uniform = self._uniform
+        find = self._nodes.get
         simulator = self.simulator
-        post = simulator.post
-        arrive = self._arrive
-        # The engine's clock, read past its property; no event runs between
-        # these posts, so it holds for the whole fan-out.
+        # The engine's clock, read past its property; no event runs during
+        # the fan-out, so it holds for all of it.
         now = simulator._now
+        deliveries = []
         for recipient in recipients:
-            node = self._nodes.get(recipient)
+            node = find(recipient)
             if node is None:
-                stats.sent -= len(recipients) - 1 - recipients.index(recipient)
+                unsent = len(recipients) - recipients.index(recipient)
+                stats.sent -= unsent - 1
+                self.messages_sent -= unsent
+                simulator.post_many(self._arrive, deliveries, "deliver")
                 raise SimulationError(f"message sent to unknown node {recipient}")
-            self.messages_sent += 1
             if drop and self._rng.maybe(drop):
                 self.messages_dropped += 1
                 node.stats.dropped += 1
                 continue
-            latency = config.latency_base
-            if mean > 0:
-                latency += -log(1.0 - self._uniform()) / (1.0 / mean)
-            post(now + latency, arrive, (node, sender, message), "deliver")
+            latency = base
+            if rate:
+                latency += -log(1.0 - uniform()) / rate
+            deliveries.append((now + latency, (node, sender, message)))
+        simulator.post_many(self._arrive, deliveries, "deliver")
 
     def _arrive(self, node: Node, sender: ProcessId, message: Any) -> None:
         """Message arrived at the recipient's NIC; queue it on the CPU."""
@@ -285,8 +303,12 @@ class Network:
             cost = self.config.processing_time
         cpu_free_at = self._cpu_free_at
         recipient = node.node_id
-        # The engine's clock, read past its property: one call per message.
-        finish = max(simulator._now, cpu_free_at[recipient]) + cost
+        # The CPU starts on the message when it is free and the message is
+        # here; the engine's clock is read past its property.
+        start = cpu_free_at[recipient]
+        if simulator._now > start:
+            start = simulator._now
+        finish = start + cost
         cpu_free_at[recipient] = finish
         stats.busy_time += cost
         self.messages_delivered += 1

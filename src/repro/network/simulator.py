@@ -16,24 +16,38 @@ entry and never enters Python.  In the asynchronous model an execution *is*
 its sequence of delivery events, so every seeded stream and every
 fingerprint depends on this order and on nothing else the queue does.
 
-Two entry points share that one heap, one sequence counter and one ``run``
-loop:
+Three entry points share that one heap, one sequence counter and one ``run``
+loop; the entry layout is known to this module alone:
 
 * ``schedule`` / ``schedule_at`` return an :class:`Event`, the handle that
   cancels it.  Timers, client submissions, mints, retirements and attacks
   come this way; the entry carries the handle in ``event`` and no ``args``.
-* ``post`` returns nothing and its entry has ``event=None``.  A network
-  message is two posts, ``"deliver"`` then ``"process"``, and nothing ever
-  cancels either, so a handle (and a :func:`functools.partial` to bind the
-  message to its callback) would be two allocations per event that no one
-  reads.  ``Network.multicast`` and ``Network._arrive`` are its only callers.
+* ``post`` queues one ``action(*args)``, returns nothing, and its entry has
+  ``event=None``.  A network message is two events, ``"deliver"`` then
+  ``"process"``, and nothing ever cancels either, so a handle (and a
+  :func:`functools.partial` to bind the message to its callback) would be
+  two allocations per event that no one reads.  ``Network._arrive`` posts
+  the ``"process"`` half.
+* ``post_many`` is ``post`` for a whole fan-out: one call takes every
+  ``(time, args)`` pair of one action and label, gives them consecutive
+  sequence numbers in the order given and pushes them, so a multicast to N
+  recipients costs one engine call, not N.  ``Network.multicast`` is its
+  caller.
 
-The loop reads ``.cancelled`` only on an entry that has an event.  Cancelled
-events stay in the heap and are dropped when they surface;
-``pending_events`` is a counter, not a scan.  Each entry point pushes onto
-the heap itself, with no helper frame between it and ``heappush``.  Every
-entry point refuses a time before ``now`` and a non-finite one: a NaN
-compares false with everything and would silently break the heap order.
+Each entry point pushes onto the heap itself, with no helper frame between it
+and ``heappush``, and refuses a time before ``now`` and a non-finite one: a
+NaN compares false with everything and would silently break the heap order.
+``run`` refuses a NaN horizon for the same reason.
+
+The ``run`` loop is **pop-first**: it pops the head, drops it if its handle
+was cancelled, and pushes it back (once, unchanged, so its place in the order
+is unchanged) only when it lies beyond the horizon or the event budget is
+spent.  Cancelled events stay in the heap until they surface, here or in
+``next_event_time``.  ``pending_events`` is derived, not maintained:
+``len(heap)`` minus a count of the cancelled entries still in it, which
+``Event.cancel`` raises and a discarded cancelled entry lowers; nothing is
+counted per push or per pop.  ``processed_events`` is settled once, when
+``run`` returns (or raises), not per event: read it after ``run``.
 
 An earlier calendar queue (time buckets, a heap of bucket keys, a sorted
 insert into the bucket being drained) earned its place against a heap of
@@ -50,7 +64,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from math import inf
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 
@@ -83,10 +97,10 @@ class Event:
         if self.cancelled:
             return
         self.cancelled = True
-        # Keep the owning simulator's live-event counter exact: an event
-        # that already ran (or was already dropped) detached itself first.
+        # Count the entry as cancelled only while it is still in the heap:
+        # an event that already ran detached itself before running.
         if self._simulator is not None:
-            self._simulator._live -= 1
+            self._simulator._cancelled += 1
             self._simulator = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -111,7 +125,8 @@ class Simulator:
         # The heap of entries; see the module docstring.
         self._queue: List[_Entry] = []
         self._sequence = 0
-        self._live = 0
+        # Cancelled entries still in the heap; ``pending_events`` subtracts them.
+        self._cancelled = 0
         self._now = 0.0
         self.processed_events = 0
         # Optional observability hook (repro.obs.MetricsRegistry).  The
@@ -135,7 +150,6 @@ class Simulator:
         sequence = self._sequence
         event = Event(time, sequence, label, self)
         self._sequence = sequence + 1
-        self._live += 1
         heappush(self._queue, (time, sequence, action, (), label, event))
         return event
 
@@ -148,7 +162,6 @@ class Simulator:
         sequence = self._sequence
         event = Event(time, sequence, label, self)
         self._sequence = sequence + 1
-        self._live += 1
         heappush(self._queue, (time, sequence, action, (), label, event))
         return event
 
@@ -156,8 +169,8 @@ class Simulator:
         """Queue ``action(*args)`` at the absolute ``time``, with no handle.
 
         The entry takes the next sequence number and counts as pending like
-        any other; it just cannot be cancelled.  The network's message path
-        is the caller (see the module docstring).
+        any other; it just cannot be cancelled.  ``Network._arrive`` is the
+        caller (see the module docstring).
         """
         if not self._now <= time < inf:
             raise SimulationError(
@@ -165,8 +178,28 @@ class Simulator:
             )
         sequence = self._sequence
         self._sequence = sequence + 1
-        self._live += 1
         heappush(self._queue, (time, sequence, action, args, label, None))
+
+    def post_many(
+        self, action: Callable[..., None], entries: Iterable[Tuple[float, Tuple[Any, ...]]], label: str
+    ) -> None:
+        """``post(time, action, args, label)`` for each ``(time, args)`` of ``entries``.
+
+        The entries take consecutive sequence numbers in the order given.  A
+        time ``post`` would refuse raises here too, with every entry before
+        it queued.  ``Network.multicast`` is the caller (see the module
+        docstring).
+        """
+        queue = self._queue
+        now = self._now
+        sequence = self._sequence
+        for time, args in entries:
+            if not now <= time < inf:
+                self._sequence = sequence
+                raise SimulationError(f"cannot post an event at {time} (current time is {now})")
+            heappush(queue, (time, sequence, action, args, label, None))
+            sequence += 1
+        self._sequence = sequence
 
     def run(
         self,
@@ -181,12 +214,15 @@ class Simulator:
         until:
             Stop once virtual time would exceed this horizon.  The clock
             advances to it when live events remain beyond; a horizon in the
-            past is a no-op (the clock never runs backwards).
+            past is a no-op (the clock never runs backwards).  A NaN horizon
+            is refused.
         max_events:
-            Stop after this many events (guards against livelock).  The
-            budget errors only when exceeding it would have *mattered*: a
-            queue that drains cleanly on exactly the last allowed event is a
-            completed run, not a livelock.
+            Run at most this many events (guards against livelock).  The
+            budget errors only when exceeding it would have *mattered*: it
+            raises when it is spent and a live event inside the horizon is
+            next, so a queue that drains on exactly the last allowed event, or
+            whose remaining events all lie beyond the horizon, is a completed
+            run, not a livelock.
         stop_when:
             Optional predicate checked after every event; the run stops as
             soon as it returns ``True`` (used to stop when a workload has
@@ -194,40 +230,46 @@ class Simulator:
 
         Returns the virtual time at which the run stopped.
         """
+        if until is None:
+            horizon = inf
+        elif until <= inf:
+            horizon = until
+        else:
+            raise SimulationError(f"cannot run until {until}: a horizon is a number")
+        budget = inf if max_events is None else max_events
         queue = self._queue
-        horizon = inf if until is None else until
         executed = 0
         try:
             while queue:
-                time, _, action, args, _, event = queue[0]
+                entry = heappop(queue)
+                time, _, action, args, _, event = entry
                 if event is not None and event.cancelled:
-                    heappop(queue)
+                    self._cancelled -= 1
                     continue
                 if time > horizon:
-                    if until > self._now:
-                        self._now = until
+                    heappush(queue, entry)
+                    if horizon > self._now:
+                        self._now = horizon
                     break
-                heappop(queue)
-                self._live -= 1
+                if executed >= budget:
+                    heappush(queue, entry)
+                    raise SimulationError(
+                        f"simulation exceeded the event budget of {max_events}; "
+                        "a protocol is likely flooding the network"
+                    )
                 if event is not None:
                     event._simulator = None
                 self._now = time
                 action(*args)
-                self.processed_events += 1
                 executed += 1
                 if stop_when is not None and stop_when():
                     break
-                if max_events is not None and executed >= max_events:
-                    if self._live:
-                        raise SimulationError(
-                            f"simulation exceeded the event budget of {max_events}; "
-                            "a protocol is likely flooding the network"
-                        )
-                    break
         finally:
-            if executed and self.metrics is not None:
-                self.metrics.inc("sim.events", executed)
-                self.metrics.inc("sim.runs")
+            if executed:
+                self.processed_events += executed
+                if self.metrics is not None:
+                    self.metrics.inc("sim.events", executed)
+                    self.metrics.inc("sim.runs")
         return self._now
 
     def run_until_quiescent(self, max_events: int = 10_000_000) -> float:
@@ -263,21 +305,22 @@ class Simulator:
         """
         queue = self._queue
         while queue:
-            event = queue[0][5]
+            time, _, _, _, _, event = queue[0]
             if event is None or not event.cancelled:
-                return queue[0][0]
+                return time
             heappop(queue)
+            self._cancelled -= 1
         return None
 
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still queued.
 
-        O(1): a live counter maintained on schedule/post/cancel/pop, not a queue
-        scan — this property sits in ``__repr__`` and in the quiescence
-        probes the epoch scheduler runs after every barrier.
+        O(1): the heap's length minus the cancelled entries still in it, not
+        a queue scan — this property sits in ``__repr__`` and in the
+        quiescence probes the epoch scheduler runs after every barrier.
         """
-        return self._live
+        return len(self._queue) - self._cancelled
 
     def live_event_labels(self) -> List[str]:
         """Labels of every not-yet-cancelled queued event (unordered scan).

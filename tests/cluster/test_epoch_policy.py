@@ -7,6 +7,7 @@ sequence) and pause/resume equality under an adaptive grid.
 """
 
 import copy
+import math
 
 import pytest
 
@@ -58,6 +59,45 @@ class TestFixedEpochPolicy:
 
     def test_describes_itself(self):
         assert "0.005" in FixedEpochPolicy(0.005).describe()
+
+
+class TestNonFiniteWidthsAreRefused:
+    """NaN and inf pass a ``width <= 0`` check, then break the run mid-way."""
+
+    @pytest.mark.parametrize("width", [math.nan, math.inf])
+    def test_a_fixed_width_at_construction(self, fast_network, width):
+        with pytest.raises(ConfigurationError):
+            FixedEpochPolicy(width)
+        with pytest.raises(ConfigurationError):
+            ClusterSystem(shard_count=2, network_config=fast_network, backend="serial", epoch=width)
+
+    def test_an_initial_width_names_the_policy(self):
+        class Unbounded(FixedEpochPolicy):
+            def initial_epoch(self):
+                return math.inf
+
+            def describe(self):
+                return "unbounded"
+
+        with pytest.raises(ConfigurationError, match="unbounded"):
+            EpochScheduler(policy=Unbounded(0.005))
+
+    @pytest.mark.parametrize("width", [math.nan, math.inf])
+    def test_a_later_width_names_the_policy(self, fast_network, width):
+        class Drifting(FixedEpochPolicy):
+            def next_epoch(self, barrier_index, epoch, settlement_volume):
+                return width if barrier_index >= 2 else epoch
+
+            def describe(self):
+                return "drifting"
+
+        system = _build(fast_network, policy=Drifting(0.005))
+        try:
+            with pytest.raises(ConfigurationError, match="drifting"):
+                system.run()
+            assert system.scheduler.barriers == 2
+        finally:
+            system.close()
 
 
 class TestAdaptiveEpochPolicy:

@@ -112,12 +112,27 @@ class TestDelivery:
         assert one_call == run(one_by_one)
         assert one_call[2][2] > 0
 
+    def test_equal_link_delays_deliver_a_fan_out_in_recipient_order(self):
+        # With no random delay every delivery of one multicast ties on time,
+        # so only the sequence numbers the fan-out took order them.
+        config = NetworkConfig(latency_base=0.001, latency_mean=0.0, seed=1)
+        _, network, nodes = build(count=4, config=config)
+        order = []
+        for node in nodes:
+            node.on_message = lambda sender, message, node_id=node.node_id: order.append(node_id)
+        network.multicast(0, (3, 1, 2, 0), "x")
+        network.run()
+        assert order == [3, 1, 2, 0]
+
     def test_an_unknown_recipient_stops_a_multicast_where_sends_would_stop(self):
-        _, network, nodes = build()
+        simulator, network, nodes = build()
         with pytest.raises(SimulationError):
             network.multicast(0, (1, 9, 2), "x")
         assert nodes[0].stats.sent == 2
         assert network.messages_sent == 1
+        # The delivery drawn before the unknown recipient is queued, as sequence 0.
+        assert simulator.pending_events == 1
+        assert simulator.schedule(0.0, lambda: None).sequence == 1
 
 
 class TestCpuModel:

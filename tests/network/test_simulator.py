@@ -111,6 +111,25 @@ class TestNonFiniteTimesAreRefused:
             simulator.post(value, print, (), "deliver")
         assert simulator.pending_events == 0
 
+    @pytest.mark.parametrize("value", [nan, inf, -inf])
+    def test_post_many(self, value):
+        simulator = Simulator()
+        with pytest.raises(SimulationError):
+            simulator.post_many(print, [(0.1, ()), (value, ()), (0.2, ())], "deliver")
+        # The entry before the refused one stays queued, numbered as a post.
+        assert simulator.pending_events == 1
+        assert simulator.schedule(0.0, lambda: None).sequence == 1
+
+    def test_a_nan_horizon(self):
+        simulator = Simulator()
+        fired = []
+        simulator.schedule(0.1, lambda: fired.append(1))
+        with pytest.raises(SimulationError):
+            simulator.run(until=nan)
+        with pytest.raises(SimulationError):
+            simulator.run_until(nan)
+        assert fired == [] and simulator.pending_events == 1
+
 
 class TestPost:
     """The handle-less entry point: same order, counters and labels, no handle."""
@@ -133,6 +152,17 @@ class TestPost:
         simulator = Simulator()
         simulator.post(0.0, print, (), "deliver")
         assert simulator.schedule(0.0, lambda: None).sequence == 1
+
+    def test_a_fan_out_is_posts_in_the_order_given(self):
+        simulator = Simulator()
+        order = []
+        simulator.post(0.2, order.append, ("single",), "deliver")
+        simulator.post_many(order.append, [(0.2, ("a",)), (0.1, ("b",)), (0.2, ("c",))], "deliver")
+        assert simulator.pending_events == 4
+        assert simulator.schedule(0.0, lambda: None).sequence == 4
+        simulator.run_until_quiescent()
+        assert order == ["b", "single", "a", "c"]
+        assert simulator.processed_events == 5
 
     def test_a_post_in_the_past_is_refused(self):
         simulator = Simulator()
@@ -167,6 +197,26 @@ class TestEventBudgetBoundary:
             simulator.schedule(0.01 * (index + 1), lambda: None)
         simulator.schedule(1.0, lambda: None).cancel()
         assert simulator.run(max_events=5) == pytest.approx(0.05)
+
+    def test_events_beyond_the_horizon_do_not_spend_the_budget(self):
+        # The epoch scheduler hands each shard exactly this: a budget that
+        # covers the epoch, with work queued past its barrier.
+        simulator = Simulator()
+        fired = []
+        for at in (0.1, 0.2, 0.9):
+            simulator.schedule_at(at, lambda at=at: fired.append(at))
+        assert simulator.run_until(0.5, max_events=2) == 0.5
+        assert fired == [0.1, 0.2]
+        assert simulator.pending_events == 1 and simulator.processed_events == 2
+
+    def test_a_zero_budget_runs_nothing(self):
+        simulator = Simulator()
+        fired = []
+        simulator.schedule(0.1, lambda: fired.append(1))
+        with pytest.raises(SimulationError):
+            simulator.run(max_events=0)
+        assert fired == [] and simulator.now == 0.0
+        assert simulator.pending_events == 1 and simulator.processed_events == 0
 
     def test_processed_events_still_accumulates_across_runs(self):
         simulator = Simulator()

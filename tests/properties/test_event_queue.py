@@ -14,22 +14,24 @@ against both, and requires after **every** step the same executed order, ``now``
 and, on the steps that probe it, ``next_event_time`` (probing discards
 cancelled heads, so doing it on every step would hide how ``run`` skips them).
 
-A program mixes ``schedule`` / ``schedule_at`` / ``post`` (delays from a small
-grid, so timestamps collide, posts with ``schedule_at`` entries too; now and
-then in the past, which must raise in both),
+A program mixes ``schedule`` / ``schedule_at`` / ``post`` / ``post_many``
+(delays from a small grid, so timestamps collide, posts with ``schedule_at``
+entries too; now and then in the past, which must raise in both — mid-fan-out
+for ``post_many``, whose reference is a loop of ``post``),
 ``cancel`` of any handle ever returned (queued, cancelled or long executed),
-``run`` under every combination of ``until=`` (also in the past),
-``max_events=`` (which raises when live events remain) and ``stop_when=``,
+``run`` under every combination of ``until=`` (also in the past, and NaN,
+which must raise), ``max_events=`` (which raises when the budget is spent and
+a live event inside the horizon is next) and ``stop_when=``,
 ``run_until`` (also in the past), ``restore_counters`` (forwards, and
 backwards in sequence, which must raise), and actions that, when they fire,
-schedule or post at the current instant, at a shared timestamp or later, or
-cancel another event.  A posted event has no handle: it is observed through
-the executed order, the counters, the labels and the sequence numbers the
-handles after it receive.
+schedule, post or fan out at the current instant, at a shared timestamp or
+later, or cancel another event.  A posted event has no handle: it is observed
+through the executed order, the counters, the labels and the sequence numbers
+the handles after it receive.
 """
 
 from functools import partial
-from math import inf
+from math import inf, isnan
 from typing import Callable, List, Optional, Tuple
 
 from hypothesis import given, settings, strategies as st
@@ -80,6 +82,11 @@ class ReferenceSimulator:
         """``schedule_at`` of ``action(*args)`` that hands nothing back."""
         self.schedule_at(time, partial(action, *args), label)
 
+    def post_many(self, action: Callable[..., None], entries: list, label: str) -> None:
+        """``post`` of each ``(time, args)`` in turn."""
+        for time, args in entries:
+            self.post(time, action, args, label)
+
     def _add(self, time: float, action, label: str) -> _ReferenceEvent:
         event = _ReferenceEvent(self, time, self._sequence, action, label)
         self._sequence += 1
@@ -87,22 +94,24 @@ class ReferenceSimulator:
         return event
 
     def run(self, until=None, max_events=None, stop_when=None) -> float:
+        if until is not None and isnan(until):
+            raise SimulationError("a NaN horizon")
         executed = 0
         while self.live:
             event = min(self.live, key=lambda e: (e.time, e.sequence))
             if until is not None and event.time > until:
                 self.now = max(self.now, until)
                 break
+            # The budget is spent only if one more event inside the horizon
+            # would run.
+            if max_events is not None and executed >= max_events:
+                raise SimulationError("event budget")
             self.live.remove(event)
             self.now = event.time
             event.action()
             self.processed_events += 1
             executed += 1
             if stop_when is not None and stop_when():
-                break
-            if max_events is not None and executed >= max_events:
-                if self.live:
-                    raise SimulationError("event budget")
                 break
         return self.now
 
@@ -155,6 +164,13 @@ class _Driver:
         self.engine.post(time, self.fire, (ident, behaviour), f"label-{ident % 3}")
         self.posts += 1
 
+    def post_many(self, times: Tuple[float, ...], behaviour: Tuple[str, float]) -> None:
+        first = -1 - self.posts
+        entries = [(time, (first - offset, behaviour)) for offset, time in enumerate(times)]
+        # Every ident is spent, queued or not, so both sides stay aligned when one raises.
+        self.posts += len(times)
+        self.engine.post_many(self.fire, entries, f"label-{first % 3}")
+
     def fire(self, ident: int, behaviour: Tuple[str, float]) -> None:
         self.executed.append(ident)
         kind, argument = behaviour
@@ -166,6 +182,9 @@ class _Driver:
             self.post(self.engine.now, NOOP)
         elif kind == "post":
             self.post(self.engine.now + argument, ("cancel", ident))
+        elif kind == "fan_out":
+            now = self.engine.now
+            self.post_many((now, now + argument, now + argument), NOOP)
         elif kind == "cancel":
             if self.handles:  # a posted event can fire before any handle exists
                 self.handles[int(argument) % len(self.handles)].cancel()
@@ -179,6 +198,8 @@ class _Driver:
                 self.add(True, engine.now + step[1], step[2])
             elif kind == "post":
                 self.post(engine.now + step[1], step[2])
+            elif kind == "post_many":
+                self.post_many(tuple(engine.now + delay for delay in step[1]), step[2])
             elif kind == "cancel":
                 if self.handles:
                     self.handles[step[1] % len(self.handles)].cancel()
@@ -229,7 +250,7 @@ def assert_engine_matches_reference(program: List[Tuple[tuple, bool]]) -> _Drive
 # Few distinct values, so events share timestamps and land on both sides of
 # every horizon; -0.001 is the past.
 DELAYS = st.sampled_from([0.0, 0.0, 0.001, 0.001, 0.002, 0.0035, 0.01, -0.001])
-HORIZONS = st.sampled_from([None, -0.002, 0.0, 0.001, 0.0035, 0.02])
+HORIZONS = st.sampled_from([None, -0.002, 0.0, 0.001, 0.0035, 0.02, float("nan")])
 BEHAVIOURS = st.one_of(
     st.just(NOOP),
     st.just(("spawn_now", 0)),
@@ -237,16 +258,18 @@ BEHAVIOURS = st.one_of(
     st.tuples(st.just("cancel"), st.integers(0, 30)),
     st.just(("post_now", 0)),
     st.tuples(st.just("post"), st.sampled_from([0.0, 0.001, 0.05])),
+    st.tuples(st.just("fan_out"), st.sampled_from([0.0, 0.001, 0.05])),
 )
 STEPS = st.one_of(
     st.tuples(st.just("schedule"), DELAYS, BEHAVIOURS),
     st.tuples(st.just("schedule_at"), DELAYS, BEHAVIOURS),
     st.tuples(st.just("post"), DELAYS, BEHAVIOURS),
+    st.tuples(st.just("post_many"), st.lists(DELAYS, max_size=4), BEHAVIOURS),
     st.tuples(st.just("cancel"), st.integers(0, 30)),
     st.tuples(
         st.just("run"),
         HORIZONS,
-        st.one_of(st.none(), st.integers(1, 6)),
+        st.one_of(st.none(), st.integers(0, 6)),
         st.one_of(st.none(), st.integers(1, 4)),
     ),
     st.tuples(st.just("run_until"), st.sampled_from([-0.002, 0.0, 0.001, 0.0035, 0.02])),
@@ -330,3 +353,44 @@ def test_a_fixed_program_reaches_every_post_mechanism():
     # Seven sequence numbers before the restore (four of them posts), +3, then -6 took 10.
     assert [handle.sequence for handle in engine.handles] == [0, 2, 11]
     assert simulator.pending_events == 0 and simulator.next_event_time is None
+
+
+def test_a_fixed_program_reaches_every_fan_out_mechanism():
+    """``post_many`` beside posts and handles, hand-written; what it must reach is asserted."""
+    program = [
+        (("schedule_at", 0.001, NOOP), False),  # handle 0, sequence 0
+        # -1, -2, -3 take sequences 1..3 in the order given, not by time.
+        (("post_many", (0.002, 0.001, 0.001), NOOP), True),
+        (("post_many", (), NOOP), True),  # an empty fan-out queues nothing
+        (("schedule_at", 0.001, ("fan_out", 0.001)), False),  # handle 1, sequence 4
+        # -4 is queued; -5 lies in the past and raises; -6 is never queued.
+        (("post_many", (0.0035, -0.001, 0.0), NOOP), True),
+        # 0, -2, -3, then 1, which fans out -7 at 0.001 (run now) and -8, -9 at 0.002.
+        (("run", 0.001, None, None), True),
+        (("schedule", 0.0, NOOP), False),  # handle 2 at 0.001, ahead of everything at 0.002
+        (("run", None, None, None), True),
+    ]
+    engine = assert_engine_matches_reference(program)
+    simulator = engine.engine
+    assert engine.raised == [4]
+    assert engine.executed == [0, -2, -3, 1, -7, 2, -1, -8, -9, -4]
+    assert engine.posts == 9
+    # Sequences: 0, 1..3, 4, -4 took 5 (the raise left the counter there), -7..-9 took 6..8.
+    assert [handle.sequence for handle in engine.handles] == [0, 4, 9]
+    assert simulator.pending_events == 0 and simulator.next_event_time is None
+
+
+def test_the_budget_counts_only_events_inside_the_horizon():
+    """Spent budget with every remaining event beyond the horizon is a clean stop."""
+    program = [
+        (("schedule", 0.001, NOOP), False),
+        (("schedule", 0.002, NOOP), False),
+        (("schedule", 0.01, NOOP), False),
+        (("run", 0.0035, 2, None), True),  # runs two events, stops on the horizon
+        (("run", None, 0, None), True),  # a zero budget with a live event next raises
+        (("run", float("nan"), None, None), False),  # raises in both
+    ]
+    engine = assert_engine_matches_reference(program)
+    assert engine.raised == [4, 5]
+    assert engine.executed == [0, 1]
+    assert engine.engine.now == 0.0035 and engine.engine.pending_events == 1
