@@ -43,8 +43,9 @@ test-settlement:
 	$(PYTHON) -m pytest tests/cluster/test_settlement*.py tests/properties/test_cluster_settlement.py tests/crypto tests/cluster/test_pinned_fingerprints.py -q
 
 ## The migration equivalence suite alone: placement invariance across
-## {static, manual plan, threshold policy} x {serial, process},
-## plus the arbitrary-barrier ShardSnapshot round trips migration rests on.
+## {static, manual plan, threshold policy} x {serial, process} on three
+## barrier-grid widths, plus the arbitrary-barrier ShardSnapshot round trips
+## migration rests on.
 test-migration:
 	$(PYTHON) -m pytest tests/cluster/test_migration.py tests/cluster/test_shard_snapshot.py -q
 
@@ -57,8 +58,8 @@ test-checkpoints:
 
 ## The settlement-lifecycle soak alone (part of tier-1): a migrated
 ## long-horizon run asserting bounded resident settlement records and relay
-## journals, the checkpoint soak's bounded replay log, and the
-## fixed-vs-adaptive-vs-latency-target epoch-policy trade.
+## journals, and the checkpoint soak's bounded replay log.  CI runs it, with
+## test-migration, a second time under `PYTHON="python -X dev -W error"`.
 soak:
 	$(PYTHON) -m pytest tests/cluster/test_settlement_soak.py -q
 

@@ -11,18 +11,18 @@ its quorum-acknowledgement structure.  This module implements that protocol:
 * having collected a Byzantine quorum (``⌈(N+f+1)/2⌉``) of distinct
   signatures, the origin assembles a *quorum certificate* and sends a
   ``FINAL`` message carrying payload + certificate to all processes;
-* a process that verifies the certificate delivers the payload and — when
-  ``relay_final`` is enabled — relays the ``FINAL`` once to all processes,
-  which upgrades consistency into agreement (totality) at the cost of one
-  extra all-to-all round.
+* a process that verifies the certificate delivers the payload and relays
+  the origin's ``FINAL`` once to all processes, which upgrades consistency
+  into agreement (totality) at the cost of one extra all-to-all round.
 
-Message complexity is ``O(N)`` per broadcast without relaying and ``O(N²)``
-with relaying; latency is three message delays on the critical path (INIT →
-ACK → FINAL).  The quorum-intersection argument gives *consistency*: two
-certificates for the same instance would need two quorums, which intersect in
-a correct process, and a correct process acknowledges only one payload per
-instance — so no two correct processes ever deliver different payloads for
-the same instance, which is exactly what makes double-spending impossible.
+The relay makes message complexity ``O(N²)`` per broadcast (the INIT, ACK
+and FINAL rounds alone are ``O(N)``); latency is three message delays on the
+critical path (INIT → ACK → FINAL).  The quorum-intersection argument gives
+*consistency*: two certificates for the same instance would need two quorums,
+which intersect in a correct process, and a correct process acknowledges only
+one payload per instance — so no two correct processes ever deliver different
+payloads for the same instance, which is exactly what makes double-spending
+impossible.
 
 The origin keeps an instance's acknowledgements until it finalises; after
 that every ACK would be ignored, so the entry is dropped there.  A receiver
@@ -87,10 +87,6 @@ class EchoBroadcast(BroadcastLayer):
         This process's signing key.
     fault_tolerance:
         Number of Byzantine processes tolerated (default ``⌊(N−1)/3⌋``).
-    relay_final:
-        Relay verified ``FINAL`` messages once, upgrading consistency to
-        agreement even if the origin crashes mid-protocol.  Enabled by
-        default; the ablation benchmark switches it off to measure the cost.
     """
 
     def __init__(
@@ -104,7 +100,6 @@ class EchoBroadcast(BroadcastLayer):
         scheme: SignatureScheme,
         keypair: Optional[KeyPair] = None,
         fault_tolerance: Optional[int] = None,
-        relay_final: bool = True,
     ) -> None:
         super().__init__(channel, own_id, all_nodes, send, send_to_all, deliver)
         n = self.node_count
@@ -118,7 +113,6 @@ class EchoBroadcast(BroadcastLayer):
         self.keypair = keypair or scheme.keypair_for(own_id)
         if self.keypair.process != own_id:
             raise ConfigurationError("keypair does not belong to this node")
-        self.relay_final = relay_final
         # The membership as a frozenset, built once: origin-side assembly
         # (certify) and receiver-side FINAL checks admit the same signers.
         self._members = frozenset(self.all_nodes)
@@ -232,7 +226,7 @@ class EchoBroadcast(BroadcastLayer):
             )
             self._transmit_to_all(final)
 
-    # The FINAL phase: verify the certificate, deliver, optionally relay.
+    # The FINAL phase: verify the certificate, deliver, relay the origin's FINAL.
 
     def _on_final(self, sender: ProcessId, message: FinalMessage) -> None:
         if message.certificate is None:
@@ -251,7 +245,7 @@ class EchoBroadcast(BroadcastLayer):
             return
         state.delivered = True
         self._accept(message.origin, message.sequence, message.payload)
-        if self.relay_final and not state.relayed and sender == message.origin:
+        if not state.relayed and sender == message.origin:
             state.relayed = True
             self._transmit_to_all(message)
 

@@ -40,7 +40,8 @@ checkpoint copies only those.
 
 Concrete implementations live in :mod:`repro.broadcast.bracha` (the
 "naive quadratic" primitive the paper's deployment used) and
-:mod:`repro.broadcast.echo_broadcast` (the signature-based linear variant),
+:mod:`repro.broadcast.echo_broadcast` (the signature-based variant, linear
+up to its one FINAL relay),
 with the Section 6 account-order extension in
 :mod:`repro.broadcast.account_order_broadcast`.
 """

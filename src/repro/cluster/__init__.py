@@ -24,8 +24,8 @@ This package deploys that observation:
 * :mod:`repro.cluster.backends` — the execution backends:
   :class:`SerialBackend` and :class:`ProcessPoolBackend` advance per-shard
   simulators between the :class:`EpochScheduler`'s deterministic settlement
-  barriers — spaced by an :class:`EpochPolicy` (fixed grid or
-  volume-adaptive) — with bit-identical results on both.
+  barriers — one fixed grid, ``epoch`` apart — with bit-identical results on
+  both.
 * :mod:`repro.cluster.system` — :class:`ClusterSystem`, the façade that
   routes, drives, settles and audits the whole cluster.
 * :mod:`repro.cluster.result` — :class:`ClusterResult` /

@@ -76,7 +76,6 @@ from repro.cluster.migration import (
     PlacementPlan,
     ShardLoad,
 )
-from repro.cluster.settlement import p95
 from repro.cluster.checkpoint import (
     CheckpointDelta,
     checkpoint_delta,
@@ -120,199 +119,6 @@ def _phase(metrics, tracer, name, **span_kwargs):
     finally:
         if metrics is not None:
             metrics.observe(name, _time.perf_counter() - started)
-
-
-# -- the epoch-policy seam --------------------------------------------------------------------
-
-
-class EpochPolicy(abc.ABC):
-    """Decides the width of the next settlement epoch, barrier by barrier.
-
-    The scheduler consults the policy after every *taken* barrier, passing
-    the barrier's observed settlement volume (vouchers, certificates, acks
-    and retirement certificates exchanged at it).  Policies must be
-    **deterministic**: the scheduler may re-evaluate the same decision after
-    a pause/resume, and the same inputs must yield the same width on every
-    backend — that is what keeps barrier schedules (and hence
-    :meth:`~repro.cluster.result.ClusterResult.fingerprint` equality) intact
-    across Serial/Process.  Policies are stateless in the decision
-    (:meth:`next_epoch` is re-evaluated freely) but may accumulate
-    observations through :meth:`observe_latency`, which the scheduler feeds
-    exactly once per exchanged settlement item from backend-invariant
-    barrier-time figures.
-    """
-
-    @abc.abstractmethod
-    def initial_epoch(self) -> float:
-        """The width of the first epoch."""
-
-    def observe_latency(self, samples: Sequence[float]) -> None:
-        """Settlement-latency samples (source validation to destination
-        mint) exchanged since the last feed.  Default: ignore them."""
-
-    def next_epoch(self, barrier_index: int, epoch: float, settlement_volume: int) -> float:
-        """The width of the epoch following barrier ``barrier_index``.
-
-        ``epoch`` is the width just used; ``settlement_volume`` is what the
-        barrier exchanged.  The default keeps the width constant.
-        """
-        return epoch
-
-    def describe(self) -> str:
-        return type(self).__name__
-
-
-class FixedEpochPolicy(EpochPolicy):
-    """Today's behaviour: a constant barrier grid of width ``epoch``."""
-
-    def __init__(self, epoch: float) -> None:
-        # ``0 < x < inf`` is false for NaN too, which ``x <= 0`` would let through.
-        if not 0 < epoch < math.inf:
-            raise ConfigurationError(f"fixed epoch width must be finite and positive, not {epoch}")
-        self.epoch = epoch
-
-    def initial_epoch(self) -> float:
-        return self.epoch
-
-    def describe(self) -> str:
-        return f"fixed({self.epoch})"
-
-
-class AdaptiveEpochPolicy(EpochPolicy):
-    """Widens/narrows the barrier grid from observed settlement volume.
-
-    A barrier that exchanged at least ``narrow_above`` settlement items is a
-    sign cross-shard credits are queueing — the next epoch narrows by
-    ``factor`` (down to ``min_epoch``) to cut settlement latency.  A barrier
-    that exchanged at most ``widen_below`` items is mostly overhead — the
-    next epoch widens by ``factor`` (up to ``max_epoch``) to amortise the
-    barrier cost.  Everything in between keeps the current width.  The
-    decision is a pure function of ``(epoch, settlement_volume)``, computed
-    in the driver from barrier-exchange counts that are themselves
-    backend-invariant, so the adaptive grid is identical on every backend.
-    """
-
-    def __init__(
-        self,
-        initial_epoch: float = 0.005,
-        min_epoch: float = 0.00125,
-        max_epoch: float = 0.02,
-        widen_below: int = 2,
-        narrow_above: int = 16,
-        factor: float = 2.0,
-    ) -> None:
-        if min_epoch <= 0 or not (min_epoch <= initial_epoch <= max_epoch):
-            raise ConfigurationError(
-                "need 0 < min_epoch <= initial_epoch <= max_epoch"
-            )
-        if factor <= 1.0:
-            raise ConfigurationError("factor must exceed 1")
-        if widen_below < 0 or narrow_above <= widen_below:
-            raise ConfigurationError("need 0 <= widen_below < narrow_above")
-        self._initial = initial_epoch
-        self.min_epoch = min_epoch
-        self.max_epoch = max_epoch
-        self.widen_below = widen_below
-        self.narrow_above = narrow_above
-        self.factor = factor
-
-    def initial_epoch(self) -> float:
-        return self._initial
-
-    def next_epoch(self, barrier_index: int, epoch: float, settlement_volume: int) -> float:
-        if settlement_volume >= self.narrow_above:
-            return max(self.min_epoch, epoch / self.factor)
-        if settlement_volume <= self.widen_below:
-            return min(self.max_epoch, epoch * self.factor)
-        return epoch
-
-    def describe(self) -> str:
-        return (
-            f"adaptive({self._initial}, [{self.min_epoch}, {self.max_epoch}], "
-            f"volume {self.widen_below}..{self.narrow_above}, x{self.factor})"
-        )
-
-
-class LatencyTargetEpochPolicy(EpochPolicy):
-    """Narrows the barrier grid until a p95 settlement-latency goal is met.
-
-    The volume-driven :class:`AdaptiveEpochPolicy` reacts to *queueing*; this
-    policy drives the figure operators actually budget: the p95 of the
-    source-validation-to-destination-mint latency.  The scheduler feeds every
-    exchanged settlement-latency sample through :meth:`observe_latency`
-    (samples are differences of barrier times and shard-local validation
-    times, so they are identical on every backend); the policy keeps the most
-    recent ``window`` of them and, once at least ``min_samples`` are in hand:
-
-    * p95 above ``target_p95`` — barriers are spaced too far apart for the
-      goal; the next epoch narrows by ``factor`` (down to ``min_epoch``),
-    * p95 at or below ``target_p95 * slack`` — the goal is met with room to
-      spare; the next epoch widens by ``factor`` (up to ``max_epoch``) to
-      shed barrier overhead,
-    * in between — hold, the grid is on target.
-
-    Deterministic and backend-invariant like the other policies: the width
-    is a pure function of the observation stream, which the scheduler feeds
-    identically whatever backend executes the epochs.
-    """
-
-    def __init__(
-        self,
-        target_p95: float = 0.008,
-        initial_epoch: float = 0.005,
-        min_epoch: float = 0.00125,
-        max_epoch: float = 0.02,
-        factor: float = 2.0,
-        window: int = 64,
-        min_samples: int = 4,
-        slack: float = 0.5,
-    ) -> None:
-        if target_p95 <= 0:
-            raise ConfigurationError("target_p95 must be positive")
-        if min_epoch <= 0 or not (min_epoch <= initial_epoch <= max_epoch):
-            raise ConfigurationError(
-                "need 0 < min_epoch <= initial_epoch <= max_epoch"
-            )
-        if factor <= 1.0:
-            raise ConfigurationError("factor must exceed 1")
-        if window < 1 or min_samples < 1:
-            raise ConfigurationError("window and min_samples must be at least 1")
-        if not 0.0 < slack < 1.0:
-            raise ConfigurationError("slack must lie strictly between 0 and 1")
-        self.target_p95 = target_p95
-        self._initial = initial_epoch
-        self.min_epoch = min_epoch
-        self.max_epoch = max_epoch
-        self.factor = factor
-        self.min_samples = min_samples
-        self.slack = slack
-        self._samples: deque = deque(maxlen=window)
-
-    def initial_epoch(self) -> float:
-        return self._initial
-
-    def observe_latency(self, samples: Sequence[float]) -> None:
-        self._samples.extend(samples)
-
-    def observed_p95(self) -> float:
-        """The current windowed p95 (0.0 until any sample arrives)."""
-        return p95(list(self._samples))
-
-    def next_epoch(self, barrier_index: int, epoch: float, settlement_volume: int) -> float:
-        if len(self._samples) < self.min_samples:
-            return epoch
-        observed = self.observed_p95()
-        if observed > self.target_p95:
-            return max(self.min_epoch, epoch / self.factor)
-        if observed <= self.target_p95 * self.slack:
-            return min(self.max_epoch, epoch * self.factor)
-        return epoch
-
-    def describe(self) -> str:
-        return (
-            f"latency-target(p95<={self.target_p95}, "
-            f"[{self.min_epoch}, {self.max_epoch}], x{self.factor})"
-        )
 
 
 def _schedule_into(shard: Shard, submissions: List[RoutedSubmission]) -> None:
@@ -1171,38 +977,26 @@ def make_backend(name: str, max_workers: Optional[int] = None) -> ExecutionBacke
 # -- the epoch-barrier scheduler --------------------------------------------------------------
 
 
-def _checked_width(policy: EpochPolicy, width: float) -> float:
-    """``width``, if it can space two barriers; a NaN or inf one would break the run later."""
-    if not 0 < width < math.inf:
-        raise ConfigurationError(
-            f"epoch policy {policy.describe()} returned a width {width}; "
-            "a width is finite and positive"
-        )
-    return width
-
-
 class EpochScheduler:
     """Drives independent shard simulators to quiescence, barrier by barrier.
 
-    Barrier spacing is the :class:`EpochPolicy`'s call: consecutive barriers
-    sit ``epoch`` apart, where ``epoch`` starts at the policy's initial width
-    and is re-decided after every taken barrier from that barrier's observed
-    settlement volume (:class:`FixedEpochPolicy` reproduces the classic
-    ``k * epoch`` grid).  Between barriers, shards run free on their own
-    clocks; *at* a barrier the scheduler
+    Barriers sit on a fixed grid ``epoch`` apart: the shards meet only
+    there, which is all the synchronisation a consensus-number-1 object
+    needs.  Between barriers, shards run free on their own clocks; *at* a
+    barrier the scheduler
 
     1. replays the epoch's collected validation events — sorted by
        ``(time, shard, sequence)`` — through the settlement fabric, which
        signs vouchers (applying any Byzantine voucher behaviours) and queues
        them with their maturity times,
     2. feeds every matured voucher to its relay (assembled certificates queue
-       with maturity ``barrier + delivery_delay``),
+       with maturity ``barrier + DELIVERY_DELAY``),
     3. delivers every matured certificate to the destination replicas'
        inboxes, whose accept/replay/buffer decisions emit mint commands and
-       signed settlement acks (queued with maturity ``barrier + ack_delay``),
+       signed settlement acks (queued with maturity ``barrier + ACK_DELAY``),
     4. feeds every matured ack to its relay's return leg (assembled
        retirement certificates queue with maturity ``barrier +
-       delivery_delay``) and delivers matured retirement certificates to the
+       DELIVERY_DELAY``) and delivers matured retirement certificates to the
        source shards' compaction gates, whose watermark decisions emit
        retirement commands, and
     5. ships the mint and retirement commands to their shards, scheduled at
@@ -1218,29 +1012,25 @@ class EpochScheduler:
 
     def __init__(
         self,
-        epoch: Optional[float] = None,
-        policy: Optional[EpochPolicy] = None,
+        epoch: float,
         placement: Optional[PlacementPlan] = None,
         migration: Optional[MigrationPolicy] = None,
         metrics=None,
         tracer=None,
         checkpoint_every: Optional[int] = None,
     ) -> None:
-        if policy is None:
-            if epoch is None:
-                raise ConfigurationError("need an epoch width or an EpochPolicy")
-            policy = FixedEpochPolicy(epoch)
+        # ``0 < x < inf`` is false for NaN too, which ``x <= 0`` would let through.
+        if not 0 < epoch < math.inf:
+            raise ConfigurationError(f"epoch width must be finite and positive, not {epoch}")
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ConfigurationError("checkpoint_every must be at least 1 barrier")
-        self.policy = policy
+        self.epoch = epoch
         # Driver-side telemetry sinks (repro.obs).  Strictly write-only from
         # the scheduler's point of view: phase wall-times, exchange counters
         # and queue depths go in, nothing ever comes back out into a barrier
-        # or width decision — so the schedule is identical with them off.
+        # decision — so the schedule is identical with them off.
         self.metrics = metrics
         self.tracer = tracer
-        # The *current* epoch width; FixedEpochPolicy keeps it constant.
-        self.epoch = _checked_width(policy, policy.initial_epoch())
         # The shared shard -> worker plan and the (optional) policy deciding
         # placement moves at barriers.  The migrate phase runs exactly once
         # per taken barrier, at the loop top, when every shard is quiescent
@@ -1264,11 +1054,6 @@ class EpochScheduler:
         self._settlement_load: Dict[int, int] = {}
         self.now = 0.0
         self.barriers = 0
-        # Settlement items exchanged since the last taken barrier.  Feeds the
-        # policy; accumulated (never reset) across the re-entrant exchanges a
-        # pause/resume causes, so the resumed decision equals the
-        # uninterrupted one.
-        self._volume_since_barrier = 0
         self._order = itertools.count()
         # The settlement queues, in drain order: ``(ready, order, handler,
         # payload)`` entries whose handler — a relay stream's ``submit`` or
@@ -1390,24 +1175,11 @@ class EpochScheduler:
                 applied = self._exchange(backend, fabric)
             if self.metrics is not None:
                 self.metrics.observe("barrier.queue_depth", self.in_flight)
-            if fabric is not None:
-                samples = fabric.take_latency_samples()
-                if samples:
-                    self.policy.observe_latency(samples)
             pending = any(report.pending_events for report in self._reports.values())
             queued = any(self._queues.values())
             if not (pending or applied or queued):
                 break
-            # The width of the epoch about to run is the policy's call, based
-            # on everything exchanged since the last taken barrier.  The
-            # policy is stateless, and ``_volume_since_barrier`` survives an
-            # ``until`` pause, so a resumed run recomputes the same width.
-            width = _checked_width(
-                self.policy,
-                self.policy.next_epoch(self.barriers, self.epoch, self._volume_since_barrier),
-            )
-            target = self._next_target(applied)
-            horizon = self._next_barrier(target, width)
+            horizon = self._next_barrier(self._next_target(applied))
             if until is not None and horizon > until:
                 # Pause *on the grid*: the run stops at the last barrier not
                 # exceeding ``until`` and a later run() resumes with exactly
@@ -1427,8 +1199,6 @@ class EpochScheduler:
                         backend, self.now, self._remaining_budget(max_events), max_events
                     )
                 break
-            self.epoch = width
-            self._volume_since_barrier = 0
             self._advance(backend, horizon, self._remaining_budget(max_events), max_events)
             self.now = horizon
             self.barriers += 1
@@ -1538,8 +1308,7 @@ class EpochScheduler:
     def _drain_matured(self, name: str) -> bool:
         """Run every entry of queue ``name`` matured by ``self.now``, in
         maturity order; returns whether anything matured (the fixed-point
-        signal).  The exchanged count feeds the epoch policy's volume
-        observation."""
+        signal)."""
         queue = self._queues[name]
         ready = sorted(
             (entry for entry in queue if entry[0] <= self.now),
@@ -1551,7 +1320,6 @@ class EpochScheduler:
         self._queues[name] = [e for e in queue if id(e) not in matured]
         for _, _, handler, payload in ready:
             handler(payload)
-        self._volume_since_barrier += len(ready)
         if self.metrics is not None:
             self.metrics.inc(f"exchange.{name}", len(ready))
         return True
@@ -1569,19 +1337,18 @@ class EpochScheduler:
             candidates.append(self.now)
         return min(candidates) if candidates else self.now
 
-    def _next_barrier(self, target: float, width: float) -> float:
+    def _next_barrier(self, target: float) -> float:
         """First barrier strictly after ``self.now``, at or after ``target``.
 
-        Barriers step from the current barrier in multiples of the epoch
-        width (``ceil`` may land one slot past ``target`` under
-        floating-point division — that only costs an empty barrier), and the
-        grid always advances by at least one ``width``, so the loop cannot
-        stall.  Nothing is committed here: an ``until`` pause simply breaks,
-        and the resumed run recomputes the identical horizon from the same
-        ``now``/width/volume state.
+        Barriers step from the current barrier in multiples of ``epoch``
+        (``ceil`` may land one slot past ``target`` under floating-point
+        division — that only costs an empty barrier), and the grid always
+        advances by at least one epoch, so the loop cannot stall.  Nothing
+        is committed here: an ``until`` pause simply breaks, and the resumed
+        run recomputes the identical horizon from the same ``now``.
         """
-        steps = max(1, math.ceil((target - self.now) / width))
-        return self.now + steps * width
+        steps = max(1, math.ceil((target - self.now) / self.epoch))
+        return self.now + steps * self.epoch
 
     def _remaining_budget(self, max_events: Optional[int]) -> Optional[int]:
         """Events each shard may still execute in the coming epoch.

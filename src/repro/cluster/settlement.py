@@ -44,6 +44,12 @@ instant (:meth:`repro.cluster.system.ClusterSystem.supply_audit`).
 Retirement keeps long runs compact: resident ledger records and resident
 certificate objects are bounded by the in-flight window, not by history.
 
+Settlement traffic rides the barrier scheduler's queues with fixed link
+delays: :data:`VOUCHER_DELAY` (1 ms) from a source replica to its relay,
+:data:`DELIVERY_DELAY` (2 ms) from a relay to the shards it delivers a
+certificate to, and :data:`ACK_DELAY` (1 ms) from a destination replica back
+to its relay.
+
 Fault injection rides the transport behaviours of
 :mod:`repro.byzantine.behaviors`: a voucher or ack behaviour per replica can
 silence, delay or substitute what it sends, on either leg.
@@ -67,16 +73,15 @@ from repro.crypto.signatures import KeyPair, QuorumCertificate, Signature
 # only remaining per-mint memory in the driver to a constant.
 LATENCY_P95_WINDOW = 4096
 
+# The settlement links' delays, in simulated seconds: slower than the
+# intra-shard network defaults because settlement crosses shard boundaries.
+VOUCHER_DELAY = 0.001
+DELIVERY_DELAY = 0.002
+ACK_DELAY = 0.001
+
 
 def p95(samples: Sequence[float]) -> float:
-    """The 95th-percentile sample (nearest-rank; deterministic).
-
-    The one definition both consumers share: the fabric's reported
-    settlement-latency p95 and the
-    :class:`~repro.cluster.backends.LatencyTargetEpochPolicy`'s control
-    signal — the benchmark judges the latter against the former, so they
-    must never diverge.
-    """
+    """The 95th-percentile sample (nearest-rank; deterministic)."""
     if not samples:
         return 0.0
     ordered = sorted(samples)
@@ -171,25 +176,6 @@ class RetirementCertificate:
 
     claim: SettlementAckClaim
     certificate: QuorumCertificate
-
-
-@dataclass
-class SettlementConfig:
-    """Timing of the settlement fabric's links.
-
-    ``voucher_delay`` models the replica-to-relay link, ``delivery_delay``
-    the relay-to-destination-shard link; both are slower than the intra-shard
-    defaults because settlement crosses shard boundaries.  ``ack_delay``
-    models the return leg (destination replica back to the relay).
-    """
-
-    voucher_delay: float = 0.001
-    delivery_delay: float = 0.002
-    ack_delay: float = 0.001
-
-    def validate(self) -> None:
-        if self.voucher_delay < 0 or self.delivery_delay < 0 or self.ack_delay < 0:
-            raise ConfigurationError("settlement delays must be non-negative")
 
 
 # -- account naming ---------------------------------------------------------------------------
@@ -662,9 +648,7 @@ class SettlementFabric:
     filter either leg's traffic — the adversarial tests' Byzantine model.
     """
 
-    def __init__(self, shards, scheduler, config: Optional[SettlementConfig] = None) -> None:
-        self.config = config or SettlementConfig()
-        self.config.validate()
+    def __init__(self, shards, scheduler) -> None:
         # The barrier scheduler (``repro.cluster.backends.EpochScheduler``)
         # carries all settlement traffic between barriers; signing, relays
         # and inbox decisions run here, in the driver, on every backend.
@@ -709,13 +693,11 @@ class SettlementFabric:
         self.vouchers_dispatched = 0
         self.acks_dispatched = 0
         # Validation-to-mint latency, one sample per mint decision: O(1)
-        # aggregates, a bounded p95 window, and a buffer the epoch scheduler
-        # drains into latency-aware policies once per barrier.
+        # aggregates and a bounded p95 window.
         self._latency_count = 0
         self._latency_total = 0.0
         self._latency_max = 0.0
         self._latency_window: deque = deque(maxlen=LATENCY_P95_WINDOW)
-        self._latency_pending: List[float] = []
 
     # -- fault injection ----------------------------------------------------------------------
 
@@ -782,7 +764,7 @@ class SettlementFabric:
         voucher = SettlementVoucher(claim=claim, signature=self._keypair(shard_index, replica).sign(claim))
         self.vouchers_dispatched += self._send(
             "vouchers",
-            self.config.voucher_delay,
+            VOUCHER_DELAY,
             (shard_index, replica),
             voucher,
             at,
@@ -822,7 +804,7 @@ class SettlementFabric:
             )
             self.acks_dispatched += self._send(
                 "acks",
-                self.config.ack_delay,
+                ACK_DELAY,
                 (shard_index, replica),
                 ack,
                 emitted_at,
@@ -879,7 +861,6 @@ class SettlementFabric:
         self._latency_total += latency
         self._latency_max = max(self._latency_max, latency)
         self._latency_window.append(latency)
-        self._latency_pending.append(latency)
 
     # -- relays and verification --------------------------------------------------------------
 
@@ -913,7 +894,7 @@ class SettlementFabric:
         the relay-to-shard link's delay has passed."""
 
         def dispatch(deliver: Callable, certificate) -> None:
-            ready = self.scheduler.now + self.config.delivery_delay
+            ready = self.scheduler.now + DELIVERY_DELAY
             self.scheduler.enqueue(queue, ready, deliver, certificate)
 
         return dispatch
@@ -1017,9 +998,7 @@ class SettlementFabric:
     def settlement_latency_p95(self) -> float:
         """Nearest-rank p95 over the last :data:`LATENCY_P95_WINDOW` latency
         samples (0.0 if none) — the whole-run p95 for shorter runs, bounded
-        memory for soaks.  The figure
-        :class:`~repro.cluster.backends.LatencyTargetEpochPolicy` steers by.
-        """
+        memory for soaks."""
         return p95(list(self._latency_window))
 
     def telemetry_sample(self, metrics) -> None:
@@ -1037,16 +1016,6 @@ class SettlementFabric:
         metrics.set_gauge("settle.latency_avg_s", average)
         metrics.set_gauge("settle.latency_max_s", maximum)
         metrics.set_gauge("settle.latency_p95_s", self.settlement_latency_p95())
-
-    def take_latency_samples(self) -> List[float]:
-        """Drain the latency samples recorded since the last call.
-
-        Differences of barrier and shard-local validation times, so the
-        stream — and a latency-driven barrier grid — is identical on every
-        backend."""
-        fresh = self._latency_pending
-        self._latency_pending = []
-        return fresh
 
     def settlement_messages(self) -> int:
         """Vouchers and acks dispatched plus certificate deliveries."""

@@ -49,7 +49,6 @@ class ShardSpec:
     broadcast: str = "bracha"
     batch_size: int = 1
     network_config: Optional[NetworkConfig] = None
-    relay_final: bool = True
     seed: int = 0
     # Whether the built shard records into a repro.obs.MetricsRegistry.
     # Pure accounting — the registry is never a protocol input — so the
@@ -190,7 +189,6 @@ class Shard:
         broadcast: str = "bracha",
         batch_size: int = 1,
         network_config: Optional[NetworkConfig] = None,
-        relay_final: bool = True,
         seed: int = 0,
         telemetry: bool = True,
         compact_history: bool = False,
@@ -204,7 +202,6 @@ class Shard:
             broadcast=broadcast,
             batch_size=batch_size,
             network_config=network_config,
-            relay_final=relay_final,
             seed=seed,
             telemetry=telemetry,
             compact_history=compact_history,
@@ -220,7 +217,6 @@ class Shard:
             initial_balance=initial_balance,
             broadcast=broadcast,
             network_config=dataclasses.replace(base_config, seed=shard_seed),
-            relay_final=relay_final,
             seed=shard_seed,
             batch_size=batch_size,
         )

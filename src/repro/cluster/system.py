@@ -11,7 +11,9 @@ the whole cluster to quiescence and merges per-shard results.
 Every shard runs on its own simulator, driven between epoch-barrier
 settlement exchanges by an execution backend (:mod:`repro.cluster.backends`):
 ``backend="serial"`` (the default) or ``"process"`` — same results, bit for
-bit, with the process pool putting real cores behind the shards.
+bit, with the process pool putting real cores behind the shards.  The
+barriers sit on one fixed grid, ``epoch`` apart: shards meet nowhere else, so
+that fixed-period synchronizer is all the coordination the cluster has.
 
 The audit runs at two levels.  The Definition 1 checker runs *per shard* —
 shards share no accounts, so each shard's observations are checked against
@@ -32,9 +34,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.types import Amount
 from repro.cluster.backends import (
     BACKEND_NAMES,
-    EpochPolicy,
     EpochScheduler,
-    FixedEpochPolicy,
     _phase as _timed_phase,
     make_backend,
 )
@@ -48,11 +48,7 @@ from repro.cluster.migration import (
 )
 from repro.cluster.result import ClusterCheckReport, ClusterResult, SupplyAudit
 from repro.cluster.routing import ShardRouter, parse_external_account
-from repro.cluster.settlement import (
-    SettlementConfig,
-    SettlementFabric,
-    is_settlement_account,
-)
+from repro.cluster.settlement import SettlementFabric, is_settlement_account
 from repro.cluster.shard import Shard
 from repro.network.node import NetworkConfig
 from repro.obs import TELEMETRY_MODES, MetricsRegistry, Tracer, merge_snapshots
@@ -81,9 +77,9 @@ class ClusterSystem:
         When true (the default), cross-shard credits are quorum-certified by
         the settlement fabric and minted — spendable — at the destination
         shard.  When false, they stay parked in the source shard's ``x{d}:a``
-        accounts (the PR 1 behaviour), which the negative-control tests use.
-    settlement_config:
-        Timing of the settlement fabric's voucher and delivery legs.
+        accounts, which the negative-control tests use.  The settlement
+        links' delays are the fixed constants of
+        :mod:`repro.cluster.settlement`.
     backend:
         The execution backend (:mod:`repro.cluster.backends`), ``"serial"``
         (the default) or ``"process"``.  Each shard owns its simulator and
@@ -92,18 +88,9 @@ class ClusterSystem:
         sequence)`` order.  Both backends produce bit-identical
         :class:`ClusterResult` fingerprints.
     epoch:
-        Barrier spacing, in simulated seconds (also the granularity of
-        cross-shard settlement latency).  Shorthand for
-        ``epoch_policy=FixedEpochPolicy(epoch)``.
-    epoch_policy:
-        An :class:`~repro.cluster.backends.EpochPolicy` deciding the barrier
-        grid.  :class:`~repro.cluster.backends.FixedEpochPolicy` is today's
-        constant grid; :class:`~repro.cluster.backends.AdaptiveEpochPolicy`
-        widens/narrows the grid from observed per-barrier settlement volume.
-        Policies run in the driver from backend-invariant observations, so
-        fingerprint equality across backends holds for any policy.  The
-        system runs on its own copy of the policy (and of a ``migration``
-        policy), so one object can configure any number of systems.
+        Barrier spacing, in simulated seconds: the fixed grid every shard
+        meets on (also the granularity of cross-shard settlement latency).
+        Finite and positive.
     max_workers:
         Process pool size for the process backend (defaults to
         ``min(shard_count, cpu_count)``; at least 1).  Worker count never
@@ -121,7 +108,8 @@ class ClusterSystem:
         rebalances automatically under load skew.  Whatever the schedule,
         results are **placement-invariant**: the run's fingerprint equals
         the static-assignment run's (the extended equivalence harness pins
-        this).
+        this).  The system runs on its own copy of a migration policy, so
+        one object can configure any number of systems.
     checkpoint_every:
         Incremental-checkpoint cadence in taken barriers (``None`` =
         never).  Every N-th barrier each protocol-quiescent shard records a
@@ -163,12 +151,9 @@ class ClusterSystem:
         broadcast: str = "bracha",
         initial_balance: Amount = 1_000_000,
         network_config: Optional[NetworkConfig] = None,
-        relay_final: bool = True,
         settlement: bool = True,
-        settlement_config: Optional[SettlementConfig] = None,
         backend: str = "serial",
         epoch: float = 0.005,
-        epoch_policy: Optional[EpochPolicy] = None,
         max_workers: Optional[int] = None,
         migration=None,
         checkpoint_every: Optional[int] = None,
@@ -190,10 +175,9 @@ class ClusterSystem:
             raise ConfigurationError(
                 f"max_workers must be at least 1 (or None for the default), got {max_workers}"
             )
-        # Policies are stateful (a latency window, a draining MigrationPlan,
-        # threshold cooldowns): each system runs on its own copy, so the
-        # caller's object can configure any number of runs identically.
-        epoch_policy = copy.deepcopy(epoch_policy)
+        # Migration policies are stateful (a draining MigrationPlan, threshold
+        # cooldowns): each system runs on its own copy, so the caller's object
+        # can configure any number of runs identically.
         self._migration_enabled, self._migration_policy = normalize_migration(
             copy.deepcopy(migration)
         )
@@ -225,14 +209,12 @@ class ClusterSystem:
                 broadcast=broadcast,
                 batch_size=batch_size,
                 network_config=network_config,
-                relay_final=relay_final,
                 telemetry=self.telemetry_mode != "off",
                 compact_history=self.compact_history,
                 seed=seed,
             )
             for index in range(shard_count)
         ]
-        self.epoch_policy: EpochPolicy = epoch_policy or FixedEpochPolicy(epoch)
         # The shard -> worker assignment, first-class and mutable.  One plan
         # per cluster, shared by the scheduler (which decides moves), the
         # backend (which routes per-epoch commands and executes moves) and
@@ -242,7 +224,7 @@ class ClusterSystem:
         worker_count = max_workers or min(shard_count, os.cpu_count() or 1)
         self.placement = PlacementPlan(shard_count, min(worker_count, shard_count))
         self.scheduler = EpochScheduler(
-            policy=self.epoch_policy,
+            epoch,
             placement=self.placement,
             migration=self._migration_policy,
             metrics=self.metrics,
@@ -254,9 +236,7 @@ class ClusterSystem:
         self._session_open = False
         self._partitioned: Dict[int, List] = {}
         self.settlement: Optional[SettlementFabric] = (
-            SettlementFabric(self.shards, self.scheduler, settlement_config)
-            if settlement
-            else None
+            SettlementFabric(self.shards, self.scheduler) if settlement else None
         )
         self._result = ClusterResult()
         self._started = False

@@ -11,7 +11,6 @@ from an interactive session alike.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,7 +18,6 @@ from repro.bft.consensus_transfer import ConsensusTransferSystem
 from repro.bft.pbft import PbftConfig
 from repro.byzantine.faults import FaultKind, FaultModel
 from repro.cluster.result import ClusterCheckReport
-from repro.cluster.routing import ShardRouter
 from repro.cluster.system import ClusterSystem
 from repro.common.errors import ConfigurationError
 from repro.common.types import OwnershipMap
@@ -396,9 +394,6 @@ class ClusterExperimentConfig:
     # is not.
     backend: str = "serial"
     epoch: float = 0.005
-    # An EpochPolicy instance overriding the fixed `epoch` grid (e.g.
-    # AdaptiveEpochPolicy).
-    epoch_policy: Optional[object] = None
     max_workers: Optional[int] = None
     # The ClusterSystem migration knob: None/"off", "manual", a
     # MigrationPlan, or a ThresholdMigrationPolicy.  Results are
@@ -443,7 +438,6 @@ class ClusterExperimentConfig:
             network_config=self.network,
             backend=self.backend,
             epoch=self.epoch,
-            epoch_policy=self.epoch_policy,
             max_workers=self.max_workers,
             migration=self.migration,
             checkpoint_every=self.checkpoint_every,
@@ -787,70 +781,3 @@ def settlement_soak_experiment(
         peak_replay_log=max(s.replay_log_entries for s in samples),
         checkpoint_stats=checkpoint_stats,
     )
-
-
-@dataclass(frozen=True)
-class EpochPolicyRow:
-    """One epoch policy's audited run of the same cluster workload.
-
-    ``barriers`` is the scheduler's barrier count (the overhead the policy
-    spends); the settlement-latency columns are the cross-shard delay it
-    buys down.  Together they are the trade the adaptive policy automates.
-    """
-
-    policy: str
-    barriers: int
-    final_epoch: float
-    settlement_samples: int
-    avg_settlement_latency: float
-    p95_settlement_latency: float
-    max_settlement_latency: float
-    committed: int
-    check_ok: bool
-    fingerprint: str
-
-
-def epoch_policy_experiment(
-    policies: Sequence[Tuple[str, object]],
-    shard_count: int = 2,
-    batch_size: int = 4,
-    config: Optional[ClusterExperimentConfig] = None,
-) -> List[EpochPolicyRow]:
-    """Drive one workload through each epoch policy and compare the trade.
-
-    Each policy replaces ``config.epoch_policy``; every other field of the
-    config reaches every run.  Policies change *when* settlement traffic
-    crosses shard boundaries, so rows legitimately differ in fingerprints
-    and latency — what every row must share is a clean audit (Definition 1,
-    conservation, full settlement and retirement at quiescence).
-    """
-    config = config or ClusterExperimentConfig(
-        duration=0.05, aggregate_rate=8_000.0, user_count=2_000, cross_shard_fraction=0.5
-    )
-    # The router every swept system builds for itself: one workload for all.
-    router = ShardRouter(shard_count, config.replicas_per_shard, salt=config.seed)
-    workload = config.workload(router)
-    rows: List[EpochPolicyRow] = []
-    for label, policy in policies:
-        system = dataclasses.replace(config, epoch_policy=policy).system(
-            shard_count, batch_size
-        )
-        system.schedule_submissions(workload)
-        result = system.run(max_events=config.max_events)
-        samples, average, worst = system.settlement.settlement_latency()
-        rows.append(
-            EpochPolicyRow(
-                policy=label,
-                barriers=system.scheduler.barriers,
-                final_epoch=system.scheduler.epoch,
-                settlement_samples=samples,
-                avg_settlement_latency=average,
-                p95_settlement_latency=system.settlement.settlement_latency_p95(),
-                max_settlement_latency=worst,
-                committed=result.committed_count,
-                check_ok=system.check_definition1().ok,
-                fingerprint=result.fingerprint(),
-            )
-        )
-        system.close()
-    return rows

@@ -97,18 +97,16 @@ class ConsensuslessSystem:
     process_count:
         Number of processes ``N`` (one account per process).
     initial_balance:
-        Initial balance of every account.
+        Initial balance of every account, an ``int`` >= 0.
     broadcast:
         ``"bracha"`` (the paper's quadratic primitive, default) or ``"echo"``
-        (the linear signed variant used by the ablation benchmark).
+        (the signed variant, linear up to its one FINAL relay).
     network_config:
         Latency / CPU cost model; defaults to :class:`NetworkConfig` defaults.
     fault_model:
         Which processes are faulty and how.  ``DOUBLE_SPEND`` processes run
         the :class:`~repro.mp.attackers.DoubleSpendAttacker`; ``CRASH`` and
         ``SILENT`` processes run :class:`~repro.mp.attackers.SilentNode`.
-    relay_final:
-        Passed to the echo broadcast (ignored for Bracha).
     seed:
         Seeds the key material, and the network when ``network_config``
         leaves its own seed at 0.  The caller's config is never modified.
@@ -125,7 +123,6 @@ class ConsensuslessSystem:
         broadcast: str = "bracha",
         network_config: Optional[NetworkConfig] = None,
         fault_model: Optional[FaultModel] = None,
-        relay_final: bool = True,
         seed: int = 0,
         batch_size: int = 1,
     ) -> None:
@@ -135,13 +132,18 @@ class ConsensuslessSystem:
             )
         if broadcast not in ("bracha", "echo"):
             raise ConfigurationError(f"unknown broadcast kind {broadcast!r}")
+        # Balances are naturals: a NaN, a fraction or a debt would run to the
+        # end and only then fail Definition 1 and the supply audit.
+        if type(initial_balance) is not int or initial_balance < 0:
+            raise ConfigurationError(
+                f"initial_balance must be an int >= 0, not {initial_balance!r}"
+            )
         self.process_count = process_count
         self.initial_balance = initial_balance
         self.broadcast_kind = broadcast
         self.fault_model = fault_model or FaultModel.all_correct(process_count)
         if self.fault_model.total_processes != process_count:
             raise ConfigurationError("fault model size does not match process count")
-        self.relay_final = relay_final
         self.batch_size = batch_size
 
         self.simulator = Simulator()
@@ -162,7 +164,7 @@ class ConsensuslessSystem:
     def _broadcast_factory(self, **kwargs):
         if self.broadcast_kind == "bracha":
             return BrachaBroadcast(**kwargs)
-        return EchoBroadcast(scheme=self.scheme, relay_final=self.relay_final, **kwargs)
+        return EchoBroadcast(scheme=self.scheme, **kwargs)
 
     def _build_nodes(self) -> None:
         for pid in range(self.process_count):

@@ -56,9 +56,9 @@ def bracha_factory(**kwargs):
     return BrachaBroadcast(channel="rb", **kwargs)
 
 
-def echo_factory(scheme, relay_final=True):
+def echo_factory(scheme):
     def factory(**kwargs):
-        return EchoBroadcast(channel="eb", scheme=scheme, relay_final=relay_final, **kwargs)
+        return EchoBroadcast(channel="eb", scheme=scheme, **kwargs)
 
     return factory
 
@@ -306,24 +306,54 @@ class TestEchoBroadcast:
         payloads = {d.payload for delivered in harness.delivered.values() for d in delivered}
         assert len(payloads) <= 1
 
-    def test_linear_complexity_without_relay(self):
-        scheme = SignatureScheme()
-        harness = Harness(echo_factory(scheme, relay_final=False), 4)
-        harness.layers[0].broadcast("x")
-        harness.flush()
-        total = sum(layer.stats.messages_sent for layer in harness.layers)
-        # N INIT + N acks + N FINAL = 3N.
-        assert total == 3 * 4
-
     def test_relay_final_spreads_delivery(self):
         scheme = SignatureScheme()
-        harness = Harness(echo_factory(scheme, relay_final=True), 4)
+        harness = Harness(echo_factory(scheme), 4)
         harness.layers[0].broadcast("x")
         # Drop the origin's FINAL to node 3; the relay from others must cover it.
         from repro.broadcast.messages import FinalMessage
 
         harness.flush(drop=lambda s, r, m: isinstance(m, FinalMessage) and s == 0 and r == 3)
         assert [d.payload for d in harness.delivered[3]] == ["x"]
+
+    def test_every_process_relays_the_origins_final_once(self):
+        """N INIT + N acks + N FINAL, then each of the N processes (the
+        origin included, on its own FINAL) relays once to all: 3N + N²."""
+        from repro.broadcast.messages import FinalMessage
+
+        harness = Harness(echo_factory(SignatureScheme()), 4)
+        harness.layers[0].broadcast("x")
+        finals = {}
+
+        def count(sender, recipient, message):
+            if isinstance(message, FinalMessage):
+                finals[sender] = finals.get(sender, 0) + 1
+            return False
+
+        harness.flush(drop=count)
+        assert sum(layer.stats.messages_sent for layer in harness.layers) == 3 * 4 + 4 * 4
+        assert finals == {0: 4 + 4, 1: 4, 2: 4, 3: 4}
+        assert all([d.payload for d in harness.delivered[i]] == ["x"] for i in range(4))
+
+    def test_a_relayed_final_is_not_relayed_again(self):
+        """Only a FINAL from its origin is relayed: a process that delivers
+        from another's relay sends no FINAL of its own."""
+        from repro.broadcast.messages import FinalMessage
+
+        harness = Harness(echo_factory(SignatureScheme()), 4)
+        harness.layers[0].broadcast("x")
+        finals_from_3 = []
+
+        def drop(sender, recipient, message):
+            if not isinstance(message, FinalMessage):
+                return False
+            if sender == 3:
+                finals_from_3.append(message)
+            return sender == 0 and recipient == 3
+
+        harness.flush(drop=drop)
+        assert [d.payload for d in harness.delivered[3]] == ["x"]
+        assert finals_from_3 == []
 
     def test_a_late_init_after_a_final_delivery_acks_exactly_once(self):
         harness = Harness(echo_factory(SignatureScheme()), 4)

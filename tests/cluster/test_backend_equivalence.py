@@ -68,7 +68,7 @@ def _run(
     batch,
     fraction,
     max_workers=None,
-    epoch_policy=None,
+    epoch=0.005,
 ):
     system = ClusterSystem(
         shard_count=shards,
@@ -78,7 +78,7 @@ def _run(
         initial_balance=500,
         network_config=fast_network,
         backend=backend,
-        epoch_policy=epoch_policy,
+        epoch=epoch,
         max_workers=max_workers,
         seed=seed,
     )
@@ -140,28 +140,17 @@ class TestBackendEquivalence:
             finally:
                 system.close()
 
-    def test_adaptive_epoch_with_compaction_fingerprints_identical(
+    def test_narrow_epoch_with_compaction_fingerprints_identical(
         self, fast_network
     ):
-        """The acceptance configuration: an AdaptiveEpochPolicy grid with the
-        compaction lifecycle active, fingerprint-identical (retirement
-        counters included) across both backends."""
-        from repro.cluster.backends import AdaptiveEpochPolicy
-
-        def policy():
-            # A fresh instance per run: equality must come from determinism,
-            # never from shared mutable state (the policy is stateless, this
-            # proves nothing leaks through it either way).
-            return AdaptiveEpochPolicy(
-                initial_epoch=0.005, min_epoch=0.00125, max_epoch=0.02,
-                widen_below=2, narrow_above=12,
-            )
-
+        """The acceptance configuration: a non-default 2.5 ms barrier grid
+        with the compaction lifecycle active, fingerprint-identical
+        (retirement counters included) across both backends."""
         payloads = {}
         fingerprints = {}
         for backend in BACKEND_NAMES:
             system, result = _run(
-                fast_network, backend, 11, 3, 4, 1.0, epoch_policy=policy()
+                fast_network, backend, 11, 3, 4, 1.0, epoch=0.0025
             )
             try:
                 payloads[backend] = result.comparable_payload()

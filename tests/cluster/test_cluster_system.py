@@ -1,9 +1,15 @@
 """Integration and determinism tests for the cluster façade."""
 
+import dataclasses
+import inspect
+
 import pytest
 
+from repro.cluster.shard import Shard, ShardSpec
 from repro.cluster.system import ClusterSystem
 from repro.common.errors import ConfigurationError
+from repro.eval.experiments import ClusterExperimentConfig
+from repro.mp.system import ConsensuslessSystem
 from repro.workloads.cluster_driver import (
     ClusterSubmission,
     ClusterWorkloadConfig,
@@ -21,6 +27,19 @@ def _workload(seed=5, rate=3_000.0, duration=0.03, users=400):
             seed=seed,
         )
     )
+
+
+# One builder per system that takes an ``initial_balance``: (balance, network).
+_BALANCE_BUILDERS = [
+    lambda balance, network: ConsensuslessSystem(
+        4, initial_balance=balance, network_config=network
+    ),
+    lambda balance, network: ClusterSystem(
+        2, initial_balance=balance, network_config=network
+    ),
+    lambda balance, network: Shard(0, initial_balance=balance, network_config=network),
+]
+_BALANCE_BUILDER_IDS = ["ConsensuslessSystem", "ClusterSystem", "Shard"]
 
 
 def _system(fast_network, shards=2, batch=1, seed=11, **kwargs):
@@ -97,6 +116,104 @@ class TestClusterSystem:
             ClusterSystem(shard_count=2, replicas_per_shard=3)
         with pytest.raises(ConfigurationError):
             ClusterSystem(shard_count=2, batch_size=0)
+
+    @pytest.mark.parametrize(
+        "balance", [float("nan"), -5, 2.5, float("inf"), True, 5.0]
+    )
+    @pytest.mark.parametrize("system", _BALANCE_BUILDERS, ids=_BALANCE_BUILDER_IDS)
+    def test_refuses_a_balance_that_is_not_a_natural(self, fast_network, system, balance):
+        """Balances are naturals.  A NaN used to run to completion and only
+        then fail Definition 1 and the supply audit; a debt or a fraction was
+        accepted silently.  ``True`` and ``5.0`` compare like ints but are not
+        an ``Amount``.  A shard builds through ConsensuslessSystem, so one
+        check covers every system."""
+        with pytest.raises(ConfigurationError, match="initial_balance"):
+            system(balance, fast_network)
+
+    @pytest.mark.parametrize("system", _BALANCE_BUILDERS, ids=_BALANCE_BUILDER_IDS)
+    def test_accepts_a_zero_balance(self, fast_network, system):
+        """Zero is a natural: the lower bound is inclusive."""
+        built = system(0, fast_network)
+        try:
+            shards = getattr(built, "shards", [built])
+            balances = [b for shard in shards for b in shard.initial_balances().values()]
+            assert balances and set(balances) == {0}
+        finally:
+            if isinstance(built, ClusterSystem):
+                built.close()
+
+
+class TestKnobCensus:
+    """Every constructor knob is named here, so adding one edits this on purpose."""
+
+    def test_cluster_system_keywords(self):
+        assert list(inspect.signature(ClusterSystem.__init__).parameters)[1:] == [
+            "shard_count",
+            "replicas_per_shard",
+            "batch_size",
+            "broadcast",
+            "initial_balance",
+            "network_config",
+            "settlement",
+            "backend",
+            "epoch",
+            "max_workers",
+            "migration",
+            "checkpoint_every",
+            "compact_history",
+            "telemetry",
+            "seed",
+        ]
+
+    def test_consensusless_system_keywords(self):
+        assert list(inspect.signature(ConsensuslessSystem.__init__).parameters)[1:] == [
+            "process_count",
+            "initial_balance",
+            "broadcast",
+            "network_config",
+            "fault_model",
+            "seed",
+            "batch_size",
+        ]
+
+    def test_shard_spec_fields(self):
+        """A shard's recipe is its constructor's keywords, field for field."""
+        fields = [field.name for field in dataclasses.fields(ShardSpec)]
+        assert fields == [
+            "index",
+            "replicas",
+            "initial_balance",
+            "broadcast",
+            "batch_size",
+            "network_config",
+            "seed",
+            "telemetry",
+            "compact_history",
+        ]
+        assert list(inspect.signature(Shard.__init__).parameters)[1:] == fields
+
+    def test_cluster_experiment_config_fields(self):
+        assert [field.name for field in dataclasses.fields(ClusterExperimentConfig)] == [
+            "replicas_per_shard",
+            "broadcast",
+            "initial_balance",
+            "user_count",
+            "aggregate_rate",
+            "duration",
+            "zipf_skew",
+            "cross_shard_fraction",
+            "hotspot",
+            "backend",
+            "epoch",
+            "max_workers",
+            "migration",
+            "checkpoint_every",
+            "compact_history",
+            "telemetry",
+            "seed",
+            "network",
+            "max_events",
+        ]
 
 
 class TestCrossShardRoundTrip:

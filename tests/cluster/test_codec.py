@@ -45,7 +45,7 @@ PAYLOAD = ("batch", 1, 2)
 ENVELOPE = dict(channel="xfer", origin=0, sequence=1, payload=PAYLOAD)
 SPEC = ShardSpec(
     index=3, replicas=4, initial_balance=10_000, broadcast="bracha", batch_size=8,
-    network_config=NetworkConfig(seed=7), relay_final=True, seed=42, telemetry=False,
+    network_config=NetworkConfig(seed=7), seed=42, telemetry=False,
 )
 
 

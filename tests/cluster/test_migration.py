@@ -3,8 +3,8 @@
 The migration layer's headline guarantee extends the backends' one: not only
 may parallelism never change protocol behaviour — *placement* may not
 either.  For every configuration in the grid below (seed × cross-shard
-fraction × hotspot, each under a shifting-hotspot workload and one of the
-fixed / adaptive / latency-target epoch policies), the run is
+fraction × hotspot, each under a shifting-hotspot workload on one of three
+barrier-grid widths), the run is
 executed under three migration schedules — none, a manual
 :class:`MigrationPlan`, a :class:`ThresholdMigrationPolicy` — on both
 execution backends, and every one of the six runs must produce the *same*
@@ -26,8 +26,6 @@ import pytest
 
 from repro.cluster.backends import (
     BACKEND_NAMES,
-    AdaptiveEpochPolicy,
-    LatencyTargetEpochPolicy,
     _replay_shard,
     _worker_main,
 )
@@ -57,24 +55,18 @@ from repro.workloads.cluster_driver import (
 SHARDS = 3
 WORKERS = 2
 GRID = [
-    # (seed, cross_shard_fraction, hotspot?, epoch policy)
-    (3, 0.5, False, "fixed"),
-    (3, 0.5, True, "adaptive"),
-    (3, 1.0, True, "latency"),
-    (11, 0.5, True, "fixed"),
-    (11, 1.0, False, "adaptive"),
-    (11, 1.0, True, "latency"),
-    (17, 0.7, True, "adaptive"),
-    (23, 0.7, True, "latency"),
+    # (seed, cross_shard_fraction, hotspot?, epoch width).  Every width —
+    # the default 5 ms, a narrower and a wider one — meets a mid-run
+    # MigrationPlan somewhere on the grid.
+    (3, 0.5, False, 0.005),
+    (3, 0.5, True, 0.0025),
+    (3, 1.0, True, 0.01),
+    (11, 0.5, True, 0.005),
+    (11, 1.0, False, 0.0025),
+    (11, 1.0, True, 0.01),
+    (17, 0.7, True, 0.0025),
+    (23, 0.7, True, 0.01),
 ]
-
-# Every epoch policy meets a mid-run MigrationPlan somewhere on the grid.
-# Policies are stateful; each system runs on its own copy of the instance.
-EPOCH_POLICIES = {
-    "fixed": None,
-    "adaptive": AdaptiveEpochPolicy(initial_epoch=0.005),
-    "latency": LatencyTargetEpochPolicy(initial_epoch=0.005),
-}
 
 SCHEDULES = ("static", "manual", "threshold")
 
@@ -94,7 +86,7 @@ def _migration_for(schedule):
 
 
 def _run(
-    fast_network, backend, seed, fraction, hotspot, schedule, policy="fixed", workers=WORKERS
+    fast_network, backend, seed, fraction, hotspot, schedule, epoch=0.005, workers=WORKERS
 ):
     system = ClusterSystem(
         shard_count=SHARDS,
@@ -104,7 +96,7 @@ def _run(
         network_config=fast_network,
         backend=backend,
         max_workers=workers,
-        epoch_policy=EPOCH_POLICIES[policy],
+        epoch=epoch,
         migration=_migration_for(schedule),
         seed=seed,
     )
@@ -130,9 +122,9 @@ def _run(
 class TestPlacementInvariance:
     """Any migration schedule, any backend — one fingerprint."""
 
-    @pytest.mark.parametrize("seed,fraction,hotspot,policy", GRID)
+    @pytest.mark.parametrize("seed,fraction,hotspot,epoch", GRID)
     def test_fingerprints_identical_across_schedules_and_backends(
-        self, fast_network, seed, fraction, hotspot, policy
+        self, fast_network, seed, fraction, hotspot, epoch
     ):
         fingerprints = {}
         payloads = {}
@@ -140,7 +132,7 @@ class TestPlacementInvariance:
         for schedule in SCHEDULES:
             for backend in BACKEND_NAMES:
                 system, result = _run(
-                    fast_network, backend, seed, fraction, hotspot, schedule, policy
+                    fast_network, backend, seed, fraction, hotspot, schedule, epoch
                 )
                 try:
                     fingerprints[(schedule, backend)] = result.fingerprint()
@@ -169,11 +161,11 @@ class TestPlacementInvariance:
         hotspot grid — placement invariance proven over actual migrations,
         not over a policy that never fired."""
         moved = 0
-        for seed, fraction, hotspot, policy in GRID:
+        for seed, fraction, hotspot, epoch in GRID:
             if not hotspot:
                 continue
             system, result = _run(
-                fast_network, "serial", seed, fraction, hotspot, "threshold", policy
+                fast_network, "serial", seed, fraction, hotspot, "threshold", epoch
             )
             try:
                 moved += len(result.migration_stream)

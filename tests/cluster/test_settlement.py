@@ -12,7 +12,6 @@ from repro.cluster.settlement import (
     SettlementAck,
     SettlementAckClaim,
     SettlementClaim,
-    SettlementConfig,
     SettlementRelay,
     SettlementVoucher,
     is_settlement_account,
@@ -246,8 +245,6 @@ class TestSettlementRelay:
     def test_rejects_degenerate_configuration(self):
         with pytest.raises(ConfigurationError):
             SettlementRelay(0, 1, SignatureScheme(), 0, frozenset(), [].append, [].append)
-        with pytest.raises(ConfigurationError):
-            SettlementConfig(voucher_delay=-1.0).validate()
 
 
 class TestValidationReplay:

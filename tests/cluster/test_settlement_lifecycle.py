@@ -10,6 +10,7 @@ equals a continuous run with compaction active.
 """
 
 import gc
+import inspect
 import pickle
 
 import pytest
@@ -24,11 +25,9 @@ from repro.cluster.settlement import (
     SettlementAckClaim,
     SettlementCertificate,
     SettlementClaim,
-    SettlementConfig,
     SettlementRelay,
     SettlementVoucher,
 )
-from repro.common.errors import ConfigurationError
 from repro.common.types import Transfer
 from repro.crypto import hashing
 from repro.crypto.signatures import SignatureScheme
@@ -557,16 +556,17 @@ class TestLifecycleStateTravel:
 
 
 class TestLifecycleConfiguration:
-    def test_negative_ack_delay_is_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SettlementConfig(ack_delay=-0.5).validate()
+    def test_the_link_delays_are_fixed(self):
+        """The settlement links run on three constants, 1 / 2 / 1 ms; the
+        fabric takes no timing (or any other) configuration."""
+        import repro.cluster.settlement as settlement
 
-    @pytest.mark.parametrize("knob", ["compaction", "latency_window"])
-    def test_only_the_link_delays_are_configurable(self, knob):
-        """The acknowledgement/retirement lifecycle always runs and the p95
-        window is ``LATENCY_P95_WINDOW``: nothing switches either."""
-        with pytest.raises(TypeError, match=knob):
-            SettlementConfig(**{knob: 1})
+        assert (settlement.VOUCHER_DELAY, settlement.DELIVERY_DELAY, settlement.ACK_DELAY) == (
+            0.001, 0.002, 0.001,
+        )
+        assert list(inspect.signature(settlement.SettlementFabric).parameters) == [
+            "shards", "scheduler",
+        ]
 
     def test_lifecycle_exports_are_public(self):
         """Public from the defining module (package ``__init__``s re-export nothing)."""
@@ -683,10 +683,9 @@ class TestRelayJournalCompaction:
         assert relay.acks.floor(0) == 2
         assert relay.vouchers.pending == 0  # the dead variant went with the stream
 
-    def test_the_scheduler_drains_every_latency_sample(self, fast_network):
-        """The pending-sample buffer feeds the epoch scheduler's drain, so
-        nothing is left in it after a run, while the aggregate latency
-        figures still report."""
+    def test_the_latency_figures_report_after_a_run(self, fast_network):
+        """The whole-run aggregates and the windowed p95 report one
+        cross-shard credit's settlement latency."""
         system = _system(fast_network)
         a = _user_on_shard(system.router, 0)
         b = _user_on_shard(system.router, 1)
@@ -698,7 +697,45 @@ class TestRelayJournalCompaction:
             samples, average, worst = system.settlement.settlement_latency()
             assert samples > 0 and worst >= average > 0
             assert system.settlement.settlement_latency_p95() > 0
-            assert system.settlement._latency_pending == []
+        finally:
+            system.close()
+
+    @pytest.mark.parametrize("epoch", [0.005, 0.0001])
+    def test_a_credit_settles_no_sooner_than_the_link_delays(self, fast_network, epoch):
+        """A mint needs the voucher leg and the delivery leg behind it, each a
+        fixed link delay, so no grid — however fine — settles faster."""
+        import repro.cluster.settlement as settlement
+
+        system = _system(fast_network, epoch=epoch)
+        a = _user_on_shard(system.router, 0)
+        b = _user_on_shard(system.router, 1)
+        system.schedule_submissions(
+            [ClusterSubmission(time=0.001, source_user=a, destination_user=b, amount=3)]
+        )
+        system.run()
+        try:
+            samples = list(system.settlement._latency_window)
+            assert samples
+            assert min(samples) >= settlement.VOUCHER_DELAY + settlement.DELIVERY_DELAY
+        finally:
+            system.close()
+
+    def test_the_p95_window_forgets_old_samples_the_aggregates_do_not(self, fast_network):
+        """The p95 reads the last ``LATENCY_P95_WINDOW`` samples; the sample
+        count, average and maximum cover the whole run."""
+        from repro.cluster.settlement import LATENCY_P95_WINDOW
+
+        system = _system(fast_network)
+        try:
+            fabric = system.settlement
+            fabric._record_latency(1.0)
+            assert fabric.settlement_latency_p95() == 1.0
+            for _ in range(LATENCY_P95_WINDOW):
+                fabric._record_latency(0.25)
+            assert fabric.settlement_latency_p95() == 0.25
+            samples, average, worst = fabric.settlement_latency()
+            assert samples == LATENCY_P95_WINDOW + 1 and worst == 1.0
+            assert average == pytest.approx((1.0 + 0.25 * LATENCY_P95_WINDOW) / samples)
         finally:
             system.close()
 

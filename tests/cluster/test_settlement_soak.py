@@ -27,21 +27,14 @@ The migrated soak runs again on the process pool twice — with and without
 incremental checkpoints — to compare the growth figures the checkpoint seam
 bounds: the driver's migration replay log and the shards' resident
 local-transfer histories, alongside the tracemalloc peak.
-
-A last run drives the same workload under :class:`FixedEpochPolicy`,
-:class:`AdaptiveEpochPolicy` and :class:`LatencyTargetEpochPolicy`: the
-barrier-overhead versus cross-shard-latency trade the adaptive grids
-automate (the latency-target policy drives its p95 toward the goal directly).
 """
 
 import dataclasses
 import tracemalloc
 
-from repro.cluster.backends import AdaptiveEpochPolicy, FixedEpochPolicy, LatencyTargetEpochPolicy
 from repro.cluster.migration import MigrationPlan
 from repro.eval.experiments import (
     ClusterExperimentConfig,
-    epoch_policy_experiment,
     settlement_soak_experiment,
     telemetry_phase_coverage,
 )
@@ -52,8 +45,6 @@ SOAK_CHECKPOINTS = 6
 SOAK_SHARDS = 2
 SOAK_BATCH = 4
 SOAK_WORKERS = 2
-# The latency-target policy's p95 settlement-latency goal (simulated s).
-LATENCY_TARGET_P95 = 0.006
 
 
 def _config(duration: float) -> ClusterExperimentConfig:
@@ -210,56 +201,4 @@ def test_checkpoint_soak_bounded_memory():
     # memory for its bookkeeping (generous margin, see docstring).
     assert ckpt_peak <= plain_peak * 1.5, (
         f"checkpointed soak traced peak {ckpt_peak} vs plain {plain_peak}"
-    )
-
-
-def test_epoch_policy_trade():
-    """Fixed vs adaptive vs latency-target grids: overhead vs settlement
-    latency, with the latency-target policy judged against its p95 goal."""
-    config = _config(0.05)
-    policies = [
-        ("fixed", FixedEpochPolicy(config.epoch)),
-        ("adaptive", AdaptiveEpochPolicy(initial_epoch=config.epoch)),
-        (
-            "latency-target",
-            LatencyTargetEpochPolicy(
-                target_p95=LATENCY_TARGET_P95,
-                initial_epoch=config.epoch,
-                min_epoch=config.epoch / 8,
-                max_epoch=config.epoch * 4,
-            ),
-        ),
-    ]
-    rows = epoch_policy_experiment(
-        policies, shard_count=SOAK_SHARDS, batch_size=SOAK_BATCH, config=config
-    )
-
-    by_policy = {row.policy: row for row in rows}
-    for row in rows:
-        assert row.check_ok, f"audit violated under policy={row.policy}"
-        assert row.settlement_samples > 0
-    # Same workload, same committed outcome — the policy only moves *when*
-    # settlement crosses, never what commits.
-    assert by_policy["fixed"].committed == by_policy["adaptive"].committed
-    assert by_policy["fixed"].committed == by_policy["latency-target"].committed
-    # The adaptive grid actually adapted: its barrier schedule diverged from
-    # the fixed grid's (the width can transit back through the initial value,
-    # so the barrier count is the robust signal).
-    assert by_policy["adaptive"].barriers != by_policy["fixed"].barriers
-    # The latency-target policy either met its p95 goal or provably ran out
-    # of grid to narrow (an unreachable goal must end pinned at min_epoch,
-    # never silently drifting).
-    latency_row = by_policy["latency-target"]
-    assert (
-        latency_row.p95_settlement_latency <= LATENCY_TARGET_P95
-        or latency_row.final_epoch <= config.epoch / 8
-    ), (
-        f"latency-target ended at p95 "
-        f"{latency_row.p95_settlement_latency * 1000:.2f} ms with epoch "
-        f"{latency_row.final_epoch * 1000:.2f} ms"
-    )
-    # Narrowing toward the goal beats the fixed grid's p95.
-    assert (
-        latency_row.p95_settlement_latency
-        <= by_policy["fixed"].p95_settlement_latency
     )

@@ -8,7 +8,6 @@ from repro.eval.experiments import (
     ClusterExperimentConfig,
     ExperimentConfig,
     compare_systems,
-    epoch_policy_experiment,
     latency_experiment,
     run_cluster,
     settlement_soak_experiment,
@@ -79,28 +78,6 @@ class TestExperimentHarness:
         assert rows[0].consensus_latency > 0
         assert "ratio" in format_latency_table(rows)
 
-    def test_a_stateful_epoch_policy_does_not_leak_between_runs(self):
-        from repro.cluster.backends import LatencyTargetEpochPolicy
-
-        policy = LatencyTargetEpochPolicy(target_p95=0.004)
-        config = ClusterExperimentConfig(
-            user_count=2_000,
-            aggregate_rate=4_000.0,
-            duration=0.03,
-            cross_shard_fraction=0.5,
-            epoch_policy=policy,
-            seed=7,
-        )
-        fingerprints = []
-        for backend in ("serial", "serial", "process"):
-            _, system = run_cluster(4, 4, dataclasses.replace(config, backend=backend))
-            fingerprints.append(system.result.fingerprint())
-            system.close()
-        # The same serial run twice: each system starts from the policy as given.
-        assert fingerprints[0] == fingerprints[1] == fingerprints[2]
-        assert fingerprints[0].startswith("6171aaa3055b0b8d")
-        assert policy.observed_p95() == 0.0
-
 
 class TestSettlementLifecycleExperiments:
     def _config(self, fast_network, duration=0.04):
@@ -163,23 +140,3 @@ class TestSettlementLifecycleExperiments:
         assert report.bounded
         assert report.fully_retired
         assert len(report.samples) == 5  # checkpoints + quiescence
-
-    def test_epoch_policy_experiment_compares_the_trade(self, fast_network):
-        from repro.cluster.backends import AdaptiveEpochPolicy, FixedEpochPolicy
-
-        rows = epoch_policy_experiment(
-            [
-                ("fixed", FixedEpochPolicy(0.005)),
-                ("adaptive", AdaptiveEpochPolicy(initial_epoch=0.005)),
-            ],
-            config=self._config(fast_network),
-        )
-        assert [row.policy for row in rows] == ["fixed", "adaptive"]
-        for row in rows:
-            assert row.check_ok
-            assert row.barriers > 0
-            assert row.settlement_samples > 0
-            assert row.avg_settlement_latency > 0
-        # Same workload and protocol outcome; only the barrier grid differs.
-        assert rows[0].committed == rows[1].committed
-        assert rows[0].barriers != rows[1].barriers
