@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-props test-backends test-settlement test-migration test-checkpoints test-obs soak perf-smoke perf example clean
+.PHONY: test test-props test-backends test-settlement test-migration test-obs soak perf-smoke perf example clean
 
 ## Tier-1: the full unit/integration suite (fails fast, quiet).
 test:
@@ -14,8 +14,9 @@ test:
 ## The property-based suites alone (hypothesis; cluster conservation, the
 ## differential tests that keep a slow formulation as the reference —
 ## test_definition1_checker.py for the audit, test_account_book.py for
-## running balances ≡ the Figure 4 fold, test_event_queue.py for the
-## simulator's heap ≡ a list with min — etc.).
+## running balances ≡ the Figure 4 fold (through snapshot round trips),
+## test_event_queue.py for the simulator's heap ≡ a list with min, compared
+## on the live (time, sequence) pairs — etc.).
 test-props:
 	$(PYTHON) -m pytest tests/properties -q
 
@@ -44,28 +45,25 @@ test-settlement:
 
 ## The migration equivalence suite alone: placement invariance across
 ## {static, manual plan, threshold policy} x {serial, process} on three
-## barrier-grid widths, plus the arbitrary-barrier ShardSnapshot round trips
+## barrier-grid widths, replay from genesis carrying balances and compacted
+## histories, plus the arbitrary-barrier ShardSnapshot round trips
 ## migration rests on.
 test-migration:
 	$(PYTHON) -m pytest tests/cluster/test_migration.py tests/cluster/test_shard_snapshot.py -q
 
-## The incremental-checkpoint suite alone: delta codec units, checkpoint/
-## restore round trips, delta-stream folding on every backend, fingerprint
-## invariance across cadences (compaction and checkpointed migration
-## included), the replay-log/retirement bounded-growth regressions.
-test-checkpoints:
-	$(PYTHON) -m pytest tests/cluster/test_checkpoints.py -q
-
 ## The settlement-lifecycle soak alone (part of tier-1): a migrated
 ## long-horizon run asserting bounded resident settlement records and relay
-## journals, and the checkpoint soak's bounded replay log.  CI runs it, with
-## test-migration, a second time under `PYTHON="python -X dev -W error"`.
+## journals, and the same soak with compact_history asserting fewer resident
+## local records.  CI runs it, with test-migration, a second time under
+## `PYTHON="python -X dev -W error"`.
 soak:
 	$(PYTHON) -m pytest tests/cluster/test_settlement_soak.py -q
 
 ## The observability suite alone: registry/tracer units plus the
 ## telemetry-invariance harness (fingerprints identical with telemetry off,
-## metrics-only and full tracing, on every backend, migrated runs included).
+## metrics-only and full tracing, on every backend, migrated runs included)
+## and the phase breakdown.  CI runs it a second time under
+## `PYTHON="python -X dev -W error"`.
 test-obs:
 	$(PYTHON) -m pytest tests/obs -q
 

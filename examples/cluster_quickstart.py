@@ -25,13 +25,8 @@ account with no cross-shard coordination.  This example:
    load, ``rebalance()`` migrates shards between workers mid-run (snapshot,
    detach, rehydrate — no agreement protocol, because shards never
    coordinate), and the final fingerprint still equals the static run's:
-   results are placement-invariant,
-7. repeats a migrated run with *incremental checkpoints* on: periodic
-   delta-encoded baselines taken at protocol-quiescent epoch barriers let
-   the same moves ship only what changed since the last checkpoint —
-   O(delta) payload bytes and a truncated replay — with the fingerprint
-   still equal to the checkpoint-free run's, and
-8. turns the telemetry on full: the same run traced and metered, its phase
+   results are placement-invariant, and
+7. turns the telemetry on full: the same run traced and metered, its phase
    breakdown and busiest counters printed, a Chrome ``trace_event`` file
    (``TRACE_quickstart.json``, loadable in chrome://tracing or Perfetto)
    written and validated — while the fingerprint still equals the
@@ -47,7 +42,6 @@ Run with:  python examples/cluster_quickstart.py
 import os
 import time
 
-from repro.cluster.migration import MigrationPlan
 from repro.cluster.system import ClusterSystem
 from repro.eval.experiments import (
     ClusterExperimentConfig,
@@ -197,62 +191,6 @@ def live_rebalance() -> None:
     live.close()
 
 
-def checkpointed_migration() -> None:
-    """The same moves shipped as O(delta) instead of O(history).
-
-    Checkpoints are taken opportunistically at *protocol-quiescent* epoch
-    barriers, so a bursty workload — two traffic bursts with an idle gap —
-    is where they pay off: the barriers inside the gap refresh every
-    shard's baseline, and the moves scheduled after a burst ship only the
-    delta since that baseline and replay only the tail.
-    """
-    def bursts():
-        subs = []
-        for base in (0.0, 0.1):
-            for i in range(60):
-                source = (i * 5 + int(base * 10)) % 200
-                destination = (source + 7 + i % 11) % 200
-                subs.append(ClusterSubmission(
-                    time=base + 0.0001 + 0.0004 * i, source_user=source,
-                    destination_user=destination, amount=1 + i % 9,
-                ))
-        return subs
-
-    def build(checkpoint_every):
-        system = ClusterSystem(
-            shard_count=4, replicas_per_shard=4, batch_size=8,
-            network_config=NetworkConfig(seed=7), backend="process",
-            max_workers=2, seed=7,
-            migration=MigrationPlan([(0.05, 0, 1), (0.112, 1, 0)]),
-            checkpoint_every=checkpoint_every,
-        )
-        system.schedule_submissions(bursts())
-        return system
-
-    runs = {}
-    for label, cadence in (("from genesis", None), ("checkpointed", 2)):
-        system = build(cadence)
-        fingerprint = system.run().fingerprint()
-        runs[label] = (fingerprint, list(system.scheduler.migration_log),
-                       system.checkpoint_stats())
-        system.close()
-
-    print("checkpointed migration: the same two moves, process pool, 2 workers")
-    for label, (fingerprint, records, stats) in runs.items():
-        for record in records:
-            payload = record.delta_bytes or record.snapshot_bytes
-            print(f"  [{label:12s}] shard {record.shard}: worker "
-                  f"{record.source_worker} -> {record.target_worker}, "
-                  f"{payload:,} payload bytes vs {record.snapshot_bytes:,} "
-                  f"full snapshot, {record.replayed_events} events replayed")
-        if stats["taken"]:
-            print(f"  [{label:12s}] checkpoint stream: {stats['taken']} taken, "
-                  f"{stats['delta_bytes']:,} delta bytes vs "
-                  f"{stats['full_bytes']:,} full")
-    same = runs["from genesis"][0] == runs["checkpointed"][0]
-    print(f"  -> fingerprints identical with checkpoints on: {same}")
-
-
 def telemetry_tour() -> None:
     """The same run metered and traced: the telemetry layer records where the wall clock went without moving a single result
     bit (the fingerprint invariant, checked live below)."""
@@ -301,8 +239,6 @@ def main() -> None:
     backend_speedup()
     print()
     live_rebalance()
-    print()
-    checkpointed_migration()
     print()
     telemetry_tour()
     print()

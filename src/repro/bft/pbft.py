@@ -24,6 +24,7 @@ Modelling choices (substitutions for a full PBFT deployment):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -46,10 +47,17 @@ class PbftConfig:
     view: int = 0
 
     def validate(self) -> None:
-        if self.batch_size <= 0:
-            raise ConfigurationError("batch_size must be positive")
-        if self.batch_timeout < 0:
-            raise ConfigurationError("batch_timeout must be non-negative")
+        # A NaN or fractional size, or a NaN or infinite timeout, would pass
+        # a plain comparison and only fail mid-run, inside the leader's batch
+        # slicing or the simulator's timer.
+        if type(self.batch_size) is not int or self.batch_size < 1:
+            raise ConfigurationError(
+                f"batch_size must be an int >= 1, not {self.batch_size!r}"
+            )
+        if not 0 <= self.batch_timeout < math.inf:
+            raise ConfigurationError(
+                f"batch_timeout must be finite and non-negative, not {self.batch_timeout!r}"
+            )
 
 
 @dataclass

@@ -68,7 +68,7 @@ class _InstanceState:
     echoes: Dict[str, Set[ProcessId]] = field(default_factory=dict)
     readies: Dict[str, Set[ProcessId]] = field(default_factory=dict)
     # The payload object last hashed here (already in ``payload_by_hash``)
-    # and its digest; not checkpointed.
+    # and its digest.
     hashed_payload: Any = _NOTHING
     hashed_digest: str = ""
 
@@ -214,33 +214,3 @@ class BrachaBroadcast(BroadcastLayer):
         if self._instances[key].echoed:
             del self._instances[key]
         super()._deliver_in_order(delivery)
-
-    # -- checkpointing --------------------------------------------------------------------
-
-    def _capture_impl_state(self) -> Any:
-        return {
-            "instances": {
-                key: (
-                    dict(state.payload_by_hash),
-                    state.echoed,
-                    state.readied,
-                    state.delivered,
-                    {digest: set(witnesses) for digest, witnesses in state.echoes.items()},
-                    {digest: set(witnesses) for digest, witnesses in state.readies.items()},
-                )
-                for key, state in self._instances.items()
-            }
-        }
-
-    def _restore_impl_state(self, state: Any) -> None:
-        self._instances = {}
-        for key, packed in state["instances"].items():
-            payloads, echoed, readied, delivered, echoes, readies = packed
-            self._instances[tuple(key)] = _InstanceState(
-                payload_by_hash=dict(payloads),
-                echoed=echoed,
-                readied=readied,
-                delivered=delivered,
-                echoes={digest: set(witnesses) for digest, witnesses in echoes.items()},
-                readies={digest: set(witnesses) for digest, witnesses in readies.items()},
-            )

@@ -41,7 +41,7 @@ that late acknowledgement goes out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.broadcast.messages import EchoSignatureMessage, FinalMessage, SendMessage
 from repro.broadcast.secure_broadcast import BroadcastDelivery, BroadcastLayer
@@ -254,29 +254,3 @@ class EchoBroadcast(BroadcastLayer):
         if self._as_receiver[key].acknowledged_hash is not None:
             del self._as_receiver[key]
         super()._deliver_in_order(delivery)
-
-    # -- checkpointing ----------------------------------------------------------------------------
-
-    def _capture_impl_state(self) -> Any:
-        return {
-            "as_origin": {
-                sequence: (state.payload, dict(state.signatures))
-                for sequence, state in self._as_origin.items()
-            },
-            "as_receiver": {
-                key: (state.acknowledged_hash, state.delivered, state.relayed)
-                for key, state in self._as_receiver.items()
-            },
-        }
-
-    def _restore_impl_state(self, state: Any) -> None:
-        self._as_origin = {
-            sequence: _OriginState(payload=payload, signatures=dict(signatures))
-            for sequence, (payload, signatures) in state["as_origin"].items()
-        }
-        self._as_receiver = {
-            tuple(key): _ReceiverState(
-                acknowledged_hash=acknowledged, delivered=delivered, relayed=relayed
-            )
-            for key, (acknowledged, delivered, relayed) in state["as_receiver"].items()
-        }

@@ -35,8 +35,7 @@ an instance, the layer forgets it, unless the instance still owes a reply to
 a message that has not arrived yet (each layer names its case).  A message
 for a forgotten instance is dropped, because the state it would
 have updated could no longer make this process send or deliver anything.
-The instance tables therefore hold only in-flight instances, and a
-checkpoint copies only those.
+The instance tables therefore hold only in-flight instances.
 
 Concrete implementations live in :mod:`repro.broadcast.bracha` (the
 "naive quadratic" primitive the paper's deployment used) and
@@ -49,8 +48,8 @@ with the Section 6 account-order extension in
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.types import ProcessId
@@ -232,58 +231,6 @@ class BroadcastLayer(abc.ABC):
         self.stats.delivered += 1
         self.stats.payload_items += payload_item_count(delivery.payload)
         self._deliver_upward(delivery)
-
-    # -- checkpointing ---------------------------------------------------------------------
-    #
-    # Layers are sans-I/O (no simulator handles, no timers), so their whole
-    # state is plain data: capture/restore exist so a shard checkpoint can
-    # rehydrate a mid-run layer — including in-flight instances — onto a
-    # freshly built twin.  Subclasses extend ``_capture_impl_state`` /
-    # ``_restore_impl_state`` with their per-protocol instance tables.
-
-    def capture_state(self) -> Dict[str, Any]:
-        """Plain-data snapshot of the layer, including in-flight instances."""
-        return {
-            "stats": (
-                self.stats.broadcasts_started,
-                self.stats.messages_sent,
-                self.stats.delivered,
-                self.stats.payload_items,
-            ),
-            "next_own_sequence": self._next_own_sequence,
-            "order_next": dict(self._order_buffer._next_sequence),
-            "order_pending": {
-                origin: dict(pending)
-                for origin, pending in self._order_buffer._pending.items()
-            },
-            "order_reordered": self._order_buffer.reordered,
-            "impl": self._capture_impl_state(),
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Install a :meth:`capture_state` snapshot onto a freshly built layer."""
-        started, sent, delivered, items = state["stats"]
-        self.stats.broadcasts_started = started
-        self.stats.messages_sent = sent
-        self.stats.delivered = delivered
-        self.stats.payload_items = items
-        self._next_own_sequence = state["next_own_sequence"]
-        self._order_buffer._next_sequence = dict(state["order_next"])
-        self._order_buffer._pending = {
-            origin: dict(pending) for origin, pending in state["order_pending"].items()
-        }
-        self._order_buffer.reordered = state["order_reordered"]
-        self._restore_impl_state(state["impl"])
-
-    def _capture_impl_state(self) -> Any:
-        """Implementation-specific state (instance tables); plain data only."""
-        return None
-
-    def _restore_impl_state(self, state: Any) -> None:
-        if state is not None:  # pragma: no cover - defensive
-            raise ConfigurationError(
-                f"{type(self).__name__} cannot restore implementation state {state!r}"
-            )
 
     # -- the interface used by nodes -------------------------------------------------------
 

@@ -26,6 +26,14 @@ This package deploys that observation:
   simulators between the :class:`EpochScheduler`'s deterministic settlement
   barriers — one fixed grid, ``epoch`` apart — with bit-identical results on
   both.
+* :mod:`repro.cluster.migration` — :class:`PlacementPlan` (which worker
+  computes which shard) and the policies that move shards at barriers.  A
+  shard is a deterministic function of its spec, its arrivals and the
+  barrier commands it was sent, so a move evicts the shard's snapshot and
+  replays it from genesis on the adopting worker, checked byte for byte
+  against that snapshot.
+* :mod:`repro.cluster.codec` — the worker pipe's framing (one pickle per
+  frame) and the byte gauge every backend measures snapshots with.
 * :mod:`repro.cluster.system` — :class:`ClusterSystem`, the façade that
   routes, drives, settles and audits the whole cluster.
 * :mod:`repro.cluster.result` — :class:`ClusterResult` /

@@ -38,19 +38,16 @@ view of Imbs et al., arXiv:1706.05267).
 through :mod:`repro.cluster.codec` (one pickle per frame).  Commands are the
 tuples ``("advance", horizon, max_events)``,
 ``("mint"|"retire", time, per_shard)``, ``("evict", indices)``,
-``("adopt", arrivals)``, ``("checkpoint",)``, ``("snapshot",)`` and
-``("stop",)``; replies are ``("ok", payload)`` or
-``("error", traceback_text)``.  ``checkpoint`` ships each resident shard's
-state as a :class:`~repro.cluster.checkpoint.CheckpointDelta` against the
-worker's previous baseline (``None`` for shards not protocol-quiescent this
-round), and an ``adopt`` arrival carries an optional checkpoint so the
-adopting worker restores it and replays only the post-checkpoint tail.  The
-same framing measures ``snapshot_bytes`` for migration stall accounting, on
-every backend.
+``("adopt", arrivals)``, ``("snapshot",)`` and ``("stop",)``; replies are
+``("ok", payload)`` or ``("error", traceback_text)``.  ``evict`` answers with
+the departing shard's snapshot; an ``adopt`` arrival carries the shard's spec,
+its arrivals and its barrier-command history, which the adopting worker
+replays from genesis.  The same framing measures ``snapshot_bytes`` for
+migration stall accounting, on every backend.
 
 **Barrier fan-out.**  Commands addressed to *every* worker with identical
-bytes — ``advance`` each epoch, ``checkpoint``, ``snapshot`` and ``stop``
-at their barriers — are encoded once and the same ``bytes`` object is
+bytes — ``advance`` each epoch, ``snapshot`` and ``stop`` at their
+barriers — are encoded once and the same ``bytes`` object is
 written to each pipe (:meth:`ProcessPoolBackend._broadcast`);
 only per-worker payloads (``mint``, ``retire``, ``evict``, ``adopt``) are
 encoded per recipient.
@@ -76,19 +73,12 @@ from repro.cluster.migration import (
     PlacementPlan,
     ShardLoad,
 )
-from repro.cluster.checkpoint import (
-    CheckpointDelta,
-    checkpoint_delta,
-    fold_checkpoint,
-    replayable_suffix,
-)
 from repro.cluster.codec import decode as codec_decode
 from repro.cluster.codec import encode as codec_encode
 from repro.cluster.codec import encoded_size
 from repro.cluster.shard import (
     AdvanceReport,
     Shard,
-    ShardCheckpoint,
     ShardSnapshot,
     ShardSpec,
     ValidationEvent,
@@ -211,38 +201,12 @@ class ExecutionBackend(abc.ABC):
             "open() it with one (ClusterSystem does when migration is enabled)"
         )
 
-    def checkpoint(self, time: float) -> Dict[int, CheckpointDelta]:
-        """Take an incremental checkpoint of every checkpointable shard.
-
-        Called by the scheduler at checkpoint-cadence barriers, when every
-        shard is quiescent through ``time``.  Shards that are not
-        protocol-quiescent (an in-flight broadcast instance or undrained
-        validation event) are *skipped* this round — they keep their previous
-        baseline and remain fully replayable from it, so skipping is safe and
-        counted, never an error.  Checkpointing is observation-only: it reads
-        shard state without scheduling events or touching protocol decisions,
-        so every cadence fingerprints identically to the no-checkpoint run.
-        Returns the per-shard :class:`CheckpointDelta` stream increment.
-        """
-        return {}
-
-    def checkpoints(self) -> Dict[int, ShardCheckpoint]:
-        """The latest full checkpoint per shard (folded from the stream)."""
-        return {}
-
-    def checkpoint_stats(self) -> Dict[str, int]:
-        """Cumulative checkpoint accounting: rounds taken/skipped per shard,
-        delta bytes actually shipped vs the full bytes they stand in for."""
-        return {"taken": 0, "skipped": 0, "delta_bytes": 0, "full_bytes": 0}
-
     def replay_log_entries(self) -> int:
         """Barrier commands held in the driver-side migration replay log.
 
         Zero on backends that migrate without replay (the serial backend
-        shares the driver's live shards).  On the process pool this is the
-        quantity checkpoint truncation bounds: without checkpoints it grows
-        with the run, with them it tracks the window since the newest
-        baseline.
+        shares the driver's live shards).  On the process pool it grows with
+        the run: migration replays every shard from genesis.
         """
         return 0
 
@@ -267,15 +231,6 @@ class SerialBackend(ExecutionBackend):
     def __init__(self) -> None:
         self._shards: List[Shard] = []
         self._placement: Optional[PlacementPlan] = None
-        # Latest full checkpoint per shard (the delta stream's fold target)
-        # and the cumulative stream accounting.  In-process backends have no
-        # pipe to ship deltas over, but they maintain the identical stream so
-        # the checkpoint cadence — and its measured delta-vs-full ratio — is
-        # comparable across both backends.
-        self._checkpoints: Dict[int, ShardCheckpoint] = {}
-        self._checkpoint_stats: Dict[str, int] = {
-            "taken": 0, "skipped": 0, "delta_bytes": 0, "full_bytes": 0
-        }
 
     def open(
         self,
@@ -376,35 +331,6 @@ class SerialBackend(ExecutionBackend):
         for index in sorted(retirements):
             self._shards[index].apply_retirements(time, retirements[index])
 
-    def checkpoint(self, time: float) -> Dict[int, CheckpointDelta]:
-        deltas: Dict[int, CheckpointDelta] = {}
-        for shard in self._shards:
-            taken = shard.checkpoint()
-            if taken is None:
-                self._checkpoint_stats["skipped"] += 1
-                if self.metrics is not None:
-                    self.metrics.inc("checkpoint.skipped")
-                continue
-            delta = checkpoint_delta(self._checkpoints.get(shard.index), taken)
-            self._checkpoints[shard.index] = taken
-            delta_bytes = encoded_size(delta)
-            full_bytes = encoded_size(taken)
-            self._checkpoint_stats["taken"] += 1
-            self._checkpoint_stats["delta_bytes"] += delta_bytes
-            self._checkpoint_stats["full_bytes"] += full_bytes
-            if self.metrics is not None:
-                self.metrics.inc("checkpoint.taken")
-                self.metrics.observe("checkpoint.delta_bytes", delta_bytes)
-                self.metrics.observe("checkpoint.full_bytes", full_bytes)
-            deltas[shard.index] = delta
-        return deltas
-
-    def checkpoints(self) -> Dict[int, ShardCheckpoint]:
-        return dict(self._checkpoints)
-
-    def checkpoint_stats(self) -> Dict[str, int]:
-        return dict(self._checkpoint_stats)
-
 
 # -- the process-pool backend -----------------------------------------------------------------
 
@@ -414,7 +340,6 @@ def _replay_shard(
     submissions: List[RoutedSubmission],
     history: List[Tuple[str, float, Any]],
     horizon: float,
-    checkpoint: Optional[ShardCheckpoint] = None,
 ) -> Shard:
     """Rebuild a migrating shard on its adopting worker, bit-identically.
 
@@ -429,22 +354,11 @@ def _replay_shard(
     comparing the adopted shard's snapshot against the evicted one.  The
     replayed epochs' validation events were already consumed by the original
     timeline's barriers, so their reports are dropped on the floor here.
-
-    With a ``checkpoint``, replay is O(delta): the shard restores the frozen
-    checkpoint state directly, schedules only the arrival tail after the
-    checkpoint time, and replays only the command-log tail — instead of
-    re-executing the whole timeline from genesis.  The checkpoint was taken
-    at a protocol-quiescent barrier, so restoring it and re-running the tail
-    reproduces the exact same ``(time, sequence)`` event order the original
-    shard executed (the divergence check still compares full snapshots).
     """
     shard = spec.build()
     shard.install_validation_collector()
     shard.start()
-    if checkpoint is None:
-        _schedule_into(shard, submissions)
-    else:
-        shard.restore_checkpoint(checkpoint, submissions)
+    _schedule_into(shard, submissions)
     for kind, at, payload in history:
         shard.advance(at)
         if kind == "mint":
@@ -475,11 +389,6 @@ def _worker_main(
     formatted tracebacks.
     """
     shards: Dict[int, Shard] = {}
-    # Delta baseline per resident shard: the last checkpoint this worker
-    # shipped (or adopted), diffed against on the next ``checkpoint`` round.
-    # Evicting a shard drops its baseline with it; adopting installs the
-    # shipped checkpoint as the new baseline so the stream stays chained.
-    last_checkpoints: Dict[int, ShardCheckpoint] = {}
     for spec in specs:
         shard = spec.build()
         shard.install_validation_collector()
@@ -514,26 +423,13 @@ def _worker_main(
             elif kind == "evict":
                 _, indices = command
                 payload = {index: shards.pop(index).snapshot() for index in indices}
-                for index in indices:
-                    last_checkpoints.pop(index, None)
             elif kind == "adopt":
                 _, arrivals = command
                 payload = {}
-                for spec, routed, checkpoint, history, horizon in arrivals:
-                    shard = _replay_shard(spec, routed, history, horizon, checkpoint)
+                for spec, routed, history, horizon in arrivals:
+                    shard = _replay_shard(spec, routed, history, horizon)
                     shards[spec.index] = shard
-                    if checkpoint is not None:
-                        last_checkpoints[spec.index] = checkpoint
                     payload[spec.index] = shard.snapshot()
-            elif kind == "checkpoint":
-                payload = {}
-                for index in sorted(shards):
-                    taken = shards[index].checkpoint()
-                    if taken is None:
-                        payload[index] = None
-                        continue
-                    payload[index] = checkpoint_delta(last_checkpoints.get(index), taken)
-                    last_checkpoints[index] = taken
             elif kind == "snapshot":
                 payload = {index: shards[index].snapshot() for index in sorted(shards)}
             elif kind != "stop":
@@ -586,17 +482,9 @@ class ProcessPoolBackend(ExecutionBackend):
         # Per-shard barrier command log: what a migration replays on the
         # adopting worker.  Recorded only when the session is opened
         # migratable (record_history), so non-migrating runs keep the
-        # driver-side memory profile they had.  Without checkpoints this log
-        # grows for the whole run; every folded checkpoint truncates it to
-        # the post-checkpoint tail, which bounds it by the checkpoint cadence.
+        # driver-side memory profile they had.  The log grows for the whole
+        # run: a migrating shard always replays from genesis.
         self._history: Optional[Dict[int, List[Tuple[str, float, Any]]]] = None
-        # Driver-side checkpoint store: deltas arriving from the workers fold
-        # into full checkpoints here, so migration can ship the latest
-        # checkpoint to the adopting worker without a source round trip.
-        self._checkpoints: Dict[int, ShardCheckpoint] = {}
-        self._checkpoint_stats: Dict[str, int] = {
-            "taken": 0, "skipped": 0, "delta_bytes": 0, "full_bytes": 0
-        }
         # Per worker slot, the kinds of the commands sent and not yet
         # answered, oldest first: what a failed receive is attributed to.
         self._outstanding: List[deque] = []
@@ -709,9 +597,9 @@ class ProcessPoolBackend(ExecutionBackend):
         """Send one identical command to every worker, encoded once.
 
         The per-epoch barrier exchange ships the same bytes to every
-        recipient (``advance`` each epoch; ``checkpoint``, ``snapshot`` at
-        their barriers), so the one ``bytes`` object is
-        written to each pipe instead of re-encoding per recipient worker.
+        recipient (``advance`` each epoch; ``snapshot`` and ``stop`` at their
+        barriers), so the one ``bytes`` object is written to each pipe instead
+        of re-encoding per recipient worker.
         """
         data = codec_encode(command)
         for slot in range(len(self._workers)):
@@ -778,55 +666,6 @@ class ProcessPoolBackend(ExecutionBackend):
         for slot in sorted(per_slot):
             self._recv(slot)
 
-    def checkpoint(self, time: float) -> Dict[int, CheckpointDelta]:
-        """One checkpoint round trip per worker; fold deltas, truncate logs.
-
-        Each worker answers with a :class:`CheckpointDelta` per resident
-        quiescent shard (``None`` for skipped ones).  The driver folds every
-        delta onto its stored baseline — refusing mismatched chains — and
-        then truncates that shard's replay log behind the checkpoint time:
-        migration replays from the checkpoint now, so commands at or before
-        it can never be needed again.  That truncation is what keeps the
-        driver-side history bounded on long migratable runs.
-        """
-        if not self._workers:
-            return {}
-        self._broadcast(("checkpoint",))
-        merged: Dict[int, Optional[CheckpointDelta]] = {}
-        for slot in range(len(self._workers)):
-            merged.update(self._recv(slot))
-        deltas: Dict[int, CheckpointDelta] = {}
-        for index in sorted(merged):
-            delta = merged[index]
-            if delta is None:
-                self._checkpoint_stats["skipped"] += 1
-                if self.metrics is not None:
-                    self.metrics.inc("checkpoint.skipped")
-                continue
-            folded = fold_checkpoint(self._checkpoints.get(index), delta)
-            self._checkpoints[index] = folded
-            delta_bytes = encoded_size(delta)
-            full_bytes = encoded_size(folded)
-            self._checkpoint_stats["taken"] += 1
-            self._checkpoint_stats["delta_bytes"] += delta_bytes
-            self._checkpoint_stats["full_bytes"] += full_bytes
-            if self.metrics is not None:
-                self.metrics.inc("checkpoint.taken")
-                self.metrics.observe("checkpoint.delta_bytes", delta_bytes)
-                self.metrics.observe("checkpoint.full_bytes", full_bytes)
-            deltas[index] = delta
-            if self._history is not None:
-                self._history[index] = replayable_suffix(
-                    self._history[index], folded.time
-                )
-        return deltas
-
-    def checkpoints(self) -> Dict[int, ShardCheckpoint]:
-        return dict(self._checkpoints)
-
-    def checkpoint_stats(self) -> Dict[str, int]:
-        return dict(self._checkpoint_stats)
-
     def replay_log_entries(self) -> int:
         if self._history is None:
             return 0
@@ -839,12 +678,10 @@ class ProcessPoolBackend(ExecutionBackend):
 
         The shard is quiescent through ``time`` (the barrier contract), so
         the transfer is: snapshot-and-detach on the source worker, then
-        deterministic replay (spec + arrivals + barrier command history) on
-        the target — from the latest checkpoint when one exists, shipping
-        and replaying only the post-checkpoint tail — see
-        :func:`_replay_shard`.  The adopting worker's
-        snapshot must equal the evicted one byte for byte *on its protocol
-        state* (:meth:`~repro.cluster.shard.ShardSnapshot.state_view`);
+        deterministic replay from genesis (spec + arrivals + barrier command
+        history) on the target — see :func:`_replay_shard`.  The adopting
+        worker's snapshot must equal the evicted one byte for byte *on its
+        protocol state* (:meth:`~repro.cluster.shard.ShardSnapshot.state_view`);
         telemetry is excluded because the replay's advance-call pattern
         legitimately differs from the original timeline's, while a protocol
         mismatch means the replay diverged and the run aborts rather than
@@ -868,21 +705,8 @@ class ProcessPoolBackend(ExecutionBackend):
             if source == move.worker:
                 continue
             started = _time.perf_counter()
-            # O(delta) shipping: from the latest checkpoint (if any), only
-            # the arrivals and barrier commands after the checkpoint go over
-            # the pipe and get replayed; without one, the full timeline
-            # replays from genesis as before.  The history log is shipped
-            # as-is: folding a checkpoint already truncated it to the
-            # post-checkpoint tail, and that tail legitimately starts with
-            # commands recorded *at* the checkpoint time — the same-barrier
-            # exchange runs after the checkpoint phase, so its commands are
-            # not in the checkpoint state and must replay.  Re-filtering
-            # with a strict time cut here would drop exactly those.
-            baseline = self._checkpoints.get(move.shard)
             arrivals = self._submissions.get(move.shard, [])
             history = self._history[move.shard]
-            if baseline is not None:
-                arrivals = [s for s in arrivals if s.time > baseline.time]
             with _phase(
                 None, self.tracer, "migrate.evict_adopt", cat="migration", shard=move.shard
             ):
@@ -890,18 +714,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 evicted = self._recv(source)[move.shard]
                 self._request(
                     move.worker,
-                    (
-                        "adopt",
-                        [
-                            (
-                                self._specs[move.shard],
-                                arrivals,
-                                baseline,
-                                history,
-                                time,
-                            )
-                        ],
-                    ),
+                    ("adopt", [(self._specs[move.shard], arrivals, history, time)]),
                 )
                 adopted = self._recv(move.worker)[move.shard]
             if adopted.state_view() != evicted.state_view():
@@ -1017,13 +830,10 @@ class EpochScheduler:
         migration: Optional[MigrationPolicy] = None,
         metrics=None,
         tracer=None,
-        checkpoint_every: Optional[int] = None,
     ) -> None:
         # ``0 < x < inf`` is false for NaN too, which ``x <= 0`` would let through.
         if not 0 < epoch < math.inf:
             raise ConfigurationError(f"epoch width must be finite and positive, not {epoch}")
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ConfigurationError("checkpoint_every must be at least 1 barrier")
         self.epoch = epoch
         # Driver-side telemetry sinks (repro.obs).  Strictly write-only from
         # the scheduler's point of view: phase wall-times, exchange counters
@@ -1040,14 +850,6 @@ class EpochScheduler:
         self.migration = migration
         self.migration_log: List[MigrationRecord] = []
         self._migrated_at_barrier = -1
-        # Checkpoint cadence, in taken barriers (None = never).  The phase
-        # runs at the loop top — every shard quiescent through ``now``,
-        # before migration so a same-barrier move already ships O(delta) —
-        # and is guarded like migration to fire once per taken barrier
-        # across pause/resume re-entries.
-        self.checkpoint_every = checkpoint_every
-        self._checkpointed_at_barrier = -1
-        self.checkpoint_rounds = 0
         # Cumulative per-shard settlement items (validations observed, mints
         # and retirements applied): the traffic half of the load signals the
         # migration policies weigh against raw simulator events.
@@ -1159,11 +961,6 @@ class EpochScheduler:
             # barrier — a pause/resume re-enters this loop at the same
             # barrier and must not re-decide.
             with _phase(
-                self.metrics, self.tracer, "phase.checkpoint", cat="scheduler",
-                sim_start=self.now, barrier=self.barriers,
-            ):
-                self._maybe_checkpoint(backend)
-            with _phase(
                 self.metrics, self.tracer, "phase.migrate", cat="scheduler",
                 sim_start=self.now, barrier=self.barriers,
             ):
@@ -1205,27 +1002,6 @@ class EpochScheduler:
             if self.metrics is not None:
                 self.metrics.inc("scheduler.barriers")
         return self._reports
-
-    def _maybe_checkpoint(self, backend: ExecutionBackend) -> None:
-        """Run the periodic checkpoint round, once per taken barrier.
-
-        Fires at every ``checkpoint_every``-th taken barrier (never at
-        barrier 0 — the genesis state needs no checkpoint).  Checkpointing
-        only observes shard state, so the barrier schedule, event sequences
-        and fingerprints are identical whatever the cadence — the
-        invariance tests pin that.
-        """
-        if self.checkpoint_every is None:
-            return
-        if self.barriers <= self._checkpointed_at_barrier:
-            return
-        self._checkpointed_at_barrier = self.barriers
-        if self.barriers == 0 or self.barriers % self.checkpoint_every != 0:
-            return
-        backend.checkpoint(self.now)
-        self.checkpoint_rounds += 1
-        if self.metrics is not None:
-            self.metrics.inc("scheduler.checkpoint_rounds")
 
     def _maybe_migrate(self, backend: ExecutionBackend) -> None:
         """Consult the migration policy, once per taken barrier."""

@@ -10,8 +10,8 @@ of them decode in the driver; as one pickle it takes 91 057 bytes and 3.7 /
 5.1 ms (its records reduce to their constructor arguments, see
 :func:`repro.common.types.rebuilt_by_constructor`).  This stays a module so
 that every frame meets one place that counts its bytes (:func:`encoded_size`
-is the migration and checkpoint gauge on every backend), owns its time in a
-profile, and rejects a frame that is not exactly one value.
+is the migration gauge on every backend), owns its time in a profile, and
+rejects a frame that is not exactly one value.
 """
 
 from __future__ import annotations

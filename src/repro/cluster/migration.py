@@ -96,11 +96,10 @@ class MigrationRecord:
     target_worker: int
     snapshot_bytes: int
     stall_s: float
-    # Incremental-checkpoint measurements (0 on backends that ship nothing):
-    # bytes of the actual adopt payload — the replay tail past the newest
-    # checkpoint, as framed for the pipe — and how many commands + arrivals the
-    # adopting worker replays.  With checkpoints off, ``delta_bytes`` is the
-    # full genesis-replay payload, so the two columns bracket the saving.
+    # Replay measurements (0 on backends that ship nothing): bytes of the
+    # adopt payload — the shard's arrivals and barrier-command history, as
+    # framed for the pipe — and how many commands + arrivals the adopting
+    # worker replays from genesis.
     delta_bytes: int = 0
     replayed_events: int = 0
 

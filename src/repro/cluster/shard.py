@@ -155,29 +155,6 @@ class ShardSnapshot:
         return dataclasses.replace(self, metrics=None)
 
 
-@dataclass
-class ShardCheckpoint:
-    """A shard frozen mid-run at a protocol-quiescent barrier, as plain data.
-
-    Where :class:`ShardSnapshot` captures the *inspection* surface of a
-    finished (or paused) shard, a checkpoint captures enough to resume
-    execution bit-identically: the snapshot plus the live remainder — the
-    per-node validation queues and client pipelines, the broadcast layers'
-    in-flight instance tables, the network RNG position and CPU horizons,
-    and the simulator's clock/sequence counters.  Client arrivals are *not*
-    captured: a checkpoint is only taken when every pending event is a
-    client submission, and those are re-scheduled from the shard's routed
-    submission list on restore (see :meth:`Shard.restore_checkpoint`).
-    """
-
-    index: int
-    time: float
-    sequence: int
-    processed_events: int
-    state: ShardSnapshot
-    live: Dict[str, object] = field(default_factory=dict)
-
-
 class Shard:
     """A replica group executing the transfers of its account partition."""
 
@@ -406,13 +383,8 @@ class Shard:
         self.metrics.set_gauge("shard.submitted", self.submitted)
         return self.metrics.snapshot()
 
-    def snapshot(self, include_metrics: bool = True) -> ShardSnapshot:
-        """Capture the inspection-relevant final state as picklable data.
-
-        ``include_metrics=False`` skips the telemetry sampling entirely —
-        checkpoints compare and diff snapshots as pure protocol state, so
-        carrying (and re-sampling) gauges there would only add bytes.
-        """
+    def snapshot(self) -> ShardSnapshot:
+        """Capture the inspection-relevant final state as picklable data."""
         nodes = {}
         for pid in sorted(self.nodes):
             node = self.nodes[pid]
@@ -442,7 +414,7 @@ class Shard:
             submitted=self.submitted,
             broadcast_delivered=self.broadcast_instances(),
             payload_items=self.payload_items(),
-            metrics=self.metrics_snapshot() if include_metrics else None,
+            metrics=self.metrics_snapshot(),
         )
 
     def restore(self, snapshot: ShardSnapshot) -> None:
@@ -459,7 +431,7 @@ class Shard:
                 f"snapshot of shard {snapshot.index} applied to shard {self.index}"
             )
         for pid, node_snapshot in snapshot.nodes.items():
-            self._restore_node(self.nodes[pid], node_snapshot, node_snapshot.stats)
+            self._restore_node(self.nodes[pid], node_snapshot)
         self.result.committed = list(snapshot.committed)
         self.result.rejected = list(snapshot.rejected)
         self.network.messages_sent = snapshot.messages_sent
@@ -472,12 +444,10 @@ class Shard:
         self._worker_metrics = snapshot.metrics
 
     @staticmethod
-    def _restore_node(
-        node: ConsensuslessTransferNode, state: NodeSnapshot, stats: NodeStats
-    ) -> None:
+    def _restore_node(node: ConsensuslessTransferNode, state: NodeSnapshot) -> None:
         """Install ``state``; the book's running balances are rebuilt from the
         shipped ``hist`` + ``retired_offsets`` by one fold."""
-        node.stats = stats
+        node.stats = state.stats
         node.seq = dict(state.seq)
         node.rec = dict(state.rec)
         node.book.rebuild(state.hist, state.retired_offsets)
@@ -491,102 +461,6 @@ class Shard:
         node.retired_records = state.retired_records
         node.compacted_local_records = state.compacted_local_records
         node.stale_retirements_dropped = state.stale_retirements_dropped
-
-    # -- checkpointing ------------------------------------------------------------------------
-
-    def checkpoint_blockers(self) -> List[str]:
-        """Why this shard cannot be checkpointed right now (empty = it can).
-
-        A checkpoint is only sound at a *protocol-quiescent* instant: every
-        pending simulator event must be a client submission (re-creatable
-        from the routed-submission spec).  An in-flight protocol message or
-        settlement command holds closures over live state and would be lost,
-        so its presence blocks the checkpoint — the caller simply skips this
-        cadence barrier and the shard keeps replaying from its previous
-        checkpoint (or genesis).
-        """
-        blockers = [
-            label
-            for label in self.simulator.live_event_labels()
-            if not label.startswith("client submit ")
-        ]
-        if self._validation_events:
-            blockers.append("undrained validation events")
-        return blockers
-
-    def checkpoint(self) -> Optional[ShardCheckpoint]:
-        """Capture a resumable mid-run image, or ``None`` if not quiescent.
-
-        The capture deep-copies every mutable container, so the returned
-        object stays valid however far this shard runs on (the serial
-        backend keeps checkpoints of *live* shards in-process).
-        """
-        if self.checkpoint_blockers():
-            return None
-        state = self.snapshot(include_metrics=False)
-        for node_snapshot in state.nodes.values():
-            # snapshot() shares the live NodeStats object; a checkpoint must
-            # freeze it.
-            node_snapshot.stats = dataclasses.replace(node_snapshot.stats)
-        live = {
-            "nodes": {pid: self.nodes[pid].capture_live_state() for pid in sorted(self.nodes)},
-            "network": self.network.capture_state(),
-        }
-        return ShardCheckpoint(
-            index=self.index,
-            time=self.simulator.now,
-            sequence=self.simulator._sequence,
-            processed_events=self.simulator.processed_events,
-            state=state,
-            live=live,
-        )
-
-    def restore_checkpoint(self, checkpoint: ShardCheckpoint, submissions) -> int:
-        """Resume from ``checkpoint`` on this freshly built, started shard.
-
-        ``submissions`` is the shard's full routed arrival list; the tail
-        strictly after the checkpoint time is re-scheduled (the rest already
-        executed into the captured state).  The arrivals take fresh low
-        sequence numbers — all below the checkpoint's counter and in their
-        original relative order, exactly as in the original timeline where
-        every arrival was scheduled at open — then the clock and sequence
-        counter jump to the checkpoint's values, so deterministic
-        re-execution reproduces the original event order bit-for-bit.
-        Returns the number of arrivals re-scheduled.
-
-        The caller is expected to have run :meth:`start` (and installed a
-        validation collector when settlement is on) before restoring, as
-        :func:`repro.cluster.backends._replay_shard` does.
-        """
-        if checkpoint.index != self.index:
-            raise ConfigurationError(
-                f"checkpoint of shard {checkpoint.index} applied to shard {self.index}"
-            )
-        scheduled = 0
-        for submission in submissions:
-            if submission.time > checkpoint.time:
-                self.submit(submission.time, submission.issuer, submission.destination, submission.amount)
-                scheduled += 1
-        snapshot = checkpoint.state
-        for pid, node_snapshot in snapshot.nodes.items():
-            # Copy the stats, don't alias: this node runs on and mutates them.
-            self._restore_node(
-                self.nodes[pid], node_snapshot, dataclasses.replace(node_snapshot.stats)
-            )
-        self.result.committed = list(snapshot.committed)
-        self.result.rejected = list(snapshot.rejected)
-        self.submitted = snapshot.submitted
-        # Live remainder: validation queues, client pipelines, broadcast
-        # instance tables, network RNG/CPU/counters.  No ``_stats_override``
-        # and no ``_worker_metrics`` — this twin is *live*, its layers carry
-        # the real cumulative stats from here on.
-        for pid, live_state in checkpoint.live["nodes"].items():
-            self.nodes[pid].restore_live_state(live_state)
-        self.network.restore_state(checkpoint.live["network"])
-        self.simulator.restore_counters(
-            checkpoint.time, checkpoint.sequence, checkpoint.processed_events
-        )
-        return scheduled
 
     def compacted_local_record_count(self) -> int:
         """Ordinary local records compacted behind the consumption watermark (replica 0)."""

@@ -110,15 +110,6 @@ class ClusterSystem:
         the static-assignment run's (the extended equivalence harness pins
         this).  The system runs on its own copy of a migration policy, so
         one object can configure any number of systems.
-    checkpoint_every:
-        Incremental-checkpoint cadence in taken barriers (``None`` =
-        never).  Every N-th barrier each protocol-quiescent shard records a
-        delta-encoded checkpoint; migration then ships and replays
-        only the post-checkpoint tail (O(delta) instead of O(history)), and
-        the driver's per-shard replay log is truncated behind the checkpoint
-        so long migratable runs hold bounded memory.  Checkpointing only
-        observes state — every cadence fingerprints identically to the
-        no-checkpoint run on every backend (the invariance suite pins it).
     compact_history:
         When true, each replica removes a transfer record from its local
         ``hist`` once the record's credit has been *consumed* — folded into
@@ -156,7 +147,6 @@ class ClusterSystem:
         epoch: float = 0.005,
         max_workers: Optional[int] = None,
         migration=None,
-        checkpoint_every: Optional[int] = None,
         compact_history: bool = False,
         telemetry: str = "metrics",
         seed: int = 0,
@@ -181,13 +171,10 @@ class ClusterSystem:
         self._migration_enabled, self._migration_policy = normalize_migration(
             copy.deepcopy(migration)
         )
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ConfigurationError("checkpoint_every must be at least 1 barrier")
         self.shard_count = shard_count
         self.replicas_per_shard = replicas_per_shard
         self.batch_size = batch_size
         self.seed = seed
-        self.checkpoint_every = checkpoint_every
         self.compact_history = bool(compact_history)
         self.backend_name = backend
         # Observability: a driver-side registry (mode != off) for phase
@@ -229,7 +216,6 @@ class ClusterSystem:
             migration=self._migration_policy,
             metrics=self.metrics,
             tracer=self.tracer,
-            checkpoint_every=checkpoint_every,
         )
         self._backend = make_backend(backend, max_workers)
         self._backend.attach_telemetry(self.metrics, self.tracer)
@@ -440,12 +426,6 @@ class ClusterSystem:
         self.metrics.set_gauge("migrate.delta_bytes_total", totals["delta_bytes"])
         self.metrics.set_gauge("migrate.replayed_events_total", totals["replayed_events"])
         self.metrics.set_gauge("migrate.stall_s_total", totals["stall_s"])
-        if self.checkpoint_every is not None:
-            stats = self._backend.checkpoint_stats()
-            self.metrics.set_gauge("checkpoint.taken_total", stats["taken"])
-            self.metrics.set_gauge("checkpoint.skipped_total", stats["skipped"])
-            self.metrics.set_gauge("checkpoint.delta_bytes_total", stats["delta_bytes"])
-            self.metrics.set_gauge("checkpoint.full_bytes_total", stats["full_bytes"])
         per_shard = {}
         for shard in self.shards:
             snapshot = shard.metrics_snapshot()
@@ -610,14 +590,6 @@ class ClusterSystem:
         """Outbound records retired behind compaction watermarks, cluster-wide."""
         return sum(shard.retired_record_count() for shard in self.shards)
 
-    def checkpoint_stats(self) -> Dict[str, int]:
-        """Cumulative checkpoint accounting from the backend session.
-
-        Zeros with checkpoints off.  ``delta_bytes`` vs ``full_bytes`` is
-        the incremental stream's measured win.
-        """
-        return self._backend.checkpoint_stats()
-
     def resident_local_records(self) -> int:
         """Ordinary (non-settlement) transfer records resident cluster-wide.
 
@@ -634,9 +606,9 @@ class ClusterSystem:
     def replay_log_entries(self) -> int:
         """Commands held in the driver-side migration replay log right now.
 
-        Zero on backends that migrate without replay; on the process pool
-        this is the figure checkpoint truncation keeps bounded (the soak
-        benchmark samples it).
+        Zero on backends that migrate without replay; on a migratable
+        process pool it grows with the run, since every move replays the
+        shard from genesis.
         """
         return self._backend.replay_log_entries()
 

@@ -143,7 +143,7 @@ class SeededRng:
         return [self._random.randint(low, high) for _ in range(count)]
 
     def state(self) -> object:
-        """Return the underlying generator state (useful for checkpointing)."""
+        """Return the underlying generator state."""
         return self._random.getstate()
 
     def restore(self, state: object) -> None:

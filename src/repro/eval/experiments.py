@@ -399,11 +399,8 @@ class ClusterExperimentConfig:
     # MigrationPlan, or a ThresholdMigrationPolicy.  Results are
     # placement-invariant; the knob moves wall-clock load distribution only.
     migration: Optional[object] = None
-    # Incremental-checkpoint cadence in taken barriers: bounds the driver
-    # replay log and turns migrations O(delta).  And the consumption-
-    # compaction knob for ordinary local records.  Both are
-    # fingerprint-neutral by the checkpoint-invariance harness.
-    checkpoint_every: Optional[int] = None
+    # The consumption-compaction knob for ordinary local records;
+    # balance-preserving, so fingerprint-neutral.
     compact_history: bool = False
     # The telemetry mode ("off"/"metrics"/"full"), passed straight through to
     # ClusterSystem.  Fingerprint-neutral by the telemetry invariant — runs
@@ -440,7 +437,6 @@ class ClusterExperimentConfig:
             epoch=self.epoch,
             max_workers=self.max_workers,
             migration=self.migration,
-            checkpoint_every=self.checkpoint_every,
             compact_history=self.compact_history,
             telemetry=self.telemetry,
             seed=self.seed,
@@ -628,7 +624,7 @@ class SoakSample:
     migrations: int = 0
     # Ordinary (non-settlement) records resident in the ledgers — the figure
     # ``compact_history`` bounds — and barrier commands held in the driver's
-    # migration replay log — the figure checkpoint truncation bounds.
+    # migration replay log, which grows with the run.
     resident_local_records: int = 0
     replay_log_entries: int = 0
 
@@ -657,12 +653,9 @@ class SoakReport:
     migrations: int = 0
     # The final run's telemetry section (None with telemetry off).
     telemetry: Optional[Dict[str, object]] = None
-    # Peaks of the two growth figures the checkpoint seam bounds, plus the
-    # backend's cumulative checkpoint accounting (zeros with checkpoints
-    # off) — the checkpoint soak test compares these across cadences.
+    # Peaks of the resident local records and of the migration replay log.
     peak_local_records: int = 0
     peak_replay_log: int = 0
-    checkpoint_stats: Optional[Dict[str, int]] = None
 
     @property
     def bounded(self) -> bool:
@@ -762,7 +755,6 @@ def settlement_soak_experiment(
         system.settlement.journal_records_total() if system.settlement else 0
     )
     telemetry = system.result.telemetry
-    checkpoint_stats = system.checkpoint_stats()
     system.close()
 
     peak = max(s.resident_settlement_records for s in samples)
@@ -779,5 +771,4 @@ def settlement_soak_experiment(
         telemetry=telemetry,
         peak_local_records=max(s.resident_local_records for s in samples),
         peak_replay_log=max(s.replay_log_entries for s in samples),
-        checkpoint_stats=checkpoint_stats,
     )

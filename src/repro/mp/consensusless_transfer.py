@@ -120,8 +120,10 @@ class ConsensuslessTransferNode(Node):
         on_complete: Optional[Callable[[TransferRecord], None]] = None,
         batch_size: int = 1,
     ) -> None:
-        if batch_size < 1:
-            raise ConfigurationError("batch_size must be at least 1")
+        # A NaN would commit nothing and still return normally; a fraction
+        # would silently round up at the batch slice.
+        if type(batch_size) is not int or batch_size < 1:
+            raise ConfigurationError(f"batch_size must be an int >= 1, not {batch_size!r}")
         super().__init__(node_id)
         self.account = account_of(node_id)
         self._initial_balances = dict(initial_balances)
@@ -148,7 +150,7 @@ class ConsensuslessTransferNode(Node):
         self.retired_records = 0
         self.stale_retirements_dropped = 0
 
-        # Local-history compaction (opt-in; the cluster's checkpoint seam
+        # Local-history compaction (opt-in; a cluster's ``compact_history``
         # enables it per shard).  When on, an ordinary local transfer record
         # is dropped from ``hist`` the moment the announcement *consuming* it
         # as a dependency validates — past that point a benign issuer can
@@ -554,36 +556,6 @@ class ConsensuslessTransferNode(Node):
         self._respond(pending.transfer, pending.submitted_at, success=True)
         if not self._in_flight:
             self._try_issue_next()
-
-    # -- checkpointing -----------------------------------------------------------------------------
-
-    def capture_live_state(self) -> Dict[str, Any]:
-        """Plain-data snapshot of the state a :class:`NodeSnapshot` omits.
-
-        ``NodeSnapshot`` carries the *settled* protocol state (histories,
-        logs, counters); this captures the in-flight remainder — the
-        validation queue, the client pipeline and the broadcast layer's
-        instance tables — so a checkpoint can rehydrate a mid-run node
-        exactly.  Everything returned is picklable plain data.
-        """
-        return {
-            "to_validate": list(self.to_validate),
-            "in_flight": [(pending.transfer, pending.submitted_at) for pending in self._in_flight],
-            "submit_queue": list(self._submit_queue),
-            "layer": None if self.broadcast_layer is None else self.broadcast_layer.capture_state(),
-        }
-
-    def restore_live_state(self, state: Dict[str, Any]) -> None:
-        """Install a :meth:`capture_live_state` snapshot onto a started twin."""
-        self.to_validate = [(issuer, announcement) for issuer, announcement in state["to_validate"]]
-        self._in_flight = [
-            PendingTransfer(transfer=transfer, submitted_at=submitted_at)
-            for transfer, submitted_at in state["in_flight"]
-        ]
-        self._submit_queue = [(destination, amount) for destination, amount in state["submit_queue"]]
-        if state["layer"] is not None:
-            assert self.broadcast_layer is not None, "node not started"
-            self.broadcast_layer.restore_state(state["layer"])
 
     # -- balances and observations -----------------------------------------------------------------
 

@@ -247,9 +247,7 @@ class Network:
     # One message is two events, "deliver" (link delay) then "process" (the
     # recipient's CPU queue), both queued without a handle: the entry carries
     # the bound method and its ``(node, sender, message)`` arguments, so a
-    # message allocates no ``Event`` and no ``partial``.  Their labels are
-    # constants: the only reader, ``Shard.checkpoint_blockers``, asks whether
-    # a label is a client submission, never which message it is.
+    # message allocates no ``Event`` and no ``partial``.
 
     def multicast(self, sender: ProcessId, recipients: Sequence[ProcessId], message: Any) -> None:
         """Queue ``message`` from ``sender`` to each of ``recipients``, in order.
@@ -281,7 +279,7 @@ class Network:
                 unsent = len(recipients) - recipients.index(recipient)
                 stats.sent -= unsent - 1
                 self.messages_sent -= unsent
-                simulator.post_many(self._arrive, deliveries, "deliver")
+                simulator.post_many(self._arrive, deliveries)
                 raise SimulationError(f"message sent to unknown node {recipient}")
             if drop and self._rng.maybe(drop):
                 self.messages_dropped += 1
@@ -291,7 +289,7 @@ class Network:
             if rate:
                 latency += -log(1.0 - uniform()) / rate
             deliveries.append((now + latency, (node, sender, message)))
-        simulator.post_many(self._arrive, deliveries, "deliver")
+        simulator.post_many(self._arrive, deliveries)
 
     def _arrive(self, node: Node, sender: ProcessId, message: Any) -> None:
         """Message arrived at the recipient's NIC; queue it on the CPU."""
@@ -312,39 +310,12 @@ class Network:
         cpu_free_at[recipient] = finish
         stats.busy_time += cost
         self.messages_delivered += 1
-        simulator.post(finish, self._process, (node, sender, message), "process")
+        simulator.post(finish, self._process, (node, sender, message))
 
     @staticmethod
     def _process(node: Node, sender: ProcessId, message: Any) -> None:
         node.stats.processed += 1
         node.on_message(sender, message)
-
-    # -- checkpointing -----------------------------------------------------------------
-
-    def capture_state(self) -> Dict[str, Any]:
-        """Plain-data snapshot of the network's own mutable state.
-
-        Everything here is plain picklable data: the RNG position (so
-        post-checkpoint latency draws replay identically), the per-node CPU
-        horizon, and the delivery counters.  Node membership and config are
-        rebuilt from the shard spec, not captured.
-        """
-        return {
-            "rng": self._rng._random.getstate(),
-            "cpu_free_at": dict(self._cpu_free_at),
-            "messages_sent": self.messages_sent,
-            "messages_delivered": self.messages_delivered,
-            "messages_dropped": self.messages_dropped,
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Install a :meth:`capture_state` snapshot onto a freshly built twin."""
-        version, internal, gauss = state["rng"]
-        self._rng._random.setstate((version, tuple(internal), gauss))
-        self._cpu_free_at.update(state["cpu_free_at"])
-        self.messages_sent = state["messages_sent"]
-        self.messages_delivered = state["messages_delivered"]
-        self.messages_dropped = state["messages_dropped"]
 
     # -- metrics -----------------------------------------------------------------------
 

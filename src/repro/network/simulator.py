@@ -7,7 +7,7 @@ interesting modelling (latencies, CPU queues, Byzantine behaviour) lives in
 :mod:`repro.network.node` and above.
 
 The queue is one binary heap (:mod:`heapq`) of ``(time, sequence, action,
-args, label, event)`` tuples, and ``run`` fires ``action(*args)``.  The
+args, event)`` tuples, and ``run`` fires ``action(*args)``.  The
 **order contract** is the classic total order: events run by increasing
 ``time``, ties broken by ``sequence``, the order in which they were
 scheduled.  Sequence numbers are unique, so the comparison is decided by the
@@ -22,14 +22,16 @@ loop; the entry layout is known to this module alone:
 * ``schedule`` / ``schedule_at`` return an :class:`Event`, the handle that
   cancels it.  Timers, client submissions, mints, retirements and attacks
   come this way; the entry carries the handle in ``event`` and no ``args``.
+  The handle keeps the label it was given, for ``Event.__repr__``; the heap
+  entry carries none.
 * ``post`` queues one ``action(*args)``, returns nothing, and its entry has
-  ``event=None``.  A network message is two events, ``"deliver"`` then
-  ``"process"``, and nothing ever cancels either, so a handle (and a
+  ``event=None``.  A network message is two events, a delivery then its
+  processing, and nothing ever cancels either, so a handle (and a
   :func:`functools.partial` to bind the message to its callback) would be
   two allocations per event that no one reads.  ``Network._arrive`` posts
-  the ``"process"`` half.
+  the processing half.
 * ``post_many`` is ``post`` for a whole fan-out: one call takes every
-  ``(time, args)`` pair of one action and label, gives them consecutive
+  ``(time, args)`` pair of one action, gives them consecutive
   sequence numbers in the order given and pushes them, so a multicast to N
   recipients costs one engine call, not N.  ``Network.multicast`` is its
   caller.
@@ -108,8 +110,8 @@ class Event:
         return f"Event(t={self.time:.6f}, seq={self.sequence}, {state}, {self.label!r})"
 
 
-# One heap entry: (time, sequence, action, args, label, event-or-None).
-_Entry = Tuple[float, int, Callable[..., None], Tuple[Any, ...], str, Optional[Event]]
+# One heap entry: (time, sequence, action, args, event-or-None).
+_Entry = Tuple[float, int, Callable[..., None], Tuple[Any, ...], Optional[Event]]
 
 
 class Simulator:
@@ -150,7 +152,7 @@ class Simulator:
         sequence = self._sequence
         event = Event(time, sequence, label, self)
         self._sequence = sequence + 1
-        heappush(self._queue, (time, sequence, action, (), label, event))
+        heappush(self._queue, (time, sequence, action, (), event))
         return event
 
     def schedule_at(self, time: float, action: Callable[[], None], label: str = "") -> Event:
@@ -162,10 +164,10 @@ class Simulator:
         sequence = self._sequence
         event = Event(time, sequence, label, self)
         self._sequence = sequence + 1
-        heappush(self._queue, (time, sequence, action, (), label, event))
+        heappush(self._queue, (time, sequence, action, (), event))
         return event
 
-    def post(self, time: float, action: Callable[..., None], args: Tuple[Any, ...], label: str) -> None:
+    def post(self, time: float, action: Callable[..., None], args: Tuple[Any, ...]) -> None:
         """Queue ``action(*args)`` at the absolute ``time``, with no handle.
 
         The entry takes the next sequence number and counts as pending like
@@ -178,12 +180,12 @@ class Simulator:
             )
         sequence = self._sequence
         self._sequence = sequence + 1
-        heappush(self._queue, (time, sequence, action, args, label, None))
+        heappush(self._queue, (time, sequence, action, args, None))
 
     def post_many(
-        self, action: Callable[..., None], entries: Iterable[Tuple[float, Tuple[Any, ...]]], label: str
+        self, action: Callable[..., None], entries: Iterable[Tuple[float, Tuple[Any, ...]]]
     ) -> None:
-        """``post(time, action, args, label)`` for each ``(time, args)`` of ``entries``.
+        """``post(time, action, args)`` for each ``(time, args)`` of ``entries``.
 
         The entries take consecutive sequence numbers in the order given.  A
         time ``post`` would refuse raises here too, with every entry before
@@ -197,7 +199,7 @@ class Simulator:
             if not now <= time < inf:
                 self._sequence = sequence
                 raise SimulationError(f"cannot post an event at {time} (current time is {now})")
-            heappush(queue, (time, sequence, action, args, label, None))
+            heappush(queue, (time, sequence, action, args, None))
             sequence += 1
         self._sequence = sequence
 
@@ -242,7 +244,7 @@ class Simulator:
         try:
             while queue:
                 entry = heappop(queue)
-                time, _, action, args, _, event = entry
+                time, _, action, args, event = entry
                 if event is not None and event.cancelled:
                     self._cancelled -= 1
                     continue
@@ -305,7 +307,7 @@ class Simulator:
         """
         queue = self._queue
         while queue:
-            time, _, _, _, _, event = queue[0]
+            time, _, _, _, event = queue[0]
             if event is None or not event.cancelled:
                 return time
             heappop(queue)
@@ -321,37 +323,6 @@ class Simulator:
         quiescence probes the epoch scheduler runs after every barrier.
         """
         return len(self._queue) - self._cancelled
-
-    def live_event_labels(self) -> List[str]:
-        """Labels of every not-yet-cancelled queued event (unordered scan).
-
-        The checkpoint seam uses this to decide whether a shard is
-        *protocol-quiescent*: a shard can only be checkpointed when every
-        pending event is a client arrival that can be re-scheduled from the
-        routed-submission spec.  In-flight protocol messages reference
-        live node state, so their presence blocks a checkpoint.
-        """
-        return [
-            label for _, _, _, _, label, event in self._queue if event is None or not event.cancelled
-        ]
-
-    def restore_counters(self, now: float, sequence: int, processed_events: int) -> None:
-        """Force the clock and counters to a checkpoint's values.
-
-        Used when rehydrating a shard from a checkpoint: the twin schedules
-        the remaining client arrivals first (they take fresh low sequence
-        numbers — all below the checkpoint's, preserving their relative order
-        and their order against every post-checkpoint protocol event), then
-        jumps the clock and the sequence counter here so deterministic
-        re-execution assigns the exact sequence numbers of the original run.
-        """
-        if sequence < self._sequence:
-            raise SimulationError(
-                f"cannot rewind the sequence counter from {self._sequence} to {sequence}"
-            )
-        self._now = now
-        self._sequence = sequence
-        self.processed_events = processed_events
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self._now:.6f}, pending={self.pending_events})"

@@ -124,6 +124,29 @@ class TestPbftOrdering:
         with pytest.raises(ConfigurationError):
             PbftConfig(batch_size=0).validate()
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), -0.001])
+    def test_refuses_a_batch_timeout_that_is_not_finite_and_non_negative(self, timeout):
+        """A NaN or infinite timeout used to be accepted and then raise a
+        ``SimulationError`` from the leader's flush timer mid-run."""
+        with pytest.raises(ConfigurationError, match="batch_timeout"):
+            ConsensusTransferSystem(4, pbft_config=PbftConfig(batch_timeout=timeout))
+
+    def test_a_zero_batch_timeout_flushes_every_request_at_once(self, fast_network):
+        """Zero is finite and non-negative: the leader flushes a partial batch
+        at the instant it queues, and every request still commits."""
+        system = ConsensusTransferSystem(
+            process_count=4,
+            initial_balance=100,
+            network_config=fast_network,
+            pbft_config=PbftConfig(batch_size=8, batch_timeout=0.0),
+            seed=3,
+        )
+        workload = ring_workload(4)
+        system.schedule_submissions(workload)
+        result = system.run()
+        assert result.committed_count == len(workload)
+        assert not result.rejected
+
     def test_latency_includes_ordering_delay(self, fast_network):
         system = build(fast_network)
         system.schedule_submissions(ring_workload(4, per_process=1))

@@ -174,23 +174,6 @@ class TestBracha:
         assert [m.payload for m in sent if isinstance(m, ReadyMessage)] == [payload("b")]
         assert delivered == []
 
-    def test_a_layer_restored_mid_instance_delivers_as_the_uninterrupted_one(self):
-        steady, steady_sent, steady_delivered = lone_bracha()
-        for sender in (1, 2):
-            steady.on_message(sender, echo(payload("x")))
-        restored, restored_sent, restored_delivered = lone_bracha()
-        restored.restore_state(steady.capture_state())
-        del steady_sent[:]
-        rest = [(3, echo(payload("x")))] + [(s, ready(payload("x"))) for s in (1, 2, 3)]
-        for layer in (steady, restored):
-            for sender, message in rest:
-                layer.on_message(sender, message)
-        assert restored_sent == steady_sent
-        assert [m.payload for m in restored_sent if isinstance(m, ReadyMessage)] == [payload("x")]
-        assert restored_delivered == steady_delivered
-        assert [d.payload for d in restored_delivered] == [payload("x")]
-        assert restored.capture_state() == steady.capture_state()
-
     # Released instances are forgotten.  Every case below checks what the
     # layer sends, so a forget that changed a reply fails here.
 
@@ -233,18 +216,6 @@ class TestBracha:
         deliver_by_quorums(layer, payload("first"), sequence=1)
         assert [d.sequence for d in delivered] == [1, 2]
         assert layer._instances == {}
-
-    def test_a_restored_watermark_keeps_forgotten_instances_forgotten(self):
-        steady, _, _ = lone_bracha()
-        deliver_by_quorums(steady, payload("x"))
-        assert steady.capture_state()["impl"] == {"instances": {}}
-        restored, sent, delivered = lone_bracha()
-        restored.restore_state(steady.capture_state())
-        for sender in (1, 2, 3):
-            restored.on_message(sender, echo(payload("x")))
-            restored.on_message(sender, ready(payload("x")))
-        assert sent == [] and delivered == []
-        assert restored._instances == {}
 
 
 def payload(value):

@@ -5,6 +5,8 @@ import inspect
 
 import pytest
 
+from repro.bft.consensus_transfer import ConsensusTransferSystem
+from repro.bft.pbft import PbftConfig
 from repro.cluster.shard import Shard, ShardSpec
 from repro.cluster.system import ClusterSystem
 from repro.common.errors import ConfigurationError
@@ -40,6 +42,17 @@ _BALANCE_BUILDERS = [
     lambda balance, network: Shard(0, initial_balance=balance, network_config=network),
 ]
 _BALANCE_BUILDER_IDS = ["ConsensuslessSystem", "ClusterSystem", "Shard"]
+
+# One factory per system that takes a batch size: (size, network).
+_BATCH_BUILDERS = [
+    lambda size, network: ConsensuslessSystem(4, batch_size=size, network_config=network),
+    lambda size, network: ClusterSystem(2, batch_size=size, network_config=network),
+    lambda size, network: Shard(0, batch_size=size, network_config=network),
+    lambda size, network: ConsensusTransferSystem(
+        4, network_config=network, pbft_config=PbftConfig(batch_size=size)
+    ),
+]
+_BATCH_BUILDER_IDS = _BALANCE_BUILDER_IDS + ["ConsensusTransferSystem"]
 
 
 def _system(fast_network, shards=2, batch=1, seed=11, **kwargs):
@@ -130,6 +143,35 @@ class TestClusterSystem:
         with pytest.raises(ConfigurationError, match="initial_balance"):
             system(balance, fast_network)
 
+    @pytest.mark.parametrize("size", [float("nan"), float("inf"), 2.5, True, 0])
+    @pytest.mark.parametrize("system", _BATCH_BUILDERS, ids=_BATCH_BUILDER_IDS)
+    def test_refuses_a_batch_size_that_is_not_a_positive_int(
+        self, fast_network, system, size
+    ):
+        """A batch is a count of transfers.  Figure 4 used to run a NaN batch
+        to completion with nothing committed and run 2.5 as batch 3; PBFT
+        accepted both and raised a ``TypeError`` mid-run.  Every system
+        refuses them when it is built."""
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            system(size, fast_network)
+
+    @pytest.mark.parametrize("size", [1, 8])
+    @pytest.mark.parametrize("system", _BATCH_BUILDERS, ids=_BATCH_BUILDER_IDS)
+    def test_accepts_a_positive_int_batch_size(self, fast_network, system, size):
+        """1 is the lower bound, inclusive, and the size reaches every
+        replica unchanged."""
+        built = system(size, fast_network)
+        try:
+            if isinstance(built, ConsensusTransferSystem):
+                sizes = [replica.config.batch_size for replica in built.replicas.values()]
+            else:
+                groups = getattr(built, "shards", [built])
+                sizes = [node.batch_size for group in groups for node in group.nodes.values()]
+            assert sizes and set(sizes) == {size}
+        finally:
+            if isinstance(built, ClusterSystem):
+                built.close()
+
     @pytest.mark.parametrize("system", _BALANCE_BUILDERS, ids=_BALANCE_BUILDER_IDS)
     def test_accepts_a_zero_balance(self, fast_network, system):
         """Zero is a natural: the lower bound is inclusive."""
@@ -159,7 +201,6 @@ class TestKnobCensus:
             "epoch",
             "max_workers",
             "migration",
-            "checkpoint_every",
             "compact_history",
             "telemetry",
             "seed",
@@ -207,7 +248,6 @@ class TestKnobCensus:
             "epoch",
             "max_workers",
             "migration",
-            "checkpoint_every",
             "compact_history",
             "telemetry",
             "seed",

@@ -18,6 +18,9 @@ Below the harness sit the units: the mutable :class:`PlacementPlan`, the
 manual and threshold policies, the greedy :func:`rebalance_moves` balancer,
 ``ClusterSystem.rebalance()`` mid-run, and the process-pool worker's
 ``evict``/``adopt`` commands driven in-process through a scripted pipe.
+Last, two runs whose state a restore or a replay from genesis must carry:
+balances that depend on credits validated before a move, and ledgers
+compacted by ``compact_history``.
 """
 
 import pickle
@@ -43,6 +46,7 @@ from repro.cluster.shard import ShardSpec
 from repro.cluster.system import ClusterSystem
 from repro.common.errors import ConfigurationError
 from repro.workloads.cluster_driver import (
+    ClusterSubmission,
     ClusterWorkloadConfig,
     HotspotProfile,
     RoutedSubmission,
@@ -557,7 +561,7 @@ class TestWorkerMigrationLoop:
         source = scripted_pipe([("advance", 0.05, None), ("evict", [0]), ("stop",)])
         _worker_main(source, [spec], {0: routed})
         evicted = source.responses[1][1][0]
-        target = scripted_pipe([("adopt", [(spec, routed, None, [], 0.05)]), ("stop",)])
+        target = scripted_pipe([("adopt", [(spec, routed, [], 0.05)]), ("stop",)])
         _worker_main(target, [], {})
         adopted = target.responses[0][1][0]
         assert adopted == evicted
@@ -593,6 +597,27 @@ class TestWorkerMigrationLoop:
         initial = original.initial_balances()["2"]
         assert replayed.nodes[0].balance_of("2") == initial + 9
 
+    def test_replay_applies_retirements_at_their_barrier(self, fast_network):
+        """A retirement in the shard's history replays at its original
+        barrier time: the adopted shard has compacted the same record."""
+        from repro.common.types import Transfer
+
+        spec = self._spec(fast_network)
+        routed = [RoutedSubmission(time=0.001, issuer=0, destination="x1:2", amount=7)]
+        outbound = Transfer(source="0", destination="x1:2", amount=7, issuer=0, sequence=1)
+        original = spec.build()
+        original.install_validation_collector()
+        original.start()
+        original.submit(time=0.001, issuer=0, destination="x1:2", amount=7)
+        original.advance(0.02)
+        assert original.resident_settlement_records() == 1
+        original.apply_retirements(0.02, [outbound])
+        original.advance(0.05)
+        replayed = _replay_shard(spec, routed, [("retire", 0.02, [outbound])], 0.05)
+        assert replayed.snapshot() == original.snapshot()
+        assert replayed.resident_settlement_records() == 0
+        assert replayed.retired_record_count() == 1
+
     def test_migrate_refuses_without_a_placement_plan(self, fast_network):
         """A backend session opened with no placement has nothing to move
         against — migrating it is a wiring bug, reported as such."""
@@ -620,3 +645,198 @@ class TestWorkerMigrationLoop:
         finally:
             system.close()
             backend.close()
+
+
+# The replay tests' deployments: each backend by name, plus "one-worker" —
+# the process pool shrunk to a single worker that hosts every shard.  A move
+# needs a second worker to go to, so the migrating tests stay on the
+# backend names.
+DEPLOYMENTS = BACKEND_NAMES + ("one-worker",)
+# Shard 0 leaves worker 0 in the idle gap and comes back mid-burst-two.
+_ROUND_TRIP = ((0.05, 0, 1), (0.112, 0, 0))
+
+
+def _replay_system(fast_network, deployment, **kwargs):
+    max_workers = WORKERS
+    if deployment == "one-worker":
+        deployment, max_workers = "process", 1
+    return ClusterSystem(
+        shard_count=SHARDS,
+        replicas_per_shard=4,
+        batch_size=2,
+        initial_balance=500,
+        network_config=fast_network,
+        backend=deployment,
+        max_workers=max_workers,
+        seed=3,
+        **kwargs,
+    )
+
+
+def _bursty_submissions(users=24, per_burst=40):
+    """Two bursts of transfers, from t=0 and from t=0.1, with an idle gap."""
+    submissions = []
+    for burst, base in enumerate((0.0, 0.1)):
+        for i in range(per_burst):
+            source = (i * 3 + burst) % users
+            destination = (source + 1 + i % 5) % users
+            submissions.append(
+                ClusterSubmission(
+                    time=base + 0.0001 + 0.0004 * i,
+                    source_user=source,
+                    destination_user=destination,
+                    amount=1 + i % 7,
+                )
+            )
+    return submissions
+
+
+class TestRestoredBalancesCarryHistory:
+    """A restored or replayed node must still afford what its history paid for.
+
+    Balances are a running sum, not a walk over ``hist``: snapshots ship
+    ``hist`` + offsets and the sum is rebuilt on restore, and a migrating
+    shard rebuilds it by replaying from genesis.  Here one account's
+    burst-two spending (1 250) is only affordable thanks to a local credit
+    (450) and a cross-shard mint (300) validated in burst one.  On the
+    process pool the driver's twins are restored from the workers'
+    snapshots; under the migration the shard that owns the account leaves
+    its worker in the gap and comes back mid-burst-two.  An under-reporting
+    rebuild rejects or parks the 1 200 payment; an over-reporting one
+    commits the final overdraft.
+    """
+
+    @staticmethod
+    def _user(router, shard, process):
+        return next(
+            user
+            for user in range(100_000)
+            if router.shard_of(user) == shard and router.local_process_of(user) == process
+        )
+
+    def _run(self, fast_network, deployment, **kwargs):
+        system = _replay_system(fast_network, deployment, **kwargs)
+        spender = self._user(system.router, 0, 0)
+        local_payer = self._user(system.router, 0, 1)
+        remote_payer = self._user(system.router, 1, 2)
+        payee = self._user(system.router, 2, 3)
+        system.schedule_submissions(
+            [
+                ClusterSubmission(0.0005, local_payer, spender, 450),
+                ClusterSubmission(0.0007, remote_payer, spender, 300),
+                # Burst two, after the gap (and the first move).
+                ClusterSubmission(0.1005, spender, payee, 1_200),
+                ClusterSubmission(0.1009, spender, local_payer, 50),
+                ClusterSubmission(0.1100, spender, payee, 1),  # nothing left
+            ]
+        )
+        return system, system.run()
+
+    def _assert_matches_reference(self, fast_network, deployment, **kwargs):
+        reference_system, reference = self._run(fast_network, "serial")
+        system, result = self._run(fast_network, deployment, **kwargs)
+        try:
+            assert sorted(record.transfer.amount for record in reference.committed) == [
+                50, 300, 450, 1_200
+            ]
+            assert [record.transfer.amount for record in reference.rejected] == [1]
+            assert result.fingerprint() == reference.fingerprint()
+            assert result.committed_count == 4
+            assert system.check_definition1().ok
+            assert result.audit["conserved"]
+            return system.scheduler.migration_log
+        finally:
+            reference_system.close()
+            system.close()
+
+    @pytest.mark.parametrize("deployment", DEPLOYMENTS)
+    def test_plain_run(self, fast_network, deployment):
+        assert self._assert_matches_reference(fast_network, deployment) == []
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_mid_run_migration(self, fast_network, backend):
+        moves = self._assert_matches_reference(
+            fast_network, backend, migration=MigrationPlan(list(_ROUND_TRIP))
+        )
+        assert len(moves) == 2
+
+
+class TestHistoryCompaction:
+    """``compact_history`` drops consumed local records, never a result bit."""
+
+    @pytest.mark.parametrize("deployment", DEPLOYMENTS + ("migrated",))
+    def test_history_compaction_preserves_the_fingerprint(self, fast_network, deployment):
+        kwargs, moves = {"compact_history": True}, 0
+        if deployment == "migrated":
+            # The compacted shard is rebuilt by a replay from genesis, twice.
+            deployment, moves = "process", len(_ROUND_TRIP)
+            kwargs["migration"] = MigrationPlan(list(_ROUND_TRIP))
+        baseline_system = _replay_system(fast_network, "serial")
+        compacted_system = _replay_system(fast_network, deployment, **kwargs)
+        try:
+            baseline_system.schedule_submissions(_bursty_submissions())
+            compacted_system.schedule_submissions(_bursty_submissions())
+            baseline = baseline_system.run()
+            compacted = compacted_system.run()
+            assert compacted.fingerprint() == baseline.fingerprint()
+            assert compacted_system.check_definition1().ok
+            assert len(compacted.migration_stream) == moves
+            # The knob must actually bite: consumed ordinary records left
+            # the ledgers, and fewer remain resident than without it.
+            assert compacted_system.compacted_local_records() > 0
+            assert (
+                compacted_system.resident_local_records()
+                < baseline_system.resident_local_records()
+            )
+        finally:
+            baseline_system.close()
+            compacted_system.close()
+
+
+class TestGenesisReplay:
+    """A move ships the shard's whole history and replays it from genesis."""
+
+    def test_every_move_replays_the_whole_log(self, fast_network):
+        """The driver's replay log only grows, pauses included, and a shard
+        that moves twice replays more the second time."""
+        reference = _replay_system(fast_network, "serial")
+        system = _replay_system(
+            fast_network, "process", migration=MigrationPlan(list(_ROUND_TRIP))
+        )
+        try:
+            reference.schedule_submissions(_bursty_submissions())
+            system.schedule_submissions(_bursty_submissions())
+            logged = []
+            for until in (0.03, 0.06, 0.09, 0.12):
+                system.run(until=until)
+                logged.append(system.replay_log_entries())
+            result = system.run()
+            logged.append(system.replay_log_entries())
+            assert logged == sorted(logged) and logged[-1] > 0
+            assert result.fingerprint() == reference.run().fingerprint()
+            first, second = system.scheduler.migration_log
+            arrivals = len(system._backend._submissions[0])
+            assert first.shard == second.shard == 0
+            assert arrivals < first.replayed_events < second.replayed_events
+            assert 0 < first.delta_bytes < second.delta_bytes
+        finally:
+            reference.close()
+            system.close()
+
+    def test_the_serial_backend_ships_nothing(self, fast_network):
+        """On serial a move edits the placement: no payload, no replay, no
+        log — only the snapshot it would verify against is measured."""
+        system = _replay_system(
+            fast_network, "serial", migration=MigrationPlan(list(_ROUND_TRIP))
+        )
+        try:
+            system.schedule_submissions(_bursty_submissions())
+            system.run()
+            records = system.scheduler.migration_log
+            assert len(records) == len(_ROUND_TRIP)
+            for record in records:
+                assert record.snapshot_bytes > 0
+                assert record.delta_bytes == record.replayed_events == 0
+            assert system.replay_log_entries() == 0
+        finally:
+            system.close()

@@ -5,8 +5,9 @@ Unit tests of the lifecycle pieces (the relay's ack return leg, the
 the end-to-end contracts: fully-acknowledged outbound records leave the
 ledgers while every balance stays intact, the extended supply identity holds
 at every instant, resident certificate objects track the in-flight window,
-the extended spec/snapshot state pickles and rehydrates, and pause/resume
-equals a continuous run with compaction active.
+the extended spec/snapshot state pickles and rehydrates, pause/resume
+equals a continuous run with compaction active, and a parked retirement the
+issuer's stream has moved past is swept.
 """
 
 import gc
@@ -800,3 +801,88 @@ class TestRelayJournalCompaction:
             assert live_certificates() - before <= resident
         finally:
             system.close()
+
+
+class TestPendingRetirementSweep:
+    """The `_pending_retirements` leak: parked entries whose issuer stream
+    moved past them can never validate and must be swept."""
+
+    def _system_with_local_pair(self, fast_network):
+        system = ClusterSystem(
+            shard_count=2,
+            replicas_per_shard=4,
+            network_config=fast_network,
+            seed=3,
+        )
+        users = iter(range(100_000))
+        a = next(u for u in users if system.router.shard_of(u) == 0)
+        b = next(u for u in users if system.router.shard_of(u) == 0)
+        # The router remaps user ids onto shard-local issuer ids and account
+        # names; the ledger-level assertions below need the mapped identities.
+        route = system.router.route(a, b)
+        return system, a, b, route
+
+    def test_stale_parked_retirement_is_swept_when_the_stream_passes(
+        self, fast_network
+    ):
+        system, a, b, route = self._system_with_local_pair(fast_network)
+        system.start()
+        node = system.shards[0].nodes[0]
+        # A retirement for a transfer this replica will never validate: the
+        # issuer's slot 1 goes to a *different* (real) transfer below.
+        ghost = Transfer(str(route.issuer), "x1:2", 5, issuer=route.issuer, sequence=1)
+        node.retire_settled([ghost])
+        assert ghost in node._pending_retirements
+        assert node.stale_retirements_dropped == 0
+        system.schedule_submissions(
+            [
+                ClusterSubmission(
+                    time=0.001, source_user=a, destination_user=b, amount=9
+                )
+            ]
+        )
+        system.run()
+        # The stream really moved past slot 1...
+        assert node.seq.get(route.issuer, 0) >= 1
+        node.retire_settled([])
+        assert ghost not in node._pending_retirements
+        assert node.stale_retirements_dropped == 1
+        # ...and the real record is untouched: only the unreachable parking
+        # was cut.
+        assert node.balance_of(route.destination_account) == 1_000_000 + 9
+
+    def test_future_parked_retirements_survive_the_sweep(self, fast_network):
+        system, a, b, route = self._system_with_local_pair(fast_network)
+        system.schedule_submissions(
+            [
+                ClusterSubmission(
+                    time=0.001, source_user=a, destination_user=b, amount=9
+                )
+            ]
+        )
+        system.run()
+        node = system.shards[0].nodes[0]
+        # Slot 5 is still ahead of the stream: the certificate merely
+        # outran validation, so the parking must persist.
+        early = Transfer(str(route.issuer), "x1:2", 5, issuer=route.issuer, sequence=5)
+        node.retire_settled([early])
+        assert early in node._pending_retirements
+        assert node.stale_retirements_dropped == 0
+
+    def test_parking_behind_the_watermark_is_swept_immediately(
+        self, fast_network
+    ):
+        system, a, b, route = self._system_with_local_pair(fast_network)
+        system.schedule_submissions(
+            [
+                ClusterSubmission(
+                    time=0.001, source_user=a, destination_user=b, amount=9
+                )
+            ]
+        )
+        system.run()
+        node = system.shards[0].nodes[0]
+        ghost = Transfer(str(route.issuer), "x1:2", 5, issuer=route.issuer, sequence=1)
+        node.retire_settled([ghost])  # parks, then the same call sweeps
+        assert ghost not in node._pending_retirements
+        assert node.stale_retirements_dropped == 1

@@ -116,14 +116,14 @@ class TestSettlementLifecycleExperiments:
         config = dataclasses.replace(
             self._config(fast_network),
             backend="process",
-            checkpoint_every=3,
+            epoch=0.01,
             compact_history=True,
             telemetry="full",
             seed=11,
         )
         with config.system(2, 4) as system:
             assert system.backend_name == "process"
-            assert system.checkpoint_every == 3
+            assert system.scheduler.epoch == 0.01
             assert system.compact_history is True
             assert system.telemetry_mode == "full"
             assert system.seed == 11

@@ -101,7 +101,7 @@ class TestDelivery:
                 [node.received for node in nodes],
                 [(node.stats.sent, node.stats.dropped) for node in nodes],
                 (network.messages_sent, network.messages_delivered, network.messages_dropped),
-                network.capture_state()["rng"],
+                network._rng.state(),
             )
 
         def one_by_one(network, recipients, message):
@@ -219,7 +219,6 @@ def exchange(drop_probability):
     log = []
     network.add_nodes([Chatter(i, 0.0004 if i == 2 else None, log) for i in range(4)])
     network.run()
-    state = network.capture_state()
     return {
         "order": log,  # (recipient, sender, kind) in processing order
         "stats": [
@@ -227,8 +226,8 @@ def exchange(drop_probability):
             for n in network.nodes
         ],
         "counters": (network.messages_sent, network.messages_delivered, network.messages_dropped),
-        "cpu_free_at": state["cpu_free_at"],
-        "rng": hashlib.sha256(repr(state["rng"]).encode()).hexdigest()[:16],
+        "cpu_free_at": dict(network._cpu_free_at),
+        "rng": hashlib.sha256(repr(network._rng.state()).encode()).hexdigest()[:16],
         "now": simulator.now,
         "events": simulator.processed_events,
     }
@@ -316,7 +315,6 @@ def lossy_bracha_group():
     )
     result = system.run()
     network = system.network
-    state = network.capture_state()
     return {
         "node_stats": [
             (n.stats.sent, n.stats.received, n.stats.processed, n.stats.dropped, n.stats.busy_time)
@@ -327,7 +325,7 @@ def lossy_bracha_group():
             for s in (n.broadcast_layer.stats for n in network.nodes)
         ],
         "counters": (network.messages_sent, network.messages_delivered, network.messages_dropped),
-        "rng": hashlib.sha256(repr(state["rng"]).encode()).hexdigest()[:16],
+        "rng": hashlib.sha256(repr(network._rng.state()).encode()).hexdigest()[:16],
         "events": system.simulator.processed_events,
         "committed": result.committed_count,
     }

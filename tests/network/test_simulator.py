@@ -108,14 +108,14 @@ class TestNonFiniteTimesAreRefused:
     def test_post(self, value):
         simulator = Simulator()
         with pytest.raises(SimulationError):
-            simulator.post(value, print, (), "deliver")
+            simulator.post(value, print, ())
         assert simulator.pending_events == 0
 
     @pytest.mark.parametrize("value", [nan, inf, -inf])
     def test_post_many(self, value):
         simulator = Simulator()
         with pytest.raises(SimulationError):
-            simulator.post_many(print, [(0.1, ()), (value, ()), (0.2, ())], "deliver")
+            simulator.post_many(print, [(0.1, ()), (value, ()), (0.2, ())])
         # The entry before the refused one stays queued, numbered as a post.
         assert simulator.pending_events == 1
         assert simulator.schedule(0.0, lambda: None).sequence == 1
@@ -132,17 +132,16 @@ class TestNonFiniteTimesAreRefused:
 
 
 class TestPost:
-    """The handle-less entry point: same order, counters and labels, no handle."""
+    """The handle-less entry point: same order and counters, no handle."""
 
     def test_posts_and_handles_share_one_order(self):
         simulator = Simulator()
         order = []
-        simulator.post(0.1, order.append, ("posted",), "deliver")
+        simulator.post(0.1, order.append, ("posted",))
         simulator.schedule_at(0.1, lambda: order.append("scheduled"), label="timer")
-        simulator.post(0.05, order.append, ("early",), "process")
-        assert simulator.post(0.1, order.append, ("last",), "deliver") is None
+        simulator.post(0.05, order.append, ("early",))
+        assert simulator.post(0.1, order.append, ("last",)) is None
         assert simulator.pending_events == 4
-        assert sorted(simulator.live_event_labels()) == ["deliver", "deliver", "process", "timer"]
         assert simulator.next_event_time == 0.05
         simulator.run_until_quiescent()
         assert order == ["early", "posted", "scheduled", "last"]
@@ -150,14 +149,14 @@ class TestPost:
 
     def test_a_post_takes_a_sequence_number(self):
         simulator = Simulator()
-        simulator.post(0.0, print, (), "deliver")
+        simulator.post(0.0, print, ())
         assert simulator.schedule(0.0, lambda: None).sequence == 1
 
     def test_a_fan_out_is_posts_in_the_order_given(self):
         simulator = Simulator()
         order = []
-        simulator.post(0.2, order.append, ("single",), "deliver")
-        simulator.post_many(order.append, [(0.2, ("a",)), (0.1, ("b",)), (0.2, ("c",))], "deliver")
+        simulator.post(0.2, order.append, ("single",))
+        simulator.post_many(order.append, [(0.2, ("a",)), (0.1, ("b",)), (0.2, ("c",))])
         assert simulator.pending_events == 4
         assert simulator.schedule(0.0, lambda: None).sequence == 4
         simulator.run_until_quiescent()
@@ -169,7 +168,7 @@ class TestPost:
         simulator.schedule(1.0, lambda: None)
         simulator.run_until_quiescent()
         with pytest.raises(SimulationError):
-            simulator.post(0.5, print, (), "deliver")
+            simulator.post(0.5, print, ())
 
 
 class TestEventBudgetBoundary:

@@ -181,6 +181,33 @@ class TestTelemetrySection:
             system.close()
 
 
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_the_driver_times_exactly_the_run_phases(self, fast_network, backend):
+        """One barrier loop is advance, migrate, exchange; a run adds open,
+        finalize and capture once, inside the total.  A phase added or left
+        behind (a per-barrier span nothing reads) fails here."""
+        system, result = _run(fast_network, backend, "metrics", max_workers=2)
+        try:
+            histograms = result.telemetry["driver"]["histograms"]
+            counts = {
+                name: series["count"]
+                for name, series in histograms.items()
+                if name.startswith("phase.")
+            }
+            loops = system.scheduler.barriers + 1  # barrier 0 runs the loop too
+            assert counts == {
+                "phase.total": 1,
+                "phase.open": 1,
+                "phase.advance": loops,
+                "phase.migrate": loops,
+                "phase.exchange": loops,
+                "phase.finalize": 1,
+                "phase.capture": 1,
+            }
+        finally:
+            system.close()
+
+
 class TestTraceExport:
     def test_full_mode_exports_a_valid_chrome_trace(self, fast_network, tmp_path):
         system, result = _run(fast_network, "process", "full", max_workers=2)

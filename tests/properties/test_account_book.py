@@ -15,8 +15,7 @@ dependencies (line 15, most of them irrelevant to the source account) or
 overdrawing and parking until a mint funds them, certified mints (also
 repeated), retirements (of resident records, of records still in ``deps``,
 and of records not validated yet — parked, then applied at validation),
-consumed-record compaction, snapshot round trips and checkpoint restores after
-which the schedule *continues on the restored twin*.
+consumed-record compaction, and snapshot round trips onto a never-run twin.
 """
 
 from typing import List, Set
@@ -177,14 +176,6 @@ class _Schedule:
         for node, restored in zip(self.nodes, twins):
             assert restored.all_known_balances() == node.all_known_balances()
 
-    def resume_from_checkpoint(self) -> None:
-        checkpoint = self.shard.checkpoint()
-        assert checkpoint is not None, self.shard.checkpoint_blockers()
-        twin = self.shard.spec().build()
-        twin.start()
-        twin.restore_checkpoint(checkpoint, [])
-        self.shard = twin  # every later step validates against rebuilt balances
-
 
 amounts = st.integers(min_value=0, max_value=30)
 small = st.integers(min_value=0, max_value=11)
@@ -197,7 +188,6 @@ steps = st.one_of(
     st.tuples(st.just("retire"), small),
     st.tuples(st.just("read"), small, small),
     st.tuples(st.just("snapshot_round_trip")),
-    st.tuples(st.just("resume_from_checkpoint")),
 )
 
 
@@ -226,7 +216,6 @@ def test_schedule_reaches_every_mechanism():
     run.announce(4, 50, [0, 1], True)           # overdraft, irrelevant deps: parks
     assert run.nodes[0].to_validate and run.nodes[0]._pending_retirements
     run.check()
-    run.resume_from_checkpoint()
     run.mint(ANNOUNCER, 40, True)               # funds it: validates, then retires
     assert not run.nodes[0].to_validate and not run.nodes[0]._pending_retirements
     assert run.nodes[0].retired_records == 1

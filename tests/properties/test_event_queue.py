@@ -1,7 +1,7 @@
 """Differential property test: the event queue against its specification.
 
 :class:`repro.network.simulator.Simulator` keeps its pending events on a binary
-heap of ``(time, sequence, action, args, label, event)`` tuples, where
+heap of ``(time, sequence, action, args, event)`` tuples, where
 ``event`` is the cancellable handle ``schedule`` / ``schedule_at`` return and
 ``None`` for a handle-less ``post`` (the network's messages).  Every seeded
 stream and every fingerprint in the repository depends on the order it emits
@@ -10,8 +10,8 @@ reference — a plain list of live events, the next one taken with ``min`` by
 ``(time, sequence)`` — behind the same public methods, runs one random program
 against both, and requires after **every** step the same executed order, ``now``,
 ``processed_events``, ``pending_events``, handle state
-(``time``, ``sequence``, ``cancelled``), ``live_event_labels()`` as a multiset
-and, on the steps that probe it, ``next_event_time`` (probing discards
+(``time``, ``sequence``, ``cancelled``), the ``(time, sequence)`` pairs of
+every live queued event and, on the steps that probe it, ``next_event_time`` (probing discards
 cancelled heads, so doing it on every step would hide how ``run`` skips them).
 
 A program mixes ``schedule`` / ``schedule_at`` / ``post`` / ``post_many``
@@ -22,12 +22,11 @@ for ``post_many``, whose reference is a loop of ``post``),
 ``run`` under every combination of ``until=`` (also in the past, and NaN,
 which must raise), ``max_events=`` (which raises when the budget is spent and
 a live event inside the horizon is next) and ``stop_when=``,
-``run_until`` (also in the past), ``restore_counters`` (forwards, and
-backwards in sequence, which must raise), and actions that, when they fire,
+``run_until`` (also in the past), and actions that, when they fire,
 schedule, post or fan out at the current instant, at a shared timestamp or
 later, or cancel another event.  A posted event has no handle: it is observed
-through the executed order, the counters, the labels and the sequence numbers
-the handles after it receive.
+through the executed order, the counters, the live ``(time, sequence)``
+pairs and the sequence numbers the handles after it receive.
 """
 
 from functools import partial
@@ -43,12 +42,11 @@ from repro.network.simulator import Simulator
 
 
 class _ReferenceEvent:
-    def __init__(self, owner: "ReferenceSimulator", time: float, sequence: int, action, label):
+    def __init__(self, owner: "ReferenceSimulator", time: float, sequence: int, action):
         self._owner = owner
         self.time = time
         self.sequence = sequence
         self.action = action
-        self.label = label
         self.cancelled = False
 
     def cancel(self) -> None:
@@ -68,27 +66,27 @@ class ReferenceSimulator:
         self._sequence = 0
         self.processed_events = 0
 
-    def schedule(self, delay: float, action: Callable[[], None], label: str = ""):
+    def schedule(self, delay: float, action: Callable[[], None]):
         if not 0 <= delay < inf:
             raise SimulationError("in the past, or not finite")
-        return self._add(self.now + delay, action, label)
+        return self._add(self.now + delay, action)
 
-    def schedule_at(self, time: float, action: Callable[[], None], label: str = ""):
+    def schedule_at(self, time: float, action: Callable[[], None]):
         if not self.now <= time < inf:
             raise SimulationError("in the past, or not finite")
-        return self._add(time, action, label)
+        return self._add(time, action)
 
-    def post(self, time: float, action: Callable[..., None], args: tuple, label: str) -> None:
+    def post(self, time: float, action: Callable[..., None], args: tuple) -> None:
         """``schedule_at`` of ``action(*args)`` that hands nothing back."""
-        self.schedule_at(time, partial(action, *args), label)
+        self.schedule_at(time, partial(action, *args))
 
-    def post_many(self, action: Callable[..., None], entries: list, label: str) -> None:
+    def post_many(self, action: Callable[..., None], entries: list) -> None:
         """``post`` of each ``(time, args)`` in turn."""
         for time, args in entries:
-            self.post(time, action, args, label)
+            self.post(time, action, args)
 
-    def _add(self, time: float, action, label: str) -> _ReferenceEvent:
-        event = _ReferenceEvent(self, time, self._sequence, action, label)
+    def _add(self, time: float, action) -> _ReferenceEvent:
+        event = _ReferenceEvent(self, time, self._sequence, action)
         self._sequence += 1
         self.live.append(event)
         return event
@@ -126,15 +124,20 @@ class ReferenceSimulator:
     def pending_events(self) -> int:
         return len(self.live)
 
-    def live_event_labels(self) -> List[str]:
-        return [event.label for event in self.live]
 
-    def restore_counters(self, now: float, sequence: int, processed_events: int) -> None:
-        if sequence < self._sequence:
-            raise SimulationError("rewind")
-        self.now = now
-        self._sequence = sequence
-        self.processed_events = processed_events
+def live_pairs(engine) -> List[Tuple[float, int]]:
+    """The ``(time, sequence)`` of every live queued event, in order.
+
+    The engine's heap holds cancelled entries until they surface; the
+    reference removes them at once, so only the live ones are compared.
+    """
+    if isinstance(engine, ReferenceSimulator):
+        return sorted((event.time, event.sequence) for event in engine.live)
+    return sorted(
+        (time, sequence)
+        for time, sequence, _, _, event in engine._queue
+        if event is None or not event.cancelled
+    )
 
 
 # -- one program, driven against either engine ---------------------------------------------------
@@ -155,13 +158,12 @@ class _Driver:
     def add(self, absolute: bool, when: float, behaviour: Tuple[str, float]) -> None:
         ident = len(self.handles)
         schedule = self.engine.schedule_at if absolute else self.engine.schedule
-        # Labels repeat, so comparing them as a multiset means something.
-        self.handles.append(schedule(when, partial(self.fire, ident, behaviour), f"label-{ident % 3}"))
+        self.handles.append(schedule(when, partial(self.fire, ident, behaviour)))
 
     def post(self, time: float, behaviour: Tuple[str, float]) -> None:
         ident = -1 - self.posts
-        # The arguments ride in the entry, as the network's do; labels share the handles' three.
-        self.engine.post(time, self.fire, (ident, behaviour), f"label-{ident % 3}")
+        # The arguments ride in the entry, as the network's do.
+        self.engine.post(time, self.fire, (ident, behaviour))
         self.posts += 1
 
     def post_many(self, times: Tuple[float, ...], behaviour: Tuple[str, float]) -> None:
@@ -169,7 +171,7 @@ class _Driver:
         entries = [(time, (first - offset, behaviour)) for offset, time in enumerate(times)]
         # Every ident is spent, queued or not, so both sides stay aligned when one raises.
         self.posts += len(times)
-        self.engine.post_many(self.fire, entries, f"label-{first % 3}")
+        self.engine.post_many(self.fire, entries)
 
     def fire(self, ident: int, behaviour: Tuple[str, float]) -> None:
         self.executed.append(ident)
@@ -213,12 +215,6 @@ class _Driver:
                 )
             elif kind == "run_until":
                 engine.run_until(engine.now + step[1])
-            elif kind == "restore_counters":
-                _, advance, jump, processed = step
-                # A checkpoint's clock never lies beyond a re-scheduled arrival.
-                ahead = engine.next_event_time
-                now = engine.now + advance if ahead is None else min(engine.now + advance, ahead)
-                engine.restore_counters(now, engine._sequence + jump, engine.processed_events + processed)
         except SimulationError:
             self.raised.append(index)
 
@@ -230,7 +226,7 @@ class _Driver:
             engine.processed_events,
             engine.pending_events,
             [(handle.time, handle.sequence, handle.cancelled) for handle in self.handles],
-            sorted(engine.live_event_labels()),
+            live_pairs(engine),
             list(self.raised),
             engine.next_event_time if probe else None,
         )
@@ -273,12 +269,6 @@ STEPS = st.one_of(
         st.one_of(st.none(), st.integers(1, 4)),
     ),
     st.tuples(st.just("run_until"), st.sampled_from([-0.002, 0.0, 0.001, 0.0035, 0.02])),
-    st.tuples(
-        st.just("restore_counters"),
-        st.sampled_from([0.0, 0.0005, 0.003]),
-        st.sampled_from([-1, 0, 3]),
-        st.integers(0, 5),
-    ),
 )
 
 
@@ -310,19 +300,16 @@ def test_a_fixed_program_reaches_every_mechanism():
         (("schedule_at", -0.001, NOOP), False),  # raises in both
         (("run", None, 1, None), False),  # budget spent with a live event left: raises
         (("run", None, None, 1), True),
-        (("restore_counters", 0.003, 3, 2), True),
-        (("restore_counters", 0.0, -1, 0), False),  # rewinding raises
         (("schedule", 0.0, ("spawn_now", 0)), True),
         (("run", None, None, None), True),
     ]
     engine = assert_engine_matches_reference(program)
     simulator = engine.engine
-    assert engine.raised == [5, 12, 13, 16]
+    assert engine.raised == [5, 12, 13]
     # Event 0 was cancelled; 5 is 1's child at 1's instant, behind 2; 3 was cancelled too.
     assert engine.executed == [1, 2, 5, 6, 4, 7, 8]
     assert simulator.pending_events == 0 and simulator.next_event_time is None
     assert any(handle.cancelled for handle in engine.handles)
-    assert engine.handles[-1].sequence > len(engine.handles)  # the restored sequence counter stuck
 
 
 def test_a_fixed_program_reaches_every_post_mechanism():
@@ -337,8 +324,7 @@ def test_a_fixed_program_reaches_every_post_mechanism():
         (("cancel", 0), True),
         # -2, then at 0.001: -1 (posts -4 at its own instant), 1 (posts -5 later), -4.
         (("run", 0.001, None, None), True),
-        (("restore_counters", 0.0, 3, 0), True),
-        (("post", 0.001, NOOP), True),  # -6 shares -5's timestamp, at the restored sequence
+        (("post", 0.001, NOOP), True),  # -6 shares -5's timestamp
         (("schedule_at", 0.001, NOOP), False),  # handle 2, behind -6
         (("run_until", 0.0015), True),
         (("post", inf, NOOP), False),  # raises in both
@@ -347,11 +333,11 @@ def test_a_fixed_program_reaches_every_post_mechanism():
     ]
     engine = assert_engine_matches_reference(program)
     simulator = engine.engine
-    assert engine.raised == [5, 12, 13]
+    assert engine.raised == [5, 11, 12]
     assert engine.executed == [-2, -1, 1, -4, -5, -6, 2, -3]
     assert engine.posts == 6
-    # Seven sequence numbers before the restore (four of them posts), +3, then -6 took 10.
-    assert [handle.sequence for handle in engine.handles] == [0, 2, 11]
+    # Seven sequence numbers (four of them posts) before -6, which took 7.
+    assert [handle.sequence for handle in engine.handles] == [0, 2, 8]
     assert simulator.pending_events == 0 and simulator.next_event_time is None
 
 
