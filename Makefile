@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-props test-backends test-settlement test-migration test-obs soak perf-smoke perf example clean
+.PHONY: test test-props test-audit test-backends test-settlement test-migration test-obs soak perf-smoke perf example clean
 
 ## Tier-1: the full unit/integration suite (fails fast, quiet).
 test:
@@ -13,12 +13,23 @@ test:
 
 ## The property-based suites alone (hypothesis; cluster conservation, the
 ## differential tests that keep a slow formulation as the reference —
-## test_definition1_checker.py for the audit, test_account_book.py for
-## running balances ≡ the Figure 4 fold (through snapshot round trips),
-## test_event_queue.py for the simulator's heap ≡ a list with min, compared
-## on the live (time, sequence) pairs — etc.).
+## test_definition1_checker.py for the audit on random observation sets and
+## test_definition1_on_runs.py for it on a cross-shard cluster run and a
+## Byzantine Figure 4 run, test_account_book.py for running balances ≡ the
+## Figure 4 fold (through snapshot round trips), test_event_queue.py for the
+## simulator's heap ≡ a list with min, compared on the live (time, sequence)
+## pairs — etc.).
 test-props:
 	$(PYTHON) -m pytest tests/properties -q
+
+## The Definition 1 audit's suites alone: the spec checkers' unit tests, the
+## differential test against the quadratic reference on random observation
+## sets, and the same reference on real runs plus the audit's two guards (no
+## TransferId hashed; settlement provisions folded once per audit) — the
+## suites a change to spec/byzantine_spec.py must keep green.  CI runs it a
+## second time as `make test-audit PYTHON="python -X dev -W error"`.
+test-audit:
+	$(PYTHON) -m pytest tests/spec tests/properties/test_definition1_checker.py tests/properties/test_definition1_on_runs.py -q
 
 ## The cross-backend equivalence harness, the pinned fingerprints (toy runs on
 ## serial and process and under two PYTHONHASHSEEDs; the benchmark's four

@@ -31,7 +31,7 @@ import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import ConfigurationError
-from repro.common.types import Amount
+from repro.common.types import AccountId, Amount
 from repro.cluster.backends import (
     BACKEND_NAMES,
     EpochScheduler,
@@ -459,11 +459,18 @@ class ClusterSystem:
         balance violation.  The cluster-level :class:`SupplyAudit` then nets
         outbound and minted credits across all shard ledgers.
         """
+        # Every relay's provisions, folded by destination shard in one walk
+        # (the same sums ``settlement.provisions_for`` gives one shard at a time).
+        provisions: Dict[int, Dict[AccountId, Amount]] = {}
+        if self.settlement is not None:
+            for relay in self.settlement.relays:
+                folded = provisions.setdefault(relay.destination_shard, {})
+                for account, amount in relay.provisions().items():
+                    folded[account] = folded.get(account, 0) + amount
         report = ClusterCheckReport()
         for shard in self.shards:
             initial = shard.initial_balances()
-            if self.settlement is not None:
-                initial.update(self.settlement.provisions_for(shard.index))
+            initial.update(provisions.get(shard.index, ()))
             checker = ByzantineAssetTransferChecker(initial)
             report.shard_reports[shard.index] = checker.check(shard.observations())
         report.conservation = self.supply_audit()

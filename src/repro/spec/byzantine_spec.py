@@ -44,6 +44,17 @@ at the same pop, in the same ``(issuer, sequence)``-sorted batch, as it would
 with one edge per ordered pair, so the witness — and every C3 message — is the
 one the pairwise relation yields.  C4 is O(n + q) per process: one forward
 pass records the prefix balances of just the queried accounts.
+
+The constant factor is in the keys.  C1 keys its slot table by the
+``(source, sequence)`` tuple and C2 and C3 replay on a plain dict keyed by
+account.  C3 indexes the union once: each distinct ``(issuer, sequence)``
+tuple, read off a transfer or a declared ``TransferId`` by one
+``attrgetter``, gets an integer slot in first-seen order, and the edges,
+blocker counts, dependents, spans, completion ranks and ``ready`` batches are
+lists indexed by slot, a batch sorted by its slots' key tuples.  So no
+``TransferId`` is built or hashed: its dataclass ``__hash__`` builds a tuple
+on every call, and graph tables keyed by ``TransferId`` objects spent most of
+the audit there.
 """
 
 from __future__ import annotations
@@ -122,24 +133,33 @@ class CheckReport:
         return self.ok
 
 
-class _Balances(Dict[AccountId, Amount]):
-    """Replay balances: holds the touched accounts, reads the rest through to ``base``."""
+def _overdrafts(
+    initial: Mapping[AccountId, Amount], transfers: Iterable[Transfer]
+) -> List[Tuple[Transfer, Amount]]:
+    """Replay ``transfers`` in order from ``initial``: each one that leaves its
+    source negative, with that balance.  Debit before credit, read after both,
+    so a self-transfer is one step."""
+    balances: Dict[AccountId, Amount] = {}
+    overdrafts: List[Tuple[Transfer, Amount]] = []
+    for transfer in transfers:
+        source, destination, amount = transfer.source, transfer.destination, transfer.amount
+        balances[source] = (
+            balances[source] if source in balances else initial.get(source, 0)
+        ) - amount
+        balances[destination] = (
+            balances[destination] if destination in balances else initial.get(destination, 0)
+        ) + amount
+        balance = balances[source]
+        if balance < 0:
+            overdrafts.append((transfer, balance))
+    return overdrafts
 
-    def __init__(self, base: Mapping[AccountId, Amount]) -> None:
-        super().__init__()
-        self._base = base
 
-    def __missing__(self, account: AccountId) -> Amount:
-        return self._base.get(account, 0)
-
-    def apply(self, transfer: Transfer) -> Amount:
-        """Debit and credit ``transfer``; returns the source's resulting balance."""
-        self[transfer.source] -= transfer.amount
-        self[transfer.destination] += transfer.amount
-        return self[transfer.source]
-
-
-_issue_order = attrgetter("issuer", "sequence")  # sort key for TransferIds
+_position = attrgetter("position")  # sort key for a local validation order
+_transfer = attrgetter("transfer")
+# C3's slot key for a transfer or a TransferId: a plain tuple, so no TransferId is
+# built or hashed.
+_issue_key = attrgetter("issuer", "sequence")
 
 
 class ByzantineAssetTransferChecker:
@@ -153,7 +173,7 @@ class ByzantineAssetTransferChecker:
     def check(self, observations: Sequence[ProcessObservation]) -> CheckReport:
         """Run all checks over the given per-process observations."""
         # Each process's validated log in local validation order, shared by C2 and C4.
-        logs = [sorted(obs.validated, key=lambda v: v.position) for obs in observations]
+        logs = [sorted(obs.validated, key=_position) for obs in observations]
         violations: List[str] = []
         violations.extend(self._check_per_account_agreement(observations))
         violations.extend(self._check_local_balance_safety(observations, logs))
@@ -177,11 +197,8 @@ class ByzantineAssetTransferChecker:
         for obs in observations:
             for validated in obs.validated:
                 transfer = validated.transfer
-                key = (transfer.source, transfer.sequence)
-                known = slots.get(key)
-                if known is None:
-                    slots[key] = transfer
-                elif known != transfer:
+                known = slots.setdefault((transfer.source, transfer.sequence), transfer)
+                if known is not transfer and known != transfer:
                     violations.append(
                         "C1 agreement violation (double spend): account "
                         f"{transfer.source!r} sequence {transfer.sequence} was validated as "
@@ -199,15 +216,11 @@ class ByzantineAssetTransferChecker:
     ) -> List[str]:
         violations: List[str] = []
         for obs, log in zip(observations, logs):
-            balances = _Balances(self._initial_balances)
-            for validated in log:
-                transfer = validated.transfer
-                balance = balances.apply(transfer)
-                if balance < 0:
-                    violations.append(
-                        f"C2 balance violation at process {obs.process}: applying {transfer} "
-                        f"drives account {transfer.source!r} to {balance}"
-                    )
+            for transfer, balance in _overdrafts(self._initial_balances, map(_transfer, log)):
+                violations.append(
+                    f"C2 balance violation at process {obs.process}: applying {transfer} "
+                    f"drives account {transfer.source!r} to {balance}"
+                )
         return violations
 
     # -- C3: global legality and real-time order ----------------------------------------
@@ -215,47 +228,78 @@ class ByzantineAssetTransferChecker:
     def _check_global_order(self, observations: Sequence[ProcessObservation]) -> List[str]:
         violations: List[str] = []
 
-        # Union of validated transfers across correct processes.
-        transfers: Dict[TransferId, Transfer] = {}
-        dependencies: Dict[TransferId, Set[TransferId]] = {}
+        # Union of validated transfers across correct processes.  Each distinct
+        # ``(issuer, sequence)`` gets a slot in first-seen order; every table
+        # below is a list indexed by slot.
+        index: Dict[Tuple[ProcessId, int], int] = {}
+        transfers: List[Transfer] = []
+        declared: List[Optional[Set[Tuple[ProcessId, int]]]] = []
         for obs in observations:
             for validated in obs.validated:
-                tid = validated.transfer.transfer_id
-                transfers.setdefault(tid, validated.transfer)
-                dependencies.setdefault(tid, set()).update(validated.dependencies)
+                transfer = validated.transfer
+                key = _issue_key(transfer)
+                slot = index.get(key)
+                if slot is None:
+                    slot = index[key] = len(transfers)
+                    transfers.append(transfer)
+                    declared.append(None)
+                if validated.dependencies:
+                    deps = declared[slot]
+                    if deps is None:
+                        deps = declared[slot] = set()
+                    deps.update(map(_issue_key, validated.dependencies))
 
         # Dependency edges: per-source sequence order plus declared dependencies.
-        edges: Dict[TransferId, Set[TransferId]] = {tid: set() for tid in transfers}
-        by_source: Dict[AccountId, List[TransferId]] = {}
-        for tid, transfer in transfers.items():
-            by_source.setdefault(transfer.source, []).append(tid)
-        for source, tids in by_source.items():
-            tids.sort(key=lambda t: transfers[t].sequence)
-            for earlier, later in zip(tids, tids[1:]):
-                edges[later].add(earlier)
-        for tid, deps in dependencies.items():
+        # ``blocked[s]`` counts the distinct slots that must precede ``s``.
+        count = len(transfers)
+        blocked = [0] * count
+        dependents: List[List[int]] = [[] for _ in range(count)]
+        previous: List[Optional[int]] = [None] * count
+        by_source: Dict[AccountId, List[int]] = {}
+        for slot, transfer in enumerate(transfers):
+            by_source.setdefault(transfer.source, []).append(slot)
+        for slots in by_source.values():
+            slots.sort(key=lambda s: transfers[s].sequence)
+            for earlier, later in zip(slots, slots[1:]):
+                previous[later] = earlier
+                blocked[later] = 1
+                dependents[earlier].append(later)
+        for later, deps in enumerate(declared):
+            if deps is None:
+                continue
             for dep in deps:
-                if dep in transfers:
-                    edges[tid].add(dep)
+                earlier = index.get(dep)
+                if earlier is not None and earlier != previous[later]:
+                    blocked[later] += 1
+                    dependents[earlier].append(later)
 
-        # Real-time span of each successful transfer of a correct process.
-        spans: Dict[TransferId, Tuple[float, float]] = {}
+        # Real-time span of each successful transfer of a correct process; a
+        # later operation on the same transfer overwrites the span but keeps
+        # its place in ``spanned`` (first-seen order).
+        invoked: List[float] = [0.0] * count
+        responded: List[Optional[float]] = [None] * count
+        spanned: List[int] = []
         for obs in observations:
             for op in obs.operations:
                 if op.kind != "transfer" or op.transfer is None:
                     continue
                 if op.response is not True or op.responded_at is None:
                     continue
-                tid = op.transfer.transfer_id
-                if tid in transfers:
-                    spans[tid] = (op.invoked_at, op.responded_at)
-                else:
+                slot = index.get(_issue_key(op.transfer))
+                if slot is None:
                     violations.append(
                         f"C3 completeness violation: process {obs.process} completed "
                         f"{op.transfer} successfully but no correct process validated it"
                     )
+                    continue
+                if responded[slot] is None:
+                    spanned.append(slot)
+                invoked[slot] = op.invoked_at
+                responded[slot] = op.responded_at
 
-        order = self._topological_order(edges, spans)
+        order = self._topological_order(
+            list(index), blocked, dependents, spanned, invoked, responded
+        )
         if order is None:
             violations.append(
                 "C3 order violation: the dependency + real-time relation over validated "
@@ -263,55 +307,59 @@ class ByzantineAssetTransferChecker:
             )
             return violations
 
-        balances = _Balances(self._initial_balances)
-        for tid in order:
-            transfer = transfers[tid]
-            if balances.apply(transfer) < 0:
-                violations.append(
-                    f"C3 legality violation: sequential witness drives account "
-                    f"{transfer.source!r} negative at {transfer}"
-                )
+        for transfer, _ in _overdrafts(self._initial_balances, map(transfers.__getitem__, order)):
+            violations.append(
+                f"C3 legality violation: sequential witness drives account "
+                f"{transfer.source!r} negative at {transfer}"
+            )
         return violations
 
     @staticmethod
     def _topological_order(
-        edges: Dict[TransferId, Set[TransferId]],
-        spans: Mapping[TransferId, Tuple[float, float]],
-    ) -> Optional[List[TransferId]]:
-        """Kahn's algorithm over ``edges`` plus the real-time order of ``spans``.
+        keys: List[Tuple[ProcessId, int]],
+        blocked: List[int],
+        dependents: List[List[int]],
+        spanned: List[int],
+        invoked: List[float],
+        responded: List[Optional[float]],
+    ) -> Optional[List[int]]:
+        """Kahn's algorithm over the explicit edges plus the real-time order.
 
-        ``edges[t]`` are the transfers that must precede ``t`` explicitly;
-        ``spans[t]`` is ``(invoked_at, responded_at)``.  ``t`` must also follow
-        every other transfer that responded strictly before ``t`` was invoked.
-        Those are a prefix of the completion order, so instead of one edge per
-        pair ``t`` gets a single extra blocker, lifted once that prefix is out.
+        Slot ``s`` is the transfer ``keys[s]`` (its ``(issuer, sequence)``);
+        ``blocked[s]`` counts its explicit predecessors and ``dependents[s]``
+        lists its explicit successors.  Each slot in ``spanned`` completed
+        over ``(invoked[s], responded[s])`` and must also follow every other
+        one that responded strictly before it was invoked.  Those are a
+        prefix of the completion order, so instead of one edge per pair the
+        slot gets a single extra blocker, lifted once that prefix is out.
+        Consumes ``blocked`` and ``dependents``.
         """
-        blocked = {tid: len(deps) for tid, deps in edges.items()}
-        dependents: Dict[TransferId, List[TransferId]] = {tid: [] for tid in edges}
-        for tid, deps in edges.items():
-            for dep in deps:
-                dependents[dep].append(tid)
-        done_order = sorted(spans, key=lambda t: spans[t][1])
-        done_times = [spans[tid][1] for tid in done_order]
-        done_rank = {tid: rank for rank, tid in enumerate(done_order)}
-        # waiting[k]: transfers invoked after exactly the first k completions.
+        done_order = sorted(spanned, key=responded.__getitem__)
+        done_times = [responded[slot] for slot in done_order]
+        done_rank: List[Optional[int]] = [None] * len(keys)
+        for rank, slot in enumerate(done_order):
+            done_rank[slot] = rank
+        # waiting[k]: slots invoked after exactly the first k completions.
         # A span never waits for its own completion, hence the ``min``.
-        waiting: Dict[int, List[TransferId]] = {}
-        for tid, span in spans.items():
-            needed = bisect_left(done_times, min(span))
+        waiting: Dict[int, List[int]] = {}
+        for slot in spanned:
+            needed = bisect_left(done_times, min(invoked[slot], responded[slot]))
             if needed:
-                blocked[tid] += 1
-                waiting.setdefault(needed, []).append(tid)
+                blocked[slot] += 1
+                waiting.setdefault(needed, []).append(slot)
 
-        ready = deque(sorted((tid for tid, n in blocked.items() if not n), key=_issue_order))
-        order: List[TransferId] = []
+        issue_order = keys.__getitem__
+        ready = deque(sorted((s for s, n in enumerate(blocked) if not n), key=issue_order))
+        order: List[int] = []
         emitted = [False] * len(done_order)
         prefix = 0
         while ready:
             current = ready.popleft()
             order.append(current)
-            released = list(dependents[current])
-            rank = done_rank.get(current)
+            # Every slot is emitted once, so its dependents list can take the
+            # waiters this emission releases.
+            released = dependents[current]
+            rank = done_rank[current]
             if rank is not None:
                 emitted[rank] = True
                 while prefix < len(emitted) and emitted[prefix]:
@@ -322,9 +370,9 @@ class ByzantineAssetTransferChecker:
                 blocked[dependent] -= 1
                 if not blocked[dependent]:
                     batch.append(dependent)
-            batch.sort(key=_issue_order)
+            batch.sort(key=issue_order)
             ready.extend(batch)
-        if len(order) != len(edges):
+        if len(order) != len(keys):
             return None
         return order
 
