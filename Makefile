@@ -44,15 +44,17 @@ test-backends:
 	$(PYTHON) -m pytest tests/cluster/test_backend_equivalence.py tests/cluster/test_pinned_fingerprints.py tests/properties/test_backend_determinism.py tests/broadcast/test_broadcast_layers.py tests/mp/test_message_formulas.py tests/network tests/properties/test_event_queue.py -q
 
 ## The settlement suites alone: the quorum-stream exactness suite over both
-## legs, the lifecycle and adversarial suites, the soak, the settlement
-## property tests, the signature scheme's suite (settlement's trust
-## boundary: certify, verify_certificate and their memos) and the pinned
+## legs, the lifecycle and adversarial suites, the per-credit signature
+## formulas (test_settlement_formulas.py), the soak, the settlement property
+## tests, the signature scheme's suite (settlement's trust boundary: certify,
+## verify_certificate and their memos), the behaviours the adversarial suite
+## installs (tests/byzantine, the delay refusal among them) and the pinned
 ## fingerprints — the suites a settlement change must keep green.  CI runs
 ## it a second time as `make test-settlement PYTHON="python -X dev -W error"`
-## (development mode, every warning an error; ~20 s, 222 tests on a 2-core
+## (development mode, every warning an error; ~20 s, 299 tests on a 2-core
 ## host), so it must stay clean under that too.
 test-settlement:
-	$(PYTHON) -m pytest tests/cluster/test_settlement*.py tests/properties/test_cluster_settlement.py tests/crypto tests/cluster/test_pinned_fingerprints.py -q
+	$(PYTHON) -m pytest tests/cluster/test_settlement*.py tests/properties/test_cluster_settlement.py tests/crypto tests/byzantine tests/cluster/test_pinned_fingerprints.py -q
 
 ## The migration equivalence suite alone: placement invariance across
 ## {static, manual plan, threshold policy} x {serial, process} on three

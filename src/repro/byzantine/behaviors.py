@@ -17,9 +17,11 @@ node classes (:class:`repro.mp.attackers.DoubleSpendAttacker`) but reuse
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.common.errors import ConfigurationError
 from repro.common.rng import SeededRng
 from repro.common.types import ProcessId
 
@@ -94,10 +96,17 @@ class DelayBehavior(Behavior):
 
     Useful for modelling a slow-but-correct process (stress for timeouts in
     the PBFT baseline) or a Byzantine process trying to stall the protocol
-    without being detectably faulty.
+    without being detectably faulty.  The delay is finite and non-negative:
+    a message cannot arrive before it was sent, and the settlement barrier's
+    one-pass exchange relies on exactly that.
     """
 
     def __init__(self, extra_delay: float) -> None:
+        # ``0 <= x < inf`` is false for NaN too, which ``x < 0`` would let through.
+        if not 0 <= extra_delay < math.inf:
+            raise ConfigurationError(
+                f"an extra delay must be finite and non-negative, not {extra_delay}"
+            )
         self.extra_delay = extra_delay
 
     def transform(

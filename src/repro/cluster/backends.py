@@ -64,6 +64,7 @@ import traceback
 import weakref
 from collections import deque
 from contextlib import contextmanager, nullcontext
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.migration import (
@@ -789,6 +790,9 @@ def make_backend(name: str, max_workers: Optional[int] = None) -> ExecutionBacke
 
 # -- the epoch-barrier scheduler --------------------------------------------------------------
 
+# The global order validation events replay in at a barrier.
+_EVENT_ORDER = attrgetter("time", "shard", "index")
+
 
 class EpochScheduler:
     """Drives independent shard simulators to quiescence, barrier by barrier.
@@ -814,6 +818,18 @@ class EpochScheduler:
        retirement commands, and
     5. ships the mint and retirement commands to their shards, scheduled at
        the barrier time, in deterministic order.
+
+    Steps 2–4 are **one pass** over the four queues, in that order, each
+    queue run by ``(ready, order)``.  One pass is exact, not an
+    approximation of a fixed point.  Every settlement delay is positive (the
+    link delays are positive constants, and a behaviour's extra delay is
+    refused below zero), so whatever a handler queues during the pass
+    matures strictly after this barrier; and a handler only ever queues
+    onto a *later* queue of the pass (a voucher's certificate, a
+    certificate's acks, an ack's retirement certificate), which the pass has
+    not partitioned yet.  The only entries that mature at the barrier that
+    queues them are step 1's vouchers, and they are queued before the
+    voucher drain.  A second pass would find nothing.
 
     Empty stretches are skipped: the next barrier is the first grid point at
     or after the earliest thing that can happen (an event on some shard, a
@@ -863,8 +879,10 @@ class EpochScheduler:
         self._queues: Dict[str, List[Tuple[float, int, Callable[[Any], Any], Any]]] = {
             name: [] for name in ("vouchers", "certificates", "acks", "retirement_certificates")
         }
-        self._mints: List[Tuple[int, ProcessId, Transfer]] = []
-        self._retirements: List[Tuple[int, Transfer]] = []
+        # The barrier's mint and retirement commands, per shard, in the
+        # order the inboxes and gates decided them.
+        self._mints: Dict[int, List[Tuple[ProcessId, Transfer]]] = {}
+        self._retirements: Dict[int, List[Transfer]] = {}
         self._reports: Optional[Dict[int, AdvanceReport]] = None
         # Validation events executed but not yet exchanged.  Every shard runs
         # exactly to each barrier, so at the exchange the whole buffer has
@@ -881,18 +899,18 @@ class EpochScheduler:
         self._queues[queue].append((ready, next(self._order), handler, payload))
 
     def enqueue_mint(self, shard: int, replica: ProcessId, transfer: Transfer) -> None:
-        self._mints.append((shard, replica, transfer))
+        self._mints.setdefault(shard, []).append((replica, transfer))
 
     def enqueue_retirements(self, shard: int, transfers: List[Transfer]) -> None:
-        self._retirements.extend((shard, transfer) for transfer in transfers)
+        self._retirements.setdefault(shard, []).extend(transfers)
 
     @property
     def in_flight(self) -> int:
         """Settlement traffic queued between barriers (all lifecycle legs)."""
         return (
             sum(len(queue) for queue in self._queues.values())
-            + len(self._mints)
-            + len(self._retirements)
+            + sum(len(mints) for mints in self._mints.values())
+            + sum(len(transfers) for transfers in self._retirements.values())
         )
 
     # -- the drive loop ------------------------------------------------------------------------
@@ -918,7 +936,7 @@ class EpochScheduler:
         """The whole exchange buffer, in the global ``(time, shard, index)``
         order: every shard ran exactly to ``now``, so every event matured."""
         events, self._event_buffer = self._event_buffer, []
-        events.sort(key=lambda event: (event.time, event.shard, event.index))
+        events.sort(key=_EVENT_ORDER)
         return events
 
     def _advance(
@@ -1050,55 +1068,54 @@ class EpochScheduler:
                 fabric.observe_validation(
                     event.shard, event.replica, event.transfer, at=event.time
                 )
-        # Vouchers can assemble certificates, certificates can trigger acks,
-        # and (when delays are 0) any of them can mature within the same
-        # barrier, so drain all four queues, in order, to a fixed point.
-        progressed = True
-        while progressed:
-            progressed = False
-            for name in self._queues:
-                progressed |= self._drain_matured(name)
+        # One pass, in lifecycle order: nothing a handler queues below can
+        # mature at this barrier (see the class docstring).
+        for name in self._queues:
+            self._drain_matured(name)
         applied = 0
-        if self._mints:
-            grouped: Dict[int, List[Tuple[ProcessId, Transfer]]] = {}
-            for shard, replica, transfer in self._mints:
-                grouped.setdefault(shard, []).append((replica, transfer))
-                self._settlement_load[shard] = self._settlement_load.get(shard, 0) + 1
-            applied += len(self._mints)
-            if self.metrics is not None:
-                self.metrics.inc("exchange.mints", len(self._mints))
-            self._mints = []
-            backend.apply_mints(self.now, grouped)
-        if self._retirements:
-            retire_grouped: Dict[int, List[Transfer]] = {}
-            for shard, transfer in self._retirements:
-                retire_grouped.setdefault(shard, []).append(transfer)
-                self._settlement_load[shard] = self._settlement_load.get(shard, 0) + 1
-            applied += len(self._retirements)
-            if self.metrics is not None:
-                self.metrics.inc("exchange.retirements", len(self._retirements))
-            self._retirements = []
-            backend.apply_retirements(self.now, retire_grouped)
+        mints, self._mints = self._mints, {}
+        if mints:
+            applied += self._count_commands("exchange.mints", mints)
+            backend.apply_mints(self.now, mints)
+        retirements, self._retirements = self._retirements, {}
+        if retirements:
+            applied += self._count_commands("exchange.retirements", retirements)
+            backend.apply_retirements(self.now, retirements)
         return applied
 
-    def _drain_matured(self, name: str) -> bool:
-        """Run every entry of queue ``name`` matured by ``self.now``, in
-        maturity order; returns whether anything matured (the fixed-point
-        signal)."""
-        queue = self._queues[name]
-        ready = sorted(
-            (entry for entry in queue if entry[0] <= self.now),
-            key=lambda entry: (entry[0], entry[1]),
-        )
+    def _count_commands(self, counter: str, per_shard: Dict[int, list]) -> int:
+        """Fold a barrier's per-shard commands into the shards' settlement
+        load and ``counter``; returns how many there are."""
+        load = self._settlement_load
+        count = 0
+        for shard, commands in per_shard.items():
+            load[shard] = load.get(shard, 0) + len(commands)
+            count += len(commands)
+        if self.metrics is not None:
+            self.metrics.inc(counter, count)
+        return count
+
+    def _drain_matured(self, name: str) -> None:
+        """Run every entry of queue ``name`` matured by ``self.now``, by
+        ``(ready, order)``; one partitioning pass keeps the rest queued."""
+        now = self.now
+        ready = []
+        waiting = []
+        for entry in self._queues[name]:
+            if entry[0] <= now:
+                ready.append(entry)
+            else:
+                waiting.append(entry)
         if not ready:
-            return False
-        matured = set(id(entry) for entry in ready)
-        self._queues[name] = [e for e in queue if id(e) not in matured]
+            return
+        self._queues[name] = waiting
+        # Orders are unique, so the tuple sort decides on ``(ready, order)``
+        # and never compares a handler.
+        ready.sort()
         for _, _, handler, payload in ready:
             handler(payload)
         if self.metrics is not None:
             self.metrics.inc(f"exchange.{name}", len(ready))
-        return True
 
     def _next_target(self, applied: int) -> float:
         """The earliest instant at which anything can happen next."""

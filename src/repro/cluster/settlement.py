@@ -50,6 +50,29 @@ delays: :data:`VOUCHER_DELAY` (1 ms) from a source replica to its relay,
 certificate to, and :data:`ACK_DELAY` (1 ms) from a destination replica back
 to its relay.
 
+**What a credit costs.**  The work a credit must do is signatures, and on a
+fault-free run it does exactly this much, with ``N`` replicas per shard and
+quorum ``q = 2⌊(N−1)/3⌋+1`` (``tests/cluster/test_settlement_formulas.py``
+pins it)::
+
+    signs                  2N              N vouchers + N acks
+    verifications          2N + (N+3)q     each voucher and ack once on arrival,
+      of which memo hits   (N+3)q          then certify (q) and N inbox checks
+                                           (Nq) on the voucher leg, certify (q)
+                                           and the gate's check (q) on the ack leg
+    certifies              2               one certificate per leg
+    certificate checks     N+1             N destination inboxes + 1 gate
+    messages               N + N + N + 1   vouchers, certificate deliveries,
+                                           acks, one retirement delivery
+
+— 8 / 29 / 21 / 2 / 5 at ``N = 4``.  Everything around those calls is kept
+to what each step needs: the fabric binds each pair's stream ``submit`` once
+and each shard's certificate check once (the inboxes' and gates' key
+directory), a slot's claim and ack claim are built once and signed by every
+agreeing replica, a delivered certificate's ``N`` mints share one ledger
+transfer (:class:`_MintOnce`), and the barrier drains its queues in one
+pass.
+
 Fault injection rides the transport behaviours of
 :mod:`repro.byzantine.behaviors`: a voucher or ack behaviour per replica can
 silence, delay or substitute what it sends, on either leg.
@@ -110,6 +133,16 @@ class SettlementClaim:
     account: AccountId
     amount: Amount
 
+    def __repr__(self) -> str:
+        # The generated repr's exact text (it is the canonical encoding every
+        # voucher signs), without the ``reprlib.recursive_repr`` wrapper the
+        # generated method carries: a claim holds no containers to recurse on.
+        return (
+            f"{type(self).__qualname__}(source_shard={self.source_shard!r}, "
+            f"destination_shard={self.destination_shard!r}, issuer={self.issuer!r}, "
+            f"sequence={self.sequence!r}, account={self.account!r}, amount={self.amount!r})"
+        )
+
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"claim[s{self.source_shard}->s{self.destination_shard} "
@@ -148,6 +181,14 @@ class SettlementAckClaim:
     destination_shard: int
     issuer: ProcessId
     sequence: int
+
+    def __repr__(self) -> str:
+        # The generated repr's exact text, unwrapped (see SettlementClaim).
+        return (
+            f"{type(self).__qualname__}(source_shard={self.source_shard!r}, "
+            f"destination_shard={self.destination_shard!r}, issuer={self.issuer!r}, "
+            f"sequence={self.sequence!r})"
+        )
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -485,14 +526,22 @@ class SettlementInbox:
     at most one per stream slot, so forgeries can neither poison nor grow
     the buffer.  Accepted certificates are counted, not kept: the mint sink
     says what minted, in what order.
+
+    ``verifiers`` is the key directory, one bound certificate check per
+    source shard; a certificate naming any other source is invalid.
+    ``mint_of`` builds the ledger transfer of the certificate being
+    delivered: the fabric hands every inbox of a destination shard one
+    :class:`_MintOnce`, so the shard's replicas share one transfer per
+    delivery.  Buffered successors get their own.
     """
 
     def __init__(
         self,
         shard_index: int,
-        verify: Callable[[SettlementClaim, QuorumCertificate], bool],
+        verifiers: Dict[int, Callable[[SettlementClaim, QuorumCertificate], bool]],
         mint_sink: Callable[[Transfer], None],
         on_minted: Callable[[SettlementClaim], None],
+        mint_of: Callable[[SettlementClaim], Transfer],
     ) -> None:
         self.shard_index = shard_index
         # Accepted mints go to the barrier's mint queue, wherever the replica
@@ -500,7 +549,8 @@ class SettlementInbox:
         self._mint_sink = mint_sink
         # Fired once per accepted mint, in stream order: the replica's ack.
         self._on_minted = on_minted
-        self._verify = verify
+        self._verifiers = verifiers
+        self._mint_of = mint_of
         self._next_sequence: Dict[Tuple[int, ProcessId], int] = {}
         self._buffered: Dict[Tuple[int, ProcessId], Dict[int, SettlementCertificate]] = {}
         self.accepted = 0
@@ -517,25 +567,30 @@ class SettlementInbox:
         expected = self._next_sequence.get(stream, 0) + 1
         if claim.sequence < expected:
             return self._reject(certificate, "replayed certificate")
-        if not self._verify(claim, certificate.certificate):
+        verify = self._verifiers.get(claim.source_shard)
+        if verify is None or not verify(claim, certificate.certificate):
             return self._reject(certificate, "invalid quorum certificate")
-        buffered = self._buffered.setdefault(stream, {})
         if claim.sequence > expected:
+            buffered = self._buffered.setdefault(stream, {})
             if claim.sequence in buffered:
                 return self._reject(certificate, "replayed certificate")
             buffered[claim.sequence] = certificate
             return True
-        self._mint(stream, claim)
+        self._mint(stream, claim, self._mint_of(claim))
         # The gap just filled: drain any buffered successors in order.
-        while self._next_sequence[stream] + 1 in buffered:
-            self._mint(stream, buffered.pop(self._next_sequence[stream] + 1).claim)
+        buffered = self._buffered.get(stream)
+        while buffered and self._next_sequence[stream] + 1 in buffered:
+            successor = buffered.pop(self._next_sequence[stream] + 1).claim
+            self._mint(stream, successor, mint_transfer(successor))
         return True
 
-    def _mint(self, stream: Tuple[int, ProcessId], claim: SettlementClaim) -> None:
+    def _mint(
+        self, stream: Tuple[int, ProcessId], claim: SettlementClaim, transfer: Transfer
+    ) -> None:
         self._next_sequence[stream] = claim.sequence
         self.accepted += 1
         self._minted += claim.amount
-        self._mint_sink(mint_transfer(claim))
+        self._mint_sink(transfer)
         self._on_minted(claim)
 
     def _reject(self, certificate: SettlementCertificate, reason: str) -> bool:
@@ -562,18 +617,19 @@ class CompactionGate:
     its stream's watermark.  Monotonicity makes replays no-ops, and quorum
     intersection (a correct replica only acknowledges what it minted) keeps
     every accepted certificate off unsettled records.  Withheld acks merely
-    leave one stream's records resident.
+    leave one stream's records resident.  ``verifiers`` is the key
+    directory, one bound certificate check per destination shard.
     """
 
     def __init__(
         self,
         shard_index: int,
-        verify: Callable[[SettlementAckClaim, QuorumCertificate], bool],
+        verifiers: Dict[int, Callable[[SettlementAckClaim, QuorumCertificate], bool]],
         lookup: Callable[[SettlementAckClaim, int], Optional[List[Transfer]]],
         retire_sink: Callable[[List[Transfer]], None],
     ) -> None:
         self.shard_index = shard_index
-        self._verify = verify
+        self._verifiers = verifiers
         # Pops the recorded outbound transfers a watermark advance retires;
         # None when some are missing, which a genuine quorum never causes.
         self._lookup = lookup
@@ -592,7 +648,8 @@ class CompactionGate:
         watermark = self._watermarks.get(stream, 0)
         if claim.sequence <= watermark:
             return self._reject(certificate, "stale retirement watermark")
-        if not self._verify(claim, certificate.certificate):
+        verify = self._verifiers.get(claim.destination_shard)
+        if verify is None or not verify(claim, certificate.certificate):
             return self._reject(certificate, "invalid ack quorum certificate")
         transfers = self._lookup(claim, watermark + 1)
         if transfers is None:
@@ -624,6 +681,30 @@ class _SlotRecord(NamedTuple):
     validated_at: float  # its first validation, on the source shard's clock
     claim: SettlementClaim  # the slot's claim, signed by every replica that agrees
     ack_claim: SettlementAckClaim  # the slot's watermark, signed by every minting replica
+
+
+class _MintOnce:
+    """The mint transfer of the certificate a destination shard is being
+    delivered, built once for all of the shard's inboxes.
+
+    A relay hands one certificate object to every destination inbox in
+    turn, so its claim is the same object each time: a claim the memo holds
+    is answered with the transfer already built, any other claim replaces
+    it.  A claim is frozen, so the held transfer always equals what
+    :func:`mint_transfer` would build; the memo keeps one claim alive.
+    """
+
+    __slots__ = ("_claim", "_transfer")
+
+    def __init__(self) -> None:
+        self._claim: Optional[SettlementClaim] = None
+        self._transfer: Optional[Transfer] = None
+
+    def __call__(self, claim: SettlementClaim) -> Transfer:
+        if claim is not self._claim:
+            self._transfer = mint_transfer(claim)
+            self._claim = claim
+        return self._transfer
 
 
 def _voucher_pair(shard: int, recipient: int, voucher: SettlementVoucher) -> Tuple[int, int]:
@@ -667,29 +748,40 @@ class SettlementFabric:
         # The record holds the slot's one claim and one ack claim: replicas
         # that agree sign the same objects, so each is encoded once.
         self._stream_records: Dict[Tuple[int, int, ProcessId], Dict[int, _SlotRecord]] = {}
-        # A retirement certificate carries its destination shard's
-        # signatures, a settlement certificate its source shard's.
+        # ``leg -> (source, destination) -> stream.submit``: where an
+        # unfiltered voucher or ack goes, bound on a pair's first use.
+        self._routes: Dict[str, Dict[Tuple[int, int], Callable]] = {"vouchers": {}, "acks": {}}
+        # The key directory: each shard's certificate check, bound once.  A
+        # retirement certificate carries its destination shard's signatures,
+        # a settlement certificate its source shard's.
+        verifiers = {
+            shard.index: partial(
+                shard.scheme.verify_certificate,
+                quorum_size=shard.quorum_size,
+                allowed_signers=self._signers[shard.index],
+            )
+            for shard in shards
+        }
         self.gates: Dict[int, CompactionGate] = {
             shard.index: CompactionGate(
                 shard.index,
-                lambda claim, certificate: self._verify(
-                    claim.destination_shard, claim, certificate
-                ),
+                verifiers,
                 self._take_stream_records,
                 partial(scheduler.enqueue_retirements, shard.index),
             )
             for shard in shards
         }
-        self.inboxes: Dict[Tuple[int, ProcessId], SettlementInbox] = {
-            (shard.index, pid): SettlementInbox(
-                shard.index,
-                lambda claim, certificate: self._verify(claim.source_shard, claim, certificate),
-                mint_sink=partial(scheduler.enqueue_mint, shard.index, pid),
-                on_minted=self._ack_emitter(shard.index, pid),
-            )
-            for shard in shards
-            for pid in sorted(shard.nodes)
-        }
+        self.inboxes: Dict[Tuple[int, ProcessId], SettlementInbox] = {}
+        for shard in shards:
+            mint_of = _MintOnce()
+            for pid in sorted(shard.nodes):
+                self.inboxes[(shard.index, pid)] = SettlementInbox(
+                    shard.index,
+                    verifiers,
+                    mint_sink=partial(scheduler.enqueue_mint, shard.index, pid),
+                    on_minted=self._ack_emitter(shard.index, pid),
+                    mint_of=mint_of,
+                )
         self.vouchers_dispatched = 0
         self.acks_dispatched = 0
         # Validation-to-mint latency, one sample per mint decision: O(1)
@@ -742,7 +834,7 @@ class SettlementFabric:
             (shard_index, destination_shard, transfer.issuer), {}
         )
         record = records.get(sequence)
-        if record is not None and record.transfer == transfer:
+        if record is not None and (record.transfer is transfer or record.transfer == transfer):
             claim = record.claim
         else:
             claim = SettlementClaim(
@@ -763,13 +855,8 @@ class SettlementFabric:
                 records[sequence] = _SlotRecord(transfer, at, claim, ack_claim)
         voucher = SettlementVoucher(claim=claim, signature=self._keypair(shard_index, replica).sign(claim))
         self.vouchers_dispatched += self._send(
-            "vouchers",
-            VOUCHER_DELAY,
-            (shard_index, replica),
-            voucher,
-            at,
-            destination_shard,
-            _voucher_pair,
+            "vouchers", VOUCHER_DELAY, shard_index, replica, voucher, at,
+            destination_shard, _voucher_pair,
         )
 
     def _ack_emitter(
@@ -781,6 +868,7 @@ class SettlementFabric:
         backend.  A recorded slot's ack claim is shared by every replica
         that mints it (it names only the slot); a slot the fabric never
         recorded gets its own."""
+        sign = self._keypair(shard_index, replica).sign
 
         def emit(claim: SettlementClaim) -> None:
             records = self._stream_records.get(
@@ -798,18 +886,10 @@ class SettlementFabric:
             else:
                 ack_claim = record.ack_claim
                 self._record_latency(max(0.0, emitted_at - record.validated_at))
-            ack = SettlementAck(
-                claim=ack_claim,
-                signature=self._keypair(shard_index, replica).sign(ack_claim),
-            )
+            ack = SettlementAck(claim=ack_claim, signature=sign(ack_claim))
             self.acks_dispatched += self._send(
-                "acks",
-                ACK_DELAY,
-                (shard_index, replica),
-                ack,
-                emitted_at,
-                claim.source_shard,
-                _ack_pair,
+                "acks", ACK_DELAY, shard_index, replica, ack, emitted_at,
+                claim.source_shard, _ack_pair,
             )
 
         return emit
@@ -818,36 +898,48 @@ class SettlementFabric:
         self,
         leg: str,
         delay: float,
-        sender: Tuple[int, ProcessId],
+        shard: int,
+        replica: ProcessId,
         item,
         emitted_at: float,
         recipient: int,
         pair_of: Callable[[int, int, object], Tuple[int, int]],
     ) -> int:
-        """Pass ``item`` through the sender's behaviour, if any, and queue
-        what comes out on the ``leg`` stream ("vouchers" or "acks") of the
-        pair ``pair_of(sender shard, recipient, message)`` names; returns how
-        many messages were queued.  A message for a nonexistent or
-        same-shard pair is dropped on the floor, like misaddressed network
-        traffic.
+        """Pass ``item`` from ``(shard, replica)`` through the sender's
+        behaviour, if any, and queue what comes out on the ``leg`` stream
+        ("vouchers" or "acks") of the pair ``pair_of(shard, recipient,
+        message)`` names; returns how many messages were queued.  A message
+        for a nonexistent or same-shard pair is dropped on the floor, like
+        misaddressed network traffic.
         """
-        behavior = self._behaviors.get((leg, *sender)) if self._behaviors else None
+        behavior = self._behaviors.get((leg, shard, replica)) if self._behaviors else None
         if behavior is None:
-            outgoing = ((recipient, item, 0.0),)
-        else:
-            outgoing = [
-                (out.recipient, out.message, out.extra_delay)
-                for out in behavior.transform(sender[1], recipient, item)
-            ]
+            submit = self._route(leg, pair_of(shard, recipient, item))
+            if submit is None:
+                return 0
+            self.scheduler.enqueue(leg, emitted_at + delay, submit, item)
+            return 1
         sent = 0
-        for to, message, extra_delay in outgoing:
-            source, destination = pair_of(sender[0], to, message)
-            if source == destination or source not in self._shards or destination not in self._shards:
-                continue
-            stream = getattr(self.relay(source, destination), leg)
-            self.scheduler.enqueue(leg, emitted_at + delay + extra_delay, stream.submit, message)
-            sent += 1
+        for out in behavior.transform(replica, recipient, item):
+            submit = self._route(leg, pair_of(shard, out.recipient, out.message))
+            if submit is not None:
+                ready = emitted_at + delay + out.extra_delay
+                self.scheduler.enqueue(leg, ready, submit, out.message)
+                sent += 1
         return sent
+
+    def _route(self, leg: str, pair: Tuple[int, int]) -> Optional[Callable]:
+        """The ``submit`` of the ``leg`` stream of shard pair ``pair``, bound
+        on first use; ``None`` for a same-shard or nonexistent pair."""
+        routes = self._routes[leg]
+        submit = routes.get(pair)
+        if submit is None:
+            source, destination = pair
+            shards = self._shards
+            if source == destination or source not in shards or destination not in shards:
+                return None
+            submit = routes[pair] = getattr(self.relay(source, destination), leg).submit
+        return submit
 
     def _keypair(self, shard_index: int, replica: ProcessId) -> KeyPair:
         keypair = self._keypairs.get((shard_index, replica))
@@ -898,18 +990,6 @@ class SettlementFabric:
             self.scheduler.enqueue(queue, ready, deliver, certificate)
 
         return dispatch
-
-    def _verify(self, signer_shard: int, claim, certificate: QuorumCertificate) -> bool:
-        """Check a quorum certificate against ``signer_shard``'s key directory."""
-        shard = self._shards.get(signer_shard)
-        if shard is None:
-            return False
-        return shard.scheme.verify_certificate(
-            claim,
-            certificate,
-            quorum_size=shard.quorum_size,
-            allowed_signers=self._signers[signer_shard],
-        )
 
     def _take_stream_records(
         self, claim: SettlementAckClaim, first_sequence: int

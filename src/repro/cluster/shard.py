@@ -307,15 +307,14 @@ class Shard:
         The barrier delivers one ``(replica, transfer)`` entry per
         destination inbox decision; scheduling them in list order on the
         shard's own simulator reproduces the same ``(time, sequence)`` event
-        ordering on every backend.
+        ordering on every backend.  Nothing cancels a mint, so each is a
+        handle-less event: one sequence number and one event, as a
+        ``schedule_at`` would take, without the handle or a closure.
         """
+        post = self.simulator.post
+        nodes = self.nodes
         for replica, transfer in mints:
-            node = self.nodes[replica]
-            self.simulator.schedule_at(
-                time,
-                lambda n=node, t=transfer: n.mint_certified_credit(t),
-                label=f"settle mint s{self.index}/p{replica}",
-            )
+            post(time, nodes[replica].mint_certified_credit, (transfer,))
 
     def retire_settled(self, transfers: List[Tuple]) -> None:
         """Apply one retirement batch to every replica, in replica order.
@@ -331,14 +330,11 @@ class Shard:
         """Schedule a retirement batch onto this shard's clock.
 
         The barrier hands over the transfers a verified ack quorum retired;
-        one event at the barrier time compacts them out of every replica,
-        ordered against the shard's own events exactly like mints are.
+        one handle-less event at the barrier time compacts them out of every
+        replica, ordered against the shard's own events exactly like mints
+        are.
         """
-        self.simulator.schedule_at(
-            time,
-            lambda batch=list(transfers): self.retire_settled(batch),
-            label=f"settle retire s{self.index}",
-        )
+        self.simulator.post(time, self.retire_settled, (list(transfers),))
 
     def resident_settlement_records(self) -> int:
         """Outbound ``x{d}:a`` records still resident at replica 0.

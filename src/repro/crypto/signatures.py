@@ -99,7 +99,7 @@ class KeyPair:
     def __init__(self, process: ProcessId, secret: bytes, scheme: "SignatureScheme") -> None:
         self.process = process
         self._key = _HmacKey(secret)
-        # The pair reads the scheme's metrics registry at sign time, so
+        # The pair reads the scheme's ``sig.sign`` counter at sign time, so
         # telemetry attached after key pairs were handed out (the cluster
         # wires shards before the observability layer) still counts every
         # signature.
@@ -107,9 +107,9 @@ class KeyPair:
 
     def sign(self, payload: Any) -> Signature:
         """Sign ``payload`` as this process."""
-        metrics = self._scheme.metrics
-        if metrics is not None:
-            metrics.inc("sig.sign")
+        signed = self._scheme._signed
+        if signed is not None:
+            signed.value += 1
         return Signature(signer=self.process, tag=self._key.tag(canonical_bytes(payload)))
 
 
@@ -120,15 +120,41 @@ class SignatureScheme:
         self._seed = seed
         # The verification keys: each known signer's HMAC key states.
         self._keys: Dict[ProcessId, _HmacKey] = {}
-        # Optional repro.obs.MetricsRegistry counting sign/verify volume —
-        # the figure the 10x-engine work decomposes HMAC cost with.  Read
-        # live on every operation (key pairs route through the scheme), so
-        # it can be attached or swapped at any point in a run.
+        # No registry yet: the setter binds (here: clears) the counters.
         self.metrics = None
         # Memoised per-signature verdicts: (signer, tag, canonical payload
         # bytes) -> bool.  Exact: every input the verdict depends on is in
         # the key.
         self._verify_cache: Dict[tuple, bool] = {}
+
+    # -- telemetry ---------------------------------------------------------------------
+
+    @property
+    def metrics(self):
+        """The optional ``repro.obs.MetricsRegistry`` counting sign/verify volume.
+
+        Attaching a registry binds its five ``sig.*`` counters (``sign``,
+        ``verify``, ``verify_cached``, ``certify``, ``verify_certificate``)
+        once; every operation then bumps a bound counter's ``value`` instead
+        of looking its name up.  The registry stays live — the counters are
+        its own objects — and it can be attached, swapped or detached
+        (``None``) at any point in a run: key pairs read the bound counter
+        through the scheme at sign time.
+        """
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, registry) -> None:
+        self._metrics = registry
+        if registry is None:
+            self._signed = self._verified = self._verified_cached = None
+            self._certified = self._certificates_verified = None
+        else:
+            self._signed = registry.counter("sig.sign")
+            self._verified = registry.counter("sig.verify")
+            self._verified_cached = registry.counter("sig.verify_cached")
+            self._certified = registry.counter("sig.certify")
+            self._certificates_verified = registry.counter("sig.verify_certificate")
 
     # -- key management ---------------------------------------------------------------
 
@@ -166,17 +192,17 @@ class SignatureScheme:
         invalid; it is refused before it can reach the memo key or
         ``compare_digest``, both of which would raise on it.
         """
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.inc("sig.verify")
+        verified = self._verified
+        if verified is not None:
+            verified.value += 1
         tag = signature.tag
         if not isinstance(tag, str) or not tag.isascii():
             return False
         key = (signature.signer, tag, encoded)
         cached = self._verify_cache.get(key)
         if cached is not None:
-            if metrics is not None:
-                metrics.inc("sig.verify_cached")
+            if verified is not None:
+                self._verified_cached.value += 1
             return cached
         result = hmac.compare_digest(self._key_for(signature.signer).tag(encoded), tag)
         if len(self._verify_cache) >= _VERIFY_CACHE_LIMIT:
@@ -205,8 +231,8 @@ class SignatureScheme:
         """
         if quorum_size <= 0:
             raise ConfigurationError("quorum_size must be positive")
-        if self.metrics is not None:
-            self.metrics.inc("sig.certify")
+        if self._certified is not None:
+            self._certified.value += 1
         bundle = tuple(signatures)
         encoded = canonical_bytes(payload)
         signers = set()
@@ -242,8 +268,8 @@ class SignatureScheme:
         """
         if quorum_size <= 0:
             raise ConfigurationError("quorum_size must be positive")
-        if self.metrics is not None:
-            self.metrics.inc("sig.verify_certificate")
+        if self._certificates_verified is not None:
+            self._certificates_verified.value += 1
         encoded = canonical_bytes(payload)
         if certificate.payload_hash != hashlib.sha256(encoded).hexdigest():
             return False

@@ -20,8 +20,8 @@ Three entry points share that one heap, one sequence counter and one ``run``
 loop; the entry layout is known to this module alone:
 
 * ``schedule`` / ``schedule_at`` return an :class:`Event`, the handle that
-  cancels it.  Timers, client submissions, mints, retirements and attacks
-  come this way; the entry carries the handle in ``event`` and no ``args``.
+  cancels it.  Timers, client submissions and attacks come this way; the
+  entry carries the handle in ``event`` and no ``args``.
   The handle keeps the label it was given, for ``Event.__repr__``; the heap
   entry carries none.
 * ``post`` queues one ``action(*args)``, returns nothing, and its entry has
@@ -29,7 +29,8 @@ loop; the entry layout is known to this module alone:
   processing, and nothing ever cancels either, so a handle (and a
   :func:`functools.partial` to bind the message to its callback) would be
   two allocations per event that no one reads.  ``Network._arrive`` posts
-  the processing half.
+  the processing half; a cluster shard posts each settlement mint and
+  retirement batch (``Shard.apply_mints`` / ``apply_retirements``).
 * ``post_many`` is ``post`` for a whole fan-out: one call takes every
   ``(time, args)`` pair of one action, gives them consecutive
   sequence numbers in the order given and pushes them, so a multicast to N
@@ -171,8 +172,9 @@ class Simulator:
         """Queue ``action(*args)`` at the absolute ``time``, with no handle.
 
         The entry takes the next sequence number and counts as pending like
-        any other; it just cannot be cancelled.  ``Network._arrive`` is the
-        caller (see the module docstring).
+        any other; it just cannot be cancelled.  ``Network._arrive`` and the
+        cluster shard's mint and retirement scheduling are the callers (see
+        the module docstring).
         """
         if not self._now <= time < inf:
             raise SimulationError(

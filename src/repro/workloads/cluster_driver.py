@@ -16,6 +16,7 @@ assert directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -109,14 +110,14 @@ class HotspotProfile:
     skew: float = 1.2
 
     def validate(self) -> None:
-        if self.period <= 0:
-            raise ConfigurationError("hotspot period must be positive")
+        if not 0 < self.period < math.inf:
+            raise ConfigurationError("hotspot period must be finite and positive")
         if not 0.0 <= self.intensity <= 1.0:
             raise ConfigurationError("hotspot intensity must lie in [0, 1]")
-        if self.width < 1:
-            raise ConfigurationError("hotspot width must be at least 1")
-        if self.skew < 0:
-            raise ConfigurationError("hotspot skew must be non-negative")
+        if type(self.width) is not int or self.width < 1:
+            raise ConfigurationError("hotspot width must be an integer of at least 1")
+        if not 0 <= self.skew < math.inf:
+            raise ConfigurationError("hotspot skew must be finite and non-negative")
 
     def phase(self, time: float) -> int:
         """The hotspot phase active at simulated ``time``."""
@@ -182,16 +183,32 @@ class ClusterWorkloadConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.user_count < 2:
-            raise ConfigurationError("need at least two users to move money between")
-        if self.aggregate_rate <= 0:
-            raise ConfigurationError("aggregate_rate must be positive")
-        if self.duration <= 0:
-            raise ConfigurationError("duration must be positive")
-        if self.zipf_skew < 0:
-            raise ConfigurationError("zipf_skew must be non-negative")
-        if self.min_amount < 0 or self.max_amount < self.min_amount:
-            raise ConfigurationError("invalid amount range")
+        # ``0 < x < inf`` is false for NaN too, which ``x <= 0`` would let
+        # through; ``type(x) is int`` refuses ``2.5`` and ``True`` alike.
+        if type(self.user_count) is not int or self.user_count < 2:
+            raise ConfigurationError(
+                f"need an integer count of at least two users, not {self.user_count!r}"
+            )
+        if not 0 < self.aggregate_rate < math.inf:
+            raise ConfigurationError(
+                f"aggregate_rate must be finite and positive, not {self.aggregate_rate}"
+            )
+        if not 0 < self.duration < math.inf:
+            raise ConfigurationError(f"duration must be finite and positive, not {self.duration}")
+        if not 0 <= self.zipf_skew < math.inf:
+            raise ConfigurationError(
+                f"zipf_skew must be finite and non-negative, not {self.zipf_skew}"
+            )
+        if (
+            type(self.min_amount) is not int
+            or type(self.max_amount) is not int
+            or self.min_amount < 0
+            or self.max_amount < self.min_amount
+        ):
+            raise ConfigurationError(
+                f"invalid amount range [{self.min_amount!r}, {self.max_amount!r}]: "
+                "amounts are integers with 0 <= min_amount <= max_amount"
+            )
         if self.cross_shard_fraction is not None:
             if not 0.0 <= self.cross_shard_fraction <= 1.0:
                 raise ConfigurationError("cross_shard_fraction must lie in [0, 1]")

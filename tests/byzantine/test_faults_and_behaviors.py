@@ -84,6 +84,17 @@ class TestBehaviors:
         out = DelayBehavior(0.25).transform(0, 1, "m")
         assert out[0].extra_delay == 0.25
 
+    @pytest.mark.parametrize("extra_delay", [float("nan"), float("inf"), -0.004, -1.0])
+    def test_delay_behavior_refuses_a_negative_or_non_finite_delay(self, extra_delay):
+        """A message cannot arrive before it was sent, nor never: NaN, inf and
+        negative delays are refused at construction, not deep inside a run."""
+        with pytest.raises(ConfigurationError, match="finite and non-negative"):
+            DelayBehavior(extra_delay)
+
+    @pytest.mark.parametrize("extra_delay", [0.0, 0.05])
+    def test_delay_behavior_accepts_a_finite_non_negative_delay(self, extra_delay):
+        assert DelayBehavior(extra_delay).transform(0, 1, "m")[0].extra_delay == extra_delay
+
     def test_scripted_behavior_substitutes_and_silences(self):
         behavior = ScriptedBehavior(substitutions={1: "fake"}, silent_towards={2})
         assert behavior.transform(0, 1, "real")[0].message == "fake"

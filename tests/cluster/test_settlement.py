@@ -21,6 +21,7 @@ from repro.cluster.settlement import (
 )
 from repro.common.errors import ConfigurationError
 from repro.common.types import Transfer
+from repro.crypto.hashing import canonical_bytes
 from repro.crypto.signatures import Signature, SignatureScheme
 from repro.obs import MetricsRegistry
 from repro.workloads.cluster_driver import (
@@ -99,6 +100,32 @@ class TestAccountNaming:
         assert transfer.amount == 7
         assert transfer.sequence == 4
         assert transfer.issuer == settlement_issuer(0, 2)
+
+
+class TestClaimEncodingIsPinned:
+    """The two settlement claims carry an explicit ``__repr__`` (the
+    generated one is wrapped in ``reprlib.recursive_repr``).  Their repr is
+    the canonical encoding every voucher and ack signs, so the bytes and a
+    tag under a fixed seed are pinned to the values of the generated repr."""
+
+    def test_a_claims_bytes_and_tag_are_unchanged(self):
+        claim = SettlementClaim(
+            source_shard=3, destination_shard=1, issuer=2, sequence=17, account="u'7\"é", amount=42
+        )
+        assert canonical_bytes(claim) == (
+            b"o:SettlementClaim(source_shard=3, destination_shard=1, issuer=2, sequence=17, "
+            b"account='u\\'7\"\xc3\xa9', amount=42)"
+        )
+        tag = SignatureScheme(seed=2019).keypair_for(1).sign(claim).tag
+        assert tag == "6909dbf466d69fc6dc3ec95e839217cc8696a4876eee728d55ed3bbdd7b41f95"
+
+    def test_an_ack_claims_bytes_and_tag_are_unchanged(self):
+        claim = SettlementAckClaim(source_shard=3, destination_shard=1, issuer=2, sequence=17)
+        assert canonical_bytes(claim) == (
+            b"o:SettlementAckClaim(source_shard=3, destination_shard=1, issuer=2, sequence=17)"
+        )
+        tag = SignatureScheme(seed=2019).keypair_for(1).sign(claim).tag
+        assert tag == "5a49f635b3b3a5262d78b554c1a33d8c6796d6b93cade497eca553d25eea0ea0"
 
 
 class HandFedLeg:
@@ -286,12 +313,12 @@ class TestValidationReplay:
 
 
 class TestSettlementQueues:
-    def test_a_fixed_point_pass_drains_the_queues_in_lifecycle_order(self):
-        """Every queue entry carries its handler.  Within one pass the
-        exchange drains vouchers, certificates, acks and retirement
-        certificates in that order, each queue by maturity; work a handler
-        queues for an earlier queue waits for the next pass of the fixed
-        point, and each queue is counted under its own name."""
+    def test_one_pass_drains_the_queues_in_lifecycle_order(self):
+        """Every queue entry carries its handler.  One exchange drains
+        vouchers, certificates, acks and retirement certificates once, in
+        that order, each queue by ``(ready, order)``; work a handler queues
+        waits for a later exchange, and each queue is counted under its own
+        name."""
         metrics = MetricsRegistry()
         scheduler = EpochScheduler(epoch=0.005, metrics=metrics)
         ran = []
@@ -304,17 +331,18 @@ class TestSettlementQueues:
         scheduler.enqueue("acks", 0.0, ran.append, "ack")
         scheduler.enqueue("certificates", 0.0, ran.append, "certificate")
         scheduler.enqueue("vouchers", 0.0005, ran.append, "not yet matured")
-        scheduler.enqueue("vouchers", 0.0, ran.append, "voucher")
-        assert scheduler.in_flight == 5
+        scheduler.enqueue("vouchers", 0.0, ran.append, "second voucher")
+        scheduler.enqueue("vouchers", -0.001, ran.append, "first voucher")
+        assert scheduler.in_flight == 6
         assert scheduler._exchange(backend=None, fabric=None) == 0  # no commands
         assert ran == [
-            "voucher",
+            "first voucher",
+            "second voucher",
             "certificate",
             "ack",
             "retirement certificate",
-            "voucher queued by a retirement",
         ]
-        assert scheduler.in_flight == 1
+        assert scheduler.in_flight == 2
         counts = {
             name: metrics.counter(f"exchange.{name}").value
             for name in ("vouchers", "certificates", "acks", "retirement_certificates")
@@ -322,6 +350,11 @@ class TestSettlementQueues:
         assert counts == {
             "vouchers": 2, "certificates": 1, "acks": 1, "retirement_certificates": 1,
         }
+        # The next exchange runs what waited, still by (ready, order).
+        scheduler.now = 0.005
+        scheduler._exchange(backend=None, fabric=None)
+        assert ran[5:] == ["voucher queued by a retirement", "not yet matured"]
+        assert scheduler.in_flight == 0
 
 
 class TestSettlementEndToEnd:
@@ -346,6 +379,29 @@ class TestSettlementEndToEnd:
         assert audit.outbound == 0
         assert audit.fully_settled
         assert audit.fully_retired
+
+    def test_a_delivered_certificate_mints_one_shared_transfer(self, fast_network):
+        """Every destination replica verifies the certificate, and the mints
+        of one delivery share one ledger transfer, equal to the claim's."""
+        system = _system(fast_network)
+        a = _user_on_shard(system.router, 0)
+        b = _user_on_shard(system.router, 1)
+        system.schedule_submissions(
+            [ClusterSubmission(time=0.001, source_user=a, destination_user=b, amount=9)]
+        )
+        system.run()
+        nodes = system.shards[1].nodes.values()
+        mints = [
+            entry.transfer for node in nodes for entry in node._validated_log
+            if entry.transfer.issuer < 0
+        ]
+        assert len(mints) == len(nodes)
+        assert all(mint is mints[0] for mint in mints)
+        certificate = system.settlement.relay(0, 1).vouchers.signature()
+        assert len(certificate) == 1
+        assert mints[0] == mint_transfer(SettlementClaim(*certificate[0]))
+        assert [inbox.accepted for (shard, _), inbox in system.settlement.inboxes.items()
+                if shard == 1] == [1] * len(nodes)
 
     def test_minted_funds_are_spendable_beyond_initial_balance(self, fast_network):
         system = _system(fast_network, initial_balance=10, seed=3)

@@ -16,11 +16,15 @@ backends' design: the trust boundary is poked identically everywhere), while
 the shard protocol reacting to the faults runs wherever the backend puts it.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.byzantine.behaviors import (
     Behavior,
     CrashBehavior,
+    DelayBehavior,
+    DropBehavior,
     EquivocationPlan,
     OutgoingMessage,
     ScriptedBehavior,
@@ -36,6 +40,7 @@ from repro.cluster.settlement import (
     SettlementVoucher,
     mint_transfer,
 )
+from repro.common.rng import SeededRng
 from repro.crypto.signatures import Signature, SignatureScheme
 from repro.workloads.cluster_driver import ClusterSubmission
 
@@ -219,8 +224,10 @@ class TestReplayedCertificates:
         assert not inbox.receive(second)  # same slot again is a replay
         assert inbox.rejected[-1][1] == "replayed certificate"
         assert inbox.receive(first)  # the gap fills: both mint, in order
-        # The mint sink (the barrier's mint queue) received both, in order.
-        minted = [transfer for _, _, transfer in system.scheduler._mints]
+        # The mint sink (the barrier's per-shard mint queue) received both,
+        # in order, each as its own transfer.
+        assert list(system.scheduler._mints) == [1]
+        minted = [transfer for _, transfer in system.scheduler._mints[1]]
         assert [transfer.sequence for transfer in minted] == [1, 2]
         assert inbox.accepted == 2
         assert inbox.buffered_count == 0
@@ -659,3 +666,88 @@ class TestVerificationCacheUnderForgery:
         self._warm(scheme, claim, certificate)
         replay_target = dataclasses.replace(claim, sequence=2)
         assert not scheme.verify_certificate(replay_target, certificate, quorum_size=3)
+
+
+class _Equivocate(Behavior):
+    """Sends every voucher or ack honestly and, a moment later, a conflicting
+    one for the same stream slot — an inflated amount, or a watermark past
+    anything minted — under the sender's own key."""
+
+    def __init__(self, keypair):
+        self._keypair = keypair
+
+    def transform(self, sender, recipient, item):
+        claim = item.claim
+        if isinstance(item, SettlementVoucher):
+            forged = dataclasses.replace(claim, amount=claim.amount + 1_000)
+        else:
+            forged = dataclasses.replace(claim, sequence=claim.sequence + 5)
+        conflicting = type(item)(claim=forged, signature=self._keypair.sign(forged))
+        return [
+            OutgoingMessage(recipient=recipient, message=item),
+            OutgoingMessage(recipient=recipient, message=conflicting, extra_delay=0.0005),
+        ]
+
+
+def _behaviour(kind, system, shard):
+    if kind == "delay-0":
+        return DelayBehavior(0.0)
+    if kind == "delay-50ms":
+        return DelayBehavior(0.05)
+    if kind == "drop":
+        return DropBehavior(0.5, SeededRng(17 + shard))
+    return _Equivocate(system.shards[shard].scheme.keypair_for(3))
+
+
+class TestOnePassExchange:
+    """Every settlement delay is positive and every handler queues onto a
+    later queue of the pass, so one pass over the four queues leaves nothing
+    matured behind: after every exchange, no queue holds an entry with
+    ``ready <= now`` — under delayed, dropped and equivocated vouchers and
+    acks too."""
+
+    @pytest.mark.parametrize("kind", ["delay-0", "delay-50ms", "drop", "equivocate"])
+    def test_no_matured_entry_survives_an_exchange(self, make_system, kind, monkeypatch):
+        system = make_system()
+        for shard in (0, 1):
+            system.settlement.set_voucher_behavior(shard, 3, _behaviour(kind, system, shard))
+            system.settlement.set_ack_behavior(shard, 3, _behaviour(kind, system, shard))
+        scheduler = system.scheduler
+        exchange = scheduler._exchange
+        exchanges = []
+        left_behind = []
+
+        def checked(backend, fabric):
+            applied = exchange(backend, fabric)
+            exchanges.append(scheduler.now)
+            left_behind.extend(
+                (name, entry[0], scheduler.now)
+                for name, queue in scheduler._queues.items()
+                for entry in queue
+                if entry[0] <= scheduler.now
+            )
+            return applied
+
+        monkeypatch.setattr(scheduler, "_exchange", checked)
+        users = [_user_on_shard(system.router, shard) for shard in (0, 1)]
+        system.schedule_submissions(
+            [
+                ClusterSubmission(
+                    time=0.001 * (1 + index),
+                    source_user=users[index % 2],
+                    destination_user=users[1 - index % 2],
+                    amount=1 + index,
+                )
+                for index in range(8)
+            ]
+        )
+        system.run()
+        assert len(exchanges) > 3
+        assert left_behind == []
+        assert scheduler.in_flight == 0
+        audit = system.supply_audit()
+        assert audit.conserved
+        assert audit.minted == sum(range(1, 9))
+        assert audit.fully_settled
+        report = system.check_definition1()
+        assert report.ok, report.violations

@@ -145,7 +145,8 @@ class TestCompactionGate:
                 return None
             return [records.pop(sequence) for sequence in span]
 
-        gate = CompactionGate(0, verify, lookup, retired.extend)
+        # The key directory: destination shard 1's bound certificate check.
+        gate = CompactionGate(0, {1: verify}, lookup, retired.extend)
         return gate, scheme, records, retired
 
     def _certificate(self, scheme, claim):
@@ -204,6 +205,15 @@ class TestCompactionGate:
         )
         assert not gate.receive(self._certificate(scheme, foreign))
         assert gate.rejected[-1][1] == "misrouted retirement certificate"
+        assert retired == []
+
+    def test_a_destination_outside_the_key_directory_is_invalid(self):
+        """A watermark certified by a shard the gate holds no keys for fails
+        the certificate check, however well it is signed."""
+        gate, scheme, _, retired = self._gate()
+        stranger = SettlementAckClaim(source_shard=0, destination_shard=5, issuer=0, sequence=1)
+        assert not gate.receive(self._certificate(scheme, stranger))
+        assert gate.rejected[-1][1] == "invalid ack quorum certificate"
         assert retired == []
 
     def test_unknown_records_refuse_to_retire(self):

@@ -113,6 +113,30 @@ class TestClusterWorkload:
         with pytest.raises(ConfigurationError):
             cluster_open_loop_workload(ClusterWorkloadConfig(min_amount=5, max_amount=1))
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            dict(duration=float("nan")),
+            dict(duration=float("inf")),
+            dict(aggregate_rate=float("nan")),
+            dict(aggregate_rate=float("inf")),
+            dict(zipf_skew=float("nan")),
+            dict(zipf_skew=float("inf")),
+            dict(user_count=2.5),
+            dict(user_count=True),
+            dict(min_amount=1.5),
+            dict(max_amount=5.0),
+        ],
+        ids=repr,
+    )
+    def test_non_finite_and_non_integral_knobs_rejected(self, knobs):
+        """A NaN or infinite duration or rate would never end the stream (or
+        stamp ``time=nan`` on every submission), a NaN skew would sample a
+        NaN CDF, and a fractional count or amount would fail deep inside the
+        RNG: each is refused up front, before a single draw."""
+        with pytest.raises(ConfigurationError):
+            next(iter_cluster_workload(ClusterWorkloadConfig(**knobs)))
+
 
 class TestHotspotProfile:
     """The time-varying Zipf hotspot: skew that shifts across shards."""
@@ -229,6 +253,10 @@ class TestHotspotProfile:
             dict(period=0.02, intensity=1.5),
             dict(period=0.02, width=0),
             dict(period=0.02, skew=-1.0),
+            dict(period=float("nan")),
+            dict(period=float("inf")),
+            dict(period=0.02, width=2.5),
+            dict(period=0.02, skew=float("nan")),
         ):
             with pytest.raises(ConfigurationError):
                 cluster_open_loop_workload(
