@@ -22,23 +22,29 @@ test:
 test-props:
 	$(PYTHON) -m pytest tests/properties -q
 
-## The Definition 1 audit's suites alone: the spec checkers' unit tests, the
-## differential test against the quadratic reference on random observation
-## sets, and the same reference on real runs plus the audit's two guards (no
-## TransferId hashed; settlement provisions folded once per audit) — the
-## suites a change to spec/byzantine_spec.py must keep green.  CI runs it a
-## second time as `make test-audit PYTHON="python -X dev -W error"`.
+## The audit's suites alone: the spec checkers' unit tests (the agreement
+## check's own tests among them: red on a lossy wrapper, refused mid-run),
+## the differential test against the quadratic reference on random
+## observation sets, and the same reference on real runs plus the audit's two
+## guards (no TransferId hashed; settlement provisions folded once per
+## audit); then the agreement tests on the runs other suites make (the §5
+## claims, the message formulas, cluster scaling, one run per settlement
+## behaviour) — the suites a change to spec/byzantine_spec.py must keep
+## green.  CI runs it a second time as
+## `make test-audit PYTHON="python -X dev -W error"`.
 test-audit:
 	$(PYTHON) -m pytest tests/spec tests/properties/test_definition1_checker.py tests/properties/test_definition1_on_runs.py -q
+	$(PYTHON) -m pytest tests/paper tests/mp/test_message_formulas.py tests/cluster/test_cluster_scaling.py tests/cluster/test_settlement_byzantine.py -k agreement -q
 
 ## The cross-backend equivalence harness, the pinned fingerprints (toy runs on
 ## serial and process and under two PYTHONHASHSEEDs; the benchmark's four
 ## cluster and two Figure 4 workloads at full size), the backend
 ## determinism sweep, the hand-fed broadcast layers, the Figure 4 message
 ## formulas, the engine and network suites (tests/network: the pinned message
-## path among them) and the event queue's differential test.  The last four
-## and the pinned fingerprints are the suites a change to the message path
-## must keep green.  CI runs it a second time as
+## path among them, a lossless exchange and a lossless 4-process Bracha
+## fan-out, since links are reliable and have no lossy case) and the event
+## queue's differential test.  The last four and the pinned fingerprints are
+## the suites a change to the message path must keep green.  CI runs it a second time as
 ## `make test-backends PYTHON="python -X dev -W error"`.
 test-backends:
 	$(PYTHON) -m pytest tests/cluster/test_backend_equivalence.py tests/cluster/test_pinned_fingerprints.py tests/properties/test_backend_determinism.py tests/broadcast/test_broadcast_layers.py tests/mp/test_message_formulas.py tests/network tests/properties/test_event_queue.py -q

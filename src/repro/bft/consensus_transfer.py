@@ -73,12 +73,11 @@ class ConsensusTransferSystem:
         """Schedule the same client submissions the consensusless system takes."""
         scheduled = 0
         self.network.start()
+        post = self.simulator.post
         for submission in submissions:
             replica = self.replicas[submission.issuer]
-            self.simulator.schedule_at(
-                submission.time,
-                lambda r=replica, s=submission: r.submit_transfer(s.destination, s.amount),
-                label=f"client submit p{submission.issuer}",
+            post(
+                submission.time, replica.submit_transfer, (submission.destination, submission.amount)
             )
             scheduled += 1
         return scheduled

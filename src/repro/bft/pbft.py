@@ -221,9 +221,7 @@ class PbftReplica(Node):
         if len(self._queued_requests) >= self.config.batch_size:
             self._propose_batch()
         elif self._batch_timer is None:
-            self._batch_timer = self.set_timer(
-                self.config.batch_timeout, self._on_batch_timeout, label="batch timeout"
-            )
+            self._batch_timer = self.set_timer(self.config.batch_timeout, self._on_batch_timeout)
 
     def _on_batch_timeout(self) -> None:
         self._batch_timer = None
@@ -247,9 +245,7 @@ class PbftReplica(Node):
         if len(self._queued_requests) >= self.config.batch_size:
             self._propose_batch()
         elif self._queued_requests and self._batch_timer is None:
-            self._batch_timer = self.set_timer(
-                self.config.batch_timeout, self._on_batch_timeout, label="batch timeout"
-            )
+            self._batch_timer = self.set_timer(self.config.batch_timeout, self._on_batch_timeout)
 
     # -- replica: the three-phase protocol --------------------------------------------------------------------
 

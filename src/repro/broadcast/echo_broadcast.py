@@ -103,6 +103,14 @@ class EchoBroadcast(BroadcastLayer):
     ) -> None:
         super().__init__(channel, own_id, all_nodes, send, send_to_all, deliver)
         n = self.node_count
+        # ``type(...) is int`` keeps out ``True`` and floats: a negative, NaN or
+        # fractional f would give thresholds no quorum argument covers.
+        if fault_tolerance is not None and not (
+            type(fault_tolerance) is int and fault_tolerance >= 0
+        ):
+            raise ConfigurationError(
+                f"fault_tolerance must be an int >= 0, not {fault_tolerance!r}"
+            )
         self.f = max_tolerated_faults(n) if fault_tolerance is None else fault_tolerance
         if n <= 3 * self.f and self.f > 0:
             raise ConfigurationError(

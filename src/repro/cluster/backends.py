@@ -913,6 +913,16 @@ class EpochScheduler:
             + sum(len(transfers) for transfers in self._retirements.values())
         )
 
+    @property
+    def quiescent(self) -> bool:
+        """Whether a run has drained: no shard event, no settlement traffic."""
+        return (
+            self._reports is not None
+            and not self.in_flight
+            and not self._event_buffer
+            and not any(report.pending_events for report in self._reports.values())
+        )
+
     # -- the drive loop ------------------------------------------------------------------------
 
     def _ingest(self, reports: Dict[int, AdvanceReport]) -> None:
@@ -969,7 +979,11 @@ class EpochScheduler:
 
         Every barrier is a global rendezvous: each shard advances exactly to
         it, then the exchange runs over everything the shards reported.
+        ``max_events`` is ``None`` or an ``int`` >= 0, refused up front
+        otherwise: a NaN budget compares false and would disable the guard.
         """
+        if max_events is not None and not (type(max_events) is int and max_events >= 0):
+            raise SimulationError(f"event budget must be None or an int >= 0, not {max_events!r}")
         if self._reports is None:
             self._advance(backend, self.now, max_events, max_events)
         while True:

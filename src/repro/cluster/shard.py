@@ -114,6 +114,7 @@ class NodeSnapshot:
     completed: List[TransferRecord]
     failed_immediately: List[TransferRecord]
     stats: NodeStats
+    submitted: int = 0
     retired_offsets: Dict[AccountId, Amount] = field(default_factory=dict)
     retired_outbound: Dict[AccountId, Amount] = field(default_factory=dict)
     pending_retirements: set = field(default_factory=set)
@@ -228,13 +229,13 @@ class Shard:
         self.network.start()
 
     def submit(self, time: float, issuer: ProcessId, destination: AccountId, amount: Amount) -> None:
-        """Schedule one client submission on this shard's clock."""
-        node = self.nodes[issuer]
-        self.simulator.schedule_at(
-            time,
-            lambda: node.submit_transfer(destination, amount),
-            label=f"client submit s{self.index}/p{issuer}",
-        )
+        """Schedule one client submission on this shard's clock.
+
+        Nothing cancels a submission, so it is a handle-less post of the
+        node's ``submit_transfer``: one sequence number, as ``schedule_at``
+        would take, without the handle or a closure.
+        """
+        self.simulator.post(time, self.nodes[issuer].submit_transfer, (destination, amount))
         self.submitted += 1
 
     def spec(self) -> ShardSpec:
@@ -394,6 +395,7 @@ class Shard:
                 completed=list(node.completed),
                 failed_immediately=list(node.failed_immediately),
                 stats=node.stats,
+                submitted=node.submitted,
                 retired_offsets=dict(node.book.offsets),
                 retired_outbound=dict(node._retired_outbound),
                 pending_retirements=set(node._pending_retirements),
@@ -444,6 +446,7 @@ class Shard:
         """Install ``state``; the book's running balances are rebuilt from the
         shipped ``hist`` + ``retired_offsets`` by one fold."""
         node.stats = state.stats
+        node.submitted = state.submitted
         node.seq = dict(state.seq)
         node.rec = dict(state.rec)
         node.book.rebuild(state.hist, state.retired_offsets)

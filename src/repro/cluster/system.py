@@ -30,7 +30,7 @@ import copy
 import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.types import AccountId, Amount
 from repro.cluster.backends import (
     BACKEND_NAMES,
@@ -52,7 +52,7 @@ from repro.cluster.settlement import SettlementFabric, is_settlement_account
 from repro.cluster.shard import Shard
 from repro.network.node import NetworkConfig
 from repro.obs import TELEMETRY_MODES, MetricsRegistry, Tracer, merge_snapshots
-from repro.spec.byzantine_spec import ByzantineAssetTransferChecker
+from repro.spec.byzantine_spec import ByzantineAssetTransferChecker, CheckReport, check_agreement
 from repro.workloads.cluster_driver import ClusterSubmission, partition_submissions
 
 
@@ -475,6 +475,21 @@ class ClusterSystem:
             report.shard_reports[shard.index] = checker.check(shard.observations())
         report.conservation = self.supply_audit()
         return report
+
+    def check_agreement(self) -> Dict[int, CheckReport]:
+        """Agreement and validity at quiescence, per shard index.
+
+        Each shard's correct replicas must hold one validated set — their
+        mints included, so a certificate minted at only some destination
+        replicas is a violation — and have answered every submission.
+        Refuses a run that has not drained: a pause at ``until``, or a
+        system that never ran.
+        """
+        if not self.scheduler.quiescent:
+            raise SimulationError(
+                "the agreement audit needs a quiescent run: run() the cluster to the end"
+            )
+        return {shard.index: check_agreement(shard.observations()) for shard in self.shards}
 
     def supply_audit(self) -> SupplyAudit:
         """Classify every balance in every shard ledger (replica-0 views).

@@ -165,8 +165,10 @@ class ConsensuslessTransferNode(Node):
         self.compact_consumed = False
         self.compacted_local_records = 0
 
-        # Client bookkeeping: the broadcast in flight (one batch, in sequence
-        # order) and the submissions queued behind it.
+        # Client bookkeeping: the submissions given so far, the broadcast in
+        # flight (one batch, in sequence order) and the submissions queued
+        # behind it.
+        self.submitted = 0
         self._in_flight: List[PendingTransfer] = []
         self._submit_queue: List[Tuple[AccountId, Amount]] = []
         self.completed: List[TransferRecord] = []
@@ -240,6 +242,7 @@ class ConsensuslessTransferNode(Node):
         flight the new transfer is queued and issued once every transfer
         that broadcast carries has completed.
         """
+        self.submitted += 1
         self._submit_queue.append((destination, amount))
         self._try_issue_next()
 
@@ -574,6 +577,7 @@ class ConsensuslessTransferNode(Node):
             process=self.node_id,
             validated=list(self._validated_log),
             operations=list(self._client_operations),
+            submitted=self.submitted,
         )
 
     @property

@@ -257,7 +257,7 @@ class KSharedTransferNode(Node):
             self._on_submission(submission)
         else:
             self.send(leader, submission)
-        self.set_timer(self.retry_timeout, self._retry_pending, label="k-shared retry")
+        self.set_timer(self.retry_timeout, self._retry_pending)
 
     def _retry_pending(self) -> None:
         """Re-drive the sequencing of the pending transfer if it has stalled."""
@@ -275,7 +275,7 @@ class KSharedTransferNode(Node):
             self._on_submission(submission)
         else:
             self.send(leader, submission)
-        self.set_timer(self.retry_timeout, self._retry_pending, label="k-shared retry")
+        self.set_timer(self.retry_timeout, self._retry_pending)
 
     # -- leader side: sequencing ----------------------------------------------------------------------
 
@@ -514,11 +514,7 @@ class KSharedSystem:
         """Schedule one client transfer submission."""
         self.network.start()
         node = self.correct_node(issuer)
-        self.simulator.schedule_at(
-            time,
-            lambda: node.submit_transfer(source, destination, amount),
-            label=f"client submit p{issuer}",
-        )
+        self.simulator.post(time, node.submit_transfer, (source, destination, amount))
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> SystemResult:
         self.network.run(until=until, max_events=max_events)

@@ -20,7 +20,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.broadcast.bracha import BrachaBroadcast
 from repro.broadcast.echo_broadcast import EchoBroadcast
 from repro.byzantine.faults import FaultKind, FaultModel
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.types import AccountId, Amount, ProcessId
 from repro.crypto.signatures import SignatureScheme
 from repro.mp.attackers import DoubleSpendAttacker, SilentNode
@@ -31,7 +31,7 @@ from repro.mp.consensusless_transfer import (
 )
 from repro.network.node import Network, NetworkConfig, Node
 from repro.network.simulator import Simulator
-from repro.spec.byzantine_spec import ProcessObservation
+from repro.spec.byzantine_spec import CheckReport, ProcessObservation, check_agreement
 
 
 @dataclass(frozen=True)
@@ -212,17 +212,16 @@ class ConsensuslessSystem:
         ]
 
     def schedule_submissions(self, submissions: Iterable[ClientSubmission]) -> int:
-        """Schedule client submissions; faulty issuers are skipped."""
+        """Post client submissions (nothing cancels one); faulty issuers are skipped."""
         scheduled = 0
         self.network.start()
+        post = self.simulator.post
         for submission in submissions:
             if self.fault_model.is_faulty(submission.issuer):
                 continue
             node = self.correct_node(submission.issuer)
-            self.simulator.schedule_at(
-                submission.time,
-                lambda n=node, s=submission: n.submit_transfer(s.destination, s.amount),
-                label=f"client submit p{submission.issuer}",
+            post(
+                submission.time, node.submit_transfer, (submission.destination, submission.amount)
             )
             scheduled += 1
         return scheduled
@@ -232,7 +231,7 @@ class ConsensuslessSystem:
         self.network.start()
         for node in self.nodes.values():
             if isinstance(node, DoubleSpendAttacker):
-                self.simulator.schedule_at(at_time, node.launch_attack, label="attack")
+                self.simulator.post(at_time, node.launch_attack, ())
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> SystemResult:
         """Run the simulation to quiescence (or the given horizon)."""
@@ -251,6 +250,19 @@ class ConsensuslessSystem:
     def observations(self) -> List[ProcessObservation]:
         """Per-correct-process observations for the Definition 1 checker."""
         return [node.observation() for node in self.correct_nodes()]
+
+    def check_agreement(self) -> CheckReport:
+        """Agreement and validity at quiescence (``byzantine_spec.check_agreement``).
+
+        Refuses a run stopped by ``until`` with events still pending: there
+        a lagging replica or an unanswered client is not yet a violation.
+        """
+        pending = self.simulator.pending_events
+        if pending:
+            raise SimulationError(
+                f"the agreement audit needs a quiescent run, and {pending} events are pending"
+            )
+        return check_agreement(self.observations())
 
     def initial_balances(self) -> Dict[AccountId, Amount]:
         return dict(self._balances)

@@ -16,6 +16,14 @@ evaluation sweeps:
   baseline and the even load distribution in the broadcast-based protocol,
   the effect behind the paper's 1.5×–6× throughput gap.
 
+Links are the paper's reliable authenticated channels: every message sent is
+delivered, exactly once, after its drawn delay.  The secure broadcasts above
+rely on that, since their Agreement property does not survive a message lost
+between correct processes.  Omission is a Byzantine fault, within ``f``: a
+silent replica (:class:`repro.mp.attackers.SilentNode`) or a settlement
+replica that drops its vouchers or acks
+(:class:`repro.byzantine.behaviors.DropBehavior`).
+
 Every send is one :meth:`Network.multicast` call — to one recipient
 (``Node.send``), to every member (``Node.broadcast``, a broadcast layer's
 all-to-all) — which is N messages drawn in recipient order.  One message is
@@ -24,8 +32,8 @@ arguments: no :class:`Event` and no :func:`functools.partial` per message,
 since nothing cancels a message.  So one message costs two engine calls, one
 per hop, and one of them is shared by the whole fan-out:
 
-* "deliver": ``multicast`` draws every recipient's drop and latency first,
-  then hands the kept ``(time, args)`` pairs to one
+* "deliver": ``multicast`` draws every recipient's latency first, then hands
+  the ``(time, args)`` pairs to one
   :meth:`Simulator.post_many <repro.network.simulator.Simulator.post_many>`,
   which numbers them in recipient order — the sequence numbers N single
   posts would have taken.
@@ -35,8 +43,6 @@ per hop, and one of them is shared by the whole fan-out:
 Byzantine *behaviour* is not modelled here: a Byzantine node is simply a
 :class:`Node` subclass that sends whatever it likes (see
 :mod:`repro.byzantine.behaviors` and the attack nodes in :mod:`repro.mp`).
-The network delivers faithfully between benign pairs, which matches the
-standard assumption of reliable authenticated channels.
 """
 
 from __future__ import annotations
@@ -67,6 +73,9 @@ class NetworkConfig:
     carry signatures, whereas Bracha echo/ready messages only need channel
     authentication — an asymmetry that is one of the drivers of the
     throughput gap the paper reports.
+
+    Links are reliable: omission is Byzantine, within ``f`` (``SilentNode``,
+    ``DropBehavior``).
     """
 
     latency_base: float = 0.0005
@@ -74,7 +83,6 @@ class NetworkConfig:
     processing_time: float = 0.000005
     signature_verification_time: float = 0.0001
     seed: int = 0
-    drop_probability: float = 0.0
 
     def validate(self) -> None:
         # ``0 <= x < inf`` is false for NaN too, which ``x < 0`` would let through.
@@ -82,8 +90,6 @@ class NetworkConfig:
             value = getattr(self, name)
             if not 0.0 <= value < inf:
                 raise ConfigurationError(f"{name} must be finite and non-negative, not {value}")
-        if not 0.0 <= self.drop_probability < 1.0:
-            raise ConfigurationError("drop_probability must lie in [0, 1)")
 
 
 @dataclass
@@ -93,7 +99,6 @@ class NodeStats:
     sent: int = 0
     received: int = 0
     processed: int = 0
-    dropped: int = 0
     busy_time: float = 0.0
 
 
@@ -170,9 +175,9 @@ class Node(abc.ABC):
             recipients = tuple(peer for peer in recipients if peer != self.node_id)
         network.multicast(self.node_id, recipients, message)
 
-    def set_timer(self, delay: float, callback: Callable[[], None], label: str = "") -> Event:
+    def set_timer(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` to run after ``delay`` simulated seconds."""
-        return self.network.simulator.schedule(delay, callback, label=label or f"timer@{self.node_id}")
+        return self.network.simulator.schedule(delay, callback)
 
 
 class Network:
@@ -194,7 +199,6 @@ class Network:
         self._cpu_free_at: Dict[ProcessId, float] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
-        self.messages_dropped = 0
         self._started = False
 
     # -- membership -----------------------------------------------------------------
@@ -252,16 +256,14 @@ class Network:
     def multicast(self, sender: ProcessId, recipients: Sequence[ProcessId], message: Any) -> None:
         """Queue ``message`` from ``sender`` to each of ``recipients``, in order.
 
-        Per recipient: the drop draw, then (if kept) the latency draw.  The
-        kept deliveries go to the engine in one ``post_many``.  An unknown
-        recipient raises, counted as if sent one by one: the deliveries
-        drawn before it are queued first.
+        One latency draw per recipient; the deliveries go to the engine in
+        one ``post_many``.  An unknown recipient raises, counted as if sent
+        one by one: the deliveries drawn before it are queued first.
         """
         stats = self._nodes[sender].stats
         stats.sent += len(recipients)
         self.messages_sent += len(recipients)
         config = self.config
-        drop = config.drop_probability
         base = config.latency_base
         mean = config.latency_mean
         # ``random.expovariate(1 / mean)``'s formula, the divisor computed once.
@@ -281,10 +283,6 @@ class Network:
                 self.messages_sent -= unsent
                 simulator.post_many(self._arrive, deliveries)
                 raise SimulationError(f"message sent to unknown node {recipient}")
-            if drop and self._rng.maybe(drop):
-                self.messages_dropped += 1
-                node.stats.dropped += 1
-                continue
             latency = base
             if rate:
                 latency += -log(1.0 - uniform()) / rate

@@ -20,17 +20,15 @@ Three entry points share that one heap, one sequence counter and one ``run``
 loop; the entry layout is known to this module alone:
 
 * ``schedule`` / ``schedule_at`` return an :class:`Event`, the handle that
-  cancels it.  Timers, client submissions and attacks come this way; the
+  cancels it.  Timers come this way (PBFT cancels its batch timer); the
   entry carries the handle in ``event`` and no ``args``.
-  The handle keeps the label it was given, for ``Event.__repr__``; the heap
-  entry carries none.
 * ``post`` queues one ``action(*args)``, returns nothing, and its entry has
   ``event=None``.  A network message is two events, a delivery then its
   processing, and nothing ever cancels either, so a handle (and a
   :func:`functools.partial` to bind the message to its callback) would be
   two allocations per event that no one reads.  ``Network._arrive`` posts
-  the processing half; a cluster shard posts each settlement mint and
-  retirement batch (``Shard.apply_mints`` / ``apply_retirements``).
+  the processing half; each client submission, attack launch, settlement
+  mint and retirement batch is a post too.
 * ``post_many`` is ``post`` for a whole fan-out: one call takes every
   ``(time, args)`` pair of one action, gives them consecutive
   sequence numbers in the order given and pushes them, so a multicast to N
@@ -40,7 +38,8 @@ loop; the entry layout is known to this module alone:
 Each entry point pushes onto the heap itself, with no helper frame between it
 and ``heappush``, and refuses a time before ``now`` and a non-finite one: a
 NaN compares false with everything and would silently break the heap order.
-``run`` refuses a NaN horizon for the same reason.
+``run`` refuses a NaN horizon for the same reason, and a budget that is not
+an ``int`` >= 0 (a NaN one would turn the livelock guard off).
 
 The ``run`` loop is **pop-first**: it pops the head, drops it if its handle
 was cancelled, and pushes it back (once, unchanged, so its place in the order
@@ -77,22 +76,15 @@ class Event:
 
     Events run in ``(time, sequence)`` order; the sequence number makes the
     order total and deterministic when several events share a timestamp.
-    The callback itself rides in the heap entry, not here.
+    The callback rides in the heap entry; the handle carries no label.
     """
 
-    __slots__ = ("time", "sequence", "cancelled", "label", "_simulator")
+    __slots__ = ("time", "sequence", "cancelled", "_simulator")
 
-    def __init__(
-        self,
-        time: float,
-        sequence: int,
-        label: str = "",
-        simulator: Optional["Simulator"] = None,
-    ) -> None:
+    def __init__(self, time: float, sequence: int, simulator: Optional["Simulator"] = None) -> None:
         self.time = time
         self.sequence = sequence
         self.cancelled = False
-        self.label = label
         self._simulator = simulator
 
     def cancel(self) -> None:
@@ -108,7 +100,7 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "live"
-        return f"Event(t={self.time:.6f}, seq={self.sequence}, {state}, {self.label!r})"
+        return f"Event(t={self.time:.6f}, seq={self.sequence}, {state})"
 
 
 # One heap entry: (time, sequence, action, args, event-or-None).
@@ -143,7 +135,7 @@ class Simulator:
         """Current virtual time (seconds)."""
         return self._now
 
-    def schedule(self, delay: float, action: Callable[[], None], label: str = "") -> Event:
+    def schedule(self, delay: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` to run ``delay`` seconds from now."""
         if not 0.0 <= delay < inf:
             raise SimulationError(
@@ -151,19 +143,19 @@ class Simulator:
             )
         time = self._now + delay
         sequence = self._sequence
-        event = Event(time, sequence, label, self)
+        event = Event(time, sequence, self)
         self._sequence = sequence + 1
         heappush(self._queue, (time, sequence, action, (), event))
         return event
 
-    def schedule_at(self, time: float, action: Callable[[], None], label: str = "") -> Event:
+    def schedule_at(self, time: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` at an absolute virtual time."""
         if not self._now <= time < inf:
             raise SimulationError(
                 f"cannot schedule an event at {time} (current time is {self._now})"
             )
         sequence = self._sequence
-        event = Event(time, sequence, label, self)
+        event = Event(time, sequence, self)
         self._sequence = sequence + 1
         heappush(self._queue, (time, sequence, action, (), event))
         return event
@@ -172,9 +164,8 @@ class Simulator:
         """Queue ``action(*args)`` at the absolute ``time``, with no handle.
 
         The entry takes the next sequence number and counts as pending like
-        any other; it just cannot be cancelled.  ``Network._arrive`` and the
-        cluster shard's mint and retirement scheduling are the callers (see
-        the module docstring).
+        any other; it just cannot be cancelled.  See the module docstring for
+        the callers.
         """
         if not self._now <= time < inf:
             raise SimulationError(
@@ -226,7 +217,7 @@ class Simulator:
             raises when it is spent and a live event inside the horizon is
             next, so a queue that drains on exactly the last allowed event, or
             whose remaining events all lie beyond the horizon, is a completed
-            run, not a livelock.
+            run, not a livelock.  ``None`` or an ``int`` >= 0.
         stop_when:
             Optional predicate checked after every event; the run stops as
             soon as it returns ``True`` (used to stop when a workload has
@@ -240,6 +231,8 @@ class Simulator:
             horizon = until
         else:
             raise SimulationError(f"cannot run until {until}: a horizon is a number")
+        if max_events is not None and not (type(max_events) is int and max_events >= 0):
+            raise SimulationError(f"event budget must be None or an int >= 0, not {max_events!r}")
         budget = inf if max_events is None else max_events
         queue = self._queue
         executed = 0

@@ -33,6 +33,14 @@ class of violations:
 The checker reports all violations it finds rather than stopping at the first
 one, which makes protocol debugging much faster.
 
+C1–C4 are safety checks: a run in which correct replicas silently disagree
+on *which* transfers happened, or a client waits forever, passes all four.
+:func:`check_agreement` is the liveness half, for quiescent runs only:
+every correct process validated the same set of transfers (secure
+broadcast's Agreement, through Figure 4's validation) and answered every
+transfer submission it was given (Validity).  It is separate from the
+checker so Definition 1's audit does not pay for it.
+
 Cost, for ``n`` validated transfers over all processes, ``e`` declared
 dependencies and ``q`` reads and failed transfers: C1 and C2 are one pass,
 O(n).  C3 is O((n + e) log n): real-time precedence between non-overlapping
@@ -118,6 +126,9 @@ class ProcessObservation:
     process: ProcessId
     validated: List[ValidatedTransfer] = field(default_factory=list)
     operations: List[ClientOperation] = field(default_factory=list)
+    # Transfer submissions the process's client was given; every one must
+    # end as a ``"transfer"`` operation by quiescence (``check_agreement``).
+    submitted: int = 0
 
 
 @dataclass
@@ -160,6 +171,43 @@ _transfer = attrgetter("transfer")
 # C3's slot key for a transfer or a TransferId: a plain tuple, so no TransferId is
 # built or hashed.
 _issue_key = attrgetter("issuer", "sequence")
+
+
+def check_agreement(observations: Sequence[ProcessObservation]) -> CheckReport:
+    """Agreement and validity over a *quiescent* run's correct processes.
+
+    ``agreement``: every process validated the same set of transfers, the
+    union of what any of them validated.  ``validity``: every process
+    answered each transfer submission it was given.  Mid-run both fail
+    legitimately (a replica lags, a broadcast is in flight), so callers
+    audit only a run with nothing pending; the systems' ``check_agreement``
+    refuses anything else.
+    """
+    validated = [{v.transfer for v in obs.validated} for obs in observations]
+    union: Set[Transfer] = set().union(*validated)
+    violations: List[str] = []
+    for obs, seen in zip(observations, validated):
+        if len(seen) < len(union):
+            missing = sorted(map(_issue_key, union - seen))
+            shown = ", ".join(f"p{issuer}#{sequence}" for issuer, sequence in missing[:3])
+            more = f" and {len(missing) - 3} more" if len(missing) > 3 else ""
+            violations.append(
+                f"agreement violation: process {obs.process} validated {len(seen)} of the "
+                f"{len(union)} transfers correct processes validated (missing {shown}{more})"
+            )
+    for obs in observations:
+        answered = sum(1 for op in obs.operations if op.kind == "transfer")
+        if answered != obs.submitted:
+            violations.append(
+                f"validity violation: process {obs.process} answered {answered} of the "
+                f"{obs.submitted} transfer submissions it was given"
+            )
+    return CheckReport(
+        ok=not violations,
+        violations=violations,
+        checked_transfers=sum(map(len, validated)),
+        checked_processes=len(observations),
+    )
 
 
 class ByzantineAssetTransferChecker:

@@ -70,6 +70,32 @@ def account_factory(scheme):
     return factory
 
 
+def build_layer(kind, fault_tolerance):
+    """One layer of a 4-process group, with the given ``fault_tolerance``."""
+    factory = bracha_factory if kind == "bracha" else echo_factory(SignatureScheme())
+    return factory(
+        own_id=0, all_nodes=(0, 1, 2, 3), send=lambda *_: None,
+        send_to_all=lambda _: None, deliver=lambda *_: None, fault_tolerance=fault_tolerance,
+    )
+
+
+class TestFaultToleranceIsValidated:
+    """``f`` is ``None`` or an ``int`` >= 0.  A negative one gave thresholds no
+    quorum argument covers: Bracha at f = -1 delivered on one READY, and the
+    echo layer at f = -3 needed one acknowledgement."""
+
+    @pytest.mark.parametrize("kind", ["bracha", "echo"])
+    @pytest.mark.parametrize("value", [-1, -3, 1.5, float("nan"), True])
+    def test_refused(self, kind, value):
+        with pytest.raises(ConfigurationError, match="fault_tolerance"):
+            build_layer(kind, value)
+
+    @pytest.mark.parametrize("kind", ["bracha", "echo"])
+    @pytest.mark.parametrize("value", [0, 1, None])
+    def test_accepted(self, kind, value):
+        assert build_layer(kind, value).f == (1 if value is None else value)
+
+
 class TestSourceOrderBuffer:
     def test_releases_in_sequence_order(self):
         released = []

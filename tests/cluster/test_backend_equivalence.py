@@ -384,6 +384,27 @@ class TestEpochSchedulerEdges:
             system.run(max_events=50)
         system.close()
 
+    @pytest.mark.parametrize("budget", [float("nan"), -1, 2.5, True])
+    def test_an_event_budget_that_is_not_a_natural_is_refused(self, fast_network, budget):
+        """A NaN budget compares false and ran the cluster unbounded; -1 failed
+        as "exceeded the event budget of -1"; 2.5 and True were accepted."""
+        system = ClusterSystem(
+            shard_count=2, replicas_per_shard=4, initial_balance=500,
+            network_config=fast_network, backend="serial", seed=3,
+        )
+        system.schedule_submissions(
+            cluster_open_loop_workload(
+                ClusterWorkloadConfig(
+                    user_count=60, aggregate_rate=1_500.0, duration=0.02,
+                    cross_shard_fraction=0.5, router=system.router, seed=3,
+                )
+            )
+        )
+        with pytest.raises(SimulationError, match="must be None or an int >= 0"):
+            system.run(max_events=budget)
+        assert system.scheduler.events_processed() == 0
+        system.close()
+
     def test_delayed_vouchers_settle_at_a_later_barrier(self, fast_network):
         """A DelayBehavior stalls one replica's vouchers past several epochs;
         settlement still completes (the other replicas quorum first) and the

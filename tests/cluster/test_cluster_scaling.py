@@ -6,8 +6,9 @@ batching many transfers into one secure-broadcast instance must amortise
 its quorum cost.  One Zipf/Poisson workload (5 000 users, 16 000 tx/s for
 0.03 s, seed 7) replays against shards (1, 2) x batch (1, 8); the load is
 heavy enough that the protocol, not the arrival rate, bounds throughput.
-Every run must commit every submission with Definition 1 and the supply
-identity holding, so the orderings compare equal work.
+Every run must commit every submission with Definition 1, the supply
+identity and agreement at quiescence holding, so the orderings compare
+equal work.
 """
 
 import pytest
@@ -30,17 +31,18 @@ def grid():
         seed=7,
     )
     workload = config.workload()
-    rows = {}
+    rows, agreement = {}, {}
     for shards in SHARD_COUNTS:
         for batch in BATCH_SIZES:
             row, system = run_cluster(shards, batch, config, workload=workload)
+            agreement[shards, batch] = system.check_agreement()
             system.close()
             rows[shards, batch] = row
-    return len(workload), rows
+    return len(workload), rows, agreement
 
 
 def test_every_run_commits_every_submission_and_audits_clean(grid):
-    submissions, rows = grid
+    submissions, rows, _ = grid
     for (shards, batch), row in rows.items():
         label = f"shards={shards} batch={batch}"
         assert row.summary.committed == submissions, label
@@ -51,14 +53,24 @@ def test_every_run_commits_every_submission_and_audits_clean(grid):
 
 @pytest.mark.parametrize("batch", BATCH_SIZES)
 def test_throughput_rises_with_shard_count(grid, batch):
-    _, rows = grid
+    _, rows, _ = grid
     series = [rows[shards, batch].summary.throughput for shards in SHARD_COUNTS]
     assert series == sorted(series) and series[0] < series[-1], series
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_batching_beats_one_transfer_per_broadcast(grid, shards):
-    _, rows = grid
+    _, rows, _ = grid
     batched = rows[shards, 8].summary.throughput
     unbatched = rows[shards, 1].summary.throughput
     assert batched > unbatched, (batched, unbatched)
+
+
+def test_agreement_holds_on_every_shard(grid):
+    """Each shard's replicas end with one validated set, their mints
+    included, and every submission answered."""
+    _, _, agreement = grid
+    for (shards, batch), reports in agreement.items():
+        assert sorted(reports) == list(range(shards))
+        for shard, report in reports.items():
+            assert report.ok, f"shards={shards} batch={batch} shard={shard}: {report.violations[:3]}"

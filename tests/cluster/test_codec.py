@@ -108,7 +108,7 @@ VALUES = [
     BroadcastDelivery(origin=0, sequence=1, payload=PAYLOAD),
     # Specs, reports and snapshots.
     SPEC,
-    NodeStats(sent=4, received=9, processed=9, dropped=0, busy_time=0.25),
+    NodeStats(sent=4, received=9, processed=9, busy_time=0.25),
     AdvanceReport(
         shard=1,
         events=[ValidationEvent(time=0.01, shard=1, replica=0, transfer=TRANSFER, index=0)],

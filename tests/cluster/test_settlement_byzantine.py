@@ -699,6 +699,29 @@ def _behaviour(kind, system, shard):
     return _Equivocate(system.shards[shard].scheme.keypair_for(3))
 
 
+def _install_on_both_legs(system, kind):
+    """Replica 3 of each shard runs ``kind`` on its vouchers and its acks."""
+    for shard in (0, 1):
+        system.settlement.set_voucher_behavior(shard, 3, _behaviour(kind, system, shard))
+        system.settlement.set_ack_behavior(shard, 3, _behaviour(kind, system, shard))
+
+
+def _pay_back_and_forth(system):
+    """Eight cross-shard payments, alternating direction, amounts 1..8."""
+    users = [_user_on_shard(system.router, shard) for shard in (0, 1)]
+    system.schedule_submissions(
+        [
+            ClusterSubmission(
+                time=0.001 * (1 + index),
+                source_user=users[index % 2],
+                destination_user=users[1 - index % 2],
+                amount=1 + index,
+            )
+            for index in range(8)
+        ]
+    )
+
+
 class TestOnePassExchange:
     """Every settlement delay is positive and every handler queues onto a
     later queue of the pass, so one pass over the four queues leaves nothing
@@ -709,9 +732,7 @@ class TestOnePassExchange:
     @pytest.mark.parametrize("kind", ["delay-0", "delay-50ms", "drop", "equivocate"])
     def test_no_matured_entry_survives_an_exchange(self, make_system, kind, monkeypatch):
         system = make_system()
-        for shard in (0, 1):
-            system.settlement.set_voucher_behavior(shard, 3, _behaviour(kind, system, shard))
-            system.settlement.set_ack_behavior(shard, 3, _behaviour(kind, system, shard))
+        _install_on_both_legs(system, kind)
         scheduler = system.scheduler
         exchange = scheduler._exchange
         exchanges = []
@@ -729,18 +750,7 @@ class TestOnePassExchange:
             return applied
 
         monkeypatch.setattr(scheduler, "_exchange", checked)
-        users = [_user_on_shard(system.router, shard) for shard in (0, 1)]
-        system.schedule_submissions(
-            [
-                ClusterSubmission(
-                    time=0.001 * (1 + index),
-                    source_user=users[index % 2],
-                    destination_user=users[1 - index % 2],
-                    amount=1 + index,
-                )
-                for index in range(8)
-            ]
-        )
+        _pay_back_and_forth(system)
         system.run()
         assert len(exchanges) > 3
         assert left_behind == []
@@ -751,3 +761,22 @@ class TestOnePassExchange:
         assert audit.fully_settled
         report = system.check_definition1()
         assert report.ok, report.violations
+
+
+class TestAgreementUnderSettlementFaults:
+    """A Byzantine settlement replica (within f) on the voucher and the ack
+    leg leaves no agreement gap: every shard's replicas validate one set,
+    every mint included, and answer every submission."""
+
+    @pytest.mark.parametrize("kind", ["delay-0", "delay-50ms", "drop", "equivocate"])
+    def test_agreement_holds_at_quiescence(self, make_system, kind):
+        system = make_system()
+        _install_on_both_legs(system, kind)
+        _pay_back_and_forth(system)
+        system.run()
+        reports = system.check_agreement()
+        assert sorted(reports) == [0, 1]
+        for shard, report in reports.items():
+            assert report.ok, (shard, report.violations)
+        # Each shard validated its four debits and minted the other's four credits.
+        assert all(report.checked_transfers == 4 * 8 for report in reports.values())

@@ -67,3 +67,13 @@ def test_batched_bracha_sends_n_plus_two_n_squared_messages_per_instance(process
     assert stats.payload_items == result.committed_count
     assert instances < result.committed_count
     assert result.events_processed == 2 * system.network.messages_delivered + submissions
+
+
+@pytest.mark.parametrize("process_count", [4, 7, 10, 16])
+@pytest.mark.parametrize("batch_size, per_process", [(1, 2), (8, 4)], ids=["batch-1", "batch-8"])
+def test_agreement_holds_at_quiescence(process_count, batch_size, per_process):
+    """The formula runs end with every process holding every transfer."""
+    system, _, submissions = lossless_run(process_count, batch_size, per_process)
+    report = system.check_agreement()
+    assert report.ok, report.violations[:3]
+    assert report.checked_transfers == process_count * submissions

@@ -77,30 +77,17 @@ class TestDelivery:
         with pytest.raises(ConfigurationError):
             network.add_node(Recorder(0))
 
-    def test_drop_probability(self):
-        config = NetworkConfig(seed=3, drop_probability=0.5)
-        simulator = Simulator()
-        network = Network(simulator, config)
-        sender, receiver = Recorder(0), Recorder(1)
-        network.add_nodes([sender, receiver])
-        network.start()
-        for _ in range(200):
-            sender.send(1, "x")
-        network.run()
-        assert 40 < len(receiver.received) < 160
-        assert network.messages_dropped == 200 - len(receiver.received)
-
     def test_a_multicast_draws_and_counts_like_sends_one_by_one(self):
         def run(fan_out):
-            _, network, nodes = build(count=5, config=NetworkConfig(seed=3, drop_probability=0.3))
+            _, network, nodes = build(count=5, config=NetworkConfig(seed=3))
             network.start()
             for message in range(20):
                 fan_out(network, (4, 0, 2, 2, 1), message)
             network.run()
             return (
                 [node.received for node in nodes],
-                [(node.stats.sent, node.stats.dropped) for node in nodes],
-                (network.messages_sent, network.messages_delivered, network.messages_dropped),
+                [(node.stats.sent, node.stats.received) for node in nodes],
+                (network.messages_sent, network.messages_delivered),
                 network._rng.state(),
             )
 
@@ -110,7 +97,7 @@ class TestDelivery:
 
         one_call = run(lambda network, recipients, message: network.multicast(3, recipients, message))
         assert one_call == run(one_by_one)
-        assert one_call[2][2] > 0
+        assert one_call[2] == (100, 100)
 
     def test_equal_link_delays_deliver_a_fan_out_in_recipient_order(self):
         # With no random delay every delivery of one multicast ties on time,
@@ -169,8 +156,6 @@ class TestCpuModel:
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigurationError):
             Network(Simulator(), NetworkConfig(processing_time=-1))
-        with pytest.raises(ConfigurationError):
-            Network(Simulator(), NetworkConfig(drop_probability=1.5))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize(
@@ -211,10 +196,10 @@ class Chatter(Node):
             self.send(sender, ("ack", self.node_id))
 
 
-def exchange(drop_probability):
+def exchange():
     """A fixed 4-node exchange; node 2 overrides its processing cost."""
     simulator = Simulator()
-    config = NetworkConfig(processing_time=0.0002, seed=11, drop_probability=drop_probability)
+    config = NetworkConfig(processing_time=0.0002, seed=11)
     network = Network(simulator, config)
     log = []
     network.add_nodes([Chatter(i, 0.0004 if i == 2 else None, log) for i in range(4)])
@@ -222,10 +207,10 @@ def exchange(drop_probability):
     return {
         "order": log,  # (recipient, sender, kind) in processing order
         "stats": [
-            (n.stats.sent, n.stats.received, n.stats.processed, n.stats.dropped, n.stats.busy_time)
+            (n.stats.sent, n.stats.received, n.stats.processed, n.stats.busy_time)
             for n in network.nodes
         ],
-        "counters": (network.messages_sent, network.messages_delivered, network.messages_dropped),
+        "counters": (network.messages_sent, network.messages_delivered),
         "cpu_free_at": dict(network._cpu_free_at),
         "rng": hashlib.sha256(repr(network._rng.state()).encode()).hexdigest()[:16],
         "now": simulator.now,
@@ -237,14 +222,14 @@ class TestTheMessagePathIsPinned:
     """What one message costs may change; what it *does* may not.
 
     The expected values are what the closure-and-f-string message path
-    produced before it was rewritten.  The drop draw comes before the latency
-    draw and a dropped message draws no latency, so the RNG state after the
-    run pins the draw order too; every message is still two events.
+    produced before it was rewritten.  Every message draws one latency, so
+    the RNG state after the run pins the draw order too; every message is
+    still two events.
     """
 
     def test_lossless_exchange(self):
-        assert exchange(0.0) == {
-            "counters": (32, 32, 0),
+        assert exchange() == {
+            "counters": (32, 32),
             "cpu_free_at": {
                 0: 0.004304704009188791,
                 1: 0.00455933976958863,
@@ -265,50 +250,19 @@ class TestTheMessagePathIsPinned:
             ],
             "rng": "1f7f4384961515a9",
             "stats": [
-                (8, 8, 8, 0, 0.0016000000000000003),
-                (8, 8, 8, 0, 0.0016000000000000003),
-                (8, 8, 8, 0, 0.0032000000000000006),
-                (8, 8, 8, 0, 0.0016000000000000003),
-            ],
-        }
-
-    def test_lossy_exchange(self):
-        assert exchange(0.2) == {
-            "counters": (27, 20, 7),
-            "cpu_free_at": {
-                0: 0.0033399310641233295,
-                1: 0.005369992699361148,
-                2: 0.004892134142780652,
-                3: 0.006518089834168253,
-            },
-            "events": 40,
-            "now": 0.006518089834168253,
-            "order": [
-                (0, 0, "hello"), (0, 1, "hello"), (0, 2, "hello"), (2, 1, "hello"),
-                (0, 3, "hello"), (1, 2, "hello"), (3, 1, "hello"), (2, 0, "hello"),
-                (1, 0, "ack"), (2, 0, "ack"), (3, 0, "ack"), (2, 2, "hello"),
-                (3, 3, "hello"), (1, 3, "hello"), (0, 0, "ack"), (1, 2, "ack"),
-                (2, 2, "ack"), (2, 1, "ack"), (1, 3, "ack"), (3, 1, "ack"),
-            ],
-            "rng": "0e26b18990399959",
-            "stats": [
-                (8, 5, 5, 1, 0.001),
-                (6, 5, 5, 2, 0.001),
-                (7, 6, 6, 1, 0.0024000000000000002),
-                (6, 4, 4, 3, 0.0008),
+                (8, 8, 8, 0.0016000000000000003),
+                (8, 8, 8, 0.0016000000000000003),
+                (8, 8, 8, 0.0032000000000000006),
+                (8, 8, 8, 0.0016000000000000003),
             ],
         }
 
 
-def lossy_bracha_group():
-    """Four Figure 4 processes over Bracha, one in five messages dropped."""
+def bracha_group():
+    """Four Figure 4 processes over Bracha, eight transfers."""
     from repro.mp.system import ClientSubmission, ConsensuslessSystem
 
-    system = ConsensuslessSystem(
-        process_count=4,
-        network_config=NetworkConfig(seed=11, drop_probability=0.2),
-        seed=11,
-    )
+    system = ConsensuslessSystem(process_count=4, network_config=NetworkConfig(seed=11), seed=11)
     system.schedule_submissions(
         ClientSubmission(time=0.0001 * i, issuer=i % 4, destination=str((i + 1) % 4), amount=5)
         for i in range(8)
@@ -317,14 +271,14 @@ def lossy_bracha_group():
     network = system.network
     return {
         "node_stats": [
-            (n.stats.sent, n.stats.received, n.stats.processed, n.stats.dropped, n.stats.busy_time)
+            (n.stats.sent, n.stats.received, n.stats.processed, n.stats.busy_time)
             for n in network.nodes
         ],
         "layer_stats": [
             (s.broadcasts_started, s.messages_sent, s.delivered, s.payload_items)
             for s in (n.broadcast_layer.stats for n in network.nodes)
         ],
-        "counters": (network.messages_sent, network.messages_delivered, network.messages_dropped),
+        "counters": (network.messages_sent, network.messages_delivered),
         "rng": hashlib.sha256(repr(network._rng.state()).encode()).hexdigest()[:16],
         "events": system.simulator.processed_events,
         "committed": result.committed_count,
@@ -334,24 +288,23 @@ def lossy_bracha_group():
 class TestTheLayerFanOutIsPinned:
     """The broadcast layers' all-to-all sends, pinned like ``Node.broadcast``.
 
-    The values are what per-recipient sends produced; under loss the RNG
-    digest pins one drop draw, then one latency draw if kept, per recipient
-    in membership order.
+    The values are what per-recipient sends produced; the RNG digest pins
+    one latency draw per recipient, in membership order.
     """
 
-    def test_lossy_bracha_group(self):
-        assert lossy_bracha_group() == {
-            "committed": 1,
-            "counters": (108, 87, 21),
-            "events": 182,
-            "layer_stats": [(1, 32, 2, 2), (1, 24, 2, 2), (2, 32, 2, 2), (1, 20, 1, 1)],
+    def test_bracha_group(self):
+        assert bracha_group() == {
+            "committed": 8,
+            "counters": (288, 288),
+            "events": 584,
+            "layer_stats": [(2, 72, 8, 8), (2, 72, 8, 8), (2, 72, 8, 8), (2, 72, 8, 8)],
             "node_stats": [
-                (32, 23, 23, 4, 0.0006150000000000003),
-                (24, 22, 22, 5, 0.0004100000000000002),
-                (32, 23, 23, 4, 0.0004150000000000003),
-                (20, 19, 19, 8, 0.0002950000000000002),
+                (72, 72, 72, 0.001160000000000001),
+                (72, 72, 72, 0.001160000000000001),
+                (72, 72, 72, 0.001160000000000001),
+                (72, 72, 72, 0.001160000000000001),
             ],
-            "rng": "4e77f5a5c6412d58",
+            "rng": "b9e28945a19ec77a",
         }
 
 

@@ -138,7 +138,7 @@ class TestPost:
         simulator = Simulator()
         order = []
         simulator.post(0.1, order.append, ("posted",))
-        simulator.schedule_at(0.1, lambda: order.append("scheduled"), label="timer")
+        simulator.schedule_at(0.1, lambda: order.append("scheduled"))
         simulator.post(0.05, order.append, ("early",))
         assert simulator.post(0.1, order.append, ("last",)) is None
         assert simulator.pending_events == 4
@@ -216,6 +216,17 @@ class TestEventBudgetBoundary:
             simulator.run(max_events=0)
         assert fired == [] and simulator.now == 0.0
         assert simulator.pending_events == 1 and simulator.processed_events == 0
+
+    @pytest.mark.parametrize("budget", [nan, -1, 2.5, True, inf])
+    def test_a_budget_that_is_not_a_natural_is_refused(self, budget):
+        """A NaN budget compares false, so it ran unbounded; -1 failed as
+        "exceeded the event budget of -1"; 2.5 and True were accepted."""
+        simulator = Simulator()
+        fired = []
+        simulator.schedule(0.1, lambda: fired.append(1))
+        with pytest.raises(SimulationError, match="must be None or an int >= 0"):
+            simulator.run(max_events=budget)
+        assert fired == [] and simulator.pending_events == 1
 
     def test_processed_events_still_accumulates_across_runs(self):
         simulator = Simulator()

@@ -6,7 +6,9 @@ to 2× lower latency (E6), paid for in messages (E8).  The baseline here is
 PBFT-ordered transfers (``repro.bft``) fed the same closed-loop workload over
 the same simulated network.  Simulated outcomes are deterministic given the
 seeds, so every inequality below is exact, and the figures quoted in the
-docstrings are the ones these seeds produce.  ``examples/throughput_comparison.py``
+docstrings are the ones these seeds produce.  Every Figure 4 run behind
+them also ends in agreement: one validated set at every process, every
+submission answered.  ``examples/throughput_comparison.py``
 prints the same comparison at N = 10 … 100.
 """
 
@@ -28,6 +30,20 @@ TRANSFERS_PER_PROCESS = 5
 CONFIG = ExperimentConfig(
     transfers_per_process=TRANSFERS_PER_PROCESS, network=NetworkConfig(seed=7), seed=7
 )
+
+
+def batched_figure4(process_count):
+    """Figure 4 at PBFT's batch size on the E5 workload (E8 at equal batching)."""
+    system = ConsensuslessSystem(
+        process_count=process_count,
+        initial_balance=CONFIG.initial_balance,
+        broadcast=CONFIG.broadcast,
+        network_config=CONFIG.network,
+        seed=CONFIG.seed,
+        batch_size=CONFIG.batch_size,
+    )
+    system.schedule_submissions(CONFIG.workload(process_count))
+    return system, system.run(max_events=CONFIG.max_events)
 
 
 @pytest.fixture(scope="module", params=(4, 10, 16), ids=lambda n: f"N={n}")
@@ -77,16 +93,7 @@ def test_e8_at_equal_batching_the_crossover_moves_to_small_groups(comparison):
     Batched, Figure 4 is the cheaper one at N = 4 and the dearer one from
     N = 10 on."""
     process_count = comparison.process_count
-    system = ConsensuslessSystem(
-        process_count=process_count,
-        initial_balance=CONFIG.initial_balance,
-        broadcast=CONFIG.broadcast,
-        network_config=CONFIG.network,
-        seed=CONFIG.seed,
-        batch_size=CONFIG.batch_size,
-    )
-    system.schedule_submissions(CONFIG.workload(process_count))
-    result = system.run(max_events=CONFIG.max_events)
+    result = batched_figure4(process_count)[1]
     assert result.committed_count == process_count * TRANSFERS_PER_PROCESS
     per_instance = process_count + 2 * process_count**2
     assert result.messages_per_commit == 2 * per_instance / TRANSFERS_PER_PROCESS
@@ -119,3 +126,22 @@ def test_pbft_batching_ablation_batch_16_is_no_slower_than_batch_1():
     batched, _ = run_consensus_based(7, dataclasses.replace(CONFIG, batch_size=16))
     assert batched.committed == unbatched.committed == 7 * TRANSFERS_PER_PROCESS
     assert batched.throughput >= unbatched.throughput
+
+
+@pytest.mark.parametrize(
+    "kind, process_count",
+    [*(("closed-loop", n) for n in (4, 10, 16)), *(("batch-8", n) for n in (4, 10, 16)),
+     ("echo", 4)],
+    ids=str,
+)
+def test_agreement_holds_on_the_figure4_runs(kind, process_count):
+    """The Figure 4 runs behind E5, E6 and E8 end quiescent with one validated
+    set at every process and every submission answered."""
+    if kind == "batch-8":
+        system = batched_figure4(process_count)[0]
+    else:
+        config = dataclasses.replace(CONFIG, broadcast="echo") if kind == "echo" else CONFIG
+        system = run_consensusless(process_count, config)[1]
+    report = system.check_agreement()
+    assert report.ok, report.violations[:3]
+    assert report.checked_transfers == process_count**2 * TRANSFERS_PER_PROCESS
