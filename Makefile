@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-props test-audit test-backends test-settlement test-migration test-obs soak perf-smoke perf example clean
+.PHONY: test test-props test-audit test-backends test-settlement test-obs soak perf-smoke perf example clean
 
 ## Tier-1: the full unit/integration suite (fails fast, quiet).
 test:
@@ -36,7 +36,10 @@ test-audit:
 	$(PYTHON) -m pytest tests/spec tests/properties/test_definition1_checker.py tests/properties/test_definition1_on_runs.py -q
 	$(PYTHON) -m pytest tests/paper tests/mp/test_message_formulas.py tests/cluster/test_cluster_scaling.py tests/cluster/test_settlement_byzantine.py -k agreement -q
 
-## The cross-backend equivalence harness, the pinned fingerprints (toy runs on
+## The cross-backend equivalence harness (the hotspot grid on three
+## barrier-grid widths and the pool's fixed shard i -> worker i % w
+## assignment among it), the ShardSnapshot round trips the pool's final
+## capture rests on, the pinned fingerprints (toy runs on
 ## serial and process and under two PYTHONHASHSEEDs; the benchmark's four
 ## cluster and two Figure 4 workloads at full size), the backend
 ## determinism sweep, the hand-fed broadcast layers, the Figure 4 message
@@ -47,7 +50,7 @@ test-audit:
 ## the suites a change to the message path must keep green.  CI runs it a second time as
 ## `make test-backends PYTHON="python -X dev -W error"`.
 test-backends:
-	$(PYTHON) -m pytest tests/cluster/test_backend_equivalence.py tests/cluster/test_pinned_fingerprints.py tests/properties/test_backend_determinism.py tests/broadcast/test_broadcast_layers.py tests/mp/test_message_formulas.py tests/network tests/properties/test_event_queue.py -q
+	$(PYTHON) -m pytest tests/cluster/test_backend_equivalence.py tests/cluster/test_shard_snapshot.py tests/cluster/test_pinned_fingerprints.py tests/properties/test_backend_determinism.py tests/broadcast/test_broadcast_layers.py tests/mp/test_message_formulas.py tests/network tests/properties/test_event_queue.py -q
 
 ## The settlement suites alone: the quorum-stream exactness suite over both
 ## legs, the lifecycle and adversarial suites, the per-credit signature
@@ -62,26 +65,18 @@ test-backends:
 test-settlement:
 	$(PYTHON) -m pytest tests/cluster/test_settlement*.py tests/properties/test_cluster_settlement.py tests/crypto tests/byzantine tests/cluster/test_pinned_fingerprints.py -q
 
-## The migration equivalence suite alone: placement invariance across
-## {static, manual plan, threshold policy} x {serial, process} on three
-## barrier-grid widths, replay from genesis carrying balances and compacted
-## histories, plus the arbitrary-barrier ShardSnapshot round trips
-## migration rests on.
-test-migration:
-	$(PYTHON) -m pytest tests/cluster/test_migration.py tests/cluster/test_shard_snapshot.py -q
-
-## The settlement-lifecycle soak alone (part of tier-1): a migrated
-## long-horizon run asserting bounded resident settlement records and relay
-## journals, and the same soak with compact_history asserting fewer resident
-## local records.  CI runs it, with test-migration, a second time under
-## `PYTHON="python -X dev -W error"`.
+## The settlement-lifecycle soak alone (part of tier-1): a long-horizon run
+## asserting bounded resident settlement records and relay journals, and the
+## same soak on the two-worker pool with and without compact_history,
+## asserting fewer resident local records with it.  CI runs it a second time
+## under `PYTHON="python -X dev -W error"`.
 soak:
 	$(PYTHON) -m pytest tests/cluster/test_settlement_soak.py -q
 
 ## The observability suite alone: registry/tracer units plus the
 ## telemetry-invariance harness (fingerprints identical with telemetry off,
-## metrics-only and full tracing, on every backend, migrated runs included)
-## and the phase breakdown.  CI runs it a second time under
+## metrics-only and full tracing, on every backend) and the phase breakdown,
+## whose advance and exchange phases tile the scheduler's barrier loop.  CI runs it a second time under
 ## `PYTHON="python -X dev -W error"`.
 test-obs:
 	$(PYTHON) -m pytest tests/obs -q

@@ -20,13 +20,8 @@ account with no cross-shard coordination.  This example:
 5. re-runs one sharded workload on two execution backends —
    ``backend="serial"`` vs ``backend="process"`` — printing both wall clocks
    and showing that the canonical result fingerprints are equal (shards
-   never coordinate, so nothing forces them onto one event loop),
-6. *rebalances the cluster live*: a shifting hotspot skews the per-worker
-   load, ``rebalance()`` migrates shards between workers mid-run (snapshot,
-   detach, rehydrate — no agreement protocol, because shards never
-   coordinate), and the final fingerprint still equals the static run's:
-   results are placement-invariant, and
-7. turns the telemetry on full: the same run traced and metered, its phase
+   never coordinate, so nothing forces them onto one event loop), and
+6. turns the telemetry on full: the same run traced and metered, its phase
    breakdown and busiest counters printed, a Chrome ``trace_event`` file
    (``TRACE_quickstart.json``, loadable in chrome://tracing or Perfetto)
    written and validated — while the fingerprint still equals the
@@ -55,7 +50,6 @@ from repro.obs import validate_trace_file
 from repro.network.node import NetworkConfig
 from repro.workloads.cluster_driver import (
     ClusterSubmission,
-    HotspotProfile,
     destination_histogram,
 )
 
@@ -145,52 +139,6 @@ def backend_speedup() -> None:
           f"(equivalence holds whatever the ratio)")
 
 
-def live_rebalance() -> None:
-    """Migrate shards between workers mid-run; results stay bit-identical."""
-    def build(migration):
-        system = ClusterSystem(
-            shard_count=4, replicas_per_shard=4, batch_size=8,
-            network_config=NetworkConfig(seed=7), backend="serial",
-            max_workers=2, migration=migration, seed=7,
-        )
-        config = ClusterExperimentConfig(
-            user_count=2_000, aggregate_rate=6_000.0, duration=0.06,
-            zipf_skew=1.0, cross_shard_fraction=0.4,
-            hotspot=HotspotProfile(period=0.02, intensity=0.7, width=8),
-            network=NetworkConfig(seed=7), seed=7,
-        )
-        system.schedule_submissions(config.workload(system.router))
-        return system
-
-    static = build(None)
-    reference = static.run().fingerprint()
-    static.close()
-
-    live = build("manual")  # migration seam on, moves decided by us
-    # The session inherits a one-worker placement (think: a cluster that
-    # just scaled from one worker to two) — before the first run the plan
-    # is still editable for free.
-    live.rebalance(moves=[(shard, 0) for shard in range(4)])
-    live.run(until=0.02)    # phase 1 of the hotspot: worker 0 does it all
-    before = live.worker_loads()
-    records = live.rebalance()
-    after = live.worker_loads()
-    result = live.run()
-    same = result.fingerprint() == reference
-    print("live rebalancing: 4 hotspot-skewed shards, all on worker 0 of 2")
-    print(f"  per-worker load before rebalance(): {before}")
-    for record in records:
-        print(f"  moved shard {record.shard}: worker {record.source_worker} -> "
-              f"{record.target_worker} ({record.snapshot_bytes} snapshot bytes, "
-              f"{record.stall_s * 1000:.1f} ms stall)")
-    print(f"  per-worker load after:               {after}")
-    print(f"  -> fingerprint equals the static-assignment run: {same}")
-    print(f"     (placement invariance: migration moves *where* shards compute,")
-    print(f"      never what they compute; Definition 1 "
-          f"{'OK' if live.check_definition1().ok else 'VIOLATED'})")
-    live.close()
-
-
 def telemetry_tour() -> None:
     """The same run metered and traced: the telemetry layer records where the wall clock went without moving a single result
     bit (the fingerprint invariant, checked live below)."""
@@ -237,8 +185,6 @@ def main() -> None:
     cross_shard_round_trip()
     print()
     backend_speedup()
-    print()
-    live_rebalance()
     print()
     telemetry_tour()
     print()

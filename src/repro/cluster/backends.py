@@ -37,20 +37,14 @@ view of Imbs et al., arXiv:1706.05267).
 **Worker commands.**  Driver and workers frame every command and reply
 through :mod:`repro.cluster.codec` (one pickle per frame).  Commands are the
 tuples ``("advance", horizon, max_events)``,
-``("mint"|"retire", time, per_shard)``, ``("evict", indices)``,
-``("adopt", arrivals)``, ``("snapshot",)`` and ``("stop",)``; replies are
-``("ok", payload)`` or ``("error", traceback_text)``.  ``evict`` answers with
-the departing shard's snapshot; an ``adopt`` arrival carries the shard's spec,
-its arrivals and its barrier-command history, which the adopting worker
-replays from genesis.  The same framing measures ``snapshot_bytes`` for
-migration stall accounting, on every backend.
+``("mint"|"retire", time, per_shard)``, ``("snapshot",)`` and ``("stop",)``;
+replies are ``("ok", payload)`` or ``("error", traceback_text)``.
 
 **Barrier fan-out.**  Commands addressed to *every* worker with identical
 bytes — ``advance`` each epoch, ``snapshot`` and ``stop`` at their
 barriers — are encoded once and the same ``bytes`` object is
 written to each pipe (:meth:`ProcessPoolBackend._broadcast`);
-only per-worker payloads (``mint``, ``retire``, ``evict``, ``adopt``) are
-encoded per recipient.
+only per-worker payloads (``mint``, ``retire``) are encoded per recipient.
 """
 
 from __future__ import annotations
@@ -65,18 +59,10 @@ import weakref
 from collections import deque
 from contextlib import contextmanager, nullcontext
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.cluster.migration import (
-    MigrationPolicy,
-    MigrationRecord,
-    Move,
-    PlacementPlan,
-    ShardLoad,
-)
 from repro.cluster.codec import decode as codec_decode
 from repro.cluster.codec import encode as codec_encode
-from repro.cluster.codec import encoded_size
 from repro.cluster.shard import (
     AdvanceReport,
     Shard,
@@ -134,15 +120,8 @@ class ExecutionBackend(abc.ABC):
     only ever asks it to ``advance`` every shard to a barrier, to
     ``apply_mints`` the barrier produced, and finally to ``finalize`` so the
     driver-side shards reflect the run (a no-op for the serial backend).
-
-    ``placement`` is the cluster's shared :class:`PlacementPlan` — which
-    logical worker computes which shard.  The process pool maps the plan onto
-    real worker processes; the serial backend keeps it as bookkeeping, so
-    the same migration schedule runs (and records the same moves) on every
-    backend.  :meth:`migrate` executes placement changes at a quiescent
-    barrier: snapshot the shard, detach it from its old worker, rehydrate it
-    on the new one — results are placement-invariant, so migration may move
-    *where* a shard's event sequence is computed, never its content.
+    The session keeps none of the submissions once ``open`` has scheduled
+    them.
     """
 
     name: str = "abstract"
@@ -164,8 +143,6 @@ class ExecutionBackend(abc.ABC):
         shards: List[Shard],
         specs: List[ShardSpec],
         submissions: Dict[int, List[RoutedSubmission]],
-        placement: Optional[PlacementPlan] = None,
-        record_history: bool = False,
     ) -> None:
         """Start the session: install collectors, start shards, load arrivals."""
 
@@ -185,31 +162,6 @@ class ExecutionBackend(abc.ABC):
     def apply_retirements(self, time: float, retirements: Dict[int, List[Transfer]]) -> None:
         """Schedule the barrier's quorum-acknowledged retirements onto the
         source shards (the compaction leg of the settlement lifecycle)."""
-
-    def migrate(
-        self, barrier: int, time: float, moves: Sequence[Move]
-    ) -> List[MigrationRecord]:
-        """Execute placement moves at a quiescent barrier; returns records.
-
-        Callers guarantee every shard has executed all events at or before
-        ``time`` (the barrier contract), so the move is pure state transfer.
-        No-op moves (shard already on the target worker) are skipped without
-        a record.  Backends without a placement plan refuse: a migration
-        against an unplanned session is a wiring bug, not a policy decision.
-        """
-        raise ConfigurationError(
-            f"the {self.name} backend session has no placement plan; "
-            "open() it with one (ClusterSystem does when migration is enabled)"
-        )
-
-    def replay_log_entries(self) -> int:
-        """Barrier commands held in the driver-side migration replay log.
-
-        Zero on backends that migrate without replay (the serial backend
-        shares the driver's live shards).  On the process pool it grows with
-        the run: migration replays every shard from genesis.
-        """
-        return 0
 
     def finalize(self) -> None:
         """Synchronise driver-side shard state with the executed run."""
@@ -231,70 +183,18 @@ class SerialBackend(ExecutionBackend):
 
     def __init__(self) -> None:
         self._shards: List[Shard] = []
-        self._placement: Optional[PlacementPlan] = None
 
     def open(
         self,
         shards: List[Shard],
         specs: List[ShardSpec],
         submissions: Dict[int, List[RoutedSubmission]],
-        placement: Optional[PlacementPlan] = None,
-        record_history: bool = False,
     ) -> None:
         self._shards = list(shards)
-        self._placement = placement
         for shard in self._shards:
             shard.install_validation_collector()
             shard.start()
             _schedule_into(shard, submissions.get(shard.index, []))
-
-    def migrate(
-        self, barrier: int, time: float, moves: Sequence[Move]
-    ) -> List[MigrationRecord]:
-        """The serial backend migrates by bookkeeping alone.
-
-        The shard object stays exactly where it is (there is no other
-        process to move it to) — the move updates the shared placement plan
-        and records the same deterministic signature the process pool would,
-        so the equivalence harness can compare recorded migration streams
-        across both backends.  ``snapshot_bytes`` is measured the same
-        way (the codec-encoded
-        :meth:`~repro.cluster.shard.ShardSnapshot.state_view` — protocol
-        state only, telemetry stripped, so the figure does not depend on
-        which counters happened to be enabled), making the benchmark's
-        bytes-per-move column comparable too.
-        """
-        if self._placement is None:
-            return super().migrate(barrier, time, moves)
-        records: List[MigrationRecord] = []
-        for move in moves:
-            self._placement.check_worker(move.worker)
-            source = self._placement.worker_of(move.shard)
-            if source == move.worker:
-                continue
-            started = _time.perf_counter()
-            with _phase(
-                None, self.tracer, "migrate.snapshot", cat="migration", shard=move.shard
-            ):
-                snapshot_bytes = encoded_size(
-                    self._shards[move.shard].snapshot().state_view()
-                )
-            self._placement.move(move.shard, move.worker)
-            record = MigrationRecord(
-                barrier=barrier,
-                time=time,
-                shard=move.shard,
-                source_worker=source,
-                target_worker=move.worker,
-                snapshot_bytes=snapshot_bytes,
-                stall_s=_time.perf_counter() - started,
-            )
-            records.append(record)
-            if self.metrics is not None:
-                self.metrics.inc("migrate.moves")
-                self.metrics.observe("migrate.snapshot_bytes", snapshot_bytes)
-                self.metrics.observe("migrate.stall_s", record.stall_s)
-        return records
 
     def advance(
         self, horizon: Optional[float], max_events: Optional[int] = None
@@ -336,42 +236,6 @@ class SerialBackend(ExecutionBackend):
 # -- the process-pool backend -----------------------------------------------------------------
 
 
-def _replay_shard(
-    spec: ShardSpec,
-    submissions: List[RoutedSubmission],
-    history: List[Tuple[str, float, Any]],
-    horizon: float,
-) -> Shard:
-    """Rebuild a migrating shard on its adopting worker, bit-identically.
-
-    A shard is a deterministic function of its spec, its pre-partitioned
-    arrivals and the barrier commands (mints/retirements) the driver shipped
-    it — so the adopting worker *replays* that history rather than receiving
-    live simulator state (the event queue holds closures, which can never
-    cross a process boundary).  Replaying interleaves commands exactly as
-    the original timeline did — advance to each command's barrier time, then
-    apply — so event ``(time, sequence)`` ordering, and with it every
-    protocol decision, comes out identical; the driver verifies this by
-    comparing the adopted shard's snapshot against the evicted one.  The
-    replayed epochs' validation events were already consumed by the original
-    timeline's barriers, so their reports are dropped on the floor here.
-    """
-    shard = spec.build()
-    shard.install_validation_collector()
-    shard.start()
-    _schedule_into(shard, submissions)
-    for kind, at, payload in history:
-        shard.advance(at)
-        if kind == "mint":
-            shard.apply_mints(at, payload)
-        elif kind == "retire":
-            shard.apply_retirements(at, payload)
-        else:  # pragma: no cover - driver and worker ship the same constants
-            raise SimulationError(f"unknown replay command {kind!r}")
-    shard.advance(horizon)
-    return shard
-
-
 def _worker_main(
     connection,
     specs: List[ShardSpec],
@@ -383,9 +247,8 @@ def _worker_main(
     have done for these shards: build from spec (all randomness is seeded),
     install the validation collector, start, load the pre-partitioned
     arrivals, then alternate ``advance`` / ``mint`` commands until asked for
-    the final ``snapshot``.  ``evict`` detaches a migrating shard (returning
-    its snapshot), ``adopt`` rehydrates one by deterministic replay.  Every
-    payload crossing the pipe is framed by :mod:`repro.cluster.codec`;
+    the final ``snapshot``.  Every payload crossing the pipe is framed by
+    :mod:`repro.cluster.codec`;
     exceptions — an undecodable command frame included — travel back as
     formatted tracebacks.
     """
@@ -421,16 +284,6 @@ def _worker_main(
                 _, time, per_shard = command
                 for index, transfers in per_shard:
                     shards[index].apply_retirements(time, transfers)
-            elif kind == "evict":
-                _, indices = command
-                payload = {index: shards.pop(index).snapshot() for index in indices}
-            elif kind == "adopt":
-                _, arrivals = command
-                payload = {}
-                for spec, routed, history, horizon in arrivals:
-                    shard = _replay_shard(spec, routed, history, horizon)
-                    shards[spec.index] = shard
-                    payload[spec.index] = shard.snapshot()
             elif kind == "snapshot":
                 payload = {index: shards[index].snapshot() for index in sorted(shards)}
             elif kind != "stop":
@@ -448,11 +301,12 @@ class ProcessPoolBackend(ExecutionBackend):
     """Executes shards in persistent worker processes.
 
     Shards are assigned round-robin to ``max_workers`` long-lived workers
-    (shard *state* must persist across epochs, so this is a static
-    partition, not a task queue).  Per epoch the driver broadcasts the
-    barrier horizon, workers advance their shards concurrently and return
-    validation events; mints travel the other way.  After the run, each
-    worker ships a :class:`~repro.cluster.shard.ShardSnapshot` per shard and
+    — shard ``i`` lives on worker ``i % w`` for the whole session (shard
+    *state* must persist across epochs, so this is a static partition, not a
+    task queue).  Per epoch the driver broadcasts the barrier horizon,
+    workers advance their shards concurrently and return validation events;
+    mints travel the other way.  After the run, each worker ships a
+    :class:`~repro.cluster.shard.ShardSnapshot` per shard and
     :meth:`finalize` rehydrates the driver-side twins, so audits, balance
     reads and Definition 1 checks see exactly the worker's final state.
 
@@ -476,16 +330,7 @@ class ProcessPoolBackend(ExecutionBackend):
         self._wait = multiprocessing.connection.wait
         self._max_workers = max_workers
         self._workers: List[Tuple[Any, Any]] = []  # (process, connection)
-        self._placement: Optional[PlacementPlan] = None
         self._shards: List[Shard] = []
-        self._specs: Dict[int, ShardSpec] = {}
-        self._submissions: Dict[int, List[RoutedSubmission]] = {}
-        # Per-shard barrier command log: what a migration replays on the
-        # adopting worker.  Recorded only when the session is opened
-        # migratable (record_history), so non-migrating runs keep the
-        # driver-side memory profile they had.  The log grows for the whole
-        # run: a migrating shard always replays from genesis.
-        self._history: Optional[Dict[int, List[Tuple[str, float, Any]]]] = None
         # Per worker slot, the kinds of the commands sent and not yet
         # answered, oldest first: what a failed receive is attributed to.
         self._outstanding: List[deque] = []
@@ -496,35 +341,23 @@ class ProcessPoolBackend(ExecutionBackend):
         shards: List[Shard],
         specs: List[ShardSpec],
         submissions: Dict[int, List[RoutedSubmission]],
-        placement: Optional[PlacementPlan] = None,
-        record_history: bool = False,
     ) -> None:
         self._shards = list(shards)
-        self._specs = {spec.index: spec for spec in specs}
-        self._submissions = {
-            spec.index: submissions.get(spec.index, []) for spec in specs
-        }
-        if placement is None:
-            worker_count = self._max_workers or min(len(shards), os.cpu_count() or 1) or 1
-            worker_count = max(1, min(worker_count, len(shards)))
-            placement = PlacementPlan(len(shards), worker_count)
-        self._placement = placement
-        self._history = {spec.index: [] for spec in specs} if record_history else None
-        per_worker_specs: List[List[ShardSpec]] = [
-            [] for _ in range(placement.worker_count)
-        ]
-        for spec in specs:
-            per_worker_specs[placement.worker_of(spec.index)].append(spec)
-        self._outstanding = [deque() for _ in range(placement.worker_count)]
-        for slot in range(placement.worker_count):
+        worker_count = self._max_workers or min(len(shards), os.cpu_count() or 1) or 1
+        worker_count = max(1, min(worker_count, len(shards)))
+        self._outstanding = [deque() for _ in range(worker_count)]
+        for slot in range(worker_count):
             parent, child = self._context.Pipe(duplex=True)
-            worker_submissions = {
-                spec.index: self._submissions[spec.index]
-                for spec in per_worker_specs[slot]
-            }
+            resident = specs[slot::worker_count]
+            # The arrivals travel with the fork; ``Process.start`` drops its
+            # argument references, so the driver keeps none of them.
             process = self._context.Process(
                 target=_worker_main,
-                args=(child, per_worker_specs[slot], worker_submissions),
+                args=(
+                    child,
+                    resident,
+                    {spec.index: submissions.get(spec.index, []) for spec in resident},
+                ),
                 daemon=True,
                 name=f"shard-worker-{slot}",
             )
@@ -580,9 +413,13 @@ class ProcessPoolBackend(ExecutionBackend):
         """A failure at worker ``slot``'s pipe, attributed: which worker,
         holding which shards, asked for what, and whether it is still alive."""
         return SimulationError(
-            f"shard worker {slot} (resident shards {self._placement.shards_on(slot)}, "
+            f"shard worker {slot} (resident shards {self._resident(slot)}, "
             f"command {kind!r} outstanding, exitcode {self._workers[slot][0].exitcode}) {what}"
         )
+
+    def _resident(self, slot: int) -> List[int]:
+        """The shards worker ``slot`` hosts: every ``i`` with ``i % w == slot``."""
+        return list(range(slot, len(self._shards), len(self._workers)))
 
     def _worker_lost(self, slot: int, kind: str, error: Exception) -> SimulationError:
         # The pipe closes a moment before the child can be reaped; a bounded
@@ -642,108 +479,22 @@ class ProcessPoolBackend(ExecutionBackend):
     def apply_mints(
         self, time: float, mints: Dict[int, List[Tuple[ProcessId, Transfer]]]
     ) -> None:
-        per_slot: Dict[int, List[Tuple[int, List[Tuple[ProcessId, Transfer]]]]] = {}
-        for index in sorted(mints):
-            if self._history is not None:
-                self._history[index].append(("mint", time, mints[index]))
-            per_slot.setdefault(self._placement.worker_of(index), []).append(
-                (index, mints[index])
-            )
-        for slot, payload in sorted(per_slot.items()):
-            self._request(slot, ("mint", time, payload))
-        for slot in sorted(per_slot):
-            self._recv(slot)
+        self._fan_out("mint", time, mints)
 
     def apply_retirements(self, time: float, retirements: Dict[int, List[Transfer]]) -> None:
-        per_slot: Dict[int, List[Tuple[int, List[Transfer]]]] = {}
-        for index in sorted(retirements):
-            if self._history is not None:
-                self._history[index].append(("retire", time, retirements[index]))
-            per_slot.setdefault(self._placement.worker_of(index), []).append(
-                (index, retirements[index])
-            )
+        self._fan_out("retire", time, retirements)
+
+    def _fan_out(self, kind: str, time: float, per_shard: Dict[int, list]) -> None:
+        """Ship one barrier's ``kind`` commands to the workers hosting their
+        shards (shard order within a worker), then collect every answer."""
+        workers = len(self._workers)
+        per_slot: Dict[int, List[Tuple[int, list]]] = {}
+        for index in sorted(per_shard):
+            per_slot.setdefault(index % workers, []).append((index, per_shard[index]))
         for slot, payload in sorted(per_slot.items()):
-            self._request(slot, ("retire", time, payload))
+            self._request(slot, (kind, time, payload))
         for slot in sorted(per_slot):
             self._recv(slot)
-
-    def replay_log_entries(self) -> int:
-        if self._history is None:
-            return 0
-        return sum(len(entries) for entries in self._history.values())
-
-    def migrate(
-        self, barrier: int, time: float, moves: Sequence[Move]
-    ) -> List[MigrationRecord]:
-        """Evict the shard from its old worker, rehydrate it on the new one.
-
-        The shard is quiescent through ``time`` (the barrier contract), so
-        the transfer is: snapshot-and-detach on the source worker, then
-        deterministic replay from genesis (spec + arrivals + barrier command
-        history) on the target — see :func:`_replay_shard`.  The adopting
-        worker's snapshot must equal the evicted one byte for byte *on its
-        protocol state* (:meth:`~repro.cluster.shard.ShardSnapshot.state_view`);
-        telemetry is excluded because the replay's advance-call pattern
-        legitimately differs from the original timeline's, while a protocol
-        mismatch means the replay diverged and the run aborts rather than
-        silently forking the shard's timeline.  Requires the session to have
-        been opened with ``record_history`` (ClusterSystem does whenever
-        migration is on).
-        """
-        if self._placement is None:
-            return super().migrate(barrier, time, moves)
-        if self._history is None:
-            raise ConfigurationError(
-                "this process-pool session was opened without migration history; "
-                "enable migration on the ClusterSystem before the first run()"
-            )
-        records: List[MigrationRecord] = []
-        for move in moves:
-            # Validate the whole move *before* evicting: failing after the
-            # shard has left its old worker would strand it nowhere.
-            self._placement.check_worker(move.worker)
-            source = self._placement.worker_of(move.shard)
-            if source == move.worker:
-                continue
-            started = _time.perf_counter()
-            arrivals = self._submissions.get(move.shard, [])
-            history = self._history[move.shard]
-            with _phase(
-                None, self.tracer, "migrate.evict_adopt", cat="migration", shard=move.shard
-            ):
-                self._request(source, ("evict", [move.shard]))
-                evicted = self._recv(source)[move.shard]
-                self._request(
-                    move.worker,
-                    ("adopt", [(self._specs[move.shard], arrivals, history, time)]),
-                )
-                adopted = self._recv(move.worker)[move.shard]
-            if adopted.state_view() != evicted.state_view():
-                raise SimulationError(
-                    f"shard {move.shard} diverged while migrating from worker "
-                    f"{source} to {move.worker}: the adopting replay does not "
-                    "match the evicted snapshot"
-                )
-            self._placement.move(move.shard, move.worker)
-            record = MigrationRecord(
-                barrier=barrier,
-                time=time,
-                shard=move.shard,
-                source_worker=source,
-                target_worker=move.worker,
-                snapshot_bytes=encoded_size(evicted.state_view()),
-                stall_s=_time.perf_counter() - started,
-                delta_bytes=encoded_size((arrivals, history)),
-                replayed_events=len(arrivals) + len(history),
-            )
-            records.append(record)
-            if self.metrics is not None:
-                self.metrics.inc("migrate.moves")
-                self.metrics.observe("migrate.snapshot_bytes", record.snapshot_bytes)
-                self.metrics.observe("migrate.delta_bytes", record.delta_bytes)
-                self.metrics.observe("migrate.replayed_events", record.replayed_events)
-                self.metrics.observe("migrate.stall_s", record.stall_s)
-        return records
 
     def finalize(self) -> None:
         self._broadcast(("snapshot",))
@@ -839,14 +590,7 @@ class EpochScheduler:
     sequence — is identical whichever backend executes the epochs.
     """
 
-    def __init__(
-        self,
-        epoch: float,
-        placement: Optional[PlacementPlan] = None,
-        migration: Optional[MigrationPolicy] = None,
-        metrics=None,
-        tracer=None,
-    ) -> None:
+    def __init__(self, epoch: float, metrics=None, tracer=None) -> None:
         # ``0 < x < inf`` is false for NaN too, which ``x <= 0`` would let through.
         if not 0 < epoch < math.inf:
             raise ConfigurationError(f"epoch width must be finite and positive, not {epoch}")
@@ -857,19 +601,6 @@ class EpochScheduler:
         # decision — so the schedule is identical with them off.
         self.metrics = metrics
         self.tracer = tracer
-        # The shared shard -> worker plan and the (optional) policy deciding
-        # placement moves at barriers.  The migrate phase runs exactly once
-        # per taken barrier, at the loop top, when every shard is quiescent
-        # through ``now`` — the point where moving a shard is pure state
-        # transfer.
-        self.placement = placement
-        self.migration = migration
-        self.migration_log: List[MigrationRecord] = []
-        self._migrated_at_barrier = -1
-        # Cumulative per-shard settlement items (validations observed, mints
-        # and retirements applied): the traffic half of the load signals the
-        # migration policies weigh against raw simulator events.
-        self._settlement_load: Dict[int, int] = {}
         self.now = 0.0
         self.barriers = 0
         self._order = itertools.count()
@@ -953,19 +684,30 @@ class EpochScheduler:
         self,
         backend: ExecutionBackend,
         horizon: float,
-        budget: Optional[int],
         max_events: Optional[int],
+        step: bool = False,
     ) -> None:
-        """Advance every shard to ``horizon`` and fold in their reports."""
+        """Advance every shard to ``horizon`` and fold in their reports; with
+        ``step``, the horizon becomes the scheduler's next barrier.
+
+        The first advance of a session gives every shard the whole
+        ``max_events``; later ones give each the cluster-wide remainder.
+        """
         with _phase(
             self.metrics, self.tracer, "phase.advance", cat="scheduler",
             sim_start=self.now, barrier=self.barriers,
         ) as span:
+            budget = max_events if self._reports is None else self._remaining_budget(max_events)
             reports = backend.advance(horizon, budget)
             if span is not None:
                 span.sim_end = horizon
-        self._ingest(reports)
-        self._check_budget(max_events)
+            self._ingest(reports)
+            self._check_budget(max_events)
+            if step:
+                self.now = horizon
+                self.barriers += 1
+                if self.metrics is not None:
+                    self.metrics.inc("scheduler.barriers")
 
     def run(
         self,
@@ -981,35 +723,30 @@ class EpochScheduler:
         it, then the exchange runs over everything the shards reported.
         ``max_events`` is ``None`` or an ``int`` >= 0, refused up front
         otherwise: a NaN budget compares false and would disable the guard.
+        The loop is two phases with only the pause test between them:
+        ``phase.exchange`` holds the exchange and the decision where (and
+        whether) to go next, ``phase.advance`` the shards' epoch and the
+        bookkeeping of its reports, so the two tile the loop's wall time.
         """
         if max_events is not None and not (type(max_events) is int and max_events >= 0):
             raise SimulationError(f"event budget must be None or an int >= 0, not {max_events!r}")
         if self._reports is None:
-            self._advance(backend, self.now, max_events, max_events)
+            self._advance(backend, self.now, max_events)
         while True:
-            # Migrate phase: every shard is quiescent through ``now`` here
-            # (its pending events are all strictly later), so a placement
-            # move is pure state transfer.  Guarded to run once per taken
-            # barrier — a pause/resume re-enters this loop at the same
-            # barrier and must not re-decide.
-            with _phase(
-                self.metrics, self.tracer, "phase.migrate", cat="scheduler",
-                sim_start=self.now, barrier=self.barriers,
-            ):
-                self._maybe_migrate(backend)
             with _phase(
                 self.metrics, self.tracer, "phase.exchange", cat="scheduler",
                 sim_start=self.now, barrier=self.barriers,
             ):
                 applied = self._exchange(backend, fabric)
-            if self.metrics is not None:
-                self.metrics.observe("barrier.queue_depth", self.in_flight)
-            pending = any(report.pending_events for report in self._reports.values())
-            queued = any(self._queues.values())
-            if not (pending or applied or queued):
-                break
-            horizon = self._next_barrier(self._next_target(applied))
-            if until is not None and horizon > until:
+                if self.metrics is not None:
+                    self.metrics.observe("barrier.queue_depth", self.in_flight)
+                pending = any(report.pending_events for report in self._reports.values())
+                queued = any(self._queues.values())
+                if not (pending or applied or queued):
+                    break
+                horizon = self._next_barrier(self._next_target(applied))
+                paused = until is not None and horizon > until
+            if paused:
                 # Pause *on the grid*: the run stops at the last barrier not
                 # exceeding ``until`` and a later run() resumes with exactly
                 # the barrier sequence an uninterrupted run would have used.
@@ -1024,45 +761,10 @@ class EpochScheduler:
                 # continuous run, which executes the same events at the same
                 # simulated times during its next epoch.
                 if applied:
-                    self._advance(
-                        backend, self.now, self._remaining_budget(max_events), max_events
-                    )
+                    self._advance(backend, self.now, max_events)
                 break
-            self._advance(backend, horizon, self._remaining_budget(max_events), max_events)
-            self.now = horizon
-            self.barriers += 1
-            if self.metrics is not None:
-                self.metrics.inc("scheduler.barriers")
+            self._advance(backend, horizon, max_events, step=True)
         return self._reports
-
-    def _maybe_migrate(self, backend: ExecutionBackend) -> None:
-        """Consult the migration policy, once per taken barrier."""
-        if self.migration is None or self.placement is None:
-            return
-        if self.barriers <= self._migrated_at_barrier:
-            return
-        self._migrated_at_barrier = self.barriers
-        moves = self.migration.decide(
-            self.barriers, self.now, self.placement, self.current_loads()
-        )
-        if moves:
-            self.migration_log.extend(
-                backend.migrate(self.barriers, self.now, moves)
-            )
-
-    def current_loads(self) -> Dict[int, ShardLoad]:
-        """Cumulative, backend-invariant per-shard load signals."""
-        return {
-            shard: ShardLoad(
-                events=report.processed_events,
-                settlement=self._settlement_load.get(shard, 0),
-            )
-            for shard, report in (self._reports or {}).items()
-        }
-
-    def migration_signature(self) -> List[tuple]:
-        """Deterministic fingerprint of the executed migration schedule."""
-        return [record.signature() for record in self.migration_log]
 
     def _exchange(self, backend: ExecutionBackend, fabric) -> int:
         """Run one barrier's settlement exchange; returns commands applied."""
@@ -1071,10 +773,6 @@ class EpochScheduler:
         # re-entrant run() (pause/resume, a run after a run) can never
         # voucher the same credit twice.
         events = self._take_matured_events()
-        for event in events:
-            self._settlement_load[event.shard] = (
-                self._settlement_load.get(event.shard, 0) + 1
-            )
         if events and self.metrics is not None:
             self.metrics.inc("exchange.validations", len(events))
         if fabric is not None:
@@ -1098,13 +796,9 @@ class EpochScheduler:
         return applied
 
     def _count_commands(self, counter: str, per_shard: Dict[int, list]) -> int:
-        """Fold a barrier's per-shard commands into the shards' settlement
-        load and ``counter``; returns how many there are."""
-        load = self._settlement_load
-        count = 0
-        for shard, commands in per_shard.items():
-            load[shard] = load.get(shard, 0) + len(commands)
-            count += len(commands)
+        """Add a barrier's per-shard commands to ``counter``; returns how
+        many there are."""
+        count = sum(len(commands) for commands in per_shard.values())
         if self.metrics is not None:
             self.metrics.inc(counter, count)
         return count

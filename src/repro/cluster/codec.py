@@ -9,9 +9,8 @@ time: shard 0's final snapshot of the reference run took 117 614 bytes and
 of them decode in the driver; as one pickle it takes 91 057 bytes and 3.7 /
 5.1 ms (its records reduce to their constructor arguments, see
 :func:`repro.common.types.rebuilt_by_constructor`).  This stays a module so
-that every frame meets one place that counts its bytes (:func:`encoded_size`
-is the migration gauge on every backend), owns its time in a profile, and
-rejects a frame that is not exactly one value.
+that every frame meets one place that owns its time in a profile and rejects
+a frame that is not exactly one value.
 """
 
 from __future__ import annotations
@@ -33,8 +32,3 @@ def decode(data: bytes) -> Any:
     if frame.tell() != len(data):
         raise ValueError(f"trailing bytes after decoded value ({len(data) - frame.tell()})")
     return value
-
-
-def encoded_size(value: Any) -> int:
-    """Byte length of ``value`` on the wire (the migration-stall gauge)."""
-    return len(encode(value))

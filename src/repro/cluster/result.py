@@ -42,14 +42,6 @@ class ClusterResult:
     committed_stream: Optional[List[tuple]] = None
     settlement_stream: Optional[List[tuple]] = None
     retirement_stream: Optional[List[tuple]] = None
-    # The executed migration schedule, one ``(barrier, time, shard,
-    # source_worker, target_worker)`` entry per move.  Carried in the
-    # fingerprint *payload* (payload-level comparisons pin migration
-    # decisions as backend-invariant) but excluded from the fingerprint
-    # *hash*: the hash's contract is placement invariance — any schedule,
-    # including none, must hash identically when the protocol did the same
-    # work.
-    migration_stream: Optional[List[tuple]] = None
     audit: Optional[Dict[str, object]] = None
     per_shard_events: Optional[List[int]] = None
     # Settlement-lifecycle counters: outbound records retired behind the
@@ -156,7 +148,6 @@ class ClusterResult:
             "committed": [list(entry) for entry in self.committed_stream],
             "settlement": [list(entry) for entry in self.settlement_stream or []],
             "retirements": [list(entry) for entry in self.retirement_stream or []],
-            "migrations": [list(entry) for entry in self.migration_stream or []],
             "audit": self.audit,
             "duration": self.duration,
             "events_processed": self.events_processed,
@@ -168,13 +159,6 @@ class ClusterResult:
             "resident_settlement_records": self.resident_settlement_records,
             "telemetry": self.telemetry,
         }
-
-    # Payload sections that describe *where* the run was computed rather
-    # than *what* it computed.  The equivalence harness compares them at
-    # payload level (migration decisions must be backend-invariant), but the
-    # fingerprint hash excludes them: its contract is that placement — and
-    # any migration schedule whatsoever — never changes results.
-    PLACEMENT_SECTIONS = ("migrations",)
 
     # Payload sections that describe *how the run felt* rather than what it
     # computed: wall-clock phase timings, counter volumes, span aggregates.
@@ -188,9 +172,8 @@ class ClusterResult:
         """The payload minus its volatile sections.
 
         What payload-level equality means across backends, pauses and
-        telemetry modes: everything deterministic — placement sections
-        included, since migration *decisions* must be backend-invariant —
-        with only the wall-clock telemetry stripped.
+        telemetry modes: everything deterministic, with only the wall-clock
+        telemetry stripped.
         """
         return {
             key: value
@@ -206,22 +189,12 @@ class ClusterResult:
         times), the supply-audit verdicts and the event/message counts are
         byte-for-byte identical — the contract the execution backends must
         uphold: parallelism may never change what the protocol did.  The
-        payload's placement sections (:attr:`PLACEMENT_SECTIONS` — the
-        migration stream) are excluded from the hash: results are
-        placement-invariant, so a migrated run and the static run hash
-        identically while the payload still records how the shards moved.
-        The volatile sections (:attr:`VOLATILE_SECTIONS` — the telemetry
-        capture) are excluded too: observability is measurement, never
+        volatile sections (:attr:`VOLATILE_SECTIONS` — the telemetry
+        capture) are excluded: observability is measurement, never
         content, so fingerprints are identical with telemetry off, on or
         partial (the telemetry invariant).
         """
-        excluded = self.PLACEMENT_SECTIONS + self.VOLATILE_SECTIONS
-        payload = {
-            key: value
-            for key, value in self.fingerprint_payload().items()
-            if key not in excluded
-        }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(self.comparable_payload(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def export_trace(self, path) -> int:

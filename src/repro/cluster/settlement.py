@@ -278,7 +278,7 @@ class QuorumStream:
     costs table memory, not money (:attr:`pending` counts genuinely withheld
     items and attacker junk alike).  ``certified`` and ``delivered`` are
     *journals* of resident certificates, not the run's history —
-    :meth:`forget` evicts what a retirement watermark subsumes; the totals
+    :meth:`forget` drops what a retirement watermark subsumes; the totals
     and :meth:`signature` answer for the full history.
     """
 

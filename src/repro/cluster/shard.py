@@ -143,17 +143,8 @@ class ShardSnapshot:
     broadcast_delivered: int
     payload_items: int
     # The shard's metrics-registry snapshot (repro.obs), shipped back so the
-    # driver can merge worker-side telemetry.  Excluded from the migration
-    # divergence check (see ProcessPoolBackend.migrate): a replayed shard
-    # re-executes the same protocol work but not the same *driving* pattern
-    # (one advance per barrier vs one per replayed command), so telemetry may
-    # legitimately differ where protocol state may not.
+    # driver can merge worker-side telemetry.
     metrics: Optional[Dict[str, Dict[str, object]]] = None
-
-    def state_view(self) -> "ShardSnapshot":
-        """This snapshot with telemetry stripped: the protocol-state content
-        two snapshots must agree on byte-for-byte (migration's check)."""
-        return dataclasses.replace(self, metrics=None)
 
 
 class Shard:
@@ -416,7 +407,7 @@ class Shard:
         )
 
     def restore(self, snapshot: ShardSnapshot) -> None:
-        """Adopt a worker shard's final state onto this (never-run) twin.
+        """Install a worker shard's final state onto this (never-run) twin.
 
         After restoring, every read-side surface — ``balance_of``,
         ``all_known_balances``, ``observations``, the result lists,

@@ -26,9 +26,7 @@ settled cross-shard money is conserved end to end, not just per shard.
 
 from __future__ import annotations
 
-import copy
-import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.types import AccountId, Amount
@@ -37,14 +35,6 @@ from repro.cluster.backends import (
     EpochScheduler,
     _phase as _timed_phase,
     make_backend,
-)
-from repro.cluster.migration import (
-    MigrationRecord,
-    Move,
-    PlacementPlan,
-    migration_totals,
-    normalize_migration,
-    rebalance_moves,
 )
 from repro.cluster.result import ClusterCheckReport, ClusterResult, SupplyAudit
 from repro.cluster.routing import ShardRouter, parse_external_account
@@ -93,23 +83,10 @@ class ClusterSystem:
         Finite and positive.
     max_workers:
         Process pool size for the process backend (defaults to
-        ``min(shard_count, cpu_count)``; at least 1).  Worker count never
-        affects results, only wall-clock time.  It is also the logical
-        worker count of the :class:`PlacementPlan`, so a serial run with
-        ``max_workers=2`` records the same migration schedule a two-worker
-        process pool executes for real.
-    migration:
-        The live-migration knob.  ``None``/"off" (the default) keeps the
-        assignment static for the session; ``"manual"``
-        enables the seam with no automatic policy (moves come from
-        :meth:`rebalance`); a
-        :class:`~repro.cluster.migration.MigrationPlan` schedules explicit
-        moves; a :class:`~repro.cluster.migration.ThresholdMigrationPolicy`
-        rebalances automatically under load skew.  Whatever the schedule,
-        results are **placement-invariant**: the run's fingerprint equals
-        the static-assignment run's (the extended equivalence harness pins
-        this).  The system runs on its own copy of a migration policy, so
-        one object can configure any number of systems.
+        ``min(shard_count, cpu_count)``; at least 1, at most
+        ``shard_count``).  Shard ``i`` runs on worker ``i % max_workers``
+        for the whole session.  Worker count never affects results, only
+        wall-clock time.
     compact_history:
         When true, each replica removes a transfer record from its local
         ``hist`` once the record's credit has been *consumed* — folded into
@@ -146,7 +123,6 @@ class ClusterSystem:
         backend: str = "serial",
         epoch: float = 0.005,
         max_workers: Optional[int] = None,
-        migration=None,
         compact_history: bool = False,
         telemetry: str = "metrics",
         seed: int = 0,
@@ -165,12 +141,6 @@ class ClusterSystem:
             raise ConfigurationError(
                 f"max_workers must be at least 1 (or None for the default), got {max_workers}"
             )
-        # Migration policies are stateful (a draining MigrationPlan, threshold
-        # cooldowns): each system runs on its own copy, so the caller's object
-        # can configure any number of runs identically.
-        self._migration_enabled, self._migration_policy = normalize_migration(
-            copy.deepcopy(migration)
-        )
         self.shard_count = shard_count
         self.replicas_per_shard = replicas_per_shard
         self.batch_size = batch_size
@@ -202,21 +172,7 @@ class ClusterSystem:
             )
             for index in range(shard_count)
         ]
-        # The shard -> worker assignment, first-class and mutable.  One plan
-        # per cluster, shared by the scheduler (which decides moves), the
-        # backend (which routes per-epoch commands and executes moves) and
-        # rebalance().  Worker slots are logical: the process pool maps them
-        # onto worker processes, the serial backend keeps them as bookkeeping,
-        # so the same migration schedule records identically on every backend.
-        worker_count = max_workers or min(shard_count, os.cpu_count() or 1)
-        self.placement = PlacementPlan(shard_count, min(worker_count, shard_count))
-        self.scheduler = EpochScheduler(
-            epoch,
-            placement=self.placement,
-            migration=self._migration_policy,
-            metrics=self.metrics,
-            tracer=self.tracer,
-        )
+        self.scheduler = EpochScheduler(epoch, metrics=self.metrics, tracer=self.tracer)
         self._backend = make_backend(backend, max_workers)
         self._backend.attach_telemetry(self.metrics, self.tracer)
         self._session_open = False
@@ -243,9 +199,9 @@ class ClusterSystem:
 
         The arrivals are *pre-partitioned* into per-shard routed lists — the
         lists travel with the shards into worker processes when the
-        run opens the backend session (after which further submissions are
-        rejected: the workload must be fully known before the shards start
-        executing elsewhere).
+        run opens the backend session, and the system lets go of them there
+        (after which further submissions are rejected: the workload must be
+        fully known before the shards start executing elsewhere).
         """
         self.start()
         if self._session_open:
@@ -278,13 +234,9 @@ class ClusterSystem:
             if not self._session_open:
                 with self._phase("phase.open"):
                     specs = [shard.spec() for shard in self.shards]
-                    self._backend.open(
-                        self.shards,
-                        specs,
-                        self._partitioned,
-                        placement=self.placement,
-                        record_history=self._migration_enabled,
-                    )
+                    self._backend.open(self.shards, specs, self._partitioned)
+                    # The shards hold their arrivals now; nothing replays them.
+                    self._partitioned = {}
                 self._session_open = True
             reports = self.scheduler.run(
                 self._backend, self.settlement, until=until, max_events=max_events
@@ -306,64 +258,6 @@ class ClusterSystem:
         # recorded before the telemetry section snapshots them.
         self._capture_telemetry()
         return self._result
-
-    def rebalance(
-        self, moves: Optional[Sequence[Union[Move, Tuple[int, int]]]] = None
-    ) -> List[MigrationRecord]:
-        """Rebalance the shard placement, live, at the current barrier.
-
-        With ``moves`` given (``Move`` objects or ``(shard, worker)``
-        pairs), executes exactly those; without, runs the greedy balancer
-        over the per-shard load observed so far (simulator events plus
-        settlement volume) and moves the hottest shards off the busiest
-        workers while that strictly lowers the peak.  Requires migration to
-        be enabled (``migration=`` anything but off).
-
-        Callable between runs only: after any ``run()``/``run(until=...)``
-        return, every shard is quiescent through the current barrier, which
-        is exactly the state a migration needs.  Called before the first
-        ``run()`` it simply edits the initial placement — the shards have
-        not started executing anywhere yet, so there is nothing to move and
-        no migration is recorded.
-
-        Results are placement-invariant: a rebalanced run's fingerprint
-        equals the static run's, whatever moves are made — only wall-clock
-        load distribution changes.
-        """
-        if not self._migration_enabled:
-            raise ConfigurationError(
-                "rebalance() needs migration enabled: construct the "
-                "ClusterSystem with migration='manual' (or a policy)"
-            )
-        if moves is None:
-            normalized = rebalance_moves(self.placement, self.scheduler.current_loads())
-        else:
-            normalized = [
-                move if isinstance(move, Move) else Move(shard=move[0], worker=move[1])
-                for move in moves
-            ]
-        normalized = [
-            move for move in normalized if self.placement.worker_of(move.shard) != move.worker
-        ]
-        if not normalized:
-            return []
-        if not self._session_open:
-            for move in normalized:
-                self.placement.move(move.shard, move.worker)
-            return []
-        records = self._backend.migrate(
-            self.scheduler.barriers, self.scheduler.now, normalized
-        )
-        self.scheduler.migration_log.extend(records)
-        return records
-
-    def worker_loads(self) -> Dict[int, int]:
-        """Cumulative load per logical worker under the current placement.
-
-        The before/after view a ``rebalance()`` call changes; empty workers
-        report zero.
-        """
-        return self.placement.worker_loads(self.scheduler.current_loads())
 
     def close(self) -> None:
         """Release backend resources (worker processes)."""
@@ -387,7 +281,6 @@ class ClusterSystem:
         self._result.committed_stream = self.committed_signature()
         self._result.settlement_stream = self.settlement_signature()
         self._result.retirement_stream = self.retirement_signature()
-        self._result.migration_stream = self.migration_signature()
         self._result.retired_records = self.retired_records()
         self._result.resident_settlement_records = self.resident_settlement_records()
         audit = self.supply_audit()
@@ -407,9 +300,9 @@ class ClusterSystem:
     def _capture_telemetry(self) -> None:
         """Assemble the result's telemetry section (volatile, hash-excluded).
 
-        Driver-side gauges (settlement lifecycle depths, migration totals)
-        are sampled here — once per capture, never on a hot path — then the
-        per-shard registries are snapshotted and everything is merged into a
+        Driver-side gauges (settlement lifecycle depths) are sampled here —
+        once per capture, never on a hot path — then the per-shard
+        registries are snapshotted and everything is merged into a
         cluster-wide totals view.  The section lands on the fingerprint
         *payload* for inspection but is excluded from the fingerprint *hash*
         (wall-clock figures are legitimately different on every run).
@@ -420,12 +313,6 @@ class ClusterSystem:
             return
         if self.settlement is not None:
             self.settlement.telemetry_sample(self.metrics)
-        totals = migration_totals(self.scheduler.migration_log)
-        self.metrics.set_gauge("migrate.records", totals["moves"])
-        self.metrics.set_gauge("migrate.snapshot_bytes_total", totals["snapshot_bytes"])
-        self.metrics.set_gauge("migrate.delta_bytes_total", totals["delta_bytes"])
-        self.metrics.set_gauge("migrate.replayed_events_total", totals["replayed_events"])
-        self.metrics.set_gauge("migrate.stall_s_total", totals["stall_s"])
         per_shard = {}
         for shard in self.shards:
             snapshot = shard.metrics_snapshot()
@@ -590,16 +477,6 @@ class ClusterSystem:
             return []
         return self.settlement.retirement_signature()
 
-    def migration_signature(self) -> List[tuple]:
-        """Deterministic fingerprint of the executed migration schedule.
-
-        Recorded on the result's fingerprint *payload* (it pins migration
-        decisions as backend-invariant) but excluded from the fingerprint
-        *hash* — the hash's contract is precisely that placement never
-        changes results.  Empty for static runs.
-        """
-        return self.scheduler.migration_signature()
-
     def resident_settlement_records(self) -> int:
         """Outbound ``x{d}:a`` records still resident across shard ledgers.
 
@@ -624,15 +501,6 @@ class ClusterSystem:
     def compacted_local_records(self) -> int:
         """Ordinary records removed by consumption compaction, cluster-wide."""
         return sum(shard.compacted_local_record_count() for shard in self.shards)
-
-    def replay_log_entries(self) -> int:
-        """Commands held in the driver-side migration replay log right now.
-
-        Zero on backends that migrate without replay; on a migratable
-        process pool it grows with the run, since every move replays the
-        shard from genesis.
-        """
-        return self._backend.replay_log_entries()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -210,7 +210,7 @@ class AccountBook:
     def rebuild(
         self, hist: Mapping[AccountId, Iterable[Transfer]], offsets: Mapping[AccountId, Amount]
     ) -> None:
-        """Adopt a shipped ``(hist, offsets)`` pair; balances come from the fold."""
+        """Install a shipped ``(hist, offsets)`` pair; balances come from the fold."""
         self._records.clear()
         self._records.update((account, set(records)) for account, records in hist.items())
         self.offsets = dict(offsets)

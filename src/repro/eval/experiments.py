@@ -385,9 +385,8 @@ class ClusterExperimentConfig:
     duration: float = 0.1
     zipf_skew: float = 1.0
     cross_shard_fraction: Optional[float] = None
-    # A HotspotProfile shifting a Zipf hotspot across shards mid-run — the
-    # skew migration and rebalancing react to.  Needs a router, like
-    # cross_shard_fraction.
+    # A HotspotProfile shifting a Zipf hotspot across shards mid-run.  Needs
+    # a router, like cross_shard_fraction.
     hotspot: Optional[object] = None
     # Execution backend of the swept systems: "serial" or "process" (see
     # repro.cluster.backends); results are backend-invariant, wall-clock time
@@ -395,10 +394,6 @@ class ClusterExperimentConfig:
     backend: str = "serial"
     epoch: float = 0.005
     max_workers: Optional[int] = None
-    # The ClusterSystem migration knob: None/"off", "manual", a
-    # MigrationPlan, or a ThresholdMigrationPolicy.  Results are
-    # placement-invariant; the knob moves wall-clock load distribution only.
-    migration: Optional[object] = None
     # The consumption-compaction knob for ordinary local records;
     # balance-preserving, so fingerprint-neutral.
     compact_history: bool = False
@@ -436,7 +431,6 @@ class ClusterExperimentConfig:
             backend=self.backend,
             epoch=self.epoch,
             max_workers=self.max_workers,
-            migration=self.migration,
             compact_history=self.compact_history,
             telemetry=self.telemetry,
             seed=self.seed,
@@ -556,7 +550,7 @@ def telemetry_breakdown(telemetry: Optional[Dict[str, object]]) -> List[Telemetr
     """The driver's per-phase wall-time breakdown, largest share first.
 
     Reads the ``phase.*`` histograms of the telemetry section's driver
-    registry (``phase.open``/``advance``/``exchange``/``migrate``/
+    registry (``phase.open``/``advance``/``exchange``/
     ``finalize``/``capture``) and normalises each against ``phase.total``.
     The ``phase.total`` row itself is excluded — it is the denominator.
     Returns ``[]`` for ``None`` (telemetry off) or a section with no phase
@@ -620,13 +614,9 @@ class SoakSample:
     # behind the retirement watermark bounds this by the in-flight window
     # (plus one watermark certificate per stream), like the ledgers.
     resident_journal_records: int = 0
-    # Executed migrations so far (non-zero only in migrated soak runs).
-    migrations: int = 0
     # Ordinary (non-settlement) records resident in the ledgers — the figure
-    # ``compact_history`` bounds — and barrier commands held in the driver's
-    # migration replay log, which grows with the run.
+    # ``compact_history`` bounds.
     resident_local_records: int = 0
-    replay_log_entries: int = 0
 
 
 @dataclass(frozen=True)
@@ -650,12 +640,10 @@ class SoakReport:
     violations: List[str]
     peak_journal: int = 0
     journal_total: int = 0
-    migrations: int = 0
     # The final run's telemetry section (None with telemetry off).
     telemetry: Optional[Dict[str, object]] = None
-    # Peaks of the resident local records and of the migration replay log.
+    # The peak of the resident local records.
     peak_local_records: int = 0
-    peak_replay_log: int = 0
 
     @property
     def bounded(self) -> bool:
@@ -691,9 +679,7 @@ def settlement_soak_experiment(
     (``local + outbound - (minted - retired) == initial``) must hold at every
     single checkpoint, not just at the end.  Driver-side relay journal
     residency is sampled alongside: the journals must track the in-flight
-    window, not the certificate history.  With ``config.migration`` set the
-    soak runs *migrated* — shards move between workers mid-soak while every
-    checkpoint identity still holds.
+    window, not the certificate history.
     """
     config = config or ClusterExperimentConfig(
         duration=0.2, aggregate_rate=4_000.0, user_count=2_000, cross_shard_fraction=0.5
@@ -725,9 +711,7 @@ def settlement_soak_experiment(
                     if system.settlement
                     else 0
                 ),
-                migrations=len(system.migration_signature()),
                 resident_local_records=system.resident_local_records(),
-                replay_log_entries=system.replay_log_entries(),
             )
         )
         if audit.total != initial_supply:
@@ -767,8 +751,6 @@ def settlement_soak_experiment(
         violations=violations,
         peak_journal=max(s.resident_journal_records for s in samples),
         journal_total=journal_total,
-        migrations=final.migrations,
         telemetry=telemetry,
         peak_local_records=max(s.resident_local_records for s in samples),
-        peak_replay_log=max(s.replay_log_entries for s in samples),
     )

@@ -9,7 +9,7 @@ The package-wide invariant — **telemetry never perturbs results** — holds by
 construction (no instrument touches simulated time, event queues or seeded
 RNG streams) and by regression (``tests/obs/test_telemetry_invariance.py``
 asserts fingerprint equality with telemetry off / metrics-only / full
-tracing across every execution backend, migrated runs included).
+tracing across every execution backend).
 
 ``TELEMETRY_MODES`` names the three levels :class:`ClusterSystem
 <repro.cluster.system.ClusterSystem>` accepts: ``"off"`` records nothing,

@@ -83,7 +83,7 @@ class MetricsRegistry:
 
     One registry per recording site: each shard owns one (wherever its
     simulator runs — driver or worker process), and the driver owns
-    one for the scheduler/settlement/migration side.  Lookup is
+    one for the scheduler/settlement side.  Lookup is
     get-or-create so instrumentation points never need registration
     ceremony; the name spaces are dotted (``sim.events``, ``sig.verify``,
     ``phase.advance``) purely by convention.

@@ -1,9 +1,8 @@
 """Span-based tracing with a Chrome ``trace_event`` exporter.
 
 A :class:`Tracer` collects :class:`TraceSpan` records around the cluster's
-hot phases — ``shard.advance``, the barrier settlement exchange,
-evict/adopt/replay during live migration, the process pool's pipe
-encode/decode legs — carrying **both** clocks: wall time (where the
+hot phases — ``shard.advance``, the barrier settlement exchange, the
+process pool's pipe send/receive legs — carrying **both** clocks: wall time (where the
 machine's seconds went, the axis the exported trace draws) and simulated
 time (where the modelled run was when the phase executed, carried in each
 event's ``args``).

@@ -95,9 +95,9 @@ class HotspotProfile:
     ``intensity`` of payments is redirected to one of the ``width`` hottest
     candidate users *of the focus shard* ``k % shard_count`` (Zipf-skewed by
     ``skew`` within the candidate set, so the hotspot has its own popularity
-    head).  The focus shard rotates every phase, which is what gives
-    placement rebalancing something real to chase: whichever worker hosts
-    the focus shard is suddenly the busy one, and a phase later it is not.
+    head).  The focus shard rotates every phase, so the load skew moves
+    across shards: whichever shard is in focus is suddenly the busy one, and
+    a phase later it is not.
 
     Deterministic like everything else in the driver: the redirect draws
     come from their own forked RNG streams, so the same config yields the

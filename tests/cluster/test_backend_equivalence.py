@@ -12,15 +12,23 @@ grid, via :meth:`ClusterResult.fingerprint` (canonical JSON + SHA-256) *and*
 field-level payload equality (so a fingerprint regression pinpoints the
 diverging field, not just "something differed").
 
+A second grid runs shifting-hotspot workloads on three barrier-grid widths
+(the skew moves across shards mid-run) on both backends, with the pool's
+fixed round-robin assignment under it on one, two and three workers.
+
 It also pins the supporting contracts: worker-count independence (a
-two-worker process pool equals the serial reference — the CI smoke), that
-barriers leave a shard with no settlement traffic exactly as it would run
-alone, picklability of everything that crosses a process
-boundary, and the worker loop itself (driven in-process through a scripted
-pipe, so the subprocess code path is unit-tested and covered).
+two-worker process pool equals the serial reference — the CI smoke), the
+pool's one assignment (shard ``i`` on worker ``i % w``), that barriers leave
+a shard with no settlement traffic exactly as it would run alone, that the
+system lets go of the routed arrivals once the session opens, picklability
+of everything that crosses a process boundary, and the worker loop itself
+(driven in-process through a scripted pipe, so the subprocess code path is
+unit-tested and covered).
 """
 
+import gc
 import pickle
+import re
 import time
 
 import pytest
@@ -32,11 +40,15 @@ from repro.cluster.settlement import (
     SettlementCertificate,
     SettlementClaim,
     SettlementVoucher,
+    settlement_account,
+    settlement_issuer,
 )
 from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.types import Transfer
 from repro.crypto.signatures import SignatureScheme
 from repro.workloads.cluster_driver import (
     ClusterWorkloadConfig,
+    HotspotProfile,
     RoutedSubmission,
     cluster_open_loop_workload,
     partition_submissions,
@@ -58,6 +70,35 @@ GRID = [
 # Each backend by name, plus "one-worker": the process pool shrunk to a
 # single worker that hosts every shard.
 DEPLOYMENTS = BACKEND_NAMES + ("one-worker",)
+# The hotspot grid: three shards on two workers under a Zipf hotspot that
+# rotates across shards every 7 ms, on three barrier-grid widths.
+HOTSPOT_GRID = [
+    # (seed, cross_shard_fraction, hotspot?, epoch width)
+    (3, 0.5, False, 0.005),
+    (3, 0.5, True, 0.0025),
+    (3, 1.0, True, 0.01),
+    (11, 0.5, True, 0.005),
+    (11, 1.0, False, 0.0025),
+    (11, 1.0, True, 0.01),
+    (17, 0.7, True, 0.0025),
+    (23, 0.7, True, 0.01),
+]
+# The pool sizes the hotspot grid also runs on, besides two workers: every
+# shard on one worker, and one shard per worker.
+POOL_SIZES = (1, 3)
+# Round-robin pools: (shards, workers asked for, the worker slot then lost).
+# Asking for more workers than shards starts one per shard.
+ROUND_ROBIN = [
+    (1, 1, 0),
+    (2, 1, 0),
+    (2, 5, 1),
+    (3, 2, 1),
+    (4, 2, 0),
+    (4, 3, 2),
+    (5, 2, 1),
+    (5, 3, 1),
+    (6, 4, 3),
+]
 
 
 def _run(
@@ -82,20 +123,58 @@ def _run(
         max_workers=max_workers,
         seed=seed,
     )
-    workload = cluster_open_loop_workload(
+    system.schedule_submissions(_workload(system, seed, fraction))
+    result = system.run()
+    return system, result
+
+
+def _workload(system, seed, fraction, hotspot=None):
+    return cluster_open_loop_workload(
         ClusterWorkloadConfig(
             user_count=60,
             aggregate_rate=1_500.0,
             duration=0.02,
             zipf_skew=1.0,
             cross_shard_fraction=fraction,
+            hotspot=hotspot,
             router=system.router if fraction is not None else None,
             seed=seed,
         )
     )
-    system.schedule_submissions(workload)
-    result = system.run()
-    return system, result
+
+
+def _hotspot_run(fast_network, backend, max_workers, seed, fraction, hotspot, epoch):
+    """One audited run of the hotspot grid: (comparable payload, fingerprint)."""
+    system = ClusterSystem(
+        shard_count=3,
+        replicas_per_shard=4,
+        batch_size=2,
+        initial_balance=500,
+        network_config=fast_network,
+        backend=backend,
+        max_workers=max_workers,
+        epoch=epoch,
+        seed=seed,
+    )
+    try:
+        system.schedule_submissions(
+            _workload(
+                system,
+                seed,
+                fraction,
+                HotspotProfile(period=0.007, intensity=0.8, width=4) if hotspot else None,
+            )
+        )
+        result = system.run()
+        if backend == "process":
+            assert len(system._backend._workers) == max_workers
+        report = system.check_definition1()
+        assert report.ok, (backend, report.violations)
+        assert result.audit["conserved"], (backend, result.audit)
+        assert result.audit["fully_settled"], (backend, result.audit)
+        return result.comparable_payload(), result.fingerprint()
+    finally:
+        system.close()
 
 
 class TestBackendEquivalence:
@@ -124,6 +203,33 @@ class TestBackendEquivalence:
         assert payloads["serial"] == payloads["process"]
         # ... and the canonical-byte equality the guarantee is stated in.
         assert fingerprints["serial"] == fingerprints["process"]
+
+    @pytest.mark.parametrize("seed,fraction,hotspot,epoch", HOTSPOT_GRID)
+    def test_hotspot_fingerprints_identical_across_backends(
+        self, fast_network, seed, fraction, hotspot, epoch
+    ):
+        """A hotspot that rotates across shards skews the per-worker load
+        barrier by barrier; the two-worker pool still computes the serial
+        run, on every barrier-grid width."""
+        serial = _hotspot_run(fast_network, "serial", None, seed, fraction, hotspot, epoch)
+        process = _hotspot_run(fast_network, "process", 2, seed, fraction, hotspot, epoch)
+        assert process[0] == serial[0]
+        assert process[1] == serial[1]
+
+    @pytest.mark.parametrize("max_workers", POOL_SIZES)
+    @pytest.mark.parametrize("seed,fraction,hotspot,epoch", HOTSPOT_GRID)
+    def test_hotspot_fingerprints_identical_across_pool_sizes(
+        self, fast_network, seed, fraction, hotspot, epoch, max_workers
+    ):
+        """Placement never changes a result: under the same rotating
+        hotspot, one worker hosting all three shards and one worker per
+        shard each compute the serial run."""
+        serial = _hotspot_run(fast_network, "serial", None, seed, fraction, hotspot, epoch)
+        process = _hotspot_run(
+            fast_network, "process", max_workers, seed, fraction, hotspot, epoch
+        )
+        assert process[0] == serial[0]
+        assert process[1] == serial[1]
 
     def test_settlement_actually_exercised_by_the_grid(self, fast_network):
         """The equivalence grid must not vacuously pass on settlement-free
@@ -209,6 +315,40 @@ class TestBackendEquivalence:
             serial_system.close()
             process_system.close()
 
+    @pytest.mark.parametrize("shards,workers,lost", ROUND_ROBIN)
+    def test_shard_i_runs_on_worker_i_mod_w(self, fast_network, shards, workers, lost):
+        """Each worker hosts exactly the shards congruent to its slot, and a
+        worker's failure names those shards."""
+        system = ClusterSystem(
+            shard_count=shards, replicas_per_shard=4, initial_balance=500,
+            network_config=fast_network, backend="process", max_workers=workers, seed=3,
+        )
+        try:
+            system.schedule_submissions(
+                _workload(system, 3, 0.5 if shards > 1 else None)
+            )
+            system.run(until=0.01)
+            backend = system._backend
+            started = min(workers, shards)
+            assert len(backend._workers) == started
+            hosted = {}
+            for slot in range(started):
+                backend._request(slot, ("snapshot",))
+                hosted[slot] = sorted(backend._recv(slot))
+                assert backend._resident(slot) == hosted[slot]
+            assert hosted == {
+                slot: [i for i in range(shards) if i % started == slot]
+                for slot in range(started)
+            }
+            backend._workers[lost][0].terminate()
+            resident = re.escape(str(hosted[lost]))
+            with pytest.raises(
+                SimulationError, match=rf"worker {lost} \(resident shards {resident}"
+            ):
+                system.run()
+        finally:
+            system.close()
+
     def test_barriers_never_perturb_a_shard_without_settlement_traffic(
         self, fast_network
     ):
@@ -220,11 +360,12 @@ class TestBackendEquivalence:
         try:
             assert system.cross_shard_submissions == 0
             assert result.settlement_stream == []
+            arrivals, _ = partition_submissions(_workload(system, 7, 0.0), system.router)
             durations = []
             for shard in system.shards:
                 alone = shard.spec().build()
                 alone.start()
-                for arrival in system._partitioned.get(shard.index, []):
+                for arrival in arrivals.get(shard.index, []):
                     alone.submit(
                         arrival.time, arrival.issuer, arrival.destination, arrival.amount
                     )
@@ -559,6 +700,50 @@ class TestWorkerLoop:
         assert pipe.closed
 
 
+    def test_a_worker_serves_every_resident_shard(self, fast_network, scripted_pipe):
+        """Shards 0 and 2 on one worker (the slot-0 worker of a two-worker
+        pool over three shards): ``advance`` and ``snapshot`` answer per
+        resident shard, a ``mint`` reaches only the shard it names, and a
+        command for a shard hosted elsewhere is refused."""
+        specs = [
+            ShardSpec(index=index, replicas=4, initial_balance=100,
+                      network_config=fast_network, seed=5)
+            for index in (0, 2)
+        ]
+        submissions = {
+            0: [RoutedSubmission(time=0.001, issuer=0, destination="1", amount=7)],
+            2: [RoutedSubmission(time=0.002, issuer=1, destination="2", amount=3)],
+        }
+        mint = Transfer(
+            source=settlement_account(0, 2), destination="0", amount=13,
+            issuer=settlement_issuer(0, 2), sequence=1,
+        )
+        pipe = scripted_pipe(
+            [
+                ("advance", 1.0, None),
+                ("mint", 1.0, [(2, [(pid, mint) for pid in range(4)])]),
+                ("mint", 1.0, [(1, [(0, mint)])]),
+                ("advance", 2.0, None),
+                ("snapshot",),
+                ("stop",),
+            ]
+        )
+        _worker_main(pipe, specs, submissions)
+        statuses = [status for status, _ in pipe.responses]
+        assert statuses == ["ok", "ok", "error", "ok", "ok", "ok"]
+        assert sorted(pipe.responses[0][1]) == [0, 2]
+        assert "KeyError: 1" in pipe.responses[2][1]
+        snapshots = pipe.responses[4][1]
+        assert sorted(snapshots) == [0, 2]
+        assert [r.transfer.amount for r in snapshots[0].committed] == [7]
+        assert [r.transfer.amount for r in snapshots[2].committed] == [3]
+        for index in (0, 2):
+            twin = specs[index // 2].build()
+            twin.restore(snapshots[index])
+            minted = mint in twin.nodes[0].deps
+            assert minted == (index == 2)
+
+
 class TestWorkerLoss:
     """A dead worker reaches the caller typed and attributed, in bounded time.
 
@@ -637,3 +822,59 @@ class TestPartitionedDriver:
         for routed in per_shard.values():
             times = [submission.time for submission in routed]
             assert times == sorted(times)
+
+
+def _routed_alive():
+    """How many ``RoutedSubmission`` objects the collector can see."""
+    gc.collect()
+    return sum(isinstance(value, RoutedSubmission) for value in gc.get_objects())
+
+
+class TestArrivalsAreReleased:
+    def _system(self, fast_network, deployment):
+        backend, max_workers = deployment, 2
+        if deployment == "one-worker":
+            backend, max_workers = "process", 1
+        return ClusterSystem(
+            shard_count=2, replicas_per_shard=4, batch_size=1, broadcast="bracha",
+            initial_balance=500, network_config=fast_network, backend=backend,
+            max_workers=max_workers, seed=3,
+        )
+
+    @pytest.mark.parametrize("backend", DEPLOYMENTS)
+    def test_the_system_keeps_no_routed_arrival_after_the_run(self, fast_network, backend):
+        """The routed arrivals live in the shards' event queues (or travel
+        to the workers with the fork) once the session opens: nothing the
+        system keeps reachable holds a ``RoutedSubmission`` after ``run()``."""
+        baseline = _routed_alive()
+        system = self._system(fast_network, backend)
+        try:
+            submitted = system.schedule_submissions(_workload(system, 3, 0.5))
+            # The probe sees them while the system holds them...
+            assert _routed_alive() == baseline + submitted
+            system.run()
+            # ... and none once the run has opened the session.
+            assert _routed_alive() == baseline
+            assert system.result.committed_count > 0
+        finally:
+            system.close()
+
+    @pytest.mark.parametrize("deployment", DEPLOYMENTS)
+    def test_nothing_holds_the_arrivals_at_a_pause(self, fast_network, deployment):
+        """The release happens when the session opens, not when the run
+        ends: paused mid-workload, the partition is empty and no arrival is
+        reachable, and the resumed run equals the uninterrupted serial one."""
+        reference_system, reference = _run(fast_network, "serial", 3, 2, 1, 0.5)
+        reference_system.close()
+        baseline = _routed_alive()
+        system = self._system(fast_network, deployment)
+        try:
+            submitted = system.schedule_submissions(_workload(system, 3, 0.5))
+            assert sum(len(routed) for routed in system._partitioned.values()) == submitted
+            paused_at = system.run(until=0.01).duration
+            assert paused_at <= 0.01 < reference.duration
+            assert system._partitioned == {}
+            assert _routed_alive() == baseline
+            assert system.run().fingerprint() == reference.fingerprint()
+        finally:
+            system.close()

@@ -200,7 +200,6 @@ class TestKnobCensus:
             "backend",
             "epoch",
             "max_workers",
-            "migration",
             "compact_history",
             "telemetry",
             "seed",
@@ -247,7 +246,6 @@ class TestKnobCensus:
             "backend",
             "epoch",
             "max_workers",
-            "migration",
             "compact_history",
             "telemetry",
             "seed",

@@ -21,7 +21,7 @@ from repro.broadcast.messages import (
     SendMessage,
 )
 from repro.broadcast.secure_broadcast import BroadcastDelivery
-from repro.cluster.codec import decode, encode, encoded_size
+from repro.cluster.codec import decode, encode
 from repro.cluster.settlement import (
     SettlementAckClaim,
     SettlementCertificate,
@@ -118,7 +118,7 @@ VALUES = [
     # Command and reply frames.
     ("advance", 0.005, None),
     ("mint", 0.005, [(0, [(1, Transfer("x0:1", "1", 3, issuer=1, sequence=2))])]),
-    ("evict", [0, 2]),
+    ("retire", 0.005, [(0, [Transfer("0", "x1:2", 3, issuer=0, sequence=5)])]),
     ("snapshot",),
     ("stop",),
     ("ok", None),
@@ -133,7 +133,6 @@ def test_round_trips_are_exact(value, ordered):
     assert type(result) is type(value) and result == value
     assert repr(result) == repr(value)  # -0.0, and anything == forgives
     assert ordered(result) == ordered(value)
-    assert encoded_size(value) == len(data)
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)

@@ -3,11 +3,9 @@
 Width validation (finite and positive, at the scheduler and at the system),
 the grid's effect (a different width moves the barrier schedule and the
 settlement latency, never the audited outcome), determinism per seed and
-across backends, pause/resume equality on a non-default width, and each
-system's private copy of a stateful migration policy.
+across backends, and pause/resume equality on a non-default width.
 """
 
-import copy
 import math
 
 import pytest
@@ -155,6 +153,21 @@ class TestTheGrid:
                 system.close()
         assert len(outcomes) == 1
 
+    def test_a_non_default_width_is_placement_invariant(self, fast_network):
+        """Both shards on one worker or one shard per worker: the same
+        barriers and the same fingerprint as the serial run."""
+        outcomes = set()
+        for backend, max_workers in (("serial", None), ("process", 1), ("process", 2)):
+            system = _build(
+                fast_network, backend=backend, epoch=0.01, max_workers=max_workers
+            )
+            try:
+                result = system.run()
+                outcomes.add((result.fingerprint(), system.scheduler.barriers))
+            finally:
+                system.close()
+        assert len(outcomes) == 1
+
     def test_pause_resume_equals_continuous_on_a_non_default_width(self, fast_network):
         """A pause stops on the grid and the resumed run recomputes the same
         horizons from the same ``now``, so the barrier sequence is unchanged."""
@@ -171,29 +184,6 @@ class TestTheGrid:
         finally:
             paused.close()
             continuous_system.close()
-
-    @pytest.mark.parametrize("knob", ["migration_plan", "threshold"])
-    def test_each_system_runs_on_its_own_copy_of_a_stateful_policy(self, fast_network, knob):
-        """Migration policies keep state — a draining schedule, load windows
-        and cooldowns — so a system copies the one it is given: a run leaves
-        the caller's object untouched, and the next system built from it
-        runs identically."""
-        from repro.cluster.migration import MigrationPlan, ThresholdMigrationPolicy
-
-        if knob == "migration_plan":
-            given = MigrationPlan([(0.005, 0, 1)])
-        else:
-            given = ThresholdMigrationPolicy(imbalance_threshold=1.05, every=2, cooldown=1)
-        state = copy.deepcopy(vars(given))
-        payloads = []
-        for _ in range(2):
-            system = _build(fast_network, migration=given, max_workers=2)
-            try:
-                payloads.append(system.run().comparable_payload())
-                assert vars(given) == state
-            finally:
-                system.close()
-        assert payloads[0] == payloads[1]
 
 
 def test_p95_is_nearest_rank():

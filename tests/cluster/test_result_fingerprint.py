@@ -59,38 +59,25 @@ class TestFingerprint:
         ).fingerprint()
 
     def test_fingerprint_is_sha256_of_canonical_json(self, fast_network):
-        """The hash covers the canonical payload *minus* the placement and
-        volatile sections: the migration stream records where shards were
-        computed, the telemetry section records how the run felt, and the
-        fingerprint's contract is exactly that neither ever changes results
-        (a migrated or traced run hashes equal to the static, untraced
-        run)."""
+        """The hash covers the canonical payload *minus* the volatile
+        sections: the telemetry section records how the run felt, and the
+        fingerprint's contract is exactly that it never changes results (a
+        traced run hashes equal to the untraced run)."""
         result = _run(fast_network)
-        excluded = result.PLACEMENT_SECTIONS + result.VOLATILE_SECTIONS
         hashed = {
             key: value
             for key, value in result.fingerprint_payload().items()
-            if key not in excluded
+            if key not in result.VOLATILE_SECTIONS
         }
         canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
         assert result.fingerprint() == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
         # The canonical form must actually be JSON-round-trippable (no sets,
         # no dataclasses, no non-string keys sneaking in) — the *full*
-        # payload included, migration stream and all.
+        # payload included.
         full = json.dumps(result.fingerprint_payload(), sort_keys=True)
         assert json.loads(full) == json.loads(
             json.dumps(result.fingerprint_payload(), sort_keys=True)
         )
-
-    def test_fingerprint_ignores_the_migration_stream(self, fast_network):
-        """Placement metadata may never move the hash — that is the
-        placement-invariance contract stated as a unit test."""
-        result = _run(fast_network)
-        before = result.fingerprint()
-        assert result.migration_stream == []
-        result.migration_stream = [(3, 0.015, 1, 0, 1)]
-        assert result.fingerprint() == before
-        assert result.fingerprint_payload()["migrations"] == [[3, 0.015, 1, 0, 1]]
 
     def test_payload_carries_every_advertised_section(self, fast_network):
         payload = _run(fast_network).fingerprint_payload()
@@ -98,7 +85,6 @@ class TestFingerprint:
             "balances",
             "committed",
             "settlement",
-            "migrations",
             "audit",
             "duration",
             "events_processed",
@@ -140,6 +126,28 @@ class TestFingerprint:
         assert len(result.settlement_stream) >= 2
         before = result.fingerprint()
         result.settlement_stream.reverse()
+        assert result.fingerprint() != before
+
+    def test_only_the_telemetry_section_escapes_the_hash(self, fast_network):
+        """Every section but the telemetry capture is content: replacing
+        the telemetry leaves the hash, and nothing else is left out."""
+        result = _run(fast_network)
+        assert result.VOLATILE_SECTIONS == ("telemetry",)
+        assert set(result.comparable_payload()) == set(result.fingerprint_payload()) - {
+            "telemetry"
+        }
+        before = result.fingerprint()
+        result.telemetry = {"driver": {"histograms": {"phase.total": {"count": 99}}}}
+        assert result.fingerprint() == before
+
+    @pytest.mark.parametrize(
+        "section",
+        ["duration", "events_processed", "retired_records", "resident_settlement_records"],
+    )
+    def test_a_scalar_section_change_changes_the_fingerprint(self, fast_network, section):
+        result = _run(fast_network)
+        before = result.fingerprint()
+        setattr(result, section, getattr(result, section) + 1)
         assert result.fingerprint() != before
 
     def test_uncaptured_result_refuses_to_fingerprint(self):

@@ -15,23 +15,18 @@ every checkpoint, and asserts:
 * by quiescence everything is retired — the ledgers carry no settlement
   history at all.
 
-The soak run is *migrated*: a manual :class:`MigrationPlan` moves shards
-between the two logical workers at one and two thirds of the horizon, so the
-checkpoint identities and the boundedness claims are proven under live
-placement changes, not just a static assignment.  Driver-side relay journal
-residency is asserted alongside the ledger residency: with compaction behind
-the retirement watermark, the relays hold the in-flight window plus one
-watermark certificate per stream — never the certificate history.
+Driver-side relay journal residency is asserted alongside the ledger
+residency: with compaction behind the retirement watermark, the relays hold
+the in-flight window plus one watermark certificate per stream — never the
+certificate history.
 
-The migrated soak runs again on the process pool twice — with and without
+The soak runs again on the two-worker process pool twice — with and without
 ``compact_history`` — to show that consumption compaction bounds the shards'
-resident local-transfer histories without changing the outcome, while every
-move still replays its shard from genesis.
+resident local-transfer histories without changing the outcome.
 """
 
 import dataclasses
 
-from repro.cluster.migration import MigrationPlan
 from repro.eval.experiments import (
     ClusterExperimentConfig,
     settlement_soak_experiment,
@@ -58,32 +53,14 @@ def _config(duration: float) -> ClusterExperimentConfig:
     )
 
 
-def _soak_migration(duration: float) -> MigrationPlan:
-    """Shuffle both shards across the two logical workers, twice."""
-    return MigrationPlan(
-        [
-            (duration / 3, 0, 1),
-            (duration / 3, 1, 0),
-            (2 * duration / 3, 0, 0),
-            (2 * duration / 3, 1, 1),
-        ]
-    )
-
-
 def test_settlement_soak_bounded_resident_records():
-    """Long horizon, sustained cross-shard load, *live migration* mid-soak:
-    resident records and relay journals stay flat, identities hold at every
-    checkpoint, and the shards provably moved while it all held."""
-    config = dataclasses.replace(
-        _config(SOAK_DURATION),
-        migration=_soak_migration(SOAK_DURATION),
-        max_workers=SOAK_WORKERS,
-    )
+    """Long horizon, sustained cross-shard load: resident records and relay
+    journals stay flat and identities hold at every checkpoint."""
     report = settlement_soak_experiment(
         shard_count=SOAK_SHARDS,
         batch_size=SOAK_BATCH,
         checkpoints=SOAK_CHECKPOINTS,
-        config=config,
+        config=_config(SOAK_DURATION),
     )
 
     assert not report.violations, report.violations
@@ -99,9 +76,6 @@ def test_settlement_soak_bounded_resident_records():
     # Retirement was active well before the end, not a quiescence artefact.
     mid_run = report.samples[:-1]
     assert any(sample.retired_records > 0 for sample in mid_run)
-    # The soak really migrated: all four scheduled moves executed, and the
-    # identities above held at checkpoints sampled *between* the moves.
-    assert report.migrations == 4
     # Driver-side relay journals track the in-flight window, not history:
     # the peak stays below the cumulative certificate deliveries, and at
     # quiescence only the per-stream retirement watermarks stay resident
@@ -128,14 +102,12 @@ def test_settlement_soak_bounded_resident_records():
 
 
 def test_compacted_soak_bounds_local_records():
-    """The same migrated soak on the process pool, with and without
+    """The same soak on the process pool, with and without
     ``compact_history``: compaction keeps fewer ordinary records resident,
-    while the canonical outcome — audits, retirement, migrations — is
-    identical.  The peaks are deterministic record counts, so the bound is
-    strict."""
+    while the canonical outcome — audits, retirement — is identical.  The
+    peaks are deterministic record counts, so the bound is strict."""
     plain_config = dataclasses.replace(
         _config(SOAK_DURATION),
-        migration=_soak_migration(SOAK_DURATION),
         backend="process",
         max_workers=SOAK_WORKERS,
     )
@@ -154,9 +126,6 @@ def test_compacted_soak_bounds_local_records():
         assert not report.violations, report.violations
         assert report.final_check_ok
         assert report.fully_retired
-        assert report.migrations == 4
-        # Every move replayed its shard from genesis off the driver's log.
-        assert report.peak_replay_log > 0
     # Compaction is balance-preserving: both runs commit the same workload
     # to the same outcome at every sample.
     assert [s.committed for s in compacted.samples] == [

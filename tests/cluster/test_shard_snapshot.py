@@ -1,16 +1,17 @@
 """ShardSnapshot round trips at arbitrary barriers, on every backend.
 
-The snapshot/restore pair was born to rehydrate driver-side twins at the end
-of a process-pool run; the live-migration layer leans on it much harder —
-the evicted shard's snapshot is the transfer checksum a migrating shard's
-deterministic replay must reproduce, at *whatever* barrier the move happens.
-This suite pins the contract that makes that safe: a snapshot taken at any
-pause barrier (not just quiescence), restored onto a never-run twin built
-from the same spec, reproduces every read surface — balances, observations,
-result streams, broadcast counters, resident/retired settlement records and
-the mid-flight compaction state (offsets, retired-outbound totals, *pending
-retirements*) — byte for byte, on Serial and Process alike (the pool also
-shrunk to one worker that hosts both shards).
+The snapshot/restore pair rehydrates the driver-side twins at the end of a
+process-pool run (and at every pause of one).  This suite pins the contract
+that makes that safe: a snapshot taken at any pause barrier (not just
+quiescence), restored onto a never-run twin built from the same spec,
+reproduces every read surface — balances, observations, result streams,
+broadcast counters, resident/retired settlement records and the mid-flight
+compaction state (offsets, retired-outbound totals, *pending retirements*)
+— byte for byte, on Serial and Process alike (the pool also shrunk to one
+worker that hosts both shards).  Last, two runs whose state a restore must
+carry: balances that depend on credits validated long before the final
+snapshot, and ledgers compacted by ``compact_history`` — each also paused
+mid-run, where the pool restores the twins before the workers go on.
 """
 
 import pickle
@@ -21,6 +22,7 @@ from repro.cluster.system import ClusterSystem
 from repro.cluster.settlement import settlement_account, settlement_issuer
 from repro.common.types import Transfer
 from repro.workloads.cluster_driver import (
+    ClusterSubmission,
     ClusterWorkloadConfig,
     cluster_open_loop_workload,
 )
@@ -213,3 +215,166 @@ class TestSnapshotCarriesTheLifecycle:
             assert mint in twin.nodes[0].deps
         finally:
             system.close()
+
+
+def _three_shards(fast_network, deployment, **kwargs):
+    """Three shards, batch 2, seed 3; ``one-worker`` is the pool with one worker."""
+    max_workers = 2
+    if deployment == "one-worker":
+        deployment, max_workers = "process", 1
+    return ClusterSystem(
+        shard_count=3,
+        replicas_per_shard=4,
+        batch_size=2,
+        initial_balance=500,
+        network_config=fast_network,
+        backend=deployment,
+        max_workers=max_workers,
+        seed=3,
+        **kwargs,
+    )
+
+
+def _bursty_submissions(users=24, per_burst=40):
+    """Two bursts of transfers, from t=0 and from t=0.1, with an idle gap."""
+    submissions = []
+    for burst, base in enumerate((0.0, 0.1)):
+        for i in range(per_burst):
+            source = (i * 3 + burst) % users
+            destination = (source + 1 + i % 5) % users
+            submissions.append(
+                ClusterSubmission(
+                    time=base + 0.0001 + 0.0004 * i,
+                    source_user=source,
+                    destination_user=destination,
+                    amount=1 + i % 7,
+                )
+            )
+    return submissions
+
+
+class TestRestoredBalancesCarryHistory:
+    """A restored node must still afford what its history paid for.
+
+    Balances are a running sum, not a walk over ``hist``: snapshots ship
+    ``hist`` + offsets and the sum is rebuilt on restore.  Here one account's
+    burst-two spending (1 250) is only affordable thanks to a local credit
+    (450) and a cross-shard mint (300) validated in burst one.  On the
+    process pool the driver's twins are restored from the workers'
+    snapshots.  An under-reporting rebuild rejects or parks the 1 200
+    payment; an over-reporting one commits the final overdraft.
+    """
+
+    @staticmethod
+    def _user(router, shard, process):
+        return next(
+            user
+            for user in range(100_000)
+            if router.shard_of(user) == shard and router.local_process_of(user) == process
+        )
+
+    def _run(self, fast_network, deployment, pause=None):
+        system = _three_shards(fast_network, deployment)
+        spender = self._user(system.router, 0, 0)
+        local_payer = self._user(system.router, 0, 1)
+        remote_payer = self._user(system.router, 1, 2)
+        payee = self._user(system.router, 2, 3)
+        system.schedule_submissions(
+            [
+                ClusterSubmission(0.0005, local_payer, spender, 450),
+                ClusterSubmission(0.0007, remote_payer, spender, 300),
+                # Burst two, after the gap.
+                ClusterSubmission(0.1005, spender, payee, 1_200),
+                ClusterSubmission(0.1009, spender, local_payer, 50),
+                ClusterSubmission(0.1100, spender, payee, 1),  # nothing left
+            ]
+        )
+        if pause is not None:
+            system.run(until=pause)
+            # Burst one is validated everywhere and burst two not yet begun:
+            # the spender's history (restored, on the pool) is all it owns.
+            shard = system.shards[0]
+            account = system.router.local_account_of(spender)
+            for pid in sorted(shard.nodes):
+                assert shard.nodes[pid].balance_of(account) == 500 + 450 + 300
+        return system, system.run()
+
+    @pytest.mark.parametrize("deployment", DEPLOYMENTS)
+    def test_plain_run(self, fast_network, deployment):
+        reference_system, reference = self._run(fast_network, "serial")
+        system, result = self._run(fast_network, deployment)
+        try:
+            assert sorted(record.transfer.amount for record in reference.committed) == [
+                50, 300, 450, 1_200
+            ]
+            assert [record.transfer.amount for record in reference.rejected] == [1]
+            assert result.fingerprint() == reference.fingerprint()
+            assert result.committed_count == 4
+            assert system.check_definition1().ok
+            assert result.audit["conserved"]
+        finally:
+            reference_system.close()
+            system.close()
+
+
+    @pytest.mark.parametrize("deployment", DEPLOYMENTS)
+    def test_paused_between_the_bursts(self, fast_network, deployment):
+        """Paused in the gap, a pool run restores the driver's twins from
+        the workers' snapshots mid-run; the workers keep their own state, so
+        the resumed run is still the uninterrupted serial one."""
+        reference_system, reference = self._run(fast_network, "serial")
+        system, result = self._run(fast_network, deployment, pause=0.05)
+        try:
+            assert result.fingerprint() == reference.fingerprint()
+            assert result.committed_count == 4
+            assert system.check_definition1().ok
+        finally:
+            reference_system.close()
+            system.close()
+
+
+class TestHistoryCompaction:
+    """``compact_history`` drops consumed local records, never a result bit."""
+
+    @pytest.mark.parametrize("deployment", DEPLOYMENTS)
+    def test_history_compaction_preserves_the_fingerprint(self, fast_network, deployment):
+        baseline_system = _three_shards(fast_network, "serial")
+        compacted_system = _three_shards(fast_network, deployment, compact_history=True)
+        try:
+            baseline_system.schedule_submissions(_bursty_submissions())
+            compacted_system.schedule_submissions(_bursty_submissions())
+            baseline = baseline_system.run()
+            compacted = compacted_system.run()
+            assert compacted.fingerprint() == baseline.fingerprint()
+            assert compacted_system.check_definition1().ok
+            # The knob must actually bite: consumed ordinary records left
+            # the ledgers, and fewer remain resident than without it.
+            assert compacted_system.compacted_local_records() > 0
+            assert (
+                compacted_system.resident_local_records()
+                < baseline_system.resident_local_records()
+            )
+        finally:
+            baseline_system.close()
+            compacted_system.close()
+
+    @pytest.mark.parametrize("deployment", DEPLOYMENTS)
+    def test_compaction_survives_a_pause(self, fast_network, deployment):
+        """Compacted between the bursts and snapshotted at the pause, the
+        ledgers resume to the uncompacted, uninterrupted fingerprint."""
+        baseline_system = _three_shards(fast_network, "serial")
+        compacted_system = _three_shards(fast_network, deployment, compact_history=True)
+        try:
+            baseline_system.schedule_submissions(_bursty_submissions())
+            compacted_system.schedule_submissions(_bursty_submissions())
+            baseline = baseline_system.run()
+            compacted_system.run(until=0.05)
+            paused_compacted = compacted_system.compacted_local_records()
+            assert paused_compacted > 0
+            compacted = compacted_system.run()
+            assert compacted.fingerprint() == baseline.fingerprint()
+            assert compacted_system.check_definition1().ok
+            assert compacted_system.compacted_local_records() >= paused_compacted
+        finally:
+            baseline_system.close()
+            compacted_system.close()

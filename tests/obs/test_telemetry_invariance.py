@@ -2,16 +2,15 @@
 
 The observability layer's one hard promise: **telemetry never perturbs
 results**.  For every execution backend — serial and process, the pool also
-shrunk to one worker — a run fingerprints identically with telemetry off, metrics-only and full tracing;
-*migrated* runs included.  Everything else here pins the supporting surface:
-the telemetry section's shape and its exclusion from the fingerprint, trace
-export, and the accepted mode names.
+shrunk to one worker — a run fingerprints identically with telemetry off,
+metrics-only and full tracing.  Everything else here pins the supporting
+surface: the telemetry section's shape and its exclusion from the
+fingerprint, trace export, and the accepted mode names.
 """
 
 import pytest
 
 from repro.cluster.backends import BACKEND_NAMES
-from repro.cluster.migration import MigrationPlan
 from repro.cluster.system import ClusterSystem
 from repro.common.errors import ConfigurationError
 from repro.eval.experiments import ClusterExperimentConfig
@@ -27,9 +26,9 @@ def _run(
     fast_network,
     backend,
     telemetry,
-    migration=None,
     max_workers=None,
     seed=3,
+    pauses=(),
 ):
     if backend == "one-worker":
         backend, max_workers = "process", 1
@@ -40,7 +39,6 @@ def _run(
         network_config=fast_network,
         backend=backend,
         max_workers=max_workers,
-        migration=migration,
         telemetry=telemetry,
         seed=seed,
     )
@@ -55,6 +53,8 @@ def _run(
         )
     )
     system.schedule_submissions(workload)
+    for pause in pauses:
+        system.run(until=pause)
     result = system.run()
     return system, result
 
@@ -78,28 +78,40 @@ class TestFingerprintInvariance:
         assert payloads["off"] == payloads["full"]
         assert len(set(fingerprints.values())) == 1, fingerprints
 
-    def test_profiled_traced_migrated_run_matches_untelemetered(self, fast_network):
-        """The worst case at once: process pool, live migration mid-run and
-        full tracing — still the same fingerprint as the bare telemetry-off
+    def test_traced_pool_run_matches_untelemetered(self, fast_network):
+        """The worst case at once: a two-worker process pool and full
+        tracing — still the same fingerprint as the bare telemetry-off
         run."""
         system, result = _run(fast_network, "process", "off", max_workers=2)
         try:
             baseline = result.fingerprint()
         finally:
             system.close()
-        system, result = _run(
-            fast_network,
-            "process",
-            "full",
-            migration=MigrationPlan([(0.01, 0, 1)]),
-            max_workers=2,
-        )
+        system, result = _run(fast_network, "process", "full", max_workers=2)
         try:
-            assert result.migration_stream, "the migration must actually execute"
             assert result.fingerprint() == baseline
             # The two workers' rendezvous spread is measured at every barrier.
             stall = result.telemetry["driver"]["histograms"]["barrier_stall"]
             assert stall["count"] >= 1
+        finally:
+            system.close()
+
+    def test_paused_traced_pool_run_matches_untelemetered(self, fast_network):
+        """Full tracing on a two-worker pool paused twice mid-workload: each
+        pause ships every shard's snapshot across the pipes, traced, and the
+        resumed run is still the bare uninterrupted one."""
+        system, result = _run(fast_network, "process", "off", max_workers=2)
+        try:
+            baseline = result.fingerprint()
+        finally:
+            system.close()
+        system, result = _run(
+            fast_network, "process", "full", max_workers=2, pauses=(0.005, 0.01)
+        )
+        try:
+            assert result.fingerprint() == baseline
+            finalized = [span for span in result.trace if span["name"] == "phase.finalize"]
+            assert len(finalized) == 3
         finally:
             system.close()
 
@@ -183,7 +195,7 @@ class TestTelemetrySection:
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_the_driver_times_exactly_the_run_phases(self, fast_network, backend):
-        """One barrier loop is advance, migrate, exchange; a run adds open,
+        """One barrier loop is advance, exchange; a run adds open,
         finalize and capture once, inside the total.  A phase added or left
         behind (a per-barrier span nothing reads) fails here."""
         system, result = _run(fast_network, backend, "metrics", max_workers=2)
@@ -199,7 +211,6 @@ class TestTelemetrySection:
                 "phase.total": 1,
                 "phase.open": 1,
                 "phase.advance": loops,
-                "phase.migrate": loops,
                 "phase.exchange": loops,
                 "phase.finalize": 1,
                 "phase.capture": 1,
