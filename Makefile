@@ -27,13 +27,14 @@ test-props:
 ## the differential test against the quadratic reference on random
 ## observation sets, and the same reference on real runs plus the audit's two
 ## guards (no TransferId hashed; settlement provisions folded once per
-## audit); then the agreement tests on the runs other suites make (the §5
+## audit), and the cluster supply audit red on each identity alone and on a
+## forged mint; then the agreement tests on the runs other suites make (the §5
 ## claims, the message formulas, cluster scaling, one run per settlement
 ## behaviour) — the suites a change to spec/byzantine_spec.py must keep
 ## green.  CI runs it a second time as
 ## `make test-audit PYTHON="python -X dev -W error"`.
 test-audit:
-	$(PYTHON) -m pytest tests/spec tests/properties/test_definition1_checker.py tests/properties/test_definition1_on_runs.py -q
+	$(PYTHON) -m pytest tests/spec tests/properties/test_definition1_checker.py tests/properties/test_definition1_on_runs.py tests/cluster/test_supply_audit.py -q
 	$(PYTHON) -m pytest tests/paper tests/mp/test_message_formulas.py tests/cluster/test_cluster_scaling.py tests/cluster/test_settlement_byzantine.py -k agreement -q
 
 ## The cross-backend equivalence harness (the hotspot grid on three
@@ -67,9 +68,9 @@ test-settlement:
 
 ## The settlement-lifecycle soak alone (part of tier-1): a long-horizon run
 ## asserting bounded resident settlement records and relay journals, and the
-## same soak on the two-worker pool with and without compact_history,
-## asserting fewer resident local records with it.  CI runs it a second time
-## under `PYTHON="python -X dev -W error"`.
+## same soak on the two-worker pool, asserting every checkpoint samples what
+## the serial soak's does.  CI runs it a second time under
+## `PYTHON="python -X dev -W error"`.
 soak:
 	$(PYTHON) -m pytest tests/cluster/test_settlement_soak.py -q
 

@@ -115,11 +115,6 @@ class ClusterResult:
     def per_shard_committed(self) -> List[int]:
         return [result.committed_count for result in self.shard_results]
 
-    def per_shard_throughput(self) -> List[float]:
-        if self.duration <= 0:
-            return [0.0] * self.shard_count
-        return [result.committed_count / self.duration for result in self.shard_results]
-
     def load_imbalance(self) -> float:
         """max/mean committed-per-shard ratio (1.0 = perfectly balanced)."""
         counts = self.per_shard_committed()

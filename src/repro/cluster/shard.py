@@ -55,10 +55,6 @@ class ShardSpec:
     # flag can differ between builds of the same spec without changing a
     # single event (the telemetry invariant, pinned by tests/obs).
     telemetry: bool = True
-    # Compact ordinary local transfer records out of ``hist`` once their
-    # owner spends them (see ConsensuslessTransferNode.compact_consumed).
-    # Balance-preserving by construction, so every fingerprint is unchanged.
-    compact_history: bool = False
 
     def build(self) -> "Shard":
         """Construct the shard (the spec's fields are :class:`Shard`'s arguments)."""
@@ -119,7 +115,6 @@ class NodeSnapshot:
     retired_outbound: Dict[AccountId, Amount] = field(default_factory=dict)
     pending_retirements: set = field(default_factory=set)
     retired_records: int = 0
-    compacted_local_records: int = 0
     stale_retirements_dropped: int = 0
 
 
@@ -160,7 +155,6 @@ class Shard:
         network_config: Optional[NetworkConfig] = None,
         seed: int = 0,
         telemetry: bool = True,
-        compact_history: bool = False,
     ) -> None:
         # The construction inputs, kept verbatim so spec() can emit the exact
         # recipe this shard was built from (base config, pre-derivation seed).
@@ -173,7 +167,6 @@ class Shard:
             network_config=network_config,
             seed=seed,
             telemetry=telemetry,
-            compact_history=compact_history,
         )
         self.index = index
         self.replicas = replicas
@@ -196,8 +189,6 @@ class Shard:
         self.nodes: Dict[ProcessId, ConsensuslessTransferNode] = {
             node.node_id: node for node in self.group.correct_nodes()
         }
-        for node in self.nodes.values():
-            node.compact_consumed = compact_history
         self.metrics = MetricsRegistry() if telemetry else None
         self.simulator.metrics = self.metrics
         # Key pairs read the registry through the scheme at sign time, so
@@ -391,7 +382,6 @@ class Shard:
                 retired_outbound=dict(node._retired_outbound),
                 pending_retirements=set(node._pending_retirements),
                 retired_records=node.retired_records,
-                compacted_local_records=node.compacted_local_records,
                 stale_retirements_dropped=node.stale_retirements_dropped,
             )
         return ShardSnapshot(
@@ -449,24 +439,7 @@ class Shard:
         node._retired_outbound = dict(state.retired_outbound)
         node._pending_retirements = set(state.pending_retirements)
         node.retired_records = state.retired_records
-        node.compacted_local_records = state.compacted_local_records
         node.stale_retirements_dropped = state.stale_retirements_dropped
-
-    def compacted_local_record_count(self) -> int:
-        """Ordinary local records compacted behind the consumption watermark (replica 0)."""
-        return self.nodes[0].compacted_local_records
-
-    def resident_local_records(self) -> int:
-        """Ordinary (non-settlement) records still resident at replica 0.
-
-        The figure ``compact_history`` bounds, mirroring
-        :meth:`resident_settlement_records` for the local ledger.
-        """
-        return sum(
-            len(records)
-            for account, records in self.nodes[0].hist.items()
-            if parse_external_account(account) is None
-        )
 
     def finalize(self, duration: float) -> SystemResult:
         """Stamp run-wide figures once the cluster has quiesced.

@@ -87,16 +87,6 @@ class ClusterSystem:
         ``shard_count``).  Shard ``i`` runs on worker ``i % max_workers``
         for the whole session.  Worker count never affects results, only
         wall-clock time.
-    compact_history:
-        When true, each replica removes a transfer record from its local
-        ``hist`` once the record's credit has been *consumed* — folded into
-        a validated dependency set of a later transfer by the consuming
-        account — keeping balances bit-identical through per-account offset
-        folding (the ``retire_settled`` watermark mechanism, extended to
-        ordinary local records).  Bounds resident history under sustained
-        local traffic; sound for benign issuers (see
-        ``ConsensuslessTransferNode.compact_consumed`` for the Byzantine
-        caveat), which is why it is off by default.
     telemetry:
         The observability mode: ``"off"`` (no registries, no spans),
         ``"metrics"`` (the default — counters/gauges/histograms across the
@@ -123,7 +113,6 @@ class ClusterSystem:
         backend: str = "serial",
         epoch: float = 0.005,
         max_workers: Optional[int] = None,
-        compact_history: bool = False,
         telemetry: str = "metrics",
         seed: int = 0,
     ) -> None:
@@ -145,7 +134,6 @@ class ClusterSystem:
         self.replicas_per_shard = replicas_per_shard
         self.batch_size = batch_size
         self.seed = seed
-        self.compact_history = bool(compact_history)
         self.backend_name = backend
         # Observability: a driver-side registry (mode != off) for phase
         # timings, scheduler counters and end-of-run gauges; a tracer (mode
@@ -167,7 +155,6 @@ class ClusterSystem:
                 batch_size=batch_size,
                 network_config=network_config,
                 telemetry=self.telemetry_mode != "off",
-                compact_history=self.compact_history,
                 seed=seed,
             )
             for index in range(shard_count)
@@ -488,19 +475,6 @@ class ClusterSystem:
     def retired_records(self) -> int:
         """Outbound records retired behind compaction watermarks, cluster-wide."""
         return sum(shard.retired_record_count() for shard in self.shards)
-
-    def resident_local_records(self) -> int:
-        """Ordinary (non-settlement) transfer records resident cluster-wide.
-
-        The figure ``compact_history`` bounds: without it this tracks the
-        whole run's validated local traffic; with it, only unconsumed
-        records remain.
-        """
-        return sum(shard.resident_local_records() for shard in self.shards)
-
-    def compacted_local_records(self) -> int:
-        """Ordinary records removed by consumption compaction, cluster-wide."""
-        return sum(shard.compacted_local_record_count() for shard in self.shards)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

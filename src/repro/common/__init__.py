@@ -8,8 +8,6 @@ the repository deterministic.
 
 from repro.common.errors import (
     ConfigurationError,
-    InsufficientBalanceError,
-    NotOwnerError,
     ReproError,
     SimulationError,
     SpecificationViolation,
@@ -29,8 +27,6 @@ __all__ = [
     "AccountId",
     "Amount",
     "ConfigurationError",
-    "InsufficientBalanceError",
-    "NotOwnerError",
     "OwnershipMap",
     "ProcessId",
     "ReproError",

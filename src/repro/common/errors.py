@@ -12,11 +12,9 @@ practice:
 
 Domain-level conditions that the paper models as *responses* rather than
 errors (a transfer failing because of insufficient balance, or because the
-caller does not own the source account) are usually reported as ``False``
+caller does not own the source account) are reported as ``False``
 return values, mirroring the sequential specification in Section 2.2 of the
-paper.  The :class:`InsufficientBalanceError` and :class:`NotOwnerError`
-classes exist for APIs that prefer raising over returning ``False`` (for
-example the strict variants used in examples).
+paper.
 """
 
 from __future__ import annotations
@@ -51,24 +49,3 @@ class SimulationError(ReproError):
     This indicates a bug in the simulator or a protocol driving it outside of
     its supported envelope (for example scheduling an event in the past).
     """
-
-
-class InsufficientBalanceError(ReproError):
-    """A strict-mode transfer was attempted with insufficient balance."""
-
-    def __init__(self, account: str, balance: int, requested: int) -> None:
-        super().__init__(
-            f"account {account!r} holds {balance} but transfer of {requested} was requested"
-        )
-        self.account = account
-        self.balance = balance
-        self.requested = requested
-
-
-class NotOwnerError(ReproError):
-    """A strict-mode transfer was attempted by a non-owner of the account."""
-
-    def __init__(self, account: str, process: object) -> None:
-        super().__init__(f"process {process!r} does not own account {account!r}")
-        self.account = account
-        self.process = process

@@ -186,12 +186,10 @@ class AccountBook:
             records.setdefault(also_under, set()).add(transfer)
         return new
 
-    def discard(self, transfer: Transfer, keep_credit: bool) -> None:
+    def discard(self, transfer: Transfer) -> None:
         """Drop a recorded transfer, folding its debit into the source's offset.
 
-        The source's balance never moves.  With ``keep_credit`` the credit is
-        folded into the destination's offset too (a consumed local record:
-        no balance moves); without it the destination's balance falls by the
+        The source's balance never moves; the destination's falls by the
         amount (a settled outbound record: the money lives elsewhere now).
         """
         for account in (transfer.source, transfer.destination):
@@ -202,10 +200,7 @@ class AccountBook:
                     del self._records[account]
         offsets, amount = self.offsets, transfer.amount
         offsets[transfer.source] = offsets.get(transfer.source, 0) - amount
-        if keep_credit:
-            offsets[transfer.destination] = offsets.get(transfer.destination, 0) + amount
-        else:
-            self._delta[transfer.destination] = self._delta.get(transfer.destination, 0) - amount
+        self._delta[transfer.destination] = self._delta.get(transfer.destination, 0) - amount
 
     def rebuild(
         self, hist: Mapping[AccountId, Iterable[Transfer]], offsets: Mapping[AccountId, Amount]

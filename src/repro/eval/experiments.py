@@ -394,9 +394,6 @@ class ClusterExperimentConfig:
     backend: str = "serial"
     epoch: float = 0.005
     max_workers: Optional[int] = None
-    # The consumption-compaction knob for ordinary local records;
-    # balance-preserving, so fingerprint-neutral.
-    compact_history: bool = False
     # The telemetry mode ("off"/"metrics"/"full"), passed straight through to
     # ClusterSystem.  Fingerprint-neutral by the telemetry invariant — runs
     # only gain a telemetry section, never different results.
@@ -431,7 +428,6 @@ class ClusterExperimentConfig:
             backend=self.backend,
             epoch=self.epoch,
             max_workers=self.max_workers,
-            compact_history=self.compact_history,
             telemetry=self.telemetry,
             seed=self.seed,
         )
@@ -614,9 +610,6 @@ class SoakSample:
     # behind the retirement watermark bounds this by the in-flight window
     # (plus one watermark certificate per stream), like the ledgers.
     resident_journal_records: int = 0
-    # Ordinary (non-settlement) records resident in the ledgers — the figure
-    # ``compact_history`` bounds.
-    resident_local_records: int = 0
 
 
 @dataclass(frozen=True)
@@ -642,8 +635,6 @@ class SoakReport:
     journal_total: int = 0
     # The final run's telemetry section (None with telemetry off).
     telemetry: Optional[Dict[str, object]] = None
-    # The peak of the resident local records.
-    peak_local_records: int = 0
 
     @property
     def bounded(self) -> bool:
@@ -711,7 +702,6 @@ def settlement_soak_experiment(
                     if system.settlement
                     else 0
                 ),
-                resident_local_records=system.resident_local_records(),
             )
         )
         if audit.total != initial_supply:
@@ -752,5 +742,4 @@ def settlement_soak_experiment(
         peak_journal=max(s.resident_journal_records for s in samples),
         journal_total=journal_total,
         telemetry=telemetry,
-        peak_local_records=max(s.resident_local_records for s in samples),
     )

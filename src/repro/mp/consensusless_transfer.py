@@ -150,21 +150,6 @@ class ConsensuslessTransferNode(Node):
         self.retired_records = 0
         self.stale_retirements_dropped = 0
 
-        # Local-history compaction (opt-in; a cluster's ``compact_history``
-        # enables it per shard).  When on, an ordinary local transfer record
-        # is dropped from ``hist`` the moment the announcement *consuming* it
-        # as a dependency validates — past that point a benign issuer can
-        # never declare it again (dependencies are cleared when declared,
-        # line 5), so the record is pure history; its amount folds into the
-        # same ``book.offsets`` baseline the settlement lifecycle uses,
-        # leaving every balance bit-identical.  The rule is sound for benign
-        # issuers only: a Byzantine *replica* declaring another account's
-        # credit could observe the record compact at different times on
-        # different replicas, so the knob stays off outside the cluster's
-        # benign-replica-group deployments.
-        self.compact_consumed = False
-        self.compacted_local_records = 0
-
         # Client bookkeeping: the submissions given so far, the broadcast in
         # flight (one batch, in sequence order) and the submissions queued
         # behind it.
@@ -423,35 +408,8 @@ class ConsensuslessTransferNode(Node):
             # the record; now that the record exists locally, compact it.
             self._pending_retirements.discard(transfer)
             self._retire_now(transfer)
-        if self.compact_consumed and announcement.dependencies:
-            for dependency in announcement.dependencies:
-                self._compact_consumed_record(transfer.source, dependency)
         if issuer == self.node_id:                                           # lines 19-20
             self._complete_in_flight()
-
-    def _compact_consumed_record(self, consuming_account: AccountId, dependency: Transfer) -> None:
-        """Drop an ordinary local record its owner just spent (see ``compact_consumed``).
-
-        Only the canonical benign consumption pattern compacts: a credit to
-        the consuming account, issued by the owner of its source account,
-        between two ordinary local accounts (settlement mints and ``x{d}:a``
-        outbound records belong to the settlement lifecycle's own retirement
-        path and are left alone).  Both sides fold into
-        ``book.offsets`` — net zero, so the supply audit is unmoved.
-        """
-        if dependency.destination != consuming_account:
-            return
-        if dependency.source != account_of(dependency.issuer):
-            return
-        if (
-            dependency.source not in self._initial_balances
-            or dependency.destination not in self._initial_balances
-        ):
-            return
-        if dependency not in self.book:
-            return
-        self._discard(dependency, keep_credit=True)
-        self.compacted_local_records += 1
 
     # -- externally-certified credits -------------------------------------------------------------
 
@@ -528,20 +486,15 @@ class ConsensuslessTransferNode(Node):
     def _retire_now(self, transfer: Transfer) -> None:
         # Keep the source account's debit: the offset replaces the removed
         # record's contribution to every balance except the retired credit.
-        self._discard(transfer, keep_credit=False)
+        # Leaving ``deps`` too keeps ``deps ⊆ hist[self.account]``: a record
+        # that is gone can no longer be declared, and lines 2 and 7 need no
+        # ``∪ deps``.
+        self.book.discard(transfer)
+        self.deps.discard(transfer)
         self._retired_outbound[transfer.destination] = (
             self._retired_outbound.get(transfer.destination, 0) + transfer.amount
         )
         self.retired_records += 1
-
-    def _discard(self, transfer: Transfer, keep_credit: bool) -> None:
-        """Drop a record from the book, and from ``deps``.
-
-        That keeps ``deps ⊆ hist[self.account]``: a record that is gone can
-        no longer be declared, and lines 2 and 7 need no ``∪ deps``.
-        """
-        self.book.discard(transfer, keep_credit)
-        self.deps.discard(transfer)
 
     def retired_outbound_total(self) -> Amount:
         """Outbound settlement money compacted out of this replica's ledger."""

@@ -200,7 +200,6 @@ class TestKnobCensus:
             "backend",
             "epoch",
             "max_workers",
-            "compact_history",
             "telemetry",
             "seed",
         ]
@@ -228,7 +227,6 @@ class TestKnobCensus:
             "network_config",
             "seed",
             "telemetry",
-            "compact_history",
         ]
         assert list(inspect.signature(Shard.__init__).parameters)[1:] == fields
 
@@ -246,7 +244,6 @@ class TestKnobCensus:
             "backend",
             "epoch",
             "max_workers",
-            "compact_history",
             "telemetry",
             "seed",
             "network",

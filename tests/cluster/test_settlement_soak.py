@@ -20,15 +20,18 @@ residency: with compaction behind the retirement watermark, the relays hold
 the in-flight window plus one watermark certificate per stream — never the
 certificate history.
 
-The soak runs again on the two-worker process pool twice — with and without
-``compact_history`` — to show that consumption compaction bounds the shards'
-resident local-transfer histories without changing the outcome.
+The soak runs again on the two-worker process pool, which must sample the
+serial soak's checkpoints exactly: the same commits, resident and retired
+records, amounts, journal residency and identity flags at every one.
 """
 
 import dataclasses
 
+import pytest
+
 from repro.eval.experiments import (
     ClusterExperimentConfig,
+    SoakReport,
     settlement_soak_experiment,
     telemetry_phase_coverage,
 )
@@ -53,15 +56,24 @@ def _config(duration: float) -> ClusterExperimentConfig:
     )
 
 
-def test_settlement_soak_bounded_resident_records():
-    """Long horizon, sustained cross-shard load: resident records and relay
-    journals stay flat and identities hold at every checkpoint."""
-    report = settlement_soak_experiment(
+def _soak(config: ClusterExperimentConfig) -> SoakReport:
+    return settlement_soak_experiment(
         shard_count=SOAK_SHARDS,
         batch_size=SOAK_BATCH,
         checkpoints=SOAK_CHECKPOINTS,
-        config=_config(SOAK_DURATION),
+        config=config,
     )
+
+
+@pytest.fixture(scope="module")
+def serial_soak() -> SoakReport:
+    return _soak(_config(SOAK_DURATION))
+
+
+def test_settlement_soak_bounded_resident_records(serial_soak):
+    """Long horizon, sustained cross-shard load: resident records and relay
+    journals stay flat and identities hold at every checkpoint."""
+    report = serial_soak
 
     assert not report.violations, report.violations
     assert report.final_check_ok
@@ -101,38 +113,21 @@ def test_settlement_soak_bounded_resident_records():
     )
 
 
-def test_compacted_soak_bounds_local_records():
-    """The same soak on the process pool, with and without
-    ``compact_history``: compaction keeps fewer ordinary records resident,
-    while the canonical outcome — audits, retirement — is identical.  The
-    peaks are deterministic record counts, so the bound is strict."""
-    plain_config = dataclasses.replace(
-        _config(SOAK_DURATION),
-        backend="process",
-        max_workers=SOAK_WORKERS,
-    )
-    compacted_config = dataclasses.replace(plain_config, compact_history=True)
-    plain, compacted = (
-        settlement_soak_experiment(
-            shard_count=SOAK_SHARDS,
-            batch_size=SOAK_BATCH,
-            checkpoints=SOAK_CHECKPOINTS,
-            config=config,
+def test_pool_soak_samples_match_the_serial_soak(serial_soak):
+    """The same soak on the two-worker process pool: audits hold, everything
+    retires, and every checkpoint samples exactly what the serial soak's
+    does — the pool moves no commit, record, journal entry or identity."""
+    pool = _soak(
+        dataclasses.replace(
+            _config(SOAK_DURATION), backend="process", max_workers=SOAK_WORKERS
         )
-        for config in (plain_config, compacted_config)
     )
 
-    for report in (plain, compacted):
-        assert not report.violations, report.violations
-        assert report.final_check_ok
-        assert report.fully_retired
-    # Compaction is balance-preserving: both runs commit the same workload
-    # to the same outcome at every sample.
-    assert [s.committed for s in compacted.samples] == [
-        s.committed for s in plain.samples
-    ]
-    assert plain.peak_local_records > 0
-    assert compacted.peak_local_records < plain.peak_local_records, (
-        f"local histories not compacted: {compacted.peak_local_records} with "
-        f"compact_history vs {plain.peak_local_records} without"
-    )
+    assert not pool.violations, pool.violations
+    assert pool.final_check_ok
+    assert pool.fully_retired
+    assert len(pool.samples) == len(serial_soak.samples) == SOAK_CHECKPOINTS + 1
+    # Whole samples: commits, resident and retired records, amounts,
+    # journal residency and both identity flags, at every checkpoint.
+    for index, (ours, theirs) in enumerate(zip(pool.samples, serial_soak.samples)):
+        assert ours == theirs, f"checkpoint {index}: pool {ours} vs serial {theirs}"

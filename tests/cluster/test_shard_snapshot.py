@@ -6,12 +6,12 @@ that makes that safe: a snapshot taken at any pause barrier (not just
 quiescence), restored onto a never-run twin built from the same spec,
 reproduces every read surface — balances, observations, result streams,
 broadcast counters, resident/retired settlement records and the mid-flight
-compaction state (offsets, retired-outbound totals, *pending retirements*)
+retirement state (offsets, retired-outbound totals, *pending retirements*)
 — byte for byte, on Serial and Process alike (the pool also shrunk to one
-worker that hosts both shards).  Last, two runs whose state a restore must
+worker that hosts both shards).  Last, a run whose state a restore must
 carry: balances that depend on credits validated long before the final
-snapshot, and ledgers compacted by ``compact_history`` — each also paused
-mid-run, where the pool restores the twins before the workers go on.
+snapshot — also paused mid-run, where the pool restores the twins before
+the workers go on.
 """
 
 import pickle
@@ -217,7 +217,7 @@ class TestSnapshotCarriesTheLifecycle:
             system.close()
 
 
-def _three_shards(fast_network, deployment, **kwargs):
+def _three_shards(fast_network, deployment):
     """Three shards, batch 2, seed 3; ``one-worker`` is the pool with one worker."""
     max_workers = 2
     if deployment == "one-worker":
@@ -231,26 +231,7 @@ def _three_shards(fast_network, deployment, **kwargs):
         backend=deployment,
         max_workers=max_workers,
         seed=3,
-        **kwargs,
     )
-
-
-def _bursty_submissions(users=24, per_burst=40):
-    """Two bursts of transfers, from t=0 and from t=0.1, with an idle gap."""
-    submissions = []
-    for burst, base in enumerate((0.0, 0.1)):
-        for i in range(per_burst):
-            source = (i * 3 + burst) % users
-            destination = (source + 1 + i % 5) % users
-            submissions.append(
-                ClusterSubmission(
-                    time=base + 0.0001 + 0.0004 * i,
-                    source_user=source,
-                    destination_user=destination,
-                    amount=1 + i % 7,
-                )
-            )
-    return submissions
 
 
 class TestRestoredBalancesCarryHistory:
@@ -332,49 +313,3 @@ class TestRestoredBalancesCarryHistory:
             reference_system.close()
             system.close()
 
-
-class TestHistoryCompaction:
-    """``compact_history`` drops consumed local records, never a result bit."""
-
-    @pytest.mark.parametrize("deployment", DEPLOYMENTS)
-    def test_history_compaction_preserves_the_fingerprint(self, fast_network, deployment):
-        baseline_system = _three_shards(fast_network, "serial")
-        compacted_system = _three_shards(fast_network, deployment, compact_history=True)
-        try:
-            baseline_system.schedule_submissions(_bursty_submissions())
-            compacted_system.schedule_submissions(_bursty_submissions())
-            baseline = baseline_system.run()
-            compacted = compacted_system.run()
-            assert compacted.fingerprint() == baseline.fingerprint()
-            assert compacted_system.check_definition1().ok
-            # The knob must actually bite: consumed ordinary records left
-            # the ledgers, and fewer remain resident than without it.
-            assert compacted_system.compacted_local_records() > 0
-            assert (
-                compacted_system.resident_local_records()
-                < baseline_system.resident_local_records()
-            )
-        finally:
-            baseline_system.close()
-            compacted_system.close()
-
-    @pytest.mark.parametrize("deployment", DEPLOYMENTS)
-    def test_compaction_survives_a_pause(self, fast_network, deployment):
-        """Compacted between the bursts and snapshotted at the pause, the
-        ledgers resume to the uncompacted, uninterrupted fingerprint."""
-        baseline_system = _three_shards(fast_network, "serial")
-        compacted_system = _three_shards(fast_network, deployment, compact_history=True)
-        try:
-            baseline_system.schedule_submissions(_bursty_submissions())
-            compacted_system.schedule_submissions(_bursty_submissions())
-            baseline = baseline_system.run()
-            compacted_system.run(until=0.05)
-            paused_compacted = compacted_system.compacted_local_records()
-            assert paused_compacted > 0
-            compacted = compacted_system.run()
-            assert compacted.fingerprint() == baseline.fingerprint()
-            assert compacted_system.check_definition1().ok
-            assert compacted_system.compacted_local_records() >= paused_compacted
-        finally:
-            baseline_system.close()
-            compacted_system.close()

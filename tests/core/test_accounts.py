@@ -92,19 +92,10 @@ class TestAccountBook:
         book = AccountBook({"a": 10})
         transfer = Transfer("a", "x1:b", 4, issuer=0, sequence=1)
         book.record(transfer)
-        book.discard(transfer, keep_credit=False)
+        book.discard(transfer)
         assert transfer not in book and not book.hist
         assert (book.balance("a"), book.balance("x1:b")) == (6, 0)
         assert book.offsets == {"a": -4}
-
-    def test_discarding_a_consumed_record_moves_no_balance(self):
-        book = AccountBook({"a": 10, "b": 0})
-        transfer = Transfer("a", "b", 4, issuer=0, sequence=1)
-        book.record(transfer)
-        book.discard(transfer, keep_credit=True)
-        assert not book.hist
-        assert (book.balance("a"), book.balance("b")) == (6, 4)
-        assert book.offsets == {"a": -4, "b": 4}
 
     def test_rebuild_rederives_the_balances_from_hist_and_offsets(self):
         book = AccountBook({"a": 10, "b": 0})
@@ -114,7 +105,7 @@ class TestAccountBook:
         for transfer in (kept, dropped, noted):
             book.record(transfer)
         book.record(noted, also_under="a")
-        book.discard(dropped, keep_credit=False)
+        book.discard(dropped)
         twin = AccountBook({"a": 10, "b": 0})
         twin.rebuild(book.hist, book.offsets)
         assert twin.hist == book.hist and twin.offsets == book.offsets

@@ -117,14 +117,12 @@ class TestSettlementLifecycleExperiments:
             self._config(fast_network),
             backend="process",
             epoch=0.01,
-            compact_history=True,
             telemetry="full",
             seed=11,
         )
         with config.system(2, 4) as system:
             assert system.backend_name == "process"
             assert system.scheduler.epoch == 0.01
-            assert system.compact_history is True
             assert system.telemetry_mode == "full"
             assert system.seed == 11
 

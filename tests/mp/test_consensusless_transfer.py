@@ -4,9 +4,11 @@ import pytest
 
 from repro.bft.consensus_transfer import ConsensusTransferSystem
 from repro.byzantine.faults import FaultKind, FaultModel
-from repro.common.types import OwnershipMap
+from repro.cluster.settlement import settlement_account, settlement_issuer
+from repro.common.types import OwnershipMap, Transfer
 from repro.mp.consensusless_transfer import account_of
 from repro.mp.k_shared import KSharedSystem
+from repro.mp.messages import TransferAnnouncement
 from repro.mp.system import ClientSubmission, ConsensuslessSystem
 from repro.network.node import NetworkConfig
 from repro.spec.byzantine_spec import ByzantineAssetTransferChecker
@@ -135,6 +137,72 @@ class TestLocalChecks:
         first, second = node.completed
         assert first.completed_at <= second.submitted_at or second.submitted_at <= first.completed_at
         assert not node.has_pending_transfer
+
+
+class TestFigure4Guards:
+    """Lines 12 and 24, each pinned by a delivery that only it refuses.
+
+    Announcements are hand-fed to one replica, past the broadcast, so the
+    replica's own gates are all that stands between them and ``hist``.
+    """
+
+    ISSUER = 3
+
+    def _announcement(self, sequence, destination, amount):
+        return TransferAnnouncement(
+            transfer=Transfer(
+                source=account_of(self.ISSUER),
+                destination=account_of(destination),
+                amount=amount,
+                issuer=self.ISSUER,
+                sequence=sequence,
+            )
+        )
+
+    def test_line_24_holds_a_fitting_transfer_behind_an_earlier_overdraft(self, fast_network):
+        """#1 overdraws and #2 fits: #2 must not validate before #1 does."""
+        system = build_system(n=4, fast_network=fast_network)
+        node = system.correct_node(0)
+        overdraft = self._announcement(1, destination=0, amount=150)
+        fits = self._announcement(2, destination=1, amount=60)
+        for announcement in (overdraft, fits):
+            assert node._receive_announcement(self.ISSUER, announcement)
+        node._validation_pass()
+        assert node.validated_count == 0
+        assert node.to_validate == [(self.ISSUER, overdraft), (self.ISSUER, fits)]
+
+        # A mint funding #1 releases both, in sequence order.
+        funding = Transfer(
+            source=settlement_account(1, 0),
+            destination=account_of(self.ISSUER),
+            amount=110,
+            issuer=settlement_issuer(1, 0),
+            sequence=1,
+        )
+        node.mint_certified_credit(funding)
+        assert [v.transfer for v in node.observation().validated] == [
+            funding,
+            overdraft.transfer,
+            fits.transfer,
+        ]
+        assert node.to_validate == []
+        assert node.seq[self.ISSUER] == 2
+        assert node.balance_of(account_of(self.ISSUER)) == 100 + 110 - 150 - 60
+
+    def test_line_12_drops_an_announcement_past_a_gap(self, fast_network):
+        """Sequence 2 from an issuer with ``rec`` 0 is not queued and moves
+        nothing; the announcement that closes the gap is."""
+        system = build_system(n=4, fast_network=fast_network)
+        node = system.correct_node(0)
+        early = self._announcement(2, destination=1, amount=5)
+        assert not node._receive_announcement(self.ISSUER, early)
+        assert node.to_validate == []
+        assert node.rec.get(self.ISSUER, 0) == 0
+
+        first = self._announcement(1, destination=1, amount=5)
+        assert node._receive_announcement(self.ISSUER, first)
+        assert node.to_validate == [(self.ISSUER, first)]
+        assert node.rec[self.ISSUER] == 1
 
 
 class TestFaults:

@@ -14,8 +14,8 @@ included), hand-fed announcements declaring arbitrary already-validated
 dependencies (line 15, most of them irrelevant to the source account) or
 overdrawing and parking until a mint funds them, certified mints (also
 repeated), retirements (of resident records, of records still in ``deps``,
-and of records not validated yet — parked, then applied at validation),
-consumed-record compaction, and snapshot round trips onto a never-run twin.
+and of records not validated yet — parked, then applied at validation), and
+snapshot round trips onto a never-run twin.
 """
 
 from typing import List, Set
@@ -71,7 +71,7 @@ def assert_book_is_the_fold(nodes, known: Set[str]) -> None:
 class _Schedule:
     """Drives one replica group step by step; every replica sees every step."""
 
-    def __init__(self, batch_size: int, compact: bool) -> None:
+    def __init__(self, batch_size: int) -> None:
         self.shard = Shard(
             index=0,
             replicas=REPLICAS,
@@ -79,7 +79,6 @@ class _Schedule:
             batch_size=batch_size,
             network_config=FAST,
             seed=1,
-            compact_history=compact,
         )
         self.shard.start()
         self.known: Set[str] = set(DESTINATIONS)
@@ -182,7 +181,7 @@ small = st.integers(min_value=0, max_value=11)
 submits = st.tuples(st.just("submit"), small, small, amounts, small)
 steps = st.one_of(
     submits,
-    submits,  # twice as likely: spending is what consumes and compacts credits
+    submits,  # twice as likely: spending is what declares credits (line 15)
     st.tuples(st.just("announce"), small, amounts, st.lists(small, max_size=3), st.booleans()),
     st.tuples(st.just("mint"), small, amounts, st.booleans()),
     st.tuples(st.just("retire"), small),
@@ -194,11 +193,10 @@ steps = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(
     batch_size=st.sampled_from([1, 3]),
-    compact=st.booleans(),
     schedule=st.lists(steps, min_size=8, max_size=24),
 )
-def test_book_equals_fold_after_every_step(batch_size, compact, schedule):
-    run = _Schedule(batch_size, compact)
+def test_book_equals_fold_after_every_step(batch_size, schedule):
+    run = _Schedule(batch_size)
     run.check()
     for kind, *arguments in schedule:
         getattr(run, kind)(*arguments)
@@ -208,10 +206,11 @@ def test_book_equals_fold_after_every_step(batch_size, compact, schedule):
 def test_schedule_reaches_every_mechanism():
     """The generator above is only worth its name if its steps do what their
     names say; pin one hand-written schedule that provably hits each one."""
-    run = _Schedule(batch_size=3, compact=True)
+    run = _Schedule(batch_size=3)
     run.submit(0, 1, 5, 2)                      # a batch 0 -> "1"
     run.submit(1, 0, 4, 0)                      # "1" spends, declaring 0's credits
-    assert run.nodes[0].compacted_local_records > 0
+    spend = run.nodes[0].observation().validated[-1]
+    assert spend.transfer.issuer == 1 and spend.dependencies
     run.submit(2, 2, 3, 0)                      # self-transfer
     run.announce(4, 50, [0, 1], True)           # overdraft, irrelevant deps: parks
     assert run.nodes[0].to_validate and run.nodes[0]._pending_retirements
