@@ -39,7 +39,6 @@ import time
 
 from repro.cluster.system import ClusterSystem
 from repro.eval.experiments import (
-    ClusterExperimentConfig,
     run_cluster,
     telemetry_breakdown,
     telemetry_phase_coverage,
@@ -50,6 +49,8 @@ from repro.obs import validate_trace_file
 from repro.network.node import NetworkConfig
 from repro.workloads.cluster_driver import (
     ClusterSubmission,
+    ClusterWorkloadConfig,
+    cluster_open_loop_workload,
     destination_histogram,
 )
 
@@ -104,15 +105,11 @@ def cross_shard_round_trip() -> None:
 
 def backend_speedup() -> None:
     """The same cluster run on one core vs. a process pool per shard."""
-    config = ClusterExperimentConfig(
-        user_count=50_000,
-        aggregate_rate=16_000.0,
-        duration=0.05,
-        zipf_skew=1.0,
-        network=NetworkConfig(seed=7),
-        seed=7,
+    workload = cluster_open_loop_workload(
+        ClusterWorkloadConfig(
+            user_count=50_000, aggregate_rate=16_000.0, duration=0.05, zipf_skew=1.0, seed=7
+        )
     )
-    workload = config.workload()
     print(f"execution backends: {len(workload)} payments against 4 shards, "
           f"identical simulated work on every backend ({os.cpu_count()} CPUs here)")
     fingerprints = {}
@@ -148,11 +145,14 @@ def telemetry_tour() -> None:
             network_config=NetworkConfig(seed=7), backend="serial",
             telemetry=telemetry, seed=7,
         )
-        config = ClusterExperimentConfig(
-            user_count=2_000, aggregate_rate=4_000.0, duration=0.04,
-            cross_shard_fraction=0.5, network=NetworkConfig(seed=7), seed=7,
+        system.schedule_submissions(
+            cluster_open_loop_workload(
+                ClusterWorkloadConfig(
+                    user_count=2_000, aggregate_rate=4_000.0, duration=0.04,
+                    cross_shard_fraction=0.5, router=system.router, seed=7,
+                )
+            )
         )
-        system.schedule_submissions(config.workload(system.router))
         return system
 
     bare = build("off")
@@ -188,15 +188,14 @@ def main() -> None:
     print()
     telemetry_tour()
     print()
-    config = ClusterExperimentConfig(
+    config = ClusterWorkloadConfig(
         user_count=100_000,
         aggregate_rate=10_000.0,
         duration=0.05,
         zipf_skew=1.0,
-        network=NetworkConfig(seed=7),
         seed=7,
     )
-    workload = config.workload()
+    workload = cluster_open_loop_workload(config)
     print(f"workload: {len(workload)} payments from {config.user_count:,} users "
           f"(Poisson arrivals at {config.aggregate_rate:,.0f} tx/s, Zipf skew {config.zipf_skew})")
     top = destination_histogram(workload, top=3)
@@ -205,12 +204,15 @@ def main() -> None:
 
     rows = []
     for shards, batch in [(1, 1), (2, 1), (4, 1), (1, 8), (2, 8), (4, 8)]:
-        row, system = run_cluster(shards, batch, config, workload=workload)
+        with ClusterSystem(
+            shard_count=shards, batch_size=batch, network_config=NetworkConfig(seed=7), seed=7
+        ) as system:
+            row = run_cluster(system, workload)
         rows.append(row)
         verdict = "OK" if row.check.ok else "VIOLATED: " + "; ".join(row.check.violations[:2])
         print(f"shards={shards} batch={batch}: "
               f"{row.summary.committed} committed at {row.summary.throughput:,.0f} tx/s, "
-              f"{system.cross_shard_submissions} cross-shard, Definition 1 {verdict}")
+              f"{row.cross_shard_submissions} cross-shard, Definition 1 {verdict}")
     print()
     print(format_cluster_table(rows))
     print()

@@ -63,6 +63,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.codec import decode as codec_decode
 from repro.cluster.codec import encode as codec_encode
+from repro.cluster.settlement import SettlementFabric
 from repro.cluster.shard import (
     AdvanceReport,
     Shard,
@@ -254,7 +255,7 @@ def _worker_main(
     """
     shards: Dict[int, Shard] = {}
     for spec in specs:
-        shard = spec.build()
+        shard = Shard(spec)
         shard.install_validation_collector()
         shard.start()
         _schedule_into(shard, submissions.get(spec.index, []))
@@ -712,7 +713,7 @@ class EpochScheduler:
     def run(
         self,
         backend: ExecutionBackend,
-        fabric=None,
+        fabric: SettlementFabric,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> Dict[int, AdvanceReport]:
@@ -766,7 +767,7 @@ class EpochScheduler:
             self._advance(backend, horizon, max_events, step=True)
         return self._reports
 
-    def _exchange(self, backend: ExecutionBackend, fabric) -> int:
+    def _exchange(self, backend: ExecutionBackend, fabric: SettlementFabric) -> int:
         """Run one barrier's settlement exchange; returns commands applied."""
         # Consumption is exactly-once by construction — _ingest moved the
         # events out of the reports, and this empties the buffer — so a
@@ -775,11 +776,8 @@ class EpochScheduler:
         events = self._take_matured_events()
         if events and self.metrics is not None:
             self.metrics.inc("exchange.validations", len(events))
-        if fabric is not None:
-            for event in events:
-                fabric.observe_validation(
-                    event.shard, event.replica, event.transfer, at=event.time
-                )
+        for event in events:
+            fabric.observe_validation(event.shard, event.replica, event.transfer, at=event.time)
         # One pass, in lifecycle order: nothing a handler queues below can
         # mature at this barrier (see the class docstring).
         for name in self._queues:

@@ -300,7 +300,9 @@ class SupplyAudit:
                 f"mint mismatch: ledgers minted {self.minted} but relays "
                 f"delivered certificates for {self.relay_delivered}"
             )
-        if not self.retirement_backed:
+        if self.retired < 0:
+            problems.append(f"negative retirement: retired {self.retired} is below zero")
+        elif self.retired > self.minted:
             problems.append(
                 f"retirement overran settlement: retired {self.retired} "
                 f"exceeds minted {self.minted}"
@@ -319,13 +321,13 @@ class ClusterCheckReport:
     provision, the audit nets outbound credits against minted ones.
     """
 
+    conservation: SupplyAudit
     shard_reports: Dict[int, CheckReport] = field(default_factory=dict)
-    conservation: Optional[SupplyAudit] = None
 
     @property
     def ok(self) -> bool:
         shards_ok = all(report.ok for report in self.shard_reports.values())
-        return shards_ok and (self.conservation is None or self.conservation.ok)
+        return shards_ok and self.conservation.ok
 
     @property
     def violations(self) -> List[str]:
@@ -334,8 +336,7 @@ class ClusterCheckReport:
             for shard, report in sorted(self.shard_reports.items())
             for violation in report.violations
         ]
-        if self.conservation is not None:
-            problems.extend(f"cluster: {v}" for v in self.conservation.violations)
+        problems.extend(f"cluster: {v}" for v in self.conservation.violations)
         return problems
 
     @property

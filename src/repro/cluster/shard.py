@@ -34,7 +34,7 @@ from repro.spec.byzantine_spec import ClientOperation, ProcessObservation, Valid
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """Everything needed to rebuild a shard, as plain picklable data.
+    """Everything a shard is built from (``Shard(spec)``), as plain picklable data.
 
     Shards are deterministic functions of their spec: the network latency
     stream, the key material and every protocol decision derive from
@@ -55,10 +55,6 @@ class ShardSpec:
     # flag can differ between builds of the same spec without changing a
     # single event (the telemetry invariant, pinned by tests/obs).
     telemetry: bool = True
-
-    def build(self) -> "Shard":
-        """Construct the shard (the spec's fields are :class:`Shard`'s arguments)."""
-        return Shard(**{f.name: getattr(self, f.name) for f in dataclasses.fields(self)})
 
 
 @dataclass(frozen=True)
@@ -145,42 +141,21 @@ class ShardSnapshot:
 class Shard:
     """A replica group executing the transfers of its account partition."""
 
-    def __init__(
-        self,
-        index: int,
-        replicas: int = 4,
-        initial_balance: Amount = 1_000_000,
-        broadcast: str = "bracha",
-        batch_size: int = 1,
-        network_config: Optional[NetworkConfig] = None,
-        seed: int = 0,
-        telemetry: bool = True,
-    ) -> None:
-        # The construction inputs, kept verbatim so spec() can emit the exact
-        # recipe this shard was built from (base config, pre-derivation seed).
-        self._spec = ShardSpec(
-            index=index,
-            replicas=replicas,
-            initial_balance=initial_balance,
-            broadcast=broadcast,
-            batch_size=batch_size,
-            network_config=network_config,
-            seed=seed,
-            telemetry=telemetry,
-        )
-        self.index = index
-        self.replicas = replicas
+    def __init__(self, spec: ShardSpec) -> None:
+        self._spec = spec
+        self.index = spec.index
+        self.replicas = spec.replicas
         # Every shard derives its own seed lineage so latency streams and key
         # material are independent across shards yet reproducible.
-        shard_seed = derive_seed(seed, "shard", index) % (2**31)
-        base_config = network_config or NetworkConfig()
+        shard_seed = derive_seed(spec.seed, "shard", spec.index) % (2**31)
+        base_config = spec.network_config or NetworkConfig()
         self.group = ConsensuslessSystem(
-            process_count=replicas,
-            initial_balance=initial_balance,
-            broadcast=broadcast,
+            process_count=spec.replicas,
+            initial_balance=spec.initial_balance,
+            broadcast=spec.broadcast,
             network_config=dataclasses.replace(base_config, seed=shard_seed),
             seed=shard_seed,
-            batch_size=batch_size,
+            batch_size=spec.batch_size,
         )
         self.simulator = self.group.simulator
         self.network = self.group.network
@@ -189,7 +164,7 @@ class Shard:
         self.nodes: Dict[ProcessId, ConsensuslessTransferNode] = {
             node.node_id: node for node in self.group.correct_nodes()
         }
-        self.metrics = MetricsRegistry() if telemetry else None
+        self.metrics = MetricsRegistry() if spec.telemetry else None
         self.simulator.metrics = self.metrics
         # Key pairs read the registry through the scheme at sign time, so
         # telemetry counts every signature even when it is attached after
@@ -223,8 +198,8 @@ class Shard:
     def spec(self) -> ShardSpec:
         """The picklable recipe this shard was built from.
 
-        ``spec().build()`` reconstructs a bit-identical twin: the original
-        base network config and root seed are kept verbatim, so the derived
+        ``Shard(shard.spec())`` reconstructs a bit-identical twin: the spec
+        keeps the base network config and root seed verbatim, so the derived
         latency streams and key material come out the same anywhere.
         """
         return self._spec
@@ -263,16 +238,12 @@ class Shard:
     ) -> AdvanceReport:
         """Run this shard's own simulator up to ``horizon`` and report back.
 
-        ``horizon=None`` runs to quiescence (used when settlement is off and
-        no barriers are needed).  The report carries the epoch's validation
-        events and the scheduling facts (pending events, next event time)
-        the barrier scheduler folds into the global quiescence and
-        next-barrier decisions.
+        ``horizon=None`` runs to quiescence.  The report carries the epoch's
+        validation events and the scheduling facts (pending events, next
+        event time) the barrier scheduler folds into the global quiescence
+        and next-barrier decisions.
         """
-        if horizon is None:
-            self.simulator.run(max_events=max_events)
-        else:
-            self.simulator.run_until(horizon, max_events=max_events)
+        self.simulator.run(until=horizon, max_events=max_events)
         events = self._validation_events
         self._validation_events = []
         return AdvanceReport(

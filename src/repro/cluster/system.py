@@ -39,7 +39,7 @@ from repro.cluster.backends import (
 from repro.cluster.result import ClusterCheckReport, ClusterResult, SupplyAudit
 from repro.cluster.routing import ShardRouter, parse_external_account
 from repro.cluster.settlement import SettlementFabric, is_settlement_account
-from repro.cluster.shard import Shard
+from repro.cluster.shard import Shard, ShardSpec
 from repro.network.node import NetworkConfig
 from repro.obs import TELEMETRY_MODES, MetricsRegistry, Tracer, merge_snapshots
 from repro.spec.byzantine_spec import ByzantineAssetTransferChecker, CheckReport, check_agreement
@@ -63,13 +63,6 @@ class ClusterSystem:
         Starting balance of every shard-local account.
     network_config:
         Cost model template; every shard gets its own seeded copy.
-    settlement:
-        When true (the default), cross-shard credits are quorum-certified by
-        the settlement fabric and minted — spendable — at the destination
-        shard.  When false, they stay parked in the source shard's ``x{d}:a``
-        accounts, which the negative-control tests use.  The settlement
-        links' delays are the fixed constants of
-        :mod:`repro.cluster.settlement`.
     backend:
         The execution backend (:mod:`repro.cluster.backends`), ``"serial"``
         (the default) or ``"process"``.  Each shard owns its simulator and
@@ -109,7 +102,6 @@ class ClusterSystem:
         broadcast: str = "bracha",
         initial_balance: Amount = 1_000_000,
         network_config: Optional[NetworkConfig] = None,
-        settlement: bool = True,
         backend: str = "serial",
         epoch: float = 0.005,
         max_workers: Optional[int] = None,
@@ -148,14 +140,16 @@ class ClusterSystem:
         self.router = ShardRouter(shard_count, replicas_per_shard, salt=seed)
         self.shards: List[Shard] = [
             Shard(
-                index=index,
-                replicas=replicas_per_shard,
-                initial_balance=initial_balance,
-                broadcast=broadcast,
-                batch_size=batch_size,
-                network_config=network_config,
-                telemetry=self.telemetry_mode != "off",
-                seed=seed,
+                ShardSpec(
+                    index=index,
+                    replicas=replicas_per_shard,
+                    initial_balance=initial_balance,
+                    broadcast=broadcast,
+                    batch_size=batch_size,
+                    network_config=network_config,
+                    seed=seed,
+                    telemetry=self.telemetry_mode != "off",
+                )
             )
             for index in range(shard_count)
         ]
@@ -164,9 +158,7 @@ class ClusterSystem:
         self._backend.attach_telemetry(self.metrics, self.tracer)
         self._session_open = False
         self._partitioned: Dict[int, List] = {}
-        self.settlement: Optional[SettlementFabric] = (
-            SettlementFabric(self.shards, self.scheduler) if settlement else None
-        )
+        self.settlement = SettlementFabric(self.shards, self.scheduler)
         self._result = ClusterResult()
         self._started = False
         self.cross_shard_submissions = 0
@@ -298,8 +290,7 @@ class ClusterSystem:
             self._result.telemetry = None
             self._result.trace = None
             return
-        if self.settlement is not None:
-            self.settlement.telemetry_sample(self.metrics)
+        self.settlement.telemetry_sample(self.metrics)
         per_shard = {}
         for shard in self.shards:
             snapshot = shard.metrics_snapshot()
@@ -336,19 +327,17 @@ class ClusterSystem:
         # Every relay's provisions, folded by destination shard in one walk
         # (the same sums ``settlement.provisions_for`` gives one shard at a time).
         provisions: Dict[int, Dict[AccountId, Amount]] = {}
-        if self.settlement is not None:
-            for relay in self.settlement.relays:
-                folded = provisions.setdefault(relay.destination_shard, {})
-                for account, amount in relay.provisions().items():
-                    folded[account] = folded.get(account, 0) + amount
-        report = ClusterCheckReport()
+        for relay in self.settlement.relays:
+            folded = provisions.setdefault(relay.destination_shard, {})
+            for account, amount in relay.provisions().items():
+                folded[account] = folded.get(account, 0) + amount
+        shard_reports = {}
         for shard in self.shards:
             initial = shard.initial_balances()
             initial.update(provisions.get(shard.index, ()))
             checker = ByzantineAssetTransferChecker(initial)
-            report.shard_reports[shard.index] = checker.check(shard.observations())
-        report.conservation = self.supply_audit()
-        return report
+            shard_reports[shard.index] = checker.check(shard.observations())
+        return ClusterCheckReport(conservation=self.supply_audit(), shard_reports=shard_reports)
 
     def check_agreement(self) -> Dict[int, CheckReport]:
         """Agreement and validity at quiescence, per shard index.
@@ -390,13 +379,12 @@ class ClusterSystem:
                     local += balance
             retired += node.retired_outbound_total()
         initial = sum(sum(shard.initial_balances().values()) for shard in self.shards)
-        delivered = self.settlement.delivered_amount() if self.settlement else 0
         return SupplyAudit(
             initial_supply=initial,
             local=local,
             outbound=outbound,
             minted=minted,
-            relay_delivered=delivered,
+            relay_delivered=self.settlement.delivered_amount(),
             retired=retired,
         )
 
@@ -452,16 +440,12 @@ class ClusterSystem:
 
         The determinism regression asserts this alongside
         :meth:`committed_signature`: same seed, same certificates, same
-        delivery order.  Empty when settlement is disabled.
+        delivery order.
         """
-        if self.settlement is None:
-            return []
         return self.settlement.settlement_signature()
 
     def retirement_signature(self) -> List[tuple]:
         """Deterministic fingerprint of the delivered retirement watermarks."""
-        if self.settlement is None:
-            return []
         return self.settlement.retirement_signature()
 
     def resident_settlement_records(self) -> int:

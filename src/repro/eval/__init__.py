@@ -1,8 +1,8 @@
 """Evaluation harness: metrics, experiments and paper-style reporting.
 
-* :mod:`repro.eval.experiments` — the paper's experiments, the cluster runs
-  (:class:`~repro.eval.experiments.ClusterExperimentConfig`) and the
-  settlement soak.
+* :mod:`repro.eval.experiments` — the paper's experiments, one audited
+  cluster run (:func:`~repro.eval.experiments.run_cluster`) and the
+  telemetry breakdown.
 * :mod:`repro.eval.metrics` — latency statistics and run summaries.
 * :mod:`repro.eval.reporting` — the plain-text tables the examples print.
 

@@ -33,7 +33,7 @@ import time
 
 import pytest
 
-from repro.cluster.shard import ShardSpec
+from repro.cluster.shard import Shard, ShardSpec
 from repro.cluster.system import ClusterSystem
 from repro.cluster.backends import BACKEND_NAMES, _worker_main, make_backend
 from repro.cluster.settlement import (
@@ -363,7 +363,7 @@ class TestBackendEquivalence:
             arrivals, _ = partition_submissions(_workload(system, 7, 0.0), system.router)
             durations = []
             for shard in system.shards:
-                alone = shard.spec().build()
+                alone = Shard(shard.spec())
                 alone.start()
                 for arrival in arrivals.get(shard.index, []):
                     alone.submit(
@@ -738,7 +738,7 @@ class TestWorkerLoop:
         assert [r.transfer.amount for r in snapshots[0].committed] == [7]
         assert [r.transfer.amount for r in snapshots[2].committed] == [3]
         for index in (0, 2):
-            twin = specs[index // 2].build()
+            twin = Shard(specs[index // 2])
             twin.restore(snapshots[index])
             minted = mint in twin.nodes[0].deps
             assert minted == (index == 2)

@@ -13,8 +13,10 @@ equal work.
 
 import pytest
 
-from repro.eval.experiments import ClusterExperimentConfig, run_cluster
+from repro.cluster.system import ClusterSystem
+from repro.eval.experiments import run_cluster
 from repro.network.node import NetworkConfig
+from repro.workloads.cluster_driver import ClusterWorkloadConfig, cluster_open_loop_workload
 
 SHARD_COUNTS = (1, 2)
 BATCH_SIZES = (1, 8)
@@ -22,22 +24,22 @@ BATCH_SIZES = (1, 8)
 
 @pytest.fixture(scope="module")
 def grid():
-    config = ClusterExperimentConfig(
-        user_count=5_000,
-        aggregate_rate=16_000.0,
-        duration=0.03,
-        zipf_skew=1.0,
-        network=NetworkConfig(seed=7),
-        seed=7,
+    workload = cluster_open_loop_workload(
+        ClusterWorkloadConfig(
+            user_count=5_000, aggregate_rate=16_000.0, duration=0.03, zipf_skew=1.0, seed=7
+        )
     )
-    workload = config.workload()
     rows, agreement = {}, {}
     for shards in SHARD_COUNTS:
         for batch in BATCH_SIZES:
-            row, system = run_cluster(shards, batch, config, workload=workload)
-            agreement[shards, batch] = system.check_agreement()
-            system.close()
-            rows[shards, batch] = row
+            with ClusterSystem(
+                shard_count=shards,
+                batch_size=batch,
+                network_config=NetworkConfig(seed=7),
+                seed=7,
+            ) as system:
+                rows[shards, batch] = run_cluster(system, workload)
+                agreement[shards, batch] = system.check_agreement()
     return len(workload), rows, agreement
 
 

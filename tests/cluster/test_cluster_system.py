@@ -10,7 +10,6 @@ from repro.bft.pbft import PbftConfig
 from repro.cluster.shard import Shard, ShardSpec
 from repro.cluster.system import ClusterSystem
 from repro.common.errors import ConfigurationError
-from repro.eval.experiments import ClusterExperimentConfig
 from repro.mp.system import ConsensuslessSystem
 from repro.workloads.cluster_driver import (
     ClusterSubmission,
@@ -39,7 +38,9 @@ _BALANCE_BUILDERS = [
     lambda balance, network: ClusterSystem(
         2, initial_balance=balance, network_config=network
     ),
-    lambda balance, network: Shard(0, initial_balance=balance, network_config=network),
+    lambda balance, network: Shard(
+        ShardSpec(0, initial_balance=balance, network_config=network)
+    ),
 ]
 _BALANCE_BUILDER_IDS = ["ConsensuslessSystem", "ClusterSystem", "Shard"]
 
@@ -47,7 +48,7 @@ _BALANCE_BUILDER_IDS = ["ConsensuslessSystem", "ClusterSystem", "Shard"]
 _BATCH_BUILDERS = [
     lambda size, network: ConsensuslessSystem(4, batch_size=size, network_config=network),
     lambda size, network: ClusterSystem(2, batch_size=size, network_config=network),
-    lambda size, network: Shard(0, batch_size=size, network_config=network),
+    lambda size, network: Shard(ShardSpec(0, batch_size=size, network_config=network)),
     lambda size, network: ConsensusTransferSystem(
         4, network_config=network, pbft_config=PbftConfig(batch_size=size)
     ),
@@ -196,7 +197,6 @@ class TestKnobCensus:
             "broadcast",
             "initial_balance",
             "network_config",
-            "settlement",
             "backend",
             "epoch",
             "max_workers",
@@ -216,9 +216,9 @@ class TestKnobCensus:
         ]
 
     def test_shard_spec_fields(self):
-        """A shard's recipe is its constructor's keywords, field for field."""
-        fields = [field.name for field in dataclasses.fields(ShardSpec)]
-        assert fields == [
+        """A shard is built from its recipe alone, and the recipe names each
+        shard knob once."""
+        assert [field.name for field in dataclasses.fields(ShardSpec)] == [
             "index",
             "replicas",
             "initial_balance",
@@ -228,26 +228,20 @@ class TestKnobCensus:
             "seed",
             "telemetry",
         ]
-        assert list(inspect.signature(Shard.__init__).parameters)[1:] == fields
+        assert list(inspect.signature(Shard.__init__).parameters)[1:] == ["spec"]
 
-    def test_cluster_experiment_config_fields(self):
-        assert [field.name for field in dataclasses.fields(ClusterExperimentConfig)] == [
-            "replicas_per_shard",
-            "broadcast",
-            "initial_balance",
+    def test_cluster_workload_config_fields(self):
+        assert [field.name for field in dataclasses.fields(ClusterWorkloadConfig)] == [
             "user_count",
             "aggregate_rate",
             "duration",
             "zipf_skew",
+            "min_amount",
+            "max_amount",
             "cross_shard_fraction",
             "hotspot",
-            "backend",
-            "epoch",
-            "max_workers",
-            "telemetry",
+            "router",
             "seed",
-            "network",
-            "max_events",
         ]
 
 

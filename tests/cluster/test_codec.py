@@ -27,7 +27,7 @@ from repro.cluster.settlement import (
     SettlementCertificate,
     SettlementClaim,
 )
-from repro.cluster.shard import AdvanceReport, ShardSpec, ValidationEvent
+from repro.cluster.shard import AdvanceReport, Shard, ShardSpec, ValidationEvent
 from repro.common.types import Transfer, TransferId
 from repro.crypto.signatures import SignatureScheme
 from repro.mp.consensusless_transfer import TransferRecord
@@ -72,7 +72,7 @@ RECORDS = [
 ]
 
 def _snapshot():
-    shard = SPEC.build()
+    shard = Shard(SPEC)
     shard.install_validation_collector()
     shard.start()
     shard.submit(time=0.001, issuer=0, destination="1", amount=7)

@@ -5,9 +5,9 @@ import dataclasses
 import pytest
 
 from repro.cluster.system import ClusterSystem
-from repro.cluster.backends import EpochScheduler
+from repro.cluster.backends import BACKEND_NAMES, EpochScheduler
 from repro.cluster.routing import parse_external_account
-from repro.cluster.shard import Shard
+from repro.cluster.shard import Shard, ShardSpec
 from repro.cluster.settlement import (
     SettlementAck,
     SettlementAckClaim,
@@ -280,7 +280,9 @@ class TestValidationReplay:
     on the scheduler for the next exchange."""
 
     def test_a_shard_reports_each_cross_shard_validation_once(self, fast_network):
-        shard = Shard(index=0, replicas=4, initial_balance=50, network_config=fast_network, seed=1)
+        shard = Shard(
+            ShardSpec(index=0, replicas=4, initial_balance=50, network_config=fast_network, seed=1)
+        )
         shard.install_validation_collector()
         shard.start()
         shard.submit(0.001, 0, "x1:2", 5)
@@ -291,6 +293,26 @@ class TestValidationReplay:
         assert {event.transfer.destination for event in events} == {"x1:2"}
         assert [event.time for event in events] == sorted(event.time for event in events)
         assert shard.advance(None).events == []
+
+    def test_advancing_to_quiescence_equals_advancing_past_the_last_event(
+        self, fast_network
+    ):
+        """``advance(None)`` is ``advance`` to a horizon beyond every event:
+        one simulator call, the same report either way."""
+        spec = ShardSpec(
+            index=0, replicas=4, initial_balance=50, network_config=fast_network, seed=1
+        )
+        reports = []
+        for horizon in (None, 10.0):
+            shard = Shard(spec)
+            shard.install_validation_collector()
+            shard.start()
+            shard.submit(0.001, 0, "x1:2", 5)
+            shard.submit(0.002, 1, "3", 5)
+            reports.append(shard.advance(horizon))
+        assert reports[0] == reports[1]
+        assert reports[0].events and reports[0].pending_events == 0
+        assert reports[0].next_event_time is None
 
     def test_observe_validation_vouchers_only_cross_shard_credits(self, fast_network):
         system = _system(fast_network)
@@ -421,26 +443,37 @@ class TestSettlementEndToEnd:
         report = system.check_definition1()
         assert report.ok, report.violations
 
-    def test_without_settlement_the_credit_stays_parked(self, fast_network):
-        """The negative control: PR 1 behaviour is preserved behind the flag."""
-        system = _system(fast_network, initial_balance=10, seed=3, settlement=False)
-        a = _user_on_shard(system.router, 0)
-        b = _user_on_shard(system.router, 1)
-        c = _user_on_shard(system.router, 1, exclude=(b,))
-        system.schedule_submissions(
-            [
-                ClusterSubmission(time=0.001, source_user=a, destination_user=b, amount=9),
-                ClusterSubmission(time=0.05, source_user=b, destination_user=c, amount=15),
-            ]
-        )
-        result = system.run()
-        assert result.committed_count == 1  # the 15-unit spend fails: no mint
-        audit = system.supply_audit()
-        assert audit.minted == 0
-        assert audit.in_flight == 9
-        assert not audit.fully_settled
-        assert audit.conserved  # the identity holds even unsettled
-        assert system.settlement_signature() == []
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_before_its_mint_the_credit_stays_parked(self, fast_network, backend):
+        """Paused before the barrier that mints it, A's payment sits in the
+        source shard's ``x{d}:a`` account: B cannot spend it yet, and the
+        identity holds unsettled.  Resumed, the mint lands and B's
+        over-balance spend commits — on either backend."""
+        with _system(fast_network, initial_balance=10, seed=3, backend=backend) as system:
+            a = _user_on_shard(system.router, 0)
+            b = _user_on_shard(system.router, 1)
+            c = _user_on_shard(system.router, 1, exclude=(b,))
+            system.schedule_submissions(
+                [
+                    ClusterSubmission(time=0.001, source_user=a, destination_user=b, amount=9),
+                    ClusterSubmission(time=0.05, source_user=b, destination_user=c, amount=15),
+                ]
+            )
+            # The payment commits by the 5 ms barrier; its voucher (1 ms) and
+            # certificate (2 ms) legs put the mint on the 10 ms barrier.
+            paused = system.run(until=0.006)
+            assert paused.committed_count == 1
+            audit = system.supply_audit()
+            assert audit.minted == 0
+            assert audit.in_flight == 9
+            assert audit.conserved  # the identity holds even unsettled
+            assert not audit.fully_settled
+            assert system.settlement_signature() == []
+
+            result = system.run()
+            assert result.committed_count == 2
+            assert not result.rejected
+            assert system.supply_audit().fully_settled
 
 
 class TestSupplyAccountingIdentity:
@@ -448,10 +481,9 @@ class TestSupplyAccountingIdentity:
 
     ``local + outbound - (minted - retired) == initial_supply`` at every
     instant: mid-flight (outbound credits validated, certificates not yet
-    delivered), at quiescence (everything minted, acknowledged and retired,
-    in-flight zero), and with settlement disabled (nothing ever minted).
-    ``ClusterSystem.total_supply`` sums the same ledgers directly, so it must
-    agree with the audit's total at all three points.
+    delivered) and at quiescence (everything minted, acknowledged and
+    retired, in-flight zero).  ``ClusterSystem.total_supply`` sums the same
+    ledgers directly, so it must agree with the audit's total at both points.
     """
 
     def test_identity_holds_mid_flight_and_at_quiescence(self, fast_network):
@@ -502,7 +534,6 @@ class TestSupplyAccountingIdentity:
         system.run()
         report = system.check_definition1()
         assert report.ok, report.violations
-        assert report.conservation is not None
         assert report.conservation.ok
         assert not report.conservation.violations
         assert bool(report)

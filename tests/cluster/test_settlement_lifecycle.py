@@ -16,7 +16,7 @@ import pickle
 
 import pytest
 
-from repro.cluster.shard import ShardSpec
+from repro.cluster.shard import Shard, ShardSpec
 from repro.cluster.system import ClusterSystem
 from repro.cluster.settlement import (
     CompactionGate,
@@ -236,17 +236,13 @@ class TestNodeRetirement:
     def test_retiring_a_validated_record_compacts_and_preserves_balances(
         self, fast_network
     ):
-        system = _system(fast_network, seed=3)
-        a = _user_on_shard(system.router, 0)
-        b = _user_on_shard(system.router, 1)
-        # Settlement off: the record is never acknowledged, so it stays
-        # resident and we can retire it by hand.
-        parked = _system(fast_network, seed=3, settlement=False)
-        parked.schedule_submissions(
-            [ClusterSubmission(time=0.001, source_user=a, destination_user=b, amount=9)]
-        )
-        parked.run()
-        node = parked.shards[0].nodes[0]
+        # A bare shard has no settlement fabric: the record is never
+        # acknowledged, so it stays resident and we can retire it by hand.
+        shard = Shard(ShardSpec(index=0, network_config=fast_network, seed=3))
+        shard.start()
+        shard.submit(0.001, 0, "x1:2", 9)
+        shard.advance(None)
+        node = shard.nodes[0]
         outbound_account = next(
             account for account in node.hist if account.startswith("x")
         )
@@ -254,7 +250,7 @@ class TestNodeRetirement:
         balances_before = node.all_known_balances()
         node.retire_settled([record])
         assert node.retired_records == 1
-        assert parked.shards[0].resident_settlement_records() == 0
+        assert shard.resident_settlement_records() == 0
         assert node.retired_outbound_total() == 9
         balances_after = node.all_known_balances()
         # The outbound account vanished; every other balance is untouched.
@@ -454,7 +450,7 @@ class TestLifecycleStateTravel:
                          network_config=fast_network, seed=17)
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
-        shard = clone.build()
+        shard = Shard(clone)
         assert shard.nodes[0].retired_records == 0
         assert shard.resident_settlement_records() == 0
 

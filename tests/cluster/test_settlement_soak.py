@@ -25,49 +25,184 @@ serial soak's checkpoints exactly: the same commits, resident and retired
 records, amounts, journal residency and identity flags at every one.
 """
 
-import dataclasses
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import pytest
 
-from repro.eval.experiments import (
-    ClusterExperimentConfig,
-    SoakReport,
-    settlement_soak_experiment,
-    telemetry_phase_coverage,
-)
+from repro.cluster.system import ClusterSystem
+from repro.eval.experiments import CLUSTER_MAX_EVENTS, telemetry_phase_coverage
 from repro.network.node import NetworkConfig
+from repro.workloads.cluster_driver import ClusterWorkloadConfig, cluster_open_loop_workload
 
 SOAK_DURATION = 0.12
 SOAK_CHECKPOINTS = 6
 SOAK_SHARDS = 2
 SOAK_BATCH = 4
 SOAK_WORKERS = 2
+REPLICAS = 4
+INITIAL_BALANCE = 1_000_000
 
 
-def _config(duration: float) -> ClusterExperimentConfig:
-    return ClusterExperimentConfig(
-        user_count=2_000,
-        aggregate_rate=4_000.0,
-        duration=duration,
-        zipf_skew=1.0,
-        cross_shard_fraction=0.5,
-        network=NetworkConfig(seed=7),
+@dataclass(frozen=True)
+class SoakSample:
+    """One checkpoint of a long-horizon settlement soak."""
+
+    time: float
+    committed: int
+    resident_settlement_records: int
+    retired_records: int
+    retired_amount: int
+    minted_amount: int
+    in_flight_amount: int
+    conserved: bool
+    retirement_backed: bool
+    # Driver-side relay journal residency: certificate objects still held in
+    # the relays' certificates/delivered/retirement journals.  Compaction
+    # behind the retirement watermark bounds this by the in-flight window
+    # (plus one watermark certificate per stream), like the ledgers.
+    resident_journal_records: int = 0
+
+
+@dataclass(frozen=True)
+class SoakReport:
+    """The soak's verdict: compaction keeps resident records bounded.
+
+    ``peak_resident`` is the largest resident ``x{d}:a`` record count seen
+    at any checkpoint; ``cumulative_records`` is how many outbound records
+    the run produced in total (resident + retired at the end).  A working
+    lifecycle keeps the peak well below the cumulative count — the in-flight
+    window, not the history — and retires everything by quiescence.  The
+    same bound holds one layer up for the driver-side relay journals:
+    ``peak_journal`` versus ``journal_total`` cumulative certificate
+    deliveries.
+    """
+
+    samples: List[SoakSample]
+    peak_resident: int
+    cumulative_records: int
+    final_check_ok: bool
+    violations: List[str]
+    peak_journal: int = 0
+    journal_total: int = 0
+    # The final run's telemetry section (None with telemetry off).
+    telemetry: Optional[Dict[str, object]] = None
+
+    @property
+    def bounded(self) -> bool:
+        """Resident records never covered the full history (compaction bit)."""
+        return (
+            self.cumulative_records > 0
+            and self.peak_resident < self.cumulative_records
+        )
+
+    @property
+    def journal_bounded(self) -> bool:
+        """Relay journals never held the full certificate history either."""
+        return self.journal_total > 0 and self.peak_journal < self.journal_total
+
+    @property
+    def fully_retired(self) -> bool:
+        final = self.samples[-1] if self.samples else None
+        return final is not None and final.resident_settlement_records == 0
+
+
+def settlement_soak_experiment(**system_keywords) -> SoakReport:
+    """Long-horizon soak: does the settlement lifecycle bound resident state?
+
+    Runs one fraction-steered workload, pausing at evenly spaced
+    checkpoints to sample the audit identity and the resident/retired
+    record counts *mid-flight* — the regime where unbounded growth
+    would show — then drains to quiescence.  The extended supply identity
+    (``local + outbound - (minted - retired) == initial``) must hold at every
+    single checkpoint, not just at the end.  Driver-side relay journal
+    residency is sampled alongside: the journals must track the in-flight
+    window, not the certificate history.
+    """
+    system = ClusterSystem(
+        shard_count=SOAK_SHARDS,
+        replicas_per_shard=REPLICAS,
+        batch_size=SOAK_BATCH,
+        initial_balance=INITIAL_BALANCE,
+        network_config=NetworkConfig(seed=7),
         seed=7,
+        **system_keywords,
+    )
+    system.schedule_submissions(
+        cluster_open_loop_workload(
+            ClusterWorkloadConfig(
+                user_count=2_000,
+                aggregate_rate=4_000.0,
+                duration=SOAK_DURATION,
+                zipf_skew=1.0,
+                cross_shard_fraction=0.5,
+                router=system.router,
+                seed=7,
+            )
+        )
     )
 
+    initial_supply = SOAK_SHARDS * REPLICAS * INITIAL_BALANCE
+    samples: List[SoakSample] = []
+    violations: List[str] = []
 
-def _soak(config: ClusterExperimentConfig) -> SoakReport:
-    return settlement_soak_experiment(
-        shard_count=SOAK_SHARDS,
-        batch_size=SOAK_BATCH,
-        checkpoints=SOAK_CHECKPOINTS,
-        config=config,
+    def sample(result) -> None:
+        audit = system.supply_audit()
+        samples.append(
+            SoakSample(
+                time=result.duration,
+                committed=result.committed_count,
+                resident_settlement_records=system.resident_settlement_records(),
+                retired_records=system.retired_records(),
+                retired_amount=audit.retired,
+                minted_amount=audit.minted,
+                in_flight_amount=audit.in_flight,
+                conserved=audit.conserved,
+                retirement_backed=audit.retirement_backed,
+                resident_journal_records=system.settlement.resident_journal_records(),
+            )
+        )
+        if audit.total != initial_supply:
+            violations.append(
+                f"identity broken at t={result.duration:.4f}: "
+                f"total {audit.total} != initial {initial_supply}"
+            )
+        if not audit.retirement_backed:
+            violations.append(
+                f"retirement overran settlement at t={result.duration:.4f}"
+            )
+
+    for checkpoint in range(1, SOAK_CHECKPOINTS + 1):
+        result = system.run(
+            until=SOAK_DURATION * checkpoint / SOAK_CHECKPOINTS, max_events=CLUSTER_MAX_EVENTS
+        )
+        sample(result)
+    result = system.run(max_events=CLUSTER_MAX_EVENTS)
+    sample(result)
+    report = system.check_definition1()
+    if not report.ok:
+        violations.extend(report.violations[:3])
+    journal_total = system.settlement.journal_records_total()
+    telemetry = system.result.telemetry
+    system.close()
+
+    peak = max(s.resident_settlement_records for s in samples)
+    final = samples[-1]
+    return SoakReport(
+        samples=samples,
+        peak_resident=peak,
+        cumulative_records=final.resident_settlement_records + final.retired_records,
+        final_check_ok=report.ok,
+        violations=violations,
+        peak_journal=max(s.resident_journal_records for s in samples),
+        journal_total=journal_total,
+        telemetry=telemetry,
     )
 
 
 @pytest.fixture(scope="module")
 def serial_soak() -> SoakReport:
-    return _soak(_config(SOAK_DURATION))
+    return settlement_soak_experiment()
 
 
 def test_settlement_soak_bounded_resident_records(serial_soak):
@@ -117,11 +252,7 @@ def test_pool_soak_samples_match_the_serial_soak(serial_soak):
     """The same soak on the two-worker process pool: audits hold, everything
     retires, and every checkpoint samples exactly what the serial soak's
     does — the pool moves no commit, record, journal entry or identity."""
-    pool = _soak(
-        dataclasses.replace(
-            _config(SOAK_DURATION), backend="process", max_workers=SOAK_WORKERS
-        )
-    )
+    pool = settlement_soak_experiment(backend="process", max_workers=SOAK_WORKERS)
 
     assert not pool.violations, pool.violations
     assert pool.final_check_ok

@@ -18,6 +18,7 @@ import pickle
 
 import pytest
 
+from repro.cluster.shard import Shard
 from repro.cluster.system import ClusterSystem
 from repro.cluster.settlement import settlement_account, settlement_issuer
 from repro.common.types import Transfer
@@ -66,7 +67,7 @@ def _build(fast_network, backend, seed=3):
 def _assert_round_trip(shard):
     """Snapshot -> fresh twin -> restore must reproduce every read surface."""
     snapshot = shard.snapshot()
-    twin = shard.spec().build()
+    twin = Shard(shard.spec())
     twin.restore(snapshot)
     # The strongest form first: re-snapshotting the twin reproduces the
     # original snapshot exactly (node state, streams, counters, compaction
@@ -140,7 +141,7 @@ class TestArbitraryBarrierRoundTrips:
             assert snapshot.nodes[0].pending_retirements == {parked}
             # The restored twin behaves like the original: the parked
             # retirement compacts the moment the record appears locally.
-            twin = shard.spec().build()
+            twin = Shard(shard.spec())
             twin.restore(snapshot)
             twin_node = twin.nodes[0]
             before = twin_node.retired_records
@@ -180,7 +181,7 @@ class TestSnapshotCarriesTheLifecycle:
             assert node_snapshot.retired_records > 0
             assert node_snapshot.retired_outbound
             assert node_snapshot.retired_offsets
-            twin = shard.spec().build()
+            twin = Shard(shard.spec())
             twin.restore(snapshot)
             assert twin.nodes[0].retired_records == node_snapshot.retired_records
             assert (
@@ -208,7 +209,7 @@ class TestSnapshotCarriesTheLifecycle:
             for pid in sorted(shard.nodes):
                 shard.nodes[pid].mint_certified_credit(mint)
             snapshot = _assert_round_trip(shard)
-            twin = shard.spec().build()
+            twin = Shard(shard.spec())
             twin.restore(snapshot)
             initial = shard.initial_balances()["0"]
             assert twin.nodes[0].balance_of("0") == initial + 13

@@ -46,6 +46,14 @@ BROKEN = [
         "retirement overran settlement: retired 70 exceeds minted 60",
         id="retirement_backed",
     ),
+    pytest.param(
+        # A negative retirement, netted by 61 more local money: its own
+        # message, not an overrun of the mints.
+        {"retired": -1, "local": 4061},
+        "retirement_backed",
+        "negative retirement: retired -1 is below zero",
+        id="retirement_backed_negative",
+    ),
 ]
 IDENTITIES = ("conserved", "ledger_matches_relay", "retirement_backed")
 

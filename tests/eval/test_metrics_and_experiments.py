@@ -1,16 +1,13 @@
 """Tests for the metrics layer, the experiment harness and the reporting."""
 
-import dataclasses
-
 import pytest
 
+from repro.cluster.system import ClusterSystem
 from repro.eval.experiments import (
-    ClusterExperimentConfig,
     ExperimentConfig,
     compare_systems,
     latency_experiment,
     run_cluster,
-    settlement_soak_experiment,
 )
 from repro.eval.metrics import LatencyStats, summarize_result
 from repro.eval.reporting import (
@@ -21,6 +18,7 @@ from repro.eval.reporting import (
 from repro.mp.consensusless_transfer import TransferRecord
 from repro.mp.system import SystemResult
 from repro.common.types import Transfer
+from repro.workloads.cluster_driver import ClusterWorkloadConfig, cluster_open_loop_workload
 
 
 def small_config(fast_network, per_process=2):
@@ -80,18 +78,24 @@ class TestExperimentHarness:
 
 
 class TestSettlementLifecycleExperiments:
-    def _config(self, fast_network, duration=0.04):
-        return ClusterExperimentConfig(
-            user_count=300,
-            aggregate_rate=3_000.0,
-            duration=duration,
-            cross_shard_fraction=0.5,
-            network=fast_network,
-            seed=7,
+    def _run(self, fast_network):
+        """One audited 2-shard, batch-4 run at a 50 % cross-shard fraction;
+        the caller closes the system."""
+        system = ClusterSystem(shard_count=2, batch_size=4, network_config=fast_network, seed=7)
+        workload = cluster_open_loop_workload(
+            ClusterWorkloadConfig(
+                user_count=300,
+                aggregate_rate=3_000.0,
+                duration=0.04,
+                cross_shard_fraction=0.5,
+                router=system.router,
+                seed=7,
+            )
         )
+        return run_cluster(system, workload), system
 
     def test_cluster_rows_surface_compaction(self, fast_network):
-        row, system = run_cluster(2, 4, self._config(fast_network))
+        row, system = self._run(fast_network)
         system.close()
         # Quiescence under the lifecycle: everything retired, nothing resident.
         assert row.retired_records > 0
@@ -102,39 +106,10 @@ class TestSettlementLifecycleExperiments:
         assert str(row.retired_records) in table
 
     def test_cluster_rows_run_on_the_serial_backend_by_default(self, fast_network):
-        config = self._config(fast_network)
-        assert config.backend == "serial"
-        row, system = run_cluster(2, 4, config)
+        row, system = self._run(fast_network)
         try:
             assert system.backend_name == "serial"
             assert system.scheduler.barriers > 0
             assert row.check.ok
         finally:
             system.close()
-
-    def test_every_config_field_reaches_the_built_system(self, fast_network):
-        config = dataclasses.replace(
-            self._config(fast_network),
-            backend="process",
-            epoch=0.01,
-            telemetry="full",
-            seed=11,
-        )
-        with config.system(2, 4) as system:
-            assert system.backend_name == "process"
-            assert system.scheduler.epoch == 0.01
-            assert system.telemetry_mode == "full"
-            assert system.seed == 11
-
-    def test_settlement_soak_reports_bounded_residency(self, fast_network):
-        report = settlement_soak_experiment(
-            shard_count=2,
-            batch_size=4,
-            checkpoints=4,
-            config=self._config(fast_network, duration=0.06),
-        )
-        assert not report.violations, report.violations
-        assert report.final_check_ok
-        assert report.bounded
-        assert report.fully_retired
-        assert len(report.samples) == 5  # checkpoints + quiescence

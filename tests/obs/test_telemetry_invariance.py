@@ -13,7 +13,6 @@ import pytest
 from repro.cluster.backends import BACKEND_NAMES
 from repro.cluster.system import ClusterSystem
 from repro.common.errors import ConfigurationError
-from repro.eval.experiments import ClusterExperimentConfig
 from repro.obs import TELEMETRY_MODES, validate_trace_file
 from repro.workloads.cluster_driver import ClusterWorkloadConfig, cluster_open_loop_workload
 
@@ -268,11 +267,8 @@ class TestKnobNormalisation:
         with pytest.raises(ConfigurationError):
             ClusterSystem(shard_count=1, telemetry="verbose")
 
-    @pytest.mark.parametrize(
-        "configure", [ClusterSystem, ClusterExperimentConfig], ids=lambda cls: cls.__name__
-    )
-    def test_there_is_no_profile_knob(self, configure):
+    def test_there_is_no_profile_knob(self):
         """The library carries no profiler: perf/'s traced repeat profiles a
         run from outside."""
         with pytest.raises(TypeError, match="profile"):
-            configure(profile=True)
+            ClusterSystem(profile=True)

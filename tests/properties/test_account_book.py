@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.byzantine.faults import FaultKind, FaultModel
 from repro.cluster.settlement import settlement_account, settlement_issuer
-from repro.cluster.shard import Shard
+from repro.cluster.shard import Shard, ShardSpec
 from repro.common.types import OwnershipMap, Transfer
 from repro.core.accounts import balance_from_transfers
 from repro.mp.consensusless_transfer import account_of
@@ -73,12 +73,14 @@ class _Schedule:
 
     def __init__(self, batch_size: int) -> None:
         self.shard = Shard(
-            index=0,
-            replicas=REPLICAS,
-            initial_balance=20,
-            batch_size=batch_size,
-            network_config=FAST,
-            seed=1,
+            ShardSpec(
+                index=0,
+                replicas=REPLICAS,
+                initial_balance=20,
+                batch_size=batch_size,
+                network_config=FAST,
+                seed=1,
+            )
         )
         self.shard.start()
         self.known: Set[str] = set(DESTINATIONS)
@@ -168,7 +170,7 @@ class _Schedule:
 
     def snapshot_round_trip(self) -> None:
         snapshot = self.shard.snapshot()
-        twin = self.shard.spec().build()
+        twin = Shard(self.shard.spec())
         twin.restore(snapshot)
         twins = [twin.nodes[pid] for pid in sorted(twin.nodes)]
         assert_book_is_the_fold(twins, self.known)

@@ -102,40 +102,3 @@ class TestClusterConservationProperties:
         report = system.check_definition1()
         assert report.ok, report.violations
         assert len(report.shard_reports) == shards
-
-    @given(seed=st.integers(min_value=0, max_value=2**20))
-    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_settled_and_unsettled_runs_conserve_identically(self, seed):
-        """With settlement off, the same run parks credits instead of minting
-        them — in both worlds the netted supply equals the initial supply."""
-        initial_supply = 2 * REPLICAS * INITIAL_BALANCE
-        settled, _ = _run_cluster(seed, shards=2, batch=1, fraction=None)
-        parked_system = ClusterSystem(
-            shard_count=2,
-            replicas_per_shard=REPLICAS,
-            batch_size=1,
-            broadcast="bracha",
-            initial_balance=INITIAL_BALANCE,
-            network_config=FAST_NETWORK,
-            settlement=False,
-            seed=seed % 997,
-        )
-        workload = cluster_open_loop_workload(
-            ClusterWorkloadConfig(
-                user_count=60, aggregate_rate=2_000.0, duration=0.02, seed=seed
-            )
-        )
-        parked_system.schedule_submissions(workload)
-        parked_system.run()
-
-        settled_audit = settled.supply_audit()
-        parked_audit = parked_system.supply_audit()
-        assert settled_audit.total == parked_audit.total == initial_supply
-        assert settled_audit.fully_settled
-        assert parked_audit.minted == 0
-        assert parked_audit.retired == 0
-        # The parked world keeps every outbound record; the settled world has
-        # retired them all, so its *cumulative* outbound (unretired resident
-        # records plus the retired amount) matches the parked ledger.
-        assert parked_audit.outbound == settled_audit.outbound + settled_audit.retired
-        assert parked_audit.in_flight == settled_audit.minted
