@@ -42,7 +42,10 @@ test-audit:
 ## assignment among it), the ShardSnapshot round trips the pool's final
 ## capture rests on, the pinned fingerprints (toy runs on
 ## serial and process and under two PYTHONHASHSEEDs; the benchmark's four
-## cluster and two Figure 4 workloads at full size), the backend
+## cluster and two Figure 4 workloads at full size), the streamed
+## fingerprint's differential test against the one-shot JSON digest (toy
+## runs on both backends, empty streams, streams longer than one chunk,
+## non-ASCII account names), the backend
 ## determinism sweep, the hand-fed broadcast layers, the Figure 4 message
 ## formulas, the engine and network suites (tests/network: the pinned message
 ## path among them, a lossless exchange and a lossless 4-process Bracha
@@ -51,23 +54,25 @@ test-audit:
 ## the suites a change to the message path must keep green.  CI runs it a second time as
 ## `make test-backends PYTHON="python -X dev -W error"`.
 test-backends:
-	$(PYTHON) -m pytest tests/cluster/test_backend_equivalence.py tests/cluster/test_shard_snapshot.py tests/cluster/test_pinned_fingerprints.py tests/properties/test_backend_determinism.py tests/broadcast/test_broadcast_layers.py tests/mp/test_message_formulas.py tests/network tests/properties/test_event_queue.py -q
+	$(PYTHON) -m pytest tests/cluster/test_backend_equivalence.py tests/cluster/test_shard_snapshot.py tests/cluster/test_pinned_fingerprints.py tests/cluster/test_fingerprint_stream.py tests/properties/test_backend_determinism.py tests/broadcast/test_broadcast_layers.py tests/mp/test_message_formulas.py tests/network tests/properties/test_event_queue.py -q
 
 ## The settlement suites alone: the quorum-stream exactness suite over both
 ## legs, the lifecycle and adversarial suites, the per-credit signature
 ## formulas (test_settlement_formulas.py), the soak, the settlement property
 ## tests, the signature scheme's suite (settlement's trust boundary: certify,
-## verify_certificate and their memos), the behaviours the adversarial suite
+## verify_certificate, and the encoding and verdict each payload and
+## signature carries), the behaviours the adversarial suite
 ## installs (tests/byzantine, the delay refusal among them) and the pinned
 ## fingerprints — the suites a settlement change must keep green.  CI runs
 ## it a second time as `make test-settlement PYTHON="python -X dev -W error"`
-## (development mode, every warning an error; ~20 s, 312 tests on a 2-core
+## (development mode, every warning an error; ~20 s, 317 tests on a 2-core
 ## host), so it must stay clean under that too.
 test-settlement:
 	$(PYTHON) -m pytest tests/cluster/test_settlement*.py tests/properties/test_cluster_settlement.py tests/crypto tests/byzantine tests/cluster/test_pinned_fingerprints.py -q
 
 ## The settlement-lifecycle soak alone (part of tier-1): a long-horizon run
-## asserting bounded resident settlement records and relay journals, and the
+## asserting bounded resident settlement records, relay journals and live
+## signatures (each carries its verdict), and the
 ## same soak on the two-worker pool, asserting every checkpoint samples what
 ## the serial soak's does.  CI runs it a second time under
 ## `PYTHON="python -X dev -W error"`.

@@ -44,9 +44,12 @@ from repro.crypto.signatures import KeyPair, QuorumCertificate, Signature, Signa
 def owner_quorum_size(owner_count: int) -> int:
     """Smallest quorum guaranteeing intersection in a correct owner.
 
-    With ``k`` owners and at most ``⌊(k-1)/3⌋`` Byzantine among them, a quorum
-    of ``⌈(2k+1)/3⌉`` suffices; for ``k = 1`` this degenerates to 1 (the owner
-    sequences its own transfers, as in the single-owner protocol).
+    With ``k`` owners and at most ``f = ⌊(k-1)/3⌋`` Byzantine among them, a
+    quorum of ``q = ⌈2k/3⌉`` owners suffices: any two quorums share
+    ``2q - k >= f + 1`` owners, so at least one correct owner, and ``q <= k - f``,
+    so the correct owners form a quorum while ``f`` stay silent.  At ``k = 3``
+    that is 2; for ``k = 1`` it degenerates to 1 (the owner sequences its own
+    transfers, as in the single-owner protocol).
     """
     if owner_count <= 0:
         raise ConfigurationError("owner_count must be positive")

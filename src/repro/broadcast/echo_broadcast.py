@@ -206,7 +206,8 @@ class EchoBroadcast(BroadcastLayer):
         if len(state.signatures) >= self.quorum:
             # One-check assembly: a single quorum verdict over the collected
             # acknowledgement signatures; the receivers' FINAL checks re-run
-            # it, each signature answered by the scheme's verdict memo.
+            # it, each signature answered by the verdict it carries from this
+            # check.
             certificate = self.scheme.certify(
                 expected,
                 tuple(state.signatures.values()),

@@ -23,6 +23,18 @@ from repro.obs.tracing import write_trace_events
 from repro.spec.byzantine_spec import CheckReport
 
 
+# How many stream entries one ``json.dumps`` call encodes when fingerprinting.
+# The encoder holds a string per token of the chunk until it joins them, so
+# this bounds the transient; at 256 the balances section, not a chunk, is
+# the largest piece (the reference run's fingerprint peaks at ~156 KB).
+FINGERPRINT_CHUNK = 256
+
+
+def _json(value) -> bytes:
+    """The canonical JSON of ``value``: sorted keys, no spaces, ASCII only."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("ascii")
+
+
 @dataclass
 class ClusterResult:
     """Cluster-wide aggregate over independent shard results."""
@@ -125,8 +137,8 @@ class ClusterResult:
 
     # -- canonical serialisation --------------------------------------------------------------
 
-    def fingerprint_payload(self) -> Dict[str, object]:
-        """The canonical, JSON-serialisable content of this run.
+    def _sections(self) -> Dict[str, object]:
+        """The payload's sections, with the :attr:`STREAMS` as captured (tuples).
 
         Raises if the run capture is missing — a fingerprint over a result
         that never went through ``ClusterSystem.run`` would silently compare
@@ -140,9 +152,9 @@ class ClusterResult:
             )
         return {
             "balances": self.balances,
-            "committed": [list(entry) for entry in self.committed_stream],
-            "settlement": [list(entry) for entry in self.settlement_stream or []],
-            "retirements": [list(entry) for entry in self.retirement_stream or []],
+            "committed": self.committed_stream,
+            "settlement": self.settlement_stream or [],
+            "retirements": self.retirement_stream or [],
             "audit": self.audit,
             "duration": self.duration,
             "events_processed": self.events_processed,
@@ -154,6 +166,17 @@ class ClusterResult:
             "resident_settlement_records": self.resident_settlement_records,
             "telemetry": self.telemetry,
         }
+
+    # The sections that grow with the run: one entry per committed transfer,
+    # per delivered settlement certificate, per retirement.
+    STREAMS = ("committed", "settlement", "retirements")
+
+    def fingerprint_payload(self) -> Dict[str, object]:
+        """The canonical, JSON-serialisable content of this run."""
+        payload = self._sections()
+        for key in self.STREAMS:
+            payload[key] = [list(entry) for entry in payload[key]]
+        return payload
 
     # Payload sections that describe *how the run felt* rather than what it
     # computed: wall-clock phase timings, counter volumes, span aggregates.
@@ -188,9 +211,33 @@ class ClusterResult:
         capture) are excluded: observability is measurement, never
         content, so fingerprints are identical with telemetry off, on or
         partial (the telemetry invariant).
+
+        The digest is fed one section at a time, and a stream
+        :data:`FINGERPRINT_CHUNK` entries at a time, yet it is the SHA-256 of
+        exactly ``json.dumps(self.comparable_payload(), sort_keys=True,
+        separators=(",", ":"))``: the run's JSON is never built whole.
         """
-        canonical = json.dumps(self.comparable_payload(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        sections = self._sections()
+        digest = hashlib.sha256()
+        opening = b"{"
+        for key in sorted(sections):
+            if key in self.VOLATILE_SECTIONS:
+                continue
+            digest.update(opening + _json(key) + b":")
+            opening = b","
+            value = sections[key]
+            if key not in self.STREAMS:
+                digest.update(_json(value))
+                continue
+            digest.update(b"[")
+            for start in range(0, len(value), FINGERPRINT_CHUNK):
+                if start:
+                    digest.update(b",")
+                # A tuple encodes as the list it stands for; drop the brackets.
+                digest.update(_json(value[start:start + FINGERPRINT_CHUNK])[1:-1])
+            digest.update(b"]")
+        digest.update(b"}")
+        return digest.hexdigest()
 
     def export_trace(self, path) -> int:
         """Write the run's chrome://tracing file; returns the event count.

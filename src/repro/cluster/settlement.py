@@ -57,7 +57,7 @@ pins it)::
 
     signs                  2N              N vouchers + N acks
     verifications          2N + (N+3)q     each voucher and ack once on arrival,
-      of which memo hits   (N+3)q          then certify (q) and N inbox checks
+      of which reused      (N+3)q          then certify (q) and N inbox checks
                                            (Nq) on the voucher leg, certify (q)
                                            and the gate's check (q) on the ack leg
     certifies              2               one certificate per leg
@@ -89,7 +89,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tu
 from repro.byzantine.behaviors import Behavior
 from repro.cluster.routing import parse_external_account
 from repro.common.errors import ConfigurationError
-from repro.common.types import AccountId, Amount, ProcessId, Transfer
+from repro.common.types import AccountId, Amount, EncodedOnce, ProcessId, Transfer
 from repro.crypto.signatures import KeyPair, QuorumCertificate, Signature
 
 # Recency window of the fabric's p95 settlement-latency report; bounds the
@@ -116,14 +116,16 @@ def p95(samples: Sequence[float]) -> float:
 
 
 @dataclass(frozen=True, slots=True)
-class SettlementClaim:
+class SettlementClaim(EncodedOnce):
     """The payload source replicas sign: one cross-shard credit, uniquely keyed.
 
     ``sequence`` numbers the issuer's cross-shard transfers *towards this
     destination shard* densely (1, 2, ...).  All correct source replicas
     derive the same sequence because they validate the issuer's transfers in
     source order, so their vouchers agree byte-for-byte and a quorum
-    certificate over the claim can form.
+    certificate over the claim can form.  The claim keeps its canonical
+    encoding on itself (:class:`~repro.common.types.EncodedOnce`), so every
+    signature and check over the same claim object encodes it once.
     """
 
     source_shard: int
@@ -167,7 +169,7 @@ class SettlementCertificate:
 
 
 @dataclass(frozen=True, slots=True)
-class SettlementAckClaim:
+class SettlementAckClaim(EncodedOnce):
     """What a destination replica signs after minting: a stream watermark.
 
     ``sequence`` is cumulative: acknowledging it asserts that every claim of
@@ -345,8 +347,8 @@ class QuorumStream:
         ordered = tuple(signature for _, signature in sorted(signatures.items()))
         # One-check quorum verification at construction: a single verdict
         # covers the whole signer set.  The inbox and the gate re-run the
-        # full certificate check, each signature answered by the scheme's
-        # verdict memo.
+        # full certificate check, each signature answered by the verdict it
+        # carries from this check.
         bundle = self.scheme.certify(claim, ordered, self.quorum_size, self.allowed_signers)
         if bundle is None:
             # Divergence: the batch failed even though every member verified

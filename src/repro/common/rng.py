@@ -174,8 +174,11 @@ class ZipfSampler:
         self._rng = rng
         self._cdf: Optional[List[float]] = None
         if skew > 0:
-            weights = [1.0 / ((rank + 1) ** skew) for rank in range(size)]
-            self._cdf = list(itertools.accumulate(weights))
+            # The weights stream into the running sum: only the CDF is ever
+            # held, not a second list of ``size`` floats beside it.
+            self._cdf = list(
+                itertools.accumulate(1.0 / ((rank + 1) ** skew) for rank in range(size))
+            )
 
     def sample(self) -> int:
         """Draw one index in ``[0, size)`` with Zipfian popularity."""

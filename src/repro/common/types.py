@@ -80,7 +80,23 @@ def rebuilt_by_constructor(cls):
     return cls
 
 
-class HashOnce:
+class EncodedOnce:
+    """Base of a frozen, slotted payload whose canonical encoding is kept on it.
+
+    :func:`repro.crypto.hashing.canonical_bytes` encodes an instance on first
+    use and stores the bytes in the ``_canonical`` slot, so every later
+    signature, verification or content hash of the same object reads them
+    back: the bytes live exactly as long as the object they describe.  Like
+    ``_hash`` below, the slot is not a dataclass field (no ``fields()``,
+    ``repr``, ``==`` or pickle), so a copied, unpickled or decoded object
+    starts unencoded.  Only frozen objects whose ``repr`` cannot change
+    derive from it.
+    """
+
+    __slots__ = ("_canonical",)
+
+
+class HashOnce(EncodedOnce):
     """Base of a frozen, slotted dataclass that computes its hash once.
 
     The subclass declares ``@rebuilt_by_constructor`` over
@@ -109,7 +125,7 @@ class HashOnce:
 
 
 @rebuilt_by_constructor
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class TransferId:
     """Globally unique identity of a transfer.
 

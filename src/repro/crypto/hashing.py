@@ -4,12 +4,19 @@ Hashes are computed over a canonical ``repr``-based encoding of the object.
 The encoding is stable across runs for the dataclass-based message types the
 protocols use (their ``repr`` is deterministic), which is all the simulation
 needs — the hashes identify content, they are not a security boundary.
+
+There is no memo table.  A payload that is encoded at every hop derives from
+:class:`~repro.common.types.EncodedOnce` and keeps its own bytes, which live
+and die with it; everything else is re-encoded per call.  A run therefore
+holds encodings only for the payloads it still holds.
 """
 
 from __future__ import annotations
 
 import hashlib
 from typing import Any
+
+from repro.common.types import EncodedOnce
 
 
 def _canonical_bytes(payload: Any) -> bytes:
@@ -46,38 +53,24 @@ def _canonical_bytes(payload: Any) -> bytes:
     return b"o:" + repr(payload).encode("utf-8")
 
 
-# Memo for the canonical encoding.  Signing, verification and content
-# hashing encode the *same* payload object once per hop (a batch
-# announcement for every replica's signature, a settlement certificate at
-# every trust boundary that re-checks it); caching the bytes makes every
-# encoding after the first a dict hit.  Entries are keyed on the payload's
-# identity and hold the payload, so its id cannot be reused while cached and
-# a hit implies identical bytes: equal values of different types, such as
-# ``(1,)``, ``(True,)`` and ``(1.0,)``, never share an entry.  A full memo
-# is cleared, so a long run pays one re-encoding per live payload, never a
-# cost cliff.
-_CANONICAL_MEMO: dict = {}
-_CANONICAL_MEMO_LIMIT = 100_000
-
-
 def canonical_bytes(payload: Any) -> bytes:
-    """The canonical encoding of ``payload``, memoised for hashable payloads.
+    """The canonical encoding of ``payload``, kept on it if it is an :class:`EncodedOnce`.
 
-    Unhashable payloads may be mutated between calls, so they are
-    re-encoded every time.
+    Signing, verification and content hashing encode the *same* payload
+    object once per hop (a batch announcement for every replica's signature,
+    a settlement claim at every trust boundary that re-checks it), so those
+    payloads carry their bytes in a slot and encode once.  Any other payload
+    (a plain tuple, a list, a string) is encoded on every call and leaves no
+    state behind.
     """
-    entry = _CANONICAL_MEMO.get(id(payload))
-    if entry is not None:
-        return entry[1]
-    encoded = _canonical_bytes(payload)
-    try:
-        hash(payload)
-    except TypeError:
-        return encoded
-    if len(_CANONICAL_MEMO) >= _CANONICAL_MEMO_LIMIT:
-        _CANONICAL_MEMO.clear()
-    _CANONICAL_MEMO[id(payload)] = (payload, encoded)
-    return encoded
+    if isinstance(payload, EncodedOnce):
+        try:
+            return payload._canonical
+        except AttributeError:
+            encoded = _canonical_bytes(payload)
+            object.__setattr__(payload, "_canonical", encoded)
+            return encoded
+    return _canonical_bytes(payload)
 
 
 def content_hash(payload: Any) -> str:

@@ -28,15 +28,20 @@ The scheme also supports *quorum certificates* — multisets of signatures over
 the same payload from distinct signers — used by the echo broadcast and by
 the k-shared BFT sequencing service.
 
-Per-signature verification is cached.  The same signature is re-checked at
-every receiving replica and at every trust boundary a certificate crosses
-(settlement relay -> inbox -> compaction gate); the check is a pure function
-of the claimed signer, the authentication tag and the payload's canonical
-encoding, so the scheme memoises it under exactly that key — a forged or
-mutated artefact changes the key and is verified from scratch.  Certificates
-are not cached: :meth:`SignatureScheme.certify` checks the quorum once at
-construction and :meth:`SignatureScheme.verify_certificate` runs the full
-check at every trust boundary, each signature answered by the memo.
+A signature carries its own verdict.  The same signature object is
+re-checked at every receiving replica and at every trust boundary a
+certificate crosses (settlement relay -> inbox -> compaction gate); the
+check is a pure function of the key directory, the claimed signer, the
+authentication tag and the payload's canonical encoding.  The signer and tag
+are the signature's fields, so its ``_verdict`` slot keeps the one
+``(scheme, payload bytes, verdict)`` it was last checked with, and a check by
+the same scheme over equal bytes reuses the verdict.  Another scheme, other
+bytes or another signature object (a forged tag is a new object) is verified
+from scratch and replaces the slot.  The verdict lives as long as the
+signature does; the scheme keeps no table.  Certificates are not cached:
+:meth:`SignatureScheme.certify` checks the quorum once at construction and
+:meth:`SignatureScheme.verify_certificate` runs the full check at every trust
+boundary, each signature answered by its slot.
 """
 
 from __future__ import annotations
@@ -49,10 +54,6 @@ from typing import Any, Dict, FrozenSet, Iterable, Optional, Tuple
 from repro.common.errors import ConfigurationError
 from repro.common.types import ProcessId
 from repro.crypto.hashing import canonical_bytes, content_hash
-
-# Bound on the per-scheme verdict memo, far above what any run in this
-# repository produces; a full memo is cleared, never frozen.
-_VERIFY_CACHE_LIMIT = 200_000
 
 # RFC 2104 with H = SHA-256: block size B = 64 bytes, and the pads as byte
 # translation tables (``key.translate(_IPAD)`` is ``key XOR 0x36...``).
@@ -82,8 +83,15 @@ class _HmacKey:
         return outer.hexdigest()
 
 
+class _VerdictOnce:
+    """The ``_verdict`` slot of a :class:`Signature`: not a dataclass field,
+    so it is in no ``repr``, ``==`` or pickle and a copy starts unchecked."""
+
+    __slots__ = ("_verdict",)
+
+
 @dataclass(frozen=True, slots=True)
-class Signature:
+class Signature(_VerdictOnce):
     """A signature: the signer's identity plus the authentication tag."""
 
     signer: ProcessId
@@ -122,10 +130,6 @@ class SignatureScheme:
         self._keys: Dict[ProcessId, _HmacKey] = {}
         # No registry yet: the setter binds (here: clears) the counters.
         self.metrics = None
-        # Memoised per-signature verdicts: (signer, tag, canonical payload
-        # bytes) -> bool.  Exact: every input the verdict depends on is in
-        # the key.
-        self._verify_cache: Dict[tuple, bool] = {}
 
     # -- telemetry ---------------------------------------------------------------------
 
@@ -185,12 +189,14 @@ class SignatureScheme:
         return self._verify_encoded(canonical_bytes(payload), signature)
 
     def _verify_encoded(self, encoded: bytes, signature: Signature) -> bool:
-        """Verify against pre-encoded canonical payload bytes (cached).
+        """Verify against pre-encoded canonical payload bytes.
 
-        A tag that is not an ASCII string (bytes, ``None``, a number, a
-        non-ASCII string: what a Byzantine sender can put on the wire) is
-        invalid; it is refused before it can reach the memo key or
-        ``compare_digest``, both of which would raise on it.
+        The verdict is reused from the signature's ``_verdict`` slot when
+        this scheme last checked it over equal bytes, and stored there
+        otherwise.  A tag that is not an ASCII string (bytes, ``None``, a
+        number, a non-ASCII string: what a Byzantine sender can put on the
+        wire) is invalid; it is refused before it can reach
+        ``compare_digest``, which would raise on it.
         """
         verified = self._verified
         if verified is not None:
@@ -198,17 +204,18 @@ class SignatureScheme:
         tag = signature.tag
         if not isinstance(tag, str) or not tag.isascii():
             return False
-        key = (signature.signer, tag, encoded)
-        cached = self._verify_cache.get(key)
-        if cached is not None:
-            if verified is not None:
-                self._verified_cached.value += 1
-            return cached
-        result = hmac.compare_digest(self._key_for(signature.signer).tag(encoded), tag)
-        if len(self._verify_cache) >= _VERIFY_CACHE_LIMIT:
-            self._verify_cache.clear()
-        self._verify_cache[key] = result
-        return result
+        try:
+            scheme, checked, verdict = signature._verdict
+        except AttributeError:
+            pass
+        else:
+            if scheme is self and checked == encoded:
+                if verified is not None:
+                    self._verified_cached.value += 1
+                return verdict
+        verdict = hmac.compare_digest(self._key_for(signature.signer).tag(encoded), tag)
+        object.__setattr__(signature, "_verdict", (self, encoded, verdict))
+        return verdict
 
     # -- quorum certificates ------------------------------------------------------------
 

@@ -75,7 +75,7 @@ class PendingTransfer:
 
 
 @rebuilt_by_constructor
-@dataclass
+@dataclass(slots=True)
 class TransferRecord:
     """Completion record handed to the metrics layer."""
 
@@ -395,7 +395,7 @@ class ConsensuslessTransferNode(Node):
         self._validated_log.append(
             ValidatedTransfer(
                 transfer=transfer,
-                dependencies=tuple(d.transfer_id for d in announcement.dependencies),
+                dependencies=announcement.dependency_ids,
                 position=len(self._validated_log),
             )
         )

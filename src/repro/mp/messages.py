@@ -22,24 +22,41 @@ from repro.common.types import AccountId, HashOnce, Transfer, rebuilt_by_constru
 from repro.crypto.signatures import QuorumCertificate
 
 
+class _DependencyIds(HashOnce):
+    """The ``dependency_ids`` slot of a :class:`TransferAnnouncement`.
+
+    A non-field slot, like ``_hash``: in no ``fields()``, ``repr``, ``==``
+    or pickle, and set again by the constructor wherever the announcement
+    is rebuilt.
+    """
+
+    __slots__ = ("dependency_ids",)
+
+
 @rebuilt_by_constructor
 @dataclass(frozen=True, slots=True)
-class TransferAnnouncement(HashOnce):
+class TransferAnnouncement(_DependencyIds):
     """The broadcast payload of one transfer (Figure 4, line 4).
 
     ``transfer.sequence`` carries the per-issuer sequence number ``s``;
     ``dependencies`` is the set ``h`` of incoming transfers the issuer applied
     since its last successful outgoing transfer (sent as full records so that
     receivers can install them into the right account histories).
+    ``dependency_ids`` is their identities, built once at construction: every
+    replica of the group receives the same announcement object, and each
+    one's validated log keeps this one tuple.
     """
 
     transfer: Transfer
     dependencies: Tuple[Transfer, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "dependency_ids", tuple(d.transfer_id for d in self.dependencies)
+        )
         self._hash_once((self.transfer, self.dependencies))
 
-    # Every broadcast hop looks the payload up in the content-hash memo.
+    # Computed once, at construction (``HashOnce``).
     def __hash__(self) -> int:
         return self._hash
 

@@ -276,22 +276,10 @@ class Simulator:
     # -- incremental driving ------------------------------------------------------------------
     #
     # The cluster's execution backends advance many independent simulators in
-    # lockstep epochs: each shard repeatedly runs *up to* the next settlement
-    # barrier, the barriers exchange certificates, and the loop needs to know
-    # when each simulator will next do something.  ``run`` already supports a
-    # horizon; these two entry points make the epoch pattern first-class.
-
-    def run_until(self, time: float, max_events: Optional[int] = None) -> float:
-        """Run every event scheduled at or before ``time``; idempotent.
-
-        :meth:`run` with a mandatory horizon.  A horizon in the past (or at
-        the current time with nothing scheduled) is a no-op, so a scheduler
-        can call ``run_until(barrier)`` for a fixed barrier sequence without
-        tracking which simulators have already reached it.  The clock advances
-        to ``time`` when undelivered events remain beyond the horizon, and
-        stays at the last executed event when the queue drains.
-        """
-        return self.run(until=time, max_events=max_events)
+    # lockstep epochs: each shard repeatedly runs ``run(until=barrier)`` (a
+    # horizon in the past is a no-op, so no shard tracks which barriers it
+    # has reached), the barriers exchange certificates, and the loop needs to
+    # know when each simulator will next do something.
 
     @property
     def next_event_time(self) -> Optional[float]:

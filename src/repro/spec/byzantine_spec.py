@@ -84,7 +84,7 @@ from repro.common.types import (
 
 
 @rebuilt_by_constructor
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidatedTransfer:
     """A transfer as validated by one correct process.
 
@@ -100,7 +100,7 @@ class ValidatedTransfer:
 
 
 @rebuilt_by_constructor
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClientOperation:
     """One client-level operation performed by a correct process.
 

@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # imported lazily to keep workloads free of cluster imports
     from repro.cluster.routing import ShardRouter
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClusterSubmission:
     """One user-level payment request: at ``time``, ``source_user`` pays
     ``destination_user``."""

@@ -29,6 +29,13 @@ class TestQuorumSize:
     def test_quorum_sizes(self, k, quorum):
         assert owner_quorum_size(k) == quorum
 
+    @pytest.mark.parametrize("k", range(1, 31))
+    def test_quorums_intersect_in_a_correct_owner_and_survive_f_silent(self, k):
+        quorum, faults = owner_quorum_size(k), (k - 1) // 3
+        assert 2 * quorum - k >= faults + 1  # any two quorums share f + 1 owners
+        assert quorum <= k - faults  # the correct owners alone form a quorum
+        assert 2 * (quorum - 1) - k < faults + 1  # and no smaller quorum intersects so
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigurationError):
             owner_quorum_size(0)

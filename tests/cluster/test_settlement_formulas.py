@@ -8,7 +8,8 @@ costs exactly
 
 * ``2N`` signatures: one voucher per source replica, one ack per
   destination replica;
-* ``2N + (N+3)q`` verifications, of which the ``(N+3)q`` are memo hits: each
+* ``2N + (N+3)q`` verifications, of which the ``(N+3)q`` reuse the verdict
+  the signature carries (``sig.verify_cached``): each
   voucher and each ack is checked fresh on arrival (``2N``); the voucher
   leg's ``certify`` (``q``), the ``N`` destination inboxes' certificate
   checks (``Nq``), the ack leg's ``certify`` (``q``) and the compaction

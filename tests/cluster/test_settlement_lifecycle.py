@@ -372,7 +372,6 @@ class TestOneClaimPerSlot:
 
         monkeypatch.setattr(QuorumStream, "submit", recording_submit)
         monkeypatch.setattr(hashing, "_canonical_bytes", counting_encode)
-        hashing._CANONICAL_MEMO.clear()  # a memo cleared mid-run would re-encode
         system.run()
         vouchers = [item for item in submitted if isinstance(item, SettlementVoucher)]
         acks = [item for item in submitted if isinstance(item, SettlementAck)]

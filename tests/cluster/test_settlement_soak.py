@@ -18,19 +18,24 @@ every checkpoint, and asserts:
 Driver-side relay journal residency is asserted alongside the ledger
 residency: with compaction behind the retirement watermark, the relays hold
 the in-flight window plus one watermark certificate per stream — never the
-certificate history.
+certificate history.  So are the live ``Signature`` objects, which carry
+their verification verdicts (and the bytes they were checked over): every
+one sits in a journalled certificate or on a voucher or ack of a record
+still in flight.
 
 The soak runs again on the two-worker process pool, which must sample the
 serial soak's checkpoints exactly: the same commits, resident and retired
 records, amounts, journal residency and identity flags at every one.
 """
 
-from dataclasses import dataclass
+import gc
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import pytest
 
 from repro.cluster.system import ClusterSystem
+from repro.crypto.signatures import Signature
 from repro.eval.experiments import CLUSTER_MAX_EVENTS, telemetry_phase_coverage
 from repro.network.node import NetworkConfig
 from repro.workloads.cluster_driver import ClusterWorkloadConfig, cluster_open_loop_workload
@@ -87,6 +92,22 @@ class SoakReport:
     journal_total: int = 0
     # The final run's telemetry section (None with telemetry off).
     telemetry: Optional[Dict[str, object]] = None
+    # Live ``Signature`` objects in this process at each checkpoint, after a
+    # full collection.  Kept beside the samples, not in them: a pool soak's
+    # workers hold signatures its driver cannot count.
+    live_signatures: List[int] = field(default_factory=list)
+
+    def signature_bound(self, sample: SoakSample) -> int:
+        """The most signatures a checkpoint's resident state can hold.
+
+        A live signature is in a certificate the relays still journal (at
+        most ``REPLICAS`` signatures, and at least one journal record, per
+        certificate) or on a voucher or ack whose outbound record is still
+        resident (at most ``REPLICAS`` of each per record).
+        """
+        return REPLICAS * (
+            sample.resident_journal_records + 2 * sample.resident_settlement_records
+        )
 
     @property
     def bounded(self) -> bool:
@@ -145,8 +166,11 @@ def settlement_soak_experiment(**system_keywords) -> SoakReport:
     initial_supply = SOAK_SHARDS * REPLICAS * INITIAL_BALANCE
     samples: List[SoakSample] = []
     violations: List[str] = []
+    live_signatures: List[int] = []
 
     def sample(result) -> None:
+        gc.collect()
+        live_signatures.append(sum(type(value) is Signature for value in gc.get_objects()))
         audit = system.supply_audit()
         samples.append(
             SoakSample(
@@ -197,6 +221,7 @@ def settlement_soak_experiment(**system_keywords) -> SoakReport:
         peak_journal=max(s.resident_journal_records for s in samples),
         journal_total=journal_total,
         telemetry=telemetry,
+        live_signatures=live_signatures,
     )
 
 
@@ -237,6 +262,8 @@ def test_settlement_soak_bounded_resident_records(serial_soak):
         f"{final.resident_journal_records} journal records resident at "
         f"quiescence; expected at most the per-stream watermarks"
     )
+    # Signatures carry their verdicts, so they must track that window too.
+    _assert_signatures_bounded(report)
 
     # The soak's telemetry (fingerprint-neutral): the phase breakdown spans
     # every checkpointed run() plus the drain, and must still explain >= 90%
@@ -246,6 +273,15 @@ def test_settlement_soak_bounded_resident_records(serial_soak):
     assert coverage >= 0.9, (
         f"soak phase breakdown explains only {coverage:.1%} of wall time"
     )
+
+
+def _assert_signatures_bounded(report: SoakReport) -> None:
+    assert len(report.live_signatures) == len(report.samples)
+    for index, (live, sample) in enumerate(zip(report.live_signatures, report.samples)):
+        assert live <= report.signature_bound(sample), (
+            f"checkpoint {index}: {live} live signatures, resident state bounds "
+            f"them by {report.signature_bound(sample)}"
+        )
 
 
 def test_pool_soak_samples_match_the_serial_soak(serial_soak):
@@ -262,3 +298,5 @@ def test_pool_soak_samples_match_the_serial_soak(serial_soak):
     # journal residency and both identity flags, at every checkpoint.
     for index, (ours, theirs) in enumerate(zip(pool.samples, serial_soak.samples)):
         assert ours == theirs, f"checkpoint {index}: pool {ours} vs serial {theirs}"
+    # The driver holds the relays, so the same bound holds for what it keeps.
+    _assert_signatures_bounded(pool)

@@ -2,13 +2,18 @@
 
 import hashlib
 import hmac
+import pickle
 
 import pytest
 
+from repro.cluster import codec
+from repro.cluster.settlement import SettlementAckClaim, SettlementClaim
 from repro.common.types import Transfer
 from repro.crypto import hashing, signatures
 from repro.crypto.hashing import canonical_bytes, content_hash, short_hash
 from repro.crypto.signatures import KeyPair, Signature, SignatureScheme
+from repro.mp.messages import BatchAnnouncement, TransferAnnouncement
+from repro.obs import MetricsRegistry
 
 
 class TestContentHash:
@@ -58,37 +63,140 @@ class TestCanonicalEncodingIsHistoryFree:
         assert not scheme.verify(("history-sig", 1), signature)
 
 
-class TestBoundedMemos:
-    """A full memo is cleared, not frozen: it stays bounded and memoises
-    every payload it meets afterwards."""
+def _counting(scheme):
+    """Attach a fresh registry to ``scheme``; return its ``sig.verify_cached`` counter."""
+    registry = MetricsRegistry()
+    scheme.metrics = registry
+    return registry.counter("sig.verify_cached")
 
-    def test_canonical_memo_stays_bounded_and_keeps_memoising(self, monkeypatch):
-        monkeypatch.setattr(hashing, "_CANONICAL_MEMO_LIMIT", 8)
-        monkeypatch.setattr(hashing, "_CANONICAL_MEMO", {})
-        for index in range(50):
-            assert canonical_bytes(("overfill", index)) == b"l:[s:overfill,i:%d]" % index
-            assert len(hashing._CANONICAL_MEMO) <= 8
-        fresh = ("after-overfill", 1)
-        # A memo hit returns the stored bytes object itself.
-        assert canonical_bytes(fresh) is canonical_bytes(fresh)
 
-    def test_verify_cache_stays_bounded_and_keeps_memoising(self, monkeypatch):
-        from repro.obs import MetricsRegistry
+class TestCachesLiveOnTheirObjects:
+    """No memo table: an :class:`EncodedOnce` payload keeps its canonical
+    bytes in its ``_canonical`` slot and a :class:`Signature` keeps its one
+    ``(scheme, payload bytes, verdict)`` in its ``_verdict`` slot, so each
+    lives exactly as long as the object it describes."""
 
-        monkeypatch.setattr(signatures, "_VERIFY_CACHE_LIMIT", 4)
+    def test_a_verdict_is_reused_for_the_same_scheme_and_equal_bytes(self):
+        scheme = SignatureScheme(seed=1)
+        cached = _counting(scheme)
+        payload = ("reuse", 1)
+        signature = scheme.keypair_for(0).sign(payload)
+        assert scheme.verify(payload, signature)
+        assert cached.value == 0
+        # An equal payload, encoded afresh: equal bytes, so the verdict holds.
+        assert scheme.verify(("reuse", 1), signature)
+        assert scheme.verify_certificate(
+            payload, scheme.make_certificate(payload, [signature]), quorum_size=1
+        )
+        assert cached.value == 2
+
+    def test_a_verdict_is_recomputed_for_another_scheme(self):
+        payload = ("scheme", 1)
+        first, twin, stranger = SignatureScheme(seed=1), SignatureScheme(seed=1), SignatureScheme(seed=2)
+        signature = first.keypair_for(0).sign(payload)
+        counters = [_counting(scheme) for scheme in (first, twin, stranger)]
+        assert first.verify(payload, signature)
+        assert twin.verify(payload, signature)  # same keys, another directory
+        assert not stranger.verify(payload, signature)
+        assert first.verify(payload, signature)  # the stranger replaced the slot
+        assert [counter.value for counter in counters] == [0, 0, 0]
+
+    def test_a_verdict_is_recomputed_for_other_bytes(self):
+        scheme = SignatureScheme(seed=1)
+        cached = _counting(scheme)
+        signature = scheme.keypair_for(0).sign(("bytes", 1))
+        assert scheme.verify(("bytes", 1), signature)
+        assert not scheme.verify(("bytes", 2), signature)
+        assert not scheme.verify(("bytes", True), signature)  # equal value, other bytes
+        assert scheme.verify(("bytes", 1), signature)
+        assert cached.value == 0
+
+    def test_a_forged_tag_is_verified_from_scratch(self):
+        scheme = SignatureScheme(seed=1)
+        cached = _counting(scheme)
+        payload = ("forged", 1)
+        genuine = scheme.keypair_for(0).sign(payload)
+        assert scheme.verify(payload, genuine)
+        forged = Signature(signer=0, tag="0" * 64)
+        assert not scheme.verify(payload, forged)
+        assert cached.value == 0
+        # A refused verdict is the forged object's own, reused like any other.
+        assert not scheme.verify(payload, forged)
+        assert cached.value == 1
+        assert scheme.verify(payload, genuine)
+        assert cached.value == 2
+
+    @pytest.mark.parametrize("carry", ["pickle", "codec"])
+    def test_neither_slot_survives_a_copy(self, carry):
+        dumps, loads = {
+            "pickle": (pickle.dumps, pickle.loads),
+            "codec": (codec.encode, codec.decode),
+        }[carry]
+
+        def build():
+            transfer = Transfer("a", "x1:b", 5, issuer=0, sequence=1)
+            announcement = TransferAnnouncement(transfer, (Transfer("c", "a", 2, issuer=2, sequence=1),))
+            return [
+                transfer,
+                announcement,
+                BatchAnnouncement((announcement,)),
+                SettlementClaim(
+                    source_shard=0, destination_shard=1, issuer=0, sequence=1, account="b", amount=5
+                ),
+                SettlementAckClaim(source_shard=0, destination_shard=1, issuer=0, sequence=1),
+            ]
+
         scheme = SignatureScheme(seed=1)
         pair = scheme.keypair_for(0)
-        for index in range(20):
-            payload = ("overfill", index)
-            assert scheme.verify(payload, pair.sign(payload))
-            assert len(scheme._verify_cache) <= 4
-        registry = MetricsRegistry()
-        scheme.metrics = registry
-        fresh = ("after-overfill", 1)
-        signature = pair.sign(fresh)
-        assert scheme.verify(fresh, signature)
-        assert scheme.verify(fresh, signature)
-        assert registry.counter("sig.verify_cached").value == 1
+        for payload, fresh in zip(build(), build()):
+            signature = pair.sign(payload)
+            assert scheme.verify(payload, signature)
+            assert payload._canonical is canonical_bytes(payload)
+            assert signature._verdict == (scheme, payload._canonical, True)
+            # The bytes carry no cache: they equal those of an untouched twin.
+            assert dumps(payload) == dumps(fresh)
+            assert dumps(signature) == dumps(Signature(signer=signature.signer, tag=signature.tag))
+            payload_copy, signature_copy = loads(dumps(payload)), loads(dumps(signature))
+            assert payload_copy == payload and signature_copy == signature
+            assert not hasattr(payload_copy, "_canonical")
+            assert not hasattr(signature_copy, "_verdict")
+
+    def test_a_plain_tuple_is_encoded_on_every_call_and_leaves_no_state(self, monkeypatch):
+        before = dict(vars(hashing))
+        calls = []
+        encode = hashing._canonical_bytes
+        depth = [0]
+
+        def counting_encode(payload):
+            # The encoder recurses through this module global: count only the
+            # outermost call, one per encoded payload.
+            if depth[0] == 0:
+                calls.append(payload)
+            depth[0] += 1
+            try:
+                return encode(payload)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(hashing, "_canonical_bytes", counting_encode)
+        payload = ("plain", 1)
+        first = canonical_bytes(payload)
+        assert canonical_bytes(payload) == first
+        assert calls == [payload, payload]
+        # An EncodedOnce payload, by contrast, is encoded once.
+        transfer = Transfer("a", "b", 1)
+        assert canonical_bytes(transfer) is canonical_bytes(transfer)
+        assert calls == [payload, payload, transfer]
+        monkeypatch.undo()
+        # The module holds no table: nothing but its functions and imports,
+        # the same objects as before the calls.
+        assert vars(hashing).keys() == before.keys()
+        assert all(vars(hashing)[name] is value for name, value in before.items())
+        assert not [
+            name for name, value in vars(hashing).items()
+            if isinstance(value, (dict, list, set)) and not name.startswith("__")
+        ]
+        assert not hasattr(SignatureScheme(seed=1), "_verify_cache")
 
 
 class TestSignatures:

@@ -71,6 +71,27 @@ class TestHappyPath:
         report = checker.check(system.observations())
         assert report.ok, report.violations
 
+    def test_replicas_share_one_dependency_tuple_per_announcement(self, fast_network):
+        """Every replica receives the same announcement object, so their
+        validated logs hold its one ``dependency_ids`` tuple, not a copy each."""
+        system = build_system(fast_network=fast_network)
+        system.schedule_submissions(ring_workload(5, per_process=3))
+        system.run()
+        logs = [node.observation().validated for node in system.correct_nodes()]
+        by_transfer = {}
+        for log in logs:
+            for validated in log:
+                by_transfer.setdefault(validated.transfer, []).append(validated.dependencies)
+        declared = [tuples for tuples in by_transfer.values() if tuples[0]]
+        assert declared, "the ring workload declares no dependency"
+        for tuples in by_transfer.values():
+            assert len(tuples) == len(logs)
+            assert all(dependencies is tuples[0] for dependencies in tuples)
+        checker = ByzantineAssetTransferChecker(system.initial_balances())
+        report = checker.check(system.observations())
+        assert report.ok, report.violations
+        assert report.checked_transfers == len(by_transfer) * len(logs)
+
     def test_latencies_recorded(self, fast_network):
         system = build_system(fast_network=fast_network)
         system.schedule_submissions(ring_workload(5))

@@ -126,8 +126,6 @@ class TestNonFiniteTimesAreRefused:
         simulator.schedule(0.1, lambda: fired.append(1))
         with pytest.raises(SimulationError):
             simulator.run(until=nan)
-        with pytest.raises(SimulationError):
-            simulator.run_until(nan)
         assert fired == [] and simulator.pending_events == 1
 
 
@@ -204,7 +202,7 @@ class TestEventBudgetBoundary:
         fired = []
         for at in (0.1, 0.2, 0.9):
             simulator.schedule_at(at, lambda at=at: fired.append(at))
-        assert simulator.run_until(0.5, max_events=2) == 0.5
+        assert simulator.run(until=0.5, max_events=2) == 0.5
         assert fired == [0.1, 0.2]
         assert simulator.pending_events == 1 and simulator.processed_events == 2
 
@@ -286,7 +284,7 @@ class TestPendingEventsAccounting:
 
 
 class TestTheClockNeverRunsBackwards:
-    """A horizon in the past is a no-op on ``run`` as on ``run_until``."""
+    """A horizon in the past is a no-op on ``run``."""
 
     def test_run_with_a_past_horizon_keeps_the_clock(self):
         simulator = Simulator()
@@ -298,7 +296,7 @@ class TestTheClockNeverRunsBackwards:
         # Work "before" what the clock has already passed stays refused.
         with pytest.raises(SimulationError):
             simulator.schedule_at(4.0, lambda: None)
-        assert simulator.run_until(3.0) == 5.0
+        assert simulator.run(until=3.0) == 5.0
         assert fired == [] and simulator.pending_events == 1
 
     def test_the_network_facade_inherits_it(self):

@@ -22,7 +22,7 @@ for ``post_many``, whose reference is a loop of ``post``),
 ``run`` under every combination of ``until=`` (also in the past, and NaN,
 which must raise), ``max_events=`` (which raises when the budget is spent and
 a live event inside the horizon is next) and ``stop_when=``,
-``run_until`` (also in the past), and actions that, when they fire,
+a bare ``run(until=...)`` (also in the past), and actions that, when they fire,
 schedule, post or fan out at the current instant, at a shared timestamp or
 later, or cancel another event.  A posted event has no handle: it is observed
 through the executed order, the counters, the live ``(time, sequence)``
@@ -112,9 +112,6 @@ class ReferenceSimulator:
             if stop_when is not None and stop_when():
                 break
         return self.now
-
-    def run_until(self, time: float, max_events=None) -> float:
-        return self.run(until=time, max_events=max_events)
 
     @property
     def next_event_time(self) -> Optional[float]:
@@ -213,8 +210,8 @@ class _Driver:
                     max_events=budget,
                     stop_when=(lambda: len(self.executed) >= target) if stop_after else None,
                 )
-            elif kind == "run_until":
-                engine.run_until(engine.now + step[1])
+            elif kind == "horizon":
+                engine.run(until=engine.now + step[1])
         except SimulationError:
             self.raised.append(index)
 
@@ -268,7 +265,7 @@ STEPS = st.one_of(
         st.one_of(st.none(), st.integers(0, 6)),
         st.one_of(st.none(), st.integers(1, 4)),
     ),
-    st.tuples(st.just("run_until"), st.sampled_from([-0.002, 0.0, 0.001, 0.0035, 0.02])),
+    st.tuples(st.just("horizon"), st.sampled_from([-0.002, 0.0, 0.001, 0.0035, 0.02])),
 )
 
 
@@ -296,7 +293,7 @@ def test_a_fixed_program_reaches_every_mechanism():
         # Cancel after execution is a no-op; so is a horizon in the past.
         (("cancel", 1), True),
         (("run", -0.002, None, None), True),
-        (("run_until", -0.002), True),
+        (("horizon", -0.002), True),
         (("schedule_at", -0.001, NOOP), False),  # raises in both
         (("run", None, 1, None), False),  # budget spent with a live event left: raises
         (("run", None, None, 1), True),
@@ -326,7 +323,7 @@ def test_a_fixed_program_reaches_every_post_mechanism():
         (("run", 0.001, None, None), True),
         (("post", 0.001, NOOP), True),  # -6 shares -5's timestamp
         (("schedule_at", 0.001, NOOP), False),  # handle 2, behind -6
-        (("run_until", 0.0015), True),
+        (("horizon", 0.0015), True),
         (("post", inf, NOOP), False),  # raises in both
         (("post", float("nan"), NOOP), False),  # raises in both
         (("run", None, None, None), True),
