@@ -50,11 +50,15 @@ test-audit:
 ## formulas, the engine and network suites (tests/network: the pinned message
 ## path among them, a lossless exchange and a lossless 4-process Bracha
 ## fan-out, since links are reliable and have no lossy case) and the event
-## queue's differential test.  The last four and the pinned fingerprints are
+## queue's differential test; and the arrivals every backend is fed: the
+## open-loop stream's pinned digest over the steering grid (shard counts,
+## cross-shard fractions, hotspot, skew) with stable_hash's pinned values,
+## and pre-partitioning's differential test against routing one payment at a
+## time.  The message-path four, the arrivals and the pinned fingerprints are
 ## the suites a change to the message path must keep green.  CI runs it a second time as
 ## `make test-backends PYTHON="python -X dev -W error"`.
 test-backends:
-	$(PYTHON) -m pytest tests/cluster/test_backend_equivalence.py tests/cluster/test_shard_snapshot.py tests/cluster/test_pinned_fingerprints.py tests/cluster/test_fingerprint_stream.py tests/properties/test_backend_determinism.py tests/broadcast/test_broadcast_layers.py tests/mp/test_message_formulas.py tests/network tests/properties/test_event_queue.py -q
+	$(PYTHON) -m pytest tests/cluster/test_backend_equivalence.py tests/cluster/test_shard_snapshot.py tests/cluster/test_pinned_fingerprints.py tests/cluster/test_fingerprint_stream.py tests/properties/test_backend_determinism.py tests/broadcast/test_broadcast_layers.py tests/mp/test_message_formulas.py tests/network tests/properties/test_event_queue.py tests/workloads/test_cluster_driver.py::TestArrivalsArePinned tests/properties/test_partition_routing.py -q
 
 ## The settlement suites alone: the quorum-stream exactness suite over both
 ## legs, the lifecycle and adversarial suites, the per-credit signature

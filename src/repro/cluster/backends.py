@@ -54,7 +54,6 @@ import itertools
 import math
 import os
 import time as _time
-import traceback
 import weakref
 from collections import deque
 from contextlib import contextmanager, nullcontext
@@ -251,7 +250,8 @@ def _worker_main(
     the final ``snapshot``.  Every payload crossing the pipe is framed by
     :mod:`repro.cluster.codec`;
     exceptions — an undecodable command frame included — travel back as
-    formatted tracebacks.
+    formatted tracebacks (``traceback`` is imported by that reply alone, so
+    the serial path, which shares this module, never loads it).
     """
     shards: Dict[int, Shard] = {}
     for spec in specs:
@@ -291,6 +291,8 @@ def _worker_main(
                 raise SimulationError(f"unknown worker command {kind!r}")
             connection.send_bytes(codec_encode(("ok", payload)))
         except Exception:  # ship the traceback; the driver decides how to fail
+            import traceback
+
             connection.send_bytes(codec_encode(("error", traceback.format_exc())))
             continue
         if kind == "stop":

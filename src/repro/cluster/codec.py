@@ -11,22 +11,29 @@ of them decode in the driver; as one pickle it takes 91 057 bytes and 3.7 /
 :func:`repro.common.types.rebuilt_by_constructor`).  This stays a module so
 that every frame meets one place that owns its time in a profile and rejects
 a frame that is not exactly one value.
+
+``pickle`` is loaded with the first frame, not with this module: the serial
+backend imports the codec but never frames anything, so a serial run never
+loads it (``tests/test_import_graph.py``).
 """
 
 from __future__ import annotations
 
 import io
-import pickle
 from typing import Any
 
 
 def encode(value: Any) -> bytes:
     """Frame ``value`` for the pipe."""
+    import pickle
+
     return pickle.dumps(value, protocol=5)
 
 
 def decode(data: bytes) -> Any:
     """The value of one frame; raises on a truncated, padded or corrupt one."""
+    import pickle
+
     frame = io.BytesIO(data)
     value = pickle.Unpickler(frame).load()
     if frame.tell() != len(data):

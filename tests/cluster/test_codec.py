@@ -151,6 +151,23 @@ def test_what_arrives_is_usable():
     assert SCHEME.verify_certificate(CLAIM, restored.certificate, quorum_size=3)
 
 
+def test_routed_submissions_round_trip_unchanged(ordered):
+    # Slotted and frozen: what the pool ships into a worker at ``open`` — a
+    # per-shard dict of arrival lists — comes back field for field, in order,
+    # still slotted.
+    arrivals = {
+        2: [
+            RoutedSubmission(time=0.25, issuer=2, destination="x1:0", amount=9),
+            RoutedSubmission(time=0.25, issuer=0, destination="1", amount=0),
+        ],
+        0: [RoutedSubmission(time=1e-12, issuer=3, destination="x12:3", amount=2**40)],
+    }
+    restored = decode(encode(arrivals))
+    assert restored == arrivals and ordered(restored) == ordered(arrivals)
+    assert all(type(routed) is RoutedSubmission for routed in restored[2] + restored[0])
+    assert not hasattr(restored[2][0], "__dict__")
+
+
 @pytest.mark.parametrize("value", [1, TRANSFER, ("advance", 0.005, None)], ids=repr)
 def test_a_frame_that_is_not_exactly_one_value_raises(value):
     data = encode(value)

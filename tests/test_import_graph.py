@@ -7,8 +7,11 @@ rules keep it so: a package ``__init__`` re-exports nothing (import from the
 defining module), the process backend imports ``multiprocessing`` when it is
 constructed, and no ``repro`` module is imported inside a function
 (``TestTheFoldIsOffTheRunPath`` patches every binding in ``sys.modules`` and
-relies on a static graph).  Each graph is read in a fresh child interpreter,
-since this one has imported everything.
+relies on a static graph).  Neither is the pool's tooling: the codec imports
+``pickle`` inside ``encode`` / ``decode`` and the worker loop imports
+``traceback`` only in its error reply, so a serial run loads neither.  Each
+graph is read in a fresh child interpreter, since this one has imported
+everything.
 """
 
 import ast
@@ -27,6 +30,8 @@ SRC = os.path.dirname(os.path.dirname(repro.__file__))
 FIGURE_4_NEVER = ("repro.bft", "repro.shared_memory", "repro.cluster", "repro.obs", "repro.eval")
 CLUSTER_NEVER = ("repro.bft", "repro.shared_memory", "repro.eval")
 POOLS = ("multiprocessing", "concurrent.futures")
+# What only the pool's pipe uses: the codec's pickle, the worker's error reply.
+POOL_TOOLING = ("pickle", "traceback")
 PROFILERS = ("cProfile", "pstats", "_lsprof")
 
 
@@ -66,10 +71,19 @@ def test_the_cluster_loads_no_consensus_shared_memory_harness_or_pool():
 
 def test_a_serial_run_never_loads_a_pool():
     imported, ran = _loaded(
-        "from repro.cluster.system import ClusterSystem",
-        "system = ClusterSystem(shard_count=2, backend='serial'); system.run(); system.close()",
+        "from repro.cluster.system import ClusterSystem\n"
+        "from repro.workloads.cluster_driver import ClusterWorkloadConfig, "
+        "cluster_open_loop_workload",
+        "system = ClusterSystem(shard_count=2, backend='serial')\n"
+        "system.schedule_submissions(cluster_open_loop_workload(ClusterWorkloadConfig("
+        "user_count=100, aggregate_rate=2000.0, duration=0.01, cross_shard_fraction=0.5, "
+        "router=system.router, seed=1)))\n"
+        "system.run().fingerprint(); system.check_definition1(); system.close()",
     )
     assert _under(imported, *POOLS) == _under(ran, *POOLS) == []
+    # Nor its tooling: the codec is imported, but nothing is framed.
+    assert "repro.cluster.codec" in imported
+    assert _under(imported, *POOL_TOOLING) == _under(ran, *POOL_TOOLING) == []
     # The library carries no profiler; perf/ brings its own.
     assert _under(ran, *PROFILERS) == []
 

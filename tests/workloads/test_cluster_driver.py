@@ -1,5 +1,7 @@
 """Tests for the high-volume cluster workload driver."""
 
+import hashlib
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -264,3 +266,65 @@ class TestHotspotProfile:
                         hotspot=HotspotProfile(**bad), router=router, seed=1
                     )
                 )
+
+
+class TestArrivalsArePinned:
+    """The open-loop stream, bit for bit, across every steering branch.
+
+    The digest below was computed by the formulation that called
+    ``router.shard_of`` for every candidate; the driver now hashes each
+    distinct user once per generator, and no RNG draw, destination or
+    fallback may move with that.  The grid holds every knob's branch: one
+    shard (where a cross-shard draw is unsatisfiable and the fallback scan
+    runs the whole population), two, eight and thirteen shards (at eight and
+    thirteen, some same-shard draws exhaust their resamples and end in the
+    scan), no steering, all-local, mixed and all-cross fractions, hotspot on
+    and off, uniform and Zipf destinations.
+    """
+
+    GRID = [
+        (shards, cross, hotspot, skew)
+        for shards in (1, 2, 8, 13)
+        for cross in (None, 0.0, 0.25, 1.0)
+        for hotspot in (False, True)
+        for skew in (0.0, 1.0)
+    ]
+    ARRIVALS = (5280, "38c5ecf7a769107b155be8983bb8a6f99d90c95d0f88adcf8274b664f5f42ff5")
+    # (value, salt) -> stable_hash(value, salt).
+    STABLE_HASHES = {
+        (0, 0): 17730411816118219628,
+        (1, 0): 4288716203127767941,
+        (42, 1): 10269528942892304346,
+        (999_999, 3): 12718190600080436766,
+        (-7, 2): 14241363311849511162,
+        ("user-42", 0): 15336860590341413510,
+        ((3, "x"), 5): 15118023854719183433,
+        (2**70, 0): 1160010737334572941,
+    }
+
+    def test_the_arrivals_digest_is_pinned(self):
+        from repro.cluster.routing import ShardRouter
+        from repro.workloads.cluster_driver import HotspotProfile
+
+        digest = hashlib.sha256()
+        count = 0
+        for shards, cross, hotspot, skew in self.GRID:
+            config = ClusterWorkloadConfig(
+                user_count=400,
+                aggregate_rate=4_000.0,
+                duration=0.02,
+                zipf_skew=skew,
+                cross_shard_fraction=cross,
+                hotspot=HotspotProfile(period=0.005, intensity=0.5, width=3) if hotspot else None,
+                router=ShardRouter(shards, 4, salt=shards),
+                seed=shards,
+            )
+            for s in cluster_open_loop_workload(config):
+                digest.update(repr((s.time, s.source_user, s.destination_user, s.amount)).encode())
+                count += 1
+        assert (count, digest.hexdigest()) == self.ARRIVALS
+
+    def test_stable_hash_is_pinned(self):
+        from repro.cluster.routing import stable_hash
+
+        assert {pair: stable_hash(*pair) for pair in self.STABLE_HASHES} == self.STABLE_HASHES
