@@ -69,7 +69,7 @@ test-backends:
 ## installs (tests/byzantine, the delay refusal among them) and the pinned
 ## fingerprints — the suites a settlement change must keep green.  CI runs
 ## it a second time as `make test-settlement PYTHON="python -X dev -W error"`
-## (development mode, every warning an error; ~20 s, 317 tests on a 2-core
+## (development mode, every warning an error; ~20 s, 318 tests on a 2-core
 ## host), so it must stay clean under that too.
 test-settlement:
 	$(PYTHON) -m pytest tests/cluster/test_settlement*.py tests/properties/test_cluster_settlement.py tests/crypto tests/byzantine tests/cluster/test_pinned_fingerprints.py -q

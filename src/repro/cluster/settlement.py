@@ -66,12 +66,13 @@ pins it)::
                                            acks, one retirement delivery
 
 — 8 / 29 / 21 / 2 / 5 at ``N = 4``.  Everything around those calls is kept
-to what each step needs: the fabric binds each pair's stream ``submit`` once
-and each shard's certificate check once (the inboxes' and gates' key
-directory), a slot's claim and ack claim are built once and signed by every
-agreeing replica, a delivered certificate's ``N`` mints share one ledger
-transfer (:class:`_MintOnce`), and the barrier drains its queues in one
-pass.
+to what each step needs: the fabric dispatches by shard pair, so a relay and
+its streams are data with no callbacks (the pair names the streams a voucher
+or ack joins and the inboxes or gate a certificate visits), each shard's
+certificate check is bound once (the inboxes' and gates' key directory), a
+slot's claim and ack claim are built once and signed by every agreeing
+replica, a delivered certificate's ``N`` mints share one ledger transfer
+(:class:`_MintOnce`), and the barrier drains its queues in one pass.
 
 Fault injection rides the transport behaviours of
 :mod:`repro.byzantine.behaviors`: a voucher or ack behaviour per replica can
@@ -269,9 +270,10 @@ class QuorumStream:
 
     Sans-I/O, and everything a leg differs in is constructor data: the shard
     ``pair``, the signing shard's key directory (``scheme``, ``quorum_size``,
-    ``allowed_signers``), the wire type ``wrap`` a certificate travels in,
-    and ``on_certified``, which says where a fresh certificate goes.  The
-    barrier brings it back through :meth:`deliver` to every subscriber.
+    ``allowed_signers``) and the wire type ``wrap`` a certificate travels
+    in.  ``sink.on_certified(certificate)`` takes each fresh certificate —
+    every stream of a cluster shares its fabric as the sink — and the
+    barrier brings it back through :meth:`deliver`, which journals it.
 
     Items are checked on arrival, which keeps *impersonation* out of the
     pending table.  A Byzantine replica signing fabricated claims under its
@@ -284,14 +286,20 @@ class QuorumStream:
     and :meth:`signature` answer for the full history.
     """
 
+    __slots__ = (
+        "pair", "scheme", "quorum_size", "allowed_signers", "_wrap", "_sink", "_pending",
+        "_assembled", "_floors", "certified", "delivered", "certified_total", "delivered_total",
+        "_signature", "accepted", "rejected",
+    )
+
     def __init__(
         self,
         pair: Tuple[int, int],
         scheme,
         quorum_size: int,
         allowed_signers: frozenset,
-        wrap: Callable[..., object],
-        on_certified: Callable[[object], None],
+        wrap: type,
+        sink,
     ) -> None:
         if quorum_size <= 0:
             raise ConfigurationError("quorum_size must be positive")
@@ -300,8 +308,7 @@ class QuorumStream:
         self.quorum_size = quorum_size
         self.allowed_signers = allowed_signers
         self._wrap = wrap
-        self._on_certified = on_certified
-        self._subscribers: List[Callable[[object], None]] = []
+        self._sink = sink
         self._pending: Dict[object, Dict[ProcessId, Signature]] = {}
         self._assembled: Set[object] = set()
         self._floors: Dict[ProcessId, int] = {}
@@ -312,10 +319,6 @@ class QuorumStream:
         self._signature: List[tuple] = []
         self.accepted = 0
         self.rejected = 0
-
-    def subscribe(self, deliver: Callable[[object], None]) -> None:
-        """Register a receiver of delivered certificates (called in order)."""
-        self._subscribers.append(deliver)
 
     def submit(self, item) -> bool:
         """Accept one signed voucher or ack; certify its claim at quorum.
@@ -367,18 +370,19 @@ class QuorumStream:
             return
         certificate = self._wrap(claim=claim, certificate=bundle)
         self._assembled.add(claim)
-        self._on_certified(certificate)
-        # Journaled after the callback, so the newest retirement watermark
-        # stays resident when its callback forgets what it subsumes.
+        self._sink.on_certified(certificate)
+        # Journaled after the sink, so the newest retirement watermark stays
+        # resident when the sink forgets what it subsumes.
         self.certified.append(certificate)
         self.certified_total += 1
 
     def deliver(self, certificate) -> None:
-        """Hand one certificate to every subscriber, in subscription order.
+        """Journal one delivered certificate and its signature entry.
 
-        Called by the settlement barrier.  Journaled certificates of the
-        issuer at or below its floor go first: several retirement watermarks
-        can certify between barriers and deliver in a burst afterwards.
+        Called by the fabric as the barrier delivers it.  Journaled
+        certificates of the issuer at or below its floor go first: several
+        retirement watermarks can certify between barriers and deliver in a
+        burst afterwards.
         """
         claim = certificate.claim
         floor = self._floors.get(claim.issuer, 0)
@@ -390,8 +394,6 @@ class QuorumStream:
         # The wire claims are slotted dataclasses: ``__slots__`` lists their
         # fields in declaration order.
         self._signature.append(tuple(getattr(claim, name) for name in claim.__slots__))
-        for deliver in self._subscribers:
-            deliver(certificate)
 
     def forget(self, issuer: ProcessId, watermark: int) -> None:
         """Raise ``issuer``'s floor to ``watermark``; drop what it subsumes.
@@ -434,16 +436,19 @@ class SettlementRelay:
 
     ``vouchers`` certifies claims with the *source* shard's keys into
     :class:`SettlementCertificate` s for the destination inboxes; ``acks``
-    certifies watermarks with the *destination* shard's keys (``ack_*``,
-    defaulting to the source's) into :class:`RetirementCertificate` s for the
-    source's compaction gate.  The relay is untrusted like a network: inbox
-    and gate re-verify everything, so a faulty relay can at worst withhold
-    settlement or compaction, never mint money or retire an unsettled record.
+    certifies watermarks with the *destination* shard's keys (``ack_*``)
+    into :class:`RetirementCertificate` s for the source's compaction gate.
+    The relay is untrusted like a network: inbox and gate re-verify
+    everything, so a faulty relay can at worst withhold settlement or
+    compaction, never mint money or retire an unsettled record.
 
-    ``dispatch`` / ``retirement_dispatch`` receive a fresh certificate with
-    its stream's ``deliver``; the fabric queues both on the barrier
-    scheduler, which calls ``deliver(certificate)`` once it matures.
+    A relay is data: the pair and its two streams.  Both streams hand fresh
+    certificates to ``sink`` (see :class:`QuorumStream`); the fabric, the
+    sink of every relay it makes, routes by the claim's pair what a relay
+    would otherwise have to hold.
     """
+
+    __slots__ = ("pair", "vouchers", "acks")
 
     def __init__(
         self,
@@ -452,54 +457,18 @@ class SettlementRelay:
         scheme,
         quorum_size: int,
         allowed_signers: frozenset,
-        dispatch: Callable[[Callable, SettlementCertificate], None],
-        retirement_dispatch: Callable[[Callable, RetirementCertificate], None],
-        ack_scheme=None,
-        ack_quorum_size: int = 0,
-        ack_allowed_signers: frozenset = frozenset(),
+        ack_scheme,
+        ack_quorum_size: int,
+        ack_allowed_signers: frozenset,
+        sink,
     ) -> None:
-        pair = (source_shard, destination_shard)
-        self.source_shard = source_shard
-        self.destination_shard = destination_shard
-        self._dispatch = dispatch
-        self._retirement_dispatch = retirement_dispatch
+        self.pair = (source_shard, destination_shard)
         self.vouchers = QuorumStream(
-            pair, scheme, quorum_size, allowed_signers, SettlementCertificate, self._certified
+            self.pair, scheme, quorum_size, allowed_signers, SettlementCertificate, sink
         )
         self.acks = QuorumStream(
-            pair,
-            ack_scheme if ack_scheme is not None else scheme,
-            ack_quorum_size or quorum_size,
-            ack_allowed_signers or allowed_signers,
-            RetirementCertificate,
-            self._retired,
+            self.pair, ack_scheme, ack_quorum_size, ack_allowed_signers, RetirementCertificate, sink
         )
-        # The settlement leg's full-history accounting, folded in as
-        # certificates assemble and deliver: the audit reads these, never
-        # the journals.
-        self.certified_amount_total: Amount = 0
-        self._provisions: Dict[AccountId, Amount] = {}
-        self.vouchers.subscribe(self._provision)
-
-    def _certified(self, certificate: SettlementCertificate) -> None:
-        self.certified_amount_total += certificate.claim.amount
-        self._dispatch(self.vouchers.deliver, certificate)
-
-    def _retired(self, certificate: RetirementCertificate) -> None:
-        claim = certificate.claim
-        self.vouchers.forget(claim.issuer, claim.sequence)
-        self.acks.forget(claim.issuer, claim.sequence)
-        self._retirement_dispatch(self.acks.deliver, certificate)
-
-    def _provision(self, certificate: SettlementCertificate) -> None:
-        claim = certificate.claim
-        account = settlement_account(claim.source_shard, claim.issuer)
-        self._provisions[account] = self._provisions.get(account, 0) + claim.amount
-
-    def provisions(self) -> Dict[AccountId, Amount]:
-        """Cumulative provision totals per destination ``settle:{s}:{p}``
-        account — the full history, compaction notwithstanding."""
-        return dict(self._provisions)
 
     @property
     def resident_journal_records(self) -> int:
@@ -689,7 +658,7 @@ class _MintOnce:
     """The mint transfer of the certificate a destination shard is being
     delivered, built once for all of the shard's inboxes.
 
-    A relay hands one certificate object to every destination inbox in
+    The fabric hands one certificate object to every destination inbox in
     turn, so its claim is the same object each time: a claim the memo holds
     is answered with the transfer already built, any other claim replaces
     it.  A claim is frozen, so the held transfer always equals what
@@ -721,12 +690,16 @@ def _ack_pair(shard: int, recipient: int, ack: SettlementAck) -> Tuple[int, int]
 
 
 class SettlementFabric:
-    """Wires every shard pair's relay, the inboxes and the gates together.
+    """Dispatches settlement between every shard pair's relay, the inboxes
+    and the gates.
 
     One fabric per cluster.  It turns the validation events the barrier
     replays into ``observe_validation`` into signed vouchers, every mint
     into a signed ack, creates each pair's :class:`SettlementRelay` on first
-    use, and owns the per-replica inboxes and per-shard gates.  A
+    use, and owns the per-replica inboxes and per-shard gates.  Relays hold
+    no wiring: the fabric is every stream's sink, and a certificate's claim
+    names the pair, so the pair says where it goes — the destination's
+    inboxes on the voucher leg, the source's gate on the ack leg.  A
     :class:`~repro.byzantine.behaviors.Behavior` per sending replica can
     filter either leg's traffic — the adversarial tests' Byzantine model.
     """
@@ -750,9 +723,15 @@ class SettlementFabric:
         # The record holds the slot's one claim and one ack claim: replicas
         # that agree sign the same objects, so each is encoded once.
         self._stream_records: Dict[Tuple[int, int, ProcessId], Dict[int, _SlotRecord]] = {}
-        # ``leg -> (source, destination) -> stream.submit``: where an
-        # unfiltered voucher or ack goes, bound on a pair's first use.
-        self._routes: Dict[str, Dict[Tuple[int, int], Callable]] = {"vouchers": {}, "acks": {}}
+        # ``leg -> (source, destination) -> stream``: where an unfiltered
+        # voucher or ack goes, resolved on a pair's first use.
+        self._routes: Dict[str, Dict[Tuple[int, int], QuorumStream]] = {"vouchers": {}, "acks": {}}
+        # The settlement leg's full-history accounting, folded in as
+        # certificates assemble and deliver: the audit reads these, never
+        # the journals.  Provisions are per destination shard; a
+        # ``settle:{s}:{p}`` account names its source.
+        self._certified_amount: Amount = 0
+        self._provisions: Dict[int, Dict[AccountId, Amount]] = {}
         # The key directory: each shard's certificate check, bound once.  A
         # retirement certificate carries its destination shard's signatures,
         # a settlement certificate its source shard's.
@@ -774,16 +753,21 @@ class SettlementFabric:
             for shard in shards
         }
         self.inboxes: Dict[Tuple[int, ProcessId], SettlementInbox] = {}
+        # Each shard's inboxes in pid order: the order a certificate for the
+        # shard visits them.
+        self._shard_inboxes: Dict[int, List[SettlementInbox]] = {}
         for shard in shards:
             mint_of = _MintOnce()
+            inboxes = self._shard_inboxes[shard.index] = []
             for pid in sorted(shard.nodes):
-                self.inboxes[(shard.index, pid)] = SettlementInbox(
+                inbox = self.inboxes[(shard.index, pid)] = SettlementInbox(
                     shard.index,
                     verifiers,
                     mint_sink=partial(scheduler.enqueue_mint, shard.index, pid),
                     on_minted=self._ack_emitter(shard.index, pid),
                     mint_of=mint_of,
                 )
+                inboxes.append(inbox)
         self.vouchers_dispatched = 0
         self.acks_dispatched = 0
         # Validation-to-mint latency, one sample per mint decision: O(1)
@@ -916,32 +900,32 @@ class SettlementFabric:
         """
         behavior = self._behaviors.get((leg, shard, replica)) if self._behaviors else None
         if behavior is None:
-            submit = self._route(leg, pair_of(shard, recipient, item))
-            if submit is None:
+            stream = self._route(leg, pair_of(shard, recipient, item))
+            if stream is None:
                 return 0
-            self.scheduler.enqueue(leg, emitted_at + delay, submit, item)
+            self.scheduler.enqueue(leg, emitted_at + delay, stream.submit, item)
             return 1
         sent = 0
         for out in behavior.transform(replica, recipient, item):
-            submit = self._route(leg, pair_of(shard, out.recipient, out.message))
-            if submit is not None:
+            stream = self._route(leg, pair_of(shard, out.recipient, out.message))
+            if stream is not None:
                 ready = emitted_at + delay + out.extra_delay
-                self.scheduler.enqueue(leg, ready, submit, out.message)
+                self.scheduler.enqueue(leg, ready, stream.submit, out.message)
                 sent += 1
         return sent
 
-    def _route(self, leg: str, pair: Tuple[int, int]) -> Optional[Callable]:
-        """The ``submit`` of the ``leg`` stream of shard pair ``pair``, bound
-        on first use; ``None`` for a same-shard or nonexistent pair."""
+    def _route(self, leg: str, pair: Tuple[int, int]) -> Optional[QuorumStream]:
+        """The ``leg`` stream of shard pair ``pair``, indexed on first use;
+        ``None`` for a same-shard or nonexistent pair."""
         routes = self._routes[leg]
-        submit = routes.get(pair)
-        if submit is None:
+        stream = routes.get(pair)
+        if stream is None:
             source, destination = pair
             shards = self._shards
             if source == destination or source not in shards or destination not in shards:
                 return None
-            submit = routes[pair] = getattr(self.relay(source, destination), leg).submit
-        return submit
+            stream = routes[pair] = getattr(self.relay(source, destination), leg)
+        return stream
 
     def _keypair(self, shard_index: int, replica: ProcessId) -> KeyPair:
         keypair = self._keypairs.get((shard_index, replica))
@@ -959,39 +943,53 @@ class SettlementFabric:
     # -- relays and verification --------------------------------------------------------------
 
     def relay(self, source_shard: int, destination_shard: int) -> SettlementRelay:
-        """The pair's relay, created (and subscribed) on first use."""
+        """The pair's relay, created on first use."""
         key = (source_shard, destination_shard)
         relay = self._relays.get(key)
         if relay is None:
             source = self._shards[source_shard]
             destination = self._shards[destination_shard]
-            relay = SettlementRelay(
-                source_shard=source_shard,
-                destination_shard=destination_shard,
-                scheme=source.scheme,
-                quorum_size=source.quorum_size,
-                allowed_signers=self._signers[source_shard],
-                dispatch=self._deliver_later("certificates"),
-                retirement_dispatch=self._deliver_later("retirement_certificates"),
-                ack_scheme=destination.scheme,
-                ack_quorum_size=destination.quorum_size,
-                ack_allowed_signers=self._signers[destination_shard],
+            relay = self._relays[key] = SettlementRelay(
+                source_shard, destination_shard,
+                source.scheme, source.quorum_size, self._signers[source_shard],
+                destination.scheme, destination.quorum_size, self._signers[destination_shard],
+                sink=self,
             )
-            for pid in sorted(destination.nodes):
-                relay.vouchers.subscribe(self.inboxes[(destination_shard, pid)].receive)
-            relay.acks.subscribe(self.gates[source_shard].receive)
-            self._relays[key] = relay
         return relay
 
-    def _deliver_later(self, queue: str) -> Callable[[Callable, object], None]:
-        """A relay's certificate dispatch: the barrier calls ``deliver`` once
-        the relay-to-shard link's delay has passed."""
+    def on_certified(self, certificate) -> None:
+        """Every stream's sink: queue a fresh certificate for delivery one
+        relay-to-shard link later.  A retirement watermark first makes both
+        streams of its pair forget what it subsumes."""
+        claim = certificate.claim
+        if type(certificate) is RetirementCertificate:
+            relay = self._relays[(claim.source_shard, claim.destination_shard)]
+            relay.vouchers.forget(claim.issuer, claim.sequence)
+            relay.acks.forget(claim.issuer, claim.sequence)
+            queue = "retirement_certificates"
+        else:
+            self._certified_amount += claim.amount
+            queue = "certificates"
+        ready = self.scheduler.now + DELIVERY_DELAY
+        self.scheduler.enqueue(queue, ready, self._deliver, certificate)
 
-        def dispatch(deliver: Callable, certificate) -> None:
-            ready = self.scheduler.now + DELIVERY_DELAY
-            self.scheduler.enqueue(queue, ready, deliver, certificate)
-
-        return dispatch
+    def _deliver(self, certificate) -> None:
+        """Deliver a matured certificate: journal it on its stream, then a
+        settlement certificate adds to its provision total and visits the
+        destination's inboxes in pid order, a retirement certificate goes to
+        the source's gate."""
+        claim = certificate.claim
+        relay = self._relays[(claim.source_shard, claim.destination_shard)]
+        if type(certificate) is RetirementCertificate:
+            relay.acks.deliver(certificate)
+            self.gates[claim.source_shard].receive(certificate)
+            return
+        relay.vouchers.deliver(certificate)
+        provisions = self._provisions.setdefault(claim.destination_shard, {})
+        account = settlement_account(claim.source_shard, claim.issuer)
+        provisions[account] = provisions.get(account, 0) + claim.amount
+        for inbox in self._shard_inboxes[claim.destination_shard]:
+            inbox.receive(certificate)
 
     def _take_stream_records(
         self, claim: SettlementAckClaim, first_sequence: int
@@ -1013,25 +1011,21 @@ class SettlementFabric:
         return [self._relays[key] for key in sorted(self._relays)]
 
     def provisions_for(self, destination_shard: int) -> Dict[AccountId, Amount]:
-        """Initial balances of the destination shard's provision accounts.
+        """Initial balances of the destination shard's provision accounts:
+        cumulative delivered amounts, the full history, compaction
+        notwithstanding.
 
         The per-shard checker uses these as augmented initial balances, so a
         replica that minted without a delivered certificate shows up as a C2
         balance violation.
         """
-        provisions: Dict[AccountId, Amount] = {}
-        for relay in self.relays:
-            if relay.destination_shard != destination_shard:
-                continue
-            for account, amount in relay.provisions().items():
-                provisions[account] = provisions.get(account, 0) + amount
-        return provisions
+        return dict(self._provisions.get(destination_shard, {}))
 
     def certified_amount(self) -> Amount:
-        return sum(relay.certified_amount_total for relay in self.relays)
+        return self._certified_amount
 
     def delivered_amount(self) -> Amount:
-        return sum(sum(relay.provisions().values()) for relay in self.relays)
+        return sum(sum(provisions.values()) for provisions in self._provisions.values())
 
     def certificates_delivered(self) -> int:
         return sum(relay.vouchers.delivered_total for relay in self.relays)
@@ -1102,7 +1096,7 @@ class SettlementFabric:
     def settlement_messages(self) -> int:
         """Vouchers and acks dispatched plus certificate deliveries."""
         deliveries = sum(
-            relay.vouchers.delivered_total * len(self._shards[relay.destination_shard].nodes)
+            relay.vouchers.delivered_total * len(self._shard_inboxes[relay.pair[1]])
             + relay.acks.delivered_total
             for relay in self.relays
         )

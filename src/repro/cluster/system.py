@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.common.types import AccountId, Amount
+from repro.common.types import Amount
 from repro.cluster.backends import (
     BACKEND_NAMES,
     EpochScheduler,
@@ -324,17 +324,10 @@ class ClusterSystem:
         balance violation.  The cluster-level :class:`SupplyAudit` then nets
         outbound and minted credits across all shard ledgers.
         """
-        # Every relay's provisions, folded by destination shard in one walk
-        # (the same sums ``settlement.provisions_for`` gives one shard at a time).
-        provisions: Dict[int, Dict[AccountId, Amount]] = {}
-        for relay in self.settlement.relays:
-            folded = provisions.setdefault(relay.destination_shard, {})
-            for account, amount in relay.provisions().items():
-                folded[account] = folded.get(account, 0) + amount
         shard_reports = {}
         for shard in self.shards:
             initial = shard.initial_balances()
-            initial.update(provisions.get(shard.index, ()))
+            initial.update(self.settlement.provisions_for(shard.index))
             checker = ByzantineAssetTransferChecker(initial)
             shard_reports[shard.index] = checker.check(shard.observations())
         return ClusterCheckReport(conservation=self.supply_audit(), shard_reports=shard_reports)

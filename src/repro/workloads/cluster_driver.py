@@ -291,6 +291,7 @@ _CROSS_SHARD_RESAMPLES = 32
 
 def _steer_destination(
     shard_of: _PerCall,
+    shard_count: int,
     user_count: int,
     source: int,
     destination: int,
@@ -303,12 +304,14 @@ def _steer_destination(
     Resamples the Zipf distribution (``sample``) a bounded number of times
     (preserving the popularity skew within the wanted shard class), then
     falls back to a deterministic linear scan.  If no user satisfies the
-    draw (for instance ``shard_count == 1`` with a cross-shard draw), the
-    original destination is kept — the knob is best-effort by construction —
-    and the ``(source shard, want_cross)`` pair is memoised in
-    ``unsatisfiable`` so later submissions skip the full scan: a failed scan
-    means the wanted shard class holds no user other than ``source`` itself,
-    which is a property of the shard, not of the individual source.
+    draw, the original destination is kept — the knob is best-effort by
+    construction — and the ``(source shard, want_cross)`` pair is memoised
+    in ``unsatisfiable`` so later submissions skip the full scan: a failed
+    scan means the wanted shard class holds no user other than ``source``
+    itself, which is a property of the shard, not of the individual source.
+    A cross-shard draw on one shard is unsatisfiable up front, so it skips
+    the scan (its resamples still run: they are RNG draws, and the stream
+    of arrivals depends on every one).
 
     Drawn users go through the generator's ``shard_of`` lookup; the scan only
     peeks into it, so a scan over the whole population costs hashes but
@@ -323,11 +326,12 @@ def _steer_destination(
         candidate = sample()
         if candidate != source and (shard_of[candidate] != source_shard) == want_cross:
             return candidate
-    peek = shard_of.peek
-    for offset in range(1, user_count):
-        candidate = (destination + offset) % user_count
-        if candidate != source and (peek(candidate) != source_shard) == want_cross:
-            return candidate
+    if shard_count > 1 or not want_cross:
+        peek = shard_of.peek
+        for offset in range(1, user_count):
+            candidate = (destination + offset) % user_count
+            if candidate != source and (peek(candidate) != source_shard) == want_cross:
+                return candidate
     unsatisfiable.add((source_shard, want_cross))
     return destination
 
@@ -385,6 +389,7 @@ def iter_cluster_workload(config: ClusterWorkloadConfig) -> Iterator[ClusterSubm
         if cross_fraction is not None:
             destination = _steer_destination(
                 shard_of,
+                router.shard_count,
                 user_count,
                 source,
                 destination,

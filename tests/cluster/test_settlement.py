@@ -1,6 +1,9 @@
 """Unit and integration tests for the cross-shard settlement fabric."""
 
 import dataclasses
+import functools
+import gc
+import types
 
 import pytest
 
@@ -9,9 +12,15 @@ from repro.cluster.backends import BACKEND_NAMES, EpochScheduler
 from repro.cluster.routing import parse_external_account
 from repro.cluster.shard import Shard, ShardSpec
 from repro.cluster.settlement import (
+    CompactionGate,
+    QuorumStream,
+    RetirementCertificate,
     SettlementAck,
     SettlementAckClaim,
+    SettlementCertificate,
     SettlementClaim,
+    SettlementFabric,
+    SettlementInbox,
     SettlementRelay,
     SettlementVoucher,
     is_settlement_account,
@@ -131,10 +140,11 @@ class TestClaimEncodingIsPinned:
 class HandFedLeg:
     """One hand-fed lifecycle leg of a ``0 -> 1`` relay.
 
-    Dispatched certificates collect in ``dispatched`` with their stream's
-    ``deliver``; ``flush()`` hands them back in dispatch order — the barrier's
-    job.  The voucher leg signs with the source shard's keys, the ack leg
-    with the destination shard's.
+    The leg is its relay's sink: fresh certificates collect in
+    ``dispatched`` through ``on_certified``, and ``flush()`` hands them back
+    to the stream's ``deliver`` in dispatch order — the fabric's and the
+    barrier's job.  The voucher leg signs with the source shard's keys, the
+    ack leg with the destination shard's.
     """
 
     def __init__(self, name):
@@ -147,22 +157,20 @@ class HandFedLeg:
             scheme=self.keys["vouchers"],
             quorum_size=3,
             allowed_signers=frozenset(range(4)),
-            dispatch=self._collect,
-            retirement_dispatch=self._collect,
             ack_scheme=self.keys["acks"],
             ack_quorum_size=3,
             ack_allowed_signers=frozenset(range(4)),
+            sink=self,
         )
         self.stream = getattr(self.relay, name)
         self.scheme = self.keys[name]
 
-    def _collect(self, deliver, certificate):
-        self.dispatched.append((deliver, certificate))
+    def on_certified(self, certificate):
+        self.dispatched.append(certificate)
 
     def flush(self):
         while self.dispatched:
-            deliver, certificate = self.dispatched.pop(0)
-            deliver(certificate)
+            self.stream.deliver(self.dispatched.pop(0))
 
     def claim(self, sequence=1, pair=(0, 1)):
         if self.name == "vouchers":
@@ -185,17 +193,15 @@ class TestQuorumStream:
 
     def test_certificate_assembles_exactly_at_quorum(self, leg):
         claim = leg.claim()
-        delivered = []
-        leg.stream.subscribe(delivered.append)
         for signer in (0, 1):
             assert leg.stream.submit(leg.item(signer, claim))
         assert not leg.stream.certified and leg.stream.pending == 1
         assert leg.stream.submit(leg.item(2, claim))
         assert [c.claim for c in leg.stream.certified] == [claim]
         assert leg.stream.pending == 0
-        assert [c for _, c in leg.dispatched] == leg.stream.certified and not delivered
+        assert leg.dispatched == leg.stream.certified and not leg.stream.delivered
         leg.flush()
-        assert [c.claim for c in delivered] == [claim]
+        assert [c.claim for c in leg.stream.delivered] == [claim]
         assert leg.stream.delivered == leg.stream.certified
         assert leg.stream.signature() == [dataclasses.astuple(claim)]
         certificate = leg.stream.certified[0].certificate
@@ -260,7 +266,7 @@ class TestQuorumStream:
         leg.stream._pending[claim][9] = forged
         assert leg.stream.submit(leg.item(2, claim))
         assert leg.stream.rejected == 2
-        [certificate] = [c for _, c in leg.dispatched]
+        [certificate] = leg.dispatched
         assert certificate is leg.stream.certified[-1]
         assert {s.signer for s in certificate.certificate.signatures} == {0, 1, 2}
         assert leg.scheme.verify_certificate(
@@ -270,8 +276,49 @@ class TestQuorumStream:
 
 class TestSettlementRelay:
     def test_rejects_degenerate_configuration(self):
-        with pytest.raises(ConfigurationError):
-            SettlementRelay(0, 1, SignatureScheme(), 0, frozenset(), [].append, [].append)
+        """A zero quorum on either leg is refused (the ack leg has no default)."""
+        signers = frozenset(range(4))
+        for voucher_quorum, ack_quorum in ((0, 3), (3, 0)):
+            with pytest.raises(ConfigurationError):
+                SettlementRelay(
+                    0, 1, SignatureScheme(), voucher_quorum, signers,
+                    SignatureScheme(), ack_quorum, signers, sink=None,
+                )
+
+
+class TestRelaysAreData:
+    """The fabric dispatches by shard pair, so a relay and its two streams
+    hold data: no closure, bound method or subscriber list per relay."""
+
+    def test_no_callable_is_reachable_from_a_relay(self, fast_network):
+        system = _system(fast_network, shards=3)
+        system.schedule_submissions(_workload(cross_shard_fraction=0.5, router=system.router))
+        system.run()
+        relays = system.settlement.relays
+        assert len(relays) == 6 and system.supply_audit().fully_retired
+        # Shared objects a relay may name but does not own: walked into,
+        # they lead to every method of the cluster.
+        shared = (
+            SettlementCertificate, RetirementCertificate, SettlementClaim, SettlementAckClaim,
+            SignatureScheme, SettlementInbox, CompactionGate, SettlementFabric, type,
+        )
+        callables = (
+            types.FunctionType, types.MethodType, types.BuiltinMethodType, types.CellType,
+            functools.partial,
+        )
+        seen = set()
+        stack = list(relays)
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, shared):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, callables), obj
+            stack.extend(gc.get_referents(obj))
+        for relay in relays:
+            for obj in (relay, relay.vouchers, relay.acks):
+                assert not hasattr(obj, "__dict__")
+        assert isinstance(relays[0].vouchers, QuorumStream)
 
 
 class TestValidationReplay:

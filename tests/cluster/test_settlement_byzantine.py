@@ -177,21 +177,21 @@ class TestUnderQuorumCertificates:
 
 class TestReplayedCertificates:
     def test_replayed_certificate_mints_exactly_once(self, make_system):
-        # A relay subscriber captures the genuine certificate as it is
-        # delivered (the journal compacts it behind the retirement watermark
-        # by quiescence) — this test needs the byte-identical original to
-        # replay it against the inboxes.
+        # The genuine certificate is taken from the relay's journal at a
+        # pause after the barrier that delivers it (0.010) and before the
+        # one whose retirement watermark compacts it (0.015): this test
+        # needs the byte-identical original to replay it against the inboxes.
         system = make_system()
-        delivered = []
-        system.settlement.relay(0, 1).vouchers.subscribe(delivered.append)
         a = _user_on_shard(system.router, 0)
         b = _user_on_shard(system.router, 1)
         system.schedule_submissions(
             [ClusterSubmission(time=0.001, source_user=a, destination_user=b, amount=9)]
         )
+        system.run(until=0.012)
+        vouchers = system.settlement.relay(0, 1).vouchers
+        [genuine] = vouchers.delivered
         system.run()
-        assert len(delivered) == 1
-        genuine = delivered[0]
+        assert vouchers.delivered == [] and vouchers.delivered_total == 1
         after_first = _destination_balances(system)
         for pid in range(4):
             inbox = system.settlement.inboxes[(1, pid)]

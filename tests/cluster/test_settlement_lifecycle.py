@@ -73,35 +73,48 @@ def _ack_claim(sequence=1):
     )
 
 
+class _Sink:
+    """A hand-fed relay's sink, doing the fabric's part of each leg: a
+    certified retirement watermark makes both streams forget what it
+    subsumes, then every fresh certificate waits in ``dispatched`` until
+    ``flush()`` journals it on its stream, in dispatch order — the barrier's
+    delivery."""
+
+    def __init__(self):
+        self.relay = None
+        self.dispatched = []
+
+    def on_certified(self, certificate):
+        if isinstance(certificate, RetirementCertificate):
+            claim = certificate.claim
+            self.relay.vouchers.forget(claim.issuer, claim.sequence)
+            self.relay.acks.forget(claim.issuer, claim.sequence)
+        self.dispatched.append(certificate)
+
+    def flush(self):
+        while self.dispatched:
+            certificate = self.dispatched.pop(0)
+            leg = "acks" if isinstance(certificate, RetirementCertificate) else "vouchers"
+            getattr(self.relay, leg).deliver(certificate)
+
+
 def _relay(source_scheme=None, dest_scheme=None):
-    """A relay plus ``flush()``, which hands every certificate it dispatched
-    back to its stream's ``deliver`` in dispatch order — the barrier's job."""
-    source_scheme = source_scheme or SignatureScheme(seed=7)
+    """A relay plus ``flush()``, which delivers every certificate it
+    dispatched in dispatch order (see :class:`_Sink`)."""
     dest_scheme = dest_scheme or SignatureScheme(seed=8)
-    dispatched = []
-
-    def collect(deliver, certificate):
-        dispatched.append((deliver, certificate))
-
-    relay = SettlementRelay(
+    sink = _Sink()
+    sink.relay = SettlementRelay(
         source_shard=0,
         destination_shard=1,
-        scheme=source_scheme,
+        scheme=source_scheme or SignatureScheme(seed=7),
         quorum_size=3,
         allowed_signers=frozenset(range(4)),
-        dispatch=collect,
-        retirement_dispatch=collect,
         ack_scheme=dest_scheme,
         ack_quorum_size=3,
         ack_allowed_signers=frozenset(range(4)),
+        sink=sink,
     )
-
-    def flush():
-        while dispatched:
-            deliver, certificate = dispatched.pop(0)
-            deliver(certificate)
-
-    return relay, flush, dest_scheme
+    return sink.relay, sink.flush, dest_scheme
 
 
 def _ack(scheme, signer, claim):
@@ -627,11 +640,10 @@ class TestRelayJournalCompaction:
             relay.acks.submit(_ack(dest_scheme, signer, claim))
         assert [c.claim.sequence for c in vouchers.certified] == [3]
         assert [c.claim.sequence for c in vouchers.delivered] == [3]
-        # The cumulative surfaces still answer for the full history.
+        # The cumulative surfaces still answer for the full history (the
+        # fabric's amount totals: test_end_to_end_journals_track_the_in_flight_window).
         assert vouchers.certified_total == vouchers.delivered_total == 3
-        assert relay.certified_amount_total == 15
         assert len(vouchers.signature()) == 3
-        assert sum(relay.provisions().values()) == 15  # the delivered amount
 
     def test_newer_watermark_keeps_only_itself_per_stream(self):
         relay, flush, dest_scheme = _relay()
@@ -765,8 +777,12 @@ class TestRelayJournalCompaction:
                 assert relay.vouchers.certified == []
                 assert relay.vouchers.delivered == []
                 assert len(relay.acks.delivered) <= 1  # one stream here
-            # The audit surfaces survived compaction: delivered amounts match
-            # minted balances, signatures cover the full history.
+            # The audit surfaces survived compaction: the fabric's certified
+            # and provisioned totals hold all five credits, delivered amounts
+            # match minted balances, signatures cover the full history.
+            assert fabric.certified_amount() == fabric.delivered_amount() == 5
+            assert sum(fabric.provisions_for(1).values()) == 5
+            assert fabric.provisions_for(0) == {}
             audit = system.supply_audit()
             assert audit.ledger_matches_relay
             assert len(system.settlement_signature()) == fabric.certificates_delivered()

@@ -103,6 +103,32 @@ class TestClusterWorkload:
         config = ClusterWorkloadConfig(user_count=200, aggregate_rate=1000, duration=0.05, seed=8)
         assert list(iter_cluster_workload(config)) == cluster_open_loop_workload(config)
 
+    def test_one_shard_cross_draws_skip_the_population_scan(self):
+        """On one shard no destination is cross-shard, so a cross-shard draw
+        keeps its destination after its resamples without scanning the
+        population: ten payments among 10^6 users hash only the users they
+        draw, not every user."""
+        from repro.cluster.routing import ShardRouter
+
+        class SpyRouter(ShardRouter):
+            calls = 0
+
+            def shard_of(self, user):
+                self.calls += 1
+                return super().shard_of(user)
+
+        router = SpyRouter(1, 4)
+        submissions = cluster_open_loop_workload(
+            ClusterWorkloadConfig(
+                user_count=1_000_000, aggregate_rate=1_000.0, duration=0.01,
+                zipf_skew=0.0, cross_shard_fraction=0.25, router=router, seed=1,
+            )
+        )
+        assert len(submissions) == 10
+        # One cross-shard draw's 32 uniform resamples, and at most a source,
+        # a destination and 32 resamples per payment.
+        assert 32 <= router.calls <= 34 * len(submissions)
+
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigurationError):
             cluster_open_loop_workload(ClusterWorkloadConfig(user_count=1))
@@ -275,8 +301,9 @@ class TestArrivalsArePinned:
     ``router.shard_of`` for every candidate; the driver now hashes each
     distinct user once per generator, and no RNG draw, destination or
     fallback may move with that.  The grid holds every knob's branch: one
-    shard (where a cross-shard draw is unsatisfiable and the fallback scan
-    runs the whole population), two, eight and thirteen shards (at eight and
+    shard (where a cross-shard draw is unsatisfiable: it exhausts its
+    resamples and keeps its destination without a scan), two, eight and
+    thirteen shards (at eight and
     thirteen, some same-shard draws exhaust their resamples and end in the
     scan), no steering, all-local, mixed and all-cross fractions, hotspot on
     and off, uniform and Zipf destinations.
