@@ -69,13 +69,14 @@ test-backends:
 ## installs (tests/byzantine, the delay refusal among them) and the pinned
 ## fingerprints — the suites a settlement change must keep green.  CI runs
 ## it a second time as `make test-settlement PYTHON="python -X dev -W error"`
-## (development mode, every warning an error; ~20 s, 318 tests on a 2-core
+## (development mode, every warning an error; ~20 s, 326 tests on a 2-core
 ## host), so it must stay clean under that too.
 test-settlement:
 	$(PYTHON) -m pytest tests/cluster/test_settlement*.py tests/properties/test_cluster_settlement.py tests/crypto tests/byzantine tests/cluster/test_pinned_fingerprints.py -q
 
 ## The settlement-lifecycle soak alone (part of tier-1): a long-horizon run
-## asserting bounded resident settlement records, relay journals and live
+## asserting bounded resident settlement records, resident certificates
+## (queued for delivery or buffered in an inbox; none at quiescence) and live
 ## signatures (each carries its verdict), and the
 ## same soak on the two-worker pool, asserting every checkpoint samples what
 ## the serial soak's does.  CI runs it a second time under

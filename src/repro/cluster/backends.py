@@ -57,7 +57,6 @@ import time as _time
 import weakref
 from collections import deque
 from contextlib import contextmanager, nullcontext
-from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.codec import decode as codec_decode
@@ -544,10 +543,6 @@ def make_backend(name: str, max_workers: Optional[int] = None) -> ExecutionBacke
 
 # -- the epoch-barrier scheduler --------------------------------------------------------------
 
-# The global order validation events replay in at a barrier.
-_EVENT_ORDER = attrgetter("time", "shard", "index")
-
-
 class EpochScheduler:
     """Drives independent shard simulators to quiescence, barrier by barrier.
 
@@ -632,6 +627,10 @@ class EpochScheduler:
         ``ready``; ``queue`` names one of the four settlement queues."""
         self._queues[queue].append((ready, next(self._order), handler, payload))
 
+    def queued(self, queue: str) -> int:
+        """Entries waiting on one of the four settlement queues."""
+        return len(self._queues[queue])
+
     def enqueue_mint(self, shard: int, replica: ProcessId, transfer: Transfer) -> None:
         self._mints.setdefault(shard, []).append((replica, transfer))
 
@@ -678,9 +677,11 @@ class EpochScheduler:
 
     def _take_matured_events(self) -> List[ValidationEvent]:
         """The whole exchange buffer, in the global ``(time, shard, index)``
-        order: every shard ran exactly to ``now``, so every event matured."""
+        order: every shard ran exactly to ``now``, so every event matured.
+        ``(shard, index)`` is unique in an exchange, so the events' own tuple
+        order is that order and the sort never compares a transfer."""
         events, self._event_buffer = self._event_buffer, []
-        events.sort(key=_EVENT_ORDER)
+        events.sort()
         return events
 
     def _advance(
@@ -778,8 +779,8 @@ class EpochScheduler:
         events = self._take_matured_events()
         if events and self.metrics is not None:
             self.metrics.inc("exchange.validations", len(events))
-        for event in events:
-            fabric.observe_validation(event.shard, event.replica, event.transfer, at=event.time)
+        for time, shard, _, replica, transfer in events:
+            fabric.observe_validation(shard, replica, transfer, time)
         # One pass, in lifecycle order: nothing a handler queues below can
         # mature at this barrier (see the class docstring).
         for name in self._queues:

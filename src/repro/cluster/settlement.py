@@ -41,8 +41,9 @@ as a transfer from the provision account ``settle:{s}:{p}``, which makes the
 credit spendable and keeps the two-ledger identity exact: ``local +
 unretired outbound - (minted - retired)`` equals the initial supply at every
 instant (:meth:`repro.cluster.system.ClusterSystem.supply_audit`).
-Retirement keeps long runs compact: resident ledger records and resident
-certificate objects are bounded by the in-flight window, not by history.
+Retirement keeps long runs compact: resident ledger records are bounded by
+the in-flight window, not by history, and a certificate stays resident only
+while it is queued for delivery or buffered in an inbox.
 
 Settlement traffic rides the barrier scheduler's queues with fixed link
 delays: :data:`VOUCHER_DELAY` (1 ms) from a source replica to its relay,
@@ -85,7 +86,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from operator import attrgetter
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.byzantine.behaviors import Behavior
 from repro.cluster.routing import parse_external_account
@@ -96,6 +98,10 @@ from repro.crypto.signatures import KeyPair, QuorumCertificate, Signature
 # Recency window of the fabric's p95 settlement-latency report; bounds the
 # only remaining per-mint memory in the driver to a constant.
 LATENCY_P95_WINDOW = 4096
+
+# Recent rejections an inbox or gate keeps beside its exact count: what a
+# flood of forged certificates keeps resident is a constant.
+REJECTED_WINDOW = 32
 
 # The settlement links' delays, in simulated seconds: slower than the
 # intra-shard network defaults because settlement crosses shard boundaries.
@@ -153,16 +159,15 @@ class SettlementClaim(EncodedOnce):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class SettlementVoucher:
-    """One source replica's signature over a settlement claim."""
+class SettlementVoucher(NamedTuple):
+    """One source replica's signature over a settlement claim (the wire
+    containers are named tuples: never signed themselves, built per item)."""
 
     claim: SettlementClaim
     signature: Signature
 
 
-@dataclass(frozen=True, slots=True)
-class SettlementCertificate:
+class SettlementCertificate(NamedTuple):
     """A claim plus a quorum certificate of source-replica signatures."""
 
     claim: SettlementClaim
@@ -200,16 +205,14 @@ class SettlementAckClaim(EncodedOnce):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class SettlementAck:
+class SettlementAck(NamedTuple):
     """One destination replica's signature over a stream watermark."""
 
     claim: SettlementAckClaim
     signature: Signature
 
 
-@dataclass(frozen=True, slots=True)
-class RetirementCertificate:
+class RetirementCertificate(NamedTuple):
     """An ack claim plus a quorum certificate of destination signatures.
 
     The source-side licence to compact: ``2f+1`` destination replicas
@@ -220,6 +223,13 @@ class RetirementCertificate:
 
     claim: SettlementAckClaim
     certificate: QuorumCertificate
+
+
+# A delivered claim's signature entry: its fields in order (its ``__slots__``).
+_CLAIM_FIELDS = {
+    claim_type: attrgetter(*claim_type.__slots__)
+    for claim_type in (SettlementClaim, SettlementAckClaim)
+}
 
 
 # -- account naming ---------------------------------------------------------------------------
@@ -273,23 +283,24 @@ class QuorumStream:
     ``allowed_signers``) and the wire type ``wrap`` a certificate travels
     in.  ``sink.on_certified(certificate)`` takes each fresh certificate —
     every stream of a cluster shares its fabric as the sink — and the
-    barrier brings it back through :meth:`deliver`, which journals it.
+    barrier brings it back through :meth:`deliver`, which counts it.
 
     Items are checked on arrival, which keeps *impersonation* out of the
     pending table.  A Byzantine replica signing fabricated claims under its
     own key still gets entries in there, but each is capped at the ``f``
     Byzantine signers and can never reach the ``2f+1`` quorum: fabrication
     costs table memory, not money (:attr:`pending` counts genuinely withheld
-    items and attacker junk alike).  ``certified`` and ``delivered`` are
-    *journals* of resident certificates, not the run's history —
-    :meth:`forget` drops what a retirement watermark subsumes; the totals
-    and :meth:`signature` answer for the full history.
+    items and attacker junk alike).  The stream holds no certificate: its
+    state is per issuer (claims collecting signatures, claims certified
+    above the floor, the floor), an item touches only its issuer's entries,
+    and a stream drained back to its floor keeps only that integer.  The
+    totals and :meth:`signature` answer for the full history.
     """
 
     __slots__ = (
         "pair", "scheme", "quorum_size", "allowed_signers", "_wrap", "_sink", "_pending",
-        "_assembled", "_floors", "certified", "delivered", "certified_total", "delivered_total",
-        "_signature", "accepted", "rejected",
+        "_assembled", "_floors", "certified_total", "delivered_total", "_signature",
+        "accepted", "rejected",
     )
 
     def __init__(
@@ -309,11 +320,11 @@ class QuorumStream:
         self.allowed_signers = allowed_signers
         self._wrap = wrap
         self._sink = sink
-        self._pending: Dict[object, Dict[ProcessId, Signature]] = {}
-        self._assembled: Set[object] = set()
+        # ``issuer -> claim -> signer -> signature``: claims short of quorum.
+        self._pending: Dict[ProcessId, Dict[object, Dict[ProcessId, Signature]]] = {}
+        # ``issuer -> claims`` certified above the issuer's floor.
+        self._assembled: Dict[ProcessId, Set[object]] = {}
         self._floors: Dict[ProcessId, int] = {}
-        self.certified: List = []
-        self.delivered: List = []
         self.certified_total = 0
         self.delivered_total = 0
         self._signature: List[tuple] = []
@@ -337,17 +348,26 @@ class QuorumStream:
             self.rejected += 1
             return False
         self.accepted += 1
-        if claim.sequence <= self._floors.get(claim.issuer, 0) or claim in self._assembled:
-            return True  # late: already certified, or retired and forgotten
-        signatures = self._pending.setdefault(claim, {})
+        issuer = claim.issuer
+        if claim.sequence <= self._floors.get(issuer, 0):
+            return True  # late: retired and forgotten
+        signatures = (self._pending.get(issuer) or {}).get(claim)
+        if signatures is None:  # a claim leaves the pending table as it certifies
+            if claim in self._assembled.get(issuer, ()):
+                return True  # late: already certified
+            signatures = self._pending.setdefault(issuer, {})[claim] = {}
         signatures[item.signature.signer] = item.signature
         if len(signatures) >= self.quorum_size:
             self._assemble(claim)
         return True
 
     def _assemble(self, claim) -> None:
-        signatures = self._pending.pop(claim)
-        ordered = tuple(signature for _, signature in sorted(signatures.items()))
+        issuer = claim.issuer
+        pending = self._pending[issuer]
+        signatures = pending.pop(claim)
+        if not pending:
+            del self._pending[issuer]
+        ordered = tuple([signatures[signer] for signer in sorted(signatures)])
         # One-check quorum verification at construction: a single verdict
         # covers the whole signer set.  The inbox and the gate re-run the
         # full certificate check, each signature answered by the verdict it
@@ -364,36 +384,22 @@ class QuorumStream:
             }
             self.rejected += len(signatures) - len(survivors)
             if survivors:
-                self._pending[claim] = survivors
+                self._pending.setdefault(issuer, {})[claim] = survivors
                 if len(survivors) >= self.quorum_size:
                     self._assemble(claim)  # the honest members already form a quorum
             return
-        certificate = self._wrap(claim=claim, certificate=bundle)
-        self._assembled.add(claim)
-        self._sink.on_certified(certificate)
-        # Journaled after the sink, so the newest retirement watermark stays
-        # resident when the sink forgets what it subsumes.
-        self.certified.append(certificate)
+        # Marked before the sink sees the certificate: a retirement
+        # watermark makes the sink forget what it subsumes, this claim too.
+        self._assembled.setdefault(issuer, set()).add(claim)
         self.certified_total += 1
+        self._sink.on_certified(self._wrap(claim=claim, certificate=bundle))
 
     def deliver(self, certificate) -> None:
-        """Journal one delivered certificate and its signature entry.
-
-        Called by the fabric as the barrier delivers it.  Journaled
-        certificates of the issuer at or below its floor go first: several
-        retirement watermarks can certify between barriers and deliver in a
-        burst afterwards.
-        """
+        """Count one delivered certificate and append its claim's fields to
+        :meth:`signature`; called by the fabric as the barrier delivers it."""
         claim = certificate.claim
-        floor = self._floors.get(claim.issuer, 0)
-        self.delivered = [
-            c for c in self.delivered if c.claim.issuer != claim.issuer or c.claim.sequence > floor
-        ]
-        self.delivered.append(certificate)
         self.delivered_total += 1
-        # The wire claims are slotted dataclasses: ``__slots__`` lists their
-        # fields in declaration order.
-        self._signature.append(tuple(getattr(claim, name) for name in claim.__slots__))
+        self._signature.append(_CLAIM_FIELDS[type(claim)](claim))
 
     def forget(self, issuer: ProcessId, watermark: int) -> None:
         """Raise ``issuer``'s floor to ``watermark``; drop what it subsumes.
@@ -401,21 +407,21 @@ class QuorumStream:
         Called on both of a pair's streams when the ack stream certifies
         ``watermark``: everything of the issuer's stream at or below it is
         settled *and acknowledged*.  Its pending entries are dead (a Byzantine
-        variant can no longer reach quorum), its assembled claims can never
-        re-assemble (at most ``f`` late items are outstanding), and its
-        journaled certificates are history already folded into the totals.
-        Replay protection does not regress: the inbox's and the gate's own
+        variant can no longer reach quorum) and its assembled claims can
+        never re-assemble (at most ``f`` late items are outstanding): the
+        floor absorbs both, and the issuer's emptied containers go.  Replay
+        protection does not regress: the inbox's and the gate's own
         per-stream floors still reject any re-delivered certificate.
         """
         self._floors[issuer] = watermark
-
-        def live(claim) -> bool:
-            return claim.issuer != issuer or claim.sequence > watermark
-
-        self._pending = {claim: s for claim, s in self._pending.items() if live(claim)}
-        self._assembled = {claim for claim in self._assembled if live(claim)}
-        self.certified = [c for c in self.certified if live(c.claim)]
-        self.delivered = [c for c in self.delivered if live(c.claim)]
+        pending = self._pending.pop(issuer, {})
+        pending = {claim: s for claim, s in pending.items() if claim.sequence > watermark}
+        if pending:
+            self._pending[issuer] = pending
+        assembled = self._assembled.pop(issuer, ())
+        assembled = {claim for claim in assembled if claim.sequence > watermark}
+        if assembled:
+            self._assembled[issuer] = assembled
 
     def floor(self, issuer: ProcessId) -> int:
         """The highest retirement watermark certified for ``issuer`` (0 = none)."""
@@ -424,7 +430,7 @@ class QuorumStream:
     @property
     def pending(self) -> int:
         """Claims with some signatures but no quorum yet (withheld items)."""
-        return len(self._pending)
+        return sum(len(claims) for claims in self._pending.values())
 
     def signature(self) -> List[tuple]:
         """Every delivered claim's fields, in delivery order (never compacted)."""
@@ -470,13 +476,6 @@ class SettlementRelay:
             self.pair, ack_scheme, ack_quorum_size, ack_allowed_signers, RetirementCertificate, sink
         )
 
-    @property
-    def resident_journal_records(self) -> int:
-        """Certificate objects still resident in this relay's journals."""
-        return sum(
-            len(stream.certified) + len(stream.delivered) for stream in (self.vouchers, self.acks)
-        )
-
 
 # -- the destination inbox --------------------------------------------------------------------
 
@@ -495,8 +494,10 @@ class SettlementInbox:
     liveness under ``f`` faults requires holding it until the gap fills.
     Only *verified* certificates are buffered, and quorum intersection allows
     at most one per stream slot, so forgeries can neither poison nor grow
-    the buffer.  Accepted certificates are counted, not kept: the mint sink
-    says what minted, in what order.
+    the buffer, and a stream's buffer goes once its gap fills.  Accepted
+    certificates are counted, not kept: the mint sink says what minted, in
+    what order.  Rejected ones are counted (``rejected_count``), and only the
+    last :data:`REJECTED_WINDOW` stay in ``rejected`` with their reasons.
 
     ``verifiers`` is the key directory, one bound certificate check per
     source shard; a certificate naming any other source is invalid.
@@ -526,7 +527,8 @@ class SettlementInbox:
         self._buffered: Dict[Tuple[int, ProcessId], Dict[int, SettlementCertificate]] = {}
         self.accepted = 0
         self._minted: Amount = 0
-        self.rejected: List[Tuple[SettlementCertificate, str]] = []
+        self.rejected: Deque[Tuple[SettlementCertificate, str]] = deque(maxlen=REJECTED_WINDOW)
+        self.rejected_count = 0
 
     def receive(self, certificate: SettlementCertificate) -> bool:
         claim = certificate.claim
@@ -548,11 +550,13 @@ class SettlementInbox:
             buffered[claim.sequence] = certificate
             return True
         self._mint(stream, claim, self._mint_of(claim))
-        # The gap just filled: drain any buffered successors in order.
-        buffered = self._buffered.get(stream)
+        # The gap just filled: drain buffered successors in order; an emptied buffer goes.
+        buffered = self._buffered.pop(stream, None)
         while buffered and self._next_sequence[stream] + 1 in buffered:
             successor = buffered.pop(self._next_sequence[stream] + 1).claim
             self._mint(stream, successor, mint_transfer(successor))
+        if buffered:
+            self._buffered[stream] = buffered
         return True
 
     def _mint(
@@ -566,6 +570,7 @@ class SettlementInbox:
 
     def _reject(self, certificate: SettlementCertificate, reason: str) -> bool:
         self.rejected.append((certificate, reason))
+        self.rejected_count += 1
         return False
 
     @property
@@ -589,7 +594,9 @@ class CompactionGate:
     intersection (a correct replica only acknowledges what it minted) keeps
     every accepted certificate off unsettled records.  Withheld acks merely
     leave one stream's records resident.  ``verifiers`` is the key
-    directory, one bound certificate check per destination shard.
+    directory, one bound certificate check per destination shard.  Like the
+    inbox, the gate counts rejections exactly and keeps the last
+    :data:`REJECTED_WINDOW` in ``rejected``.
     """
 
     def __init__(
@@ -607,7 +614,8 @@ class CompactionGate:
         self._retire_sink = retire_sink
         self._watermarks: Dict[Tuple[int, ProcessId], int] = {}
         self.accepted = 0
-        self.rejected: List[Tuple[RetirementCertificate, str]] = []
+        self.rejected: Deque[Tuple[RetirementCertificate, str]] = deque(maxlen=REJECTED_WINDOW)
+        self.rejected_count = 0
         self.retired_amount: Amount = 0
         self.retired_claims = 0
 
@@ -638,6 +646,7 @@ class CompactionGate:
 
     def _reject(self, certificate: RetirementCertificate, reason: str) -> bool:
         self.rejected.append((certificate, reason))
+        self.rejected_count += 1
         return False
 
 
@@ -714,7 +723,12 @@ class SettlementFabric:
         self._signers = {shard.index: frozenset(range(shard.replicas)) for shard in shards}
         self._relays: Dict[Tuple[int, int], SettlementRelay] = {}
         self._out_sequences: Dict[Tuple[int, ProcessId], Dict[Tuple[int, ProcessId], int]] = {}
-        self._keypairs: Dict[Tuple[int, ProcessId], KeyPair] = {}
+        # Each replica's signing capability, for its vouchers and acks.
+        self._keypairs: Dict[Tuple[int, ProcessId], KeyPair] = {
+            (shard.index, pid): shard.scheme.keypair_for(pid)
+            for shard in shards
+            for pid in sorted(shard.nodes)
+        }
         # ``(leg, shard, replica) -> behaviour`` for ``leg`` "vouchers"/"acks".
         self._behaviors: Dict[Tuple[str, int, ProcessId], Behavior] = {}
         # ``(source, destination, issuer) -> sequence -> record``: written
@@ -727,8 +741,8 @@ class SettlementFabric:
         # voucher or ack goes, resolved on a pair's first use.
         self._routes: Dict[str, Dict[Tuple[int, int], QuorumStream]] = {"vouchers": {}, "acks": {}}
         # The settlement leg's full-history accounting, folded in as
-        # certificates assemble and deliver: the audit reads these, never
-        # the journals.  Provisions are per destination shard; a
+        # certificates assemble and deliver: the audit reads these totals,
+        # never a certificate.  Provisions are per destination shard; a
         # ``settle:{s}:{p}`` account names its source.
         self._certified_amount: Amount = 0
         self._provisions: Dict[int, Dict[AccountId, Amount]] = {}
@@ -823,23 +837,11 @@ class SettlementFabric:
         if record is not None and (record.transfer is transfer or record.transfer == transfer):
             claim = record.claim
         else:
-            claim = SettlementClaim(
-                source_shard=shard_index,
-                destination_shard=destination_shard,
-                issuer=transfer.issuer,
-                sequence=sequence,
-                account=account,
-                amount=transfer.amount,
-            )
+            slot = (shard_index, destination_shard, transfer.issuer, sequence)
+            claim = SettlementClaim(*slot, account, transfer.amount)
             if record is None:
-                ack_claim = SettlementAckClaim(
-                    source_shard=shard_index,
-                    destination_shard=destination_shard,
-                    issuer=transfer.issuer,
-                    sequence=sequence,
-                )
-                records[sequence] = _SlotRecord(transfer, at, claim, ack_claim)
-        voucher = SettlementVoucher(claim=claim, signature=self._keypair(shard_index, replica).sign(claim))
+                records[sequence] = _SlotRecord(transfer, at, claim, SettlementAckClaim(*slot))
+        voucher = SettlementVoucher(claim, self._keypairs[(shard_index, replica)].sign(claim))
         self.vouchers_dispatched += self._send(
             "vouchers", VOUCHER_DELAY, shard_index, replica, voucher, at,
             destination_shard, _voucher_pair,
@@ -854,7 +856,7 @@ class SettlementFabric:
         backend.  A recorded slot's ack claim is shared by every replica
         that mints it (it names only the slot); a slot the fabric never
         recorded gets its own."""
-        sign = self._keypair(shard_index, replica).sign
+        sign = self._keypairs[(shard_index, replica)].sign
 
         def emit(claim: SettlementClaim) -> None:
             records = self._stream_records.get(
@@ -864,15 +866,12 @@ class SettlementFabric:
             emitted_at = self.scheduler.now
             if record is None:
                 ack_claim = SettlementAckClaim(
-                    source_shard=claim.source_shard,
-                    destination_shard=claim.destination_shard,
-                    issuer=claim.issuer,
-                    sequence=claim.sequence,
+                    claim.source_shard, claim.destination_shard, claim.issuer, claim.sequence
                 )
             else:
                 ack_claim = record.ack_claim
                 self._record_latency(max(0.0, emitted_at - record.validated_at))
-            ack = SettlementAck(claim=ack_claim, signature=sign(ack_claim))
+            ack = SettlementAck(ack_claim, sign(ack_claim))
             self.acks_dispatched += self._send(
                 "acks", ACK_DELAY, shard_index, replica, ack, emitted_at,
                 claim.source_shard, _ack_pair,
@@ -900,7 +899,8 @@ class SettlementFabric:
         """
         behavior = self._behaviors.get((leg, shard, replica)) if self._behaviors else None
         if behavior is None:
-            stream = self._route(leg, pair_of(shard, recipient, item))
+            pair = pair_of(shard, recipient, item)
+            stream = self._routes[leg].get(pair) or self._route(leg, pair)
             if stream is None:
                 return 0
             self.scheduler.enqueue(leg, emitted_at + delay, stream.submit, item)
@@ -926,13 +926,6 @@ class SettlementFabric:
                 return None
             stream = routes[pair] = getattr(self.relay(source, destination), leg)
         return stream
-
-    def _keypair(self, shard_index: int, replica: ProcessId) -> KeyPair:
-        keypair = self._keypairs.get((shard_index, replica))
-        if keypair is None:
-            keypair = self._shards[shard_index].scheme.keypair_for(replica)
-            self._keypairs[(shard_index, replica)] = keypair
-        return keypair
 
     def _record_latency(self, latency: float) -> None:
         self._latency_count += 1
@@ -974,7 +967,7 @@ class SettlementFabric:
         self.scheduler.enqueue(queue, ready, self._deliver, certificate)
 
     def _deliver(self, certificate) -> None:
-        """Deliver a matured certificate: journal it on its stream, then a
+        """Deliver a matured certificate: count it on its stream, then a
         settlement certificate adds to its provision total and visits the
         destination's inboxes in pid order, a retirement certificate goes to
         the source's gate."""
@@ -1031,17 +1024,23 @@ class SettlementFabric:
         return sum(relay.vouchers.delivered_total for relay in self.relays)
 
     def resident_journal_records(self) -> int:
-        """Certificate objects still resident across all relay journals: the
-        in-flight window plus one retirement watermark per stream."""
-        return sum(relay.resident_journal_records for relay in self.relays)
+        """Certificate objects the settlement layer still holds: those queued
+        for delivery plus those buffered in inboxes, each object once however
+        many of its shard's inboxes buffer it."""
+        buffered = {
+            id(certificate)
+            for inbox in self.inboxes.values()
+            for certificates in inbox._buffered.values()
+            for certificate in certificates.values()
+        }
+        queued = self.scheduler.queued
+        return queued("certificates") + queued("retirement_certificates") + len(buffered)
 
     def journal_records_total(self) -> int:
-        """Cumulative certificate deliveries (the history the journals shed)."""
+        """Certificates assembled over the run, on both legs: the history
+        :meth:`resident_journal_records` is a window of."""
         return sum(
-            relay.vouchers.certified_total
-            + relay.vouchers.delivered_total
-            + relay.acks.delivered_total
-            for relay in self.relays
+            relay.vouchers.certified_total + relay.acks.certified_total for relay in self.relays
         )
 
     def pending_claims(self) -> int:
@@ -1078,7 +1077,7 @@ class SettlementFabric:
         return p95(list(self._latency_window))
 
     def telemetry_sample(self, metrics) -> None:
-        """Sample lifecycle volumes, journal depths and latencies as gauges,
+        """Sample lifecycle volumes, resident certificates and latencies as gauges,
         once at result capture (the hot path carries no extra work)."""
         metrics.set_gauge("settle.vouchers_dispatched", self.vouchers_dispatched)
         metrics.set_gauge("settle.certificates_delivered", self.certificates_delivered())

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_seed
@@ -57,21 +57,21 @@ class ShardSpec:
     telemetry: bool = True
 
 
-@dataclass(frozen=True)
-class ValidationEvent:
+class ValidationEvent(NamedTuple):
     """One replica's validation of a cross-shard credit, with its local time.
 
-    ``index`` is the shard-local emission counter; ``(time, shard, index)``
-    totally orders the events of one epoch across all shards, which is the
-    sort key the settlement exchange uses to keep voucher processing
-    identical whatever backend produced the events.
+    ``index`` is the shard-local emission counter, so ``(time, shard,
+    index)`` totally orders the events of one epoch across all shards.  The
+    fields lead with that key: the events' own tuple order is the order the
+    settlement exchange replays them in, identical whatever backend produced
+    them, and it never reaches ``replica`` or ``transfer``.
     """
 
     time: float
     shard: int
+    index: int
     replica: ProcessId
     transfer: Transfer
-    index: int
 
 
 @dataclass
@@ -211,24 +211,20 @@ class Shard:
         nodes, which may execute in a worker; each shard collects the
         raw ``(time, replica, transfer)`` validation events of an epoch and
         the barrier replays them — in ``(time, shard, index)`` order —
-        through the fabric.  Only credits to external ``x{d}:a`` accounts are
-        recorded; everything else never produces a voucher anyway.
+        through the fabric.  Only credits to accounts named like external
+        ``x{d}:a`` ones are recorded; everything else never produces a
+        voucher anyway.  The fabric parses the name once, as it vouchers.
         """
         for pid in sorted(self.nodes):
             self.nodes[pid].on_validated = self._collector(pid)
 
     def _collector(self, replica: ProcessId) -> Callable[[Transfer], None]:
         def collect(transfer: Transfer) -> None:
-            if parse_external_account(transfer.destination) is None:
+            if not transfer.destination.startswith("x"):
                 return
-            self._validation_events.append(
-                ValidationEvent(
-                    time=self.simulator.now,
-                    shard=self.index,
-                    replica=replica,
-                    transfer=transfer,
-                    index=len(self._validation_events),
-                )
+            events = self._validation_events
+            events.append(
+                ValidationEvent(self.simulator.now, self.index, len(events), replica, transfer)
             )
 
         return collect

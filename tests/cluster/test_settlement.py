@@ -31,7 +31,7 @@ from repro.cluster.settlement import (
 from repro.common.errors import ConfigurationError
 from repro.common.types import Transfer
 from repro.crypto.hashing import canonical_bytes
-from repro.crypto.signatures import Signature, SignatureScheme
+from repro.crypto.signatures import QuorumCertificate, Signature, SignatureScheme
 from repro.obs import MetricsRegistry
 from repro.workloads.cluster_driver import (
     ClusterSubmission,
@@ -172,10 +172,14 @@ class HandFedLeg:
         while self.dispatched:
             self.stream.deliver(self.dispatched.pop(0))
 
-    def claim(self, sequence=1, pair=(0, 1)):
+    def claim(self, sequence=1, pair=(0, 1), issuer=0):
         if self.name == "vouchers":
-            return SettlementClaim(*pair, issuer=0, sequence=sequence, account="2", amount=5)
-        return SettlementAckClaim(*pair, issuer=0, sequence=sequence)
+            return SettlementClaim(*pair, issuer=issuer, sequence=sequence, account="2", amount=5)
+        return SettlementAckClaim(*pair, issuer=issuer, sequence=sequence)
+
+    def certify(self, claim):
+        for signer in range(self.stream.quorum_size):
+            self.stream.submit(self.item(signer, claim))
 
     def item(self, signer, claim, scheme=None):
         wrap = SettlementVoucher if self.name == "vouchers" else SettlementAck
@@ -195,24 +199,24 @@ class TestQuorumStream:
         claim = leg.claim()
         for signer in (0, 1):
             assert leg.stream.submit(leg.item(signer, claim))
-        assert not leg.stream.certified and leg.stream.pending == 1
+        assert leg.stream.certified_total == 0 and leg.stream.pending == 1
         assert leg.stream.submit(leg.item(2, claim))
-        assert [c.claim for c in leg.stream.certified] == [claim]
+        assert leg.stream.certified_total == 1
+        assert [c.claim for c in leg.dispatched] == [claim]
         assert leg.stream.pending == 0
-        assert leg.dispatched == leg.stream.certified and not leg.stream.delivered
+        assert leg.stream.delivered_total == 0 and leg.stream.signature() == []
+        [certificate] = leg.dispatched
         leg.flush()
-        assert [c.claim for c in leg.stream.delivered] == [claim]
-        assert leg.stream.delivered == leg.stream.certified
+        assert leg.stream.delivered_total == leg.stream.certified_total == 1
         assert leg.stream.signature() == [dataclasses.astuple(claim)]
-        certificate = leg.stream.certified[0].certificate
-        assert {s.signer for s in certificate.signatures} == {0, 1, 2}
+        assert {s.signer for s in certificate.certificate.signatures} == {0, 1, 2}
 
     def test_under_quorum_stays_pending(self, leg):
         claim = leg.claim()
         for signer in (0, 0, 1):  # a duplicate signer does not count twice
             assert leg.stream.submit(leg.item(signer, claim))
         assert leg.stream.pending == 1
-        assert not leg.stream.certified and not leg.dispatched
+        assert not leg.dispatched
         assert leg.stream.certified_total == 0
 
     def test_late_items_at_or_below_the_floor_are_absorbed(self, leg):
@@ -253,25 +257,57 @@ class TestQuorumStream:
         claim = leg.claim()
         forged = Signature(signer=9, tag="f" * 64)
         assert leg.stream.submit(leg.item(0, claim))
-        leg.stream._pending[claim][9] = forged
+        leg.stream._pending[claim.issuer][claim][9] = forged
         # Apparent quorum: the batch fails, the forgery goes, and the two
         # honest signatures stay pending — no certificate from a fake quorum.
         assert leg.stream.submit(leg.item(1, claim))
-        assert not leg.stream.certified and not leg.dispatched
-        assert set(leg.stream._pending[claim]) == {0, 1}
+        assert leg.stream.certified_total == 0 and not leg.dispatched
+        assert set(leg.stream._pending[claim.issuer][claim]) == {0, 1}
         assert leg.stream.rejected == 1
         # With a forgery planted again, the third honest signature makes a
         # four-entry set: the fallback drops it and the honest three certify
         # in the same step.
-        leg.stream._pending[claim][9] = forged
+        leg.stream._pending[claim.issuer][claim][9] = forged
         assert leg.stream.submit(leg.item(2, claim))
         assert leg.stream.rejected == 2
         [certificate] = leg.dispatched
-        assert certificate is leg.stream.certified[-1]
+        assert leg.stream.certified_total == 1
         assert {s.signer for s in certificate.certificate.signatures} == {0, 1, 2}
         assert leg.scheme.verify_certificate(
             claim, certificate.certificate, quorum_size=3, allowed_signers=frozenset(range(4))
         )
+
+    def test_forget_touches_only_its_own_issuer(self, leg):
+        """Stream state is per issuer: a watermark for issuer 0 prunes issuer
+        0's entries and leaves issuer 1's pending and assembled containers
+        as the very same objects, contents unchanged."""
+        for issuer in (0, 1):
+            leg.certify(leg.claim(sequence=1, issuer=issuer))
+            leg.stream.submit(leg.item(0, leg.claim(sequence=2, issuer=issuer)))
+        pending, assembled = leg.stream._pending[1], leg.stream._assembled[1]
+        pending_before, assembled_before = dict(pending), set(assembled)
+        leg.stream.forget(0, 2)
+        assert leg.stream._pending[1] is pending and pending == pending_before
+        assert leg.stream._assembled[1] is assembled and assembled == assembled_before
+        assert 0 not in leg.stream._pending and 0 not in leg.stream._assembled
+        assert (leg.stream.floor(0), leg.stream.floor(1)) == (2, 0)
+        assert leg.stream.pending == 1
+
+    def test_a_drained_issuer_keeps_only_its_floor(self, leg):
+        """An issuer's containers go once nothing of its stream is left
+        above the floor: the pending table's when its last claim assembles,
+        both when a watermark subsumes what remains."""
+        leg.certify(leg.claim(sequence=1))
+        assert 0 not in leg.stream._pending  # nothing else was pending
+        assert leg.stream._assembled == {0: {leg.claim(sequence=1)}}
+        leg.certify(leg.claim(sequence=2))
+        leg.stream.submit(leg.item(0, leg.claim(sequence=3)))
+        leg.stream.forget(0, 1)  # claim 2 and the pending claim 3 stay
+        assert leg.stream._assembled == {0: {leg.claim(sequence=2)}}
+        assert set(leg.stream._pending[0]) == {leg.claim(sequence=3)}
+        leg.stream.forget(0, 3)
+        assert leg.stream._pending == {} and leg.stream._assembled == {}
+        assert leg.stream._floors == {0: 3}
 
 
 class TestSettlementRelay:
@@ -286,6 +322,32 @@ class TestSettlementRelay:
                 )
 
 
+# Shared objects a relay may name but does not own: walked into, they lead
+# to every method of the cluster.
+_SHARED_WITH_A_RELAY = (
+    SettlementCertificate, RetirementCertificate, SettlementClaim, SettlementAckClaim,
+    SignatureScheme, SettlementInbox, CompactionGate, SettlementFabric, type,
+)
+
+
+def _reachable_from(root, shared=_SHARED_WITH_A_RELAY):
+    """Every object reachable from ``root`` short of the ``shared`` ones."""
+    seen = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, shared):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def _live(kinds):
+    gc.collect()
+    return [obj for obj in gc.get_objects() if type(obj) in kinds]
+
+
 class TestRelaysAreData:
     """The fabric dispatches by shard pair, so a relay and its two streams
     hold data: no closure, bound method or subscriber list per relay."""
@@ -296,29 +358,49 @@ class TestRelaysAreData:
         system.run()
         relays = system.settlement.relays
         assert len(relays) == 6 and system.supply_audit().fully_retired
-        # Shared objects a relay may name but does not own: walked into,
-        # they lead to every method of the cluster.
-        shared = (
-            SettlementCertificate, RetirementCertificate, SettlementClaim, SettlementAckClaim,
-            SignatureScheme, SettlementInbox, CompactionGate, SettlementFabric, type,
-        )
         callables = (
             types.FunctionType, types.MethodType, types.BuiltinMethodType, types.CellType,
             functools.partial,
         )
-        seen = set()
-        stack = list(relays)
-        while stack:
-            obj = stack.pop()
-            if id(obj) in seen or isinstance(obj, shared):
-                continue
-            seen.add(id(obj))
-            assert not isinstance(obj, callables), obj
-            stack.extend(gc.get_referents(obj))
+        for relay in relays:
+            for obj in _reachable_from(relay):
+                assert not isinstance(obj, callables), obj
         for relay in relays:
             for obj in (relay, relay.vouchers, relay.acks):
                 assert not hasattr(obj, "__dict__")
         assert isinstance(relays[0].vouchers, QuorumStream)
+
+    def test_a_quiescent_run_keeps_small_relays_and_no_certificate(self, fast_network):
+        """After a fault-free run drains, every relay reaches at most 6
+        GC-tracked objects (itself, its two streams and their signature
+        lists; per-issuer containers go as the streams drain), and no
+        certificate made during the run is still alive: the streams keep
+        floors, totals and claim fields, never a certificate."""
+        certificates = (QuorumCertificate, SettlementCertificate, RetirementCertificate)
+        before = _live(certificates)
+        earlier = {id(obj) for obj in before}
+        system = _system(fast_network, shards=16, seed=7)
+        try:
+            system.schedule_submissions(
+                _workload(seed=7, rate=20_000.0, cross_shard_fraction=0.25, router=system.router)
+            )
+            system.run()
+            assert system.supply_audit().fully_retired
+            fabric = system.settlement
+            assert fabric.certificates_delivered() > 100 and len(fabric.relays) > 50
+            assert fabric.resident_journal_records() == 0
+            fresh = [obj for obj in _live(certificates) if id(obj) not in earlier]
+            assert fresh == []
+            # A stream's signer set is its shard's: one frozenset the fabric
+            # hands every relay of that shard.
+            shared = _SHARED_WITH_A_RELAY + (frozenset,)
+            tracked = max(
+                sum(gc.is_tracked(obj) for obj in _reachable_from(relay, shared))
+                for relay in fabric.relays
+            )
+            assert tracked <= 6
+        finally:
+            system.close()
 
 
 class TestValidationReplay:
@@ -376,7 +458,56 @@ class TestValidationReplay:
                 fabric.observe_validation(0, replica, credit, at=0.002)
             assert fabric.vouchers_dispatched == 4
             assert system.scheduler.in_flight == 4
-            assert not fabric.relay(0, 1).vouchers.certified  # nothing assembles before a barrier
+            assert fabric.relay(0, 1).vouchers.certified_total == 0  # nothing assembles before a barrier
+        finally:
+            system.close()
+
+
+class TestConflictingClaims:
+    """Two claims for one ``(issuer, sequence)`` slot, as replicas that
+    validated different transfers at it would voucher them: the voucher
+    quorum lets at most one certify, whichever replica observed first."""
+
+    def _vouch(self, fabric, winners):
+        """Replicas below ``winners`` validate one credit at slot 1, the rest
+        a conflicting one; returns both claims' fields."""
+        credit = Transfer("0", "x1:2", 5, issuer=0, sequence=1)
+        conflicting = Transfer("0", "x1:3", 7, issuer=0, sequence=1)
+        for replica in range(4):
+            fabric.observe_validation(
+                0, replica, credit if replica < winners else conflicting, at=0.002
+            )
+        return (0, 1, 0, 1, "2", 5), (0, 1, 0, 1, "3", 7)
+
+    def test_a_two_two_split_certifies_neither(self, fast_network):
+        system = _system(fast_network)
+        try:
+            fabric = system.settlement
+            self._vouch(fabric, winners=2)
+            system.run()
+            vouchers = fabric.relay(0, 1).vouchers
+            assert vouchers.certified_total == vouchers.delivered_total == 0
+            assert vouchers.pending == 2 and vouchers.signature() == []
+            assert all(inbox.accepted == 0 for inbox in fabric.inboxes.values())
+        finally:
+            system.close()
+
+    def test_a_three_one_split_certifies_one_and_forgets_the_loser(self, fast_network):
+        system = _system(fast_network)
+        try:
+            fabric = system.settlement
+            winner, loser = self._vouch(fabric, winners=3)
+            vouchers = fabric.relay(0, 1).vouchers
+            system.run(until=0.005)  # the barrier that drains the vouchers
+            assert vouchers.certified_total == 1
+            [pending] = vouchers._pending[0]
+            assert dataclasses.astuple(pending) == loser
+            system.run()
+            assert vouchers.certified_total == 1 and vouchers.signature() == [winner]
+            assert [fabric.inboxes[(1, pid)].accepted for pid in range(4)] == [1, 1, 1, 1]
+            # The winner's ack watermark forgot the slot, the loser with it.
+            assert vouchers.floor(0) == 1
+            assert vouchers.pending == 0 and vouchers._pending == {}
         finally:
             system.close()
 

@@ -17,6 +17,7 @@ the shard protocol reacting to the faults runs wherever the backend puts it.
 """
 
 import dataclasses
+from functools import partial
 
 import pytest
 
@@ -32,16 +33,20 @@ from repro.byzantine.behaviors import (
 from repro.cluster.backends import BACKEND_NAMES
 from repro.cluster.system import ClusterSystem
 from repro.cluster.settlement import (
+    REJECTED_WINDOW,
+    CompactionGate,
     RetirementCertificate,
     SettlementAck,
     SettlementAckClaim,
     SettlementCertificate,
     SettlementClaim,
+    SettlementInbox,
     SettlementVoucher,
     mint_transfer,
 )
 from repro.common.rng import SeededRng
-from repro.crypto.signatures import Signature, SignatureScheme
+from repro.crypto.hashing import content_hash
+from repro.crypto.signatures import QuorumCertificate, Signature, SignatureScheme
 from repro.workloads.cluster_driver import ClusterSubmission
 
 # Each backend by name, plus "one-worker": the process pool shrunk to a
@@ -175,23 +180,70 @@ class TestUnderQuorumCertificates:
         assert inbox.rejected[-1][1] == "invalid quorum certificate"
 
 
+class TestRejectionFlood:
+    """The relay is untrusted like a network, so what an inbox or a gate
+    keeps of the certificates it rejects must not grow with the flood: the
+    last ``REJECTED_WINDOW`` stay for inspection, the count stays exact."""
+
+    FLOOD = 10_000
+
+    @staticmethod
+    def _forged(wrap, claim):
+        """``claim`` under a quorum of made-up tags from genuine signer ids."""
+        tags = tuple(Signature(signer=pid, tag=f"{pid:x}" * 64) for pid in range(3))
+        return wrap(claim=claim, certificate=QuorumCertificate(content_hash(claim), tags))
+
+    def test_a_flood_of_forged_certificates_keeps_a_constant_window(self):
+        scheme = SignatureScheme(seed=7)
+        verifiers = {
+            0: partial(
+                scheme.verify_certificate, quorum_size=3, allowed_signers=frozenset(range(4))
+            )
+        }
+        minted = []
+        inbox = SettlementInbox(
+            1, verifiers, mint_sink=minted.append, on_minted=minted.append, mint_of=mint_transfer
+        )
+        for sequence in range(1, self.FLOOD + 1):
+            claim = SettlementClaim(0, 1, issuer=0, sequence=sequence, account="0", amount=9)
+            assert not inbox.receive(self._forged(SettlementCertificate, claim))
+        assert inbox.rejected_count == self.FLOOD
+        assert len(inbox.rejected) == REJECTED_WINDOW
+        assert inbox.rejected[-1][1] == "invalid quorum certificate"
+        assert inbox.rejected[-1][0].claim.sequence == self.FLOOD
+        assert inbox.rejected[0][0].claim.sequence == self.FLOOD - REJECTED_WINDOW + 1
+        assert inbox.accepted == 0 and inbox.buffered_count == 0 and not minted
+
+        gate = CompactionGate(0, verifiers={1: verifiers[0]}, lookup=None, retire_sink=None)
+        for sequence in range(1, 2 * REJECTED_WINDOW + 1):
+            claim = SettlementAckClaim(0, 1, issuer=0, sequence=sequence)
+            assert not gate.receive(self._forged(RetirementCertificate, claim))
+        assert gate.rejected_count == 2 * REJECTED_WINDOW
+        assert len(gate.rejected) == REJECTED_WINDOW
+        assert gate.rejected[-1][1] == "invalid ack quorum certificate"
+        assert gate.accepted == 0 and gate.watermark(1, 0) == 0
+
+
 class TestReplayedCertificates:
     def test_replayed_certificate_mints_exactly_once(self, make_system):
-        # The genuine certificate is taken from the relay's journal at a
-        # pause after the barrier that delivers it (0.010) and before the
-        # one whose retirement watermark compacts it (0.015): this test
-        # needs the byte-identical original to replay it against the inboxes.
+        # The genuine certificate is taken from the delivery queue at a pause
+        # after the barrier that assembles it (0.005) and before the one
+        # that delivers it (0.010): this test needs the byte-identical
+        # original to replay it against the inboxes.
         system = make_system()
         a = _user_on_shard(system.router, 0)
         b = _user_on_shard(system.router, 1)
         system.schedule_submissions(
             [ClusterSubmission(time=0.001, source_user=a, destination_user=b, amount=9)]
         )
-        system.run(until=0.012)
-        vouchers = system.settlement.relay(0, 1).vouchers
-        [genuine] = vouchers.delivered
+        system.run(until=0.007)
+        [genuine] = _queued(system, "certificates")
+        assert system.settlement.resident_journal_records() == 1
         system.run()
-        assert vouchers.delivered == [] and vouchers.delivered_total == 1
+        vouchers = system.settlement.relay(0, 1).vouchers
+        assert vouchers.delivered_total == 1
+        assert vouchers.signature() == [dataclasses.astuple(genuine.claim)]
+        assert system.settlement.resident_journal_records() == 0
         after_first = _destination_balances(system)
         for pid in range(4):
             inbox = system.settlement.inboxes[(1, pid)]
@@ -371,8 +423,11 @@ class TestOutOfOrderCertification:
             relay.vouchers.submit(voucher(signer, second))
         for signer in (0, 1, 2):
             relay.vouchers.submit(voucher(signer, first))
-        assert [c.claim.sequence for c in relay.vouchers.certified] == [2, 1]
+        assert relay.vouchers.certified_total == 2
         system.run()
+        # Certified 2 first, so delivered 2 first: the delivery queue keeps
+        # certification order.
+        assert [entry[3] for entry in relay.vouchers.signature()] == [2, 1]
         account_initial = system.shards[1].initial_balances()["0"]
         # A quorum of destination replicas acknowledged the stream through
         # sequence 2; each ack follows its inbox's in-order mint.
@@ -381,6 +436,7 @@ class TestOutOfOrderCertification:
             inbox = system.settlement.inboxes[(1, pid)]
             assert inbox.accepted == 2
             assert inbox.buffered_count == 0
+            assert inbox._buffered == {}  # no emptied per-stream buffer left behind
             assert node.balance_of("0") == account_initial + 5 + 7
 
     def test_selective_voucher_withholding_cannot_wedge_a_stream(self, make_system):
@@ -448,14 +504,19 @@ class TestUncertifiedMints:
             assert mint not in node.deps
 
 
-def _run_one_settled_payment(system, amount=9):
+def _run_one_settled_payment(system, amount=9, pause=None):
     a = _user_on_shard(system.router, 0)
     b = _user_on_shard(system.router, 1)
     system.schedule_submissions(
         [ClusterSubmission(time=0.001, source_user=a, destination_user=b, amount=amount)]
     )
-    system.run()
+    system.run(until=pause)
     return system.supply_audit()
+
+
+def _queued(system, queue):
+    """The certificates waiting on one of the scheduler's delivery queues."""
+    return [payload for _, _, _, payload in system.scheduler._queues[queue]]
 
 
 class TestByzantineAcks:
@@ -482,7 +543,7 @@ class TestByzantineAcks:
                 )
                 assert not relay.acks.submit(ack)
         assert relay.acks.pending == 0
-        assert not relay.acks.certified
+        assert relay.acks.certified_total == 0
         assert system.retired_records() == 0
 
     def test_forged_retirement_certificates_never_reach_the_ledger(self, make_system):
@@ -537,12 +598,18 @@ class TestByzantineAcks:
         assert system.check_definition1().ok
 
     def test_replayed_retirement_certificates_are_stale_noops(self, make_system):
+        # The genuine certificate is taken from the delivery queue at a pause
+        # after the barrier that assembles it (0.015) and before the one
+        # that delivers it to the gate (0.020).
         system = make_system()
-        audit = _run_one_settled_payment(system)
+        _run_one_settled_payment(system, pause=0.017)
+        [genuine] = _queued(system, "retirement_certificates")
+        system.run()
+        audit = system.supply_audit()
         assert audit.fully_retired
         relay = system.settlement.relay(0, 1)
-        assert len(relay.acks.certified) == 1
-        genuine = relay.acks.certified[0]
+        assert relay.acks.certified_total == relay.acks.delivered_total == 1
+        assert relay.acks.signature() == [dataclasses.astuple(genuine.claim)]
         gate = system.settlement.gates[0]
         retired_before = system.retired_records()
         assert not gate.receive(genuine)  # byte-identical replay

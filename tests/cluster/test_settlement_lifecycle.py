@@ -77,7 +77,7 @@ class _Sink:
     """A hand-fed relay's sink, doing the fabric's part of each leg: a
     certified retirement watermark makes both streams forget what it
     subsumes, then every fresh certificate waits in ``dispatched`` until
-    ``flush()`` journals it on its stream, in dispatch order — the barrier's
+    ``flush()`` delivers it on its stream, in dispatch order — the barrier's
     delivery."""
 
     def __init__(self):
@@ -601,14 +601,12 @@ class TestLifecycleConfiguration:
 
 
 class TestRelayJournalCompaction:
-    """Driver-side relay journals compact behind the retirement watermark.
+    """Driver-side relay state compacts behind the retirement watermark.
 
-    Before this layer the ``certificates``/``delivered`` journals grew with
-    every certificate ever delivered (audit metadata, unbounded exactly like
-    the pre-lifecycle ledgers).  Now a certified retirement watermark
-    evicts everything it subsumes, while the cumulative accumulators —
-    amounts, counts, provisions, signature streams — keep answering for the
-    full history.
+    The streams keep no certificate journal at all: a certified retirement
+    watermark drops every claim it subsumes from the issuer's per-issuer
+    state, while the cumulative accumulators — amounts, counts, provisions,
+    signature streams — keep answering for the full history.
     """
 
     def _claim(self, sequence, amount=5):
@@ -633,13 +631,14 @@ class TestRelayJournalCompaction:
         relay, flush, dest_scheme = _relay()
         self._deliver_claims(relay, flush, (1, 2, 3))
         vouchers = relay.vouchers
-        assert len(vouchers.certified) == len(vouchers.delivered) == 3
+        assert vouchers.certified_total == vouchers.delivered_total == 3
+        assert vouchers._assembled == {0: {self._claim(s) for s in (1, 2, 3)}}
         # Acknowledge through sequence 2: entries 1 and 2 are pure history.
         claim = _ack_claim(sequence=2)
         for signer in (0, 1, 2):
             relay.acks.submit(_ack(dest_scheme, signer, claim))
-        assert [c.claim.sequence for c in vouchers.certified] == [3]
-        assert [c.claim.sequence for c in vouchers.delivered] == [3]
+        assert vouchers.floor(0) == 2
+        assert vouchers._assembled == {0: {self._claim(3)}}
         # The cumulative surfaces still answer for the full history (the
         # fabric's amount totals: test_end_to_end_journals_track_the_in_flight_window).
         assert vouchers.certified_total == vouchers.delivered_total == 3
@@ -653,13 +652,14 @@ class TestRelayJournalCompaction:
             for signer in (0, 1, 2):
                 relay.acks.submit(_ack(dest_scheme, signer, claim))
         flush()
-        # All three watermarks certified and delivered; only the newest
-        # stays journaled — journal residency is one watermark per stream.
-        assert [r.claim.sequence for r in relay.acks.certified] == [3]
-        assert [r.claim.sequence for r in relay.acks.delivered] == [3]
-        assert relay.acks.delivered_total == 3
-        assert len(relay.acks.signature()) == 3
-        assert relay.resident_journal_records == 2  # assembled + delivered
+        # All three watermarks certified and delivered; the stream keeps
+        # the newest as its integer floor and holds nothing else for the
+        # issuer — no certificate, no container.
+        assert relay.acks.floor(0) == relay.vouchers.floor(0) == 3
+        assert relay.acks.certified_total == relay.acks.delivered_total == 3
+        assert [entry[3] for entry in relay.acks.signature()] == [1, 2, 3]
+        for stream in (relay.vouchers, relay.acks):
+            assert stream._pending == {} and stream._assembled == {}
 
     def test_vouchers_below_the_retirement_watermark_are_absorbed(self):
         """A straggler (or Byzantine re-signer) vouchering a claim whose
@@ -674,15 +674,16 @@ class TestRelayJournalCompaction:
         for signer in (0, 1, 2):
             relay.acks.submit(_ack(dest_scheme, signer, claim))
         assert relay.vouchers.floor(0) == relay.acks.floor(0) == 2
-        assert relay.vouchers.delivered == []  # compacted behind the watermark
+        assert relay.vouchers.delivered_total == 2
+        assert relay.vouchers._assembled == {}  # compacted behind the watermark
         # Every replica re-vouchers the retired claim 1: absorbed, no
-        # pending entry, no new certificate, journals untouched.
+        # pending entry, no new certificate.
         retired_claim = self._claim(1)
         for signer in range(4):
             assert relay.vouchers.submit(self._voucher(relay, signer, retired_claim))
         assert relay.vouchers.pending == 0
         assert relay.vouchers.certified_total == 2  # nothing re-assembled
-        assert relay.vouchers.certified == []
+        assert relay.vouchers._pending == relay.vouchers._assembled == {}
 
     def test_compaction_purges_dead_under_quorum_pending_entries(self):
         """A Byzantine variant claim (same stream slot, different content)
@@ -773,10 +774,13 @@ class TestRelayJournalCompaction:
         try:
             fabric = system.settlement
             assert fabric.certificates_delivered() > 0
+            assert fabric.resident_journal_records() == 0
             for relay in fabric.relays:
-                assert relay.vouchers.certified == []
-                assert relay.vouchers.delivered == []
-                assert len(relay.acks.delivered) <= 1  # one stream here
+                for stream in (relay.vouchers, relay.acks):
+                    assert stream._pending == {} and stream._assembled == {}
+                # One stream here, retired through its fifth credit.
+                assert list(relay.acks._floors.values()) == [5]
+                assert relay.vouchers._floors == relay.acks._floors
             # The audit surfaces survived compaction: the fabric's certified
             # and provisioned totals hold all five credits, delivered amounts
             # match minted balances, signatures cover the full history.
@@ -791,10 +795,10 @@ class TestRelayJournalCompaction:
             system.close()
 
     def test_live_certificates_track_the_resident_journals(self, fast_network):
-        """Inboxes and gates count what they accept rather than keeping it,
-        so compacting the relay journals frees the certificates: after a
-        quiescent run no more certificate objects are alive than the
-        journals hold."""
+        """Streams, inboxes and gates count what they certify or accept
+        rather than keeping it: after a quiescent run no more certificate
+        objects are alive than the settlement layer still holds (queued for
+        delivery or buffered in an inbox)."""
 
         def live_certificates():
             gc.collect()

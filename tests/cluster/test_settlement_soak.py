@@ -15,17 +15,17 @@ every checkpoint, and asserts:
 * by quiescence everything is retired — the ledgers carry no settlement
   history at all.
 
-Driver-side relay journal residency is asserted alongside the ledger
-residency: with compaction behind the retirement watermark, the relays hold
-the in-flight window plus one watermark certificate per stream — never the
-certificate history.  So are the live ``Signature`` objects, which carry
-their verification verdicts (and the bytes they were checked over): every
-one sits in a journalled certificate or on a voucher or ack of a record
-still in flight.
+Driver-side certificate residency is asserted alongside the ledger
+residency: the settlement layer holds a certificate only while it is queued
+for delivery or buffered in an inbox, so the resident count tracks the
+in-flight window and is zero at quiescence — never the certificate history.
+So are the live ``Signature`` objects, which carry their verification
+verdicts (and the bytes they were checked over): every one sits in a
+resident certificate or on a voucher or ack of a record still in flight.
 
 The soak runs again on the two-worker process pool, which must sample the
 serial soak's checkpoints exactly: the same commits, resident and retired
-records, amounts, journal residency and identity flags at every one.
+records, amounts, certificate residency and identity flags at every one.
 """
 
 import gc
@@ -46,6 +46,7 @@ SOAK_SHARDS = 2
 SOAK_BATCH = 4
 SOAK_WORKERS = 2
 REPLICAS = 4
+QUORUM = 2 * ((REPLICAS - 1) // 3) + 1
 INITIAL_BALANCE = 1_000_000
 
 
@@ -62,10 +63,9 @@ class SoakSample:
     in_flight_amount: int
     conserved: bool
     retirement_backed: bool
-    # Driver-side relay journal residency: certificate objects still held in
-    # the relays' certificates/delivered/retirement journals.  Compaction
-    # behind the retirement watermark bounds this by the in-flight window
-    # (plus one watermark certificate per stream), like the ledgers.
+    # Driver-side certificate residency: certificate objects queued for
+    # delivery or buffered in an inbox.  Bounded by the in-flight window,
+    # like the ledgers, and zero at quiescence.
     resident_journal_records: int = 0
 
 
@@ -78,9 +78,8 @@ class SoakReport:
     the run produced in total (resident + retired at the end).  A working
     lifecycle keeps the peak well below the cumulative count — the in-flight
     window, not the history — and retires everything by quiescence.  The
-    same bound holds one layer up for the driver-side relay journals:
-    ``peak_journal`` versus ``journal_total`` cumulative certificate
-    deliveries.
+    same bound holds one layer up for the driver-side certificates:
+    ``peak_journal`` resident versus ``journal_total`` assembled.
     """
 
     samples: List[SoakSample]
@@ -93,20 +92,23 @@ class SoakReport:
     # The final run's telemetry section (None with telemetry off).
     telemetry: Optional[Dict[str, object]] = None
     # Live ``Signature`` objects in this process at each checkpoint, after a
-    # full collection.  Kept beside the samples, not in them: a pool soak's
-    # workers hold signatures its driver cannot count.
+    # full collection, those alive before the soak aside.  Kept beside the
+    # samples, not in them: a pool soak's workers hold signatures its driver
+    # cannot count.
     live_signatures: List[int] = field(default_factory=list)
 
     def signature_bound(self, sample: SoakSample) -> int:
         """The most signatures a checkpoint's resident state can hold.
 
-        A live signature is in a certificate the relays still journal (at
-        most ``REPLICAS`` signatures, and at least one journal record, per
-        certificate) or on a voucher or ack whose outbound record is still
-        resident (at most ``REPLICAS`` of each per record).
+        A live signature is in a certificate still queued for delivery or
+        buffered in an inbox (``QUORUM`` signatures per certificate, each
+        certificate one resident record) or on a voucher or ack whose
+        outbound record is still resident (at most ``REPLICAS`` of each per
+        record).
         """
-        return REPLICAS * (
-            sample.resident_journal_records + 2 * sample.resident_settlement_records
+        return (
+            QUORUM * sample.resident_journal_records
+            + 2 * REPLICAS * sample.resident_settlement_records
         )
 
     @property
@@ -119,7 +121,7 @@ class SoakReport:
 
     @property
     def journal_bounded(self) -> bool:
-        """Relay journals never held the full certificate history either."""
+        """Resident certificates never covered the full history either."""
         return self.journal_total > 0 and self.peak_journal < self.journal_total
 
     @property
@@ -136,9 +138,9 @@ def settlement_soak_experiment(**system_keywords) -> SoakReport:
     record counts *mid-flight* — the regime where unbounded growth
     would show — then drains to quiescence.  The extended supply identity
     (``local + outbound - (minted - retired) == initial``) must hold at every
-    single checkpoint, not just at the end.  Driver-side relay journal
-    residency is sampled alongside: the journals must track the in-flight
-    window, not the certificate history.
+    single checkpoint, not just at the end.  Driver-side certificate
+    residency is sampled alongside: it must track the in-flight window, not
+    the certificate history.
     """
     system = ClusterSystem(
         shard_count=SOAK_SHARDS,
@@ -167,10 +169,20 @@ def settlement_soak_experiment(**system_keywords) -> SoakReport:
     samples: List[SoakSample] = []
     violations: List[str] = []
     live_signatures: List[int] = []
+    # Signatures alive before the soak (other suites' module data) are not
+    # the soak's to count; holding them keeps their ids from being reused.
+    gc.collect()
+    earlier = [value for value in gc.get_objects() if type(value) is Signature]
+    earlier_ids = {id(value) for value in earlier}
 
     def sample(result) -> None:
         gc.collect()
-        live_signatures.append(sum(type(value) is Signature for value in gc.get_objects()))
+        live_signatures.append(
+            sum(
+                type(value) is Signature and id(value) not in earlier_ids
+                for value in gc.get_objects()
+            )
+        )
         audit = system.supply_audit()
         samples.append(
             SoakSample(
@@ -231,8 +243,8 @@ def serial_soak() -> SoakReport:
 
 
 def test_settlement_soak_bounded_resident_records(serial_soak):
-    """Long horizon, sustained cross-shard load: resident records and relay
-    journals stay flat and identities hold at every checkpoint."""
+    """Long horizon, sustained cross-shard load: resident records and
+    resident certificates stay flat and identities hold at every checkpoint."""
     report = serial_soak
 
     assert not report.violations, report.violations
@@ -248,19 +260,16 @@ def test_settlement_soak_bounded_resident_records(serial_soak):
     # Retirement was active well before the end, not a quiescence artefact.
     mid_run = report.samples[:-1]
     assert any(sample.retired_records > 0 for sample in mid_run)
-    # Driver-side relay journals track the in-flight window, not history:
-    # the peak stays below the cumulative certificate deliveries, and at
-    # quiescence only the per-stream retirement watermarks stay resident
-    # (two certificate objects per active stream: assembled + delivered).
+    # Driver-side certificates track the in-flight window, not history:
+    # the peak stays below the certificates assembled, and at quiescence,
+    # with nothing queued or buffered, none stays resident.
     assert report.journal_bounded, (
-        f"relay journals not bounded: peak {report.peak_journal} vs "
+        f"resident certificates not bounded: peak {report.peak_journal} vs "
         f"cumulative {report.journal_total}"
     )
-    streams = SOAK_SHARDS * (SOAK_SHARDS - 1) * 4  # pairs x issuers
     final = report.samples[-1]
-    assert final.resident_journal_records <= 2 * streams, (
-        f"{final.resident_journal_records} journal records resident at "
-        f"quiescence; expected at most the per-stream watermarks"
+    assert final.resident_journal_records == 0, (
+        f"{final.resident_journal_records} certificates resident at quiescence"
     )
     # Signatures carry their verdicts, so they must track that window too.
     _assert_signatures_bounded(report)
@@ -287,7 +296,7 @@ def _assert_signatures_bounded(report: SoakReport) -> None:
 def test_pool_soak_samples_match_the_serial_soak(serial_soak):
     """The same soak on the two-worker process pool: audits hold, everything
     retires, and every checkpoint samples exactly what the serial soak's
-    does — the pool moves no commit, record, journal entry or identity."""
+    does — the pool moves no commit, record, certificate or identity."""
     pool = settlement_soak_experiment(backend="process", max_workers=SOAK_WORKERS)
 
     assert not pool.violations, pool.violations
@@ -295,8 +304,9 @@ def test_pool_soak_samples_match_the_serial_soak(serial_soak):
     assert pool.fully_retired
     assert len(pool.samples) == len(serial_soak.samples) == SOAK_CHECKPOINTS + 1
     # Whole samples: commits, resident and retired records, amounts,
-    # journal residency and both identity flags, at every checkpoint.
+    # certificate residency and both identity flags, at every checkpoint.
     for index, (ours, theirs) in enumerate(zip(pool.samples, serial_soak.samples)):
         assert ours == theirs, f"checkpoint {index}: pool {ours} vs serial {theirs}"
-    # The driver holds the relays, so the same bound holds for what it keeps.
+    # The driver holds the streams and inboxes, so the same bound holds for
+    # what it keeps.
     _assert_signatures_bounded(pool)
