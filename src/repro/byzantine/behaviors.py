@@ -98,7 +98,7 @@ class DelayBehavior(Behavior):
     the PBFT baseline) or a Byzantine process trying to stall the protocol
     without being detectably faulty.  The delay is finite and non-negative:
     a message cannot arrive before it was sent, and the settlement barrier's
-    one-pass exchange relies on exactly that.
+    exchange, which drains each queue once, relies on exactly that.
     """
 
     def __init__(self, extra_delay: float) -> None:

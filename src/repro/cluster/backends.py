@@ -6,9 +6,12 @@ depends only on its own schedule plus the settlement certificates it is
 handed.  This module exploits that.  Each shard runs on *its own*
 :class:`~repro.network.simulator.Simulator`, advanced independently up to the
 next **settlement barrier**; at the barrier the (driver-process) settlement
-fabric exchanges vouchers and certificates in a deterministic order, the
-resulting mints are scheduled back onto the destination shards' clocks, and
-the loop repeats until global quiescence.
+fabric delivers the matured certificates in a deterministic order, the
+resulting mints and retirements are scheduled back onto the shards' clocks,
+and the next epoch is released; the rest of the barrier's settlement work
+(vouchers, acks, quorum assembly) runs in the driver while the shards
+advance, since that epoch never reads it.  The loop repeats until global
+quiescence.
 
 Two backends execute the per-epoch shard advancement:
 
@@ -23,8 +26,9 @@ Two backends execute the per-epoch shard advancement:
 The headline guarantee is **bit-identical results across backends**: the
 barrier schedule, the voucher/certificate processing order (sorted by
 ``(time, shard, sequence)``) and the per-shard event sequences are all
-deterministic functions of the cluster seed, never of wall-clock timing
-or worker assignment.  The cross-backend equivalence harness
+deterministic functions of the cluster seed, never of wall-clock timing,
+worker assignment or how the driver's work overlaps the workers'.  The
+cross-backend equivalence harness
 (``tests/cluster/test_backend_equivalence.py``) asserts the resulting
 :meth:`~repro.cluster.result.ClusterResult.fingerprint` equality on a
 seed × shards × batch × cross-shard-fraction grid.
@@ -38,7 +42,16 @@ view of Imbs et al., arXiv:1706.05267).
 through :mod:`repro.cluster.codec` (one pickle per frame).  Commands are the
 tuples ``("advance", horizon, max_events)``,
 ``("mint"|"retire", time, per_shard)``, ``("snapshot",)`` and ``("stop",)``;
-replies are ``("ok", payload)`` or ``("error", traceback_text)``.
+replies are ``("ok", payload)`` or ``("error", traceback_text)``.  A
+worker answers its commands in pipe order, so the driver does not wait for
+the ``mint`` / ``retire`` answers: it reads them when it collects the
+``advance`` that follows them.
+
+**Overlap.**  ``advance`` takes an optional ``overlapped`` callable, the
+barrier's second half: the pool runs it between dispatching the epoch and
+collecting the replies, the serial backend after its shards advance.  The
+scheduler decides when it may be deferred there (see :class:`EpochScheduler`),
+so both backends take one path with one barrier sequence.
 
 **Barrier fan-out.**  Commands addressed to *every* worker with identical
 bytes — ``advance`` each epoch, ``snapshot`` and ``stop`` at their
@@ -57,6 +70,7 @@ import time as _time
 import weakref
 from collections import deque
 from contextlib import contextmanager, nullcontext
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.codec import decode as codec_decode
@@ -116,9 +130,10 @@ class ExecutionBackend(abc.ABC):
 
     A backend session is *opened* once with the driver-side shard objects,
     their specs and the pre-partitioned submissions; after that the scheduler
-    only ever asks it to ``advance`` every shard to a barrier, to
-    ``apply_mints`` the barrier produced, and finally to ``finalize`` so the
-    driver-side shards reflect the run (a no-op for the serial backend).
+    only ever asks it to ``advance`` every shard to a barrier (running the
+    driver's ``overlapped`` work while they do), to ``apply_mints`` the
+    barrier produced, and finally to ``finalize`` so the driver-side shards
+    reflect the run (a no-op for the serial backend).
     The session keeps none of the submissions once ``open`` has scheduled
     them.
     """
@@ -147,9 +162,13 @@ class ExecutionBackend(abc.ABC):
 
     @abc.abstractmethod
     def advance(
-        self, horizon: Optional[float], max_events: Optional[int] = None
+        self,
+        horizon: Optional[float],
+        max_events: Optional[int] = None,
+        overlapped: Optional[Callable[[], None]] = None,
     ) -> Dict[int, AdvanceReport]:
-        """Advance every shard to ``horizon`` and collect their reports."""
+        """Advance every shard to ``horizon`` and collect their reports,
+        calling ``overlapped()`` (if given) once while the shards advance."""
 
     @abc.abstractmethod
     def apply_mints(
@@ -196,12 +215,19 @@ class SerialBackend(ExecutionBackend):
             _schedule_into(shard, submissions.get(shard.index, []))
 
     def advance(
-        self, horizon: Optional[float], max_events: Optional[int] = None
+        self,
+        horizon: Optional[float],
+        max_events: Optional[int] = None,
+        overlapped: Optional[Callable[[], None]] = None,
     ) -> Dict[int, AdvanceReport]:
-        return {
+        reports = {
             shard.index: self._advance_one(shard, horizon, max_events)
             for shard in self._shards
         }
+        # One process: the driver's share of the barrier runs after the shards.
+        if overlapped is not None:
+            overlapped()
+        return reports
 
     def _advance_one(
         self, shard: Shard, horizon: Optional[float], max_events: Optional[int]
@@ -446,23 +472,38 @@ class ProcessPoolBackend(ExecutionBackend):
             self._send(slot, data, command[0])
 
     def advance(
-        self, horizon: Optional[float], max_events: Optional[int] = None
+        self,
+        horizon: Optional[float],
+        max_events: Optional[int] = None,
+        overlapped: Optional[Callable[[], None]] = None,
     ) -> Dict[int, AdvanceReport]:
+        """Dispatch the epoch, run ``overlapped`` while the workers advance,
+        then collect their replies; the driver's wait for them is
+        ``advance.wait``.  The replies are collected even when ``overlapped``
+        raises, so every pipe stays in step and the pool stays closable."""
         self._broadcast(("advance", horizon, max_events))
-        payloads = self._collect_arrivals()
+        try:
+            if overlapped is not None:
+                overlapped()
+        finally:
+            with _phase(self.metrics, self.tracer, "advance.wait", cat="scheduler"):
+                payloads = self._collect_arrivals()
         reports: Dict[int, AdvanceReport] = {}
         for slot in sorted(payloads):
             reports.update(payloads[slot])
         return reports
 
     def _collect_arrivals(self) -> Dict[int, Any]:
-        """Collect one reply per worker, in *arrival* order.
+        """Collect every reply each worker owes, in *arrival* order; a
+        worker's last reply (its ``advance``) is its payload.
 
         Workers finish their epochs at different wall times; draining replies
         as they land (``multiprocessing.connection.wait``) instead of in slot
         order means a slow worker never blocks the reading of a fast one's
-        reply, and the spread between the first and last arrival is exactly
-        the barrier's rendezvous stall, observed into ``barrier_stall``.
+        reply, and the spread between the first and last final arrival is
+        exactly the barrier's rendezvous stall, observed into
+        ``barrier_stall``.  The ``mint`` / ``retire`` answers that precede an
+        ``advance`` on its pipe are read here too (see :meth:`_fan_out`).
         Replies are keyed by slot afterwards, so arrival order never affects
         results.
         """
@@ -471,9 +512,12 @@ class ProcessPoolBackend(ExecutionBackend):
         stamps: List[float] = []
         while owed:
             for connection in self._wait(list(owed)):
-                slot = owed.pop(connection)
-                payloads[slot] = self._recv(slot)
-                stamps.append(_time.perf_counter())
+                slot = owed[connection]
+                payload = self._recv(slot)
+                if not self._outstanding[slot]:
+                    del owed[connection]
+                    payloads[slot] = payload
+                    stamps.append(_time.perf_counter())
         if self.metrics is not None and len(stamps) >= 2:
             self.metrics.observe("barrier_stall", stamps[-1] - stamps[0])
         return payloads
@@ -488,15 +532,20 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def _fan_out(self, kind: str, time: float, per_shard: Dict[int, list]) -> None:
         """Ship one barrier's ``kind`` commands to the workers hosting their
-        shards (shard order within a worker), then collect every answer."""
+        shards (shard order within a worker).
+
+        Nothing waits for the answers here: a worker runs its commands in
+        pipe order, so the barrier's ``advance`` follows right behind, and
+        :meth:`_collect_arrivals` reads the answers before that advance's
+        reply — a failed command is still reported, attributed to its kind.
+        The scheduler follows every barrier that applies commands with an
+        advance, so none is left unanswered."""
         workers = len(self._workers)
         per_slot: Dict[int, List[Tuple[int, list]]] = {}
         for index in sorted(per_shard):
             per_slot.setdefault(index % workers, []).append((index, per_shard[index]))
         for slot, payload in sorted(per_slot.items()):
             self._request(slot, (kind, time, payload))
-        for slot in sorted(per_slot):
-            self._recv(slot)
 
     def finalize(self) -> None:
         self._broadcast(("snapshot",))
@@ -507,12 +556,15 @@ class ProcessPoolBackend(ExecutionBackend):
             shard.restore(snapshots[shard.index])
 
     @staticmethod
-    def _shutdown(workers: List[Tuple[Any, Any]]) -> None:
+    def _shutdown(workers: List[Tuple[Any, Any]], owed: Optional[List[int]] = None) -> None:
+        """Stop every worker: send ``stop`` and read its answer, after the
+        ``owed`` replies a failed exchange left unread on that pipe."""
         stop = codec_encode(("stop",))
-        for process, connection in workers:
+        for slot, (process, connection) in enumerate(workers):
             try:
                 connection.send_bytes(stop)
-                connection.recv_bytes()
+                for _ in range(1 + (owed[slot] if owed else 0)):
+                    connection.recv_bytes()
             except (BrokenPipeError, EOFError, OSError):
                 pass
             connection.close()
@@ -526,7 +578,7 @@ class ProcessPoolBackend(ExecutionBackend):
             self._finalizer.detach()
             self._finalizer = None
         if self._workers:
-            self._shutdown(self._workers)
+            self._shutdown(self._workers, [len(kinds) for kinds in self._outstanding])
             self._workers = []
 
 
@@ -549,36 +601,54 @@ class EpochScheduler:
     Barriers sit on a fixed grid ``epoch`` apart: the shards meet only
     there, which is all the synchronisation a consensus-number-1 object
     needs.  Between barriers, shards run free on their own clocks; *at* a
-    barrier the scheduler
+    barrier the scheduler runs the settlement exchange in two halves.  The
+    first half (:meth:`_release`) decides everything the next epoch reads:
 
-    1. replays the epoch's collected validation events — sorted by
+    1. it delivers every matured certificate to the destination replicas'
+       inboxes, whose accept/replay/buffer decisions emit mint commands and
+       decide the replicas' settlement acks,
+    2. it delivers every matured retirement certificate to the source
+       shards' compaction gates, whose watermark decisions emit retirement
+       commands, and
+    3. it ships the mint and retirement commands to their shards, scheduled
+       at the barrier time, in deterministic order.
+
+    The second half (:meth:`_settle`) is the settlement work the next epoch
+    never reads:
+
+    4. it replays the epoch's collected validation events — sorted by
        ``(time, shard, sequence)`` — through the settlement fabric, which
        signs vouchers (applying any Byzantine voucher behaviours) and queues
-       them with their maturity times,
-    2. feeds every matured voucher to its relay (assembled certificates queue
-       with maturity ``barrier + DELIVERY_DELAY``),
-    3. delivers every matured certificate to the destination replicas'
-       inboxes, whose accept/replay/buffer decisions emit mint commands and
-       signed settlement acks (queued with maturity ``barrier + ACK_DELAY``),
-    4. feeds every matured ack to its relay's return leg (assembled
-       retirement certificates queue with maturity ``barrier +
-       DELIVERY_DELAY``) and delivers matured retirement certificates to the
-       source shards' compaction gates, whose watermark decisions emit
-       retirement commands, and
-    5. ships the mint and retirement commands to their shards, scheduled at
-       the barrier time, in deterministic order.
+       them with their maturity times, and feeds every matured voucher to its
+       relay (assembled certificates queue with maturity ``barrier +
+       DELIVERY_DELAY``), then
+    5. signs and dispatches the acks step 1 decided (maturity ``barrier +
+       ACK_DELAY``) and feeds every matured ack to its relay's return leg
+       (assembled retirement certificates queue with maturity ``barrier +
+       DELIVERY_DELAY``).
 
-    Steps 2–4 are **one pass** over the four queues, in that order, each
-    queue run by ``(ready, order)``.  One pass is exact, not an
-    approximation of a fixed point.  Every settlement delay is positive (the
-    link delays are positive constants, and a behaviour's extra delay is
-    refused below zero), so whatever a handler queues during the pass
-    matures strictly after this barrier; and a handler only ever queues
-    onto a *later* queue of the pass (a voucher's certificate, a
-    certificate's acks, an ack's retirement certificate), which the pass has
-    not partitioned yet.  The only entries that mature at the barrier that
-    queues them are step 1's vouchers, and they are queued before the
-    voucher drain.  A second pass would find nothing.
+    Each queue drains once per barrier, by ``(ready, order)``: certificates
+    and retirement certificates in the first half, vouchers and acks in the
+    second.  That is exact, not an approximation of a fixed point.  Every
+    settlement delay is positive (the link delays are positive constants, and
+    a behaviour's extra delay is refused below zero), so whatever a handler
+    queues matures strictly after this barrier; the only entries that mature
+    at the barrier that queues them are step 4's vouchers, and they are
+    queued before the voucher drain.  The halves share no state within a
+    barrier except a slot's fabric record, which step 2 may retire before
+    step 4 replays a late validation of it — and the fabric records no slot
+    at or below its gate's watermark, so that order changes nothing.
+
+    Because the next epoch reads nothing the second half writes, the
+    scheduler defers it into the shards' advance (the backend's
+    ``overlapped`` callable: the pool runs it while its workers advance)
+    whenever that cannot change the next barrier.  The second half only
+    *adds* settlement traffic, so it can only lower the next barrier's
+    target: it is deferred exactly when the barrier computed without it is
+    already the next grid point.  Otherwise — and before a quiescence break
+    or an ``until`` pause — it runs in the barrier's exchange, so every
+    backend sees the barrier sequence of an exchange that runs both halves
+    at every barrier, and nothing deferred outlives :meth:`run`.
 
     Empty stretches are skipped: the next barrier is the first grid point at
     or after the earliest thing that can happen (an event on some shard, a
@@ -602,9 +672,9 @@ class EpochScheduler:
         self.now = 0.0
         self.barriers = 0
         self._order = itertools.count()
-        # The settlement queues, in drain order: ``(ready, order, handler,
-        # payload)`` entries whose handler — a relay stream's ``submit`` or
-        # ``deliver`` — the exchange calls once the entry matures.
+        # The settlement queues: ``(ready, order, handler, payload)`` entries
+        # whose handler — a relay stream's ``submit`` or the fabric's
+        # ``_deliver`` — the exchange calls once the entry matures.
         self._queues: Dict[str, List[Tuple[float, int, Callable[[Any], Any], Any]]] = {
             name: [] for name in ("vouchers", "certificates", "acks", "retirement_certificates")
         }
@@ -614,8 +684,8 @@ class EpochScheduler:
         self._retirements: Dict[int, List[Transfer]] = {}
         self._reports: Optional[Dict[int, AdvanceReport]] = None
         # Validation events executed but not yet exchanged.  Every shard runs
-        # exactly to each barrier, so at the exchange the whole buffer has
-        # matured (``time <= now``) and is consumed at once.
+        # exactly to each barrier, so at the barrier's second half the whole
+        # buffer has matured (``time <= now``) and is consumed at once.
         self._event_buffer: List[ValidationEvent] = []
 
     # -- queues fed by the settlement fabric ---------------------------------------------------
@@ -690,9 +760,13 @@ class EpochScheduler:
         horizon: float,
         max_events: Optional[int],
         step: bool = False,
+        overlapped: Optional[Callable[[], None]] = None,
     ) -> None:
         """Advance every shard to ``horizon`` and fold in their reports; with
-        ``step``, the horizon becomes the scheduler's next barrier.
+        ``step``, the horizon becomes the scheduler's next barrier.  The
+        backend calls ``overlapped`` (a deferred second half, timed as
+        ``exchange.overlapped``) while the shards advance, before ``now``
+        moves.
 
         The first advance of a session gives every shard the whole
         ``max_events``; later ones give each the cluster-wide remainder.
@@ -702,7 +776,7 @@ class EpochScheduler:
             sim_start=self.now, barrier=self.barriers,
         ) as span:
             budget = max_events if self._reports is None else self._remaining_budget(max_events)
-            reports = backend.advance(horizon, budget)
+            reports = backend.advance(horizon, budget, overlapped)
             if span is not None:
                 span.sim_end = horizon
             self._ingest(reports)
@@ -728,27 +802,35 @@ class EpochScheduler:
         ``max_events`` is ``None`` or an ``int`` >= 0, refused up front
         otherwise: a NaN budget compares false and would disable the guard.
         The loop is two phases with only the pause test between them:
-        ``phase.exchange`` holds the exchange and the decision where (and
-        whether) to go next, ``phase.advance`` the shards' epoch and the
-        bookkeeping of its reports, so the two tile the loop's wall time.
+        ``phase.exchange`` holds the barrier's first half and the decision
+        where (and whether) to go next — with the second half too, unless it
+        is deferred — and ``phase.advance`` the shards' epoch, any deferred
+        second half (``exchange.overlapped``) and the bookkeeping of the
+        reports, so the two tile the loop's wall time.
         """
         if max_events is not None and not (type(max_events) is int and max_events >= 0):
             raise SimulationError(f"event budget must be None or an int >= 0, not {max_events!r}")
         if self._reports is None:
             self._advance(backend, self.now, max_events)
         while True:
+            overlapped = None
             with _phase(
                 self.metrics, self.tracer, "phase.exchange", cat="scheduler",
                 sim_start=self.now, barrier=self.barriers,
             ):
-                applied = self._exchange(backend, fabric)
-                if self.metrics is not None:
-                    self.metrics.observe("barrier.queue_depth", self.in_flight)
-                pending = any(report.pending_events for report in self._reports.values())
-                queued = any(self._queues.values())
-                if not (pending or applied or queued):
-                    break
-                horizon = self._next_barrier(self._next_target(applied))
+                applied = self._release(backend)
+                target = self._next_target(applied)
+                horizon = None if target is None else self._next_barrier(target)
+                if horizon == self.now + self.epoch and (until is None or horizon <= until):
+                    # The second half can only lower the target, and this
+                    # horizon is already the lowest the grid allows.
+                    overlapped = partial(self._overlapped, fabric)
+                else:
+                    self._settle(fabric)
+                    target = self._next_target(applied)
+                    if target is None:
+                        break
+                    horizon = self._next_barrier(target)
                 paused = until is not None and horizon > until
             if paused:
                 # Pause *on the grid*: the run stops at the last barrier not
@@ -767,24 +849,15 @@ class EpochScheduler:
                 if applied:
                     self._advance(backend, self.now, max_events)
                 break
-            self._advance(backend, horizon, max_events, step=True)
+            self._advance(backend, horizon, max_events, step=True, overlapped=overlapped)
         return self._reports
 
-    def _exchange(self, backend: ExecutionBackend, fabric: SettlementFabric) -> int:
-        """Run one barrier's settlement exchange; returns commands applied."""
-        # Consumption is exactly-once by construction — _ingest moved the
-        # events out of the reports, and this empties the buffer — so a
-        # re-entrant run() (pause/resume, a run after a run) can never
-        # voucher the same credit twice.
-        events = self._take_matured_events()
-        if events and self.metrics is not None:
-            self.metrics.inc("exchange.validations", len(events))
-        for time, shard, _, replica, transfer in events:
-            fabric.observe_validation(shard, replica, transfer, time)
-        # One pass, in lifecycle order: nothing a handler queues below can
-        # mature at this barrier (see the class docstring).
-        for name in self._queues:
-            self._drain_matured(name)
+    def _release(self, backend: ExecutionBackend) -> int:
+        """The barrier's first half: deliver the matured certificates and
+        retirement certificates, then ship the mint and retirement commands
+        they decided; returns how many commands were applied."""
+        self._drain_matured("certificates")
+        self._drain_matured("retirement_certificates")
         applied = 0
         mints, self._mints = self._mints, {}
         if mints:
@@ -795,6 +868,34 @@ class EpochScheduler:
             applied += self._count_commands("exchange.retirements", retirements)
             backend.apply_retirements(self.now, retirements)
         return applied
+
+    def _settle(self, fabric: SettlementFabric) -> None:
+        """The barrier's second half: replay the validation events, drain the
+        matured vouchers, sign and dispatch the acks the first half decided,
+        drain the matured acks.  Everything it queues matures after ``now``."""
+        # Consumption is exactly-once by construction — _ingest moved the
+        # events out of the reports, and this empties the buffer — so a
+        # re-entrant run() (pause/resume, a run after a run) can never
+        # voucher the same credit twice.
+        events = self._take_matured_events()
+        if events and self.metrics is not None:
+            self.metrics.inc("exchange.validations", len(events))
+        for time, shard, _, replica, transfer in events:
+            fabric.observe_validation(shard, replica, transfer, time)
+        self._drain_matured("vouchers")
+        fabric.dispatch_acks()
+        self._drain_matured("acks")
+        if self.metrics is not None:
+            self.metrics.observe("barrier.queue_depth", self.in_flight)
+
+    def _overlapped(self, fabric: SettlementFabric) -> None:
+        """A deferred second half, run by the backend while the shards
+        advance to the next barrier."""
+        with _phase(
+            self.metrics, self.tracer, "exchange.overlapped", cat="scheduler",
+            sim_start=self.now, barrier=self.barriers,
+        ):
+            self._settle(fabric)
 
     def _count_commands(self, counter: str, per_shard: Dict[int, list]) -> int:
         """Add a barrier's per-shard commands to ``counter``; returns how
@@ -826,18 +927,23 @@ class EpochScheduler:
         if self.metrics is not None:
             self.metrics.inc(f"exchange.{name}", len(ready))
 
-    def _next_target(self, applied: int) -> float:
-        """The earliest instant at which anything can happen next."""
+    def _next_target(self, applied: int) -> Optional[float]:
+        """The earliest instant at which anything can happen after this
+        barrier's drains, or ``None`` when nothing can (quiescence).
+
+        Queue entries matured by ``now`` are left out: the second half drains
+        them, and after it none is left."""
+        now = self.now
         candidates: List[float] = [
             report.next_event_time
             for report in (self._reports or {}).values()
             if report.next_event_time is not None
         ]
         for queue in self._queues.values():
-            candidates.extend(entry[0] for entry in queue)
+            candidates.extend(entry[0] for entry in queue if entry[0] > now)
         if applied:
-            candidates.append(self.now)
-        return min(candidates) if candidates else self.now
+            candidates.append(now)
+        return min(candidates, default=None)
 
     def _next_barrier(self, target: float) -> float:
         """First barrier strictly after ``self.now``, at or after ``target``.

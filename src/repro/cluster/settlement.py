@@ -73,7 +73,10 @@ or ack joins and the inboxes or gate a certificate visits), each shard's
 certificate check is bound once (the inboxes' and gates' key directory), a
 slot's claim and ack claim are built once and signed by every agreeing
 replica, a delivered certificate's ``N`` mints share one ledger transfer
-(:class:`_MintOnce`), and the barrier drains its queues in one pass.
+(:class:`_MintOnce`), and each barrier drains each queue once.  The mints
+and retirements a barrier decides are shipped before its vouchers and acks
+are signed and assembled, so on the process pool that work overlaps the
+shards' next epoch (:class:`~repro.cluster.backends.EpochScheduler`).
 
 Fault injection rides the transport behaviours of
 :mod:`repro.byzantine.behaviors`: a voucher or ack behaviour per replica can
@@ -766,6 +769,9 @@ class SettlementFabric:
             )
             for shard in shards
         }
+        # ``((shard, replica), ack claim, emitted_at)`` per ack the inboxes
+        # decided at this barrier, signed and dispatched by dispatch_acks.
+        self._decided_acks: List[Tuple[Tuple[int, ProcessId], SettlementAckClaim, float]] = []
         self.inboxes: Dict[Tuple[int, ProcessId], SettlementInbox] = {}
         # Each shard's inboxes in pid order: the order a certificate for the
         # shard visits them.
@@ -830,16 +836,22 @@ class SettlementFabric:
         stream = (destination_shard, transfer.issuer)
         sequence = counters.get(stream, 0) + 1
         counters[stream] = sequence
-        records = self._stream_records.setdefault(
-            (shard_index, destination_shard, transfer.issuer), {}
-        )
-        record = records.get(sequence)
+        key = (shard_index, destination_shard, transfer.issuer)
+        records = self._stream_records.get(key)
+        record = None if records is None else records.get(sequence)
         if record is not None and (record.transfer is transfer or record.transfer == transfer):
             claim = record.claim
         else:
-            slot = (shard_index, destination_shard, transfer.issuer, sequence)
+            slot = key + (sequence,)
             claim = SettlementClaim(*slot, account, transfer.amount)
-            if record is None:
+            # A slot at or below the gate's watermark is retired: its late
+            # voucher is still signed and sent (the relay absorbs it at its
+            # floor), but nothing would ever pop a record made for it.
+            if record is None and sequence > self.gates[shard_index].watermark(
+                destination_shard, transfer.issuer
+            ):
+                if records is None:
+                    records = self._stream_records[key] = {}
                 records[sequence] = _SlotRecord(transfer, at, claim, SettlementAckClaim(*slot))
         voucher = SettlementVoucher(claim, self._keypairs[(shard_index, replica)].sign(claim))
         self.vouchers_dispatched += self._send(
@@ -850,13 +862,16 @@ class SettlementFabric:
     def _ack_emitter(
         self, shard_index: int, replica: ProcessId
     ) -> Callable[[SettlementClaim], None]:
-        """The inbox's post-mint hook: sign and dispatch this replica's ack.
+        """The inbox's post-mint hook: decide this replica's ack.
 
-        Fired at the accept decision, so ack timing is identical on every
-        backend.  A recorded slot's ack claim is shared by every replica
-        that mints it (it names only the slot); a slot the fabric never
-        recorded gets its own."""
-        sign = self._keypairs[(shard_index, replica)].sign
+        An ack is decided at the accept — its claim, its ``emitted_at`` (the
+        barrier) and the slot's latency sample are fixed there, so ack
+        timing is identical on every backend — and signed and dispatched by
+        :meth:`dispatch_acks` in the barrier's second half, with that same
+        ``emitted_at``.  A recorded slot's ack claim is shared by every
+        replica that mints it (it names only the slot); a slot the fabric
+        never recorded gets its own."""
+        key = (shard_index, replica)
 
         def emit(claim: SettlementClaim) -> None:
             records = self._stream_records.get(
@@ -871,13 +886,19 @@ class SettlementFabric:
             else:
                 ack_claim = record.ack_claim
                 self._record_latency(max(0.0, emitted_at - record.validated_at))
-            ack = SettlementAck(ack_claim, sign(ack_claim))
-            self.acks_dispatched += self._send(
-                "acks", ACK_DELAY, shard_index, replica, ack, emitted_at,
-                claim.source_shard, _ack_pair,
-            )
+            self._decided_acks.append((key, ack_claim, emitted_at))
 
         return emit
+
+    def dispatch_acks(self) -> None:
+        """Sign and dispatch every decided ack, in decision order."""
+        decided, self._decided_acks = self._decided_acks, []
+        for (shard_index, replica), ack_claim, emitted_at in decided:
+            ack = SettlementAck(ack_claim, self._keypairs[(shard_index, replica)].sign(ack_claim))
+            self.acks_dispatched += self._send(
+                "acks", ACK_DELAY, shard_index, replica, ack, emitted_at,
+                ack_claim.source_shard, _ack_pair,
+            )
 
     def _send(
         self,
@@ -989,13 +1010,15 @@ class SettlementFabric:
     ) -> Optional[List[Transfer]]:
         """Pop the recorded transfers a watermark advance retires, in order;
         ``None`` (consuming nothing) if any of them was never recorded."""
-        records = self._stream_records.get(
-            (claim.source_shard, claim.destination_shard, claim.issuer), {}
-        )
+        key = (claim.source_shard, claim.destination_shard, claim.issuer)
+        records = self._stream_records.get(key, {})
         span = range(first_sequence, claim.sequence + 1)
         if any(sequence not in records for sequence in span):
             return None
-        return [records.pop(sequence).transfer for sequence in span]
+        transfers = [records.pop(sequence).transfer for sequence in span]
+        if not records:  # the stream drained: its dict goes with its last slot
+            del self._stream_records[key]
+        return transfers
 
     # -- audit views --------------------------------------------------------------------------
 

@@ -47,6 +47,7 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.types import Transfer
 from repro.crypto.signatures import SignatureScheme
 from repro.workloads.cluster_driver import (
+    ClusterSubmission,
     ClusterWorkloadConfig,
     HotspotProfile,
     RoutedSubmission,
@@ -487,8 +488,8 @@ class TestEpochSchedulerEdges:
         advance = system._backend.advance
         horizons = []
 
-        def checked_advance(horizon, max_events=None):
-            reports = advance(horizon, max_events)
+        def checked_advance(horizon, max_events=None, overlapped=None):
+            reports = advance(horizon, max_events, overlapped)
             assert sorted(reports) == [0, 1, 2]
             for report in reports.values():
                 assert report.now <= horizon
@@ -586,6 +587,138 @@ class TestEpochSchedulerEdges:
         with pytest.raises(ConfigurationError):
             system.shards[1].restore(snapshot)
         system.close()
+
+
+# One cross-shard payment on two shards and a 0.5 ms barrier grid: the shards
+# sit idle while the settlement legs mature, so the scheduler skips grid
+# points.  These are the horizons of an exchange that runs both halves at
+# every barrier; deferring the second half must not move them.
+SKIP_AHEAD_HORIZONS = [
+    0.0, 0.001, 0.0015, 0.002, 0.0025, 0.003, 0.0035, 0.004, 0.006,
+    0.006500000000000001, 0.007000000000000001, 0.009000000000000001,
+    0.009500000000000001,
+]
+
+
+class TestOverlappedSettlement:
+    """A barrier's second half (vouchers, acks, quorum assembly) runs while
+    the shards advance to the next barrier whenever it cannot move that
+    barrier: same barrier sequence, same results, on every backend."""
+
+    @pytest.mark.parametrize("backend", ["process", "one-worker"])
+    def test_the_pool_settles_between_dispatch_and_collection(self, fast_network, backend):
+        """Every deferred second half runs after the epoch's ``advance`` is
+        on every pipe and before any reply is read, and the run still
+        fingerprints as the serial one."""
+        max_workers = 2
+        if backend == "one-worker":
+            backend, max_workers = "process", 1
+        system = ClusterSystem(
+            shard_count=3, replicas_per_shard=4, batch_size=1, broadcast="bracha",
+            initial_balance=500, network_config=fast_network, backend=backend,
+            max_workers=max_workers, seed=3, telemetry="metrics",
+        )
+        system.schedule_submissions(_workload(system, 3, 0.5))
+        pool = system._backend
+        log = []
+        broadcast, collect = pool._broadcast, pool._collect_arrivals
+        settle = system.scheduler._settle
+
+        def logged_broadcast(command):
+            log.append(command[0])
+            broadcast(command)
+
+        def logged_collect():
+            log.append("collect")
+            return collect()
+
+        def logged_settle(fabric):
+            log.append("settle")
+            settle(fabric)
+
+        pool._broadcast = logged_broadcast
+        pool._collect_arrivals = logged_collect
+        system.scheduler._settle = logged_settle
+        try:
+            result = system.run()
+            # An advance is dispatch, at most one second half, collection.
+            advances = [index for index, entry in enumerate(log) if entry == "advance"]
+            overlapped = 0
+            for index in advances:
+                if log[index + 1] == "settle":
+                    overlapped += 1
+                    index += 1
+                assert log[index + 1] == "collect"
+            # Every barrier settles once; most of them while the pool advances.
+            assert log.count("settle") == system.scheduler.barriers + 1
+            assert overlapped > log.count("settle") // 2
+            driver = result.telemetry["driver"]
+            assert driver["histograms"]["exchange.overlapped"]["count"] == overlapped
+            assert driver["histograms"]["advance.wait"]["count"] == len(advances)
+        finally:
+            system.close()
+        reference, expected = _run(fast_network, "serial", 3, 3, 1, 0.5)
+        reference.close()
+        assert result.fingerprint() == expected.fingerprint()
+
+    @pytest.mark.parametrize("backend", DEPLOYMENTS)
+    def test_a_skip_ahead_run_keeps_the_barrier_sequence(self, fast_network, backend):
+        max_workers = None
+        if backend == "one-worker":
+            backend, max_workers = "process", 1
+        system = ClusterSystem(
+            shard_count=2, replicas_per_shard=4, initial_balance=500,
+            network_config=fast_network, backend=backend, max_workers=max_workers,
+            seed=3, epoch=0.0005,
+        )
+        users = [
+            next(user for user in range(100_000) if system.router.shard_of(user) == shard)
+            for shard in (0, 1)
+        ]
+        system.schedule_submissions(
+            [ClusterSubmission(time=0.001, source_user=users[0], destination_user=users[1], amount=7)]
+        )
+        advance = system._backend.advance
+        horizons = []
+
+        def recorded(horizon, max_events=None, overlapped=None):
+            horizons.append(horizon)
+            return advance(horizon, max_events, overlapped)
+
+        system._backend.advance = recorded
+        try:
+            result = system.run()
+            assert result.audit["minted"] == result.audit["retired"] == 7
+            assert horizons == SKIP_AHEAD_HORIZONS
+            assert system.scheduler.quiescent
+        finally:
+            system.close()
+
+    def test_a_raising_second_half_leaves_the_pool_closable(self, fast_network):
+        """The deferred second half runs between dispatch and collection; if
+        it raises, the workers' replies are still read, so no command is
+        left outstanding, and close() stops every worker cleanly."""
+        system = ClusterSystem(
+            shard_count=2, replicas_per_shard=4, initial_balance=500,
+            network_config=fast_network, backend="process", max_workers=2, seed=3,
+        )
+        system.schedule_submissions(_workload(system, 3, 0.5))
+
+        def raising(fabric):
+            raise RuntimeError("second half failed")
+
+        system.scheduler._overlapped = raising
+        pool = system._backend
+        try:
+            with pytest.raises(RuntimeError, match="second half failed"):
+                system.run()
+            processes = [process for process, _ in pool._workers]
+            assert len(processes) == 2
+            assert all(not outstanding for outstanding in pool._outstanding)
+        finally:
+            system.close()
+        assert pool._workers == []
+        assert [process.exitcode for process in processes] == [0, 0]
 
 
 class TestSettlementWireFormatPicklability:
@@ -782,6 +915,25 @@ class TestWorkerLoss:
         finally:
             system.close()
         assert not any(process.is_alive() for process, _ in workers)
+
+    def test_a_failed_mint_is_reported_at_the_next_collection(self, fast_network):
+        """Mint and retire commands are not waited for: their answers are
+        read with the advance that follows them on the pipe, and a failed
+        one is still raised, attributed to its command."""
+        system, workers = self._paused_pool(fast_network)
+        backend = system._backend
+        try:
+            transfer = Transfer("settle:0:0", "1", 1, issuer=-1, sequence=1)
+            backend.apply_mints(0.0, {1: [(0, transfer)]})  # behind shard 1's clock
+            assert [list(outstanding) for outstanding in backend._outstanding] == [[], ["mint"]]
+            with pytest.raises(SimulationError) as caught:
+                system.run()
+            message = str(caught.value)
+            assert "worker 1" in message and "resident shards [1]" in message
+            assert "'mint'" in message and "failed" in message
+        finally:
+            system.close()
+        assert [process.exitcode for process, _ in workers] == [0, 0]
 
     def test_a_worker_exiting_under_an_outstanding_command_is_attributed(self, fast_network):
         system, workers = self._paused_pool(fast_network)

@@ -462,6 +462,51 @@ class TestValidationReplay:
         finally:
             system.close()
 
+    def test_a_late_validation_of_a_retired_slot_records_nothing(self, fast_network):
+        """A replica that validates a slot after the gate retired its stream
+        through it still signs and sends its voucher — the relay absorbs it
+        at the floor — but the fabric makes no record of the slot: nothing
+        would ever pop one at or below the watermark."""
+        system = _system(fast_network)
+        fabric = system.settlement
+        try:
+            credit = Transfer("0", "x1:2", 5, issuer=0, sequence=1)
+            for replica in range(3):  # a quorum; replica 3 lags behind
+                fabric.observe_validation(0, replica, credit, at=0.002)
+            system.run()
+            assert fabric.gates[0].watermark(1, 0) == 1
+            assert fabric._stream_records.get((0, 1, 0), {}) == {}
+            vouchers = fabric.relay(0, 1).vouchers
+            accepted = vouchers.accepted
+            fabric.observe_validation(0, 3, credit, at=system.scheduler.now)
+            assert fabric.vouchers_dispatched == 4
+            assert fabric._stream_records.get((0, 1, 0), {}) == {}
+            system.run()
+            assert vouchers.accepted == accepted + 1  # absorbed at the floor
+            assert vouchers.certified_total == 1 and vouchers._pending == {}
+            assert (0, 1, 0) not in fabric._stream_records
+        finally:
+            system.close()
+
+    def test_a_quiescent_run_leaves_no_stream_record(self, fast_network):
+        """Every slot record is popped as its stream retires, and a stream's
+        dict goes with its last record: 16 shards, 25 % cross-shard, 3 000
+        payments/s per shard for 0.1 s, drained, keep none."""
+        system = _system(fast_network, shards=16, batch=8, seed=7)
+        try:
+            system.schedule_submissions(
+                _workload(
+                    seed=7, rate=16 * 3_000.0, duration=0.1,
+                    cross_shard_fraction=0.25, router=system.router,
+                )
+            )
+            system.run()
+            assert system.supply_audit().fully_retired
+            assert system.settlement.retired_claims() > 500
+            assert system.settlement._stream_records == {}
+        finally:
+            system.close()
+
 
 class TestConflictingClaims:
     """Two claims for one ``(issuer, sequence)`` slot, as replicas that
@@ -514,35 +559,45 @@ class TestConflictingClaims:
 
 class TestSettlementQueues:
     def test_one_pass_drains_the_queues_in_lifecycle_order(self):
-        """Every queue entry carries its handler.  One exchange drains
-        vouchers, certificates, acks and retirement certificates once, in
-        that order, each queue by ``(ready, order)``; work a handler queues
-        waits for a later exchange, and each queue is counted under its own
-        name."""
+        """Every queue entry carries its handler.  A barrier drains each
+        queue once, each by ``(ready, order)``: certificates and retirement
+        certificates in its first half; vouchers, the decided acks' dispatch
+        and acks in its second.  Work a handler queues waits for a later
+        barrier — on a queue this barrier already drained, or maturing after
+        ``now`` on one it has yet to drain — and each queue is counted under
+        its own name."""
         metrics = MetricsRegistry()
         scheduler = EpochScheduler(epoch=0.005, metrics=metrics)
         ran = []
 
+        class Fabric:
+            def dispatch_acks(self):
+                ran.append("acks dispatched")
+
+        def certify(name):
+            ran.append(name)
+            scheduler.enqueue("acks", scheduler.now + 0.001, ran.append, "ack queued by a certificate")
+
         def retire(name):
             ran.append(name)
-            scheduler.enqueue("vouchers", 0.0, ran.append, "voucher queued by a retirement")
+            scheduler.enqueue("certificates", 0.0, ran.append, "certificate queued by a retirement")
 
+        def acknowledge(name):
+            ran.append(name)
+            scheduler.enqueue("vouchers", 0.0, ran.append, "voucher queued by an ack")
+
+        scheduler.enqueue("acks", 0.0, acknowledge, "ack")
         scheduler.enqueue("retirement_certificates", 0.0, retire, "retirement certificate")
-        scheduler.enqueue("acks", 0.0, ran.append, "ack")
-        scheduler.enqueue("certificates", 0.0, ran.append, "certificate")
+        scheduler.enqueue("certificates", 0.0, certify, "certificate")
         scheduler.enqueue("vouchers", 0.0005, ran.append, "not yet matured")
         scheduler.enqueue("vouchers", 0.0, ran.append, "second voucher")
         scheduler.enqueue("vouchers", -0.001, ran.append, "first voucher")
         assert scheduler.in_flight == 6
-        assert scheduler._exchange(backend=None, fabric=None) == 0  # no commands
-        assert ran == [
-            "first voucher",
-            "second voucher",
-            "certificate",
-            "ack",
-            "retirement certificate",
-        ]
-        assert scheduler.in_flight == 2
+        assert scheduler._release(backend=None) == 0  # no commands
+        assert ran == ["certificate", "retirement certificate"]
+        scheduler._settle(Fabric())
+        assert ran[2:] == ["first voucher", "second voucher", "acks dispatched", "ack"]
+        assert scheduler.in_flight == 4
         counts = {
             name: metrics.counter(f"exchange.{name}").value
             for name in ("vouchers", "certificates", "acks", "retirement_certificates")
@@ -550,10 +605,17 @@ class TestSettlementQueues:
         assert counts == {
             "vouchers": 2, "certificates": 1, "acks": 1, "retirement_certificates": 1,
         }
-        # The next exchange runs what waited, still by (ready, order).
+        # The next barrier runs what waited, still by (ready, order).
         scheduler.now = 0.005
-        scheduler._exchange(backend=None, fabric=None)
-        assert ran[5:] == ["voucher queued by a retirement", "not yet matured"]
+        scheduler._release(backend=None)
+        scheduler._settle(Fabric())
+        assert ran[6:] == [
+            "certificate queued by a retirement",
+            "voucher queued by an ack",
+            "not yet matured",
+            "acks dispatched",
+            "ack queued by a certificate",
+        ]
         assert scheduler.in_flight == 0
 
 

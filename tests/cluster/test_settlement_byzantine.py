@@ -790,36 +790,40 @@ def _pay_back_and_forth(system):
 
 
 class TestOnePassExchange:
-    """Every settlement delay is positive and every handler queues onto a
-    later queue of the pass, so one pass over the four queues leaves nothing
-    matured behind: after every exchange, no queue holds an entry with
-    ``ready <= now`` — under delayed, dropped and equivocated vouchers and
-    acks too."""
+    """Every settlement delay is positive, so each queue draining once per
+    barrier leaves nothing matured behind: after a barrier's two halves
+    (deliveries and commands, then vouchers and acks — whether the second
+    half ran in the exchange or overlapped the next epoch), no queue holds
+    an entry with ``ready <= now`` and no decided ack is left unsigned —
+    under delayed, dropped and equivocated vouchers and acks too."""
 
     @pytest.mark.parametrize("kind", ["delay-0", "delay-50ms", "drop", "equivocate"])
     def test_no_matured_entry_survives_an_exchange(self, make_system, kind, monkeypatch):
         system = make_system()
         _install_on_both_legs(system, kind)
         scheduler = system.scheduler
-        exchange = scheduler._exchange
-        exchanges = []
+        settle = scheduler._settle
+        barriers = []
         left_behind = []
 
-        def checked(backend, fabric):
-            applied = exchange(backend, fabric)
-            exchanges.append(scheduler.now)
+        def checked(fabric):
+            settle(fabric)
+            barriers.append(scheduler.now)
             left_behind.extend(
                 (name, entry[0], scheduler.now)
                 for name, queue in scheduler._queues.items()
                 for entry in queue
                 if entry[0] <= scheduler.now
             )
-            return applied
+            left_behind.extend(("decided acks", ack) for ack in fabric._decided_acks)
 
-        monkeypatch.setattr(scheduler, "_exchange", checked)
+        monkeypatch.setattr(scheduler, "_settle", checked)
         _pay_back_and_forth(system)
         system.run()
-        assert len(exchanges) > 3
+        assert len(barriers) > 3
+        # One second half per barrier, each at its own barrier.
+        assert barriers == sorted(set(barriers))
+        assert len(barriers) == scheduler.barriers + 1
         assert left_behind == []
         assert scheduler.in_flight == 0
         audit = system.supply_audit()
