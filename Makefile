@@ -13,7 +13,8 @@ test:
 
 ## The property-based suites alone (hypothesis; cluster conservation, the
 ## differential tests that keep a slow formulation as the reference —
-## test_definition1_checker.py for the audit on random observation sets and
+## test_definition1_checker.py for the audit on random observation sets (each
+## process's validated columns drawn in a random local order) and
 ## test_definition1_on_runs.py for it on a cross-shard cluster run and a
 ## Byzantine Figure 4 run, test_account_book.py for running balances ≡ the
 ## Figure 4 fold (through snapshot round trips), test_event_queue.py for the
@@ -23,9 +24,11 @@ test-props:
 	$(PYTHON) -m pytest tests/properties -q
 
 ## The audit's suites alone: the spec checkers' unit tests (the agreement
-## check's own tests among them: red on a lossy wrapper, refused mid-run),
-## the differential test against the quadratic reference on random
-## observation sets, and the same reference on real runs plus the audit's two
+## check's own tests among them: red on a lossy wrapper, refused mid-run; an
+## observation's two validated columns, refused at unequal lengths), the
+## differential test against the quadratic reference — both read the same
+## columns — on random observation sets, and the same reference on real runs
+## plus the audit's two
 ## guards (no TransferId hashed; settlement provisions folded once per
 ## audit), and the cluster supply audit red on each identity alone and on a
 ## forged mint; then the agreement tests on the runs other suites make (the §5
@@ -39,8 +42,10 @@ test-audit:
 
 ## The cross-backend equivalence harness (the hotspot grid on three
 ## barrier-grid widths and the pool's fixed shard i -> worker i % w
-## assignment among it), the ShardSnapshot round trips the pool's final
-## capture rests on, the pinned fingerprints (toy runs on
+## assignment among it, its one-frame-per-shard final capture and its
+## worker-stamped barrier stall), the ShardSnapshot round trips the pool's
+## final capture rests on (the validated columns among them), the pinned
+## fingerprints (toy runs on
 ## serial and process and under two PYTHONHASHSEEDs; the benchmark's four
 ## cluster and two Figure 4 workloads at full size), the streamed
 ## fingerprint's differential test against the one-shot JSON digest (toy

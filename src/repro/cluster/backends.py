@@ -41,11 +41,14 @@ view of Imbs et al., arXiv:1706.05267).
 **Worker commands.**  Driver and workers frame every command and reply
 through :mod:`repro.cluster.codec` (one pickle per frame).  Commands are the
 tuples ``("advance", horizon, max_events)``,
-``("mint"|"retire", time, per_shard)``, ``("snapshot",)`` and ``("stop",)``;
-replies are ``("ok", payload)`` or ``("error", traceback_text)``.  A
-worker answers its commands in pipe order, so the driver does not wait for
-the ``mint`` / ``retire`` answers: it reads them when it collects the
-``advance`` that follows them.
+``("mint"|"retire", time, per_shard)``, ``("snapshot", index)`` and
+``("stop",)``; replies are ``("ok", payload)`` or ``("error",
+traceback_text)``.  An ``advance`` payload is ``(reports, finished)``: the
+per-shard reports and the worker's ``time.monotonic()`` once its last shard
+advanced, which only ``barrier_stall`` reads.  A ``snapshot`` payload is the
+one :class:`ShardSnapshot` it names.  A worker answers its commands in pipe
+order, so the driver does not wait for the ``mint`` / ``retire`` answers: it
+reads them when it collects the ``advance`` that follows them.
 
 **Overlap.**  ``advance`` takes an optional ``overlapped`` callable, the
 barrier's second half: the pool runs it between dispatching the epoch and
@@ -54,10 +57,10 @@ scheduler decides when it may be deferred there (see :class:`EpochScheduler`),
 so both backends take one path with one barrier sequence.
 
 **Barrier fan-out.**  Commands addressed to *every* worker with identical
-bytes — ``advance`` each epoch, ``snapshot`` and ``stop`` at their
-barriers — are encoded once and the same ``bytes`` object is
-written to each pipe (:meth:`ProcessPoolBackend._broadcast`);
-only per-worker payloads (``mint``, ``retire``) are encoded per recipient.
+bytes — ``advance`` each epoch and ``stop`` at the end — are encoded once
+and the same ``bytes`` object is written to each pipe
+(:meth:`ProcessPoolBackend._broadcast`); per-worker payloads (``mint``,
+``retire``) are encoded per recipient and ``snapshot`` per shard.
 """
 
 from __future__ import annotations
@@ -272,8 +275,8 @@ def _worker_main(
     have done for these shards: build from spec (all randomness is seeded),
     install the validation collector, start, load the pre-partitioned
     arrivals, then alternate ``advance`` / ``mint`` commands until asked for
-    the final ``snapshot``.  Every payload crossing the pipe is framed by
-    :mod:`repro.cluster.codec`;
+    the final ``snapshot`` of each of its shards.  Every payload crossing the
+    pipe is framed by :mod:`repro.cluster.codec`;
     exceptions — an undecodable command frame included — travel back as
     formatted tracebacks (``traceback`` is imported by that reply alone, so
     the serial path, which shares this module, never loads it).
@@ -298,10 +301,13 @@ def _worker_main(
             payload = None
             if kind == "advance":
                 _, horizon, max_events = command
-                payload = {
+                reports = {
                     index: shards[index].advance(horizon, max_events)
                     for index in sorted(shards)
                 }
+                # CLOCK_MONOTONIC is system-wide, so the driver can compare
+                # the workers' finish stamps; they never enter a report.
+                payload = (reports, _time.monotonic())
             elif kind == "mint":
                 _, time, per_shard = command
                 for index, mints in per_shard:
@@ -311,7 +317,8 @@ def _worker_main(
                 for index, transfers in per_shard:
                     shards[index].apply_retirements(time, transfers)
             elif kind == "snapshot":
-                payload = {index: shards[index].snapshot() for index in sorted(shards)}
+                _, index = command
+                payload = shards[index].snapshot()
             elif kind != "stop":
                 raise SimulationError(f"unknown worker command {kind!r}")
             connection.send_bytes(codec_encode(("ok", payload)))
@@ -403,14 +410,16 @@ class ProcessPoolBackend(ExecutionBackend):
             return nullcontext()
         return self.tracer.span(name, cat="pipe", tid=1 + slot, **span_kwargs)
 
-    def _send(self, slot: int, data: bytes, kind: str) -> None:
-        """Write one encoded ``kind`` command frame to worker ``slot``."""
+    def _send(self, slot: int, data: bytes, kind: str, shard: Optional[int] = None) -> None:
+        """Write one encoded ``kind`` command frame to worker ``slot``; a
+        failure is attributed to ``shard`` too when the command names one."""
+        command = kind if shard is None else f"{kind} of shard {shard}"
         try:
             with self._pipe_span("pipe.send", slot, command=kind):
                 self._workers[slot][1].send_bytes(data)
         except OSError as error:  # BrokenPipeError: nobody holds the other end
-            raise self._worker_lost(slot, kind, error) from error
-        self._outstanding[slot].append(kind)
+            raise self._worker_lost(slot, command, error) from error
+        self._outstanding[slot].append(command)
         if self.metrics is not None:
             self.metrics.inc("pipe.commands")
             self.metrics.inc(f"pipe.{kind}")
@@ -419,42 +428,42 @@ class ProcessPoolBackend(ExecutionBackend):
         """Block for worker ``slot``'s next reply and return its payload.
 
         Replies arrive in command order per pipe, so the oldest outstanding
-        kind is the one this reply (or this failure) belongs to.
+        command is the one this reply (or this failure) belongs to.
         """
-        kind = self._outstanding[slot].popleft()
+        command = self._outstanding[slot].popleft()
         with self._pipe_span("pipe.recv", slot):
             try:
                 frame = self._workers[slot][1].recv_bytes()
             except (EOFError, OSError) as error:
-                raise self._worker_lost(slot, kind, error) from error
+                raise self._worker_lost(slot, command, error) from error
             try:
                 status, payload = codec_decode(frame)
             except Exception as error:  # whatever unpickling raises, attributed
                 raise self._worker_error(
-                    slot, kind, f"sent a reply that does not decode ({error!r})"
+                    slot, command, f"sent a reply that does not decode ({error!r})"
                 ) from error
         if status != "ok":
-            raise self._worker_error(slot, kind, f"failed:\n{payload}")
+            raise self._worker_error(slot, command, f"failed:\n{payload}")
         return payload
 
-    def _worker_error(self, slot: int, kind: str, what: str) -> SimulationError:
+    def _worker_error(self, slot: int, command: str, what: str) -> SimulationError:
         """A failure at worker ``slot``'s pipe, attributed: which worker,
         holding which shards, asked for what, and whether it is still alive."""
         return SimulationError(
             f"shard worker {slot} (resident shards {self._resident(slot)}, "
-            f"command {kind!r} outstanding, exitcode {self._workers[slot][0].exitcode}) {what}"
+            f"command {command!r} outstanding, exitcode {self._workers[slot][0].exitcode}) {what}"
         )
 
     def _resident(self, slot: int) -> List[int]:
         """The shards worker ``slot`` hosts: every ``i`` with ``i % w == slot``."""
         return list(range(slot, len(self._shards), len(self._workers)))
 
-    def _worker_lost(self, slot: int, kind: str, error: Exception) -> SimulationError:
+    def _worker_lost(self, slot: int, command: str, error: Exception) -> SimulationError:
         # The pipe closes a moment before the child can be reaped; a bounded
         # join makes the reported exitcode the real one.  Detection only:
         # the shards that lived on the worker are gone with it.
         self._workers[slot][0].join(timeout=1.0)
-        return self._worker_error(slot, kind, f"is gone: its pipe is closed ({error!r})")
+        return self._worker_error(slot, command, f"is gone: its pipe is closed ({error!r})")
 
     def _request(self, slot: int, command: tuple) -> None:
         self._send(slot, codec_encode(command), command[0])
@@ -463,9 +472,8 @@ class ProcessPoolBackend(ExecutionBackend):
         """Send one identical command to every worker, encoded once.
 
         The per-epoch barrier exchange ships the same bytes to every
-        recipient (``advance`` each epoch; ``snapshot`` and ``stop`` at their
-        barriers), so the one ``bytes`` object is written to each pipe instead
-        of re-encoding per recipient worker.
+        recipient (``advance`` each epoch), so the one ``bytes`` object is
+        written to each pipe instead of re-encoding per recipient worker.
         """
         data = codec_encode(command)
         for slot in range(len(self._workers)):
@@ -495,31 +503,33 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def _collect_arrivals(self) -> Dict[int, Any]:
         """Collect every reply each worker owes, in *arrival* order; a
-        worker's last reply (its ``advance``) is its payload.
+        worker's last reply (its ``advance``) gives its reports.
 
         Workers finish their epochs at different wall times; draining replies
         as they land (``multiprocessing.connection.wait``) instead of in slot
         order means a slow worker never blocks the reading of a fast one's
-        reply, and the spread between the first and last final arrival is
-        exactly the barrier's rendezvous stall, observed into
-        ``barrier_stall``.  The ``mint`` / ``retire`` answers that precede an
-        ``advance`` on its pipe are read here too (see :meth:`_fan_out`).
-        Replies are keyed by slot afterwards, so arrival order never affects
-        results.
+        reply.  Each ``advance`` reply carries the worker's own monotonic
+        stamp of when its last shard finished, so the barrier's rendezvous
+        stall observed into ``barrier_stall`` is the spread of those stamps,
+        however late the driver reads them (it reads only after an
+        overlapped second half).  The ``mint`` / ``retire`` answers that
+        precede an ``advance`` on its pipe are read here too (see
+        :meth:`_fan_out`).  Reports are keyed by slot afterwards, so arrival
+        order never affects results.
         """
         owed = {connection: slot for slot, (_, connection) in enumerate(self._workers)}
         payloads: Dict[int, Any] = {}
-        stamps: List[float] = []
+        finished: List[float] = []
         while owed:
             for connection in self._wait(list(owed)):
                 slot = owed[connection]
                 payload = self._recv(slot)
                 if not self._outstanding[slot]:
                     del owed[connection]
-                    payloads[slot] = payload
-                    stamps.append(_time.perf_counter())
-        if self.metrics is not None and len(stamps) >= 2:
-            self.metrics.observe("barrier_stall", stamps[-1] - stamps[0])
+                    payloads[slot], stamp = payload
+                    finished.append(stamp)
+        if self.metrics is not None and len(finished) >= 2:
+            self.metrics.observe("barrier_stall", max(finished) - min(finished))
         return payloads
 
     def apply_mints(
@@ -548,12 +558,28 @@ class ProcessPoolBackend(ExecutionBackend):
             self._request(slot, (kind, time, payload))
 
     def finalize(self) -> None:
-        self._broadcast(("snapshot",))
-        snapshots: Dict[int, ShardSnapshot] = {}
-        for slot in range(len(self._workers)):
-            snapshots.update(self._recv(slot))
-        for shard in self._shards:
-            shard.restore(snapshots[shard.index])
+        """Ship every shard's final state home, one shard per frame.
+
+        Each worker is asked for each of its resident shards by its own
+        ``("snapshot", index)``.  The replies are read in arrival order, as
+        :meth:`_collect_arrivals` reads an epoch's, and each one restores its
+        driver-side twin before the next frame is decoded: the driver holds
+        one decoded shard at a time, and decodes while the workers are still
+        encoding.  A failed snapshot is raised naming its shard.
+        """
+        owed = {}
+        for slot, (_, connection) in enumerate(self._workers):
+            for index in self._resident(slot):
+                self._send(slot, codec_encode(("snapshot", index)), "snapshot", index)
+            owed[connection] = slot
+        while owed:
+            for connection in self._wait(list(owed)):
+                slot = owed[connection]
+                snapshot: ShardSnapshot = self._recv(slot)
+                self._shards[snapshot.index].restore(snapshot)
+                del snapshot  # gone before the next frame is decoded
+                if not self._outstanding[slot]:
+                    del owed[connection]
 
     @staticmethod
     def _shutdown(workers: List[Tuple[Any, Any]], owed: Optional[List[int]] = None) -> None:

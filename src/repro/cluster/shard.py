@@ -23,13 +23,13 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_seed
-from repro.common.types import AccountId, Amount, ProcessId, Transfer
+from repro.common.types import AccountId, Amount, ProcessId, Transfer, TransferId
 from repro.cluster.routing import parse_external_account
 from repro.mp.consensusless_transfer import ConsensuslessTransferNode, TransferRecord
 from repro.mp.system import ConsensuslessSystem, SystemResult
 from repro.network.node import NetworkConfig, NodeStats
 from repro.obs import MetricsRegistry, merge_snapshots
-from repro.spec.byzantine_spec import ClientOperation, ProcessObservation, ValidatedTransfer
+from repro.spec.byzantine_spec import ClientOperation, ProcessObservation
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,14 @@ class AdvanceReport:
 class NodeSnapshot:
     """The picklable final state of one replica (inspection-relevant fields).
 
+    The validated history ships as the node's two columns, in local
+    validation order: ``validated`` holds the transfers and ``dependencies``
+    each one's declared dependency ids.  The transfers are the objects
+    ``hist`` holds and every replica's dependency entry is its
+    announcement's one tuple, and the codec pickles a whole shard in one
+    frame, so that sharing arrives intact: the columns add a list slot per
+    validation and no object.
+
     Carries the compaction state of the settlement lifecycle alongside the
     Figure 4 state: the per-account baseline offsets and retired-outbound
     totals behind the watermark, the retirement commands still waiting for
@@ -101,7 +109,8 @@ class NodeSnapshot:
     rec: Dict[ProcessId, int]
     hist: Dict[AccountId, set]
     deps: set
-    validated_log: List[ValidatedTransfer]
+    validated: List[Transfer]
+    dependencies: List[Tuple[TransferId, ...]]
     client_operations: List[ClientOperation]
     completed: List[TransferRecord]
     failed_immediately: List[TransferRecord]
@@ -123,6 +132,10 @@ class ShardSnapshot:
     the shard-level counters.  Restoring it onto a never-started driver-side
     shard makes ``balance_of`` / ``observations`` / ``finalize`` answer as if
     the run had happened locally.
+
+    One snapshot is one pipe frame: the pool's final capture asks for each
+    shard by its own ``("snapshot", index)`` command and restores it before
+    it decodes the next, so the driver holds one decoded shard at a time.
     """
 
     index: int
@@ -339,7 +352,8 @@ class Shard:
                 rec=dict(node.rec),
                 hist={account: set(history) for account, history in node.hist.items()},
                 deps=set(node.deps),
-                validated_log=list(node._validated_log),
+                validated=list(node._validated),
+                dependencies=list(node._validated_deps),
                 client_operations=list(node._client_operations),
                 completed=list(node.completed),
                 failed_immediately=list(node.failed_immediately),
@@ -399,7 +413,8 @@ class Shard:
         node.rec = dict(state.rec)
         node.book.rebuild(state.hist, state.retired_offsets)
         node.deps = set(state.deps)
-        node._validated_log = list(state.validated_log)
+        node._validated = list(state.validated)
+        node._validated_deps = list(state.dependencies)
         node._client_operations = list(state.client_operations)
         node.completed = list(state.completed)
         node.failed_immediately = list(state.failed_immediately)

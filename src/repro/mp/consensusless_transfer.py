@@ -49,11 +49,18 @@ from typing import AbstractSet, Any, Callable, Dict, List, Mapping, Optional, Se
 from repro.broadcast.messages import FinalMessage, SendMessage
 from repro.broadcast.secure_broadcast import BroadcastDelivery, BroadcastLayer, payload_item_count
 from repro.common.errors import ConfigurationError
-from repro.common.types import AccountId, Amount, ProcessId, Transfer, rebuilt_by_constructor
+from repro.common.types import (
+    AccountId,
+    Amount,
+    ProcessId,
+    Transfer,
+    TransferId,
+    rebuilt_by_constructor,
+)
 from repro.core.accounts import AccountBook
 from repro.mp.messages import BatchAnnouncement, TransferAnnouncement
 from repro.network.node import Node
-from repro.spec.byzantine_spec import ClientOperation, ProcessObservation, ValidatedTransfer
+from repro.spec.byzantine_spec import ClientOperation, ProcessObservation
 
 # Factory building a broadcast layer for a node: (channel, own_id, all_nodes,
 # send, send_to_all, deliver) -> BroadcastLayer.  The system façade binds the concrete
@@ -159,8 +166,12 @@ class ConsensuslessTransferNode(Node):
         self.completed: List[TransferRecord] = []
         self.failed_immediately: List[TransferRecord] = []
 
-        # Observation log for the Definition 1 checker.
-        self._validated_log: List[ValidatedTransfer] = []
+        # Observation log for the Definition 1 checker: the validated history
+        # as two columns in local validation order (the index is the
+        # position), each transfer beside the dependency ids its announcement
+        # declared — the announcement's own tuple, ``()`` for a mint.
+        self._validated: List[Transfer] = []
+        self._validated_deps: List[Tuple[TransferId, ...]] = []
         self._client_operations: List[ClientOperation] = []
 
         self.broadcast_layer: Optional[BroadcastLayer] = None
@@ -392,13 +403,8 @@ class ConsensuslessTransferNode(Node):
             self.book.record(dependency, also_under=transfer.source)
         self.book.record(transfer)
         self.seq[issuer] = transfer.sequence                                 # line 16
-        self._validated_log.append(
-            ValidatedTransfer(
-                transfer=transfer,
-                dependencies=announcement.dependency_ids,
-                position=len(self._validated_log),
-            )
-        )
+        self._validated.append(transfer)
+        self._validated_deps.append(announcement.dependency_ids)
         if transfer.destination == self.account:                             # lines 17-18
             self.deps.add(transfer)
         if self.on_validated is not None:
@@ -427,19 +433,16 @@ class ConsensuslessTransferNode(Node):
         *spendable*: the next outgoing transfer declares it and every replica
         that minted the same certificate accepts the dependency.
 
-        The mint is recorded in the validated log so the Definition 1 checker
-        sees it; the cluster-level audit provisions the settlement source
-        account with the certified amount, making an uncertified mint show up
-        as a balance violation.  Minting is idempotent: a credit already in
+        The mint is appended to the validated columns (with no declared
+        dependency) so the Definition 1 checker sees it; the cluster-level
+        audit provisions the settlement source account with the certified
+        amount, making an uncertified mint show up as a balance violation.  Minting is idempotent: a credit already in
         the book is not logged, credited or declared a second time.
         """
         if not self.book.record(transfer):
             return
-        self._validated_log.append(
-            ValidatedTransfer(
-                transfer=transfer, dependencies=(), position=len(self._validated_log)
-            )
-        )
+        self._validated.append(transfer)
+        self._validated_deps.append(())
         if transfer.destination == self.account:
             self.deps.add(transfer)
         # Freshly minted funds can unblock announcements that were waiting on
@@ -528,14 +531,15 @@ class ConsensuslessTransferNode(Node):
         """Everything the Definition 1 checker needs about this node."""
         return ProcessObservation(
             process=self.node_id,
-            validated=list(self._validated_log),
+            validated=list(self._validated),
+            dependencies=list(self._validated_deps),
             operations=list(self._client_operations),
             submitted=self.submitted,
         )
 
     @property
     def validated_count(self) -> int:
-        return len(self._validated_log)
+        return len(self._validated)
 
     @property
     def has_pending_transfer(self) -> bool:

@@ -44,7 +44,7 @@ class TransferAnnouncement(_DependencyIds):
     receivers can install them into the right account histories).
     ``dependency_ids`` is their identities, built once at construction: every
     replica of the group receives the same announcement object, and each
-    one's validated log keeps this one tuple.
+    one's dependency column keeps this one tuple.
     """
 
     transfer: Transfer

@@ -53,6 +53,13 @@ with one edge per ordered pair, so the witness — and every C3 message — is t
 one the pairwise relation yields.  C4 is O(n + q) per process: one forward
 pass records the prefix balances of just the queried accounts.
 
+Each process's history arrives as two columns in its local validation order
+(:class:`ProcessObservation`): the transfers, and the dependency ids each
+one's announcement declared.  An entry's position is its index, so C2 and C4
+replay the transfer column as it stands — nothing is sorted, and nothing is
+built per validation — while C1, C3 and :func:`check_agreement` iterate it
+directly and C3 zips in the dependency column.
+
 The constant factor is in the keys.  C1 keys its slot table by the
 ``(source, sequence)`` tuple and C2 and C3 replay on a plain dict keyed by
 account.  C3 indexes the union once: each distinct ``(issuer, sequence)``
@@ -73,6 +80,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro.common.errors import ConfigurationError
 from repro.common.types import (
     AccountId,
     Amount,
@@ -81,22 +89,6 @@ from repro.common.types import (
     TransferId,
     rebuilt_by_constructor,
 )
-
-
-@rebuilt_by_constructor
-@dataclass(frozen=True, slots=True)
-class ValidatedTransfer:
-    """A transfer as validated by one correct process.
-
-    ``dependencies`` are the transfer identities the issuer declared as the
-    transfer's causal dependencies (the ``deps``/``h`` set of Figure 4).
-    ``position`` is the index of the transfer in the validating process's
-    local validation order.
-    """
-
-    transfer: Transfer
-    dependencies: Tuple[TransferId, ...] = ()
-    position: int = 0
 
 
 @rebuilt_by_constructor
@@ -121,14 +113,31 @@ class ClientOperation:
 
 @dataclass
 class ProcessObservation:
-    """Everything the checker needs to know about one correct process."""
+    """Everything the checker needs to know about one correct process.
+
+    The process's validated history is two columns in its local validation
+    order: ``validated[i]`` is the ``i``-th transfer it validated and
+    ``dependencies[i]`` the transfer identities that transfer's issuer
+    declared as its causal dependencies (the ``deps``/``h`` set of Figure 4;
+    ``()`` for a settlement mint).  An entry's position in the local order
+    is its index, so no per-entry record is kept.  Columns of unequal length
+    are refused (:class:`~repro.common.errors.ConfigurationError`).
+    """
 
     process: ProcessId
-    validated: List[ValidatedTransfer] = field(default_factory=list)
+    validated: List[Transfer] = field(default_factory=list)
+    dependencies: List[Tuple[TransferId, ...]] = field(default_factory=list)
     operations: List[ClientOperation] = field(default_factory=list)
     # Transfer submissions the process's client was given; every one must
     # end as a ``"transfer"`` operation by quiescence (``check_agreement``).
     submitted: int = 0
+
+    def __post_init__(self) -> None:
+        if len(self.validated) != len(self.dependencies):
+            raise ConfigurationError(
+                f"process {self.process}: {len(self.validated)} validated transfers "
+                f"but {len(self.dependencies)} dependency entries"
+            )
 
 
 @dataclass
@@ -166,8 +175,6 @@ def _overdrafts(
     return overdrafts
 
 
-_position = attrgetter("position")  # sort key for a local validation order
-_transfer = attrgetter("transfer")
 # C3's slot key for a transfer or a TransferId: a plain tuple, so no TransferId is
 # built or hashed.
 _issue_key = attrgetter("issuer", "sequence")
@@ -183,7 +190,7 @@ def check_agreement(observations: Sequence[ProcessObservation]) -> CheckReport:
     audit only a run with nothing pending; the systems' ``check_agreement``
     refuses anything else.
     """
-    validated = [{v.transfer for v in obs.validated} for obs in observations]
+    validated = [set(obs.validated) for obs in observations]
     union: Set[Transfer] = set().union(*validated)
     violations: List[str] = []
     for obs, seen in zip(observations, validated):
@@ -220,13 +227,11 @@ class ByzantineAssetTransferChecker:
 
     def check(self, observations: Sequence[ProcessObservation]) -> CheckReport:
         """Run all checks over the given per-process observations."""
-        # Each process's validated log in local validation order, shared by C2 and C4.
-        logs = [sorted(obs.validated, key=_position) for obs in observations]
         violations: List[str] = []
         violations.extend(self._check_per_account_agreement(observations))
-        violations.extend(self._check_local_balance_safety(observations, logs))
+        violations.extend(self._check_local_balance_safety(observations))
         violations.extend(self._check_global_order(observations))
-        violations.extend(self._check_local_views(observations, logs))
+        violations.extend(self._check_local_views(observations))
         checked = sum(len(obs.validated) for obs in observations)
         return CheckReport(
             ok=not violations,
@@ -243,8 +248,7 @@ class ByzantineAssetTransferChecker:
         violations: List[str] = []
         slots: Dict[Tuple[AccountId, int], Transfer] = {}
         for obs in observations:
-            for validated in obs.validated:
-                transfer = validated.transfer
+            for transfer in obs.validated:
                 known = slots.setdefault((transfer.source, transfer.sequence), transfer)
                 if known is not transfer and known != transfer:
                     violations.append(
@@ -258,13 +262,11 @@ class ByzantineAssetTransferChecker:
     # -- C2: local balance safety -----------------------------------------------------
 
     def _check_local_balance_safety(
-        self,
-        observations: Sequence[ProcessObservation],
-        logs: Sequence[Sequence[ValidatedTransfer]],
+        self, observations: Sequence[ProcessObservation]
     ) -> List[str]:
         violations: List[str] = []
-        for obs, log in zip(observations, logs):
-            for transfer, balance in _overdrafts(self._initial_balances, map(_transfer, log)):
+        for obs in observations:
+            for transfer, balance in _overdrafts(self._initial_balances, obs.validated):
                 violations.append(
                     f"C2 balance violation at process {obs.process}: applying {transfer} "
                     f"drives account {transfer.source!r} to {balance}"
@@ -283,19 +285,18 @@ class ByzantineAssetTransferChecker:
         transfers: List[Transfer] = []
         declared: List[Optional[Set[Tuple[ProcessId, int]]]] = []
         for obs in observations:
-            for validated in obs.validated:
-                transfer = validated.transfer
+            for transfer, dependencies in zip(obs.validated, obs.dependencies):
                 key = _issue_key(transfer)
                 slot = index.get(key)
                 if slot is None:
                     slot = index[key] = len(transfers)
                     transfers.append(transfer)
                     declared.append(None)
-                if validated.dependencies:
+                if dependencies:
                     deps = declared[slot]
                     if deps is None:
                         deps = declared[slot] = set()
-                    deps.update(map(_issue_key, validated.dependencies))
+                    deps.update(map(_issue_key, dependencies))
 
         # Dependency edges: per-source sequence order plus declared dependencies.
         # ``blocked[s]`` counts the distinct slots that must precede ``s``.
@@ -426,13 +427,9 @@ class ByzantineAssetTransferChecker:
 
     # -- C4: local views ------------------------------------------------------------------
 
-    def _check_local_views(
-        self,
-        observations: Sequence[ProcessObservation],
-        logs: Sequence[Sequence[ValidatedTransfer]],
-    ) -> List[str]:
+    def _check_local_views(self, observations: Sequence[ProcessObservation]) -> List[str]:
         violations: List[str] = []
-        for obs, log in zip(observations, logs):
+        for obs in observations:
             # The operations this process's local view must justify, each
             # with the account whose prefix balances decide it.
             pending: List[Tuple[ClientOperation, AccountId]] = []
@@ -444,7 +441,7 @@ class ByzantineAssetTransferChecker:
                     pending.append((op, op.transfer.source))
             if not pending:
                 continue
-            seen = self._prefix_balances({account for _, account in pending}, log)
+            seen = self._prefix_balances({account for _, account in pending}, obs.validated)
             lowest = {account: min(balances) for account, balances in seen.items()}
             for op, account in pending:
                 if op.kind == "read":
@@ -466,13 +463,12 @@ class ByzantineAssetTransferChecker:
         return violations
 
     def _prefix_balances(
-        self, accounts: Set[AccountId], log: Sequence[ValidatedTransfer]
+        self, accounts: Set[AccountId], log: Sequence[Transfer]
     ) -> Dict[AccountId, Set[Amount]]:
         """Every balance each of ``accounts`` takes over the prefixes of ``log``, in one pass."""
         running = {account: self._initial_balances.get(account, 0) for account in accounts}
         seen = {account: {balance} for account, balance in running.items()}
-        for validated in log:
-            transfer = validated.transfer
+        for transfer in log:
             source, destination = transfer.source, transfer.destination
             # Debit before credit, record after both: a self-transfer is one step.
             if source in running:

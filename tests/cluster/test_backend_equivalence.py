@@ -21,21 +21,31 @@ two-worker process pool equals the serial reference — the CI smoke), the
 pool's one assignment (shard ``i`` on worker ``i % w``), that barriers leave
 a shard with no settlement traffic exactly as it would run alone, that the
 system lets go of the routed arrivals once the session opens, picklability
-of everything that crosses a process boundary, and the worker loop itself
+of everything that crosses a process boundary, the worker loop itself
 (driven in-process through a scripted pipe, so the subprocess code path is
-unit-tested and covered).
+unit-tested and covered), the pool's final capture (one frame per shard,
+each restored before the next decodes) and its barrier stall (the spread of
+the workers' own finish stamps).
 """
 
 import gc
 import pickle
 import re
 import time
+from collections import deque
 
 import pytest
 
-from repro.cluster.shard import Shard, ShardSpec
+from repro.cluster import backends as backends_module
+from repro.cluster.codec import encode as codec_encode
+from repro.cluster.shard import Shard, ShardSnapshot, ShardSpec
 from repro.cluster.system import ClusterSystem
-from repro.cluster.backends import BACKEND_NAMES, _worker_main, make_backend
+from repro.cluster.backends import (
+    BACKEND_NAMES,
+    ProcessPoolBackend,
+    _worker_main,
+    make_backend,
+)
 from repro.cluster.settlement import (
     SettlementCertificate,
     SettlementClaim,
@@ -46,6 +56,7 @@ from repro.cluster.settlement import (
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.types import Transfer
 from repro.crypto.signatures import SignatureScheme
+from repro.obs import MetricsRegistry
 from repro.workloads.cluster_driver import (
     ClusterSubmission,
     ClusterWorkloadConfig,
@@ -334,8 +345,18 @@ class TestBackendEquivalence:
             assert len(backend._workers) == started
             hosted = {}
             for slot in range(started):
-                backend._request(slot, ("snapshot",))
-                hosted[slot] = sorted(backend._recv(slot))
+                # A worker answers a snapshot of a shard it hosts and refuses
+                # any other; the refusal leaves its pipe in step.
+                hosted[slot] = []
+                for index in range(shards):
+                    backend._request(slot, ("snapshot", index))
+                    try:
+                        snapshot = backend._recv(slot)
+                    except SimulationError as error:
+                        assert f"KeyError: {index}" in str(error)
+                    else:
+                        assert snapshot.index == index
+                        hosted[slot].append(index)
                 assert backend._resident(slot) == hosted[slot]
             assert hosted == {
                 slot: [i for i in range(shards) if i % started == slot]
@@ -783,17 +804,21 @@ class TestWorkerLoop:
             [
                 ("advance", 1.0, None),
                 ("mint", 1.0, []),
-                ("snapshot",),
+                ("snapshot", 0),
                 ("stop",),
             ]
         )
+        before = time.monotonic()
         _worker_main(pipe, [spec], submissions)
         statuses = [status for status, _ in pipe.responses]
         assert statuses == ["ok", "ok", "ok", "ok"]
-        reports = pipe.responses[0][1]
+        reports, finished = pipe.responses[0][1]
         assert reports[0].pending_events == 0
         assert reports[0].processed_events > 0
-        snapshot = pipe.responses[2][1][0]
+        # The worker's finish stamp rides beside the reports, never in one.
+        assert before <= finished <= time.monotonic()
+        snapshot = pipe.responses[2][1]
+        assert snapshot.index == 0
         # The scheduled transfer committed inside the worker loop.
         assert len(snapshot.committed) == 1
         assert snapshot.committed[0].transfer.amount == 7
@@ -829,15 +854,17 @@ class TestWorkerLoop:
         _worker_main(pipe, [spec], submissions)
         assert [status for status, _ in pipe.responses] == ["error", "ok", "ok"]
         assert "Traceback" in pipe.responses[0][1]
-        assert pipe.responses[1][1][0].processed_events > 0
+        reports, _ = pipe.responses[1][1]
+        assert reports[0].processed_events > 0
         assert pipe.closed
 
 
     def test_a_worker_serves_every_resident_shard(self, fast_network, scripted_pipe):
         """Shards 0 and 2 on one worker (the slot-0 worker of a two-worker
-        pool over three shards): ``advance`` and ``snapshot`` answer per
-        resident shard, a ``mint`` reaches only the shard it names, and a
-        command for a shard hosted elsewhere is refused."""
+        pool over three shards): ``advance`` answers per resident shard,
+        ``snapshot`` for the one shard it names, a ``mint`` reaches only the
+        shard it names, and a command for a shard hosted elsewhere is
+        refused."""
         specs = [
             ShardSpec(index=index, replicas=4, initial_balance=100,
                       network_config=fast_network, seed=5)
@@ -857,17 +884,20 @@ class TestWorkerLoop:
                 ("mint", 1.0, [(2, [(pid, mint) for pid in range(4)])]),
                 ("mint", 1.0, [(1, [(0, mint)])]),
                 ("advance", 2.0, None),
-                ("snapshot",),
+                ("snapshot", 2),
+                ("snapshot", 1),
+                ("snapshot", 0),
                 ("stop",),
             ]
         )
         _worker_main(pipe, specs, submissions)
         statuses = [status for status, _ in pipe.responses]
-        assert statuses == ["ok", "ok", "error", "ok", "ok", "ok"]
-        assert sorted(pipe.responses[0][1]) == [0, 2]
+        assert statuses == ["ok", "ok", "error", "ok", "ok", "error", "ok", "ok"]
+        assert sorted(pipe.responses[0][1][0]) == [0, 2]
         assert "KeyError: 1" in pipe.responses[2][1]
-        snapshots = pipe.responses[4][1]
-        assert sorted(snapshots) == [0, 2]
+        assert "KeyError: 1" in pipe.responses[5][1]
+        snapshots = {reply.index: reply for _, reply in (pipe.responses[4], pipe.responses[6])}
+        assert list(snapshots) == [2, 0]
         assert [r.transfer.amount for r in snapshots[0].committed] == [7]
         assert [r.transfer.amount for r in snapshots[2].committed] == [3]
         for index in (0, 2):
@@ -952,6 +982,115 @@ class TestWorkerLoss:
         finally:
             system.close()
         assert not any(process.is_alive() for process, _ in workers)
+
+    def test_a_failed_snapshot_names_its_shard(self, fast_network, monkeypatch):
+        """Shard 0's snapshot fails on its worker (the workers fork from the
+        driver, so they inherit the patched method): the error names shard 0
+        and its worker, and ``close()`` still drains shard 2's snapshot
+        behind it and stops both workers."""
+        original = Shard.snapshot
+
+        def failing(shard):
+            if shard.index == 0:
+                raise RuntimeError("snapshot refused")
+            return original(shard)
+
+        monkeypatch.setattr(Shard, "snapshot", failing)
+        system = ClusterSystem(
+            shard_count=3, replicas_per_shard=4, initial_balance=500,
+            network_config=fast_network, backend="process", max_workers=2, seed=3,
+        )
+        try:
+            system.schedule_submissions(_workload(system, 3, 0.5))
+            with pytest.raises(SimulationError) as caught:
+                system.run()
+            workers = list(system._backend._workers)
+            message = str(caught.value)
+            assert "worker 0" in message and "resident shards [0, 2]" in message
+            assert "'snapshot of shard 0'" in message and "snapshot refused" in message
+        finally:
+            system.close()
+        assert [process.exitcode for process, _ in workers] == [0, 0]
+
+
+class TestFinalCapture:
+    """The pool's final capture: one frame per shard, each restored before
+    the driver decodes the next."""
+
+    def test_each_shard_is_restored_before_the_next_frame_decodes(
+        self, fast_network, monkeypatch
+    ):
+        log = []
+        decode = backends_module.codec_decode
+
+        def logging_decode(frame):
+            reply = decode(frame)
+            if isinstance(reply[1], ShardSnapshot):
+                log.append(("decoded", reply[1].index))
+            return reply
+
+        restore = Shard.restore
+
+        def logging_restore(shard, snapshot):
+            log.append(("restored", shard.index))
+            restore(shard, snapshot)
+
+        serial_system, serial = _run(fast_network, "serial", 3, 5, 2, 0.5)
+        monkeypatch.setattr(backends_module, "codec_decode", logging_decode)
+        monkeypatch.setattr(Shard, "restore", logging_restore)
+        system, result = _run(fast_network, "process", 3, 5, 2, 0.5, max_workers=2)
+        try:
+            decoded = [index for event, index in log[::2]]
+            assert sorted(decoded) == [0, 1, 2, 3, 4]
+            assert log == [
+                event for index in decoded for event in (("decoded", index), ("restored", index))
+            ]
+            # Per worker, its shards arrive in the order they were asked for.
+            assert [i for i in decoded if i % 2 == 0] == [0, 2, 4]
+            assert [i for i in decoded if i % 2 == 1] == [1, 3]
+            assert result.fingerprint() == serial.fingerprint()
+            counters = result.telemetry["driver"]["counters"]
+            assert counters["pipe.snapshot"] == 5
+        finally:
+            serial_system.close()
+            system.close()
+
+
+class TestBarrierStall:
+    """``barrier_stall`` is the spread of the workers' own finish stamps,
+    not of the instants the driver happens to read their replies."""
+
+    class _Pipe:
+        def __init__(self, replies):
+            self._frames = [codec_encode(("ok", reply)) for reply in replies]
+
+        def recv_bytes(self):
+            return self._frames.pop(0)
+
+    def test_the_stall_is_the_spread_of_the_stamps(self):
+        backend = ProcessPoolBackend(max_workers=3)
+        reports = [{0: "shard 0"}, {1: "shard 1"}, {2: "shard 2"}]
+        # Worker 0 owes a mint answer before its advance; the stamps are the
+        # workers' finish times, in an order unlike the arrival order.
+        pipes = [
+            self._Pipe([None, (reports[0], 101.0)]),
+            self._Pipe([(reports[1], 104.5)]),
+            self._Pipe([(reports[2], 100.25)]),
+        ]
+        backend._workers = [(None, pipe) for pipe in pipes]
+        backend._outstanding = [deque(["mint", "advance"]), deque(["advance"]), deque(["advance"])]
+        arrivals = iter([[pipes[1]], [pipes[0]], [pipes[2], pipes[0]]])
+        backend._wait = lambda connections: next(arrivals)
+        backend.metrics = MetricsRegistry()
+        try:
+            payloads = backend._collect_arrivals()
+            assert payloads == {slot: reports[slot] for slot in range(3)}
+            assert all(not outstanding for outstanding in backend._outstanding)
+            stall = backend.metrics.snapshot()["histograms"]["barrier_stall"]
+            assert stall["count"] == 1
+            assert stall["max"] == 104.5 - 100.25
+        finally:
+            backend._workers = []
 
 
 class TestPartitionedDriver:

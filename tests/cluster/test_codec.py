@@ -33,7 +33,7 @@ from repro.crypto.signatures import SignatureScheme
 from repro.mp.consensusless_transfer import TransferRecord
 from repro.mp.messages import BatchAnnouncement, TransferAnnouncement
 from repro.network.node import NetworkConfig, NodeStats
-from repro.spec.byzantine_spec import ClientOperation, ValidatedTransfer
+from repro.spec.byzantine_spec import ClientOperation
 from repro.workloads.cluster_driver import RoutedSubmission
 
 SCHEME = SignatureScheme(seed=5)
@@ -61,7 +61,6 @@ CERTIFICATE = SettlementCertificate(claim=CLAIM, certificate=_certificate(CLAIM)
 RECORDS = [
     TRANSFER,
     TransferId(issuer=2, sequence=7),
-    ValidatedTransfer(transfer=TRANSFER, dependencies=(TransferId(1, 4),), position=3),
     ClientOperation(
         process=0, kind="transfer", invoked_at=0.001, responded_at=0.005, response=True,
         transfer=TRANSFER, account="0",
@@ -119,10 +118,14 @@ VALUES = [
     ("advance", 0.005, None),
     ("mint", 0.005, [(0, [(1, Transfer("x0:1", "1", 3, issuer=1, sequence=2))])]),
     ("retire", 0.005, [(0, [Transfer("0", "x1:2", 3, issuer=0, sequence=5)])]),
-    ("snapshot",),
+    ("snapshot", 3),
     ("stop",),
     ("ok", None),
     ("error", "Traceback (most recent call last): ..."),
+    # An entry of a node's dependency column, and an advance reply: the
+    # reports beside the worker's finish stamp.
+    (TransferId(1, 4), TransferId(2, 7)),
+    ("ok", ({1: "reports"}, 12345.678)),
 ]
 
 

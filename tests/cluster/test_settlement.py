@@ -654,8 +654,7 @@ class TestSettlementEndToEnd:
         system.run()
         nodes = system.shards[1].nodes.values()
         mints = [
-            entry.transfer for node in nodes for entry in node._validated_log
-            if entry.transfer.issuer < 0
+            transfer for node in nodes for transfer in node._validated if transfer.issuer < 0
         ]
         assert len(mints) == len(nodes)
         assert all(mint is mints[0] for mint in mints)

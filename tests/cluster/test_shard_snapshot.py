@@ -8,7 +8,10 @@ reproduces every read surface — balances, observations, result streams,
 broadcast counters, resident/retired settlement records and the mid-flight
 retirement state (offsets, retired-outbound totals, *pending retirements*)
 — byte for byte, on Serial and Process alike (the pool also shrunk to one
-worker that hosts both shards).  Last, a run whose state a restore must
+worker that hosts both shards).  Then the validated history's two columns:
+they round-trip through a framed snapshot with their sharing intact, a pool
+run's twins hold the serial run's columns entry for entry, and the columns
+build no object per validation.  Last, a run whose state a restore must
 carry: balances that depend on credits validated long before the final
 snapshot — also paused mid-run, where the pool restores the twins before
 the workers go on.
@@ -18,6 +21,7 @@ import pickle
 
 import pytest
 
+from repro.cluster import codec
 from repro.cluster.shard import Shard
 from repro.cluster.system import ClusterSystem
 from repro.cluster.settlement import settlement_account, settlement_issuer
@@ -214,6 +218,90 @@ class TestSnapshotCarriesTheLifecycle:
             initial = shard.initial_balances()["0"]
             assert twin.nodes[0].balance_of("0") == initial + 13
             assert mint in twin.nodes[0].deps
+        finally:
+            system.close()
+
+
+def _columns(node):
+    return node._validated, node._validated_deps
+
+
+def _assert_columns_share_the_group_objects(shard):
+    """Every replica's dependency entry for a transfer is one tuple object,
+    and every validated transfer still in a replica's book is the very object
+    its ``hist`` holds: the columns point at what the group already has."""
+    declared = {}
+    for pid in sorted(shard.nodes):
+        node = shard.nodes[pid]
+        validated, dependencies = _columns(node)
+        assert len(validated) == len(dependencies)
+        held = {id(record) for records in node.hist.values() for record in records}
+        for transfer, entry in zip(validated, dependencies):
+            assert declared.setdefault(transfer, entry) is entry
+            if transfer in node.book:
+                assert id(transfer) in held
+    return declared
+
+
+class TestTheValidatedColumns:
+    """A replica's validated history is two columns: the transfers and, beside
+    each, the dependency ids its announcement declared."""
+
+    @pytest.mark.parametrize("pause", PAUSES[1:2] + (None,))
+    def test_the_columns_round_trip_through_a_framed_snapshot(self, fast_network, pause):
+        """Through the codec, as the pool ships them: equal entry for entry,
+        and still sharing one tuple per announcement and the book's
+        transfers, because a whole shard is one frame."""
+        system = _build(fast_network, "serial")
+        try:
+            system.run(until=pause)
+            for shard in system.shards:
+                snapshot = codec.decode(codec.encode(shard.snapshot()))
+                twin = Shard(shard.spec())
+                twin.restore(snapshot)
+                for pid, node in shard.nodes.items():
+                    assert _columns(twin.nodes[pid]) == _columns(node)
+                    assert snapshot.nodes[pid].validated == node._validated
+                    assert snapshot.nodes[pid].dependencies == node._validated_deps
+                _assert_columns_share_the_group_objects(twin)
+        finally:
+            system.close()
+
+    @pytest.mark.parametrize("backend", DEPLOYMENTS[1:])
+    def test_pool_twins_hold_the_serial_columns(self, fast_network, backend):
+        reference = _build(fast_network, "serial")
+        other = _build(fast_network, backend)
+        try:
+            reference.run()
+            other.run()
+            for shard, twin in zip(reference.shards, other.shards):
+                assert shard.nodes.keys() == twin.nodes.keys()
+                for pid, node in shard.nodes.items():
+                    validated, dependencies = _columns(twin.nodes[pid])
+                    assert validated == node._validated
+                    assert dependencies == node._validated_deps
+                    assert validated, "a replica validated nothing"
+        finally:
+            reference.close()
+            other.close()
+
+    def test_no_object_is_built_per_validation(self, fast_network):
+        """The guard on the columns' cost: replicas of one shard share each
+        announcement's dependency tuple, the items of the validated column
+        are the ``Transfer`` objects the book holds, and a certificate's
+        mints are one transfer across the replicas."""
+        system = _build(fast_network, "serial")
+        try:
+            system.run()
+            for shard in system.shards:
+                declared = _assert_columns_share_the_group_objects(shard)
+                assert any(declared.values()), "no transfer declared a dependency"
+                mints = {}
+                for node in shard.nodes.values():
+                    for transfer in node._validated:
+                        if transfer.issuer < 0:
+                            assert mints.setdefault(transfer, transfer) is transfer
+                assert mints, "no settlement credit was minted"
         finally:
             system.close()
 

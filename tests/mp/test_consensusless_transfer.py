@@ -73,15 +73,16 @@ class TestHappyPath:
 
     def test_replicas_share_one_dependency_tuple_per_announcement(self, fast_network):
         """Every replica receives the same announcement object, so their
-        validated logs hold its one ``dependency_ids`` tuple, not a copy each."""
+        dependency columns hold its one ``dependency_ids`` tuple, not a copy each."""
         system = build_system(fast_network=fast_network)
         system.schedule_submissions(ring_workload(5, per_process=3))
         system.run()
-        logs = [node.observation().validated for node in system.correct_nodes()]
+        observations = [node.observation() for node in system.correct_nodes()]
+        logs = [obs.validated for obs in observations]
         by_transfer = {}
-        for log in logs:
-            for validated in log:
-                by_transfer.setdefault(validated.transfer, []).append(validated.dependencies)
+        for obs in observations:
+            for transfer, dependencies in zip(obs.validated, obs.dependencies):
+                by_transfer.setdefault(transfer, []).append(dependencies)
         declared = [tuples for tuples in by_transfer.values() if tuples[0]]
         assert declared, "the ring workload declares no dependency"
         for tuples in by_transfer.values():
@@ -201,7 +202,7 @@ class TestFigure4Guards:
             sequence=1,
         )
         node.mint_certified_credit(funding)
-        assert [v.transfer for v in node.observation().validated] == [
+        assert node.observation().validated == [
             funding,
             overdraft.transfer,
             fits.transfer,

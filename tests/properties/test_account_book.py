@@ -96,8 +96,7 @@ class _Schedule:
         assert_book_is_the_fold(self.nodes, self.known)
 
     def _note_validated(self) -> None:
-        for validated in self.nodes[0].observation().validated[len(self.recorded):]:
-            self.recorded.append(validated.transfer)
+        self.recorded.extend(self.nodes[0].observation().validated[len(self.recorded):])
 
     def submit(self, issuer: int, destination: int, amount: int, burst: int) -> None:
         node = self.shard.nodes[issuer % ANNOUNCER]
@@ -211,8 +210,8 @@ def test_schedule_reaches_every_mechanism():
     run = _Schedule(batch_size=3)
     run.submit(0, 1, 5, 2)                      # a batch 0 -> "1"
     run.submit(1, 0, 4, 0)                      # "1" spends, declaring 0's credits
-    spend = run.nodes[0].observation().validated[-1]
-    assert spend.transfer.issuer == 1 and spend.dependencies
+    observation = run.nodes[0].observation()
+    assert observation.validated[-1].issuer == 1 and observation.dependencies[-1]
     run.submit(2, 2, 3, 0)                      # self-transfer
     run.announce(4, 50, [0, 1], True)           # overdraft, irrelevant deps: parks
     assert run.nodes[0].to_validate and run.nodes[0]._pending_retirements

@@ -8,7 +8,7 @@ algorithm over the materialised edge sets, a fresh prefix replay per query — a
 a brute-force reference, and requires the checker to produce the *same report*
 (``ok``, ``checked_transfers`` and the exact ``violations`` list, text and
 order) on random observation sets: overlapping and sequential operations,
-timestamp ties, replicas whose ``position`` orders differ, double-spends (C1),
+timestamp ties, replicas whose local validation orders differ, double-spends (C1),
 overdrafts (C2), dependency cycles and real-time inversions (C3), successful
 operations nobody validated (C3 completeness), stale or unjustifiable reads and
 failed transfers (C4).  Balances are kept tight so that a witness order that
@@ -24,7 +24,6 @@ from repro.spec.byzantine_spec import (
     ByzantineAssetTransferChecker,
     ClientOperation,
     ProcessObservation,
-    ValidatedTransfer,
 )
 
 ACCOUNTS = ["0", "1", "2", "3"]
@@ -48,8 +47,7 @@ def _reference_agreement(observations) -> List[str]:
     violations = []
     slots: Dict[Tuple[str, int], Transfer] = {}
     for obs in observations:
-        for validated in obs.validated:
-            transfer = validated.transfer
+        for transfer in obs.validated:
             known = slots.setdefault((transfer.source, transfer.sequence), transfer)
             if known != transfer:
                 violations.append(
@@ -71,13 +69,12 @@ def _reference_balance_safety(initial, observations) -> List[str]:
     violations = []
     for obs in observations:
         balances = dict(initial)
-        for validated in sorted(obs.validated, key=lambda v: v.position):
-            balance = _replay(balances, validated.transfer)
+        for transfer in obs.validated:
+            balance = _replay(balances, transfer)
             if balance < 0:
                 violations.append(
                     f"C2 balance violation at process {obs.process}: applying "
-                    f"{validated.transfer} drives account {validated.transfer.source!r} "
-                    f"to {balance}"
+                    f"{transfer} drives account {transfer.source!r} to {balance}"
                 )
     return violations
 
@@ -87,10 +84,10 @@ def _reference_global_order(initial, observations) -> List[str]:
     transfers: Dict[TransferId, Transfer] = {}
     dependencies: Dict[TransferId, Set[TransferId]] = {}
     for obs in observations:
-        for validated in obs.validated:
-            tid = validated.transfer.transfer_id
-            transfers.setdefault(tid, validated.transfer)
-            dependencies.setdefault(tid, set()).update(validated.dependencies)
+        for transfer, declared in zip(obs.validated, obs.dependencies):
+            tid = transfer.transfer_id
+            transfers.setdefault(tid, transfer)
+            dependencies.setdefault(tid, set()).update(declared)
 
     edges: Dict[TransferId, Set[TransferId]] = {tid: set() for tid in transfers}
     by_source: Dict[str, List[TransferId]] = {}
@@ -170,7 +167,7 @@ def _issue_order(tid: TransferId) -> Tuple[int, int]:
 def _reference_local_views(initial, observations) -> List[str]:
     violations = []
     for obs in observations:
-        log = sorted(obs.validated, key=lambda v: v.position)
+        log = obs.validated
 
         def prefix_balances(account: str) -> List[int]:
             return [_balance_after_prefix(initial, account, log, n) for n in range(len(log) + 1)]
@@ -196,11 +193,11 @@ def _reference_local_views(initial, observations) -> List[str]:
 
 def _balance_after_prefix(initial, account: str, log, prefix_length: int) -> int:
     balance = initial.get(account, 0)
-    for validated in log[:prefix_length]:
-        if validated.transfer.source == account:
-            balance -= validated.transfer.amount
-        if validated.transfer.destination == account:
-            balance += validated.transfer.amount
+    for transfer in log[:prefix_length]:
+        if transfer.source == account:
+            balance -= transfer.amount
+        if transfer.destination == account:
+            balance += transfer.amount
     return balance
 
 
@@ -234,13 +231,12 @@ def observation_sets(draw):
     initial = {account: draw(st.integers(0, 10)) for account in ACCOUNTS[:-1]}
     observations = []
     for process in range(draw(st.integers(1, 3))):
-        indices = draw(st.lists(st.sampled_from(range(len(pool))), unique=True)) if pool else []
-        # List order and ``position`` order are drawn independently.
-        positions = draw(st.permutations(range(len(indices))))
-        validated = [
-            ValidatedTransfer(pool[index], declared[index], position)
-            for index, position in zip(indices, positions)
-        ]
+        # The process's local validation order: a permutation of the subset
+        # of the pool it validated.
+        chosen = draw(st.sets(st.sampled_from(range(len(pool))))) if pool else set()
+        order = draw(st.permutations(sorted(chosen)))
+        validated = [pool[index] for index in order]
+        dependencies = [declared[index] for index in order]
         operations = []
         for _ in range(draw(st.integers(0, 5))):
             invoked_at = draw(instants_st)
@@ -270,7 +266,7 @@ def observation_sets(draw):
                         transfer=draw(st.one_of(st.none(), st.just(transfer), transfers_st)),
                     )
                 )
-        observations.append(ProcessObservation(process, validated, operations))
+        observations.append(ProcessObservation(process, validated, dependencies, operations))
     return initial, observations
 
 
@@ -327,11 +323,12 @@ def payment_rounds(draw):
     initial = {account: draw(st.integers(0, 12)) for account in ACCOUNTS}
     observations = []
     for process in range(len(ACCOUNTS)):
-        positions = draw(st.permutations(range(count)))
+        order = draw(st.permutations(pool))
         observations.append(
             ProcessObservation(
                 process,
-                [ValidatedTransfer(t, (), position) for t, position in zip(pool, positions)],
+                list(order),
+                [()] * count,
                 [op for op in operations if op.process == process],
             )
         )

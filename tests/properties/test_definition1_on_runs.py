@@ -105,11 +105,12 @@ def _assert_matches_reference(initial, observations):
 class TestCheckerMatchesReferenceOnRuns:
     def test_a_cross_shard_cluster_run(self, settled_cluster):
         inputs = _cluster_audit_inputs(settled_cluster)
-        validated = [v for _, observations in inputs for obs in observations for v in obs.validated]
+        observations = [obs for _, shard_observations in inputs for obs in shard_observations]
+        validated = [t for obs in observations for t in obs.validated]
         # The shapes the random strategies never draw are all here.
-        assert any(v.transfer.source.startswith("settle:") for v in validated)
-        assert any(v.transfer.issuer < 0 for v in validated)
-        assert any(v.dependencies for v in validated)
+        assert any(t.source.startswith("settle:") for t in validated)
+        assert any(t.issuer < 0 for t in validated)
+        assert any(declared for obs in observations for declared in obs.dependencies)
         for initial, observations in inputs:
             _assert_matches_reference(initial, observations)
 
@@ -120,7 +121,7 @@ class TestCheckerMatchesReferenceOnRuns:
         # The attacker equivocated; its split broadcast reached no quorum, so
         # no correct replica validated either conflicting transfer.
         assert all(system.nodes[6].conflicting_transfers)
-        assert not any(v.transfer.issuer == 6 for obs in observations for v in obs.validated)
+        assert not any(t.issuer == 6 for obs in observations for t in obs.validated)
         _assert_matches_reference(system.initial_balances(), observations)
 
 

@@ -28,7 +28,6 @@ from repro.spec.byzantine_spec import (
     ByzantineAssetTransferChecker,
     ClientOperation,
     ProcessObservation,
-    ValidatedTransfer,
     check_agreement,
 )
 from repro.workloads.cluster_driver import ClusterWorkloadConfig, cluster_open_loop_workload
@@ -48,8 +47,9 @@ def observation(process, transfers, answered=0, submitted=0):
                         response=True, transfer=transfer(process, index + 1))
         for index in range(answered)
     ]
-    validated = [ValidatedTransfer(t, position=i) for i, t in enumerate(transfers)]
-    return ProcessObservation(process, validated, operations, submitted=submitted)
+    return ProcessObservation(
+        process, list(transfers), [()] * len(transfers), operations, submitted=submitted
+    )
 
 
 class TestTheCheck:
@@ -76,7 +76,7 @@ class TestTheCheck:
     def test_reads_are_not_answers(self):
         read = ClientOperation(process=0, kind="read", invoked_at=0.0, responded_at=0.0,
                                response=5, account="0")
-        report = check_agreement([ProcessObservation(0, [], [read], submitted=1)])
+        report = check_agreement([ProcessObservation(0, [], [], [read], submitted=1)])
         assert not report.ok
 
     def test_no_observations_agree(self):

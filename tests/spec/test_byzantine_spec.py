@@ -4,19 +4,22 @@ import time
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.common.types import Transfer
 from repro.spec.byzantine_spec import (
     ByzantineAssetTransferChecker,
     ClientOperation,
     ProcessObservation,
-    ValidatedTransfer,
 )
 
 
-def observation(process, transfers, operations=()):
+def observation(process, transfers, operations=(), dependencies=None):
+    """``transfers`` in local validation order; no declared dependencies
+    unless ``dependencies`` gives the column."""
     return ProcessObservation(
         process=process,
-        validated=[ValidatedTransfer(transfer=t, position=i) for i, t in enumerate(transfers)],
+        validated=list(transfers),
+        dependencies=[()] * len(transfers) if dependencies is None else list(dependencies),
         operations=list(operations),
     )
 
@@ -59,19 +62,32 @@ class TestBalanceSafety:
         report = checker.check([observation(1, [first, second])])
         assert report.ok
 
+    def test_the_local_order_is_the_column_order(self, checker):
+        # The same two transfers, spent before they were received: an entry's
+        # position is its index, so only the column's order decides.
+        first = Transfer("0", "1", 10, issuer=0, sequence=1)
+        second = Transfer("1", "2", 15, issuer=1, sequence=1)
+        report = checker.check([observation(1, [second, first])])
+        assert [v for v in report.violations if v.startswith("C2")] == [
+            f"C2 balance violation at process 1: applying {second} drives account '1' to -5"
+        ]
+
+
+class TestColumns:
+    def test_columns_of_unequal_length_are_refused(self):
+        t = Transfer("0", "1", 5, issuer=0, sequence=1)
+        with pytest.raises(ConfigurationError, match="1 validated transfers but 0"):
+            ProcessObservation(process=0, validated=[t])
+        with pytest.raises(ConfigurationError, match="0 validated transfers but 1"):
+            ProcessObservation(process=0, dependencies=[()])
+
 
 class TestGlobalOrder:
     def test_dependency_cycle_detected(self, checker):
         # Two transfers each declaring the other as a dependency.
         t1 = Transfer("0", "1", 1, issuer=0, sequence=1)
         t2 = Transfer("1", "0", 1, issuer=1, sequence=1)
-        obs = ProcessObservation(
-            process=0,
-            validated=[
-                ValidatedTransfer(transfer=t1, dependencies=(t2.transfer_id,), position=0),
-                ValidatedTransfer(transfer=t2, dependencies=(t1.transfer_id,), position=1),
-            ],
-        )
+        obs = observation(0, [t1, t2], dependencies=[(t2.transfer_id,), (t1.transfer_id,)])
         report = checker.check([obs])
         assert not report.ok
         assert any("C3" in violation for violation in report.violations)
@@ -94,13 +110,11 @@ class TestGlobalOrder:
         # t1 declares t2 as a dependency, yet t1 responded before t2 was invoked.
         t1 = Transfer("0", "1", 5, issuer=0, sequence=1)
         t2 = Transfer("1", "2", 5, issuer=1, sequence=1)
-        obs = ProcessObservation(
-            process=0,
-            validated=[
-                ValidatedTransfer(transfer=t2, position=0),
-                ValidatedTransfer(transfer=t1, dependencies=(t2.transfer_id,), position=1),
-            ],
-            operations=[successful(0, t1, 0.0, 1.0), successful(1, t2, 2.0, 3.0)],
+        obs = observation(
+            0,
+            [t2, t1],
+            [successful(0, t1, 0.0, 1.0), successful(1, t2, 2.0, 3.0)],
+            dependencies=[(), (t2.transfer_id,)],
         )
         report = checker.check([obs])
         assert report.violations == [
@@ -113,13 +127,11 @@ class TestGlobalOrder:
         # dependency of t1 on t2 stays satisfiable.
         t1 = Transfer("0", "1", 5, issuer=0, sequence=1)
         t2 = Transfer("1", "2", 5, issuer=1, sequence=1)
-        obs = ProcessObservation(
-            process=0,
-            validated=[
-                ValidatedTransfer(transfer=t2, position=0),
-                ValidatedTransfer(transfer=t1, dependencies=(t2.transfer_id,), position=1),
-            ],
-            operations=[successful(0, t1, 0.0, 1.0), successful(1, t2, 1.0, 2.0)],
+        obs = observation(
+            0,
+            [t2, t1],
+            [successful(0, t1, 0.0, 1.0), successful(1, t2, 1.0, 2.0)],
+            dependencies=[(), (t2.transfer_id,)],
         )
         assert checker.check([obs]).ok
 
