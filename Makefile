@@ -42,8 +42,11 @@ test-audit:
 
 ## The cross-backend equivalence harness (the hotspot grid on three
 ## barrier-grid widths and the pool's fixed shard i -> worker i % w
-## assignment among it, its one-frame-per-shard final capture and its
-## worker-stamped barrier stall), the ShardSnapshot round trips the pool's
+## assignment among it, its one-frame-per-shard final capture, its
+## worker-stamped barrier stall, its one apply frame per worker per barrier
+## with no separate mint or retire frame, the refusal of run() after close()
+## on every backend and of a NaN until, and the scheduler's cluster-wide
+## event budget tripping on every backend), the ShardSnapshot round trips the pool's
 ## final capture rests on (the validated columns among them), the pinned
 ## fingerprints (toy runs on
 ## serial and process and under two PYTHONHASHSEEDs; the benchmark's four

@@ -19,9 +19,9 @@ Two backends execute the per-epoch shard advancement:
   single-threaded execution, extracted behind the interface).
 * :class:`ProcessPoolBackend` — persistent worker processes, each owning a
   fixed subset of shards built from picklable :class:`ShardSpec`s; epochs
-  exchange only plain data (validation events out, mint transfers in), and a
-  final :class:`ShardSnapshot` per shard rehydrates the driver-side twins so
-  every inspection and audit surface answers as usual.
+  exchange only plain data (validation events out, settlement commands in),
+  and a final :class:`ShardSnapshot` per shard rehydrates the driver-side
+  twins so every inspection and audit surface answers as usual.
 
 The headline guarantee is **bit-identical results across backends**: the
 barrier schedule, the voucher/certificate processing order (sorted by
@@ -38,17 +38,18 @@ design: the only cross-shard obligation is reliable, source-ordered
 certificate delivery, and that batches freely (the set-constrained-delivery
 view of Imbs et al., arXiv:1706.05267).
 
-**Worker commands.**  Driver and workers frame every command and reply
-through :mod:`repro.cluster.codec` (one pickle per frame).  Commands are the
-tuples ``("advance", horizon, max_events)``,
-``("mint"|"retire", time, per_shard)``, ``("snapshot", index)`` and
-``("stop",)``; replies are ``("ok", payload)`` or ``("error",
-traceback_text)``.  An ``advance`` payload is ``(reports, finished)``: the
-per-shard reports and the worker's ``time.monotonic()`` once its last shard
-advanced, which only ``barrier_stall`` reads.  A ``snapshot`` payload is the
-one :class:`ShardSnapshot` it names.  A worker answers its commands in pipe
-order, so the driver does not wait for the ``mint`` / ``retire`` answers: it
-reads them when it collects the ``advance`` that follows them.
+**Worker commands.**  A worker is a :class:`SerialBackend` over its
+resident shards, behind a pipe.  Driver and workers frame every command and
+reply through :mod:`repro.cluster.codec` (one pickle per frame).  Commands
+are the tuples ``("advance", horizon, max_events)``, ``("apply", time,
+{index: (mints, retirements)})``, ``("snapshot", index)`` and ``("stop",)``;
+replies are ``("ok", payload)`` or ``("error", traceback_text)``.  An
+``advance`` payload is ``(reports, finished)``: the per-shard reports and the
+worker's ``time.monotonic()`` once its last shard advanced, which only
+``barrier_stall`` reads.  A ``snapshot`` payload is the one
+:class:`ShardSnapshot` it names.  A worker answers its commands in pipe
+order, so the driver does not wait for an ``apply`` answer: it reads it when
+it collects the ``advance`` that follows it.
 
 **Overlap.**  ``advance`` takes an optional ``overlapped`` callable, the
 barrier's second half: the pool runs it between dispatching the epoch and
@@ -59,8 +60,9 @@ so both backends take one path with one barrier sequence.
 **Barrier fan-out.**  Commands addressed to *every* worker with identical
 bytes — ``advance`` each epoch and ``stop`` at the end — are encoded once
 and the same ``bytes`` object is written to each pipe
-(:meth:`ProcessPoolBackend._broadcast`); per-worker payloads (``mint``,
-``retire``) are encoded per recipient and ``snapshot`` per shard.
+(:meth:`ProcessPoolBackend._broadcast`).  A barrier's settlement commands
+travel as one ``apply`` frame per worker that hosts a commanded shard, and
+``snapshot`` goes per shard.
 """
 
 from __future__ import annotations
@@ -114,31 +116,24 @@ def _phase(metrics, tracer, name, **span_kwargs):
             metrics.observe(name, _time.perf_counter() - started)
 
 
-def _schedule_into(shard: Shard, submissions: List[RoutedSubmission]) -> None:
-    """Schedule a shard's pre-partitioned arrivals, preserving list order."""
-    for submission in submissions:
-        shard.submit(
-            time=submission.time,
-            issuer=submission.issuer,
-            destination=submission.destination,
-            amount=submission.amount,
-        )
-
-
 # -- the backend interface --------------------------------------------------------------------
+
+#: One shard's settlement commands at a barrier: the ``(replica, transfer)``
+#: mints its inboxes decided, then the transfers its compaction gate retired.
+ShardCommands = Tuple[List[Tuple[ProcessId, Transfer]], List[Transfer]]
 
 
 class ExecutionBackend(abc.ABC):
     """Executes the per-epoch shard advancement for the barrier scheduler.
 
-    A backend session is *opened* once with the driver-side shard objects,
-    their specs and the pre-partitioned submissions; after that the scheduler
-    only ever asks it to ``advance`` every shard to a barrier (running the
-    driver's ``overlapped`` work while they do), to ``apply_mints`` the
-    barrier produced, and finally to ``finalize`` so the driver-side shards
-    reflect the run (a no-op for the serial backend).
-    The session keeps none of the submissions once ``open`` has scheduled
-    them.
+    A backend session is *opened* once with the driver-side shard objects
+    and the pre-partitioned submissions; after that the scheduler only ever
+    asks it to ``advance`` every shard to a barrier (running the driver's
+    ``overlapped`` work while they do), to ``apply`` the settlement commands
+    the barrier produced, one ``(mints, retirements)`` pair per commanded
+    shard, and finally to ``finalize`` so the driver-side shards reflect the
+    run (a no-op for the serial backend).  The session keeps none of the
+    submissions once ``open`` has scheduled them.
     """
 
     name: str = "abstract"
@@ -155,12 +150,7 @@ class ExecutionBackend(abc.ABC):
         self.tracer = tracer
 
     @abc.abstractmethod
-    def open(
-        self,
-        shards: List[Shard],
-        specs: List[ShardSpec],
-        submissions: Dict[int, List[RoutedSubmission]],
-    ) -> None:
+    def open(self, shards: List[Shard], submissions: Dict[int, List[RoutedSubmission]]) -> None:
         """Start the session: install collectors, start shards, load arrivals."""
 
     @abc.abstractmethod
@@ -174,15 +164,9 @@ class ExecutionBackend(abc.ABC):
         calling ``overlapped()`` (if given) once while the shards advance."""
 
     @abc.abstractmethod
-    def apply_mints(
-        self, time: float, mints: Dict[int, List[Tuple[ProcessId, Transfer]]]
-    ) -> None:
-        """Schedule the barrier's certified mints onto the target shards."""
-
-    @abc.abstractmethod
-    def apply_retirements(self, time: float, retirements: Dict[int, List[Transfer]]) -> None:
-        """Schedule the barrier's quorum-acknowledged retirements onto the
-        source shards (the compaction leg of the settlement lifecycle)."""
+    def apply(self, time: float, commands: Dict[int, ShardCommands]) -> None:
+        """Schedule a barrier's settlement commands onto their shards at
+        ``time``: each shard's certified mints, then its retirements."""
 
     def finalize(self) -> None:
         """Synchronise driver-side shard state with the executed run."""
@@ -192,30 +176,34 @@ class ExecutionBackend(abc.ABC):
 
 
 class SerialBackend(ExecutionBackend):
-    """Runs every shard in the driver process, one after the other.
+    """Runs every shard it hosts in this process, one after the other.
 
     This is the previous ``ClusterSystem`` execution model extracted behind
     the backend interface: single-threaded, live objects, no serialisation
     anywhere.  It is both the baseline the benchmark compares against and the
-    reference the other backends must match bit-for-bit.
+    reference the other backends must match bit-for-bit.  Shards are keyed by
+    index, so it hosts any subset of a cluster's shards: a pool worker is one
+    of these over its resident shards.
     """
 
     name = "serial"
 
     def __init__(self) -> None:
-        self._shards: List[Shard] = []
+        self._shards: Dict[int, Shard] = {}
 
-    def open(
-        self,
-        shards: List[Shard],
-        specs: List[ShardSpec],
-        submissions: Dict[int, List[RoutedSubmission]],
-    ) -> None:
-        self._shards = list(shards)
-        for shard in self._shards:
+    def open(self, shards: List[Shard], submissions: Dict[int, List[RoutedSubmission]]) -> None:
+        self._shards = {shard.index: shard for shard in shards}
+        for shard in shards:
             shard.install_validation_collector()
             shard.start()
-            _schedule_into(shard, submissions.get(shard.index, []))
+            # The pre-partitioned arrivals, in list order.
+            for submission in submissions.get(shard.index, ()):
+                shard.submit(
+                    time=submission.time,
+                    issuer=submission.issuer,
+                    destination=submission.destination,
+                    amount=submission.amount,
+                )
 
     def advance(
         self,
@@ -224,8 +212,8 @@ class SerialBackend(ExecutionBackend):
         overlapped: Optional[Callable[[], None]] = None,
     ) -> Dict[int, AdvanceReport]:
         reports = {
-            shard.index: self._advance_one(shard, horizon, max_events)
-            for shard in self._shards
+            index: self._advance_one(shard, horizon, max_events)
+            for index, shard in self._shards.items()
         }
         # One process: the driver's share of the barrier runs after the shards.
         if overlapped is not None:
@@ -250,15 +238,9 @@ class SerialBackend(ExecutionBackend):
             span.sim_end = report.now
         return report
 
-    def apply_mints(
-        self, time: float, mints: Dict[int, List[Tuple[ProcessId, Transfer]]]
-    ) -> None:
-        for index in sorted(mints):
-            self._shards[index].apply_mints(time, mints[index])
-
-    def apply_retirements(self, time: float, retirements: Dict[int, List[Transfer]]) -> None:
-        for index in sorted(retirements):
-            self._shards[index].apply_retirements(time, retirements[index])
+    def apply(self, time: float, commands: Dict[int, ShardCommands]) -> None:
+        for index in sorted(commands):
+            self._shards[index].apply(time, *commands[index])
 
 
 # -- the process-pool backend -----------------------------------------------------------------
@@ -269,25 +251,22 @@ def _worker_main(
     specs: List[ShardSpec],
     submissions: Dict[int, List[RoutedSubmission]],
 ) -> None:
-    """One worker process: builds its shards from specs and serves commands.
+    """One worker process: a :class:`SerialBackend` over its resident shards,
+    serving the driver's commands.
 
-    The worker is a deterministic replica of what the serial backend would
-    have done for these shards: build from spec (all randomness is seeded),
-    install the validation collector, start, load the pre-partitioned
-    arrivals, then alternate ``advance`` / ``mint`` commands until asked for
-    the final ``snapshot`` of each of its shards.  Every payload crossing the
-    pipe is framed by :mod:`repro.cluster.codec`;
-    exceptions — an undecodable command frame included — travel back as
-    formatted tracebacks (``traceback`` is imported by that reply alone, so
-    the serial path, which shares this module, never loads it).
+    The worker is a deterministic replica of what the serial backend does
+    for these shards, because it *is* one: the shards are built from spec
+    (all randomness is seeded), the backend opens them over their
+    pre-partitioned arrivals, and the ``advance`` / ``apply`` commands go to
+    it until the driver asks for the final ``snapshot`` of each shard.  A
+    command naming a shard hosted elsewhere fails.  Every payload crossing
+    the pipe is framed by :mod:`repro.cluster.codec`; exceptions — an
+    undecodable command frame included — travel back as formatted
+    tracebacks (``traceback`` is imported by that reply alone, so the serial
+    path, which shares this module, never loads it).
     """
-    shards: Dict[int, Shard] = {}
-    for spec in specs:
-        shard = Shard(spec)
-        shard.install_validation_collector()
-        shard.start()
-        _schedule_into(shard, submissions.get(spec.index, []))
-        shards[spec.index] = shard
+    host = SerialBackend()
+    host.open([Shard(spec) for spec in specs], submissions)
     while True:
         try:
             frame = connection.recv_bytes()
@@ -301,24 +280,15 @@ def _worker_main(
             payload = None
             if kind == "advance":
                 _, horizon, max_events = command
-                reports = {
-                    index: shards[index].advance(horizon, max_events)
-                    for index in sorted(shards)
-                }
                 # CLOCK_MONOTONIC is system-wide, so the driver can compare
                 # the workers' finish stamps; they never enter a report.
-                payload = (reports, _time.monotonic())
-            elif kind == "mint":
-                _, time, per_shard = command
-                for index, mints in per_shard:
-                    shards[index].apply_mints(time, mints)
-            elif kind == "retire":
-                _, time, per_shard = command
-                for index, transfers in per_shard:
-                    shards[index].apply_retirements(time, transfers)
+                payload = (host.advance(horizon, max_events), _time.monotonic())
+            elif kind == "apply":
+                _, time, commands = command
+                host.apply(time, commands)
             elif kind == "snapshot":
                 _, index = command
-                payload = shards[index].snapshot()
+                payload = host._shards[index].snapshot()
             elif kind != "stop":
                 raise SimulationError(f"unknown worker command {kind!r}")
             connection.send_bytes(codec_encode(("ok", payload)))
@@ -340,9 +310,9 @@ class ProcessPoolBackend(ExecutionBackend):
     *state* must persist across epochs, so this is a static partition, not a
     task queue).  Per epoch the driver broadcasts the barrier horizon,
     workers advance their shards concurrently and return validation events;
-    mints travel the other way.  After the run, each worker ships a
-    :class:`~repro.cluster.shard.ShardSnapshot` per shard and
-    :meth:`finalize` rehydrates the driver-side twins, so audits, balance
+    the barrier's settlement commands travel the other way.  After the run,
+    each worker ships a :class:`~repro.cluster.shard.ShardSnapshot` per shard
+    and :meth:`finalize` rehydrates the driver-side twins, so audits, balance
     reads and Definition 1 checks see exactly the worker's final state.
 
     The assignment of shards to workers affects only *where* a shard's
@@ -371,27 +341,22 @@ class ProcessPoolBackend(ExecutionBackend):
         self._outstanding: List[deque] = []
         self._finalizer = None
 
-    def open(
-        self,
-        shards: List[Shard],
-        specs: List[ShardSpec],
-        submissions: Dict[int, List[RoutedSubmission]],
-    ) -> None:
+    def open(self, shards: List[Shard], submissions: Dict[int, List[RoutedSubmission]]) -> None:
         self._shards = list(shards)
         worker_count = self._max_workers or min(len(shards), os.cpu_count() or 1) or 1
         worker_count = max(1, min(worker_count, len(shards)))
         self._outstanding = [deque() for _ in range(worker_count)]
         for slot in range(worker_count):
             parent, child = self._context.Pipe(duplex=True)
-            resident = specs[slot::worker_count]
+            resident = self._shards[slot::worker_count]
             # The arrivals travel with the fork; ``Process.start`` drops its
             # argument references, so the driver keeps none of them.
             process = self._context.Process(
                 target=_worker_main,
                 args=(
                     child,
-                    resident,
-                    {spec.index: submissions.get(spec.index, []) for spec in resident},
+                    [shard.spec() for shard in resident],
+                    {shard.index: submissions.get(shard.index, []) for shard in resident},
                 ),
                 daemon=True,
                 name=f"shard-worker-{slot}",
@@ -502,84 +467,81 @@ class ProcessPoolBackend(ExecutionBackend):
         return reports
 
     def _collect_arrivals(self) -> Dict[int, Any]:
-        """Collect every reply each worker owes, in *arrival* order; a
-        worker's last reply (its ``advance``) gives its reports.
+        """Collect an epoch's replies, in *arrival* order; a worker's last
+        reply (its ``advance``) gives its reports.
 
         Workers finish their epochs at different wall times; draining replies
-        as they land (``multiprocessing.connection.wait``) instead of in slot
-        order means a slow worker never blocks the reading of a fast one's
-        reply.  Each ``advance`` reply carries the worker's own monotonic
-        stamp of when its last shard finished, so the barrier's rendezvous
-        stall observed into ``barrier_stall`` is the spread of those stamps,
-        however late the driver reads them (it reads only after an
-        overlapped second half).  The ``mint`` / ``retire`` answers that
-        precede an ``advance`` on its pipe are read here too (see
-        :meth:`_fan_out`).  Reports are keyed by slot afterwards, so arrival
-        order never affects results.
+        as they land (:meth:`_replies`) instead of in slot order means a slow
+        worker never blocks the reading of a fast one's reply.  Each
+        ``advance`` reply carries the worker's own monotonic stamp of when its
+        last shard finished, so the barrier's rendezvous stall observed into
+        ``barrier_stall`` is the spread of those stamps, however late the
+        driver reads them (it reads only after an overlapped second half).
+        The ``apply`` answer that precedes an ``advance`` on its pipe is read
+        here too.  Reports are keyed by slot afterwards, so arrival order
+        never affects results.
         """
-        owed = {connection: slot for slot, (_, connection) in enumerate(self._workers)}
         payloads: Dict[int, Any] = {}
         finished: List[float] = []
-        while owed:
-            for connection in self._wait(list(owed)):
-                slot = owed[connection]
-                payload = self._recv(slot)
-                if not self._outstanding[slot]:
-                    del owed[connection]
-                    payloads[slot], stamp = payload
-                    finished.append(stamp)
+        for slot, payload, last in self._replies():
+            if last:
+                payloads[slot], stamp = payload
+                finished.append(stamp)
         if self.metrics is not None and len(finished) >= 2:
             self.metrics.observe("barrier_stall", max(finished) - min(finished))
         return payloads
 
-    def apply_mints(
-        self, time: float, mints: Dict[int, List[Tuple[ProcessId, Transfer]]]
-    ) -> None:
-        self._fan_out("mint", time, mints)
+    def _replies(self):
+        """Yield ``(slot, payload, last)`` for every outstanding command on
+        every pipe, in arrival order (``multiprocessing.connection.wait``);
+        ``last`` marks the answer to a pipe's last outstanding command.
 
-    def apply_retirements(self, time: float, retirements: Dict[int, List[Transfer]]) -> None:
-        self._fan_out("retire", time, retirements)
+        No local keeps a payload across the ``yield``, so a caller that drops
+        it holds none while the next frame decodes."""
+        owed = {
+            connection: slot
+            for slot, (_, connection) in enumerate(self._workers)
+            if self._outstanding[slot]
+        }
+        while owed:
+            for connection in self._wait(list(owed)):
+                slot = owed[connection]
+                yield slot, self._recv(slot), not self._outstanding[slot]
+                if not self._outstanding[slot]:
+                    del owed[connection]
 
-    def _fan_out(self, kind: str, time: float, per_shard: Dict[int, list]) -> None:
-        """Ship one barrier's ``kind`` commands to the workers hosting their
-        shards (shard order within a worker).
+    def apply(self, time: float, commands: Dict[int, ShardCommands]) -> None:
+        """Ship one ``apply`` frame to each worker hosting a commanded shard.
 
         Nothing waits for the answers here: a worker runs its commands in
         pipe order, so the barrier's ``advance`` follows right behind, and
-        :meth:`_collect_arrivals` reads the answers before that advance's
-        reply — a failed command is still reported, attributed to its kind.
-        The scheduler follows every barrier that applies commands with an
-        advance, so none is left unanswered."""
+        :meth:`_collect_arrivals` reads the answer before that advance's
+        reply — a failed ``apply`` is still reported, attributed to its
+        command.  The scheduler follows every barrier that applies commands
+        with an advance, so none is left unanswered."""
         workers = len(self._workers)
-        per_slot: Dict[int, List[Tuple[int, list]]] = {}
-        for index in sorted(per_shard):
-            per_slot.setdefault(index % workers, []).append((index, per_shard[index]))
-        for slot, payload in sorted(per_slot.items()):
-            self._request(slot, (kind, time, payload))
+        per_slot: Dict[int, Dict[int, ShardCommands]] = {}
+        for index in sorted(commands):
+            per_slot.setdefault(index % workers, {})[index] = commands[index]
+        for slot in sorted(per_slot):
+            self._request(slot, ("apply", time, per_slot[slot]))
 
     def finalize(self) -> None:
         """Ship every shard's final state home, one shard per frame.
 
         Each worker is asked for each of its resident shards by its own
         ``("snapshot", index)``.  The replies are read in arrival order, as
-        :meth:`_collect_arrivals` reads an epoch's, and each one restores its
-        driver-side twin before the next frame is decoded: the driver holds
-        one decoded shard at a time, and decodes while the workers are still
-        encoding.  A failed snapshot is raised naming its shard.
+        an epoch's are, and each one restores its driver-side twin before the
+        next frame is decoded: the driver holds one decoded shard at a time,
+        and decodes while the workers are still encoding.  A failed snapshot
+        is raised naming its shard.
         """
-        owed = {}
-        for slot, (_, connection) in enumerate(self._workers):
+        for slot in range(len(self._workers)):
             for index in self._resident(slot):
                 self._send(slot, codec_encode(("snapshot", index)), "snapshot", index)
-            owed[connection] = slot
-        while owed:
-            for connection in self._wait(list(owed)):
-                slot = owed[connection]
-                snapshot: ShardSnapshot = self._recv(slot)
-                self._shards[snapshot.index].restore(snapshot)
-                del snapshot  # gone before the next frame is decoded
-                if not self._outstanding[slot]:
-                    del owed[connection]
+        for _, snapshot, _ in self._replies():
+            self._shards[snapshot.index].restore(snapshot)
+            del snapshot  # gone before the next frame is decoded
 
     @staticmethod
     def _shutdown(workers: List[Tuple[Any, Any]], owed: Optional[List[int]] = None) -> None:
@@ -621,6 +583,14 @@ def make_backend(name: str, max_workers: Optional[int] = None) -> ExecutionBacke
 
 # -- the epoch-barrier scheduler --------------------------------------------------------------
 
+
+def _budget_exceeded(max_events: int) -> SimulationError:
+    return SimulationError(
+        f"cluster exceeded the event budget of {max_events}; "
+        "a protocol is likely flooding the network"
+    )
+
+
 class EpochScheduler:
     """Drives independent shard simulators to quiescence, barrier by barrier.
 
@@ -636,8 +606,9 @@ class EpochScheduler:
     2. it delivers every matured retirement certificate to the source
        shards' compaction gates, whose watermark decisions emit retirement
        commands, and
-    3. it ships the mint and retirement commands to their shards, scheduled
-       at the barrier time, in deterministic order.
+    3. it ships each commanded shard its ``(mints, retirements)`` pair in
+       one ``apply`` call, scheduled at the barrier time: the mints in the
+       order the inboxes decided them, then one retirement event.
 
     The second half (:meth:`_settle`) is the settlement work the next epoch
     never reads:
@@ -704,10 +675,9 @@ class EpochScheduler:
         self._queues: Dict[str, List[Tuple[float, int, Callable[[Any], Any], Any]]] = {
             name: [] for name in ("vouchers", "certificates", "acks", "retirement_certificates")
         }
-        # The barrier's mint and retirement commands, per shard, in the
-        # order the inboxes and gates decided them.
-        self._mints: Dict[int, List[Tuple[ProcessId, Transfer]]] = {}
-        self._retirements: Dict[int, List[Transfer]] = {}
+        # The barrier's settlement commands: per shard, the mints and the
+        # retirements, each in the order the inboxes and gates decided them.
+        self._commands: Dict[int, ShardCommands] = {}
         self._reports: Optional[Dict[int, AdvanceReport]] = None
         # Validation events executed but not yet exchanged.  Every shard runs
         # exactly to each barrier, so at the barrier's second half the whole
@@ -728,19 +698,22 @@ class EpochScheduler:
         return len(self._queues[queue])
 
     def enqueue_mint(self, shard: int, replica: ProcessId, transfer: Transfer) -> None:
-        self._mints.setdefault(shard, []).append((replica, transfer))
+        self._commands_of(shard)[0].append((replica, transfer))
 
     def enqueue_retirements(self, shard: int, transfers: List[Transfer]) -> None:
-        self._retirements.setdefault(shard, []).extend(transfers)
+        self._commands_of(shard)[1].extend(transfers)
+
+    def _commands_of(self, shard: int) -> ShardCommands:
+        commands = self._commands.get(shard)
+        if commands is None:
+            commands = self._commands[shard] = ([], [])
+        return commands
 
     @property
     def in_flight(self) -> int:
         """Settlement traffic queued between barriers (all lifecycle legs)."""
-        return (
-            sum(len(queue) for queue in self._queues.values())
-            + sum(len(mints) for mints in self._mints.values())
-            + sum(len(transfers) for transfers in self._retirements.values())
-        )
+        queued = sum(len(queue) for queue in self._queues.values())
+        return queued + sum(len(mints) + len(retired) for mints, retired in self._commands.values())
 
     @property
     def quiescent(self) -> bool:
@@ -826,7 +799,8 @@ class EpochScheduler:
         Every barrier is a global rendezvous: each shard advances exactly to
         it, then the exchange runs over everything the shards reported.
         ``max_events`` is ``None`` or an ``int`` >= 0, refused up front
-        otherwise: a NaN budget compares false and would disable the guard.
+        otherwise: a NaN budget compares false and would disable the guard,
+        as a NaN ``until`` would disable the pause, so it is refused too.
         The loop is two phases with only the pause test between them:
         ``phase.exchange`` holds the barrier's first half and the decision
         where (and whether) to go next — with the second half too, unless it
@@ -836,6 +810,8 @@ class EpochScheduler:
         """
         if max_events is not None and not (type(max_events) is int and max_events >= 0):
             raise SimulationError(f"event budget must be None or an int >= 0, not {max_events!r}")
+        if until is not None and math.isnan(until):
+            raise SimulationError("run horizon must be a number or None, not nan")
         if self._reports is None:
             self._advance(backend, self.now, max_events)
         while True:
@@ -880,20 +856,22 @@ class EpochScheduler:
 
     def _release(self, backend: ExecutionBackend) -> int:
         """The barrier's first half: deliver the matured certificates and
-        retirement certificates, then ship the mint and retirement commands
-        they decided; returns how many commands were applied."""
+        retirement certificates, then ship the commands they decided in one
+        ``apply``; returns how many commands were applied."""
         self._drain_matured("certificates")
         self._drain_matured("retirement_certificates")
-        applied = 0
-        mints, self._mints = self._mints, {}
-        if mints:
-            applied += self._count_commands("exchange.mints", mints)
-            backend.apply_mints(self.now, mints)
-        retirements, self._retirements = self._retirements, {}
-        if retirements:
-            applied += self._count_commands("exchange.retirements", retirements)
-            backend.apply_retirements(self.now, retirements)
-        return applied
+        commands, self._commands = self._commands, {}
+        if not commands:
+            return 0
+        mints = sum(len(mints) for mints, _ in commands.values())
+        retirements = sum(len(retirements) for _, retirements in commands.values())
+        if self.metrics is not None:
+            if mints:
+                self.metrics.inc("exchange.mints", mints)
+            if retirements:
+                self.metrics.inc("exchange.retirements", retirements)
+        backend.apply(self.now, commands)
+        return mints + retirements
 
     def _settle(self, fabric: SettlementFabric) -> None:
         """The barrier's second half: replay the validation events, drain the
@@ -922,14 +900,6 @@ class EpochScheduler:
             sim_start=self.now, barrier=self.barriers,
         ):
             self._settle(fabric)
-
-    def _count_commands(self, counter: str, per_shard: Dict[int, list]) -> int:
-        """Add a barrier's per-shard commands to ``counter``; returns how
-        many there are."""
-        count = sum(len(commands) for commands in per_shard.values())
-        if self.metrics is not None:
-            self.metrics.inc(counter, count)
-        return count
 
     def _drain_matured(self, name: str) -> None:
         """Run every entry of queue ``name`` matured by ``self.now``, by
@@ -997,24 +967,14 @@ class EpochScheduler:
         """
         if max_events is None:
             return None
-        consumed = sum(report.processed_events for report in (self._reports or {}).values())
-        remaining = max_events - consumed
+        remaining = max_events - self.events_processed()
         if remaining <= 0:
-            raise SimulationError(
-                f"cluster exceeded the event budget of {max_events}; "
-                "a protocol is likely flooding the network"
-            )
+            raise _budget_exceeded(max_events)
         return remaining
 
     def _check_budget(self, max_events: Optional[int]) -> None:
-        if max_events is None:
-            return
-        consumed = sum(report.processed_events for report in (self._reports or {}).values())
-        if consumed > max_events:
-            raise SimulationError(
-                f"cluster exceeded the event budget of {max_events}; "
-                "a protocol is likely flooding the network"
-            )
+        if max_events is not None and self.events_processed() > max_events:
+            raise _budget_exceeded(max_events)
 
     # -- result-side views ---------------------------------------------------------------------
 

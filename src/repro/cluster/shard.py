@@ -264,20 +264,27 @@ class Shard:
             now=self.simulator.now,
         )
 
-    def apply_mints(self, time: float, mints: List[Tuple[ProcessId, Transfer]]) -> None:
-        """Schedule certified mints onto this shard's clock, in list order.
+    def apply(
+        self,
+        time: float,
+        mints: List[Tuple[ProcessId, Transfer]],
+        retirements: List[Transfer],
+    ) -> None:
+        """Schedule one barrier's settlement commands onto this shard's clock.
 
-        The barrier delivers one ``(replica, transfer)`` entry per
-        destination inbox decision; scheduling them in list order on the
-        shard's own simulator reproduces the same ``(time, sequence)`` event
-        ordering on every backend.  Nothing cancels a mint, so each is a
-        handle-less event: one sequence number and one event, as a
-        ``schedule_at`` would take, without the handle or a closure.
+        The barrier hands over one ``(replica, transfer)`` mint per inbox
+        decision, then the transfers a verified ack quorum retired.  Each
+        mint is one handle-less event, in list order, then one event compacts
+        the retirements out of every replica (none if there are none).
+        Posted in this order on the shard's own simulator, they take the same
+        ``(time, sequence)`` slots on every backend.
         """
         post = self.simulator.post
         nodes = self.nodes
         for replica, transfer in mints:
             post(time, nodes[replica].mint_certified_credit, (transfer,))
+        if retirements:
+            post(time, self.retire_settled, (retirements,))
 
     def retire_settled(self, transfers: List[Tuple]) -> None:
         """Apply one retirement batch to every replica, in replica order.
@@ -288,16 +295,6 @@ class Shard:
         """
         for pid in sorted(self.nodes):
             self.nodes[pid].retire_settled(list(transfers))
-
-    def apply_retirements(self, time: float, transfers: List[Tuple]) -> None:
-        """Schedule a retirement batch onto this shard's clock.
-
-        The barrier hands over the transfers a verified ack quorum retired;
-        one handle-less event at the barrier time compacts them out of every
-        replica, ordered against the shard's own events exactly like mints
-        are.
-        """
-        self.simulator.post(time, self.retire_settled, (list(transfers),))
 
     def resident_settlement_records(self) -> int:
         """Outbound ``x{d}:a`` records still resident at replica 0.

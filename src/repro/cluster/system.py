@@ -30,12 +30,7 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.types import Amount
-from repro.cluster.backends import (
-    BACKEND_NAMES,
-    EpochScheduler,
-    _phase as _timed_phase,
-    make_backend,
-)
+from repro.cluster.backends import EpochScheduler, _phase as _timed_phase, make_backend
 from repro.cluster.result import ClusterCheckReport, ClusterResult, SupplyAudit
 from repro.cluster.routing import ShardRouter, parse_external_account
 from repro.cluster.settlement import SettlementFabric, is_settlement_account
@@ -110,10 +105,7 @@ class ClusterSystem:
     ) -> None:
         if shard_count <= 0:
             raise ConfigurationError("shard_count must be positive")
-        if backend not in BACKEND_NAMES:
-            raise ConfigurationError(
-                f"unknown execution backend {backend!r}; expected one of {BACKEND_NAMES}"
-            )
+        self._backend = make_backend(backend, max_workers)
         if telemetry not in TELEMETRY_MODES:
             raise ConfigurationError(
                 f"unknown telemetry mode {telemetry!r}; expected one of {TELEMETRY_MODES}"
@@ -154,9 +146,9 @@ class ClusterSystem:
             for index in range(shard_count)
         ]
         self.scheduler = EpochScheduler(epoch, metrics=self.metrics, tracer=self.tracer)
-        self._backend = make_backend(backend, max_workers)
         self._backend.attach_telemetry(self.metrics, self.tracer)
         self._session_open = False
+        self._closed = False
         self._partitioned: Dict[int, List] = {}
         self.settlement = SettlementFabric(self.shards, self.scheduler)
         self._result = ClusterResult()
@@ -206,14 +198,15 @@ class ClusterSystem:
 
         ``until`` pauses at that simulated time; a later ``run()`` resumes
         where it stopped, delivering anything injected into the relays in
-        between.
+        between.  A closed cluster refuses to run, on every backend.
         """
+        if self._closed:
+            raise SimulationError("the cluster is closed; a closed ClusterSystem cannot run")
         self.start()
         with self._phase("phase.total"):
             if not self._session_open:
                 with self._phase("phase.open"):
-                    specs = [shard.spec() for shard in self.shards]
-                    self._backend.open(self.shards, specs, self._partitioned)
+                    self._backend.open(self.shards, self._partitioned)
                     # The shards hold their arrivals now; nothing replays them.
                     self._partitioned = {}
                 self._session_open = True
@@ -239,7 +232,9 @@ class ClusterSystem:
         return self._result
 
     def close(self) -> None:
-        """Release backend resources (worker processes)."""
+        """Release backend resources (worker processes); the cluster cannot
+        run again afterwards."""
+        self._closed = True
         self._backend.close()
 
     def __enter__(self) -> "ClusterSystem":

@@ -24,8 +24,9 @@ system lets go of the routed arrivals once the session opens, picklability
 of everything that crosses a process boundary, the worker loop itself
 (driven in-process through a scripted pipe, so the subprocess code path is
 unit-tested and covered), the pool's final capture (one frame per shard,
-each restored before the next decodes) and its barrier stall (the spread of
-the workers' own finish stamps).
+each restored before the next decodes), its barrier stall (the spread of
+the workers' own finish stamps) and its one ``apply`` frame per worker per
+barrier, and that a closed cluster refuses to run on every backend.
 """
 
 import gc
@@ -568,6 +569,65 @@ class TestEpochSchedulerEdges:
         assert system.scheduler.events_processed() == 0
         system.close()
 
+    @pytest.mark.parametrize("backend", DEPLOYMENTS)
+    def test_the_cluster_wide_budget_is_checked_after_each_epoch(self, fast_network, backend):
+        """Each shard stays within its own share of 360 events, but together
+        they pass it within one epoch: the scheduler's cluster-wide check
+        raises, on every backend, not a shard's own guard."""
+        max_workers = 2
+        if backend == "one-worker":
+            backend, max_workers = "process", 1
+        system = ClusterSystem(
+            shard_count=2, replicas_per_shard=4, initial_balance=500,
+            network_config=fast_network, backend=backend, max_workers=max_workers,
+            seed=3,
+        )
+        system.schedule_submissions(_workload(system, 3, 0.5))
+        try:
+            with pytest.raises(SimulationError, match="cluster exceeded the event budget of 360"):
+                system.run(max_events=360)
+            assert system.scheduler.events_processed() > 360
+        finally:
+            system.close()
+
+    def test_a_nan_until_is_refused(self, fast_network):
+        """``horizon > until`` is false for a NaN ``until``, so the run never
+        paused and went on to quiescence as if ``until`` were None."""
+        system = ClusterSystem(
+            shard_count=2, replicas_per_shard=4, initial_balance=500,
+            network_config=fast_network, backend="serial", seed=3,
+        )
+        system.schedule_submissions(_workload(system, 3, 0.5))
+        with pytest.raises(SimulationError, match="run horizon"):
+            system.run(until=float("nan"))
+        assert system.scheduler.events_processed() == 0
+        assert system.scheduler.barriers == 0
+        system.close()
+
+    @pytest.mark.parametrize("backend", DEPLOYMENTS)
+    def test_a_closed_cluster_refuses_to_run(self, fast_network, backend):
+        """One contract on every backend: ``run()`` after ``close()`` raises
+        at once.  The pool used to step its barrier grid forever over zero
+        workers (or divide by zero fanning commands out), and the serial
+        backend quietly resumed."""
+        max_workers = 2
+        if backend == "one-worker":
+            backend, max_workers = "process", 1
+        system = ClusterSystem(
+            shard_count=2, replicas_per_shard=4, initial_balance=500,
+            network_config=fast_network, backend=backend, max_workers=max_workers,
+            seed=3,
+        )
+        system.schedule_submissions(_workload(system, 3, 0.5))
+        system.run(until=0.01)
+        processes = [process for process, _ in getattr(system._backend, "_workers", [])]
+        system.close()
+        started = time.monotonic()
+        with pytest.raises(SimulationError, match="closed"):
+            system.run()
+        assert time.monotonic() - started < 5.0
+        assert not any(process.is_alive() for process in processes)
+
     def test_delayed_vouchers_settle_at_a_later_barrier(self, fast_network):
         """A DelayBehavior stalls one replica's vouchers past several epochs;
         settlement still completes (the other replicas quorum first) and the
@@ -798,12 +858,12 @@ class TestWorkerLoop:
         submissions = {0: [RoutedSubmission(time=0.001, issuer=0, destination="1", amount=7)]}
         return spec, submissions
 
-    def test_advance_mint_snapshot_stop(self, fast_network, scripted_pipe):
+    def test_advance_apply_snapshot_stop(self, fast_network, scripted_pipe):
         spec, submissions = self._spec_and_submissions(fast_network)
         pipe = scripted_pipe(
             [
                 ("advance", 1.0, None),
-                ("mint", 1.0, []),
+                ("apply", 1.0, {}),
                 ("snapshot", 0),
                 ("stop",),
             ]
@@ -862,8 +922,8 @@ class TestWorkerLoop:
     def test_a_worker_serves_every_resident_shard(self, fast_network, scripted_pipe):
         """Shards 0 and 2 on one worker (the slot-0 worker of a two-worker
         pool over three shards): ``advance`` answers per resident shard,
-        ``snapshot`` for the one shard it names, a ``mint`` reaches only the
-        shard it names, and a command for a shard hosted elsewhere is
+        ``snapshot`` for the one shard it names, an ``apply`` reaches only
+        the shard it names, and a command for a shard hosted elsewhere is
         refused."""
         specs = [
             ShardSpec(index=index, replicas=4, initial_balance=100,
@@ -881,8 +941,8 @@ class TestWorkerLoop:
         pipe = scripted_pipe(
             [
                 ("advance", 1.0, None),
-                ("mint", 1.0, [(2, [(pid, mint) for pid in range(4)])]),
-                ("mint", 1.0, [(1, [(0, mint)])]),
+                ("apply", 1.0, {2: ([(pid, mint) for pid in range(4)], [])}),
+                ("apply", 1.0, {1: ([(0, mint)], [])}),
                 ("advance", 2.0, None),
                 ("snapshot", 2),
                 ("snapshot", 1),
@@ -946,21 +1006,21 @@ class TestWorkerLoss:
             system.close()
         assert not any(process.is_alive() for process, _ in workers)
 
-    def test_a_failed_mint_is_reported_at_the_next_collection(self, fast_network):
-        """Mint and retire commands are not waited for: their answers are
-        read with the advance that follows them on the pipe, and a failed
-        one is still raised, attributed to its command."""
+    def test_a_failed_apply_is_reported_at_the_next_collection(self, fast_network):
+        """An ``apply`` is not waited for: its answer is read with the
+        advance that follows it on the pipe, and a failed one is still
+        raised, attributed to its command."""
         system, workers = self._paused_pool(fast_network)
         backend = system._backend
         try:
             transfer = Transfer("settle:0:0", "1", 1, issuer=-1, sequence=1)
-            backend.apply_mints(0.0, {1: [(0, transfer)]})  # behind shard 1's clock
-            assert [list(outstanding) for outstanding in backend._outstanding] == [[], ["mint"]]
+            backend.apply(0.0, {1: ([(0, transfer)], [])})  # behind shard 1's clock
+            assert [list(outstanding) for outstanding in backend._outstanding] == [[], ["apply"]]
             with pytest.raises(SimulationError) as caught:
                 system.run()
             message = str(caught.value)
             assert "worker 1" in message and "resident shards [1]" in message
-            assert "'mint'" in message and "failed" in message
+            assert "'apply'" in message and "failed" in message
         finally:
             system.close()
         assert [process.exitcode for process, _ in workers] == [0, 0]
@@ -1056,6 +1116,21 @@ class TestFinalCapture:
             system.close()
 
 
+class TestOneApplyPerWorker:
+    def test_a_barrier_ships_one_apply_per_commanded_worker(self, fast_network):
+        """A barrier's mints and retirements travel together: at most one
+        ``apply`` frame per worker per barrier, so never more than the
+        ``advance`` frames, and no separate mint or retire frame."""
+        system, result = _run(fast_network, "process", 3, 3, 1, 1.0, max_workers=2)
+        try:
+            counters = result.telemetry["driver"]["counters"]
+            assert counters["exchange.mints"] > 0 and counters["exchange.retirements"] > 0
+            assert 0 < counters["pipe.apply"] <= counters["pipe.advance"]
+            assert "pipe.mint" not in counters and "pipe.retire" not in counters
+        finally:
+            system.close()
+
+
 class TestBarrierStall:
     """``barrier_stall`` is the spread of the workers' own finish stamps,
     not of the instants the driver happens to read their replies."""
@@ -1070,7 +1145,7 @@ class TestBarrierStall:
     def test_the_stall_is_the_spread_of_the_stamps(self):
         backend = ProcessPoolBackend(max_workers=3)
         reports = [{0: "shard 0"}, {1: "shard 1"}, {2: "shard 2"}]
-        # Worker 0 owes a mint answer before its advance; the stamps are the
+        # Worker 0 owes an apply answer before its advance; the stamps are the
         # workers' finish times, in an order unlike the arrival order.
         pipes = [
             self._Pipe([None, (reports[0], 101.0)]),
@@ -1078,7 +1153,7 @@ class TestBarrierStall:
             self._Pipe([(reports[2], 100.25)]),
         ]
         backend._workers = [(None, pipe) for pipe in pipes]
-        backend._outstanding = [deque(["mint", "advance"]), deque(["advance"]), deque(["advance"])]
+        backend._outstanding = [deque(["apply", "advance"]), deque(["advance"]), deque(["advance"])]
         arrivals = iter([[pipes[1]], [pipes[0]], [pipes[2], pipes[0]]])
         backend._wait = lambda connections: next(arrivals)
         backend.metrics = MetricsRegistry()

@@ -116,8 +116,18 @@ VALUES = [
     _snapshot(),
     # Command and reply frames.
     ("advance", 0.005, None),
-    ("mint", 0.005, [(0, [(1, Transfer("x0:1", "1", 3, issuer=1, sequence=2))])]),
-    ("retire", 0.005, [(0, [Transfer("0", "x1:2", 3, issuer=0, sequence=5)])]),
+    ("apply", 0.005, {0: ([(1, Transfer("x0:1", "1", 3, issuer=1, sequence=2))], [])}),
+    (
+        "apply",
+        0.005,
+        {
+            0: ([], [Transfer("0", "x1:2", 3, issuer=0, sequence=5)]),
+            2: (
+                [(0, Transfer("x1:0", "0", 4, issuer=0, sequence=1))],
+                [Transfer("2", "x0:3", 1, issuer=2, sequence=9)],
+            ),
+        },
+    ),
     ("snapshot", 3),
     ("stop",),
     ("ok", None),

@@ -272,14 +272,16 @@ class TestReplayedCertificates:
         inbox = system.settlement.inboxes[(1, 0)]
         assert inbox.receive(second)  # accepted but held: stream starts at 1
         assert inbox.buffered_count == 1
-        assert inbox.accepted == 0 and not system.scheduler._mints
+        assert inbox.accepted == 0 and not system.scheduler._commands
         assert not inbox.receive(second)  # same slot again is a replay
         assert inbox.rejected[-1][1] == "replayed certificate"
         assert inbox.receive(first)  # the gap fills: both mint, in order
-        # The mint sink (the barrier's per-shard mint queue) received both,
-        # in order, each as its own transfer.
-        assert list(system.scheduler._mints) == [1]
-        minted = [transfer for _, transfer in system.scheduler._mints[1]]
+        # The mint sink (the barrier's per-shard command store) received
+        # both, in order, each as its own transfer, and no retirement.
+        assert list(system.scheduler._commands) == [1]
+        mints, retirements = system.scheduler._commands[1]
+        assert retirements == []
+        minted = [transfer for _, transfer in mints]
         assert [transfer.sequence for transfer in minted] == [1, 2]
         assert inbox.accepted == 2
         assert inbox.buffered_count == 0
