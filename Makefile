@@ -46,7 +46,8 @@ test-audit:
 ## worker-stamped barrier stall, its one apply frame per worker per barrier
 ## with no separate mint or retire frame, the refusal of run() after close()
 ## on every backend and of a NaN until, and the scheduler's cluster-wide
-## event budget tripping on every backend), the ShardSnapshot round trips the pool's
+## event budget tripping on every backend, its error naming the caller's
+## budget over a 40-budget sweep), the ShardSnapshot round trips the pool's
 ## final capture rests on (the validated columns among them), the pinned
 ## fingerprints (toy runs on
 ## serial and process and under two PYTHONHASHSEEDs; the benchmark's four
@@ -93,12 +94,14 @@ soak:
 	$(PYTHON) -m pytest tests/cluster/test_settlement_soak.py -q
 
 ## The observability suite alone: registry/tracer units plus the
-## telemetry-invariance harness (fingerprints identical with telemetry off,
-## metrics-only and full tracing, on every backend) and the phase breakdown,
-## whose advance and exchange phases tile the scheduler's barrier loop.  CI runs it a second time under
+## telemetry-invariance harness (fingerprints identical with metrics-only and
+## full tracing, on every backend; every run records every shard) and the
+## phase breakdown, whose advance and exchange phases tile the scheduler's
+## barrier loop; and the import graph, since the cluster always records
+## while Figure 4 loads no repro.obs.  CI runs it a second time under
 ## `PYTHON="python -X dev -W error"`.
 test-obs:
-	$(PYTHON) -m pytest tests/obs -q
+	$(PYTHON) -m pytest tests/obs tests/test_import_graph.py -q
 
 ## The repository benchmark's own smoke test (BENCHMARK.json's harness at toy
 ## size, ~20 s).  perf/ is outside tier-1 `testpaths`; this is what notices a

@@ -25,7 +25,7 @@ account with no cross-shard coordination.  This example:
    breakdown and busiest counters printed, a Chrome ``trace_event`` file
    (``TRACE_quickstart.json``, loadable in chrome://tracing or Perfetto)
    written and validated — while the fingerprint still equals the
-   untelemetered run's, because telemetry never perturbs results.
+   metrics-only run's, because telemetry never perturbs results.
 
 How fast all of this runs is measured by the repository benchmark:
 ``make perf`` runs its six workloads (``BENCHMARK.json``, ``perf/``) and
@@ -155,9 +155,9 @@ def telemetry_tour() -> None:
         )
         return system
 
-    bare = build("off")
-    reference = bare.run().fingerprint()
-    bare.close()
+    untraced = build("metrics")
+    reference = untraced.run().fingerprint()
+    untraced.close()
 
     system = build("full")
     result = system.run()
@@ -165,7 +165,7 @@ def telemetry_tour() -> None:
     telemetry = result.telemetry
     coverage = telemetry_phase_coverage(telemetry)
     print("telemetry: the same run with metrics and span tracing on full")
-    print(f"  -> fingerprint equals the telemetry-off run: "
+    print(f"  -> fingerprint equals the metrics-only run: "
           f"{result.fingerprint() == reference} (telemetry never perturbs results)")
     print()
     print(format_telemetry_table(telemetry_breakdown(telemetry)))

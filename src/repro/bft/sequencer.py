@@ -234,10 +234,6 @@ class OwnerQuorumSequencer:
             certificate=certificate,
         )
 
-    def abandon(self, account: AccountId, sequence: int) -> None:
-        """Drop an in-flight proposal (the hosting node retries with a new one)."""
-        self._proposals.pop((account, sequence), None)
-
     # -- routing helper ----------------------------------------------------------------------------------------
 
     def handles(self, message: object) -> bool:

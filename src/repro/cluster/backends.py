@@ -74,7 +74,7 @@ import os
 import time as _time
 import weakref
 from collections import deque
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -90,6 +90,7 @@ from repro.cluster.shard import (
 )
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.types import ProcessId, Transfer
+from repro.obs import NULL_TRACER, MetricsRegistry
 from repro.workloads.cluster_driver import RoutedSubmission
 
 BACKEND_NAMES = ("serial", "process")
@@ -97,23 +98,19 @@ BACKEND_NAMES = ("serial", "process")
 
 @contextmanager
 def _phase(metrics, tracer, name, **span_kwargs):
-    """Time a driver-side phase into a histogram and (optionally) a span.
+    """Time a driver-side phase into a histogram and a span.
 
     Telemetry sinks are write-only here: nothing the protocol computes ever
-    reads the measured durations, so attaching them cannot perturb a result
-    (the telemetry invariant).  Both sinks are optional; with neither, the
-    only cost is two ``perf_counter`` calls per phase per barrier.
+    reads the measured durations, so they cannot perturb a result (the
+    telemetry invariant).  An untraced run's ``tracer`` is
+    :data:`~repro.obs.NULL_TRACER`, which drops the span.
     """
     started = _time.perf_counter()
     try:
-        if tracer is not None:
-            with tracer.span(name, **span_kwargs) as span:
-                yield span
-        else:
-            yield None
+        with tracer.span(name, **span_kwargs) as span:
+            yield span
     finally:
-        if metrics is not None:
-            metrics.observe(name, _time.perf_counter() - started)
+        metrics.observe(name, _time.perf_counter() - started)
 
 
 # -- the backend interface --------------------------------------------------------------------
@@ -138,13 +135,14 @@ class ExecutionBackend(abc.ABC):
 
     name: str = "abstract"
 
-    #: Optional telemetry sinks, attached by the deployment before ``open``.
-    #: Backends only ever *write* measurements into them — no protocol
-    #: decision reads them back — so results are identical with or without.
-    metrics = None
-    tracer = None
+    #: Telemetry sinks, attached by the deployment before ``open``.  Backends
+    #: only ever *write* measurements into them — no protocol decision reads
+    #: them back — so no sink changes a result.  A pool worker's host gets
+    #: none: it records no metric, and its spans go to the null tracer.
+    metrics: Optional[MetricsRegistry] = None
+    tracer = NULL_TRACER
 
-    def attach_telemetry(self, metrics=None, tracer=None) -> None:
+    def attach_telemetry(self, metrics: MetricsRegistry, tracer=NULL_TRACER) -> None:
         """Install the deployment's telemetry sinks on this session."""
         self.metrics = metrics
         self.tracer = tracer
@@ -223,10 +221,7 @@ class SerialBackend(ExecutionBackend):
     def _advance_one(
         self, shard: Shard, horizon: Optional[float], max_events: Optional[int]
     ) -> AdvanceReport:
-        """One shard's advance, under a ``shard.advance`` span (tid = shard)
-        when tracing."""
-        if self.tracer is None:
-            return shard.advance(horizon, max_events)
+        """One shard's advance, under a ``shard.advance`` span (tid = shard)."""
         with self.tracer.span(
             "shard.advance",
             cat="shard",
@@ -370,24 +365,18 @@ class ProcessPoolBackend(ExecutionBackend):
             self, ProcessPoolBackend._shutdown, list(self._workers)
         )
 
-    def _pipe_span(self, name: str, slot: int, **span_kwargs):
-        if self.tracer is None:
-            return nullcontext()
-        return self.tracer.span(name, cat="pipe", tid=1 + slot, **span_kwargs)
-
     def _send(self, slot: int, data: bytes, kind: str, shard: Optional[int] = None) -> None:
         """Write one encoded ``kind`` command frame to worker ``slot``; a
         failure is attributed to ``shard`` too when the command names one."""
         command = kind if shard is None else f"{kind} of shard {shard}"
         try:
-            with self._pipe_span("pipe.send", slot, command=kind):
+            with self.tracer.span("pipe.send", cat="pipe", tid=1 + slot, command=kind):
                 self._workers[slot][1].send_bytes(data)
         except OSError as error:  # BrokenPipeError: nobody holds the other end
             raise self._worker_lost(slot, command, error) from error
         self._outstanding[slot].append(command)
-        if self.metrics is not None:
-            self.metrics.inc("pipe.commands")
-            self.metrics.inc(f"pipe.{kind}")
+        self.metrics.inc("pipe.commands")
+        self.metrics.inc(f"pipe.{kind}")
 
     def _recv(self, slot: int) -> Any:
         """Block for worker ``slot``'s next reply and return its payload.
@@ -396,7 +385,7 @@ class ProcessPoolBackend(ExecutionBackend):
         command is the one this reply (or this failure) belongs to.
         """
         command = self._outstanding[slot].popleft()
-        with self._pipe_span("pipe.recv", slot):
+        with self.tracer.span("pipe.recv", cat="pipe", tid=1 + slot):
             try:
                 frame = self._workers[slot][1].recv_bytes()
             except (EOFError, OSError) as error:
@@ -487,7 +476,7 @@ class ProcessPoolBackend(ExecutionBackend):
             if last:
                 payloads[slot], stamp = payload
                 finished.append(stamp)
-        if self.metrics is not None and len(finished) >= 2:
+        if len(finished) >= 2:
             self.metrics.observe("barrier_stall", max(finished) - min(finished))
         return payloads
 
@@ -655,16 +644,16 @@ class EpochScheduler:
     sequence — is identical whichever backend executes the epochs.
     """
 
-    def __init__(self, epoch: float, metrics=None, tracer=None) -> None:
+    def __init__(self, epoch: float, metrics=None, tracer=NULL_TRACER) -> None:
         # ``0 < x < inf`` is false for NaN too, which ``x <= 0`` would let through.
         if not 0 < epoch < math.inf:
             raise ConfigurationError(f"epoch width must be finite and positive, not {epoch}")
         self.epoch = epoch
-        # Driver-side telemetry sinks (repro.obs).  Strictly write-only from
-        # the scheduler's point of view: phase wall-times, exchange counters
-        # and queue depths go in, nothing ever comes back out into a barrier
-        # decision — so the schedule is identical with them off.
-        self.metrics = metrics
+        # Driver-side telemetry sinks (repro.obs), a registry of its own when
+        # none is given.  Strictly write-only from the scheduler's point of
+        # view: phase wall-times, exchange counters and queue depths go in,
+        # nothing ever comes back out into a barrier decision.
+        self.metrics = metrics or MetricsRegistry()
         self.tracer = tracer
         self.now = 0.0
         self.barriers = 0
@@ -768,7 +757,9 @@ class EpochScheduler:
         moves.
 
         The first advance of a session gives every shard the whole
-        ``max_events``; later ones give each the cluster-wide remainder.
+        ``max_events``; later ones give each the cluster-wide remainder.  A
+        shard that spends its allotment stops there, inside the epoch, and
+        :meth:`_check_budget` raises the cluster's budget error.
         """
         with _phase(
             self.metrics, self.tracer, "phase.advance", cat="scheduler",
@@ -776,15 +767,13 @@ class EpochScheduler:
         ) as span:
             budget = max_events if self._reports is None else self._remaining_budget(max_events)
             reports = backend.advance(horizon, budget, overlapped)
-            if span is not None:
-                span.sim_end = horizon
+            span.sim_end = horizon
             self._ingest(reports)
-            self._check_budget(max_events)
+            self._check_budget(max_events, horizon)
             if step:
                 self.now = horizon
                 self.barriers += 1
-                if self.metrics is not None:
-                    self.metrics.inc("scheduler.barriers")
+                self.metrics.inc("scheduler.barriers")
 
     def run(
         self,
@@ -865,11 +854,10 @@ class EpochScheduler:
             return 0
         mints = sum(len(mints) for mints, _ in commands.values())
         retirements = sum(len(retirements) for _, retirements in commands.values())
-        if self.metrics is not None:
-            if mints:
-                self.metrics.inc("exchange.mints", mints)
-            if retirements:
-                self.metrics.inc("exchange.retirements", retirements)
+        if mints:
+            self.metrics.inc("exchange.mints", mints)
+        if retirements:
+            self.metrics.inc("exchange.retirements", retirements)
         backend.apply(self.now, commands)
         return mints + retirements
 
@@ -882,15 +870,14 @@ class EpochScheduler:
         # re-entrant run() (pause/resume, a run after a run) can never
         # voucher the same credit twice.
         events = self._take_matured_events()
-        if events and self.metrics is not None:
+        if events:
             self.metrics.inc("exchange.validations", len(events))
         for time, shard, _, replica, transfer in events:
             fabric.observe_validation(shard, replica, transfer, time)
         self._drain_matured("vouchers")
         fabric.dispatch_acks()
         self._drain_matured("acks")
-        if self.metrics is not None:
-            self.metrics.observe("barrier.queue_depth", self.in_flight)
+        self.metrics.observe("barrier.queue_depth", self.in_flight)
 
     def _overlapped(self, fabric: SettlementFabric) -> None:
         """A deferred second half, run by the backend while the shards
@@ -920,8 +907,7 @@ class EpochScheduler:
         ready.sort()
         for _, _, handler, payload in ready:
             handler(payload)
-        if self.metrics is not None:
-            self.metrics.inc(f"exchange.{name}", len(ready))
+        self.metrics.inc(f"exchange.{name}", len(ready))
 
     def _next_target(self, applied: int) -> Optional[float]:
         """The earliest instant at which anything can happen after this
@@ -962,8 +948,8 @@ class EpochScheduler:
         epoch each shard gets the cluster-wide remainder as its own ceiling,
         and :meth:`_check_budget` re-checks the cluster-wide total right
         after the epoch.  A pathological epoch can therefore overshoot the
-        cap by up to ``shard_count`` times before being caught one barrier
-        later — the guard is a livelock backstop, not an exact meter.
+        cap by up to ``shard_count`` times before being caught — the guard
+        is a livelock backstop, not an exact meter.
         """
         if max_events is None:
             return None
@@ -972,8 +958,17 @@ class EpochScheduler:
             raise _budget_exceeded(max_events)
         return remaining
 
-    def _check_budget(self, max_events: Optional[int]) -> None:
-        if max_events is not None and self.events_processed() > max_events:
+    def _check_budget(self, max_events: Optional[int], horizon: float) -> None:
+        """Raise the budget error once the cluster ran past ``max_events``, or
+        when a shard stopped at its allotment: its next live event lies
+        inside the horizon it was sent to, which a finished advance never
+        leaves behind."""
+        if max_events is None:
+            return
+        if self.events_processed() > max_events or any(
+            report.next_event_time is not None and report.next_event_time <= horizon
+            for report in self._reports.values()
+        ):
             raise _budget_exceeded(max_events)
 
     # -- result-side views ---------------------------------------------------------------------

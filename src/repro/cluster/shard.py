@@ -21,7 +21,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.rng import derive_seed
 from repro.common.types import AccountId, Amount, ProcessId, Transfer, TransferId
 from repro.cluster.routing import parse_external_account
@@ -50,11 +50,6 @@ class ShardSpec:
     batch_size: int = 1
     network_config: Optional[NetworkConfig] = None
     seed: int = 0
-    # Whether the built shard records into a repro.obs.MetricsRegistry.
-    # Pure accounting — the registry is never a protocol input — so the
-    # flag can differ between builds of the same spec without changing a
-    # single event (the telemetry invariant, pinned by tests/obs).
-    telemetry: bool = True
 
 
 class ValidationEvent(NamedTuple):
@@ -148,7 +143,7 @@ class ShardSnapshot:
     payload_items: int
     # The shard's metrics-registry snapshot (repro.obs), shipped back so the
     # driver can merge worker-side telemetry.
-    metrics: Optional[Dict[str, Dict[str, object]]] = None
+    metrics: Dict[str, Dict[str, object]]
 
 
 class Shard:
@@ -177,7 +172,7 @@ class Shard:
         self.nodes: Dict[ProcessId, ConsensuslessTransferNode] = {
             node.node_id: node for node in self.group.correct_nodes()
         }
-        self.metrics = MetricsRegistry() if spec.telemetry else None
+        self.metrics = MetricsRegistry()
         self.simulator.metrics = self.metrics
         # Key pairs read the registry through the scheme at sign time, so
         # telemetry counts every signature even when it is attached after
@@ -251,8 +246,21 @@ class Shard:
         validation events and the scheduling facts (pending events, next
         event time) the barrier scheduler folds into the global quiescence
         and next-barrier decisions.
+
+        Spending ``max_events`` is not an error here: the shard stops with
+        its next live event inside the horizon, which the report shows, and
+        the scheduler raises the cluster's own budget error.  The simulator
+        raises its budget error only after running exactly the allotment,
+        which no failing event does, so every other error propagates.
         """
-        self.simulator.run(until=horizon, max_events=max_events)
+        before = self.simulator.processed_events
+        try:
+            self.simulator.run(until=horizon, max_events=max_events)
+        except SimulationError:
+            spent = self.simulator.processed_events - before
+            # ``type``: a refused ``False`` budget would equal 0 events spent.
+            if type(max_events) is not int or spent != max_events:
+                raise
         events = self._validation_events
         self._validation_events = []
         return AdvanceReport(
@@ -315,7 +323,7 @@ class Shard:
         """Outbound records retired behind the watermark at replica 0."""
         return self.nodes[0].retired_records
 
-    def metrics_snapshot(self) -> Optional[Dict[str, Dict[str, object]]]:
+    def metrics_snapshot(self) -> Dict[str, Dict[str, object]]:
         """The shard's registry as plain dicts, cumulative stats sampled in.
 
         Broadcast accounting and the network's message count are kept by
@@ -323,8 +331,6 @@ class Shard:
         instrumenting those hot paths twice) keeps recording O(1) and the
         registry the single merged view the driver folds cluster-wide.
         """
-        if self.metrics is None:
-            return self._worker_metrics
         if self._worker_metrics is not None:
             # Restored twin: the run happened on a worker, whose snapshot
             # already carries the sampled broadcast/network gauges.  Sampling

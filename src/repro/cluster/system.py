@@ -36,7 +36,7 @@ from repro.cluster.routing import ShardRouter, parse_external_account
 from repro.cluster.settlement import SettlementFabric, is_settlement_account
 from repro.cluster.shard import Shard, ShardSpec
 from repro.network.node import NetworkConfig
-from repro.obs import TELEMETRY_MODES, MetricsRegistry, Tracer, merge_snapshots
+from repro.obs import NULL_TRACER, TELEMETRY_MODES, MetricsRegistry, Tracer, merge_snapshots
 from repro.spec.byzantine_spec import ByzantineAssetTransferChecker, CheckReport, check_agreement
 from repro.workloads.cluster_driver import ClusterSubmission, partition_submissions
 
@@ -76,15 +76,15 @@ class ClusterSystem:
         for the whole session.  Worker count never affects results, only
         wall-clock time.
     telemetry:
-        The observability mode: ``"off"`` (no registries, no spans),
-        ``"metrics"`` (the default — counters/gauges/histograms across the
-        stack, O(1) per record), or ``"full"`` (metrics plus span tracing of
-        the hot phases, exportable to chrome://tracing via
+        The observability mode: ``"metrics"`` (the default — counters,
+        gauges and histograms across the stack, O(1) per record, which every
+        run keeps) or ``"full"`` (metrics plus span tracing of the hot
+        phases, exportable to chrome://tracing via
         :meth:`~repro.cluster.result.ClusterResult.export_trace`).  Any
         other value raises :class:`ConfigurationError`.  **Telemetry never
         perturbs results**: every sink is write-only from the protocol's
-        point of view, so fingerprints are bit-identical across all three
-        modes (the invariance suite pins this).
+        point of view, so fingerprints are bit-identical across both modes
+        (the invariance suite pins this).
     seed:
         Root seed; all shard seeds derive from it.
     """
@@ -119,16 +119,14 @@ class ClusterSystem:
         self.batch_size = batch_size
         self.seed = seed
         self.backend_name = backend
-        # Observability: a driver-side registry (mode != off) for phase
-        # timings, scheduler counters and end-of-run gauges; a tracer (mode
-        # == full) for chrome://tracing spans.  Both are write-only sinks —
-        # no protocol decision ever reads them — so every mode produces the
-        # same fingerprint (the telemetry invariant).
+        # Observability: a driver-side registry for phase timings, scheduler
+        # counters and end-of-run gauges, and a tracer for chrome://tracing
+        # spans that keeps them only in ``full`` mode.  Both are write-only
+        # sinks — no protocol decision ever reads them — so both modes
+        # produce the same fingerprint (the telemetry invariant).
         self.telemetry_mode = telemetry
-        self.metrics: Optional[MetricsRegistry] = (
-            MetricsRegistry() if self.telemetry_mode != "off" else None
-        )
-        self.tracer: Optional[Tracer] = Tracer() if self.telemetry_mode == "full" else None
+        self.metrics = MetricsRegistry()
+        self.tracer = Tracer() if telemetry == "full" else NULL_TRACER
         self.router = ShardRouter(shard_count, replicas_per_shard, salt=seed)
         self.shards: List[Shard] = [
             Shard(
@@ -140,7 +138,6 @@ class ClusterSystem:
                     batch_size=batch_size,
                     network_config=network_config,
                     seed=seed,
-                    telemetry=self.telemetry_mode != "off",
                 )
             )
             for index in range(shard_count)
@@ -188,7 +185,7 @@ class ClusterSystem:
         return len(materialized)
 
     def _phase(self, name: str):
-        """A driver-phase timing context (histogram + optional span)."""
+        """A driver-phase timing context (histogram and span)."""
         return _timed_phase(self.metrics, self.tracer, name, cat="driver")
 
     def run(
@@ -281,16 +278,8 @@ class ClusterSystem:
         *payload* for inspection but is excluded from the fingerprint *hash*
         (wall-clock figures are legitimately different on every run).
         """
-        if self.metrics is None:
-            self._result.telemetry = None
-            self._result.trace = None
-            return
         self.settlement.telemetry_sample(self.metrics)
-        per_shard = {}
-        for shard in self.shards:
-            snapshot = shard.metrics_snapshot()
-            if snapshot is not None:
-                per_shard[str(shard.index)] = snapshot
+        per_shard = {str(shard.index): shard.metrics_snapshot() for shard in self.shards}
         driver = self.metrics.snapshot()
         telemetry = {
             "mode": self.telemetry_mode,
@@ -298,7 +287,7 @@ class ClusterSystem:
             "per_shard": per_shard,
             "totals": merge_snapshots([driver] + list(per_shard.values())),
         }
-        if self.tracer is not None:
+        if self.telemetry_mode == "full":
             telemetry["spans"] = self.tracer.aggregate()
             self._result.trace = self.tracer.trace_events()
         self._result.telemetry = telemetry

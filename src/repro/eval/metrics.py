@@ -64,17 +64,6 @@ class RunSummary:
     messages_sent: int
     messages_per_commit: float
 
-    def as_row(self) -> Dict[str, float]:
-        row: Dict[str, float] = {
-            "system": self.system,
-            "n": self.process_count,
-            "committed": self.committed,
-            "throughput_tps": round(self.throughput, 1),
-            "messages_per_commit": round(self.messages_per_commit, 1),
-        }
-        row.update({key: round(value, 3) for key, value in self.latency.as_milliseconds().items()})
-        return row
-
 
 def summarize_result(system: str, process_count: int, result: SystemResult) -> RunSummary:
     """Reduce a :class:`SystemResult` to a :class:`RunSummary`."""

@@ -23,9 +23,9 @@ could do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro.broadcast.messages import EchoSignatureMessage, SendMessage
+from repro.broadcast.messages import SendMessage
 from repro.byzantine.behaviors import EquivocationPlan
 from repro.common.types import AccountId, Amount, ProcessId, Transfer
 from repro.crypto.signatures import SignatureScheme
@@ -87,7 +87,6 @@ class DoubleSpendAttacker(Node):
         self.overlap = overlap
         self.attack_launched = False
         self.conflicting_transfers: Tuple[Optional[Transfer], Optional[Transfer]] = (None, None)
-        self._collected_acks: List[EchoSignatureMessage] = []
 
     # -- attack -------------------------------------------------------------------------------
 
@@ -149,16 +148,9 @@ class DoubleSpendAttacker(Node):
     # -- protocol participation -----------------------------------------------------------------
 
     def on_message(self, sender: ProcessId, message: Any) -> None:
-        """The attacker ignores the protocol except for hoarding acks.
+        """The attacker ignores the protocol.
 
         Not echoing or acknowledging other processes' broadcasts is within
         its power as a Byzantine process; the primitives tolerate up to
         ``f < N/3`` such processes.
         """
-        if isinstance(message, EchoSignatureMessage) and message.origin == self.node_id:
-            self._collected_acks.append(message)
-
-    @property
-    def collected_ack_count(self) -> int:
-        """Number of acknowledgement signatures the attacker has gathered."""
-        return len(self._collected_acks)

@@ -69,14 +69,6 @@ class SystemResult:
     def latencies(self) -> List[float]:
         return [record.latency for record in self.committed if record.success]
 
-    def latency_percentile(self, fraction: float) -> float:
-        """Latency at the given percentile (e.g. 0.5 for the median)."""
-        values = sorted(self.latencies)
-        if not values:
-            return 0.0
-        index = min(len(values) - 1, max(0, int(round(fraction * (len(values) - 1)))))
-        return values[index]
-
     @property
     def average_latency(self) -> float:
         values = self.latencies

@@ -8,13 +8,13 @@ phases with a Chrome ``trace_event`` exporter.
 The package-wide invariant — **telemetry never perturbs results** — holds by
 construction (no instrument touches simulated time, event queues or seeded
 RNG streams) and by regression (``tests/obs/test_telemetry_invariance.py``
-asserts fingerprint equality with telemetry off / metrics-only / full
-tracing across every execution backend).
+asserts fingerprint equality with metrics-only and full tracing across every
+execution backend).
 
-``TELEMETRY_MODES`` names the three levels :class:`ClusterSystem
-<repro.cluster.system.ClusterSystem>` accepts: ``"off"`` records nothing,
-``"metrics"`` (the default) keeps the O(1) registries on, ``"full"`` adds
-span tracing.
+``TELEMETRY_MODES`` names the two levels :class:`ClusterSystem
+<repro.cluster.system.ClusterSystem>` accepts: ``"metrics"`` (the default)
+keeps the O(1) registries, which every cluster run records into, and
+``"full"`` adds span tracing; otherwise the spans go to :data:`NULL_TRACER`.
 """
 
 from repro.obs.metrics import (
@@ -26,6 +26,7 @@ from repro.obs.metrics import (
     top_counters,
 )
 from repro.obs.tracing import (
+    NULL_TRACER,
     TRACE_EVENT_REQUIRED_KEYS,
     Tracer,
     TraceSpan,
@@ -34,13 +35,14 @@ from repro.obs.tracing import (
 )
 
 #: The telemetry levels ClusterSystem accepts, cheapest first.
-TELEMETRY_MODES = ("off", "metrics", "full")
+TELEMETRY_MODES = ("metrics", "full")
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "NULL_TRACER",
     "TELEMETRY_MODES",
     "TRACE_EVENT_REQUIRED_KEYS",
     "Tracer",

@@ -7,7 +7,7 @@ the simulators' event queues or any seeded RNG stream — so attaching or
 detaching a registry cannot change a single protocol decision.  The
 equivalence suite (``tests/obs/test_telemetry_invariance.py``) pins exactly
 that: :meth:`~repro.cluster.result.ClusterResult.fingerprint` is identical
-with telemetry off, metrics-only and full tracing.
+with metrics-only and full tracing.
 
 Registries are deliberately *mergeable*: every shard (and every worker
 process) records into its own instance, a snapshot travels back to the

@@ -13,13 +13,15 @@ event object per line, so the same file loads in ``chrome://tracing`` /
 (:func:`validate_trace_file` checks it both ways).  Tracing follows the
 telemetry invariant: spans only read ``perf_counter`` and append to a list,
 so a run with tracing on fingerprints identically to one with tracing off.
+An untraced run opens the same spans on :data:`NULL_TRACER`, which keeps
+none of them.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Dict, Iterator, List, Optional
 
 from repro.common.errors import ConfigurationError
@@ -168,6 +170,31 @@ class Tracer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tracer(spans={len(self.spans)})"
+
+
+class _NullTracer:
+    """The tracer of a run that keeps no spans: ``span()`` yields a span the
+    caller may annotate (``span.sim_end = ...``), then drops it."""
+
+    __slots__ = ()
+
+    def span(
+        self,
+        name: str,
+        cat: str = "phase",
+        tid: int = 0,
+        sim_start: Optional[float] = None,
+        **args: object,
+    ):
+        return nullcontext(TraceSpan(name, cat=cat, tid=tid, sim_start=sim_start))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "NULL_TRACER"
+
+
+#: The one span sink of every untraced run: instrumentation sites always
+#: open their span, and this tracer records none of them.
+NULL_TRACER = _NullTracer()
 
 
 def write_trace_events(path: str, events: List[Dict[str, object]]) -> int:

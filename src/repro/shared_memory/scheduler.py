@@ -91,9 +91,6 @@ class SchedulerOutcome:
     schedule: Tuple[ProcessId, ...]
     traces: Dict[ProcessId, Tuple[str, ...]]
 
-    def result_of(self, process: ProcessId) -> Any:
-        return self.results[process]
-
     @property
     def total_steps(self) -> int:
         return sum(self.steps.values())

@@ -67,9 +67,6 @@ class Event:
     def is_invocation(self) -> bool:
         return self.kind is EventKind.INVOCATION
 
-    def is_response(self) -> bool:
-        return self.kind is EventKind.RESPONSE
-
 
 @dataclass(frozen=True)
 class Invocation:
@@ -121,14 +118,6 @@ class Operation:
                 f"operation {self.operation_id} has no response"
             )
         return self.response.value
-
-    @property
-    def invocation_sequence(self) -> int:
-        return self.invocation.sequence
-
-    @property
-    def response_sequence(self) -> Optional[int]:
-        return None if self.response is None else self.response.sequence
 
     @property
     def kind(self) -> OperationKind:
@@ -226,10 +215,6 @@ class History:
         return tuple(
             sorted(self._operations.values(), key=lambda op: op.invocation.sequence)
         )
-
-    @property
-    def complete_operations(self) -> Tuple[Operation, ...]:
-        return tuple(op for op in self.operations if op.is_complete)
 
     @property
     def incomplete_operations(self) -> Tuple[Operation, ...]:
@@ -363,7 +348,3 @@ class HistoryRecorder:
     def history(self) -> History:
         """Return the history recorded so far (possibly incomplete)."""
         return History(self._events)
-
-    @property
-    def event_count(self) -> int:
-        return len(self._events)

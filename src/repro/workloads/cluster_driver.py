@@ -279,10 +279,6 @@ class ClusterWorkloadConfig:
                     "the cluster geometry)"
                 )
 
-    @property
-    def expected_submissions(self) -> float:
-        return self.aggregate_rate * self.duration
-
 
 # Zipf resamples tried before the deterministic fallback scan when the
 # cross-shard draw and the sampled destination's shard disagree.

@@ -590,6 +590,34 @@ class TestEpochSchedulerEdges:
         finally:
             system.close()
 
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_every_budget_error_names_the_callers_budget(self, backend):
+        """A shard that spends the cluster-wide remainder first stops inside
+        its epoch, and the error names the budget the caller passed, never
+        that remainder, at every budget of the sweep."""
+        for budget in range(50, 2586, 65):
+            system = ClusterSystem(
+                shard_count=2, backend=backend,
+                max_workers=2 if backend == "process" else None, seed=3,
+            )
+            system.schedule_submissions(
+                cluster_open_loop_workload(
+                    ClusterWorkloadConfig(
+                        user_count=200, aggregate_rate=4_000.0, duration=0.02,
+                        cross_shard_fraction=0.5, router=system.router, seed=3,
+                    )
+                )
+            )
+            try:
+                with pytest.raises(SimulationError) as raised:
+                    system.run(max_events=budget)
+                assert str(raised.value) == (
+                    f"cluster exceeded the event budget of {budget}; "
+                    "a protocol is likely flooding the network"
+                )
+            finally:
+                system.close()
+
     def test_a_nan_until_is_refused(self, fast_network):
         """``horizon > until`` is false for a NaN ``until``, so the run never
         paused and went on to quiescence as if ``until`` were None."""
@@ -889,7 +917,7 @@ class TestWorkerLoop:
         pipe = scripted_pipe(
             [
                 ("warp", 9),
-                ("advance", 1.0, 1),  # event budget of 1 must blow up
+                ("snapshot", 9),  # shard 9 is hosted elsewhere
                 ("stop",),
             ]
         )
@@ -897,7 +925,19 @@ class TestWorkerLoop:
         statuses = [status for status, _ in pipe.responses]
         assert statuses == ["error", "error", "ok"]
         assert "unknown worker command" in pipe.responses[0][1]
-        assert "event budget" in pipe.responses[1][1]
+        assert "KeyError: 9" in pipe.responses[1][1]
+
+    def test_a_spent_budget_stops_the_shard_inside_the_epoch(self, fast_network, scripted_pipe):
+        """The worker answers a budget stop like any advance: its shard ran
+        exactly the allotment and reports its next event inside the horizon,
+        from which the scheduler raises the cluster's budget error."""
+        spec, submissions = self._spec_and_submissions(fast_network)
+        pipe = scripted_pipe([("advance", 1.0, 1), ("stop",)])
+        _worker_main(pipe, [spec], submissions)
+        assert [status for status, _ in pipe.responses] == ["ok", "ok"]
+        reports, _ = pipe.responses[0][1]
+        assert reports[0].processed_events == 1
+        assert reports[0].next_event_time <= 1.0
 
     def test_eof_terminates_the_loop(self, fast_network, scripted_pipe):
         spec, submissions = self._spec_and_submissions(fast_network)

@@ -226,7 +226,6 @@ class TestKnobCensus:
             "batch_size",
             "network_config",
             "seed",
-            "telemetry",
         ]
         assert list(inspect.signature(Shard.__init__).parameters)[1:] == ["spec"]
 

@@ -45,7 +45,7 @@ PAYLOAD = ("batch", 1, 2)
 ENVELOPE = dict(channel="xfer", origin=0, sequence=1, payload=PAYLOAD)
 SPEC = ShardSpec(
     index=3, replicas=4, initial_balance=10_000, broadcast="bracha", batch_size=8,
-    network_config=NetworkConfig(seed=7), seed=42, telemetry=False,
+    network_config=NetworkConfig(seed=7), seed=42,
 )
 
 
@@ -79,45 +79,69 @@ def _snapshot():
     return shard.snapshot()
 
 
-VALUES = [
+# Each case by an explicit id: its frame kind, record type or value family.
+VALUES = {
     # Scalars: bool never collapses to int, wide and negative ints, exact floats.
-    None, True, False, 0, 1, -1, 128, -128, 2**70, -(2**70),
-    0.0, -0.0, 1.5, 1e-12, math.pi, float("inf"),
-    "", "x1:17", "ünïcode ✓", b"", b"\x00\xff" * 7, complex(2, 3),
+    "none": None,
+    "true": True,
+    "false": False,
+    "int_zero": 0,
+    "int_one": 1,
+    "int_minus_one": -1,
+    "int_128": 128,
+    "int_minus_128": -128,
+    "int_wide": 2**70,
+    "int_wide_negative": -(2**70),
+    "float_zero": 0.0,
+    "float_negative_zero": -0.0,
+    "float_one_and_a_half": 1.5,
+    "float_tiny": 1e-12,
+    "float_pi": math.pi,
+    "float_inf": float("inf"),
+    "str_empty": "",
+    "str_account": "x1:17",
+    "str_unicode": "ünïcode ✓",
+    "bytes_empty": b"",
+    "bytes": b"\x00\xff" * 7,
+    "complex": complex(2, 3),
     # Containers: nesting, dict insertion order, tuple keys, set rebuild order.
-    [1, "two", 3.0, None, [True, (4, 5)]],
-    ((), (1,), ("a", ("b",))),
-    {"z": 1, "a": 2, "m": 3},
-    {(0, "a"): [1, 2], (1, "b"): []},
-    {TransferId(issuer=3, sequence=9), TransferId(issuer=1, sequence=2)},
-    frozenset({1, 2, 3}),
+    "list_nested": [1, "two", 3.0, None, [True, (4, 5)]],
+    "tuple_nested": ((), (1,), ("a", ("b",))),
+    "dict_order": {"z": 1, "a": 2, "m": 3},
+    "dict_tuple_keys": {(0, "a"): [1, 2], (1, "b"): []},
+    "set": {TransferId(issuer=3, sequence=9), TransferId(issuer=1, sequence=2)},
+    "frozenset": frozenset({1, 2, 3}),
     # The transfer family.
-    *RECORDS,
-    RoutedSubmission(time=0.25, issuer=2, destination="x1:0", amount=9),
+    **{type(record).__name__: record for record in RECORDS},
+    "RoutedSubmission": RoutedSubmission(time=0.25, issuer=2, destination="x1:0", amount=9),
     # Settlement.
-    CERTIFICATE,
-    SettlementAckClaim(0, 1, 2, 4),
+    "SettlementCertificate": CERTIFICATE,
+    "SettlementAckClaim": SettlementAckClaim(0, 1, 2, 4),
     # Broadcast envelopes.
-    SendMessage(**ENVELOPE),
-    EchoMessage(**ENVELOPE),
-    ReadyMessage(**ENVELOPE),
-    EchoSignatureMessage(**ENVELOPE, signature=SCHEME.keypair_for(2).sign(PAYLOAD)),
-    FinalMessage(**ENVELOPE, certificate=_certificate(PAYLOAD)),
-    AccountTaggedPayload(account="x1:2", account_sequence=4, body=PAYLOAD),
-    BroadcastDelivery(origin=0, sequence=1, payload=PAYLOAD),
+    "SendMessage": SendMessage(**ENVELOPE),
+    "EchoMessage": EchoMessage(**ENVELOPE),
+    "ReadyMessage": ReadyMessage(**ENVELOPE),
+    "EchoSignatureMessage": EchoSignatureMessage(
+        **ENVELOPE, signature=SCHEME.keypair_for(2).sign(PAYLOAD)
+    ),
+    "FinalMessage": FinalMessage(**ENVELOPE, certificate=_certificate(PAYLOAD)),
+    "AccountTaggedPayload": AccountTaggedPayload(account="x1:2", account_sequence=4, body=PAYLOAD),
+    "BroadcastDelivery": BroadcastDelivery(origin=0, sequence=1, payload=PAYLOAD),
     # Specs, reports and snapshots.
-    SPEC,
-    NodeStats(sent=4, received=9, processed=9, busy_time=0.25),
-    AdvanceReport(
+    "ShardSpec": SPEC,
+    "NodeStats": NodeStats(sent=4, received=9, processed=9, busy_time=0.25),
+    "AdvanceReport": AdvanceReport(
         shard=1,
         events=[ValidationEvent(time=0.01, shard=1, replica=0, transfer=TRANSFER, index=0)],
         pending_events=3, next_event_time=0.0125, processed_events=140, now=0.01,
     ),
-    _snapshot(),
+    "ShardSnapshot": _snapshot(),
     # Command and reply frames.
-    ("advance", 0.005, None),
-    ("apply", 0.005, {0: ([(1, Transfer("x0:1", "1", 3, issuer=1, sequence=2))], [])}),
-    (
+    "frame_advance": ("advance", 0.005, None),
+    "frame_apply_mint": (
+        "apply", 0.005, {0: ([(1, Transfer("x0:1", "1", 3, issuer=1, sequence=2))], [])}
+    ),
+    "frame_apply": (
         "apply",
         0.005,
         {
@@ -128,18 +152,18 @@ VALUES = [
             ),
         },
     ),
-    ("snapshot", 3),
-    ("stop",),
-    ("ok", None),
-    ("error", "Traceback (most recent call last): ..."),
+    "frame_snapshot": ("snapshot", 3),
+    "frame_stop": ("stop",),
+    "reply_ok": ("ok", None),
+    "reply_error": ("error", "Traceback (most recent call last): ..."),
     # An entry of a node's dependency column, and an advance reply: the
     # reports beside the worker's finish stamp.
-    (TransferId(1, 4), TransferId(2, 7)),
-    ("ok", ({1: "reports"}, 12345.678)),
-]
+    "dependency_entry": (TransferId(1, 4), TransferId(2, 7)),
+    "reply_advance": ("ok", ({1: "reports"}, 12345.678)),
+}
 
 
-@pytest.mark.parametrize("value", VALUES, ids=lambda value: type(value).__name__)
+@pytest.mark.parametrize("value", list(VALUES.values()), ids=list(VALUES))
 def test_round_trips_are_exact(value, ordered):
     data = encode(value)
     result = decode(data)

@@ -2,10 +2,10 @@
 
 The observability layer's one hard promise: **telemetry never perturbs
 results**.  For every execution backend — serial and process, the pool also
-shrunk to one worker — a run fingerprints identically with telemetry off,
-metrics-only and full tracing.  Everything else here pins the supporting
-surface: the telemetry section's shape and its exclusion from the
-fingerprint, trace export, and the accepted mode names.
+shrunk to one worker — a run fingerprints identically with metrics-only and
+full tracing.  Everything else here pins the supporting surface: the
+telemetry section's shape and its exclusion from the fingerprint, trace
+export, and the accepted mode names.
 """
 
 import pytest
@@ -73,15 +73,13 @@ class TestFingerprintInvariance:
             finally:
                 system.close()
         # Field-level equality first, so a regression names the field.
-        assert payloads["off"] == payloads["metrics"]
-        assert payloads["off"] == payloads["full"]
+        assert payloads["metrics"] == payloads["full"]
         assert len(set(fingerprints.values())) == 1, fingerprints
 
-    def test_traced_pool_run_matches_untelemetered(self, fast_network):
+    def test_traced_pool_run_matches_untraced(self, fast_network):
         """The worst case at once: a two-worker process pool and full
-        tracing — still the same fingerprint as the bare telemetry-off
-        run."""
-        system, result = _run(fast_network, "process", "off", max_workers=2)
+        tracing — still the same fingerprint as the metrics-only run."""
+        system, result = _run(fast_network, "process", "metrics", max_workers=2)
         try:
             baseline = result.fingerprint()
         finally:
@@ -95,11 +93,11 @@ class TestFingerprintInvariance:
         finally:
             system.close()
 
-    def test_paused_traced_pool_run_matches_untelemetered(self, fast_network):
+    def test_paused_traced_pool_run_matches_untraced(self, fast_network):
         """Full tracing on a two-worker pool paused twice mid-workload: each
         pause ships every shard's snapshot across the pipes, traced, and the
-        resumed run is still the bare uninterrupted one."""
-        system, result = _run(fast_network, "process", "off", max_workers=2)
+        resumed run is still the metrics-only uninterrupted one."""
+        system, result = _run(fast_network, "process", "metrics", max_workers=2)
         try:
             baseline = result.fingerprint()
         finally:
@@ -138,12 +136,20 @@ class TestFingerprintInvariance:
 
 
 class TestTelemetrySection:
-    def test_off_mode_captures_nothing(self, fast_network):
-        system, result = _run(fast_network, "serial", "off")
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("mode", TELEMETRY_MODES)
+    def test_every_run_records_every_shard(self, fast_network, backend, mode):
+        """Every run captures the section with a registry per shard, on
+        every backend; only ``full`` adds span aggregates and a trace."""
+        system, result = _run(fast_network, backend, mode, max_workers=2)
         try:
-            assert result.telemetry is None
-            assert result.trace is None
-            assert result.fingerprint_payload()["telemetry"] is None
+            telemetry = result.telemetry
+            assert telemetry["mode"] == mode
+            assert set(telemetry["per_shard"]) == {"0", "1"}
+            for snapshot in telemetry["per_shard"].values():
+                assert snapshot["counters"]["sim.events"] > 0
+            assert ("spans" in telemetry) == (mode == "full")
+            assert (result.trace is not None) == (mode == "full")
         finally:
             system.close()
 
@@ -258,7 +264,7 @@ class TestTraceExport:
 
 
 class TestKnobNormalisation:
-    @pytest.mark.parametrize("alias", [None, True, False])
+    @pytest.mark.parametrize("alias", [None, True, False, "off"])
     def test_the_retired_aliases_are_rejected(self, alias):
         with pytest.raises(ConfigurationError, match="unknown telemetry mode"):
             ClusterSystem(shard_count=1, telemetry=alias)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.obs import (
+    NULL_TRACER,
     TRACE_EVENT_REQUIRED_KEYS,
     Tracer,
     validate_trace_file,
@@ -44,6 +45,12 @@ class TestSpans:
             with tracer.span("boom"):
                 raise RuntimeError("phase failed")
         assert [span.name for span in tracer.spans] == ["boom"]
+
+    def test_the_null_tracer_yields_an_annotatable_span_and_keeps_none(self):
+        with NULL_TRACER.span("advance", cat="shard", tid=2, sim_start=0.25, shard=1) as span:
+            span.sim_end = 0.5
+        assert (span.name, span.cat, span.tid, span.sim_start) == ("advance", "shard", 2, 0.25)
+        assert not hasattr(NULL_TRACER, "spans") and not hasattr(NULL_TRACER, "__dict__")
 
     def test_aggregate_totals_per_name(self):
         tracer = Tracer()
