@@ -9,9 +9,9 @@ next **settlement barrier**; at the barrier the (driver-process) settlement
 fabric delivers the matured certificates in a deterministic order, the
 resulting mints and retirements are scheduled back onto the shards' clocks,
 and the next epoch is released; the rest of the barrier's settlement work
-(vouchers, acks, quorum assembly) runs in the driver while the shards
-advance, since that epoch never reads it.  The loop repeats until global
-quiescence.
+(the vouchers the shards signed, acks, quorum assembly) runs in the driver
+while the shards advance, since that epoch never reads it.  The loop
+repeats until global quiescence.
 
 Two backends execute the per-epoch shard advancement:
 
@@ -19,7 +19,7 @@ Two backends execute the per-epoch shard advancement:
   single-threaded execution, extracted behind the interface).
 * :class:`ProcessPoolBackend` — persistent worker processes, each owning a
   fixed subset of shards built from picklable :class:`ShardSpec`s; epochs
-  exchange only plain data (validation events out, settlement commands in),
+  exchange only plain data (signed vouchers out, settlement commands in),
   and a final :class:`ShardSnapshot` per shard rehydrates the driver-side
   twins so every inspection and audit surface answers as usual.
 
@@ -44,7 +44,9 @@ reply through :mod:`repro.cluster.codec` (one pickle per frame).  Commands
 are the tuples ``("advance", horizon, max_events)``, ``("apply", time,
 {index: (mints, retirements)})``, ``("snapshot", index)`` and ``("stop",)``;
 replies are ``("ok", payload)`` or ``("error", traceback_text)``.  An
-``advance`` payload is ``(reports, finished)``: the per-shard reports and the
+``apply``'s retirements are ``(destination, issuer, first, last)`` spans,
+never transfers.  An ``advance`` payload is ``(reports, finished)``: the
+per-shard reports, whose events carry the epoch's signed vouchers, and the
 worker's ``time.monotonic()`` once its last shard advanced, which only
 ``barrier_stall`` reads.  A ``snapshot`` payload is the one
 :class:`ShardSnapshot` it names.  A worker answers its commands in pipe
@@ -80,7 +82,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.codec import decode as codec_decode
 from repro.cluster.codec import encode as codec_encode
-from repro.cluster.settlement import SettlementFabric
+from repro.cluster.settlement import RetirementSpan, SettlementFabric
 from repro.cluster.shard import (
     AdvanceReport,
     Shard,
@@ -116,8 +118,8 @@ def _phase(metrics, tracer, name, **span_kwargs):
 # -- the backend interface --------------------------------------------------------------------
 
 #: One shard's settlement commands at a barrier: the ``(replica, transfer)``
-#: mints its inboxes decided, then the transfers its compaction gate retired.
-ShardCommands = Tuple[List[Tuple[ProcessId, Transfer]], List[Transfer]]
+#: mints its inboxes decided, then the stream spans its compaction gate retired.
+ShardCommands = Tuple[List[Tuple[ProcessId, Transfer]], List[RetirementSpan]]
 
 
 class ExecutionBackend(abc.ABC):
@@ -304,7 +306,7 @@ class ProcessPoolBackend(ExecutionBackend):
     — shard ``i`` lives on worker ``i % w`` for the whole session (shard
     *state* must persist across epochs, so this is a static partition, not a
     task queue).  Per epoch the driver broadcasts the barrier horizon,
-    workers advance their shards concurrently and return validation events;
+    workers advance their shards concurrently and return signed vouchers;
     the barrier's settlement commands travel the other way.  After the run,
     each worker ships a :class:`~repro.cluster.shard.ShardSnapshot` per shard
     and :meth:`finalize` rehydrates the driver-side twins, so audits, balance
@@ -602,10 +604,10 @@ class EpochScheduler:
     The second half (:meth:`_settle`) is the settlement work the next epoch
     never reads:
 
-    4. it replays the epoch's collected validation events — sorted by
-       ``(time, shard, sequence)`` — through the settlement fabric, which
-       signs vouchers (applying any Byzantine voucher behaviours) and queues
-       them with their maturity times, and feeds every matured voucher to its
+    4. it hands the epoch's signed vouchers — sorted by ``(time, shard,
+       sequence)`` — to the settlement fabric, which records each stream
+       slot and queues the voucher with its maturity time (applying any
+       Byzantine voucher behaviours), and feeds every matured voucher to its
        relay (assembled certificates queue with maturity ``barrier +
        DELIVERY_DELAY``), then
     5. signs and dispatches the acks step 1 decided (maturity ``barrier +
@@ -622,7 +624,7 @@ class EpochScheduler:
     at the barrier that queues them are step 4's vouchers, and they are
     queued before the voucher drain.  The halves share no state within a
     barrier except a slot's fabric record, which step 2 may retire before
-    step 4 replays a late validation of it — and the fabric records no slot
+    step 4 hands it a late voucher of it — and the fabric records no slot
     at or below its gate's watermark, so that order changes nothing.
 
     Because the next epoch reads nothing the second half writes, the
@@ -668,7 +670,7 @@ class EpochScheduler:
         # retirements, each in the order the inboxes and gates decided them.
         self._commands: Dict[int, ShardCommands] = {}
         self._reports: Optional[Dict[int, AdvanceReport]] = None
-        # Validation events executed but not yet exchanged.  Every shard runs
+        # Signed vouchers executed but not yet exchanged.  Every shard runs
         # exactly to each barrier, so at the barrier's second half the whole
         # buffer has matured (``time <= now``) and is consumed at once.
         self._event_buffer: List[ValidationEvent] = []
@@ -689,8 +691,8 @@ class EpochScheduler:
     def enqueue_mint(self, shard: int, replica: ProcessId, transfer: Transfer) -> None:
         self._commands_of(shard)[0].append((replica, transfer))
 
-    def enqueue_retirements(self, shard: int, transfers: List[Transfer]) -> None:
-        self._commands_of(shard)[1].extend(transfers)
+    def enqueue_retirement(self, shard: int, span: RetirementSpan) -> None:
+        self._commands_of(shard)[1].append(span)
 
     def _commands_of(self, shard: int) -> ShardCommands:
         commands = self._commands.get(shard)
@@ -719,10 +721,10 @@ class EpochScheduler:
     def _ingest(self, reports: Dict[int, AdvanceReport]) -> None:
         """Fold freshly collected reports into the scheduler's view.
 
-        Validation events move into the exchange buffer and the report
+        Voucher events move into the exchange buffer and the report
         replaces the shard's previous one.  Events are consumed here exactly
         once — the report objects are stripped so a re-entrant exchange can
-        never replay them.
+        never send them twice.
         """
         if self._reports is None:
             self._reports = {}
@@ -732,15 +734,6 @@ class EpochScheduler:
                 self._event_buffer.extend(report.events)
                 report.events = []
             self._reports[index] = report
-
-    def _take_matured_events(self) -> List[ValidationEvent]:
-        """The whole exchange buffer, in the global ``(time, shard, index)``
-        order: every shard ran exactly to ``now``, so every event matured.
-        ``(shard, index)`` is unique in an exchange, so the events' own tuple
-        order is that order and the sort never compares a transfer."""
-        events, self._event_buffer = self._event_buffer, []
-        events.sort()
-        return events
 
     def _advance(
         self,
@@ -862,18 +855,20 @@ class EpochScheduler:
         return mints + retirements
 
     def _settle(self, fabric: SettlementFabric) -> None:
-        """The barrier's second half: replay the validation events, drain the
+        """The barrier's second half: dispatch the shards' vouchers, drain the
         matured vouchers, sign and dispatch the acks the first half decided,
         drain the matured acks.  Everything it queues matures after ``now``."""
         # Consumption is exactly-once by construction — _ingest moved the
         # events out of the reports, and this empties the buffer — so a
-        # re-entrant run() (pause/resume, a run after a run) can never
-        # voucher the same credit twice.
-        events = self._take_matured_events()
+        # re-entrant run() (pause/resume, a run after a run) never sends a
+        # voucher twice.  Every event matured (each shard ran to ``now``), and
+        # sorting orders them by ``(time, shard, index)``, a unique key.
+        events, self._event_buffer = self._event_buffer, []
+        events.sort()
         if events:
             self.metrics.inc("exchange.validations", len(events))
-        for time, shard, _, replica, transfer in events:
-            fabric.observe_validation(shard, replica, transfer, time)
+        for event in events:
+            fabric.dispatch_voucher(event)
         self._drain_matured("vouchers")
         fabric.dispatch_acks()
         self._drain_matured("acks")

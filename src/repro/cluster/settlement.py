@@ -15,10 +15,10 @@ watermark, so one sans-I/O :class:`QuorumStream` type runs both, and each
 shard pair's :class:`SettlementRelay` holds two of them:
 
 1. ``relay.vouchers`` (source-shard keys).  A source replica that validates
-   a cross-shard transfer signs a :class:`SettlementClaim`; the settlement
-   sequence is per ``(issuer, destination shard)`` and every correct replica
-   assigns the same one, because Figure 4 validates each issuer's transfers
-   in source order.  ``2f+1`` matching vouchers make a
+   a cross-shard transfer signs a :class:`SettlementClaim`, in its own shard;
+   the sequence is per ``(issuer, destination shard)`` and every correct
+   replica assigns the same one, because Figure 4 validates each issuer's
+   transfers in source order.  ``2f+1`` matching vouchers make a
    :class:`SettlementCertificate`, which every destination replica's
    :class:`SettlementInbox` verifies against the source shard's keys and
    mints **exactly once**, in per-stream sequence order.
@@ -27,8 +27,8 @@ shard pair's :class:`SettlementRelay` holds two of them:
    ``2f+1`` acks make a :class:`RetirementCertificate`; the source shard's
    :class:`CompactionGate` — mirror image of the inbox — verifies it against
    the destination shard's keys, enforces watermark monotonicity, and only
-   then retires the fully-acknowledged ``x{d}:a`` records.  Certifying a
-   watermark also makes both streams forget what it subsumes.
+   then has the source shard retire the ``x{d}:a`` records it acknowledges.
+   Certifying a watermark also makes both streams forget what it subsumes.
 
 ``f`` Byzantine replicas can neither forge a certificate on either leg (they
 lack ``f+1`` honest keys) nor stall one (``2f+1`` honest replicas sign every
@@ -74,8 +74,8 @@ certificate check is bound once (the inboxes' and gates' key directory), a
 slot's claim and ack claim are built once and signed by every agreeing
 replica, a delivered certificate's ``N`` mints share one ledger transfer
 (:class:`_MintOnce`), and each barrier drains each queue once.  The mints
-and retirements a barrier decides are shipped before its vouchers and acks
-are signed and assembled, so on the process pool that work overlaps the
+and retirements a barrier decides ship before its acks are signed and its
+vouchers and acks assembled, so on the process pool that work overlaps the
 shards' next epoch (:class:`~repro.cluster.backends.EpochScheduler`).
 
 Fault injection rides the transport behaviours of
@@ -93,9 +93,9 @@ from operator import attrgetter
 from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.byzantine.behaviors import Behavior
-from repro.cluster.routing import parse_external_account
 from repro.common.errors import ConfigurationError
 from repro.common.types import AccountId, Amount, EncodedOnce, ProcessId, Transfer
+from repro.common.types import rebuilt_by_constructor
 from repro.crypto.signatures import KeyPair, QuorumCertificate, Signature
 
 # Recency window of the fabric's p95 settlement-latency report; bounds the
@@ -125,6 +125,7 @@ def p95(samples: Sequence[float]) -> float:
 # -- wire format ------------------------------------------------------------------------------
 
 
+@rebuilt_by_constructor
 @dataclass(frozen=True, slots=True)
 class SettlementClaim(EncodedOnce):
     """The payload source replicas sign: one cross-shard credit, uniquely keyed.
@@ -587,6 +588,10 @@ class SettlementInbox:
 
 # -- the source-side compaction gate ----------------------------------------------------------
 
+#: A retirement command: the ``(destination, issuer, first, last)`` slots,
+#: inclusive, of one outbound stream that a watermark advance retired.
+RetirementSpan = Tuple[int, ProcessId, int, int]
+
 
 class CompactionGate:
     """Per-source-shard verification of retirement certificates.
@@ -606,13 +611,13 @@ class CompactionGate:
         self,
         shard_index: int,
         verifiers: Dict[int, Callable[[SettlementAckClaim, QuorumCertificate], bool]],
-        lookup: Callable[[SettlementAckClaim, int], Optional[List[Transfer]]],
-        retire_sink: Callable[[List[Transfer]], None],
+        lookup: Callable[[SettlementAckClaim, int], Optional[Amount]],
+        retire_sink: Callable[[RetirementSpan], None],
     ) -> None:
         self.shard_index = shard_index
         self._verifiers = verifiers
-        # Pops the recorded outbound transfers a watermark advance retires;
-        # None when some are missing, which a genuine quorum never causes.
+        # Pops the recorded slots a watermark advance retires, returning
+        # their amount; None if some are missing (a genuine quorum never is).
         self._lookup = lookup
         self._retire_sink = retire_sink
         self._watermarks: Dict[Tuple[int, ProcessId], int] = {}
@@ -633,14 +638,14 @@ class CompactionGate:
         verify = self._verifiers.get(claim.destination_shard)
         if verify is None or not verify(claim, certificate.certificate):
             return self._reject(certificate, "invalid ack quorum certificate")
-        transfers = self._lookup(claim, watermark + 1)
-        if transfers is None:
+        amount = self._lookup(claim, watermark + 1)
+        if amount is None:
             return self._reject(certificate, "unknown settlement records")
         self._watermarks[stream] = claim.sequence
         self.accepted += 1
-        self.retired_claims += len(transfers)
-        self.retired_amount += sum(transfer.amount for transfer in transfers)
-        self._retire_sink(transfers)
+        self.retired_claims += claim.sequence - watermark
+        self.retired_amount += amount
+        self._retire_sink(stream + (watermark + 1, claim.sequence))
         return True
 
     def watermark(self, destination_shard: int, issuer: ProcessId) -> int:
@@ -660,9 +665,8 @@ class _SlotRecord(NamedTuple):
     """What the fabric keeps per stream slot ``(source, destination,
     issuer, sequence)``, from its first voucher until the gate retires it."""
 
-    transfer: Transfer  # the outbound ledger record the slot retires
     validated_at: float  # its first validation, on the source shard's clock
-    claim: SettlementClaim  # the slot's claim, signed by every replica that agrees
+    claim: SettlementClaim  # the slot's claim, as its first observer signed it
     ack_claim: SettlementAckClaim  # the slot's watermark, signed by every minting replica
 
 
@@ -705,9 +709,9 @@ class SettlementFabric:
     """Dispatches settlement between every shard pair's relay, the inboxes
     and the gates.
 
-    One fabric per cluster.  It turns the validation events the barrier
-    replays into ``observe_validation`` into signed vouchers, every mint
-    into a signed ack, creates each pair's :class:`SettlementRelay` on first
+    One fabric per cluster.  It records and sends the vouchers source
+    replicas sign in their own shards (:meth:`dispatch_voucher`), signs
+    every mint's ack, creates each pair's :class:`SettlementRelay` on first
     use, and owns the per-replica inboxes and per-shard gates.  Relays hold
     no wiring: the fabric is every stream's sink, and a certificate's claim
     names the pair, so the pair says where it goes — the destination's
@@ -718,15 +722,14 @@ class SettlementFabric:
 
     def __init__(self, shards, scheduler) -> None:
         # The barrier scheduler (``repro.cluster.backends.EpochScheduler``)
-        # carries all settlement traffic between barriers; signing, relays
-        # and inbox decisions run here, in the driver, on every backend.
+        # carries all settlement traffic between barriers; ack signing, relays,
+        # inbox and gate decisions run here, in the driver, on every backend.
         self.scheduler = scheduler
         self._shards = {shard.index: shard for shard in shards}
         # Each shard's replica ids: the signers its certificates may carry.
         self._signers = {shard.index: frozenset(range(shard.replicas)) for shard in shards}
         self._relays: Dict[Tuple[int, int], SettlementRelay] = {}
-        self._out_sequences: Dict[Tuple[int, ProcessId], Dict[Tuple[int, ProcessId], int]] = {}
-        # Each replica's signing capability, for its vouchers and acks.
+        # Each destination replica's signing capability, for its acks.
         self._keypairs: Dict[Tuple[int, ProcessId], KeyPair] = {
             (shard.index, pid): shard.scheme.keypair_for(pid)
             for shard in shards
@@ -737,8 +740,8 @@ class SettlementFabric:
         # ``(source, destination, issuer) -> sequence -> record``: written
         # once per stream slot, by its first observer, and popped by the
         # gates as watermarks retire it, so it tracks the in-flight window.
-        # The record holds the slot's one claim and one ack claim: replicas
-        # that agree sign the same objects, so each is encoded once.
+        # The record holds the slot's one ack claim: every replica that
+        # mints the slot signs that object, so it is encoded once.
         self._stream_records: Dict[Tuple[int, int, ProcessId], Dict[int, _SlotRecord]] = {}
         # ``leg -> (source, destination) -> stream``: where an unfiltered
         # voucher or ack goes, resolved on a pair's first use.
@@ -765,7 +768,7 @@ class SettlementFabric:
                 shard.index,
                 verifiers,
                 self._take_stream_records,
-                partial(scheduler.enqueue_retirements, shard.index),
+                partial(scheduler.enqueue_retirement, shard.index),
             )
             for shard in shards
         }
@@ -809,54 +812,30 @@ class SettlementFabric:
 
     # -- voucher and acknowledgement emission -------------------------------------------------
 
-    def observe_validation(
-        self, shard_index: int, replica: ProcessId, transfer: Transfer, at: float
-    ) -> None:
-        """Emit a signed voucher if ``transfer`` credits another shard.
+    def dispatch_voucher(self, event) -> None:
+        """Record the slot of a source replica's signed voucher, then send it.
 
-        ``at`` is the validation's timestamp on the validating shard's clock,
-        as the barrier scheduler replays the collected event.
-
-        All correct replicas derive the same stream sequence, so the first
-        observer of a stream slot records it: the outbound ledger record the
-        compaction gate retires, and the slot's one
-        :class:`SettlementClaim` (and :class:`SettlementAckClaim`).  A
-        replica whose validated transfer equals the recorded one signs the
-        recorded claim object, so a slot's claim is encoded once however many
-        replicas voucher it; a replica that validated something else builds
-        and signs its own claim.  Every replica signs with its own key.
+        ``event`` is a shard's ``ValidationEvent(time, shard, index, replica,
+        voucher)``, ``time`` on the source shard's clock.  A stream slot's
+        first observer records it for the latency samples and the gate: its
+        time, its claim and its one :class:`SettlementAckClaim`.  A slot at or
+        below its gate's watermark is retired, so it gets no record (the relay
+        absorbs its late voucher at the floor), nor does a misaddressed one.
         """
-        parsed = parse_external_account(transfer.destination)
-        if parsed is None:
-            return
-        destination_shard, account = parsed
-        if destination_shard == shard_index or destination_shard not in self._shards:
-            return
-        counters = self._out_sequences.setdefault((shard_index, replica), {})
-        stream = (destination_shard, transfer.issuer)
-        sequence = counters.get(stream, 0) + 1
-        counters[stream] = sequence
-        key = (shard_index, destination_shard, transfer.issuer)
+        at, shard, _, replica, voucher = event
+        claim = voucher.claim
+        destination, issuer, sequence = claim.destination_shard, claim.issuer, claim.sequence
+        key = (shard, destination, issuer)
         records = self._stream_records.get(key)
-        record = None if records is None else records.get(sequence)
-        if record is not None and (record.transfer is transfer or record.transfer == transfer):
-            claim = record.claim
-        else:
-            slot = key + (sequence,)
-            claim = SettlementClaim(*slot, account, transfer.amount)
-            # A slot at or below the gate's watermark is retired: its late
-            # voucher is still signed and sent (the relay absorbs it at its
-            # floor), but nothing would ever pop a record made for it.
-            if record is None and sequence > self.gates[shard_index].watermark(
-                destination_shard, transfer.issuer
-            ):
-                if records is None:
-                    records = self._stream_records[key] = {}
-                records[sequence] = _SlotRecord(transfer, at, claim, SettlementAckClaim(*slot))
-        voucher = SettlementVoucher(claim, self._keypairs[(shard_index, replica)].sign(claim))
+        if (
+            (records is None or sequence not in records)
+            and destination in self._shards
+            and sequence > self.gates[shard].watermark(destination, issuer)
+        ):
+            record = _SlotRecord(at, claim, SettlementAckClaim(*key, sequence))
+            self._stream_records.setdefault(key, {})[sequence] = record
         self.vouchers_dispatched += self._send(
-            "vouchers", VOUCHER_DELAY, shard_index, replica, voucher, at,
-            destination_shard, _voucher_pair,
+            "vouchers", VOUCHER_DELAY, shard, replica, voucher, at, destination, _voucher_pair,
         )
 
     def _ack_emitter(
@@ -1007,18 +986,18 @@ class SettlementFabric:
 
     def _take_stream_records(
         self, claim: SettlementAckClaim, first_sequence: int
-    ) -> Optional[List[Transfer]]:
-        """Pop the recorded transfers a watermark advance retires, in order;
-        ``None`` (consuming nothing) if any of them was never recorded."""
+    ) -> Optional[Amount]:
+        """Pop the slot records a watermark advance retires and return their
+        amount; ``None`` (consuming nothing) if any was never recorded."""
         key = (claim.source_shard, claim.destination_shard, claim.issuer)
         records = self._stream_records.get(key, {})
         span = range(first_sequence, claim.sequence + 1)
         if any(sequence not in records for sequence in span):
             return None
-        transfers = [records.pop(sequence).transfer for sequence in span]
+        amount = sum([records.pop(sequence).claim.amount for sequence in span])
         if not records:  # the stream drained: its dict goes with its last slot
             del self._stream_records[key]
-        return transfers
+        return amount
 
     # -- audit views --------------------------------------------------------------------------
 

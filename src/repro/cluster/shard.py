@@ -25,6 +25,7 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.rng import derive_seed
 from repro.common.types import AccountId, Amount, ProcessId, Transfer, TransferId
 from repro.cluster.routing import parse_external_account
+from repro.cluster.settlement import RetirementSpan, SettlementClaim, SettlementVoucher
 from repro.mp.consensusless_transfer import ConsensuslessTransferNode, TransferRecord
 from repro.mp.system import ConsensuslessSystem, SystemResult
 from repro.network.node import NetworkConfig, NodeStats
@@ -46,27 +47,26 @@ class ShardSpec:
     index: int
     replicas: int = 4
     initial_balance: Amount = 1_000_000
-    broadcast: str = "bracha"
     batch_size: int = 1
     network_config: Optional[NetworkConfig] = None
     seed: int = 0
 
 
 class ValidationEvent(NamedTuple):
-    """One replica's validation of a cross-shard credit, with its local time.
+    """One replica's signed voucher for a cross-shard credit, at its local time.
 
     ``index`` is the shard-local emission counter, so ``(time, shard,
     index)`` totally orders the events of one epoch across all shards.  The
     fields lead with that key: the events' own tuple order is the order the
-    settlement exchange replays them in, identical whatever backend produced
-    them, and it never reaches ``replica`` or ``transfer``.
+    settlement exchange sends the vouchers in, identical whatever backend
+    produced them, and it never reaches ``replica`` or ``voucher``.
     """
 
     time: float
     shard: int
     index: int
     replica: ProcessId
-    transfer: Transfer
+    voucher: SettlementVoucher
 
 
 @dataclass
@@ -160,7 +160,7 @@ class Shard:
         self.group = ConsensuslessSystem(
             process_count=spec.replicas,
             initial_balance=spec.initial_balance,
-            broadcast=spec.broadcast,
+            broadcast="bracha",
             network_config=dataclasses.replace(base_config, seed=shard_seed),
             seed=shard_seed,
             batch_size=spec.batch_size,
@@ -180,6 +180,11 @@ class Shard:
         self.scheme.metrics = self.metrics
         self.submitted = 0
         self._validation_events: List[ValidationEvent] = []
+        # ``(destination, issuer) -> sequence -> (transfer, claim)`` of each
+        # outbound slot, from its first voucher until a retirement span pops
+        # it; and per stream, the sequence the applied spans retired through.
+        self._slots: Dict[Tuple[int, ProcessId], Dict[int, tuple]] = {}
+        self._retired_through: Dict[Tuple[int, ProcessId], int] = {}
         self._stats_override: Optional[Tuple[int, int]] = None
         # The worker-side registry snapshot a restore() installed (process
         # backend twins).  Kept separate from ``self.metrics`` — which holds
@@ -213,27 +218,41 @@ class Shard:
         return self._spec
 
     def install_validation_collector(self) -> None:
-        """Record cross-shard credit validations instead of vouchering inline.
+        """Make every replica sign a voucher for each cross-shard credit it
+        validates, collected into the epoch's :class:`AdvanceReport`.
 
-        The settlement fabric lives in the driver process and never hooks
-        nodes, which may execute in a worker; each shard collects the
-        raw ``(time, replica, transfer)`` validation events of an epoch and
-        the barrier replays them — in ``(time, shard, index)`` order —
-        through the fabric.  Only credits to accounts named like external
-        ``x{d}:a`` ones are recorded; everything else never produces a
-        voucher anyway.  The fabric parses the name once, as it vouchers.
+        The collector parses a credit's ``x{d}:a`` name once and numbers a
+        replica's credits densely per ``(destination, issuer)`` stream; all
+        correct replicas validate an issuer's transfers in source order, so
+        they agree.  A slot's first observer records its transfer and
+        :class:`SettlementClaim`, which every replica that validated the same
+        transfer signs; any other, or a retired slot, gets a claim of its own.
         """
         for pid in sorted(self.nodes):
             self.nodes[pid].on_validated = self._collector(pid)
 
     def _collector(self, replica: ProcessId) -> Callable[[Transfer], None]:
+        sign = self.scheme.keypair_for(replica).sign
+        index = self.index
+        sequences: Dict[Tuple[int, ProcessId], int] = {}  # this replica's counters
+
         def collect(transfer: Transfer) -> None:
-            if not transfer.destination.startswith("x"):
+            parsed = parse_external_account(transfer.destination)
+            if parsed is None or parsed[0] == index:
                 return
+            destination, account = parsed
+            stream = (destination, transfer.issuer)
+            sequence = sequences[stream] = sequences.get(stream, 0) + 1
+            slot = self._slots.get(stream, {}).get(sequence)
+            if slot is not None and (slot[0] is transfer or slot[0] == transfer):
+                claim = slot[1]
+            else:
+                claim = SettlementClaim(index, *stream, sequence, account, transfer.amount)
+                if slot is None and sequence > self._retired_through.get(stream, 0):
+                    self._slots.setdefault(stream, {})[sequence] = (transfer, claim)
+            voucher = SettlementVoucher(claim, sign(claim))
             events = self._validation_events
-            events.append(
-                ValidationEvent(self.simulator.now, self.index, len(events), replica, transfer)
-            )
+            events.append(ValidationEvent(self.simulator.now, index, len(events), replica, voucher))
 
         return collect
 
@@ -243,7 +262,7 @@ class Shard:
         """Run this shard's own simulator up to ``horizon`` and report back.
 
         ``horizon=None`` runs to quiescence.  The report carries the epoch's
-        validation events and the scheduling facts (pending events, next
+        signed vouchers and the scheduling facts (pending events, next
         event time) the barrier scheduler folds into the global quiescence
         and next-barrier decisions.
 
@@ -276,15 +295,16 @@ class Shard:
         self,
         time: float,
         mints: List[Tuple[ProcessId, Transfer]],
-        retirements: List[Transfer],
+        retirements: List[RetirementSpan],
     ) -> None:
         """Schedule one barrier's settlement commands onto this shard's clock.
 
         The barrier hands over one ``(replica, transfer)`` mint per inbox
-        decision, then the transfers a verified ack quorum retired.  Each
-        mint is one handle-less event, in list order, then one event compacts
-        the retirements out of every replica (none if there are none).
-        Posted in this order on the shard's own simulator, they take the same
+        decision, then the stream spans a verified ack quorum retired, whose
+        recorded transfers the shard pops here, in order.  Each mint is one
+        handle-less event, in list order, then one event compacts the popped
+        transfers out of every replica (none if there are no spans).  Posted
+        in this order on the shard's own simulator, they take the same
         ``(time, sequence)`` slots on every backend.
         """
         post = self.simulator.post
@@ -292,9 +312,16 @@ class Shard:
         for replica, transfer in mints:
             post(time, nodes[replica].mint_certified_credit, (transfer,))
         if retirements:
-            post(time, self.retire_settled, (retirements,))
+            transfers = []
+            for destination, issuer, first, last in retirements:
+                recorded = self._slots[destination, issuer]
+                transfers.extend([recorded.pop(sequence)[0] for sequence in range(first, last + 1)])
+                if not recorded:  # the stream drained: its dict goes with its last slot
+                    del self._slots[destination, issuer]
+                self._retired_through[destination, issuer] = last
+            post(time, self.retire_settled, (transfers,))
 
-    def retire_settled(self, transfers: List[Tuple]) -> None:
+    def retire_settled(self, transfers: List[Transfer]) -> None:
         """Apply one retirement batch to every replica, in replica order.
 
         Retirement is uniform across the replica group (the compaction gate

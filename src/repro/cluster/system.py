@@ -51,9 +51,8 @@ class ClusterSystem:
     replicas_per_shard:
         Figure 4 replicas per shard (>= 4; each owns one local account).
     batch_size:
-        Transfers coalesced per secure-broadcast instance (1 = unbatched).
-    broadcast:
-        ``"bracha"`` or ``"echo"`` — the per-shard secure broadcast.
+        Transfers coalesced per secure-broadcast instance (1 = unbatched);
+        every shard runs Bracha's secure broadcast.
     initial_balance:
         Starting balance of every shard-local account.
     network_config:
@@ -94,7 +93,6 @@ class ClusterSystem:
         shard_count: int,
         replicas_per_shard: int = 4,
         batch_size: int = 1,
-        broadcast: str = "bracha",
         initial_balance: Amount = 1_000_000,
         network_config: Optional[NetworkConfig] = None,
         backend: str = "serial",
@@ -134,7 +132,6 @@ class ClusterSystem:
                     index=index,
                     replicas=replicas_per_shard,
                     initial_balance=initial_balance,
-                    broadcast=broadcast,
                     batch_size=batch_size,
                     network_config=network_config,
                     seed=seed,

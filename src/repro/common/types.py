@@ -61,14 +61,14 @@ def rebuilt_by_constructor(cls):
     declaration order, to ``__init__`` — so ``__post_init__`` runs wherever
     the object arrives — instead of restoring fields behind its back.  It
     also pays on the worker pipes, which is why the records a shard snapshot
-    is made of carry it.  Pickle's default fills a plain dataclass through
-    ``instance.__dict__``, which in CPython 3.11+ materialises a dict per
-    object (201 bytes against 136 for a three-field record): the audit over a
-    decoded snapshot ran a tenth slower than over constructed objects.  Field
-    values without their names make a snapshot 40 % fewer bytes, and a
-    slotted dataclass encodes almost three times faster through one
-    ``attrgetter`` than through its generated ``__getstate__``, which walks
-    ``fields()`` per object.
+    and a signed voucher are made of carry it.  Pickle's default fills a
+    plain dataclass through ``instance.__dict__``, which in CPython 3.11+
+    materialises a dict per object (201 bytes against 136 for a three-field
+    record): the audit over a decoded snapshot ran a tenth slower than over
+    constructed objects.  Field values without their names make a snapshot
+    40 % fewer bytes, and a slotted dataclass encodes almost three times
+    faster through one ``attrgetter`` than through its generated
+    ``__getstate__``, which walks ``fields()`` per object.
     """
     names = [f.name for f in fields(cls)]
     values = attrgetter(*names) if len(names) > 1 else (lambda self: (getattr(self, names[0]),))

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.common.types import ProcessId
+from repro.common.types import ProcessId, rebuilt_by_constructor
 from repro.crypto.hashing import canonical_bytes, content_hash
 
 # RFC 2104 with H = SHA-256: block size B = 64 bytes, and the pads as byte
@@ -90,6 +90,7 @@ class _VerdictOnce:
     __slots__ = ("_verdict",)
 
 
+@rebuilt_by_constructor
 @dataclass(frozen=True, slots=True)
 class Signature(_VerdictOnce):
     """A signature: the signer's identity plus the authentication tag."""

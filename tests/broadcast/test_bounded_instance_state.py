@@ -66,14 +66,13 @@ class TestQuiescentRunsEndEmpty:
         for node in system.correct_nodes():
             assert table_size(node.broadcast_layer) == 0
 
-    @pytest.mark.parametrize("broadcast", BROADCASTS)
-    def test_toy_cluster(self, fast_network, broadcast):
+    def test_toy_cluster(self, fast_network):
+        """Every shard runs Bracha: the cluster has no broadcast knob."""
         system = ClusterSystem(
             shard_count=2,
             replicas_per_shard=4,
             batch_size=2,
             network_config=fast_network,
-            broadcast=broadcast,
             seed=3,
         )
         try:

@@ -128,7 +128,6 @@ def _run(
         shard_count=shards,
         replicas_per_shard=4,
         batch_size=batch,
-        broadcast="bracha",
         initial_balance=500,
         network_config=fast_network,
         backend=backend,
@@ -723,7 +722,7 @@ class TestOverlappedSettlement:
         if backend == "one-worker":
             backend, max_workers = "process", 1
         system = ClusterSystem(
-            shard_count=3, replicas_per_shard=4, batch_size=1, broadcast="bracha",
+            shard_count=3, replicas_per_shard=4, batch_size=1,
             initial_balance=500, network_config=fast_network, backend=backend,
             max_workers=max_workers, seed=3, telemetry="metrics",
         )
@@ -1171,6 +1170,47 @@ class TestOneApplyPerWorker:
             system.close()
 
 
+class TestRetirementCommands:
+    """A retirement command is a ``(destination, issuer, first, last)``
+    stream span: no ``Transfer`` travels in one, since each source shard
+    retires the records it holds itself."""
+
+    @pytest.mark.parametrize("backend", DEPLOYMENTS)
+    def test_a_recording_backend_receives_spans_and_no_transfer(
+        self, fast_network, backend, monkeypatch
+    ):
+        max_workers = 2
+        if backend == "one-worker":
+            backend, max_workers = "process", 1
+        system = ClusterSystem(
+            shard_count=3, replicas_per_shard=4, initial_balance=500,
+            network_config=fast_network, backend=backend, max_workers=max_workers,
+            seed=3,
+        )
+        commands = []
+        apply = system._backend.apply
+
+        def recording(time, barrier_commands):
+            commands.extend(barrier_commands.values())
+            apply(time, barrier_commands)
+
+        monkeypatch.setattr(system._backend, "apply", recording)
+        try:
+            system.schedule_submissions(_workload(system, 3, 1.0))
+            system.run()
+            spans = [span for _, retirements in commands for span in retirements]
+            assert spans and all(
+                type(span) is tuple and [type(value) for value in span] == [int] * 4
+                for span in spans
+            )
+            assert all(type(transfer) is Transfer for mints, _ in commands for _, transfer in mints)
+            retired = sum(last - first + 1 for _, _, first, last in spans)
+            assert retired == system.settlement.retired_claims() == system.retired_records()
+            assert system.supply_audit().fully_retired
+        finally:
+            system.close()
+
+
 class TestBarrierStall:
     """``barrier_stall`` is the spread of the workers' own finish stamps,
     not of the instants the driver happens to read their replies."""
@@ -1242,7 +1282,7 @@ class TestArrivalsAreReleased:
         if deployment == "one-worker":
             backend, max_workers = "process", 1
         return ClusterSystem(
-            shard_count=2, replicas_per_shard=4, batch_size=1, broadcast="bracha",
+            shard_count=2, replicas_per_shard=4, batch_size=1,
             initial_balance=500, network_config=fast_network, backend=backend,
             max_workers=max_workers, seed=3,
         )

@@ -61,7 +61,6 @@ def _system(fast_network, shards=2, batch=1, seed=11, **kwargs):
         shard_count=shards,
         replicas_per_shard=4,
         batch_size=batch,
-        broadcast="bracha",
         network_config=fast_network,
         seed=seed,
         **kwargs,
@@ -194,7 +193,6 @@ class TestKnobCensus:
             "shard_count",
             "replicas_per_shard",
             "batch_size",
-            "broadcast",
             "initial_balance",
             "network_config",
             "backend",
@@ -222,7 +220,6 @@ class TestKnobCensus:
             "index",
             "replicas",
             "initial_balance",
-            "broadcast",
             "batch_size",
             "network_config",
             "seed",
@@ -268,7 +265,6 @@ class TestCrossShardRoundTrip:
         system = ClusterSystem(
             shard_count=2,
             replicas_per_shard=4,
-            broadcast="bracha",
             initial_balance=10,
             network_config=fast_network,
             seed=seed,
@@ -327,7 +323,6 @@ class TestClusterDeterminism:
             shard_count=2,
             replicas_per_shard=4,
             batch_size=4,
-            broadcast="bracha",
             network_config=fast_network,
             seed=seed,
         )

@@ -26,6 +26,7 @@ from repro.cluster.settlement import (
     SettlementAckClaim,
     SettlementCertificate,
     SettlementClaim,
+    SettlementVoucher,
 )
 from repro.cluster.shard import AdvanceReport, Shard, ShardSpec, ValidationEvent
 from repro.common.types import Transfer, TransferId
@@ -44,7 +45,7 @@ CLAIM = SettlementClaim(
 PAYLOAD = ("batch", 1, 2)
 ENVELOPE = dict(channel="xfer", origin=0, sequence=1, payload=PAYLOAD)
 SPEC = ShardSpec(
-    index=3, replicas=4, initial_balance=10_000, broadcast="bracha", batch_size=8,
+    index=3, replicas=4, initial_balance=10_000, batch_size=8,
     network_config=NetworkConfig(seed=7), seed=42,
 )
 
@@ -57,6 +58,11 @@ BATCH = BatchAnnouncement(
     tuple(TransferAnnouncement(Transfer("0", "1", 1, issuer=0, sequence=s)) for s in (1, 2, 3))
 )
 CERTIFICATE = SettlementCertificate(claim=CLAIM, certificate=_certificate(CLAIM))
+# One replica's signed voucher, as an advance report carries it.
+EVENT = ValidationEvent(
+    time=0.01, shard=1, index=0, replica=0,
+    voucher=SettlementVoucher(claim=CLAIM, signature=SCHEME.keypair_for(0).sign(CLAIM)),
+)
 # What a shard snapshot is mostly made of.
 RECORDS = [
     TRANSFER,
@@ -132,10 +138,11 @@ VALUES = {
     "NodeStats": NodeStats(sent=4, received=9, processed=9, busy_time=0.25),
     "AdvanceReport": AdvanceReport(
         shard=1,
-        events=[ValidationEvent(time=0.01, shard=1, replica=0, transfer=TRANSFER, index=0)],
+        events=[EVENT],
         pending_events=3, next_event_time=0.0125, processed_events=140, now=0.01,
     ),
     "ShardSnapshot": _snapshot(),
+    "ValidationEvent": EVENT,
     # Command and reply frames.
     "frame_advance": ("advance", 0.005, None),
     "frame_apply_mint": (
@@ -145,13 +152,12 @@ VALUES = {
         "apply",
         0.005,
         {
-            0: ([], [Transfer("0", "x1:2", 3, issuer=0, sequence=5)]),
-            2: (
-                [(0, Transfer("x1:0", "0", 4, issuer=0, sequence=1))],
-                [Transfer("2", "x0:3", 1, issuer=2, sequence=9)],
-            ),
+            0: ([], [(1, 0, 5, 5)]),
+            2: ([(0, Transfer("x1:0", "0", 4, issuer=0, sequence=1))], [(0, 2, 9, 9)]),
         },
     ),
+    # Retirement commands are ``(destination, issuer, first, last)`` spans.
+    "frame_apply_retirement_spans": ("apply", 0.005, {1: ([], [(0, 2, 1, 3), (2, 0, 4, 4)])}),
     "frame_snapshot": ("snapshot", 3),
     "frame_stop": ("stop",),
     "reply_ok": ("ok", None),
@@ -176,6 +182,16 @@ def test_round_trips_are_exact(value, ordered):
 def test_snapshot_records_are_rebuilt_by_their_constructors(record):
     # Not pickle's default (``__new__`` plus state into ``__dict__``): the
     # class is called on the field values, in declaration order.
+    values = tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+    assert record.__reduce__() == (type(record), values)
+
+
+@pytest.mark.parametrize(
+    "record", [CLAIM, EVENT.voucher.signature], ids=lambda record: type(record).__name__
+)
+def test_voucher_records_are_rebuilt_by_their_constructors(record):
+    # An advance report ships a claim per slot and a signature per voucher,
+    # each as its field values rather than through the generated __getstate__.
     values = tuple(getattr(record, f.name) for f in dataclasses.fields(record))
     assert record.__reduce__() == (type(record), values)
 

@@ -10,7 +10,7 @@ import pytest
 from repro.cluster.system import ClusterSystem
 from repro.cluster.backends import BACKEND_NAMES, EpochScheduler
 from repro.cluster.routing import parse_external_account
-from repro.cluster.shard import Shard, ShardSpec
+from repro.cluster.shard import Shard, ShardSpec, ValidationEvent
 from repro.cluster.settlement import (
     CompactionGate,
     QuorumStream,
@@ -58,7 +58,6 @@ def _system(fast_network, shards=2, batch=1, seed=11, **kwargs):
         shard_count=shards,
         replicas_per_shard=4,
         batch_size=batch,
-        broadcast="bracha",
         network_config=fast_network,
         seed=seed,
         **kwargs,
@@ -403,10 +402,19 @@ class TestRelaysAreData:
             system.close()
 
 
+def _hand_signed(system, replica, claim):
+    """The event a source replica's collector would report for ``claim`` at
+    2 ms, signed by hand with that replica's own key."""
+    scheme = system.shards[claim.source_shard].scheme
+    voucher = SettlementVoucher(claim, scheme.keypair_for(replica).sign(claim))
+    return ValidationEvent(0.002, claim.source_shard, replica, replica, voucher)
+
+
 class TestValidationReplay:
-    """Validation reaches the fabric one way: the shard collects it, the
-    barrier replays it into ``observe_validation``, and the voucher waits
-    on the scheduler for the next exchange."""
+    """Vouchers reach the fabric one way: the source shard's collector signs
+    them as its replicas validate, the advance report ships them, and the
+    barrier hands each to ``dispatch_voucher``, which records the slot and
+    queues the voucher on the scheduler for the next exchange."""
 
     def test_a_shard_reports_each_cross_shard_validation_once(self, fast_network):
         shard = Shard(
@@ -419,9 +427,46 @@ class TestValidationReplay:
         events = shard.advance(None).events
         assert sorted(event.replica for event in events) == [0, 1, 2, 3]
         assert all(event.shard == 0 for event in events)
-        assert {event.transfer.destination for event in events} == {"x1:2"}
+        claims = {event.voucher.claim for event in events}
+        assert claims == {SettlementClaim(0, 1, 0, 1, "2", 5)}
         assert [event.time for event in events] == sorted(event.time for event in events)
         assert shard.advance(None).events == []
+
+    def test_a_shards_vouchers_verify_and_number_each_stream_densely(self, fast_network):
+        """Every voucher a shard reports is signed by the replica that
+        validated the credit, verifies under the shard's own scheme, and
+        carries that replica's dense sequence of its ``(destination,
+        issuer)`` stream; the replicas that agree on a slot sign one claim
+        object, and local credits and credits to the shard itself make no
+        voucher."""
+        shard = Shard(
+            ShardSpec(index=0, replicas=4, initial_balance=50, network_config=fast_network, seed=1)
+        )
+        shard.install_validation_collector()
+        shard.start()
+        for time, issuer, destination in [
+            (0.001, 0, "x1:2"), (0.002, 0, "x2:1"), (0.003, 0, "x1:3"), (0.004, 1, "x1:0"),
+            (0.005, 0, "3"), (0.006, 1, "x0:2"), (0.007, 0, "x1:1"),
+        ]:
+            shard.submit(time, issuer, destination, 1)
+        report = shard.advance(None)
+        assert shard.result.committed_count == 7
+        streams = {}
+        claims = {}
+        for _, source, _, replica, (claim, signature) in report.events:
+            assert source == claim.source_shard == 0 and claim.destination_shard != 0
+            assert signature.signer == replica
+            assert shard.scheme.verify(claim, signature)
+            key = (replica, claim.destination_shard, claim.issuer)
+            streams.setdefault(key, []).append(claim.sequence)
+            slot = (claim.destination_shard, claim.issuer, claim.sequence)
+            assert claims.setdefault(slot, claim) is claim
+        assert len(report.events) == 4 * 5
+        for replica in range(4):
+            assert streams[(replica, 1, 0)] == [1, 2, 3]
+            assert streams[(replica, 2, 0)] == [1]
+            assert streams[(replica, 1, 1)] == [1]
+        assert len(streams) == 4 * 3
 
     def test_advancing_to_quiescence_equals_advancing_past_the_last_event(
         self, fast_network
@@ -443,55 +488,74 @@ class TestValidationReplay:
         assert reports[0].events and reports[0].pending_events == 0
         assert reports[0].next_event_time is None
 
-    def test_observe_validation_vouchers_only_cross_shard_credits(self, fast_network):
+    def test_dispatch_voucher_sends_only_to_an_existing_pair(self, fast_network):
         system = _system(fast_network)
         fabric = system.settlement
         try:
-            for destination in ("2", "x0:2", "x7:2"):  # local, same shard, no such shard
-                fabric.observe_validation(
-                    0, 0, Transfer("0", destination, 5, issuer=0, sequence=1), at=0.002
-                )
+            # A credit to a shard the cluster lacks is dropped like
+            # misaddressed traffic and records nothing.
+            claim = SettlementClaim(0, 7, 0, 1, "2", 5)
+            fabric.dispatch_voucher(_hand_signed(system, 0, claim))
             assert fabric.vouchers_dispatched == 0
             assert system.scheduler.in_flight == 0
-            credit = Transfer("0", "x1:2", 5, issuer=0, sequence=1)
+            assert fabric._stream_records == {}
+            claim = SettlementClaim(0, 1, 0, 1, "2", 5)
             for replica in range(4):
-                fabric.observe_validation(0, replica, credit, at=0.002)
+                fabric.dispatch_voucher(_hand_signed(system, replica, claim))
             assert fabric.vouchers_dispatched == 4
             assert system.scheduler.in_flight == 4
             assert fabric.relay(0, 1).vouchers.certified_total == 0  # nothing assembles before a barrier
+            [record] = fabric._stream_records[(0, 1, 0)].values()
+            assert record.validated_at == 0.002 and record.claim is claim
         finally:
             system.close()
 
     def test_a_late_validation_of_a_retired_slot_records_nothing(self, fast_network):
         """A replica that validates a slot after the gate retired its stream
         through it still signs and sends its voucher — the relay absorbs it
-        at the floor — but the fabric makes no record of the slot: nothing
-        would ever pop one at or below the watermark."""
+        at the floor — but neither its shard nor the fabric makes a record of
+        the slot: nothing would ever pop one at or below the watermark."""
         system = _system(fast_network)
         fabric = system.settlement
+        shard = system.shards[0]
+
+        def validate(replicas):
+            """The replicas' collectors see the credit; the test plays the
+            barrier, handing the fabric what the shard reports."""
+            for replica in replicas:
+                shard.nodes[replica].on_validated(credit)
+            events = shard.advance(None).events
+            for event in events:
+                fabric.dispatch_voucher(event)
+            return events
+
         try:
+            system.run()  # opens the session: the collectors sign from here on
             credit = Transfer("0", "x1:2", 5, issuer=0, sequence=1)
-            for replica in range(3):  # a quorum; replica 3 lags behind
-                fabric.observe_validation(0, replica, credit, at=0.002)
+            validate(range(3))  # a quorum; replica 3 lags behind
+            assert list(shard._slots[(1, 0)]) == [1]
             system.run()
             assert fabric.gates[0].watermark(1, 0) == 1
             assert fabric._stream_records.get((0, 1, 0), {}) == {}
+            assert shard._slots == {} and shard._retired_through == {(1, 0): 1}
             vouchers = fabric.relay(0, 1).vouchers
             accepted = vouchers.accepted
-            fabric.observe_validation(0, 3, credit, at=system.scheduler.now)
-            assert fabric.vouchers_dispatched == 4
-            assert fabric._stream_records.get((0, 1, 0), {}) == {}
+            [late] = validate([3])
+            assert late.voucher.claim == SettlementClaim(0, 1, 0, 1, "2", 5)
+            assert shard._slots == {} and fabric._stream_records == {}
             system.run()
+            assert fabric.vouchers_dispatched == 4
             assert vouchers.accepted == accepted + 1  # absorbed at the floor
             assert vouchers.certified_total == 1 and vouchers._pending == {}
-            assert (0, 1, 0) not in fabric._stream_records
+            assert (0, 1, 0) not in fabric._stream_records and shard._slots == {}
         finally:
             system.close()
 
     def test_a_quiescent_run_leaves_no_stream_record(self, fast_network):
-        """Every slot record is popped as its stream retires, and a stream's
-        dict goes with its last record: 16 shards, 25 % cross-shard, 3 000
-        payments/s per shard for 0.1 s, drained, keep none."""
+        """Every slot record is popped as its stream retires — the fabric's
+        and each source shard's own — and a stream's dict goes with its last
+        record: 16 shards, 25 % cross-shard, 3 000 payments/s per shard for
+        0.1 s, drained, keep none."""
         system = _system(fast_network, shards=16, batch=8, seed=7)
         try:
             system.schedule_submissions(
@@ -504,6 +568,7 @@ class TestValidationReplay:
             assert system.supply_audit().fully_retired
             assert system.settlement.retired_claims() > 500
             assert system.settlement._stream_records == {}
+            assert [shard._slots for shard in system.shards] == [{}] * 16
         finally:
             system.close()
 
@@ -511,24 +576,26 @@ class TestValidationReplay:
 class TestConflictingClaims:
     """Two claims for one ``(issuer, sequence)`` slot, as replicas that
     validated different transfers at it would voucher them: the voucher
-    quorum lets at most one certify, whichever replica observed first."""
+    quorum lets at most one certify, and the slot's record is its first
+    observer's, in the shard and in the fabric."""
 
-    def _vouch(self, fabric, winners):
-        """Replicas below ``winners`` validate one credit at slot 1, the rest
-        a conflicting one; returns both claims' fields."""
-        credit = Transfer("0", "x1:2", 5, issuer=0, sequence=1)
-        conflicting = Transfer("0", "x1:3", 7, issuer=0, sequence=1)
+    CREDIT = SettlementClaim(0, 1, 0, 1, "2", 5)
+    CONFLICTING = SettlementClaim(0, 1, 0, 1, "3", 7)
+
+    def _vouch(self, system, winners):
+        """Replicas below ``winners`` voucher one credit at slot 1, the rest
+        a conflicting one, each hand-signed with its own key and handed to
+        the fabric in replica order."""
         for replica in range(4):
-            fabric.observe_validation(
-                0, replica, credit if replica < winners else conflicting, at=0.002
-            )
-        return (0, 1, 0, 1, "2", 5), (0, 1, 0, 1, "3", 7)
+            claim = self.CREDIT if replica < winners else self.CONFLICTING
+            system.settlement.dispatch_voucher(_hand_signed(system, replica, claim))
 
     def test_a_two_two_split_certifies_neither(self, fast_network):
         system = _system(fast_network)
         try:
             fabric = system.settlement
-            self._vouch(fabric, winners=2)
+            self._vouch(system, winners=2)
+            assert fabric._stream_records[(0, 1, 0)][1].claim is self.CREDIT  # the first observer's
             system.run()
             vouchers = fabric.relay(0, 1).vouchers
             assert vouchers.certified_total == vouchers.delivered_total == 0
@@ -541,20 +608,42 @@ class TestConflictingClaims:
         system = _system(fast_network)
         try:
             fabric = system.settlement
-            winner, loser = self._vouch(fabric, winners=3)
+            self._vouch(system, winners=3)
             vouchers = fabric.relay(0, 1).vouchers
             system.run(until=0.005)  # the barrier that drains the vouchers
             assert vouchers.certified_total == 1
             [pending] = vouchers._pending[0]
-            assert dataclasses.astuple(pending) == loser
-            system.run()
-            assert vouchers.certified_total == 1 and vouchers.signature() == [winner]
+            assert pending == self.CONFLICTING
+            # The 10 ms barrier mints and decides the acks; the 15 ms one
+            # certifies the winner's watermark.  Its retirement is not
+            # delivered: no shard validated the hand-signed slot.
+            system.run(until=0.015)
+            assert vouchers.certified_total == 1
+            assert vouchers.signature() == [dataclasses.astuple(self.CREDIT)]
             assert [fabric.inboxes[(1, pid)].accepted for pid in range(4)] == [1, 1, 1, 1]
             # The winner's ack watermark forgot the slot, the loser with it.
             assert vouchers.floor(0) == 1
             assert vouchers.pending == 0 and vouchers._pending == {}
         finally:
             system.close()
+
+    def test_the_shard_records_its_first_observers_claim(self, fast_network):
+        """Through the collector: the first replica to validate a slot
+        records its transfer and claim, and a replica that validated a
+        conflicting transfer there signs a claim of its own."""
+        shard = Shard(
+            ShardSpec(index=0, replicas=4, initial_balance=50, network_config=fast_network, seed=1)
+        )
+        shard.install_validation_collector()
+        credit = Transfer("0", "x1:2", 5, issuer=0, sequence=1)
+        conflicting = Transfer("0", "x1:3", 7, issuer=0, sequence=1)
+        for replica, transfer in enumerate([credit, conflicting, credit, conflicting]):
+            shard.nodes[replica].on_validated(transfer)
+        [(recorded, claim)] = shard._slots[(1, 0)].values()
+        assert recorded is credit and claim == self.CREDIT
+        signed = [event.voucher.claim for event in shard._validation_events]
+        assert signed == [self.CREDIT, self.CONFLICTING, self.CREDIT, self.CONFLICTING]
+        assert signed[0] is signed[2] is claim and signed[1] is not signed[3]
 
 
 class TestSettlementQueues:

@@ -71,7 +71,6 @@ def make_system(request, fast_network):
         system = ClusterSystem(
             shard_count=2,
             replicas_per_shard=4,
-            broadcast="bracha",
             network_config=fast_network,
             backend=backend,
             max_workers=max_workers,

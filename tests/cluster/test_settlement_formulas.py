@@ -41,7 +41,6 @@ def _settle(fast_network, replicas, batch, cross, backend):
         shard_count=2,
         replicas_per_shard=replicas,
         # Bracha signs nothing, so every ``sig.*`` count is settlement's.
-        broadcast="bracha",
         initial_balance=500,
         batch_size=batch,
         network_config=fast_network,

@@ -43,7 +43,6 @@ def _system(fast_network, shards=2, seed=11, **kwargs):
     return ClusterSystem(
         shard_count=shards,
         replicas_per_shard=4,
-        broadcast="bracha",
         network_config=fast_network,
         seed=seed,
         **kwargs,
@@ -139,13 +138,14 @@ class TestRelayAckLeg:
 
 
 class TestCompactionGate:
-    def _gate(self, records=None, retired=None):
+    """The gate's retirement commands are ``(destination, issuer, first,
+    last)`` spans: the source shard pops its own records for them."""
+
+    def _gate(self):
         scheme = SignatureScheme(seed=8)
-        retired = retired if retired is not None else []
-        records = records or {
-            sequence: Transfer("0", "x1:2", 5, issuer=0, sequence=sequence)
-            for sequence in range(1, 6)
-        }
+        retired = []
+        # The recorded slots of stream (destination 1, issuer 0): their amounts.
+        records = dict.fromkeys(range(1, 6), 5)
 
         def verify(claim, certificate):
             return scheme.verify_certificate(
@@ -156,10 +156,10 @@ class TestCompactionGate:
             span = range(first_sequence, claim.sequence + 1)
             if any(sequence not in records for sequence in span):
                 return None
-            return [records.pop(sequence) for sequence in span]
+            return sum(records.pop(sequence) for sequence in span)
 
         # The key directory: destination shard 1's bound certificate check.
-        gate = CompactionGate(0, {1: verify}, lookup, retired.extend)
+        gate = CompactionGate(0, {1: verify}, lookup, retired.append)
         return gate, scheme, records, retired
 
     def _certificate(self, scheme, claim):
@@ -171,13 +171,14 @@ class TestCompactionGate:
     def test_watermark_advance_retires_the_covered_prefix(self):
         gate, scheme, records, retired = self._gate()
         assert gate.receive(self._certificate(scheme, _ack_claim(2)))
-        assert [t.sequence for t in retired] == [1, 2]
+        assert retired == [(1, 0, 1, 2)]
         assert gate.watermark(1, 0) == 2
         assert gate.retired_claims == 2
         assert gate.retired_amount == 10
         # A later watermark only retires the *new* span.
         assert gate.receive(self._certificate(scheme, _ack_claim(4)))
-        assert [t.sequence for t in retired] == [1, 2, 3, 4]
+        assert retired == [(1, 0, 1, 2), (1, 0, 3, 4)]
+        assert gate.retired_claims == 4 and gate.retired_amount == 20
         assert sorted(records) == [5]
 
     def test_stale_watermarks_are_rejected_and_retire_nothing(self):
@@ -348,10 +349,10 @@ class TestLifecycleEndToEnd:
 
 class TestOneClaimPerSlot:
     """Replicas that agree on a stream slot sign one claim object: the
-    fabric records the slot's :class:`SettlementClaim` and
-    :class:`SettlementAckClaim` with its first observer, so each is encoded
-    once however many replicas sign it, while every replica still signs with
-    its own key and the relay checks every item."""
+    source shard records the slot's :class:`SettlementClaim` with its first
+    observer, and the fabric its :class:`SettlementAckClaim`, so each is
+    encoded once however many replicas sign it, while every replica still
+    signs with its own key and the relay checks every item."""
 
     def _quiescent_run(self, fast_network, monkeypatch):
         """A fully cross-shard toy run to quiescence; returns the system,

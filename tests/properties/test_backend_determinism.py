@@ -42,7 +42,6 @@ def _fingerprint(backend, seed, shards, batch, fraction, max_workers=None):
         shard_count=shards,
         replicas_per_shard=REPLICAS,
         batch_size=batch,
-        broadcast="bracha",
         initial_balance=INITIAL_BALANCE,
         network_config=FAST_NETWORK,
         backend=backend,

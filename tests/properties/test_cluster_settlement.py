@@ -39,7 +39,6 @@ def _run_cluster(seed, shards, batch, fraction):
         shard_count=shards,
         replicas_per_shard=REPLICAS,
         batch_size=batch,
-        broadcast="bracha",
         initial_balance=INITIAL_BALANCE,
         network_config=FAST_NETWORK,
         seed=seed % 997,
