@@ -44,9 +44,11 @@ test-audit:
 ## barrier-grid widths and the pool's fixed shard i -> worker i % w
 ## assignment among it, its one-frame-per-shard final capture, its
 ## worker-stamped barrier stall, its one apply frame per worker per barrier
-## with no separate mint or retire frame, retirement commands that are
-## (destination, issuer, first, last) spans with no transfer in them on
-## every backend, the refusal of run() after close()
+## with no separate mint or retire frame, barrier commands that are
+## certificates (each settlement certificate with its delivery position)
+## with no transfer in them on every backend, the ack rows each destination
+## shard's minting replicas sign in every deployment (one ack claim per
+## delivered certificate), the refusal of run() after close()
 ## on every backend and of a NaN until, and the scheduler's cluster-wide
 ## event budget tripping on every backend, its error naming the caller's
 ## budget over a 40-budget sweep), the ShardSnapshot round trips the pool's
@@ -57,8 +59,8 @@ test-audit:
 ## fingerprint's differential test against the one-shot JSON digest (toy
 ## runs on both backends, empty streams, streams longer than one chunk,
 ## non-ASCII account names), the worker pipe's framing (every value family
-## round-trips exactly: the signed-voucher events an advance reports and the
-## span commands an apply ships among them), the backend
+## round-trips exactly: the flat voucher and ack rows an advance reports and
+## the certificate commands an apply ships among them), the backend
 ## determinism sweep, the hand-fed broadcast layers, the Figure 4 message
 ## formulas, the engine and network suites (tests/network: the pinned message
 ## path among them, a lossless exchange and a lossless 4-process Bracha
@@ -71,13 +73,18 @@ test-audit:
 ## the suites a change to the message path must keep green.  CI runs it a second time as
 ## `make test-backends PYTHON="python -X dev -W error"`.
 test-backends:
-	$(PYTHON) -m pytest tests/cluster/test_backend_equivalence.py tests/cluster/test_shard_snapshot.py tests/cluster/test_pinned_fingerprints.py tests/cluster/test_fingerprint_stream.py tests/cluster/test_codec.py tests/properties/test_backend_determinism.py tests/broadcast/test_broadcast_layers.py tests/mp/test_message_formulas.py tests/network tests/properties/test_event_queue.py tests/workloads/test_cluster_driver.py::TestArrivalsArePinned tests/properties/test_partition_routing.py -q
+	$(PYTHON) -m pytest tests/cluster/test_backend_equivalence.py tests/cluster/test_settlement.py::TestShardsSignTheirOwnAcks tests/cluster/test_shard_snapshot.py tests/cluster/test_pinned_fingerprints.py tests/cluster/test_fingerprint_stream.py tests/cluster/test_codec.py tests/properties/test_backend_determinism.py tests/broadcast/test_broadcast_layers.py tests/mp/test_message_formulas.py tests/network tests/properties/test_event_queue.py tests/workloads/test_cluster_driver.py::TestArrivalsArePinned tests/properties/test_partition_routing.py -q
 
 ## The settlement suites alone: the quorum-stream exactness suite over both
-## legs, the vouchers each source shard signs itself (each verifies under its
-## shard's keys with a dense per-replica stream sequence; a slot's record is
-## its first observer's, in the shard and in the fabric, and a retired slot
-## gets none; a quiescent run leaves no slot record anywhere), the lifecycle
+## legs, the vouchers and acks each shard signs itself (each verifies under
+## its shard's keys, signed by the replica that validated or minted; a
+## voucher carries a dense per-replica stream sequence, a delivered
+## certificate's acks share one ack claim, and only the shards hand out
+## their replicas' keys), the slot records (the shard's is its first
+## observer's, the fabric keeps a first validation time, a retired slot gets
+## neither, a quiescent run leaves none anywhere), the trust boundaries
+## poked through the barrier on every backend (the live inboxes and gates
+## refuse forged, replayed and unrecorded certificates), the lifecycle
 ## and adversarial suites, the per-credit signature
 ## formulas (test_settlement_formulas.py), the soak, the settlement property
 ## tests, the signature scheme's suite (settlement's trust boundary: certify,

@@ -6,12 +6,12 @@ depends only on its own schedule plus the settlement certificates it is
 handed.  This module exploits that.  Each shard runs on *its own*
 :class:`~repro.network.simulator.Simulator`, advanced independently up to the
 next **settlement barrier**; at the barrier the (driver-process) settlement
-fabric delivers the matured certificates in a deterministic order, the
-resulting mints and retirements are scheduled back onto the shards' clocks,
-and the next epoch is released; the rest of the barrier's settlement work
-(the vouchers the shards signed, acks, quorum assembly) runs in the driver
-while the shards advance, since that epoch never reads it.  The loop
-repeats until global quiescence.
+fabric hands the matured certificates to the shards they license, in a
+deterministic order, each shard decides and schedules its mints and
+retirements on its own clock, and the next epoch is released; the rest of
+the barrier's settlement work (sending the vouchers and acks the shards
+signed, quorum assembly) runs in the driver while the shards advance, since
+that epoch never reads it.  The loop repeats until global quiescence.
 
 Two backends execute the per-epoch shard advancement:
 
@@ -19,7 +19,7 @@ Two backends execute the per-epoch shard advancement:
   single-threaded execution, extracted behind the interface).
 * :class:`ProcessPoolBackend` — persistent worker processes, each owning a
   fixed subset of shards built from picklable :class:`ShardSpec`s; epochs
-  exchange only plain data (signed vouchers out, settlement commands in),
+  exchange only plain data (signed voucher and ack rows out, certificates in),
   and a final :class:`ShardSnapshot` per shard rehydrates the driver-side
   twins so every inspection and audit surface answers as usual.
 
@@ -42,13 +42,16 @@ view of Imbs et al., arXiv:1706.05267).
 resident shards, behind a pipe.  Driver and workers frame every command and
 reply through :mod:`repro.cluster.codec` (one pickle per frame).  Commands
 are the tuples ``("advance", horizon, max_events)``, ``("apply", time,
-{index: (mints, retirements)})``, ``("snapshot", index)`` and ``("stop",)``;
-replies are ``("ok", payload)`` or ``("error", traceback_text)``.  An
-``apply``'s retirements are ``(destination, issuer, first, last)`` spans,
-never transfers.  An ``advance`` payload is ``(reports, finished)``: the
-per-shard reports, whose events carry the epoch's signed vouchers, and the
-worker's ``time.monotonic()`` once its last shard advanced, which only
-``barrier_stall`` reads.  A ``snapshot`` payload is the one
+{index: (certificates, retirements)})``, ``("snapshot", index)`` and
+``("stop",)``; replies are ``("ok", payload)`` or ``("error",
+traceback_text)``.  An ``apply`` carries each commanded shard's matured
+certificates, as ``(position, SettlementCertificate)`` pairs, and its
+matured :class:`~repro.cluster.settlement.RetirementCertificate` s, in
+delivery order; the shard decides what they license, so no transfer travels
+in one.  An ``advance`` payload is ``(reports, finished)``: the per-shard
+reports, which carry the epoch's voucher rows and the last apply's ack rows,
+and the worker's ``time.monotonic()`` once its last shard advanced, which
+only ``barrier_stall`` reads.  A ``snapshot`` payload is the one
 :class:`ShardSnapshot` it names.  A worker answers its commands in pipe
 order, so the driver does not wait for an ``apply`` answer: it reads it when
 it collects the ``advance`` that follows it.
@@ -78,20 +81,14 @@ import weakref
 from collections import deque
 from contextlib import contextmanager
 from functools import partial
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.codec import decode as codec_decode
 from repro.cluster.codec import encode as codec_encode
-from repro.cluster.settlement import RetirementSpan, SettlementFabric
-from repro.cluster.shard import (
-    AdvanceReport,
-    Shard,
-    ShardSnapshot,
-    ShardSpec,
-    ValidationEvent,
-)
+from repro.cluster.settlement import RetirementCertificate, SettlementCertificate, SettlementFabric
+from repro.cluster.shard import AdvanceReport, Shard, ShardSnapshot, ShardSpec, certificate_check
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.common.types import ProcessId, Transfer
 from repro.obs import NULL_TRACER, MetricsRegistry
 from repro.workloads.cluster_driver import RoutedSubmission
 
@@ -117,9 +114,9 @@ def _phase(metrics, tracer, name, **span_kwargs):
 
 # -- the backend interface --------------------------------------------------------------------
 
-#: One shard's settlement commands at a barrier: the ``(replica, transfer)``
-#: mints its inboxes decided, then the stream spans its compaction gate retired.
-ShardCommands = Tuple[List[Tuple[ProcessId, Transfer]], List[RetirementSpan]]
+#: One shard's settlement commands at a barrier: the ``(delivery position,
+#: certificate)`` pairs for its inboxes, then the retirement certificates.
+ShardCommands = Tuple[List[Tuple[int, SettlementCertificate]], List[RetirementCertificate]]
 
 
 class ExecutionBackend(abc.ABC):
@@ -128,8 +125,8 @@ class ExecutionBackend(abc.ABC):
     A backend session is *opened* once with the driver-side shard objects
     and the pre-partitioned submissions; after that the scheduler only ever
     asks it to ``advance`` every shard to a barrier (running the driver's
-    ``overlapped`` work while they do), to ``apply`` the settlement commands
-    the barrier produced, one ``(mints, retirements)`` pair per commanded
+    ``overlapped`` work while they do), to ``apply`` the certificates the
+    barrier delivers, one ``(certificates, retirements)`` pair per commanded
     shard, and finally to ``finalize`` so the driver-side shards reflect the
     run (a no-op for the serial backend).  The session keeps none of the
     submissions once ``open`` has scheduled them.
@@ -151,7 +148,8 @@ class ExecutionBackend(abc.ABC):
 
     @abc.abstractmethod
     def open(self, shards: List[Shard], submissions: Dict[int, List[RoutedSubmission]]) -> None:
-        """Start the session: install collectors, start shards, load arrivals."""
+        """Start the session: hand the replicas their keys and the shards the
+        key directory, start the shards, load the arrivals."""
 
     @abc.abstractmethod
     def advance(
@@ -165,8 +163,8 @@ class ExecutionBackend(abc.ABC):
 
     @abc.abstractmethod
     def apply(self, time: float, commands: Dict[int, ShardCommands]) -> None:
-        """Schedule a barrier's settlement commands onto their shards at
-        ``time``: each shard's certified mints, then its retirements."""
+        """Hand a barrier's certificates to their shards at ``time``: each
+        shard's settlement certificates, then its retirement certificates."""
 
     def finalize(self) -> None:
         """Synchronise driver-side shard state with the executed run."""
@@ -191,10 +189,22 @@ class SerialBackend(ExecutionBackend):
     def __init__(self) -> None:
         self._shards: Dict[int, Shard] = {}
 
-    def open(self, shards: List[Shard], submissions: Dict[int, List[RoutedSubmission]]) -> None:
+    def open(
+        self,
+        shards: List[Shard],
+        submissions: Dict[int, List[RoutedSubmission]],
+        others: List[ShardSpec] = (),
+    ) -> None:
+        """``others``, the specs of the shards hosted elsewhere, build their
+        checks in the key directory; a hosted shard's uses its own scheme's
+        keys.  Every check counts in the checking shard's registry."""
         self._shards = {shard.index: shard for shard in shards}
+        signers = [(shard.spec(), shard.scheme) for shard in shards]
+        signers += [(spec, None) for spec in others]
         for shard in shards:
-            shard.install_validation_collector()
+            shard.install_validation_collector(
+                {spec.index: certificate_check(spec, shard.metrics, scheme) for spec, scheme in signers}
+            )
             shard.start()
             # The pre-partitioned arrivals, in list order.
             for submission in submissions.get(shard.index, ()):
@@ -247,6 +257,7 @@ def _worker_main(
     connection,
     specs: List[ShardSpec],
     submissions: Dict[int, List[RoutedSubmission]],
+    others: List[ShardSpec] = (),
 ) -> None:
     """One worker process: a :class:`SerialBackend` over its resident shards,
     serving the driver's commands.
@@ -254,16 +265,17 @@ def _worker_main(
     The worker is a deterministic replica of what the serial backend does
     for these shards, because it *is* one: the shards are built from spec
     (all randomness is seeded), the backend opens them over their
-    pre-partitioned arrivals, and the ``advance`` / ``apply`` commands go to
-    it until the driver asks for the final ``snapshot`` of each shard.  A
-    command naming a shard hosted elsewhere fails.  Every payload crossing
-    the pipe is framed by :mod:`repro.cluster.codec`; exceptions — an
-    undecodable command frame included — travel back as formatted
-    tracebacks (``traceback`` is imported by that reply alone, so the serial
-    path, which shares this module, never loads it).
+    pre-partitioned arrivals and the other shards' specs (for the key
+    directory), and the ``advance`` / ``apply`` commands go to it until the
+    driver asks for the final ``snapshot`` of each shard.  A command naming
+    a shard hosted elsewhere fails.  Every payload crossing the pipe is
+    framed by :mod:`repro.cluster.codec`; exceptions — an undecodable
+    command frame included — travel back as formatted tracebacks
+    (``traceback`` is imported by that reply alone, so the serial path,
+    which shares this module, never loads it).
     """
     host = SerialBackend()
-    host.open([Shard(spec) for spec in specs], submissions)
+    host.open([Shard(spec) for spec in specs], submissions, others)
     while True:
         try:
             frame = connection.recv_bytes()
@@ -306,8 +318,8 @@ class ProcessPoolBackend(ExecutionBackend):
     — shard ``i`` lives on worker ``i % w`` for the whole session (shard
     *state* must persist across epochs, so this is a static partition, not a
     task queue).  Per epoch the driver broadcasts the barrier horizon,
-    workers advance their shards concurrently and return signed vouchers;
-    the barrier's settlement commands travel the other way.  After the run,
+    workers advance their shards concurrently and return signed voucher and
+    ack rows; the barrier's certificates travel the other way.  After the run,
     each worker ships a :class:`~repro.cluster.shard.ShardSnapshot` per shard
     and :meth:`finalize` rehydrates the driver-side twins, so audits, balance
     reads and Definition 1 checks see exactly the worker's final state.
@@ -354,6 +366,7 @@ class ProcessPoolBackend(ExecutionBackend):
                     child,
                     [shard.spec() for shard in resident],
                     {shard.index: submissions.get(shard.index, []) for shard in resident},
+                    [shard.spec() for shard in self._shards if shard not in resident],
                 ),
                 daemon=True,
                 name=f"shard-worker-{slot}",
@@ -589,31 +602,28 @@ class EpochScheduler:
     there, which is all the synchronisation a consensus-number-1 object
     needs.  Between barriers, shards run free on their own clocks; *at* a
     barrier the scheduler runs the settlement exchange in two halves.  The
-    first half (:meth:`_release`) decides everything the next epoch reads:
+    first half (:meth:`_release`) is everything the next epoch reads:
 
-    1. it delivers every matured certificate to the destination replicas'
-       inboxes, whose accept/replay/buffer decisions emit mint commands and
-       decide the replicas' settlement acks,
-    2. it delivers every matured retirement certificate to the source
-       shards' compaction gates, whose watermark decisions emit retirement
-       commands, and
-    3. it ships each commanded shard its ``(mints, retirements)`` pair in
-       one ``apply`` call, scheduled at the barrier time: the mints in the
-       order the inboxes decided them, then one retirement event.
+    1. it delivers every matured certificate and retirement certificate,
+       which the fabric accounts for and hands over (:meth:`hand_over`) to
+       the shard it licenses, and
+    2. ships each commanded shard its ``(certificates, retirements)`` pair
+       in one ``apply`` call at the barrier time, where its inboxes decide
+       and post the mints and its gate the retirements.
 
     The second half (:meth:`_settle`) is the settlement work the next epoch
     never reads:
 
-    4. it hands the epoch's signed vouchers — sorted by ``(time, shard,
-       sequence)`` — to the settlement fabric, which records each stream
-       slot and queues the voucher with its maturity time (applying any
-       Byzantine voucher behaviours), and feeds every matured voucher to its
-       relay (assembled certificates queue with maturity ``barrier +
-       DELIVERY_DELAY``), then
-    5. signs and dispatches the acks step 1 decided (maturity ``barrier +
-       ACK_DELAY``) and feeds every matured ack to its relay's return leg
-       (assembled retirement certificates queue with maturity ``barrier +
-       DELIVERY_DELAY``).
+    3. it hands the epoch's voucher rows — sorted by ``(time, shard,
+       index)`` — to the settlement fabric, which queues each voucher with
+       its maturity time (applying any Byzantine voucher behaviours), and
+       feeds every matured voucher to its relay (assembled certificates
+       queue with maturity ``barrier + DELIVERY_DELAY``), then
+    4. hands the ack rows of the previous barrier's mints — sorted by
+       delivery position, the order the inboxes decided them in — to the
+       fabric (maturity ``their barrier + ACK_DELAY``) and feeds every
+       matured ack to its relay's return leg (assembled retirement
+       certificates queue with maturity ``barrier + DELIVERY_DELAY``).
 
     Each queue drains once per barrier, by ``(ready, order)``: certificates
     and retirement certificates in the first half, vouchers and acks in the
@@ -621,11 +631,11 @@ class EpochScheduler:
     settlement delay is positive (the link delays are positive constants, and
     a behaviour's extra delay is refused below zero), so whatever a handler
     queues matures strictly after this barrier; the only entries that mature
-    at the barrier that queues them are step 4's vouchers, and they are
-    queued before the voucher drain.  The halves share no state within a
-    barrier except a slot's fabric record, which step 2 may retire before
-    step 4 hands it a late voucher of it — and the fabric records no slot
-    at or below its gate's watermark, so that order changes nothing.
+    at the barrier that queues them are step 3's vouchers and step 4's
+    acks, each queued before its drain.  An ack row travels home in the
+    report after its apply, one barrier late, but its ack matures when it
+    would have, and the barrier after an apply is always the next grid
+    point.  The halves share no state within a barrier.
 
     Because the next epoch reads nothing the second half writes, the
     scheduler defers it into the shards' advance (the backend's
@@ -640,8 +650,10 @@ class EpochScheduler:
 
     Empty stretches are skipped: the next barrier is the first grid point at
     or after the earliest thing that can happen (an event on some shard, a
-    maturing voucher/certificate/ack, or a just-applied mint or retirement).
-    All of this is computed in the driver process from backend-reported
+    maturing voucher/certificate/ack, or just-applied certificates).
+    Applied means handed over: the driver never sees what a shard decided,
+    so certificates every shard refuses still take the next grid point, one
+    empty barrier that moves no event.  All of this is computed in the driver process from backend-reported
     values, so the barrier sequence — and with it every shard's event
     sequence — is identical whichever backend executes the epochs.
     """
@@ -666,14 +678,15 @@ class EpochScheduler:
         self._queues: Dict[str, List[Tuple[float, int, Callable[[Any], Any], Any]]] = {
             name: [] for name in ("vouchers", "certificates", "acks", "retirement_certificates")
         }
-        # The barrier's settlement commands: per shard, the mints and the
-        # retirements, each in the order the inboxes and gates decided them.
+        # The barrier's settlement commands, and the positions handed out.
         self._commands: Dict[int, ShardCommands] = {}
+        self._positions = 0
         self._reports: Optional[Dict[int, AdvanceReport]] = None
-        # Signed vouchers executed but not yet exchanged.  Every shard runs
-        # exactly to each barrier, so at the barrier's second half the whole
-        # buffer has matured (``time <= now``) and is consumed at once.
-        self._event_buffer: List[ValidationEvent] = []
+        # Voucher and ack rows reported but not yet exchanged.  Every shard
+        # runs exactly to each barrier, so at the barrier's second half both
+        # buffers have matured (``time <= now``) and are consumed at once.
+        self._event_buffer: List[tuple] = []
+        self._ack_buffer: List[tuple] = []
 
     # -- queues fed by the settlement fabric ---------------------------------------------------
 
@@ -688,23 +701,24 @@ class EpochScheduler:
         """Entries waiting on one of the four settlement queues."""
         return len(self._queues[queue])
 
-    def enqueue_mint(self, shard: int, replica: ProcessId, transfer: Transfer) -> None:
-        self._commands_of(shard)[0].append((replica, transfer))
-
-    def enqueue_retirement(self, shard: int, span: RetirementSpan) -> None:
-        self._commands_of(shard)[1].append(span)
-
-    def _commands_of(self, shard: int) -> ShardCommands:
-        commands = self._commands.get(shard)
-        if commands is None:
-            commands = self._commands[shard] = ([], [])
-        return commands
+    def hand_over(self, shard: int, certificate) -> None:
+        """Queue a delivered certificate for ``shard``'s next ``apply``: a
+        retirement certificate for its gate, a settlement certificate for
+        its inboxes with the next delivery position."""
+        commands = self._commands.setdefault(shard, ([], []))
+        if type(certificate) is RetirementCertificate:
+            commands[1].append(certificate)
+        else:
+            commands[0].append((self._positions, certificate))
+            self._positions += 1
 
     @property
     def in_flight(self) -> int:
-        """Settlement traffic queued between barriers (all lifecycle legs)."""
+        """Settlement traffic between barriers (all lifecycle legs), the ack
+        rows reported but not yet sent among it."""
         queued = sum(len(queue) for queue in self._queues.values())
-        return queued + sum(len(mints) + len(retired) for mints, retired in self._commands.values())
+        handed = sum(len(ours) + len(theirs) for ours, theirs in self._commands.values())
+        return queued + handed + len(self._ack_buffer)
 
     @property
     def quiescent(self) -> bool:
@@ -721,8 +735,8 @@ class EpochScheduler:
     def _ingest(self, reports: Dict[int, AdvanceReport]) -> None:
         """Fold freshly collected reports into the scheduler's view.
 
-        Voucher events move into the exchange buffer and the report
-        replaces the shard's previous one.  Events are consumed here exactly
+        Voucher and ack rows move into the exchange buffers and the report
+        replaces the shard's previous one.  Rows are consumed here exactly
         once — the report objects are stripped so a re-entrant exchange can
         never send them twice.
         """
@@ -733,6 +747,9 @@ class EpochScheduler:
             if report.events:
                 self._event_buffer.extend(report.events)
                 report.events = []
+            if report.acks:
+                self._ack_buffer.extend(report.acks)
+                report.acks = []
             self._reports[index] = report
 
     def _advance(
@@ -820,8 +837,8 @@ class EpochScheduler:
                 # Pause *on the grid*: the run stops at the last barrier not
                 # exceeding ``until`` and a later run() resumes with exactly
                 # the barrier sequence an uninterrupted run would have used.
-                # If this barrier's exchange applied mint/retirement commands,
-                # they are sitting as events at time ``now`` on the shard
+                # If this barrier's exchange applied certificates, what they
+                # licensed is sitting as events at time ``now`` on the shard
                 # simulators while ``self._reports`` predates them — breaking
                 # on those stale reports would let the resumed run's
                 # quiescence check miss the pending work and strand the
@@ -838,31 +855,26 @@ class EpochScheduler:
 
     def _release(self, backend: ExecutionBackend) -> int:
         """The barrier's first half: deliver the matured certificates and
-        retirement certificates, then ship the commands they decided in one
-        ``apply``; returns how many commands were applied."""
+        retirement certificates, then hand them to their shards in one
+        ``apply``; returns how many shards it commanded."""
         self._drain_matured("certificates")
         self._drain_matured("retirement_certificates")
         commands, self._commands = self._commands, {}
-        if not commands:
-            return 0
-        mints = sum(len(mints) for mints, _ in commands.values())
-        retirements = sum(len(retirements) for _, retirements in commands.values())
-        if mints:
-            self.metrics.inc("exchange.mints", mints)
-        if retirements:
-            self.metrics.inc("exchange.retirements", retirements)
-        backend.apply(self.now, commands)
-        return mints + retirements
+        if commands:
+            backend.apply(self.now, commands)
+        return len(commands)
 
     def _settle(self, fabric: SettlementFabric) -> None:
         """The barrier's second half: dispatch the shards' vouchers, drain the
-        matured vouchers, sign and dispatch the acks the first half decided,
-        drain the matured acks.  Everything it queues matures after ``now``."""
+        matured vouchers, dispatch the acks the shards reported, drain the
+        matured acks.  Everything it queues matures after ``now``, except
+        acks whose barrier passed, which the ack drain takes at once."""
         # Consumption is exactly-once by construction — _ingest moved the
-        # events out of the reports, and this empties the buffer — so a
+        # rows out of the reports, and this empties the buffers — so a
         # re-entrant run() (pause/resume, a run after a run) never sends a
-        # voucher twice.  Every event matured (each shard ran to ``now``), and
-        # sorting orders them by ``(time, shard, index)``, a unique key.
+        # voucher or an ack twice.  Every row matured (each shard ran to
+        # ``now``); sorting orders the voucher rows by ``(time, shard,
+        # index)``, a unique key, and the ack rows by delivery position.
         events, self._event_buffer = self._event_buffer, []
         events.sort()
         if events:
@@ -870,7 +882,12 @@ class EpochScheduler:
         for event in events:
             fabric.dispatch_voucher(event)
         self._drain_matured("vouchers")
-        fabric.dispatch_acks()
+        acks, self._ack_buffer = self._ack_buffer, []
+        acks.sort(key=itemgetter(1))  # stable: one position's rows are one shard's
+        if acks:
+            self.metrics.inc("exchange.mints", len(acks))
+        for ack in acks:
+            fabric.dispatch_ack(ack)
         self._drain_matured("acks")
         self.metrics.observe("barrier.queue_depth", self.in_flight)
 

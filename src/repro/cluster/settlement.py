@@ -27,8 +27,13 @@ shard pair's :class:`SettlementRelay` holds two of them:
    ``2f+1`` acks make a :class:`RetirementCertificate`; the source shard's
    :class:`CompactionGate` — mirror image of the inbox — verifies it against
    the destination shard's keys, enforces watermark monotonicity, and only
-   then has the source shard retire the ``x{d}:a`` records it acknowledges.
-   Certifying a watermark also makes both streams forget what it subsumes.
+   then retires the ``x{d}:a`` records it acknowledges.  Certifying a
+   watermark also makes both streams forget what it subsumes.
+
+As in the paper's model, every replica signs its own messages, and both
+trust boundaries live in the shards they protect
+(:class:`~repro.cluster.shard.Shard`); the driver keeps only what lies
+between shards (:class:`SettlementFabric`).
 
 ``f`` Byzantine replicas can neither forge a certificate on either leg (they
 lack ``f+1`` honest keys) nor stall one (``2f+1`` honest replicas sign every
@@ -66,17 +71,15 @@ pins it)::
     messages               N + N + N + 1   vouchers, certificate deliveries,
                                            acks, one retirement delivery
 
-— 8 / 29 / 21 / 2 / 5 at ``N = 4``.  Everything around those calls is kept
-to what each step needs: the fabric dispatches by shard pair, so a relay and
-its streams are data with no callbacks (the pair names the streams a voucher
-or ack joins and the inboxes or gate a certificate visits), each shard's
-certificate check is bound once (the inboxes' and gates' key directory), a
-slot's claim and ack claim are built once and signed by every agreeing
-replica, a delivered certificate's ``N`` mints share one ledger transfer
-(:class:`_MintOnce`), and each barrier drains each queue once.  The mints
-and retirements a barrier decides ship before its acks are signed and its
-vouchers and acks assembled, so on the process pool that work overlaps the
-shards' next epoch (:class:`~repro.cluster.backends.EpochScheduler`).
+— 8 / 29 / 21 / 2 / 5 at ``N = 4``; on the process pool ``(N+1)q`` are
+reused, since a certificate crosses a pipe to its shard and a copied
+signature starts unchecked.  Around those calls: a relay and its streams are
+data with no callbacks (a claim names its pair), each shard's certificate
+check is bound once, a slot's claim, mint transfer and ack claim are built
+once for every replica, and each barrier drains each queue once, handing
+its certificates to the shards before it assembles vouchers and acks, so on
+the pool that work overlaps the shards' next epoch
+(:class:`~repro.cluster.backends.EpochScheduler`).
 
 Fault injection rides the transport behaviours of
 :mod:`repro.byzantine.behaviors`: a voucher or ack behaviour per replica can
@@ -88,7 +91,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from operator import attrgetter
 from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -96,7 +98,7 @@ from repro.byzantine.behaviors import Behavior
 from repro.common.errors import ConfigurationError
 from repro.common.types import AccountId, Amount, EncodedOnce, ProcessId, Transfer
 from repro.common.types import rebuilt_by_constructor
-from repro.crypto.signatures import KeyPair, QuorumCertificate, Signature
+from repro.crypto.signatures import QuorumCertificate, Signature
 
 # Recency window of the fabric's p95 settlement-latency report; bounds the
 # only remaining per-mint memory in the driver to a constant.
@@ -178,6 +180,7 @@ class SettlementCertificate(NamedTuple):
     certificate: QuorumCertificate
 
 
+@rebuilt_by_constructor
 @dataclass(frozen=True, slots=True)
 class SettlementAckClaim(EncodedOnce):
     """What a destination replica signs after minting: a stream watermark.
@@ -481,10 +484,51 @@ class SettlementRelay:
         )
 
 
-# -- the destination inbox --------------------------------------------------------------------
+# -- the trust boundaries: the destination inbox and the source gate --------------------------
 
 
-class SettlementInbox:
+class _TrustBoundary:
+    """An inbox's and a gate's shared part: exact rejection counts, the last
+    :data:`REJECTED_WINDOW` rejections with reasons, and their state."""
+
+    #: The attributes that wire the boundary to its shard, not its state.
+    _WIRING: Tuple[str, ...] = ("_verifiers",)
+
+    def __init__(self, shard_index: int, verifiers: Dict[int, Callable[..., bool]]) -> None:
+        self.shard_index = shard_index
+        # The key directory: one bound certificate check per signing shard.
+        self._verifiers = verifiers
+        self.accepted = 0
+        self.rejected: Deque[tuple] = deque(maxlen=REJECTED_WINDOW)
+        self.rejected_count = 0
+
+    def _reject(self, certificate, reason: str) -> bool:
+        self.rejected.append((certificate, reason))
+        self.rejected_count += 1
+        return False
+
+    def state(self) -> Dict[str, object]:
+        """What the boundary decided — counts, rejection window, buffers,
+        watermarks — copied out as plain data."""
+        wiring = self._WIRING
+        return {name: _copied(value) for name, value in vars(self).items() if name not in wiring}
+
+    def restore(self, state: Dict[str, object]) -> None:
+        """Install a :meth:`state` (a driver-side twin's boundary)."""
+        vars(self).update(_copied(state))
+
+
+def _copied(value):
+    """``value`` with every dict and deque in it copied, their items shared:
+    a boundary's state is containers of immutable records."""
+    if isinstance(value, dict):
+        return {key: _copied(item) for key, item in value.items()}
+    if isinstance(value, deque):
+        return deque(value, maxlen=value.maxlen)
+    return value
+
+
+class SettlementInbox(_TrustBoundary):
     """Per-destination-replica verification and exactly-once minting.
 
     The inbox is the trust boundary: everything upstream is adversarial
@@ -499,40 +543,27 @@ class SettlementInbox:
     Only *verified* certificates are buffered, and quorum intersection allows
     at most one per stream slot, so forgeries can neither poison nor grow
     the buffer, and a stream's buffer goes once its gap fills.  Accepted
-    certificates are counted, not kept: the mint sink says what minted, in
-    what order.  Rejected ones are counted (``rejected_count``), and only the
-    last :data:`REJECTED_WINDOW` stay in ``rejected`` with their reasons.
-
-    ``verifiers`` is the key directory, one bound certificate check per
-    source shard; a certificate naming any other source is invalid.
-    ``mint_of`` builds the ledger transfer of the certificate being
-    delivered: the fabric hands every inbox of a destination shard one
-    :class:`_MintOnce`, so the shard's replicas share one transfer per
-    delivery.  Buffered successors get their own.
+    certificates are counted, not kept: ``mint_sink(claim)`` takes each
+    claim to mint, in stream order.  Rejected ones are counted
+    (``rejected_count``), and only the last :data:`REJECTED_WINDOW` stay in
+    ``rejected`` with their reasons.  ``verifiers`` is the key directory,
+    one bound certificate check per source shard; a certificate naming any
+    other source is invalid.
     """
+
+    _WIRING = ("_verifiers", "_mint_sink")
 
     def __init__(
         self,
         shard_index: int,
         verifiers: Dict[int, Callable[[SettlementClaim, QuorumCertificate], bool]],
-        mint_sink: Callable[[Transfer], None],
-        on_minted: Callable[[SettlementClaim], None],
-        mint_of: Callable[[SettlementClaim], Transfer],
+        mint_sink: Callable[[SettlementClaim], None],
     ) -> None:
-        self.shard_index = shard_index
-        # Accepted mints go to the barrier's mint queue, wherever the replica
-        # executes; the accept/replay/buffer *decisions* always happen here.
+        super().__init__(shard_index, verifiers)
         self._mint_sink = mint_sink
-        # Fired once per accepted mint, in stream order: the replica's ack.
-        self._on_minted = on_minted
-        self._verifiers = verifiers
-        self._mint_of = mint_of
         self._next_sequence: Dict[Tuple[int, ProcessId], int] = {}
         self._buffered: Dict[Tuple[int, ProcessId], Dict[int, SettlementCertificate]] = {}
-        self.accepted = 0
         self._minted: Amount = 0
-        self.rejected: Deque[Tuple[SettlementCertificate, str]] = deque(maxlen=REJECTED_WINDOW)
-        self.rejected_count = 0
 
     def receive(self, certificate: SettlementCertificate) -> bool:
         claim = certificate.claim
@@ -553,29 +584,20 @@ class SettlementInbox:
                 return self._reject(certificate, "replayed certificate")
             buffered[claim.sequence] = certificate
             return True
-        self._mint(stream, claim, self._mint_of(claim))
+        self._mint(stream, claim)
         # The gap just filled: drain buffered successors in order; an emptied buffer goes.
         buffered = self._buffered.pop(stream, None)
         while buffered and self._next_sequence[stream] + 1 in buffered:
-            successor = buffered.pop(self._next_sequence[stream] + 1).claim
-            self._mint(stream, successor, mint_transfer(successor))
+            self._mint(stream, buffered.pop(self._next_sequence[stream] + 1).claim)
         if buffered:
             self._buffered[stream] = buffered
         return True
 
-    def _mint(
-        self, stream: Tuple[int, ProcessId], claim: SettlementClaim, transfer: Transfer
-    ) -> None:
+    def _mint(self, stream: Tuple[int, ProcessId], claim: SettlementClaim) -> None:
         self._next_sequence[stream] = claim.sequence
         self.accepted += 1
         self._minted += claim.amount
-        self._mint_sink(transfer)
-        self._on_minted(claim)
-
-    def _reject(self, certificate: SettlementCertificate, reason: str) -> bool:
-        self.rejected.append((certificate, reason))
-        self.rejected_count += 1
-        return False
+        self._mint_sink(claim)
 
     @property
     def buffered_count(self) -> int:
@@ -586,14 +608,7 @@ class SettlementInbox:
         return self._minted
 
 
-# -- the source-side compaction gate ----------------------------------------------------------
-
-#: A retirement command: the ``(destination, issuer, first, last)`` slots,
-#: inclusive, of one outbound stream that a watermark advance retired.
-RetirementSpan = Tuple[int, ProcessId, int, int]
-
-
-class CompactionGate:
+class CompactionGate(_TrustBoundary):
     """Per-source-shard verification of retirement certificates.
 
     The mirror image of :class:`SettlementInbox`: a record is only retired
@@ -602,28 +617,26 @@ class CompactionGate:
     intersection (a correct replica only acknowledges what it minted) keeps
     every accepted certificate off unsettled records.  Withheld acks merely
     leave one stream's records resident.  ``verifiers`` is the key
-    directory, one bound certificate check per destination shard.  Like the
-    inbox, the gate counts rejections exactly and keeps the last
-    :data:`REJECTED_WINDOW` in ``rejected``.
+    directory, one bound certificate check per destination shard.
+    ``lookup(claim, first)`` retires the source shard's recorded slots
+    ``first..claim.sequence`` of the claim's stream and returns their
+    amount, or returns ``None`` and retires nothing if one is missing (a
+    genuine quorum never names one).  Like the inbox, the gate counts
+    rejections exactly and keeps the last :data:`REJECTED_WINDOW` in
+    ``rejected``.
     """
+
+    _WIRING = ("_verifiers", "_lookup")
 
     def __init__(
         self,
         shard_index: int,
         verifiers: Dict[int, Callable[[SettlementAckClaim, QuorumCertificate], bool]],
         lookup: Callable[[SettlementAckClaim, int], Optional[Amount]],
-        retire_sink: Callable[[RetirementSpan], None],
     ) -> None:
-        self.shard_index = shard_index
-        self._verifiers = verifiers
-        # Pops the recorded slots a watermark advance retires, returning
-        # their amount; None if some are missing (a genuine quorum never is).
+        super().__init__(shard_index, verifiers)
         self._lookup = lookup
-        self._retire_sink = retire_sink
         self._watermarks: Dict[Tuple[int, ProcessId], int] = {}
-        self.accepted = 0
-        self.rejected: Deque[Tuple[RetirementCertificate, str]] = deque(maxlen=REJECTED_WINDOW)
-        self.rejected_count = 0
         self.retired_amount: Amount = 0
         self.retired_claims = 0
 
@@ -645,53 +658,14 @@ class CompactionGate:
         self.accepted += 1
         self.retired_claims += claim.sequence - watermark
         self.retired_amount += amount
-        self._retire_sink(stream + (watermark + 1, claim.sequence))
         return True
 
     def watermark(self, destination_shard: int, issuer: ProcessId) -> int:
         """The stream's retirement watermark (0 = nothing retired yet)."""
         return self._watermarks.get((destination_shard, issuer), 0)
 
-    def _reject(self, certificate: RetirementCertificate, reason: str) -> bool:
-        self.rejected.append((certificate, reason))
-        self.rejected_count += 1
-        return False
-
 
 # -- the fabric -------------------------------------------------------------------------------
-
-
-class _SlotRecord(NamedTuple):
-    """What the fabric keeps per stream slot ``(source, destination,
-    issuer, sequence)``, from its first voucher until the gate retires it."""
-
-    validated_at: float  # its first validation, on the source shard's clock
-    claim: SettlementClaim  # the slot's claim, as its first observer signed it
-    ack_claim: SettlementAckClaim  # the slot's watermark, signed by every minting replica
-
-
-class _MintOnce:
-    """The mint transfer of the certificate a destination shard is being
-    delivered, built once for all of the shard's inboxes.
-
-    The fabric hands one certificate object to every destination inbox in
-    turn, so its claim is the same object each time: a claim the memo holds
-    is answered with the transfer already built, any other claim replaces
-    it.  A claim is frozen, so the held transfer always equals what
-    :func:`mint_transfer` would build; the memo keeps one claim alive.
-    """
-
-    __slots__ = ("_claim", "_transfer")
-
-    def __init__(self) -> None:
-        self._claim: Optional[SettlementClaim] = None
-        self._transfer: Optional[Transfer] = None
-
-    def __call__(self, claim: SettlementClaim) -> Transfer:
-        if claim is not self._claim:
-            self._transfer = mint_transfer(claim)
-            self._claim = claim
-        return self._transfer
 
 
 def _voucher_pair(shard: int, recipient: int, voucher: SettlementVoucher) -> Tuple[int, int]:
@@ -706,43 +680,35 @@ def _ack_pair(shard: int, recipient: int, ack: SettlementAck) -> Tuple[int, int]
 
 
 class SettlementFabric:
-    """Dispatches settlement between every shard pair's relay, the inboxes
-    and the gates.
+    """What lies between shards: every pair's relay and the transport to it.
 
-    One fabric per cluster.  It records and sends the vouchers source
-    replicas sign in their own shards (:meth:`dispatch_voucher`), signs
-    every mint's ack, creates each pair's :class:`SettlementRelay` on first
-    use, and owns the per-replica inboxes and per-shard gates.  Relays hold
-    no wiring: the fabric is every stream's sink, and a certificate's claim
-    names the pair, so the pair says where it goes — the destination's
-    inboxes on the voucher leg, the source's gate on the ack leg.  A
+    One fabric per cluster.  It sends the vouchers and acks the shards'
+    replicas signed (:meth:`dispatch_voucher`, :meth:`dispatch_ack`) to the
+    pair's :class:`SettlementRelay`, created on first use, and hands each
+    certificate a relay assembles to the shard it licenses.  It decides and
+    signs nothing: the shards' inboxes decide the mints and their gates the
+    retirements.  Relays hold no wiring: the fabric is every stream's sink,
+    and a certificate's claim names the pair it goes back to.  A
     :class:`~repro.byzantine.behaviors.Behavior` per sending replica can
     filter either leg's traffic — the adversarial tests' Byzantine model.
+    Beside the relays it keeps the audit's provisions and each in-flight
+    slot's first validation time, which each of its acks samples latency
+    from until the slot's ack stream certifies past it.
     """
 
     def __init__(self, shards, scheduler) -> None:
         # The barrier scheduler (``repro.cluster.backends.EpochScheduler``)
-        # carries all settlement traffic between barriers; ack signing, relays,
-        # inbox and gate decisions run here, in the driver, on every backend.
+        # carries all settlement traffic between barriers.
         self.scheduler = scheduler
         self._shards = {shard.index: shard for shard in shards}
         # Each shard's replica ids: the signers its certificates may carry.
         self._signers = {shard.index: frozenset(range(shard.replicas)) for shard in shards}
         self._relays: Dict[Tuple[int, int], SettlementRelay] = {}
-        # Each destination replica's signing capability, for its acks.
-        self._keypairs: Dict[Tuple[int, ProcessId], KeyPair] = {
-            (shard.index, pid): shard.scheme.keypair_for(pid)
-            for shard in shards
-            for pid in sorted(shard.nodes)
-        }
         # ``(leg, shard, replica) -> behaviour`` for ``leg`` "vouchers"/"acks".
         self._behaviors: Dict[Tuple[str, int, ProcessId], Behavior] = {}
-        # ``(source, destination, issuer) -> sequence -> record``: written
-        # once per stream slot, by its first observer, and popped by the
-        # gates as watermarks retire it, so it tracks the in-flight window.
-        # The record holds the slot's one ack claim: every replica that
-        # mints the slot signs that object, so it is encoded once.
-        self._stream_records: Dict[Tuple[int, int, ProcessId], Dict[int, _SlotRecord]] = {}
+        # ``(source, destination, issuer) -> sequence -> time`` of each
+        # in-flight slot's first validation, on the source shard's clock.
+        self._validated_at: Dict[Tuple[int, int, ProcessId], Dict[int, float]] = {}
         # ``leg -> (source, destination) -> stream``: where an unfiltered
         # voucher or ack goes, resolved on a pair's first use.
         self._routes: Dict[str, Dict[Tuple[int, int], QuorumStream]] = {"vouchers": {}, "acks": {}}
@@ -752,49 +718,10 @@ class SettlementFabric:
         # ``settle:{s}:{p}`` account names its source.
         self._certified_amount: Amount = 0
         self._provisions: Dict[int, Dict[AccountId, Amount]] = {}
-        # The key directory: each shard's certificate check, bound once.  A
-        # retirement certificate carries its destination shard's signatures,
-        # a settlement certificate its source shard's.
-        verifiers = {
-            shard.index: partial(
-                shard.scheme.verify_certificate,
-                quorum_size=shard.quorum_size,
-                allowed_signers=self._signers[shard.index],
-            )
-            for shard in shards
-        }
-        self.gates: Dict[int, CompactionGate] = {
-            shard.index: CompactionGate(
-                shard.index,
-                verifiers,
-                self._take_stream_records,
-                partial(scheduler.enqueue_retirement, shard.index),
-            )
-            for shard in shards
-        }
-        # ``((shard, replica), ack claim, emitted_at)`` per ack the inboxes
-        # decided at this barrier, signed and dispatched by dispatch_acks.
-        self._decided_acks: List[Tuple[Tuple[int, ProcessId], SettlementAckClaim, float]] = []
-        self.inboxes: Dict[Tuple[int, ProcessId], SettlementInbox] = {}
-        # Each shard's inboxes in pid order: the order a certificate for the
-        # shard visits them.
-        self._shard_inboxes: Dict[int, List[SettlementInbox]] = {}
-        for shard in shards:
-            mint_of = _MintOnce()
-            inboxes = self._shard_inboxes[shard.index] = []
-            for pid in sorted(shard.nodes):
-                inbox = self.inboxes[(shard.index, pid)] = SettlementInbox(
-                    shard.index,
-                    verifiers,
-                    mint_sink=partial(scheduler.enqueue_mint, shard.index, pid),
-                    on_minted=self._ack_emitter(shard.index, pid),
-                    mint_of=mint_of,
-                )
-                inboxes.append(inbox)
         self.vouchers_dispatched = 0
         self.acks_dispatched = 0
-        # Validation-to-mint latency, one sample per mint decision: O(1)
-        # aggregates and a bounded p95 window.
+        # Validation-to-mint latency, one sample per ack: O(1) aggregates and
+        # a bounded p95 window.
         self._latency_count = 0
         self._latency_total = 0.0
         self._latency_max = 0.0
@@ -810,74 +737,41 @@ class SettlementFabric:
         """Route ``(shard, replica)``'s outgoing settlement acks through ``behavior``."""
         self._behaviors[("acks", shard, replica)] = behavior
 
-    # -- voucher and acknowledgement emission -------------------------------------------------
+    # -- voucher and acknowledgement dispatch -------------------------------------------------
 
-    def dispatch_voucher(self, event) -> None:
-        """Record the slot of a source replica's signed voucher, then send it.
-
-        ``event`` is a shard's ``ValidationEvent(time, shard, index, replica,
-        voucher)``, ``time`` on the source shard's clock.  A stream slot's
-        first observer records it for the latency samples and the gate: its
-        time, its claim and its one :class:`SettlementAckClaim`.  A slot at or
-        below its gate's watermark is retired, so it gets no record (the relay
-        absorbs its late voucher at the floor), nor does a misaddressed one.
-        """
-        at, shard, _, replica, voucher = event
-        claim = voucher.claim
-        destination, issuer, sequence = claim.destination_shard, claim.issuer, claim.sequence
-        key = (shard, destination, issuer)
-        records = self._stream_records.get(key)
-        if (
-            (records is None or sequence not in records)
-            and destination in self._shards
-            and sequence > self.gates[shard].watermark(destination, issuer)
+    def dispatch_voucher(self, row: tuple) -> None:
+        """Send a source shard's voucher row ``(time, shard, index, replica,
+        claim, tag)``; a slot's first records its time, unless its stream is
+        acknowledged past it (the relay absorbs it at the floor) or its
+        destination does not exist."""
+        at, shard, _, replica, claim, tag = row
+        destination = claim.destination_shard
+        relay = self._relays.get((shard, destination))
+        if destination in self._shards and claim.sequence > (
+            0 if relay is None else relay.acks.floor(claim.issuer)
         ):
-            record = _SlotRecord(at, claim, SettlementAckClaim(*key, sequence))
-            self._stream_records.setdefault(key, {})[sequence] = record
+            slots = self._validated_at.setdefault((shard, destination, claim.issuer), {})
+            slots.setdefault(claim.sequence, at)
+        voucher = SettlementVoucher(claim, Signature(replica, tag))
         self.vouchers_dispatched += self._send(
             "vouchers", VOUCHER_DELAY, shard, replica, voucher, at, destination, _voucher_pair,
         )
 
-    def _ack_emitter(
-        self, shard_index: int, replica: ProcessId
-    ) -> Callable[[SettlementClaim], None]:
-        """The inbox's post-mint hook: decide this replica's ack.
-
-        An ack is decided at the accept — its claim, its ``emitted_at`` (the
-        barrier) and the slot's latency sample are fixed there, so ack
-        timing is identical on every backend — and signed and dispatched by
-        :meth:`dispatch_acks` in the barrier's second half, with that same
-        ``emitted_at``.  A recorded slot's ack claim is shared by every
-        replica that mints it (it names only the slot); a slot the fabric
-        never recorded gets its own."""
-        key = (shard_index, replica)
-
-        def emit(claim: SettlementClaim) -> None:
-            records = self._stream_records.get(
-                (claim.source_shard, claim.destination_shard, claim.issuer)
-            )
-            record = None if records is None else records.get(claim.sequence)
-            emitted_at = self.scheduler.now
-            if record is None:
-                ack_claim = SettlementAckClaim(
-                    claim.source_shard, claim.destination_shard, claim.issuer, claim.sequence
-                )
-            else:
-                ack_claim = record.ack_claim
-                self._record_latency(max(0.0, emitted_at - record.validated_at))
-            self._decided_acks.append((key, ack_claim, emitted_at))
-
-        return emit
-
-    def dispatch_acks(self) -> None:
-        """Sign and dispatch every decided ack, in decision order."""
-        decided, self._decided_acks = self._decided_acks, []
-        for (shard_index, replica), ack_claim, emitted_at in decided:
-            ack = SettlementAck(ack_claim, self._keypairs[(shard_index, replica)].sign(ack_claim))
-            self.acks_dispatched += self._send(
-                "acks", ACK_DELAY, shard_index, replica, ack, emitted_at,
-                ack_claim.source_shard, _ack_pair,
-            )
+    def dispatch_ack(self, row: tuple) -> None:
+        """Sample the latency of a destination shard's ack row ``(time,
+        position, shard, replica, claim, tag)`` and send its ack, as of
+        ``time``, the barrier that minted the slot."""
+        at, _, shard, replica, claim, tag = row
+        slots = self._validated_at.get(
+            (claim.source_shard, claim.destination_shard, claim.issuer)
+        )
+        validated_at = None if slots is None else slots.get(claim.sequence)
+        if validated_at is not None:
+            self._record_latency(max(0.0, at - validated_at))
+        ack = SettlementAck(claim, Signature(replica, tag))
+        self.acks_dispatched += self._send(
+            "acks", ACK_DELAY, shard, replica, ack, at, claim.source_shard, _ack_pair,
+        )
 
     def _send(
         self,
@@ -933,7 +827,7 @@ class SettlementFabric:
         self._latency_max = max(self._latency_max, latency)
         self._latency_window.append(latency)
 
-    # -- relays and verification --------------------------------------------------------------
+    # -- relays and delivery ------------------------------------------------------------------
 
     def relay(self, source_shard: int, destination_shard: int) -> SettlementRelay:
         """The pair's relay, created on first use."""
@@ -953,12 +847,18 @@ class SettlementFabric:
     def on_certified(self, certificate) -> None:
         """Every stream's sink: queue a fresh certificate for delivery one
         relay-to-shard link later.  A retirement watermark first makes both
-        streams of its pair forget what it subsumes."""
+        streams of its pair, and the slots' validation times, forget what it
+        subsumes."""
         claim = certificate.claim
         if type(certificate) is RetirementCertificate:
             relay = self._relays[(claim.source_shard, claim.destination_shard)]
             relay.vouchers.forget(claim.issuer, claim.sequence)
             relay.acks.forget(claim.issuer, claim.sequence)
+            key = (claim.source_shard, claim.destination_shard, claim.issuer)
+            slots = self._validated_at.pop(key, {})
+            slots = {sequence: at for sequence, at in slots.items() if sequence > claim.sequence}
+            if slots:
+                self._validated_at[key] = slots
             queue = "retirement_certificates"
         else:
             self._certified_amount += claim.amount
@@ -967,37 +867,19 @@ class SettlementFabric:
         self.scheduler.enqueue(queue, ready, self._deliver, certificate)
 
     def _deliver(self, certificate) -> None:
-        """Deliver a matured certificate: count it on its stream, then a
-        settlement certificate adds to its provision total and visits the
-        destination's inboxes in pid order, a retirement certificate goes to
-        the source's gate."""
+        """Deliver a matured certificate: count it on its stream (and its
+        provision total) and hand it to the shard it licenses."""
         claim = certificate.claim
         relay = self._relays[(claim.source_shard, claim.destination_shard)]
         if type(certificate) is RetirementCertificate:
             relay.acks.deliver(certificate)
-            self.gates[claim.source_shard].receive(certificate)
+            self.scheduler.hand_over(claim.source_shard, certificate)
             return
         relay.vouchers.deliver(certificate)
         provisions = self._provisions.setdefault(claim.destination_shard, {})
         account = settlement_account(claim.source_shard, claim.issuer)
         provisions[account] = provisions.get(account, 0) + claim.amount
-        for inbox in self._shard_inboxes[claim.destination_shard]:
-            inbox.receive(certificate)
-
-    def _take_stream_records(
-        self, claim: SettlementAckClaim, first_sequence: int
-    ) -> Optional[Amount]:
-        """Pop the slot records a watermark advance retires and return their
-        amount; ``None`` (consuming nothing) if any was never recorded."""
-        key = (claim.source_shard, claim.destination_shard, claim.issuer)
-        records = self._stream_records.get(key, {})
-        span = range(first_sequence, claim.sequence + 1)
-        if any(sequence not in records for sequence in span):
-            return None
-        amount = sum([records.pop(sequence).claim.amount for sequence in span])
-        if not records:  # the stream drained: its dict goes with its last slot
-            del self._stream_records[key]
-        return amount
+        self.scheduler.hand_over(claim.destination_shard, certificate)
 
     # -- audit views --------------------------------------------------------------------------
 
@@ -1031,7 +913,8 @@ class SettlementFabric:
         many of its shard's inboxes buffer it."""
         buffered = {
             id(certificate)
-            for inbox in self.inboxes.values()
+            for shard in self._shards.values()
+            for inbox in shard.inboxes
             for certificates in inbox._buffered.values()
             for certificate in certificates.values()
         }
@@ -1053,17 +936,13 @@ class SettlementFabric:
         """Ack watermarks stuck below quorum across all relays."""
         return sum(relay.acks.pending for relay in self.relays)
 
-    def retired_amount(self) -> Amount:
-        """Money whose outbound records the gates have retired."""
-        return sum(gate.retired_amount for gate in self.gates.values())
-
     def retired_claims(self) -> int:
-        """Outbound records retired behind the compaction watermarks."""
-        return sum(gate.retired_claims for gate in self.gates.values())
+        """Outbound records the shards' gates retired behind their watermarks."""
+        return sum(shard.gate.retired_claims for shard in self._shards.values())
 
     def settlement_latency(self) -> Tuple[int, float, float]:
         """``(samples, average, max)`` source-validation-to-mint latency,
-        one sample per inbox accept decision, over the whole run."""
+        one sample per ack (each inbox mint), over the whole run."""
         if self._latency_count == 0:
             return (0, 0.0, 0.0)
         return (
@@ -1097,7 +976,7 @@ class SettlementFabric:
     def settlement_messages(self) -> int:
         """Vouchers and acks dispatched plus certificate deliveries."""
         deliveries = sum(
-            relay.vouchers.delivered_total * len(self._shard_inboxes[relay.pair[1]])
+            relay.vouchers.delivered_total * len(self._signers[relay.pair[1]])
             + relay.acks.delivered_total
             for relay in self.relays
         )

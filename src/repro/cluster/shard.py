@@ -10,6 +10,11 @@ to each settlement barrier by an execution backend
 itself is: shards never exchange messages, so a shard's event sequence
 depends only on its own schedule.
 
+A shard is also both settlement trust boundaries for itself (an inbox per
+replica decides its mints, its gate its retirements) and its replicas sign
+their own vouchers and acks: it needs only the certificates each barrier
+hands it and every shard's certificate check (the key directory).
+
 Because a shard is built purely from seeds (:class:`ShardSpec`), the same
 spec builds bit-identical shards in the driver process and in a worker
 process — the property the cross-backend equivalence harness rests on.
@@ -19,13 +24,23 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.rng import derive_seed
 from repro.common.types import AccountId, Amount, ProcessId, Transfer, TransferId
 from repro.cluster.routing import parse_external_account
-from repro.cluster.settlement import RetirementSpan, SettlementClaim, SettlementVoucher
+from repro.cluster.settlement import (
+    CompactionGate,
+    RetirementCertificate,
+    SettlementAckClaim,
+    SettlementCertificate,
+    SettlementClaim,
+    SettlementInbox,
+    mint_transfer,
+)
+from repro.crypto.signatures import SignatureScheme
 from repro.mp.consensusless_transfer import ConsensuslessTransferNode, TransferRecord
 from repro.mp.system import ConsensuslessSystem, SystemResult
 from repro.network.node import NetworkConfig, NodeStats
@@ -52,29 +67,48 @@ class ShardSpec:
     seed: int = 0
 
 
-class ValidationEvent(NamedTuple):
-    """One replica's signed voucher for a cross-shard credit, at its local time.
+def _shard_seed(spec: ShardSpec) -> int:
+    """The seed a shard's network, replicas and keys derive from."""
+    return derive_seed(spec.seed, "shard", spec.index) % (2**31)
 
-    ``index`` is the shard-local emission counter, so ``(time, shard,
-    index)`` totally orders the events of one epoch across all shards.  The
-    fields lead with that key: the events' own tuple order is the order the
-    settlement exchange sends the vouchers in, identical whatever backend
-    produced them, and it never reaches ``replica`` or ``voucher``.
-    """
 
-    time: float
-    shard: int
-    index: int
-    replica: ProcessId
-    voucher: SettlementVoucher
+def quorum_size_for(replicas: int) -> int:
+    """``2f + 1``, the signatures a shard of ``replicas`` puts on a
+    certificate, for the ``f = (replicas - 1) // 3`` it tolerates."""
+    return 2 * ((replicas - 1) // 3) + 1
+
+
+def certificate_check(spec: ShardSpec, metrics, scheme: Optional[SignatureScheme] = None):
+    """Shard ``spec``'s bound certificate check, counting into ``metrics``
+    (the checking shard's registry, wherever the signer runs): a quorum of
+    its replicas' keys, from its own ``scheme`` when it is hosted alongside
+    (so verdicts reached there are reused), else from the spec (the same
+    seed, so the same keys)."""
+    if scheme is None:
+        scheme = SignatureScheme(seed=_shard_seed(spec))
+    return partial(
+        scheme.counting_into(metrics).verify_certificate,
+        quorum_size=quorum_size_for(spec.replicas),
+        allowed_signers=frozenset(range(spec.replicas)),
+    )
 
 
 @dataclass
 class AdvanceReport:
-    """What one shard reports back from running up to an epoch barrier."""
+    """What one shard reports back from running up to an epoch barrier.
+
+    ``events`` are the epoch's voucher rows, ``(time, shard, index,
+    replica, claim, tag)``, whose tuple order (``index`` counts the shard's
+    rows) is the order the exchange sends them in; ``acks`` the last
+    apply's ack rows, ``(time, position, shard, replica, claim, tag)``,
+    stamped with its barrier and each certificate's delivery position.
+    Rows are flat tuples around a claim the agreeing replicas share: cheap
+    on a pipe.
+    """
 
     shard: int
-    events: List[ValidationEvent] = field(default_factory=list)
+    events: List[tuple] = field(default_factory=list)
+    acks: List[tuple] = field(default_factory=list)
     pending_events: int = 0
     next_event_time: Optional[float] = None
     processed_events: int = 0
@@ -123,9 +157,11 @@ class ShardSnapshot:
     """A shard's final state, shipped from a worker back to the driver.
 
     Holds exactly what the inspection and audit surfaces read after a run:
-    per-node protocol state, the completion records in completion order, and
-    the shard-level counters.  Restoring it onto a never-started driver-side
-    shard makes ``balance_of`` / ``observations`` / ``finalize`` answer as if
+    per-node protocol state, the completion records in completion order, the
+    shard-level counters and what its inboxes and gate decided (each one's
+    ``state()``: counts, rejection windows, buffers, watermarks).  Restoring
+    it onto a never-started driver-side shard makes ``balance_of`` /
+    ``observations`` / ``finalize`` / the inboxes and the gate answer as if
     the run had happened locally.
 
     One snapshot is one pipe frame: the pool's final capture asks for each
@@ -144,6 +180,8 @@ class ShardSnapshot:
     # The shard's metrics-registry snapshot (repro.obs), shipped back so the
     # driver can merge worker-side telemetry.
     metrics: Dict[str, Dict[str, object]]
+    inboxes: List[Dict[str, object]]
+    gate: Dict[str, object]
 
 
 class Shard:
@@ -155,7 +193,7 @@ class Shard:
         self.replicas = spec.replicas
         # Every shard derives its own seed lineage so latency streams and key
         # material are independent across shards yet reproducible.
-        shard_seed = derive_seed(spec.seed, "shard", spec.index) % (2**31)
+        shard_seed = _shard_seed(spec)
         base_config = spec.network_config or NetworkConfig()
         self.group = ConsensuslessSystem(
             process_count=spec.replicas,
@@ -179,12 +217,25 @@ class Shard:
         # pairs were handed out; wiring it here just starts counting early.
         self.scheme.metrics = self.metrics
         self.submitted = 0
-        self._validation_events: List[ValidationEvent] = []
+        # The rows the next report carries: voucher rows as replicas validate,
+        # ack rows as a barrier's certificates mint.
+        self._validation_events: List[tuple] = []
+        self._ack_rows: List[tuple] = []
         # ``(destination, issuer) -> sequence -> (transfer, claim)`` of each
-        # outbound slot, from its first voucher until a retirement span pops
-        # it; and per stream, the sequence the applied spans retired through.
+        # outbound slot, from its first voucher until the gate retires it.
         self._slots: Dict[Tuple[int, ProcessId], Dict[int, tuple]] = {}
-        self._retired_through: Dict[Tuple[int, ProcessId], int] = {}
+        # Each replica's signing capability (its tags) and the key directory,
+        # both installed with the collector: only this shard signs for them.
+        self._tag: Dict[ProcessId, Callable] = {}
+        self._verifiers: Dict[int, Callable[..., bool]] = {}
+        # One inbox per replica, in pid order; the claims the inbox being
+        # delivered to mints, and the transfers the barrier's gate retired.
+        self._minting: List[SettlementClaim] = []
+        self._retiring: List[Transfer] = []
+        self.inboxes: List[SettlementInbox] = [
+            SettlementInbox(self.index, self._verifiers, self._minting.append) for _ in self.nodes
+        ]
+        self.gate = CompactionGate(self.index, self._verifiers, self._retire_slots)
         self._stats_override: Optional[Tuple[int, int]] = None
         # The worker-side registry snapshot a restore() installed (process
         # backend twins).  Kept separate from ``self.metrics`` — which holds
@@ -217,9 +268,12 @@ class Shard:
         """
         return self._spec
 
-    def install_validation_collector(self) -> None:
-        """Make every replica sign a voucher for each cross-shard credit it
-        validates, collected into the epoch's :class:`AdvanceReport`.
+    def install_validation_collector(self, verifiers: Optional[Dict[int, Callable]] = None) -> None:
+        """Hand every replica its key pair — each signs a voucher for each
+        cross-shard credit it validates, collected into the epoch's
+        :class:`AdvanceReport`, and an ack for each credit it mints — and
+        install ``verifiers``, every shard's certificate check by index: the
+        key directory the inboxes and the gate read.
 
         The collector parses a credit's ``x{d}:a`` name once and numbers a
         replica's credits densely per ``(destination, issuer)`` stream; all
@@ -228,11 +282,13 @@ class Shard:
         :class:`SettlementClaim`, which every replica that validated the same
         transfer signs; any other, or a retired slot, gets a claim of its own.
         """
+        self._verifiers.update(verifiers or {})
         for pid in sorted(self.nodes):
+            self._tag[pid] = self.scheme.keypair_for(pid).tag
             self.nodes[pid].on_validated = self._collector(pid)
 
     def _collector(self, replica: ProcessId) -> Callable[[Transfer], None]:
-        sign = self.scheme.keypair_for(replica).sign
+        tag = self._tag[replica]
         index = self.index
         sequences: Dict[Tuple[int, ProcessId], int] = {}  # this replica's counters
 
@@ -248,11 +304,12 @@ class Shard:
                 claim = slot[1]
             else:
                 claim = SettlementClaim(index, *stream, sequence, account, transfer.amount)
-                if slot is None and sequence > self._retired_through.get(stream, 0):
+                if slot is None and sequence > self.gate.watermark(*stream):
                     self._slots.setdefault(stream, {})[sequence] = (transfer, claim)
-            voucher = SettlementVoucher(claim, sign(claim))
             events = self._validation_events
-            events.append(ValidationEvent(self.simulator.now, index, len(events), replica, voucher))
+            events.append(
+                (self.simulator.now, index, len(events), replica, claim, tag(claim))
+            )
 
         return collect
 
@@ -262,9 +319,10 @@ class Shard:
         """Run this shard's own simulator up to ``horizon`` and report back.
 
         ``horizon=None`` runs to quiescence.  The report carries the epoch's
-        signed vouchers and the scheduling facts (pending events, next
-        event time) the barrier scheduler folds into the global quiescence
-        and next-barrier decisions.
+        voucher rows, the ack rows of the last :meth:`apply` and the
+        scheduling facts (pending events, next event time) the barrier
+        scheduler folds into the global quiescence and next-barrier
+        decisions.
 
         Spending ``max_events`` is not an error here: the shard stops with
         its next live event inside the horizon, which the report shows, and
@@ -280,11 +338,12 @@ class Shard:
             # ``type``: a refused ``False`` budget would equal 0 events spent.
             if type(max_events) is not int or spent != max_events:
                 raise
-        events = self._validation_events
-        self._validation_events = []
+        events, self._validation_events = self._validation_events, []
+        acks, self._ack_rows = self._ack_rows, []
         return AdvanceReport(
             shard=self.index,
             events=events,
+            acks=acks,
             pending_events=self.simulator.pending_events,
             next_event_time=self.simulator.next_event_time,
             processed_events=self.simulator.processed_events,
@@ -294,32 +353,56 @@ class Shard:
     def apply(
         self,
         time: float,
-        mints: List[Tuple[ProcessId, Transfer]],
-        retirements: List[RetirementSpan],
+        certificates: List[Tuple[int, SettlementCertificate]],
+        retirements: List[RetirementCertificate],
     ) -> None:
-        """Schedule one barrier's settlement commands onto this shard's clock.
+        """Decide one barrier's certificates and schedule what they license.
 
-        The barrier hands over one ``(replica, transfer)`` mint per inbox
-        decision, then the stream spans a verified ack quorum retired, whose
-        recorded transfers the shard pops here, in order.  Each mint is one
-        handle-less event, in list order, then one event compacts the popped
-        transfers out of every replica (none if there are no spans).  Posted
-        in this order on the shard's own simulator, they take the same
-        ``(time, sequence)`` slots on every backend.
+        Each ``(position, certificate)`` visits the inboxes in pid order;
+        each mint they decide is posted as one handle-less event, in
+        decision order, and its replica signs an ack row (stamped ``time``
+        and ``position``) for the next report; the replicas minting a slot
+        share its transfer and ack claim.  Then the gate takes each
+        retirement certificate, and one event compacts what it retired out
+        of every replica.  Posted in this order on the shard's own
+        simulator, they take the same ``(time, sequence)`` slots on every
+        backend.
         """
         post = self.simulator.post
-        nodes = self.nodes
-        for replica, transfer in mints:
-            post(time, nodes[replica].mint_certified_credit, (transfer,))
-        if retirements:
-            transfers = []
-            for destination, issuer, first, last in retirements:
-                recorded = self._slots[destination, issuer]
-                transfers.extend([recorded.pop(sequence)[0] for sequence in range(first, last + 1)])
-                if not recorded:  # the stream drained: its dict goes with its last slot
-                    del self._slots[destination, issuer]
-                self._retired_through[destination, issuer] = last
-            post(time, self.retire_settled, (transfers,))
+        minting = self._minting
+        for position, certificate in certificates:
+            built: Dict[SettlementClaim, Tuple[Transfer, SettlementAckClaim]] = {}
+            for (replica, node), inbox in zip(self.nodes.items(), self.inboxes):
+                inbox.receive(certificate)
+                for claim in minting:
+                    if claim not in built:
+                        built[claim] = (mint_transfer(claim), SettlementAckClaim(
+                            claim.source_shard, claim.destination_shard, claim.issuer, claim.sequence
+                        ))
+                    transfer, ack_claim = built[claim]
+                    post(time, node.mint_certified_credit, (transfer,))
+                    tag = self._tag[replica](ack_claim)
+                    self._ack_rows.append((time, position, self.index, replica, ack_claim, tag))
+                minting.clear()
+        for certificate in retirements:
+            self.gate.receive(certificate)
+        if self._retiring:
+            post(time, self.retire_settled, (self._retiring,))
+            self._retiring = []
+
+    def _retire_slots(self, claim: SettlementAckClaim, first: int) -> Optional[Amount]:
+        """The gate's lookup: retire the recorded slots ``first..claim.sequence``
+        of the claim's stream (``None``, retiring nothing, if one is missing)."""
+        stream = (claim.destination_shard, claim.issuer)
+        recorded = self._slots.get(stream, {})
+        span = range(first, claim.sequence + 1)
+        if any(sequence not in recorded for sequence in span):
+            return None
+        transfers = [recorded.pop(sequence)[0] for sequence in span]
+        if not recorded:  # the stream drained: its dict goes with its last slot
+            del self._slots[stream]
+        self._retiring.extend(transfers)
+        return sum(transfer.amount for transfer in transfers)
 
     def retire_settled(self, transfers: List[Transfer]) -> None:
         """Apply one retirement batch to every replica, in replica order.
@@ -405,6 +488,8 @@ class Shard:
             broadcast_delivered=self.broadcast_instances(),
             payload_items=self.payload_items(),
             metrics=self.metrics_snapshot(),
+            inboxes=[inbox.state() for inbox in self.inboxes],
+            gate=self.gate.state(),
         )
 
     def restore(self, snapshot: ShardSnapshot) -> None:
@@ -412,9 +497,9 @@ class Shard:
 
         After restoring, every read-side surface — ``balance_of``,
         ``all_known_balances``, ``observations``, the result lists,
-        ``broadcast_instances`` — answers exactly as the worker's shard
-        would; the local simulator and broadcast layers stay untouched (the
-        run happened elsewhere).
+        ``broadcast_instances``, the inboxes and the gate — answers exactly
+        as the worker's shard would; the local simulator and broadcast layers
+        stay untouched (the run happened elsewhere).
         """
         if snapshot.index != self.index:
             raise ConfigurationError(
@@ -427,6 +512,9 @@ class Shard:
         self.network.messages_sent = snapshot.messages_sent
         self.submitted = snapshot.submitted
         self._stats_override = (snapshot.broadcast_delivered, snapshot.payload_items)
+        for inbox, state in zip(self.inboxes, snapshot.inboxes):
+            inbox.restore(state)
+        self.gate.restore(snapshot.gate)
         # Replace, never merge: each pause/finalize cycle restores the
         # worker's *cumulative* registry, so merging would double-count
         # counters on the second restore.  ``metrics_snapshot`` overlays
@@ -468,11 +556,6 @@ class Shard:
     # -- inspection ---------------------------------------------------------------------------
 
     @property
-    def fault_threshold(self) -> int:
-        """``f``: Byzantine replicas this shard tolerates (``n >= 3f + 1``)."""
-        return (self.replicas - 1) // 3
-
-    @property
     def quorum_size(self) -> int:
         """``2f + 1``: signatures a settlement certificate must carry.
 
@@ -480,7 +563,7 @@ class Shard:
         conflicting claims for the same settlement stream slot can both be
         certified, and ``f`` silent replicas cannot block certification.
         """
-        return 2 * self.fault_threshold + 1
+        return quorum_size_for(self.replicas)
 
     def observations(self) -> List[ProcessObservation]:
         """Per-replica observations for this shard's Definition 1 check."""

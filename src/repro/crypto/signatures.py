@@ -35,9 +35,10 @@ check is a pure function of the key directory, the claimed signer, the
 authentication tag and the payload's canonical encoding.  The signer and tag
 are the signature's fields, so its ``_verdict`` slot keeps the one
 ``(scheme, payload bytes, verdict)`` it was last checked with, and a check by
-the same scheme over equal bytes reuses the verdict.  Another scheme, other
-bytes or another signature object (a forged tag is a new object) is verified
-from scratch and replaces the slot.  The verdict lives as long as the
+the same scheme, or a view sharing its keys (:meth:`SignatureScheme.counting_into`),
+over equal bytes reuses the verdict.  Another key directory, other bytes or
+another signature object (a forged tag is a new object) is verified from
+scratch and replaces the slot.  The verdict lives as long as the
 signature does; the scheme keeps no table.  Certificates are not cached:
 :meth:`SignatureScheme.certify` checks the quorum once at construction and
 :meth:`SignatureScheme.verify_certificate` runs the full check at every trust
@@ -116,10 +117,15 @@ class KeyPair:
 
     def sign(self, payload: Any) -> Signature:
         """Sign ``payload`` as this process."""
+        return Signature(signer=self.process, tag=self.tag(payload))
+
+    def tag(self, payload: Any) -> str:
+        """The tag :meth:`sign` puts in its signature, alone: what a flat wire
+        row ships beside its signer's id."""
         signed = self._scheme._signed
         if signed is not None:
             signed.value += 1
-        return Signature(signer=self.process, tag=self._key.tag(canonical_bytes(payload)))
+        return self._key.tag(canonical_bytes(payload))
 
 
 class SignatureScheme:
@@ -161,6 +167,15 @@ class SignatureScheme:
             self._certified = registry.counter("sig.certify")
             self._certificates_verified = registry.counter("sig.verify_certificate")
 
+    def counting_into(self, registry) -> "SignatureScheme":
+        """A view of this key directory whose operations count into
+        ``registry``: it shares the keys, so a verdict either reached is
+        reused by the other."""
+        view = SignatureScheme(self._seed)
+        view._keys = self._keys
+        view.metrics = registry
+        return view
+
     # -- key management ---------------------------------------------------------------
 
     def keypair_for(self, process: ProcessId) -> KeyPair:
@@ -193,7 +208,7 @@ class SignatureScheme:
         """Verify against pre-encoded canonical payload bytes.
 
         The verdict is reused from the signature's ``_verdict`` slot when
-        this scheme last checked it over equal bytes, and stored there
+        this key directory last checked it over equal bytes, and stored there
         otherwise.  A tag that is not an ASCII string (bytes, ``None``, a
         number, a non-ASCII string: what a Byzantine sender can put on the
         wire) is invalid; it is refused before it can reach
@@ -210,7 +225,7 @@ class SignatureScheme:
         except AttributeError:
             pass
         else:
-            if scheme is self and checked == encoded:
+            if scheme._keys is self._keys and checked == encoded:
                 if verified is not None:
                     self._verified_cached.value += 1
                 return verdict
@@ -291,6 +306,7 @@ class SignatureScheme:
         return len(signers) >= quorum_size
 
 
+@rebuilt_by_constructor
 @dataclass(frozen=True, slots=True)
 class QuorumCertificate:
     """A set of signatures binding distinct signers to one payload."""

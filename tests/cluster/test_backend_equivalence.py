@@ -48,9 +48,11 @@ from repro.cluster.backends import (
     make_backend,
 )
 from repro.cluster.settlement import (
+    RetirementCertificate,
     SettlementCertificate,
     SettlementClaim,
     SettlementVoucher,
+    mint_transfer,
     settlement_account,
     settlement_issuer,
 )
@@ -515,7 +517,7 @@ class TestEpochSchedulerEdges:
             for report in reports.values():
                 assert report.now <= horizon
                 assert report.now == horizon or not report.pending_events
-                assert all(event.time <= horizon for event in report.events)
+                assert all(row[0] <= horizon for row in report.events + report.acks)
             horizons.append(horizon)
             return reports
 
@@ -525,7 +527,7 @@ class TestEpochSchedulerEdges:
             assert result.settlement_stream
             assert len(horizons) == system.scheduler.barriers + 1
             assert horizons == sorted(horizons)
-            assert system.scheduler._event_buffer == []
+            assert system.scheduler._event_buffer == system.scheduler._ack_buffer == []
         finally:
             system.close()
 
@@ -960,28 +962,35 @@ class TestWorkerLoop:
 
     def test_a_worker_serves_every_resident_shard(self, fast_network, scripted_pipe):
         """Shards 0 and 2 on one worker (the slot-0 worker of a two-worker
-        pool over three shards): ``advance`` answers per resident shard,
-        ``snapshot`` for the one shard it names, an ``apply`` reaches only
-        the shard it names, and a command for a shard hosted elsewhere is
-        refused."""
+        pool over three shards, shard 1's spec shipped for the key
+        directory): ``advance`` answers per resident shard, ``snapshot`` for
+        the one shard it names, an ``apply`` reaches only the shard it
+        names, whose inboxes mint a certificate of a resident shard's keys
+        and of a shard hosted elsewhere alike, and a command for a shard
+        hosted elsewhere is refused.  The mints' acks ride the next
+        advance's report, signed by the minting replicas."""
         specs = [
             ShardSpec(index=index, replicas=4, initial_balance=100,
                       network_config=fast_network, seed=5)
-            for index in (0, 2)
+            for index in (0, 1, 2)
         ]
         submissions = {
             0: [RoutedSubmission(time=0.001, issuer=0, destination="1", amount=7)],
             2: [RoutedSubmission(time=0.002, issuer=1, destination="2", amount=3)],
         }
-        mint = Transfer(
-            source=settlement_account(0, 2), destination="0", amount=13,
-            issuer=settlement_issuer(0, 2), sequence=1,
-        )
+        certificates = []
+        for source in (0, 1):
+            claim = SettlementClaim(source, 2, issuer=2, sequence=1, account="0", amount=13)
+            scheme = Shard(specs[source]).scheme
+            signatures = [scheme.keypair_for(pid).sign(claim) for pid in range(3)]
+            certificates.append(
+                SettlementCertificate(claim, scheme.make_certificate(claim, signatures))
+            )
         pipe = scripted_pipe(
             [
                 ("advance", 1.0, None),
-                ("apply", 1.0, {2: ([(pid, mint) for pid in range(4)], [])}),
-                ("apply", 1.0, {1: ([(0, mint)], [])}),
+                ("apply", 1.0, {2: (list(enumerate(certificates)), [])}),
+                ("apply", 1.0, {1: ([(2, certificates[0])], [])}),
                 ("advance", 2.0, None),
                 ("snapshot", 2),
                 ("snapshot", 1),
@@ -989,21 +998,27 @@ class TestWorkerLoop:
                 ("stop",),
             ]
         )
-        _worker_main(pipe, specs, submissions)
+        _worker_main(pipe, [specs[0], specs[2]], submissions, [specs[1]])
         statuses = [status for status, _ in pipe.responses]
         assert statuses == ["ok", "ok", "error", "ok", "ok", "error", "ok", "ok"]
         assert sorted(pipe.responses[0][1][0]) == [0, 2]
         assert "KeyError: 1" in pipe.responses[2][1]
         assert "KeyError: 1" in pipe.responses[5][1]
+        reports = pipe.responses[3][1][0]
+        assert reports[0].acks == []
+        assert [(position, shard, replica) for _, position, shard, replica, _, _ in reports[2].acks] == [
+            (position, 2, replica) for position in (0, 1) for replica in range(4)
+        ]
         snapshots = {reply.index: reply for _, reply in (pipe.responses[4], pipe.responses[6])}
         assert list(snapshots) == [2, 0]
         assert [r.transfer.amount for r in snapshots[0].committed] == [7]
         assert [r.transfer.amount for r in snapshots[2].committed] == [3]
         for index in (0, 2):
-            twin = Shard(specs[index // 2])
+            twin = Shard(specs[index])
             twin.restore(snapshots[index])
-            minted = mint in twin.nodes[0].deps
-            assert minted == (index == 2)
+            for certificate in certificates:
+                minted = mint_transfer(certificate.claim) in twin.nodes[0].deps
+                assert minted == (index == 2)
 
 
 class TestWorkerLoss:
@@ -1052,8 +1067,12 @@ class TestWorkerLoss:
         system, workers = self._paused_pool(fast_network)
         backend = system._backend
         try:
-            transfer = Transfer("settle:0:0", "1", 1, issuer=-1, sequence=1)
-            backend.apply(0.0, {1: ([(0, transfer)], [])})  # behind shard 1's clock
+            claim = SettlementClaim(0, 1, issuer=3, sequence=1, account="1", amount=1)
+            scheme = system.shards[0].scheme
+            signatures = [scheme.keypair_for(pid).sign(claim) for pid in range(3)]
+            certificate = SettlementCertificate(claim, scheme.make_certificate(claim, signatures))
+            # A genuine certificate, whose mints land behind shard 1's clock.
+            backend.apply(0.0, {1: ([(0, certificate)], [])})
             assert [list(outstanding) for outstanding in backend._outstanding] == [[], ["apply"]]
             with pytest.raises(SimulationError) as caught:
                 system.run()
@@ -1163,7 +1182,7 @@ class TestOneApplyPerWorker:
         system, result = _run(fast_network, "process", 3, 3, 1, 1.0, max_workers=2)
         try:
             counters = result.telemetry["driver"]["counters"]
-            assert counters["exchange.mints"] > 0 and counters["exchange.retirements"] > 0
+            assert counters["exchange.mints"] > 0 and counters["exchange.retirement_certificates"] > 0
             assert 0 < counters["pipe.apply"] <= counters["pipe.advance"]
             assert "pipe.mint" not in counters and "pipe.retire" not in counters
         finally:
@@ -1171,12 +1190,13 @@ class TestOneApplyPerWorker:
 
 
 class TestRetirementCommands:
-    """A retirement command is a ``(destination, issuer, first, last)``
-    stream span: no ``Transfer`` travels in one, since each source shard
-    retires the records it holds itself."""
+    """A barrier command is certificates: each shard decides what they
+    license itself, so no ``Transfer`` travels in one — a destination shard
+    mints from a settlement certificate's claim, a source shard retires the
+    records it holds for a retirement certificate's watermark."""
 
     @pytest.mark.parametrize("backend", DEPLOYMENTS)
-    def test_a_recording_backend_receives_spans_and_no_transfer(
+    def test_a_recording_backend_receives_certificates_and_no_transfer(
         self, fast_network, backend, monkeypatch
     ):
         max_workers = 2
@@ -1198,13 +1218,19 @@ class TestRetirementCommands:
         try:
             system.schedule_submissions(_workload(system, 3, 1.0))
             system.run()
-            spans = [span for _, retirements in commands for span in retirements]
-            assert spans and all(
-                type(span) is tuple and [type(value) for value in span] == [int] * 4
-                for span in spans
-            )
-            assert all(type(transfer) is Transfer for mints, _ in commands for _, transfer in mints)
-            retired = sum(last - first + 1 for _, _, first, last in spans)
+            handed = [certificate for certificates, _ in commands for certificate in certificates]
+            retirements = [certificate for _, retired in commands for certificate in retired]
+            assert handed and retirements
+            # One delivery order, cluster-wide: every position once.
+            assert sorted(position for position, _ in handed) == list(range(len(handed)))
+            assert all(type(certificate) is SettlementCertificate for _, certificate in handed)
+            assert all(type(certificate) is RetirementCertificate for certificate in retirements)
+            watermarks = {}
+            for certificate in retirements:
+                claim = certificate.claim
+                stream = (claim.source_shard, claim.destination_shard, claim.issuer)
+                watermarks[stream] = max(watermarks.get(stream, 0), claim.sequence)
+            retired = sum(watermarks.values())
             assert retired == system.settlement.retired_claims() == system.retired_records()
             assert system.supply_audit().fully_retired
         finally:

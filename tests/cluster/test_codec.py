@@ -23,12 +23,12 @@ from repro.broadcast.messages import (
 from repro.broadcast.secure_broadcast import BroadcastDelivery
 from repro.cluster.codec import decode, encode
 from repro.cluster.settlement import (
+    RetirementCertificate,
     SettlementAckClaim,
     SettlementCertificate,
     SettlementClaim,
-    SettlementVoucher,
 )
-from repro.cluster.shard import AdvanceReport, Shard, ShardSpec, ValidationEvent
+from repro.cluster.shard import AdvanceReport, Shard, ShardSpec
 from repro.common.types import Transfer, TransferId
 from repro.crypto.signatures import SignatureScheme
 from repro.mp.consensusless_transfer import TransferRecord
@@ -58,11 +58,13 @@ BATCH = BatchAnnouncement(
     tuple(TransferAnnouncement(Transfer("0", "1", 1, issuer=0, sequence=s)) for s in (1, 2, 3))
 )
 CERTIFICATE = SettlementCertificate(claim=CLAIM, certificate=_certificate(CLAIM))
-# One replica's signed voucher, as an advance report carries it.
-EVENT = ValidationEvent(
-    time=0.01, shard=1, index=0, replica=0,
-    voucher=SettlementVoucher(claim=CLAIM, signature=SCHEME.keypair_for(0).sign(CLAIM)),
-)
+ACK_CLAIM = SettlementAckClaim(0, 1, 2, 4)
+RETIREMENT = RetirementCertificate(claim=ACK_CLAIM, certificate=_certificate(ACK_CLAIM))
+SIGNATURE = SCHEME.keypair_for(0).sign(CLAIM)
+# One replica's signed voucher and one replica's signed ack, as an advance
+# report carries them: flat rows around the shared claim.
+VOUCHER_ROW = (0.01, 1, 0, 0, CLAIM, SIGNATURE.tag)
+ACK_ROW = (0.015, 7, 1, 3, ACK_CLAIM, SCHEME.keypair_for(3).sign(ACK_CLAIM).tag)
 # What a shard snapshot is mostly made of.
 RECORDS = [
     TRANSFER,
@@ -122,7 +124,8 @@ VALUES = {
     "RoutedSubmission": RoutedSubmission(time=0.25, issuer=2, destination="x1:0", amount=9),
     # Settlement.
     "SettlementCertificate": CERTIFICATE,
-    "SettlementAckClaim": SettlementAckClaim(0, 1, 2, 4),
+    "SettlementAckClaim": ACK_CLAIM,
+    "RetirementCertificate": RETIREMENT,
     # Broadcast envelopes.
     "SendMessage": SendMessage(**ENVELOPE),
     "EchoMessage": EchoMessage(**ENVELOPE),
@@ -138,26 +141,19 @@ VALUES = {
     "NodeStats": NodeStats(sent=4, received=9, processed=9, busy_time=0.25),
     "AdvanceReport": AdvanceReport(
         shard=1,
-        events=[EVENT],
+        events=[VOUCHER_ROW],
+        acks=[ACK_ROW],
         pending_events=3, next_event_time=0.0125, processed_events=140, now=0.01,
     ),
     "ShardSnapshot": _snapshot(),
-    "ValidationEvent": EVENT,
-    # Command and reply frames.
+    "voucher_row": VOUCHER_ROW,
+    "ack_row": ACK_ROW,
+    # Command and reply frames.  An apply hands each shard its certificates,
+    # each with its delivery position, and its retirement certificates.
     "frame_advance": ("advance", 0.005, None),
-    "frame_apply_mint": (
-        "apply", 0.005, {0: ([(1, Transfer("x0:1", "1", 3, issuer=1, sequence=2))], [])}
-    ),
-    "frame_apply": (
-        "apply",
-        0.005,
-        {
-            0: ([], [(1, 0, 5, 5)]),
-            2: ([(0, Transfer("x1:0", "0", 4, issuer=0, sequence=1))], [(0, 2, 9, 9)]),
-        },
-    ),
-    # Retirement commands are ``(destination, issuer, first, last)`` spans.
-    "frame_apply_retirement_spans": ("apply", 0.005, {1: ([], [(0, 2, 1, 3), (2, 0, 4, 4)])}),
+    "frame_apply_certificates": ("apply", 0.005, {1: ([(3, CERTIFICATE)], [])}),
+    "frame_apply": ("apply", 0.005, {0: ([], [RETIREMENT]), 1: ([(4, CERTIFICATE)], [])}),
+    "frame_apply_retirements": ("apply", 0.005, {0: ([], [RETIREMENT, RETIREMENT])}),
     "frame_snapshot": ("snapshot", 3),
     "frame_stop": ("stop",),
     "reply_ok": ("ok", None),
@@ -187,11 +183,12 @@ def test_snapshot_records_are_rebuilt_by_their_constructors(record):
 
 
 @pytest.mark.parametrize(
-    "record", [CLAIM, EVENT.voucher.signature], ids=lambda record: type(record).__name__
+    "record", [CLAIM, ACK_CLAIM, SIGNATURE], ids=lambda record: type(record).__name__
 )
 def test_voucher_records_are_rebuilt_by_their_constructors(record):
-    # An advance report ships a claim per slot and a signature per voucher,
-    # each as its field values rather than through the generated __getstate__.
+    # An advance report ships a claim per slot in its voucher and ack rows,
+    # and an apply a signature per certificate member, each as its field
+    # values rather than through the generated __getstate__.
     values = tuple(getattr(record, f.name) for f in dataclasses.fields(record))
     assert record.__reduce__() == (type(record), values)
 

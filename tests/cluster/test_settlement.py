@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import gc
+import sys
 import types
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from repro.cluster.system import ClusterSystem
 from repro.cluster.backends import BACKEND_NAMES, EpochScheduler
 from repro.cluster.routing import parse_external_account
-from repro.cluster.shard import Shard, ShardSpec, ValidationEvent
+from repro.cluster.shard import AdvanceReport, Shard, ShardSpec
 from repro.cluster.settlement import (
     CompactionGate,
     QuorumStream,
@@ -62,6 +63,15 @@ def _system(fast_network, shards=2, batch=1, seed=11, **kwargs):
         seed=seed,
         **kwargs,
     )
+
+
+# Each backend by name, plus "one-worker": the process pool shrunk to a
+# single worker that hosts every shard.
+DEPLOYMENTS = {
+    "serial": dict(backend="serial"),
+    "process": dict(backend="process"),
+    "one-worker": dict(backend="process", max_workers=1),
+}
 
 
 def _user_on_shard(router, shard, exclude=()):
@@ -403,18 +413,18 @@ class TestRelaysAreData:
 
 
 def _hand_signed(system, replica, claim):
-    """The event a source replica's collector would report for ``claim`` at
-    2 ms, signed by hand with that replica's own key."""
-    scheme = system.shards[claim.source_shard].scheme
-    voucher = SettlementVoucher(claim, scheme.keypair_for(replica).sign(claim))
-    return ValidationEvent(0.002, claim.source_shard, replica, replica, voucher)
+    """The voucher row a source replica's collector would report for
+    ``claim`` at 2 ms, signed by hand with that replica's own key."""
+    tag = system.shards[claim.source_shard].scheme.keypair_for(replica).sign(claim).tag
+    return (0.002, claim.source_shard, replica, replica, claim, tag)
 
 
 class TestValidationReplay:
     """Vouchers reach the fabric one way: the source shard's collector signs
-    them as its replicas validate, the advance report ships them, and the
-    barrier hands each to ``dispatch_voucher``, which records the slot and
-    queues the voucher on the scheduler for the next exchange."""
+    them as its replicas validate, the advance report ships them as rows,
+    and the barrier hands each to ``dispatch_voucher``, which records the
+    slot's first validation time and queues the voucher on the scheduler
+    for the next exchange."""
 
     def test_a_shard_reports_each_cross_shard_validation_once(self, fast_network):
         shard = Shard(
@@ -425,11 +435,11 @@ class TestValidationReplay:
         shard.submit(0.001, 0, "x1:2", 5)
         shard.submit(0.002, 1, "3", 5)  # a local credit is never reported
         events = shard.advance(None).events
-        assert sorted(event.replica for event in events) == [0, 1, 2, 3]
-        assert all(event.shard == 0 for event in events)
-        claims = {event.voucher.claim for event in events}
+        assert sorted(replica for _, _, _, replica, _, _ in events) == [0, 1, 2, 3]
+        assert all(source == 0 for _, source, _, _, _, _ in events)
+        claims = {claim for _, _, _, _, claim, _ in events}
         assert claims == {SettlementClaim(0, 1, 0, 1, "2", 5)}
-        assert [event.time for event in events] == sorted(event.time for event in events)
+        assert [row[0] for row in events] == sorted(row[0] for row in events)
         assert shard.advance(None).events == []
 
     def test_a_shards_vouchers_verify_and_number_each_stream_densely(self, fast_network):
@@ -453,10 +463,9 @@ class TestValidationReplay:
         assert shard.result.committed_count == 7
         streams = {}
         claims = {}
-        for _, source, _, replica, (claim, signature) in report.events:
+        for _, source, _, replica, claim, tag in report.events:
             assert source == claim.source_shard == 0 and claim.destination_shard != 0
-            assert signature.signer == replica
-            assert shard.scheme.verify(claim, signature)
+            assert shard.scheme.verify(claim, Signature(replica, tag))
             key = (replica, claim.destination_shard, claim.issuer)
             streams.setdefault(key, []).append(claim.sequence)
             slot = (claim.destination_shard, claim.issuer, claim.sequence)
@@ -498,15 +507,15 @@ class TestValidationReplay:
             fabric.dispatch_voucher(_hand_signed(system, 0, claim))
             assert fabric.vouchers_dispatched == 0
             assert system.scheduler.in_flight == 0
-            assert fabric._stream_records == {}
+            assert fabric._validated_at == {}
             claim = SettlementClaim(0, 1, 0, 1, "2", 5)
             for replica in range(4):
                 fabric.dispatch_voucher(_hand_signed(system, replica, claim))
             assert fabric.vouchers_dispatched == 4
             assert system.scheduler.in_flight == 4
             assert fabric.relay(0, 1).vouchers.certified_total == 0  # nothing assembles before a barrier
-            [record] = fabric._stream_records[(0, 1, 0)].values()
-            assert record.validated_at == 0.002 and record.claim is claim
+            # One float per slot: its first validation time.
+            assert fabric._validated_at == {(0, 1, 0): {1: 0.002}}
         finally:
             system.close()
 
@@ -535,19 +544,19 @@ class TestValidationReplay:
             validate(range(3))  # a quorum; replica 3 lags behind
             assert list(shard._slots[(1, 0)]) == [1]
             system.run()
-            assert fabric.gates[0].watermark(1, 0) == 1
-            assert fabric._stream_records.get((0, 1, 0), {}) == {}
-            assert shard._slots == {} and shard._retired_through == {(1, 0): 1}
+            assert shard.gate.watermark(1, 0) == 1
+            assert fabric._validated_at == {}
+            assert shard._slots == {}
             vouchers = fabric.relay(0, 1).vouchers
             accepted = vouchers.accepted
             [late] = validate([3])
-            assert late.voucher.claim == SettlementClaim(0, 1, 0, 1, "2", 5)
-            assert shard._slots == {} and fabric._stream_records == {}
+            assert late[4] == SettlementClaim(0, 1, 0, 1, "2", 5)
+            assert shard._slots == {} and fabric._validated_at == {}
             system.run()
             assert fabric.vouchers_dispatched == 4
             assert vouchers.accepted == accepted + 1  # absorbed at the floor
             assert vouchers.certified_total == 1 and vouchers._pending == {}
-            assert (0, 1, 0) not in fabric._stream_records and shard._slots == {}
+            assert fabric._validated_at == {} and shard._slots == {}
         finally:
             system.close()
 
@@ -567,7 +576,7 @@ class TestValidationReplay:
             system.run()
             assert system.supply_audit().fully_retired
             assert system.settlement.retired_claims() > 500
-            assert system.settlement._stream_records == {}
+            assert system.settlement._validated_at == {}
             assert [shard._slots for shard in system.shards] == [{}] * 16
         finally:
             system.close()
@@ -576,8 +585,9 @@ class TestValidationReplay:
 class TestConflictingClaims:
     """Two claims for one ``(issuer, sequence)`` slot, as replicas that
     validated different transfers at it would voucher them: the voucher
-    quorum lets at most one certify, and the slot's record is its first
-    observer's, in the shard and in the fabric."""
+    quorum lets at most one certify, the shard's record of the slot is its
+    first observer's, and the fabric keeps the slot's first validation
+    time."""
 
     CREDIT = SettlementClaim(0, 1, 0, 1, "2", 5)
     CONFLICTING = SettlementClaim(0, 1, 0, 1, "3", 7)
@@ -595,17 +605,20 @@ class TestConflictingClaims:
         try:
             fabric = system.settlement
             self._vouch(system, winners=2)
-            assert fabric._stream_records[(0, 1, 0)][1].claim is self.CREDIT  # the first observer's
+            assert fabric._validated_at == {(0, 1, 0): {1: 0.002}}
             system.run()
             vouchers = fabric.relay(0, 1).vouchers
             assert vouchers.certified_total == vouchers.delivered_total == 0
             assert vouchers.pending == 2 and vouchers.signature() == []
-            assert all(inbox.accepted == 0 for inbox in fabric.inboxes.values())
+            assert all(inbox.accepted == 0 for shard in system.shards for inbox in shard.inboxes)
         finally:
             system.close()
 
-    def test_a_three_one_split_certifies_one_and_forgets_the_loser(self, fast_network):
-        system = _system(fast_network)
+    @pytest.mark.parametrize("deployment", DEPLOYMENTS)
+    def test_a_three_one_split_certifies_one_and_forgets_the_loser(
+        self, fast_network, deployment
+    ):
+        system = _system(fast_network, **DEPLOYMENTS[deployment])
         try:
             fabric = system.settlement
             self._vouch(system, winners=3)
@@ -615,15 +628,26 @@ class TestConflictingClaims:
             [pending] = vouchers._pending[0]
             assert pending == self.CONFLICTING
             # The 10 ms barrier mints and decides the acks; the 15 ms one
-            # certifies the winner's watermark.  Its retirement is not
-            # delivered: no shard validated the hand-signed slot.
+            # certifies the winner's watermark.
             system.run(until=0.015)
             assert vouchers.certified_total == 1
             assert vouchers.signature() == [dataclasses.astuple(self.CREDIT)]
-            assert [fabric.inboxes[(1, pid)].accepted for pid in range(4)] == [1, 1, 1, 1]
+            assert [inbox.accepted for inbox in system.shards[1].inboxes] == [1, 1, 1, 1]
             # The winner's ack watermark forgot the slot, the loser with it.
             assert vouchers.floor(0) == 1
             assert vouchers.pending == 0 and vouchers._pending == {}
+            assert fabric._validated_at == {}
+            # At quiescence: no shard validated the hand-signed slot, so
+            # shard 0's gate refuses its retirement certificate, and the
+            # books still balance.
+            system.run()
+            gate = system.shards[0].gate
+            assert gate.rejected_count == 1 and gate.accepted == 0
+            assert gate.rejected[-1][1] == "unknown settlement records"
+            assert fabric.relay(0, 1).acks.delivered_total == 1
+            audit = system.supply_audit()
+            assert audit.conserved and audit.ledger_matches_relay and audit.retirement_backed
+            assert audit.minted == audit.relay_delivered == 5 and audit.retired == 0
         finally:
             system.close()
 
@@ -641,7 +665,7 @@ class TestConflictingClaims:
             shard.nodes[replica].on_validated(transfer)
         [(recorded, claim)] = shard._slots[(1, 0)].values()
         assert recorded is credit and claim == self.CREDIT
-        signed = [event.voucher.claim for event in shard._validation_events]
+        signed = [claim for _, _, _, _, claim, _ in shard._validation_events]
         assert signed == [self.CREDIT, self.CONFLICTING, self.CREDIT, self.CONFLICTING]
         assert signed[0] is signed[2] is claim and signed[1] is not signed[3]
 
@@ -650,18 +674,18 @@ class TestSettlementQueues:
     def test_one_pass_drains_the_queues_in_lifecycle_order(self):
         """Every queue entry carries its handler.  A barrier drains each
         queue once, each by ``(ready, order)``: certificates and retirement
-        certificates in its first half; vouchers, the decided acks' dispatch
-        and acks in its second.  Work a handler queues waits for a later
-        barrier — on a queue this barrier already drained, or maturing after
-        ``now`` on one it has yet to drain — and each queue is counted under
-        its own name."""
+        certificates in its first half; vouchers, the reported ack rows'
+        dispatch and acks in its second.  Work a handler queues waits for a
+        later barrier — on a queue this barrier already drained, or maturing
+        after ``now`` on one it has yet to drain — and each queue is counted
+        under its own name."""
         metrics = MetricsRegistry()
         scheduler = EpochScheduler(epoch=0.005, metrics=metrics)
         ran = []
 
         class Fabric:
-            def dispatch_acks(self):
-                ran.append("acks dispatched")
+            def dispatch_ack(self, row):
+                ran.append(f"ack row {row[1]} dispatched")
 
         def certify(name):
             ran.append(name)
@@ -684,8 +708,17 @@ class TestSettlementQueues:
         assert scheduler.in_flight == 6
         assert scheduler._release(backend=None) == 0  # no commands
         assert ran == ["certificate", "retirement certificate"]
+        # Two shards' reports, whose ack rows sort by delivery position.
+        scheduler._ingest({
+            1: AdvanceReport(shard=1, acks=[(0.0, 1, 1, 0, None, ""), (0.0, 1, 1, 1, None, "")]),
+            2: AdvanceReport(shard=2, acks=[(0.0, 0, 2, 0, None, "")]),
+        })
+        assert scheduler.in_flight == 9
         scheduler._settle(Fabric())
-        assert ran[2:] == ["first voucher", "second voucher", "acks dispatched", "ack"]
+        assert ran[2:] == [
+            "first voucher", "second voucher",
+            "ack row 0 dispatched", "ack row 1 dispatched", "ack row 1 dispatched", "ack",
+        ]
         assert scheduler.in_flight == 4
         counts = {
             name: metrics.counter(f"exchange.{name}").value
@@ -698,14 +731,110 @@ class TestSettlementQueues:
         scheduler.now = 0.005
         scheduler._release(backend=None)
         scheduler._settle(Fabric())
-        assert ran[6:] == [
+        assert ran[8:] == [
             "certificate queued by a retirement",
             "voucher queued by an ack",
             "not yet matured",
-            "acks dispatched",
             "ack queued by a certificate",
         ]
         assert scheduler.in_flight == 0
+
+
+def _ack_rows(system, monkeypatch):
+    """Run ``system`` on a cross-shard workload; return every ack row the
+    fabric was handed, in dispatch order."""
+    rows = []
+    dispatch = system.settlement.dispatch_ack
+
+    def recording(row):
+        rows.append(row)
+        dispatch(row)
+
+    monkeypatch.setattr(system.settlement, "dispatch_ack", recording)
+    system.schedule_submissions(
+        _workload(seed=3, rate=4_000.0, duration=0.02, cross_shard_fraction=0.5,
+                  router=system.router)
+    )
+    system.run()
+    return rows
+
+
+class TestShardsSignTheirOwnAcks:
+    """A destination shard's replicas sign their acks in the shard, and the
+    acks go home as rows in its next advance report, on every backend."""
+
+    @pytest.mark.parametrize("deployment", DEPLOYMENTS)
+    def test_each_ack_row_verifies_under_the_minting_replicas_own_key(
+        self, fast_network, deployment, monkeypatch
+    ):
+        with _system(fast_network, shards=3, **DEPLOYMENTS[deployment]) as system:
+            rows = _ack_rows(system, monkeypatch)
+            assert len(rows) == system.settlement.acks_dispatched > 0
+            for _, _, shard, replica, claim, tag in rows:
+                assert claim.destination_shard == shard != claim.source_shard
+                scheme = system.shards[shard].scheme
+                assert scheme.verify(claim, Signature(replica, tag))
+                # Under the destination's keys, and as that replica alone.
+                assert not system.shards[claim.source_shard].scheme.verify(
+                    claim, Signature(replica, tag)
+                )
+                assert not any(
+                    scheme.verify(claim, Signature(other, tag))
+                    for other in range(4) if other != replica
+                )
+                # The signer minted the slot it acknowledges.
+                minted = {
+                    (transfer.issuer, transfer.sequence)
+                    for transfer in system.shards[shard].nodes[replica]._validated
+                    if transfer.issuer < 0
+                }
+                issuer = settlement_issuer(claim.source_shard, claim.issuer)
+                assert (issuer, claim.sequence) in minted
+
+    @pytest.mark.parametrize("deployment", DEPLOYMENTS)
+    def test_a_delivered_certificate_yields_one_shared_ack_claim(
+        self, fast_network, deployment, monkeypatch
+    ):
+        """Every replica of the destination mints a delivered certificate
+        and acknowledges it over one ack claim object; positions follow the
+        cluster's delivery order."""
+        with _system(fast_network, shards=3, **DEPLOYMENTS[deployment]) as system:
+            rows = _ack_rows(system, monkeypatch)
+            per_delivery = {}
+            for time, position, shard, replica, claim, _ in rows:
+                per_delivery.setdefault(position, []).append((time, shard, replica, claim))
+            assert list(per_delivery) == sorted(per_delivery)
+            assert len(per_delivery) == system.settlement.certificates_delivered()
+            for acks in per_delivery.values():
+                assert [replica for _, _, replica, _ in acks] == [0, 1, 2, 3]
+                assert len({(time, shard) for time, shard, _, _ in acks}) == 1
+                claim = acks[0][3]
+                assert all(ack[3] is claim for ack in acks)
+
+    def test_only_the_shards_hand_out_their_replicas_keys(self, fast_network, monkeypatch):
+        """From construction to quiescence of a serial run, every key pair
+        is handed out by the shard that plays the replica, once per replica:
+        the driver holds none and signs nothing."""
+        calls = []
+        keypair_for = SignatureScheme.keypair_for
+
+        def recording(scheme, process):
+            calls.append((sys._getframe(1).f_globals["__name__"], scheme, process))
+            return keypair_for(scheme, process)
+
+        monkeypatch.setattr(SignatureScheme, "keypair_for", recording)
+        with _system(fast_network, shards=3) as system:
+            system.schedule_submissions(
+                _workload(seed=3, rate=4_000.0, duration=0.02, cross_shard_fraction=0.5,
+                          router=system.router)
+            )
+            system.run()
+            assert system.supply_audit().fully_retired
+            assert {module for module, _, _ in calls} == {"repro.cluster.shard"}
+            handed = [(id(scheme), process) for _, scheme, process in calls]
+            assert sorted(handed) == sorted(
+                (id(shard.scheme), pid) for shard in system.shards for pid in shard.nodes
+            )
 
 
 class TestSettlementEndToEnd:
@@ -750,8 +879,7 @@ class TestSettlementEndToEnd:
         certificate = system.settlement.relay(0, 1).vouchers.signature()
         assert len(certificate) == 1
         assert mints[0] == mint_transfer(SettlementClaim(*certificate[0]))
-        assert [inbox.accepted for (shard, _), inbox in system.settlement.inboxes.items()
-                if shard == 1] == [1] * len(nodes)
+        assert [inbox.accepted for inbox in system.shards[1].inboxes] == [1] * len(nodes)
 
     def test_minted_funds_are_spendable_beyond_initial_balance(self, fast_network):
         system = _system(fast_network, initial_balance=10, seed=3)

@@ -10,10 +10,14 @@ per-shard Definition 1 plus the cross-ledger supply identity — stay clean.
 The whole suite is parametrized over the execution backends: every fault
 scenario runs under Serial/ProcessPool epoch execution — the pool with its
 default workers and with one worker hosting both shards — so fault
-containment is exercised under real parallelism, not just serially.  The relay, inbox and voucher
-behaviours live in the driver process on every backend (that is the
-backends' design: the trust boundary is poked identically everywhere), while
-the shard protocol reacting to the faults runs wherever the backend puts it.
+containment is exercised under real parallelism, not just serially.  The
+relays and the voucher and ack behaviours live in the driver process on
+every backend; the inboxes and gates are the shards' own and run wherever
+the backend puts them.  A certificate injected at a trust boundary goes the
+way a compromised relay would deliver it: onto the scheduler's delivery
+queue, past the fabric's accounting, into the next barrier's ``apply``
+(:func:`_hand_over`), so it reaches the live inbox or gate on every backend;
+what they decided is read back from the shards after the run.
 """
 
 import dataclasses
@@ -96,6 +100,19 @@ def _destination_balances(system, shard=1):
     }
 
 
+def _hand_over(system, shard, certificate):
+    """Queue ``certificate`` for ``shard``'s live inboxes (a settlement
+    certificate) or gate (a retirement certificate) at the next barrier,
+    without the fabric: no stream counts it and no provision grows."""
+    scheduler = system.scheduler
+    queue = (
+        "retirement_certificates"
+        if isinstance(certificate, RetirementCertificate)
+        else "certificates"
+    )
+    scheduler.enqueue(queue, scheduler.now, partial(scheduler.hand_over, shard), certificate)
+
+
 def _claim(system, amount=1_000_000, sequence=1, account="0"):
     return SettlementClaim(
         source_shard=0,
@@ -119,10 +136,10 @@ class TestForgedCertificates:
             claim=claim, certificate=rogue.make_certificate(claim, signatures)
         )
         before = _destination_balances(system)
-        for pid in range(4):
-            inbox = system.settlement.inboxes[(1, pid)]
-            assert not inbox.receive(forged)
-            assert inbox.rejected[-1][1] == "invalid quorum certificate"
+        _hand_over(system, 1, forged)
+        system.run()
+        for inbox in system.shards[1].inboxes:
+            assert inbox.rejected[-1] == (forged, "invalid quorum certificate")
             assert inbox.accepted == 0
         assert _destination_balances(system) == before
         report = system.check_definition1()
@@ -140,9 +157,37 @@ class TestForgedCertificates:
         certificate = SettlementCertificate(
             claim=claim, certificate=scheme.make_certificate(claim, signatures)
         )
-        inbox = system.settlement.inboxes[(1, 0)]
-        assert not inbox.receive(certificate)
-        assert inbox.rejected[-1][1] == "misrouted certificate"
+        _hand_over(system, 1, certificate)
+        system.run()
+        for inbox in system.shards[1].inboxes:
+            assert inbox.rejected[-1][1] == "misrouted certificate"
+
+
+class TestRefusedCertificates:
+    def test_an_all_refused_apply_changes_no_event_and_no_fingerprint(self, make_system):
+        """The driver hands certificates over without deciding them, so a
+        barrier whose certificates every inbox and gate refuses still puts
+        the next barrier on the next grid point: one empty barrier more
+        than a run that never saw them, the same events on every shard and
+        the same fingerprint."""
+        clean, attacked = make_system(), make_system()
+        for system in (clean, attacked):
+            assert _run_one_settled_payment(system).fully_retired
+        rogue = SignatureScheme(seed=999)
+        credit = _claim(attacked)
+        ack = SettlementAckClaim(source_shard=0, destination_shard=1, issuer=0, sequence=50)
+        for shard, wrap, claim in ((1, SettlementCertificate, credit), (0, RetirementCertificate, ack)):
+            signatures = tuple(rogue.keypair_for(pid).sign(claim) for pid in range(3))
+            _hand_over(attacked, shard, wrap(claim, rogue.make_certificate(claim, signatures)))
+        clean_result, attacked_result = clean.run(), attacked.run()
+        assert [inbox.rejected_count for inbox in attacked.shards[1].inboxes] == [1, 1, 1, 1]
+        assert attacked.shards[0].gate.rejected_count == 1
+        assert attacked.scheduler.barriers == clean.scheduler.barriers + 1
+        assert attacked.scheduler.events_processed() == clean.scheduler.events_processed()
+        assert [report.now for report in attacked.scheduler._reports.values()] == [
+            report.now for report in clean.scheduler._reports.values()
+        ]
+        assert attacked_result.fingerprint() == clean_result.fingerprint()
 
 
 class TestUnderQuorumCertificates:
@@ -157,9 +202,10 @@ class TestUnderQuorumCertificates:
             claim=claim, certificate=scheme.make_certificate(claim, signatures)
         )
         before = _destination_balances(system)
-        for pid in range(4):
-            inbox = system.settlement.inboxes[(1, pid)]
-            assert not inbox.receive(under)
+        _hand_over(system, 1, under)
+        system.run()
+        for inbox in system.shards[1].inboxes:
+            assert inbox.rejected_count == 1
             assert inbox.rejected[-1][1] == "invalid quorum certificate"
         assert _destination_balances(system) == before
         assert system.check_definition1().ok
@@ -174,9 +220,10 @@ class TestUnderQuorumCertificates:
         padded = SettlementCertificate(
             claim=claim, certificate=scheme.make_certificate(claim, one_signer)
         )
-        inbox = system.settlement.inboxes[(1, 0)]
-        assert not inbox.receive(padded)
-        assert inbox.rejected[-1][1] == "invalid quorum certificate"
+        _hand_over(system, 1, padded)
+        system.run()
+        for inbox in system.shards[1].inboxes:
+            assert inbox.rejected[-1][1] == "invalid quorum certificate"
 
 
 class TestRejectionFlood:
@@ -200,9 +247,7 @@ class TestRejectionFlood:
             )
         }
         minted = []
-        inbox = SettlementInbox(
-            1, verifiers, mint_sink=minted.append, on_minted=minted.append, mint_of=mint_transfer
-        )
+        inbox = SettlementInbox(1, verifiers, mint_sink=minted.append)
         for sequence in range(1, self.FLOOD + 1):
             claim = SettlementClaim(0, 1, issuer=0, sequence=sequence, account="0", amount=9)
             assert not inbox.receive(self._forged(SettlementCertificate, claim))
@@ -213,7 +258,7 @@ class TestRejectionFlood:
         assert inbox.rejected[0][0].claim.sequence == self.FLOOD - REJECTED_WINDOW + 1
         assert inbox.accepted == 0 and inbox.buffered_count == 0 and not minted
 
-        gate = CompactionGate(0, verifiers={1: verifiers[0]}, lookup=None, retire_sink=None)
+        gate = CompactionGate(0, verifiers={1: verifiers[0]}, lookup=None)
         for sequence in range(1, 2 * REJECTED_WINDOW + 1):
             claim = SettlementAckClaim(0, 1, issuer=0, sequence=sequence)
             assert not gate.receive(self._forged(RetirementCertificate, claim))
@@ -244,10 +289,11 @@ class TestReplayedCertificates:
         assert vouchers.signature() == [dataclasses.astuple(genuine.claim)]
         assert system.settlement.resident_journal_records() == 0
         after_first = _destination_balances(system)
-        for pid in range(4):
-            inbox = system.settlement.inboxes[(1, pid)]
-            assert not inbox.receive(genuine)  # byte-identical replay
-            assert inbox.rejected[-1][1] == "replayed certificate"
+        _hand_over(system, 1, genuine)  # a byte-identical replay
+        system.run()
+        for inbox in system.shards[1].inboxes:
+            assert inbox.accepted == 1
+            assert inbox.rejected[-1] == (genuine, "replayed certificate")
         assert _destination_balances(system) == after_first
         report = system.check_definition1()
         assert report.ok, report.violations
@@ -268,23 +314,23 @@ class TestReplayedCertificates:
 
         first = certify(_claim(system, amount=5, sequence=1))
         second = certify(_claim(system, amount=7, sequence=2))
-        inbox = system.settlement.inboxes[(1, 0)]
-        assert inbox.receive(second)  # accepted but held: stream starts at 1
-        assert inbox.buffered_count == 1
-        assert inbox.accepted == 0 and not system.scheduler._commands
-        assert not inbox.receive(second)  # same slot again is a replay
-        assert inbox.rejected[-1][1] == "replayed certificate"
-        assert inbox.receive(first)  # the gap fills: both mint, in order
-        # The mint sink (the barrier's per-shard command store) received
-        # both, in order, each as its own transfer, and no retirement.
-        assert list(system.scheduler._commands) == [1]
-        mints, retirements = system.scheduler._commands[1]
-        assert retirements == []
-        minted = [transfer for _, transfer in mints]
-        assert [transfer.sequence for transfer in minted] == [1, 2]
-        assert inbox.accepted == 2
-        assert inbox.buffered_count == 0
-        assert inbox.minted_amount() == 12
+        inboxes = system.shards[1].inboxes
+        _hand_over(system, 1, second)  # accepted but held: stream starts at 1
+        system.run()
+        assert [(inbox.buffered_count, inbox.accepted) for inbox in inboxes] == [(1, 0)] * 4
+        assert all(not inbox.rejected for inbox in inboxes)
+        _hand_over(system, 1, second)  # same slot again is a replay
+        system.run()
+        assert all(inbox.rejected[-1][1] == "replayed certificate" for inbox in inboxes)
+        _hand_over(system, 1, first)  # the gap fills: both mint, in order
+        system.run()
+        for inbox, node in zip(inboxes, system.shards[1].nodes.values()):
+            assert inbox.accepted == 2
+            assert inbox.buffered_count == 0
+            assert inbox.minted_amount() == 12
+            # Each mint its own transfer, in stream order.
+            minted = [transfer for transfer in node._validated if transfer.issuer < 0]
+            assert [(transfer.sequence, transfer.amount) for transfer in minted] == [(1, 5), (2, 7)]
 
     def test_unverified_certificates_are_never_buffered(self, make_system):
         """The ahead-of-sequence buffer only holds quorum-verified input, so
@@ -297,10 +343,11 @@ class TestReplayedCertificates:
         forged = SettlementCertificate(
             claim=ahead, certificate=rogue.make_certificate(ahead, signatures)
         )
-        inbox = system.settlement.inboxes[(1, 0)]
-        assert not inbox.receive(forged)
-        assert inbox.rejected[-1][1] == "invalid quorum certificate"
-        assert inbox.buffered_count == 0
+        _hand_over(system, 1, forged)
+        system.run()
+        for inbox in system.shards[1].inboxes:
+            assert inbox.rejected[-1][1] == "invalid quorum certificate"
+            assert inbox.buffered_count == 0
 
 
 class TestWithheldAndEquivocatedVouchers:
@@ -433,8 +480,7 @@ class TestOutOfOrderCertification:
         # A quorum of destination replicas acknowledged the stream through
         # sequence 2; each ack follows its inbox's in-order mint.
         assert relay.acks.floor(0) == 2
-        for pid, node in system.shards[1].nodes.items():
-            inbox = system.settlement.inboxes[(1, pid)]
+        for inbox, node in zip(system.shards[1].inboxes, system.shards[1].nodes.values()):
             assert inbox.accepted == 2
             assert inbox.buffered_count == 0
             assert inbox._buffered == {}  # no emptied per-stream buffer left behind
@@ -564,9 +610,10 @@ class TestByzantineAcks:
                 claim, tuple(rogue.keypair_for(pid).sign(claim) for pid in range(3))
             ),
         )
-        gate = system.settlement.gates[0]
-        assert not gate.receive(forged)
-        assert gate.rejected[-1][1] == "invalid ack quorum certificate"
+        _hand_over(system, 0, forged)
+        system.run()
+        gate = system.shards[0].gate
+        assert gate.rejected[-1] == (forged, "invalid ack quorum certificate")
         assert system.retired_records() == retired_before
         assert system.check_definition1().ok
 
@@ -611,10 +658,12 @@ class TestByzantineAcks:
         relay = system.settlement.relay(0, 1)
         assert relay.acks.certified_total == relay.acks.delivered_total == 1
         assert relay.acks.signature() == [dataclasses.astuple(genuine.claim)]
-        gate = system.settlement.gates[0]
         retired_before = system.retired_records()
-        assert not gate.receive(genuine)  # byte-identical replay
-        assert gate.rejected[-1][1] == "stale retirement watermark"
+        _hand_over(system, 0, genuine)  # a byte-identical replay
+        system.run()
+        gate = system.shards[0].gate
+        assert gate.accepted == 1
+        assert gate.rejected[-1] == (genuine, "stale retirement watermark")
         assert system.retired_records() == retired_before
         assert system.supply_audit().retirement_backed
         assert system.check_definition1().ok
@@ -641,7 +690,7 @@ class TestByzantineAcks:
         assert audit.fully_retired
         assert system.settlement.pending_acks() == 1
         issuer = system.router.local_process_of(_user_on_shard(system.router, 0))
-        assert system.settlement.gates[0].watermark(1, issuer) == 1
+        assert system.shards[0].gate.watermark(1, issuer) == 1
         assert audit.retirement_backed
         assert system.check_definition1().ok
 
@@ -795,7 +844,7 @@ class TestOnePassExchange:
     barrier leaves nothing matured behind: after a barrier's two halves
     (deliveries and commands, then vouchers and acks — whether the second
     half ran in the exchange or overlapped the next epoch), no queue holds
-    an entry with ``ready <= now`` and no decided ack is left unsigned —
+    an entry with ``ready <= now`` and no reported ack row is left unsent —
     under delayed, dropped and equivocated vouchers and acks too."""
 
     @pytest.mark.parametrize("kind", ["delay-0", "delay-50ms", "drop", "equivocate"])
@@ -816,7 +865,7 @@ class TestOnePassExchange:
                 for entry in queue
                 if entry[0] <= scheduler.now
             )
-            left_behind.extend(("decided acks", ack) for ack in fabric._decided_acks)
+            left_behind.extend(("ack rows", row) for row in scheduler._ack_buffer)
 
         monkeypatch.setattr(scheduler, "_settle", checked)
         _pay_back_and_forth(system)

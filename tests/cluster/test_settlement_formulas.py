@@ -101,7 +101,10 @@ def test_each_settled_credit_costs_exactly_the_formula(
     assert totals == {
         "sign": 2 * n * c,
         "verify": (2 * n + (n + 3) * quorum) * c,
-        "verify_cached": (n + 3) * quorum * c,
+        # On the pool a certificate crosses a pipe to its shard and a copied
+        # signature starts unchecked: the first inbox check and the gate's
+        # run fresh there.
+        "verify_cached": (n + (3 if backend == "serial" else 1)) * quorum * c,
         "certify": 2 * c,
         "verify_certificate": (n + 1) * c,
     }

@@ -138,8 +138,8 @@ class TestRelayAckLeg:
 
 
 class TestCompactionGate:
-    """The gate's retirement commands are ``(destination, issuer, first,
-    last)`` spans: the source shard pops its own records for them."""
+    """The gate's lookup retires the source shard's own records, one
+    ``(destination, issuer, first, last)`` span per accepted watermark."""
 
     def _gate(self):
         scheme = SignatureScheme(seed=8)
@@ -156,10 +156,11 @@ class TestCompactionGate:
             span = range(first_sequence, claim.sequence + 1)
             if any(sequence not in records for sequence in span):
                 return None
+            retired.append((claim.destination_shard, claim.issuer, first_sequence, claim.sequence))
             return sum(records.pop(sequence) for sequence in span)
 
         # The key directory: destination shard 1's bound certificate check.
-        gate = CompactionGate(0, {1: verify}, lookup, retired.append)
+        gate = CompactionGate(0, {1: verify}, lookup)
         return gate, scheme, records, retired
 
     def _certificate(self, scheme, claim):
